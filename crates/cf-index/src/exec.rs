@@ -1,0 +1,370 @@
+//! The one Q2 pipeline (paper §3.2): filter intervals through the 1-D
+//! R\*-tree, coalesce the retrieved record ranges into runs, read the
+//! runs, refine every cell against the band, emit.
+//!
+//! Every product query path — I-Hilbert and the Interval Quadtree
+//! probe, the planner's full scan, the ingest snapshot's overlay-aware
+//! probe and scan, I-All — is one call of [`run`]. The executor alone
+//! owns the query bracket (tracer id, phase stopwatches, thread-I/O
+//! delta), the range merge rule, the heat bumps, the per-cell refine
+//! body, the metrics publish and the single emission of trace events,
+//! EXPLAIN record and flight-recorder digest. A caller supplies only
+//! what genuinely differs, as a [`Q2`]: the filter source, the cell
+//! source, an optional overlay, and the labels.
+//!
+//! The per-cell path is statically dispatched: the refine body is a
+//! closure handed to the generic `for_each_in_ranges`, monomorphised
+//! per field model, and the overlay lookup exists only in the
+//! instantiation that has an overlay. `LinearScan` and the volume /
+//! vector scans stay hand-written: they are the reference the tests
+//! compare this executor against.
+
+use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
+use crate::subfield::Subfield;
+use cf_field::FieldModel;
+use cf_geom::{Aabb, Interval, Polygon};
+use cf_rtree::{FrozenTree, PagedRTree, SearchStats};
+use cf_storage::{
+    answer_digest, CellFile, CfResult, ExplainRecord, HeatKind, Label, Record, RecordFile,
+    Stopwatch, StorageEngine, TraceEvent,
+};
+use std::collections::HashMap;
+use std::ops::Range;
+
+/// What one query path supplies to [`run`].
+pub(crate) struct Q2<'a, R: Record> {
+    /// `index` label of the EXPLAIN record.
+    pub index: &'a str,
+    /// Curve name reported in the EXPLAIN and flight records.
+    pub curve: &'static str,
+    /// Ingest epoch the query is pinned to (0 = static plane).
+    pub epoch: u64,
+    /// The `index_*` registry handles the query publishes under.
+    pub metrics: &'a QueryMetrics,
+    /// The filter source; `None` is the full scan — no filtering step,
+    /// one run covering the whole cell file.
+    pub filter: Option<Filter<'a>>,
+    /// The cell source of the estimation step.
+    pub cells: Cells<'a, R>,
+    /// Ingest overlay: records substituted per file position.
+    pub overlay: Option<&'a HashMap<u32, R>>,
+}
+
+/// The filter source: an interval tree whose leaf payloads are packed
+/// [`Subfield`] ranges, searched on whichever plane is active.
+pub(crate) struct Filter<'a> {
+    /// The paged tree (filter I/O counts as page reads).
+    pub tree: &'a PagedRTree<1>,
+    /// Its frozen flattening, when the frozen query plane is active.
+    pub frozen: Option<&'a FrozenTree<1>>,
+    /// The ingest delta's correction of the base tree's answer.
+    pub overrides: Option<SubfieldOverrides<'a>>,
+}
+
+/// Effective (overlay-aware) intervals of the subfields an ingest delta
+/// touched, plus the base catalog they are keyed against.
+pub(crate) struct SubfieldOverrides<'a> {
+    /// Subfield index → effective interval.
+    pub effective: &'a HashMap<u32, Interval>,
+    /// File position → subfield index.
+    pub pos_to_subfield: &'a [u32],
+    /// The base subfield catalog.
+    pub subfields: &'a [Subfield],
+}
+
+/// One published ingest epoch, as a subfield index's query sees it.
+pub(crate) struct Delta<'a, R> {
+    /// Net overlay record per touched cell-file position.
+    pub overlays: &'a HashMap<u32, R>,
+    /// Effective interval per touched subfield.
+    pub sf_intervals: &'a HashMap<u32, Interval>,
+    /// The publication epoch.
+    pub epoch: u64,
+}
+
+/// How the estimation step reads the coalesced runs.
+pub(crate) enum Cells<'a, R: Record> {
+    /// Run by run, every underlying page at most once across all runs.
+    Runs(&'a CellFile<R>),
+    /// One record fetch per position — I-All, whose candidates are
+    /// individual cells scattered over the file in native order.
+    Each(&'a RecordFile<R>),
+}
+
+impl Filter<'_> {
+    fn plane(&self) -> &'static str {
+        if self.frozen.is_some() {
+            "frozen"
+        } else {
+            "paged"
+        }
+    }
+
+    /// The filtering step: every record range whose interval
+    /// intersects `band`.
+    fn retrieve(
+        &self,
+        engine: &StorageEngine,
+        band: Interval,
+        ranges: &mut Vec<(u32, u32)>,
+    ) -> CfResult<SearchStats> {
+        ranges.clear();
+        let mut on_hit = |data: u64, mbr: &Aabb<1>| {
+            let sf = Subfield::unpack(data, Interval::new(mbr.lo[0], mbr.hi[0]));
+            ranges.push((sf.start, sf.end));
+        };
+        let search = match self.frozen {
+            Some(frozen) => frozen.search(&band.into(), &mut on_hit),
+            None => self.tree.search(engine, &band.into(), &mut on_hit)?,
+        };
+        // Drop base hits whose effective interval left the band, add
+        // subfields whose effective interval entered it. The two sets
+        // are disjoint by construction, so no dedup is needed, and the
+        // result equals the subfield set an in-place-updated tree would
+        // retrieve.
+        if let Some(o) = self.overrides.as_ref().filter(|o| !o.effective.is_empty()) {
+            ranges.retain(|&(start, _)| {
+                let sf_idx = o.pos_to_subfield[start as usize];
+                match o.effective.get(&sf_idx) {
+                    Some(iv) => iv.intersects(band),
+                    None => true,
+                }
+            });
+            for (&sf_idx, iv) in o.effective {
+                let sf = o.subfields[sf_idx as usize];
+                if iv.intersects(band) && !sf.interval.intersects(band) {
+                    ranges.push((sf.start, sf.end));
+                }
+            }
+        }
+        Ok(search)
+    }
+}
+
+impl<R: Record> Cells<'_, R> {
+    fn len(&self) -> usize {
+        match self {
+            Cells::Runs(file) => file.len(),
+            Cells::Each(file) => file.len(),
+        }
+    }
+
+    /// Feeds every record of `runs` to `visit` in ascending position
+    /// order.
+    fn for_each(
+        &self,
+        engine: &StorageEngine,
+        runs: &[Range<usize>],
+        mut visit: impl FnMut(usize, R),
+    ) -> CfResult<()> {
+        match self {
+            Cells::Runs(file) => file.for_each_in_ranges(engine, runs, visit),
+            Cells::Each(file) => {
+                for pos in runs.iter().cloned().flatten() {
+                    visit(pos, file.get(engine, pos)?);
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Sorts retrieved `[start, end)` record ranges and merges touching
+/// neighbors into maximal runs (the range-merge rule, stated once).
+///
+/// Subfields adjacent on the Hilbert-ordered file hold cells of similar
+/// values, so a band query typically retrieves *runs* of neighbors;
+/// reading each subfield separately would fetch every straddled page
+/// boundary twice. Merging first makes the estimation step's page cost
+/// `ceil(run_cells / per_page) + 1` per run instead of per subfield.
+pub(crate) fn coalesce_into(ranges: &mut [(u32, u32)], runs: &mut Vec<Range<usize>>) {
+    ranges.sort_unstable();
+    runs.clear();
+    for &(s, e) in ranges.iter() {
+        match runs.last_mut() {
+            Some(last) if s as usize <= last.end => last.end = last.end.max(e as usize),
+            _ => runs.push(s as usize..e as usize),
+        }
+    }
+}
+
+/// Runs one Q2 query: passes each non-empty answer region to `sink`
+/// and returns the statistics. Region order — and with it every bit of
+/// the accumulated area — is ascending file position on every path.
+pub(crate) fn run<F: FieldModel>(
+    engine: &StorageEngine,
+    band: Interval,
+    q: Q2<'_, F::CellRec>,
+    scratch: &mut QueryScratch,
+    sink: &mut dyn FnMut(Polygon),
+) -> CfResult<QueryStats> {
+    let QueryScratch { ranges, runs } = scratch;
+    let tracer = engine.metrics().tracer();
+    let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
+    let query_clock = Stopwatch::start();
+    let before = cf_storage::thread_io_stats();
+    let mut stats = QueryStats::default();
+
+    // Step 1 (filtering): record ranges whose interval intersects w.
+    let filter_ns = match &q.filter {
+        Some(filter) => {
+            let filter_clock = Stopwatch::start();
+            let search = filter.retrieve(engine, band, ranges)?;
+            stats.filter_nodes = search.nodes_visited;
+            stats.intervals_retrieved = ranges.len();
+            stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
+            filter_clock.elapsed_ns()
+        }
+        None => {
+            ranges.clear();
+            ranges.push((0, q.cells.len() as u32));
+            0
+        }
+    };
+
+    // Step 2 (estimation): read the contiguous cell runs, merging
+    // adjacent ranges and visiting every data page exactly once.
+    let refine_clock = Stopwatch::start();
+    coalesce_into(ranges, runs);
+    // Spatial heat: one range bump per run covers every examined cell
+    // (the run sum equals `cells_examined` exactly); qualifying heat
+    // lands per cell inside the loop. No-ops under `obs-off`.
+    let heat = engine.metrics().heat();
+    for run in runs.iter() {
+        heat.table(HeatKind::Examined)
+            .bump_range(run.start as u64, run.end as u64);
+    }
+    let qualifying_heat = heat.table(HeatKind::Qualifying);
+    let mut refine = |pos: usize, rec: F::CellRec| {
+        stats.cells_examined += 1;
+        if F::record_interval(&rec).intersects(band) {
+            stats.cells_qualifying += 1;
+            qualifying_heat.bump(pos as u64);
+            for region in F::record_band_region(&rec, band) {
+                stats.num_regions += 1;
+                stats.area += region.area();
+                sink(region);
+            }
+        }
+    };
+    match q.overlay {
+        None => q.cells.for_each(engine, runs, &mut refine)?,
+        Some(overlay) => q.cells.for_each(engine, runs, |pos, rec| {
+            refine(pos, overlay.get(&(pos as u32)).cloned().unwrap_or(rec))
+        })?,
+    }
+    stats.io = cf_storage::thread_io_stats() - before;
+    let refine_ns = refine_clock.elapsed_ns();
+    let query_ns = query_clock.elapsed_ns();
+
+    q.metrics
+        .publish(&stats, band, query_ns, filter_ns, refine_ns);
+    if let Some(query_id) = query_id {
+        emit(
+            engine, query_id, band, &q, &stats, query_ns, filter_ns, refine_ns,
+        );
+    }
+    Ok(stats)
+}
+
+/// The single emission point of a traced query: its phase breakdown
+/// into the trace ring, its [`ExplainRecord`] into the EXPLAIN ring
+/// (and, past the slow-query threshold, a full slow-query report), and
+/// its band + answer digest into the flight recorder — enough to replay
+/// and re-verify the query later (`repro replay`). Only called when
+/// tracing is enabled, so the ordinary hot path never builds these.
+#[allow(clippy::too_many_arguments)]
+fn emit<R: Record>(
+    engine: &StorageEngine,
+    query_id: u64,
+    band: Interval,
+    q: &Q2<'_, R>,
+    stats: &QueryStats,
+    query_ns: u64,
+    filter_ns: u64,
+    refine_ns: u64,
+) {
+    let (plan, plane, refine_phase) = match &q.filter {
+        Some(filter) => ("probe", filter.plane(), "refine"),
+        None => ("scan", "cells", "scan"),
+    };
+    let refine_pages = stats.io.logical_reads() - stats.filter_pages;
+    let events = [
+        TraceEvent {
+            query_id,
+            phase: "filter",
+            pages: stats.filter_pages,
+            nanos: filter_ns,
+            depth: 1,
+        },
+        TraceEvent {
+            query_id,
+            phase: refine_phase,
+            pages: refine_pages,
+            nanos: refine_ns,
+            depth: 1,
+        },
+    ];
+    // A scan has no filtering step, so no filter phase either.
+    let phases = &events[usize::from(q.filter.is_none())..];
+    let tracer = engine.metrics().tracer();
+    for event in phases {
+        tracer.record(*event);
+    }
+    tracer.record(TraceEvent {
+        query_id,
+        phase: "query",
+        pages: stats.io.logical_reads(),
+        nanos: query_ns,
+        depth: 0,
+    });
+    let explain = ExplainRecord {
+        query_id,
+        index: Label::new(q.index),
+        plan,
+        plane,
+        curve: Label::new(q.curve),
+        band_lo: band.lo,
+        band_hi: band.hi,
+        subfields: stats.intervals_retrieved as u64,
+        cells_examined: stats.cells_examined as u64,
+        cells_qualifying: stats.cells_qualifying as u64,
+        filter_pages: stats.filter_pages,
+        refine_pages,
+        filter_ns,
+        refine_ns,
+        total_ns: query_ns,
+        epoch: q.epoch,
+        pool_hits: stats.io.pool_hits,
+        pool_misses: stats.io.pool_misses,
+    };
+    engine.metrics().recorder().record(
+        band.lo,
+        band.hi,
+        plane,
+        q.curve,
+        q.epoch,
+        answer_digest(
+            stats.cells_examined as u64,
+            stats.cells_qualifying as u64,
+            stats.num_regions as u64,
+            stats.area,
+        ),
+    );
+    tracer.finish_query_explained(query_id, query_ns, phases, Some(explain));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn coalesce_merges_touching_and_overlapping_ranges() {
+        let mut ranges = vec![(10, 20), (0, 4), (4, 7), (15, 30), (40, 41)];
+        let mut runs = vec![99..100, 200..201];
+        coalesce_into(&mut ranges, &mut runs);
+        assert_eq!(runs, vec![0..7, 10..30, 40..41]);
+        coalesce_into(&mut [], &mut runs);
+        assert!(runs.is_empty());
+    }
+}

@@ -7,15 +7,19 @@
 //! … the search speed will also suffer because of the overlapping of so
 //! many similar intervals."
 
-use crate::stats::{QueryMetrics, QueryStats, ValueIndex};
+use crate::exec::{self, Cells, Filter, Q2};
+use crate::stats::{QueryMetrics, QueryScratch, QueryStats, ValueIndex};
+use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
 use cf_rtree::{FrozenTree, PagedRTree, RStarTree, RTreeConfig};
-use cf_storage::{CfError, CfResult, RecordFile, Stopwatch, StorageEngine, TraceEvent};
+use cf_storage::{CfError, CfResult, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
-/// One R\*-tree entry per cell: `interval → cell index`.
+/// One R\*-tree entry per cell: `interval → cell`, each cell stored as
+/// the one-record [`Subfield`] it is, so the filtering step is the
+/// shared one.
 pub struct IAll<F: FieldModel> {
     file: RecordFile<F::CellRec>,
     tree: PagedRTree<1>,
@@ -33,12 +37,16 @@ impl<F: FieldModel> IAll<F> {
     /// (as the paper's implementation would).
     pub fn build(engine: &StorageEngine, field: &F) -> CfResult<Self> {
         let n = field.num_cells();
+        assert!(
+            n < u32::MAX as usize,
+            "cell file too large for u32 subfield pointers ({n} cells)"
+        );
         let records: Vec<F::CellRec> = (0..n).map(|c| field.cell_record(c)).collect();
         let file = RecordFile::create(engine, records)?;
 
         let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::page_sized::<1>());
         for cell in 0..n {
-            tree.insert(field.cell_interval(cell).into(), cell as u64);
+            tree.insert(field.cell_interval(cell).into(), entry(cell));
         }
         let tree = PagedRTree::persist(&tree, engine)?;
         Ok(Self {
@@ -83,14 +91,14 @@ impl<F: FieldModel> IAll<F> {
         let new_iv = F::record_interval(&record);
         self.file.put(engine, cell, &record)?;
         if new_iv != old_iv {
-            let removed = self.tree.remove(engine, &old_iv.into(), cell as u64)?;
+            let removed = self.tree.remove(engine, &old_iv.into(), entry(cell))?;
             if !removed {
                 return Err(CfError::corrupt(
                     None,
                     format!("cell {cell}'s interval entry is missing from the I-All tree"),
                 ));
             }
-            self.tree.insert(engine, new_iv.into(), cell as u64)?;
+            self.tree.insert(engine, new_iv.into(), entry(cell))?;
             if self.frozen.is_some() {
                 self.freeze(engine)?;
             }
@@ -98,84 +106,43 @@ impl<F: FieldModel> IAll<F> {
         Ok(())
     }
 
-    fn query_impl(
+    /// The two-step query: every intersecting cell interval from the
+    /// tree, then one record fetch per candidate in cell order (for page
+    /// locality).
+    fn execute(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        candidates: &mut Vec<u64>,
+        scratch: &mut QueryScratch,
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
-        let tracer = engine.metrics().tracer();
-        let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
-        let query_clock = Stopwatch::start();
-        let before = cf_storage::thread_io_stats();
-        let mut stats = QueryStats::default();
-
-        // Filtering step: every intersecting cell interval.
-        let filter_clock = Stopwatch::start();
-        candidates.clear();
-        let mut on_hit = |cell: u64, _mbr: &cf_geom::Aabb<1>| candidates.push(cell);
-        let search = match &self.frozen {
-            Some(frozen) => frozen.search(&band.into(), &mut on_hit),
-            None => self.tree.search(engine, &band.into(), &mut on_hit)?,
+        let q = Q2 {
+            index: "I-All",
+            curve: "-",
+            epoch: 0,
+            metrics: self
+                .qmetrics
+                .get_or_init(|| QueryMetrics::wire(engine.metrics(), "I-All")),
+            filter: Some(Filter {
+                tree: &self.tree,
+                frozen: self.frozen.as_ref(),
+                overrides: None,
+            }),
+            cells: Cells::Each(&self.file),
+            overlay: None,
         };
-        stats.filter_nodes = search.nodes_visited;
-        stats.intervals_retrieved = candidates.len();
-        stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
-        let filter_ns = filter_clock.elapsed_ns();
-        let refine_clock = Stopwatch::start();
-
-        // Estimation step: read the candidate cells (sorted for page
-        // locality) and compute exact regions.
-        candidates.sort_unstable();
-        for &cell in candidates.iter() {
-            let rec = self.file.get(engine, cell as usize)?;
-            stats.cells_examined += 1;
-            debug_assert!(F::record_interval(&rec).intersects(band));
-            stats.cells_qualifying += 1;
-            for region in F::record_band_region(&rec, band) {
-                stats.num_regions += 1;
-                stats.area += region.area();
-                sink(region);
-            }
-        }
-        stats.io = cf_storage::thread_io_stats() - before;
-        let refine_ns = refine_clock.elapsed_ns();
-        let query_ns = query_clock.elapsed_ns();
-        self.qmetrics
-            .get_or_init(|| QueryMetrics::wire(engine.metrics(), "I-All"))
-            .publish(&stats, band, query_ns, filter_ns, refine_ns);
-        if let Some(query_id) = query_id {
-            let phases = [
-                TraceEvent {
-                    query_id,
-                    phase: "filter",
-                    pages: stats.filter_pages,
-                    nanos: filter_ns,
-                    depth: 1,
-                },
-                TraceEvent {
-                    query_id,
-                    phase: "refine",
-                    pages: stats.io.logical_reads() - stats.filter_pages,
-                    nanos: refine_ns,
-                    depth: 1,
-                },
-            ];
-            for event in &phases {
-                tracer.record(*event);
-            }
-            tracer.record(TraceEvent {
-                query_id,
-                phase: "query",
-                pages: stats.io.logical_reads(),
-                nanos: query_ns,
-                depth: 0,
-            });
-            tracer.finish_query(query_id, query_ns, &phases);
-        }
-        Ok(stats)
+        exec::run::<F>(engine, band, q, scratch, sink)
     }
+}
+
+/// Tree payload of `cell`: the packed one-record subfield `[cell, cell + 1)`.
+fn entry(cell: usize) -> u64 {
+    Subfield {
+        start: cell as u32,
+        end: cell as u32 + 1,
+        interval: Interval::point(0.0),
+    }
+    .pack()
 }
 
 impl<F: FieldModel> ValueIndex for IAll<F> {
@@ -189,17 +156,16 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
         band: Interval,
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
-        let mut candidates = Vec::new();
-        self.query_impl(engine, band, &mut candidates, sink)
+        self.execute(engine, band, &mut QueryScratch::default(), sink)
     }
 
     fn query_stats_scratch(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        scratch: &mut crate::stats::QueryScratch,
+        scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
-        self.query_impl(engine, band, &mut scratch.candidates, &mut |_| {})
+        self.execute(engine, band, scratch, &mut |_| {})
     }
 
     fn index_pages(&self) -> usize {

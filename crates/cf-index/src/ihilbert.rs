@@ -11,9 +11,10 @@ use crate::advisor::{
     RepackOutcome, SpatialProfile, WorkloadProfile,
 };
 use crate::order::{cell_order, par_cell_order};
+use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
 pub use crate::sfindex::{QueryPlane, TreeBuild};
-use crate::stats::{QueryStats, ValueIndex};
+use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
@@ -233,18 +234,6 @@ impl<F: FieldModel> IHilbert<F> {
         self.inner.freeze(engine)
     }
 
-    /// Runs the query with the estimation step parallelized across
-    /// `threads` workers (see `SubfieldIndex::par_query_stats`). Returns
-    /// the same counts and exact area as [`ValueIndex::query_stats`].
-    pub fn par_query_stats(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        threads: usize,
-    ) -> CfResult<QueryStats> {
-        self.inner.par_query_stats(engine, band, threads)
-    }
-
     /// Scores the current subfield grouping under the static cost model
     /// (`q = W/2`, the paper's `P = L + 0.5` on a normalized domain)
     /// and the empirical model grounded in the observed
@@ -407,16 +396,19 @@ impl<F: FieldModel> ValueIndex for IHilbert<F> {
         band: Interval,
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
-        self.inner.query_with(engine, band, sink)
+        let scratch = &mut QueryScratch::default();
+        self.inner
+            .execute(engine, band, Plan::IndexProbe, None, scratch, sink)
     }
 
     fn query_stats_scratch(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        scratch: &mut crate::stats::QueryScratch,
+        scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
-        self.inner.query_stats_scratch(engine, band, scratch)
+        self.inner
+            .execute(engine, band, Plan::IndexProbe, None, scratch, &mut |_| {})
     }
 
     fn index_pages(&self) -> usize {
@@ -601,29 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_query_matches_sequential() {
-        let engine = StorageEngine::in_memory();
-        let field = smooth_field(32);
-        let ih = IHilbert::build(&engine, &field).expect("build");
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..15 {
-            let lo: f64 = rng.gen_range(-5.0..100.0);
-            let band = Interval::new(lo, lo + rng.gen_range(0.0..25.0));
-            let seq = ih.query_stats(&engine, band).expect("query");
-            for threads in [1, 2, 4, 7] {
-                let par = ih.par_query_stats(&engine, band, threads).expect("query");
-                assert_eq!(par.cells_examined, seq.cells_examined, "t={threads}");
-                assert_eq!(par.cells_qualifying, seq.cells_qualifying, "t={threads}");
-                assert_eq!(par.num_regions, seq.num_regions, "t={threads}");
-                assert!(
-                    (par.area - seq.area).abs() < 1e-9 * seq.area.max(1.0),
-                    "t={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn frozen_plane_matches_paged_plane() {
         let engine = StorageEngine::in_memory();
         let field = smooth_field(32);
@@ -650,16 +619,11 @@ mod tests {
             assert_eq!(a.intervals_retrieved, b.intervals_retrieved);
             assert_eq!(b.filter_pages, 0, "frozen filter reads no pages");
             assert!((a.area - b.area).abs() < 1e-9 * a.area.max(1.0));
-            // The parallel estimation path rides the same frozen filter.
-            let c = frozen.par_query_stats(&engine, band, 3).expect("query");
-            assert_eq!(c.cells_qualifying, a.cells_qualifying, "band {band}");
-            assert_eq!(c.filter_nodes, a.filter_nodes, "band {band}");
         }
     }
 
     #[test]
     fn scratch_query_matches_plain_query() {
-        use crate::stats::QueryScratch;
         let engine = StorageEngine::in_memory();
         let field = smooth_field(24);
         let ih = IHilbert::build(&engine, &field).expect("build");

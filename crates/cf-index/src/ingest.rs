@@ -39,17 +39,15 @@
 //! stalls them.
 
 use crate::advisor::{refine_subfields_spatially, SpatialProfile, WorkloadProfile};
+use crate::exec::Delta;
 use crate::ihilbert::IHilbert;
-use crate::planner::SelectivityEstimator;
+use crate::planner::{Plan, Router};
 use crate::sfindex::{SubfieldIndex, TreeBuild};
-use crate::stats::{QueryMetrics, QueryScratch, QueryStats, ValueIndex};
+use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
-use cf_storage::{
-    answer_digest, codec, CfResult, Counter, EpochPin, Gauge, HeatKind, Record, Stopwatch,
-    StorageEngine, TraceEvent,
-};
+use cf_storage::{codec, CfResult, EpochPin, Gauge, Record, Stopwatch, StorageEngine};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
@@ -131,8 +129,9 @@ struct WriterState<F: FieldModel> {
     epoch: u64,
     /// Completed repacks (epoch swaps that replaced the base).
     repacks: u64,
-    /// Planner statistic over the current base (rebuilt on repack).
-    estimator: Option<Arc<SelectivityEstimator>>,
+    /// Planner over the current base (rebuilt on repack), shared by
+    /// every snapshot of it.
+    router: Option<Arc<Router>>,
     /// When the delta last drained (repack or construction) — the
     /// `ingest_repack_lag_ns` gauge reports time since.
     last_drain: Instant,
@@ -210,8 +209,8 @@ impl<F: FieldModel> LiveIngest<F> {
         ring: Vec<DeltaRec<F::CellRec>>,
     ) -> CfResult<Self> {
         let base = Arc::new(base);
-        let estimator = match config.scan_threshold {
-            Some(_) => {
+        let router = match config.scan_threshold {
+            Some(threshold) => {
                 let inner = base.inner();
                 let mut intervals: Vec<Interval> = Vec::with_capacity(inner.file.len());
                 inner
@@ -219,10 +218,7 @@ impl<F: FieldModel> LiveIngest<F> {
                     .for_each_in_range(engine, 0..inner.file.len(), |_, rec| {
                         intervals.push(F::record_interval(&rec));
                     })?;
-                Some(Arc::new(SelectivityEstimator::build(
-                    intervals.into_iter(),
-                    64,
-                )))
+                Some(Arc::new(Router::new(intervals.into_iter(), threshold)))
             }
             None => None,
         };
@@ -233,7 +229,7 @@ impl<F: FieldModel> LiveIngest<F> {
             sf_overrides: HashMap::new(),
             epoch,
             repacks: 0,
-            estimator,
+            router,
             last_drain: Instant::now(),
             last_publish: Instant::now(),
         };
@@ -254,7 +250,7 @@ impl<F: FieldModel> LiveIngest<F> {
                 state.sf_overrides.insert(sf_idx, iv);
             }
         }
-        let snapshot = make_snapshot(engine, &state, config.scan_threshold);
+        let snapshot = make_snapshot(engine, &state);
         let this = Self {
             writer: Mutex::new(state),
             published: RwLock::new(snapshot),
@@ -425,11 +421,8 @@ impl<F: FieldModel> LiveIngest<F> {
         );
         new_base.inner().publish_health(engine.metrics(), None);
 
-        if self.scan_threshold.is_some() {
-            state.estimator = Some(Arc::new(SelectivityEstimator::build(
-                intervals.into_iter(),
-                64,
-            )));
+        if let Some(threshold) = self.scan_threshold {
+            state.router = Some(Arc::new(Router::new(intervals.into_iter(), threshold)));
         }
         state.base = Arc::new(new_base);
         state.ring.clear();
@@ -490,7 +483,7 @@ impl<F: FieldModel> LiveIngest<F> {
     fn publish_locked(&self, engine: &StorageEngine, state: &mut WriterState<F>) {
         let epoch_age_ns = state.last_publish.elapsed().as_nanos() as u64;
         state.last_publish = Instant::now();
-        let snapshot = make_snapshot(engine, state, self.scan_threshold);
+        let snapshot = make_snapshot(engine, state);
         *self.published.write().expect("published epoch poisoned") = snapshot;
         self.gauges(engine).epoch_age_ns.set(epoch_age_ns as f64);
         self.refresh_gauges(engine, state);
@@ -557,7 +550,6 @@ impl<F: FieldModel> LiveIngest<F> {
 fn make_snapshot<F: FieldModel>(
     engine: &StorageEngine,
     state: &WriterState<F>,
-    scan_threshold: Option<f64>,
 ) -> Arc<EpochSnapshot<F>> {
     Arc::new(EpochSnapshot {
         base: Arc::clone(&state.base),
@@ -565,10 +557,7 @@ fn make_snapshot<F: FieldModel>(
         sf_overrides: Arc::new(state.sf_overrides.clone()),
         epoch: state.epoch,
         pin: engine.epoch_gc().pin(state.epoch),
-        estimator: state.estimator.clone(),
-        scan_threshold,
-        qmetrics: OnceLock::new(),
-        pmetrics: OnceLock::new(),
+        router: state.router.clone(),
     })
 }
 
@@ -607,13 +596,6 @@ fn effective_sf_interval<F: FieldModel>(
     Ok(union.expect("subfields are non-empty"))
 }
 
-/// Planner counters of the snapshot's scan/probe routing (same
-/// `planner_plans_total` family [`crate::AdaptiveIndex`] publishes).
-struct SnapshotPlannerMetrics {
-    probe_plans: Counter,
-    scan_plans: Counter,
-}
-
 /// One immutable published epoch: frozen base + delta prefix.
 ///
 /// Implements [`ValueIndex`], so it drops into everything that takes
@@ -630,10 +612,8 @@ pub struct EpochSnapshot<F: FieldModel> {
     /// while the snapshot is alive.
     #[allow(dead_code)]
     pin: EpochPin,
-    estimator: Option<Arc<SelectivityEstimator>>,
-    scan_threshold: Option<f64>,
-    qmetrics: OnceLock<QueryMetrics>,
-    pmetrics: OnceLock<SnapshotPlannerMetrics>,
+    /// Optional planner threading (see [`IngestConfig::scan_threshold`]).
+    router: Option<Arc<Router>>,
 }
 
 impl<F: FieldModel> EpochSnapshot<F> {
@@ -657,285 +637,30 @@ impl<F: FieldModel> EpochSnapshot<F> {
         self.overlays.len()
     }
 
-    fn query_metrics(&self, engine: &StorageEngine) -> &QueryMetrics {
-        self.qmetrics
-            .get_or_init(|| QueryMetrics::wire(engine.metrics(), &self.base.name()))
-    }
-
-    /// The effective record at file position `pos`: the overlay when
-    /// the delta touched it, the base record otherwise.
-    #[inline]
-    fn effective(&self, pos: usize, base_rec: F::CellRec) -> F::CellRec {
-        match self.overlays.get(&(pos as u32)) {
-            Some(o) => o.clone(),
-            None => base_rec,
-        }
-    }
-
-    /// Whether the planner would route `band` to the overlay-aware
-    /// full scan.
-    fn routes_to_scan(&self, band: Interval) -> bool {
-        match (&self.estimator, self.scan_threshold) {
-            (Some(est), Some(threshold)) => est.estimate_selectivity(band) >= threshold,
-            _ => false,
-        }
-    }
-
-    /// Index probe: base-plane filter step corrected by the delta's
-    /// interval summary, then a coalesced-run estimation pass with
-    /// overlay substitution. See the module docs for why each step is
-    /// byte-identical to the sequential oracle.
-    fn probe_impl(
+    /// One snapshot query through the base plane's executor call: the
+    /// planner (when threaded) picks probe or scan, and the epoch's
+    /// delta rides along — the filter answer corrected by the interval
+    /// summary, overlays substituted per position. See the module docs
+    /// for why each step is byte-identical to the sequential oracle.
+    fn execute(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        ranges: &mut Vec<(u32, u32)>,
-        runs: &mut Vec<std::ops::Range<usize>>,
+        scratch: &mut QueryScratch,
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
-        let inner = self.base.inner();
-        let tracer = engine.metrics().tracer();
-        let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
-        let query_clock = Stopwatch::start();
-        let before = cf_storage::thread_io_stats();
-        let mut stats = QueryStats::default();
-
-        // Filter on the base plane (frozen or paged — whichever the
-        // base carries), then correct for overridden subfields: drop
-        // base hits whose effective interval left the band, add
-        // subfields whose effective interval entered it. The two sets
-        // are disjoint by construction, so no dedup is needed, and the
-        // result equals the subfield set an in-place-updated tree
-        // would retrieve.
-        let filter_clock = Stopwatch::start();
-        ranges.clear();
-        let search = inner.filter_step(engine, band, ranges)?;
-        if !self.sf_overrides.is_empty() {
-            ranges.retain(|&(start, _)| {
-                let sf_idx = inner.pos_to_subfield[start as usize];
-                match self.sf_overrides.get(&sf_idx) {
-                    Some(iv) => iv.intersects(band),
-                    None => true,
-                }
-            });
-            for (&sf_idx, iv) in self.sf_overrides.iter() {
-                let sf = inner.subfields[sf_idx as usize];
-                if iv.intersects(band) && !sf.interval.intersects(band) {
-                    ranges.push((sf.start, sf.end));
-                }
-            }
-        }
-        stats.filter_nodes = search.nodes_visited;
-        stats.intervals_retrieved = ranges.len();
-        stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
-        let filter_ns = filter_clock.elapsed_ns();
-
-        // Estimation: identical coalescing rule as the sequential
-        // path, overlay substitution per position.
-        let refine_clock = Stopwatch::start();
-        ranges.sort_unstable();
-        runs.clear();
-        for &(s, e) in ranges.iter() {
-            match runs.last_mut() {
-                Some(last) if s as usize <= last.end => last.end = last.end.max(e as usize),
-                _ => runs.push(s as usize..e as usize),
-            }
-        }
-        // Spatial heat mirrors the sequential path: one range bump per
-        // coalesced run (examined), one bump per qualifying cell.
-        let heat = engine.metrics().heat();
-        for run in runs.iter() {
-            heat.table(HeatKind::Examined)
-                .bump_range(run.start as u64, run.end as u64);
-        }
-        inner.file.for_each_in_ranges(engine, runs, |idx, rec| {
-            let rec = self.effective(idx, rec);
-            stats.cells_examined += 1;
-            if F::record_interval(&rec).intersects(band) {
-                stats.cells_qualifying += 1;
-                heat.table(HeatKind::Qualifying).bump(idx as u64);
-                for region in F::record_band_region(&rec, band) {
-                    stats.num_regions += 1;
-                    stats.area += region.area();
-                    sink(region);
-                }
-            }
-        })?;
-        stats.io = cf_storage::thread_io_stats() - before;
-        let refine_ns = refine_clock.elapsed_ns();
-        let query_ns = query_clock.elapsed_ns();
-        self.query_metrics(engine)
-            .publish(&stats, band, query_ns, filter_ns, refine_ns);
-        if let Some(query_id) = query_id {
-            let phases = [
-                TraceEvent {
-                    query_id,
-                    phase: "filter",
-                    pages: stats.filter_pages,
-                    nanos: filter_ns,
-                    depth: 1,
-                },
-                TraceEvent {
-                    query_id,
-                    phase: "refine",
-                    pages: stats.io.logical_reads() - stats.filter_pages,
-                    nanos: refine_ns,
-                    depth: 1,
-                },
-            ];
-            for event in &phases {
-                tracer.record(*event);
-            }
-            tracer.record(TraceEvent {
-                query_id,
-                phase: "query",
-                pages: stats.io.logical_reads(),
-                nanos: query_ns,
-                depth: 0,
-            });
-            let explain = crate::explain_record(
-                query_id,
-                &self.base.name(),
-                "probe",
-                if inner.is_frozen() { "frozen" } else { "paged" },
-                inner.curve_label(),
-                band,
-                &stats,
-                query_ns,
-                filter_ns,
-                refine_ns,
-                self.epoch,
-            );
-            engine.metrics().recorder().record(
-                band.lo,
-                band.hi,
-                if inner.is_frozen() { "frozen" } else { "paged" },
-                inner.curve_label(),
-                self.epoch,
-                answer_digest(
-                    stats.cells_examined as u64,
-                    stats.cells_qualifying as u64,
-                    stats.num_regions as u64,
-                    stats.area,
-                ),
-            );
-            tracer.finish_query_explained(query_id, query_ns, &phases, Some(explain));
-        }
-        Ok(stats)
-    }
-
-    /// Planner fallback: sequential overlay-aware scan of the base
-    /// cell file (wide bands where a probe would retrieve most of it
-    /// anyway). Qualifying records are visited in the same ascending
-    /// position order as the probe, so the area bits agree.
-    fn scan_impl(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        sink: &mut dyn FnMut(Polygon),
-    ) -> CfResult<QueryStats> {
-        let inner = self.base.inner();
-        let tracer = engine.metrics().tracer();
-        let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
-        let query_clock = Stopwatch::start();
-        let before = cf_storage::thread_io_stats();
-        let mut stats = QueryStats::default();
-        let heat = engine.metrics().heat();
-        heat.table(HeatKind::Examined)
-            .bump_range(0, inner.file.len() as u64);
-        inner
-            .file
-            .for_each_in_range(engine, 0..inner.file.len(), |idx, rec| {
-                let rec = self.effective(idx, rec);
-                stats.cells_examined += 1;
-                if F::record_interval(&rec).intersects(band) {
-                    stats.cells_qualifying += 1;
-                    heat.table(HeatKind::Qualifying).bump(idx as u64);
-                    for region in F::record_band_region(&rec, band) {
-                        stats.num_regions += 1;
-                        stats.area += region.area();
-                        sink(region);
-                    }
-                }
-            })?;
-        stats.io = cf_storage::thread_io_stats() - before;
-        let query_ns = query_clock.elapsed_ns();
-        self.query_metrics(engine)
-            .publish(&stats, band, query_ns, 0, query_ns);
-        if let Some(query_id) = query_id {
-            let phases = [TraceEvent {
-                query_id,
-                phase: "scan",
-                pages: stats.io.logical_reads(),
-                nanos: query_ns,
-                depth: 1,
-            }];
-            for event in &phases {
-                tracer.record(*event);
-            }
-            tracer.record(TraceEvent {
-                query_id,
-                phase: "query",
-                pages: stats.io.logical_reads(),
-                nanos: query_ns,
-                depth: 0,
-            });
-            let explain = crate::explain_record(
-                query_id,
-                &self.base.name(),
-                "scan",
-                "cells",
-                inner.curve_label(),
-                band,
-                &stats,
-                query_ns,
-                0,
-                query_ns,
-                self.epoch,
-            );
-            engine.metrics().recorder().record(
-                band.lo,
-                band.hi,
-                "cells",
-                inner.curve_label(),
-                self.epoch,
-                answer_digest(
-                    stats.cells_examined as u64,
-                    stats.cells_qualifying as u64,
-                    stats.num_regions as u64,
-                    stats.area,
-                ),
-            );
-            tracer.finish_query_explained(query_id, query_ns, &phases, Some(explain));
-        }
-        Ok(stats)
-    }
-
-    fn query_dispatch(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        ranges: &mut Vec<(u32, u32)>,
-        runs: &mut Vec<std::ops::Range<usize>>,
-        sink: &mut dyn FnMut(Polygon),
-    ) -> CfResult<QueryStats> {
-        if self.estimator.is_some() {
-            let pm = self.pmetrics.get_or_init(|| {
-                let registry = engine.metrics();
-                SnapshotPlannerMetrics {
-                    probe_plans: registry
-                        .counter_with("planner_plans_total", &[("plan", "index_probe")]),
-                    scan_plans: registry
-                        .counter_with("planner_plans_total", &[("plan", "full_scan")]),
-                }
-            });
-            if self.routes_to_scan(band) {
-                pm.scan_plans.inc();
-                return self.scan_impl(engine, band, sink);
-            }
-            pm.probe_plans.inc();
-        }
-        self.probe_impl(engine, band, ranges, runs, sink)
+        let plan = match &self.router {
+            Some(router) => router.route(engine.metrics(), band),
+            None => Plan::IndexProbe,
+        };
+        let delta = Delta {
+            overlays: &self.overlays,
+            sf_intervals: &self.sf_overrides,
+            epoch: self.epoch,
+        };
+        self.base
+            .inner()
+            .execute(engine, band, plan, Some(&delta), scratch, sink)
     }
 }
 
@@ -950,9 +675,7 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
         band: Interval,
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
-        let mut ranges = Vec::new();
-        let mut runs = Vec::new();
-        self.query_dispatch(engine, band, &mut ranges, &mut runs, sink)
+        self.execute(engine, band, &mut QueryScratch::default(), sink)
     }
 
     fn query_stats_scratch(
@@ -961,8 +684,7 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
         band: Interval,
         scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
-        let QueryScratch { ranges, runs, .. } = scratch;
-        self.query_dispatch(engine, band, ranges, runs, &mut |_| {})
+        self.execute(engine, band, scratch, &mut |_| {})
     }
 
     fn index_pages(&self) -> usize {

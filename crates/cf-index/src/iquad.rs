@@ -13,8 +13,9 @@
 //! written grouped by leaf (in Z-order of the recursion), and leaf
 //! intervals go into the same paged 1-D R\*-tree.
 
+use crate::planner::Plan;
 use crate::sfindex::{SubfieldIndex, TreeBuild};
-use crate::stats::{QueryStats, ValueIndex};
+use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval, Polygon};
@@ -175,16 +176,19 @@ impl<F: FieldModel> ValueIndex for IntervalQuadtree<F> {
         band: Interval,
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
-        self.inner.query_with(engine, band, sink)
+        let scratch = &mut QueryScratch::default();
+        self.inner
+            .execute(engine, band, Plan::IndexProbe, None, scratch, sink)
     }
 
     fn query_stats_scratch(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        scratch: &mut crate::stats::QueryScratch,
+        scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
-        self.inner.query_stats_scratch(engine, band, scratch)
+        self.inner
+            .execute(engine, band, Plan::IndexProbe, None, scratch, &mut |_| {})
     }
 
     fn index_pages(&self) -> usize {

@@ -37,6 +37,7 @@
 pub mod advisor;
 mod batch;
 mod catalog;
+mod exec;
 mod iall;
 mod ihilbert;
 mod ingest;
@@ -70,42 +71,3 @@ pub use stats::{QueryScratch, QueryStats, ValueIndex};
 pub use subfield::{build_subfields, Subfield, SubfieldConfig};
 pub use vector::{vector_linear_scan, VectorIHilbert};
 pub use volume3d::{volume_linear_scan, VolumeIHilbert};
-
-/// Assembles the structured EXPLAIN record of one executed query from
-/// the stats the pipeline already gathered — allocation-free (the
-/// string-ish fields are inline [`cf_storage::Label`]s).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn explain_record(
-    query_id: u64,
-    index: &str,
-    plan: &'static str,
-    plane: &'static str,
-    curve: &'static str,
-    band: cf_geom::Interval,
-    stats: &QueryStats,
-    query_ns: u64,
-    filter_ns: u64,
-    refine_ns: u64,
-    epoch: u64,
-) -> cf_storage::ExplainRecord {
-    cf_storage::ExplainRecord {
-        query_id,
-        index: cf_storage::Label::new(index),
-        plan,
-        plane,
-        curve: cf_storage::Label::new(curve),
-        band_lo: band.lo,
-        band_hi: band.hi,
-        subfields: stats.intervals_retrieved as u64,
-        cells_examined: stats.cells_examined as u64,
-        cells_qualifying: stats.cells_qualifying as u64,
-        filter_pages: stats.filter_pages,
-        refine_pages: stats.io.logical_reads() - stats.filter_pages,
-        filter_ns,
-        refine_ns,
-        total_ns: query_ns,
-        epoch,
-        pool_hits: stats.io.pool_hits,
-        pool_misses: stats.io.pool_misses,
-    }
-}

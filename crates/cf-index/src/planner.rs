@@ -15,10 +15,10 @@
 //!   based on estimated cost, so no second copy of the data is needed.
 
 use crate::ihilbert::IHilbert;
-use crate::stats::{QueryMetrics, QueryStats, ValueIndex};
+use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
-use cf_storage::{CfResult, Counter, Stopwatch, StorageEngine, TraceEvent};
+use cf_storage::{CfResult, Counter, MetricsRegistry, StorageEngine};
 use std::sync::OnceLock;
 
 /// Equi-width histogram estimator for interval-intersection queries.
@@ -130,28 +130,61 @@ pub enum Plan {
     FullScan,
 }
 
-/// Registry handles for the optimizer's own metrics: one
-/// `planner_plans_total` series per plan, plus `index_*` series for the
-/// scan fallback (the probe path publishes under the wrapped index's own
-/// label).
-#[derive(Debug)]
-struct PlannerMetrics {
-    probe_plans: Counter,
-    scan_plans: Counter,
-    scan_query: QueryMetrics,
+/// The optimizer's routing rule and its `planner_plans_total{plan}`
+/// counters — the one planner wiring, shared by [`AdaptiveIndex`] and
+/// the ingest plane's [`crate::EpochSnapshot`]. Whichever plan it picks
+/// runs through the wrapped index's own executor call, publishing
+/// under that index's cached `index_*` handles.
+pub(crate) struct Router {
+    estimator: SelectivityEstimator,
+    /// Selectivity at or above which a scan is chosen.
+    scan_threshold: f64,
+    /// `(index_probe, full_scan)` plan counters, wired at first query
+    /// (the registry arrives with the engine).
+    plans: OnceLock<(Counter, Counter)>,
+}
+
+impl Router {
+    /// A router over `intervals` (64-bucket histogram).
+    pub(crate) fn new(intervals: impl Iterator<Item = Interval>, scan_threshold: f64) -> Self {
+        Self {
+            estimator: SelectivityEstimator::build(intervals, 64),
+            scan_threshold,
+            plans: OnceLock::new(),
+        }
+    }
+
+    /// The plan for `band`, without counting it.
+    fn plan(&self, band: Interval) -> Plan {
+        if self.estimator.estimate_selectivity(band) >= self.scan_threshold {
+            Plan::FullScan
+        } else {
+            Plan::IndexProbe
+        }
+    }
+
+    /// Chooses the plan for one query and counts the decision.
+    pub(crate) fn route(&self, registry: &MetricsRegistry, band: Interval) -> Plan {
+        let (probes, scans) = self.plans.get_or_init(|| {
+            let wire = |plan| registry.counter_with("planner_plans_total", &[("plan", plan)]);
+            (wire("index_probe"), wire("full_scan"))
+        });
+        let plan = self.plan(band);
+        match plan {
+            Plan::IndexProbe => probes.inc(),
+            Plan::FullScan => scans.inc(),
+        }
+        plan
+    }
 }
 
 /// [`IHilbert`] plus an optimizer that falls back to scanning the (same)
 /// cell file when the estimated selectivity makes a probe pointless.
 pub struct AdaptiveIndex<F: FieldModel> {
     index: IHilbert<F>,
-    estimator: SelectivityEstimator,
-    /// Selectivity above which a scan is chosen. Retrieved subfields
-    /// drag in co-located cells and re-read straddled pages, so the
-    /// break-even sits well below 1.0; 0.5 is a robust default.
-    scan_threshold: f64,
-    /// Wired at first query (the registry arrives with the engine).
-    pmetrics: OnceLock<PlannerMetrics>,
+    /// Retrieved subfields drag in co-located cells and re-read
+    /// straddled pages, so the scan break-even sits well below 1.0.
+    router: Router,
 }
 
 impl<F: FieldModel> AdaptiveIndex<F> {
@@ -161,35 +194,25 @@ impl<F: FieldModel> AdaptiveIndex<F> {
         F: Sync,
     {
         let index = IHilbert::build(engine, field)?;
-        let estimator =
-            SelectivityEstimator::build((0..field.num_cells()).map(|c| field.cell_interval(c)), 64);
-        Ok(Self {
-            index,
-            estimator,
-            scan_threshold: 0.35,
-            pmetrics: OnceLock::new(),
-        })
+        let router = Router::new((0..field.num_cells()).map(|c| field.cell_interval(c)), 0.35);
+        Ok(Self { index, router })
     }
 
     /// Overrides the scan-fallback threshold (fraction of cells).
     pub fn with_scan_threshold(mut self, threshold: f64) -> Self {
         assert!((0.0..=1.0).contains(&threshold));
-        self.scan_threshold = threshold;
+        self.router.scan_threshold = threshold;
         self
     }
 
     /// The estimator (for inspection / testing).
     pub fn estimator(&self) -> &SelectivityEstimator {
-        &self.estimator
+        &self.router.estimator
     }
 
     /// The plan the optimizer would choose for `band`.
     pub fn plan(&self, band: Interval) -> Plan {
-        if self.estimator.estimate_selectivity(band) >= self.scan_threshold {
-            Plan::FullScan
-        } else {
-            Plan::IndexProbe
-        }
+        self.router.plan(band)
     }
 }
 
@@ -204,83 +227,11 @@ impl<F: FieldModel> ValueIndex for AdaptiveIndex<F> {
         band: Interval,
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
-        let pm = self.pmetrics.get_or_init(|| {
-            let registry = engine.metrics();
-            PlannerMetrics {
-                probe_plans: registry
-                    .counter_with("planner_plans_total", &[("plan", "index_probe")]),
-                scan_plans: registry.counter_with("planner_plans_total", &[("plan", "full_scan")]),
-                scan_query: QueryMetrics::wire(registry, "adaptive-scan"),
-            }
-        });
-        match self.plan(band) {
-            Plan::IndexProbe => {
-                pm.probe_plans.inc();
-                self.index.query_with(engine, band, sink)
-            }
-            Plan::FullScan => {
-                pm.scan_plans.inc();
-                let tracer = engine.metrics().tracer();
-                let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
-                let query_clock = Stopwatch::start();
-                // Sequential scan of the Hilbert-ordered cell file.
-                let before = cf_storage::thread_io_stats();
-                let mut stats = QueryStats::default();
-                let inner = self.index.inner();
-                inner
-                    .file
-                    .for_each_in_range(engine, 0..inner.file.len(), |_, rec| {
-                        stats.cells_examined += 1;
-                        if F::record_interval(&rec).intersects(band) {
-                            stats.cells_qualifying += 1;
-                            for region in F::record_band_region(&rec, band) {
-                                stats.num_regions += 1;
-                                stats.area += region.area();
-                                sink(region);
-                            }
-                        }
-                    })?;
-                stats.io = cf_storage::thread_io_stats() - before;
-                let query_ns = query_clock.elapsed_ns();
-                // The scan has no filter step: the whole query is one
-                // refinement pass over the cell file.
-                pm.scan_query.publish(&stats, band, query_ns, 0, query_ns);
-                if let Some(query_id) = query_id {
-                    let phases = [TraceEvent {
-                        query_id,
-                        phase: "scan",
-                        pages: stats.io.logical_reads(),
-                        nanos: query_ns,
-                        depth: 1,
-                    }];
-                    for event in &phases {
-                        tracer.record(*event);
-                    }
-                    tracer.record(TraceEvent {
-                        query_id,
-                        phase: "query",
-                        pages: stats.io.logical_reads(),
-                        nanos: query_ns,
-                        depth: 0,
-                    });
-                    let explain = crate::explain_record(
-                        query_id,
-                        "adaptive-scan",
-                        "scan",
-                        "cells",
-                        inner.curve_label(),
-                        band,
-                        &stats,
-                        query_ns,
-                        0,
-                        query_ns,
-                        0,
-                    );
-                    tracer.finish_query_explained(query_id, query_ns, &phases, Some(explain));
-                }
-                Ok(stats)
-            }
-        }
+        let plan = self.router.route(engine.metrics(), band);
+        let scratch = &mut QueryScratch::default();
+        self.index
+            .inner()
+            .execute(engine, band, plan, None, scratch, sink)
     }
 
     fn index_pages(&self) -> usize {

@@ -4,15 +4,14 @@
 //! over the subfield intervals whose leaf payloads are the packed
 //! ranges (paper Fig. 6: leaf entries store `ptr_start, ptr_end`).
 
-use crate::stats::{QueryMetrics, QueryStats};
+use crate::exec::{self, Cells, Delta, Filter, SubfieldOverrides, Q2};
+use crate::planner::Plan;
+use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
 use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Aabb, Interval, Polygon};
+use cf_geom::{Interval, Polygon};
 use cf_rtree::{bulk_load_str, FrozenTree, PagedRTree, RStarTree, RTreeConfig};
-use cf_storage::{
-    answer_digest, CellFile, CfResult, HeatKind, MetricsRegistry, RecordFile, Stopwatch,
-    StorageEngine, TraceEvent,
-};
+use cf_storage::{CellFile, CfResult, MetricsRegistry, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
@@ -71,26 +70,6 @@ pub(crate) struct SubfieldIndex<F: FieldModel> {
     /// Cached registry handles, wired against the first engine queried.
     qmetrics: OnceLock<QueryMetrics>,
     _field: PhantomData<fn() -> F>,
-}
-
-/// Sorts retrieved `[start, end)` record ranges and merges touching
-/// neighbors into maximal runs.
-///
-/// Subfields adjacent on the Hilbert-ordered file hold cells of similar
-/// values, so a band query typically retrieves *runs* of neighbors;
-/// reading each subfield separately would fetch every straddled page
-/// boundary twice. Merging first makes the estimation step's page cost
-/// `ceil(run_cells / per_page) + 1` per run instead of per subfield.
-pub(crate) fn coalesce_ranges(mut ranges: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
-    ranges.sort_unstable();
-    let mut runs: Vec<(u32, u32)> = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        match runs.last_mut() {
-            Some(last) if r.0 <= last.1 => last.1 = last.1.max(r.1),
-            _ => runs.push(r),
-        }
-    }
-    runs
 }
 
 impl<F: FieldModel> SubfieldIndex<F> {
@@ -231,11 +210,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
     /// Sets the curve name EXPLAIN records report for this index.
     pub(crate) fn set_curve_label(&mut self, curve: &'static str) {
         self.curve_label = curve;
-    }
-
-    /// The curve name EXPLAIN records report for this index.
-    pub(crate) fn curve_label(&self) -> &'static str {
-        self.curve_label
     }
 
     fn query_metrics(&self, registry: &MetricsRegistry) -> &QueryMetrics {
@@ -433,142 +407,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
         self.frozen.is_some()
     }
 
-    /// Runs the filtering step on whichever plane is active, feeding
-    /// every retrieved subfield's record range to `ranges`.
-    pub(crate) fn filter_step(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        ranges: &mut Vec<(u32, u32)>,
-    ) -> CfResult<cf_rtree::SearchStats> {
-        let mut on_hit = |data: u64, mbr: &Aabb<1>| {
-            let sf = Subfield::unpack(data, Interval::new(mbr.lo[0], mbr.hi[0]));
-            ranges.push((sf.start, sf.end));
-        };
-        match &self.frozen {
-            Some(frozen) => Ok(frozen.search(&band.into(), &mut on_hit)),
-            None => self.tree.search(engine, &band.into(), &mut on_hit),
-        }
-    }
-
-    /// Parallel variant of the two-step query: the filtering step runs
-    /// on the calling thread, then the retrieved subfield ranges are
-    /// partitioned across `threads` worker threads that each run the
-    /// estimation step over their share (the storage engine is fully
-    /// thread-safe, so workers fault pages concurrently).
-    ///
-    /// Region geometry is not collected — this is the analytics path
-    /// (counts + exact area). Results are identical to
-    /// [`SubfieldIndex::query_with`].
-    pub(crate) fn par_query_stats(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        threads: usize,
-    ) -> CfResult<QueryStats> {
-        assert!(threads >= 1, "need at least one thread");
-        let tracer = engine.metrics().tracer();
-        let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
-        let query_clock = Stopwatch::start();
-        let before = cf_storage::thread_io_stats();
-        let mut stats = QueryStats::default();
-
-        let filter_clock = Stopwatch::start();
-        let mut ranges: Vec<(u32, u32)> = Vec::new();
-        let search = self.filter_step(engine, band, &mut ranges)?;
-        stats.filter_nodes = search.nodes_visited;
-        stats.intervals_retrieved = ranges.len();
-        stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
-        let filter_ns = filter_clock.elapsed_ns();
-        let refine_clock = Stopwatch::start();
-
-        // Balance by cell count: assign maximal runs to the least-loaded
-        // worker, largest first (LPT heuristic). Runs (not raw subfield
-        // ranges) keep the sequential path's page cost: a run split
-        // across workers would re-read its straddle pages.
-        let mut by_size = coalesce_ranges(ranges);
-        // Examined heat covers every cell of every run regardless of
-        // which worker reads it; bump once here rather than per worker.
-        let heat = engine.metrics().heat();
-        for &(s, e) in &by_size {
-            heat.table(HeatKind::Examined)
-                .bump_range(u64::from(s), u64::from(e));
-        }
-        by_size.sort_by_key(|&(s, e)| std::cmp::Reverse(e - s));
-        let mut shares: Vec<Vec<(u32, u32)>> = vec![Vec::new(); threads];
-        let mut loads = vec![0u64; threads];
-        for r in by_size {
-            let k = loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &l)| l)
-                .map(|(i, _)| i)
-                .expect("threads >= 1");
-            loads[k] += u64::from(r.1 - r.0);
-            shares[k].push(r);
-        }
-
-        let partials: Vec<CfResult<QueryStats>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shares
-                .iter()
-                .map(|share| {
-                    scope.spawn(move || -> CfResult<QueryStats> {
-                        // Worker I/O lands in the worker's thread tally,
-                        // so snapshot it here and carry the delta back.
-                        let worker_before = cf_storage::thread_io_stats();
-                        let mut part = QueryStats::default();
-                        let mut runs: Vec<std::ops::Range<usize>> =
-                            share.iter().map(|&(s, e)| s as usize..e as usize).collect();
-                        runs.sort_by_key(|r| r.start);
-                        let heat = engine.metrics().heat();
-                        self.file.for_each_in_ranges(engine, &runs, |pos, rec| {
-                            part.cells_examined += 1;
-                            if F::record_interval(&rec).intersects(band) {
-                                part.cells_qualifying += 1;
-                                heat.table(HeatKind::Qualifying).bump(pos as u64);
-                                for region in F::record_band_region(&rec, band) {
-                                    part.num_regions += 1;
-                                    part.area += region.area();
-                                }
-                            }
-                        })?;
-                        part.io = cf_storage::thread_io_stats() - worker_before;
-                        Ok(part)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        for p in partials {
-            let p = p?;
-            stats.cells_examined += p.cells_examined;
-            stats.cells_qualifying += p.cells_qualifying;
-            stats.num_regions += p.num_regions;
-            stats.area += p.area;
-            stats.io = stats.io + p.io;
-        }
-        // Filter-step I/O happened on this thread; estimation I/O came
-        // back with the worker partials. The sum is exact per query even
-        // while other queries run concurrently on the same engine.
-        stats.io = stats.io + (cf_storage::thread_io_stats() - before);
-        let refine_ns = refine_clock.elapsed_ns();
-        let query_ns = query_clock.elapsed_ns();
-        self.query_metrics(engine.metrics())
-            .publish(&stats, band, query_ns, filter_ns, refine_ns);
-        if let Some(query_id) = query_id {
-            self.trace_query(
-                engine, query_id, band, &stats, query_ns, filter_ns, refine_ns,
-            );
-        }
-        Ok(stats)
-    }
-
     /// Rewrites the cell record at file position `pos` and incrementally
     /// maintains its subfield's interval in the paged R\*-tree.
     pub(crate) fn update_record(
@@ -614,173 +452,39 @@ impl<F: FieldModel> SubfieldIndex<F> {
         Ok(())
     }
 
-    /// The two-step query of §3.2: filter subfields through the R\*-tree,
-    /// then read each retrieved record range and estimate exact regions.
-    pub(crate) fn query_with(
+    /// One Q2 query through the executor ([`exec::run`]): the two-step
+    /// probe of §3.2 (filter subfields through the R\*-tree, then read
+    /// the coalesced record runs) or, for [`Plan::FullScan`], a
+    /// sequential pass over the same cell file. With a `delta`, the
+    /// filter answer is corrected by the epoch's effective subfield
+    /// intervals and its overlays are substituted per position.
+    pub(crate) fn execute(
         &self,
         engine: &StorageEngine,
         band: Interval,
+        plan: Plan,
+        delta: Option<&Delta<'_, F::CellRec>>,
+        scratch: &mut QueryScratch,
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
-        let mut ranges = Vec::new();
-        let mut runs = Vec::new();
-        self.query_impl(engine, band, &mut ranges, &mut runs, sink)
-    }
-
-    /// [`SubfieldIndex::query_with`] minus region geometry, reusing the
-    /// caller's scratch buffers (the batch executor's hot loop).
-    pub(crate) fn query_stats_scratch(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        scratch: &mut crate::stats::QueryScratch,
-    ) -> CfResult<QueryStats> {
-        let crate::stats::QueryScratch { ranges, runs, .. } = scratch;
-        self.query_impl(engine, band, ranges, runs, &mut |_| {})
-    }
-
-    fn query_impl(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        ranges: &mut Vec<(u32, u32)>,
-        runs: &mut Vec<std::ops::Range<usize>>,
-        sink: &mut dyn FnMut(Polygon),
-    ) -> CfResult<QueryStats> {
-        let tracer = engine.metrics().tracer();
-        let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
-        let query_clock = Stopwatch::start();
-        let before = cf_storage::thread_io_stats();
-        let mut stats = QueryStats::default();
-
-        // Step 1 (filtering): subfields whose interval intersects w.
-        let filter_clock = Stopwatch::start();
-        ranges.clear();
-        let search = self.filter_step(engine, band, ranges)?;
-        stats.filter_nodes = search.nodes_visited;
-        stats.intervals_retrieved = ranges.len();
-        stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
-        let filter_ns = filter_clock.elapsed_ns();
-
-        // Step 2 (estimation): read the contiguous cell runs, merging
-        // adjacent subfields and visiting every data page exactly once
-        // (same merge rule as `coalesce_ranges`, building runs in place).
-        let refine_clock = Stopwatch::start();
-        ranges.sort_unstable();
-        runs.clear();
-        for &(s, e) in ranges.iter() {
-            match runs.last_mut() {
-                Some(last) if s as usize <= last.end => last.end = last.end.max(e as usize),
-                _ => runs.push(s as usize..e as usize),
-            }
-        }
-        // Spatial heat: one range bump per run covers every examined
-        // cell (the run sum equals `cells_examined` exactly); qualifying
-        // heat lands per cell inside the loop. No-ops under `obs-off`.
-        let heat = engine.metrics().heat();
-        for run in runs.iter() {
-            heat.table(HeatKind::Examined)
-                .bump_range(run.start as u64, run.end as u64);
-        }
-        self.file.for_each_in_ranges(engine, runs, |pos, rec| {
-            stats.cells_examined += 1;
-            if F::record_interval(&rec).intersects(band) {
-                stats.cells_qualifying += 1;
-                heat.table(HeatKind::Qualifying).bump(pos as u64);
-                for region in F::record_band_region(&rec, band) {
-                    stats.num_regions += 1;
-                    stats.area += region.area();
-                    sink(region);
-                }
-            }
-        })?;
-        stats.io = cf_storage::thread_io_stats() - before;
-        let refine_ns = refine_clock.elapsed_ns();
-        let query_ns = query_clock.elapsed_ns();
-
-        self.query_metrics(engine.metrics())
-            .publish(&stats, band, query_ns, filter_ns, refine_ns);
-        if let Some(query_id) = query_id {
-            self.trace_query(
-                engine, query_id, band, &stats, query_ns, filter_ns, refine_ns,
-            );
-        }
-        Ok(stats)
-    }
-
-    /// Records the query's phase breakdown into the trace ring, its
-    /// [`cf_storage::ExplainRecord`] into the EXPLAIN ring, and — when
-    /// it crossed the slow-query threshold — a full
-    /// [`cf_storage::SlowQueryReport`] with the EXPLAIN attached. Only
-    /// called when tracing is enabled, so the ordinary hot path never
-    /// builds these events.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_query(
-        &self,
-        engine: &StorageEngine,
-        query_id: u64,
-        band: Interval,
-        stats: &QueryStats,
-        query_ns: u64,
-        filter_ns: u64,
-        refine_ns: u64,
-    ) {
-        let tracer = engine.metrics().tracer();
-        let phases = [
-            TraceEvent {
-                query_id,
-                phase: "filter",
-                pages: stats.filter_pages,
-                nanos: filter_ns,
-                depth: 1,
-            },
-            TraceEvent {
-                query_id,
-                phase: "refine",
-                pages: stats.io.logical_reads() - stats.filter_pages,
-                nanos: refine_ns,
-                depth: 1,
-            },
-        ];
-        for event in &phases {
-            tracer.record(*event);
-        }
-        tracer.record(TraceEvent {
-            query_id,
-            phase: "query",
-            pages: stats.io.logical_reads(),
-            nanos: query_ns,
-            depth: 0,
+        let filter = (plan == Plan::IndexProbe).then(|| Filter {
+            tree: &self.tree,
+            frozen: self.frozen.as_ref(),
+            overrides: delta.map(|d| SubfieldOverrides {
+                effective: d.sf_intervals,
+                pos_to_subfield: &self.pos_to_subfield,
+                subfields: &self.subfields,
+            }),
         });
-        let explain = crate::explain_record(
-            query_id,
-            &self.metric_label,
-            "probe",
-            if self.is_frozen() { "frozen" } else { "paged" },
-            self.curve_label,
-            band,
-            stats,
-            query_ns,
-            filter_ns,
-            refine_ns,
-            0,
-        );
-        // Traced queries also enter the flight recorder: the band, plane
-        // and an answer digest are enough to replay and re-verify the
-        // query later (`repro replay`).
-        engine.metrics().recorder().record(
-            band.lo,
-            band.hi,
-            if self.is_frozen() { "frozen" } else { "paged" },
-            self.curve_label,
-            0,
-            answer_digest(
-                stats.cells_examined as u64,
-                stats.cells_qualifying as u64,
-                stats.num_regions as u64,
-                stats.area,
-            ),
-        );
-        tracer.finish_query_explained(query_id, query_ns, &phases, Some(explain));
+        let q = Q2 {
+            index: &self.metric_label,
+            curve: self.curve_label,
+            epoch: delta.map_or(0, |d| d.epoch),
+            metrics: self.query_metrics(engine.metrics()),
+            filter,
+            cells: Cells::Runs(&self.file),
+            overlay: delta.map(|d| d.overlays).filter(|o| !o.is_empty()),
+        };
+        exec::run::<F>(engine, band, q, scratch, sink)
     }
 }

@@ -33,20 +33,17 @@ pub struct QueryStats {
 
 /// Reusable buffers for the query hot path.
 ///
-/// Every query allocates a handful of transient vectors (retrieved
-/// ranges, coalesced runs, candidate lists). A caller running many
-/// queries — the batch executor gives each worker thread one of these —
-/// can pass the same scratch to [`ValueIndex::query_stats_scratch`] so
-/// those vectors keep their capacity from query to query instead of
-/// being reallocated.
+/// Every query allocates two transient vectors (retrieved ranges,
+/// coalesced runs). A caller running many queries — the batch executor
+/// gives each worker thread one of these — can pass the same scratch to
+/// [`ValueIndex::query_stats_scratch`] so those vectors keep their
+/// capacity from query to query instead of being reallocated.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Retrieved `[start, end)` record ranges (subfield filter step).
+    /// Retrieved `[start, end)` record ranges (the filter step).
     pub(crate) ranges: Vec<(u32, u32)>,
     /// Coalesced record runs handed to the estimation step.
     pub(crate) runs: Vec<std::ops::Range<usize>>,
-    /// Candidate payloads (I-All's per-cell filter step).
-    pub(crate) candidates: Vec<u64>,
 }
 
 /// Bucket bounds of the `index_query_band_len` histogram: geometric

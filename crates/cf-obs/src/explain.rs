@@ -30,7 +30,7 @@ pub const LABEL_CAPACITY: usize = 24;
 ///
 /// Longer inputs are truncated at a UTF-8 character boundary; every
 /// label produced by the index layer ("I-Hilbert", "I-All",
-/// "adaptive-scan", ...) fits without truncation.
+/// "I-Quad", ...) fits without truncation.
 #[derive(Clone, Copy)]
 pub struct Label {
     buf: [u8; LABEL_CAPACITY],

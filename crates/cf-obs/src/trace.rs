@@ -222,16 +222,11 @@ impl Tracer {
         }
     }
 
-    /// Finishes a query: when tracing is enabled, checks `total_ns`
-    /// against the slow threshold and, if crossed, captures the full
-    /// phase breakdown (this outlier path may allocate).
-    pub fn finish_query(&self, query_id: u64, total_ns: u64, phases: &[TraceEvent]) {
-        self.finish_query_explained(query_id, total_ns, phases, None);
-    }
-
-    /// [`Tracer::finish_query`] with the query's EXPLAIN record: the
-    /// record is pushed into the bounded EXPLAIN ring, and attached to
-    /// the [`SlowQueryReport`] if the query crossed the slow threshold.
+    /// Finishes a query: when tracing is enabled, pushes its EXPLAIN
+    /// record (if any) into the bounded EXPLAIN ring, then checks
+    /// `total_ns` against the slow threshold and, if crossed, captures
+    /// the full phase breakdown with the EXPLAIN attached (this outlier
+    /// path may allocate).
     pub fn finish_query_explained(
         &self,
         query_id: u64,
@@ -376,7 +371,7 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let t = Tracer::default();
         t.record(ev(0, "filter", 10));
-        t.finish_query(0, u64::MAX, &[ev(0, "filter", 10)]);
+        t.finish_query_explained(0, u64::MAX, &[ev(0, "filter", 10)], None);
         assert!(t.events().is_empty());
         assert!(t.take_slow_reports().is_empty());
     }
@@ -400,8 +395,8 @@ mod tests {
         let t = Tracer::default();
         t.set_enabled(true);
         t.set_slow_threshold(Duration::from_nanos(100));
-        t.finish_query(1, 99, &[ev(1, "filter", 99)]);
-        t.finish_query(2, 100, &[ev(2, "filter", 60), ev(2, "refine", 40)]);
+        t.finish_query_explained(1, 99, &[ev(1, "filter", 99)], None);
+        t.finish_query_explained(2, 100, &[ev(2, "filter", 60), ev(2, "refine", 40)], None);
         let reports = t.take_slow_reports();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].query_id, 2);

@@ -333,3 +333,93 @@ fn explain_phase_timings_and_pages_sum_within_the_span() {
         assert_eq!(e.epoch, 0, "static plane queries pin no epoch");
     }
 }
+
+/// Emission is owned by the one Q2 executor, so no query path can drift:
+/// with the tracer on, every product index — on every plan it can
+/// choose — leaves exactly one internally consistent EXPLAIN record and
+/// exactly one flight-recorder entry carrying the digest of the answer
+/// it returned.
+#[cfg(not(feature = "obs-off"))]
+#[test]
+fn every_index_emits_one_explain_and_one_flight_record() {
+    use contfield::geom::Interval;
+    use contfield::index::{
+        AdaptiveIndex, IAll, IngestConfig, IntervalQuadtree, LiveIngest, Plan, ValueIndex,
+    };
+    use contfield::obs::answer_digest;
+
+    let field = roseburg_standin(5);
+    let dom = field.value_domain();
+    let narrow = Interval::new(dom.denormalize(0.97), dom.denormalize(0.98));
+    let engine = StorageEngine::in_memory();
+    let tracer = engine.metrics().tracer();
+    tracer.set_enabled(true);
+    let mut seen = 0;
+    let mut check = |index: &dyn ValueIndex, band: Interval, plan: &str| {
+        let what = format!("{} ({plan})", index.name());
+        let stats = index.query_stats(&engine, band).expect("query");
+        seen += 1;
+        let explains = tracer.recent_explains();
+        assert_eq!(explains.len(), seen, "{what}: one EXPLAIN per query");
+        let e = explains[seen - 1];
+        assert_eq!(e.plan, plan, "{what}");
+        assert_eq!(
+            e.filter_ns + e.refine_ns + e.other_ns(),
+            e.total_ns,
+            "{what}"
+        );
+        assert_eq!(
+            e.filter_pages + e.refine_pages,
+            stats.io.logical_reads(),
+            "{what}: phase pages must add up to the query's logical reads"
+        );
+        let records = engine.metrics().recorder().drain();
+        assert_eq!(records.len(), 1, "{what}: one flight record per query");
+        assert_eq!(
+            records[0].digest,
+            answer_digest(
+                stats.cells_examined as u64,
+                stats.cells_qualifying as u64,
+                stats.num_regions as u64,
+                stats.area,
+            ),
+            "{what}: the recorded digest is the returned answer's"
+        );
+    };
+
+    check(
+        &IHilbert::build(&engine, &field).expect("build"),
+        narrow,
+        "probe",
+    );
+    let threshold = dom.width() / 8.0;
+    check(
+        &IntervalQuadtree::build(&engine, &field, threshold).expect("build"),
+        narrow,
+        "probe",
+    );
+    check(
+        &IAll::build(&engine, &field).expect("build"),
+        narrow,
+        "probe",
+    );
+
+    let adaptive = AdaptiveIndex::build(&engine, &field).expect("build");
+    assert_eq!(adaptive.plan(narrow), Plan::IndexProbe);
+    assert_eq!(adaptive.plan(dom), Plan::FullScan);
+    check(&adaptive, narrow, "probe");
+    check(&adaptive, dom, "scan");
+
+    for (scan_threshold, plan) in [(None, "probe"), (Some(0.0), "scan")] {
+        let base = IHilbert::build(&engine, &field).expect("build");
+        let config = IngestConfig {
+            scan_threshold,
+            ..Default::default()
+        };
+        let live = LiveIngest::new(&engine, base, config).expect("live");
+        let mut rec = live.cell_record(&engine, 3).expect("cell record");
+        rec.vals = [dom.denormalize(0.975); 4];
+        live.ingest(&engine, 3, rec).expect("ingest");
+        check(&*live.snapshot(), narrow, plan);
+    }
+}
