@@ -814,80 +814,109 @@ fn bench(opts: &Opts) {
 
     // ---- JSON artifact ----------------------------------------------
     if opts.json {
-        use std::fmt::Write as _;
-        let mut j = String::new();
-        j.push_str("{\n  \"bench\": \"pr5\",\n");
-        let _ = writeln!(
-            j,
-            "  \"build_scaling\": {{\n    \"dataset\": \"fig8a terrain {0}x{0}\",\n    \"cells\": {1},\n    \"write_latency_us\": {2},\n    \"sequential_ms\": {3:.3},\n    \"points\": [",
-            1 << k,
-            field.num_cells(),
-            write_latency_us,
-            seq_ms
-        );
-        for (i, p) in build_points.iter().enumerate() {
-            let _ = writeln!(
-                j,
-                "      {{\"threads\": {}, \"ms\": {:.3}, \"speedup\": {:.3}, \"byte_identical\": {}}}{}",
-                p.threads,
-                p.ms,
-                p.speedup,
-                p.identical,
-                if i + 1 < build_points.len() { "," } else { "" }
-            );
-        }
-        j.push_str("    ]\n  },\n  \"query_plane\": [\n");
-        for (i, p) in plane_points.iter().enumerate() {
-            let _ = writeln!(
-                j,
-                "    {{\"figure\": \"{}\", \"cells\": {}, \"qinterval\": {}, \"queries\": {}, \"read_latency_us\": {},\n     \"paged\": {{\"mean_ms\": {:.4}, \"mean_pages\": {:.2}, \"mean_filter_pages\": {:.2}, \"mean_filter_nodes\": {:.2}}},\n     \"frozen\": {{\"mean_ms\": {:.4}, \"mean_pages\": {:.2}, \"mean_filter_pages\": {:.2}, \"mean_filter_nodes\": {:.2}}},\n     \"speedup\": {:.3}}}{}",
-                p.figure,
-                p.num_cells,
-                p.qinterval,
-                p.queries,
-                p.read_latency_us,
-                p.paged.mean_ms,
-                p.paged.mean_pages,
-                p.paged.mean_filter_pages,
-                p.paged.mean_filter_nodes,
-                p.frozen.mean_ms,
-                p.frozen.mean_pages,
-                p.frozen.mean_filter_pages,
-                p.frozen.mean_filter_nodes,
-                p.paged.mean_ms / p.frozen.mean_ms.max(1e-9),
-                if i + 1 < plane_points.len() { "," } else { "" }
-            );
-        }
-        j.push_str("  ],\n  \"codec_sweep\": [\n");
-        for (i, p) in codec_points.iter().enumerate() {
-            let _ = writeln!(
-                j,
-                "    {{\"figure\": \"{}\", \"cells\": {}, \"qinterval\": {}, \"queries\": {}, \"read_latency_us\": {},\n     \"raw\": {{\"mean_ms\": {:.4}, \"mean_pages\": {:.2}}},\n     \"compressed\": {{\"mean_ms\": {:.4}, \"mean_pages\": {:.2}}},\n     \"pages_speedup\": {:.3}, \"identical\": {}}}{}",
-                p.figure,
-                p.num_cells,
-                p.qinterval,
-                p.queries,
-                p.read_latency_us,
-                p.raw.mean_ms,
-                p.raw.mean_pages,
-                p.comp.mean_ms,
-                p.comp.mean_pages,
-                p.pages_speedup,
-                p.identical,
-                if i + 1 < codec_points.len() { "," } else { "" }
-            );
-        }
-        j.push_str("  ],\n");
-        let _ = writeln!(
-            j,
-            "  \"filter_scan\": {{\n    \"intervals\": {},\n    \"searches\": {},\n    \"paged_us_per_query\": {:.4},\n    \"dynamic_us_per_query\": {:.4},\n    \"frozen_us_per_query\": {:.4},\n    \"frozen_speedup_vs_paged\": {:.3}\n  }}\n}}",
-            scan_field.num_cells(),
-            reps * scan_queries.len(),
-            per_query(paged_ms),
-            per_query(dyn_ms),
-            per_query(frozen_ms),
-            paged_ms / frozen_ms.max(1e-9)
-        );
+        use cf_obs::Json;
+        let num = Json::Num;
+        let plane = |p: &PlaneSide| {
+            Json::obj([
+                ("mean_ms", num(p.mean_ms)),
+                ("mean_pages", num(p.mean_pages)),
+                ("mean_filter_pages", num(p.mean_filter_pages)),
+                ("mean_filter_nodes", num(p.mean_filter_nodes)),
+            ])
+        };
+        let codec = |c: &CodecSide| {
+            Json::obj([
+                ("mean_ms", num(c.mean_ms)),
+                ("mean_pages", num(c.mean_pages)),
+            ])
+        };
+        let j = Json::obj([
+            ("bench", Json::Str("pr5".into())),
+            (
+                "build_scaling",
+                Json::obj([
+                    (
+                        "dataset",
+                        Json::Str(format!("fig8a terrain {0}x{0}", 1 << k)),
+                    ),
+                    ("cells", num(field.num_cells() as f64)),
+                    ("write_latency_us", num(write_latency_us as f64)),
+                    ("sequential_ms", num(seq_ms)),
+                    (
+                        "points",
+                        Json::Arr(
+                            build_points
+                                .iter()
+                                .map(|p| {
+                                    Json::obj([
+                                        ("threads", num(p.threads as f64)),
+                                        ("ms", num(p.ms)),
+                                        ("speedup", num(p.speedup)),
+                                        ("byte_identical", Json::Bool(p.identical)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ]),
+            ),
+            (
+                "query_plane",
+                Json::Arr(
+                    plane_points
+                        .iter()
+                        .map(|p| {
+                            Json::obj([
+                                ("figure", Json::Str(p.figure.clone())),
+                                ("cells", num(p.num_cells as f64)),
+                                ("qinterval", num(p.qinterval)),
+                                ("queries", num(p.queries as f64)),
+                                ("read_latency_us", num(p.read_latency_us as f64)),
+                                ("paged", plane(&p.paged)),
+                                ("frozen", plane(&p.frozen)),
+                                ("speedup", num(p.paged.mean_ms / p.frozen.mean_ms.max(1e-9))),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "codec_sweep",
+                Json::Arr(
+                    codec_points
+                        .iter()
+                        .map(|p| {
+                            Json::obj([
+                                ("figure", Json::Str(p.figure.clone())),
+                                ("cells", num(p.num_cells as f64)),
+                                ("qinterval", num(p.qinterval)),
+                                ("queries", num(p.queries as f64)),
+                                ("read_latency_us", num(p.read_latency_us as f64)),
+                                ("raw", codec(&p.raw)),
+                                ("compressed", codec(&p.comp)),
+                                ("pages_speedup", num(p.pages_speedup)),
+                                ("identical", Json::Bool(p.identical)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "filter_scan",
+                Json::obj([
+                    ("intervals", num(scan_field.num_cells() as f64)),
+                    ("searches", num((reps * scan_queries.len()) as f64)),
+                    ("paged_us_per_query", num(per_query(paged_ms))),
+                    ("dynamic_us_per_query", num(per_query(dyn_ms))),
+                    ("frozen_us_per_query", num(per_query(frozen_ms))),
+                    (
+                        "frozen_speedup_vs_paged",
+                        num(paged_ms / frozen_ms.max(1e-9)),
+                    ),
+                ]),
+            ),
+        ])
+        .render();
         std::fs::write("BENCH_pr5.json", &j).expect("write BENCH_pr5.json");
         println!("wrote BENCH_pr5.json");
 
@@ -1434,13 +1463,13 @@ fn record_bench(opts: &Opts) {
         index.inner_len(),
     );
 
-    // The recorder captures traced queries only (same gate as EXPLAIN).
-    engine.metrics().tracer().set_enabled(true);
+    let tracer = engine.metrics().tracer();
+    tracer.set_enabled(true);
     let queries = interval_queries(index.value_domain(), 0.02, nq, 0x3EC);
     for q in &queries {
         index.query_stats(&engine, *q).expect("query");
     }
-    let records = engine.metrics().recorder().drain();
+    let records = tracer.drain_workload();
     if records.is_empty() {
         eprintln!("bench --record: no queries captured — the binary was built with obs-off");
         std::process::exit(1);

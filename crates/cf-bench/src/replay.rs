@@ -239,14 +239,15 @@ mod tests {
         let field = diamond_square(5, 0.6, 11);
         let engine = StorageEngine::in_memory();
         let index = IHilbert::build(&engine, &field).expect("build");
-        // Capture through the real pipeline: traced queries feed the
-        // flight recorder, the drain is the `.wrk` payload.
-        engine.metrics().tracer().set_enabled(true);
+        // Capture through the real pipeline: traced queries land in the
+        // tracer's ring, the drain is the `.wrk` payload.
+        let tracer = engine.metrics().tracer();
+        tracer.set_enabled(true);
         for q in &interval_queries(field.value_domain(), 0.03, 12, 0x601D) {
             index.query_stats(&engine, *q).expect("query");
         }
-        engine.metrics().tracer().set_enabled(false);
-        let drained = engine.metrics().recorder().drain();
+        tracer.set_enabled(false);
+        let drained = tracer.drain_workload();
         assert_eq!(drained.len(), 12);
         let records = decode_wrk(&encode_wrk(&drained)).expect("round trip");
 

@@ -5,12 +5,13 @@
 //! Every product query path — I-Hilbert and the Interval Quadtree
 //! probe, the planner's full scan, the ingest snapshot's overlay-aware
 //! probe and scan, I-All — is one call of [`run`]. The executor alone
-//! owns the query bracket (tracer id, phase stopwatches, thread-I/O
-//! delta), the range merge rule, the heat bumps, the per-cell refine
-//! body, the metrics publish and the single emission of trace events,
-//! EXPLAIN record and flight-recorder digest. A caller supplies only
-//! what genuinely differs, as a [`Q2`]: the filter source, the cell
-//! source, an optional overlay, and the labels.
+//! owns the query bracket (phase stopwatches, thread-I/O delta), the
+//! range merge rule, the heat bumps, the per-cell refine body and the
+//! assembly of the query's one [`ExplainRecord`], handed once to
+//! [`QueryMetrics::publish`] — registry series, trace events, EXPLAIN
+//! and flight record all derive from it. A caller supplies only what
+//! genuinely differs, as a [`Q2`]: the filter source, the cell source,
+//! an optional overlay, and the labels.
 //!
 //! The per-cell path is statically dispatched: the refine body is a
 //! closure handed to the generic `for_each_in_ranges`, monomorphised
@@ -26,20 +27,19 @@ use cf_geom::{Aabb, Interval, Polygon};
 use cf_rtree::{FrozenTree, PagedRTree, SearchStats};
 use cf_storage::{
     answer_digest, CellFile, CfResult, ExplainRecord, HeatKind, Label, Record, RecordFile,
-    Stopwatch, StorageEngine, TraceEvent,
+    Stopwatch, StorageEngine,
 };
 use std::collections::HashMap;
 use std::ops::Range;
 
 /// What one query path supplies to [`run`].
 pub(crate) struct Q2<'a, R: Record> {
-    /// `index` label of the EXPLAIN record.
-    pub index: &'a str,
     /// Curve name reported in the EXPLAIN and flight records.
-    pub curve: &'static str,
+    pub curve: Label,
     /// Ingest epoch the query is pinned to (0 = static plane).
     pub epoch: u64,
-    /// The `index_*` registry handles the query publishes under.
+    /// The `index_*` registry handles the query publishes under; they
+    /// carry the index label of its EXPLAIN record.
     pub metrics: &'a QueryMetrics,
     /// The filter source; `None` is the full scan — no filtering step,
     /// one run covering the whole cell file.
@@ -199,8 +199,6 @@ pub(crate) fn run<F: FieldModel>(
     sink: &mut dyn FnMut(Polygon),
 ) -> CfResult<QueryStats> {
     let QueryScratch { ranges, runs } = scratch;
-    let tracer = engine.metrics().tracer();
-    let query_id = tracer.is_enabled().then(|| tracer.next_query_id());
     let query_clock = Stopwatch::start();
     let before = cf_storage::thread_io_stats();
     let mut stats = QueryStats::default();
@@ -257,101 +255,47 @@ pub(crate) fn run<F: FieldModel>(
     let refine_ns = refine_clock.elapsed_ns();
     let query_ns = query_clock.elapsed_ns();
 
-    q.metrics
-        .publish(&stats, band, query_ns, filter_ns, refine_ns);
-    if let Some(query_id) = query_id {
-        emit(
-            engine, query_id, band, &q, &stats, query_ns, filter_ns, refine_ns,
-        );
-    }
-    Ok(stats)
-}
-
-/// The single emission point of a traced query: its phase breakdown
-/// into the trace ring, its [`ExplainRecord`] into the EXPLAIN ring
-/// (and, past the slow-query threshold, a full slow-query report), and
-/// its band + answer digest into the flight recorder — enough to replay
-/// and re-verify the query later (`repro replay`). Only called when
-/// tracing is enabled, so the ordinary hot path never builds these.
-#[allow(clippy::too_many_arguments)]
-fn emit<R: Record>(
-    engine: &StorageEngine,
-    query_id: u64,
-    band: Interval,
-    q: &Q2<'_, R>,
-    stats: &QueryStats,
-    query_ns: u64,
-    filter_ns: u64,
-    refine_ns: u64,
-) {
-    let (plan, plane, refine_phase) = match &q.filter {
-        Some(filter) => ("probe", filter.plane(), "refine"),
-        None => ("scan", "cells", "scan"),
+    let (plan, plane) = match &q.filter {
+        Some(filter) => ("probe", filter.plane()),
+        None => ("scan", "cells"),
     };
-    let refine_pages = stats.io.logical_reads() - stats.filter_pages;
-    let events = [
-        TraceEvent {
-            query_id,
-            phase: "filter",
-            pages: stats.filter_pages,
-            nanos: filter_ns,
-            depth: 1,
+    q.metrics.publish(
+        engine.metrics().tracer(),
+        ExplainRecord {
+            index: q.metrics.index,
+            plan,
+            plane,
+            curve: q.curve,
+            band_lo: band.lo,
+            band_hi: band.hi,
+            subfields: stats.intervals_retrieved as u64,
+            cells_examined: stats.cells_examined as u64,
+            cells_qualifying: stats.cells_qualifying as u64,
+            regions: stats.num_regions as u64,
+            filter_nodes: stats.filter_nodes,
+            filter_pages: stats.filter_pages,
+            refine_pages: stats.io.logical_reads() - stats.filter_pages,
+            filter_ns,
+            refine_ns,
+            total_ns: query_ns,
+            epoch: q.epoch,
+            pool_hits: stats.io.pool_hits,
+            pool_misses: stats.io.pool_misses,
+            // Band + digest are enough to replay and re-verify the
+            // query later (`repro replay`).
+            digest: answer_digest(
+                stats.cells_examined as u64,
+                stats.cells_qualifying as u64,
+                stats.num_regions as u64,
+                stats.area,
+            ),
+            // Stamped by the tracer when it records the query.
+            query_id: 0,
+            ordinal: 0,
+            slow: false,
         },
-        TraceEvent {
-            query_id,
-            phase: refine_phase,
-            pages: refine_pages,
-            nanos: refine_ns,
-            depth: 1,
-        },
-    ];
-    // A scan has no filtering step, so no filter phase either.
-    let phases = &events[usize::from(q.filter.is_none())..];
-    let tracer = engine.metrics().tracer();
-    for event in phases {
-        tracer.record(*event);
-    }
-    tracer.record(TraceEvent {
-        query_id,
-        phase: "query",
-        pages: stats.io.logical_reads(),
-        nanos: query_ns,
-        depth: 0,
-    });
-    let explain = ExplainRecord {
-        query_id,
-        index: Label::new(q.index),
-        plan,
-        plane,
-        curve: Label::new(q.curve),
-        band_lo: band.lo,
-        band_hi: band.hi,
-        subfields: stats.intervals_retrieved as u64,
-        cells_examined: stats.cells_examined as u64,
-        cells_qualifying: stats.cells_qualifying as u64,
-        filter_pages: stats.filter_pages,
-        refine_pages,
-        filter_ns,
-        refine_ns,
-        total_ns: query_ns,
-        epoch: q.epoch,
-        pool_hits: stats.io.pool_hits,
-        pool_misses: stats.io.pool_misses,
-    };
-    engine.metrics().recorder().record(
-        band.lo,
-        band.hi,
-        plane,
-        q.curve,
-        q.epoch,
-        answer_digest(
-            stats.cells_examined as u64,
-            stats.cells_qualifying as u64,
-            stats.num_regions as u64,
-            stats.area,
-        ),
     );
-    tracer.finish_query_explained(query_id, query_ns, phases, Some(explain));
+    Ok(stats)
 }
 
 #[cfg(test)]

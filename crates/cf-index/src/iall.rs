@@ -13,7 +13,7 @@ use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
 use cf_rtree::{FrozenTree, PagedRTree, RStarTree, RTreeConfig};
-use cf_storage::{CfError, CfResult, RecordFile, StorageEngine};
+use cf_storage::{CfError, CfResult, Label, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
@@ -117,8 +117,7 @@ impl<F: FieldModel> IAll<F> {
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
         let q = Q2 {
-            index: "I-All",
-            curve: "-",
+            curve: Label::new("-"),
             epoch: 0,
             metrics: self
                 .qmetrics

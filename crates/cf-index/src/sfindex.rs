@@ -11,7 +11,7 @@ use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
 use cf_rtree::{bulk_load_str, FrozenTree, PagedRTree, RStarTree, RTreeConfig};
-use cf_storage::{CellFile, CfResult, MetricsRegistry, RecordFile, StorageEngine};
+use cf_storage::{CellFile, CfResult, Label, MetricsRegistry, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
@@ -66,7 +66,7 @@ pub(crate) struct SubfieldIndex<F: FieldModel> {
     metric_label: String,
     /// Space-filling-curve name reported in EXPLAIN records (set by the
     /// owning method via [`SubfieldIndex::set_curve_label`]).
-    curve_label: &'static str,
+    curve_label: Label,
     /// Cached registry handles, wired against the first engine queried.
     qmetrics: OnceLock<QueryMetrics>,
     _field: PhantomData<fn() -> F>,
@@ -194,7 +194,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
             pos_to_subfield,
             frozen: None,
             metric_label: "subfield".to_owned(),
-            curve_label: "-",
+            curve_label: Label::new("-"),
             qmetrics: OnceLock::new(),
             _field: PhantomData,
         }
@@ -208,8 +208,8 @@ impl<F: FieldModel> SubfieldIndex<F> {
     }
 
     /// Sets the curve name EXPLAIN records report for this index.
-    pub(crate) fn set_curve_label(&mut self, curve: &'static str) {
-        self.curve_label = curve;
+    pub(crate) fn set_curve_label(&mut self, curve: &str) {
+        self.curve_label = Label::new(curve);
     }
 
     fn query_metrics(&self, registry: &MetricsRegistry) -> &QueryMetrics {
@@ -477,7 +477,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
             }),
         });
         let q = Q2 {
-            index: &self.metric_label,
             curve: self.curve_label,
             epoch: delta.map_or(0, |d| d.epoch),
             metrics: self.query_metrics(engine.metrics()),

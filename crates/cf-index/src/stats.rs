@@ -2,7 +2,8 @@
 
 use cf_geom::{Interval, Polygon};
 use cf_storage::{
-    CfResult, Counter, Histogram, IoStats, MetricsRegistry, SloTracker, StorageEngine,
+    CfResult, Counter, ExplainRecord, Histogram, IoStats, Label, MetricsRegistry, SloTracker,
+    StorageEngine, Tracer,
 };
 
 /// Everything a value query reports besides its answer regions.
@@ -61,6 +62,9 @@ pub(crate) const BAND_LEN_BUCKETS: [f64; 13] = [
 /// with it the registry — is a query-time parameter).
 #[derive(Debug)]
 pub(crate) struct QueryMetrics {
+    /// The index's method name — the `index` label of every series
+    /// below and of the EXPLAIN records published through them.
+    pub(crate) index: Label,
     queries: Counter,
     filter_pages: Counter,
     refine_pages: Counter,
@@ -84,6 +88,7 @@ impl QueryMetrics {
     pub(crate) fn wire(registry: &MetricsRegistry, index: &str) -> Self {
         let labels: &[(&str, &str)] = &[("index", index)];
         Self {
+            index: Label::new(index),
             queries: registry.counter_with("index_queries_total", labels),
             filter_pages: registry.counter_with("index_filter_pages_total", labels),
             refine_pages: registry.counter_with("index_refine_pages_total", labels),
@@ -99,31 +104,28 @@ impl QueryMetrics {
         }
     }
 
-    /// Flushes one finished query into the registry. Counter bumps stay
-    /// real under `obs-off`; the latency and band-length observations
-    /// compile out (which is why the workload advisor degrades to a
-    /// no-op under `obs-off`: it never sees a query).
-    pub(crate) fn publish(
-        &self,
-        stats: &QueryStats,
-        band: Interval,
-        query_ns: u64,
-        filter_ns: u64,
-        refine_ns: u64,
-    ) {
+    /// The one sink of a finished query: bumps the `index_*` series and
+    /// the SLO window, then hands the record to the tracer's ring (which
+    /// keeps it only while tracing is on). Counter bumps stay real under
+    /// `obs-off`; the latency and band-length observations and the ring
+    /// push compile out (which is why the workload advisor degrades to
+    /// a no-op under `obs-off`: it never sees a query).
+    pub(crate) fn publish(&self, tracer: &Tracer, rec: ExplainRecord) {
         self.queries.inc();
-        self.filter_pages.add(stats.filter_pages);
-        self.refine_pages
-            .add(stats.io.logical_reads() - stats.filter_pages);
-        self.filter_nodes.add(stats.filter_nodes);
-        self.intervals.add(stats.intervals_retrieved as u64);
-        self.cells_examined.add(stats.cells_examined as u64);
-        self.cells_qualifying.add(stats.cells_qualifying as u64);
-        self.query_ns.observe_ns(query_ns);
-        self.filter_ns.observe_ns(filter_ns);
-        self.refine_ns.observe_ns(refine_ns);
-        self.band_len.observe(band.hi - band.lo);
-        self.slo.record_ns(query_ns);
+        self.filter_pages.add(rec.filter_pages);
+        self.refine_pages.add(rec.refine_pages);
+        self.filter_nodes.add(rec.filter_nodes);
+        self.intervals.add(rec.subfields);
+        self.cells_examined.add(rec.cells_examined);
+        self.cells_qualifying.add(rec.cells_qualifying);
+        self.query_ns.observe_ns(rec.total_ns);
+        self.filter_ns.observe_ns(rec.filter_ns);
+        self.refine_ns.observe_ns(rec.refine_ns);
+        self.band_len.observe(rec.band_hi - rec.band_lo);
+        // The SLO window first: under its adaptive mode it sets the
+        // threshold this record's `slow` bit is stamped against.
+        self.slo.record_ns(rec.total_ns);
+        tracer.record_query(rec);
     }
 }
 

@@ -12,16 +12,16 @@
 //! stack from the span/counter handles the pipeline already maintains:
 //! string-ish fields are either `&'static str` (plan, plane) or a
 //! fixed-capacity inline [`Label`] (index and curve names, which exist
-//! as heap `String`s only at registration time). Records are retained
-//! in a bounded ring inside the [`Tracer`](crate::Tracer) and attached
-//! to every [`SlowQueryReport`](crate::SlowQueryReport) captured while
-//! one is being assembled.
+//! as heap `String`s only at registration time).
+//!
+//! It is the *only* per-query record: the pipeline hands each finished
+//! query's record to [`Tracer::record_query`](crate::Tracer::record_query)
+//! once, and the span events, slow-query reports, recent-EXPLAIN list
+//! and `.wrk` flight records are all read-side views derived from it.
 
 use crate::json::Json;
+use crate::trace::TraceEvent;
 use std::fmt;
-
-/// Maximum EXPLAIN records retained in the tracer's ring.
-pub const EXPLAIN_RING_CAPACITY: usize = 64;
 
 /// Byte capacity of an inline [`Label`].
 pub const LABEL_CAPACITY: usize = 24;
@@ -102,7 +102,7 @@ impl fmt::Display for Label {
 }
 
 /// The structured EXPLAIN record for one executed query.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExplainRecord {
     /// Query id from the tracer's sequence.
     pub query_id: u64,
@@ -125,6 +125,10 @@ pub struct ExplainRecord {
     pub cells_examined: u64,
     /// Cells that actually qualified.
     pub cells_qualifying: u64,
+    /// Answer regions produced.
+    pub regions: u64,
+    /// Index nodes visited by the filter phase.
+    pub filter_nodes: u64,
     /// Logical pages read by the filter phase.
     pub filter_pages: u64,
     /// Logical pages read by the refine phase.
@@ -141,9 +145,50 @@ pub struct ExplainRecord {
     pub pool_hits: u64,
     /// Buffer-pool misses during the query.
     pub pool_misses: u64,
+    /// Digest of the answer — see [`answer_digest`](crate::answer_digest).
+    pub digest: u64,
+    /// Position in the tracer's recording, stamped by
+    /// [`Tracer::record_query`](crate::Tracer::record_query) (monotonic,
+    /// restarts when the ring is cleared).
+    pub ordinal: u64,
+    /// Whether `total_ns` reached the slow-query threshold in force when
+    /// the query was recorded (stamped with `ordinal`; the threshold may
+    /// have moved since, e.g. under the SLO tracker's adaptive mode).
+    pub slow: bool,
 }
 
 impl ExplainRecord {
+    /// The query's span events in completion order: `filter` (probes
+    /// only — a scan has no filtering step), then `refine` (`scan` for a
+    /// scan), both at depth 1, then the enclosing `query` span.
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> {
+        let scan = self.plan == "scan";
+        let event = |phase, pages, nanos, depth| TraceEvent {
+            query_id: self.query_id,
+            phase,
+            pages,
+            nanos,
+            depth,
+        };
+        [
+            event("filter", self.filter_pages, self.filter_ns, 1),
+            event(
+                if scan { "scan" } else { "refine" },
+                self.refine_pages,
+                self.refine_ns,
+                1,
+            ),
+            event(
+                "query",
+                self.filter_pages + self.refine_pages,
+                self.total_ns,
+                0,
+            ),
+        ]
+        .into_iter()
+        .skip(usize::from(scan))
+    }
+
     /// Nanoseconds not attributed to filter or refine (planning,
     /// dispatch, result assembly). Saturates at zero.
     pub fn other_ns(&self) -> u64 {
@@ -228,10 +273,11 @@ impl ExplainRecord {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample() -> ExplainRecord {
+    /// The fact every cf-obs unit test scripts its views from.
+    pub(crate) fn sample() -> ExplainRecord {
         ExplainRecord {
             query_id: 12,
             index: Label::new("I-Hilbert"),
@@ -243,6 +289,8 @@ mod tests {
             subfields: 14,
             cells_examined: 1024,
             cells_qualifying: 812,
+            regions: 9,
+            filter_nodes: 3,
             filter_pages: 0,
             refine_pages: 37,
             filter_ns: 45_200,
@@ -251,6 +299,9 @@ mod tests {
             epoch: 0,
             pool_hits: 37,
             pool_misses: 0,
+            digest: 0x00D1_6E57,
+            ordinal: 0,
+            slow: false,
         }
     }
 

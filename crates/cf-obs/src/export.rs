@@ -3,8 +3,8 @@
 //! Everything the registry and tracer collect can leave the process in
 //! three formats:
 //!
-//! * **Chrome trace JSON** ([`chrome_trace_json`]) — the event-ring
-//!   snapshot as a `chrome://tracing` / Perfetto-loadable document.
+//! * **Chrome trace JSON** ([`chrome_trace_json`]) — the tracer's
+//!   event view as a `chrome://tracing` / Perfetto-loadable document.
 //!   Span events carry only durations (recording wall-clock start
 //!   times would make snapshots non-reproducible), so the exporter
 //!   *lays the trace out*: each query gets its own track (`tid`), and
@@ -91,20 +91,17 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     .render()
 }
 
-/// One slow-query report as a JSON object. The structured EXPLAIN
-/// record is included when the pipeline attached one (omitted rather
-/// than null when absent, so pre-EXPLAIN consumers see an unchanged
-/// shape).
+/// One slow-query report as a JSON object: the phase breakdown plus
+/// the query's full EXPLAIN record.
 pub fn slow_report_record(r: &SlowQueryReport) -> Json {
-    let mut fields = vec![
-        ("kind".to_owned(), Json::Str("slow_query".into())),
-        ("query_id".to_owned(), Json::Num(r.query_id as f64)),
-        ("total_ns".to_owned(), Json::Num(r.total_ns as f64)),
+    Json::obj([
+        ("kind", Json::Str("slow_query".into())),
+        ("query_id", Json::Num(r.explain.query_id as f64)),
+        ("total_ns", Json::Num(r.explain.total_ns as f64)),
         (
-            "phases".to_owned(),
+            "phases",
             Json::Arr(
-                r.phases
-                    .iter()
+                r.phases()
                     .map(|p| {
                         Json::obj([
                             ("phase", Json::Str(p.phase.to_owned())),
@@ -115,11 +112,8 @@ pub fn slow_report_record(r: &SlowQueryReport) -> Json {
                     .collect(),
             ),
         ),
-    ];
-    if let Some(explain) = &r.explain {
-        fields.push(("explain".to_owned(), explain.to_json()));
-    }
-    Json::Obj(fields)
+        ("explain", r.explain.to_json()),
+    ])
 }
 
 /// Renders the full trace dump served by the `/traces` endpoint: the
@@ -594,36 +588,15 @@ mod tests {
 
     #[test]
     fn slow_report_record_carries_the_explain() {
-        let mut r = SlowQueryReport {
-            query_id: 4,
-            total_ns: 1_000,
-            phases: vec![],
-            explain: None,
-        };
-        assert!(slow_report_record(&r).get("explain").is_none());
-        r.explain = Some(crate::ExplainRecord {
-            query_id: 4,
-            index: crate::Label::new("I-Hilbert"),
-            plan: "probe",
-            plane: "paged",
-            curve: crate::Label::new("hilbert"),
-            band_lo: 0.0,
-            band_hi: 1.0,
-            subfields: 2,
-            cells_examined: 8,
-            cells_qualifying: 8,
-            filter_pages: 1,
-            refine_pages: 2,
-            filter_ns: 300,
-            refine_ns: 600,
-            total_ns: 1_000,
-            epoch: 3,
-            pool_hits: 3,
-            pool_misses: 0,
-        });
-        let rec = slow_report_record(&r);
-        let explain = rec.get("explain").expect("explain attached");
-        assert_eq!(explain.get("epoch").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(explain.get("plan").and_then(Json::as_str), Some("probe"));
+        let explain = crate::explain::tests::sample();
+        let rec = slow_report_record(&SlowQueryReport { explain });
+        assert_eq!(rec.get("query_id").and_then(Json::as_f64), Some(12.0));
+        let phases = rec.get("phases").and_then(Json::as_arr).expect("phases");
+        assert_eq!(phases.len(), 2);
+        assert_eq!(
+            phases[1].get("phase").and_then(Json::as_str),
+            Some("refine")
+        );
+        assert_eq!(rec.get("explain"), Some(&explain.to_json()));
     }
 }

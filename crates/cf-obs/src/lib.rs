@@ -12,9 +12,9 @@
 //!   health).
 //! * [`Histogram`] — fixed bucket bounds chosen at registration, atomic
 //!   bucket counts; no allocation after registration.
-//! * [`Tracer`] — per-query span events in a bounded ring buffer plus a
-//!   slow-query profiler that keeps the full phase breakdown of
-//!   outliers (see [`trace`]).
+//! * [`Tracer`] — one bounded ring of per-query [`ExplainRecord`]s;
+//!   span events, slow-query reports, recent EXPLAINs and `.wrk` flight
+//!   records are views derived from it.
 //!
 //! Handles returned by the registry are `Arc`-backed and cheap to
 //! clone; layers that sit on a query hot path (the R-tree search loop,
@@ -26,10 +26,10 @@
 //! # The `obs-off` feature
 //!
 //! Building with `--features obs-off` compiles the *extended* layer —
-//! histogram observation, stopwatches, span recording, slow-query
-//! capture — down to no-ops, which is how the CI overhead gate measures
-//! the cost of the layer. Counters and gauges stay real because the
-//! engine's I/O accounting is built on them.
+//! histogram observation, stopwatches, query recording — down to
+//! no-ops, which is how the CI overhead gate measures the cost of the
+//! layer. Counters and gauges stay real because the engine's I/O
+//! accounting is built on them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,16 +43,15 @@ pub mod serve;
 pub mod slo;
 mod trace;
 
-pub use explain::{ExplainRecord, Label, EXPLAIN_RING_CAPACITY};
+pub use explain::{ExplainRecord, Label};
 pub use export::EventJournal;
 pub use heat::{HeatKind, HeatMap, HeatTable, HEAT_BUCKETS, HEAT_SHARDS};
 pub use json::{Json, JsonError};
-pub use record::{
-    answer_digest, decode_wrk, encode_wrk, FlightRecorder, WorkloadRecord, RECORDER_CAPACITY,
-    WORKLOAD_VERSION,
-};
+pub use record::{answer_digest, decode_wrk, encode_wrk, WorkloadRecord, WORKLOAD_VERSION};
 pub use slo::{SloObjective, SloTracker};
-pub use trace::{SlowQueryReport, Span, Stopwatch, TraceEvent, Tracer};
+pub use trace::{
+    SlowQueryReport, Stopwatch, TraceEvent, Tracer, QUERY_RING_CAPACITY, RECENT_VIEW_LEN,
+};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -286,7 +285,6 @@ pub struct MetricsRegistry {
     slo: SloTracker,
     journal: EventJournal,
     heat: HeatMap,
-    recorder: FlightRecorder,
 }
 
 impl Default for MetricsRegistry {
@@ -303,7 +301,6 @@ impl Default for MetricsRegistry {
             slo,
             journal: EventJournal::default(),
             heat: HeatMap::default(),
-            recorder: FlightRecorder::default(),
         }
     }
 }
@@ -339,11 +336,6 @@ impl MetricsRegistry {
     /// Hilbert position domain).
     pub fn heat(&self) -> &HeatMap {
         &self.heat
-    }
-
-    /// The registry's workload flight recorder.
-    pub fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
     }
 
     fn register(
@@ -512,9 +504,10 @@ impl MetricsRegistry {
         })
     }
 
-    /// Zeroes every counter, gauge and histogram and clears the trace
-    /// rings. Handles stay valid; tracer enablement and thresholds are
-    /// preserved. This is the engine-wide "forget warmup I/O" reset.
+    /// Zeroes every counter, gauge and histogram and clears the query
+    /// ring and the journal. Handles stay valid; tracer enablement and
+    /// thresholds are preserved. This is the engine-wide "forget warmup
+    /// I/O" reset.
     pub fn reset(&self) {
         let families = self.families.lock().expect("metrics registry poisoned");
         for family in families.values() {
@@ -531,7 +524,6 @@ impl MetricsRegistry {
         self.slo.reset();
         self.journal.clear();
         self.heat.reset();
-        self.recorder.clear();
     }
 
     /// Renders the registry in the Prometheus text exposition format.

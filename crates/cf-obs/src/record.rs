@@ -1,7 +1,8 @@
-//! The workload flight recorder: a bounded ring of every traced
-//! query's identity — band, logical ordinal, plane, curve, epoch and
-//! an answer digest — with a lossless drain to a versioned `.wrk`
-//! workload file.
+//! The workload flight recorder: every traced query's identity — band,
+//! logical ordinal, plane, curve, epoch and an answer digest — as a
+//! view of the tracer's query ring ([`WorkloadRecord::from`]), with a
+//! lossless drain ([`Tracer::drain_workload`](crate::Tracer::drain_workload))
+//! to a versioned `.wrk` workload file.
 //!
 //! A production anomaly surfaced by `/slo` or a slow-query report is
 //! only useful if it can be *reproduced*: the recorder turns the live
@@ -14,19 +15,9 @@
 //! memory and on disk, so a recorded query replays with the *exact*
 //! float the pipeline executed — the digests are only comparable
 //! because no decimal round-trip ever happens.
-//!
-//! Under the `obs-off` feature [`FlightRecorder::record`] compiles to
-//! an empty inline function; the ring never fills and the `.wrk`
-//! encoder only ever sees empty recordings.
 
-use crate::explain::Label;
+use crate::explain::{ExplainRecord, Label};
 use crate::json::Json;
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
-/// Maximum records retained in the ring; older records are dropped
-/// (and counted) once the ring is full.
-pub const RECORDER_CAPACITY: usize = 4096;
 
 /// Magic bytes of a `.wrk` workload file.
 pub const WORKLOAD_MAGIC: [u8; 4] = *b"CFWK";
@@ -76,6 +67,20 @@ impl WorkloadRecord {
     }
 }
 
+impl From<&ExplainRecord> for WorkloadRecord {
+    fn from(rec: &ExplainRecord) -> Self {
+        Self {
+            ordinal: rec.ordinal,
+            band_lo: rec.band_lo,
+            band_hi: rec.band_hi,
+            plane: Label::new(rec.plane),
+            curve: rec.curve,
+            epoch: rec.epoch,
+            digest: rec.digest,
+        }
+    }
+}
+
 /// FNV-1a digest over a query's observable outcome: cell counts,
 /// region count and the exact answer-area bits. Two executions of the
 /// same query against the same data produce the same digest; any
@@ -101,134 +106,6 @@ pub fn answer_digest(
         }
     }
     hash
-}
-
-#[derive(Default)]
-struct RecorderState {
-    ring: VecDeque<WorkloadRecord>,
-    next_ordinal: u64,
-    dropped: u64,
-}
-
-/// The bounded query-capture ring. One per [`crate::MetricsRegistry`];
-/// the query pipeline records every *traced* query (same gate as the
-/// EXPLAIN ring, so recording costs nothing when tracing is off).
-#[derive(Default)]
-pub struct FlightRecorder {
-    state: Mutex<RecorderState>,
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-impl FlightRecorder {
-    /// Captures one query, assigning it the next logical ordinal.
-    /// When the ring is at [`RECORDER_CAPACITY`] the oldest record is
-    /// dropped (and counted in [`FlightRecorder::dropped`]). Compiled
-    /// out under `obs-off`.
-    #[cfg(not(feature = "obs-off"))]
-    pub fn record(
-        &self,
-        band_lo: f64,
-        band_hi: f64,
-        plane: &str,
-        curve: &str,
-        epoch: u64,
-        digest: u64,
-    ) {
-        let mut state = self.state.lock().expect("flight recorder poisoned");
-        let ordinal = state.next_ordinal;
-        state.next_ordinal += 1;
-        if state.ring.len() >= RECORDER_CAPACITY {
-            state.ring.pop_front();
-            state.dropped += 1;
-        }
-        state.ring.push_back(WorkloadRecord {
-            ordinal,
-            band_lo,
-            band_hi,
-            plane: Label::new(plane),
-            curve: Label::new(curve),
-            epoch,
-            digest,
-        });
-    }
-
-    /// Captures one query (compiled out under `obs-off`).
-    #[cfg(feature = "obs-off")]
-    #[inline]
-    pub fn record(
-        &self,
-        _band_lo: f64,
-        _band_hi: f64,
-        _plane: &str,
-        _curve: &str,
-        _epoch: u64,
-        _digest: u64,
-    ) {
-    }
-
-    /// Records currently retained.
-    pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .expect("flight recorder poisoned")
-            .ring
-            .len()
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Records evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.state.lock().expect("flight recorder poisoned").dropped
-    }
-
-    /// Copies the retained records out, oldest first, leaving the ring
-    /// intact (the `/workload` route).
-    pub fn snapshot(&self) -> Vec<WorkloadRecord> {
-        let state = self.state.lock().expect("flight recorder poisoned");
-        state.ring.iter().copied().collect()
-    }
-
-    /// Removes and returns the retained records, oldest first — the
-    /// lossless `.wrk` drain. The ordinal sequence keeps running, so a
-    /// later drain continues where this one stopped.
-    pub fn drain(&self) -> Vec<WorkloadRecord> {
-        let mut state = self.state.lock().expect("flight recorder poisoned");
-        state.ring.drain(..).collect()
-    }
-
-    /// Empties the ring and restarts the ordinal sequence (part of the
-    /// registry-wide reset).
-    pub fn clear(&self) {
-        let mut state = self.state.lock().expect("flight recorder poisoned");
-        state.ring.clear();
-        state.next_ordinal = 0;
-        state.dropped = 0;
-    }
-
-    /// JSON snapshot for the `/workload` route.
-    pub fn to_json(&self) -> Json {
-        let state = self.state.lock().expect("flight recorder poisoned");
-        Json::obj([
-            ("version", Json::Num(WORKLOAD_VERSION as f64)),
-            ("count", Json::Num(state.ring.len() as f64)),
-            ("dropped", Json::Num(state.dropped as f64)),
-            (
-                "records",
-                Json::Arr(state.ring.iter().map(WorkloadRecord::to_json).collect()),
-            ),
-        ])
-    }
 }
 
 fn put_u64(buf: &mut Vec<u8>, v: u64) {
@@ -300,11 +177,17 @@ pub fn decode_wrk(bytes: &[u8]) -> Result<Vec<WorkloadRecord>, String> {
             "unsupported workload version {version} (this build reads version {WORKLOAD_VERSION})"
         ));
     }
-    let count = get_u64(bytes, 8) as usize;
-    let expected = WORKLOAD_HEADER_SIZE + count * WORKLOAD_RECORD_SIZE;
-    if bytes.len() != expected {
+    // The count is the file's own claim: size it with checked
+    // arithmetic and allocate for it only once it matches the bytes
+    // actually present.
+    let claimed = get_u64(bytes, 8);
+    let count = usize::try_from(claimed).unwrap_or(usize::MAX);
+    let expected = count
+        .checked_mul(WORKLOAD_RECORD_SIZE)
+        .and_then(|body| body.checked_add(WORKLOAD_HEADER_SIZE));
+    if expected != Some(bytes.len()) {
         return Err(format!(
-            "workload body size mismatch: {} bytes for {count} records (expected {expected})",
+            "workload body size mismatch: {} bytes for {claimed} records",
             bytes.len()
         ));
     }
@@ -327,6 +210,11 @@ pub fn decode_wrk(bytes: &[u8]) -> Result<Vec<WorkloadRecord>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(not(feature = "obs-off"))]
+    use crate::explain::tests::sample as query;
+    #[cfg(not(feature = "obs-off"))]
+    use crate::trace::QUERY_RING_CAPACITY;
+    use crate::Tracer;
 
     fn sample(n: u64) -> WorkloadRecord {
         WorkloadRecord {
@@ -385,57 +273,71 @@ mod tests {
         let mut truncated = encode_wrk(&[sample(0), sample(1)]);
         truncated.truncate(truncated.len() - 5);
         assert!(decode_wrk(&truncated).unwrap_err().contains("mismatch"));
+        // A hostile count: the size computation overflows, or wraps to
+        // exactly the 16 bytes present (2^61 * 72 = 2^64 * 9).
+        for count in [u64::MAX, 1 << 61] {
+            let mut hostile = encode_wrk(&[]);
+            hostile[8..16].copy_from_slice(&count.to_le_bytes());
+            assert!(decode_wrk(&hostile).unwrap_err().contains("mismatch"));
+        }
+    }
+
+    #[cfg(not(feature = "obs-off"))]
+    fn traced(queries: usize) -> Tracer {
+        let tracer = Tracer::default();
+        tracer.set_enabled(true);
+        for _ in 0..queries {
+            tracer.record_query(query());
+        }
+        tracer
+    }
+
+    #[cfg(not(feature = "obs-off"))]
+    fn ordinals(records: &[WorkloadRecord]) -> Vec<u64> {
+        records.iter().map(|r| r.ordinal).collect()
     }
 
     #[cfg(not(feature = "obs-off"))]
     #[test]
     fn ring_assigns_ordinals_and_drains_losslessly() {
-        let rec = FlightRecorder::default();
-        for i in 0..5 {
-            rec.record(i as f64, i as f64 + 1.0, "frozen", "hilbert", 0, i);
-        }
-        assert_eq!(rec.len(), 5);
-        let snap = rec.snapshot();
-        assert_eq!(rec.len(), 5, "snapshot does not drain");
-        let drained = rec.drain();
-        assert_eq!(drained, snap);
-        assert_eq!(
-            drained.iter().map(|r| r.ordinal).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3, 4]
-        );
-        assert!(rec.is_empty());
+        let tracer = traced(5);
+        assert_eq!(ordinals(&tracer.drain_workload()), [0, 1, 2, 3, 4]);
+        // The drain moved a cursor, not the records: nothing is handed
+        // out twice, and the snapshot views still see all five queries.
+        assert!(tracer.drain_workload().is_empty());
+        assert_eq!(tracer.recent_explains().len(), 5);
+        assert_eq!(tracer.events().len(), 15);
+        let doc = tracer.workload_json();
+        assert_eq!(doc.get("count").and_then(Json::as_f64), Some(5.0));
         // The ordinal sequence continues across drains.
-        rec.record(9.0, 10.0, "paged", "hilbert", 2, 99);
-        assert_eq!(rec.snapshot()[0].ordinal, 5);
+        tracer.record_query(query());
+        assert_eq!(ordinals(&tracer.drain_workload()), [5]);
+        // A clear restarts it.
+        tracer.clear();
+        tracer.record_query(query());
+        assert_eq!(ordinals(&tracer.drain_workload()), [0]);
     }
 
     #[cfg(not(feature = "obs-off"))]
     #[test]
     fn full_ring_drops_oldest_and_counts_them() {
-        let rec = FlightRecorder::default();
-        for i in 0..(RECORDER_CAPACITY + 10) {
-            rec.record(0.0, 1.0, "frozen", "hilbert", 0, i as u64);
-        }
-        assert_eq!(rec.len(), RECORDER_CAPACITY);
-        assert_eq!(rec.dropped(), 10);
-        assert_eq!(rec.snapshot()[0].ordinal, 10, "oldest 10 were evicted");
-    }
-
-    #[cfg(feature = "obs-off")]
-    #[test]
-    fn record_compiles_out_under_obs_off() {
-        let rec = FlightRecorder::default();
-        rec.record(0.0, 1.0, "frozen", "hilbert", 0, 1);
-        assert!(rec.is_empty());
-        assert_eq!(encode_wrk(&rec.drain()).len(), 16);
+        let tracer = traced(QUERY_RING_CAPACITY + 10);
+        assert_eq!(tracer.dropped(), 10);
+        let drained = tracer.drain_workload();
+        assert_eq!(drained.len(), QUERY_RING_CAPACITY);
+        assert_eq!(drained[0].ordinal, 10, "oldest 10 were evicted");
+        // Evicting a query some drain already handed out loses nothing.
+        tracer.record_query(query());
+        assert_eq!(tracer.dropped(), 10);
     }
 
     #[test]
     fn json_snapshot_has_version_and_records() {
-        let rec = FlightRecorder::default();
         #[cfg(not(feature = "obs-off"))]
-        rec.record(0.25, 0.75, "frozen", "hilbert", 0, 0xABCD);
-        let doc = Json::parse(&rec.to_json().render()).expect("valid json");
+        let tracer = traced(1);
+        #[cfg(feature = "obs-off")]
+        let tracer = Tracer::default();
+        let doc = Json::parse(&tracer.workload_json().render()).expect("valid json");
         assert_eq!(doc.get("version").and_then(Json::as_f64), Some(1.0));
         #[cfg(not(feature = "obs-off"))]
         {
@@ -443,7 +345,7 @@ mod tests {
             let records = doc.get("records").and_then(Json::as_arr).expect("records");
             assert_eq!(
                 records[0].get("digest").and_then(Json::as_str),
-                Some("000000000000abcd")
+                Some("0000000000d16e57")
             );
         }
     }

@@ -10,12 +10,12 @@
 //! * `/slo` — the sliding-window SLO snapshot (bucket counts, windowed
 //!   p50/p99, objectives with burn rates) from
 //!   [`SloTracker::to_json`](crate::SloTracker::to_json)
-//! * `/explain/recent` — the retained ring of per-query EXPLAIN
-//!   records as a JSON array
+//! * `/explain/recent` — the newest per-query EXPLAIN records as a
+//!   JSON array
 //! * `/heatmap` — the spatial heatmap's per-bucket counts from
 //!   [`HeatMap::to_json`](crate::HeatMap::to_json)
-//! * `/workload` — the flight recorder's retained query ring from
-//!   [`FlightRecorder::to_json`](crate::FlightRecorder::to_json)
+//! * `/workload` — the retained queries as flight records, from
+//!   [`Tracer::workload_json`](crate::Tracer::workload_json)
 //! * `/` — a plain-text index of the above
 //!
 //! This is deliberately *not* a general HTTP server: it reads one
@@ -145,7 +145,7 @@ fn route(path: &str, registry: &MetricsRegistry) -> (&'static str, &'static str,
         "/workload" => (
             "200 OK",
             "application/json; charset=utf-8",
-            registry.recorder().to_json().render(),
+            registry.tracer().workload_json().render(),
         ),
         "/" => (
             "200 OK",
@@ -230,8 +230,7 @@ mod tests {
     fn serves_trace_dump_as_json() {
         let reg = std::sync::Arc::new(MetricsRegistry::new());
         reg.tracer().set_enabled(true);
-        let qid = reg.tracer().next_query_id();
-        drop(reg.tracer().span(qid, "query"));
+        reg.tracer().record_query(crate::explain::tests::sample());
         let (addr, handle) = serve_n(reg.clone(), 1);
         let body = http_get(addr, "/traces").expect("scrape");
         let doc = Json::parse(&body).expect("valid json");
@@ -240,7 +239,7 @@ mod tests {
             .and_then(Json::as_arr)
             .expect("events");
         #[cfg(not(feature = "obs-off"))]
-        assert_eq!(events.len(), 1, "{body}");
+        assert_eq!(events.len(), 3, "{body}");
         #[cfg(feature = "obs-off")]
         assert!(events.is_empty(), "{body}");
         assert!(doc.get("slowQueries").is_some(), "{body}");
@@ -253,31 +252,7 @@ mod tests {
         reg.slo().add_objective("p99-2ms", 2_000_000, 0.99);
         reg.slo().record_ns(1_000);
         reg.tracer().set_enabled(true);
-        reg.tracer().finish_query_explained(
-            0,
-            1_000,
-            &[],
-            Some(crate::ExplainRecord {
-                query_id: 0,
-                index: crate::Label::new("I-Hilbert"),
-                plan: "probe",
-                plane: "paged",
-                curve: crate::Label::new("hilbert"),
-                band_lo: 0.0,
-                band_hi: 1.0,
-                subfields: 1,
-                cells_examined: 4,
-                cells_qualifying: 4,
-                filter_pages: 1,
-                refine_pages: 1,
-                filter_ns: 400,
-                refine_ns: 500,
-                total_ns: 1_000,
-                epoch: 0,
-                pool_hits: 2,
-                pool_misses: 0,
-            }),
-        );
+        reg.tracer().record_query(crate::explain::tests::sample());
         let (addr, handle) = serve_n(reg, 2);
         let slo = http_get(addr, "/slo").expect("slo");
         let doc = Json::parse(&slo).expect("valid slo json");
@@ -308,8 +283,8 @@ mod tests {
         reg.heat()
             .table(crate::HeatKind::Examined)
             .bump_range(0, 64);
-        reg.recorder()
-            .record(0.25, 0.75, "frozen", "hilbert", 0, 0xBEEF);
+        reg.tracer().set_enabled(true);
+        reg.tracer().record_query(crate::explain::tests::sample());
         let (addr, handle) = serve_n(reg, 2);
         let heat = http_get(addr, "/heatmap").expect("heatmap");
         let doc = Json::parse(&heat).expect("valid heatmap json");

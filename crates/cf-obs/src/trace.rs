@@ -1,35 +1,41 @@
-//! Per-query tracing: span events, a bounded ring buffer, and the
-//! slow-query profiler.
+//! Per-query tracing: one bounded ring of per-query facts and the
+//! views derived from it.
 //!
-//! A [`Tracer`] hands out monotonically increasing query ids and
-//! records [`TraceEvent`]s — one per query phase, carrying the page
-//! count and wall nanoseconds of the phase — into a bounded ring.
-//! Queries whose total wall time crosses the configured threshold get a
-//! [`SlowQueryReport`] with their full phase breakdown, kept in a
-//! second, smaller ring for the CLI / examples to drain.
+//! The query pipeline hands every finished query's [`ExplainRecord`] to
+//! [`Tracer::record_query`], which stamps it (query id, ordinal, `slow`
+//! bit) and pushes it into the one bounded ring under one lock. Nothing
+//! else is stored per query: the span events behind `/traces`
+//! ([`Tracer::events`]), the slow-query reports
+//! ([`Tracer::slow_reports`]), the recent EXPLAINs
+//! ([`Tracer::recent_explains`]) and the `.wrk` flight records
+//! ([`Tracer::drain_workload`]) are read-side views over that ring, so
+//! they agree by construction.
 //!
-//! The hot path is allocation-free: phase events are assembled on the
-//! caller's stack, span nesting depth lives in a thread-local `Cell`,
-//! and when tracing is disabled the cost per query is one relaxed
-//! atomic load. Under the `obs-off` feature every recording entry point
+//! The hot path is allocation-free — the record is `Copy` and built on
+//! the caller's stack — and when tracing is disabled the cost per query
+//! is one relaxed atomic load. Under the `obs-off` feature recording
 //! compiles to a no-op.
 
-use crate::explain::{ExplainRecord, EXPLAIN_RING_CAPACITY};
-use std::cell::Cell;
+use crate::explain::ExplainRecord;
+use crate::json::Json;
+use crate::record::{WorkloadRecord, WORKLOAD_VERSION};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 #[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
-/// Maximum span events retained in the trace ring.
-pub const TRACE_RING_CAPACITY: usize = 4096;
+/// Maximum queries retained in the tracer's ring; older records are
+/// evicted (and, if never drained, counted in [`Tracer::dropped`]).
+pub const QUERY_RING_CAPACITY: usize = 4096;
 
-/// Maximum slow-query reports retained.
-pub const SLOW_RING_CAPACITY: usize = 64;
+/// How many of the newest records [`Tracer::recent_explains`] and
+/// [`Tracer::slow_reports`] return.
+pub const RECENT_VIEW_LEN: usize = 64;
 
-/// One traced query phase.
+/// One traced query phase — a view of an [`ExplainRecord`], see
+/// [`ExplainRecord::events`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Query id the phase belongs to.
@@ -40,23 +46,24 @@ pub struct TraceEvent {
     pub pages: u64,
     /// Wall nanoseconds spent in the phase.
     pub nanos: u64,
-    /// Span nesting depth at record time (0 = top level).
+    /// Span nesting depth (0 = the enclosing query span).
     pub depth: u32,
 }
 
-/// The full phase breakdown of a query that crossed the slow-query
-/// threshold.
-#[derive(Debug, Clone)]
+/// A query that reached the slow-query threshold: its record, with the
+/// phase breakdown derived from it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowQueryReport {
-    /// Query id.
-    pub query_id: u64,
-    /// Total wall nanoseconds of the query.
-    pub total_ns: u64,
-    /// Phase events, in execution order.
-    pub phases: Vec<TraceEvent>,
-    /// The structured EXPLAIN record of the offending query, when the
-    /// pipeline assembled one.
-    pub explain: Option<ExplainRecord>,
+    /// The offending query's record.
+    pub explain: ExplainRecord,
+}
+
+impl SlowQueryReport {
+    /// The query's phases in execution order (its events below the
+    /// enclosing query span).
+    pub fn phases(&self) -> impl Iterator<Item = TraceEvent> {
+        self.explain.events().filter(|e| e.depth > 0)
+    }
 }
 
 impl fmt::Display for SlowQueryReport {
@@ -64,10 +71,10 @@ impl fmt::Display for SlowQueryReport {
         write!(
             f,
             "slow query #{}: {:.1} us total",
-            self.query_id,
-            self.total_ns as f64 / 1e3
+            self.explain.query_id,
+            self.explain.total_ns as f64 / 1e3
         )?;
-        for p in &self.phases {
+        for p in self.phases() {
             write!(
                 f,
                 "; {}: {} pages, {:.1} us",
@@ -78,10 +85,6 @@ impl fmt::Display for SlowQueryReport {
         }
         Ok(())
     }
-}
-
-thread_local! {
-    static SPAN_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 /// A started wall clock. Under `obs-off` starting and reading it are
@@ -117,20 +120,32 @@ impl Stopwatch {
     }
 }
 
+/// The ring and the sequences stamped onto its records, under one lock.
+#[derive(Debug, Default)]
+struct QueryRing {
+    records: VecDeque<ExplainRecord>,
+    /// Next query id; survives [`Tracer::clear`].
+    next_query: u64,
+    /// Next ordinal; records in the ring carry consecutive ordinals.
+    next_ordinal: u64,
+    /// The drain cursor: every ordinal below it has been handed out by
+    /// [`Tracer::drain_workload`].
+    drained: u64,
+    /// Records evicted before they were drained.
+    dropped: u64,
+}
+
 /// Per-query trace state. Lives inside a
 /// [`MetricsRegistry`](crate::MetricsRegistry); access it via
 /// `registry.tracer()`.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: AtomicBool,
-    /// Threshold in nanoseconds; `u64::MAX` disables slow-query
-    /// capture. Shared behind an `Arc` so the SLO tracker's adaptive
-    /// mode can steer it (see [`crate::SloTracker::set_adaptive`]).
+    /// Threshold in nanoseconds; `u64::MAX` marks no query slow. Shared
+    /// behind an `Arc` so the SLO tracker's adaptive mode can steer it
+    /// (see [`crate::SloTracker::set_adaptive`]).
     slow_threshold_ns: Arc<AtomicU64>,
-    next_query: AtomicU64,
-    events: Mutex<VecDeque<TraceEvent>>,
-    slow: Mutex<VecDeque<SlowQueryReport>>,
-    explains: Mutex<VecDeque<ExplainRecord>>,
+    queries: Mutex<QueryRing>,
 }
 
 impl Default for Tracer {
@@ -138,22 +153,20 @@ impl Default for Tracer {
         Self {
             enabled: AtomicBool::new(false),
             slow_threshold_ns: Arc::new(AtomicU64::new(u64::MAX)),
-            next_query: AtomicU64::new(0),
-            events: Mutex::new(VecDeque::new()),
-            slow: Mutex::new(VecDeque::new()),
-            explains: Mutex::new(VecDeque::new()),
+            queries: Mutex::default(),
         }
     }
 }
 
 impl Tracer {
-    /// Turns span recording on or off. Off (the default) costs one
+    /// Turns query recording on or off. Off (the default) costs one
     /// relaxed load per query.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Whether spans are being recorded. Always `false` under `obs-off`.
+    /// Whether queries are being recorded. Always `false` under
+    /// `obs-off`.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         #[cfg(feature = "obs-off")]
@@ -166,8 +179,9 @@ impl Tracer {
         }
     }
 
-    /// Sets the slow-query threshold; queries at least this slow get a
-    /// full [`SlowQueryReport`]. Requires tracing to be enabled.
+    /// Sets the slow-query threshold; queries at least this slow are
+    /// recorded with their `slow` bit set and show up in
+    /// [`Tracer::slow_reports`]. Requires tracing to be enabled.
     pub fn set_slow_threshold(&self, threshold: std::time::Duration) {
         self.slow_threshold_ns
             .store(threshold.as_nanos() as u64, Ordering::Relaxed);
@@ -184,196 +198,219 @@ impl Tracer {
         Arc::clone(&self.slow_threshold_ns)
     }
 
-    /// Claims the next query id.
+    fn ring(&self) -> MutexGuard<'_, QueryRing> {
+        self.queries.lock().expect("query ring poisoned")
+    }
+
+    /// Records one finished query (no-op when disabled): stamps the
+    /// next query id and ordinal and the `slow` bit — `total_ns` against
+    /// the threshold in force right now — then pushes the record,
+    /// evicting the oldest past [`QUERY_RING_CAPACITY`].
     #[inline]
-    pub fn next_query_id(&self) -> u64 {
-        self.next_query.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Records one phase event into the bounded ring (no-op when
-    /// disabled).
-    pub fn record(&self, event: TraceEvent) {
+    pub fn record_query(&self, mut rec: ExplainRecord) {
         if !self.is_enabled() {
             return;
         }
-        let mut ring = self.events.lock().expect("trace ring poisoned");
-        if ring.len() >= TRACE_RING_CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(event);
-    }
-
-    /// Opens a hierarchical span: the returned guard records a
-    /// [`TraceEvent`] when dropped, tagged with the nesting depth at
-    /// open time. Attach a page count with [`Span::set_pages`].
-    pub fn span(&self, query_id: u64, phase: &'static str) -> Span<'_> {
-        let depth = SPAN_DEPTH.with(|d| {
-            let cur = d.get();
-            d.set(cur + 1);
-            cur
-        });
-        Span {
-            tracer: self,
-            query_id,
-            phase,
-            pages: 0,
-            depth,
-            clock: Stopwatch::start(),
-        }
-    }
-
-    /// Finishes a query: when tracing is enabled, pushes its EXPLAIN
-    /// record (if any) into the bounded EXPLAIN ring, then checks
-    /// `total_ns` against the slow threshold and, if crossed, captures
-    /// the full phase breakdown with the EXPLAIN attached (this outlier
-    /// path may allocate).
-    pub fn finish_query_explained(
-        &self,
-        query_id: u64,
-        total_ns: u64,
-        phases: &[TraceEvent],
-        explain: Option<ExplainRecord>,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        if let Some(rec) = explain {
-            let mut ring = self.explains.lock().expect("explain ring poisoned");
-            if ring.len() >= EXPLAIN_RING_CAPACITY {
-                ring.pop_front();
+        rec.slow = rec.total_ns >= self.slow_threshold_ns();
+        let mut ring = self.ring();
+        rec.query_id = ring.next_query;
+        ring.next_query += 1;
+        rec.ordinal = ring.next_ordinal;
+        ring.next_ordinal += 1;
+        if ring.records.len() >= QUERY_RING_CAPACITY {
+            let evicted = ring.records.pop_front();
+            if evicted.is_some_and(|old| old.ordinal >= ring.drained) {
+                ring.dropped += 1;
             }
-            ring.push_back(rec);
         }
-        if total_ns < self.slow_threshold_ns() {
-            return;
-        }
-        let mut ring = self.slow.lock().expect("slow ring poisoned");
-        if ring.len() >= SLOW_RING_CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(SlowQueryReport {
-            query_id,
-            total_ns,
-            phases: phases.to_vec(),
-            explain,
-        });
+        ring.records.push_back(rec);
     }
 
-    /// Snapshot of the span-event ring (oldest first).
+    /// The span events of every retained query, oldest query first
+    /// (the Chrome-trace / `/traces` input).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events
-            .lock()
-            .expect("trace ring poisoned")
+        self.ring()
+            .records
             .iter()
-            .copied()
+            .flat_map(ExplainRecord::events)
             .collect()
     }
 
-    /// Snapshot of the retained slow-query reports (oldest first)
-    /// without draining them — the HTTP `/traces` endpoint uses this so
-    /// repeated scrapes see the same outliers.
+    /// The newest [`RECENT_VIEW_LEN`] retained queries recorded as slow
+    /// (oldest first).
     pub fn slow_reports(&self) -> Vec<SlowQueryReport> {
-        self.slow
-            .lock()
-            .expect("slow ring poisoned")
+        let ring = self.ring();
+        let mut slow: Vec<SlowQueryReport> = ring
+            .records
             .iter()
-            .cloned()
-            .collect()
+            .rev()
+            .filter(|rec| rec.slow)
+            .take(RECENT_VIEW_LEN)
+            .map(|&explain| SlowQueryReport { explain })
+            .collect();
+        slow.reverse();
+        slow
     }
 
-    /// Drains every pending slow-query report (oldest first).
-    pub fn take_slow_reports(&self) -> Vec<SlowQueryReport> {
-        self.slow
-            .lock()
-            .expect("slow ring poisoned")
-            .drain(..)
-            .collect()
-    }
-
-    /// Snapshot of the retained EXPLAIN records (oldest first) without
-    /// draining them — the HTTP `/explain/recent` endpoint uses this.
+    /// The newest [`RECENT_VIEW_LEN`] retained records (oldest first) —
+    /// the `/explain/recent` payload.
     pub fn recent_explains(&self) -> Vec<ExplainRecord> {
-        self.explains
-            .lock()
-            .expect("explain ring poisoned")
+        let ring = self.ring();
+        let skip = ring.records.len().saturating_sub(RECENT_VIEW_LEN);
+        ring.records.range(skip..).copied().collect()
+    }
+
+    /// The most recently recorded query, if any.
+    pub fn last_explain(&self) -> Option<ExplainRecord> {
+        self.ring().records.back().copied()
+    }
+
+    /// The lossless `.wrk` drain: the flight record of every query not
+    /// handed out by an earlier drain, oldest first. It only advances a
+    /// cursor — the other views still see the drained queries — and the
+    /// ordinal sequence keeps running, so a later drain continues where
+    /// this one stopped.
+    pub fn drain_workload(&self) -> Vec<WorkloadRecord> {
+        let mut ring = self.ring();
+        let cursor = ring.drained;
+        ring.drained = ring.next_ordinal;
+        ring.records
             .iter()
-            .copied()
+            .filter(|rec| rec.ordinal >= cursor)
+            .map(WorkloadRecord::from)
             .collect()
     }
 
-    /// The most recently recorded EXPLAIN record, if any.
-    pub fn last_explain(&self) -> Option<ExplainRecord> {
-        self.explains
-            .lock()
-            .expect("explain ring poisoned")
-            .back()
-            .copied()
+    /// Queries evicted from the full ring before any drain saw them.
+    pub fn dropped(&self) -> u64 {
+        self.ring().dropped
     }
 
-    /// Clears every ring; enablement, threshold and the query-id
-    /// sequence are preserved.
+    /// The retained queries as flight records (the `/workload` route).
+    pub fn workload_json(&self) -> Json {
+        let ring = self.ring();
+        Json::obj([
+            ("version", Json::Num(WORKLOAD_VERSION as f64)),
+            ("count", Json::Num(ring.records.len() as f64)),
+            ("dropped", Json::Num(ring.dropped as f64)),
+            (
+                "records",
+                Json::Arr(
+                    ring.records
+                        .iter()
+                        .map(|rec| WorkloadRecord::from(rec).to_json())
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    /// Empties the ring and restarts the ordinal sequence, drain cursor
+    /// and drop count; enablement, threshold and the query-id sequence
+    /// are preserved.
     pub fn clear(&self) {
-        self.events.lock().expect("trace ring poisoned").clear();
-        self.slow.lock().expect("slow ring poisoned").clear();
-        self.explains.lock().expect("explain ring poisoned").clear();
-    }
-}
-
-/// A live hierarchical span; see [`Tracer::span`].
-#[derive(Debug)]
-pub struct Span<'a> {
-    tracer: &'a Tracer,
-    query_id: u64,
-    phase: &'static str,
-    pages: u64,
-    depth: u32,
-    clock: Stopwatch,
-}
-
-impl Span<'_> {
-    /// Attaches the phase's logical page count to the event recorded on
-    /// drop.
-    pub fn set_pages(&mut self, pages: u64) {
-        self.pages = pages;
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        SPAN_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        self.tracer.record(TraceEvent {
-            query_id: self.query_id,
-            phase: self.phase,
-            pages: self.pages,
-            nanos: self.clock.elapsed_ns(),
-            depth: self.depth,
-        });
+        let mut ring = self.ring();
+        *ring = QueryRing {
+            next_query: ring.next_query,
+            ..QueryRing::default()
+        };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::tests::sample;
     #[cfg(not(feature = "obs-off"))]
     use std::time::Duration;
 
-    fn ev(query_id: u64, phase: &'static str, nanos: u64) -> TraceEvent {
-        TraceEvent {
-            query_id,
-            phase,
-            pages: 0,
-            nanos,
-            depth: 0,
+    fn timed(total_ns: u64) -> ExplainRecord {
+        ExplainRecord {
+            total_ns,
+            ..sample()
         }
     }
 
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::default();
-        t.record(ev(0, "filter", 10));
-        t.finish_query_explained(0, u64::MAX, &[ev(0, "filter", 10)], None);
+        t.record_query(timed(u64::MAX));
         assert!(t.events().is_empty());
-        assert!(t.take_slow_reports().is_empty());
+        assert!(t.slow_reports().is_empty());
+        assert!(t.last_explain().is_none());
+        assert!(t.drain_workload().is_empty());
+    }
+
+    /// One pushed fact, every view checked against it field by field.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn one_fact_feeds_every_view() {
+        let t = Tracer::default();
+        t.set_enabled(true);
+        t.set_slow_threshold(Duration::from_nanos(229_300));
+        let fact = ExplainRecord {
+            filter_pages: 2,
+            ..sample()
+        };
+        t.record_query(fact);
+        // The tracer stamps id, ordinal and the slow bit; nothing else.
+        let stamped = ExplainRecord {
+            query_id: 0,
+            ordinal: 0,
+            slow: true,
+            ..fact
+        };
+        assert_eq!(t.last_explain(), Some(stamped));
+        assert_eq!(t.recent_explains(), vec![stamped]);
+
+        let event = |phase, pages, nanos, depth| TraceEvent {
+            query_id: 0,
+            phase,
+            pages,
+            nanos,
+            depth,
+        };
+        let phases = [
+            event("filter", fact.filter_pages, fact.filter_ns, 1),
+            event("refine", fact.refine_pages, fact.refine_ns, 1),
+        ];
+        let query = event(
+            "query",
+            fact.filter_pages + fact.refine_pages,
+            fact.total_ns,
+            0,
+        );
+        assert_eq!(t.events(), [phases[0], phases[1], query]);
+
+        let slow = t.slow_reports();
+        assert_eq!(slow, vec![SlowQueryReport { explain: stamped }]);
+        assert_eq!(slow[0].phases().collect::<Vec<_>>(), phases);
+
+        let json = stamped.to_json();
+        assert_eq!(json.get("index").and_then(Json::as_str), Some("I-Hilbert"));
+        assert_eq!(json.get("filter_ns").and_then(Json::as_f64), Some(45_200.0));
+        assert_eq!(json.get("other_ns").and_then(Json::as_f64), Some(3_100.0));
+
+        let wrk = t.drain_workload();
+        assert_eq!(wrk.len(), 1);
+        assert_eq!(wrk[0].ordinal, 0);
+        assert_eq!(wrk[0].band_lo.to_bits(), fact.band_lo.to_bits());
+        assert_eq!(wrk[0].band_hi.to_bits(), fact.band_hi.to_bits());
+        assert_eq!(wrk[0].plane.as_str(), fact.plane);
+        assert_eq!(wrk[0].curve, fact.curve);
+        assert_eq!(wrk[0].epoch, fact.epoch);
+        assert_eq!(wrk[0].digest, fact.digest);
+
+        // A scan has no filter phase and calls its cell pass `scan`.
+        t.record_query(ExplainRecord {
+            plan: "scan",
+            plane: "cells",
+            filter_pages: 0,
+            filter_ns: 0,
+            ..fact
+        });
+        let scan: Vec<_> = t.events()[3..].iter().map(|e| (e.phase, e.depth)).collect();
+        assert_eq!(scan, [("scan", 1), ("query", 0)]);
     }
 
     #[cfg(not(feature = "obs-off"))]
@@ -381,12 +418,16 @@ mod tests {
     fn ring_is_bounded_and_keeps_newest() {
         let t = Tracer::default();
         t.set_enabled(true);
-        for i in 0..(TRACE_RING_CAPACITY as u64 + 10) {
-            t.record(ev(i, "filter", i));
+        for i in 0..(QUERY_RING_CAPACITY as u64 + 10) {
+            t.record_query(timed(i));
         }
         let events = t.events();
-        assert_eq!(events.len(), TRACE_RING_CAPACITY);
+        assert_eq!(events.len(), 3 * QUERY_RING_CAPACITY);
         assert_eq!(events.first().map(|e| e.query_id), Some(10));
+        assert_eq!(
+            t.last_explain().map(|e| e.total_ns),
+            Some(QUERY_RING_CAPACITY as u64 + 9)
+        );
     }
 
     #[cfg(not(feature = "obs-off"))]
@@ -395,35 +436,17 @@ mod tests {
         let t = Tracer::default();
         t.set_enabled(true);
         t.set_slow_threshold(Duration::from_nanos(100));
-        t.finish_query_explained(1, 99, &[ev(1, "filter", 99)], None);
-        t.finish_query_explained(2, 100, &[ev(2, "filter", 60), ev(2, "refine", 40)], None);
-        let reports = t.take_slow_reports();
+        t.record_query(timed(99));
+        t.record_query(timed(100));
+        // The bit records the threshold in force at record time: moving
+        // the threshold afterwards rewrites no verdict.
+        t.set_slow_threshold(Duration::from_nanos(1_000));
+        let reports = t.slow_reports();
         assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].query_id, 2);
-        assert_eq!(reports[0].phases.len(), 2);
-        // Drained.
-        assert!(t.take_slow_reports().is_empty());
-    }
-
-    #[cfg(not(feature = "obs-off"))]
-    #[test]
-    fn spans_record_on_drop_with_nesting_depth() {
-        let t = Tracer::default();
-        t.set_enabled(true);
-        let qid = t.next_query_id();
-        {
-            let _outer = t.span(qid, "query");
-            let mut inner = t.span(qid, "filter");
-            inner.set_pages(7);
-        }
-        let events = t.events();
-        assert_eq!(events.len(), 2);
-        // Inner drops first.
-        assert_eq!(events[0].phase, "filter");
-        assert_eq!(events[0].pages, 7);
-        assert_eq!(events[0].depth, 1);
-        assert_eq!(events[1].phase, "query");
-        assert_eq!(events[1].depth, 0);
+        assert_eq!(reports[0].explain.query_id, 1);
+        assert_eq!(reports[0].phases().count(), 2);
+        // A view, not a drain.
+        assert_eq!(t.slow_reports(), reports);
     }
 
     #[cfg(feature = "obs-off")]
@@ -432,82 +455,43 @@ mod tests {
         let t = Tracer::default();
         t.set_enabled(true);
         assert!(!t.is_enabled());
-        t.record(ev(0, "filter", 1));
+        t.record_query(timed(u64::MAX));
         assert!(t.events().is_empty());
-        t.finish_query_explained(0, u64::MAX, &[], Some(sample_explain(0)));
         assert!(t.recent_explains().is_empty());
         assert!(t.last_explain().is_none());
-    }
-
-    fn sample_explain(query_id: u64) -> crate::ExplainRecord {
-        crate::ExplainRecord {
-            query_id,
-            index: crate::explain::Label::new("I-Hilbert"),
-            plan: "probe",
-            plane: "paged",
-            curve: crate::explain::Label::new("hilbert"),
-            band_lo: 0.1,
-            band_hi: 0.2,
-            subfields: 3,
-            cells_examined: 10,
-            cells_qualifying: 7,
-            filter_pages: 1,
-            refine_pages: 2,
-            filter_ns: 100,
-            refine_ns: 200,
-            total_ns: 350,
-            epoch: 0,
-            pool_hits: 3,
-            pool_misses: 0,
-        }
+        assert!(t.drain_workload().is_empty());
     }
 
     #[cfg(not(feature = "obs-off"))]
     #[test]
     fn explain_ring_is_bounded_and_attaches_to_slow_reports() {
-        use crate::explain::EXPLAIN_RING_CAPACITY;
         let t = Tracer::default();
         t.set_enabled(true);
         t.set_slow_threshold(Duration::from_nanos(300));
-        for i in 0..(EXPLAIN_RING_CAPACITY as u64 + 5) {
-            t.finish_query_explained(i, 350, &[ev(i, "filter", 100)], Some(sample_explain(i)));
+        let newest = RECENT_VIEW_LEN as u64 + 4;
+        for _ in 0..=newest {
+            t.record_query(timed(350));
         }
         let explains = t.recent_explains();
-        assert_eq!(explains.len(), EXPLAIN_RING_CAPACITY);
+        assert_eq!(explains.len(), RECENT_VIEW_LEN);
         assert_eq!(explains.first().map(|e| e.query_id), Some(5));
-        assert_eq!(
-            t.last_explain().map(|e| e.query_id),
-            Some(EXPLAIN_RING_CAPACITY as u64 + 4)
-        );
-        let slow = t.take_slow_reports();
-        let last = slow.last().expect("slow captured");
-        assert_eq!(
-            last.explain.map(|e| e.query_id),
-            Some(EXPLAIN_RING_CAPACITY as u64 + 4)
-        );
-        // Fast queries still record their EXPLAIN without a report.
+        assert_eq!(t.last_explain().map(|e| e.query_id), Some(newest));
+        let slow = t.slow_reports();
+        assert_eq!(slow.len(), RECENT_VIEW_LEN);
+        assert_eq!(slow.last().map(|r| r.explain), t.last_explain());
+        // Fast queries still record their EXPLAIN without a report, and
+        // the query-id sequence survives the clear.
         t.clear();
-        t.finish_query_explained(99, 10, &[], Some(sample_explain(99)));
+        t.record_query(timed(10));
         assert_eq!(t.recent_explains().len(), 1);
-        assert!(t.take_slow_reports().is_empty());
+        assert_eq!(t.last_explain().map(|e| e.query_id), Some(newest + 1));
+        assert!(t.slow_reports().is_empty());
     }
 
     #[test]
     fn report_display_is_readable() {
-        let r = SlowQueryReport {
-            query_id: 3,
-            total_ns: 123_400,
-            phases: vec![TraceEvent {
-                query_id: 3,
-                phase: "filter",
-                pages: 5,
-                nanos: 23_400,
-                depth: 0,
-            }],
-            explain: None,
-        };
-        let s = r.to_string();
-        assert!(s.contains("slow query #3"), "{s}");
-        assert!(s.contains("filter: 5 pages"), "{s}");
+        let s = SlowQueryReport { explain: sample() }.to_string();
+        assert!(s.contains("slow query #12: 229.3 us total"), "{s}");
+        assert!(s.contains("refine: 37 pages"), "{s}");
     }
 }

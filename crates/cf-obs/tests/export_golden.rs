@@ -8,46 +8,45 @@
 //! intentional format change, and review the diff like any other code.
 
 use cf_obs::export::{trace_dump_json, trace_event_record, EventLog};
-use cf_obs::{Json, SlowQueryReport, TraceEvent};
+use cf_obs::{ExplainRecord, Json, Label, SlowQueryReport, TraceEvent};
 use std::path::PathBuf;
 
-fn ev(query_id: u64, phase: &'static str, pages: u64, nanos: u64, depth: u32) -> TraceEvent {
-    TraceEvent {
+fn query(query_id: u64, filter: (u64, u64), refine: (u64, u64), total_ns: u64) -> ExplainRecord {
+    ExplainRecord {
         query_id,
-        phase,
-        pages,
-        nanos,
-        depth,
+        index: Label::new("I-Hilbert"),
+        plan: "probe",
+        plane: "paged",
+        curve: Label::new("hilbert"),
+        filter_pages: filter.0,
+        filter_ns: filter.1,
+        refine_pages: refine.0,
+        refine_ns: refine.1,
+        total_ns,
+        ordinal: query_id,
+        ..ExplainRecord::default()
     }
 }
 
-/// The scripted sequence: three Q2 queries with the real two-level
-/// filter/refine/query span structure (children complete before their
-/// parent, exactly as the RAII spans record them), the third slow
-/// enough to have produced a slow-query report.
+/// The scripted sequence: three Q2 probes, the third recorded as slow.
+/// The exporters' inputs are the same views the tracer derives from its
+/// ring — each query's filter → refine → query events (children before
+/// their parent) and a report per slow query.
 fn scripted() -> (Vec<TraceEvent>, Vec<SlowQueryReport>) {
-    let events = vec![
-        ev(0, "filter", 4, 120_000, 1),
-        ev(0, "refine", 9, 340_500, 1),
-        ev(0, "query", 13, 470_250, 0),
-        ev(1, "filter", 2, 80_000, 1),
-        ev(1, "refine", 3, 95_000, 1),
-        ev(1, "query", 5, 180_000, 0),
-        ev(2, "filter", 64, 2_400_000, 1),
-        ev(2, "refine", 180, 9_100_000, 1),
-        ev(2, "query", 244, 11_600_000, 0),
+    let queries = [
+        query(0, (4, 120_000), (9, 340_500), 470_250),
+        query(1, (2, 80_000), (3, 95_000), 180_000),
+        ExplainRecord {
+            slow: true,
+            ..query(2, (64, 2_400_000), (180, 9_100_000), 11_600_000)
+        },
     ];
-    // `explain: None` keeps the exported record shape — and thus the
-    // golden bytes — identical to the pre-EXPLAIN format.
-    let slow = vec![SlowQueryReport {
-        query_id: 2,
-        total_ns: 11_600_000,
-        phases: vec![
-            ev(2, "filter", 64, 2_400_000, 1),
-            ev(2, "refine", 180, 9_100_000, 1),
-        ],
-        explain: None,
-    }];
+    let events = queries.iter().flat_map(ExplainRecord::events).collect();
+    let slow = queries
+        .iter()
+        .filter(|q| q.slow)
+        .map(|&explain| SlowQueryReport { explain })
+        .collect();
     (events, slow)
 }
 
@@ -116,7 +115,10 @@ fn event_log_matches_golden() {
 
 #[test]
 fn event_log_records_match_their_events() {
-    let e = ev(7, "filter", 11, 5_000, 1);
+    let e = query(7, (11, 5_000), (0, 0), 5_000)
+        .events()
+        .next()
+        .expect("filter event");
     let rec = trace_event_record(&e);
     assert_eq!(rec.get("query_id").and_then(Json::as_f64), Some(7.0));
     assert_eq!(rec.get("phase").and_then(Json::as_str), Some("filter"));

@@ -72,9 +72,9 @@ mod stats;
 
 pub use buffer::{BufferPool, MIN_FRAMES_PER_SHARD};
 pub use cf_obs::{
-    answer_digest, decode_wrk, encode_wrk, Counter, EventJournal, ExplainRecord, FlightRecorder,
-    Gauge, HeatKind, HeatMap, Histogram, Json, Label, MetricsRegistry, SloObjective, SloTracker,
-    SlowQueryReport, Stopwatch, TraceEvent, Tracer, WorkloadRecord, HEAT_BUCKETS,
+    answer_digest, decode_wrk, encode_wrk, Counter, EventJournal, ExplainRecord, Gauge, HeatKind,
+    HeatMap, Histogram, Json, Label, MetricsRegistry, SloObjective, SloTracker, SlowQueryReport,
+    Stopwatch, TraceEvent, Tracer, WorkloadRecord, HEAT_BUCKETS,
 };
 pub use compressed::{CellFile, CompressedRecordFile, PageCodec};
 pub use disk::{DiskManager, PageBuf, PageId, FSM_COMMIT_PAGE, PAGE_SIZE};

@@ -88,7 +88,7 @@ fn main() {
     );
 
     // The profiler kept the alert query's full phase breakdown.
-    let slow = tracer.take_slow_reports();
+    let slow = tracer.slow_reports();
     println!("\nslow-query profiler ({} report(s)):", slow.len());
     for report in &slow {
         println!("  {report}");

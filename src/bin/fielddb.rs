@@ -564,8 +564,8 @@ fn heatmap(
     Ok(out)
 }
 
-/// Runs a traced Q2 workload against a database file and drains the
-/// flight recorder into a versioned `.wrk` workload file — the
+/// Runs a traced Q2 workload against a database file and drains its
+/// flight records into a versioned `.wrk` workload file — the
 /// artifact `repro replay` re-executes and diffs.
 fn record_workload(
     path: &str,
@@ -580,13 +580,13 @@ fn record_workload(
 
     let engine = open_engine(path, eng)?;
     let index = open_index(&engine)?;
-    // The recorder captures traced queries only (same gate as EXPLAIN).
-    engine.metrics().tracer().set_enabled(true);
+    let tracer = engine.metrics().tracer();
+    tracer.set_enabled(true);
     let qs = interval_queries(index.value_domain(), qinterval, queries, seed);
     for q in &qs {
         index.query_stats(&engine, *q).map_err(|e| e.to_string())?;
     }
-    let records = engine.metrics().recorder().drain();
+    let records = tracer.drain_workload();
     if records.is_empty() {
         return Err(
             "no queries captured — the binary was built with the obs-off feature".to_string(),
@@ -675,7 +675,7 @@ fn metrics_demo(k: u32, lo: f64, hi: f64) -> Result<String, String> {
             event.nanos as f64 / 1e3,
         ));
     }
-    for report in tracer.take_slow_reports() {
+    for report in tracer.slow_reports() {
         out.push_str(&format!("  {report}\n"));
     }
 

@@ -336,9 +336,9 @@ fn explain_phase_timings_and_pages_sum_within_the_span() {
 
 /// Emission is owned by the one Q2 executor, so no query path can drift:
 /// with the tracer on, every product index — on every plan it can
-/// choose — leaves exactly one internally consistent EXPLAIN record and
-/// exactly one flight-recorder entry carrying the digest of the answer
-/// it returned.
+/// choose — adds exactly one record to the tracer's ring, internally
+/// consistent and carrying the digest of the answer it returned, and
+/// the span events and the flight record derived from it agree with it.
 #[cfg(not(feature = "obs-off"))]
 #[test]
 fn every_index_emits_one_explain_and_one_flight_record() {
@@ -360,9 +360,10 @@ fn every_index_emits_one_explain_and_one_flight_record() {
         let stats = index.query_stats(&engine, band).expect("query");
         seen += 1;
         let explains = tracer.recent_explains();
-        assert_eq!(explains.len(), seen, "{what}: one EXPLAIN per query");
+        assert_eq!(explains.len(), seen, "{what}: one ring record per query");
         let e = explains[seen - 1];
         assert_eq!(e.plan, plan, "{what}");
+        assert_eq!(e.ordinal, seen as u64 - 1, "{what}");
         assert_eq!(
             e.filter_ns + e.refine_ns + e.other_ns(),
             e.total_ns,
@@ -373,10 +374,8 @@ fn every_index_emits_one_explain_and_one_flight_record() {
             stats.io.logical_reads(),
             "{what}: phase pages must add up to the query's logical reads"
         );
-        let records = engine.metrics().recorder().drain();
-        assert_eq!(records.len(), 1, "{what}: one flight record per query");
         assert_eq!(
-            records[0].digest,
+            e.digest,
             answer_digest(
                 stats.cells_examined as u64,
                 stats.cells_qualifying as u64,
@@ -385,6 +384,31 @@ fn every_index_emits_one_explain_and_one_flight_record() {
             ),
             "{what}: the recorded digest is the returned answer's"
         );
+
+        // The span events are this record, phase by phase: filter (probes
+        // only) and the cell pass below the enclosing query span.
+        let events: Vec<_> = tracer
+            .events()
+            .into_iter()
+            .filter(|ev| ev.query_id == e.query_id)
+            .map(|ev| (ev.phase, ev.depth, ev.nanos, ev.pages))
+            .collect();
+        let scan = plan == "scan";
+        let want = [
+            ("filter", 1, e.filter_ns, e.filter_pages),
+            (
+                if scan { "scan" } else { "refine" },
+                1,
+                e.refine_ns,
+                e.refine_pages,
+            ),
+            ("query", 0, e.total_ns, stats.io.logical_reads()),
+        ];
+        assert_eq!(events, want[usize::from(scan)..], "{what}");
+
+        let records = tracer.drain_workload();
+        assert_eq!(records.len(), 1, "{what}: one flight record per query");
+        assert_eq!(records[0], (&e).into(), "{what}");
     };
 
     check(
