@@ -366,18 +366,18 @@ fn batch(opts: &Opts) {
 }
 
 /// Measures the per-query cost of the observability plane on its most
-/// sensitive workload: warm, zero-latency, frozen-plane queries where no
-/// simulated I/O wait can hide the counter updates. Prints a parseable
-/// `OBS_OVERHEAD_US_PER_QUERY` line; CI runs this once with default
-/// features and once with `obs-off` and compares the two numbers.
+/// sensitive workload: warm, zero-latency queries (every page a pool
+/// hit) where no simulated I/O wait can hide the counter updates.
+/// Prints a parseable `OBS_OVERHEAD_US_PER_QUERY` line; CI runs this
+/// once with default features and once with `obs-off` and compares the
+/// two numbers.
 fn obs_overhead(opts: &Opts) {
     use cf_storage::StorageEngine;
     use std::time::Instant;
 
     let field = roseburg_standin(7);
     let engine = StorageEngine::in_memory();
-    let mut index = IHilbert::build(&engine, &field).expect("build");
-    index.freeze(&engine).expect("freeze");
+    let index = IHilbert::build(&engine, &field).expect("build");
     let queries = interval_queries(field.value_domain(), 0.01, 64, 0x0B5);
     let mut scratch = cf_index::QueryScratch::default();
     for q in &queries {
@@ -398,20 +398,19 @@ fn obs_overhead(opts: &Opts) {
     }
     let us = t0.elapsed().as_secs_f64() * 1e6 / (reps * queries.len()) as f64;
     println!(
-        "obs-overhead: {} warm frozen-plane queries, {} cells examined",
+        "obs-overhead: {} warm queries, {} cells examined",
         reps * queries.len(),
         cells
     );
     println!("OBS_OVERHEAD_US_PER_QUERY: {us:.4}");
 }
 
-/// Performance benches: parallel build scaling, frozen vs paged query
-/// plane, and the raw filter-step scan comparison. With `--json` the
-/// measurements are written to `BENCH_pr5.json` and a flattened record
-/// is appended to the committed bench history (`--history`, default
-/// `BENCH_history.jsonl`) for the `regress` gate.
+/// Performance benches: parallel build scaling and the compressed vs
+/// raw cell-page sweep. With `--json` the measurements are written to
+/// `BENCH_pr5.json` and a flattened record is appended to the committed
+/// bench history (`--history`, default `BENCH_history.jsonl`) for the
+/// `regress` gate.
 fn bench(opts: &Opts) {
-    use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
     use cf_storage::{StorageConfig, StorageEngine};
     use std::time::{Duration, Instant};
 
@@ -491,125 +490,12 @@ fn bench(opts: &Opts) {
         );
     }
 
-    // ---- 2. Frozen vs paged query plane (fig8a + fig8b Q2 sweep) -----
-    struct PlaneSide {
-        mean_ms: f64,
-        mean_pages: f64,
-        mean_filter_pages: f64,
-        mean_filter_nodes: f64,
-    }
-    struct PlanePoint {
-        figure: String,
-        num_cells: usize,
-        qinterval: f64,
-        queries: usize,
-        read_latency_us: u64,
-        paged: PlaneSide,
-        frozen: PlaneSide,
-    }
-    fn measure_plane(
-        engine: &StorageEngine,
-        index: &dyn ValueIndex,
-        queries: &[Interval],
-    ) -> PlaneSide {
-        let mut ms = 0.0;
-        let mut pages = 0u64;
-        let mut fpages = 0u64;
-        let mut fnodes = 0u64;
-        for q in queries {
-            engine.clear_cache();
-            let t0 = Instant::now();
-            let stats = index.query_stats(engine, *q).expect("query");
-            ms += t0.elapsed().as_secs_f64() * 1e3;
-            pages += stats.io.logical_reads();
-            fpages += stats.filter_pages;
-            fnodes += stats.filter_nodes;
-        }
-        let n = queries.len() as f64;
-        PlaneSide {
-            mean_ms: ms / n,
-            mean_pages: pages as f64 / n,
-            mean_filter_pages: fpages as f64 / n,
-            mean_filter_nodes: fnodes as f64 / n,
-        }
-    }
-    fn plane_points_for<F: FieldModel + Sync>(
-        figure: &str,
-        field: &F,
-        opts: &Opts,
-        out: &mut Vec<PlanePoint>,
-    ) {
-        // 0.0 (point bands: filter-step dominated — the frozen plane's
-        // home turf) through 0.05 (wide bands: estimation dominated).
-        let qintervals = [0.0, 0.01, 0.05];
-        let nq = opts.queries.unwrap_or(if opts.full { 48 } else { 12 });
-        // Disk-bound regime: a latency high enough that the wait sleeps
-        // (stable timings) and page counts — the paper's metric — set
-        // the query cost, so eliminating the filter-step I/O is what the
-        // clock sees.
-        let read_latency_us = opts.latency_us.max(500);
-        let engine = StorageEngine::new(StorageConfig {
-            read_latency: Duration::from_micros(read_latency_us),
-            ..StorageConfig::default()
-        });
-        let mut index = IHilbert::build(&engine, field).expect("build");
-        let batches: Vec<(f64, Vec<Interval>)> = qintervals
-            .iter()
-            .map(|&qi| (qi, interval_queries(field.value_domain(), qi, nq, 0xF0_2E)))
-            .collect();
-        let paged_sides: Vec<PlaneSide> = batches
-            .iter()
-            .map(|(_, qs)| measure_plane(&engine, &index, qs))
-            .collect();
-        index.freeze(&engine).expect("freeze");
-        for ((qi, qs), paged) in batches.into_iter().zip(paged_sides) {
-            let frozen = measure_plane(&engine, &index, &qs);
-            assert_eq!(
-                paged.mean_filter_nodes, frozen.mean_filter_nodes,
-                "{figure}: frozen plane must visit the same nodes"
-            );
-            assert_eq!(frozen.mean_filter_pages, 0.0, "{figure}: frozen filter I/O");
-            out.push(PlanePoint {
-                figure: figure.to_string(),
-                num_cells: field.num_cells(),
-                qinterval: qi,
-                queries: qs.len(),
-                read_latency_us,
-                paged,
-                frozen,
-            });
-        }
-    }
-    eprintln!(
-        "[bench] query plane: fig8a + fig8b, {} µs/page read…",
-        opts.latency_us.max(500)
-    );
-    let mut plane_points = Vec::new();
-    plane_points_for("fig8a", &field, opts, &mut plane_points);
-    plane_points_for("fig8b", &urban_noise_tin(9000, 42), opts, &mut plane_points);
-
-    println!("\n### bench — frozen vs paged query plane (cold cache)\n");
-    println!(
-        "| figure | Qinterval | paged ms | frozen ms | speedup | paged filter pages | frozen filter pages |"
-    );
-    println!("|---|---|---|---|---|---|---|");
-    for p in &plane_points {
-        println!(
-            "| {} | {:.2} | {:.3} | {:.3} | {:.2}x | {:.1} | {:.1} |",
-            p.figure,
-            p.qinterval,
-            p.paged.mean_ms,
-            p.frozen.mean_ms,
-            p.paged.mean_ms / p.frozen.mean_ms.max(1e-9),
-            p.paged.mean_filter_pages,
-            p.frozen.mean_filter_pages,
-        );
-    }
-
-    // ---- 3. Compressed vs raw cell pages (fig8a + fig8b Q2 sweep) ----
+    // ---- 2. Compressed vs raw cell pages (fig8a + fig8b Q2 sweep) ----
     //
-    // Same disk-bound regime as the plane sweep: page counts set the
-    // cost, so packing more cells per page is a direct pages/query win.
+    // Disk-bound regime: a read latency high enough that the wait
+    // sleeps (stable timings) and page counts — the paper's metric —
+    // set the query cost, so packing more cells per page is a direct
+    // pages/query win.
     // Answers must be byte-identical — the codec is a layout change,
     // not an approximation — and that is asserted per query.
     struct CodecSide {
@@ -697,9 +583,9 @@ fn bench(opts: &Opts) {
     );
     let mut codec_points = Vec::new();
     codec_points_for("fig8a", &field, opts, &mut codec_points);
-    // Larger TIN than the plane sweep's: the codec's page savings are a
-    // file-level ratio, and a bigger cell file keeps per-range boundary
-    // pages from diluting it in the per-query mean.
+    // A large TIN: the codec's page savings are a file-level ratio, and
+    // a bigger cell file keeps per-range boundary pages from diluting
+    // it in the per-query mean.
     codec_points_for(
         "fig8b",
         &urban_noise_tin(60000, 42),
@@ -726,104 +612,12 @@ fn bench(opts: &Opts) {
         );
     }
 
-    // ---- 4. Raw filter-step scan: frozen vs paged vs dynamic ---------
-    //
-    // A worst-case interval tree (one entry per cell, I-All shape) with
-    // everything cache-resident and zero simulated latency, so the only
-    // difference is node representation: pooled pages vs in-memory
-    // nodes vs the frozen SoA lanes.
-    let scan_k = if opts.full { 8 } else { 7 };
-    let scan_field = roseburg_standin(scan_k);
-    eprintln!(
-        "[bench] filter scan: {} intervals, warm, zero latency…",
-        scan_field.num_cells()
-    );
-    let scan_engine = StorageEngine::new(StorageConfig {
-        pool_pages: 8192,
-        ..StorageConfig::default()
-    });
-    let mut dynamic: RStarTree<1> = RStarTree::new(RTreeConfig::page_sized::<1>());
-    for c in 0..scan_field.num_cells() {
-        dynamic.insert(scan_field.cell_interval(c).into(), c as u64);
-    }
-    let paged_tree = PagedRTree::persist(&dynamic, &scan_engine).expect("persist");
-    let frozen_tree = paged_tree.freeze(&scan_engine).expect("freeze");
-    let scan_queries: Vec<cf_geom::Aabb<1>> =
-        interval_queries(scan_field.value_domain(), 0.02, 64, 0x5CA9)
-            .into_iter()
-            .map(|q| q.into())
-            .collect();
-    let reps = if opts.full { 30 } else { 10 };
-    {
-        // Warm the pool (every tree page cached) before timing.
-        let mut out = Vec::new();
-        for q in &scan_queries {
-            paged_tree
-                .search_into(&scan_engine, q, &mut out)
-                .expect("search");
-        }
-    }
-    type ScanFn<'a> = Box<dyn FnMut(&cf_geom::Aabb<1>, &mut Vec<u64>) + 'a>;
-    let time_ms = |mut f: ScanFn<'_>| {
-        let mut out = Vec::new();
-        let mut total = 0u64; // fold the results so the scan isn't dead code
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            for q in &scan_queries {
-                f(q, &mut out);
-                total += out.len() as u64;
-            }
-        }
-        (t0.elapsed().as_secs_f64() * 1e3, total)
-    };
-    let (dyn_ms, dyn_n) = time_ms(Box::new(|q, out| {
-        dynamic.search_into(q, out);
-    }));
-    let (paged_ms, paged_n) = time_ms(Box::new(|q, out| {
-        paged_tree
-            .search_into(&scan_engine, q, out)
-            .expect("search");
-    }));
-    let (frozen_ms, frozen_n) = time_ms(Box::new(|q, out| {
-        frozen_tree.search_into(q, out);
-    }));
-    assert_eq!(dyn_n, paged_n, "scan variants must agree");
-    assert_eq!(dyn_n, frozen_n, "scan variants must agree");
-    let per_query = |ms: f64| ms * 1e3 / (reps * scan_queries.len()) as f64;
-
-    println!(
-        "\n### bench — filter-step scan time ({} intervals, warm, {} × {} searches)\n",
-        scan_field.num_cells(),
-        reps,
-        scan_queries.len()
-    );
-    println!("| representation | µs/query | speedup vs paged |");
-    println!("|---|---|---|");
-    println!("| paged R*-tree | {:.2} | 1.00x |", per_query(paged_ms));
-    println!(
-        "| dynamic (in-memory nodes) | {:.2} | {:.2}x |",
-        per_query(dyn_ms),
-        paged_ms / dyn_ms.max(1e-9)
-    );
-    println!(
-        "| frozen SoA | {:.2} | {:.2}x |",
-        per_query(frozen_ms),
-        paged_ms / frozen_ms.max(1e-9)
-    );
     println!();
 
     // ---- JSON artifact ----------------------------------------------
     if opts.json {
         use cf_obs::Json;
         let num = Json::Num;
-        let plane = |p: &PlaneSide| {
-            Json::obj([
-                ("mean_ms", num(p.mean_ms)),
-                ("mean_pages", num(p.mean_pages)),
-                ("mean_filter_pages", num(p.mean_filter_pages)),
-                ("mean_filter_nodes", num(p.mean_filter_nodes)),
-            ])
-        };
         let codec = |c: &CodecSide| {
             Json::obj([
                 ("mean_ms", num(c.mean_ms)),
@@ -861,26 +655,6 @@ fn bench(opts: &Opts) {
                 ]),
             ),
             (
-                "query_plane",
-                Json::Arr(
-                    plane_points
-                        .iter()
-                        .map(|p| {
-                            Json::obj([
-                                ("figure", Json::Str(p.figure.clone())),
-                                ("cells", num(p.num_cells as f64)),
-                                ("qinterval", num(p.qinterval)),
-                                ("queries", num(p.queries as f64)),
-                                ("read_latency_us", num(p.read_latency_us as f64)),
-                                ("paged", plane(&p.paged)),
-                                ("frozen", plane(&p.frozen)),
-                                ("speedup", num(p.paged.mean_ms / p.frozen.mean_ms.max(1e-9))),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
                 "codec_sweep",
                 Json::Arr(
                     codec_points
@@ -901,20 +675,6 @@ fn bench(opts: &Opts) {
                         .collect(),
                 ),
             ),
-            (
-                "filter_scan",
-                Json::obj([
-                    ("intervals", num(scan_field.num_cells() as f64)),
-                    ("searches", num((reps * scan_queries.len()) as f64)),
-                    ("paged_us_per_query", num(per_query(paged_ms))),
-                    ("dynamic_us_per_query", num(per_query(dyn_ms))),
-                    ("frozen_us_per_query", num(per_query(frozen_ms))),
-                    (
-                        "frozen_speedup_vs_paged",
-                        num(paged_ms / frozen_ms.max(1e-9)),
-                    ),
-                ]),
-            ),
         ])
         .render();
         std::fs::write("BENCH_pr5.json", &j).expect("write BENCH_pr5.json");
@@ -932,21 +692,6 @@ fn bench(opts: &Opts) {
                 if p.identical { 1.0 } else { 0.0 },
             );
         }
-        for p in &plane_points {
-            let prefix = format!("{}_qi{}", p.figure, p.qinterval);
-            rec.push(format!("{prefix}_paged_ms"), p.paged.mean_ms);
-            rec.push(format!("{prefix}_paged_pages"), p.paged.mean_pages);
-            rec.push(
-                format!("{prefix}_paged_filter_pages"),
-                p.paged.mean_filter_pages,
-            );
-            rec.push(format!("{prefix}_frozen_ms"), p.frozen.mean_ms);
-            rec.push(format!("{prefix}_frozen_pages"), p.frozen.mean_pages);
-            rec.push(
-                format!("{prefix}_plane_speedup"),
-                p.paged.mean_ms / p.frozen.mean_ms.max(1e-9),
-            );
-        }
         for p in &codec_points {
             let prefix = format!("codec_{}_qi{}", p.figure, p.qinterval);
             rec.push(format!("{prefix}_raw_ms"), p.raw.mean_ms);
@@ -959,18 +704,14 @@ fn bench(opts: &Opts) {
                 if p.identical { 1.0 } else { 0.0 },
             );
         }
-        rec.push("filter_scan_paged_us", per_query(paged_ms));
-        rec.push("filter_scan_dynamic_us", per_query(dyn_ms));
-        rec.push("filter_scan_frozen_us", per_query(frozen_ms));
-        rec.push("filter_scan_frozen_speedup", paged_ms / frozen_ms.max(1e-9));
         let history = opts.history.as_deref().unwrap_or("BENCH_history.jsonl");
         cf_bench::history::append_history(history, &rec).expect("append bench history");
         println!("appended run to {history}");
     }
 
     if opts.metrics {
-        println!("\n### metrics snapshot (filter-scan engine)\n");
-        print!("{}", scan_engine.metrics().render_text());
+        println!("\n### metrics snapshot (sequential-build engine)\n");
+        print!("{}", seq_engine.metrics().render_text());
         println!();
     }
 }

@@ -343,9 +343,9 @@ mod tests {
     #[test]
     fn metric_kinds_classify_by_suffix() {
         assert_eq!(MetricKind::of("build_sequential_ms"), MetricKind::Time);
-        assert_eq!(MetricKind::of("filter_scan_frozen_us"), MetricKind::Time);
+        assert_eq!(MetricKind::of("ingest_update_us"), MetricKind::Time);
         assert_eq!(
-            MetricKind::of("fig8a_qi0.01_paged_pages"),
+            MetricKind::of("codec_fig8a_qi0.01_raw_pages"),
             MetricKind::Count
         );
         assert_eq!(MetricKind::of("x_filter_nodes"), MetricKind::Count);

@@ -200,7 +200,10 @@ mod tests {
                     ordinal: i as u64,
                     band_lo: band.lo,
                     band_hi: band.hi,
-                    plane: cf_obs::Label::new("paged"),
+                    // The label is free-form to replay: record 0 carries
+                    // the one an older recording made on the since
+                    // deleted frozen plane would.
+                    plane: cf_obs::Label::new(if i == 0 { "frozen" } else { "paged" }),
                     curve: cf_obs::Label::new("hilbert"),
                     epoch: 0,
                     digest: answer_digest(

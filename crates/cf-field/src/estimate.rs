@@ -27,8 +27,8 @@ pub fn plane_coefficients(tri: &Triangle, values: [f64; 3]) -> Option<(f64, f64,
     Some((gx, gy, c))
 }
 
-/// Lane width of the portable SIMD-style kernels, matching the
-/// `FrozenTree` mask idiom (8 × f64 = one cache line).
+/// Lane width of the portable SIMD-style kernels (8 × f64 = one cache
+/// line).
 pub const LANE: usize = 8;
 
 /// Branchless band classification over one lane of interpolant values:

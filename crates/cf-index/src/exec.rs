@@ -24,7 +24,7 @@ use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval, Polygon};
-use cf_rtree::{FrozenTree, PagedRTree, SearchStats};
+use cf_rtree::{PagedRTree, SearchStats};
 use cf_storage::{
     answer_digest, CellFile, CfResult, ExplainRecord, HeatKind, Label, Record, RecordFile,
     Stopwatch, StorageEngine,
@@ -50,13 +50,12 @@ pub(crate) struct Q2<'a, R: Record> {
     pub overlay: Option<&'a HashMap<u32, R>>,
 }
 
-/// The filter source: an interval tree whose leaf payloads are packed
-/// [`Subfield`] ranges, searched on whichever plane is active.
+/// The filter source: the paged interval tree whose leaf payloads are
+/// packed [`Subfield`] ranges, searched through the buffer pool (filter
+/// I/O counts as page reads).
 pub(crate) struct Filter<'a> {
-    /// The paged tree (filter I/O counts as page reads).
+    /// The paged tree.
     pub tree: &'a PagedRTree<1>,
-    /// Its frozen flattening, when the frozen query plane is active.
-    pub frozen: Option<&'a FrozenTree<1>>,
     /// The ingest delta's correction of the base tree's answer.
     pub overrides: Option<SubfieldOverrides<'a>>,
 }
@@ -92,14 +91,6 @@ pub(crate) enum Cells<'a, R: Record> {
 }
 
 impl Filter<'_> {
-    fn plane(&self) -> &'static str {
-        if self.frozen.is_some() {
-            "frozen"
-        } else {
-            "paged"
-        }
-    }
-
     /// The filtering step: every record range whose interval
     /// intersects `band`.
     fn retrieve(
@@ -113,10 +104,7 @@ impl Filter<'_> {
             let sf = Subfield::unpack(data, Interval::new(mbr.lo[0], mbr.hi[0]));
             ranges.push((sf.start, sf.end));
         };
-        let search = match self.frozen {
-            Some(frozen) => frozen.search(&band.into(), &mut on_hit),
-            None => self.tree.search(engine, &band.into(), &mut on_hit)?,
-        };
+        let search = self.tree.search(engine, &band.into(), &mut on_hit)?;
         // Drop base hits whose effective interval left the band, add
         // subfields whose effective interval entered it. The two sets
         // are disjoint by construction, so no dedup is needed, and the
@@ -255,8 +243,10 @@ pub(crate) fn run<F: FieldModel>(
     let refine_ns = refine_clock.elapsed_ns();
     let query_ns = query_clock.elapsed_ns();
 
+    // `plane` names what the plan reads first: the paged tree for a
+    // probe, the cell file itself for a scan.
     let (plan, plane) = match &q.filter {
-        Some(filter) => ("probe", filter.plane()),
+        Some(_) => ("probe", "paged"),
         None => ("scan", "cells"),
     };
     q.metrics.publish(

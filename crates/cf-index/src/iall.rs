@@ -12,7 +12,7 @@ use crate::stats::{QueryMetrics, QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
-use cf_rtree::{FrozenTree, PagedRTree, RStarTree, RTreeConfig};
+use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
 use cf_storage::{CfError, CfResult, Label, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
@@ -23,9 +23,6 @@ use std::sync::OnceLock;
 pub struct IAll<F: FieldModel> {
     file: RecordFile<F::CellRec>,
     tree: PagedRTree<1>,
-    /// Frozen query plane (see [`crate::QueryPlane`]): when present, the
-    /// filtering step searches this flattened copy of `tree`.
-    frozen: Option<FrozenTree<1>>,
     /// `index_*` registry handles, wired at first query.
     qmetrics: OnceLock<QueryMetrics>,
     _field: PhantomData<fn() -> F>,
@@ -52,23 +49,14 @@ impl<F: FieldModel> IAll<F> {
         Ok(Self {
             file,
             tree,
-            frozen: None,
             qmetrics: OnceLock::new(),
             _field: PhantomData,
         })
     }
 
-    /// Enters the frozen query plane: the filtering step searches a
-    /// cache-resident flattening of the interval tree from now on —
-    /// identical answers and `filter_nodes`, zero filter-step page reads.
-    pub fn freeze(&mut self, engine: &StorageEngine) -> CfResult<()> {
-        self.frozen = Some(self.tree.freeze(engine)?);
-        Ok(())
-    }
-
     /// Incremental maintenance: rewrites `cell`'s record in place and,
     /// if its value interval changed, replaces the cell's entry in the
-    /// interval R\*-tree (the frozen plane, when active, is re-frozen).
+    /// interval R\*-tree.
     ///
     /// # Errors
     ///
@@ -99,9 +87,6 @@ impl<F: FieldModel> IAll<F> {
                 ));
             }
             self.tree.insert(engine, new_iv.into(), entry(cell))?;
-            if self.frozen.is_some() {
-                self.freeze(engine)?;
-            }
         }
         Ok(())
     }
@@ -124,7 +109,6 @@ impl<F: FieldModel> IAll<F> {
                 .get_or_init(|| QueryMetrics::wire(engine.metrics(), "I-All")),
             filter: Some(Filter {
                 tree: &self.tree,
-                frozen: self.frozen.as_ref(),
                 overrides: None,
             }),
             cells: Cells::Each(&self.file),
@@ -220,36 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn frozen_plane_matches_paged_plane() {
-        use crate::stats::ValueIndex;
-        let engine = StorageEngine::in_memory();
-        let field = ramp_field(12);
-        let paged = IAll::build(&engine, &field).expect("build");
-        let mut frozen = IAll::build(&engine, &field).expect("build");
-        frozen.freeze(&engine).expect("freeze");
-        for band in [
-            Interval::new(3.0, 5.0),
-            Interval::point(7.0),
-            Interval::new(-10.0, 100.0),
-            Interval::new(50.0, 60.0),
-        ] {
-            let a = paged.query_stats(&engine, band).expect("query");
-            let b = frozen.query_stats(&engine, band).expect("query");
-            assert_eq!(a.cells_qualifying, b.cells_qualifying, "band {band}");
-            assert_eq!(a.filter_nodes, b.filter_nodes, "band {band}");
-            assert_eq!(a.intervals_retrieved, b.intervals_retrieved);
-            assert_eq!(b.filter_pages, 0, "band {band}");
-            assert!((a.area - b.area).abs() < 1e-9, "band {band}");
-        }
-    }
-
-    #[test]
     fn update_cell_maintains_tree_and_rejects_bad_ids() {
         use crate::stats::ValueIndex;
         let engine = StorageEngine::in_memory();
         let field = ramp_field(8);
         let mut iall = IAll::build(&engine, &field).expect("build");
-        iall.freeze(&engine).expect("freeze");
 
         // A typed error, not a panic, on an out-of-range cell id.
         let err = iall
@@ -270,24 +229,6 @@ mod tests {
         assert_eq!(stats.cells_qualifying, 1);
         // remove + insert, not a second insert: still one entry per cell.
         assert_eq!(iall.num_intervals(), field.num_cells());
-        // The re-frozen plane agrees with a paged-plane index that
-        // applied the same update.
-        let mut paged = IAll::build(&engine, &field).expect("build");
-        let rec = cf_field::GridCellRecord {
-            vals: [777.0; 4],
-            ..field.cell_record(cell)
-        };
-        paged.update_cell(&engine, cell, rec).expect("update");
-        for band in [
-            Interval::new(5.0, 9.0),
-            Interval::new(776.0, 778.0),
-            Interval::new(-10.0, 1000.0),
-        ] {
-            let a = paged.query_stats(&engine, band).expect("query");
-            let b = iall.query_stats(&engine, band).expect("query");
-            assert_eq!(a.cells_qualifying, b.cells_qualifying, "band {band}");
-            assert_eq!(a.area.to_bits(), b.area.to_bits(), "band {band}");
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::advisor::{
 use crate::order::{cell_order, par_cell_order};
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
-pub use crate::sfindex::{QueryPlane, TreeBuild};
+pub use crate::sfindex::TreeBuild;
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::FieldModel;
@@ -38,11 +38,6 @@ pub struct IHilbertConfig {
     /// subfield grouping and the subfield R\*-tree build stay sequential,
     /// as in the paper.
     pub build_threads: usize,
-    /// Which representation of the subfield R\*-tree serves the
-    /// filtering step. [`QueryPlane::Frozen`] flattens the tree into a
-    /// cache-resident copy after the build — identical answers and
-    /// visited-node counts, no filter-step page traffic.
-    pub plane: QueryPlane,
 }
 
 /// Wrapper defaulting the curve to Hilbert.
@@ -107,9 +102,6 @@ impl<F: FieldModel> IHilbert<F> {
             intervals = order.iter().map(|&c| field.cell_interval(c)).collect();
             subfields = build_subfields(&intervals, config.subfield);
             inner = SubfieldIndex::build(engine, field, &order, &subfields, config.tree_build)?;
-        }
-        if config.plane == QueryPlane::Frozen {
-            inner.freeze(engine)?;
         }
         inner.set_metric_label(method_label(config.curve.0));
         inner.set_curve_label(config.curve.0.name());
@@ -224,14 +216,6 @@ impl<F: FieldModel> IHilbert<F> {
             curve,
             cell_to_pos,
         }
-    }
-
-    /// Enters the frozen query plane after the fact — e.g. on an index
-    /// reopened from its catalog ([`IHilbert::open`]), which always
-    /// starts on the paged plane. One pass over the tree's pages;
-    /// subsequent filter steps touch no pages at all.
-    pub fn freeze(&mut self, engine: &StorageEngine) -> CfResult<()> {
-        self.inner.freeze(engine)
     }
 
     /// Scores the current subfield grouping under the static cost model
@@ -593,36 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_plane_matches_paged_plane() {
-        let engine = StorageEngine::in_memory();
-        let field = smooth_field(32);
-        let paged = IHilbert::build(&engine, &field).expect("build");
-        let frozen = IHilbert::build_with(
-            &engine,
-            &field,
-            IHilbertConfig {
-                plane: QueryPlane::Frozen,
-                ..Default::default()
-            },
-        )
-        .expect("build");
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..20 {
-            let lo: f64 = rng.gen_range(-5.0..105.0);
-            let band = Interval::new(lo, lo + rng.gen_range(0.0..20.0));
-            let a = paged.query_stats(&engine, band).expect("query");
-            let b = frozen.query_stats(&engine, band).expect("query");
-            assert_eq!(a.cells_examined, b.cells_examined, "band {band}");
-            assert_eq!(a.cells_qualifying, b.cells_qualifying, "band {band}");
-            assert_eq!(a.num_regions, b.num_regions, "band {band}");
-            assert_eq!(a.filter_nodes, b.filter_nodes, "band {band}");
-            assert_eq!(a.intervals_retrieved, b.intervals_retrieved);
-            assert_eq!(b.filter_pages, 0, "frozen filter reads no pages");
-            assert!((a.area - b.area).abs() < 1e-9 * a.area.max(1.0));
-        }
-    }
-
-    #[test]
     fn scratch_query_matches_plain_query() {
         let engine = StorageEngine::in_memory();
         let field = smooth_field(24);
@@ -643,34 +597,6 @@ mod tests {
             assert_eq!(a.intervals_retrieved, b.intervals_retrieved);
             assert_eq!(a.area.to_bits(), b.area.to_bits(), "area bit-exact");
         }
-    }
-
-    #[test]
-    fn frozen_plane_stays_current_through_updates() {
-        let engine = StorageEngine::in_memory();
-        let field = smooth_field(12);
-        let mut index = IHilbert::build_with(
-            &engine,
-            &field,
-            IHilbertConfig {
-                plane: QueryPlane::Frozen,
-                ..Default::default()
-            },
-        )
-        .expect("build");
-        // Push one cell far outside the field range: the containing
-        // subfield's tree entry moves, and the frozen copy must follow.
-        let cell = 7;
-        let rec = cf_field::GridCellRecord {
-            vals: [777.0; 4],
-            ..field.cell_record(cell)
-        };
-        index.update_cell(&engine, cell, rec).expect("update");
-        let stats = index
-            .query_stats(&engine, Interval::new(776.0, 778.0))
-            .expect("query");
-        assert_eq!(stats.cells_qualifying, 1);
-        assert_eq!(stats.filter_pages, 0, "still on the frozen plane");
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //! snapshot-isolated readers and a background repacker.
 //!
 //! The paper treats the index as build-once: `update_cell` rewrites a
-//! record in place and the frozen query plane is re-frozen wholesale on
-//! every mutation, so a continuous sensor stream stalls the world. This
-//! module refactors the mutation path into three cooperating parts:
+//! record in place and does remove + insert surgery on the paged tree
+//! under `&mut self`, so a continuous sensor stream stalls every
+//! reader. This module refactors the mutation path into three
+//! cooperating parts:
 //!
 //! 1. **A mutable delta plane** ([`LiveIngest`]): an append-only ring
 //!    of `(position, record)` overlays with its own small interval
 //!    summary (per-touched-subfield effective intervals). Ingest
-//!    writes land here — the frozen base is never touched, so the
-//!    [`cf_rtree::FrozenTree`] re-freeze is off the write path
+//!    writes land here — the immutable base (cell file and tree
+//!    pages) is never touched, so tree surgery is off the write path
 //!    entirely.
 //! 2. **Snapshot-isolated readers** ([`EpochSnapshot`]): every
 //!    publication is an immutable epoch — `Arc`-swapped base plane +
@@ -278,8 +279,8 @@ impl<F: FieldModel> LiveIngest<F> {
     }
 
     /// Applies an updated record for `cell` to the delta plane and
-    /// publishes a new epoch. The frozen base is untouched — no tree
-    /// surgery, no re-freeze — so the write cost is O(subfield size)
+    /// publishes a new epoch. The immutable base is untouched — no tree
+    /// surgery — so the write cost is O(subfield size)
     /// for the interval summary plus the snapshot publication.
     ///
     /// When the delta ring is at capacity, the write first performs an
@@ -404,16 +405,12 @@ impl<F: FieldModel> LiveIngest<F> {
             &spatial,
             inner.file.records_per_page(),
         );
-        let was_frozen = inner.is_frozen();
         let old_cell = (inner.file.first_page(), inner.file.num_pages());
         let old_tree = inner.tree.page_run();
         let old_sf = (inner.sf_file.first_page(), inner.sf_file.num_pages());
 
-        let mut new_inner =
+        let new_inner =
             SubfieldIndex::build_from_records(engine, records, &subfields, TreeBuild::Dynamic)?;
-        if was_frozen {
-            new_inner.freeze(engine)?;
-        }
         let new_base = IHilbert::from_parts(
             new_inner,
             state.base.curve(),
@@ -596,7 +593,7 @@ fn effective_sf_interval<F: FieldModel>(
     Ok(union.expect("subfields are non-empty"))
 }
 
-/// One immutable published epoch: frozen base + delta prefix.
+/// One immutable published epoch: base index + delta prefix.
 ///
 /// Implements [`ValueIndex`], so it drops into everything that takes
 /// one — including [`crate::QueryBatch`] — and merges base + delta

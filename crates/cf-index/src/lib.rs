@@ -60,7 +60,7 @@ pub use advisor::{
 pub use batch::{BatchQueryResult, BatchReport, QueryBatch};
 pub use catalog::PosRecord;
 pub use iall::IAll;
-pub use ihilbert::{CurveChoice, IHilbert, IHilbertConfig, QueryPlane, TreeBuild};
+pub use ihilbert::{CurveChoice, IHilbert, IHilbertConfig, TreeBuild};
 pub use ingest::{DeltaRec, EpochSnapshot, IngestConfig, LiveIngest, RepackReport};
 pub use iquad::IntervalQuadtree;
 pub use linear::LinearScan;

@@ -10,7 +10,7 @@ use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
 use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
-use cf_rtree::{bulk_load_str, FrozenTree, PagedRTree, RStarTree, RTreeConfig};
+use cf_rtree::{bulk_load_str, PagedRTree, RStarTree, RTreeConfig};
 use cf_storage::{CellFile, CfResult, Label, MetricsRegistry, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
@@ -23,21 +23,6 @@ pub enum TreeBuild {
     Dynamic,
     /// Packed bulk loading (Kamel–Faloutsos) — the build-time ablation.
     Bulk,
-}
-
-/// Which representation of the interval R\*-tree serves the filtering
-/// step of queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueryPlane {
-    /// Search the paged tree through the buffer pool — the paper's
-    /// disk-resident cost model, where filter I/O counts as page reads.
-    #[default]
-    Paged,
-    /// Search a frozen cache-resident flattening of the tree
-    /// ([`cf_rtree::FrozenTree`]): identical answers and visited-node
-    /// counts (`QueryStats::filter_nodes`), but the filter step touches
-    /// no pages, so `QueryStats::filter_pages` reports 0.
-    Frozen,
 }
 
 /// Bucket bounds of the `index_health_cost_c` histogram. `C = P/SI` is
@@ -57,9 +42,6 @@ pub(crate) struct SubfieldIndex<F: FieldModel> {
     pub(crate) sf_file: CellFile<Subfield>,
     /// File position → subfield index.
     pub(crate) pos_to_subfield: Vec<u32>,
-    /// Frozen query plane: when present, the filtering step searches
-    /// this flattened copy of `tree` instead of faulting tree pages.
-    frozen: Option<FrozenTree<1>>,
     /// `index` label value of every metric this index publishes
     /// (overridden by the owning method — `"I-Hilbert"`, `"I-Quad"` — via
     /// [`SubfieldIndex::set_metric_label`]).
@@ -192,7 +174,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
             subfields,
             sf_file,
             pos_to_subfield,
-            frozen: None,
             metric_label: "subfield".to_owned(),
             curve_label: Label::new("-"),
             qmetrics: OnceLock::new(),
@@ -372,10 +353,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
             }
         }
         self.subfields = subfields;
-        // The frozen plane is a copy of the tree — rebuild it too.
-        if self.frozen.is_some() {
-            self.freeze(engine)?;
-        }
         // Health gauges derive from the subfield catalog; refresh them
         // with the exact new cost distribution (intervals are in hand).
         let costs: Vec<f64> = self
@@ -391,20 +368,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
             .collect();
         self.publish_health(engine.metrics(), Some(&costs));
         Ok(true)
-    }
-
-    /// Enters the frozen query plane: flattens the paged tree into a
-    /// cache-resident [`FrozenTree`] (one pass over its pages) that the
-    /// filtering step searches from then on. Incremental updates that
-    /// mutate the tree re-freeze it automatically.
-    pub(crate) fn freeze(&mut self, engine: &StorageEngine) -> CfResult<()> {
-        self.frozen = Some(self.tree.freeze(engine)?);
-        Ok(())
-    }
-
-    /// Whether the frozen query plane is active.
-    pub(crate) fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
     }
 
     /// Rewrites the cell record at file position `pos` and incrementally
@@ -439,10 +402,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
             self.tree.insert(engine, new_iv.into(), sf.pack())?;
             self.subfields[sf_idx].interval = new_iv;
             self.sf_file.put(engine, sf_idx, &self.subfields[sf_idx])?;
-            // The frozen plane is a copy of the tree — keep it current.
-            if self.frozen.is_some() {
-                self.freeze(engine)?;
-            }
             // Gauges derive from the subfield catalog, which just
             // changed; the touched subfield's new cost joins the
             // distribution (build-time costs stay, as a history).
@@ -469,7 +428,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
     ) -> CfResult<QueryStats> {
         let filter = (plan == Plan::IndexProbe).then(|| Filter {
             tree: &self.tree,
-            frozen: self.frozen.as_ref(),
             overrides: delta.map(|d| SubfieldOverrides {
                 effective: d.sf_intervals,
                 pos_to_subfield: &self.pos_to_subfield,

@@ -7,8 +7,6 @@
 use cf_field::GridField;
 use cf_geom::Interval;
 use cf_index::{IHilbert, ValueIndex};
-#[cfg(not(feature = "obs-off"))]
-use cf_index::{IHilbertConfig, QueryPlane};
 use cf_storage::StorageEngine;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -179,31 +177,6 @@ fn advisor_is_a_clean_no_op_under_obs_off() {
         .repack_with_observed_workload(&engine)
         .expect("repack");
     assert!(!outcome.repacked, "{outcome}");
-}
-
-#[cfg(not(feature = "obs-off"))]
-#[test]
-fn repack_keeps_the_frozen_plane_current() {
-    let engine = StorageEngine::in_memory();
-    let field = smooth_field(24);
-    let mut index = IHilbert::build_with(
-        &engine,
-        &field,
-        IHilbertConfig {
-            plane: QueryPlane::Frozen,
-            ..Default::default()
-        },
-    )
-    .expect("build");
-    run_long_band_workload(&index, &engine);
-    let outcome = index
-        .repack_with_observed_workload(&engine)
-        .expect("repack");
-    assert!(outcome.repacked, "{outcome}");
-    for &band in &probe_bands() {
-        let stats = index.query_stats(&engine, band).expect("query");
-        assert_eq!(stats.filter_pages, 0, "still on the frozen plane");
-    }
 }
 
 #[cfg(not(feature = "obs-off"))]

@@ -10,9 +10,7 @@
 
 use cf_field::{FieldModel, GridField};
 use cf_geom::Interval;
-use cf_index::{
-    CurveChoice, IHilbert, IHilbertConfig, LinearScan, QueryPlane, QueryStats, ValueIndex,
-};
+use cf_index::{CurveChoice, IHilbert, IHilbertConfig, LinearScan, QueryStats, ValueIndex};
 use cf_sfc::Curve;
 use cf_storage::{
     codec, compress, Fault, FaultOp, PageBuf, PageCodec, PageId, StorageConfig, StorageEngine,
@@ -411,46 +409,40 @@ fn repeated_saves_on_file_backing_reach_a_steady_state_size() {
 }
 
 /// Acceptance: the file-backed database answers byte-identically after
-/// a real close-and-reopen, for all four curves on both query planes.
+/// a real close-and-reopen, for all four curves.
 #[test]
 fn file_backed_round_trip_preserves_answers_for_all_curves_and_planes() {
     let field = wavy_field(20, 0.6);
     for curve in Curve::ALL {
-        for plane in [QueryPlane::Paged, QueryPlane::Frozen] {
-            let (engine, path) = file_engine(&format!("rt_{curve:?}_{plane:?}"));
-            let index = IHilbert::build_with(
-                &engine,
-                &field,
-                IHilbertConfig {
-                    curve: CurveChoice(curve),
-                    plane,
-                    ..Default::default()
-                },
-            )
-            .expect("build");
-            let want: Vec<QueryStats> = answers(&index, &engine);
-            let catalog = index.save(&engine).expect("save");
-            engine.sync().expect("sync");
-            drop(index);
-            drop(engine);
+        let (engine, path) = file_engine(&format!("rt_{curve:?}"));
+        let index = IHilbert::build_with(
+            &engine,
+            &field,
+            IHilbertConfig {
+                curve: CurveChoice(curve),
+                ..Default::default()
+            },
+        )
+        .expect("build");
+        let want: Vec<QueryStats> = answers(&index, &engine);
+        let catalog = index.save(&engine).expect("save");
+        engine.sync().expect("sync");
+        drop(index);
+        drop(engine);
 
-            let engine = StorageEngine::open_file(&path, StorageConfig::default()).expect("reopen");
-            let mut reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open");
-            if plane == QueryPlane::Frozen {
-                reopened.freeze(&engine).expect("freeze");
-            }
-            let got = answers(&reopened, &engine);
-            assert_same_answers(&got, &want, &format!("file {curve:?}/{plane:?}"));
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    g.filter_nodes, w.filter_nodes,
-                    "file {curve:?}/{plane:?}: band {i} filter_nodes"
-                );
-            }
-            drop(reopened);
-            drop(engine);
-            cleanup(&path);
+        let engine = StorageEngine::open_file(&path, StorageConfig::default()).expect("reopen");
+        let reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open");
+        let got = answers(&reopened, &engine);
+        assert_same_answers(&got, &want, &format!("file {curve:?}"));
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.filter_nodes, w.filter_nodes,
+                "file {curve:?}: band {i} filter_nodes"
+            );
         }
+        drop(reopened);
+        drop(engine);
+        cleanup(&path);
     }
 }
 
@@ -686,41 +678,35 @@ fn live_ingest_save_crash_points_land_on_a_consistent_epoch() {
     );
 }
 
-/// Satellite: catalog round-trip across every curve and both query
-/// planes — the reopened index must answer Q2 identically, including
-/// the filter-step visit counts.
+/// Satellite: catalog round-trip across every curve — the reopened
+/// index must answer Q2 identically, including the filter-step visit
+/// counts.
 #[test]
 fn round_trip_preserves_answers_for_all_curves_and_planes() {
     let field = wavy_field(20, 0.6);
     for curve in Curve::ALL {
-        for plane in [QueryPlane::Paged, QueryPlane::Frozen] {
-            let engine = StorageEngine::in_memory();
-            let index = IHilbert::build_with(
-                &engine,
-                &field,
-                IHilbertConfig {
-                    curve: CurveChoice(curve),
-                    plane,
-                    ..Default::default()
-                },
-            )
-            .expect("build");
-            let want: Vec<QueryStats> = answers(&index, &engine);
-            let catalog = index.save(&engine).expect("save");
+        let engine = StorageEngine::in_memory();
+        let index = IHilbert::build_with(
+            &engine,
+            &field,
+            IHilbertConfig {
+                curve: CurveChoice(curve),
+                ..Default::default()
+            },
+        )
+        .expect("build");
+        let want: Vec<QueryStats> = answers(&index, &engine);
+        let catalog = index.save(&engine).expect("save");
 
-            engine.clear_cache();
-            let mut reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open");
-            if plane == QueryPlane::Frozen {
-                reopened.freeze(&engine).expect("freeze");
-            }
-            let got = answers(&reopened, &engine);
-            assert_same_answers(&got, &want, &format!("{curve:?}/{plane:?}"));
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    g.filter_nodes, w.filter_nodes,
-                    "{curve:?}/{plane:?}: band {i} filter_nodes"
-                );
-            }
+        engine.clear_cache();
+        let reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open");
+        let got = answers(&reopened, &engine);
+        assert_same_answers(&got, &want, &format!("{curve:?}"));
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.filter_nodes, w.filter_nodes,
+                "{curve:?}: band {i} filter_nodes"
+            );
         }
     }
 }

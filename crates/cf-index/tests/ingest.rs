@@ -2,7 +2,7 @@
 //! answer **byte-identically** to the sequential oracle — an I-Hilbert
 //! index that applied every update in place — under arbitrary
 //! interleavings of updates, queries and repack-driven epoch
-//! publications, across all four curves and both query planes.
+//! publications, across all four curves.
 //!
 //! "Byte-identically" is literal: qualifying-cell counts, region
 //! counts and the bit pattern of the accumulated area must match,
@@ -12,8 +12,8 @@
 use cf_field::{FieldModel, GridCellRecord, GridField};
 use cf_geom::Interval;
 use cf_index::{
-    CurveChoice, IHilbert, IHilbertConfig, IngestConfig, LiveIngest, QueryBatch, QueryPlane,
-    QueryStats, ValueIndex,
+    CurveChoice, IHilbert, IHilbertConfig, IngestConfig, LiveIngest, QueryBatch, QueryStats,
+    ValueIndex,
 };
 use cf_sfc::Curve;
 use cf_storage::{Fault, StorageEngine};
@@ -91,66 +91,59 @@ fn assert_bitexact(got: &QueryStats, want: &QueryStats, ctx: &str) {
     );
 }
 
-fn config_for(curve: Curve, plane: QueryPlane) -> IHilbertConfig {
-    IHilbertConfig {
-        curve: CurveChoice(curve),
-        plane,
-        ..Default::default()
-    }
-}
-
 /// The tentpole property: random interleavings of ingests, snapshot
 /// queries and epoch publications (both explicit repacks and
 /// capacity-forced inline drains) against the sequential oracle, for
-/// every curve × query plane.
+/// every curve.
 #[test]
 fn interleavings_match_sequential_oracle_for_all_curves_and_planes() {
     let field = wavy_field(16);
     for (ci, curve) in Curve::ALL.into_iter().enumerate() {
-        for plane in [QueryPlane::Paged, QueryPlane::Frozen] {
-            let engine = StorageEngine::in_memory();
-            let config = config_for(curve, plane);
-            let base = IHilbert::build_with(&engine, &field, config).expect("build base");
-            let mut oracle = IHilbert::build_with(&engine, &field, config).expect("build oracle");
-            // Small capacity so the run also exercises the inline
-            // backpressure drain, not just explicit repacks.
-            let live = LiveIngest::new(
-                &engine,
-                base,
-                IngestConfig {
-                    capacity: 24,
-                    scan_threshold: None,
-                },
-            )
-            .expect("live ingest");
-            let ctx = format!("{curve:?}/{plane:?}");
-            let mut rng = Rng(0xC0FF_EE00 + ci as u64 * 2 + plane as u64);
-            let mut updates = 0u32;
-            let mut queries = 0u32;
-            for step in 0..400 {
-                match rng.below(10) {
-                    0..=5 => {
-                        let cell = rng.below(field.num_cells());
-                        let rec = rand_record(&field, cell, &mut rng);
-                        live.ingest(&engine, cell, rec).expect("ingest");
-                        oracle.update_cell(&engine, cell, rec).expect("oracle");
-                        updates += 1;
-                    }
-                    6..=8 => {
-                        let band = rand_band(&mut rng);
-                        let snap = live.snapshot();
-                        let got = snap.query_stats(&engine, band).expect("snapshot query");
-                        let want = oracle.query_stats(&engine, band).expect("oracle query");
-                        assert_bitexact(&got, &want, &format!("{ctx}: step {step}"));
-                        queries += 1;
-                    }
-                    _ => {
-                        live.repack(&engine).expect("repack");
-                    }
+        let engine = StorageEngine::in_memory();
+        let config = IHilbertConfig {
+            curve: CurveChoice(curve),
+            ..Default::default()
+        };
+        let base = IHilbert::build_with(&engine, &field, config).expect("build base");
+        let mut oracle = IHilbert::build_with(&engine, &field, config).expect("build oracle");
+        // Small capacity so the run also exercises the inline
+        // backpressure drain, not just explicit repacks.
+        let live = LiveIngest::new(
+            &engine,
+            base,
+            IngestConfig {
+                capacity: 24,
+                scan_threshold: None,
+            },
+        )
+        .expect("live ingest");
+        let ctx = format!("{curve:?}");
+        let mut rng = Rng(0xC0FF_EE00 + ci as u64);
+        let mut updates = 0u32;
+        let mut queries = 0u32;
+        for step in 0..400 {
+            match rng.below(10) {
+                0..=5 => {
+                    let cell = rng.below(field.num_cells());
+                    let rec = rand_record(&field, cell, &mut rng);
+                    live.ingest(&engine, cell, rec).expect("ingest");
+                    oracle.update_cell(&engine, cell, rec).expect("oracle");
+                    updates += 1;
+                }
+                6..=8 => {
+                    let band = rand_band(&mut rng);
+                    let snap = live.snapshot();
+                    let got = snap.query_stats(&engine, band).expect("snapshot query");
+                    let want = oracle.query_stats(&engine, band).expect("oracle query");
+                    assert_bitexact(&got, &want, &format!("{ctx}: step {step}"));
+                    queries += 1;
+                }
+                _ => {
+                    live.repack(&engine).expect("repack");
                 }
             }
-            assert!(updates > 150 && queries > 60, "{ctx}: degenerate mix");
         }
+        assert!(updates > 150 && queries > 60, "{ctx}: degenerate mix");
     }
 }
 

@@ -3,7 +3,6 @@
 
 use cf_field::{FieldModel, GridField};
 use cf_geom::Interval;
-use cf_index::QueryPlane;
 use cf_index::{
     CurveChoice, IAll, IHilbert, IHilbertConfig, IntervalQuadtree, LinearScan, SubfieldConfig,
     ValueIndex,
@@ -73,54 +72,51 @@ fn assert_parallel_build_identical<F: FieldModel + Sync>(field: &F, curve: Curve
 }
 
 /// Builds the same index over raw and compressed cell pages (all four
-/// curves × both query planes) and requires bit-exact answers — same
+/// curves) and requires bit-exact answers — same
 /// qualifying cells, same region count, byte-identical area, same
 /// filter-node visits — while the compressed file occupies fewer (or at
 /// worst equal) data pages.
 fn assert_codecs_answer_identically<F: FieldModel + Sync>(field: &F, bands: &[Interval]) {
     for curve in Curve::ALL {
-        for plane in [QueryPlane::Paged, QueryPlane::Frozen] {
-            let mk = |codec| {
-                let engine = StorageEngine::new(StorageConfig {
-                    codec,
-                    ..StorageConfig::default()
-                });
-                let index = IHilbert::build_with(
-                    &engine,
-                    field,
-                    IHilbertConfig {
-                        curve: CurveChoice(curve),
-                        plane,
-                        ..Default::default()
-                    },
-                )
-                .expect("build");
-                (engine, index)
-            };
-            let (raw_engine, raw) = mk(PageCodec::Raw);
-            let (comp_engine, comp) = mk(PageCodec::Compressed);
-            assert!(
-                comp.data_pages() <= raw.data_pages(),
-                "{curve:?}/{plane:?}: compressed {} vs raw {} data pages",
-                comp.data_pages(),
-                raw.data_pages()
+        let mk = |codec| {
+            let engine = StorageEngine::new(StorageConfig {
+                codec,
+                ..StorageConfig::default()
+            });
+            let index = IHilbert::build_with(
+                &engine,
+                field,
+                IHilbertConfig {
+                    curve: CurveChoice(curve),
+                    ..Default::default()
+                },
+            )
+            .expect("build");
+            (engine, index)
+        };
+        let (raw_engine, raw) = mk(PageCodec::Raw);
+        let (comp_engine, comp) = mk(PageCodec::Compressed);
+        assert!(
+            comp.data_pages() <= raw.data_pages(),
+            "{curve:?}: compressed {} vs raw {} data pages",
+            comp.data_pages(),
+            raw.data_pages()
+        );
+        for &b in bands {
+            let want = raw.query_stats(&raw_engine, b).expect("query");
+            let got = comp.query_stats(&comp_engine, b).expect("query");
+            let ctx = format!("{curve:?} band {b}");
+            assert_eq!(got.cells_examined, want.cells_examined, "{ctx}");
+            assert_eq!(got.cells_qualifying, want.cells_qualifying, "{ctx}");
+            assert_eq!(got.num_regions, want.num_regions, "{ctx}");
+            assert_eq!(
+                got.area.to_bits(),
+                want.area.to_bits(),
+                "{ctx}: area {} vs {}",
+                got.area,
+                want.area
             );
-            for &b in bands {
-                let want = raw.query_stats(&raw_engine, b).expect("query");
-                let got = comp.query_stats(&comp_engine, b).expect("query");
-                let ctx = format!("{curve:?}/{plane:?} band {b}");
-                assert_eq!(got.cells_examined, want.cells_examined, "{ctx}");
-                assert_eq!(got.cells_qualifying, want.cells_qualifying, "{ctx}");
-                assert_eq!(got.num_regions, want.num_regions, "{ctx}");
-                assert_eq!(
-                    got.area.to_bits(),
-                    want.area.to_bits(),
-                    "{ctx}: area {} vs {}",
-                    got.area,
-                    want.area
-                );
-                assert_eq!(got.filter_nodes, want.filter_nodes, "{ctx}");
-            }
+            assert_eq!(got.filter_nodes, want.filter_nodes, "{ctx}");
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! An [`ExplainRecord`] captures everything the planner and the query
 //! pipeline know about one executed query: the plan it chose (index
-//! probe vs sequential scan), the plane it ran on (paged r-tree vs
-//! frozen SoA tree), the space-filling curve behind the index, the
+//! probe vs sequential scan), the plane it read first (the paged
+//! r-tree vs the cell file), the space-filling curve behind the index, the
 //! subfield/cell/page counts of the filter and refine phases, the
 //! per-phase wall timings, the ingest epoch the snapshot was pinned
 //! to, and the buffer-pool hit ratio.
@@ -110,8 +110,8 @@ pub struct ExplainRecord {
     pub index: Label,
     /// Planner decision: `"probe"` (index) or `"scan"` (sequential).
     pub plan: &'static str,
-    /// Execution plane: `"paged"` (r-tree) or `"frozen"` (SoA tree);
-    /// `"scan"` plans report `"cells"`.
+    /// Execution plane, a function of `plan`: `"paged"` (the r-tree,
+    /// through the pool) for a probe, `"cells"` for a scan.
     pub plane: &'static str,
     /// Space-filling curve behind the index cell ordering.
     pub curve: Label,
@@ -282,7 +282,7 @@ pub(crate) mod tests {
             query_id: 12,
             index: Label::new("I-Hilbert"),
             plan: "probe",
-            plane: "frozen",
+            plane: "paged",
             curve: Label::new("hilbert"),
             band_lo: 0.3,
             band_hi: 0.4,
@@ -333,7 +333,7 @@ pub(crate) mod tests {
     fn text_rendering_carries_the_breakdown() {
         let text = sample().render_text();
         assert!(text.contains("plan=probe"), "{text}");
-        assert!(text.contains("plane=frozen"), "{text}");
+        assert!(text.contains("plane=paged"), "{text}");
         assert!(text.contains("filter:"), "{text}");
         assert!(text.contains("refine:"), "{text}");
         assert!(text.contains("100.0% hit ratio"), "{text}");

@@ -42,7 +42,8 @@ pub struct WorkloadRecord {
     pub band_lo: f64,
     /// Queried band, high end.
     pub band_hi: f64,
-    /// Execution plane (`"frozen"`, `"paged"`, `"cells"`).
+    /// Execution plane (`"paged"`, `"cells"`). Free-form on decode:
+    /// files recorded before PR 15 also carry `"frozen"`.
     pub plane: Label,
     /// Space-filling curve behind the index.
     pub curve: Label,
@@ -221,6 +222,8 @@ mod tests {
             ordinal: n,
             band_lo: 0.125 + n as f64,
             band_hi: 0.875 + n as f64,
+            // A label no current query emits: old recordings carry
+            // it, and the codec must keep round-tripping it.
             plane: Label::new("frozen"),
             curve: Label::new("hilbert"),
             epoch: n * 3,

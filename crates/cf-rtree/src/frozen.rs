@@ -1,10 +1,15 @@
 //! A frozen, cache-resident, read-optimized form of a built R\*-tree.
 //!
+//! **Status:** a leaf type no product crate links. cf-index served its
+//! filter step from it until PR 15; measured on the benchmark ladder it
+//! saved at most 1.6 % of a query and cost a re-flattening on every
+//! build, open, repack and tree-changing update, so the paged tree is
+//! the only filter (DESIGN.md §8.2). It stays because the ladder's
+//! staged trace (`benchmark/src/staged.rs`) still times it.
+//!
 //! The paged tree ([`crate::PagedRTree`]) is the faithful disk-resident
 //! reproduction: every node is one 4 KiB page, every visit is a buffer
-//! pool access. For a query plane serving heavy read traffic the index is
-//! hot anyway, and what dominates is not page faults but pointer chasing
-//! and per-entry decode cost. [`FrozenTree`] flattens a built tree into
+//! pool access. [`FrozenTree`] flattens a built tree into
 //! contiguous level-by-level structure-of-arrays storage:
 //!
 //! * **SoA bounds** — `lo[]` and `hi[]` live in separate cache-aligned
@@ -24,9 +29,7 @@
 //!
 //! A frozen search visits exactly the nodes the node-based traversals
 //! visit (same parent-MBR pruning), so [`SearchStats::nodes_visited`]
-//! equals the paged tree's page-read count for the same query — the
-//! frozen plane keeps the paper's cost accounting while removing the
-//! buffer-pool traffic.
+//! equals the paged tree's page-read count for the same query.
 
 use crate::node::ChildRef;
 use crate::tree::{RStarTree, SearchStats};
@@ -120,8 +123,8 @@ impl<const N: usize> FrozenTree<N> {
     }
 
     /// Freezes a persisted [`PagedRTree`], reading each node page once
-    /// through the buffer pool (the one-time cost of entering the frozen
-    /// plane; subsequent searches touch no pages at all).
+    /// through the buffer pool (subsequent searches touch no pages at
+    /// all).
     pub fn from_paged(engine: &StorageEngine, paged: &PagedRTree<N>) -> CfResult<Self> {
         let mut tree = Self::build_bfs(
             paged.len(),
@@ -257,8 +260,7 @@ impl<const N: usize> FrozenTree<N> {
         self.slot_base.len()
     }
 
-    /// Resident size of the flattened arrays in bytes (the memory the
-    /// frozen plane pins in cache, reported by the bench).
+    /// Resident size of the flattened arrays in bytes.
     pub fn resident_bytes(&self) -> usize {
         self.slot_base.len() * 4
             + self.entry_count.len() * 4

@@ -26,8 +26,9 @@
 //!   the buffer pool so query cost is measured in real page accesses.
 //! * [`FrozenTree`] — a read-optimized flattening of a built tree into
 //!   contiguous cache-aligned SoA arrays (separate `lo[]`/`hi[]` lanes,
-//!   implicit child offsets, branchless chunked leaf scan) for serving
-//!   queries out of memory while keeping the same visit counts.
+//!   implicit child offsets, branchless chunked leaf scan) with the
+//!   same visit counts. No product crate links it since PR 15; kept for
+//!   the benchmark ladder's staged trace (DESIGN.md §8.2).
 
 //!
 //! # Example

@@ -241,13 +241,6 @@ impl<const N: usize> PagedRTree<N> {
         self.height
     }
 
-    /// Flattens this tree into a [`crate::FrozenTree`] for cache-resident
-    /// query serving, reading each node page once. Shorthand for
-    /// [`crate::FrozenTree::from_paged`].
-    pub fn freeze(&self, engine: &StorageEngine) -> CfResult<crate::FrozenTree<N>> {
-        crate::FrozenTree::from_paged(engine, self)
-    }
-
     /// Pages occupied by the index (its disk size).
     pub fn num_pages(&self) -> usize {
         self.num_pages
@@ -279,27 +272,48 @@ impl<const N: usize> PagedRTree<N> {
         Ok(())
     }
 
+    /// Decodes entry `i` of a node page. The bounds are bytes from disk:
+    /// `lo > hi` or a NaN is reported as corruption here, where
+    /// [`Aabb::new`] would assert.
+    #[inline(always)]
+    fn decode_entry(page: PageId, buf: &PageBuf, i: usize) -> CfResult<(Aabb<N>, u64)> {
+        let mut off = NODE_HEADER_SIZE + i * entry_size(N);
+        let mut lo = [0.0; N];
+        let mut hi = [0.0; N];
+        for slot in lo.iter_mut() {
+            *slot = codec::get_f64(buf, off);
+            off += 8;
+        }
+        for slot in hi.iter_mut() {
+            *slot = codec::get_f64(buf, off);
+            off += 8;
+        }
+        if (0..N).all(|d| lo[d] <= hi[d]) {
+            Ok((Aabb { lo, hi }, codec::get_u64(buf, off)))
+        } else {
+            Err(Self::invalid_bounds(page, i))
+        }
+    }
+
+    /// The error of [`PagedRTree::decode_entry`], kept out of the search
+    /// loop's inlined body.
+    #[cold]
+    #[inline(never)]
+    fn invalid_bounds(page: PageId, i: usize) -> CfError {
+        CfError::corrupt(
+            page,
+            format!("R-tree node entry {i} has invalid bounds (lo > hi or NaN)"),
+        )
+    }
+
     fn read_node(engine: &StorageEngine, page: PageId) -> CfResult<RawNode<N>> {
         engine.try_with_page(page, |buf| {
             let level = codec::get_u32(buf, 0);
             let count = codec::get_u32(buf, 4) as usize;
             Self::check_header(page, level, count)?;
             let mut entries = Vec::with_capacity(count);
-            let mut off = NODE_HEADER_SIZE;
-            for _ in 0..count {
-                let mut lo = [0.0; N];
-                let mut hi = [0.0; N];
-                for slot in lo.iter_mut() {
-                    *slot = codec::get_f64(buf, off);
-                    off += 8;
-                }
-                for slot in hi.iter_mut() {
-                    *slot = codec::get_f64(buf, off);
-                    off += 8;
-                }
-                let child = codec::get_u64(buf, off);
-                off += 8;
-                entries.push((Aabb::new(lo, hi), child));
+            for i in 0..count {
+                entries.push(Self::decode_entry(page, buf, i)?);
             }
             Ok(RawNode { level, entries })
         })
@@ -542,21 +556,8 @@ impl<const N: usize> PagedRTree<N> {
                 let level = codec::get_u32(page, 0);
                 let count = codec::get_u32(page, 4) as usize;
                 Self::check_header(page_id, level, count)?;
-                let mut off = NODE_HEADER_SIZE;
-                for _ in 0..count {
-                    let mut lo = [0.0; N];
-                    let mut hi = [0.0; N];
-                    for slot in lo.iter_mut() {
-                        *slot = codec::get_f64(page, off);
-                        off += 8;
-                    }
-                    for slot in hi.iter_mut() {
-                        *slot = codec::get_f64(page, off);
-                        off += 8;
-                    }
-                    let child = codec::get_u64(page, off);
-                    off += 8;
-                    let mbr = Aabb::new(lo, hi);
+                for i in 0..count {
+                    let (mbr, child) = Self::decode_entry(page_id, page, i)?;
                     if mbr.intersects(query) {
                         if level == 0 {
                             stats.results += 1;
@@ -650,6 +651,29 @@ mod tests {
         );
         // Logical reads through the pool equal visited nodes.
         assert_eq!(engine.io_stats().logical_reads(), stats.nodes_visited);
+    }
+
+    #[test]
+    fn node_entry_with_invalid_bounds_is_a_typed_error_not_a_panic() {
+        let engine = StorageEngine::in_memory();
+        let paged = PagedRTree::persist(&build_tree(40), &engine).expect("persist");
+        // A well-formed leaf over garbage bounds, written through the
+        // engine (so its checksum is valid): what a stale catalog
+        // pointing at a recycled page run reads back.
+        for (lo, hi) in [(5.0, 1.0), (f64::NAN, 1.0), (0.0, f64::NAN)] {
+            let leaf = RawNode {
+                level: 0,
+                entries: vec![(Aabb { lo: [lo], hi: [hi] }, 7)],
+            };
+            PagedRTree::write_node(&engine, paged.root_page_id(), &leaf).expect("write");
+            let err = paged
+                .search(&engine, &iv(0.0, 10.0), |_, _| {})
+                .expect_err("search over an invalid entry");
+            assert!(err.is_corrupt(), "lo={lo} hi={hi}: {err}");
+            let err = crate::FrozenTree::from_paged(&engine, &paged)
+                .expect_err("flattening an invalid entry");
+            assert!(err.is_corrupt(), "lo={lo} hi={hi}: {err}");
+        }
     }
 
     #[test]

@@ -99,7 +99,7 @@ proptest! {
         }
         let engine = StorageEngine::in_memory();
         let paged = PagedRTree::persist(&tree, &engine).expect("persist");
-        let frozen = paged.freeze(&engine).expect("freeze");
+        let frozen = FrozenTree::from_paged(&engine, &paged).expect("freeze");
         let from_dynamic = FrozenTree::from_tree(&tree);
 
         // The random queries plus the edge cases: a zero-width point
@@ -125,8 +125,8 @@ proptest! {
             prop_assert_eq!(&a, &b, "frozen-from-paged results");
             prop_assert_eq!(&a, &c, "frozen-from-dynamic results");
             prop_assert_eq!(&a, &d, "dynamic results");
-            // The frozen plane's visited-node count must equal the page
-            // reads the paged filter step would have done.
+            // The flattening's visited-node count must equal the page
+            // reads the paged search did.
             prop_assert_eq!(sa.nodes_visited, sb.nodes_visited);
             prop_assert_eq!(sb.nodes_visited, sc.nodes_visited);
             prop_assert_eq!(sb.results, a.len() as u64);

@@ -440,7 +440,7 @@ fn explain(path: &str, lo: f64, hi: f64, json: bool, eng: EngineOpts) -> Result<
 }
 
 /// Streams random read-modify-write updates through the live ingest
-/// plane: every write lands in the epoch delta (the frozen base is
+/// plane: every write lands in the epoch delta (the immutable base is
 /// untouched), snapshot reads interleave with the stream, the delta
 /// drains through a repack, and the catalog v4 epoch commit persists
 /// the plane for the next process.

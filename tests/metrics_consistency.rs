@@ -363,6 +363,9 @@ fn every_index_emits_one_explain_and_one_flight_record() {
         assert_eq!(explains.len(), seen, "{what}: one ring record per query");
         let e = explains[seen - 1];
         assert_eq!(e.plan, plan, "{what}");
+        // One filter tree: the plane is a function of the plan.
+        let plane = if plan == "scan" { "cells" } else { "paged" };
+        assert_eq!(e.plane, plane, "{what}");
         assert_eq!(e.ordinal, seen as u64 - 1, "{what}");
         assert_eq!(
             e.filter_ns + e.refine_ns + e.other_ns(),
