@@ -28,8 +28,8 @@ use cf_field::FieldModel;
 use cf_rtree::PagedRTree;
 use cf_sfc::Curve;
 use cf_storage::{
-    checksum, codec, CellFile, CfError, CfResult, CompressedRecordFile, PageBuf, PageCodec, PageId,
-    Record, RecordFile, StorageEngine, PAGE_SIZE,
+    checksum, codec, CellFile, CfError, CfResult, PageBuf, PageCodec, PageId, Record, RecordFile,
+    StorageEngine, PAGE_SIZE,
 };
 
 /// Catalog page magic ("CFIELDB1" in LE bytes).
@@ -413,22 +413,17 @@ impl<F: FieldModel> IHilbert<F> {
         // Validate every referenced span against the database size
         // before reading (or allocating buffers for) any of it: a
         // corrupt length would otherwise demand absurd memory or fault
-        // unallocated pages one by one. Compressed spans (data pages +
-        // trailing directory) are computed from the slot fields alone —
-        // opening a compressed file reads its directory, which must not
-        // happen before this check.
-        let (cell_pages, sf_pages) = match slot.codec {
-            PageCodec::Raw => (
-                RecordFile::<F::CellRec>::open(PageId(slot.cell_first), slot.cell_len).num_pages()
-                    as u64,
-                RecordFile::<Subfield>::open(PageId(slot.sf_first), slot.sf_len).num_pages() as u64,
-            ),
-            PageCodec::Compressed => (
-                CompressedRecordFile::<F::CellRec>::total_pages(slot.cell_data_pages as usize)
-                    as u64,
-                CompressedRecordFile::<Subfield>::total_pages(slot.sf_data_pages as usize) as u64,
-            ),
-        };
+        // unallocated pages one by one. Spans are computed from the
+        // slot fields alone — opening a compressed file reads its
+        // directory, which must not happen before this check.
+        let cell_pages = CellFile::<F::CellRec>::span_pages(
+            slot.codec,
+            slot.cell_len,
+            slot.cell_data_pages as usize,
+        ) as u64;
+        let sf_pages =
+            CellFile::<Subfield>::span_pages(slot.codec, slot.sf_len, slot.sf_data_pages as usize)
+                as u64;
         let num_pages = engine.num_pages() as u64;
         let delta_pages = if slot.delta_len > 0 {
             RecordFile::<DeltaRec<F::CellRec>>::open(PageId(slot.delta_first), slot.delta_len)
@@ -731,6 +726,127 @@ mod tests {
             let b = reopened.query_stats(&engine, band).expect("query");
             assert_eq!(a.cells_qualifying, b.cells_qualifying);
             assert!((a.area - b.area).abs() < 1e-9 * a.area.max(1.0));
+        }
+    }
+
+    /// Overwrites the payload of entry 0 of the subfield tree's root —
+    /// a leaf, for the small fields used here — through the engine, so
+    /// the page checksum is re-sealed: CRC-valid hostile bytes.
+    fn poison_first_leaf_payload(engine: &StorageEngine, index: &IHilbert<GridField>, data: u64) {
+        let tree = &index.inner().tree;
+        let root = tree.root_page_id();
+        let mut root_is_leaf = false;
+        tree.for_each_entry(engine, root, |_, _, is_leaf| root_is_leaf = is_leaf)
+            .expect("read root");
+        assert!(root_is_leaf, "test field must fit a single leaf");
+        let mut buf = engine.with_page(root, |p| *p).expect("read");
+        // Node header (8 bytes), then entry 0: lo, hi, payload.
+        codec::put_u64(&mut buf, 8 + 16, data);
+        engine.write_page(root, &buf).expect("write");
+    }
+
+    #[test]
+    fn hostile_leaf_payload_is_a_typed_error_not_a_panic() {
+        let field = bumpy_field(12);
+        let cells = cf_field::FieldModel::num_cells(&field) as u64;
+        let whole = cf_field::FieldModel::value_domain(&field);
+        for (what, data) in [
+            ("inverted range", (8 << 32) | 3),
+            ("empty range", (7 << 32) | 7),
+            ("end past the cell file", cells + 1000),
+            (
+                "start past the cell file",
+                ((cells + 5) << 32) | (cells + 9),
+            ),
+        ] {
+            let engine = StorageEngine::in_memory();
+            let built = IHilbert::build(&engine, &field).expect("build");
+            let catalog = built.save(&engine).expect("save");
+            poison_first_leaf_payload(&engine, &built, data);
+
+            let err = built.query_stats(&engine, whole).expect_err(what);
+            assert!(err.is_corrupt(), "{what}: {err}");
+            // The tree is not walked at open, so the reopened handle
+            // meets the payload in its first query too…
+            let reopened: IHilbert<GridField> = IHilbert::open(&engine, catalog).expect("open");
+            let err = reopened.query_stats(&engine, whole).expect_err(what);
+            assert!(err.is_corrupt(), "{what}: {err}");
+            // …and so does an ingest snapshot, whose override correction
+            // looks the retrieved range's start up by position.
+            let live = LiveIngest::new(&engine, reopened, IngestConfig::default()).expect("live");
+            let rec = cf_field::GridCellRecord {
+                vals: [whole.hi; 4],
+                ..field.cell_record(0)
+            };
+            live.ingest(&engine, 0, rec).expect("ingest");
+            let snapshot = live.snapshot();
+            assert_eq!(snapshot.delta_records(), 1);
+            let err = snapshot.query_stats(&engine, whole).expect_err(what);
+            assert!(err.is_corrupt(), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn hostile_subfield_catalog_is_a_typed_error_not_a_panic() {
+        type Edit = fn(&[Subfield], u32) -> (usize, Subfield);
+        let edits: [(&str, Edit); 6] = [
+            ("inverted interval", |sfs, _| {
+                let interval = Interval { lo: 9.0, hi: 1.0 };
+                (0, Subfield { interval, ..sfs[0] })
+            }),
+            ("NaN interval bound", |sfs, _| {
+                let interval = Interval {
+                    lo: f64::NAN,
+                    hi: 1.0,
+                };
+                (0, Subfield { interval, ..sfs[0] })
+            }),
+            ("range past the cell file", |sfs, cells| {
+                let last = sfs.len() - 1;
+                let end = cells + 1000;
+                (last, Subfield { end, ..sfs[last] })
+            }),
+            ("inverted range", |sfs, _| {
+                (
+                    0,
+                    Subfield {
+                        start: 5,
+                        end: 2,
+                        ..sfs[0]
+                    },
+                )
+            }),
+            ("gap before the second subfield", |sfs, _| {
+                let start = sfs[1].start + 1;
+                (1, Subfield { start, ..sfs[1] })
+            }),
+            ("catalog stops short of the cell file", |sfs, _| {
+                let last = sfs.len() - 1;
+                let end = sfs[last].end - 1;
+                (last, Subfield { end, ..sfs[last] })
+            }),
+        ];
+        let field = bumpy_field(12);
+        for codec in [PageCodec::Raw, PageCodec::Compressed] {
+            for (what, edit) in edits {
+                let engine = StorageEngine::new(cf_storage::StorageConfig {
+                    codec,
+                    ..cf_storage::StorageConfig::default()
+                });
+                let built = IHilbert::build(&engine, &field).expect("build");
+                let catalog = built.save(&engine).expect("save");
+                let inner = built.inner();
+                assert!(inner.subfields.len() > 2);
+                // `put` encodes the record's fields verbatim and writes
+                // the page through the engine (checksum re-sealed).
+                let (at, bad) = edit(&inner.subfields, inner.file.len() as u32);
+                inner.sf_file.put(&engine, at, &bad).expect("put");
+
+                let err = IHilbert::<GridField>::open(&engine, catalog)
+                    .map(|_| ())
+                    .expect_err(what);
+                assert!(err.is_corrupt(), "{codec:?} {what}: {err}");
+            }
         }
     }
 }

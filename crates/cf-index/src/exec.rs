@@ -26,8 +26,8 @@ use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval, Polygon};
 use cf_rtree::{PagedRTree, SearchStats};
 use cf_storage::{
-    answer_digest, CellFile, CfResult, ExplainRecord, HeatKind, Label, Record, RecordFile,
-    Stopwatch, StorageEngine,
+    answer_digest, CellFile, CfResult, ExplainRecord, HeatKind, Label, Record, Stopwatch,
+    StorageEngine,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -86,25 +86,56 @@ pub(crate) enum Cells<'a, R: Record> {
     /// Run by run, every underlying page at most once across all runs.
     Runs(&'a CellFile<R>),
     /// One record fetch per position — I-All, whose candidates are
-    /// individual cells scattered over the file in native order.
-    Each(&'a RecordFile<R>),
+    /// individual cells scattered over its (raw-layout) file in native
+    /// order; the paper's accounting charges a page access per fetch.
+    Each(&'a CellFile<R>),
+}
+
+/// Searches `tree` for the subfields whose interval intersects `band`
+/// and collects their record ranges into `ranges`. Leaf payloads are
+/// on-disk bytes: one that does not unpack to a non-empty range inside
+/// the `cells`-record cell file is reported as [`cf_storage::CfError::Corrupt`]
+/// ([`Subfield::try_unpack`]), so everything downstream — the overrides'
+/// position lookup, the range sweep — may index by what it is handed.
+pub(crate) fn search_ranges(
+    tree: &PagedRTree<1>,
+    engine: &StorageEngine,
+    band: Interval,
+    cells: usize,
+    ranges: &mut Vec<(u32, u32)>,
+) -> CfResult<SearchStats> {
+    ranges.clear();
+    let mut bad_payload = None;
+    let search =
+        tree.search(
+            engine,
+            &band.into(),
+            |data: u64, mbr: &Aabb<1>| match Subfield::try_unpack(
+                data,
+                Interval::new(mbr.lo[0], mbr.hi[0]),
+                cells,
+            ) {
+                Ok(sf) => ranges.push((sf.start, sf.end)),
+                Err(e) => {
+                    bad_payload.get_or_insert(e);
+                }
+            },
+        )?;
+    bad_payload.map_or(Ok(search), Err)
 }
 
 impl Filter<'_> {
     /// The filtering step: every record range whose interval
-    /// intersects `band`.
+    /// intersects `band` ([`search_ranges`]), corrected by the ingest
+    /// overrides.
     fn retrieve(
         &self,
         engine: &StorageEngine,
         band: Interval,
+        cells: usize,
         ranges: &mut Vec<(u32, u32)>,
     ) -> CfResult<SearchStats> {
-        ranges.clear();
-        let mut on_hit = |data: u64, mbr: &Aabb<1>| {
-            let sf = Subfield::unpack(data, Interval::new(mbr.lo[0], mbr.hi[0]));
-            ranges.push((sf.start, sf.end));
-        };
-        let search = self.tree.search(engine, &band.into(), &mut on_hit)?;
+        let search = search_ranges(self.tree, engine, band, cells, ranges)?;
         // Drop base hits whose effective interval left the band, add
         // subfields whose effective interval entered it. The two sets
         // are disjoint by construction, so no dedup is needed, and the
@@ -131,10 +162,8 @@ impl Filter<'_> {
 
 impl<R: Record> Cells<'_, R> {
     fn len(&self) -> usize {
-        match self {
-            Cells::Runs(file) => file.len(),
-            Cells::Each(file) => file.len(),
-        }
+        let (Cells::Runs(file) | Cells::Each(file)) = self;
+        file.len()
     }
 
     /// Feeds every record of `runs` to `visit` in ascending position
@@ -195,7 +224,7 @@ pub(crate) fn run<F: FieldModel>(
     let filter_ns = match &q.filter {
         Some(filter) => {
             let filter_clock = Stopwatch::start();
-            let search = filter.retrieve(engine, band, ranges)?;
+            let search = filter.retrieve(engine, band, q.cells.len(), ranges)?;
             stats.filter_nodes = search.nodes_visited;
             stats.intervals_retrieved = ranges.len();
             stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();

@@ -13,7 +13,7 @@ use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
 use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
-use cf_storage::{CfError, CfResult, Label, RecordFile, StorageEngine};
+use cf_storage::{CellFile, CfError, CfResult, Label, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 /// the one-record [`Subfield`] it is, so the filtering step is the
 /// shared one.
 pub struct IAll<F: FieldModel> {
-    file: RecordFile<F::CellRec>,
+    file: CellFile<F::CellRec>,
     tree: PagedRTree<1>,
     /// `index_*` registry handles, wired at first query.
     qmetrics: OnceLock<QueryMetrics>,

@@ -7,13 +7,13 @@
 use crate::stats::{QueryStats, ValueIndex};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
-use cf_storage::{CfResult, RecordFile, StorageEngine};
+use cf_storage::{CellFile, CfResult, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 
 /// The unindexed baseline: all cells stored in native order, every query
 /// scans the whole cell file.
 pub struct LinearScan<F: FieldModel> {
-    file: RecordFile<F::CellRec>,
+    file: CellFile<F::CellRec>,
     _field: PhantomData<fn() -> F>,
 }
 
@@ -31,7 +31,7 @@ impl<F: FieldModel> LinearScan<F> {
     }
 
     /// The underlying cell file.
-    pub fn file(&self) -> &RecordFile<F::CellRec> {
+    pub fn file(&self) -> &CellFile<F::CellRec> {
         &self.file
     }
 }

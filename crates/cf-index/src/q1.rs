@@ -10,7 +10,7 @@
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Point2};
 use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
-use cf_storage::{CfResult, IoStats, RecordFile, StorageEngine};
+use cf_storage::{CellFile, CfResult, IoStats, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 
 /// Statistics of one point query.
@@ -26,7 +26,7 @@ pub struct PointQueryStats {
 
 /// A spatial index over cell MBRs answering "value at point p".
 pub struct PointIndex<F: FieldModel> {
-    file: RecordFile<F::CellRec>,
+    file: CellFile<F::CellRec>,
     tree: PagedRTree<2>,
     _field: PhantomData<fn() -> F>,
 }

@@ -11,7 +11,7 @@ use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
 use cf_rtree::{bulk_load_str, PagedRTree, RStarTree, RTreeConfig};
-use cf_storage::{CellFile, CfResult, Label, MetricsRegistry, RecordFile, StorageEngine};
+use cf_storage::{CellFile, CfResult, Label, MetricsRegistry, PageCodec, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
@@ -72,7 +72,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
 
     /// Parallel [`SubfieldIndex::build`]: record materialization fans
     /// out over work-stealing chunks and the cell file's pages are
-    /// written by [`RecordFile::create_parallel`]. The page-allocation
+    /// written by [`CellFile::create_parallel`]. The page-allocation
     /// call sequence is identical to the sequential build (cell-file
     /// run, then tree pages, then subfield catalog), so the resulting
     /// engine state is byte-identical. The subfield R\*-tree itself is
@@ -145,7 +145,8 @@ impl<F: FieldModel> SubfieldIndex<F> {
 
     /// Reattaches to an index persisted in `engine` from its catalog
     /// handles, reading the subfield metadata back from its on-disk
-    /// copy.
+    /// copy and checking it against the cell file
+    /// ([`Subfield::validate_catalog`]) before anything indexes by it.
     pub(crate) fn open(
         engine: &StorageEngine,
         file: CellFile<F::CellRec>,
@@ -153,6 +154,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
         sf_file: CellFile<Subfield>,
     ) -> CfResult<Self> {
         let subfields = sf_file.read_range(engine, 0..sf_file.len())?;
+        Subfield::validate_catalog(&subfields, file.len())?;
         Ok(Self::assemble(file, tree, subfields, sf_file))
     }
 
@@ -244,10 +246,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
         registry
             .gauge_with("storage_cells_per_page", labels)
             .set(self.file.records_per_page());
-        let raw_pages = self
-            .file
-            .len()
-            .div_ceil(RecordFile::<F::CellRec>::records_per_page());
+        let raw_pages = CellFile::<F::CellRec>::span_pages(PageCodec::Raw, self.file.len(), 0);
         registry
             .gauge_with("storage_compression_ratio", labels)
             .set(raw_pages as f64 / self.file.data_pages().max(1) as f64);

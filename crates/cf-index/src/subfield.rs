@@ -20,6 +20,7 @@
 //! and both knobs are exposed for the ablation bench.
 
 use cf_geom::Interval;
+use cf_storage::{CfError, CfResult};
 
 /// Tuning knobs of the subfield cost function.
 #[derive(Debug, Clone, Copy)]
@@ -85,24 +86,91 @@ impl Subfield {
         (u64::from(self.start) << 32) | u64::from(self.end)
     }
 
-    /// Inverse of [`Subfield::pack`] (interval comes from the tree key).
+    /// Inverse of [`Subfield::pack`] for a payload read back from a tree
+    /// page over a cell file of `cells` records (interval comes from
+    /// the tree key).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the payload decodes to an empty or inverted range —
-    /// [`Subfield::pack`] never produces one, so this indicates a
-    /// corrupt tree page.
-    pub fn unpack(data: u64, interval: Interval) -> Self {
+    /// Returns [`CfError::Corrupt`] if the payload decodes to an empty
+    /// or inverted range — [`Subfield::pack`] never produces one — or
+    /// to one running past the cell file: the tree page it came from
+    /// is corrupt.
+    pub fn try_unpack(data: u64, interval: Interval, cells: usize) -> CfResult<Self> {
         let (start, end) = ((data >> 32) as u32, data as u32);
-        assert!(
-            start < end,
-            "corrupt subfield payload {data:#x}: empty range [{start}, {end})"
-        );
-        Self {
+        if start >= end {
+            return Err(CfError::corrupt(
+                None,
+                format!("corrupt subfield payload {data:#x}: empty range [{start}, {end})"),
+            ));
+        }
+        if end as usize > cells {
+            return Err(CfError::corrupt(
+                None,
+                format!(
+                    "corrupt subfield payload {data:#x}: [{start}, {end}) runs past the \
+                     {cells}-record cell file"
+                ),
+            ));
+        }
+        Ok(Self {
             start,
             end,
             interval,
+        })
+    }
+
+    /// [`Subfield::try_unpack`] for a payload the caller packed itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload decodes to an empty or inverted range.
+    /// Payloads read from disk go through [`Subfield::try_unpack`].
+    pub fn unpack(data: u64, interval: Interval) -> Self {
+        Self::try_unpack(data, interval, u32::MAX as usize)
+            .expect("payload was produced by Subfield::pack")
+    }
+
+    /// Checks a subfield catalog read back from disk against the cell
+    /// file it describes: subfields non-empty, in order, covering
+    /// `0..cells` without gaps or overlaps, each with an ordered,
+    /// NaN-free interval (what `Interval::new` accepts — infinite bounds
+    /// are legitimate for a field with infinite samples).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CfError::Corrupt`] naming the first offending entry.
+    pub fn validate_catalog(subfields: &[Subfield], cells: usize) -> CfResult<()> {
+        let mut next = 0usize;
+        for (i, sf) in subfields.iter().enumerate() {
+            let iv = sf.interval;
+            if sf.start as usize != next || sf.start >= sf.end {
+                return Err(CfError::corrupt(
+                    None,
+                    format!(
+                        "subfield {i} covers [{}, {}) where a non-empty range starting at {next} \
+                         was expected",
+                        sf.start, sf.end
+                    ),
+                ));
+            }
+            // `!(lo <= hi)` rather than `lo > hi`: also true for a NaN bound.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            if !(iv.lo <= iv.hi) {
+                return Err(CfError::corrupt(
+                    None,
+                    format!("subfield {i} has invalid interval [{}, {}]", iv.lo, iv.hi),
+                ));
+            }
+            next = sf.end as usize;
         }
+        if next != cells {
+            return Err(CfError::corrupt(
+                None,
+                format!("subfield catalog covers {next} cells, the cell file holds {cells}"),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -120,10 +188,13 @@ impl cf_storage::Record for Subfield {
         Self {
             start: cf_storage::codec::get_u32(buf, 0),
             end: cf_storage::codec::get_u32(buf, 4),
-            interval: Interval::new(
-                cf_storage::codec::get_f64(buf, 8),
-                cf_storage::codec::get_f64(buf, 16),
-            ),
+            // Built field by field: `Interval::new` asserts `lo <= hi`,
+            // and these are on-disk bytes. A reopened catalog is checked
+            // by [`Subfield::validate_catalog`].
+            interval: Interval {
+                lo: cf_storage::codec::get_f64(buf, 8),
+                hi: cf_storage::codec::get_f64(buf, 16),
+            },
         }
     }
 
@@ -259,7 +330,7 @@ mod tests {
             .collect();
         let sfs = build_subfields(&cells, SubfieldConfig::default());
         assert_eq!(sfs[0].start, 0);
-        assert_eq!(sfs.last().unwrap().end as usize, cells.len());
+        assert_eq!(sfs.last().expect("non-empty").end as usize, cells.len());
         for w in sfs.windows(2) {
             assert_eq!(w[0].end, w[1].start, "gap or overlap");
         }
@@ -372,5 +443,52 @@ mod tests {
     fn unpack_rejects_inverted_range() {
         // start = 8, end = 3: pack() could never have produced this.
         Subfield::unpack((8u64 << 32) | 3, Interval::point(0.0));
+    }
+
+    #[test]
+    fn try_unpack_reports_empty_inverted_and_out_of_file_ranges_as_corrupt() {
+        for (start, end) in [(8u64, 3u64), (7, 7), (0, 0)] {
+            let err = Subfield::try_unpack((start << 32) | end, Interval::point(0.0), 100)
+                .expect_err("empty or inverted payload");
+            assert!(err.is_corrupt(), "[{start}, {end}): {err}");
+        }
+        let err = Subfield::try_unpack((90 << 32) | 101, Interval::point(0.0), 100)
+            .expect_err("range past the cell file");
+        assert!(err.is_corrupt(), "{err}");
+        Subfield::try_unpack((90 << 32) | 100, Interval::point(0.0), 100).expect("in bounds");
+    }
+
+    #[test]
+    fn decode_never_asserts_and_validate_catalog_rejects_bad_entries() {
+        use cf_storage::Record;
+        let sf = |start, end, lo, hi| Subfield {
+            start,
+            end,
+            interval: Interval { lo, hi },
+        };
+        // An inverted interval survives the byte round trip unchanged…
+        let mut buf = [0u8; Subfield::SIZE];
+        sf(0, 4, 9.0, 1.0).encode(&mut buf);
+        assert_eq!(Subfield::decode(&buf), sf(0, 4, 9.0, 1.0));
+        // …and is caught, like every other malformed catalog, here.
+        let good = [sf(0, 4, 0.0, 1.0), sf(4, 9, 0.5, 2.0)];
+        Subfield::validate_catalog(&good, 9).expect("well-formed");
+        Subfield::validate_catalog(&[], 0).expect("empty catalog of an empty file");
+        for (bad, cells) in [
+            (vec![sf(0, 4, 9.0, 1.0)], 4),
+            (vec![sf(0, 4, f64::NAN, 1.0)], 4),
+            (vec![sf(0, 4, 0.0, f64::NAN)], 4),
+            (vec![sf(0, 4, 0.0, 1.0), sf(5, 9, 0.0, 1.0)], 9),
+            (vec![sf(0, 4, 0.0, 1.0), sf(3, 9, 0.0, 1.0)], 9),
+            (vec![sf(1, 4, 0.0, 1.0)], 4),
+            (vec![sf(0, 0, 0.0, 1.0)], 0),
+            (vec![sf(4, 2, 0.0, 1.0)], 2),
+            (good.to_vec(), 8),
+            (good.to_vec(), 10),
+            (vec![], 3),
+        ] {
+            let err = Subfield::validate_catalog(&bad, cells).expect_err("malformed catalog");
+            assert!(err.is_corrupt(), "{bad:?} / {cells}: {err}");
+        }
     }
 }

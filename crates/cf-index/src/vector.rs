@@ -23,11 +23,11 @@ use cf_field::{VectorCellRecord, VectorGridField};
 use cf_geom::{Aabb, Polygon};
 use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
 use cf_sfc::Curve;
-use cf_storage::{CfResult, RecordFile, StorageEngine};
+use cf_storage::{CellFile, CfResult, StorageEngine};
 
 /// The vector-field I-Hilbert index.
 pub struct VectorIHilbert<const K: usize> {
-    file: RecordFile<VectorCellRecord<K>>,
+    file: CellFile<VectorCellRecord<K>>,
     tree: PagedRTree<K>,
     num_subfields: usize,
 }
@@ -122,7 +122,7 @@ impl<const K: usize> VectorIHilbert<K> {
 
         let records: Vec<VectorCellRecord<K>> =
             order.iter().map(|&c| field.cell_record(c)).collect();
-        let file = RecordFile::create(engine, records)?;
+        let file = CellFile::create(engine, records)?;
 
         let mut tree: RStarTree<K> = RStarTree::new(RTreeConfig::page_sized::<K>());
         for sf in &subfields {
@@ -192,7 +192,7 @@ impl<const K: usize> VectorIHilbert<K> {
 /// and as the baseline in the vector-field bench).
 pub fn vector_linear_scan<const K: usize>(
     engine: &StorageEngine,
-    file: &RecordFile<VectorCellRecord<K>>,
+    file: &CellFile<VectorCellRecord<K>>,
     query: &Aabb<K>,
 ) -> CfResult<QueryStats> {
     let before = cf_storage::thread_io_stats();
@@ -214,6 +214,7 @@ pub fn vector_linear_scan<const K: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_storage::{PageCodec, RecordFile, StorageConfig};
 
     /// Smooth 2-component field: (temperature-like bump, salinity ramp).
     fn sample_field(n: usize) -> VectorGridField<2> {
@@ -232,31 +233,45 @@ mod tests {
 
     #[test]
     fn matches_linear_scan() {
-        let engine = StorageEngine::in_memory();
         let field = sample_field(24);
-        let index = VectorIHilbert::build(&engine, &field).expect("build");
-        // Separate file in native order for the scan baseline.
-        let records: Vec<VectorCellRecord<2>> = (0..field.num_cells())
-            .map(|c| field.cell_record(c))
-            .collect();
-        let scan_file = RecordFile::create(&engine, records).expect("create");
-
-        for q in [
+        let queries = [
             Aabb::new([20.0, 12.0], [25.0, 13.0]),
             Aabb::new([0.0, 0.0], [100.0, 100.0]),
             Aabb::new([29.9, 10.0], [30.5, 15.0]),
             Aabb::new([100.0, 100.0], [101.0, 101.0]),
-        ] {
-            let a = vector_linear_scan(&engine, &scan_file, &q).expect("scan");
-            let b = index.query_stats(&engine, &q).expect("query");
-            assert_eq!(a.cells_qualifying, b.cells_qualifying, "query {q:?}");
-            assert!(
-                (a.area - b.area).abs() < 1e-9 * a.area.max(1.0),
-                "query {q:?}: {} vs {}",
-                a.area,
-                b.area
-            );
+        ];
+        // `StorageConfig.codec` reaches the vector cell file: the same
+        // index on raw and on compressed pages answers bit for bit.
+        let mut per_codec = Vec::new();
+        for codec in [PageCodec::Raw, PageCodec::Compressed] {
+            let engine = StorageEngine::new(StorageConfig {
+                codec,
+                ..StorageConfig::default()
+            });
+            let index = VectorIHilbert::build(&engine, &field).expect("build");
+            assert_eq!(index.file.codec(), codec);
+            // Separate file in native order for the scan baseline.
+            let records: Vec<VectorCellRecord<2>> = (0..field.num_cells())
+                .map(|c| field.cell_record(c))
+                .collect();
+            let scan_file = RecordFile::create(&engine, records).expect("create");
+
+            let mut answers = Vec::new();
+            for q in &queries {
+                let a = vector_linear_scan(&engine, &scan_file, q).expect("scan");
+                let b = index.query_stats(&engine, q).expect("query");
+                assert_eq!(a.cells_qualifying, b.cells_qualifying, "query {q:?}");
+                assert!(
+                    (a.area - b.area).abs() < 1e-9 * a.area.max(1.0),
+                    "query {q:?}: {} vs {}",
+                    a.area,
+                    b.area
+                );
+                answers.push((b.cells_qualifying, b.num_regions, b.area.to_bits()));
+            }
+            per_codec.push(answers);
         }
+        assert_eq!(per_codec[0], per_codec[1], "raw vs compressed");
     }
 
     #[test]

@@ -8,19 +8,19 @@
 //! tetrahedral band-volume (see [`cf_field::VolumeCellRecord`]).
 
 use crate::stats::QueryStats;
-use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
+use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::{Grid3Field, VolumeCellRecord};
 use cf_geom::Interval;
 use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
 use cf_sfc::hilbert_index_nd;
-use cf_storage::{CfResult, RecordFile, StorageEngine};
+use cf_storage::{CellFile, CfResult, StorageEngine};
 
 /// Bits per axis for the 3-D Hilbert ordering (1024³ positions).
 const BITS_3D: u32 = 10;
 
 /// The volume-field I-Hilbert index.
 pub struct VolumeIHilbert {
-    file: RecordFile<VolumeCellRecord>,
+    file: CellFile<VolumeCellRecord>,
     tree: PagedRTree<1>,
     num_subfields: usize,
 }
@@ -60,7 +60,7 @@ impl VolumeIHilbert {
         let subfields = build_subfields(&intervals, config);
 
         let records: Vec<VolumeCellRecord> = order.iter().map(|&c| field.cell_record(c)).collect();
-        let file = RecordFile::create(engine, records)?;
+        let file = CellFile::create(engine, records)?;
 
         let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::page_sized::<1>());
         for sf in &subfields {
@@ -84,9 +84,9 @@ impl VolumeIHilbert {
         self.tree.num_pages()
     }
 
-    /// Pages occupied by the cell file.
+    /// Data pages of the cell file (what query scans touch).
     pub fn data_pages(&self) -> usize {
-        self.file.num_pages()
+        self.file.data_pages()
     }
 
     /// Volume value query: filter subfields, read cell runs, and return
@@ -96,10 +96,8 @@ impl VolumeIHilbert {
         let before = cf_storage::thread_io_stats();
         let mut stats = QueryStats::default();
         let mut ranges: Vec<(u32, u32)> = Vec::new();
-        let search = self.tree.search(engine, &band.into(), |data, mbr| {
-            let sf = Subfield::unpack(data, Interval::new(mbr.lo[0], mbr.hi[0]));
-            ranges.push((sf.start, sf.end));
-        })?;
+        let search =
+            crate::exec::search_ranges(&self.tree, engine, band, self.file.len(), &mut ranges)?;
         stats.filter_nodes = search.nodes_visited;
         stats.intervals_retrieved = ranges.len();
         stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
@@ -126,7 +124,7 @@ impl VolumeIHilbert {
 /// Scan baseline over a native-order volume cell file.
 pub fn volume_linear_scan(
     engine: &StorageEngine,
-    file: &RecordFile<VolumeCellRecord>,
+    file: &CellFile<VolumeCellRecord>,
     band: Interval,
 ) -> CfResult<QueryStats> {
     let before = cf_storage::thread_io_stats();
@@ -149,6 +147,7 @@ pub fn volume_linear_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_storage::{PageCodec, RecordFile, StorageConfig};
 
     fn layered_field(n: usize) -> Grid3Field {
         // Smooth layered structure: w = z + 0.3 sin(x) cos(y).
@@ -167,27 +166,41 @@ mod tests {
 
     #[test]
     fn matches_linear_scan() {
-        let engine = StorageEngine::in_memory();
         let field = layered_field(12);
-        let index = VolumeIHilbert::build(&engine, &field).expect("build");
-        let records: Vec<VolumeCellRecord> = (0..field.num_cells())
-            .map(|c| field.cell_record(c))
-            .collect();
-        let scan_file = RecordFile::create(&engine, records).expect("create");
-
         let dom = field.value_domain();
-        for t in [0.0, 0.25, 0.5, 0.9] {
-            let band = Interval::new(dom.denormalize(t), dom.denormalize((t + 0.1).min(1.0)));
-            let a = volume_linear_scan(&engine, &scan_file, band).expect("scan");
-            let b = index.query_stats(&engine, band).expect("query");
-            assert_eq!(a.cells_qualifying, b.cells_qualifying, "band {band}");
-            assert!(
-                (a.area - b.area).abs() < 1e-9 * a.area.max(1.0),
-                "band {band}: {} vs {}",
-                a.area,
-                b.area
-            );
+        let bands = [0.0, 0.25, 0.5, 0.9]
+            .map(|t| Interval::new(dom.denormalize(t), dom.denormalize((t + 0.1f64).min(1.0))));
+        // `StorageConfig.codec` reaches the volume cell file: the same
+        // index on raw and on compressed pages answers bit for bit.
+        let mut per_codec = Vec::new();
+        for codec in [PageCodec::Raw, PageCodec::Compressed] {
+            let engine = StorageEngine::new(StorageConfig {
+                codec,
+                ..StorageConfig::default()
+            });
+            let index = VolumeIHilbert::build(&engine, &field).expect("build");
+            assert_eq!(index.file.codec(), codec);
+            let records: Vec<VolumeCellRecord> = (0..field.num_cells())
+                .map(|c| field.cell_record(c))
+                .collect();
+            let scan_file = RecordFile::create(&engine, records).expect("create");
+
+            let mut answers = Vec::new();
+            for band in bands {
+                let a = volume_linear_scan(&engine, &scan_file, band).expect("scan");
+                let b = index.query_stats(&engine, band).expect("query");
+                assert_eq!(a.cells_qualifying, b.cells_qualifying, "band {band}");
+                assert!(
+                    (a.area - b.area).abs() < 1e-9 * a.area.max(1.0),
+                    "band {band}: {} vs {}",
+                    a.area,
+                    b.area
+                );
+                answers.push((b.cells_qualifying, b.num_regions, b.area.to_bits()));
+            }
+            per_codec.push(answers);
         }
+        assert_eq!(per_codec[0], per_codec[1], "raw vs compressed");
     }
 
     #[test]

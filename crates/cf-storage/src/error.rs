@@ -82,6 +82,14 @@ pub enum CfError {
         /// id range, though sparse indexes may hold holes inside it).
         cells: usize,
     },
+    /// A caller-supplied record index or range list does not fit the
+    /// record file it was handed to: an index or range end past `len`,
+    /// or ranges that are inverted, unsorted or overlapping. Nothing
+    /// was read or written.
+    InvalidRange {
+        /// Which index or range was refused, and the file length.
+        detail: String,
+    },
 }
 
 impl CfError {
@@ -114,6 +122,11 @@ impl CfError {
     /// `true` for [`CfError::InvalidCell`].
     pub fn is_invalid_cell(&self) -> bool {
         matches!(self, CfError::InvalidCell { .. })
+    }
+
+    /// `true` for [`CfError::InvalidRange`].
+    pub fn is_invalid_range(&self) -> bool {
+        matches!(self, CfError::InvalidRange { .. })
     }
 
     /// The page carried by a [`CfError::Corrupt`], if any.
@@ -153,6 +166,9 @@ impl fmt::Display for CfError {
                     f,
                     "cell id {cell} is not mapped by this index ({cells} cells)"
                 )
+            }
+            CfError::InvalidRange { detail } => {
+                write!(f, "invalid record range: {detail}")
             }
         }
     }

@@ -1,19 +1,25 @@
-//! Fixed-size-record files.
+//! The record file: fixed-size records in consecutive pages.
 //!
 //! The I-Hilbert method stores cells "physically in order of Hilbert
 //! value" and a subfield is a `[start, end)` range of that file (paper
-//! §3.1.2, *Data Structure of subfields*). [`RecordFile`] provides
-//! exactly that: records of a fixed size packed into consecutive pages,
-//! addressable by record index, with range scans that touch the minimal
-//! page run.
+//! §3.1.2, *Data Structure of subfields*). [`CellFile`] provides exactly
+//! that: records packed into consecutive pages, addressable by record
+//! index, with a range sweep ([`CellFile::for_each_in_ranges`]) that
+//! touches the minimal page run. It is the only record-file
+//! implementation: the page layout — fixed slots or the compressed
+//! directory layout of `compressed.rs` — is a
+//! private field consulted once per page by four small helpers, and
+//! [`RecordFile`] is merely the constructor facade of always-raw files
+//! (DESIGN.md §13.3).
 //!
 //! This file drives record decoding from on-disk pages and is covered
 //! by the CI grep gate: no `panic!` / `unwrap` — I/O and corruption
-//! surface as [`crate::CfError`]. (Caller-contract violations — an
-//! index or range past `len` — remain `assert!`s: the lengths come from
-//! the validated catalog, not raw disk bytes.)
+//! surface as [`crate::CfError`], and an index or range list that does
+//! not fit the file is a typed [`crate::CfError::InvalidRange`], not an
+//! assertion.
 
-use crate::{codec, CfResult, PageBuf, PageId, StorageEngine, PAGE_SIZE};
+use crate::compressed::Directory;
+use crate::{codec, CfError, CfResult, PageBuf, PageCodec, PageId, StorageEngine, PAGE_SIZE};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,7 +40,7 @@ pub trait Record: Sized {
     fn decode(buf: &[u8]) -> Self;
 
     /// Column layout used by the compressed page codec
-    /// ([`crate::CompressedRecordFile`]). The default treats the record
+    /// ([`crate::PageCodec::Compressed`]). The default treats the record
     /// as 8-byte XOR-delta words (plus one trailing 4-byte delta word
     /// when `SIZE % 8 == 4`), which fits all-`f64` records; types with
     /// small-integer columns should override with
@@ -60,50 +66,130 @@ pub trait Record: Sized {
     }
 }
 
-/// A file of fixed-size records packed into consecutive pages
-/// (append-free: created in one shot, records updatable in place).
-///
-/// Records never span page boundaries, so reading records `[a, b)` costs
-/// exactly `ceil(b / per_page) - floor(a / per_page)` page accesses.
+/// The page layout of a [`CellFile`]: how record indexes map to data
+/// pages and what a data page's bytes hold.
 #[derive(Debug, Clone)]
-pub struct RecordFile<R: Record> {
+enum Layout {
+    /// `PAGE_SIZE / R::SIZE` fixed slots per page; a page's bytes are
+    /// its record images followed by zero padding, and the page of a
+    /// record is found by division.
+    Fixed,
+    /// Variable-fill [`crate::compress`] pages located through a page
+    /// directory ([`crate::PageCodec::Compressed`]).
+    Directory(Directory),
+}
+
+/// A file of fixed-size records packed into consecutive pages
+/// (append-free: created in one shot, records updatable in place) —
+/// the one record-file implementation of the storage stack.
+///
+/// The I-Hilbert method stores cells "physically in order of Hilbert
+/// value" and a subfield is a `[start, end)` range of that file; this
+/// is that file. Records never span page boundaries, and a scan of
+/// records `[a, b)` touches exactly the data pages holding them, each
+/// once.
+///
+/// How records sit in pages is a private layout chosen at creation by
+/// the [`PageCodec`]: fixed slots ([`PageCodec::Raw`]) or compressed
+/// variable-fill pages behind a page directory
+/// ([`PageCodec::Compressed`]). Page arithmetic and page bytes branch
+/// on it in four private helpers only — two for geometry
+/// (`page_no_of`, `page_span`), one handing a page's record images to a
+/// reader (`with_page_images`) and its inverse building a page from
+/// images (`encode_page`); everything public is written once on top of
+/// them ([`CellFile::codec`] and [`CellFile::records_per_page`] merely
+/// report which layout it is).
+#[derive(Debug, Clone)]
+pub struct CellFile<R: Record> {
     first_page: PageId,
-    num_pages: usize,
     len: usize,
+    data_pages: usize,
+    layout: Layout,
     _marker: PhantomData<R>,
 }
 
-impl<R: Record> RecordFile<R> {
-    /// Records stored per page.
-    pub const fn records_per_page() -> usize {
+impl<R: Record> CellFile<R> {
+    /// Records per page of the fixed layout.
+    const SLOTS: usize = {
         assert!(R::SIZE > 0 && R::SIZE <= PAGE_SIZE);
         PAGE_SIZE / R::SIZE
+    };
+
+    /// Pages a fixed-layout file of `len` records occupies.
+    fn fixed_pages(len: usize) -> usize {
+        len.div_ceil(Self::SLOTS).max(1)
+    }
+
+    fn fixed(first_page: PageId, len: usize) -> Self {
+        Self {
+            first_page,
+            len,
+            data_pages: Self::fixed_pages(len),
+            layout: Layout::Fixed,
+            _marker: PhantomData,
+        }
+    }
+
+    fn with_directory(first_page: PageId, len: usize, dir: Directory) -> Self {
+        Self {
+            first_page,
+            len,
+            data_pages: dir.data_pages(),
+            layout: Layout::Directory(dir),
+            _marker: PhantomData,
+        }
     }
 
     /// Writes `records` in order into freshly allocated consecutive
-    /// pages. Writes are buffered (write-back): they reach the disk on
-    /// pool eviction or at the caller's next
-    /// [`StorageEngine::flush`]/[`StorageEngine::sync`] — call `sync`
-    /// before relying on the file surviving a crash.
+    /// pages, laid out by the engine's configured codec
+    /// ([`crate::StorageConfig::codec`]). Writes are buffered
+    /// (write-back): they reach the disk on pool eviction or at the
+    /// caller's next [`StorageEngine::flush`]/[`StorageEngine::sync`] —
+    /// call `sync` before relying on the file surviving a crash.
     pub fn create<I>(engine: &StorageEngine, records: I) -> CfResult<Self>
     where
         I: IntoIterator<Item = R>,
         I::IntoIter: ExactSizeIterator,
     {
-        let iter = records.into_iter();
-        let len = iter.len();
-        let per_page = Self::records_per_page();
-        let num_pages = len.div_ceil(per_page).max(1);
-        let first_page = engine.allocate_run(num_pages)?;
+        match engine.codec() {
+            PageCodec::Raw => Self::create_fixed(engine, records.into_iter()),
+            PageCodec::Compressed => {
+                let (first_page, len, dir) = Directory::create(engine, records)?;
+                Ok(Self::with_directory(first_page, len, dir))
+            }
+        }
+    }
+
+    /// Parallel variant of [`CellFile::create`]. The raw codec fans
+    /// out across threads (see [`RecordFile::create_parallel`]); the
+    /// compressed codec is a sequential delta chain with data-dependent
+    /// page breaks, so it runs single-threaded. Either way the file is
+    /// byte-identical to [`CellFile::create`] on the same input.
+    pub fn create_parallel(engine: &StorageEngine, records: &[R], threads: usize) -> CfResult<Self>
+    where
+        R: Sync + Clone,
+    {
+        match engine.codec() {
+            PageCodec::Raw => Self::create_fixed_parallel(engine, records, threads),
+            PageCodec::Compressed => Self::create(engine, records.iter().cloned()),
+        }
+    }
+
+    fn create_fixed(
+        engine: &StorageEngine,
+        records: impl ExactSizeIterator<Item = R>,
+    ) -> CfResult<Self> {
+        let len = records.len();
+        let first_page = engine.allocate_run(Self::fixed_pages(len))?;
 
         let mut buf: PageBuf = [0u8; PAGE_SIZE];
         let mut in_page = 0usize;
         let mut page = first_page;
         let mut written_pages = 0usize;
-        for r in iter {
+        for r in records {
             r.encode(&mut buf[in_page * R::SIZE..(in_page + 1) * R::SIZE]);
             in_page += 1;
-            if in_page == per_page {
+            if in_page == Self::SLOTS {
                 engine.write_page_buffered(page, &buf)?;
                 written_pages += 1;
                 page = PageId(page.0 + 1);
@@ -114,37 +200,19 @@ impl<R: Record> RecordFile<R> {
         if in_page > 0 || written_pages == 0 {
             engine.write_page_buffered(page, &buf)?;
         }
-
-        Ok(Self {
-            first_page,
-            num_pages,
-            len,
-            _marker: PhantomData,
-        })
+        Ok(Self::fixed(first_page, len))
     }
 
-    /// Parallel variant of [`RecordFile::create`]: allocates the same
-    /// consecutive page run, then `threads` workers claim page indexes
-    /// off an atomic cursor (work-stealing), encode their records into a
-    /// local buffer, and write the page.
-    ///
-    /// Records never span page boundaries, so each page's bytes depend
-    /// only on its own record range plus zero padding — the file is
-    /// **byte-identical** to [`RecordFile::create`] on the same input
-    /// regardless of thread count or scheduling. Unlike the sequential
-    /// path, workers write **through** to the disk: the parallel build's
-    /// speedup comes from overlapping the physical writes themselves,
-    /// which buffering would serialize into one flush. On error the
-    /// first failure (in join order) is reported; other workers may
-    /// have written more pages, which is harmless because the whole run
-    /// is freshly allocated.
-    pub fn create_parallel(engine: &StorageEngine, records: &[R], threads: usize) -> CfResult<Self>
+    fn create_fixed_parallel(
+        engine: &StorageEngine,
+        records: &[R],
+        threads: usize,
+    ) -> CfResult<Self>
     where
         R: Sync,
     {
         let len = records.len();
-        let per_page = Self::records_per_page();
-        let num_pages = len.div_ceil(per_page).max(1);
+        let num_pages = Self::fixed_pages(len);
         let first_page = engine.allocate_run(num_pages)?;
 
         let cursor = AtomicUsize::new(0);
@@ -160,8 +228,8 @@ impl<R: Record> RecordFile<R> {
                                 return Ok(());
                             }
                             let mut buf: PageBuf = [0u8; PAGE_SIZE];
-                            let lo = p * per_page;
-                            let hi = (lo + per_page).min(len);
+                            let lo = p * Self::SLOTS;
+                            let hi = (lo + Self::SLOTS).min(len);
                             for (slot, r) in records[lo..hi].iter().enumerate() {
                                 r.encode(&mut buf[slot * R::SIZE..(slot + 1) * R::SIZE]);
                             }
@@ -185,26 +253,54 @@ impl<R: Record> RecordFile<R> {
         if let Some(e) = first_err {
             return Err(e);
         }
-
-        Ok(Self {
-            first_page,
-            num_pages,
-            len,
-            _marker: PhantomData,
-        })
+        Ok(Self::fixed(first_page, len))
     }
 
-    /// Reopens a record file from its catalog entry (`first_page`,
-    /// `len`) — the inverse of reading those values off a freshly
-    /// created file. Used with file-backed engines to reattach to data
-    /// written by an earlier process.
-    pub fn open(first_page: PageId, len: usize) -> Self {
-        let per_page = Self::records_per_page();
-        Self {
-            first_page,
-            num_pages: len.div_ceil(per_page).max(1),
-            len,
-            _marker: PhantomData,
+    /// Reopens a file from its catalog fields. `data_pages` locates the
+    /// compressed layout's page directory, which is read and validated
+    /// here (the raw layout derives its page count from `len` and reads
+    /// nothing).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CfError::Corrupt`] when a compressed file's directory
+    /// is inconsistent.
+    pub fn open(
+        engine: &StorageEngine,
+        codec: PageCodec,
+        first_page: PageId,
+        len: usize,
+        data_pages: usize,
+    ) -> CfResult<Self> {
+        match codec {
+            PageCodec::Raw => Ok(Self::fixed(first_page, len)),
+            PageCodec::Compressed => {
+                let dir = Directory::open::<R>(engine, first_page, len, data_pages)?;
+                Ok(Self::with_directory(first_page, len, dir))
+            }
+        }
+    }
+
+    /// Total pages a file of `codec` occupies, from its catalog fields
+    /// alone — lets catalog code validate a file's span *before*
+    /// opening it (which reads a compressed file's directory).
+    /// `data_pages` is ignored by the raw layout, `len` by the
+    /// compressed one. Saturates so an absurd corrupt count still
+    /// compares, never overflows.
+    pub fn span_pages(codec: PageCodec, len: usize, data_pages: usize) -> usize {
+        match codec {
+            PageCodec::Raw => Self::fixed_pages(len),
+            PageCodec::Compressed => {
+                data_pages.saturating_add(Directory::dir_pages_for(data_pages))
+            }
+        }
+    }
+
+    /// The codec this file is stored with.
+    pub fn codec(&self) -> PageCodec {
+        match self.layout {
+            Layout::Fixed => PageCodec::Raw,
+            Layout::Directory(_) => PageCodec::Compressed,
         }
     }
 
@@ -218,9 +314,14 @@ impl<R: Record> RecordFile<R> {
         self.len == 0
     }
 
-    /// Number of pages the file occupies.
+    /// Total pages the file occupies (including any page directory).
     pub fn num_pages(&self) -> usize {
-        self.num_pages
+        Self::span_pages(self.codec(), self.len, self.data_pages)
+    }
+
+    /// Data pages holding records (what query scans touch).
+    pub fn data_pages(&self) -> usize {
+        self.data_pages
     }
 
     /// Id of the first page of the file.
@@ -228,112 +329,190 @@ impl<R: Record> RecordFile<R> {
         self.first_page
     }
 
-    /// Page id holding record `idx`.
-    fn page_of(&self, idx: usize) -> PageId {
-        PageId(self.first_page.0 + (idx / Self::records_per_page()) as u64)
+    /// Mean records per data page: the slot count of the fixed layout,
+    /// the measured fill of the compressed one.
+    pub fn records_per_page(&self) -> f64 {
+        match self.layout {
+            Layout::Fixed => Self::SLOTS as f64,
+            Layout::Directory(_) => self.len as f64 / self.data_pages as f64,
+        }
+    }
+
+    /// Data page number (0-based within the file) holding record `idx`.
+    fn page_no_of(&self, idx: usize) -> usize {
+        match &self.layout {
+            Layout::Fixed => idx / Self::SLOTS,
+            Layout::Directory(dir) => dir.page_no_of(idx),
+        }
+    }
+
+    /// Record span of data page `page_no`.
+    fn page_span(&self, page_no: usize) -> Range<usize> {
+        match &self.layout {
+            Layout::Fixed => {
+                let lo = page_no * Self::SLOTS;
+                lo..(lo + Self::SLOTS).min(self.len)
+            }
+            Layout::Directory(dir) => dir.page_span(page_no, self.len),
+        }
+    }
+
+    /// The one page accessor: reads data page `page_no` through the
+    /// pool and hands `f` the images of the records it holds
+    /// (`page_span(page_no).len() * R::SIZE` bytes) — straight from the
+    /// pinned frame for the fixed layout, decoded into the per-thread
+    /// scratch for the compressed one.
+    fn with_page_images<T>(
+        &self,
+        engine: &StorageEngine,
+        page_no: usize,
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> CfResult<T> {
+        let page_id = PageId(self.first_page.0 + page_no as u64);
+        let count = self.page_span(page_no).len();
+        match &self.layout {
+            Layout::Fixed => engine.with_page(page_id, |page| f(&page[..count * R::SIZE])),
+            Layout::Directory(dir) => dir.with_page_images(engine, page_id, count, R::SIZE, f),
+        }
+    }
+
+    /// Inverse of [`CellFile::with_page_images`]: the bytes of a data
+    /// page holding `images` in order, or `None` when a compressed page
+    /// cannot fit them.
+    fn encode_page<'a>(&self, images: impl Iterator<Item = &'a [u8]>) -> Option<PageBuf> {
+        match &self.layout {
+            Layout::Fixed => {
+                let mut buf: PageBuf = [0u8; PAGE_SIZE];
+                for (slot, image) in buf.chunks_exact_mut(R::SIZE).zip(images) {
+                    slot.copy_from_slice(image);
+                }
+                Some(buf)
+            }
+            Layout::Directory(dir) => dir.encode_page(images),
+        }
+    }
+
+    /// Locates record `idx`: its data page and its slot among that
+    /// page's record images.
+    fn locate(&self, idx: usize) -> CfResult<(usize, usize)> {
+        if idx >= self.len {
+            return Err(CfError::InvalidRange {
+                detail: format!("record {idx} out of bounds (len {})", self.len),
+            });
+        }
+        let page_no = self.page_no_of(idx);
+        Ok((page_no, idx - self.page_span(page_no).start))
     }
 
     /// Reads one record.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `idx >= len`.
+    /// Returns [`CfError::InvalidRange`] if `idx >= len`.
     pub fn get(&self, engine: &StorageEngine, idx: usize) -> CfResult<R> {
-        assert!(
-            idx < self.len,
-            "record {idx} out of bounds (len {})",
-            self.len
-        );
-        let per_page = Self::records_per_page();
-        let slot = idx % per_page;
-        engine.with_page(self.page_of(idx), |page| {
-            R::decode(&page[slot * R::SIZE..(slot + 1) * R::SIZE])
+        let (page_no, slot) = self.locate(idx)?;
+        self.with_page_images(engine, page_no, |images| {
+            R::decode(&images[slot * R::SIZE..(slot + 1) * R::SIZE])
         })
     }
 
     /// Overwrites one record in place (read-modify-write of its page).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `idx >= len`.
+    /// Returns [`CfError::InvalidRange`] if `idx >= len`, and
+    /// [`CfError::PageFull`] when a compressed page, re-encoded with
+    /// the new record, no longer fits in `PAGE_SIZE` — possible after
+    /// many updates concentrated on one page (the build-time reserve
+    /// absorbs the first; repacking restores slack).
     pub fn put(&self, engine: &StorageEngine, idx: usize, record: &R) -> CfResult<()> {
-        assert!(
-            idx < self.len,
-            "record {idx} out of bounds (len {})",
-            self.len
-        );
-        let per_page = Self::records_per_page();
-        let slot = idx % per_page;
-        let page_id = self.page_of(idx);
-        let mut buf: PageBuf = engine.with_page(page_id, |page| *page)?;
-        record.encode(&mut buf[slot * R::SIZE..(slot + 1) * R::SIZE]);
-        engine.write_page(page_id, &buf)
+        let (page_no, slot) = self.locate(idx)?;
+        let page_id = PageId(self.first_page.0 + page_no as u64);
+        let mut image = vec![0u8; R::SIZE];
+        record.encode(&mut image);
+        let (buf, records) = self.with_page_images(engine, page_no, |images| {
+            let patched = images.chunks_exact(R::SIZE).enumerate().map(|(i, old)| {
+                if i == slot {
+                    &image[..]
+                } else {
+                    old
+                }
+            });
+            (self.encode_page(patched), images.len() / R::SIZE)
+        })?;
+        match buf {
+            Some(buf) => engine.write_page(page_id, &buf),
+            None => Err(CfError::PageFull {
+                page: page_id,
+                records,
+            }),
+        }
+    }
+
+    /// Checks that `ranges` are each `start <= end`, sorted by start,
+    /// non-overlapping and inside the file.
+    fn check_ranges(&self, ranges: &[Range<usize>]) -> CfResult<()> {
+        let mut prev_end = 0;
+        for (i, r) in ranges.iter().enumerate() {
+            if r.start > r.end || r.start < prev_end {
+                return Err(CfError::InvalidRange {
+                    detail: format!(
+                        "ranges inverted, unsorted or overlapping at #{i}: {r:?} after end {prev_end}"
+                    ),
+                });
+            }
+            prev_end = r.end;
+        }
+        if prev_end > self.len {
+            return Err(CfError::InvalidRange {
+                detail: format!("range end {prev_end} out of bounds (len {})", self.len),
+            });
+        }
+        Ok(())
     }
 
     /// Invokes `f(index, record)` for every record in `range`, reading
     /// each underlying page exactly once.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the range extends past the end of the file.
+    /// Returns [`CfError::InvalidRange`] if the range is inverted or
+    /// extends past the end of the file.
     pub fn for_each_in_range(
         &self,
         engine: &StorageEngine,
         range: Range<usize>,
-        mut f: impl FnMut(usize, R),
+        f: impl FnMut(usize, R),
     ) -> CfResult<()> {
-        assert!(range.end <= self.len, "range {range:?} out of bounds");
-        if range.is_empty() {
-            return Ok(());
-        }
-        let per_page = Self::records_per_page();
-        let first = range.start / per_page;
-        let last = (range.end - 1) / per_page;
-        for page_no in first..=last {
-            let page_id = PageId(self.first_page.0 + page_no as u64);
-            let lo = range.start.max(page_no * per_page);
-            let hi = range.end.min((page_no + 1) * per_page);
-            engine.with_page(page_id, |page| {
-                for idx in lo..hi {
-                    let slot = idx % per_page;
-                    f(idx, R::decode(&page[slot * R::SIZE..(slot + 1) * R::SIZE]));
-                }
-            })?;
-        }
-        Ok(())
+        self.for_each_in_ranges(engine, std::slice::from_ref(&range), f)
     }
 
     /// Invokes `f(index, record)` for every record in each of `ranges`,
-    /// touching every underlying page **at most once across all
-    /// ranges**.
+    /// in ascending index order, touching every underlying page **at
+    /// most once across all ranges** — the one range sweep of the
+    /// storage stack.
     ///
-    /// `ranges` must be sorted by start and non-overlapping. Unlike
-    /// calling [`RecordFile::for_each_in_range`] per range, a page
-    /// shared by the tail of one range and the head of the next (or by
-    /// several small ranges) is read a single time — the access pattern
-    /// of a subfield index retrieving many nearby record runs.
+    /// `ranges` must be sorted by start and non-overlapping (empty
+    /// ranges are skipped). Unlike calling
+    /// [`CellFile::for_each_in_range`] per range, a page shared by the
+    /// tail of one range and the head of the next (or by several small
+    /// ranges) is read a single time — the access pattern of a subfield
+    /// index retrieving many nearby record runs. The layout is
+    /// consulted per page, never per record: `f` sees records decoded
+    /// from one contiguous slice of images.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any range extends past the end of the file or if the
-    /// ranges are unsorted or overlapping.
+    /// Returns [`CfError::InvalidRange`], before anything is read, if
+    /// any range is inverted or extends past the end of the file, or if
+    /// the ranges are unsorted or overlapping.
     pub fn for_each_in_ranges(
         &self,
         engine: &StorageEngine,
         ranges: &[Range<usize>],
         mut f: impl FnMut(usize, R),
     ) -> CfResult<()> {
-        let per_page = Self::records_per_page();
-        for w in ranges.windows(2) {
-            assert!(
-                w[0].end <= w[1].start,
-                "ranges unsorted or overlapping: {w:?}"
-            );
-        }
-        if let Some(last) = ranges.iter().rev().find(|r| !r.is_empty()) {
-            assert!(last.end <= self.len, "range {last:?} out of bounds");
-        }
-
+        self.check_ranges(ranges)?;
         let mut i = 0;
         while i < ranges.len() {
             if ranges[i].is_empty() {
@@ -343,41 +522,36 @@ impl<R: Record> RecordFile<R> {
             // Grow a group of ranges whose page spans touch or overlap;
             // every page in the group's span then holds records of at
             // least one member range.
-            let first_page = ranges[i].start / per_page;
-            let mut last_page = (ranges[i].end - 1) / per_page;
+            let first_page = self.page_no_of(ranges[i].start);
+            let mut last_page = self.page_no_of(ranges[i].end - 1);
             let mut j = i + 1;
             while j < ranges.len() {
-                if ranges[j].is_empty() {
-                    j += 1;
-                    continue;
+                if !ranges[j].is_empty() {
+                    if self.page_no_of(ranges[j].start) > last_page {
+                        break;
+                    }
+                    last_page = last_page.max(self.page_no_of(ranges[j].end - 1));
                 }
-                if ranges[j].start / per_page <= last_page {
-                    last_page = last_page.max((ranges[j].end - 1) / per_page);
-                    j += 1;
-                } else {
-                    break;
-                }
+                j += 1;
             }
 
             let mut k = i; // first range that may still intersect the page
             for page_no in first_page..=last_page {
-                let page_id = PageId(self.first_page.0 + page_no as u64);
-                let page_lo = page_no * per_page;
-                let page_hi = page_lo + per_page;
-                engine.with_page(page_id, |page| {
+                let page = self.page_span(page_no);
+                self.with_page_images(engine, page_no, |images| {
                     for rg in &ranges[k..j] {
-                        if rg.start >= page_hi {
+                        if rg.start >= page.end {
                             break;
                         }
-                        let lo = rg.start.max(page_lo);
-                        let hi = rg.end.min(page_hi);
-                        for idx in lo..hi {
-                            let slot = idx % per_page;
-                            f(idx, R::decode(&page[slot * R::SIZE..(slot + 1) * R::SIZE]));
+                        let lo = rg.start.max(page.start);
+                        let hi = rg.end.min(page.end);
+                        let run = &images[(lo - page.start) * R::SIZE..(hi - page.start) * R::SIZE];
+                        for (idx, image) in (lo..hi).zip(run.chunks_exact(R::SIZE)) {
+                            f(idx, R::decode(image));
                         }
                     }
                 })?;
-                while k < j && ranges[k].end <= page_hi {
+                while k < j && ranges[k].end <= page.end {
                     k += 1;
                 }
             }
@@ -388,19 +562,74 @@ impl<R: Record> RecordFile<R> {
 
     /// Collects the records in `range` into a vector.
     pub fn read_range(&self, engine: &StorageEngine, range: Range<usize>) -> CfResult<Vec<R>> {
-        let mut out = Vec::with_capacity(range.len());
+        let mut out = Vec::with_capacity(range.len().min(self.len));
         self.for_each_in_range(engine, range, |_, r| out.push(r))?;
         Ok(out)
     }
 
-    /// Number of pages a scan of `range` touches (the unit the paper's
-    /// cost model counts).
+    /// Number of data pages a scan of `range` touches (the unit the
+    /// paper's cost model counts). `range` must lie inside the file.
     pub fn pages_in_range(&self, range: Range<usize>) -> usize {
         if range.is_empty() {
             return 0;
         }
-        let per_page = Self::records_per_page();
-        (range.end - 1) / per_page - range.start / per_page + 1
+        self.page_no_of(range.end - 1) - self.page_no_of(range.start) + 1
+    }
+}
+
+/// Constructors of always-raw [`CellFile`]s, whatever codec the engine
+/// is configured with — for files whose page count must follow from
+/// their length alone (the catalog's position map and delta run, the
+/// baselines' native-order cell files, I-All's fetch-per-candidate
+/// file). Never instantiated: every function returns the [`CellFile`].
+pub struct RecordFile<R: Record>(PhantomData<R>);
+
+impl<R: Record> RecordFile<R> {
+    /// Records stored per page of the raw layout.
+    pub const fn records_per_page() -> usize {
+        CellFile::<R>::SLOTS
+    }
+
+    /// [`CellFile::create`] with the raw codec.
+    pub fn create<I>(engine: &StorageEngine, records: I) -> CfResult<CellFile<R>>
+    where
+        I: IntoIterator<Item = R>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        CellFile::create_fixed(engine, records.into_iter())
+    }
+
+    /// Parallel [`RecordFile::create`]: allocates the same consecutive
+    /// page run, then `threads` workers claim page indexes off an
+    /// atomic cursor (work-stealing), encode their records into a local
+    /// buffer, and write the page.
+    ///
+    /// Records never span page boundaries, so each page's bytes depend
+    /// only on its own record range plus zero padding — the file is
+    /// **byte-identical** to [`RecordFile::create`] on the same input
+    /// regardless of thread count or scheduling. Unlike the sequential
+    /// path, workers write **through** to the disk: the parallel build's
+    /// speedup comes from overlapping the physical writes themselves,
+    /// which buffering would serialize into one flush. On error the
+    /// first failure (in join order) is reported; other workers may
+    /// have written more pages, which is harmless because the whole run
+    /// is freshly allocated.
+    pub fn create_parallel(
+        engine: &StorageEngine,
+        records: &[R],
+        threads: usize,
+    ) -> CfResult<CellFile<R>>
+    where
+        R: Sync,
+    {
+        CellFile::create_fixed_parallel(engine, records, threads)
+    }
+
+    /// Reopens a raw file from its catalog entry (`first_page`, `len`)
+    /// — the inverse of reading those values off a freshly created
+    /// file. Reads nothing.
+    pub fn open(first_page: PageId, len: usize) -> CellFile<R> {
+        CellFile::fixed(first_page, len)
     }
 }
 
@@ -429,59 +658,166 @@ impl Record for KvRecord {
     }
 }
 
+/// One suite for both page codecs. A behaviour is written once as a
+/// `check_*(codec)` body; tests loop over [`CODECS`], except where a
+/// raw-named test here has a compressed-named counterpart in
+/// `compressed::tests` — those two share the body, one codec each.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::Fault;
+    use crate::{Fault, StorageConfig};
+    use std::collections::BTreeSet;
+
+    pub(crate) const CODECS: [PageCodec; 2] = [PageCodec::Raw, PageCodec::Compressed];
+
+    /// Slowly varying like Hilbert-ordered cells, so the compressed
+    /// codec packs several raw pages' worth into one.
+    pub(crate) fn kv(i: usize) -> KvRecord {
+        KvRecord {
+            key: 10_000 + (i as u64) * 3,
+            value: 5.0 + (i as f64) * 0.25,
+        }
+    }
 
     fn sample(n: usize) -> Vec<KvRecord> {
-        (0..n)
-            .map(|i| KvRecord {
-                key: i as u64,
-                value: i as f64 * 0.5,
-            })
-            .collect()
+        (0..n).map(kv).collect()
+    }
+
+    pub(crate) fn engine_with(codec: PageCodec) -> StorageEngine {
+        StorageEngine::new(StorageConfig {
+            codec,
+            ..StorageConfig::default()
+        })
+    }
+
+    fn file_with(codec: PageCodec, n: usize) -> (StorageEngine, CellFile<KvRecord>) {
+        let engine = engine_with(codec);
+        let file = CellFile::create(&engine, sample(n)).expect("create");
+        assert_eq!(file.codec(), codec);
+        assert_eq!(file.len(), n);
+        (engine, file)
+    }
+
+    /// Data page number of record `idx`, from the public geometry.
+    fn page_of(file: &CellFile<KvRecord>, idx: usize) -> usize {
+        file.pages_in_range(0..idx + 1) - 1
+    }
+
+    pub(crate) fn check_round_trip(codec: PageCodec) {
+        let n = 3000usize;
+        let (engine, file) = file_with(codec, n);
+        for i in [0usize, 1, 255, 256, 1024, n - 1] {
+            assert_eq!(file.get(&engine, i).expect("get"), kv(i));
+        }
+        assert_eq!(file.read_range(&engine, 0..n).expect("read"), sample(n));
+        assert_eq!(file.pages_in_range(0..n), file.data_pages());
+
+        let reopened =
+            CellFile::<KvRecord>::open(&engine, codec, file.first_page(), n, file.data_pages())
+                .expect("open");
+        assert_eq!(reopened.num_pages(), file.num_pages());
+        assert_eq!(
+            reopened.num_pages(),
+            CellFile::<KvRecord>::span_pages(codec, n, file.data_pages())
+        );
+        assert_eq!(
+            reopened.read_range(&engine, 17..1321).expect("read"),
+            sample(n)[17..1321]
+        );
+    }
+
+    pub(crate) fn check_multi_range_equals_per_range(codec: PageCodec) {
+        let (engine, file) = file_with(codec, 5000);
+        let ranges = [
+            0..1,
+            1..2,
+            4..4,
+            100..300,
+            300..301,
+            511..513,
+            900..1300,
+            2999..3001,
+            4999..5000,
+        ];
+        let mut multi = Vec::new();
+        file.for_each_in_ranges(&engine, &ranges, |idx, r| multi.push((idx, r)))
+            .expect("scan");
+        let mut single = Vec::new();
+        for rg in &ranges {
+            file.for_each_in_range(&engine, rg.clone(), |idx, r| single.push((idx, r)))
+                .expect("scan");
+        }
+        assert_eq!(multi, single);
+        assert_eq!(multi.len(), ranges.iter().map(|r| r.len()).sum::<usize>());
+        assert!(multi.iter().all(|&(idx, r)| r == kv(idx)));
+    }
+
+    pub(crate) fn check_put(codec: PageCodec) {
+        let (engine, file) = file_with(codec, 1000);
+        // Far from its neighbours: the compressed re-encode must absorb
+        // it in the page's build-time reserve.
+        let updated = KvRecord {
+            key: u64::MAX / 3,
+            value: -12345.6789,
+        };
+        file.put(&engine, 500, &updated).expect("put");
+        assert_eq!(file.get(&engine, 500).expect("get"), updated);
+        // Neighbours untouched, also after a cold re-read.
+        engine.clear_cache();
+        assert_eq!(file.get(&engine, 499).expect("get"), kv(499));
+        assert_eq!(file.get(&engine, 501).expect("get"), kv(501));
+        assert_eq!(file.get(&engine, 500).expect("get"), updated);
+    }
+
+    pub(crate) fn check_empty(codec: PageCodec) {
+        let (engine, file) = file_with(codec, 0);
+        assert!(file.is_empty());
+        assert_eq!(file.data_pages(), 1); // one allocated page, zero records
+        assert_eq!(file.pages_in_range(0..0), 0);
+        file.for_each_in_range(&engine, 0..0, |_, _| unreachable!("no records"))
+            .expect("empty scan");
+        let reopened =
+            CellFile::<KvRecord>::open(&engine, codec, file.first_page(), 0, 1).expect("open");
+        assert!(reopened.read_range(&engine, 0..0).expect("read").is_empty());
     }
 
     #[test]
     fn create_and_read_back() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(1000)).expect("create");
-        assert_eq!(file.len(), 1000);
+        check_round_trip(PageCodec::Raw);
+        let (_engine, file) = file_with(PageCodec::Raw, 1000);
         assert_eq!(KvRecord::SIZE, 16);
         assert_eq!(RecordFile::<KvRecord>::records_per_page(), 256);
         assert_eq!(file.num_pages(), 4);
-        for idx in [0usize, 1, 255, 256, 999] {
-            let r = file.get(&engine, idx).expect("get");
-            assert_eq!(r.key, idx as u64);
-            assert_eq!(r.value, idx as f64 * 0.5);
-        }
     }
 
     #[test]
     fn create_parallel_is_byte_identical_to_create() {
-        // Sizes straddling page boundaries (256 records per page) plus
-        // the empty file; every thread count must reproduce the exact
-        // page bytes of the sequential writer.
-        for n in [0usize, 1, 255, 256, 257, 1000] {
-            let seq_engine = StorageEngine::in_memory();
-            let seq = RecordFile::create(&seq_engine, sample(n)).expect("create");
-            for threads in [1usize, 2, 4, 7] {
-                let par_engine = StorageEngine::in_memory();
-                let par =
-                    RecordFile::create_parallel(&par_engine, &sample(n), threads).expect("create");
-                assert_eq!(par.len(), seq.len());
-                assert_eq!(par.num_pages(), seq.num_pages());
-                assert_eq!(par.first_page(), seq.first_page());
-                assert_eq!(par_engine.num_pages(), seq_engine.num_pages());
-                for p in 0..seq_engine.num_pages() {
-                    let a = seq_engine
-                        .with_page(PageId(p as u64), |page| *page)
-                        .expect("read");
-                    let b = par_engine
-                        .with_page(PageId(p as u64), |page| *page)
-                        .expect("read");
-                    assert!(a == b, "page {p} differs (n={n}, threads={threads})");
+        // Sizes straddling raw page boundaries (256 records per page)
+        // plus the empty file; every thread count must reproduce the
+        // exact page bytes of the sequential writer.
+        for codec in CODECS {
+            for n in [0usize, 1, 255, 256, 257, 1000] {
+                let (seq_engine, seq) = file_with(codec, n);
+                for threads in [1usize, 2, 4, 7] {
+                    let par_engine = engine_with(codec);
+                    let par = CellFile::create_parallel(&par_engine, &sample(n), threads)
+                        .expect("create");
+                    assert_eq!(par.len(), seq.len());
+                    assert_eq!(par.num_pages(), seq.num_pages());
+                    assert_eq!(par.first_page(), seq.first_page());
+                    assert_eq!(par_engine.num_pages(), seq_engine.num_pages());
+                    for p in 0..seq_engine.num_pages() {
+                        let a = seq_engine
+                            .with_page(PageId(p as u64), |page| *page)
+                            .expect("read");
+                        let b = par_engine
+                            .with_page(PageId(p as u64), |page| *page)
+                            .expect("read");
+                        assert!(
+                            a == b,
+                            "page {p} differs ({codec:?}, n={n}, threads={threads})"
+                        );
+                    }
                 }
             }
         }
@@ -519,39 +855,46 @@ mod tests {
     fn create_with_tiny_pool_spills_through_writeback() {
         // A pool far smaller than the file forces dirty evictions
         // during create; nothing may be lost.
-        let engine = StorageEngine::new(crate::StorageConfig {
-            pool_pages: 2,
-            ..crate::StorageConfig::default()
-        });
-        let file = RecordFile::create(&engine, sample(1000)).expect("create");
-        engine.sync().expect("sync");
-        engine.clear_cache();
-        for idx in [0usize, 255, 256, 511, 999] {
-            assert_eq!(file.get(&engine, idx).expect("get").key, idx as u64);
+        for codec in CODECS {
+            let engine = StorageEngine::new(StorageConfig {
+                pool_pages: 2,
+                codec,
+                ..StorageConfig::default()
+            });
+            let file = CellFile::create(&engine, sample(5000)).expect("create");
+            assert!(file.data_pages() > 2, "{codec:?}");
+            engine.sync().expect("sync");
+            engine.clear_cache();
+            for idx in [0usize, 255, 256, 511, 4999] {
+                assert_eq!(file.get(&engine, idx).expect("get"), kv(idx));
+            }
         }
     }
 
     #[test]
     fn range_scan_reads_minimal_pages() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(1000)).expect("create");
-        engine.clear_cache();
-        engine.reset_stats();
-
-        let got = file.read_range(&engine, 250..260).expect("read range");
-        assert_eq!(got.len(), 10);
-        assert_eq!(got[0].key, 250);
-        assert_eq!(got[9].key, 259);
-        // Records 250..260 straddle the page boundary at 256: 2 pages.
-        let s = engine.io_stats();
-        assert_eq!(s.logical_reads(), 2);
+        for codec in CODECS {
+            let (engine, file) = file_with(codec, 5000);
+            for range in [250..260, 0..1, 700..3100, 0..5000] {
+                engine.clear_cache();
+                engine.reset_stats();
+                let got = file.read_range(&engine, range.clone()).expect("read range");
+                assert_eq!(got, sample(5000)[range.clone()]);
+                assert_eq!(
+                    engine.io_stats().logical_reads(),
+                    file.pages_in_range(range.clone()) as u64,
+                    "{codec:?} {range:?}"
+                );
+            }
+        }
+        // Raw records 250..260 straddle the page boundary at 256: 2 pages.
+        let (_engine, file) = file_with(PageCodec::Raw, 1000);
         assert_eq!(file.pages_in_range(250..260), 2);
     }
 
     #[test]
     fn pages_in_range_formula() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(1000)).expect("create");
+        let (_engine, file) = file_with(PageCodec::Raw, 1000);
         assert_eq!(file.pages_in_range(0..0), 0);
         assert_eq!(file.pages_in_range(0..1), 1);
         assert_eq!(file.pages_in_range(0..256), 1);
@@ -562,144 +905,144 @@ mod tests {
 
     #[test]
     fn full_scan_matches_input() {
-        let engine = StorageEngine::in_memory();
-        let data = sample(513);
-        let file = RecordFile::create(&engine, data.clone()).expect("create");
-        let mut seen = Vec::new();
-        file.for_each_in_range(&engine, 0..513, |idx, r| {
-            assert_eq!(idx as u64, r.key);
-            seen.push(r);
-        })
-        .expect("scan");
-        assert_eq!(seen, data);
+        for codec in CODECS {
+            let (engine, file) = file_with(codec, 513);
+            let mut seen = Vec::new();
+            file.for_each_in_range(&engine, 0..513, |idx, r| {
+                assert_eq!(r, kv(idx));
+                seen.push(r);
+            })
+            .expect("scan");
+            assert_eq!(seen, sample(513));
+        }
     }
 
     #[test]
     fn multi_range_scan_reads_shared_pages_once() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(1000)).expect("create");
-        engine.clear_cache();
-        engine.reset_stats();
-
-        // 250..258 straddles pages 0|1 and 260..270 sits on page 1, so
-        // the two ranges share page 1; 700..705 lives alone on page 2.
+        // On raw pages 250..258 straddles pages 0|1 and 260..270 sits
+        // on page 1, so the two ranges share page 1; 700..705 lives
+        // alone on page 2. Whatever the layout, every page any range
+        // touches is read exactly once.
         let ranges = [250..258, 260..270, 700..705];
-        let mut seen = Vec::new();
-        file.for_each_in_ranges(&engine, &ranges, |idx, r| {
-            assert_eq!(idx as u64, r.key);
-            seen.push(idx);
-        })
-        .expect("scan");
-        let want: Vec<usize> = (250..258).chain(260..270).chain(700..705).collect();
-        assert_eq!(seen, want);
-        // Pages touched: {0, 1} for the first two ranges (page 1 shared,
-        // read once), {2} for 700..705 → 3 logical reads total, where
-        // per-range scans would pay 2 + 1 + 1 = 4.
-        assert_eq!(engine.io_stats().logical_reads(), 3);
+        let want: Vec<usize> = ranges.iter().cloned().flatten().collect();
+        for codec in CODECS {
+            let (engine, file) = file_with(codec, 1000);
+            engine.clear_cache();
+            engine.reset_stats();
+            let mut seen = Vec::new();
+            file.for_each_in_ranges(&engine, &ranges, |idx, r| {
+                assert_eq!(r, kv(idx));
+                seen.push(idx);
+            })
+            .expect("scan");
+            assert_eq!(seen, want);
+            let pages: BTreeSet<usize> = want.iter().map(|&idx| page_of(&file, idx)).collect();
+            assert_eq!(
+                engine.io_stats().logical_reads(),
+                pages.len() as u64,
+                "{codec:?}"
+            );
+            if codec == PageCodec::Raw {
+                // {0, 1} for the first two ranges, {2} for the third,
+                // where per-range scans would pay 2 + 1 + 1 = 4.
+                assert_eq!(pages.len(), 3);
+            }
+        }
     }
 
     #[test]
     fn multi_range_scan_equals_per_range_scans() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(777)).expect("create");
-        let ranges = [0..1, 1..2, 4..4, 100..300, 300..301, 511..513, 776..777];
-        let mut multi = Vec::new();
-        file.for_each_in_ranges(&engine, &ranges, |idx, r| multi.push((idx, r)))
-            .expect("scan");
-        let mut single = Vec::new();
-        for rg in &ranges {
-            file.for_each_in_range(&engine, rg.clone(), |idx, r| single.push((idx, r)))
-                .expect("scan");
-        }
-        assert_eq!(multi, single);
+        check_multi_range_equals_per_range(PageCodec::Raw);
     }
 
     #[test]
-    #[should_panic(expected = "unsorted or overlapping")]
     fn multi_range_scan_rejects_overlap() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(100)).expect("create");
-        let _ = file.for_each_in_ranges(&engine, &[0..10, 5..20], |_, _| ());
+        for codec in CODECS {
+            let (engine, file) = file_with(codec, 100);
+            #[allow(clippy::reversed_empty_ranges)]
+            for ranges in [
+                vec![0..10, 5..20],
+                vec![20..30, 0..10],
+                vec![0..8, 10..5, 6..9],
+            ] {
+                let err = file
+                    .for_each_in_ranges(&engine, &ranges, |_, _| unreachable!("nothing is read"))
+                    .expect_err("unsorted or overlapping ranges");
+                assert!(err.is_invalid_range(), "{codec:?} {ranges:?}: {err}");
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
     fn multi_range_scan_rejects_out_of_bounds() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(100)).expect("create");
-        let _ = file.for_each_in_ranges(&engine, &[0..10, 90..101], |_, _| ());
+        for codec in CODECS {
+            let (engine, file) = file_with(codec, 100);
+            let err = file
+                .for_each_in_ranges(&engine, &[0..10, 90..101], |_, _| {
+                    unreachable!("nothing is read")
+                })
+                .expect_err("range past len");
+            assert!(err.is_invalid_range(), "{codec:?}: {err}");
+        }
     }
 
     #[test]
     fn put_overwrites_in_place() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(600)).expect("create");
-        file.put(
-            &engine,
-            300,
-            &KvRecord {
-                key: 999,
-                value: -1.0,
-            },
-        )
-        .expect("put");
-        assert_eq!(
-            file.get(&engine, 300).expect("get"),
-            KvRecord {
-                key: 999,
-                value: -1.0
-            }
-        );
-        // Neighbours untouched, also after a cold re-read.
-        engine.clear_cache();
-        assert_eq!(file.get(&engine, 299).expect("get").key, 299);
-        assert_eq!(file.get(&engine, 301).expect("get").key, 301);
-        assert_eq!(file.get(&engine, 300).expect("get").key, 999);
+        check_put(PageCodec::Raw);
     }
 
     #[test]
     fn empty_file() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::<KvRecord>::create(&engine, Vec::new()).expect("create");
-        assert!(file.is_empty());
-        assert_eq!(file.num_pages(), 1); // one allocated page, zero records
-        file.for_each_in_range(&engine, 0..0, |_, _| unreachable!("no records"))
-            .expect("empty scan");
+        check_empty(PageCodec::Raw);
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn get_out_of_bounds_panics() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(10)).expect("create");
-        let _ = file.get(&engine, 10);
+    fn get_and_put_out_of_bounds_are_typed_errors() {
+        for codec in CODECS {
+            for n in [0usize, 10] {
+                let (engine, file) = file_with(codec, n);
+                let err = file.get(&engine, n).expect_err("get past len");
+                assert!(err.is_invalid_range(), "{codec:?}: {err}");
+                let err = file.put(&engine, n, &kv(0)).expect_err("put past len");
+                assert!(err.is_invalid_range(), "{codec:?}: {err}");
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn range_out_of_bounds_panics() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(10)).expect("create");
-        let _ = file.for_each_in_range(&engine, 5..11, |_, _| ());
+    fn range_out_of_bounds_is_a_typed_error() {
+        for codec in CODECS {
+            let (engine, file) = file_with(codec, 10);
+            let err = file
+                .for_each_in_range(&engine, 5..11, |_, _| unreachable!("nothing is read"))
+                .expect_err("range past len");
+            assert!(err.is_invalid_range(), "{codec:?}: {err}");
+            let err = file
+                .read_range(&engine, 0..usize::MAX)
+                .expect_err("absurd range");
+            assert!(err.is_invalid_range(), "{codec:?}: {err}");
+        }
     }
 
     #[test]
     fn scan_surfaces_corruption_with_page_context() {
-        let engine = StorageEngine::in_memory();
-        let file = RecordFile::create(&engine, sample(1000)).expect("create");
-        // Tear page 2 of the file behind the pool's back.
-        engine.clear_cache();
-        engine.clear_faults(); // reset write ordinals past create's writes
-        engine.inject_fault(Fault::TornWrite { nth: 0, keep: 64 });
-        let torn = PageId(file.first_page().0 + 2);
-        let junk = [0xA5u8; PAGE_SIZE];
-        assert!(engine.write_page(torn, &junk).is_err());
-        engine.clear_faults();
+        for codec in CODECS {
+            let (engine, file) = file_with(codec, 5000);
+            assert!(file.data_pages() > 2, "{codec:?}");
+            // Tear data page 2 of the file behind the pool's back.
+            engine.clear_cache();
+            engine.clear_faults(); // reset write ordinals past create's writes
+            engine.inject_fault(Fault::TornWrite { nth: 0, keep: 64 });
+            let torn = PageId(file.first_page().0 + 2);
+            let junk = [0xA5u8; PAGE_SIZE];
+            assert!(engine.write_page(torn, &junk).is_err());
+            engine.clear_faults();
 
-        let err = file
-            .for_each_in_range(&engine, 0..1000, |_, _| ())
-            .expect_err("scan must hit the torn page");
-        assert!(err.is_corrupt());
-        assert_eq!(err.page(), Some(torn));
+            let err = file
+                .for_each_in_range(&engine, 0..5000, |_, _| ())
+                .expect_err("scan must hit the torn page");
+            assert!(err.is_corrupt(), "{codec:?}: {err}");
+            assert_eq!(err.page(), Some(torn));
+        }
     }
 }

@@ -15,9 +15,11 @@
 //!   did).
 //! * [`StorageEngine`] — the façade bundling the two; all index and cell
 //!   file accesses in the workspace go through it.
-//! * [`RecordFile`] — a fixed-size-record heap file; the Hilbert-ordered
-//!   cell file of the I-Hilbert method is a `RecordFile` whose record
-//!   ranges correspond to subfields.
+//! * [`CellFile`] — the record file: fixed-size records in consecutive
+//!   pages, raw or compressed; the Hilbert-ordered cell file of the
+//!   I-Hilbert method is a `CellFile` whose record ranges correspond to
+//!   subfields. [`RecordFile`] names the constructors of always-raw
+//!   ones.
 //!
 //! The engine is thread-safe: pool frames live in independently locked
 //! shards so concurrent queries mostly avoid lock contention, and every
@@ -76,13 +78,13 @@ pub use cf_obs::{
     HeatMap, Histogram, Json, Label, MetricsRegistry, SloObjective, SloTracker, SlowQueryReport,
     Stopwatch, TraceEvent, Tracer, WorkloadRecord, HEAT_BUCKETS,
 };
-pub use compressed::{CellFile, CompressedRecordFile, PageCodec};
+pub use compressed::PageCodec;
 pub use disk::{DiskManager, PageBuf, PageId, FSM_COMMIT_PAGE, PAGE_SIZE};
 pub use engine::{StorageConfig, StorageEngine};
 pub use error::{CfError, CfResult, FaultOp};
 pub use fault::{Fault, FaultInjector, FiredFault};
 pub use gc::{EpochGc, EpochPin};
-pub use heap::{KvRecord, Record, RecordFile};
+pub use heap::{CellFile, KvRecord, Record, RecordFile};
 pub use stats::{thread_io_stats, IoStats, ShardStats};
 
 pub mod checksum;

@@ -1,8 +1,13 @@
 //! Property-based tests: the storage stack must behave like a flat
 //! byte array regardless of pool capacity, eviction pattern, or backing.
 
-use cf_storage::{KvRecord, PageId, RecordFile, StorageConfig, StorageEngine, PAGE_SIZE};
+use cf_storage::{
+    CellFile, CfError, KvRecord, PageCodec, PageId, RecordFile, StorageConfig, StorageEngine,
+    PAGE_SIZE,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -92,6 +97,74 @@ proptest! {
         for (i, r) in scanned.iter().enumerate() {
             prop_assert_eq!(r.key, model[i]);
         }
+    }
+
+    #[test]
+    fn range_sweep_equals_point_reads_on_both_codecs(
+        len in 1usize..3000,
+        compressed in any::<bool>(),
+        cuts in prop::collection::vec(any::<usize>(), 0..24),
+        puts in prop::collection::vec((any::<usize>(), any::<u64>()), 0..10),
+    ) {
+        let codec = if compressed { PageCodec::Compressed } else { PageCodec::Raw };
+        let engine = StorageEngine::new(StorageConfig { codec, ..Default::default() });
+        let mut model: Vec<KvRecord> = (0..len)
+            .map(|i| KvRecord { key: 3 * i as u64, value: -(i as f64) })
+            .collect();
+        let file = CellFile::create(&engine, model.clone()).expect("create");
+        prop_assert_eq!(file.codec(), codec);
+        for (idx, key) in puts {
+            let idx = idx % len;
+            let rec = KvRecord { key, value: 0.5 };
+            match file.put(&engine, idx, &rec) {
+                Ok(()) => model[idx] = rec,
+                // A compressed page out of slack refuses the update
+                // and stays as it was.
+                Err(CfError::PageFull { .. }) => prop_assert!(compressed),
+                Err(e) => panic!("put: {e}"),
+            }
+        }
+
+        // Sorted cut points pair up into sorted, disjoint — possibly
+        // touching, possibly empty — ranges.
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
+        cuts.sort_unstable();
+        let ranges: Vec<Range<usize>> = cuts.chunks_exact(2).map(|c| c[0]..c[1]).collect();
+
+        engine.reset_stats();
+        let mut swept = Vec::new();
+        file.for_each_in_ranges(&engine, &ranges, |idx, rec| swept.push((idx, rec))).expect("sweep");
+        let reads = engine.io_stats().logical_reads();
+
+        // Exactly what per-index `get` yields, in ascending order.
+        let want: Vec<usize> = ranges.iter().cloned().flatten().collect();
+        prop_assert_eq!(swept.len(), want.len());
+        for (&(idx, rec), &w) in swept.iter().zip(&want) {
+            prop_assert_eq!(idx, w);
+            prop_assert_eq!(rec, model[idx]);
+            prop_assert_eq!(rec, file.get(&engine, idx).expect("get"));
+        }
+
+        // One logical read per distinct data page the ranges touch…
+        let page_of = |idx: usize| file.pages_in_range(0..idx + 1) - 1;
+        let pages: BTreeSet<usize> = want.iter().map(|&idx| page_of(idx)).collect();
+        prop_assert_eq!(reads, pages.len() as u64);
+        // …which is the sum of `pages_in_range` over the page-groups
+        // (maximal runs of ranges whose page spans touch or overlap).
+        let mut grouped = 0;
+        let mut group: Option<Range<usize>> = None;
+        for r in ranges.iter().filter(|r| !r.is_empty()) {
+            group = Some(match group {
+                Some(g) if page_of(r.start) <= page_of(g.end - 1) => g.start..r.end,
+                Some(g) => {
+                    grouped += file.pages_in_range(g);
+                    r.clone()
+                }
+                None => r.clone(),
+            });
+        }
+        grouped += group.map_or(0, |g| file.pages_in_range(g));
+        prop_assert_eq!(reads, grouped as u64);
     }
 
     #[test]
