@@ -9,9 +9,9 @@
 //! `ablation`, `batch`, `bench`, `replay`, `regress`, `obs-overhead`,
 //! `all`.
 //! Flags: `--full` (paper-scale datasets and 200 queries/point),
-//! `--queries N`, `--latency-us N`, `--json` (with `bench`: also write
-//! `BENCH_pr5.json` and append a flattened record to the committed
-//! bench history), `--metrics` (with `batch`/`bench`: dump the engine's
+//! `--queries N`, `--latency-us N`, `--json` (with `bench`: append a
+//! flattened record to the committed bench history), `--metrics` (with
+//! `batch`/`bench`: dump the engine's
 //! metrics-registry snapshot after the run), `--oocore` (with `bench`:
 //! run the out-of-core file-backing benchmark instead, appending to its
 //! own history, default `BENCH_oocore_history.jsonl`), `--record PATH`
@@ -405,127 +405,36 @@ fn obs_overhead(opts: &Opts) {
     println!("OBS_OVERHEAD_US_PER_QUERY: {us:.4}");
 }
 
-/// Performance benches: parallel build scaling and the compressed vs
-/// raw cell-page sweep. With `--json` the measurements are written to
-/// `BENCH_pr5.json` and a flattened record is appended to the committed
-/// bench history (`--history`, default `BENCH_history.jsonl`) for the
-/// `regress` gate.
+/// The compressed vs raw cell-page sweep (fig8a terrain, fig8b TIN):
+/// mean cold-cache pages per Q2 query under each codec, the answers
+/// asserted bit-identical — the codec is a layout change, not an
+/// approximation. Page counts are deterministic, so nothing is timed
+/// and no latency is injected (the ladder's `cold_file_grid_64k` is the
+/// timing authority for the codec). With `--json` a flattened record is
+/// appended to the committed bench history (`--history`, default
+/// `BENCH_history.jsonl`) for the `regress` gate.
 fn bench(opts: &Opts) {
-    use cf_storage::{StorageConfig, StorageEngine};
-    use std::time::{Duration, Instant};
+    use cf_storage::{PageCodec, StorageConfig, StorageEngine};
 
-    // ---- 1. Parallel build scaling (fig8a terrain) -------------------
-    //
-    // The paper's setting is disk-resident, so the build pays a simulated
-    // per-page write latency; the parallel pipeline's chunked record
-    // writes overlap those waits (the sleep releases the CPU), which is
-    // where the wall-clock speedup comes from on any core count. The
-    // timed region runs to *durable* (build + sync): the sequential
-    // build buffers its writes and pays them at the group flush, the
-    // parallel build writes through with the waits overlapped — timing
-    // anything less would compare a deferred cost against a paid one.
-    // Every parallel build is checked byte-identical to the sequential
-    // one.
-    let k = if opts.full { 9 } else { 8 };
-    let field = roseburg_standin(k);
-    let write_latency_us: u64 = 500;
-    let mk_engine = || {
-        StorageEngine::new(StorageConfig {
-            pool_pages: 4096,
-            write_latency: Duration::from_micros(write_latency_us),
-            ..StorageConfig::default()
-        })
-    };
-    eprintln!(
-        "[bench] build scaling: terrain {0}x{0} cells, {write_latency_us} µs/page write…",
-        1 << k
-    );
-    let seq_engine = mk_engine();
-    let t0 = Instant::now();
-    let seq_index = IHilbert::build(&seq_engine, &field).expect("build");
-    seq_engine.sync().expect("sync");
-    let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    struct BuildPoint {
-        threads: usize,
-        ms: f64,
-        speedup: f64,
-        identical: bool,
-    }
-    let mut build_points = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let engine = mk_engine();
-        let t0 = Instant::now();
-        let idx = IHilbert::build_with(
-            &engine,
-            &field,
-            IHilbertConfig {
-                build_threads: threads,
-                ..Default::default()
-            },
-        )
-        .expect("build");
-        engine.sync().expect("sync");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let identical = idx.num_subfields() == seq_index.num_subfields()
-            && engines_identical(&seq_engine, &engine);
-        build_points.push(BuildPoint {
-            threads,
-            ms,
-            speedup: seq_ms / ms.max(1e-9),
-            identical,
-        });
-    }
-
-    println!(
-        "### bench — parallel build scaling (fig8a terrain, {write_latency_us} µs/page write)\n"
-    );
-    println!("| build | wall ms | speedup | byte-identical |");
-    println!("|---|---|---|---|");
-    println!("| sequential | {seq_ms:.1} | 1.00x | — |");
-    for p in &build_points {
-        println!(
-            "| {} threads | {:.1} | {:.2}x | {} |",
-            p.threads, p.ms, p.speedup, p.identical
-        );
-    }
-
-    // ---- 2. Compressed vs raw cell pages (fig8a + fig8b Q2 sweep) ----
-    //
-    // Disk-bound regime: a read latency high enough that the wait
-    // sleeps (stable timings) and page counts — the paper's metric —
-    // set the query cost, so packing more cells per page is a direct
-    // pages/query win.
-    // Answers must be byte-identical — the codec is a layout change,
-    // not an approximation — and that is asserted per query.
-    struct CodecSide {
-        mean_ms: f64,
-        mean_pages: f64,
-    }
     struct CodecPoint {
-        figure: String,
-        num_cells: usize,
+        figure: &'static str,
         qinterval: f64,
-        queries: usize,
-        read_latency_us: u64,
-        raw: CodecSide,
-        comp: CodecSide,
+        raw_pages: f64,
+        comp_pages: f64,
         pages_speedup: f64,
         identical: bool,
     }
-    fn codec_points_for<F: FieldModel + Sync>(
-        figure: &str,
+    /// Appends one dataset's points to `out`; returns its raw-page
+    /// engine (what `--metrics` dumps).
+    fn codec_points_for<F: FieldModel>(
+        figure: &'static str,
         field: &F,
         opts: &Opts,
         out: &mut Vec<CodecPoint>,
-    ) {
-        use cf_storage::PageCodec;
-        let qintervals = [0.01, 0.05];
+    ) -> StorageEngine {
         let nq = opts.queries.unwrap_or(if opts.full { 48 } else { 12 });
-        let read_latency_us = opts.latency_us.max(500);
         let mk = |codec| {
             let engine = StorageEngine::new(StorageConfig {
-                read_latency: Duration::from_micros(read_latency_us),
                 codec,
                 ..StorageConfig::default()
             });
@@ -534,55 +443,42 @@ fn bench(opts: &Opts) {
         };
         let (raw_engine, raw_index) = mk(PageCodec::Raw);
         let (comp_engine, comp_index) = mk(PageCodec::Compressed);
+        // Mean pages per cold query, and the bits of every answer.
         let measure = |engine: &StorageEngine, index: &dyn ValueIndex, queries: &[Interval]| {
-            let mut ms = 0.0;
             let mut pages = 0u64;
             let mut areas = Vec::with_capacity(queries.len());
             for q in queries {
                 engine.clear_cache();
-                let t0 = Instant::now();
                 let stats = index.query_stats(engine, *q).expect("query");
-                ms += t0.elapsed().as_secs_f64() * 1e3;
                 pages += stats.io.logical_reads();
                 areas.push(stats.area.to_bits());
             }
-            let n = queries.len() as f64;
-            (
-                CodecSide {
-                    mean_ms: ms / n,
-                    mean_pages: pages as f64 / n,
-                },
-                areas,
-            )
+            (pages as f64 / queries.len() as f64, areas)
         };
-        for &qi in &qintervals {
-            let queries = interval_queries(field.value_domain(), qi, nq, 0xF0_2E);
-            let (raw, raw_areas) = measure(&raw_engine, &raw_index, &queries);
-            let (comp, comp_areas) = measure(&comp_engine, &comp_index, &queries);
+        for qinterval in [0.01, 0.05] {
+            let queries = interval_queries(field.value_domain(), qinterval, nq, 0xF0_2E);
+            let (raw_pages, raw_areas) = measure(&raw_engine, &raw_index, &queries);
+            let (comp_pages, comp_areas) = measure(&comp_engine, &comp_index, &queries);
             let identical = raw_areas == comp_areas;
             assert!(
                 identical,
-                "{figure} qi {qi}: compressed answers diverge from raw"
+                "{figure} qi {qinterval}: compressed answers diverge from raw"
             );
             out.push(CodecPoint {
-                figure: figure.to_string(),
-                num_cells: field.num_cells(),
-                qinterval: qi,
-                queries: queries.len(),
-                read_latency_us,
-                pages_speedup: raw.mean_pages / comp.mean_pages.max(1e-9),
-                raw,
-                comp,
+                figure,
+                qinterval,
+                raw_pages,
+                comp_pages,
+                pages_speedup: raw_pages / comp_pages.max(1e-9),
                 identical,
             });
         }
+        raw_engine
     }
-    eprintln!(
-        "[bench] cell-page codec: fig8a + fig8b, {} µs/page read…",
-        opts.latency_us.max(500)
-    );
+    eprintln!("[bench] cell-page codec: fig8a + fig8b…");
+    let field = roseburg_standin(if opts.full { 9 } else { 8 });
     let mut codec_points = Vec::new();
-    codec_points_for("fig8a", &field, opts, &mut codec_points);
+    let raw_engine = codec_points_for("fig8a", &field, opts, &mut codec_points);
     // A large TIN: the codec's page savings are a file-level ratio, and
     // a bigger cell file keeps per-range boundary pages from diluting
     // it in the per-query mean.
@@ -593,111 +489,25 @@ fn bench(opts: &Opts) {
         &mut codec_points,
     );
 
-    println!("\n### bench — compressed vs raw cell pages (cold cache)\n");
-    println!(
-        "| figure | Qinterval | raw ms | comp ms | raw pages | comp pages | pages speedup | identical |"
-    );
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("### bench — compressed vs raw cell pages (cold cache)\n");
+    println!("| figure | Qinterval | raw pages | comp pages | pages speedup | identical |");
+    println!("|---|---|---|---|---|---|");
     for p in &codec_points {
         println!(
-            "| {} | {:.2} | {:.3} | {:.3} | {:.1} | {:.1} | {:.2}x | {} |",
-            p.figure,
-            p.qinterval,
-            p.raw.mean_ms,
-            p.comp.mean_ms,
-            p.raw.mean_pages,
-            p.comp.mean_pages,
-            p.pages_speedup,
-            p.identical,
+            "| {} | {:.2} | {:.1} | {:.1} | {:.2}x | {} |",
+            p.figure, p.qinterval, p.raw_pages, p.comp_pages, p.pages_speedup, p.identical,
         );
     }
-
     println!();
 
-    // ---- JSON artifact ----------------------------------------------
+    // Flattened record for the committed history → `repro regress`.
     if opts.json {
-        use cf_obs::Json;
-        let num = Json::Num;
-        let codec = |c: &CodecSide| {
-            Json::obj([
-                ("mean_ms", num(c.mean_ms)),
-                ("mean_pages", num(c.mean_pages)),
-            ])
-        };
-        let j = Json::obj([
-            ("bench", Json::Str("pr5".into())),
-            (
-                "build_scaling",
-                Json::obj([
-                    (
-                        "dataset",
-                        Json::Str(format!("fig8a terrain {0}x{0}", 1 << k)),
-                    ),
-                    ("cells", num(field.num_cells() as f64)),
-                    ("write_latency_us", num(write_latency_us as f64)),
-                    ("sequential_ms", num(seq_ms)),
-                    (
-                        "points",
-                        Json::Arr(
-                            build_points
-                                .iter()
-                                .map(|p| {
-                                    Json::obj([
-                                        ("threads", num(p.threads as f64)),
-                                        ("ms", num(p.ms)),
-                                        ("speedup", num(p.speedup)),
-                                        ("byte_identical", Json::Bool(p.identical)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "codec_sweep",
-                Json::Arr(
-                    codec_points
-                        .iter()
-                        .map(|p| {
-                            Json::obj([
-                                ("figure", Json::Str(p.figure.clone())),
-                                ("cells", num(p.num_cells as f64)),
-                                ("qinterval", num(p.qinterval)),
-                                ("queries", num(p.queries as f64)),
-                                ("read_latency_us", num(p.read_latency_us as f64)),
-                                ("raw", codec(&p.raw)),
-                                ("compressed", codec(&p.comp)),
-                                ("pages_speedup", num(p.pages_speedup)),
-                                ("identical", Json::Bool(p.identical)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-        .render();
-        std::fs::write("BENCH_pr5.json", &j).expect("write BENCH_pr5.json");
-        println!("wrote BENCH_pr5.json");
-
-        // Flattened record for the committed history → `repro regress`.
-        let mut rec = cf_bench::history::BenchRecord::new("pr5");
+        let mut rec = cf_bench::history::BenchRecord::new("codec");
         rec.push("cells", field.num_cells() as f64);
-        rec.push("build_sequential_ms", seq_ms);
-        for p in &build_points {
-            rec.push(format!("build_{}t_ms", p.threads), p.ms);
-            rec.push(format!("build_{}t_speedup", p.threads), p.speedup);
-            rec.push(
-                format!("build_{}t_identical", p.threads),
-                if p.identical { 1.0 } else { 0.0 },
-            );
-        }
         for p in &codec_points {
             let prefix = format!("codec_{}_qi{}", p.figure, p.qinterval);
-            rec.push(format!("{prefix}_raw_ms"), p.raw.mean_ms);
-            rec.push(format!("{prefix}_raw_pages"), p.raw.mean_pages);
-            rec.push(format!("{prefix}_comp_ms"), p.comp.mean_ms);
-            rec.push(format!("{prefix}_comp_pages"), p.comp.mean_pages);
+            rec.push(format!("{prefix}_raw_pages"), p.raw_pages);
+            rec.push(format!("{prefix}_comp_pages"), p.comp_pages);
             rec.push(format!("{prefix}_pages_speedup"), p.pages_speedup);
             rec.push(
                 format!("{prefix}_identical"),
@@ -710,8 +520,8 @@ fn bench(opts: &Opts) {
     }
 
     if opts.metrics {
-        println!("\n### metrics snapshot (sequential-build engine)\n");
-        print!("{}", seq_engine.metrics().render_text());
+        println!("\n### metrics snapshot (fig8a raw-page engine)\n");
+        print!("{}", raw_engine.metrics().render_text());
         println!();
     }
 }
@@ -1349,19 +1159,6 @@ fn regress(opts: &Opts) {
             }
         }
     }
-}
-
-/// Every allocated page of the two engines is byte-for-byte equal.
-fn engines_identical(a: &cf_storage::StorageEngine, b: &cf_storage::StorageEngine) -> bool {
-    use cf_storage::PageId;
-    if a.num_pages() != b.num_pages() {
-        return false;
-    }
-    (0..a.num_pages()).all(|p| {
-        let pa = a.with_page(PageId(p as u64), |page| *page).expect("read");
-        let pb = b.with_page(PageId(p as u64), |page| *page).expect("read");
-        pa == pb
-    })
 }
 
 /// Design-choice ablations: curve, cost knobs, quadtree threshold.

@@ -25,7 +25,7 @@ use std::path::Path;
 /// One benchmark run, flattened to ordered `(name, value)` metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
-    /// Run label (e.g. `"pr5"`).
+    /// Run label (e.g. `"codec"`).
     pub label: String,
     /// Flat metrics, in emission order.
     pub metrics: Vec<(String, f64)>,
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn record_round_trips_through_json() {
-        let r = record("pr5", &[("build_sequential_ms", 12.5), ("a_pages", 40.0)]);
+        let r = record("codec", &[("q_ms", 12.5), ("a_pages", 40.0)]);
         let back = BenchRecord::from_json(&r.to_json()).expect("parse");
         assert_eq!(back, r);
     }
@@ -332,7 +332,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("BENCH_history.jsonl");
         for i in 0..3 {
-            append_history(&path, &record("pr5", &[("q_ms", 10.0 + i as f64)])).expect("append");
+            append_history(&path, &record("codec", &[("q_ms", 10.0 + i as f64)])).expect("append");
         }
         let loaded = load_history(&path).expect("load");
         assert_eq!(loaded.len(), 3);
@@ -342,15 +342,21 @@ mod tests {
 
     #[test]
     fn metric_kinds_classify_by_suffix() {
-        assert_eq!(MetricKind::of("build_sequential_ms"), MetricKind::Time);
+        assert_eq!(MetricKind::of("oocore_q2_cold_ms"), MetricKind::Time);
         assert_eq!(MetricKind::of("ingest_update_us"), MetricKind::Time);
         assert_eq!(
             MetricKind::of("codec_fig8a_qi0.01_raw_pages"),
             MetricKind::Count
         );
         assert_eq!(MetricKind::of("x_filter_nodes"), MetricKind::Count);
-        assert_eq!(MetricKind::of("build_4t_speedup"), MetricKind::Speedup);
-        assert_eq!(MetricKind::of("build_4t_identical"), MetricKind::Flag);
+        assert_eq!(
+            MetricKind::of("codec_fig8a_qi0.01_pages_speedup"),
+            MetricKind::Speedup
+        );
+        assert_eq!(
+            MetricKind::of("codec_fig8a_qi0.01_identical"),
+            MetricKind::Flag
+        );
         assert_eq!(MetricKind::of("cells"), MetricKind::Info);
     }
 
@@ -433,19 +439,11 @@ mod tests {
 
     #[test]
     fn speedup_regresses_downward_and_flags_must_hold() {
+        let (speedup, flag) = ("codec_pages_speedup", "codec_identical");
         let history = vec![
-            record(
-                "a",
-                &[("build_4t_speedup", 3.0), ("build_4t_identical", 1.0)],
-            ),
-            record(
-                "b",
-                &[("build_4t_speedup", 3.0), ("build_4t_identical", 1.0)],
-            ),
-            record(
-                "c",
-                &[("build_4t_speedup", 1.5), ("build_4t_identical", 0.0)],
-            ),
+            record("a", &[(speedup, 3.0), (flag, 1.0)]),
+            record("b", &[(speedup, 3.0), (flag, 1.0)]),
+            record("c", &[(speedup, 1.5), (flag, 0.0)]),
         ];
         let report = compare(&history, 5, 0.30, 0.02).expect("baseline");
         let names: Vec<&str> = report
@@ -453,11 +451,11 @@ mod tests {
             .iter()
             .map(|d| d.name.as_str())
             .collect();
-        assert_eq!(names, vec!["build_4t_speedup", "build_4t_identical"]);
+        assert_eq!(names, vec![speedup, flag]);
         // A *higher* speedup is never a regression.
         let history = vec![
-            record("a", &[("build_4t_speedup", 3.0)]),
-            record("b", &[("build_4t_speedup", 4.5)]),
+            record("a", &[(speedup, 3.0)]),
+            record("b", &[(speedup, 4.5)]),
         ];
         assert!(compare(&history, 5, 0.30, 0.02).expect("baseline").ok());
     }

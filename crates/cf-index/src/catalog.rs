@@ -849,4 +849,40 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn hostile_delta_record_is_a_typed_error_not_a_panic() {
+        let field = bumpy_field(12);
+        let engine = StorageEngine::in_memory();
+        let built = IHilbert::build(&engine, &field).expect("build");
+        let cells = built.inner_len() as u32;
+        let live = LiveIngest::new(&engine, built, IngestConfig::default()).expect("live");
+        for cell in [3, 40, 77] {
+            let rec = cf_field::GridCellRecord {
+                vals: [500.0; 4],
+                ..field.cell_record(cell)
+            };
+            live.ingest(&engine, cell, rec).expect("ingest");
+        }
+        let catalog = live.save(&engine).expect("save");
+        LiveIngest::<GridField>::open(&engine, catalog, IngestConfig::default())
+            .expect("the saved delta replays");
+
+        // Point one flushed delta record past the cell file; `put`
+        // writes the page through the engine (checksum re-sealed).
+        let slot = read_slot(&engine, catalog).expect("slot");
+        assert_eq!(slot.delta_len, 3);
+        let delta_file = RecordFile::<DeltaRec<cf_field::GridCellRecord>>::open(
+            PageId(slot.delta_first),
+            slot.delta_len,
+        );
+        let mut bad = delta_file.get(&engine, 1).expect("get");
+        bad.pos = cells + 1000;
+        delta_file.put(&engine, 1, &bad).expect("put");
+
+        let err = LiveIngest::<GridField>::open(&engine, catalog, IngestConfig::default())
+            .map(|_| ())
+            .expect_err("delta position past the cell file");
+        assert!(err.is_corrupt(), "{err}");
+    }
 }

@@ -12,7 +12,7 @@ use crate::stats::{QueryMetrics, QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
-use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
+use cf_rtree::PagedRTree;
 use cf_storage::{CellFile, CfError, CfResult, Label, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
@@ -41,11 +41,10 @@ impl<F: FieldModel> IAll<F> {
         let records: Vec<F::CellRec> = (0..n).map(|c| field.cell_record(c)).collect();
         let file = RecordFile::create(engine, records)?;
 
-        let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::page_sized::<1>());
-        for cell in 0..n {
-            tree.insert(field.cell_interval(cell).into(), entry(cell));
-        }
-        let tree = PagedRTree::persist(&tree, engine)?;
+        let tree = PagedRTree::build(
+            engine,
+            (0..n).map(|cell| (field.cell_interval(cell).into(), entry(cell))),
+        )?;
         Ok(Self {
             file,
             tree,

@@ -10,12 +10,12 @@ use crate::advisor::{
     expected_pages, expected_pages_spatial, refine_subfields_spatially, CostModelReport,
     RepackOutcome, SpatialProfile, WorkloadProfile,
 };
-use crate::order::{cell_order, par_cell_order};
+use crate::order::cell_order;
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
 pub use crate::sfindex::TreeBuild;
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
-use crate::subfield::{build_subfields, SubfieldConfig};
+use crate::subfield::{build_subfields, subfield_costs, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
 use cf_sfc::Curve;
@@ -31,13 +31,6 @@ pub struct IHilbertConfig {
     pub subfield: SubfieldConfig,
     /// R\*-tree build strategy.
     pub tree_build: TreeBuild,
-    /// Worker threads for the build pipeline (key extraction, cell
-    /// ordering, interval extraction, record writing). `0` and `1` both
-    /// select the sequential build; any count produces a **byte-identical**
-    /// index (see DESIGN.md §8 for the determinism argument). The greedy
-    /// subfield grouping and the subfield R\*-tree build stay sequential,
-    /// as in the paper.
-    pub build_threads: usize,
 }
 
 /// Wrapper defaulting the curve to Hilbert.
@@ -60,64 +53,26 @@ pub struct IHilbert<F: FieldModel> {
 
 impl<F: FieldModel> IHilbert<F> {
     /// Builds the index with paper-default parameters.
-    pub fn build(engine: &StorageEngine, field: &F) -> CfResult<Self>
-    where
-        F: Sync,
-    {
+    pub fn build(engine: &StorageEngine, field: &F) -> CfResult<Self> {
         Self::build_with(engine, field, IHilbertConfig::default())
     }
 
-    /// Builds the index with explicit parameters.
-    ///
-    /// With `config.build_threads > 1` the pipeline's per-cell phases
-    /// (curve keys, cell ordering, value intervals, record writes) fan
-    /// out over scoped worker threads; the resulting index is
-    /// byte-identical to the sequential build.
-    pub fn build_with(engine: &StorageEngine, field: &F, config: IHilbertConfig) -> CfResult<Self>
-    where
-        F: Sync,
-    {
-        let threads = config.build_threads.max(1);
-        let order;
-        let intervals: Vec<Interval>;
-        let subfields;
-        let mut inner;
-        if threads > 1 {
-            order = par_cell_order(field, config.curve.0, threads);
-            intervals = crate::par::par_map_chunks(order.len(), threads, {
-                let order = &order;
-                move |r, out| out.extend(order[r].iter().map(|&c| field.cell_interval(c)))
-            });
-            subfields = build_subfields(&intervals, config.subfield);
-            inner = SubfieldIndex::build_par(
-                engine,
-                field,
-                &order,
-                &subfields,
-                config.tree_build,
-                threads,
-            )?;
-        } else {
-            order = cell_order(field, config.curve.0);
-            intervals = order.iter().map(|&c| field.cell_interval(c)).collect();
-            subfields = build_subfields(&intervals, config.subfield);
-            inner = SubfieldIndex::build(engine, field, &order, &subfields, config.tree_build)?;
-        }
+    /// Builds the index with explicit parameters: linearize the cells
+    /// along the curve, group them greedily into subfields (§3.1.2),
+    /// write the cell file in that order and index the subfield
+    /// intervals.
+    pub fn build_with(engine: &StorageEngine, field: &F, config: IHilbertConfig) -> CfResult<Self> {
+        let order = cell_order(field, config.curve.0);
+        let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
+        let subfields = build_subfields(&intervals, config.subfield);
+        let mut inner = SubfieldIndex::build(engine, field, &order, &subfields, config.tree_build)?;
         inner.set_metric_label(method_label(config.curve.0));
         inner.set_curve_label(config.curve.0.name());
-        // Exact per-subfield cost C = P/SI — the per-cell intervals are
-        // in hand only here at build time, so this is where the health
-        // metrics get the full distribution.
-        let costs: Vec<f64> = subfields
-            .iter()
-            .map(|sf| {
-                let si: f64 = intervals[sf.start as usize..sf.end as usize]
-                    .iter()
-                    .map(|iv| iv.size_with_base(1.0))
-                    .sum();
-                sf.interval.size_with_base(1.0) / si
-            })
-            .collect();
+        // Exact per-subfield cost C = P/SI (the paper's `P = L`, base
+        // 1) — the per-cell intervals are in hand only here at build
+        // time, so this is where the health metrics get the full
+        // distribution.
+        let costs = subfield_costs(&subfields, SubfieldConfig::default(), |pos| intervals[pos]);
         inner.publish_health(engine.metrics(), Some(&costs));
         assert!(
             order.len() <= u32::MAX as usize,
@@ -538,42 +493,6 @@ mod tests {
         assert_eq!(a.cells_qualifying, b.cells_qualifying);
         assert_eq!(a.cells_examined, b.cells_examined);
         assert!((a.area - b.area).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_build_is_byte_identical_to_sequential() {
-        use cf_storage::PageId;
-        // 80×80 = 6400 cells — above the work-stealing chunk size, so
-        // the parallel phases actually engage.
-        let field = smooth_field(80);
-        let seq_engine = StorageEngine::in_memory();
-        let seq = IHilbert::build(&seq_engine, &field).expect("build");
-        for threads in [2usize, 4] {
-            let par_engine = StorageEngine::in_memory();
-            let par = IHilbert::build_with(
-                &par_engine,
-                &field,
-                IHilbertConfig {
-                    build_threads: threads,
-                    ..Default::default()
-                },
-            )
-            .expect("build");
-            assert_eq!(par.num_subfields(), seq.num_subfields(), "t={threads}");
-            assert_eq!(par.cell_to_pos(), seq.cell_to_pos(), "t={threads}");
-            // The strongest possible check: every page of the two
-            // engines is byte-for-byte equal.
-            assert_eq!(par_engine.num_pages(), seq_engine.num_pages());
-            for p in 0..seq_engine.num_pages() {
-                let a = seq_engine
-                    .with_page(PageId(p as u64), |page| *page)
-                    .expect("read");
-                let b = par_engine
-                    .with_page(PageId(p as u64), |page| *page)
-                    .expect("read");
-                assert!(a == b, "page {p} differs at {threads} threads");
-            }
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
-use cf_storage::{codec, CfResult, EpochPin, Gauge, Record, Stopwatch, StorageEngine};
+use cf_storage::{codec, CfError, CfResult, EpochPin, Gauge, Record, Stopwatch, StorageEngine};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
@@ -202,6 +202,11 @@ impl<F: FieldModel> LiveIngest<F> {
     /// Internal constructor shared by [`LiveIngest::new`] and the
     /// catalog reopen path: seeds the ring (net overlays, e.g. from a
     /// flushed delta file) and the publication epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`CfError::Corrupt`] when a ring entry overlays a position past
+    /// the base cell file.
     pub(crate) fn from_state(
         engine: &StorageEngine,
         base: IHilbert<F>,
@@ -234,7 +239,19 @@ impl<F: FieldModel> LiveIngest<F> {
             last_drain: Instant::now(),
             last_publish: Instant::now(),
         };
+        // Replayed positions come from the on-disk delta file: bound
+        // them before anything indexes by them.
+        let cells = state.base.inner_len();
         for d in ring {
+            if d.pos as usize >= cells {
+                return Err(CfError::corrupt(
+                    None,
+                    format!(
+                        "delta record overlays position {}, but the cell file holds {cells} records",
+                        d.pos
+                    ),
+                ));
+            }
             state.overlays.insert(d.pos, d.rec.clone());
             state.ring.push(d);
         }

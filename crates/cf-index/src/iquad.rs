@@ -16,7 +16,7 @@
 use crate::planner::Plan;
 use crate::sfindex::{SubfieldIndex, TreeBuild};
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
-use crate::subfield::Subfield;
+use crate::subfield::{subfield_costs, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval, Polygon};
 use cf_storage::{CfResult, StorageEngine};
@@ -68,16 +68,9 @@ impl<F: FieldModel> IntervalQuadtree<F> {
         let mut inner =
             SubfieldIndex::build(engine, field, &order, &subfields, TreeBuild::Dynamic)?;
         inner.set_metric_label("I-Quad");
-        let costs: Vec<f64> = subfields
-            .iter()
-            .map(|sf| {
-                let si: f64 = order[sf.start as usize..sf.end as usize]
-                    .iter()
-                    .map(|&c| intervals[c].size_with_base(1.0))
-                    .sum();
-                sf.interval.size_with_base(1.0) / si
-            })
-            .collect();
+        let costs = subfield_costs(&subfields, SubfieldConfig::default(), |pos| {
+            intervals[order[pos]]
+        });
         inner.publish_health(engine.metrics(), Some(&costs));
         Ok(Self { inner, threshold })
     }

@@ -44,7 +44,6 @@ mod ingest;
 mod iquad;
 mod linear;
 mod order;
-mod par;
 mod planner;
 mod q1;
 mod sfindex;
@@ -64,7 +63,7 @@ pub use ihilbert::{CurveChoice, IHilbert, IHilbertConfig, TreeBuild};
 pub use ingest::{DeltaRec, EpochSnapshot, IngestConfig, LiveIngest, RepackReport};
 pub use iquad::IntervalQuadtree;
 pub use linear::LinearScan;
-pub use order::{cell_order, par_cell_order, CURVE_ORDER};
+pub use order::{cell_order, CURVE_ORDER};
 pub use planner::{AdaptiveIndex, Plan, SelectivityEstimator};
 pub use q1::{PointIndex, PointQueryStats};
 pub use stats::{QueryScratch, QueryStats, ValueIndex};

@@ -62,32 +62,6 @@ pub fn cell_order<F: FieldModel>(field: &F, curve: Curve) -> Vec<usize> {
     keyed.into_iter().map(|(_, cell)| cell).collect()
 }
 
-/// Parallel [`cell_order`]: curve keys are extracted chunk-wise by
-/// work-stealing workers (batched through [`Curve::index_batch`] so the
-/// curve dispatch is hoisted out of the per-cell loop) and the
-/// `(key, cell)` tuples are sorted with a deterministic parallel merge
-/// sort. Returns **exactly** the permutation [`cell_order`] returns —
-/// tuples are pairwise distinct, so the ascending order is unique and
-/// independent of thread count and scheduling.
-pub fn par_cell_order<F>(field: &F, curve: Curve, threads: usize) -> Vec<usize>
-where
-    F: FieldModel + Sync,
-{
-    let n = field.num_cells();
-    let q = Quantizer::new(field);
-    let mut keyed: Vec<(u64, usize)> = crate::par::par_map_chunks(n, threads, |range, out| {
-        let points: Vec<(u64, u64)> = range
-            .clone()
-            .map(|cell| q.grid_point(field, cell))
-            .collect();
-        let mut keys = Vec::new();
-        curve.index_batch(&points, CURVE_ORDER, &mut keys);
-        out.extend(keys.into_iter().zip(range));
-    });
-    crate::par::par_sort_keyed(&mut keyed, threads);
-    keyed.into_iter().map(|(_, cell)| cell).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,20 +99,6 @@ mod tests {
             let (x1, y1) = (w[1] % cw, w[1] / cw);
             let d = x0.abs_diff(x1) + y0.abs_diff(y1);
             assert_eq!(d, 1, "jump between cells {} and {}", w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn parallel_order_equals_sequential_order() {
-        // 100×100 cells (> 2 × CHUNK) so both the chunked key extraction
-        // and the parallel merge sort actually engage.
-        let g = grid(100);
-        for curve in Curve::ALL {
-            let want = cell_order(&g, curve);
-            for threads in [1usize, 2, 4, 7] {
-                let got = par_cell_order(&g, curve, threads);
-                assert_eq!(got, want, "curve {curve:?} threads {threads}");
-            }
         }
     }
 

@@ -9,7 +9,7 @@
 
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Point2};
-use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
+use cf_rtree::PagedRTree;
 use cf_storage::{CellFile, CfResult, IoStats, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 
@@ -37,11 +37,10 @@ impl<F: FieldModel> PointIndex<F> {
         let n = field.num_cells();
         let records: Vec<F::CellRec> = (0..n).map(|c| field.cell_record(c)).collect();
         let file = RecordFile::create(engine, records)?;
-        let mut tree: RStarTree<2> = RStarTree::new(RTreeConfig::page_sized::<2>());
-        for cell in 0..n {
-            tree.insert(field.cell_bbox(cell), cell as u64);
-        }
-        let tree = PagedRTree::persist(&tree, engine)?;
+        let tree = PagedRTree::build(
+            engine,
+            (0..n).map(|cell| (field.cell_bbox(cell), cell as u64)),
+        )?;
         Ok(Self {
             file,
             tree,

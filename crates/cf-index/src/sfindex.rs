@@ -7,10 +7,10 @@
 use crate::exec::{self, Cells, Delta, Filter, SubfieldOverrides, Q2};
 use crate::planner::Plan;
 use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
-use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
+use crate::subfield::{build_subfields, subfield_costs, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
-use cf_rtree::{bulk_load_str, PagedRTree, RStarTree, RTreeConfig};
+use cf_rtree::{bulk_load_str, PagedRTree, RTreeConfig};
 use cf_storage::{CellFile, CfResult, Label, MetricsRegistry, PageCodec, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
@@ -70,34 +70,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
         Self::finish(engine, file, subfields, tree_build)
     }
 
-    /// Parallel [`SubfieldIndex::build`]: record materialization fans
-    /// out over work-stealing chunks and the cell file's pages are
-    /// written by [`CellFile::create_parallel`]. The page-allocation
-    /// call sequence is identical to the sequential build (cell-file
-    /// run, then tree pages, then subfield catalog), so the resulting
-    /// engine state is byte-identical. The subfield R\*-tree itself is
-    /// built sequentially — it holds one entry per *subfield*, orders of
-    /// magnitude fewer than cells.
-    pub(crate) fn build_par(
-        engine: &StorageEngine,
-        field: &F,
-        order: &[usize],
-        subfields: &[Subfield],
-        tree_build: TreeBuild,
-        threads: usize,
-    ) -> CfResult<Self>
-    where
-        F: Sync,
-    {
-        debug_assert_eq!(order.len(), field.num_cells());
-        let records: Vec<F::CellRec> =
-            crate::par::par_map_chunks(order.len(), threads, |r, out| {
-                out.extend(order[r].iter().map(|&c| field.cell_record(c)));
-            });
-        let file = CellFile::create_parallel(engine, &records, threads)?;
-        Self::finish(engine, file, subfields, tree_build)
-    }
-
     /// Shared tail of both builds: index the subfield intervals and
     /// persist the catalog.
     fn finish(
@@ -106,24 +78,14 @@ impl<F: FieldModel> SubfieldIndex<F> {
         subfields: &[Subfield],
         tree_build: TreeBuild,
     ) -> CfResult<Self> {
-        let config = RTreeConfig::page_sized::<1>();
+        let entries = subfields.iter().map(|sf| (sf.interval.into(), sf.pack()));
         let tree = match tree_build {
-            TreeBuild::Dynamic => {
-                let mut tree: RStarTree<1> = RStarTree::new(config);
-                for sf in subfields {
-                    tree.insert(sf.interval.into(), sf.pack());
-                }
-                tree
-            }
-            TreeBuild::Bulk => bulk_load_str(
-                subfields
-                    .iter()
-                    .map(|sf| (sf.interval.into(), sf.pack()))
-                    .collect(),
-                config,
-            ),
+            TreeBuild::Dynamic => PagedRTree::build(engine, entries)?,
+            TreeBuild::Bulk => PagedRTree::persist(
+                &bulk_load_str(entries.collect(), RTreeConfig::page_sized::<1>()),
+                engine,
+            )?,
         };
-        let tree = PagedRTree::persist(&tree, engine)?;
         let sf_file = CellFile::create(engine, subfields.to_vec())?;
         Ok(Self::assemble(file, tree, subfields.to_vec(), sf_file))
     }
@@ -330,14 +292,12 @@ impl<F: FieldModel> SubfieldIndex<F> {
         if subfields == self.subfields {
             return Ok(false);
         }
-        let tree_config = RTreeConfig::page_sized::<1>();
-        let mut tree: RStarTree<1> = RStarTree::new(tree_config);
-        for sf in &subfields {
-            tree.insert(sf.interval.into(), sf.pack());
-        }
         let old_tree_run = self.tree.page_run();
         let old_sf_run = (self.sf_file.first_page(), self.sf_file.num_pages());
-        self.tree = PagedRTree::persist(&tree, engine)?;
+        self.tree = PagedRTree::build(
+            engine,
+            subfields.iter().map(|sf| (sf.interval.into(), sf.pack())),
+        )?;
         self.sf_file = CellFile::create(engine, subfields.clone())?;
         // Both replacements exist on fresh pages now; the old tree and
         // subfield catalog are dead. Return them to the freelist (a
@@ -354,17 +314,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
         self.subfields = subfields;
         // Health gauges derive from the subfield catalog; refresh them
         // with the exact new cost distribution (intervals are in hand).
-        let costs: Vec<f64> = self
-            .subfields
-            .iter()
-            .map(|sf| {
-                let si: f64 = intervals[sf.start as usize..sf.end as usize]
-                    .iter()
-                    .map(|iv| iv.size_with_base(config.base))
-                    .sum();
-                (sf.interval.size_with_base(config.base) + config.query_len) / si
-            })
-            .collect();
+        let costs = subfield_costs(&self.subfields, config, |pos| intervals[pos]);
         self.publish_health(engine.metrics(), Some(&costs));
         Ok(true)
     }

@@ -21,7 +21,7 @@ use crate::order::CURVE_ORDER;
 use crate::stats::QueryStats;
 use cf_field::{VectorCellRecord, VectorGridField};
 use cf_geom::{Aabb, Polygon};
-use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
+use cf_rtree::PagedRTree;
 use cf_sfc::Curve;
 use cf_storage::{CellFile, CfResult, StorageEngine};
 
@@ -124,11 +124,12 @@ impl<const K: usize> VectorIHilbert<K> {
             order.iter().map(|&c| field.cell_record(c)).collect();
         let file = CellFile::create(engine, records)?;
 
-        let mut tree: RStarTree<K> = RStarTree::new(RTreeConfig::page_sized::<K>());
-        for sf in &subfields {
-            tree.insert(sf.bbox, (u64::from(sf.start) << 32) | u64::from(sf.end));
-        }
-        let tree = PagedRTree::persist(&tree, engine)?;
+        let tree = PagedRTree::build(
+            engine,
+            subfields
+                .iter()
+                .map(|sf| (sf.bbox, (u64::from(sf.start) << 32) | u64::from(sf.end))),
+        )?;
         Ok(Self {
             file,
             tree,

@@ -11,7 +11,7 @@ use crate::stats::QueryStats;
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::{Grid3Field, VolumeCellRecord};
 use cf_geom::Interval;
-use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
+use cf_rtree::PagedRTree;
 use cf_sfc::hilbert_index_nd;
 use cf_storage::{CellFile, CfResult, StorageEngine};
 
@@ -62,11 +62,10 @@ impl VolumeIHilbert {
         let records: Vec<VolumeCellRecord> = order.iter().map(|&c| field.cell_record(c)).collect();
         let file = CellFile::create(engine, records)?;
 
-        let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::page_sized::<1>());
-        for sf in &subfields {
-            tree.insert(sf.interval.into(), sf.pack());
-        }
-        let tree = PagedRTree::persist(&tree, engine)?;
+        let tree = PagedRTree::build(
+            engine,
+            subfields.iter().map(|sf| (sf.interval.into(), sf.pack())),
+        )?;
         Ok(Self {
             file,
             tree,

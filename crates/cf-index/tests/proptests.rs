@@ -25,9 +25,7 @@ fn band() -> impl Strategy<Value = Interval> {
     (-120.0..120.0f64, 0.0..80.0f64).prop_map(|(lo, w)| Interval::new(lo, lo + w))
 }
 
-/// Grid fields large enough that the parallel build's chunked phases
-/// sometimes engage for real (> one 4096-cell chunk) and sometimes take
-/// the sequential fallback — both must be byte-identical.
+/// Grid fields spanning several cell-file pages.
 fn grid_field_large() -> impl Strategy<Value = GridField> {
     (16usize..72).prop_flat_map(|vw| {
         prop::collection::vec(-100.0..100.0f64, vw * vw)
@@ -35,39 +33,49 @@ fn grid_field_large() -> impl Strategy<Value = GridField> {
     })
 }
 
-/// Builds the index sequentially and with `threads` workers on separate
-/// engines and requires the two engines to be byte-for-byte equal.
-fn assert_parallel_build_identical<F: FieldModel + Sync>(field: &F, curve: Curve, threads: usize) {
-    let mk = |build_threads| {
-        let engine = StorageEngine::in_memory();
-        let index = IHilbert::build_with(
-            &engine,
-            field,
-            IHilbertConfig {
-                curve: CurveChoice(curve),
-                build_threads,
-                ..Default::default()
-            },
-        )
-        .expect("build");
-        (engine, index)
+/// Builds the index along `curve` on a fresh engine with `codec` pages.
+fn build_fresh<F: FieldModel>(
+    field: &F,
+    curve: Curve,
+    codec: PageCodec,
+) -> (StorageEngine, IHilbert<F>) {
+    let engine = StorageEngine::new(StorageConfig {
+        codec,
+        ..StorageConfig::default()
+    });
+    let config = IHilbertConfig {
+        curve: CurveChoice(curve),
+        ..Default::default()
     };
-    let (seq_engine, seq) = mk(1);
-    let (par_engine, par) = mk(threads);
-    assert_eq!(
-        par.num_subfields(),
-        seq.num_subfields(),
-        "{curve:?} t={threads}"
-    );
-    assert_eq!(par_engine.num_pages(), seq_engine.num_pages());
-    for p in 0..seq_engine.num_pages() {
-        let a = seq_engine
-            .with_page(PageId(p as u64), |page| *page)
-            .expect("read");
-        let b = par_engine
-            .with_page(PageId(p as u64), |page| *page)
-            .expect("read");
-        assert!(a == b, "page {p} differs ({curve:?}, {threads} threads)");
+    let index = IHilbert::build_with(&engine, field, config).expect("build");
+    (engine, index)
+}
+
+/// Builds the index twice on fresh engines (all four curves, raw and
+/// compressed pages) and requires the two engines to be byte-for-byte
+/// equal — the property every `cmp`-identical-database acceptance check
+/// rests on.
+fn assert_build_is_deterministic<F: FieldModel>(field: &F) {
+    for curve in Curve::ALL {
+        for codec in [PageCodec::Raw, PageCodec::Compressed] {
+            let (first_engine, first) = build_fresh(field, curve, codec);
+            let (again_engine, again) = build_fresh(field, curve, codec);
+            assert_eq!(
+                again.num_subfields(),
+                first.num_subfields(),
+                "{curve:?} {codec:?}"
+            );
+            assert_eq!(again_engine.num_pages(), first_engine.num_pages());
+            for p in 0..first_engine.num_pages() {
+                let a = first_engine
+                    .with_page(PageId(p as u64), |page| *page)
+                    .expect("read");
+                let b = again_engine
+                    .with_page(PageId(p as u64), |page| *page)
+                    .expect("read");
+                assert!(a == b, "page {p} differs ({curve:?}, {codec:?})");
+            }
+        }
     }
 }
 
@@ -78,24 +86,8 @@ fn assert_parallel_build_identical<F: FieldModel + Sync>(field: &F, curve: Curve
 /// worst equal) data pages.
 fn assert_codecs_answer_identically<F: FieldModel + Sync>(field: &F, bands: &[Interval]) {
     for curve in Curve::ALL {
-        let mk = |codec| {
-            let engine = StorageEngine::new(StorageConfig {
-                codec,
-                ..StorageConfig::default()
-            });
-            let index = IHilbert::build_with(
-                &engine,
-                field,
-                IHilbertConfig {
-                    curve: CurveChoice(curve),
-                    ..Default::default()
-                },
-            )
-            .expect("build");
-            (engine, index)
-        };
-        let (raw_engine, raw) = mk(PageCodec::Raw);
-        let (comp_engine, comp) = mk(PageCodec::Compressed);
+        let (raw_engine, raw) = build_fresh(field, curve, PageCodec::Raw);
+        let (comp_engine, comp) = build_fresh(field, curve, PageCodec::Compressed);
         assert!(
             comp.data_pages() <= raw.data_pages(),
             "{curve:?}: compressed {} vs raw {} data pages",
@@ -147,23 +139,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn parallel_build_is_byte_identical_on_grids(
-        field in grid_field_large(),
-        curve_idx in 0usize..4,
-        threads in 2usize..6,
-    ) {
-        assert_parallel_build_identical(&field, Curve::ALL[curve_idx], threads);
+    fn build_is_deterministic_page_for_page_on_grids(field in grid_field_large()) {
+        assert_build_is_deterministic(&field);
     }
 
     #[test]
-    fn parallel_build_is_byte_identical_on_tins(
+    fn build_is_deterministic_page_for_page_on_tins(
         tris in 60usize..500,
         seed in any::<u64>(),
-        curve_idx in 0usize..4,
-        threads in 2usize..6,
     ) {
-        let field = urban_noise_tin(tris, seed);
-        assert_parallel_build_identical(&field, Curve::ALL[curve_idx], threads);
+        assert_build_is_deterministic(&urban_noise_tin(tris, seed));
     }
 }
 

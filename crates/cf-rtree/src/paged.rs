@@ -28,7 +28,7 @@
 
 use crate::node::{ChildRef, NodeEntry};
 use crate::split::rstar_split;
-use crate::tree::{entry_size, RStarTree, SearchStats, NODE_HEADER_SIZE};
+use crate::tree::{entry_size, RStarTree, RTreeConfig, SearchStats, NODE_HEADER_SIZE};
 use cf_geom::Aabb;
 use cf_storage::{codec, CfError, CfResult, Counter, PageBuf, PageId, StorageEngine, PAGE_SIZE};
 
@@ -152,6 +152,20 @@ impl<const N: usize> PagedRTree<N> {
         };
         tree.attach_metrics(engine);
         Ok(tree)
+    }
+
+    /// Builds a page-fanout tree ([`RTreeConfig::page_sized`]: one node
+    /// per page, the paper's setting) over `entries` by one-by-one R\*
+    /// insertion in iteration order, then [`PagedRTree::persist`]s it.
+    pub fn build(
+        engine: &StorageEngine,
+        entries: impl IntoIterator<Item = (Aabb<N>, u64)>,
+    ) -> CfResult<Self> {
+        let mut tree = RStarTree::new(RTreeConfig::page_sized::<N>());
+        for (mbr, data) in entries {
+            tree.insert(mbr, data);
+        }
+        Self::persist(&tree, engine)
     }
 
     /// Number of data entries.

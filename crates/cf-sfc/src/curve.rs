@@ -52,34 +52,6 @@ impl Curve {
         }
     }
 
-    /// Curve positions of a batch of grid points, appended to `out`.
-    ///
-    /// Equivalent to calling [`Curve::index`] per point, but the variant
-    /// dispatch is hoisted out of the loop — the shape the parallel
-    /// index build's per-chunk key extraction wants.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Curve::index`].
-    pub fn index_batch(self, points: &[(u64, u64)], order: u32, out: &mut Vec<u64>) {
-        out.reserve(points.len());
-        match self {
-            Curve::Hilbert => {
-                out.extend(points.iter().map(|&(x, y)| hilbert_index_2d(x, y, order)))
-            }
-            Curve::ZOrder => out.extend(points.iter().map(|&(x, y)| morton_index_2d(x, y, order))),
-            Curve::GrayCode => out.extend(points.iter().map(|&(x, y)| gray_index_2d(x, y, order))),
-            Curve::RowMajor => {
-                assert!(order <= MAX_ORDER_2D);
-                let side = 1u64 << order;
-                out.extend(points.iter().map(|&(x, y)| {
-                    assert!(x < side && y < side, "({x}, {y}) outside 2^{order} grid");
-                    y * side + x
-                }));
-            }
-        }
-    }
-
     /// Grid cell at position `d` along the curve.
     pub fn point(self, d: u64, order: u32) -> (u64, u64) {
         match self {
@@ -132,25 +104,6 @@ mod tests {
         assert_eq!(Curve::RowMajor.index(3, 0, 2), 3);
         assert_eq!(Curve::RowMajor.index(0, 1, 2), 4);
         assert_eq!(Curve::RowMajor.point(7, 2), (3, 1));
-    }
-
-    #[test]
-    fn index_batch_matches_per_point_index() {
-        let order = 4;
-        let side = 1u64 << order;
-        let points: Vec<(u64, u64)> = (0..side)
-            .flat_map(|x| (0..side).map(move |y| (x, y)))
-            .collect();
-        for curve in Curve::ALL {
-            let mut batch = vec![u64::MAX; 3]; // appended after a prefix
-            curve.index_batch(&points, order, &mut batch);
-            assert_eq!(batch[..3], [u64::MAX; 3]);
-            let single: Vec<u64> = points
-                .iter()
-                .map(|&(x, y)| curve.index(x, y, order))
-                .collect();
-            assert_eq!(batch[3..], single, "{}", curve.name());
-        }
     }
 
     #[test]

@@ -75,8 +75,6 @@ pub struct DiskManager {
     metrics: DiskMetrics,
     /// Simulated per-read latency — Memory backing only.
     read_latency: Duration,
-    /// Simulated per-write latency — Memory backing only.
-    write_latency: Duration,
     faults: FaultInjector,
 }
 
@@ -155,39 +153,18 @@ impl Backing {
 impl DiskManager {
     /// Creates an empty disk with no artificial read latency.
     pub fn new() -> Self {
-        Self::with_read_latency(Duration::ZERO)
-    }
-
-    /// Creates an empty disk charging `read_latency` per physical read.
-    pub fn with_read_latency(read_latency: Duration) -> Self {
-        Self::with_latency(read_latency, Duration::ZERO)
+        Self::with_read_latency_on(Duration::ZERO, Arc::new(MetricsRegistry::new()))
     }
 
     /// Creates an empty disk charging `read_latency` per physical read
-    /// and `write_latency` per physical write.
+    /// and publishing counters into the caller's registry (the
+    /// [`crate::StorageEngine`] shares one registry between its disk
+    /// and its buffer pool).
     ///
-    /// The write wait happens *before* the page lock is taken, so
-    /// concurrent writers overlap their simulated device time — which is
-    /// what makes the parallel index-build pipeline's chunked record
-    /// writes scale in the disk-resident regime. Simulated latency is a
-    /// property of the **in-memory** backing only; the file backing
-    /// pays its real device cost instead (see [`DiskManager::open_file`]).
-    pub fn with_latency(read_latency: Duration, write_latency: Duration) -> Self {
-        Self::with_latency_on(
-            read_latency,
-            write_latency,
-            Arc::new(MetricsRegistry::new()),
-        )
-    }
-
-    /// Like [`DiskManager::with_latency`], publishing counters into the
-    /// caller's registry (the [`crate::StorageEngine`] shares one
-    /// registry between its disk and its buffer pool).
-    pub fn with_latency_on(
-        read_latency: Duration,
-        write_latency: Duration,
-        registry: Arc<MetricsRegistry>,
-    ) -> Self {
+    /// Simulated latency is a property of the **in-memory** backing
+    /// only; the file backing pays its real device cost instead (see
+    /// [`DiskManager::open_file`]).
+    pub fn with_read_latency_on(read_latency: Duration, registry: Arc<MetricsRegistry>) -> Self {
         Self {
             backing: RwLock::new(Backing::Memory {
                 pages: Vec::new(),
@@ -199,7 +176,6 @@ impl DiskManager {
             use_mmap: false,
             metrics: DiskMetrics::wire(registry),
             read_latency,
-            write_latency,
             faults: FaultInjector::new(),
         }
     }
@@ -226,8 +202,8 @@ impl DiskManager {
     /// `storage_sidecar_suspect_total`.
     ///
     /// The file backing never charges simulated latency — real I/O is
-    /// its own cost model. (Simulated latency remains available on the
-    /// in-memory backing via [`DiskManager::with_latency`].)
+    /// its own cost model. (Simulated read latency remains available on
+    /// the in-memory backing via [`DiskManager::with_read_latency_on`].)
     pub fn open_file(path: impl AsRef<Path>) -> CfResult<Self> {
         Self::open_file_on(path, Arc::new(MetricsRegistry::new()), false)
     }
@@ -362,7 +338,6 @@ impl DiskManager {
             use_mmap,
             metrics,
             read_latency: Duration::ZERO,
-            write_latency: Duration::ZERO,
             faults: FaultInjector::new(),
         })
     }
@@ -763,9 +738,6 @@ impl DiskManager {
         let clock = Stopwatch::start();
         self.metrics.writes.inc();
         tally::count_disk_write();
-        if !self.write_latency.is_zero() {
-            wait_for(self.write_latency);
-        }
         let plan = self.faults.plan_write(id);
         if !matches!(plan, WritePlan::Proceed) {
             self.metrics.faults_write.inc();
@@ -1054,20 +1026,11 @@ mod tests {
     }
 
     #[test]
-    fn write_latency_is_charged() {
-        let disk = DiskManager::with_latency(Duration::ZERO, Duration::from_micros(200));
-        let id = disk.allocate().expect("allocate");
-        let buf = [0u8; PAGE_SIZE];
-        let t0 = Instant::now();
-        for _ in 0..5 {
-            disk.write_page(id, &buf).expect("write");
-        }
-        assert!(t0.elapsed() >= Duration::from_micros(1000));
-    }
-
-    #[test]
     fn read_latency_is_charged() {
-        let disk = DiskManager::with_read_latency(Duration::from_micros(200));
+        let disk = DiskManager::with_read_latency_on(
+            Duration::from_micros(200),
+            Arc::new(MetricsRegistry::new()),
+        );
         let id = disk.allocate().expect("allocate");
         let mut buf = [0u8; PAGE_SIZE];
         let t0 = Instant::now();

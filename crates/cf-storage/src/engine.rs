@@ -12,23 +12,14 @@ use std::time::Duration;
 pub struct StorageConfig {
     /// Buffer pool capacity in pages.
     pub pool_pages: usize,
-    /// Buffer pool shard count; `0` (the default) picks automatically
-    /// from the capacity (see [`BufferPool::new`]).
-    pub pool_shards: usize,
     /// Artificial latency charged per physical page read.
     ///
     /// `Duration::ZERO` (the default) for correctness tests; benches use a
     /// value modelling the paper's disk-resident setting (see DESIGN.md).
+    /// Applies to the **in-memory** backing only: a file-backed engine
+    /// pays its real device cost and ignores it (see
+    /// [`DiskManager::open_file`]).
     pub read_latency: Duration,
-    /// Artificial latency charged per physical page write (same model as
-    /// `read_latency`; the wait releases the CPU, so concurrent writers —
-    /// e.g. the parallel build pipeline's record-write phase — overlap
-    /// their simulated device time).
-    ///
-    /// Both latencies apply to the **in-memory** backing only: a
-    /// file-backed engine pays its real device cost and ignores them
-    /// (see [`DiskManager::open_file`]).
-    pub write_latency: Duration,
     /// File backing only: serve physical page reads from a read-only
     /// `mmap` of the database file instead of positional reads
     /// (checksum-verified either way; falls back to positional I/O if
@@ -45,9 +36,7 @@ impl Default for StorageConfig {
     fn default() -> Self {
         Self {
             pool_pages: 256,
-            pool_shards: 0,
             read_latency: Duration::ZERO,
-            write_latency: Duration::ZERO,
             use_mmap: false,
             codec: PageCodec::Raw,
         }
@@ -55,13 +44,10 @@ impl Default for StorageConfig {
 }
 
 impl StorageConfig {
+    /// The pool, sharded by [`BufferPool::auto_shards`].
     fn build_pool(&self, registry: Arc<MetricsRegistry>) -> BufferPool {
-        if self.pool_shards == 0 {
-            let auto = BufferPool::auto_shards(self.pool_pages);
-            BufferPool::with_shards_on(self.pool_pages, auto, registry)
-        } else {
-            BufferPool::with_shards_on(self.pool_pages, self.pool_shards, registry)
-        }
+        let shards = BufferPool::auto_shards(self.pool_pages);
+        BufferPool::with_shards_on(self.pool_pages, shards, registry)
     }
 }
 
@@ -83,11 +69,7 @@ impl StorageEngine {
     pub fn new(config: StorageConfig) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         Self {
-            disk: DiskManager::with_latency_on(
-                config.read_latency,
-                config.write_latency,
-                Arc::clone(&metrics),
-            ),
+            disk: DiskManager::with_read_latency_on(config.read_latency, Arc::clone(&metrics)),
             pool: config.build_pool(Arc::clone(&metrics)),
             metrics,
             codec: config.codec,
@@ -110,8 +92,8 @@ impl StorageEngine {
     ///
     /// Existing pages are preserved, so a database file survives process
     /// restarts; see [`DiskManager::open_file`]. The simulated
-    /// `read_latency`/`write_latency` in `config` are ignored — real
-    /// file I/O is its own cost model.
+    /// `read_latency` in `config` is ignored — real file I/O is its own
+    /// cost model.
     pub fn open_file(path: impl AsRef<std::path::Path>, config: StorageConfig) -> CfResult<Self> {
         let metrics = Arc::new(MetricsRegistry::new());
         Ok(Self {

@@ -22,7 +22,6 @@ use crate::compressed::Directory;
 use crate::{codec, CfError, CfResult, PageBuf, PageCodec, PageId, StorageEngine, PAGE_SIZE};
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A value with a fixed-size on-page encoding.
 pub trait Record: Sized {
@@ -160,21 +159,6 @@ impl<R: Record> CellFile<R> {
         }
     }
 
-    /// Parallel variant of [`CellFile::create`]. The raw codec fans
-    /// out across threads (see [`RecordFile::create_parallel`]); the
-    /// compressed codec is a sequential delta chain with data-dependent
-    /// page breaks, so it runs single-threaded. Either way the file is
-    /// byte-identical to [`CellFile::create`] on the same input.
-    pub fn create_parallel(engine: &StorageEngine, records: &[R], threads: usize) -> CfResult<Self>
-    where
-        R: Sync + Clone,
-    {
-        match engine.codec() {
-            PageCodec::Raw => Self::create_fixed_parallel(engine, records, threads),
-            PageCodec::Compressed => Self::create(engine, records.iter().cloned()),
-        }
-    }
-
     fn create_fixed(
         engine: &StorageEngine,
         records: impl ExactSizeIterator<Item = R>,
@@ -199,59 +183,6 @@ impl<R: Record> CellFile<R> {
         }
         if in_page > 0 || written_pages == 0 {
             engine.write_page_buffered(page, &buf)?;
-        }
-        Ok(Self::fixed(first_page, len))
-    }
-
-    fn create_fixed_parallel(
-        engine: &StorageEngine,
-        records: &[R],
-        threads: usize,
-    ) -> CfResult<Self>
-    where
-        R: Sync,
-    {
-        let len = records.len();
-        let num_pages = Self::fixed_pages(len);
-        let first_page = engine.allocate_run(num_pages)?;
-
-        let cursor = AtomicUsize::new(0);
-        let workers = threads.clamp(1, num_pages);
-        let mut first_err = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| -> CfResult<()> {
-                        loop {
-                            let p = cursor.fetch_add(1, Ordering::Relaxed);
-                            if p >= num_pages {
-                                return Ok(());
-                            }
-                            let mut buf: PageBuf = [0u8; PAGE_SIZE];
-                            let lo = p * Self::SLOTS;
-                            let hi = (lo + Self::SLOTS).min(len);
-                            for (slot, r) in records[lo..hi].iter().enumerate() {
-                                r.encode(&mut buf[slot * R::SIZE..(slot + 1) * R::SIZE]);
-                            }
-                            engine.write_page(PageId(first_page.0 + p as u64), &buf)?;
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
         }
         Ok(Self::fixed(first_page, len))
     }
@@ -599,32 +530,6 @@ impl<R: Record> RecordFile<R> {
         CellFile::create_fixed(engine, records.into_iter())
     }
 
-    /// Parallel [`RecordFile::create`]: allocates the same consecutive
-    /// page run, then `threads` workers claim page indexes off an
-    /// atomic cursor (work-stealing), encode their records into a local
-    /// buffer, and write the page.
-    ///
-    /// Records never span page boundaries, so each page's bytes depend
-    /// only on its own record range plus zero padding — the file is
-    /// **byte-identical** to [`RecordFile::create`] on the same input
-    /// regardless of thread count or scheduling. Unlike the sequential
-    /// path, workers write **through** to the disk: the parallel build's
-    /// speedup comes from overlapping the physical writes themselves,
-    /// which buffering would serialize into one flush. On error the
-    /// first failure (in join order) is reported; other workers may
-    /// have written more pages, which is harmless because the whole run
-    /// is freshly allocated.
-    pub fn create_parallel(
-        engine: &StorageEngine,
-        records: &[R],
-        threads: usize,
-    ) -> CfResult<CellFile<R>>
-    where
-        R: Sync,
-    {
-        CellFile::create_fixed_parallel(engine, records, threads)
-    }
-
     /// Reopens a raw file from its catalog entry (`first_page`, `len`)
     /// — the inverse of reading those values off a freshly created
     /// file. Reads nothing.
@@ -791,43 +696,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn create_parallel_is_byte_identical_to_create() {
-        // Sizes straddling raw page boundaries (256 records per page)
-        // plus the empty file; every thread count must reproduce the
-        // exact page bytes of the sequential writer.
-        for codec in CODECS {
-            for n in [0usize, 1, 255, 256, 257, 1000] {
-                let (seq_engine, seq) = file_with(codec, n);
-                for threads in [1usize, 2, 4, 7] {
-                    let par_engine = engine_with(codec);
-                    let par = CellFile::create_parallel(&par_engine, &sample(n), threads)
-                        .expect("create");
-                    assert_eq!(par.len(), seq.len());
-                    assert_eq!(par.num_pages(), seq.num_pages());
-                    assert_eq!(par.first_page(), seq.first_page());
-                    assert_eq!(par_engine.num_pages(), seq_engine.num_pages());
-                    for p in 0..seq_engine.num_pages() {
-                        let a = seq_engine
-                            .with_page(PageId(p as u64), |page| *page)
-                            .expect("read");
-                        let b = par_engine
-                            .with_page(PageId(p as u64), |page| *page)
-                            .expect("read");
-                        assert!(
-                            a == b,
-                            "page {p} differs ({codec:?}, n={n}, threads={threads})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn create_surfaces_write_faults_at_flush() {
-        // Sequential creation buffers its writes, so a physical write
-        // fault fires at the flush (or at a dirty eviction), not inside
-        // create.
+        // Creation buffers its writes, so a physical write fault fires
+        // at the flush (or at a dirty eviction), not inside create.
         let engine = StorageEngine::in_memory();
         engine.inject_fault(Fault::FailWrite { nth: 2 });
         let _file = RecordFile::create(&engine, sample(1000)).expect("buffered create");
@@ -837,18 +708,6 @@ pub(crate) mod tests {
         assert!(err.is_injected());
         engine.clear_faults();
         engine.flush().expect("retry flushes the rest");
-    }
-
-    #[test]
-    fn create_parallel_writes_through_and_surfaces_faults_inline() {
-        // The parallel path writes through — its speedup is overlapped
-        // physical writes — so an injected fault fails create itself.
-        let engine = StorageEngine::in_memory();
-        engine.inject_fault(Fault::FailWrite { nth: 2 });
-        let err = RecordFile::create_parallel(&engine, &sample(1000), 4)
-            .map(|_| ())
-            .expect_err("write-through create must hit the fault");
-        assert!(err.is_injected());
     }
 
     #[test]
