@@ -45,7 +45,7 @@ use crate::ihilbert::IHilbert;
 use crate::planner::{Plan, Router};
 use crate::sfindex::{SubfieldIndex, TreeBuild};
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
-use crate::subfield::{build_subfields, SubfieldConfig};
+use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
 use cf_storage::{codec, CfError, CfResult, EpochPin, Gauge, Record, Stopwatch, StorageEngine};
@@ -391,7 +391,10 @@ impl<F: FieldModel> LiveIngest<F> {
     ) -> CfResult<RepackReport> {
         let repack_clock = Stopwatch::start();
         let drained = state.ring.len();
-        let inner = state.base.inner();
+        // Held past the swap below: `repack_end` compares the two
+        // subfield catalogs.
+        let old_base = Arc::clone(&state.base);
+        let inner = old_base.inner();
         // Materialize the effective cell file: base order (cell
         // geometry never changes, so the Hilbert order — and with it
         // the position map — is preserved) with overlays applied.
@@ -469,14 +472,18 @@ impl<F: FieldModel> LiveIngest<F> {
         let rewritten = state.base.inner_len();
         let write_amp = rewritten as f64 / drained as f64;
         self.gauges(engine).write_amplification.set(write_amp);
-        let (epoch, regroups) = (state.epoch, state.base.num_intervals());
+        let epoch = state.epoch;
         let wall_ns = repack_clock.elapsed_ns();
         engine.metrics().journal().emit_with(|| {
             cf_storage::Json::obj([
                 ("event", cf_storage::Json::Str("repack_end".into())),
                 ("epoch", cf_storage::Json::Num(epoch as f64)),
                 ("drained", cf_storage::Json::Num(drained as f64)),
-                ("regroups", cf_storage::Json::Num(regroups as f64)),
+                ("subfields", cf_storage::Json::Num(subfields.len() as f64)),
+                (
+                    "regroups",
+                    cf_storage::Json::Num(regrouped(&inner.subfields, &subfields) as f64),
+                ),
                 ("records_rewritten", cf_storage::Json::Num(rewritten as f64)),
                 ("pages_retired", cf_storage::Json::Num(pages_retired as f64)),
                 ("write_amplification", cf_storage::Json::Num(write_amp)),
@@ -573,6 +580,22 @@ fn make_snapshot<F: FieldModel>(
         pin: engine.epoch_gc().pin(state.epoch),
         router: state.router.clone(),
     })
+}
+
+/// How many subfields of `new` are not subfields of `old` by cell range
+/// — what a repack actually regrouped. Both catalogs partition the same
+/// positions in order, so one merge pass decides it.
+fn regrouped(old: &[Subfield], new: &[Subfield]) -> usize {
+    let mut old = old.iter().peekable();
+    let kept = new
+        .iter()
+        .filter(|n| {
+            while old.next_if(|o| o.start < n.start).is_some() {}
+            old.peek()
+                .is_some_and(|o| (o.start, o.end) == (n.start, n.end))
+        })
+        .count();
+    new.len() - kept
 }
 
 /// Recomputes a subfield's effective interval — the union of its
@@ -711,5 +734,32 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
 
     fn num_intervals(&self) -> usize {
         self.base.num_intervals()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn regrouped_counts_new_ranges_only() {
+        let catalog = |bounds: &[u32]| -> Vec<Subfield> {
+            bounds
+                .windows(2)
+                .map(|w| Subfield {
+                    start: w[0],
+                    end: w[1],
+                    interval: Interval::new(0.0, 1.0),
+                })
+                .collect()
+        };
+        let old = catalog(&[0, 4, 9, 12, 20]);
+        assert_eq!(regrouped(&old, &old), 0);
+        // One boundary moved: the two subfields beside it are new.
+        assert_eq!(regrouped(&old, &catalog(&[0, 4, 8, 12, 20])), 2);
+        // A split makes two new ranges, a merge one.
+        assert_eq!(regrouped(&old, &catalog(&[0, 4, 9, 12, 15, 20])), 2);
+        assert_eq!(regrouped(&old, &catalog(&[0, 9, 12, 20])), 1);
+        assert_eq!(regrouped(&[], &old), old.len());
     }
 }

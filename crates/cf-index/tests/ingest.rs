@@ -458,7 +458,7 @@ fn ingest_rejects_invalid_cells_with_typed_error() {
 /// for the publication.
 #[test]
 fn inline_drain_backpressure_keeps_gauges_and_journal_truthful() {
-    let field = wavy_field(12);
+    let field = wavy_field(32);
     let engine = StorageEngine::in_memory();
     let base = IHilbert::build(&engine, &field).expect("build");
     let capacity = 8;
@@ -528,6 +528,32 @@ fn inline_drain_backpressure_keeps_gauges_and_journal_truthful() {
         assert!(
             pos("epoch_published").is_some(),
             "publications must be journaled: {events:?}"
+        );
+    }
+
+    // A repack that changes one cell (the triggering write still in
+    // the ring): `subfields` is the new base's catalog size, `regroups`
+    // counts only the subfields whose cell range is new.
+    let report = live.repack(&engine).expect("repack");
+    assert_eq!((report.repacked, report.drained), (true, 1));
+    #[cfg(not(feature = "obs-off"))]
+    {
+        let journal = engine.metrics().journal().take();
+        let end = journal
+            .iter()
+            .find(|e| e.get("event").and_then(|v| v.as_str()) == Some("repack_end"))
+            .expect("journal must record repack_end");
+        let num = |key: &str| {
+            end.get(key)
+                .and_then(|v| v.as_f64())
+                .unwrap_or_else(|| panic!("repack_end carries no `{key}`: {end:?}"))
+        };
+        let subfields = live.snapshot().num_intervals() as f64;
+        assert_eq!(num("subfields"), subfields);
+        assert!(
+            num("regroups") * 4.0 <= subfields,
+            "one changed cell regrouped {} of {subfields} subfields",
+            num("regroups")
         );
     }
 }

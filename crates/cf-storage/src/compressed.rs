@@ -30,9 +30,9 @@
 
 use crate::compress::{self, decode_page, ColSpec, PageEncoder};
 use crate::{codec, CfError, CfResult, PageBuf, PageId, Record, StorageEngine, PAGE_SIZE};
+use cf_obs::Stopwatch;
 use std::cell::RefCell;
 use std::ops::Range;
-use std::time::Instant;
 
 /// Which page codec a record file uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -275,7 +275,7 @@ impl Directory {
         DECODE_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             scratch.resize(count * rec_size, 0);
-            let t0 = Instant::now();
+            let clock = Stopwatch::start();
             let decoded = engine
                 .with_page(page_id, |page| {
                     decode_page(&self.cols, &self.groups, rec_size, page, scratch)
@@ -292,10 +292,7 @@ impl Directory {
                     ),
                 });
             }
-            engine
-                .metrics()
-                .time_histogram("storage_page_decode", &[])
-                .observe_ns(t0.elapsed().as_nanos() as u64);
+            engine.page_decode_ns.observe_ns(clock.elapsed_ns());
             Ok(f(scratch))
         })
     }
@@ -358,6 +355,19 @@ mod tests {
             assert_eq!(file.pages_in_range(0..span.end), page_no + 1);
             assert_eq!(reopened.page_no_of(span.start), page_no);
         }
+    }
+
+    #[test]
+    fn decode_histogram_sees_every_decoded_page_once() {
+        let n = 3000usize;
+        let (engine, file) = compressed_file(n);
+        engine.reset_stats();
+        file.read_range(&engine, 0..n).expect("scan");
+        let (decoded, _) = engine
+            .metrics()
+            .histogram_stats("storage_page_decode", &[])
+            .expect("series is registered with the engine");
+        assert_eq!(decoded as usize, file.data_pages());
     }
 
     #[test]

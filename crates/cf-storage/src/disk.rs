@@ -97,6 +97,10 @@ struct DiskMetrics {
     pages_reused: Counter,
     read_ns: Histogram,
     write_ns: Histogram,
+    /// One page checksum pass — the verify inside a physical read, the
+    /// seal inside a physical write — so the integrity share of either
+    /// is `storage_checksum_ns` over `storage_disk_{read,write}_ns`.
+    checksum_ns: Histogram,
 }
 
 impl DiskMetrics {
@@ -116,6 +120,7 @@ impl DiskMetrics {
             pages_reused: registry.counter("storage_pages_reused_total"),
             read_ns: registry.time_histogram("storage_disk_read_ns", &[]),
             write_ns: registry.time_histogram("storage_disk_write_ns", &[]),
+            checksum_ns: registry.time_histogram("storage_checksum_ns", &[]),
             registry,
         }
     }
@@ -716,7 +721,11 @@ impl DiskManager {
             buf[len..].fill(0);
         }
         self.metrics.checksum_verifications.inc();
+        let checksum_clock = Stopwatch::start();
         let verdict = checksum::verify_page(buf, expected, id);
+        self.metrics
+            .checksum_ns
+            .observe_ns(checksum_clock.elapsed_ns());
         if verdict.is_err() {
             self.metrics.checksum_failures.inc();
         }
@@ -750,7 +759,11 @@ impl DiskManager {
         }
         // Checksum computed outside the page lock so parallel writers
         // do not serialize on it.
+        let checksum_clock = Stopwatch::start();
         let entry = checksum::page_entry(buf);
+        self.metrics
+            .checksum_ns
+            .observe_ns(checksum_clock.elapsed_ns());
         let mut backing = self.backing.write().expect("disk lock poisoned");
         if id.index() >= backing.num_pages() {
             return Err(CfError::corrupt(

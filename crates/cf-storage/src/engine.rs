@@ -3,7 +3,7 @@
 use crate::fault::FiredFault;
 use crate::gc::EpochGc;
 use crate::{BufferPool, CfResult, DiskManager, Fault, IoStats, PageBuf, PageCodec, PageId};
-use cf_obs::MetricsRegistry;
+use cf_obs::{Histogram, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -60,6 +60,10 @@ pub struct StorageEngine {
     disk: DiskManager,
     pool: BufferPool,
     metrics: Arc<MetricsRegistry>,
+    /// `storage_page_decode`, resolved once: the compressed range sweep
+    /// observes it per page and must not go through the registry's
+    /// by-name lookup (one global mutex) each time.
+    pub(crate) page_decode_ns: Histogram,
     codec: PageCodec,
     gc: EpochGc,
 }
@@ -71,6 +75,7 @@ impl StorageEngine {
         Self {
             disk: DiskManager::with_read_latency_on(config.read_latency, Arc::clone(&metrics)),
             pool: config.build_pool(Arc::clone(&metrics)),
+            page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
             metrics,
             codec: config.codec,
             gc: EpochGc::new(),
@@ -99,6 +104,7 @@ impl StorageEngine {
         Ok(Self {
             disk: DiskManager::open_file_on(path, Arc::clone(&metrics), config.use_mmap)?,
             pool: config.build_pool(Arc::clone(&metrics)),
+            page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
             metrics,
             codec: config.codec,
             gc: EpochGc::new(),
@@ -413,6 +419,11 @@ mod tests {
             io.disk_reads
         );
         assert_eq!(m.counter_total("storage_checksum_failures_total"), 0);
+        // One timed checksum pass per physical read and per write.
+        let (passes, _) = m
+            .histogram_stats("storage_checksum_ns", &[])
+            .expect("wired with the disk");
+        assert_eq!(passes, io.disk_reads + io.disk_writes);
         // reset_stats is registry-wide.
         engine.reset_stats();
         assert_eq!(engine.io_stats(), IoStats::default());
