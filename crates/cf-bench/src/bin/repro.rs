@@ -530,13 +530,12 @@ fn bench(opts: &Opts) {
 /// `2^k × 2^k` cells (default k = 10: 1,048,576 cells, ~16 K data
 /// pages) built onto a real tmpdir database file through a buffer pool
 /// an order of magnitude smaller than the working set. Measures the
-/// build, a cold Q2 sweep on the positional read path (pages/query is
-/// the paper's out-of-core cost), a workload-driven repack that hands
-/// the dead index pages back to the freelist, and the same cold sweep
-/// through a fresh mmap-enabled engine — which must answer
-/// byte-identically across the repack. With `--json` the measurements
-/// append to the oocore history (default `BENCH_oocore_history.jsonl`)
-/// for the `regress` gate.
+/// build, a cold Q2 sweep (pages/query is the paper's out-of-core
+/// cost) and a workload-driven repack that hands the dead index pages
+/// back to the freelist, then repeats the sweep through a fresh engine
+/// on the reopened file — which must answer byte-identically across the
+/// repack. With `--json` the measurements append to the oocore history
+/// (default `BENCH_oocore_history.jsonl`) for the `regress` gate.
 fn oocore(opts: &Opts) {
     use cf_field::GridField;
     use cf_storage::{StorageConfig, StorageEngine};
@@ -579,8 +578,8 @@ fn oocore(opts: &Opts) {
         "the working set ({built_pages} pages) must dwarf the pool ({pool_pages} pages)"
     );
 
-    // Cold Q2 sweep, positional reads: every query starts from an empty
-    // pool, so its physical reads are the true out-of-core cost.
+    // Cold Q2 sweep: every query starts from an empty pool, so its
+    // physical reads are the true out-of-core cost.
     let nq = opts.queries.unwrap_or(12);
     let queries = interval_queries(dom, 0.01, nq, 0x00C);
     let mut cold_ms = 0.0;
@@ -633,36 +632,27 @@ fn oocore(opts: &Opts) {
     drop(index);
     drop(engine);
 
-    // The mmap read path, from a cold process-style reopen. Answers must
-    // be byte-identical to the positional sweep — across the repack,
-    // which never moves cell records.
+    // A cold process-style reopen. Answers must be byte-identical to
+    // the first sweep — across the repack, which never moves cell
+    // records.
     let engine = StorageEngine::open_file(
         &path,
         StorageConfig {
             pool_pages,
-            use_mmap: true,
             ..StorageConfig::default()
         },
     )
-    .expect("reopen with mmap");
+    .expect("reopen");
     let reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open catalog");
-    let mut mmap_ms = 0.0;
-    let mut mmap_qualifying = 0u64;
+    let mut reopened_qualifying = 0u64;
     for q in &queries {
         engine.clear_cache();
-        let t0 = Instant::now();
         let stats = reopened.query_stats(&engine, *q).expect("query");
-        mmap_ms += t0.elapsed().as_secs_f64() * 1e3;
-        mmap_qualifying += stats.cells_qualifying as u64;
+        reopened_qualifying += stats.cells_qualifying as u64;
     }
     assert_eq!(
-        mmap_qualifying, qualifying,
-        "the mmap plane must answer byte-identically across the repack"
-    );
-    let mmap_reads = engine.metrics().counter_total("storage_mmap_reads_total");
-    assert!(
-        mmap_reads > 0,
-        "the mmap read path must actually serve pages"
+        reopened_qualifying, qualifying,
+        "the reopened file must answer byte-identically across the repack"
     );
     drop(reopened);
     drop(engine);
@@ -678,17 +668,9 @@ fn oocore(opts: &Opts) {
     println!("| data+index pages after build | {built_pages} |");
     println!("| buffer pool pages | {pool_pages} |");
     println!("| build + save wall | {build_ms:.1} ms |");
-    println!("| Q2 cold, positional: mean wall | {:.2} ms |", cold_ms / n);
-    println!(
-        "| Q2 cold, positional: mean pages | {:.1} |",
-        cold_pages as f64 / n
-    );
-    println!(
-        "| Q2 cold, positional: mean disk reads | {:.1} |",
-        cold_disk as f64 / n
-    );
-    println!("| Q2 cold, mmap: mean wall | {:.2} ms |", mmap_ms / n);
-    println!("| mmap physical reads | {mmap_reads} |");
+    println!("| Q2 cold: mean wall | {:.2} ms |", cold_ms / n);
+    println!("| Q2 cold: mean pages | {:.1} |", cold_pages as f64 / n);
+    println!("| Q2 cold: mean disk reads | {:.1} |", cold_disk as f64 / n);
     println!(
         "| repack+save ×{cycles}: file pages {pages_before_repack} → {cycle_pages:?}, freed {freed_pages}, reused {reused_pages}, {free_now} on freelist |"
     );
@@ -703,7 +685,6 @@ fn oocore(opts: &Opts) {
         rec.push("oocore_q2_cold_ms", cold_ms / n);
         rec.push("oocore_q2_cold_pages", cold_pages as f64 / n);
         rec.push("oocore_q2_cold_disk_pages", cold_disk as f64 / n);
-        rec.push("oocore_q2_mmap_ms", mmap_ms / n);
         rec.push("oocore_repack_freed_pages", freed_pages as f64);
         rec.push(
             "oocore_file_pages_after_repack_pages",
@@ -1246,32 +1227,6 @@ fn ablation(opts: &Opts) {
         p.mean_time_ms,
         field.num_cells()
     );
-
-    // Record layout: 64-byte f64 records vs 32-byte f32 records.
-    {
-        use cf_field::CompactGridField;
-        let compact_field = CompactGridField::new(&field);
-        let full_idx = IHilbert::build(&engine, &field).expect("build");
-        let compact_idx = IHilbert::build(&engine, &compact_field).expect("build");
-        let pf = cf_bench::run_method_point(&engine, &full_idx, 0.02, &queries, &config);
-        let pc = cf_bench::run_method_point(&engine, &compact_idx, 0.02, &queries, &config);
-        println!("### ablation — record layout (Qinterval 0.02)\n");
-        println!("| record | bytes | data pages | mean pages | mean ms |");
-        println!("|---|---|---|---|---|");
-        println!(
-            "| f64 | 64 | {} | {:.0} | {:.2} |",
-            full_idx.data_pages(),
-            pf.mean_pages,
-            pf.mean_time_ms
-        );
-        println!(
-            "| f32 | 32 | {} | {:.0} | {:.2} |",
-            compact_idx.data_pages(),
-            pc.mean_pages,
-            pc.mean_time_ms
-        );
-        println!();
-    }
 
     // Adaptive planner: scan fallback for wide bands.
     {

@@ -72,7 +72,6 @@ impl ExperimentConfig {
             pool_pages: self.pool_pages,
             read_latency: Duration::from_micros(self.read_latency_us),
             codec: self.codec,
-            ..StorageConfig::default()
         })
     }
 }

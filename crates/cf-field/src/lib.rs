@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod compact;
 pub mod estimate;
 mod grid;
 pub mod isoline;
@@ -42,7 +41,6 @@ mod tin;
 mod vector;
 mod volume;
 
-pub use compact::{CompactGridCellRecord, CompactGridField};
 pub use grid::{GridCellRecord, GridField};
 pub use model::FieldModel;
 pub use tin::{TinCellRecord, TinField};

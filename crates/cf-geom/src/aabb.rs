@@ -167,23 +167,6 @@ impl<const N: usize> Aabb<N> {
     pub fn hull<I: IntoIterator<Item = Aabb<N>>>(boxes: I) -> Aabb<N> {
         boxes.into_iter().fold(Aabb::EMPTY, |acc, b| acc.union(&b))
     }
-
-    /// Squared Euclidean distance from `p` to the nearest point of the box
-    /// (0 if `p` is inside).
-    pub fn distance_sq_to_point(&self, p: &[f64; N]) -> f64 {
-        let mut acc = 0.0;
-        for (d, &v) in p.iter().enumerate() {
-            let delta = if v < self.lo[d] {
-                self.lo[d] - v
-            } else if v > self.hi[d] {
-                v - self.hi[d]
-            } else {
-                0.0
-            };
-            acc += delta * delta;
-        }
-        acc
-    }
 }
 
 impl Aabb<2> {
@@ -289,14 +272,6 @@ mod tests {
         let hb = Aabb::hull_of_points(&pts);
         assert_eq!(hb, Aabb::new([-2.0, 0.0], [3.0, 5.0]));
         assert_eq!(Aabb::hull_of_points(&[]), Aabb::EMPTY);
-    }
-
-    #[test]
-    fn distance_to_point() {
-        let b = Aabb::new([0.0, 0.0], [1.0, 1.0]);
-        assert_eq!(b.distance_sq_to_point(&[0.5, 0.5]), 0.0);
-        assert_eq!(b.distance_sq_to_point(&[2.0, 1.0]), 1.0);
-        assert_eq!(b.distance_sq_to_point(&[2.0, 2.0]), 2.0);
     }
 
     #[test]

@@ -198,13 +198,6 @@ impl<F: FieldModel> AdaptiveIndex<F> {
         Ok(Self { index, router })
     }
 
-    /// Overrides the scan-fallback threshold (fraction of cells).
-    pub fn with_scan_threshold(mut self, threshold: f64) -> Self {
-        assert!((0.0..=1.0).contains(&threshold));
-        self.router.scan_threshold = threshold;
-        self
-    }
-
     /// The estimator (for inspection / testing).
     pub fn estimator(&self) -> &SelectivityEstimator {
         &self.router.estimator
@@ -268,6 +261,17 @@ mod tests {
         let vw = n + 1;
         let values: Vec<f64> = (0..vw * vw).map(|_| rng.gen_range(0.0..100.0)).collect();
         GridField::from_values(vw, vw, values)
+    }
+
+    /// An index whose scan crossover is pinned at `threshold`.
+    fn pinned_at(
+        engine: &StorageEngine,
+        field: &GridField,
+        threshold: f64,
+    ) -> AdaptiveIndex<GridField> {
+        let mut adaptive = AdaptiveIndex::build(engine, field).expect("build");
+        adaptive.router.scan_threshold = threshold;
+        adaptive
     }
 
     #[test]
@@ -389,9 +393,7 @@ mod tests {
             let s = adaptive.estimator().estimate_selectivity(band);
             // Pin the threshold to this band's own selectivity: the band
             // now sits exactly on the crossover.
-            let at_crossover = AdaptiveIndex::build(&engine, &field)
-                .expect("build")
-                .with_scan_threshold(s.clamp(0.0, 1.0));
+            let at_crossover = pinned_at(&engine, &field, s.clamp(0.0, 1.0));
             assert_eq!(
                 at_crossover.plan(band),
                 Plan::FullScan,
@@ -419,12 +421,8 @@ mod tests {
                 dom.denormalize((t * 0.8 + 0.15).min(1.0)),
             );
             let s = base.estimator().estimate_selectivity(band);
-            let as_probe = AdaptiveIndex::build(&engine, &field)
-                .expect("build")
-                .with_scan_threshold((s + 1e-9).min(1.0));
-            let as_scan = AdaptiveIndex::build(&engine, &field)
-                .expect("build")
-                .with_scan_threshold(s.clamp(0.0, 1.0));
+            let as_probe = pinned_at(&engine, &field, (s + 1e-9).min(1.0));
+            let as_scan = pinned_at(&engine, &field, s.clamp(0.0, 1.0));
             if s + 1e-9 <= 1.0 {
                 assert_eq!(as_probe.plan(band), Plan::IndexProbe, "band {band}");
             }

@@ -82,7 +82,6 @@ struct SloInner {
     rotate_every: u64,
     objectives: RwLock<Vec<ObjectiveState>>,
     adaptive: AtomicBool,
-    adaptive_floor_ns: AtomicU64,
     /// The tracer's slow-threshold cell, when bound.
     threshold_cell: Mutex<Option<Arc<AtomicU64>>>,
 }
@@ -122,7 +121,6 @@ impl SloTracker {
                 rotate_every: rotate_every.max(1),
                 objectives: RwLock::new(Vec::new()),
                 adaptive: AtomicBool::new(false),
-                adaptive_floor_ns: AtomicU64::new(SLO_ADAPTIVE_FLOOR_NS),
                 threshold_cell: Mutex::new(None),
             }),
         }
@@ -241,19 +239,6 @@ impl SloTracker {
         self.windowed_quantile_ns(0.99)
     }
 
-    /// Replaces the configured latency objectives (burn counters reset).
-    pub fn set_objectives(&self, objectives: Vec<SloObjective>) {
-        let states = objectives
-            .into_iter()
-            .map(|objective| ObjectiveState {
-                objective,
-                observed: AtomicU64::new(0),
-                breaches: AtomicU64::new(0),
-            })
-            .collect();
-        *self.inner.objectives.write().expect("objectives poisoned") = states;
-    }
-
     /// Adds one latency objective, keeping existing ones.
     pub fn add_objective(&self, name: &str, threshold_ns: u64, target: f64) {
         self.inner
@@ -314,11 +299,6 @@ impl SloTracker {
         self.inner.adaptive.load(Ordering::Relaxed)
     }
 
-    /// Sets the floor for the adaptive threshold (default 1 µs).
-    pub fn set_adaptive_floor_ns(&self, ns: u64) {
-        self.inner.adaptive_floor_ns.store(ns, Ordering::Relaxed);
-    }
-
     /// Recomputes the windowed p99 and stores it into the bound
     /// slow-threshold cell, when adaptive mode is on and the window has
     /// data. Invoked automatically at slot rotations.
@@ -330,7 +310,6 @@ impl SloTracker {
         if p99 == 0 {
             return;
         }
-        let floor = self.inner.adaptive_floor_ns.load(Ordering::Relaxed);
         if let Some(cell) = self
             .inner
             .threshold_cell
@@ -338,7 +317,7 @@ impl SloTracker {
             .expect("cell poisoned")
             .as_ref()
         {
-            cell.store(p99.max(floor), Ordering::Relaxed);
+            cell.store(p99.max(SLO_ADAPTIVE_FLOOR_NS), Ordering::Relaxed);
         }
     }
 

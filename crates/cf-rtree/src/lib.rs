@@ -62,7 +62,6 @@
 
 mod bulk;
 mod frozen;
-mod knn;
 mod node;
 mod paged;
 mod split;
@@ -70,7 +69,6 @@ mod tree;
 
 pub use bulk::bulk_load_str;
 pub use frozen::FrozenTree;
-pub use knn::Neighbor;
 pub use node::{ChildRef, Node, NodeEntry};
 pub use paged::PagedRTree;
 pub use tree::{RStarTree, RTreeConfig, SearchStats};

@@ -461,21 +461,6 @@ impl<const N: usize> RStarTree<N> {
         self.search(query, |d, _| out.push(d))
     }
 
-    /// Iterates over every `(mbr, data)` pair in the tree.
-    pub fn iter_entries(&self) -> Vec<(Aabb<N>, u64)> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack = vec![self.root];
-        while let Some(node_idx) = stack.pop() {
-            for e in &self.nodes[node_idx].entries {
-                match e.child {
-                    ChildRef::Data(d) => out.push((e.mbr, d)),
-                    ChildRef::Node(c) => stack.push(c),
-                }
-            }
-        }
-        out
-    }
-
     /// Total number of nodes (for space accounting and the paged writer).
     pub fn node_count(&self) -> usize {
         self.nodes.len() - self.free.len()

@@ -3,9 +3,8 @@
 //!
 //! Two backings share one page-level contract: a fully deterministic
 //! in-memory array (the default) and a real database file addressed by
-//! positional I/O, with an optional read-only mmap fast path. Pages
-//! freed by [`DiskManager::free_run`] are reused by
-//! [`DiskManager::allocate_run`] before the file grows (see
+//! positional I/O. Pages freed by [`DiskManager::free_run`] are reused
+//! by [`DiskManager::allocate_run`] before the file grows (see
 //! [`crate::freelist`]'s module docs for the on-disk superblock).
 //!
 //! This file is on the on-disk decode path and is covered by the CI
@@ -16,7 +15,6 @@ use crate::checksum;
 use crate::error::{CfError, CfResult, FaultOp};
 use crate::fault::{FaultInjector, FiredFault, ReadPlan, WritePlan};
 use crate::freelist::{FreeState, NUM_SLOTS, SLOT_SIZE};
-use crate::mmap::MmapRegion;
 use crate::stats::tally;
 use crate::Fault;
 use cf_obs::{Counter, Histogram, MetricsRegistry, Stopwatch};
@@ -68,10 +66,6 @@ pub struct DiskManager {
     backing: RwLock<Backing>,
     alloc_lock: Mutex<()>,
     free: Mutex<FreeState>,
-    /// Read-only mapping of the data file (lazily created / remapped;
-    /// `None` until the first mmap read or after a file shrink).
-    map: RwLock<Option<MmapRegion>>,
-    use_mmap: bool,
     metrics: DiskMetrics,
     /// Simulated per-read latency — Memory backing only.
     read_latency: Duration,
@@ -90,7 +84,6 @@ struct DiskMetrics {
     checksum_failures: Counter,
     faults_read: Counter,
     faults_write: Counter,
-    mmap_reads: Counter,
     sidecar_backfilled: Counter,
     sidecar_suspect: Counter,
     pages_freed: Counter,
@@ -113,7 +106,6 @@ impl DiskMetrics {
             faults_read: registry.counter_with("storage_faults_injected_total", &[("op", "read")]),
             faults_write: registry
                 .counter_with("storage_faults_injected_total", &[("op", "write")]),
-            mmap_reads: registry.counter("storage_mmap_reads_total"),
             sidecar_backfilled: registry.counter("storage_sidecar_backfilled_total"),
             sidecar_suspect: registry.counter("storage_sidecar_suspect_total"),
             pages_freed: registry.counter("storage_pages_freed_total"),
@@ -177,8 +169,6 @@ impl DiskManager {
             }),
             alloc_lock: Mutex::new(()),
             free: Mutex::new(FreeState::default()),
-            map: RwLock::new(None),
-            use_mmap: false,
             metrics: DiskMetrics::wire(registry),
             read_latency,
             faults: FaultInjector::new(),
@@ -210,19 +200,12 @@ impl DiskManager {
     /// its own cost model. (Simulated read latency remains available on
     /// the in-memory backing via [`DiskManager::with_read_latency_on`].)
     pub fn open_file(path: impl AsRef<Path>) -> CfResult<Self> {
-        Self::open_file_on(path, Arc::new(MetricsRegistry::new()), false)
+        Self::open_file_on(path, Arc::new(MetricsRegistry::new()))
     }
 
     /// Like [`DiskManager::open_file`], publishing counters into the
-    /// caller's registry; `use_mmap` enables the read-only mmap fast
-    /// path for physical page reads (checksum-verified like any other
-    /// physical read, falling back to positional I/O if the kernel
-    /// refuses the mapping).
-    pub fn open_file_on(
-        path: impl AsRef<Path>,
-        registry: Arc<MetricsRegistry>,
-        use_mmap: bool,
-    ) -> CfResult<Self> {
+    /// caller's registry.
+    pub fn open_file_on(path: impl AsRef<Path>, registry: Arc<MetricsRegistry>) -> CfResult<Self> {
         let path = path.as_ref();
         let file = File::options()
             .read(true)
@@ -339,8 +322,6 @@ impl DiskManager {
             }),
             alloc_lock: Mutex::new(()),
             free: Mutex::new(free),
-            map: RwLock::new(None),
-            use_mmap,
             metrics,
             read_latency: Duration::ZERO,
             faults: FaultInjector::new(),
@@ -525,9 +506,6 @@ impl DiskManager {
                     *num_pages = new_num as usize;
                 }
             }
-            drop(backing);
-            // A shrunk file invalidates any longer mapping.
-            *self.map.write().expect("mmap lock poisoned") = None;
         }
         self.metrics.pages_freed.add(n as u64);
         Ok(())
@@ -616,39 +594,6 @@ impl DiskManager {
         self.backing.read().expect("disk lock poisoned").num_pages()
     }
 
-    /// Serves a file-backed physical read from the shared read-only
-    /// mapping, (re)mapping on demand. `false` means "use positional
-    /// I/O instead" — never an error. Called with the backing lock held
-    /// (shared), which is what makes the copy race-free against writes
-    /// and truncation.
-    fn read_via_mmap(&self, file: &File, id: PageId, buf: &mut PageBuf, file_pages: usize) -> bool {
-        let offset = id.index() * PAGE_SIZE;
-        {
-            let map = self.map.read().expect("mmap lock poisoned");
-            if let Some(region) = &*map {
-                if region.copy_into(offset, buf) {
-                    return true;
-                }
-            }
-        }
-        // Mapping absent or too short (the file has grown): remap.
-        let mut map = self.map.write().expect("mmap lock poisoned");
-        if let Some(region) = &*map {
-            if region.copy_into(offset, buf) {
-                return true; // another thread remapped first
-            }
-        }
-        let file_len = file_pages * PAGE_SIZE;
-        if offset + PAGE_SIZE <= file_len {
-            if let Some(region) = MmapRegion::map(file, file_len) {
-                let ok = region.copy_into(offset, buf);
-                *map = Some(region);
-                return ok;
-            }
-        }
-        false
-    }
-
     /// Reads a page into `buf`, counting one physical read and
     /// verifying the page checksum.
     ///
@@ -690,19 +635,9 @@ impl DiskManager {
                     buf.copy_from_slice(&pages[id.index()][..]);
                     sums[id.index()]
                 }
-                Backing::File {
-                    file,
-                    sums,
-                    num_pages,
-                    ..
-                } => {
-                    let mapped = self.use_mmap && self.read_via_mmap(file, id, buf, *num_pages);
-                    if mapped {
-                        self.metrics.mmap_reads.inc();
-                    } else {
-                        file.read_exact_at(buf, (id.index() * PAGE_SIZE) as u64)
-                            .map_err(|e| CfError::io(format!("reading page {}", id.0), e))?;
-                    }
+                Backing::File { file, sums, .. } => {
+                    file.read_exact_at(buf, (id.index() * PAGE_SIZE) as u64)
+                        .map_err(|e| CfError::io(format!("reading page {}", id.0), e))?;
                     let mut entry = [0u8; checksum::ENTRY_SIZE];
                     sums.read_exact_at(&mut entry, (id.index() * checksum::ENTRY_SIZE) as u64)
                         .map_err(|e| {
@@ -1377,11 +1312,10 @@ mod tests {
     }
 
     #[test]
-    fn mmap_reads_match_positional_reads() {
-        let path = temp_path("mmap");
+    fn file_reads_follow_writes_growth_and_raw_corruption() {
+        let path = temp_path("grow");
         cleanup(&path);
-        let registry = Arc::new(MetricsRegistry::new());
-        let disk = DiskManager::open_file_on(&path, Arc::clone(&registry), true).expect("open");
+        let disk = DiskManager::open_file(&path).expect("open");
         let n = 20usize;
         let _ = disk.allocate_run(n).expect("allocate");
         for i in 0..n {
@@ -1396,18 +1330,14 @@ mod tests {
             assert_eq!(out[0], i as u8);
             assert_eq!(out[PAGE_SIZE - 1], (n - i) as u8);
         }
-        assert!(
-            registry.counter_total("storage_mmap_reads_total") > 0,
-            "the mmap path actually served reads"
-        );
-        // Growth after mapping: new pages are served too (remap).
+        // Growth after reads: the new page is served too.
         let id = disk.allocate().expect("grow");
         let buf = [0xEEu8; PAGE_SIZE];
         disk.write_page(id, &buf).expect("write");
         let mut out = [0u8; PAGE_SIZE];
         disk.read_page(id, &mut out).expect("read grown page");
         assert_eq!(out[0], 0xEE);
-        // Corruption is still caught through the mmap path.
+        // A byte flipped behind the disk's back is caught on the next read.
         {
             let f = File::options().write(true).open(&path).expect("raw open");
             f.write_all_at(&[0xBA], 3 * PAGE_SIZE as u64 + 17)
@@ -1416,7 +1346,7 @@ mod tests {
         }
         let err = disk
             .read_page(PageId(3), &mut out)
-            .expect_err("mmap reads verify checksums");
+            .expect_err("physical reads verify checksums");
         assert!(err.is_corrupt());
         cleanup(&path);
     }

@@ -20,11 +20,6 @@ pub struct StorageConfig {
     /// pays its real device cost and ignores it (see
     /// [`DiskManager::open_file`]).
     pub read_latency: Duration,
-    /// File backing only: serve physical page reads from a read-only
-    /// `mmap` of the database file instead of positional reads
-    /// (checksum-verified either way; falls back to positional I/O if
-    /// the kernel refuses the mapping). Ignored in memory.
-    pub use_mmap: bool,
     /// Page codec new record files ([`crate::CellFile`]) are created
     /// with: [`PageCodec::Raw`] fixed-slot pages (the default) or
     /// [`PageCodec::Compressed`] delta/varint pages packing several
@@ -37,7 +32,6 @@ impl Default for StorageConfig {
         Self {
             pool_pages: 256,
             read_latency: Duration::ZERO,
-            use_mmap: false,
             codec: PageCodec::Raw,
         }
     }
@@ -102,7 +96,7 @@ impl StorageEngine {
     pub fn open_file(path: impl AsRef<std::path::Path>, config: StorageConfig) -> CfResult<Self> {
         let metrics = Arc::new(MetricsRegistry::new());
         Ok(Self {
-            disk: DiskManager::open_file_on(path, Arc::clone(&metrics), config.use_mmap)?,
+            disk: DiskManager::open_file_on(path, Arc::clone(&metrics))?,
             pool: config.build_pool(Arc::clone(&metrics)),
             page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
             metrics,

@@ -54,10 +54,7 @@
 //! }
 //! ```
 
-// `deny` (not `forbid`) so the one module wrapping raw `mmap(2)` can
-// opt in with a reviewed `#![allow(unsafe_code)]`; everything else in
-// the crate still refuses unsafe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod buffer;
@@ -69,7 +66,6 @@ mod fault;
 mod freelist;
 mod gc;
 mod heap;
-mod mmap;
 mod stats;
 
 pub use buffer::{BufferPool, MIN_FRAMES_PER_SHARD};

@@ -8,9 +8,6 @@
 use cf_geom::Interval;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-/// Number of queries per `Qinterval` used throughout the paper.
-pub const QUERIES_PER_POINT: usize = 200;
-
 /// Draws `count` random interval queries of relative width `qinterval`
 /// (fraction of the value domain; `0` = exact-value queries) inside
 /// `value_domain`.
@@ -34,19 +31,6 @@ pub fn interval_queries(
         .map(|_| {
             let lo = value_domain.lo + rng.gen::<f64>() * (value_domain.width() - width);
             Interval::new(lo, lo + width)
-        })
-        .collect()
-}
-
-/// Random point-query positions inside a spatial box (for Q1 workloads).
-pub fn point_queries(domain: cf_geom::Aabb<2>, count: usize, seed: u64) -> Vec<cf_geom::Point2> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            cf_geom::Point2::new(
-                rng.gen_range(domain.lo[0]..=domain.hi[0]),
-                rng.gen_range(domain.lo[1]..=domain.hi[1]),
-            )
         })
         .collect()
 }
@@ -84,14 +68,6 @@ mod tests {
             interval_queries(dom, 0.05, 10, 7),
             interval_queries(dom, 0.05, 10, 8)
         );
-    }
-
-    #[test]
-    fn point_queries_inside_box() {
-        let b = cf_geom::Aabb::new([0.0, -5.0], [10.0, 5.0]);
-        for p in point_queries(b, 100, 3) {
-            assert!(b.contains_point(&[p.x, p.y]));
-        }
     }
 
     #[test]

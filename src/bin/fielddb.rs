@@ -23,6 +23,7 @@ use contfield::geom::Interval;
 use contfield::index::{AdaptiveIndex, IHilbert, IngestConfig, LiveIngest, ValueIndex};
 use contfield::storage::{PageCodec, PageId, StorageConfig, StorageEngine, PAGE_SIZE};
 use contfield::workload::{fractal::diamond_square, monotonic::monotonic_field, terrain};
+use std::ops::RangeInclusive;
 
 const BOOT_MAGIC: u64 = 0x3142_444C_4649_4243; // "CBIFLDB1"
 
@@ -52,8 +53,8 @@ fn run(args: &[String]) -> Result<String, String> {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--workload" => workload = take(&mut it, flag)?,
-                    "--k" => k = parse(&take(&mut it, flag)?)?,
-                    "--h" => h = parse(&take(&mut it, flag)?)?,
+                    "--k" => k = take_in(&mut it, flag, GRID_K)?,
+                    "--h" => h = take_in(&mut it, flag, UNIT)?,
                     "--seed" => seed = parse(&take(&mut it, flag)?)?,
                     other => eng.parse_flag(other, &mut it)?,
                 }
@@ -70,8 +71,7 @@ fn run(args: &[String]) -> Result<String, String> {
         }
         "query" => {
             let path = it.next().ok_or_else(usage)?.clone();
-            let lo: f64 = parse(it.next().ok_or_else(usage)?)?;
-            let hi: f64 = parse(it.next().ok_or_else(usage)?)?;
+            let band = take_band(&mut it)?;
             let mut regions = 0usize;
             let mut eng = EngineOpts::default();
             while let Some(flag) = it.next() {
@@ -80,12 +80,11 @@ fn run(args: &[String]) -> Result<String, String> {
                     other => eng.parse_flag(other, &mut it)?,
                 }
             }
-            query(&path, lo, hi, regions, eng)
+            query(&path, band, regions, eng)
         }
         "explain" => {
             let path = it.next().ok_or_else(usage)?.clone();
-            let lo: f64 = parse(it.next().ok_or_else(usage)?)?;
-            let hi: f64 = parse(it.next().ok_or_else(usage)?)?;
+            let band = take_band(&mut it)?;
             let mut json = false;
             let mut eng = EngineOpts::default();
             while let Some(flag) = it.next() {
@@ -94,7 +93,7 @@ fn run(args: &[String]) -> Result<String, String> {
                     other => eng.parse_flag(other, &mut it)?,
                 }
             }
-            explain(&path, lo, hi, json, eng)
+            explain(&path, band, json, eng)
         }
         "ingest" => {
             let path = it.next().ok_or_else(usage)?.clone();
@@ -128,7 +127,7 @@ fn run(args: &[String]) -> Result<String, String> {
             let mut hi = f64::NAN;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--k" => k = parse(&take(&mut it, flag)?)?,
+                    "--k" => k = take_in(&mut it, flag, GRID_K)?,
                     "--lo" => lo = parse(&take(&mut it, flag)?)?,
                     "--hi" => hi = parse(&take(&mut it, flag)?)?,
                     other => return Err(format!("unknown flag {other}")),
@@ -146,7 +145,7 @@ fn run(args: &[String]) -> Result<String, String> {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--port" => port = parse(&take(&mut it, flag)?)?,
-                    "--k" => k = parse(&take(&mut it, flag)?)?,
+                    "--k" => k = take_in(&mut it, flag, GRID_K)?,
                     "--queries" => queries = parse(&take(&mut it, flag)?)?,
                     "--max-requests" => max_requests = Some(parse(&take(&mut it, flag)?)?),
                     "--port-file" => port_file = Some(take(&mut it, flag)?),
@@ -193,7 +192,7 @@ fn run(args: &[String]) -> Result<String, String> {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--queries" => queries = parse(&take(&mut it, flag)?)?,
-                    "--qinterval" => qinterval = parse(&take(&mut it, flag)?)?,
+                    "--qinterval" => qinterval = take_in(&mut it, flag, UNIT)?,
                     "--seed" => seed = parse(&take(&mut it, flag)?)?,
                     other => eng.parse_flag(other, &mut it)?,
                 }
@@ -211,7 +210,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 match flag.as_str() {
                     "--out" => out_path = Some(take(&mut it, flag)?),
                     "--queries" => queries = parse(&take(&mut it, flag)?)?,
-                    "--qinterval" => qinterval = parse(&take(&mut it, flag)?)?,
+                    "--qinterval" => qinterval = take_in(&mut it, flag, UNIT)?,
                     "--seed" => seed = parse(&take(&mut it, flag)?)?,
                     other => eng.parse_flag(other, &mut it)?,
                 }
@@ -225,9 +224,9 @@ fn run(args: &[String]) -> Result<String, String> {
             let mut qinterval = 0.4f64;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--k" => k = parse(&take(&mut it, flag)?)?,
+                    "--k" => k = take_in(&mut it, flag, GRID_K)?,
                     "--queries" => queries = parse(&take(&mut it, flag)?)?,
-                    "--qinterval" => qinterval = parse(&take(&mut it, flag)?)?,
+                    "--qinterval" => qinterval = take_in(&mut it, flag, UNIT)?,
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
@@ -238,26 +237,29 @@ fn run(args: &[String]) -> Result<String, String> {
 }
 
 fn usage() -> String {
-    "usage:\n  fielddb create <db> [--workload terrain|fractal|monotonic] [--k N] [--h F] [--seed N]\n  fielddb info <db>\n  fielddb query <db> <lo> <hi> [--regions N]\n  fielddb explain <db> <lo> <hi> [--json]\n  fielddb ingest <db> [--updates N] [--seed N] [--capacity N]\n  fielddb point <db> <x> <y>\n  fielddb heatmap <db> [--queries N] [--qinterval F] [--seed N]\n  fielddb record <db> --out <file.wrk> [--queries N] [--qinterval F] [--seed N]\n  fielddb metrics [--k N] [--lo F --hi F]\n  fielddb serve-metrics [--port N] [--k N] [--queries N] [--max-requests N] [--port-file P] [--event-log P]\n  fielddb top [--addr HOST:PORT | --port N] [--watch SECS [--count N]]\n  fielddb advise [--k N] [--queries N] [--qinterval F]\nfile-backed commands also accept: [--pool PAGES] [--mmap] [--codec raw|compressed]".into()
+    "usage:\n  fielddb create <db> [--workload terrain|fractal|monotonic] [--k N] [--h F] [--seed N]\n  fielddb info <db>\n  fielddb query <db> <lo> <hi> [--regions N]\n  fielddb explain <db> <lo> <hi> [--json]\n  fielddb ingest <db> [--updates N] [--seed N] [--capacity N]\n  fielddb point <db> <x> <y>\n  fielddb heatmap <db> [--queries N] [--qinterval F] [--seed N]\n  fielddb record <db> --out <file.wrk> [--queries N] [--qinterval F] [--seed N]\n  fielddb metrics [--k N] [--lo F --hi F]\n  fielddb serve-metrics [--port N] [--k N] [--queries N] [--max-requests N] [--port-file P] [--event-log P]\n  fielddb top [--addr HOST:PORT | --port N] [--watch SECS [--count N]]\n  fielddb advise [--k N] [--queries N] [--qinterval F]\nfile-backed commands also accept: [--pool PAGES] [--codec raw|compressed]".into()
 }
 
 /// Storage-engine tuning flags shared by every file-backed command:
-/// `--pool PAGES` sizes the buffer pool, `--mmap` serves reads through
-/// the read-only memory map instead of positional I/O, and `--codec
-/// raw|compressed` picks the on-page cell layout for newly built files
-/// (existing files carry their codec in the catalog and ignore it).
+/// `--pool PAGES` sizes the buffer pool and `--codec raw|compressed`
+/// picks the on-page cell layout for newly built files (existing files
+/// carry their codec in the catalog and ignore it).
 #[derive(Default, Clone, Copy)]
 struct EngineOpts {
     pool: Option<usize>,
-    mmap: bool,
     codec: Option<PageCodec>,
 }
 
 impl EngineOpts {
     fn parse_flag(&mut self, flag: &str, it: &mut std::slice::Iter<String>) -> Result<(), String> {
         match flag {
-            "--pool" => self.pool = Some(parse(&take(it, flag)?)?),
-            "--mmap" => self.mmap = true,
+            "--pool" => {
+                let pages: usize = parse(&take(it, flag)?)?;
+                if pages == 0 {
+                    return Err("--pool needs at least one page".into());
+                }
+                self.pool = Some(pages);
+            }
             "--codec" => {
                 let name = take(it, flag)?;
                 self.codec = Some(
@@ -281,12 +283,48 @@ fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("cannot parse {s:?}"))
 }
 
+/// Grid exponents the field generators accept (`2^k × 2^k` cells).
+const GRID_K: RangeInclusive<u32> = 1..=14;
+/// Fractions of a whole: `--qinterval`, `--h`.
+const UNIT: RangeInclusive<f64> = 0.0..=1.0;
+
+/// The value of `flag`, rejected unless `range` contains it (NaN never
+/// is): the library `assert!`s the same ranges, and a command-line
+/// typo must not reach them.
+fn take_in<T>(
+    it: &mut std::slice::Iter<String>,
+    flag: &str,
+    range: RangeInclusive<T>,
+) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let value: T = parse(&take(it, flag)?)?;
+    if range.contains(&value) {
+        Ok(value)
+    } else {
+        let (lo, hi) = (range.start(), range.end());
+        Err(format!("{flag} {value} is outside [{lo}, {hi}]"))
+    }
+}
+
+/// The `<lo> <hi>` positionals as a band; NaN ends and `lo > hi` are
+/// rejected here so `Interval::new` never sees them.
+fn take_band(it: &mut std::slice::Iter<String>) -> Result<Interval, String> {
+    let lo: f64 = parse(it.next().ok_or_else(usage)?)?;
+    let hi: f64 = parse(it.next().ok_or_else(usage)?)?;
+    if lo <= hi {
+        Ok(Interval::new(lo, hi))
+    } else {
+        Err(format!("band [{lo}, {hi}] needs lo <= hi"))
+    }
+}
+
 fn open_engine(path: &str, opts: EngineOpts) -> Result<StorageEngine, String> {
     let mut config = StorageConfig::default();
     if let Some(pool) = opts.pool {
         config.pool_pages = pool;
     }
-    config.use_mmap = opts.mmap;
     if let Some(codec) = opts.codec {
         config.codec = codec;
     }
@@ -375,21 +413,19 @@ fn info(path: &str, eng: EngineOpts) -> Result<String, String> {
 
 fn query(
     path: &str,
-    lo: f64,
-    hi: f64,
+    band: Interval,
     max_regions: usize,
     eng: EngineOpts,
 ) -> Result<String, String> {
-    if lo > hi {
-        return Err(format!("inverted band [{lo}, {hi}]"));
-    }
     let engine = open_engine(path, eng)?;
     let index = open_index(&engine)?;
     let (stats, mut regions) = index
-        .query_regions(&engine, Interval::new(lo, hi))
+        .query_regions(&engine, band)
         .map_err(|e| e.to_string())?;
     let mut out = format!(
-        "w in [{lo}, {hi}]: {} cells qualify, {} regions, total area {:.3} ({} page reads)\n",
+        "w in [{}, {}]: {} cells qualify, {} regions, total area {:.3} ({} page reads)\n",
+        band.lo,
+        band.hi,
         stats.cells_qualifying,
         stats.num_regions,
         stats.area,
@@ -413,16 +449,13 @@ fn query(
 /// structured EXPLAIN record: planner decision, per-phase page counts
 /// and wall timings (filter/refine/other summing to the span total),
 /// epoch, and buffer-pool hit ratio. `--json` emits the machine form.
-fn explain(path: &str, lo: f64, hi: f64, json: bool, eng: EngineOpts) -> Result<String, String> {
-    if lo > hi {
-        return Err(format!("inverted band [{lo}, {hi}]"));
-    }
+fn explain(path: &str, band: Interval, json: bool, eng: EngineOpts) -> Result<String, String> {
     let engine = open_engine(path, eng)?;
     let index = open_index(&engine)?;
     let tracer = engine.metrics().tracer();
     tracer.set_enabled(true);
     let stats = index
-        .query_stats(&engine, Interval::new(lo, hi))
+        .query_stats(&engine, band)
         .map_err(|e| e.to_string())?;
     let record = tracer.last_explain().ok_or_else(|| {
         "no EXPLAIN captured — the binary was built with the obs-off feature".to_string()
@@ -1004,8 +1037,8 @@ mod tests {
         let out = run(&argv(&["query", &db, "-0.2", "0.2", "--regions", "2"])).expect("query");
         assert!(out.contains("cells qualify"), "{out}");
 
-        // The mmap read path with a tiny pool must answer identically.
-        let mmap = run(&argv(&[
+        // A tiny pool must answer identically.
+        let small_pool = run(&argv(&[
             "query",
             &db,
             "-0.2",
@@ -1014,10 +1047,9 @@ mod tests {
             "2",
             "--pool",
             "8",
-            "--mmap",
         ]))
-        .expect("mmap query");
-        assert_eq!(out, mmap, "mmap/pool tuning must not change answers");
+        .expect("small-pool query");
+        assert_eq!(out, small_pool, "pool size must not change answers");
 
         let out = run(&argv(&["point", &db, "3.5", "7.25"])).expect("point");
         assert!(out.contains("value at"), "{out}");
@@ -1159,7 +1191,42 @@ mod tests {
         );
         assert!(run(&argv(&["bogus"])).is_err());
         assert!(run(&[]).is_err());
+
+        // Out-of-range values are rejected where flags are parsed,
+        // before any library `assert!` can abort the process.
+        let rejected: &[&[&str]] = &[
+            &["query", &db, "0", "1", "--pool", "0"],
+            &["query", &db, "nan", "5"],
+            &["query", &db, "5", "nan"],
+            &["explain", &db, "nan", "5"],
+            &["explain", &db, "5", "1"],
+            &["heatmap", &db, "--qinterval", "2"],
+            &["heatmap", &db, "--qinterval", "nan"],
+            &["heatmap", &db, "--qinterval", "-1"],
+            &["record", &db, "--out", "unused.wrk", "--qinterval", "2"],
+            &["record", &db, "--out", "unused.wrk", "--qinterval", "nan"],
+            &["record", &db, "--out", "unused.wrk", "--qinterval", "-1"],
+        ];
+        for args in rejected {
+            assert!(run(&argv(args)).is_err(), "{args:?} must be rejected");
+        }
         std::fs::remove_file(&db).expect("cleanup");
+
+        let fresh = tmp("refuse_create");
+        let rejected_creates: &[&[&str]] = &[
+            &["create", &fresh, "--k", "0"],
+            &["create", &fresh, "--k", "40"],
+            &["create", &fresh, "--workload", "fractal", "--h", "nan"],
+            &["create", &fresh, "--workload", "fractal", "--h", "1.5"],
+            &["create", &fresh, "--pool", "0"],
+        ];
+        for args in rejected_creates {
+            assert!(run(&argv(args)).is_err(), "{args:?} must be rejected");
+            assert!(
+                !std::path::Path::new(&fresh).exists(),
+                "{args:?} left a file behind"
+            );
+        }
     }
 
     #[test]
