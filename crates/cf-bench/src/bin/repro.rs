@@ -2,14 +2,14 @@
 //!
 //! ```sh
 //! cargo run --release -p cf-bench --bin repro -- all
-//! cargo run --release -p cf-bench --bin repro -- fig11 --full   # paper-scale (slow)
+//! cargo run --release -p cf-bench --bin repro -- all --full   # paper scale: EXPERIMENTS.md
 //! ```
 //!
 //! Subcommands: `fig5`, `fig8a`, `fig8b`, `fig11`, `fig12`,
 //! `ablation`, `batch`, `bench`, `replay`, `regress`, `obs-overhead`,
 //! `all`.
 //! Flags: `--full` (paper-scale datasets and 200 queries/point),
-//! `--queries N`, `--latency-us N`, `--json` (with `bench`: append a
+//! `--queries N`, `--json` (with `bench`: append a
 //! flattened record to the committed bench history), `--metrics` (with
 //! `batch`/`bench`: dump the engine's
 //! metrics-registry snapshot after the run), `--oocore` (with `bench`:
@@ -28,6 +28,12 @@
 //! cells, ingest default 6 → 4,096 cells), `--history PATH`
 //! (default `BENCH_history.jsonl`), `--window N` / `--tol-time F` /
 //! `--tol-count F` (regression-gate knobs, see `cf_bench::history`).
+//! Flags are parsed and validated once: a malformed or out-of-range
+//! value is an `error: …` on stderr and exit 2.
+//!
+//! Every figure, `ablation` and `batch` runs on a real database file in
+//! the temp directory (removed afterwards, pass or fail) with the pool
+//! cleared before each query and no injected delay.
 //!
 //! `regress` compares the newest history record against a median-of-N
 //! baseline over the previous runs and exits 1 on regression (0 with a
@@ -39,8 +45,8 @@
 //! the instrumented build is more than 3 % slower.
 
 use cf_bench::{
-    render_batch_scaling, render_markdown, run_batch_scaling, run_sweep, speedups,
-    ExperimentConfig, SweepResult,
+    render_batch_scaling, render_markdown, run_batch_scaling, run_method_point, run_sweep,
+    speedups, SweepResult, TempDb,
 };
 use cf_field::FieldModel;
 use cf_geom::Interval;
@@ -57,7 +63,6 @@ use cf_workload::{
 struct Opts {
     full: bool,
     queries: Option<usize>,
-    latency_us: u64,
     json: bool,
     metrics: bool,
     oocore: bool,
@@ -73,22 +78,33 @@ struct Opts {
 }
 
 impl Opts {
-    fn config(&self) -> ExperimentConfig {
-        ExperimentConfig {
-            read_latency_us: self.latency_us,
-            queries_per_point: self.queries.unwrap_or(if self.full { 200 } else { 50 }),
-            ..Default::default()
-        }
+    /// Random interval queries per `Qinterval` point (paper: 200).
+    fn queries_per_point(&self) -> usize {
+        self.queries.unwrap_or(if self.full { 200 } else { 50 })
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parses a flag value and checks it against `ok` (described by `want`
+/// in the error).
+fn checked<T: std::str::FromStr>(
+    flag: &str,
+    value: &str,
+    ok: impl Fn(&T) -> bool,
+    want: &str,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(v) if ok(&v) => Ok(v),
+        Ok(_) => Err(format!("{flag} must be {want}, got {value}")),
+        Err(_) => Err(format!("{flag} needs a number, got {value:?}")),
+    }
+}
+
+/// Parses the command line into the command and validated options.
+fn parse_args(args: &[String]) -> Result<(String, Opts), String> {
     let mut cmd = String::from("all");
     let mut opts = Opts {
         full: false,
         queries: None,
-        latency_us: 20,
         json: false,
         metrics: false,
         oocore: false,
@@ -102,65 +118,54 @@ fn main() {
         workload: None,
         db: None,
     };
+    let fraction = |t: &f64| t.is_finite() && *t >= 0.0;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
+        let flag = a.as_str();
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
             "--full" => opts.full = true,
             "--json" => opts.json = true,
             "--metrics" => opts.metrics = true,
             "--oocore" => opts.oocore = true,
             "--ingest" => opts.ingest = true,
             "--k" => {
-                opts.k = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--k needs a grid exponent"),
-                )
+                opts.k = Some(checked(
+                    flag,
+                    value()?,
+                    |k| (1..=14).contains(k),
+                    "in 1..=14",
+                )?)
             }
-            "--queries" => {
-                opts.queries = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--queries needs a number"),
-                )
-            }
-            "--latency-us" => {
-                opts.latency_us = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--latency-us needs a number")
-            }
-            "--history" => opts.history = Some(it.next().expect("--history needs a path").clone()),
-            "--record" => opts.record = Some(it.next().expect("--record needs a path").clone()),
-            "--workload" => {
-                opts.workload = Some(it.next().expect("--workload needs a path").clone())
-            }
-            "--db" => opts.db = Some(it.next().expect("--db needs a path").clone()),
-            "--window" => {
-                opts.window = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--window needs a number")
-            }
+            "--queries" => opts.queries = Some(checked(flag, value()?, |&n| n >= 1, "at least 1")?),
+            "--window" => opts.window = checked(flag, value()?, |&n| n >= 1, "at least 1")?,
             "--tol-time" => {
-                opts.tol_time = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tol-time needs a fraction")
+                opts.tol_time = checked(flag, value()?, fraction, "finite and non-negative")?
             }
             "--tol-count" => {
-                opts.tol_count = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tol-count needs a fraction")
+                opts.tol_count = checked(flag, value()?, fraction, "finite and non-negative")?
             }
+            "--history" => opts.history = Some(value()?.to_string()),
+            "--record" => opts.record = Some(value()?.to_string()),
+            "--workload" => opts.workload = Some(value()?.to_string()),
+            "--db" => opts.db = Some(value()?.to_string()),
             c if !c.starts_with('-') => cmd = c.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown flag {other}")),
         }
     }
+    Ok((cmd, opts))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, opts) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     match cmd.as_str() {
         "fig5" => fig5(),
@@ -191,6 +196,7 @@ fn main() {
         "regress" => regress(&opts),
         "obs-overhead" => obs_overhead(&opts),
         "all" => {
+            print_setup();
             fig5();
             print_sweep(&fig8a(&opts));
             print_sweep(&fig8b(&opts));
@@ -201,24 +207,42 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command {other}; use fig5|fig8a|fig8b|fig11|fig12|ablation|batch|bench|replay|regress|obs-overhead|all"
+                "error: unknown command {other}; use fig5|fig8a|fig8b|fig11|fig12|ablation|batch|bench|replay|regress|obs-overhead|all"
             );
             std::process::exit(2);
         }
     }
 }
 
+/// The setup line EXPERIMENTS.md quotes: where and how everything ran.
+fn print_setup() {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    println!(
+        "setup: each sweep on a real database file in {} (StorageEngine::open_file), \
+         256-page pool cleared before every query, OS page cache left warm, \
+         zero injected latency, every physical read checksum-verified; \
+         {}-{}, available_parallelism = {cores}, single-threaded queries\n",
+        std::env::temp_dir().display(),
+        std::env::consts::OS,
+        std::env::consts::ARCH,
+    );
+}
+
 fn print_sweep(result: &SweepResult) {
     println!("{}", render_markdown(result));
-    for (qi, s) in speedups(result, "LinearScan", "I-Hilbert") {
-        println!("  speedup(I-Hilbert vs LinearScan) @ Qinterval {qi:.2}: {s:.1}x");
+    for method in ["I-Hilbert", "I-All"] {
+        for (qi, time, pages) in speedups(result, "LinearScan", method) {
+            println!(
+                "- {method} vs LinearScan @ Qinterval {qi:.2}: {time:.1}x time, {pages:.1}x pages"
+            );
+        }
     }
     println!();
 }
 
 /// Fig. 5b — the worked subfield-formation example, verified numerically.
 fn fig5() {
-    println!("### fig5 — worked subfield example (paper §3.1.2, Fig. 5b)\n");
+    println!("### fig5 — worked subfield example (paper §3.1.2, Fig. 5b)\n\n```text");
     let cells = [
         Interval::new(20.0, 30.0),
         Interval::new(25.0, 34.0),
@@ -235,7 +259,7 @@ fn fig5() {
     println!("cost after  inserting c5: {cb:.3}   (paper: 31/58 ≈ 0.534)");
     let sfs = build_subfields(&cells, SubfieldConfig::default());
     println!(
-        "=> {} subfields; c5 starts Subfield 2: {}\n",
+        "=> {} subfields; c5 starts Subfield 2: {}\n```\n",
         sfs.len(),
         sfs.len() == 2 && sfs[1].start == 4
     );
@@ -250,7 +274,7 @@ fn fig8a(opts: &Opts) -> SweepResult {
         "fig8a (real-terrain stand-in)",
         &field,
         &[0.0, 0.02, 0.04, 0.06, 0.08, 0.10],
-        &opts.config(),
+        opts.queries_per_point(),
     )
 }
 
@@ -263,7 +287,7 @@ fn fig8b(opts: &Opts) -> SweepResult {
         "fig8b (urban-noise TIN stand-in)",
         &field,
         &[0.0, 0.02, 0.04, 0.06, 0.08, 0.10],
-        &opts.config(),
+        opts.queries_per_point(),
     )
 }
 
@@ -277,7 +301,7 @@ fn fig11(opts: &Opts) {
             &format!("fig11{sub} (fractal H={h})"),
             &field,
             &[0.0, 0.01, 0.02, 0.03, 0.04, 0.05],
-            &opts.config(),
+            opts.queries_per_point(),
         );
         print_sweep(&result);
     }
@@ -292,7 +316,7 @@ fn fig12(opts: &Opts) -> SweepResult {
         "fig12 (monotonic w = x + y)",
         &field,
         &[0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06],
-        &opts.config(),
+        opts.queries_per_point(),
     )
 }
 
@@ -301,25 +325,27 @@ fn fig12(opts: &Opts) -> SweepResult {
 /// with per-query and aggregated statistics.
 fn batch(opts: &Opts) {
     use cf_storage::{StorageConfig, StorageEngine};
-    use std::time::Duration;
 
     let k = if opts.full { 8 } else { 7 };
     let field = roseburg_standin(k);
-    // The scaling experiment needs a latency long enough that the disk
-    // simulation sleeps (releasing the CPU, like a blocked thread on a
-    // real device) rather than busy-spins, so worker I/O genuinely
-    // overlaps; clamp the configured latency up to 1 ms.
-    let latency_us = opts.latency_us.max(1000);
-    let engine = StorageEngine::new(StorageConfig {
-        pool_pages: 1024,
-        read_latency: Duration::from_micros(latency_us),
-        ..StorageConfig::default()
-    });
+    // At the default 128² the pool holds the whole working set, so every
+    // run pays the same cold first touches whatever the thread
+    // interleaving; at `--full` (256²) it does not, and the disk column
+    // varies with the interleaving.
+    let db = TempDb::new("cf_sweep");
+    let engine = StorageEngine::open_file(
+        db.path(),
+        StorageConfig {
+            pool_pages: 1024,
+            ..StorageConfig::default()
+        },
+    )
+    .expect("open database file");
     let index = IHilbert::build(&engine, &field).expect("build");
     let dom = field.value_domain();
     let queries = interval_queries(dom, 0.05, opts.queries.unwrap_or(48), 0xBA7C);
     eprintln!(
-        "[batch] terrain {0}x{0} cells, {1} queries, read latency {latency_us} µs…",
+        "[batch] terrain {0}x{0} cells, {1} queries…",
         1 << k,
         queries.len()
     );
@@ -366,8 +392,8 @@ fn batch(opts: &Opts) {
 }
 
 /// Measures the per-query cost of the observability plane on its most
-/// sensitive workload: warm, zero-latency queries (every page a pool
-/// hit) where no simulated I/O wait can hide the counter updates.
+/// sensitive workload: warm in-memory queries (every page a pool hit)
+/// where no I/O can hide the counter updates.
 /// Prints a parseable `OBS_OVERHEAD_US_PER_QUERY` line; CI runs this
 /// once with default features and once with `obs-off` and compares the
 /// two numbers.
@@ -409,8 +435,8 @@ fn obs_overhead(opts: &Opts) {
 /// mean cold-cache pages per Q2 query under each codec, the answers
 /// asserted bit-identical — the codec is a layout change, not an
 /// approximation. Page counts are deterministic, so nothing is timed
-/// and no latency is injected (the ladder's `cold_file_grid_64k` is the
-/// timing authority for the codec). With `--json` a flattened record is
+/// (the ladder's `cold_file_grid_64k` is the timing authority for the
+/// codec). With `--json` a flattened record is
 /// appended to the committed bench history (`--history`, default
 /// `BENCH_history.jsonl`) for the `regress` gate.
 fn bench(opts: &Opts) {
@@ -538,35 +564,22 @@ fn bench(opts: &Opts) {
 /// (default `BENCH_oocore_history.jsonl`) for the `regress` gate.
 fn oocore(opts: &Opts) {
     use cf_field::GridField;
-    use cf_storage::{StorageConfig, StorageEngine};
+    use cf_storage::StorageConfig;
     use std::time::Instant;
 
     let k = opts.k.unwrap_or(10);
-    let pool_pages = 256usize;
+    let pool_pages = StorageConfig::default().pool_pages;
     let field = diamond_square(k, 0.6, 0x00C0DE);
     let dom = field.value_domain();
-    let path = std::env::temp_dir().join(format!("cf_oocore_{}.db", std::process::id()));
-    let cleanup = |path: &std::path::Path| {
-        for ext in ["", ".crc", ".fsm"] {
-            let _ = std::fs::remove_file(format!("{}{ext}", path.display()));
-        }
-    };
-    cleanup(&path);
+    let db = TempDb::new("cf_oocore");
     eprintln!(
         "[oocore] fractal {0}x{0} = {1} cells onto {2} (pool {pool_pages} pages)…",
         1 << k,
         field.num_cells(),
-        path.display()
+        db.path().display()
     );
 
-    let engine = StorageEngine::open_file(
-        &path,
-        StorageConfig {
-            pool_pages,
-            ..StorageConfig::default()
-        },
-    )
-    .expect("open database file");
+    let engine = db.open();
     let t0 = Instant::now();
     let mut index = IHilbert::build(&engine, &field).expect("build");
     let catalog = index.save(&engine).expect("save");
@@ -635,14 +648,7 @@ fn oocore(opts: &Opts) {
     // A cold process-style reopen. Answers must be byte-identical to
     // the first sweep — across the repack, which never moves cell
     // records.
-    let engine = StorageEngine::open_file(
-        &path,
-        StorageConfig {
-            pool_pages,
-            ..StorageConfig::default()
-        },
-    )
-    .expect("reopen");
+    let engine = db.open();
     let reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open catalog");
     let mut reopened_qualifying = 0u64;
     for q in &queries {
@@ -656,7 +662,7 @@ fn oocore(opts: &Opts) {
     );
     drop(reopened);
     drop(engine);
-    cleanup(&path);
+    drop(db);
 
     println!(
         "### bench --oocore — out-of-core file backing ({} cells)\n",
@@ -1147,9 +1153,9 @@ fn ablation(opts: &Opts) {
     let k = if opts.full { 9 } else { 7 };
     let field = roseburg_standin(k);
     let dom = field.value_domain();
-    let config = opts.config();
-    let engine = config.engine();
-    let queries = interval_queries(dom, 0.02, config.queries_per_point, 7);
+    let db = TempDb::new("cf_sweep");
+    let engine = db.open();
+    let queries = interval_queries(dom, 0.02, opts.queries_per_point(), 7);
 
     println!("### ablation — curve choice (subfields + mean pages @ Qinterval 0.02)\n");
     println!("| curve | subfields | mean pages | mean ms |");
@@ -1164,7 +1170,7 @@ fn ablation(opts: &Opts) {
             },
         )
         .expect("build");
-        let p = cf_bench::run_method_point(&engine, &idx, 0.02, &queries, &config);
+        let p = run_method_point(&engine, &idx, 0.02, &queries);
         println!(
             "| {} | {} | {:.0} | {:.2} |",
             curve.name(),
@@ -1197,7 +1203,7 @@ fn ablation(opts: &Opts) {
             },
         )
         .expect("build");
-        let p = cf_bench::run_method_point(&engine, &idx, 0.02, &queries, &config);
+        let p = run_method_point(&engine, &idx, 0.02, &queries);
         println!(
             "| {base:.2} | {qlen:.2} | {} | {:.0} |",
             idx.num_intervals(),
@@ -1210,7 +1216,7 @@ fn ablation(opts: &Opts) {
     println!("|---|---|---|");
     for frac in [0.01, 0.05, 0.1, 0.25, 0.5] {
         let iq = IntervalQuadtree::build(&engine, &field, frac * width).expect("build");
-        let p = cf_bench::run_method_point(&engine, &iq, 0.02, &queries, &config);
+        let p = run_method_point(&engine, &iq, 0.02, &queries);
         println!(
             "| {frac:.2} | {} | {:.0} |",
             iq.num_intervals(),
@@ -1220,7 +1226,7 @@ fn ablation(opts: &Opts) {
 
     // Reference points for the table reader.
     let scan = LinearScan::build(&engine, &field).expect("build");
-    let p = cf_bench::run_method_point(&engine, &scan, 0.02, &queries, &config);
+    let p = run_method_point(&engine, &scan, 0.02, &queries);
     println!(
         "\n(LinearScan reference: {:.0} pages, {:.2} ms; {} cells)\n",
         p.mean_pages,
@@ -1237,9 +1243,9 @@ fn ablation(opts: &Opts) {
         println!("| Qinterval | probe pages | adaptive pages | plan |");
         println!("|---|---|---|---|");
         for qi in [0.0, 0.05, 0.2, 0.5, 0.9] {
-            let qs = interval_queries(dom, qi, config.queries_per_point.min(30), 11);
-            let pp = cf_bench::run_method_point(&engine, &probe, qi, &qs, &config);
-            let pa = cf_bench::run_method_point(&engine, &adaptive, qi, &qs, &config);
+            let qs = interval_queries(dom, qi, opts.queries_per_point().min(30), 11);
+            let pp = run_method_point(&engine, &probe, qi, &qs);
+            let pa = run_method_point(&engine, &adaptive, qi, &qs);
             let plan = match adaptive.plan(qs[0]) {
                 cf_index::Plan::FullScan => "scan",
                 cf_index::Plan::IndexProbe => "probe",
@@ -1266,4 +1272,73 @@ fn ablation(opts: &Opts) {
         sizes[sizes.len() * 95 / 100],
         sizes[sizes.len() - 1]
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(String, Opts), String> {
+        parse_args(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    fn rejected(line: &str) -> String {
+        match parse(line) {
+            Ok(_) => panic!("{line:?} was accepted"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn valid_flags_parse() {
+        let line = "bench --oocore --k 14 --queries 1 --window 1 --tol-time 0 --tol-count 0.5";
+        let (cmd, opts) = parse(line).expect("valid");
+        assert_eq!(cmd, "bench");
+        assert!(opts.oocore);
+        assert_eq!((opts.k, opts.queries, opts.window), (Some(14), Some(1), 1));
+        assert_eq!((opts.tol_time, opts.tol_count), (0.0, 0.5));
+        assert_eq!(parse("").expect("empty").0, "all");
+    }
+
+    #[test]
+    fn queries_must_be_a_positive_number() {
+        assert!(rejected("fig8b --queries 0").contains("at least 1"));
+        assert!(rejected("fig8b --queries abc").contains("needs a number"));
+        assert!(rejected("fig8b --queries -3").contains("needs a number"));
+    }
+
+    #[test]
+    fn grid_exponent_must_be_in_range() {
+        for k in ["0", "15", "40"] {
+            assert!(rejected(&format!("bench --oocore --k {k}")).contains("in 1..=14"));
+        }
+        assert!(rejected("bench --k x").contains("needs a number"));
+    }
+
+    #[test]
+    fn window_must_be_positive() {
+        assert!(rejected("regress --window 0").contains("at least 1"));
+    }
+
+    #[test]
+    fn tolerances_must_be_finite_and_non_negative() {
+        for flag in ["--tol-time", "--tol-count"] {
+            for v in ["-0.1", "NaN", "inf", "-inf"] {
+                let e = rejected(&format!("regress {flag} {v}"));
+                assert!(e.contains("finite and non-negative"), "{flag} {v}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn missing_values_and_unknown_flags_are_errors() {
+        assert!(rejected("fig8b --queries").contains("needs a value"));
+        assert!(rejected("replay --db").contains("needs a value"));
+        assert!(rejected("fig8b --bogus 0").contains("unknown flag"));
+    }
 }

@@ -22,7 +22,6 @@ use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
 
 /// Page size in bytes. The paper's experiments use 4 KB pages (§4).
 pub const PAGE_SIZE: usize = 4096;
@@ -50,12 +49,9 @@ pub const FSM_COMMIT_PAGE: PageId = PageId(u64::MAX);
 
 /// A paged disk with two interchangeable backings.
 ///
-/// Every physical page read and write is counted. The **in-memory**
-/// backing can additionally charge a configurable latency per physical
-/// I/O (modelling the 2002 testbed's I/O cost on RAM-resident modern
-/// hardware — a *documented substitution*, see DESIGN.md §3); the
-/// **file** backing performs real I/O and never charges simulated
-/// latency on top of it.
+/// Every physical page read and write is counted and costs what its
+/// backing costs: a copy for the **in-memory** array, a positional read
+/// or write for the **file** (no simulated latency — DESIGN.md §3.1).
 ///
 /// Every page carries an 8-byte sidecar checksum entry (see
 /// [`crate::checksum`]) updated on write and verified on every
@@ -67,8 +63,6 @@ pub struct DiskManager {
     alloc_lock: Mutex<()>,
     free: Mutex<FreeState>,
     metrics: DiskMetrics,
-    /// Simulated per-read latency — Memory backing only.
-    read_latency: Duration,
     faults: FaultInjector,
 }
 
@@ -148,20 +142,15 @@ impl Backing {
 }
 
 impl DiskManager {
-    /// Creates an empty disk with no artificial read latency.
+    /// Creates an empty in-memory disk.
     pub fn new() -> Self {
-        Self::with_read_latency_on(Duration::ZERO, Arc::new(MetricsRegistry::new()))
+        Self::new_on(Arc::new(MetricsRegistry::new()))
     }
 
-    /// Creates an empty disk charging `read_latency` per physical read
-    /// and publishing counters into the caller's registry (the
-    /// [`crate::StorageEngine`] shares one registry between its disk
-    /// and its buffer pool).
-    ///
-    /// Simulated latency is a property of the **in-memory** backing
-    /// only; the file backing pays its real device cost instead (see
-    /// [`DiskManager::open_file`]).
-    pub fn with_read_latency_on(read_latency: Duration, registry: Arc<MetricsRegistry>) -> Self {
+    /// Like [`DiskManager::new`], publishing counters into the caller's
+    /// registry (the [`crate::StorageEngine`] shares one registry
+    /// between its disk and its buffer pool).
+    pub fn new_on(registry: Arc<MetricsRegistry>) -> Self {
         Self {
             backing: RwLock::new(Backing::Memory {
                 pages: Vec::new(),
@@ -170,7 +159,6 @@ impl DiskManager {
             alloc_lock: Mutex::new(()),
             free: Mutex::new(FreeState::default()),
             metrics: DiskMetrics::wire(registry),
-            read_latency,
             faults: FaultInjector::new(),
         }
     }
@@ -195,10 +183,6 @@ impl DiskManager {
     /// extension leaves them) pages are blessed; the rest get a poisoned
     /// entry that fails verification on read, and are counted in
     /// `storage_sidecar_suspect_total`.
-    ///
-    /// The file backing never charges simulated latency — real I/O is
-    /// its own cost model. (Simulated read latency remains available on
-    /// the in-memory backing via [`DiskManager::with_read_latency_on`].)
     pub fn open_file(path: impl AsRef<Path>) -> CfResult<Self> {
         Self::open_file_on(path, Arc::new(MetricsRegistry::new()))
     }
@@ -323,7 +307,6 @@ impl DiskManager {
             alloc_lock: Mutex::new(()),
             free: Mutex::new(free),
             metrics,
-            read_latency: Duration::ZERO,
             faults: FaultInjector::new(),
         })
     }
@@ -606,9 +589,6 @@ impl DiskManager {
         let clock = Stopwatch::start();
         self.metrics.reads.inc();
         tally::count_disk_read();
-        if !self.read_latency.is_zero() {
-            wait_for(self.read_latency);
-        }
         let plan = self.faults.plan_read(id);
         if !matches!(plan, ReadPlan::Proceed) {
             self.metrics.faults_read.inc();
@@ -776,28 +756,6 @@ impl DiskManager {
 impl Default for DiskManager {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Longest latency served purely by busy-waiting. Below this,
-/// `thread::sleep` is too coarse to hit the target; above it, the bulk
-/// of the wait sleeps so the CPU is released — like a thread blocked on
-/// a real device — and only the final stretch spins for precision.
-/// Sleeping (not spinning) is what lets concurrent readers overlap
-/// their simulated I/O, which the parallel batch executor depends on.
-const SPIN_ONLY_MAX: Duration = Duration::from_micros(200);
-
-/// Waits for the given duration: pure spin for sub-[`SPIN_ONLY_MAX`]
-/// latencies, sleep-then-spin above it.
-fn wait_for(d: Duration) {
-    let start = Instant::now();
-    if let Some(bulk) = d.checked_sub(SPIN_ONLY_MAX) {
-        if !bulk.is_zero() {
-            std::thread::sleep(bulk);
-        }
-    }
-    while start.elapsed() < d {
-        std::hint::spin_loop();
     }
 }
 
@@ -971,21 +929,6 @@ mod tests {
             .expect_err("short read loses the tail");
         assert!(err.is_corrupt());
         assert_eq!(err.page(), Some(id));
-    }
-
-    #[test]
-    fn read_latency_is_charged() {
-        let disk = DiskManager::with_read_latency_on(
-            Duration::from_micros(200),
-            Arc::new(MetricsRegistry::new()),
-        );
-        let id = disk.allocate().expect("allocate");
-        let mut buf = [0u8; PAGE_SIZE];
-        let t0 = Instant::now();
-        for _ in 0..5 {
-            disk.read_page(id, &mut buf).expect("read");
-        }
-        assert!(t0.elapsed() >= Duration::from_micros(1000));
     }
 
     #[test]

@@ -5,21 +5,12 @@ use crate::gc::EpochGc;
 use crate::{BufferPool, CfResult, DiskManager, Fault, IoStats, PageBuf, PageCodec, PageId};
 use cf_obs::{Histogram, MetricsRegistry};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration for a [`StorageEngine`].
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
     /// Buffer pool capacity in pages.
     pub pool_pages: usize,
-    /// Artificial latency charged per physical page read.
-    ///
-    /// `Duration::ZERO` (the default) for correctness tests; benches use a
-    /// value modelling the paper's disk-resident setting (see DESIGN.md).
-    /// Applies to the **in-memory** backing only: a file-backed engine
-    /// pays its real device cost and ignores it (see
-    /// [`DiskManager::open_file`]).
-    pub read_latency: Duration,
     /// Page codec new record files ([`crate::CellFile`]) are created
     /// with: [`PageCodec::Raw`] fixed-slot pages (the default) or
     /// [`PageCodec::Compressed`] delta/varint pages packing several
@@ -31,7 +22,6 @@ impl Default for StorageConfig {
     fn default() -> Self {
         Self {
             pool_pages: 256,
-            read_latency: Duration::ZERO,
             codec: PageCodec::Raw,
         }
     }
@@ -67,7 +57,7 @@ impl StorageEngine {
     pub fn new(config: StorageConfig) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         Self {
-            disk: DiskManager::with_read_latency_on(config.read_latency, Arc::clone(&metrics)),
+            disk: DiskManager::new_on(Arc::clone(&metrics)),
             pool: config.build_pool(Arc::clone(&metrics)),
             page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
             metrics,
@@ -81,8 +71,8 @@ impl StorageEngine {
         self.codec
     }
 
-    /// Creates an engine with default configuration (256-page pool, no
-    /// artificial latency).
+    /// Creates an in-memory engine with default configuration (256-page
+    /// pool, raw pages).
     pub fn in_memory() -> Self {
         Self::new(StorageConfig::default())
     }
@@ -90,9 +80,7 @@ impl StorageEngine {
     /// Opens (or creates) an engine backed by a real database file.
     ///
     /// Existing pages are preserved, so a database file survives process
-    /// restarts; see [`DiskManager::open_file`]. The simulated
-    /// `read_latency` in `config` is ignored — real file I/O is its own
-    /// cost model.
+    /// restarts; see [`DiskManager::open_file`].
     pub fn open_file(path: impl AsRef<std::path::Path>, config: StorageConfig) -> CfResult<Self> {
         let metrics = Arc::new(MetricsRegistry::new());
         Ok(Self {

@@ -718,7 +718,6 @@ pub(crate) mod tests {
             let engine = StorageEngine::new(StorageConfig {
                 pool_pages: 2,
                 codec,
-                ..StorageConfig::default()
             });
             let file = CellFile::create(&engine, sample(5000)).expect("create");
             assert!(file.data_pages() > 2, "{codec:?}");

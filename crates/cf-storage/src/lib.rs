@@ -1,14 +1,13 @@
-//! Simulated paged storage engine with first-class I/O accounting.
+//! Paged storage engine with first-class I/O accounting.
 //!
 //! The EDBT 2002 evaluation ran against a disk-resident database with
 //! 4 KiB pages; its headline metric — execution time of field value
 //! queries — is driven by the number of pages each method touches. This
 //! crate reproduces that substrate:
 //!
-//! * [`DiskManager`] — an in-memory "disk" of [`PAGE_SIZE`] pages that
-//!   counts every physical read/write and can charge a configurable
-//!   latency per physical read (modelling the 2002 testbed's I/O cost on
-//!   modern hardware; see DESIGN.md §3).
+//! * [`DiskManager`] — a "disk" of [`PAGE_SIZE`] pages, in memory or on
+//!   a real file, that counts every physical read/write; a physical read
+//!   costs what the backing costs (no simulated latency, DESIGN.md §3.1).
 //! * [`BufferPool`] — a sharded LRU page cache with pin-free closure
 //!   access, per-shard hit/miss statistics and explicit invalidation (so
 //!   benchmarks can run queries cold, as the paper's setup effectively
