@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod history;
 pub mod replay;
 
 pub use replay::{replay_workload, ReplayMismatch, ReplayReport};

@@ -19,6 +19,14 @@
 //! [`IHilbert::open`] — which picks the highest-epoch slot that
 //! validates — falls back to the previous consistent catalog. See
 //! DESIGN.md §9 for the full protocol and its caveats.
+//!
+//! # The database file
+//!
+//! A database file made by [`create_database`] starts with a bootstrap
+//! page (page 0: magic + the catalog run's first page id), so a later
+//! process finds the catalog with [`read_bootstrap`] alone.
+//! [`open_database`] reopens such a file and refuses a path with no file
+//! behind it, which [`StorageEngine::open_file`] would create.
 
 use crate::ihilbert::IHilbert;
 use crate::ingest::{DeltaRec, IngestConfig, LiveIngest};
@@ -29,8 +37,9 @@ use cf_rtree::PagedRTree;
 use cf_sfc::Curve;
 use cf_storage::{
     checksum, codec, CellFile, CfError, CfResult, PageBuf, PageCodec, PageId, Record, RecordFile,
-    StorageEngine, PAGE_SIZE,
+    StorageConfig, StorageEngine, PAGE_SIZE,
 };
+use std::path::Path;
 
 /// Catalog page magic ("CFIELDB1" in LE bytes).
 const MAGIC: u64 = 0x3142_444C_4549_4643;
@@ -527,6 +536,73 @@ impl<F: FieldModel> LiveIngest<F> {
     }
 }
 
+/// Bootstrap page magic ("CBIFLDB1" in LE bytes).
+const BOOT_MAGIC: u64 = 0x3142_444C_4649_4243;
+/// The bootstrap page: the first page of a database file.
+const BOOT_PAGE: PageId = PageId(0);
+
+/// Creates a database file at `path`, which must not exist yet, with
+/// its first page reserved for the bootstrap page; point it at the
+/// catalog with [`write_bootstrap`] once the index is saved.
+pub fn create_database(
+    path: impl AsRef<Path>,
+    config: StorageConfig,
+) -> Result<StorageEngine, String> {
+    let path = path.as_ref();
+    if path.exists() {
+        return Err(format!(
+            "{} already exists; refusing to overwrite",
+            path.display()
+        ));
+    }
+    let engine = StorageEngine::open_file(path, config)
+        .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
+    let boot = engine.allocate_page().map_err(|e| e.to_string())?;
+    assert_eq!(boot, BOOT_PAGE, "a fresh file allocates page 0 first");
+    Ok(engine)
+}
+
+/// Opens the existing database file at `path`. A path with no file
+/// behind it is `<path>: no such database`, and nothing is created —
+/// not the file, not its `.crc` and `.fsm` sidecars.
+pub fn open_database(
+    path: impl AsRef<Path>,
+    config: StorageConfig,
+) -> Result<StorageEngine, String> {
+    let path = path.as_ref();
+    if !path.exists() {
+        return Err(format!("{}: no such database", path.display()));
+    }
+    StorageEngine::open_file(path, config)
+        .map_err(|e| format!("cannot open {}: {e}", path.display()))
+}
+
+/// Points the bootstrap page of a database made by [`create_database`]
+/// at the catalog run `catalog` (as returned by [`IHilbert::save`]).
+pub fn write_bootstrap(engine: &StorageEngine, catalog: PageId) -> CfResult<()> {
+    let mut buf: PageBuf = [0u8; PAGE_SIZE];
+    let off = codec::put_u64(&mut buf, 0, BOOT_MAGIC);
+    codec::put_u64(&mut buf, off, catalog.0);
+    engine.write_page(BOOT_PAGE, &buf)
+}
+
+/// The catalog run the bootstrap page points at. An empty file, or a
+/// first page without the bootstrap magic, is [`CfError::Corrupt`].
+pub fn read_bootstrap(engine: &StorageEngine) -> CfResult<PageId> {
+    if engine.num_pages() == 0 {
+        return Err(CfError::corrupt(None, "empty database file"));
+    }
+    let (magic, catalog) =
+        engine.with_page(BOOT_PAGE, |p| (codec::get_u64(p, 0), codec::get_u64(p, 8)))?;
+    if magic != BOOT_MAGIC {
+        return Err(CfError::corrupt(
+            BOOT_PAGE,
+            format!("not a fielddb database (bootstrap magic {magic:#018x}, expected {BOOT_MAGIC:#018x})"),
+        ));
+    }
+    Ok(PageId(catalog))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,6 +761,24 @@ mod tests {
             err.to_string().contains("spans pages"),
             "unexpected message: {err}"
         );
+    }
+
+    #[test]
+    fn bootstrap_page_round_trips_and_rejects_foreign_bytes() {
+        let engine = StorageEngine::in_memory();
+        assert!(read_bootstrap(&engine).expect_err("empty").is_corrupt());
+
+        assert_eq!(engine.allocate_page().expect("allocate"), BOOT_PAGE);
+        let err = read_bootstrap(&engine).expect_err("zero page");
+        assert!(err.is_corrupt());
+        assert_eq!(err.page(), Some(BOOT_PAGE));
+
+        let catalog = IHilbert::build(&engine, &bumpy_field(8))
+            .expect("build")
+            .save(&engine)
+            .expect("save");
+        write_bootstrap(&engine, catalog).expect("write");
+        assert_eq!(read_bootstrap(&engine).expect("read"), catalog);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use advisor::{
     WorkloadProfile,
 };
 pub use batch::{BatchQueryResult, BatchReport, QueryBatch};
-pub use catalog::PosRecord;
+pub use catalog::{create_database, open_database, read_bootstrap, write_bootstrap, PosRecord};
 pub use iall::IAll;
 pub use ihilbert::{CurveChoice, IHilbert, IHilbertConfig, TreeBuild};
 pub use ingest::{DeltaRec, EpochSnapshot, IngestConfig, LiveIngest, RepackReport};

@@ -374,38 +374,64 @@ fn freelist_crash_points_on_file_backing_never_double_allocate() {
 
 /// Repeated `save_to` cycles on file backing must not grow the file
 /// without bound: each commit frees the position map its slot replaced,
-/// so allocation recycles the holes and the size plateaus.
+/// so allocation recycles the holes and the size plateaus. The second
+/// input runs a few queries and a workload-driven repack before every
+/// save, which also hands the superseded tree and subfield catalog back
+/// to the freelist.
 #[test]
 fn repeated_saves_on_file_backing_reach_a_steady_state_size() {
-    let (engine, path) = file_engine("steady");
-    let field = wavy_field(24, 0.3);
-    let index = IHilbert::build(&engine, &field).expect("build");
-    let catalog = index.save(&engine).expect("save");
-    let mut sizes = Vec::new();
-    for _ in 0..8 {
-        index.save_to(&engine, catalog).expect("save");
-        sizes.push(engine.num_pages());
+    for repack in [false, true] {
+        let ctx = if repack { "repack + save" } else { "save" };
+        let (engine, path) = file_engine(if repack { "steady_repack" } else { "steady" });
+        let field = wavy_field(24, 0.3);
+        let mut index = IHilbert::build(&engine, &field).expect("build");
+        let catalog = index.save(&engine).expect("save");
+        let expected = answers(&index, &engine);
+        let mut sizes = Vec::new();
+        let mut repacks = 0;
+        for _ in 0..8 {
+            if repack {
+                // The queries are the workload the repack regroups under.
+                assert_same_answers(&answers(&index, &engine), &expected, ctx);
+                let outcome = index
+                    .repack_with_observed_workload(&engine)
+                    .expect("repack");
+                repacks += usize::from(outcome.repacked);
+            }
+            index.save_to(&engine, catalog).expect("save");
+            sizes.push(engine.num_pages());
+        }
+        // With the workload recorder compiled out nothing is observed,
+        // so every repack declines and only the saves recycle pages.
+        #[cfg(not(feature = "obs-off"))]
+        assert_eq!(repacks > 0, repack, "{ctx}: {repacks} repacks");
+        #[cfg(feature = "obs-off")]
+        assert_eq!(repacks, 0, "{ctx}: a repack must decline under obs-off");
+        // Two position maps stay in flight (live slot + fallback slot);
+        // the rest recycle. Once the pipeline fills, the size may
+        // oscillate by one pos-map run as tail frees truncate, but never
+        // trends upward.
+        assert!(
+            *sizes.last().unwrap() <= sizes[2],
+            "{ctx}: file must stop growing: {sizes:?}"
+        );
+        let freed = engine.metrics().counter_total("storage_pages_freed_total");
+        let reused = engine.metrics().counter_total("storage_pages_reused_total");
+        assert!(
+            freed > 0 && reused > 0,
+            "{ctx}: steady state requires freeing ({freed}) and reuse ({reused}): {sizes:?}"
+        );
+        // And the recycled file still opens with the same answers.
+        engine.sync().expect("sync");
+        drop(index);
+        drop(engine);
+        let engine = StorageEngine::open_file(&path, StorageConfig::default()).expect("reopen");
+        let reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open");
+        assert_same_answers(&answers(&reopened, &engine), &expected, ctx);
+        drop(reopened);
+        drop(engine);
+        cleanup(&path);
     }
-    // Two position maps stay in flight (live slot + fallback slot); the
-    // rest recycle. Once the pipeline fills, the size may oscillate by
-    // one pos-map run as tail frees truncate, but never trends upward.
-    assert!(
-        *sizes.last().unwrap() <= sizes[2],
-        "file must stop growing under repeated saves: {sizes:?}"
-    );
-    let reused = engine.metrics().counter_total("storage_pages_reused_total");
-    assert!(reused > 0, "steady state requires hole reuse: {sizes:?}");
-    // And the recycled file still opens with the right answers.
-    engine.sync().expect("sync");
-    let expected = answers(&index, &engine);
-    drop(index);
-    drop(engine);
-    let engine = StorageEngine::open_file(&path, StorageConfig::default()).expect("reopen");
-    let reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open");
-    assert_same_answers(&answers(&reopened, &engine), &expected, "steady state");
-    drop(reopened);
-    drop(engine);
-    cleanup(&path);
 }
 
 /// Acceptance: the file-backed database answers byte-identically after

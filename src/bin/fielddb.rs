@@ -16,16 +16,19 @@
 //!
 //! Layout: page 0 is the bootstrap page (magic + catalog page pointer);
 //! the catalog page records where the cell file, subfield file, position
-//! map and R\*-tree live (see `cf_index`'s catalog module).
+//! map and R\*-tree live (see `cf_index`'s catalog module, which reads
+//! and writes both). Every command but `create` refuses a database path
+//! that does not exist.
 
 use contfield::field::{FieldModel, GridField};
 use contfield::geom::Interval;
-use contfield::index::{AdaptiveIndex, IHilbert, IngestConfig, LiveIngest, ValueIndex};
-use contfield::storage::{PageCodec, PageId, StorageConfig, StorageEngine, PAGE_SIZE};
+use contfield::index::{
+    create_database, open_database, read_bootstrap, write_bootstrap, AdaptiveIndex, IHilbert,
+    IngestConfig, LiveIngest, ValueIndex,
+};
+use contfield::storage::{PageCodec, StorageConfig, StorageEngine};
 use contfield::workload::{fractal::diamond_square, monotonic::monotonic_field, terrain};
 use std::ops::RangeInclusive;
-
-const BOOT_MAGIC: u64 = 0x3142_444C_4649_4243; // "CBIFLDB1"
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -271,6 +274,17 @@ impl EngineOpts {
         }
         Ok(())
     }
+
+    fn config(self) -> StorageConfig {
+        let mut config = StorageConfig::default();
+        if let Some(pool) = self.pool {
+            config.pool_pages = pool;
+        }
+        if let Some(codec) = self.codec {
+            config.codec = codec;
+        }
+        config
+    }
 }
 
 fn take(it: &mut std::slice::Iter<String>, flag: &str) -> Result<String, String> {
@@ -320,37 +334,8 @@ fn take_band(it: &mut std::slice::Iter<String>) -> Result<Interval, String> {
     }
 }
 
-fn open_engine(path: &str, opts: EngineOpts) -> Result<StorageEngine, String> {
-    let mut config = StorageConfig::default();
-    if let Some(pool) = opts.pool {
-        config.pool_pages = pool;
-    }
-    if let Some(codec) = opts.codec {
-        config.codec = codec;
-    }
-    StorageEngine::open_file(path, config).map_err(|e| format!("cannot open {path}: {e}"))
-}
-
-fn read_catalog(engine: &StorageEngine) -> Result<PageId, String> {
-    if engine.num_pages() == 0 {
-        return Err("empty database file".into());
-    }
-    let (magic, catalog) = engine
-        .with_page(PageId(0), |p| {
-            (
-                u64::from_le_bytes(p[0..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(p[8..16].try_into().expect("8 bytes")),
-            )
-        })
-        .map_err(|e| format!("cannot read bootstrap page: {e}"))?;
-    if magic != BOOT_MAGIC {
-        return Err("not a fielddb database (bad bootstrap magic)".into());
-    }
-    Ok(PageId(catalog))
-}
-
 fn open_index(engine: &StorageEngine) -> Result<IHilbert<GridField>, String> {
-    let catalog = read_catalog(engine)?;
+    let catalog = read_bootstrap(engine).map_err(|e| e.to_string())?;
     IHilbert::open(engine, catalog).map_err(|e| format!("cannot open catalog: {e}"))
 }
 
@@ -371,16 +356,10 @@ fn create(
         "monotonic" => monotonic_field(1 << k),
         other => return Err(format!("unknown workload {other}")),
     };
-    let engine = open_engine(path, eng)?;
-    // Reserve page 0 for the bootstrap pointer.
-    let boot = engine.allocate_page().map_err(|e| e.to_string())?;
-    assert_eq!(boot, PageId(0), "bootstrap must be page 0");
+    let engine = create_database(path, eng.config())?;
     let index = IHilbert::build(&engine, &field).map_err(|e| e.to_string())?;
     let catalog = index.save(&engine).map_err(|e| e.to_string())?;
-    let mut buf = [0u8; PAGE_SIZE];
-    buf[0..8].copy_from_slice(&BOOT_MAGIC.to_le_bytes());
-    buf[8..16].copy_from_slice(&catalog.0.to_le_bytes());
-    engine.write_page(boot, &buf).map_err(|e| e.to_string())?;
+    write_bootstrap(&engine, catalog).map_err(|e| e.to_string())?;
     engine.sync().map_err(|e| e.to_string())?;
     Ok(format!(
         "created {path}: {} cells ({} data pages, {} codec), {} subfields ({} index pages), value domain [{:.3}, {:.3}]\n",
@@ -395,7 +374,7 @@ fn create(
 }
 
 fn info(path: &str, eng: EngineOpts) -> Result<String, String> {
-    let engine = open_engine(path, eng)?;
+    let engine = open_database(path, eng.config())?;
     let index = open_index(&engine)?;
     let dom = index.value_domain();
     Ok(format!(
@@ -417,7 +396,7 @@ fn query(
     max_regions: usize,
     eng: EngineOpts,
 ) -> Result<String, String> {
-    let engine = open_engine(path, eng)?;
+    let engine = open_database(path, eng.config())?;
     let index = open_index(&engine)?;
     let (stats, mut regions) = index
         .query_regions(&engine, band)
@@ -450,7 +429,7 @@ fn query(
 /// and wall timings (filter/refine/other summing to the span total),
 /// epoch, and buffer-pool hit ratio. `--json` emits the machine form.
 fn explain(path: &str, band: Interval, json: bool, eng: EngineOpts) -> Result<String, String> {
-    let engine = open_engine(path, eng)?;
+    let engine = open_database(path, eng.config())?;
     let index = open_index(&engine)?;
     let tracer = engine.metrics().tracer();
     tracer.set_enabled(true);
@@ -484,8 +463,8 @@ fn ingest(
     capacity: usize,
     eng: EngineOpts,
 ) -> Result<String, String> {
-    let engine = open_engine(path, eng)?;
-    let catalog = read_catalog(&engine)?;
+    let engine = open_database(path, eng.config())?;
+    let catalog = read_bootstrap(&engine).map_err(|e| e.to_string())?;
     let live = LiveIngest::<GridField>::open(
         &engine,
         catalog,
@@ -549,7 +528,7 @@ fn ingest(
 }
 
 fn point(path: &str, x: f64, y: f64, eng: EngineOpts) -> Result<String, String> {
-    let engine = open_engine(path, eng)?;
+    let engine = open_database(path, eng.config())?;
     let index = open_index(&engine)?;
     // Exact-value pipeline: probe an epsilon band around every value is
     // not a point query; instead interpolate from the cell record that
@@ -579,7 +558,7 @@ fn heatmap(
     use contfield::storage::{HeatKind, HEAT_BUCKETS};
     use contfield::workload::queries::interval_queries;
 
-    let engine = open_engine(path, eng)?;
+    let engine = open_database(path, eng.config())?;
     let index = open_index(&engine)?;
     let qs = interval_queries(index.value_domain(), qinterval, queries, seed);
     for q in &qs {
@@ -611,7 +590,7 @@ fn record_workload(
     use contfield::storage::encode_wrk;
     use contfield::workload::queries::interval_queries;
 
-    let engine = open_engine(path, eng)?;
+    let engine = open_database(path, eng.config())?;
     let index = open_index(&engine)?;
     let tracer = engine.metrics().tracer();
     tracer.set_enabled(true);
@@ -1446,6 +1425,36 @@ mod tests {
             out.contains("repack declined (no workload observed"),
             "{out}"
         );
+    }
+
+    #[test]
+    fn commands_on_a_missing_database_fail_and_create_nothing() {
+        let db = tmp("missing");
+        let wrk = format!("{db}.wrk");
+        let commands: &[&[&str]] = &[
+            &["info", &db],
+            &["query", &db, "0", "1"],
+            &["explain", &db, "0", "1"],
+            &["ingest", &db],
+            &["point", &db, "0", "0"],
+            &["heatmap", &db],
+            &["record", &db, "--out", &wrk],
+        ];
+        for args in commands {
+            let err = run(&argv(args)).expect_err("missing database");
+            assert_eq!(err, format!("{db}: no such database"), "{args:?}");
+            for file in [
+                db.clone(),
+                format!("{db}.crc"),
+                format!("{db}.fsm"),
+                wrk.clone(),
+            ] {
+                assert!(
+                    !std::path::Path::new(&file).exists(),
+                    "{args:?} created {file}"
+                );
+            }
+        }
     }
 
     #[test]
