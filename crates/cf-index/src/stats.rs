@@ -2,8 +2,8 @@
 
 use cf_geom::{Interval, Polygon};
 use cf_storage::{
-    CfResult, Counter, ExplainRecord, Histogram, IoStats, Label, MetricsRegistry, SloTracker,
-    StorageEngine, Tracer,
+    CfResult, Counter, ExplainRecord, Histogram, IoStats, Label, MetricsRegistry, StorageEngine,
+    Tracer,
 };
 
 /// Everything a value query reports besides its answer regions.
@@ -76,10 +76,6 @@ pub(crate) struct QueryMetrics {
     filter_ns: Histogram,
     refine_ns: Histogram,
     band_len: Histogram,
-    /// The registry's sliding-window SLO tracker; every published query
-    /// latency feeds it so `/slo` and the adaptive slow-query threshold
-    /// see the whole query plane regardless of index or plan.
-    slo: SloTracker,
 }
 
 impl QueryMetrics {
@@ -100,13 +96,12 @@ impl QueryMetrics {
             filter_ns: registry.time_histogram("index_filter_ns", labels),
             refine_ns: registry.time_histogram("index_refine_ns", labels),
             band_len: registry.histogram_with("index_query_band_len", labels, &BAND_LEN_BUCKETS),
-            slo: registry.slo().clone(),
         }
     }
 
-    /// The one sink of a finished query: bumps the `index_*` series and
-    /// the SLO window, then hands the record to the tracer's ring (which
-    /// keeps it only while tracing is on). Counter bumps stay real under
+    /// The one sink of a finished query: bumps the `index_*` series,
+    /// then hands the record to the tracer's ring (which keeps it only
+    /// while tracing is on). Counter bumps stay real under
     /// `obs-off`; the latency and band-length observations and the ring
     /// push compile out (which is why the workload advisor degrades to
     /// a no-op under `obs-off`: it never sees a query).
@@ -122,9 +117,6 @@ impl QueryMetrics {
         self.filter_ns.observe_ns(rec.filter_ns);
         self.refine_ns.observe_ns(rec.refine_ns);
         self.band_len.observe(rec.band_hi - rec.band_lo);
-        // The SLO window first: under its adaptive mode it sets the
-        // threshold this record's `slow` bit is stamped against.
-        self.slo.record_ns(rec.total_ns);
         tracer.record_query(rec);
     }
 }

@@ -153,7 +153,7 @@ pub struct ExplainRecord {
     pub ordinal: u64,
     /// Whether `total_ns` reached the slow-query threshold in force when
     /// the query was recorded (stamped with `ordinal`; the threshold may
-    /// have moved since, e.g. under the SLO tracker's adaptive mode).
+    /// have moved since).
     pub slow: bool,
 }
 

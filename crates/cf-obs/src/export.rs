@@ -25,8 +25,9 @@
 //! bounded ring until a CLI or exporter drains them into an
 //! [`EventLog`].
 
+use crate::explain::ExplainRecord;
 use crate::json::Json;
-use crate::trace::{SlowQueryReport, TraceEvent};
+use crate::trace::TraceEvent;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -91,17 +92,18 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     .render()
 }
 
-/// One slow-query report as a JSON object: the phase breakdown plus
-/// the query's full EXPLAIN record.
-pub fn slow_report_record(r: &SlowQueryReport) -> Json {
+/// One slow query's record as a JSON object: the phase breakdown (its
+/// events below the enclosing query span) plus the full EXPLAIN record.
+pub fn slow_report_record(rec: &ExplainRecord) -> Json {
     Json::obj([
         ("kind", Json::Str("slow_query".into())),
-        ("query_id", Json::Num(r.explain.query_id as f64)),
-        ("total_ns", Json::Num(r.explain.total_ns as f64)),
+        ("query_id", Json::Num(rec.query_id as f64)),
+        ("total_ns", Json::Num(rec.total_ns as f64)),
         (
             "phases",
             Json::Arr(
-                r.phases()
+                rec.events()
+                    .filter(|p| p.depth > 0)
                     .map(|p| {
                         Json::obj([
                             ("phase", Json::Str(p.phase.to_owned())),
@@ -112,14 +114,14 @@ pub fn slow_report_record(r: &SlowQueryReport) -> Json {
                     .collect(),
             ),
         ),
-        ("explain", r.explain.to_json()),
+        ("explain", rec.to_json()),
     ])
 }
 
 /// Renders the full trace dump served by the `/traces` endpoint: the
-/// Chrome-trace events plus the retained slow-query reports. Still a
+/// Chrome-trace events plus the retained slow queries' reports. Still a
 /// valid Chrome trace document (Perfetto ignores the extra key).
-pub fn trace_dump_json(events: &[TraceEvent], slow: &[SlowQueryReport]) -> String {
+pub fn trace_dump_json(events: &[TraceEvent], slow: &[ExplainRecord]) -> String {
     Json::obj([
         ("traceEvents", Json::Arr(chrome_events(events))),
         (
@@ -221,7 +223,7 @@ impl EventLog {
     pub fn append_trace(
         &mut self,
         events: &[TraceEvent],
-        slow: &[SlowQueryReport],
+        slow: &[ExplainRecord],
     ) -> io::Result<()> {
         for e in events {
             self.append(&trace_event_record(e))?;
@@ -589,7 +591,7 @@ mod tests {
     #[test]
     fn slow_report_record_carries_the_explain() {
         let explain = crate::explain::tests::sample();
-        let rec = slow_report_record(&SlowQueryReport { explain });
+        let rec = slow_report_record(&explain);
         assert_eq!(rec.get("query_id").and_then(Json::as_f64), Some(12.0));
         let phases = rec.get("phases").and_then(Json::as_arr).expect("phases");
         assert_eq!(phases.len(), 2);

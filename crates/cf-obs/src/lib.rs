@@ -13,8 +13,8 @@
 //! * [`Histogram`] — fixed bucket bounds chosen at registration, atomic
 //!   bucket counts; no allocation after registration.
 //! * [`Tracer`] — one bounded ring of per-query [`ExplainRecord`]s;
-//!   span events, slow-query reports, recent EXPLAINs and `.wrk` flight
-//!   records are views derived from it.
+//!   span events, slow-query reports, recent EXPLAINs, the `/slo`
+//!   latency view and `.wrk` flight records are views derived from it.
 //!
 //! Handles returned by the registry are `Arc`-backed and cheap to
 //! clone; layers that sit on a query hot path (the R-tree search loop,
@@ -40,7 +40,6 @@ pub mod heat;
 mod json;
 pub mod record;
 pub mod serve;
-pub mod slo;
 mod trace;
 
 pub use explain::{ExplainRecord, Label};
@@ -48,10 +47,7 @@ pub use export::EventJournal;
 pub use heat::{HeatKind, HeatMap, HeatTable, HEAT_BUCKETS, HEAT_SHARDS};
 pub use json::{Json, JsonError};
 pub use record::{answer_digest, decode_wrk, encode_wrk, WorkloadRecord, WORKLOAD_VERSION};
-pub use slo::{SloObjective, SloTracker};
-pub use trace::{
-    SlowQueryReport, Stopwatch, TraceEvent, Tracer, QUERY_RING_CAPACITY, RECENT_VIEW_LEN,
-};
+pub use trace::{Stopwatch, TraceEvent, Tracer, QUERY_RING_CAPACITY, RECENT_VIEW_LEN};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -282,23 +278,15 @@ fn labels_eq(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
 pub struct MetricsRegistry {
     families: Mutex<BTreeMap<String, Family>>,
     tracer: Tracer,
-    slo: SloTracker,
     journal: EventJournal,
     heat: HeatMap,
 }
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
-        let tracer = Tracer::default();
-        let slo = SloTracker::default();
-        // Wire the tracer's slow-threshold cell into the SLO tracker so
-        // adaptive mode (trace queries slower than the windowed p99)
-        // can steer it.
-        slo.bind_threshold(tracer.threshold_cell());
         Self {
             families: Mutex::new(BTreeMap::new()),
-            tracer,
-            slo,
+            tracer: Tracer::default(),
             journal: EventJournal::default(),
             heat: HeatMap::default(),
         }
@@ -320,11 +308,6 @@ impl MetricsRegistry {
     /// The registry's query tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The registry's sliding-window SLO tracker.
-    pub fn slo(&self) -> &SloTracker {
-        &self.slo
     }
 
     /// The registry's epoch-lifecycle event journal.
@@ -521,7 +504,6 @@ impl MetricsRegistry {
         }
         drop(families);
         self.tracer.clear();
-        self.slo.reset();
         self.journal.clear();
         self.heat.reset();
     }

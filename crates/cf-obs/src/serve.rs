@@ -7,9 +7,9 @@
 //!   [`MetricsRegistry::render_text`](crate::MetricsRegistry::render_text)
 //! * `/traces` — the Chrome-trace dump plus retained slow-query
 //!   reports, from [`export::trace_dump_json`](crate::export::trace_dump_json)
-//! * `/slo` — the sliding-window SLO snapshot (bucket counts, windowed
-//!   p50/p99, objectives with burn rates) from
-//!   [`SloTracker::to_json`](crate::SloTracker::to_json)
+//! * `/slo` — exact nearest-rank p50/p99/max latency over the retained
+//!   queries and the latency objectives' burn rates, from
+//!   [`Tracer::slo_json`](crate::Tracer::slo_json)
 //! * `/explain/recent` — the newest per-query EXPLAIN records as a
 //!   JSON array
 //! * `/heatmap` — the spatial heatmap's per-bucket counts from
@@ -21,7 +21,9 @@
 //! This is deliberately *not* a general HTTP server: it reads one
 //! request line, ignores headers, and answers. That is exactly what a
 //! Prometheus scrape, `curl`, or the `fielddb top` client needs, and it
-//! keeps the crate dependency-free. [`http_get`] is the matching
+//! keeps the crate dependency-free. A request that fails — a timeout, a
+//! reset, a request line that is not UTF-8 — drops its own connection
+//! and the server goes on to the next. [`http_get`] is the matching
 //! minimal client.
 
 use crate::export::trace_dump_json;
@@ -58,20 +60,17 @@ impl MetricsServer {
     /// With `max_requests = Some(n)` the loop returns cleanly after
     /// answering `n` requests — the hook the CLI smoke test and CI use
     /// to shut the server down deterministically. `None` serves
-    /// forever. Returns the number of requests answered.
+    /// forever. Returns the number of requests answered; a failed
+    /// request is not counted, and only an `accept` error ends the loop
+    /// early.
     pub fn serve(&self, registry: &MetricsRegistry, max_requests: Option<u64>) -> io::Result<u64> {
         let mut served = 0u64;
         while max_requests.map(|n| served < n).unwrap_or(true) {
             let (stream, _) = self.listener.accept()?;
             // A bad peer fails its own request, not the server.
-            if let Err(err) = handle(stream, registry) {
-                if err.kind() == io::ErrorKind::WouldBlock || err.kind() == io::ErrorKind::TimedOut
-                {
-                    continue;
-                }
-                return Err(err);
+            if handle(stream, registry).is_ok() {
+                served += 1;
             }
-            served += 1;
         }
         Ok(served)
     }
@@ -122,7 +121,7 @@ fn route(path: &str, registry: &MetricsRegistry) -> (&'static str, &'static str,
         "/slo" => (
             "200 OK",
             "application/json; charset=utf-8",
-            registry.slo().to_json().render(),
+            registry.tracer().slo_json().render(),
         ),
         "/explain/recent" => (
             "200 OK",
@@ -153,7 +152,7 @@ fn route(path: &str, registry: &MetricsRegistry) -> (&'static str, &'static str,
             "fielddb telemetry endpoint\n\
              /metrics         Prometheus text snapshot\n\
              /traces          Chrome-trace JSON (traceEvents + slowQueries)\n\
-             /slo             sliding-window SLO snapshot (buckets, p50/p99, burn rates)\n\
+             /slo             exact p50/p99/max latency and objective burn rates over the query ring\n\
              /explain/recent  ring of per-query EXPLAIN records\n\
              /heatmap         spatial heatmap buckets (examined/qualifying/pages)\n\
              /workload        flight-recorder query ring (replayable workload)\n"
@@ -249,20 +248,25 @@ mod tests {
     #[test]
     fn serves_slo_and_explain_rings_as_json() {
         let reg = std::sync::Arc::new(MetricsRegistry::new());
-        reg.slo().add_objective("p99-2ms", 2_000_000, 0.99);
-        reg.slo().record_ns(1_000);
+        let sample = crate::explain::tests::sample();
         reg.tracer().set_enabled(true);
-        reg.tracer().record_query(crate::explain::tests::sample());
+        reg.tracer().record_query(sample);
         let (addr, handle) = serve_n(reg, 2);
         let slo = http_get(addr, "/slo").expect("slo");
         let doc = Json::parse(&slo).expect("valid slo json");
-        assert!(doc.get("buckets").and_then(Json::as_arr).is_some(), "{slo}");
-        assert!(doc.get("p99_ns").is_some(), "{slo}");
+        let num = |key| doc.get(key).and_then(Json::as_f64);
+        #[cfg(not(feature = "obs-off"))]
+        {
+            assert_eq!(num("count"), Some(1.0), "{slo}");
+            assert_eq!(num("p99_ns"), Some(sample.total_ns as f64), "{slo}");
+        }
+        #[cfg(feature = "obs-off")]
+        assert_eq!(num("count"), Some(0.0), "{slo}");
         let objectives = doc
             .get("objectives")
             .and_then(Json::as_arr)
             .expect("objectives");
-        assert_eq!(objectives.len(), 1, "{slo}");
+        assert_eq!(objectives.len(), 2, "{slo}");
         let recent = http_get(addr, "/explain/recent").expect("explain");
         let doc = Json::parse(&recent).expect("valid explain json");
         let arr = doc.as_arr().expect("array");
@@ -312,5 +316,17 @@ mod tests {
         // The server answered the 404 and still serves the next request.
         http_get(addr, "/metrics").expect("scrape after 404");
         handle.join().expect("no panic").expect("serve");
+    }
+
+    #[test]
+    fn malformed_request_fails_only_its_own_connection() {
+        let reg = std::sync::Arc::new(MetricsRegistry::new());
+        let (addr, handle) = serve_n(reg, 1);
+        // A request line that is not UTF-8: the server drops it uncounted.
+        TcpStream::connect(addr)
+            .and_then(|mut s| s.write_all(b"\xff\xfe /x HTTP/1.1\r\n\r\n"))
+            .expect("send malformed request");
+        http_get(addr, "/metrics").expect("scrape after a malformed request");
+        assert_eq!(handle.join().expect("no panic").expect("serve"), 1);
     }
 }

@@ -7,9 +7,10 @@
 //! else is stored per query: the span events behind `/traces`
 //! ([`Tracer::events`]), the slow-query reports
 //! ([`Tracer::slow_reports`]), the recent EXPLAINs
-//! ([`Tracer::recent_explains`]) and the `.wrk` flight records
-//! ([`Tracer::drain_workload`]) are read-side views over that ring, so
-//! they agree by construction.
+//! ([`Tracer::recent_explains`]), the latency quantiles and objective
+//! burn rates behind `/slo` ([`Tracer::slo_json`]) and the `.wrk`
+//! flight records ([`Tracer::drain_workload`]) are read-side views over
+//! that ring, so they agree by construction.
 //!
 //! The hot path is allocation-free — the record is `Copy` and built on
 //! the caller's stack — and when tracing is disabled the cost per query
@@ -20,9 +21,8 @@ use crate::explain::ExplainRecord;
 use crate::json::Json;
 use crate::record::{WorkloadRecord, WORKLOAD_VERSION};
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 #[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
@@ -33,6 +33,12 @@ pub const QUERY_RING_CAPACITY: usize = 4096;
 /// How many of the newest records [`Tracer::recent_explains`] and
 /// [`Tracer::slow_reports`] return.
 pub const RECENT_VIEW_LEN: usize = 64;
+
+/// The latency objectives [`Tracer::slo_json`] reports, as `(name,
+/// threshold_ns, target)`: "fraction `target` of queries complete
+/// within `threshold_ns`".
+const SLO_OBJECTIVES: [(&str, u64, f64); 2] =
+    [("p99-1ms", 1_000_000, 0.99), ("p50-100us", 100_000, 0.50)];
 
 /// One traced query phase — a view of an [`ExplainRecord`], see
 /// [`ExplainRecord::events`].
@@ -48,43 +54,6 @@ pub struct TraceEvent {
     pub nanos: u64,
     /// Span nesting depth (0 = the enclosing query span).
     pub depth: u32,
-}
-
-/// A query that reached the slow-query threshold: its record, with the
-/// phase breakdown derived from it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlowQueryReport {
-    /// The offending query's record.
-    pub explain: ExplainRecord,
-}
-
-impl SlowQueryReport {
-    /// The query's phases in execution order (its events below the
-    /// enclosing query span).
-    pub fn phases(&self) -> impl Iterator<Item = TraceEvent> {
-        self.explain.events().filter(|e| e.depth > 0)
-    }
-}
-
-impl fmt::Display for SlowQueryReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "slow query #{}: {:.1} us total",
-            self.explain.query_id,
-            self.explain.total_ns as f64 / 1e3
-        )?;
-        for p in self.phases() {
-            write!(
-                f,
-                "; {}: {} pages, {:.1} us",
-                p.phase,
-                p.pages,
-                p.nanos as f64 / 1e3
-            )?;
-        }
-        Ok(())
-    }
 }
 
 /// A started wall clock. Under `obs-off` starting and reading it are
@@ -141,10 +110,8 @@ struct QueryRing {
 #[derive(Debug)]
 pub struct Tracer {
     enabled: AtomicBool,
-    /// Threshold in nanoseconds; `u64::MAX` marks no query slow. Shared
-    /// behind an `Arc` so the SLO tracker's adaptive mode can steer it
-    /// (see [`crate::SloTracker::set_adaptive`]).
-    slow_threshold_ns: Arc<AtomicU64>,
+    /// Threshold in nanoseconds; `u64::MAX` marks no query slow.
+    slow_threshold_ns: AtomicU64,
     queries: Mutex<QueryRing>,
 }
 
@@ -152,7 +119,7 @@ impl Default for Tracer {
     fn default() -> Self {
         Self {
             enabled: AtomicBool::new(false),
-            slow_threshold_ns: Arc::new(AtomicU64::new(u64::MAX)),
+            slow_threshold_ns: AtomicU64::new(u64::MAX),
             queries: Mutex::default(),
         }
     }
@@ -190,12 +157,6 @@ impl Tracer {
     /// Current slow-query threshold in nanoseconds (`u64::MAX` = off).
     pub fn slow_threshold_ns(&self) -> u64 {
         self.slow_threshold_ns.load(Ordering::Relaxed)
-    }
-
-    /// The shared threshold cell, for wiring into the SLO tracker's
-    /// adaptive mode.
-    pub(crate) fn threshold_cell(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.slow_threshold_ns)
     }
 
     fn ring(&self) -> MutexGuard<'_, QueryRing> {
@@ -238,15 +199,15 @@ impl Tracer {
 
     /// The newest [`RECENT_VIEW_LEN`] retained queries recorded as slow
     /// (oldest first).
-    pub fn slow_reports(&self) -> Vec<SlowQueryReport> {
+    pub fn slow_reports(&self) -> Vec<ExplainRecord> {
         let ring = self.ring();
-        let mut slow: Vec<SlowQueryReport> = ring
+        let mut slow: Vec<ExplainRecord> = ring
             .records
             .iter()
             .rev()
             .filter(|rec| rec.slow)
             .take(RECENT_VIEW_LEN)
-            .map(|&explain| SlowQueryReport { explain })
+            .copied()
             .collect();
         slow.reverse();
         slow
@@ -302,6 +263,54 @@ impl Tracer {
                         .collect(),
                 ),
             ),
+        ])
+    }
+
+    /// The latency view over the retained queries (the `/slo` route):
+    /// `count`, exact nearest-rank `p50_ns` / `p99_ns` (`sorted[⌈q·n⌉−1]`)
+    /// and `max_ns` of their `total_ns` (all 0 on an empty ring), the
+    /// slow-query threshold (`null` when off), and per objective
+    /// (`p99-1ms`, `p50-100us`) the queries `observed`, the `breaches`
+    /// (`total_ns > threshold_ns`) and the `burn_rate`
+    /// `(breaches / observed) / (1 − target)` — 1.0 spends the error
+    /// budget exactly.
+    pub fn slo_json(&self) -> Json {
+        let mut ns: Vec<u64> = self.ring().records.iter().map(|r| r.total_ns).collect();
+        ns.sort_unstable();
+        let n = ns.len();
+        let rank = |q: f64| match n {
+            0 => 0,
+            _ => ns[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
+        };
+        let objectives = SLO_OBJECTIVES
+            .iter()
+            .map(|&(name, threshold_ns, target)| {
+                let breaches = n - ns.partition_point(|&t| t <= threshold_ns);
+                let burn_rate = match n {
+                    0 => 0.0,
+                    _ => (breaches as f64 / n as f64) / (1.0 - target),
+                };
+                Json::obj([
+                    ("name", Json::Str(name.to_owned())),
+                    ("threshold_ns", Json::Num(threshold_ns as f64)),
+                    ("target", Json::Num(target)),
+                    ("observed", Json::Num(n as f64)),
+                    ("breaches", Json::Num(breaches as f64)),
+                    ("burn_rate", Json::Num(burn_rate)),
+                ])
+            })
+            .collect();
+        let threshold = match self.slow_threshold_ns() {
+            u64::MAX => Json::Null,
+            ns => Json::Num(ns as f64),
+        };
+        Json::obj([
+            ("count", Json::Num(n as f64)),
+            ("p50_ns", Json::Num(rank(0.50) as f64)),
+            ("p99_ns", Json::Num(rank(0.99) as f64)),
+            ("max_ns", Json::Num(ns.last().copied().unwrap_or(0) as f64)),
+            ("slow_threshold_ns", threshold),
+            ("objectives", Json::Arr(objectives)),
         ])
     }
 
@@ -383,8 +392,9 @@ mod tests {
         assert_eq!(t.events(), [phases[0], phases[1], query]);
 
         let slow = t.slow_reports();
-        assert_eq!(slow, vec![SlowQueryReport { explain: stamped }]);
-        assert_eq!(slow[0].phases().collect::<Vec<_>>(), phases);
+        assert_eq!(slow, vec![stamped]);
+        let slow_phases: Vec<_> = slow[0].events().filter(|e| e.depth > 0).collect();
+        assert_eq!(slow_phases, phases);
 
         let json = stamped.to_json();
         assert_eq!(json.get("index").and_then(Json::as_str), Some("I-Hilbert"));
@@ -443,8 +453,7 @@ mod tests {
         t.set_slow_threshold(Duration::from_nanos(1_000));
         let reports = t.slow_reports();
         assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].explain.query_id, 1);
-        assert_eq!(reports[0].phases().count(), 2);
+        assert_eq!(reports[0].query_id, 1);
         // A view, not a drain.
         assert_eq!(t.slow_reports(), reports);
     }
@@ -478,7 +487,7 @@ mod tests {
         assert_eq!(t.last_explain().map(|e| e.query_id), Some(newest));
         let slow = t.slow_reports();
         assert_eq!(slow.len(), RECENT_VIEW_LEN);
-        assert_eq!(slow.last().map(|r| r.explain), t.last_explain());
+        assert_eq!(slow.last().copied(), t.last_explain());
         // Fast queries still record their EXPLAIN without a report, and
         // the query-id sequence survives the clear.
         t.clear();
@@ -488,10 +497,98 @@ mod tests {
         assert!(t.slow_reports().is_empty());
     }
 
+    fn slo(t: &Tracer) -> Json {
+        Json::parse(&t.slo_json().render()).expect("valid json")
+    }
+
+    fn num(doc: &Json, key: &str) -> f64 {
+        doc.get(key).and_then(Json::as_f64).expect(key)
+    }
+
+    fn objectives(doc: &Json) -> &[Json] {
+        doc.get("objectives")
+            .and_then(Json::as_arr)
+            .expect("objectives")
+    }
+
+    /// Deterministic splitmix64 for dependency-free randomized cases.
+    #[cfg(not(feature = "obs-off"))]
+    struct Rng(u64);
+
+    #[cfg(not(feature = "obs-off"))]
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// The `/slo` view re-derived from the raw latencies: nearest-rank
+    /// quantiles over the newest ring's worth, breaches counted one by
+    /// one.
+    #[cfg(not(feature = "obs-off"))]
     #[test]
-    fn report_display_is_readable() {
-        let s = SlowQueryReport { explain: sample() }.to_string();
-        assert!(s.contains("slow query #12: 229.3 us total"), "{s}");
-        assert!(s.contains("refine: 37 pages"), "{s}");
+    fn slo_view_is_exact_over_the_retained_queries() {
+        let t = Tracer::default();
+        t.set_enabled(true);
+        let mut rng = Rng(0x5E2E_0009);
+        let all: Vec<u64> = (0..QUERY_RING_CAPACITY + 500)
+            .map(|_| rng.next() % 5_000_000)
+            .collect();
+        for &ns in &all {
+            t.record_query(timed(ns));
+        }
+        let mut kept = all[500..].to_vec();
+        kept.sort();
+        let n = kept.len();
+        let doc = slo(&t);
+        assert_eq!(num(&doc, "count"), n as f64);
+        assert_eq!(num(&doc, "p50_ns"), kept[n.div_ceil(2) - 1] as f64);
+        assert_eq!(num(&doc, "p99_ns"), kept[(99 * n).div_ceil(100) - 1] as f64);
+        assert_eq!(num(&doc, "max_ns"), kept[n - 1] as f64);
+        assert_eq!(doc.get("slow_threshold_ns"), Some(&Json::Null));
+
+        let objs = objectives(&doc);
+        assert_eq!(objs.len(), SLO_OBJECTIVES.len());
+        for o in objs {
+            let threshold = num(o, "threshold_ns") as u64;
+            let breaches = all[500..].iter().filter(|&&ns| ns > threshold).count();
+            assert!(breaches > 0 && breaches < n, "{threshold}: {breaches}");
+            let burn = (breaches as f64 / n as f64) / (1.0 - num(o, "target"));
+            assert_eq!(num(o, "observed"), n as f64);
+            assert_eq!(num(o, "breaches"), breaches as f64);
+            assert!((num(o, "burn_rate") - burn).abs() < 1e-12, "{o:?}");
+        }
+    }
+
+    #[test]
+    fn slo_view_of_an_empty_ring_is_zero() {
+        let reg = crate::MetricsRegistry::new();
+        let t = reg.tracer();
+        let assert_zero = |doc: &Json| {
+            for key in ["count", "p50_ns", "p99_ns", "max_ns"] {
+                assert_eq!(num(doc, key), 0.0, "{key}");
+            }
+            for o in objectives(doc) {
+                for key in ["observed", "breaches", "burn_rate"] {
+                    assert_eq!(num(o, key), 0.0, "{key}");
+                }
+            }
+        };
+        assert_zero(&slo(t));
+        t.set_enabled(true);
+        t.set_slow_threshold(std::time::Duration::from_nanos(500));
+        t.record_query(timed(2_000_000));
+        let doc = slo(t);
+        assert_eq!(num(&doc, "slow_threshold_ns"), 500.0);
+        #[cfg(not(feature = "obs-off"))]
+        assert_eq!(num(&doc, "p99_ns"), 2_000_000.0);
+        #[cfg(feature = "obs-off")]
+        assert_zero(&doc);
+        reg.reset();
+        assert_zero(&slo(t));
     }
 }

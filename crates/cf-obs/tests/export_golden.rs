@@ -8,7 +8,7 @@
 //! intentional format change, and review the diff like any other code.
 
 use cf_obs::export::{trace_dump_json, trace_event_record, EventLog};
-use cf_obs::{ExplainRecord, Json, Label, SlowQueryReport, TraceEvent};
+use cf_obs::{ExplainRecord, Json, Label, TraceEvent};
 use std::path::PathBuf;
 
 fn query(query_id: u64, filter: (u64, u64), refine: (u64, u64), total_ns: u64) -> ExplainRecord {
@@ -31,8 +31,8 @@ fn query(query_id: u64, filter: (u64, u64), refine: (u64, u64), total_ns: u64) -
 /// The scripted sequence: three Q2 probes, the third recorded as slow.
 /// The exporters' inputs are the same views the tracer derives from its
 /// ring — each query's filter → refine → query events (children before
-/// their parent) and a report per slow query.
-fn scripted() -> (Vec<TraceEvent>, Vec<SlowQueryReport>) {
+/// their parent) and the slow queries' records.
+fn scripted() -> (Vec<TraceEvent>, Vec<ExplainRecord>) {
     let queries = [
         query(0, (4, 120_000), (9, 340_500), 470_250),
         query(1, (2, 80_000), (3, 95_000), 180_000),
@@ -42,11 +42,7 @@ fn scripted() -> (Vec<TraceEvent>, Vec<SlowQueryReport>) {
         },
     ];
     let events = queries.iter().flat_map(ExplainRecord::events).collect();
-    let slow = queries
-        .iter()
-        .filter(|q| q.slow)
-        .map(|&explain| SlowQueryReport { explain })
-        .collect();
+    let slow = queries.iter().filter(|q| q.slow).copied().collect();
     (events, slow)
 }
 

@@ -90,8 +90,8 @@ fn main() {
     // The profiler kept the alert query's full phase breakdown.
     let slow = tracer.slow_reports();
     println!("\nslow-query profiler ({} report(s)):", slow.len());
-    for report in &slow {
-        println!("  {report}");
+    for rec in &slow {
+        println!("{}", rec.render_text());
     }
     assert!(!slow.is_empty(), "the alert query must be profiled");
 

@@ -26,7 +26,7 @@ use contfield::index::{
     create_database, open_database, read_bootstrap, write_bootstrap, AdaptiveIndex, IHilbert,
     IngestConfig, LiveIngest, ValueIndex,
 };
-use contfield::storage::{PageCodec, StorageConfig, StorageEngine};
+use contfield::storage::{ExplainRecord, PageCodec, StorageConfig, StorageEngine};
 use contfield::workload::{fractal::diamond_square, monotonic::monotonic_field, terrain};
 use std::ops::RangeInclusive;
 
@@ -613,6 +613,25 @@ fn record_workload(
     ))
 }
 
+/// One slow query on one line: its total, then each phase's pages and
+/// time.
+fn slow_query_line(rec: &ExplainRecord) -> String {
+    let mut line = format!(
+        "slow query #{}: {:.1} us total",
+        rec.query_id,
+        rec.total_ns as f64 / 1e3
+    );
+    for p in rec.events().filter(|e| e.depth > 0) {
+        line.push_str(&format!(
+            "; {}: {} pages, {:.1} us",
+            p.phase,
+            p.pages,
+            p.nanos as f64 / 1e3
+        ));
+    }
+    line
+}
+
 /// Traces one Q2 band query end-to-end through the observability plane:
 /// builds the fig-8a-style terrain in memory under the adaptive planner,
 /// runs the query with tracing on, and prints the phase breakdown, a
@@ -687,8 +706,8 @@ fn metrics_demo(k: u32, lo: f64, hi: f64) -> Result<String, String> {
             event.nanos as f64 / 1e3,
         ));
     }
-    for report in tracer.slow_reports() {
-        out.push_str(&format!("  {report}\n"));
+    for rec in tracer.slow_reports() {
+        out.push_str(&format!("  {}\n", slow_query_line(&rec)));
     }
 
     out.push_str("\nlegacy stats vs registry deltas:\n");
@@ -757,7 +776,7 @@ fn metrics_demo(k: u32, lo: f64, hi: f64) -> Result<String, String> {
 
 /// Runs a traced demo workload over an in-memory terrain, then serves
 /// the telemetry plane over HTTP (`/metrics` Prometheus snapshot,
-/// `/traces` Chrome-trace dump, `/slo` windowed latency objectives,
+/// `/traces` Chrome-trace dump, `/slo` latency quantiles and objectives,
 /// `/explain/recent` EXPLAIN ring) until `max_requests` are answered
 /// (or forever with no cap). `--port 0` picks a free port; `--port-file`
 /// writes the real bound address for scripted clients, and
@@ -782,10 +801,6 @@ fn serve_metrics(
     let tracer = registry.tracer();
     tracer.set_enabled(true);
     tracer.set_slow_threshold(std::time::Duration::ZERO);
-    // Default latency objectives so `/slo` serves meaningful burn
-    // rates out of the box.
-    registry.slo().add_objective("p99-1ms", 1_000_000, 0.99);
-    registry.slo().add_objective("p50-100us", 100_000, 0.50);
     let qs = interval_queries(field.value_domain(), 0.05, queries, 0x5E2E);
     for q in &qs {
         index.query_stats(&engine, *q).map_err(|e| e.to_string())?;
@@ -1206,6 +1221,23 @@ mod tests {
                 "{args:?} left a file behind"
             );
         }
+    }
+
+    #[test]
+    fn slow_query_line_is_readable() {
+        let rec = ExplainRecord {
+            query_id: 12,
+            plan: "probe",
+            refine_pages: 37,
+            filter_ns: 45_200,
+            refine_ns: 181_000,
+            total_ns: 229_300,
+            ..ExplainRecord::default()
+        };
+        assert_eq!(
+            slow_query_line(&rec),
+            "slow query #12: 229.3 us total; filter: 0 pages, 45.2 us; refine: 37 pages, 181.0 us"
+        );
     }
 
     #[test]
