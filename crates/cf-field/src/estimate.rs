@@ -27,8 +27,8 @@ pub fn plane_coefficients(tri: &Triangle, values: [f64; 3]) -> Option<(f64, f64,
     Some((gx, gy, c))
 }
 
-/// Lane width of the portable SIMD-style kernels (8 × f64 = one cache
-/// line).
+/// Lane width of the portable SIMD-style band kernel (8 × f64 = one
+/// cache line).
 pub const LANE: usize = 8;
 
 /// Branchless band classification over one lane of interpolant values:
@@ -54,33 +54,6 @@ pub fn band_masks_x8(w: &[f64; LANE], lo: f64, hi: f64) -> (u8, u8, u8) {
         inside |= u8::from(d_lo >= 0.0 && d_hi >= 0.0) << i;
     }
     (below, above, inside)
-}
-
-/// 8-wide branchless inverse interpolation: lane `i` solves
-/// [`inverse_on_segment`]`(w0[i], w1[i], w)` with bit-identical results,
-/// writing the parameter into `t[i]` and setting bit `i` of the returned
-/// hit mask. Missed lanes (including NaN inputs) leave `t[i] = 0.0`.
-#[inline]
-pub fn inverse_on_segment_x8(
-    w0: &[f64; LANE],
-    w1: &[f64; LANE],
-    w: f64,
-    t: &mut [f64; LANE],
-) -> u8 {
-    let mut hits = 0u8;
-    for i in 0..LANE {
-        let flat = (w0[i] - w1[i]).abs() < EPSILON;
-        let tv = (w - w0[i]) / (w1[i] - w0[i]);
-        // Select without branching: flat segments report t = 0 and hit
-        // iff the query value matches; sloped segments hit iff the
-        // parameter lands in [0, 1] (NaN fails both comparisons).
-        let hit_flat = (w - w0[i]).abs() < EPSILON;
-        let hit_slope = (0.0..=1.0).contains(&tv);
-        let hit = (flat & hit_flat) | (!flat & hit_slope);
-        t[i] = if flat | !hit { 0.0 } else { tv };
-        hits |= u8::from(hit) << i;
-    }
-    hits
 }
 
 /// The sub-region of `tri` where the linear interpolant of `values` lies
@@ -297,27 +270,6 @@ mod tests {
         assert_eq!(below & above, 0);
         assert_eq!(below & inside, 0);
     }
-
-    #[test]
-    fn vector_inverse_matches_scalar_on_edge_cases() {
-        let w0 = [0.0, 10.0, 3.0, 3.0, f64::NAN, 1.0, 0.0, -5.0];
-        let w1 = [10.0, 0.0, 3.0, 3.0, 1.0, f64::NAN, 0.0, 5.0];
-        for w in [-5.0, 0.0, 2.5, 3.0, 5.0, f64::NAN] {
-            let mut t = [f64::NAN; LANE];
-            let hits = inverse_on_segment_x8(&w0, &w1, w, &mut t);
-            for i in 0..LANE {
-                let want = inverse_on_segment(w0[i], w1[i], w);
-                assert_eq!(hits >> i & 1 == 1, want.is_some(), "lane {i}, w {w}");
-                let want_t = want.unwrap_or(0.0);
-                assert_eq!(
-                    t[i].to_bits(),
-                    want_t.to_bits(),
-                    "lane {i}, w {w}: {} vs {want_t}",
-                    t[i]
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -353,21 +305,6 @@ mod kernel_props {
     }
 
     proptest! {
-        #[test]
-        fn vector_inverse_is_bit_identical_to_scalar(
-            w0 in lanes8(),
-            w1 in lanes8(),
-            w in lane_value(),
-        ) {
-            let mut t = [f64::NAN; LANE];
-            let hits = inverse_on_segment_x8(&w0, &w1, w, &mut t);
-            for i in 0..LANE {
-                let want = inverse_on_segment(w0[i], w1[i], w);
-                prop_assert_eq!(hits >> i & 1 == 1, want.is_some(), "lane {}", i);
-                prop_assert_eq!(t[i].to_bits(), want.unwrap_or(0.0).to_bits(), "lane {}", i);
-            }
-        }
-
         #[test]
         fn band_masks_match_scalar_signed_distances(
             ws in lanes8(),

@@ -6,7 +6,7 @@
 //! probe, the planner's full scan, the ingest snapshot's overlay-aware
 //! probe and scan, I-All — is one call of [`run`]. The executor alone
 //! owns the query bracket (phase stopwatches, thread-I/O delta), the
-//! range merge rule, the heat bumps, the per-cell refine body and the
+//! range merge rule, the per-cell refine body and the
 //! assembly of the query's one [`ExplainRecord`], handed once to
 //! [`QueryMetrics::publish`] — registry series, trace events, EXPLAIN
 //! and flight record all derive from it. A caller supplies only what
@@ -26,8 +26,7 @@ use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval, Polygon};
 use cf_rtree::{PagedRTree, SearchStats};
 use cf_storage::{
-    answer_digest, CellFile, CfResult, ExplainRecord, HeatKind, Label, Record, Stopwatch,
-    StorageEngine,
+    answer_digest, CellFile, CfResult, ExplainRecord, Label, Record, Stopwatch, StorageEngine,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -241,20 +240,10 @@ pub(crate) fn run<F: FieldModel>(
     // adjacent ranges and visiting every data page exactly once.
     let refine_clock = Stopwatch::start();
     coalesce_into(ranges, runs);
-    // Spatial heat: one range bump per run covers every examined cell
-    // (the run sum equals `cells_examined` exactly); qualifying heat
-    // lands per cell inside the loop. No-ops under `obs-off`.
-    let heat = engine.metrics().heat();
-    for run in runs.iter() {
-        heat.table(HeatKind::Examined)
-            .bump_range(run.start as u64, run.end as u64);
-    }
-    let qualifying_heat = heat.table(HeatKind::Qualifying);
-    let mut refine = |pos: usize, rec: F::CellRec| {
+    let mut refine = |rec: F::CellRec| {
         stats.cells_examined += 1;
         if F::record_interval(&rec).intersects(band) {
             stats.cells_qualifying += 1;
-            qualifying_heat.bump(pos as u64);
             for region in F::record_band_region(&rec, band) {
                 stats.num_regions += 1;
                 stats.area += region.area();
@@ -263,9 +252,9 @@ pub(crate) fn run<F: FieldModel>(
         }
     };
     match q.overlay {
-        None => q.cells.for_each(engine, runs, &mut refine)?,
+        None => q.cells.for_each(engine, runs, |_, rec| refine(rec))?,
         Some(overlay) => q.cells.for_each(engine, runs, |pos, rec| {
-            refine(pos, overlay.get(&(pos as u32)).cloned().unwrap_or(rec))
+            refine(overlay.get(&(pos as u32)).cloned().unwrap_or(rec))
         })?,
     }
     stats.io = cf_storage::thread_io_stats() - before;

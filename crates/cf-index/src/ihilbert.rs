@@ -6,10 +6,6 @@
 //! contiguous in the cell file, so the estimation step reads compact
 //! page runs.
 
-use crate::advisor::{
-    expected_pages, expected_pages_spatial, refine_subfields_spatially, CostModelReport,
-    RepackOutcome, SpatialProfile, WorkloadProfile,
-};
 use crate::order::cell_order;
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
@@ -171,97 +167,6 @@ impl<F: FieldModel> IHilbert<F> {
             curve,
             cell_to_pos,
         }
-    }
-
-    /// Scores the current subfield grouping under the static cost model
-    /// (`q = W/2`, the paper's `P = L + 0.5` on a normalized domain)
-    /// and the empirical model grounded in the observed
-    /// `index_query_band_len` histogram, with a per-decile
-    /// predicted-vs-observed breakdown. Pure catalog + registry math —
-    /// no I/O.
-    pub fn workload_report(&self, engine: &StorageEngine) -> CostModelReport {
-        CostModelReport::build(
-            engine.metrics(),
-            &self.name(),
-            &self.inner.subfield_page_spans(),
-        )
-    }
-
-    /// Regroups the cell file's subfields under the *observed* workload:
-    /// the empirical mean query length `E[|q|]` replaces the cost
-    /// function's assumed query term, and the greedy grouping of §3.1.2
-    /// reruns over the unchanged Hilbert-ordered cell file.
-    ///
-    /// Cell records never move — only the subfield boundaries, the
-    /// interval R\*-tree, and the on-disk subfield catalog are rebuilt —
-    /// so query answers are byte-identical before and after. Declines
-    /// (returning `repacked: false`) when no workload has been observed
-    /// (always the case under `obs-off`) or when the empirical grouping
-    /// is identical to the current one.
-    pub fn repack_with_observed_workload(
-        &mut self,
-        engine: &StorageEngine,
-    ) -> CfResult<RepackOutcome> {
-        let profile = WorkloadProfile::from_registry(engine.metrics(), &self.name());
-        let spatial = SpatialProfile::from_registry(engine.metrics());
-        let before_spans = self.inner.subfield_page_spans();
-        let domain = self.value_domain();
-        let w = domain.hi - domain.lo;
-        let subfields_before = before_spans.len();
-        let predicted_before = expected_pages(&before_spans, profile.mean_query_len, w);
-        let spatial_before = expected_pages_spatial(&self.inner.subfield_record_spans(), &spatial);
-        // While a background ingest repack is publishing a new epoch,
-        // decline: both operations want to retire the same tree and
-        // subfield-catalog runs, and the epoch swap will regroup under
-        // the observed workload anyway.
-        let repack_in_flight = engine
-            .metrics()
-            .gauge_value("ingest_repack_inflight", &[])
-            .is_some_and(|v| v >= 1.0);
-        if repack_in_flight || !profile.is_informed() {
-            return Ok(RepackOutcome {
-                repacked: false,
-                declined_in_flight: repack_in_flight,
-                profile,
-                subfields_before,
-                subfields_after: subfields_before,
-                predicted_pages_before: predicted_before,
-                predicted_pages_after: predicted_before,
-                spatial_informed: spatial.is_informed(),
-                spatial_pages_before: spatial_before,
-                spatial_pages_after: spatial_before,
-            });
-        }
-        let config = SubfieldConfig {
-            base: 1.0,
-            query_len: profile.mean_query_len,
-        };
-        // The value model groups under E[|q|]; the spatial pass then
-        // cuts any subfield straddling a hot/cold heat-bucket boundary
-        // wherever the cut strictly lowers the spatially predicted page
-        // cost. Cells never move, so answers stay byte-identical.
-        let cells_per_page = self.inner.file.records_per_page();
-        let repacked = self
-            .inner
-            .repack_refined(engine, config, |sfs, intervals| {
-                refine_subfields_spatially(sfs, intervals, &spatial, cells_per_page)
-            })?;
-        let after_spans = self.inner.subfield_page_spans();
-        Ok(RepackOutcome {
-            repacked,
-            declined_in_flight: false,
-            profile,
-            subfields_before,
-            subfields_after: after_spans.len(),
-            predicted_pages_before: predicted_before,
-            predicted_pages_after: expected_pages(&after_spans, profile.mean_query_len, w),
-            spatial_informed: spatial.is_informed(),
-            spatial_pages_before: spatial_before,
-            spatial_pages_after: expected_pages_spatial(
-                &self.inner.subfield_record_spans(),
-                &spatial,
-            ),
-        })
     }
 
     /// Incremental maintenance: applies an updated record for `cell`
@@ -600,44 +505,6 @@ mod tests {
             .update_cell(&engine, hole, rec)
             .expect_err("unmapped cell id must be rejected");
         assert!(err.is_invalid_cell(), "{err}");
-    }
-
-    #[cfg(not(feature = "obs-off"))]
-    #[test]
-    fn spatial_repack_lowers_predicted_pages_on_skewed_workload() {
-        let engine = StorageEngine::in_memory();
-        let field = smooth_field(48);
-        let mut index = IHilbert::build(&engine, &field).expect("build");
-        // Skewed workload: every query targets the first bump's peak,
-        // so qualifying heat concentrates in a few position buckets.
-        let hot = Interval::new(90.0, 100.0);
-        for _ in 0..32 {
-            index.query_stats(&engine, hot).expect("query");
-        }
-        // Snapshot answers across the whole domain before the repack.
-        let bands: Vec<Interval> = [0.0, 20.0, 50.0, 90.0]
-            .iter()
-            .map(|&lo| Interval::new(lo, lo + 10.0))
-            .collect();
-        let before: Vec<QueryStats> = bands
-            .iter()
-            .map(|&b| index.query_stats(&engine, b).expect("query"))
-            .collect();
-        let outcome = index
-            .repack_with_observed_workload(&engine)
-            .expect("repack");
-        assert!(outcome.repacked, "{outcome}");
-        assert!(outcome.spatial_informed, "{outcome}");
-        assert!(
-            outcome.spatial_pages_after < outcome.spatial_pages_before,
-            "spatially-informed repack must lower the spatial prediction: {outcome}"
-        );
-        for (&b, old) in bands.iter().zip(&before) {
-            let new = index.query_stats(&engine, b).expect("query");
-            assert_eq!(old.cells_qualifying, new.cells_qualifying, "band {b}");
-            assert_eq!(old.num_regions, new.num_regions, "band {b}");
-            assert_eq!(old.area.to_bits(), new.area.to_bits(), "band {b}");
-        }
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!    is identical.
 //! 3. **A background repacker** ([`LiveIngest::repack`]): drains the
 //!    delta into a new Hilbert-ordered cell file segment on fresh
-//!    pages (regrouping subfields under the observed workload when the
-//!    advisor's profile is informed), swaps the base `Arc`, and defers
+//!    pages (regrouping subfields by the paper's static cost rule, as
+//!    the build does), swaps the base `Arc`, and defers
 //!    the superseded page runs to the engine's epoch GC — they are
 //!    recycled only after the last reader of an older epoch drops.
 //!
@@ -39,7 +39,6 @@
 //! queries never observe a half-applied write and a repack never
 //! stalls them.
 
-use crate::advisor::{refine_subfields_spatially, SpatialProfile, WorkloadProfile};
 use crate::exec::Delta;
 use crate::ihilbert::IHilbert;
 use crate::planner::{Plan, Router};
@@ -344,10 +343,9 @@ impl<F: FieldModel> LiveIngest<F> {
     /// and only concurrent *writers* briefly serialize behind the
     /// writer mutex.
     ///
-    /// Subfields are regrouped under the observed workload when the
-    /// advisor's profile is informed (same rule as
-    /// [`IHilbert::repack_with_observed_workload`]); otherwise the
-    /// paper's static cost function is used. The superseded cell-file,
+    /// Subfields are regrouped by the paper's static cost function, the
+    /// rule [`IHilbert::build`] uses, so the new base's catalog depends
+    /// on the records alone. The superseded cell-file,
     /// tree and subfield-catalog runs are deferred to the engine's
     /// epoch GC and recycled once the last reader of an older epoch
     /// drops.
@@ -403,28 +401,9 @@ impl<F: FieldModel> LiveIngest<F> {
             records[pos as usize] = rec.clone();
         }
         let intervals: Vec<Interval> = records.iter().map(|r| F::record_interval(r)).collect();
-        // Regroup under the observed workload when informed — this is
-        // where `repack_with_observed_workload`'s empirical cost model
-        // meets the drain.
-        let profile = WorkloadProfile::from_registry(engine.metrics(), &state.base.name());
-        let config = if profile.is_informed() {
-            SubfieldConfig {
-                base: 1.0,
-                query_len: profile.mean_query_len,
-            }
-        } else {
-            SubfieldConfig::default()
-        };
-        // The spatial heatmap rides along: subfields straddling a
-        // hot/cold heat-bucket boundary are cut where the cut lowers
-        // the spatially predicted page cost (no-op when uninformed).
-        let spatial = SpatialProfile::from_registry(engine.metrics());
-        let subfields = refine_subfields_spatially(
-            build_subfields(&intervals, config),
-            &intervals,
-            &spatial,
-            inner.file.records_per_page(),
-        );
+        // Regroup by the rule `IHilbert::build` uses: the catalog is a
+        // function of the records alone, never of the query history.
+        let subfields = build_subfields(&intervals, SubfieldConfig::default());
         let old_cell = (inner.file.first_page(), inner.file.num_pages());
         let old_tree = inner.tree.page_run();
         let old_sf = (inner.sf_file.first_page(), inner.sf_file.num_pages());

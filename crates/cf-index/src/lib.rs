@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advisor;
 mod batch;
 mod catalog;
 mod exec;
@@ -52,10 +51,6 @@ mod subfield;
 mod vector;
 mod volume3d;
 
-pub use advisor::{
-    expected_pages_spatial, CostModelReport, DecileRow, RepackOutcome, SpatialProfile,
-    WorkloadProfile,
-};
 pub use batch::{BatchQueryResult, BatchReport, QueryBatch};
 pub use catalog::{create_database, open_database, read_bootstrap, write_bootstrap, PosRecord};
 pub use iall::IAll;

@@ -7,7 +7,7 @@
 use crate::exec::{self, Cells, Delta, Filter, SubfieldOverrides, Q2};
 use crate::planner::Plan;
 use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
-use crate::subfield::{build_subfields, subfield_costs, Subfield, SubfieldConfig};
+use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Interval, Polygon};
 use cf_rtree::{bulk_load_str, PagedRTree, RTreeConfig};
@@ -180,10 +180,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
     /// than re-reading the whole cell file.
     pub(crate) fn publish_health(&self, registry: &MetricsRegistry, costs: Option<&[f64]>) {
         let labels: &[(&str, &str)] = &[("index", &self.metric_label)];
-        // (Re)publishing health is where the cell-file length is
-        // authoritative — fix the spatial heatmap's bucket width so
-        // examined/qualifying heat buckets span exactly this file.
-        registry.heat().set_cell_domain(self.file.len() as u64);
         let n = self.subfields.len();
         registry
             .gauge_with("index_health_subfields", labels)
@@ -226,97 +222,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
                 hist.observe(c);
             }
         }
-    }
-
-    /// `(interval, data pages spanned)` of every subfield — the spans
-    /// the cost-model advisor scores. Pages come from the cell file's
-    /// measured page geometry (the fixed slot grid for raw pages, the
-    /// page directory for compressed ones), no I/O.
-    pub(crate) fn subfield_page_spans(&self) -> Vec<(Interval, f64)> {
-        self.subfields
-            .iter()
-            .map(|sf| {
-                let pages = self.file.pages_in_range(sf.start as usize..sf.end as usize);
-                (sf.interval, pages as f64)
-            })
-            .collect()
-    }
-
-    /// `(start, end, data pages spanned)` of every subfield — the
-    /// record-position spans the *spatial* cost model scores against
-    /// the heatmap's position buckets. Same page geometry as
-    /// [`SubfieldIndex::subfield_page_spans`], no I/O.
-    pub(crate) fn subfield_record_spans(&self) -> Vec<(u32, u32, f64)> {
-        self.subfields
-            .iter()
-            .map(|sf| {
-                let pages = self.file.pages_in_range(sf.start as usize..sf.end as usize);
-                (sf.start, sf.end, pages as f64)
-            })
-            .collect()
-    }
-
-    /// Regroups the *unchanged* cell file into fresh subfields under
-    /// `config`, rebuilding the interval tree and the on-disk subfield
-    /// catalog. Cell records never move, so query answers are
-    /// byte-identical before and after — only the filter cost changes.
-    /// Returns `false` (leaving everything untouched) when the new
-    /// grouping equals the current one.
-    ///
-    /// The old tree and subfield-catalog pages are handed back to the
-    /// engine's freelist once the replacements are fully written: later
-    /// allocations reuse the holes, and a run at the end of a
-    /// file-backed engine shrinks the file. (Pages the old tree gained
-    /// from incremental splits after its own persist are not tracked
-    /// and stay leaked until a full rebuild.) Freeing the old pages
-    /// invalidates any database catalog saved *before* the repack —
-    /// callers that persist the index must save again afterwards.
-    /// `refine` is a post-grouping refinement pass: it receives the
-    /// greedy value-model grouping plus the per-position intervals and
-    /// may split subfields further (the spatial advisor cuts at
-    /// heat-bucket boundaries; pass `|sfs, _| sfs` for the pure value
-    /// model). The refined grouping must cover the same positions in
-    /// the same order — only boundaries may move.
-    pub(crate) fn repack_refined(
-        &mut self,
-        engine: &StorageEngine,
-        config: SubfieldConfig,
-        refine: impl FnOnce(Vec<Subfield>, &[Interval]) -> Vec<Subfield>,
-    ) -> CfResult<bool> {
-        let mut intervals: Vec<Interval> = Vec::with_capacity(self.file.len());
-        self.file
-            .for_each_in_range(engine, 0..self.file.len(), |_, rec| {
-                intervals.push(F::record_interval(&rec));
-            })?;
-        let subfields = refine(build_subfields(&intervals, config), &intervals);
-        if subfields == self.subfields {
-            return Ok(false);
-        }
-        let old_tree_run = self.tree.page_run();
-        let old_sf_run = (self.sf_file.first_page(), self.sf_file.num_pages());
-        self.tree = PagedRTree::build(
-            engine,
-            subfields.iter().map(|sf| (sf.interval.into(), sf.pack())),
-        )?;
-        self.sf_file = CellFile::create(engine, subfields.clone())?;
-        // Both replacements exist on fresh pages now; the old tree and
-        // subfield catalog are dead. Return them to the freelist (a
-        // failure here would leak pages, never double-allocate).
-        if let Some((first, pages)) = old_tree_run {
-            engine.free_run(first, pages)?;
-        }
-        engine.free_run(old_sf_run.0, old_sf_run.1)?;
-        for (i, sf) in subfields.iter().enumerate() {
-            for pos in sf.start..sf.end {
-                self.pos_to_subfield[pos as usize] = i as u32;
-            }
-        }
-        self.subfields = subfields;
-        // Health gauges derive from the subfield catalog; refresh them
-        // with the exact new cost distribution (intervals are in hand).
-        let costs = subfield_costs(&self.subfields, config, |pos| intervals[pos]);
-        self.publish_health(engine.metrics(), Some(&costs));
-        Ok(true)
     }
 
     /// Rewrites the cell record at file position `pos` and incrementally

@@ -47,15 +47,6 @@ pub struct QueryScratch {
     pub(crate) runs: Vec<std::ops::Range<usize>>,
 }
 
-/// Bucket bounds of the `index_query_band_len` histogram: geometric
-/// steps covering raw value-domain band lengths from sub-unit up to
-/// thousands. The workload advisor only consumes the histogram's exact
-/// `sum / count` mean, so the bucket resolution matters for dashboards,
-/// not for the empirical cost model.
-pub(crate) const BAND_LEN_BUCKETS: [f64; 13] = [
-    0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-];
-
 /// Registry handles for the per-query metrics an index publishes, cached
 /// so the query hot path pays one atomic add per counter instead of a
 /// name lookup. Wired lazily on an index's first query (the engine — and
@@ -75,7 +66,6 @@ pub(crate) struct QueryMetrics {
     query_ns: Histogram,
     filter_ns: Histogram,
     refine_ns: Histogram,
-    band_len: Histogram,
 }
 
 impl QueryMetrics {
@@ -95,16 +85,14 @@ impl QueryMetrics {
             query_ns: registry.time_histogram("index_query_ns", labels),
             filter_ns: registry.time_histogram("index_filter_ns", labels),
             refine_ns: registry.time_histogram("index_refine_ns", labels),
-            band_len: registry.histogram_with("index_query_band_len", labels, &BAND_LEN_BUCKETS),
         }
     }
 
     /// The one sink of a finished query: bumps the `index_*` series,
     /// then hands the record to the tracer's ring (which keeps it only
     /// while tracing is on). Counter bumps stay real under
-    /// `obs-off`; the latency and band-length observations and the ring
-    /// push compile out (which is why the workload advisor degrades to
-    /// a no-op under `obs-off`: it never sees a query).
+    /// `obs-off`; the latency observations and the ring push compile
+    /// out.
     pub(crate) fn publish(&self, tracer: &Tracer, rec: ExplainRecord) {
         self.queries.inc();
         self.filter_pages.add(rec.filter_pages);
@@ -116,7 +104,6 @@ impl QueryMetrics {
         self.query_ns.observe_ns(rec.total_ns);
         self.filter_ns.observe_ns(rec.filter_ns);
         self.refine_ns.observe_ns(rec.refine_ns);
-        self.band_len.observe(rec.band_hi - rec.band_lo);
         tracer.record_query(rec);
     }
 }

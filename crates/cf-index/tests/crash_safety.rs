@@ -38,7 +38,7 @@ fn bands() -> Vec<Interval> {
         .collect()
 }
 
-fn answers(index: &IHilbert<GridField>, engine: &StorageEngine) -> Vec<QueryStats> {
+fn answers(index: &impl ValueIndex, engine: &StorageEngine) -> Vec<QueryStats> {
     bands()
         .iter()
         .map(|&b| index.query_stats(engine, b).expect("query"))
@@ -375,44 +375,50 @@ fn freelist_crash_points_on_file_backing_never_double_allocate() {
 /// Repeated `save_to` cycles on file backing must not grow the file
 /// without bound: each commit frees the position map its slot replaced,
 /// so allocation recycles the holes and the size plateaus. The second
-/// input runs a few queries and a workload-driven repack before every
-/// save, which also hands the superseded tree and subfield catalog back
-/// to the freelist.
+/// input saves through the live-ingest plane: every cycle re-ingests
+/// unchanged records, repacks and saves, so each repack also retires
+/// the superseded cell file, tree and subfield catalog to the freelist.
 #[test]
 fn repeated_saves_on_file_backing_reach_a_steady_state_size() {
+    use cf_index::{IngestConfig, LiveIngest};
+
     for repack in [false, true] {
         let ctx = if repack { "repack + save" } else { "save" };
         let (engine, path) = file_engine(if repack { "steady_repack" } else { "steady" });
         let field = wavy_field(24, 0.3);
-        let mut index = IHilbert::build(&engine, &field).expect("build");
-        let catalog = index.save(&engine).expect("save");
+        let index = IHilbert::build(&engine, &field).expect("build");
         let expected = answers(&index, &engine);
         let mut sizes = Vec::new();
-        let mut repacks = 0;
-        for _ in 0..8 {
-            if repack {
-                // The queries are the workload the repack regroups under.
-                assert_same_answers(&answers(&index, &engine), &expected, ctx);
-                let outcome = index
-                    .repack_with_observed_workload(&engine)
-                    .expect("repack");
-                repacks += usize::from(outcome.repacked);
+        let catalog = if repack {
+            let live = LiveIngest::new(&engine, index, IngestConfig::default()).expect("live");
+            let catalog = live.save(&engine).expect("save");
+            for round in 0..8 {
+                for cell in 0..field.num_cells() {
+                    let rec = live.cell_record(&engine, cell).expect("cell record");
+                    live.ingest(&engine, cell, rec).expect("ingest");
+                }
+                let report = live.repack(&engine).expect("repack");
+                assert!(report.pages_retired > 0, "{ctx}: round {round}");
+                assert_same_answers(&answers(&*live.snapshot(), &engine), &expected, ctx);
+                live.save_to(&engine, catalog).expect("save");
+                sizes.push(engine.num_pages());
             }
-            index.save_to(&engine, catalog).expect("save");
-            sizes.push(engine.num_pages());
-        }
-        // With the workload recorder compiled out nothing is observed,
-        // so every repack declines and only the saves recycle pages.
-        #[cfg(not(feature = "obs-off"))]
-        assert_eq!(repacks > 0, repack, "{ctx}: {repacks} repacks");
-        #[cfg(feature = "obs-off")]
-        assert_eq!(repacks, 0, "{ctx}: a repack must decline under obs-off");
+            catalog
+        } else {
+            let catalog = index.save(&engine).expect("save");
+            for _ in 0..8 {
+                index.save_to(&engine, catalog).expect("save");
+                sizes.push(engine.num_pages());
+            }
+            catalog
+        };
         // Two position maps stay in flight (live slot + fallback slot);
         // the rest recycle. Once the pipeline fills, the size may
-        // oscillate by one pos-map run as tail frees truncate, but never
-        // trends upward.
+        // oscillate by one run as tail frees truncate, but never
+        // passes the high-water mark of the first three cycles.
+        let high_water = sizes[..3].iter().max();
         assert!(
-            *sizes.last().unwrap() <= sizes[2],
+            sizes[3..].iter().max() <= high_water,
             "{ctx}: file must stop growing: {sizes:?}"
         );
         let freed = engine.metrics().counter_total("storage_pages_freed_total");
@@ -423,7 +429,6 @@ fn repeated_saves_on_file_backing_reach_a_steady_state_size() {
         );
         // And the recycled file still opens with the same answers.
         engine.sync().expect("sync");
-        drop(index);
         drop(engine);
         let engine = StorageEngine::open_file(&path, StorageConfig::default()).expect("reopen");
         let reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open");

@@ -12,11 +12,11 @@
 use cf_field::{FieldModel, GridCellRecord, GridField};
 use cf_geom::Interval;
 use cf_index::{
-    CurveChoice, IHilbert, IHilbertConfig, IngestConfig, LiveIngest, QueryBatch, QueryStats,
-    ValueIndex,
+    build_subfields, cell_order, CurveChoice, IHilbert, IHilbertConfig, IngestConfig, LiveIngest,
+    QueryBatch, QueryStats, SubfieldConfig, ValueIndex,
 };
 use cf_sfc::Curve;
-use cf_storage::{Fault, StorageEngine};
+use cf_storage::{Fault, PageId, StorageEngine};
 
 /// Deterministic split-mix style generator: the interleavings must be
 /// reproducible across runs and platforms.
@@ -429,6 +429,96 @@ fn live_ingest_survives_save_and_reopen() {
         .query_stats(&engine, Interval::new(399.0, 401.0))
         .expect("query");
     assert_eq!(stats.cells_qualifying, 1);
+}
+
+/// The layout is a function of the data: a repack regroups by the rule
+/// the build uses, whatever queries ran before it. One plane answers Q2
+/// queries through its snapshots and then takes the writes; a twin on
+/// its own engine takes the same writes with no queries. After the
+/// repack both bases carry the catalog `build_subfields` forms over the
+/// effective records in base order, and the two engines hold the same
+/// page bytes.
+#[test]
+fn repack_catalog_is_a_function_of_the_records_not_the_queries() {
+    let field = wavy_field(16);
+    // Small nudges: the drained file keeps the field's smooth grouping,
+    // where the query history would have something to move.
+    let mut rng = Rng(61);
+    let writes: Vec<(usize, GridCellRecord)> = (0..40)
+        .map(|_| {
+            let cell = rng.below(field.num_cells());
+            let mut rec = field.cell_record(cell);
+            for v in &mut rec.vals {
+                *v += rng.value(-2.0, 2.0);
+            }
+            (cell, rec)
+        })
+        .collect();
+    let planes = [true, false].map(|queried| {
+        let engine = StorageEngine::in_memory();
+        let base = IHilbert::build(&engine, &field).expect("build");
+        let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+        if queried {
+            let mut rng = Rng(67);
+            for _ in 0..64 {
+                let band = rand_band(&mut rng);
+                live.snapshot().query_stats(&engine, band).expect("query");
+            }
+        }
+        for &(cell, rec) in &writes {
+            live.ingest(&engine, cell, rec).expect("ingest");
+        }
+        assert!(live.repack(&engine).expect("repack").repacked);
+        (engine, live)
+    });
+
+    // The catalog the build's rule forms over the effective records.
+    let mut records: Vec<GridCellRecord> = (0..field.num_cells())
+        .map(|cell| field.cell_record(cell))
+        .collect();
+    for &(cell, rec) in &writes {
+        records[cell] = rec;
+    }
+    let intervals: Vec<Interval> = cell_order(&field, Curve::Hilbert)
+        .iter()
+        .map(|&cell| GridField::record_interval(&records[cell]))
+        .collect();
+    let expected = build_subfields(&intervals, SubfieldConfig::default());
+
+    let mut probes = fixed_bands();
+    probes.extend(expected.iter().map(|sf| sf.interval));
+    for (i, (engine, live)) in planes.iter().enumerate() {
+        let snap = live.snapshot();
+        assert_eq!(snap.num_intervals(), expected.len(), "plane {i}");
+        for &band in &probes {
+            let hits: Vec<_> = expected
+                .iter()
+                .filter(|sf| sf.interval.intersects(band))
+                .collect();
+            let stats = snap.query_stats(engine, band).expect("query");
+            assert_eq!(
+                stats.intervals_retrieved,
+                hits.len(),
+                "plane {i}, band {band}"
+            );
+            assert_eq!(
+                stats.cells_examined,
+                hits.iter().map(|sf| sf.len()).sum::<usize>(),
+                "plane {i}, band {band}"
+            );
+        }
+    }
+
+    let [(queried, _), (twin, _)] = &planes;
+    assert_eq!(queried.num_pages(), twin.num_pages());
+    for page in 0..queried.num_pages() as u64 {
+        let bytes = |engine: &StorageEngine| {
+            engine
+                .with_page(PageId(page), |buf| *buf)
+                .expect("read page")
+        };
+        assert!(bytes(queried) == bytes(twin), "page {page} differs");
+    }
 }
 
 /// A bad cell id through the ingest plane surfaces the same typed

@@ -36,7 +36,6 @@
 
 pub mod explain;
 pub mod export;
-pub mod heat;
 mod json;
 pub mod record;
 pub mod serve;
@@ -44,7 +43,6 @@ mod trace;
 
 pub use explain::{ExplainRecord, Label};
 pub use export::EventJournal;
-pub use heat::{HeatKind, HeatMap, HeatTable, HEAT_BUCKETS, HEAT_SHARDS};
 pub use json::{Json, JsonError};
 pub use record::{answer_digest, decode_wrk, encode_wrk, WorkloadRecord, WORKLOAD_VERSION};
 pub use trace::{Stopwatch, TraceEvent, Tracer, QUERY_RING_CAPACITY, RECENT_VIEW_LEN};
@@ -279,7 +277,6 @@ pub struct MetricsRegistry {
     families: Mutex<BTreeMap<String, Family>>,
     tracer: Tracer,
     journal: EventJournal,
-    heat: HeatMap,
 }
 
 impl Default for MetricsRegistry {
@@ -288,7 +285,6 @@ impl Default for MetricsRegistry {
             families: Mutex::new(BTreeMap::new()),
             tracer: Tracer::default(),
             journal: EventJournal::default(),
-            heat: HeatMap::default(),
         }
     }
 }
@@ -313,12 +309,6 @@ impl MetricsRegistry {
     /// The registry's epoch-lifecycle event journal.
     pub fn journal(&self) -> &EventJournal {
         &self.journal
-    }
-
-    /// The registry's spatial heatmap (per-bucket query heat over the
-    /// Hilbert position domain).
-    pub fn heat(&self) -> &HeatMap {
-        &self.heat
     }
 
     fn register(
@@ -472,8 +462,7 @@ impl MetricsRegistry {
     }
 
     /// `(count, sum)` of a histogram series (`None` when absent). The
-    /// mean `sum / count` is exact regardless of bucket bounds, which is
-    /// what the workload advisor relies on.
+    /// mean `sum / count` is exact regardless of bucket bounds.
     pub fn histogram_stats(&self, name: &str, labels: &[(&str, &str)]) -> Option<(u64, f64)> {
         let families = self.families.lock().expect("metrics registry poisoned");
         families.get(name).and_then(|f| {
@@ -505,7 +494,6 @@ impl MetricsRegistry {
         drop(families);
         self.tracer.clear();
         self.journal.clear();
-        self.heat.reset();
     }
 
     /// Renders the registry in the Prometheus text exposition format.
@@ -564,11 +552,6 @@ impl MetricsRegistry {
                 }
             }
         }
-        drop(families);
-        // The spatial heatmap renders after the registered families
-        // (its buckets live outside the family map); the section is
-        // deterministic, so whole-snapshot diffs stay byte-stable.
-        self.heat.render_text_into(&mut out);
         out
     }
 }

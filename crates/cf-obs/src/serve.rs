@@ -1,6 +1,6 @@
 //! A dependency-free blocking HTTP endpoint for the telemetry plane.
 //!
-//! [`MetricsServer`] wraps a `std::net::TcpListener` and serves seven
+//! [`MetricsServer`] wraps a `std::net::TcpListener` and serves six
 //! routes, one request per connection (`Connection: close`):
 //!
 //! * `/metrics` — the Prometheus text snapshot from
@@ -12,8 +12,6 @@
 //!   [`Tracer::slo_json`](crate::Tracer::slo_json)
 //! * `/explain/recent` — the newest per-query EXPLAIN records as a
 //!   JSON array
-//! * `/heatmap` — the spatial heatmap's per-bucket counts from
-//!   [`HeatMap::to_json`](crate::HeatMap::to_json)
 //! * `/workload` — the retained queries as flight records, from
 //!   [`Tracer::workload_json`](crate::Tracer::workload_json)
 //! * `/` — a plain-text index of the above
@@ -136,11 +134,6 @@ fn route(path: &str, registry: &MetricsRegistry) -> (&'static str, &'static str,
             )
             .render(),
         ),
-        "/heatmap" => (
-            "200 OK",
-            "application/json; charset=utf-8",
-            registry.heat().to_json().render(),
-        ),
         "/workload" => (
             "200 OK",
             "application/json; charset=utf-8",
@@ -154,7 +147,6 @@ fn route(path: &str, registry: &MetricsRegistry) -> (&'static str, &'static str,
              /traces          Chrome-trace JSON (traceEvents + slowQueries)\n\
              /slo             exact p50/p99/max latency and objective burn rates over the query ring\n\
              /explain/recent  ring of per-query EXPLAIN records\n\
-             /heatmap         spatial heatmap buckets (examined/qualifying/pages)\n\
              /workload        flight-recorder query ring (replayable workload)\n"
                 .to_owned(),
         ),
@@ -281,22 +273,11 @@ mod tests {
     }
 
     #[test]
-    fn serves_heatmap_and_workload_as_json() {
+    fn serves_workload_as_json() {
         let reg = std::sync::Arc::new(MetricsRegistry::new());
-        reg.heat().set_cell_domain(256);
-        reg.heat()
-            .table(crate::HeatKind::Examined)
-            .bump_range(0, 64);
         reg.tracer().set_enabled(true);
         reg.tracer().record_query(crate::explain::tests::sample());
-        let (addr, handle) = serve_n(reg, 2);
-        let heat = http_get(addr, "/heatmap").expect("heatmap");
-        let doc = Json::parse(&heat).expect("valid heatmap json");
-        assert_eq!(doc.get("buckets").and_then(Json::as_f64), Some(64.0));
-        let kinds = doc.get("kinds").and_then(Json::as_arr).expect("kinds");
-        assert_eq!(kinds.len(), 3, "{heat}");
-        #[cfg(not(feature = "obs-off"))]
-        assert_eq!(kinds[0].get("total").and_then(Json::as_f64), Some(64.0));
+        let (addr, handle) = serve_n(reg, 1);
         let workload = http_get(addr, "/workload").expect("workload");
         let doc = Json::parse(&workload).expect("valid workload json");
         assert_eq!(doc.get("version").and_then(Json::as_f64), Some(1.0));

@@ -130,9 +130,6 @@ impl StorageEngine {
 
     /// Reads page `id` through the buffer pool and passes its bytes to `f`.
     pub fn with_page<T>(&self, id: PageId, f: impl FnOnce(&PageBuf) -> T) -> CfResult<T> {
-        // Every logical page read feeds the spatial heatmap's page
-        // table (an inline no-op under `obs-off`).
-        self.metrics.heat().touch_page(id.0);
         self.pool.with_page(&self.disk, id, f)
     }
 
@@ -144,7 +141,6 @@ impl StorageEngine {
         id: PageId,
         f: impl FnOnce(&PageBuf) -> CfResult<T>,
     ) -> CfResult<T> {
-        self.metrics.heat().touch_page(id.0);
         self.pool.with_page(&self.disk, id, f)?
     }
 

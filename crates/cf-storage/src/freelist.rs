@@ -3,7 +3,7 @@
 //! The freelist records runs of pages that were allocated and later
 //! returned by [`crate::DiskManager::free_run`]. `allocate_run` serves
 //! best-fit holes from it before extending the file, so index rebuilds
-//! and `repack_with_observed_workload` stop leaking the database file.
+//! and live-ingest repacks stop leaking the database file.
 //!
 //! In memory the state is a coalesced `start → len` map. For the file
 //! backing it persists in a `<path>.fsm` superblock using the same

@@ -69,9 +69,8 @@ mod stats;
 
 pub use buffer::{BufferPool, MIN_FRAMES_PER_SHARD};
 pub use cf_obs::{
-    answer_digest, decode_wrk, encode_wrk, Counter, EventJournal, ExplainRecord, Gauge, HeatKind,
-    HeatMap, Histogram, Json, Label, MetricsRegistry, Stopwatch, TraceEvent, Tracer,
-    WorkloadRecord, HEAT_BUCKETS,
+    answer_digest, decode_wrk, encode_wrk, Counter, EventJournal, ExplainRecord, Gauge, Histogram,
+    Json, Label, MetricsRegistry, Stopwatch, TraceEvent, Tracer, WorkloadRecord,
 };
 pub use compressed::PageCodec;
 pub use disk::{DiskManager, PageBuf, PageId, FSM_COMMIT_PAGE, PAGE_SIZE};

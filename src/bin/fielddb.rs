@@ -11,7 +11,6 @@
 //! fielddb point  /tmp/terrain.db 17.5 42.25
 //! fielddb serve-metrics --port 9184   # HTTP /metrics + /traces
 //! fielddb top --port 9184             # one-shot scrape view
-//! fielddb advise --k 7                # workload-aware cost advisor
 //! ```
 //!
 //! Layout: page 0 is the bootstrap page (magic + catalog page pointer);
@@ -126,17 +125,22 @@ fn run(args: &[String]) -> Result<String, String> {
         }
         "metrics" => {
             let mut k = 6u32;
-            let mut lo = f64::NAN;
-            let mut hi = f64::NAN;
+            let mut lo: Option<f64> = None;
+            let mut hi: Option<f64> = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--k" => k = take_in(&mut it, flag, GRID_K)?,
-                    "--lo" => lo = parse(&take(&mut it, flag)?)?,
-                    "--hi" => hi = parse(&take(&mut it, flag)?)?,
+                    "--lo" => lo = Some(parse(&take(&mut it, flag)?)?),
+                    "--hi" => hi = Some(parse(&take(&mut it, flag)?)?),
                     other => return Err(format!("unknown flag {other}")),
                 }
             }
-            metrics_demo(k, lo, hi)
+            let band = match (lo, hi) {
+                (None, None) => None,
+                (Some(lo), Some(hi)) => Some(band(lo, hi)?),
+                _ => return Err("--lo and --hi must be given together".into()),
+            };
+            metrics_demo(k, band)
         }
         "serve-metrics" => {
             let mut port = 9184u16;
@@ -186,22 +190,6 @@ fn run(args: &[String]) -> Result<String, String> {
                 None => top(&addr),
             }
         }
-        "heatmap" => {
-            let path = it.next().ok_or_else(usage)?.clone();
-            let mut queries = 32usize;
-            let mut qinterval = 0.05f64;
-            let mut seed = 0x11EA7u64;
-            let mut eng = EngineOpts::default();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--queries" => queries = parse(&take(&mut it, flag)?)?,
-                    "--qinterval" => qinterval = take_in(&mut it, flag, UNIT)?,
-                    "--seed" => seed = parse(&take(&mut it, flag)?)?,
-                    other => eng.parse_flag(other, &mut it)?,
-                }
-            }
-            heatmap(&path, queries, qinterval, seed, eng)
-        }
         "record" => {
             let path = it.next().ok_or_else(usage)?.clone();
             let mut out_path: Option<String> = None;
@@ -221,26 +209,12 @@ fn run(args: &[String]) -> Result<String, String> {
             let out_path = out_path.ok_or("record needs --out <file.wrk>")?;
             record_workload(&path, &out_path, queries, qinterval, seed, eng)
         }
-        "advise" => {
-            let mut k = 6u32;
-            let mut queries = 48usize;
-            let mut qinterval = 0.4f64;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--k" => k = take_in(&mut it, flag, GRID_K)?,
-                    "--queries" => queries = parse(&take(&mut it, flag)?)?,
-                    "--qinterval" => qinterval = take_in(&mut it, flag, UNIT)?,
-                    other => return Err(format!("unknown flag {other}")),
-                }
-            }
-            advise(k, queries, qinterval)
-        }
         other => Err(format!("unknown command {other}\n{}", usage())),
     }
 }
 
 fn usage() -> String {
-    "usage:\n  fielddb create <db> [--workload terrain|fractal|monotonic] [--k N] [--h F] [--seed N]\n  fielddb info <db>\n  fielddb query <db> <lo> <hi> [--regions N]\n  fielddb explain <db> <lo> <hi> [--json]\n  fielddb ingest <db> [--updates N] [--seed N] [--capacity N]\n  fielddb point <db> <x> <y>\n  fielddb heatmap <db> [--queries N] [--qinterval F] [--seed N]\n  fielddb record <db> --out <file.wrk> [--queries N] [--qinterval F] [--seed N]\n  fielddb metrics [--k N] [--lo F --hi F]\n  fielddb serve-metrics [--port N] [--k N] [--queries N] [--max-requests N] [--port-file P] [--event-log P]\n  fielddb top [--addr HOST:PORT | --port N] [--watch SECS [--count N]]\n  fielddb advise [--k N] [--queries N] [--qinterval F]\nfile-backed commands also accept: [--pool PAGES] [--codec raw|compressed]".into()
+    "usage:\n  fielddb create <db> [--workload terrain|fractal|monotonic] [--k N] [--h F] [--seed N]\n  fielddb info <db>\n  fielddb query <db> <lo> <hi> [--regions N]\n  fielddb explain <db> <lo> <hi> [--json]\n  fielddb ingest <db> [--updates N] [--seed N] [--capacity N]\n  fielddb point <db> <x> <y>\n  fielddb record <db> --out <file.wrk> [--queries N] [--qinterval F] [--seed N]\n  fielddb metrics [--k N] [--lo F --hi F]\n  fielddb serve-metrics [--port N] [--k N] [--queries N] [--max-requests N] [--port-file P] [--event-log P]\n  fielddb top [--addr HOST:PORT | --port N] [--watch SECS [--count N]]\nfile-backed commands also accept: [--pool PAGES] [--codec raw|compressed]".into()
 }
 
 /// Storage-engine tuning flags shared by every file-backed command:
@@ -322,16 +296,21 @@ where
     }
 }
 
-/// The `<lo> <hi>` positionals as a band; NaN ends and `lo > hi` are
-/// rejected here so `Interval::new` never sees them.
-fn take_band(it: &mut std::slice::Iter<String>) -> Result<Interval, String> {
-    let lo: f64 = parse(it.next().ok_or_else(usage)?)?;
-    let hi: f64 = parse(it.next().ok_or_else(usage)?)?;
+/// `[lo, hi]` as a band; NaN ends and `lo > hi` are rejected here so
+/// `Interval::new` never sees them.
+fn band(lo: f64, hi: f64) -> Result<Interval, String> {
     if lo <= hi {
         Ok(Interval::new(lo, hi))
     } else {
         Err(format!("band [{lo}, {hi}] needs lo <= hi"))
     }
+}
+
+/// The `<lo> <hi>` positionals as a [`band`].
+fn take_band(it: &mut std::slice::Iter<String>) -> Result<Interval, String> {
+    let lo: f64 = parse(it.next().ok_or_else(usage)?)?;
+    let hi: f64 = parse(it.next().ok_or_else(usage)?)?;
+    band(lo, hi)
 }
 
 fn open_index(engine: &StorageEngine) -> Result<IHilbert<GridField>, String> {
@@ -544,38 +523,6 @@ fn point(path: &str, x: f64, y: f64, eng: EngineOpts) -> Result<String, String> 
     }
 }
 
-/// Runs a short Q2 workload against a database file and renders the
-/// spatial heat tables as one ASCII row per kind: buckets in Hilbert
-/// (cell-file) order, scaled to the hottest bucket, so a skewed
-/// workload shows up as a bright region on an otherwise dark line.
-fn heatmap(
-    path: &str,
-    queries: usize,
-    qinterval: f64,
-    seed: u64,
-    eng: EngineOpts,
-) -> Result<String, String> {
-    use contfield::storage::{HeatKind, HEAT_BUCKETS};
-    use contfield::workload::queries::interval_queries;
-
-    let engine = open_database(path, eng.config())?;
-    let index = open_index(&engine)?;
-    let qs = interval_queries(index.value_domain(), qinterval, queries, seed);
-    for q in &qs {
-        index.query_stats(&engine, *q).map_err(|e| e.to_string())?;
-    }
-    let heat = engine.metrics().heat();
-    let mut out = format!(
-        "spatial heat for {path} after {} Q2 queries ({HEAT_BUCKETS} Hilbert-order buckets, '@' = hottest):\n",
-        qs.len(),
-    );
-    for kind in HeatKind::ALL {
-        out.push_str(&heat.render_ascii(kind));
-        out.push('\n');
-    }
-    Ok(out)
-}
-
 /// Runs a traced Q2 workload against a database file and drains its
 /// flight records into a versioned `.wrk` workload file — the
 /// artifact `repro replay` re-executes and diffs.
@@ -636,7 +583,7 @@ fn slow_query_line(rec: &ExplainRecord) -> String {
 /// builds the fig-8a-style terrain in memory under the adaptive planner,
 /// runs the query with tracing on, and prints the phase breakdown, a
 /// legacy-vs-registry cross-check, and the full metrics snapshot.
-fn metrics_demo(k: u32, lo: f64, hi: f64) -> Result<String, String> {
+fn metrics_demo(k: u32, band: Option<Interval>) -> Result<String, String> {
     let field = terrain::roseburg_standin(k);
     let engine = StorageEngine::in_memory();
     let index = AdaptiveIndex::build(&engine, &field).map_err(|e| e.to_string())?;
@@ -647,11 +594,7 @@ fn metrics_demo(k: u32, lo: f64, hi: f64) -> Result<String, String> {
     tracer.set_slow_threshold(std::time::Duration::ZERO);
 
     let dom = field.value_domain();
-    let band = if lo.is_nan() || hi.is_nan() {
-        Interval::new(dom.denormalize(0.30), dom.denormalize(0.40))
-    } else {
-        Interval::new(lo, hi)
-    };
+    let band = band.unwrap_or_else(|| Interval::new(dom.denormalize(0.30), dom.denormalize(0.40)));
     let plan = index.plan(band);
     // Probe or scan, the query publishes under the wrapped index's label.
     let indexed = |name: &str| {
@@ -819,7 +762,7 @@ fn serve_metrics(
     }
     // Print the banner before blocking in the serve loop.
     println!(
-        "serving telemetry for terrain k={k} ({} traced queries) on http://{addr}/  (routes: /metrics, /traces, /slo, /explain/recent, /heatmap, /workload)",
+        "serving telemetry for terrain k={k} ({} traced queries) on http://{addr}/  (routes: /metrics, /traces, /slo, /explain/recent, /workload)",
         qs.len()
     );
     use std::io::Write as _;
@@ -911,9 +854,16 @@ fn top_watch(addr: &str, secs: f64, count: usize) -> Result<String, String> {
     use contfield::obs::export::parse_prometheus;
     use contfield::obs::serve::http_get;
 
-    if !secs.is_finite() || secs <= 0.0 {
-        return Err("--watch needs a positive interval in seconds".into());
-    }
+    // Converted once, before the first scrape: a NaN, negative, zero or
+    // overflowing interval is a flag error, not a panic mid-watch.
+    let interval = match std::time::Duration::try_from_secs_f64(secs) {
+        Ok(d) if !d.is_zero() => d,
+        _ => {
+            return Err(format!(
+                "--watch {secs:?} needs a positive interval in seconds"
+            ))
+        }
+    };
     const COLS: [(&str, &str); 5] = [
         ("index_queries_total", "queries/s"),
         ("index_cells_examined_total", "examined/s"),
@@ -945,7 +895,7 @@ fn top_watch(addr: &str, secs: f64, count: usize) -> Result<String, String> {
     let mut prev = scrape()?;
     let mut done = 0usize;
     loop {
-        std::thread::sleep(std::time::Duration::from_secs_f64(secs));
+        std::thread::sleep(interval);
         let cur = scrape()?;
         let mut row = format!("{done:>10}");
         for (after, before) in cur.iter().zip(&prev) {
@@ -957,39 +907,6 @@ fn top_watch(addr: &str, secs: f64, count: usize) -> Result<String, String> {
         if count != 0 && done >= count {
             break;
         }
-    }
-    Ok(out)
-}
-
-/// The workload-aware cost-model advisor demo: runs an observed
-/// workload over an in-memory terrain, prints the predicted-vs-observed
-/// cost report, then repacks the subfield grouping under the empirical
-/// `P = L + E[|q|]` and reports the outcome (declining when no workload
-/// was observed — always the case under `obs-off`).
-fn advise(k: u32, queries: usize, qinterval: f64) -> Result<String, String> {
-    use contfield::workload::queries::interval_queries;
-
-    let field = terrain::roseburg_standin(k);
-    let engine = StorageEngine::in_memory();
-    let mut index = IHilbert::build(&engine, &field).map_err(|e| e.to_string())?;
-    let qs = interval_queries(field.value_domain(), qinterval, queries, 0xAD_5E);
-    for q in &qs {
-        index.query_stats(&engine, *q).map_err(|e| e.to_string())?;
-    }
-    let mut out = format!(
-        "terrain k={k}: ran {} Q2 queries at Qinterval {qinterval}\n\n{}\n",
-        qs.len(),
-        index.workload_report(&engine)
-    );
-    let outcome = index
-        .repack_with_observed_workload(&engine)
-        .map_err(|e| e.to_string())?;
-    out.push_str(&format!("{outcome}\n"));
-    if outcome.repacked {
-        out.push_str(&format!(
-            "\nafter repack:\n{}",
-            index.workload_report(&engine)
-        ));
     }
     Ok(out)
 }
@@ -1194,9 +1111,10 @@ mod tests {
             &["query", &db, "5", "nan"],
             &["explain", &db, "nan", "5"],
             &["explain", &db, "5", "1"],
-            &["heatmap", &db, "--qinterval", "2"],
-            &["heatmap", &db, "--qinterval", "nan"],
-            &["heatmap", &db, "--qinterval", "-1"],
+            &["metrics", "--k", "3", "--lo", "5", "--hi", "1"],
+            &["metrics", "--k", "3", "--lo", "nan", "--hi", "1"],
+            &["metrics", "--k", "3", "--lo", "1"],
+            &["metrics", "--k", "3", "--hi", "1"],
             &["record", &db, "--out", "unused.wrk", "--qinterval", "2"],
             &["record", &db, "--out", "unused.wrk", "--qinterval", "nan"],
             &["record", &db, "--out", "unused.wrk", "--qinterval", "-1"],
@@ -1336,21 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_renders_one_row_per_heat_kind() {
-        let db = tmp("heat");
-        run(&argv(&["create", &db, "--workload", "fractal", "--k", "5"])).expect("create");
-        let out = run(&argv(&["heatmap", &db, "--queries", "8"])).expect("heatmap");
-        assert!(out.contains("8 Q2 queries"), "{out}");
-        assert!(out.contains("heat[examined"), "{out}");
-        assert!(out.contains("heat[qualifying"), "{out}");
-        assert!(out.contains("heat[pages"), "{out}");
-        // Under observation the workload actually heats the tables.
-        #[cfg(not(feature = "obs-off"))]
-        assert!(!out.contains("total=0 "), "{out}");
-        std::fs::remove_file(&db).expect("cleanup");
-    }
-
-    #[test]
     fn record_writes_a_decodable_workload_file() {
         let db = tmp("record");
         let wrk = format!("{db}.wrk");
@@ -1415,10 +1318,13 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         };
 
-        assert!(
-            run(&argv(&["top", "--addr", &addr, "--watch", "0"])).is_err(),
-            "non-positive watch interval must be rejected"
-        );
+        // Rejected before the first scrape, so none of these spends a
+        // request of the server's budget.
+        for secs in ["0", "nan", "1e20"] {
+            let err = run(&argv(&["top", "--addr", &addr, "--watch", secs]))
+                .expect_err("unusable watch interval must be rejected");
+            assert!(err.starts_with("--watch"), "{secs}: {err}");
+        }
         // One bounded interval: two scrapes, so rates diff to zero on
         // the idle server — the point is the rate table, not the values.
         let out = run(&argv(&[
@@ -1440,26 +1346,6 @@ mod tests {
     }
 
     #[test]
-    fn advise_reports_and_repacks() {
-        let out = run(&argv(&["advise", "--k", "5", "--queries", "24"])).expect("advise");
-        assert!(out.contains("cost model report"), "{out}");
-        assert!(out.contains("predicted pages/query"), "{out}");
-        // With observation on, the long-band workload shifts E[|q|] far
-        // from the build-time assumption and the grouping moves; with
-        // obs-off the advisor must decline explicitly.
-        #[cfg(not(feature = "obs-off"))]
-        {
-            assert!(out.contains("repacked"), "{out}");
-            assert!(out.contains("after repack:"), "{out}");
-        }
-        #[cfg(feature = "obs-off")]
-        assert!(
-            out.contains("repack declined (no workload observed"),
-            "{out}"
-        );
-    }
-
-    #[test]
     fn commands_on_a_missing_database_fail_and_create_nothing() {
         let db = tmp("missing");
         let wrk = format!("{db}.wrk");
@@ -1469,7 +1355,6 @@ mod tests {
             &["explain", &db, "0", "1"],
             &["ingest", &db],
             &["point", &db, "0", "0"],
-            &["heatmap", &db],
             &["record", &db, "--out", &wrk],
         ];
         for args in commands {

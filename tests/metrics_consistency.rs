@@ -223,67 +223,6 @@ fn ingest_plane_registry_totals_match_summed_reader_stats() {
     assert!(got[0] > 0 && got[5] > 0, "{got:?}");
 }
 
-/// Spatial-heatmap extension of the invariant: the heat tables' bucket
-/// totals must equal the summed per-query touches — examined heat is
-/// bumped once per coalesced run, qualifying heat once per qualifying
-/// cell — whether the batch ran on one worker or four (the sharded
-/// tables must never lose or double-count a bump), and the per-bucket
-/// distribution must not depend on the worker count.
-#[cfg(not(feature = "obs-off"))]
-#[test]
-fn heatmap_bucket_totals_match_summed_query_touches() {
-    use contfield::storage::HeatKind;
-
-    let mut per_thread = Vec::new();
-    for threads in [1usize, 4] {
-        let field = roseburg_standin(6);
-        let engine = StorageEngine::in_memory();
-        let index = IHilbert::build(&engine, &field).expect("build");
-        engine.reset_stats();
-
-        let queries = interval_queries(field.value_domain(), 0.03, 32, 0xC0FFE);
-        let report = QueryBatch::new(queries)
-            .threads(threads)
-            .run(&engine, &index)
-            .expect("run");
-
-        let heat = engine.metrics().heat();
-        let examined: u64 = report
-            .results
-            .iter()
-            .map(|r| r.stats.cells_examined as u64)
-            .sum();
-        let qualifying: u64 = report
-            .results
-            .iter()
-            .map(|r| r.stats.cells_qualifying as u64)
-            .sum();
-        assert!(examined > 0 && qualifying > 0, "the batch did work");
-        assert_eq!(
-            heat.table(HeatKind::Examined).total(),
-            examined,
-            "{threads} threads: examined heat vs summed QueryStats"
-        );
-        assert_eq!(
-            heat.table(HeatKind::Qualifying).total(),
-            qualifying,
-            "{threads} threads: qualifying heat vs summed QueryStats"
-        );
-        assert!(
-            heat.table(HeatKind::Pages).total() > 0,
-            "{threads} threads: page reads feed the page heat table"
-        );
-        per_thread.push((
-            heat.table(HeatKind::Examined).totals(),
-            heat.table(HeatKind::Qualifying).totals(),
-        ));
-    }
-    assert_eq!(
-        per_thread[0], per_thread[1],
-        "per-bucket heat must not depend on the worker count"
-    );
-}
-
 /// Every EXPLAIN record the tracer retains must be internally
 /// consistent: the filter + refine phase timings sum within the
 /// enclosing span total, and the per-phase page split adds back up to
