@@ -7,7 +7,7 @@
 //! region where `a ≤ w ≤ b` is the triangle clipped by two half-planes —
 //! computable exactly with Sutherland–Hodgman.
 
-use cf_geom::{Point2, Polygon, Triangle, EPSILON};
+use cf_geom::{clip_halfplane_into, Point2, Triangle, EPSILON};
 
 /// Coefficients of the affine interpolant `w(x, y) = gx·x + gy·y + c`
 /// over a triangle with given vertex values.
@@ -56,21 +56,34 @@ pub fn band_masks_x8(w: &[f64; LANE], lo: f64, hi: f64) -> (u8, u8, u8) {
     (below, above, inside)
 }
 
+/// Most points a triangle's band region can have. Each clip step emits
+/// at most two points per input vertex, so the two clips of
+/// [`triangle_band`] take 3 vertices to at most 6, then to at most 12.
+const BAND_REGION_MAX_POINTS: usize = 3 * 2 * 2;
+
 /// The sub-region of `tri` where the linear interpolant of `values` lies
-/// in `[lo, hi]`.
+/// in `[lo, hi]`, passed to `visit` as its vertices in boundary order.
 ///
-/// Returns the clipped polygon (possibly empty). For a degenerate
-/// triangle the empty polygon is returned.
+/// `visit` runs once when the region has at least three vertices and not
+/// at all otherwise (an empty or degenerate region, or a degenerate
+/// triangle). The vertices live in a stack buffer: nothing is allocated.
 ///
 /// The common cases — triangle entirely outside or entirely inside the
 /// band — are resolved by [`band_masks_x8`] over the vertex interpolant
 /// values without running the clipper; because the masks use the exact
 /// signed distances the clip would test, the result is bit-identical to
-/// the full Sutherland–Hodgman path.
-pub fn triangle_band(tri: &Triangle, values: [f64; 3], lo: f64, hi: f64) -> Polygon {
+/// the full Sutherland–Hodgman path, which is the two
+/// [`cf_geom::Polygon::clip_halfplane`] steps run in place.
+pub fn triangle_band(
+    tri: &Triangle,
+    values: [f64; 3],
+    lo: f64,
+    hi: f64,
+    visit: &mut impl FnMut(&[Point2]),
+) {
     debug_assert!(lo <= hi, "inverted band [{lo}, {hi}]");
     let Some((gx, gy, c)) = plane_coefficients(tri, values) else {
-        return Polygon::empty();
+        return;
     };
     let w = move |p: Point2| gx * p.x + gy * p.y + c;
 
@@ -86,22 +99,22 @@ pub fn triangle_band(tri: &Triangle, values: [f64; 3], lo: f64, hi: f64) -> Poly
     if below & VALID == VALID || above & VALID == VALID {
         // Every vertex is dropped by one of the two half-plane clips:
         // the clipped region is empty.
-        return Polygon::empty();
+        return;
     }
     if inside & VALID == VALID {
         // Both clips keep every vertex: Sutherland–Hodgman emits the
         // input polygon unchanged.
-        return (*tri).into();
+        visit(&tri.vertices);
+        return;
     }
 
-    let poly: Polygon = (*tri).into();
-    poly.clip_halfplane(|p| w(p) - lo)
-        .clip_halfplane(|p| hi - w(p))
-}
-
-/// Total area of a collection of band regions.
-pub fn total_area(regions: &[Polygon]) -> f64 {
-    regions.iter().map(Polygon::area).sum()
+    let mut first = [Point2::ORIGIN; BAND_REGION_MAX_POINTS / 2];
+    let n = clip_halfplane_into(&tri.vertices, |p| w(p) - lo, &mut first);
+    let mut second = [Point2::ORIGIN; BAND_REGION_MAX_POINTS];
+    let n = clip_halfplane_into(&first[..n], |p| hi - w(p), &mut second);
+    if n >= 3 {
+        visit(&second[..n]);
+    }
 }
 
 /// Inverse interpolation on a segment: the parameter `t ∈ [0, 1]` where
@@ -117,6 +130,16 @@ pub fn inverse_on_segment(w0: f64, w1: f64, w: f64) -> Option<f64> {
     }
     let t = (w - w0) / (w1 - w0);
     (0.0..=1.0).contains(&t).then_some(t)
+}
+
+/// The visitor's region as a polygon, empty when it emits nothing;
+/// checks that it emits at most once.
+#[cfg(test)]
+fn band_polygon(tri: &Triangle, values: [f64; 3], lo: f64, hi: f64) -> cf_geom::Polygon {
+    let mut regions = Vec::new();
+    triangle_band(tri, values, lo, hi, &mut |vs| regions.push(vs.to_vec()));
+    assert!(regions.len() <= 1, "one triangle, one region");
+    cf_geom::Polygon::new(regions.pop().unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -154,20 +177,20 @@ mod tests {
             Point2::new(2.0, 2.0),
         );
         assert!(plane_coefficients(&tri, [0.0, 1.0, 2.0]).is_none());
-        assert!(triangle_band(&tri, [0.0, 1.0, 2.0], 0.0, 1.0).is_empty());
+        assert!(band_polygon(&tri, [0.0, 1.0, 2.0], 0.0, 1.0).is_empty());
     }
 
     #[test]
     fn full_band_returns_whole_triangle() {
         let tri = unit_right();
-        let region = triangle_band(&tri, [1.0, 2.0, 3.0], 0.0, 10.0);
+        let region = band_polygon(&tri, [1.0, 2.0, 3.0], 0.0, 10.0);
         assert!((region.area() - tri.area()).abs() < 1e-12);
     }
 
     #[test]
     fn empty_band_returns_nothing() {
         let tri = unit_right();
-        let region = triangle_band(&tri, [1.0, 2.0, 3.0], 5.0, 10.0);
+        let region = band_polygon(&tri, [1.0, 2.0, 3.0], 5.0, 10.0);
         assert!(region.is_empty() || region.area() < 1e-12);
     }
 
@@ -177,7 +200,7 @@ mod tests {
         // w <= 0.5 is the triangle minus the similar triangle scaled by
         // 0.5 at the right corner: area = 0.5 - 0.5·0.25 = 0.375.
         let tri = unit_right();
-        let region = triangle_band(&tri, [0.0, 1.0, 0.0], -1.0, 0.5);
+        let region = band_polygon(&tri, [0.0, 1.0, 0.0], -1.0, 0.5);
         assert!(
             (region.area() - 0.375).abs() < 1e-12,
             "area {}",
@@ -194,7 +217,7 @@ mod tests {
         );
         let vals = [10.0, 30.0, 20.0];
         let (gx, gy, c) = plane_coefficients(&tri, vals).unwrap();
-        let region = triangle_band(&tri, vals, 15.0, 22.0);
+        let region = band_polygon(&tri, vals, 15.0, 22.0);
         assert!(!region.is_empty());
         for v in &region.vertices {
             let w = gx * v.x + gy * v.y + c;
@@ -222,7 +245,7 @@ mod tests {
         let cuts = [0.0, 2.0, 5.0, 9.0, 13.0];
         let mut total = 0.0;
         for w in cuts.windows(2) {
-            total += triangle_band(&tri, vals, w[0], w[1]).area();
+            total += band_polygon(&tri, vals, w[0], w[1]).area();
         }
         assert!(
             (total - tri.area()).abs() < 1e-9,
@@ -234,9 +257,9 @@ mod tests {
     #[test]
     fn constant_triangle_in_or_out() {
         let tri = unit_right();
-        let inside = triangle_band(&tri, [5.0, 5.0, 5.0], 4.0, 6.0);
+        let inside = band_polygon(&tri, [5.0, 5.0, 5.0], 4.0, 6.0);
         assert!((inside.area() - tri.area()).abs() < 1e-12);
-        let outside = triangle_band(&tri, [5.0, 5.0, 5.0], 6.0, 7.0);
+        let outside = band_polygon(&tri, [5.0, 5.0, 5.0], 6.0, 7.0);
         assert!(outside.is_empty() || outside.area() < 1e-12);
     }
 
@@ -275,6 +298,7 @@ mod tests {
 #[cfg(test)]
 mod kernel_props {
     use super::*;
+    use cf_geom::Polygon;
     use proptest::prelude::*;
 
     /// Lane values that exercise the interesting regimes: ordinary
@@ -296,12 +320,37 @@ mod kernel_props {
         })
     }
 
-    fn triple(lo: f64, hi: f64) -> impl Strategy<Value = [f64; 3]> {
-        prop::collection::vec(lo..hi, 3).prop_map(|v| {
+    fn triple(value: impl Strategy<Value = f64>) -> impl Strategy<Value = [f64; 3]> {
+        prop::collection::vec(value, 3).prop_map(|v| {
             let mut a = [0.0; 3];
             a.copy_from_slice(&v);
             a
         })
+    }
+
+    fn point() -> impl Strategy<Value = Point2> {
+        (-10.0..10.0f64, -10.0..10.0f64).prop_map(|(x, y)| Point2::new(x, y))
+    }
+
+    /// Ordinary triangles, plus the degenerate ones: a repeated vertex
+    /// and three collinear vertices.
+    fn triangle() -> impl Strategy<Value = Triangle> {
+        prop_oneof![
+            6 => (point(), point(), point()).prop_map(|(a, b, c)| Triangle::new(a, b, c)),
+            1 => (point(), point()).prop_map(|(a, b)| Triangle::new(a, b, a)),
+            1 => (point(), point(), 0.0..1.0f64)
+                .prop_map(|(a, b, t)| Triangle::new(a, a.lerp(b, t), b)),
+        ]
+    }
+
+    /// Vertex values: ordinary magnitudes, ties with a band edge at 0,
+    /// and NaN.
+    fn vertex_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            8 => -50.0..50.0f64,
+            1 => Just(0.0),
+            1 => Just(f64::NAN),
+        ]
     }
 
     proptest! {
@@ -324,36 +373,39 @@ mod kernel_props {
             }
         }
 
-        /// The masked fast paths of `triangle_band` must be bit-identical
-        /// to the unconditional Sutherland–Hodgman pipeline.
+        /// The visitor — masked fast paths, then the two clip steps on
+        /// stack buffers — must be bit-identical to the `Polygon` chain,
+        /// emit exactly when that chain leaves at least three vertices,
+        /// and never need more than its 12-point buffer.
         #[test]
         fn triangle_band_fast_paths_equal_full_clip(
-            xs in triple(-10.0, 10.0),
-            ys in triple(-10.0, 10.0),
-            vals in triple(-50.0, 50.0),
-            lo in -60.0..60.0f64,
-            width in 0.0..40.0f64,
+            tri in triangle(),
+            vals in triple(vertex_value()),
+            lo in prop_oneof![8 => -60.0..60.0f64, 1 => Just(0.0)],
+            width in prop_oneof![3 => 0.0..40.0f64, 1 => Just(0.0)],
         ) {
-            let tri = Triangle::new(
-                Point2::new(xs[0], ys[0]),
-                Point2::new(xs[1], ys[1]),
-                Point2::new(xs[2], ys[2]),
-            );
             let hi = lo + width;
-            let got = triangle_band(&tri, vals, lo, hi);
+            let mut got = Vec::new();
+            triangle_band(&tri, vals, lo, hi, &mut |vs| got.push(vs.to_vec()));
             let want = match plane_coefficients(&tri, vals) {
-                None => Polygon::empty(),
+                None => Vec::new(),
                 Some((gx, gy, c)) => {
                     let w = |p: Point2| gx * p.x + gy * p.y + c;
-                    Polygon::from(tri)
-                        .clip_halfplane(|p| w(p) - lo)
-                        .clip_halfplane(|p| hi - w(p))
+                    let first = Polygon::from(tri).clip_halfplane(|p| w(p) - lo);
+                    prop_assert!(first.vertices.len() <= BAND_REGION_MAX_POINTS / 2);
+                    first.clip_halfplane(|p| hi - w(p)).vertices
                 }
             };
-            prop_assert_eq!(got.vertices.len(), want.vertices.len());
-            for (g, e) in got.vertices.iter().zip(&want.vertices) {
-                prop_assert_eq!(g.x.to_bits(), e.x.to_bits());
-                prop_assert_eq!(g.y.to_bits(), e.y.to_bits());
+            prop_assert!(want.len() <= BAND_REGION_MAX_POINTS);
+            if want.len() < 3 {
+                prop_assert!(got.is_empty(), "emitted {:?}, chain left {:?}", got, want);
+            } else {
+                prop_assert_eq!(got.len(), 1);
+                prop_assert_eq!(got[0].len(), want.len());
+                for (g, e) in got[0].iter().zip(&want) {
+                    prop_assert_eq!(g.x.to_bits(), e.x.to_bits());
+                    prop_assert_eq!(g.y.to_bits(), e.y.to_bits());
+                }
             }
         }
     }

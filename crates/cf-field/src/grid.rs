@@ -7,8 +7,8 @@
 //! (C⁰-continuous) surface whose extrema lie at the sample points.
 
 use crate::estimate::triangle_band;
-use crate::model::FieldModel;
-use cf_geom::{Aabb, Interval, Point2, Polygon, Triangle};
+use crate::model::{sample_interval, FieldModel};
+use cf_geom::{Aabb, Interval, Point2, Triangle};
 use cf_storage::{codec, Record};
 
 /// A scalar field sampled on a regular grid.
@@ -202,19 +202,17 @@ impl FieldModel for GridField {
     }
 
     fn cell_interval(&self, cell: usize) -> Interval {
-        Interval::hull(&self.cell_values(cell)).expect("4 corner values")
+        sample_interval(&self.cell_values(cell))
     }
 
     fn record_interval(rec: &GridCellRecord) -> Interval {
-        Interval::hull(&rec.vals).expect("4 corner values")
+        sample_interval(&rec.vals)
     }
 
-    fn record_band_region(rec: &GridCellRecord, band: Interval) -> Vec<Polygon> {
-        rec.triangles()
-            .into_iter()
-            .map(|(tri, vals)| triangle_band(&tri, vals, band.lo, band.hi))
-            .filter(|p| !p.is_empty())
-            .collect()
+    fn record_band_visit(rec: &GridCellRecord, band: Interval, visit: &mut impl FnMut(&[Point2])) {
+        for (tri, vals) in rec.triangles() {
+            triangle_band(&tri, vals, band.lo, band.hi, visit);
+        }
     }
 
     fn domain(&self) -> Aabb<2> {
@@ -274,6 +272,7 @@ impl FieldModel for GridField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cf_geom::Polygon;
 
     /// 3x3 vertices, values = x + 10y (linear plane).
     fn plane_grid() -> GridField {
@@ -389,6 +388,20 @@ mod tests {
             (area - approx).abs() < 2e-3,
             "clipped {area} vs sampled {approx}"
         );
+    }
+
+    #[test]
+    fn nan_record_has_an_interval_that_meets_no_band() {
+        let g = plane_grid();
+        for vals in [[f64::NAN; 4], [0.0, f64::NAN, 1.0, 2.0]] {
+            let rec = GridCellRecord {
+                vals,
+                ..g.cell_record(0)
+            };
+            let iv = GridField::record_interval(&rec);
+            assert!(iv.is_nan(), "{iv}");
+            assert!(!iv.intersects(Interval::new(-1e300, 1e300)));
+        }
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //! * **Q1** (conventional): [`FieldModel::value_at`] finds the cell
 //!   containing a point and interpolates;
 //! * **Q2** (field value queries): the per-cell *estimation step* —
-//!   [`FieldModel::record_band_region`] computes the exact sub-region of
-//!   a cell where the interpolated value lies in a query interval, by
-//!   clipping the cell's triangles against the two half-planes of the
-//!   affine interpolant (see [`estimate`]).
+//!   [`FieldModel::record_band_visit`] passes the exact sub-regions of a
+//!   cell where the interpolated value lies in a query interval to a
+//!   visitor, by clipping the cell's triangles against the two
+//!   half-planes of the affine interpolant on a stack buffer (see
+//!   [`estimate`]). [`FieldModel::record_band_region`] collects the same
+//!   regions as polygons, for callers that keep them.
 //!
 //! Cells also know their on-disk record encoding ([`cf_storage::Record`])
 //! so the value indexes can store them in Hilbert order and run the

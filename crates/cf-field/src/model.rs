@@ -37,11 +37,28 @@ pub trait FieldModel {
 
     /// Decodes the value interval from a stored record (must equal
     /// [`FieldModel::cell_interval`] for the same cell).
+    ///
+    /// Records are decoded bytes, so this must not panic on any of
+    /// them: a record with a NaN sample gets [`Interval::NAN`], which
+    /// intersects no band.
     fn record_interval(rec: &Self::CellRec) -> Interval;
 
-    /// Estimation step for one retrieved cell: the exact sub-regions of
-    /// the cell where the interpolated value lies in `band`.
-    fn record_band_region(rec: &Self::CellRec, band: Interval) -> Vec<Polygon>;
+    /// Estimation step for one retrieved cell: passes each exact
+    /// sub-region of the cell where the interpolated value lies in
+    /// `band` to `visit`, as its vertices (at least three) in boundary
+    /// order. Implementations allocate nothing: the vertices live on
+    /// the stack for the duration of the call.
+    fn record_band_visit(rec: &Self::CellRec, band: Interval, visit: &mut impl FnMut(&[Point2]));
+
+    /// The regions of [`FieldModel::record_band_visit`], collected as
+    /// polygons.
+    fn record_band_region(rec: &Self::CellRec, band: Interval) -> Vec<Polygon> {
+        let mut regions = Vec::new();
+        Self::record_band_visit(rec, band, &mut |vs| {
+            regions.push(Polygon::new(vs.to_vec()));
+        });
+        regions
+    }
 
     /// Bounding box of the spatial domain.
     fn domain(&self) -> Aabb<2>;
@@ -70,4 +87,14 @@ pub trait FieldModel {
     /// `None` when `p` lies outside the cell — the per-cell step of a
     /// disk-resident Q1 query.
     fn record_value_at(rec: &Self::CellRec, p: Point2) -> Option<f64>;
+}
+
+/// The value interval of a cell's samples: their hull, or
+/// [`Interval::NAN`] when any sample is NaN. Unlike [`Interval::hull`]
+/// it never panics, so it is safe on decoded bytes.
+pub(crate) fn sample_interval(samples: &[f64]) -> Interval {
+    if samples.iter().any(|v| v.is_nan()) {
+        return Interval::NAN;
+    }
+    Interval::hull(samples).unwrap_or(Interval::NAN)
 }

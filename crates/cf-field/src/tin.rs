@@ -1,9 +1,9 @@
 //! TIN fields: triangulated irregular networks over scattered samples.
 
 use crate::estimate::triangle_band;
-use crate::model::FieldModel;
+use crate::model::{sample_interval, FieldModel};
 use cf_delaunay::{triangulate, Adjacency, Triangulation, TriangulationError};
-use cf_geom::{Aabb, Interval, Point2, Polygon, Triangle};
+use cf_geom::{Aabb, Interval, Point2, Triangle};
 use cf_storage::{codec, Record};
 
 /// A scalar field over a TIN: each triangle interpolates its three
@@ -149,20 +149,15 @@ impl FieldModel for TinField {
     }
 
     fn cell_interval(&self, cell: usize) -> Interval {
-        Interval::hull(&self.cell_vertex_values(cell)).expect("3 vertex values")
+        sample_interval(&self.cell_vertex_values(cell))
     }
 
     fn record_interval(rec: &TinCellRecord) -> Interval {
-        Interval::hull(&rec.values).expect("3 vertex values")
+        sample_interval(&rec.values)
     }
 
-    fn record_band_region(rec: &TinCellRecord, band: Interval) -> Vec<Polygon> {
-        let region = triangle_band(&rec.triangle(), rec.values, band.lo, band.hi);
-        if region.is_empty() {
-            Vec::new()
-        } else {
-            vec![region]
-        }
+    fn record_band_visit(rec: &TinCellRecord, band: Interval, visit: &mut impl FnMut(&[Point2])) {
+        triangle_band(&rec.triangle(), rec.values, band.lo, band.hi, visit);
     }
 
     fn domain(&self) -> Aabb<2> {

@@ -20,6 +20,22 @@ pub struct Interval {
 }
 
 impl Interval {
+    /// The interval of a cell with a NaN sample: both bounds are NaN, so
+    /// it intersects no interval, contains no value, and a
+    /// [`Interval::union`] with it returns the other operand. It breaks
+    /// the `lo <= hi` invariant on purpose; [`Interval::is_nan`] tells
+    /// it apart.
+    pub const NAN: Interval = Interval {
+        lo: f64::NAN,
+        hi: f64::NAN,
+    };
+
+    /// `true` when either bound is NaN (see [`Interval::NAN`]).
+    #[inline]
+    pub fn is_nan(self) -> bool {
+        self.lo.is_nan() || self.hi.is_nan()
+    }
+
     /// Creates the interval `[lo, hi]`.
     ///
     /// # Panics
@@ -206,6 +222,17 @@ mod tests {
         assert!(!a.intersects(c));
         assert_eq!(a.intersection(b), Some(Interval::point(1.0)));
         assert_eq!(a.intersection(c), None);
+    }
+
+    #[test]
+    fn nan_interval_intersects_nothing_and_vanishes_in_unions() {
+        let a = Interval::new(0.0, 1.0);
+        assert!(Interval::NAN.is_nan() && !a.is_nan());
+        assert!(!Interval::NAN.intersects(a) && !a.intersects(Interval::NAN));
+        assert!(!Interval::NAN.intersects(Interval::NAN));
+        assert!(!Interval::NAN.contains(0.5));
+        assert_eq!(Interval::NAN.union(a), a);
+        assert_eq!(a.union(Interval::NAN), a);
     }
 
     #[test]

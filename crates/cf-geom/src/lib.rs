@@ -13,7 +13,9 @@
 //!   cell shape of TINs and the unit of exact iso-band extraction.
 //! * [`Polygon`] — a simple polygon with Sutherland–Hodgman half-plane
 //!   clipping, used by the estimation step to compute exact answer
-//!   regions of field value queries.
+//!   regions of field value queries. The clip step and the shoelace
+//!   area also work on bare vertex slices ([`clip_halfplane_into`],
+//!   [`signed_area`]), which is how the query path runs them.
 
 //!
 //! # Example
@@ -50,7 +52,7 @@ mod triangle;
 pub use aabb::Aabb;
 pub use interval::Interval;
 pub use point::Point2;
-pub use polygon::{clip_polygon_halfplane, Polygon};
+pub use polygon::{clip_halfplane_into, clip_polygon_halfplane, signed_area, Polygon};
 pub use triangle::Triangle;
 
 /// Tolerance used for geometric predicates on `f64` coordinates.

@@ -6,8 +6,72 @@
 //! interval. With linear interpolation that region is the cell clipped by
 //! two half-planes (`w ≥ a` and `w ≤ b`), which Sutherland–Hodgman
 //! clipping computes exactly.
+//!
+//! The shoelace formula ([`signed_area`]) and the clip step
+//! ([`clip_halfplane_into`]) are each written once, over a vertex slice,
+//! so the estimation step can run them on stack buffers; [`Polygon`]'s
+//! methods are thin wrappers over the same two bodies.
 
 use crate::{Aabb, Point2};
+
+/// Signed area of the polygon whose vertices are `vs` in boundary order,
+/// by the shoelace formula (positive for CCW order); 0 below three
+/// vertices.
+pub fn signed_area(vs: &[Point2]) -> f64 {
+    let n = vs.len();
+    if n < 3 {
+        return 0.0;
+    }
+    let mut acc = 0.0;
+    for i in 0..n {
+        let p = vs[i];
+        let q = vs[(i + 1) % n];
+        acc += p.x * q.y - q.x * p.y;
+    }
+    0.5 * acc
+}
+
+/// One Sutherland–Hodgman step: clips the polygon `vs` against the
+/// half-plane `{p : keep(p) >= 0}`, writes the result to the front of
+/// `out` and returns its vertex count.
+///
+/// `keep` must be an *affine* function of position (a linear field plus a
+/// constant); intersection points on edges are then computed exactly by
+/// linear interpolation of `keep` values. This is precisely the situation
+/// of the estimation step: for a linearly-interpolated cell the functions
+/// `w(p) − a` and `b − w(p)` are affine.
+///
+/// Each input vertex emits at most two points (itself and one edge
+/// crossing), so `out` must hold `2 * vs.len()` points.
+///
+/// # Panics
+///
+/// Panics if `out` is too short for the points the step emits.
+pub fn clip_halfplane_into(
+    vs: &[Point2],
+    keep: impl Fn(Point2) -> f64,
+    out: &mut [Point2],
+) -> usize {
+    let n = vs.len();
+    let mut len = 0;
+    for i in 0..n {
+        let cur = vs[i];
+        let next = vs[(i + 1) % n];
+        let kc = keep(cur);
+        let kn = keep(next);
+        if kc >= 0.0 {
+            out[len] = cur;
+            len += 1;
+        }
+        // Edge crosses the boundary: emit the intersection point.
+        if (kc > 0.0 && kn < 0.0) || (kc < 0.0 && kn > 0.0) {
+            let t = kc / (kc - kn);
+            out[len] = cur.lerp(next, t);
+            len += 1;
+        }
+    }
+    len
+}
 
 /// A simple polygon given by its vertices in order (either orientation).
 ///
@@ -39,17 +103,7 @@ impl Polygon {
 
     /// Signed area by the shoelace formula (positive for CCW order).
     pub fn signed_area(&self) -> f64 {
-        let n = self.vertices.len();
-        if n < 3 {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
-            acc += p.x * q.y - q.x * p.y;
-        }
-        0.5 * acc
+        signed_area(&self.vertices)
     }
 
     /// Absolute area.
@@ -97,33 +151,11 @@ impl From<crate::Triangle> for Polygon {
 }
 
 /// Sutherland–Hodgman clipping of `poly` against the half-plane
-/// `{p : keep(p) >= 0}`.
-///
-/// `keep` must be an *affine* function of position (a linear field plus a
-/// constant); intersection points on edges are then computed exactly by
-/// linear interpolation of `keep` values. This is precisely the situation
-/// of the estimation step: for a linearly-interpolated cell the functions
-/// `w(p) − a` and `b − w(p)` are affine.
+/// `{p : keep(p) >= 0}` ([`clip_halfplane_into`] into a new polygon).
 pub fn clip_polygon_halfplane(poly: &Polygon, keep: impl Fn(Point2) -> f64) -> Polygon {
-    let n = poly.vertices.len();
-    if n == 0 {
-        return Polygon::empty();
-    }
-    let mut out = Vec::with_capacity(n + 2);
-    for i in 0..n {
-        let cur = poly.vertices[i];
-        let next = poly.vertices[(i + 1) % n];
-        let kc = keep(cur);
-        let kn = keep(next);
-        if kc >= 0.0 {
-            out.push(cur);
-        }
-        // Edge crosses the boundary: emit the intersection point.
-        if (kc > 0.0 && kn < 0.0) || (kc < 0.0 && kn > 0.0) {
-            let t = kc / (kc - kn);
-            out.push(cur.lerp(next, t));
-        }
-    }
+    let mut out = vec![Point2::ORIGIN; 2 * poly.vertices.len()];
+    let len = clip_halfplane_into(&poly.vertices, keep, &mut out);
+    out.truncate(len);
     Polygon::new(out)
 }
 

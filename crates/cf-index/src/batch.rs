@@ -82,7 +82,7 @@ impl QueryBatch {
     /// Each query runs the index's ordinary sequential pipeline on one
     /// worker; parallelism is across queries, so the per-query answers
     /// (counts, areas, regions) are identical to calling
-    /// [`ValueIndex::query_with`] in a loop.
+    /// [`ValueIndex::query_regions`] in a loop.
     ///
     /// If any query fails (injected fault, corrupt page), the batch
     /// aborts and returns the first failing worker's error; partial
@@ -133,11 +133,13 @@ impl QueryBatch {
                             };
                             queue_depth.set(self.queries.len().saturating_sub(i + 1) as f64);
                             let qt0 = Instant::now();
-                            let mut regions = Vec::new();
-                            let stats = if self.collect_regions {
-                                index.query_with(engine, band, &mut |p| regions.push(p))?
+                            let (stats, regions) = if self.collect_regions {
+                                index.query_regions(engine, band)?
                             } else {
-                                index.query_stats_scratch(engine, band, &mut scratch)?
+                                (
+                                    index.query_stats_scratch(engine, band, &mut scratch)?,
+                                    Vec::new(),
+                                )
                             };
                             let result = BatchQueryResult {
                                 band,

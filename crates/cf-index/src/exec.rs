@@ -13,17 +13,20 @@
 //! genuinely differs, as a [`Q2`]: the filter source, the cell source,
 //! an optional overlay, and the labels.
 //!
-//! The per-cell path is statically dispatched: the refine body is a
-//! closure handed to the generic `for_each_in_ranges`, monomorphised
-//! per field model, and the overlay lookup exists only in the
-//! instantiation that has an overlay. `LinearScan` and the volume /
-//! vector scans stay hand-written: they are the reference the tests
-//! compare this executor against.
+//! The per-cell path is statically dispatched and allocation-free: the
+//! refine body is a closure handed to the generic `for_each_in_ranges`,
+//! monomorphised per field model, and the overlay lookup exists only in
+//! the instantiation that has an overlay. Each answer region reaches the
+//! caller's sink as a vertex slice on the stack
+//! ([`FieldModel::record_band_visit`]); only a caller that keeps regions
+//! builds polygons from them. `LinearScan` and the volume / vector scans
+//! stay hand-written: they are the reference the tests compare this
+//! executor against.
 
 use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
-use cf_geom::{Aabb, Interval, Polygon};
+use cf_geom::{signed_area, Aabb, Interval, Point2};
 use cf_rtree::{PagedRTree, SearchStats};
 use cf_storage::{
     answer_digest, CellFile, CfResult, ExplainRecord, Label, Record, Stopwatch, StorageEngine,
@@ -212,7 +215,7 @@ pub(crate) fn run<F: FieldModel>(
     band: Interval,
     q: Q2<'_, F::CellRec>,
     scratch: &mut QueryScratch,
-    sink: &mut dyn FnMut(Polygon),
+    sink: &mut dyn FnMut(&[Point2]),
 ) -> CfResult<QueryStats> {
     let QueryScratch { ranges, runs } = scratch;
     let query_clock = Stopwatch::start();
@@ -240,15 +243,17 @@ pub(crate) fn run<F: FieldModel>(
     // adjacent ranges and visiting every data page exactly once.
     let refine_clock = Stopwatch::start();
     coalesce_into(ranges, runs);
+    // The per-cell refine body: every region reaches `sink` as a vertex
+    // slice on the stack, and no polygon is built.
     let mut refine = |rec: F::CellRec| {
         stats.cells_examined += 1;
         if F::record_interval(&rec).intersects(band) {
             stats.cells_qualifying += 1;
-            for region in F::record_band_region(&rec, band) {
+            F::record_band_visit(&rec, band, &mut |vs| {
                 stats.num_regions += 1;
-                stats.area += region.area();
-                sink(region);
-            }
+                stats.area += signed_area(vs).abs();
+                sink(vs);
+            });
         }
     };
     match q.overlay {

@@ -8,10 +8,11 @@
 //! many similar intervals."
 
 use crate::exec::{self, Cells, Filter, Q2};
+use crate::ihilbert::check_record;
 use crate::stats::{QueryMetrics, QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::{Interval, Point2};
 use cf_rtree::PagedRTree;
 use cf_storage::{CellFile, CfError, CfResult, Label, RecordFile, StorageEngine};
 use std::marker::PhantomData;
@@ -60,13 +61,16 @@ impl<F: FieldModel> IAll<F> {
     /// # Errors
     ///
     /// Returns [`CfError::InvalidCell`] when `cell` is outside the
-    /// indexed range — cell ids are user input and must not panic.
+    /// indexed range and [`CfError::InvalidRecord`] for a record with a
+    /// NaN sample — cell ids and records are user input and must not
+    /// panic.
     pub fn update_cell(
         &mut self,
         engine: &StorageEngine,
         cell: usize,
         record: F::CellRec,
     ) -> CfResult<()> {
+        check_record::<F>(cell, &record)?;
         if cell >= self.file.len() {
             return Err(CfError::InvalidCell {
                 cell,
@@ -98,7 +102,7 @@ impl<F: FieldModel> IAll<F> {
         engine: &StorageEngine,
         band: Interval,
         scratch: &mut QueryScratch,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
         let q = Q2 {
             curve: Label::new("-"),
@@ -136,7 +140,7 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
         self.execute(engine, band, &mut QueryScratch::default(), sink)
     }
@@ -214,6 +218,18 @@ mod tests {
             .update_cell(&engine, field.num_cells() + 3, field.cell_record(0))
             .expect_err("out-of-range cell id");
         assert!(err.is_invalid_cell(), "{err}");
+
+        // And on a record with a NaN sample, before anything is written.
+        let nan = cf_field::GridCellRecord {
+            vals: [f64::NAN; 4],
+            ..field.cell_record(3)
+        };
+        let err = iall.update_cell(&engine, 3, nan).expect_err("NaN sample");
+        assert!(err.is_invalid_record(), "{err}");
+        assert_eq!(
+            iall.file.get(&engine, 3).expect("read"),
+            field.cell_record(3)
+        );
 
         // A real update moves the cell into a distant band.
         let cell = 11;

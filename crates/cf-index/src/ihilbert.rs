@@ -13,7 +13,7 @@ pub use crate::sfindex::TreeBuild;
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{build_subfields, subfield_costs, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::{Interval, Point2};
 use cf_sfc::Curve;
 use cf_storage::{CfError, CfResult, StorageEngine};
 
@@ -184,13 +184,16 @@ impl<F: FieldModel> IHilbert<F> {
     /// index was built over (out of range or unmapped under non-dense
     /// ids), and [`CfError::Corrupt`] if a reopened catalog maps it
     /// past the cell file — both would otherwise rewrite some other
-    /// cell's record. Cell ids are user input; neither case panics.
+    /// cell's record. Returns [`CfError::InvalidRecord`] for a record
+    /// with a NaN sample. Cell ids and records are user input; no case
+    /// panics, and none writes anything.
     pub fn update_cell(
         &mut self,
         engine: &StorageEngine,
         cell: usize,
         record: F::CellRec,
     ) -> CfResult<()> {
+        check_record::<F>(cell, &record)?;
         let pos = self.resolve_cell(cell)?;
         self.inner.update_record(engine, pos, &record)
     }
@@ -220,6 +223,17 @@ impl<F: FieldModel> IHilbert<F> {
     }
 }
 
+/// Refuses a user-supplied record with a NaN sample
+/// ([`CfError::InvalidRecord`]): its interval is [`Interval::NAN`], which
+/// no band intersects. Every mutation path calls this before it touches
+/// any state.
+pub(crate) fn check_record<F: FieldModel>(cell: usize, record: &F::CellRec) -> CfResult<()> {
+    if F::record_interval(record).is_nan() {
+        return Err(CfError::InvalidRecord { cell });
+    }
+    Ok(())
+}
+
 /// Method name for a curve choice, as used in the paper's figures and as
 /// the `index` metric label.
 fn method_label(curve: Curve) -> String {
@@ -238,7 +252,7 @@ impl<F: FieldModel> ValueIndex for IHilbert<F> {
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
         let scratch = &mut QueryScratch::default();
         self.inner
@@ -505,6 +519,55 @@ mod tests {
             .update_cell(&engine, hole, rec)
             .expect_err("unmapped cell id must be rejected");
         assert!(err.is_invalid_cell(), "{err}");
+    }
+
+    #[test]
+    fn update_rejects_nan_records_before_writing() {
+        let engine = StorageEngine::in_memory();
+        let field = smooth_field(8);
+        let mut index = IHilbert::build(&engine, &field).expect("build");
+        let band = Interval::new(20.0, 60.0);
+        let want = index.query_stats(&engine, band).expect("query");
+        let cell = 13;
+        for vals in [[f64::NAN; 4], [1.0, 2.0, f64::NAN, 3.0]] {
+            let rec = cf_field::GridCellRecord {
+                vals,
+                ..field.cell_record(cell)
+            };
+            let err = index
+                .update_cell(&engine, cell, rec)
+                .expect_err("a NaN sample must be rejected");
+            assert!(err.is_invalid_record(), "{err}");
+        }
+        // Nothing was written and no pool shard is poisoned: the next
+        // query answers as before and the next valid update applies.
+        let got = index
+            .query_stats(&engine, band)
+            .expect("query after refusal");
+        assert_eq!(got.cells_qualifying, want.cells_qualifying);
+        assert_eq!(got.area.to_bits(), want.area.to_bits());
+        index
+            .update_cell(&engine, cell, field.cell_record(cell))
+            .expect("valid update");
+    }
+
+    #[test]
+    fn nan_record_on_disk_qualifies_for_no_band() {
+        // Decoded bytes may hold NaN samples that no update path would
+        // accept: the query must skip such a cell, not panic on it.
+        let engine = StorageEngine::in_memory();
+        let field = smooth_field(8);
+        let index = IHilbert::build(&engine, &field).expect("build");
+        let pos = index.resolve_cell(13).expect("mapped");
+        let rec = cf_field::GridCellRecord {
+            vals: [f64::NAN; 4],
+            ..field.cell_record(13)
+        };
+        index.inner.file.put(&engine, pos, &rec).expect("raw write");
+        let all = index.value_domain();
+        let stats = index.query_stats(&engine, all).expect("query");
+        assert_eq!(stats.cells_qualifying, field.num_cells() - 1);
+        assert!(stats.area.is_finite());
     }
 
     #[test]

@@ -40,13 +40,13 @@
 //! stalls them.
 
 use crate::exec::Delta;
-use crate::ihilbert::IHilbert;
+use crate::ihilbert::{check_record, IHilbert};
 use crate::planner::{Plan, Router};
 use crate::sfindex::{SubfieldIndex, TreeBuild};
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::{Interval, Point2};
 use cf_storage::{codec, CfError, CfResult, EpochPin, Gauge, Record, Stopwatch, StorageEngine};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -306,8 +306,11 @@ impl<F: FieldModel> LiveIngest<F> {
     /// # Errors
     ///
     /// [`cf_storage::CfError::InvalidCell`] when `cell` is not mapped
-    /// by the base index; I/O errors from the interval recompute.
+    /// by the base index, [`cf_storage::CfError::InvalidRecord`] for a
+    /// record with a NaN sample (refused before the writer lock is
+    /// taken); I/O errors from the interval recompute.
     pub fn ingest(&self, engine: &StorageEngine, cell: usize, record: F::CellRec) -> CfResult<()> {
+        check_record::<F>(cell, &record)?;
         let mut state = self.writer.lock().expect("writer state poisoned");
         let pos = state.base.resolve_cell(cell)? as u32;
         if state.ring.len() >= self.capacity {
@@ -663,7 +666,7 @@ impl<F: FieldModel> EpochSnapshot<F> {
         engine: &StorageEngine,
         band: Interval,
         scratch: &mut QueryScratch,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
         let plan = match &self.router {
             Some(router) => router.route(engine.metrics(), band),
@@ -689,7 +692,7 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
         self.execute(engine, band, &mut QueryScratch::default(), sink)
     }

@@ -18,7 +18,7 @@ use crate::sfindex::{SubfieldIndex, TreeBuild};
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{subfield_costs, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Aabb, Interval, Polygon};
+use cf_geom::{Aabb, Interval, Point2};
 use cf_storage::{CfResult, StorageEngine};
 
 /// Hard recursion cap: guards against non-termination when many cell
@@ -167,7 +167,7 @@ impl<F: FieldModel> ValueIndex for IntervalQuadtree<F> {
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
         let scratch = &mut QueryScratch::default();
         self.inner

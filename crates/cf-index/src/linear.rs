@@ -6,7 +6,7 @@
 
 use crate::stats::{QueryStats, ValueIndex};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::{signed_area, Interval, Point2};
 use cf_storage::{CellFile, CfResult, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 
@@ -45,7 +45,7 @@ impl<F: FieldModel> ValueIndex for LinearScan<F> {
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
         let before = cf_storage::thread_io_stats();
         let mut stats = QueryStats::default();
@@ -54,11 +54,11 @@ impl<F: FieldModel> ValueIndex for LinearScan<F> {
                 stats.cells_examined += 1;
                 if F::record_interval(&rec).intersects(band) {
                     stats.cells_qualifying += 1;
-                    for region in F::record_band_region(&rec, band) {
+                    F::record_band_visit(&rec, band, &mut |vs| {
                         stats.num_regions += 1;
-                        stats.area += region.area();
-                        sink(region);
-                    }
+                        stats.area += signed_area(vs).abs();
+                        sink(vs);
+                    });
                 }
             })?;
         stats.io = cf_storage::thread_io_stats() - before;

@@ -17,7 +17,7 @@
 use crate::ihilbert::IHilbert;
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::{Interval, Point2};
 use cf_storage::{CfResult, Counter, MetricsRegistry, StorageEngine};
 use std::sync::OnceLock;
 
@@ -218,7 +218,7 @@ impl<F: FieldModel> ValueIndex for AdaptiveIndex<F> {
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
         let plan = self.router.route(engine.metrics(), band);
         let scratch = &mut QueryScratch::default();

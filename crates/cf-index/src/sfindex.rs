@@ -9,7 +9,7 @@ use crate::planner::Plan;
 use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
-use cf_geom::{Interval, Polygon};
+use cf_geom::{Interval, Point2};
 use cf_rtree::{bulk_load_str, PagedRTree, RTreeConfig};
 use cf_storage::{CellFile, CfResult, Label, MetricsRegistry, PageCodec, StorageEngine};
 use std::marker::PhantomData;
@@ -278,7 +278,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
         plan: Plan,
         delta: Option<&Delta<'_, F::CellRec>>,
         scratch: &mut QueryScratch,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
         let filter = (plan == Plan::IndexProbe).then(|| Filter {
             tree: &self.tree,

@@ -1,6 +1,6 @@
 //! The common query interface and per-query statistics.
 
-use cf_geom::{Interval, Polygon};
+use cf_geom::{Interval, Point2, Polygon};
 use cf_storage::{
     CfResult, Counter, ExplainRecord, Histogram, IoStats, Label, MetricsRegistry, StorageEngine,
     Tracer,
@@ -118,7 +118,9 @@ pub trait ValueIndex: Send + Sync {
     fn name(&self) -> String;
 
     /// Runs the full query pipeline, passing each non-empty answer
-    /// region to `sink`, and returns the statistics.
+    /// region to `sink` as its vertices in boundary order, and returns
+    /// the statistics. The slice is valid only for the call: a sink that
+    /// keeps regions copies them ([`ValueIndex::query_regions`]).
     ///
     /// I/O failures — injected faults, corrupt pages — abort the query
     /// with the underlying [`cf_storage::CfError`]; regions already
@@ -127,7 +129,7 @@ pub trait ValueIndex: Send + Sync {
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(Polygon),
+        sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats>;
 
     /// Runs the query and discards region geometry (keeps area/counts).
@@ -156,7 +158,9 @@ pub trait ValueIndex: Send + Sync {
         band: Interval,
     ) -> CfResult<(QueryStats, Vec<Polygon>)> {
         let mut regions = Vec::new();
-        let stats = self.query_with(engine, band, &mut |p| regions.push(p))?;
+        let stats = self.query_with(engine, band, &mut |vs| {
+            regions.push(Polygon::new(vs.to_vec()));
+        })?;
         Ok((stats, regions))
     }
 

@@ -538,6 +538,37 @@ fn ingest_rejects_invalid_cells_with_typed_error() {
     assert_eq!((delta, epoch), (0, 0), "failed ingest must not publish");
 }
 
+/// A record with a NaN sample is refused with a typed error before any
+/// state moves. It used to panic inside the interval recompute, which
+/// poisoned the writer mutex, so every later ingest panicked too.
+#[test]
+fn ingest_rejects_nan_records_without_poisoning_the_plane() {
+    let field = wavy_field(8);
+    let engine = StorageEngine::in_memory();
+    let base = IHilbert::build(&engine, &field).expect("build");
+    let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let band = Interval::new(-10.0, 10.0);
+    let want = live.snapshot().query_stats(&engine, band).expect("query");
+    for vals in [[f64::NAN; 4], [1.0, f64::NAN, 2.0, 3.0]] {
+        let rec = GridCellRecord {
+            vals,
+            ..field.cell_record(3)
+        };
+        let err = live.ingest(&engine, 3, rec).expect_err("NaN sample");
+        assert!(err.is_invalid_record(), "{err}");
+        assert_eq!(
+            live.status(),
+            (0, 0, 0),
+            "a refused ingest must not publish"
+        );
+    }
+    let got = live.snapshot().query_stats(&engine, band).expect("query");
+    assert_bitexact(&got, &want, "snapshot after refused ingests");
+    live.ingest(&engine, 3, field.cell_record(3))
+        .expect("a valid ingest still goes through");
+    assert_eq!(live.status().0, 1);
+}
+
 /// Regression for the backpressure path: a write landing on a
 /// ring-at-capacity plane performs an inline synchronous drain, and
 /// the pressure gauges must stay truthful through it —

@@ -82,6 +82,13 @@ pub enum CfError {
         /// id range, though sparse indexes may hold holes inside it).
         cells: usize,
     },
+    /// A caller-supplied record carries a NaN sample value. Such a
+    /// record has no value interval, so no index could find it again;
+    /// mutation paths refuse it before touching any state.
+    InvalidRecord {
+        /// The cell id the record was supplied for.
+        cell: usize,
+    },
     /// A caller-supplied record index or range list does not fit the
     /// record file it was handed to: an index or range end past `len`,
     /// or ranges that are inverted, unsorted or overlapping. Nothing
@@ -122,6 +129,11 @@ impl CfError {
     /// `true` for [`CfError::InvalidCell`].
     pub fn is_invalid_cell(&self) -> bool {
         matches!(self, CfError::InvalidCell { .. })
+    }
+
+    /// `true` for [`CfError::InvalidRecord`].
+    pub fn is_invalid_record(&self) -> bool {
+        matches!(self, CfError::InvalidRecord { .. })
     }
 
     /// `true` for [`CfError::InvalidRange`].
@@ -166,6 +178,9 @@ impl fmt::Display for CfError {
                     f,
                     "cell id {cell} is not mapped by this index ({cells} cells)"
                 )
+            }
+            CfError::InvalidRecord { cell } => {
+                write!(f, "record for cell {cell} has a NaN sample value")
             }
             CfError::InvalidRange { detail } => {
                 write!(f, "invalid record range: {detail}")
