@@ -103,16 +103,7 @@ impl<const K: usize> VectorGridField<K> {
     /// The `K`-dimensional box of all values inside the cell (hull of
     /// corner vectors — exact for per-component linear interpolation).
     pub fn cell_value_box(&self, cell: usize) -> Aabb<K> {
-        let corners = self.cell_values(cell);
-        let mut lo = corners[0];
-        let mut hi = corners[0];
-        for corner in &corners[1..] {
-            for d in 0..K {
-                lo[d] = lo[d].min(corner[d]);
-                hi[d] = hi[d].max(corner[d]);
-            }
-        }
-        Aabb::new(lo, hi)
+        self.cell_record(cell).value_box()
     }
 
     /// Hull of all value vectors (for normalizing query boxes).
@@ -134,14 +125,7 @@ impl<const K: usize> VectorGridField<K> {
 
     /// Q1 query: the interpolated value vector at `p`.
     pub fn value_at(&self, p: Point2) -> Option<[f64; K]> {
-        let dom = Aabb::new(
-            [self.origin.x, self.origin.y],
-            [
-                self.origin.x + (self.vw - 1) as f64 * self.dx,
-                self.origin.y + (self.vh - 1) as f64 * self.dy,
-            ],
-        );
-        if !dom.contains_point(&[p.x, p.y]) {
+        if !self.domain().contains_point(&[p.x, p.y]) {
             return None;
         }
         let fx = (p.x - self.origin.x) / self.dx;
@@ -180,8 +164,18 @@ pub struct VectorCellRecord<const K: usize> {
 }
 
 impl<const K: usize> VectorCellRecord<K> {
-    /// The value box of the cell (hull of corner vectors).
+    /// The value box of the cell (hull of corner vectors). A NaN
+    /// component in any corner makes it the all-NaN box, which
+    /// intersects no query box — the vector form of the scalar fields'
+    /// [`cf_geom::Interval::NAN`] rule, so decoded bytes never panic.
     pub fn value_box(&self) -> Aabb<K> {
+        if self.vals.iter().flatten().any(|v| v.is_nan()) {
+            // Field by field: `Aabb::new` asserts `lo <= hi`.
+            return Aabb {
+                lo: [f64::NAN; K],
+                hi: [f64::NAN; K],
+            };
+        }
         let mut lo = self.vals[0];
         let mut hi = self.vals[0];
         for corner in &self.vals[1..] {

@@ -18,6 +18,7 @@
 //!   (`F(t) = Σᵢ (t−dᵢ)₊³ / Πⱼ≠ᵢ (dⱼ−dᵢ)`); no polyhedron clipping is
 //!   needed.
 
+use crate::model::sample_interval;
 use cf_geom::Interval;
 use cf_storage::{codec, Record};
 
@@ -123,7 +124,7 @@ impl Grid3Field {
     /// Interval of all values inside the cell (corner hull — exact for
     /// the piecewise-linear tetrahedral interpolant).
     pub fn cell_interval(&self, cell: usize) -> Interval {
-        Interval::hull(&self.cell_values(cell)).expect("8 corners")
+        sample_interval(&self.cell_values(cell))
     }
 
     /// Center of the cell (unit spacing), the 3-D Hilbert ordering key.
@@ -263,9 +264,11 @@ pub struct VolumeCellRecord {
 }
 
 impl VolumeCellRecord {
-    /// Value interval of the cell.
+    /// Value interval of the cell: the corner hull, or [`Interval::NAN`]
+    /// (which meets no band) when any corner is NaN — so a query never
+    /// hands a decoded NaN sample to [`VolumeCellRecord::band_volume`].
     pub fn interval(&self) -> Interval {
-        Interval::hull(&self.vals).expect("8 corners")
+        sample_interval(&self.vals)
     }
 
     /// Exact measure of `{w ∈ band}` within this unit cell: sum over the

@@ -21,7 +21,9 @@
 //! ([`FieldModel::record_band_visit`]); only a caller that keeps regions
 //! builds polygons from them. `LinearScan` and the volume / vector scans
 //! stay hand-written: they are the reference the tests compare this
-//! executor against.
+//! executor against. The volume and vector indexes share its filter
+//! ([`search_ranges`], generic over the tree dimension) and its range
+//! merge rule ([`coalesce_into`]) through [`probe`].
 
 use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
 use crate::subfield::Subfield;
@@ -93,37 +95,58 @@ pub(crate) enum Cells<'a, R: Record> {
     Each(&'a CellFile<R>),
 }
 
-/// Searches `tree` for the subfields whose interval intersects `band`
-/// and collects their record ranges into `ranges`. Leaf payloads are
-/// on-disk bytes: one that does not unpack to a non-empty range inside
-/// the `cells`-record cell file is reported as [`cf_storage::CfError::Corrupt`]
-/// ([`Subfield::try_unpack`]), so everything downstream — the overrides'
-/// position lookup, the range sweep — may index by what it is handed.
-pub(crate) fn search_ranges(
-    tree: &PagedRTree<1>,
+/// Searches `tree` for the subfields whose key (interval, or value box
+/// of a vector field) intersects `query` and collects their record
+/// ranges into `ranges`. Leaf payloads are on-disk bytes: one that does
+/// not unpack to a non-empty range inside the `cells`-record cell file is
+/// reported as [`cf_storage::CfError::Corrupt`] ([`Subfield::try_unpack`]),
+/// so everything downstream — the overrides' position lookup, the range
+/// sweep — may index by what it is handed.
+pub(crate) fn search_ranges<const N: usize>(
+    tree: &PagedRTree<N>,
     engine: &StorageEngine,
-    band: Interval,
+    query: &Aabb<N>,
     cells: usize,
     ranges: &mut Vec<(u32, u32)>,
 ) -> CfResult<SearchStats> {
     ranges.clear();
     let mut bad_payload = None;
-    let search =
-        tree.search(
-            engine,
-            &band.into(),
-            |data: u64, mbr: &Aabb<1>| match Subfield::try_unpack(
-                data,
-                Interval::new(mbr.lo[0], mbr.hi[0]),
-                cells,
-            ) {
-                Ok(sf) => ranges.push((sf.start, sf.end)),
-                Err(e) => {
-                    bad_payload.get_or_insert(e);
-                }
-            },
-        )?;
+    let search = tree.search(engine, query, |data, mbr| {
+        match Subfield::try_unpack(data, *mbr, cells) {
+            Ok(sf) => ranges.push((sf.start, sf.end)),
+            Err(e) => {
+                bad_payload.get_or_insert(e);
+            }
+        }
+    })?;
     bad_payload.map_or(Ok(search), Err)
+}
+
+/// The probe of the volume and vector indexes, whose refine lies
+/// outside [`FieldModel`]: [`run`]'s filter ([`search_ranges`]) and range
+/// merge ([`coalesce_into`]), then every record of the runs, in
+/// ascending position, to `refine`, which counts what qualifies.
+pub(crate) fn probe<const N: usize, R: Record>(
+    engine: &StorageEngine,
+    tree: &PagedRTree<N>,
+    file: &CellFile<R>,
+    query: &Aabb<N>,
+    mut refine: impl FnMut(&mut QueryStats, R),
+) -> CfResult<QueryStats> {
+    let before = cf_storage::thread_io_stats();
+    let mut stats = QueryStats::default();
+    let (mut ranges, mut runs) = (Vec::new(), Vec::new());
+    let search = search_ranges(tree, engine, query, file.len(), &mut ranges)?;
+    stats.filter_nodes = search.nodes_visited;
+    stats.intervals_retrieved = ranges.len();
+    stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
+    coalesce_into(&mut ranges, &mut runs);
+    file.for_each_in_ranges(engine, &runs, |_, rec| {
+        stats.cells_examined += 1;
+        refine(&mut stats, rec);
+    })?;
+    stats.io = cf_storage::thread_io_stats() - before;
+    Ok(stats)
 }
 
 impl Filter<'_> {
@@ -137,7 +160,7 @@ impl Filter<'_> {
         cells: usize,
         ranges: &mut Vec<(u32, u32)>,
     ) -> CfResult<SearchStats> {
-        let search = search_ranges(self.tree, engine, band, cells, ranges)?;
+        let search = search_ranges(self.tree, engine, &band.into(), cells, ranges)?;
         // Drop base hits whose effective interval left the band, add
         // subfields whose effective interval entered it. The two sets
         // are disjoint by construction, so no dedup is needed, and the

@@ -9,7 +9,6 @@
 use crate::order::cell_order;
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
-pub use crate::sfindex::TreeBuild;
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{build_subfields, subfield_costs, SubfieldConfig};
 use cf_field::FieldModel;
@@ -25,8 +24,6 @@ pub struct IHilbertConfig {
     pub curve: CurveChoice,
     /// Cost-function knobs (paper defaults).
     pub subfield: SubfieldConfig,
-    /// R\*-tree build strategy.
-    pub tree_build: TreeBuild,
 }
 
 /// Wrapper defaulting the curve to Hilbert.
@@ -61,7 +58,7 @@ impl<F: FieldModel> IHilbert<F> {
         let order = cell_order(field, config.curve.0);
         let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
         let subfields = build_subfields(&intervals, config.subfield);
-        let mut inner = SubfieldIndex::build(engine, field, &order, &subfields, config.tree_build)?;
+        let mut inner = SubfieldIndex::build(engine, field, &order, &subfields)?;
         inner.set_metric_label(method_label(config.curve.0));
         inner.set_curve_label(config.curve.0.name());
         // Exact per-subfield cost C = P/SI (the paper's `P = L`, base
@@ -382,36 +379,6 @@ mod tests {
             assert_eq!(a.cells_qualifying, b.cells_qualifying, "curve {curve:?}");
             assert!((a.area - b.area).abs() < 1e-9 * a.area.max(1.0));
         }
-    }
-
-    #[test]
-    fn bulk_build_equals_dynamic_build() {
-        let engine = StorageEngine::in_memory();
-        let field = smooth_field(16);
-        let dynamic = IHilbert::build_with(
-            &engine,
-            &field,
-            IHilbertConfig {
-                tree_build: TreeBuild::Dynamic,
-                ..Default::default()
-            },
-        )
-        .expect("build");
-        let bulk = IHilbert::build_with(
-            &engine,
-            &field,
-            IHilbertConfig {
-                tree_build: TreeBuild::Bulk,
-                ..Default::default()
-            },
-        )
-        .expect("build");
-        let band = Interval::new(10.0, 30.0);
-        let a = dynamic.query_stats(&engine, band).expect("query");
-        let b = bulk.query_stats(&engine, band).expect("query");
-        assert_eq!(a.cells_qualifying, b.cells_qualifying);
-        assert_eq!(a.cells_examined, b.cells_examined);
-        assert!((a.area - b.area).abs() < 1e-9);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! reader. This module refactors the mutation path into three
 //! cooperating parts:
 //!
-//! 1. **A mutable delta plane** ([`LiveIngest`]): an append-only ring
-//!    of `(position, record)` overlays with its own small interval
-//!    summary (per-touched-subfield effective intervals). Ingest
+//! 1. **A mutable delta plane** ([`LiveIngest`]): the net overlay
+//!    record per touched position, a count of the writes since the
+//!    last drain, and a small interval summary (per-touched-subfield
+//!    effective intervals). Ingest
 //!    writes land here — the immutable base (cell file and tree
 //!    pages) is never touched, so tree surgery is off the write path
 //!    entirely.
@@ -42,7 +43,7 @@
 use crate::exec::Delta;
 use crate::ihilbert::{check_record, IHilbert};
 use crate::planner::{Plan, Router};
-use crate::sfindex::{SubfieldIndex, TreeBuild};
+use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
@@ -91,7 +92,7 @@ impl<R: Record> Record for DeltaRec<R> {
 /// Construction knobs of [`LiveIngest`].
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
-    /// Delta-ring capacity: when an ingest would exceed it, the write
+    /// Delta capacity, in writes: when an ingest would exceed it, the write
     /// performs an inline synchronous drain (the backpressure path) —
     /// ordinarily a background [`LiveIngest::repack`] drains first.
     pub capacity: usize,
@@ -116,9 +117,9 @@ impl Default for IngestConfig {
 struct WriterState<F: FieldModel> {
     /// The immutable base plane of the current epoch.
     base: Arc<IHilbert<F>>,
-    /// Append-only delta ring since the last drain (may hold several
-    /// entries for one position; the overlay map is the net effect).
-    ring: Vec<DeltaRec<F::CellRec>>,
+    /// Writes since the last drain (several may hit one position; the
+    /// overlay map is their net effect), at most `IngestConfig::capacity`.
+    writes: usize,
     /// Net overlay per touched cell-file position.
     overlays: HashMap<u32, F::CellRec>,
     /// Effective (overlay-aware) interval per touched subfield — the
@@ -199,19 +200,20 @@ impl<F: FieldModel> LiveIngest<F> {
     }
 
     /// Internal constructor shared by [`LiveIngest::new`] and the
-    /// catalog reopen path: seeds the ring (net overlays, e.g. from a
-    /// flushed delta file) and the publication epoch.
+    /// catalog reopen path: seeds the delta (net overlays, e.g. from a
+    /// flushed delta file, each counted as one write) and the
+    /// publication epoch.
     ///
     /// # Errors
     ///
-    /// [`CfError::Corrupt`] when a ring entry overlays a position past
+    /// [`CfError::Corrupt`] when a delta entry overlays a position past
     /// the base cell file.
     pub(crate) fn from_state(
         engine: &StorageEngine,
         base: IHilbert<F>,
         config: IngestConfig,
         epoch: u64,
-        ring: Vec<DeltaRec<F::CellRec>>,
+        delta: Vec<DeltaRec<F::CellRec>>,
     ) -> CfResult<Self> {
         let base = Arc::new(base);
         let router = match config.scan_threshold {
@@ -229,7 +231,7 @@ impl<F: FieldModel> LiveIngest<F> {
         };
         let mut state = WriterState {
             base,
-            ring: Vec::new(),
+            writes: 0,
             overlays: HashMap::new(),
             sf_overrides: HashMap::new(),
             epoch,
@@ -241,7 +243,7 @@ impl<F: FieldModel> LiveIngest<F> {
         // Replayed positions come from the on-disk delta file: bound
         // them before anything indexes by them.
         let cells = state.base.inner_len();
-        for d in ring {
+        for d in delta {
             if d.pos as usize >= cells {
                 return Err(CfError::corrupt(
                     None,
@@ -251,8 +253,8 @@ impl<F: FieldModel> LiveIngest<F> {
                     ),
                 ));
             }
-            state.overlays.insert(d.pos, d.rec.clone());
-            state.ring.push(d);
+            state.overlays.insert(d.pos, d.rec);
+            state.writes += 1;
         }
         for &pos in state.overlays.keys() {
             let sf_idx = state.base.inner().pos_to_subfield[pos as usize];
@@ -299,7 +301,7 @@ impl<F: FieldModel> LiveIngest<F> {
     /// surgery — so the write cost is O(subfield size)
     /// for the interval summary plus the snapshot publication.
     ///
-    /// When the delta ring is at capacity, the write first performs an
+    /// When the delta is at capacity, the write first performs an
     /// inline synchronous drain (see [`LiveIngest::repack`]) — the
     /// backpressure path.
     ///
@@ -313,12 +315,12 @@ impl<F: FieldModel> LiveIngest<F> {
         check_record::<F>(cell, &record)?;
         let mut state = self.writer.lock().expect("writer state poisoned");
         let pos = state.base.resolve_cell(cell)? as u32;
-        if state.ring.len() >= self.capacity {
+        if state.writes >= self.capacity {
             self.repack_locked(engine, &mut state)?;
         }
         // Recompute the subfield's interval summary with the new record
         // overlaid *before* mutating any state: if the recompute I/O
-        // fails, the ring, overlay map, gauges and published snapshot
+        // fails, the write count, overlay map, gauges and published snapshot
         // all still agree (no half-applied write left behind).
         let sf_idx = state.base.inner().pos_to_subfield[pos as usize];
         let iv = effective_sf_interval(
@@ -328,10 +330,7 @@ impl<F: FieldModel> LiveIngest<F> {
             Some((pos, &record)),
             sf_idx as usize,
         )?;
-        state.ring.push(DeltaRec {
-            pos,
-            rec: record.clone(),
-        });
+        state.writes += 1;
         state.overlays.insert(pos, record);
         state.sf_overrides.insert(sf_idx, iv);
         state.epoch += 1;
@@ -362,7 +361,7 @@ impl<F: FieldModel> LiveIngest<F> {
         engine: &StorageEngine,
         state: &mut WriterState<F>,
     ) -> CfResult<RepackReport> {
-        if state.ring.is_empty() {
+        if state.writes == 0 {
             return Ok(RepackReport {
                 repacked: false,
                 drained: 0,
@@ -372,12 +371,12 @@ impl<F: FieldModel> LiveIngest<F> {
         }
         let gauges = self.gauges(engine);
         gauges.repack_inflight.set(1.0);
-        let (epoch, ring_len) = (state.epoch, state.ring.len());
+        let (epoch, writes) = (state.epoch, state.writes);
         engine.metrics().journal().emit_with(|| {
             cf_storage::Json::obj([
                 ("event", cf_storage::Json::Str("repack_start".into())),
                 ("epoch", cf_storage::Json::Num(epoch as f64)),
-                ("delta_records", cf_storage::Json::Num(ring_len as f64)),
+                ("delta_records", cf_storage::Json::Num(writes as f64)),
             ])
         });
         let result = self.repack_inner(engine, state);
@@ -391,7 +390,7 @@ impl<F: FieldModel> LiveIngest<F> {
         state: &mut WriterState<F>,
     ) -> CfResult<RepackReport> {
         let repack_clock = Stopwatch::start();
-        let drained = state.ring.len();
+        let drained = state.writes;
         // Held past the swap below: `repack_end` compares the two
         // subfield catalogs.
         let old_base = Arc::clone(&state.base);
@@ -411,8 +410,7 @@ impl<F: FieldModel> LiveIngest<F> {
         let old_tree = inner.tree.page_run();
         let old_sf = (inner.sf_file.first_page(), inner.sf_file.num_pages());
 
-        let new_inner =
-            SubfieldIndex::build_from_records(engine, records, &subfields, TreeBuild::Dynamic)?;
+        let new_inner = SubfieldIndex::build_from_records(engine, records, &subfields)?;
         let new_base = IHilbert::from_parts(
             new_inner,
             state.base.curve(),
@@ -424,7 +422,7 @@ impl<F: FieldModel> LiveIngest<F> {
             state.router = Some(Arc::new(Router::new(intervals.into_iter(), threshold)));
         }
         state.base = Arc::new(new_base);
-        state.ring.clear();
+        state.writes = 0;
         state.overlays.clear();
         state.sf_overrides.clear();
         state.epoch += 1;
@@ -490,7 +488,7 @@ impl<F: FieldModel> LiveIngest<F> {
         *self.published.write().expect("published epoch poisoned") = snapshot;
         self.gauges(engine).epoch_age_ns.set(epoch_age_ns as f64);
         self.refresh_gauges(engine, state);
-        let (epoch, delta_records) = (state.epoch, state.ring.len());
+        let (epoch, delta_records) = (state.epoch, state.writes);
         engine.metrics().journal().emit_with(|| {
             cf_storage::Json::obj([
                 ("event", cf_storage::Json::Str("epoch_published".into())),
@@ -503,18 +501,19 @@ impl<F: FieldModel> LiveIngest<F> {
 
     fn refresh_gauges(&self, engine: &StorageEngine, state: &WriterState<F>) {
         let gauges = self.gauges(engine);
-        gauges.delta_records.set(state.ring.len() as f64);
+        gauges.delta_records.set(state.writes as f64);
         gauges.epoch.set(state.epoch as f64);
         gauges
             .repack_lag_ns
             .set(state.last_drain.elapsed().as_nanos() as f64);
     }
 
-    /// `(delta records in the ring, publication epoch, completed
-    /// repacks)` — writer-side introspection for tests and tools.
+    /// `(delta records written since the last drain, publication epoch,
+    /// completed repacks)` — writer-side introspection for tests and
+    /// tools.
     pub fn status(&self) -> (usize, u64, u64) {
         let state = self.writer.lock().expect("writer state poisoned");
-        (state.ring.len(), state.epoch, state.repacks)
+        (state.writes, state.epoch, state.repacks)
     }
 
     /// The effective record of `cell` in the current epoch — the

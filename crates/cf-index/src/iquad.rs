@@ -14,7 +14,7 @@
 //! intervals go into the same paged 1-D R\*-tree.
 
 use crate::planner::Plan;
-use crate::sfindex::{SubfieldIndex, TreeBuild};
+use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::{subfield_costs, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
@@ -65,8 +65,7 @@ impl<F: FieldModel> IntervalQuadtree<F> {
         );
         debug_assert_eq!(order.len(), n);
 
-        let mut inner =
-            SubfieldIndex::build(engine, field, &order, &subfields, TreeBuild::Dynamic)?;
+        let mut inner = SubfieldIndex::build(engine, field, &order, &subfields)?;
         inner.set_metric_label("I-Quad");
         let costs = subfield_costs(&subfields, SubfieldConfig::default(), |pos| {
             intervals[order[pos]]

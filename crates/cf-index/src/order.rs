@@ -7,59 +7,59 @@
 //! same grid cell) are broken by cell index for determinism.
 
 use cf_field::FieldModel;
+use cf_geom::{Aabb, Point2};
 use cf_sfc::Curve;
 
 /// Quantization order of the curve grid (32768 × 32768 positions — finer
 /// than any workload's cell grid, so grid DEM cells map injectively).
 pub const CURVE_ORDER: u32 = 15;
 
-/// Quantizes cell centroids onto the curve grid.
-#[derive(Debug, Clone, Copy)]
-struct Quantizer {
-    lo: [f64; 2],
-    w: f64,
-    h: f64,
+/// Quantizes `p` onto a `2^bits` grid per axis of `domain` (an axis of
+/// zero extent maps to 0) — the one step every cell order (2-D, 3-D,
+/// vector) shares.
+pub(crate) fn quantize<const D: usize>(p: [f64; D], domain: &Aabb<D>, bits: u32) -> [u64; D] {
+    let side = ((1u64 << bits) - 1) as f64;
+    std::array::from_fn(|d| {
+        let extent = domain.extent(d);
+        if extent > 0.0 {
+            (((p[d] - domain.lo[d]) / extent).clamp(0.0, 1.0) * side) as u64
+        } else {
+            0
+        }
+    })
 }
 
-impl Quantizer {
-    fn new<F: FieldModel>(field: &F) -> Self {
-        let domain = field.domain();
-        Self {
-            lo: domain.lo,
-            w: domain.extent(0),
-            h: domain.extent(1),
-        }
-    }
+/// The cells `0..n` sorted by `key`, ties broken by cell index for
+/// determinism.
+pub(crate) fn order_by<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> Vec<usize> {
+    let mut keyed: Vec<(K, usize)> = (0..n).map(|cell| (key(cell), cell)).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, cell)| cell).collect()
+}
 
-    fn grid_point<F: FieldModel>(&self, field: &F, cell: usize) -> (u64, u64) {
-        let side = (1u64 << CURVE_ORDER) - 1;
-        let c = field.cell_centroid(cell);
-        let qx = if self.w > 0.0 {
-            (((c.x - self.lo[0]) / self.w).clamp(0.0, 1.0) * side as f64) as u64
-        } else {
-            0
-        };
-        let qy = if self.h > 0.0 {
-            (((c.y - self.lo[1]) / self.h).clamp(0.0, 1.0) * side as f64) as u64
-        } else {
-            0
-        };
-        (qx, qy)
-    }
+/// The cells `0..n` of a planar `domain` ordered along `curve` by the
+/// quantized `centroid` of each.
+pub(crate) fn plane_order(
+    n: usize,
+    domain: Aabb<2>,
+    centroid: impl Fn(usize) -> Point2,
+    curve: Curve,
+) -> Vec<usize> {
+    order_by(n, |cell| {
+        let c = centroid(cell);
+        let [qx, qy] = quantize([c.x, c.y], &domain, CURVE_ORDER);
+        curve.index(qx, qy, CURVE_ORDER)
+    })
 }
 
 /// Returns the cell indices of `field` ordered along `curve`.
 pub fn cell_order<F: FieldModel>(field: &F, curve: Curve) -> Vec<usize> {
-    let n = field.num_cells();
-    let q = Quantizer::new(field);
-    let mut keyed: Vec<(u64, usize)> = (0..n)
-        .map(|cell| {
-            let (qx, qy) = q.grid_point(field, cell);
-            (curve.index(qx, qy, CURVE_ORDER), cell)
-        })
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, cell)| cell).collect()
+    plane_order(
+        field.num_cells(),
+        field.domain(),
+        |cell| field.cell_centroid(cell),
+        curve,
+    )
 }
 
 #[cfg(test)]

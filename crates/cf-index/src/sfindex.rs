@@ -10,20 +10,10 @@ use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Interval, Point2};
-use cf_rtree::{bulk_load_str, PagedRTree, RTreeConfig};
+use cf_rtree::PagedRTree;
 use cf_storage::{CellFile, CfResult, Label, MetricsRegistry, PageCodec, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
-
-/// How the subfield R\*-tree is constructed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TreeBuild {
-    /// One-by-one R\* insertion (what the paper's system does).
-    #[default]
-    Dynamic,
-    /// Packed bulk loading (Kamel–Faloutsos) — the build-time ablation.
-    Bulk,
-}
 
 /// Bucket bounds of the `index_health_cost_c` histogram. `C = P/SI` is
 /// 1.0 for a single-cell subfield and falls toward 0 as a subfield
@@ -62,47 +52,30 @@ impl<F: FieldModel> SubfieldIndex<F> {
         field: &F,
         order: &[usize],
         subfields: &[Subfield],
-        tree_build: TreeBuild,
     ) -> CfResult<Self> {
         debug_assert_eq!(order.len(), field.num_cells());
         let records: Vec<F::CellRec> = order.iter().map(|&c| field.cell_record(c)).collect();
-        let file = CellFile::create(engine, records)?;
-        Self::finish(engine, file, subfields, tree_build)
-    }
-
-    /// Shared tail of both builds: index the subfield intervals and
-    /// persist the catalog.
-    fn finish(
-        engine: &StorageEngine,
-        file: CellFile<F::CellRec>,
-        subfields: &[Subfield],
-        tree_build: TreeBuild,
-    ) -> CfResult<Self> {
-        let entries = subfields.iter().map(|sf| (sf.interval.into(), sf.pack()));
-        let tree = match tree_build {
-            TreeBuild::Dynamic => PagedRTree::build(engine, entries)?,
-            TreeBuild::Bulk => PagedRTree::persist(
-                &bulk_load_str(entries.collect(), RTreeConfig::page_sized::<1>()),
-                engine,
-            )?,
-        };
-        let sf_file = CellFile::create(engine, subfields.to_vec())?;
-        Ok(Self::assemble(file, tree, subfields.to_vec(), sf_file))
+        Self::build_from_records(engine, records, subfields)
     }
 
     /// Builds an index over records already materialized by the caller
     /// (the live-ingest repacker, which reads the old base and applies
     /// its delta overlays before regrouping). The records must be in
     /// the intended file order; `subfields` is expressed in positions
-    /// of that order.
+    /// of that order. The subfield intervals enter the tree by
+    /// one-by-one R\* insertion ([`PagedRTree::build`]), as in §3.2.
     pub(crate) fn build_from_records(
         engine: &StorageEngine,
         records: Vec<F::CellRec>,
         subfields: &[Subfield],
-        tree_build: TreeBuild,
     ) -> CfResult<Self> {
         let file = CellFile::create(engine, records)?;
-        Self::finish(engine, file, subfields, tree_build)
+        let tree = PagedRTree::build(
+            engine,
+            subfields.iter().map(|sf| (sf.interval.into(), sf.pack())),
+        )?;
+        let sf_file = CellFile::create(engine, subfields.to_vec())?;
+        Ok(Self::assemble(file, tree, subfields.to_vec(), sf_file))
     }
 
     /// Reattaches to an index persisted in `engine` from its catalog

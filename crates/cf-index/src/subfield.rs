@@ -18,8 +18,12 @@
 //! computes `P = L` — i.e. the additive query term is dropped at raw
 //! value scale — so the default [`SubfieldConfig`] uses `query_len = 0`
 //! and both knobs are exposed for the ablation bench.
+//!
+//! The same loop groups the cells of a `K`-component vector field, whose
+//! value summary is a box ([`ValueSummary`] for `Aabb<K>`): its size is
+//! `Π_d (extent_d + base)`, which for `K = 1` is the interval size.
 
-use cf_geom::Interval;
+use cf_geom::{Aabb, Interval};
 use cf_storage::{CfError, CfResult};
 
 /// Tuning knobs of the subfield cost function.
@@ -44,19 +48,50 @@ impl Default for SubfieldConfig {
     }
 }
 
+/// What the greedy grouping unions and sizes: the value interval of a
+/// scalar cell, or the value box of a vector cell.
+pub trait ValueSummary: Copy {
+    /// The smallest summary holding both operands.
+    fn union(self, other: Self) -> Self;
+    /// The paper's interval size `max − min + base`, per component and
+    /// multiplied over components.
+    fn size_with_base(self, base: f64) -> f64;
+}
+
+impl ValueSummary for Interval {
+    fn union(self, other: Self) -> Self {
+        Interval::union(self, other)
+    }
+
+    fn size_with_base(self, base: f64) -> f64 {
+        Interval::size_with_base(self, base)
+    }
+}
+
+impl<const K: usize> ValueSummary for Aabb<K> {
+    fn union(self, other: Self) -> Self {
+        Aabb::union(&self, &other)
+    }
+
+    fn size_with_base(self, base: f64) -> f64 {
+        (0..K).map(|d| self.extent(d) + base).product()
+    }
+}
+
 /// A subfield: a contiguous run `[start, end)` of the linearized cell
-/// file, summarized by the interval of every value inside it.
+/// file, summarized by the interval of every value inside it (the value
+/// box, for a vector field).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Subfield {
+pub struct Subfield<V = Interval> {
     /// First cell (inclusive) in linearized order.
     pub start: u32,
     /// One past the last cell.
     pub end: u32,
-    /// Union of the cells' value intervals.
-    pub interval: Interval,
+    /// Union of the cells' value summaries.
+    pub interval: V,
 }
 
-impl Subfield {
+impl<V> Subfield<V> {
     /// Number of cells in the subfield.
     pub fn len(&self) -> usize {
         (self.end - self.start) as usize
@@ -96,7 +131,7 @@ impl Subfield {
     /// or inverted range — [`Subfield::pack`] never produces one — or
     /// to one running past the cell file: the tree page it came from
     /// is corrupt.
-    pub fn try_unpack(data: u64, interval: Interval, cells: usize) -> CfResult<Self> {
+    pub fn try_unpack(data: u64, interval: V, cells: usize) -> CfResult<Self> {
         let (start, end) = ((data >> 32) as u32, data as u32);
         if start >= end {
             return Err(CfError::corrupt(
@@ -126,11 +161,13 @@ impl Subfield {
     ///
     /// Panics if the payload decodes to an empty or inverted range.
     /// Payloads read from disk go through [`Subfield::try_unpack`].
-    pub fn unpack(data: u64, interval: Interval) -> Self {
+    pub fn unpack(data: u64, interval: V) -> Self {
         Self::try_unpack(data, interval, u32::MAX as usize)
             .expect("payload was produced by Subfield::pack")
     }
+}
 
+impl Subfield {
     /// Checks a subfield catalog read back from disk against the cell
     /// file it describes: subfields non-empty, in order, covering
     /// `0..cells` without gaps or overlaps, each with an ordered,
@@ -225,16 +262,20 @@ impl cf_storage::Record for Subfield {
     }
 }
 
-/// Groups linearized cell intervals into subfields.
+/// Groups linearized cell intervals (or vector value boxes) into
+/// subfields.
 ///
-/// `intervals[i]` is the value interval of the `i`-th cell in the chosen
+/// `intervals[i]` is the value summary of the `i`-th cell in the chosen
 /// linear order. Returns subfields covering `0..intervals.len()` without
 /// gaps or overlaps.
 ///
 /// # Panics
 ///
 /// Panics if more than `u32::MAX` cells are supplied.
-pub fn build_subfields(intervals: &[Interval], config: SubfieldConfig) -> Vec<Subfield> {
+pub fn build_subfields<V: ValueSummary>(
+    intervals: &[V],
+    config: SubfieldConfig,
+) -> Vec<Subfield<V>> {
     assert!(
         intervals.len() <= u32::MAX as usize,
         "cell file too large for u32 subfield pointers"
@@ -244,7 +285,7 @@ pub fn build_subfields(intervals: &[Interval], config: SubfieldConfig) -> Vec<Su
         return out;
     };
 
-    let size = |iv: Interval| iv.size_with_base(config.base);
+    let size = |iv: V| iv.size_with_base(config.base);
 
     let mut start = 0u32;
     let mut union = first;
@@ -385,10 +426,42 @@ mod tests {
 
     #[test]
     fn empty_and_single_inputs() {
-        assert!(build_subfields(&[], SubfieldConfig::default()).is_empty());
+        assert!(build_subfields::<Interval>(&[], SubfieldConfig::default()).is_empty());
         let one = build_subfields(&[Interval::new(1.0, 2.0)], SubfieldConfig::default());
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].len(), 1);
+    }
+
+    #[test]
+    fn one_component_boxes_group_like_intervals() {
+        // `Π_d (extent_d + base)` over one component is the interval
+        // size, so the vector rule and the scalar rule cut alike.
+        let cells: Vec<Interval> = (0..300)
+            .map(|i| {
+                let v = (i as f64 * 0.21).sin() * 40.0 + (i / 50) as f64 * 7.0;
+                Interval::new(v, v + (i % 7) as f64)
+            })
+            .collect();
+        let boxes: Vec<Aabb<1>> = cells.iter().map(|&iv| iv.into()).collect();
+        for base in [1.0, 0.25] {
+            let config = SubfieldConfig {
+                base,
+                query_len: 0.0,
+            };
+            let scalar: Vec<(u32, u32, Aabb<1>)> = build_subfields(&cells, config)
+                .iter()
+                .map(|sf| (sf.start, sf.end, sf.interval.into()))
+                .collect();
+            let vector = build_subfields(&boxes, config);
+            assert!(scalar.len() > 1);
+            assert_eq!(
+                scalar,
+                vector
+                    .iter()
+                    .map(|sf| (sf.start, sf.end, sf.interval))
+                    .collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

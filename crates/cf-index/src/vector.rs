@@ -11,14 +11,17 @@
 //! size(B) = Π_d (extent_d(B) + base)        C = size(SF) / Σ size(cell)
 //! ```
 //!
-//! which for `K = 1` reduces exactly to the paper's scalar rule. The
+//! which for `K = 1` reduces exactly to the paper's scalar rule, so one
+//! greedy loop ([`build_subfields`] over `Aabb<K>`) groups both. The
 //! motivating multi-attribute query from §1 — "find regions where the
 //! temperature is between 20° and 25° *and* the salinity is between 12%
 //! and 13%" — is a box intersection against this index (see the
 //! `ocean_salmon` example).
 
-use crate::order::CURVE_ORDER;
+use crate::exec::probe;
+use crate::order::plane_order;
 use crate::stats::QueryStats;
+use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::{VectorCellRecord, VectorGridField};
 use cf_geom::{Aabb, Polygon};
 use cf_rtree::PagedRTree;
@@ -29,117 +32,34 @@ use cf_storage::{CellFile, CfResult, StorageEngine};
 pub struct VectorIHilbert<const K: usize> {
     file: CellFile<VectorCellRecord<K>>,
     tree: PagedRTree<K>,
-    num_subfields: usize,
-}
-
-/// A vector subfield: a record range plus its value box.
-#[derive(Debug, Clone, Copy)]
-struct VectorSubfield<const K: usize> {
-    start: u32,
-    end: u32,
-    bbox: Aabb<K>,
-}
-
-/// Greedy grouping with the K-dimensional cost rule.
-fn build_vector_subfields<const K: usize>(boxes: &[Aabb<K>], base: f64) -> Vec<VectorSubfield<K>> {
-    assert!(
-        boxes.len() <= u32::MAX as usize,
-        "cell file too large for u32 subfield pointers"
-    );
-    let size = |b: &Aabb<K>| -> f64 { (0..K).map(|d| b.extent(d) + base).product() };
-    let mut out = Vec::new();
-    let Some(first) = boxes.first() else {
-        return out;
-    };
-    let mut start = 0u32;
-    let mut union = *first;
-    let mut si = size(first);
-    for (i, b) in boxes.iter().enumerate().skip(1) {
-        let cost_before = size(&union) / si;
-        let new_union = union.union(b);
-        let new_si = si + size(b);
-        let cost_after = size(&new_union) / new_si;
-        if cost_before > cost_after {
-            union = new_union;
-            si = new_si;
-        } else {
-            out.push(VectorSubfield {
-                start,
-                end: i as u32,
-                bbox: union,
-            });
-            start = i as u32;
-            union = *b;
-            si = size(b);
-        }
-    }
-    out.push(VectorSubfield {
-        start,
-        end: boxes.len() as u32,
-        bbox: union,
-    });
-    out
 }
 
 impl<const K: usize> VectorIHilbert<K> {
-    /// Builds the index with the paper-default `base = 1.0`.
+    /// Builds the index: the cells in the Hilbert order of their
+    /// centroids, grouped by the scalar fields' greedy rule (paper
+    /// defaults, `base = 1`, `query_len = 0`) over value boxes.
     pub fn build(engine: &StorageEngine, field: &VectorGridField<K>) -> CfResult<Self> {
-        Self::build_with(engine, field, 1.0)
-    }
-
-    /// Builds the index with an explicit interval-size base.
-    pub fn build_with(
-        engine: &StorageEngine,
-        field: &VectorGridField<K>,
-        base: f64,
-    ) -> CfResult<Self> {
-        let n = field.num_cells();
-        // Hilbert-order the cells by centroid.
-        let domain = field.domain();
-        let side = (1u64 << CURVE_ORDER) - 1;
-        let (w, h) = (domain.extent(0), domain.extent(1));
-        let mut keyed: Vec<(u64, usize)> = (0..n)
-            .map(|cell| {
-                let c = field.cell_centroid(cell);
-                let qx = if w > 0.0 {
-                    (((c.x - domain.lo[0]) / w).clamp(0.0, 1.0) * side as f64) as u64
-                } else {
-                    0
-                };
-                let qy = if h > 0.0 {
-                    (((c.y - domain.lo[1]) / h).clamp(0.0, 1.0) * side as f64) as u64
-                } else {
-                    0
-                };
-                (Curve::Hilbert.index(qx, qy, CURVE_ORDER), cell)
-            })
-            .collect();
-        keyed.sort_unstable();
-        let order: Vec<usize> = keyed.into_iter().map(|(_, c)| c).collect();
+        let order = plane_order(
+            field.num_cells(),
+            field.domain(),
+            |cell| field.cell_centroid(cell),
+            Curve::Hilbert,
+        );
 
         let boxes: Vec<Aabb<K>> = order.iter().map(|&c| field.cell_value_box(c)).collect();
-        let subfields = build_vector_subfields(&boxes, base);
+        let subfields = build_subfields(&boxes, SubfieldConfig::default());
 
         let records: Vec<VectorCellRecord<K>> =
             order.iter().map(|&c| field.cell_record(c)).collect();
         let file = CellFile::create(engine, records)?;
 
-        let tree = PagedRTree::build(
-            engine,
-            subfields
-                .iter()
-                .map(|sf| (sf.bbox, (u64::from(sf.start) << 32) | u64::from(sf.end))),
-        )?;
-        Ok(Self {
-            file,
-            tree,
-            num_subfields: subfields.len(),
-        })
+        let tree = PagedRTree::build(engine, subfields.iter().map(|sf| (sf.interval, sf.pack())))?;
+        Ok(Self { file, tree })
     }
 
-    /// Number of subfields.
+    /// Number of subfields (one tree entry each).
     pub fn num_subfields(&self) -> usize {
-        self.num_subfields
+        self.tree.len()
     }
 
     /// Pages occupied by the index.
@@ -155,21 +75,7 @@ impl<const K: usize> VectorIHilbert<K> {
         query: &Aabb<K>,
         sink: &mut dyn FnMut(Polygon),
     ) -> CfResult<QueryStats> {
-        let before = cf_storage::thread_io_stats();
-        let mut stats = QueryStats::default();
-        let mut ranges: Vec<(u32, u32)> = Vec::new();
-        let search = self.tree.search(engine, query, |data, _| {
-            ranges.push(((data >> 32) as u32, data as u32));
-        })?;
-        stats.filter_nodes = search.nodes_visited;
-        stats.intervals_retrieved = ranges.len();
-        stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
-        // Merge touching subfields so a page two of them straddle is
-        // read once (same rule and reader as the scalar pipeline).
-        let mut runs = Vec::new();
-        crate::exec::coalesce_into(&mut ranges, &mut runs);
-        self.file.for_each_in_ranges(engine, &runs, |_, rec| {
-            stats.cells_examined += 1;
+        probe(engine, &self.tree, &self.file, query, |stats, rec| {
             if rec.value_box().intersects(query) {
                 stats.cells_qualifying += 1;
                 for region in rec.band_region(query) {
@@ -178,9 +84,7 @@ impl<const K: usize> VectorIHilbert<K> {
                     sink(region);
                 }
             }
-        })?;
-        stats.io = cf_storage::thread_io_stats() - before;
-        Ok(stats)
+        })
     }
 
     /// Query collecting statistics only.
@@ -296,6 +200,54 @@ mod tests {
         assert_eq!(stats.cells_qualifying, pass.cells_qualifying);
         assert_eq!(stats.num_regions, pass.num_regions);
         assert_eq!(stats.area.to_bits(), pass.area.to_bits());
+    }
+
+    #[test]
+    fn nan_record_on_disk_qualifies_for_no_band() {
+        // Decoded bytes may hold NaN samples that no build writes: the
+        // index and the scan must skip such a cell, not panic on it or
+        // drop the NaN and answer for the rest of the cell.
+        let engine = StorageEngine::in_memory();
+        let field = sample_field(8);
+        let index = VectorIHilbert::build(&engine, &field).expect("build");
+        let everything = Aabb::new([0.0, 0.0], [100.0, 100.0]);
+        let n = field.num_cells();
+        let good = index.file.get(&engine, 5).expect("read");
+        // A whole component NaN, then one sample.
+        for nan_corners in [4, 1] {
+            let mut rec = good;
+            for corner in &mut rec.vals[..nan_corners] {
+                corner[1] = f64::NAN;
+            }
+            index.file.put(&engine, 5, &rec).expect("raw write");
+            let stats = index.query_stats(&engine, &everything).expect("query");
+            assert_eq!(stats.cells_qualifying, n - 1, "{nan_corners} NaN corners");
+            assert!((stats.area - (n - 1) as f64).abs() < 1e-9, "{}", stats.area);
+            let pass = vector_linear_scan(&engine, &index.file, &everything).expect("scan");
+            assert_eq!(pass.cells_qualifying, n - 1);
+        }
+    }
+
+    #[test]
+    fn hostile_leaf_payload_is_a_typed_error_not_a_panic() {
+        let field = sample_field(8);
+        let cells = field.num_cells() as u64;
+        let everything = Aabb::new([0.0, 0.0], [100.0, 100.0]);
+        for data in [(8 << 32) | 3, (7 << 32) | 7, cells + 1000] {
+            let engine = StorageEngine::in_memory();
+            let index = VectorIHilbert::build(&engine, &field).expect("build");
+            let root = index.tree.root_page_id();
+            assert_eq!(index.tree.height(), 1, "test field must fit a single leaf");
+            // Rewritten through the engine, so the checksum is valid:
+            // header (8 bytes), then entry 0's lo[2], hi[2] and payload.
+            let mut buf = engine.with_page(root, |p| *p).expect("read");
+            cf_storage::codec::put_u64(&mut buf, 8 + 32, data);
+            engine.write_page(root, &buf).expect("write");
+            let err = index
+                .query_stats(&engine, &everything)
+                .expect_err("hostile payload");
+            assert!(err.is_corrupt(), "{data:#x}: {err}");
+        }
     }
 
     #[test]

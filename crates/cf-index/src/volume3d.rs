@@ -7,10 +7,12 @@
 //! estimation step reports exact answer *volumes* via the closed-form
 //! tetrahedral band-volume (see [`cf_field::VolumeCellRecord`]).
 
+use crate::exec::probe;
+use crate::order::{order_by, quantize};
 use crate::stats::QueryStats;
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::{Grid3Field, VolumeCellRecord};
-use cf_geom::Interval;
+use cf_geom::{Aabb, Interval};
 use cf_rtree::PagedRTree;
 use cf_sfc::hilbert_index_nd;
 use cf_storage::{CellFile, CfResult, StorageEngine};
@@ -22,42 +24,25 @@ const BITS_3D: u32 = 10;
 pub struct VolumeIHilbert {
     file: CellFile<VolumeCellRecord>,
     tree: PagedRTree<1>,
-    num_subfields: usize,
 }
 
 impl VolumeIHilbert {
-    /// Builds the index with paper-default subfield parameters.
+    /// Builds the index with the paper-default cost function.
     pub fn build(engine: &StorageEngine, field: &Grid3Field) -> CfResult<Self> {
-        Self::build_with(engine, field, SubfieldConfig::default())
-    }
-
-    /// Builds the index with explicit cost-function parameters.
-    pub fn build_with(
-        engine: &StorageEngine,
-        field: &Grid3Field,
-        config: SubfieldConfig,
-    ) -> CfResult<Self> {
-        let n = field.num_cells();
+        // 3-D Hilbert order of cell centers, quantized over the cube
+        // that holds the grid.
         let (cx, cy, cz) = field.cell_dims();
         let max_dim = cx.max(cy).max(cz) as f64;
-        let side = (1u64 << BITS_3D) - 1;
-
-        // 3-D Hilbert order of cell centers.
-        let mut keyed: Vec<(u128, usize)> = (0..n)
-            .map(|cell| {
-                let c = field.cell_centroid(cell);
-                let q: Vec<u64> = c
-                    .iter()
-                    .map(|&v| ((v / max_dim).clamp(0.0, 1.0) * side as f64) as u64)
-                    .collect();
-                (hilbert_index_nd(&q, BITS_3D), cell)
-            })
-            .collect();
-        keyed.sort_unstable();
-        let order: Vec<usize> = keyed.into_iter().map(|(_, c)| c).collect();
+        let cube = Aabb::new([0.0; 3], [max_dim; 3]);
+        let order = order_by(field.num_cells(), |cell| {
+            hilbert_index_nd(
+                &quantize(field.cell_centroid(cell), &cube, BITS_3D),
+                BITS_3D,
+            )
+        });
 
         let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
-        let subfields = build_subfields(&intervals, config);
+        let subfields = build_subfields(&intervals, SubfieldConfig::default());
 
         let records: Vec<VolumeCellRecord> = order.iter().map(|&c| field.cell_record(c)).collect();
         let file = CellFile::create(engine, records)?;
@@ -66,16 +51,12 @@ impl VolumeIHilbert {
             engine,
             subfields.iter().map(|sf| (sf.interval.into(), sf.pack())),
         )?;
-        Ok(Self {
-            file,
-            tree,
-            num_subfields: subfields.len(),
-        })
+        Ok(Self { file, tree })
     }
 
-    /// Number of subfields.
+    /// Number of subfields (one tree entry each).
     pub fn num_subfields(&self) -> usize {
-        self.num_subfields
+        self.tree.len()
     }
 
     /// Pages occupied by the index.
@@ -92,31 +73,22 @@ impl VolumeIHilbert {
     /// statistics where [`QueryStats::area`] is the exact answer
     /// *volume* (in cell units).
     pub fn query_stats(&self, engine: &StorageEngine, band: Interval) -> CfResult<QueryStats> {
-        let before = cf_storage::thread_io_stats();
-        let mut stats = QueryStats::default();
-        let mut ranges: Vec<(u32, u32)> = Vec::new();
-        let search =
-            crate::exec::search_ranges(&self.tree, engine, band, self.file.len(), &mut ranges)?;
-        stats.filter_nodes = search.nodes_visited;
-        stats.intervals_retrieved = ranges.len();
-        stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
-        // Merge touching subfields so a page two of them straddle is
-        // read once (same rule and reader as the 2-D pipeline).
-        let mut runs = Vec::new();
-        crate::exec::coalesce_into(&mut ranges, &mut runs);
-        self.file.for_each_in_ranges(engine, &runs, |_, rec| {
-            stats.cells_examined += 1;
-            if rec.interval().intersects(band) {
-                stats.cells_qualifying += 1;
-                let v = rec.band_volume(band);
-                if v > 0.0 {
-                    stats.num_regions += 1;
-                    stats.area += v;
+        probe(
+            engine,
+            &self.tree,
+            &self.file,
+            &band.into(),
+            |stats, rec| {
+                if rec.interval().intersects(band) {
+                    stats.cells_qualifying += 1;
+                    let v = rec.band_volume(band);
+                    if v > 0.0 {
+                        stats.num_regions += 1;
+                        stats.area += v;
+                    }
                 }
-            }
-        })?;
-        stats.io = cf_storage::thread_io_stats() - before;
-        Ok(stats)
+            },
+        )
     }
 }
 
@@ -262,6 +234,29 @@ mod tests {
         assert_eq!(stats.cells_qualifying, pass.cells_qualifying);
         assert_eq!(stats.num_regions, pass.num_regions);
         assert_eq!(stats.area.to_bits(), pass.area.to_bits());
+    }
+
+    #[test]
+    fn nan_record_on_disk_qualifies_for_no_band() {
+        // Decoded bytes may hold NaN samples that no build writes: the
+        // index and the scan must skip such a cell, not panic on it.
+        let engine = StorageEngine::in_memory();
+        let field = layered_field(6);
+        let index = VolumeIHilbert::build(&engine, &field).expect("build");
+        let everything = field.value_domain();
+        let n = field.num_cells();
+        let good = index.file.get(&engine, 5).expect("read");
+        // Every corner NaN, then some.
+        for nan_corners in [8, 3] {
+            let mut rec = good;
+            rec.vals[..nan_corners].fill(f64::NAN);
+            index.file.put(&engine, 5, &rec).expect("raw write");
+            let stats = index.query_stats(&engine, everything).expect("query");
+            assert_eq!(stats.cells_qualifying, n - 1, "{nan_corners} NaN corners");
+            assert!((stats.area - (n - 1) as f64).abs() < 1e-9, "{}", stats.area);
+            let pass = volume_linear_scan(&engine, &index.file, everything).expect("scan");
+            assert_eq!(pass.cells_qualifying, n - 1);
+        }
     }
 
     #[test]

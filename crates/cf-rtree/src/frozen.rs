@@ -31,8 +31,7 @@
 //! visit (same parent-MBR pruning), so [`SearchStats::nodes_visited`]
 //! equals the paged tree's page-read count for the same query.
 
-use crate::node::ChildRef;
-use crate::tree::{RStarTree, SearchStats};
+use crate::tree::SearchStats;
 use crate::PagedRTree;
 use cf_geom::Aabb;
 use cf_storage::{CfResult, Counter, PageId, StorageEngine};
@@ -51,9 +50,8 @@ const EMPTY_LANE_HI: Lane = Lane([f64::NEG_INFINITY; LANE]);
 
 /// A read-only R\*-tree flattened into level-by-level SoA arrays.
 ///
-/// Build one with [`FrozenTree::from_tree`] (from the in-memory tree) or
-/// [`FrozenTree::from_paged`] (reading a persisted tree's pages once);
-/// both produce the same structure for the same logical tree.
+/// Build one with [`FrozenTree::from_paged`], which reads a persisted
+/// tree's pages once.
 #[derive(Debug, Clone)]
 pub struct FrozenTree<const N: usize> {
     /// Per node: first slot (lane-aligned) in the bounds arrays.
@@ -82,9 +80,8 @@ pub struct FrozenTree<const N: usize> {
     /// Tree height (1 = single leaf root).
     height: u32,
     /// `rtree_node_visits_total{plane="frozen"}` in the source engine's
-    /// registry; `None` for trees frozen from memory
-    /// ([`FrozenTree::from_tree`]), which have no engine to report to.
-    nodes_counter: Option<Counter>,
+    /// registry.
+    nodes_counter: Counter,
 }
 
 /// Transient decoded node used while freezing.
@@ -94,89 +91,28 @@ struct FlatNode<const N: usize> {
 }
 
 impl<const N: usize> FrozenTree<N> {
-    /// Freezes an in-memory [`RStarTree`].
-    pub fn from_tree(tree: &RStarTree<N>) -> Self {
-        Self::build_bfs(
-            tree.len(),
-            tree.height(),
-            tree.root_index(),
-            |idx: &usize| {
-                let node = tree.node(*idx);
-                Ok(FlatNode {
-                    entries: node
-                        .entries
-                        .iter()
-                        .map(|e| {
-                            let child = match e.child {
-                                ChildRef::Data(d) => d,
-                                ChildRef::Node(n) => n as u64,
-                            };
-                            (e.mbr, child)
-                        })
-                        .collect(),
-                    is_leaf: node.is_leaf(),
-                })
-            },
-            |child| child as usize,
-        )
-        .expect("in-memory freeze performs no I/O")
-    }
-
     /// Freezes a persisted [`PagedRTree`], reading each node page once
     /// through the buffer pool (subsequent searches touch no pages at
     /// all).
     pub fn from_paged(engine: &StorageEngine, paged: &PagedRTree<N>) -> CfResult<Self> {
-        let mut tree = Self::build_bfs(
-            paged.len(),
-            paged.height(),
-            paged.root_page_id(),
-            |page: &PageId| {
-                let mut entries = Vec::new();
-                let mut leaf = false;
-                paged.for_each_entry(engine, *page, |mbr, child, is_leaf| {
-                    leaf = is_leaf;
-                    entries.push((*mbr, child));
-                })?;
-                // A childless page is a (possibly empty) leaf root.
-                if entries.is_empty() {
-                    leaf = true;
-                }
-                Ok(FlatNode {
-                    entries,
-                    is_leaf: leaf,
-                })
-            },
-            PageId,
-        )?;
-        tree.nodes_counter = Some(
-            engine
-                .metrics()
-                .counter_with("rtree_node_visits_total", &[("plane", "frozen")]),
-        );
-        Ok(tree)
-    }
-
-    /// Shared BFS flattening: `decode` materializes a node from its
-    /// source id, `to_id` maps a stored child reference back to one.
-    fn build_bfs<Id, D, C>(len: usize, height: u32, root: Id, decode: D, to_id: C) -> CfResult<Self>
-    where
-        D: Fn(&Id) -> CfResult<FlatNode<N>>,
-        C: Fn(u64) -> Id,
-    {
         // Pass 1: BFS to fix node ids and slot bases. Children of each
         // node get consecutive ids, which is what makes child offsets
         // implicit.
-        let mut queue: std::collections::VecDeque<Id> = std::collections::VecDeque::new();
-        queue.push_back(root);
+        let mut queue = std::collections::VecDeque::from([paged.root_page_id()]);
         let mut nodes: Vec<FlatNode<N>> = Vec::new();
-        while let Some(id) = queue.pop_front() {
-            let node = decode(&id)?;
-            if !node.is_leaf {
-                for &(_, child) in &node.entries {
-                    queue.push_back(to_id(child));
-                }
+        while let Some(page) = queue.pop_front() {
+            let mut entries = Vec::new();
+            let mut leaf = false;
+            paged.for_each_entry(engine, page, |mbr, child, is_leaf| {
+                leaf = is_leaf;
+                entries.push((*mbr, child));
+            })?;
+            // A childless page is a (possibly empty) leaf root.
+            let is_leaf = leaf || entries.is_empty();
+            if !is_leaf {
+                queue.extend(entries.iter().map(|&(_, child)| PageId(child)));
             }
-            nodes.push(node);
+            nodes.push(FlatNode { entries, is_leaf });
         }
 
         let num_nodes = nodes.len();
@@ -234,9 +170,11 @@ impl<const N: usize> FrozenTree<N> {
             leaf_slot_base,
             first_leaf_node,
             lanes_per_dim,
-            len,
-            height,
-            nodes_counter: None,
+            len: paged.len(),
+            height: paged.height(),
+            nodes_counter: engine
+                .metrics()
+                .counter_with("rtree_node_visits_total", &[("plane", "frozen")]),
         })
     }
 
@@ -325,9 +263,7 @@ impl<const N: usize> FrozenTree<N> {
                 }
             }
         }
-        if let Some(counter) = &self.nodes_counter {
-            counter.add(stats.nodes_visited);
-        }
+        self.nodes_counter.add(stats.nodes_visited);
         stats
     }
 
@@ -361,10 +297,17 @@ impl<const N: usize> FrozenTree<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::RTreeConfig;
+    use crate::tree::{RStarTree, RTreeConfig};
 
     fn iv(lo: f64, hi: f64) -> Aabb<1> {
         Aabb::new([lo], [hi])
+    }
+
+    /// Persists `tree` to a fresh in-memory engine and freezes it.
+    fn freeze<const N: usize>(tree: &RStarTree<N>) -> FrozenTree<N> {
+        let engine = StorageEngine::in_memory();
+        let paged = PagedRTree::persist(tree, &engine).expect("persist");
+        FrozenTree::from_paged(&engine, &paged).expect("freeze")
     }
 
     fn build_tree(n: u64, fanout: usize) -> RStarTree<1> {
@@ -378,7 +321,7 @@ mod tests {
     #[test]
     fn frozen_matches_dynamic_search() {
         let tree = build_tree(800, 16);
-        let frozen = FrozenTree::from_tree(&tree);
+        let frozen = freeze(&tree);
         assert_eq!(frozen.len(), 800);
         assert_eq!(frozen.height(), tree.height());
         assert_eq!(frozen.num_nodes(), tree.node_count());
@@ -416,7 +359,7 @@ mod tests {
             let y = (i / 20) as f64;
             tree.insert(Aabb::new([x, y], [x + 0.5, y + 0.5]), i);
         }
-        let frozen = FrozenTree::from_tree(&tree);
+        let frozen = freeze(&tree);
         let q = Aabb::new([2.2, 3.2], [6.8, 7.8]);
         let mut got: Vec<(u64, Aabb<2>)> = Vec::new();
         frozen.search(&q, |d, mbr| got.push((d, *mbr)));
@@ -430,7 +373,7 @@ mod tests {
     #[test]
     fn empty_and_tiny_trees() {
         let tree: RStarTree<1> = RStarTree::default();
-        let frozen = FrozenTree::from_tree(&tree);
+        let frozen = freeze(&tree);
         assert!(frozen.is_empty());
         assert_eq!(frozen.search_collect(&iv(0.0, 10.0)), Vec::<u64>::new());
         let stats = frozen.search(&iv(0.0, 1.0), |_, _| {});
@@ -438,7 +381,7 @@ mod tests {
 
         let mut one: RStarTree<1> = RStarTree::default();
         one.insert(iv(3.0, 4.0), 77);
-        let frozen = FrozenTree::from_tree(&one);
+        let frozen = freeze(&one);
         assert_eq!(frozen.search_collect(&iv(3.5, 3.5)), vec![77]);
         assert_eq!(frozen.search_collect(&iv(5.0, 6.0)), Vec::<u64>::new());
     }
@@ -446,7 +389,7 @@ mod tests {
     #[test]
     fn search_into_reuses_buffer() {
         let tree = build_tree(300, 8);
-        let frozen = FrozenTree::from_tree(&tree);
+        let frozen = freeze(&tree);
         let mut buf = Vec::new();
         let s1 = frozen.search_into(&iv(0.0, 50.0), &mut buf);
         assert_eq!(buf.len() as u64, s1.results);
@@ -480,12 +423,6 @@ mod tests {
             m.counter_total("rtree_node_visits_total"),
             ps.nodes_visited + fs.nodes_visited
         );
-
-        // In-memory freezes have no engine and stay silent.
-        let silent = FrozenTree::from_tree(&tree);
-        engine.reset_stats();
-        silent.search(&q, |_, _| {});
-        assert_eq!(m.counter_total("rtree_node_visits_total"), 0);
     }
 
     #[test]
@@ -496,7 +433,7 @@ mod tests {
             for i in 0..n {
                 tree.insert(iv(i as f64, i as f64), i);
             }
-            let frozen = FrozenTree::from_tree(&tree);
+            let frozen = freeze(&tree);
             for i in 0..n {
                 assert_eq!(
                     frozen.search_collect(&iv(i as f64, i as f64)),

@@ -12,18 +12,18 @@
 //!
 //! Features:
 //!
-//! * [`RStarTree`] — in-memory dynamic tree with the R\* insertion
-//!   heuristics: ChooseSubtree with minimum-overlap enlargement at the
-//!   leaf level, **forced reinsertion** on first overflow per level, and
-//!   the margin-driven ChooseSplitAxis / minimum-overlap
-//!   ChooseSplitIndex split.
-//! * Deletion with tree condensation.
-//! * [`bulk_load_str`] — packed bulk loading in linearized order
-//!   (Kamel & Faloutsos, CIKM 1993 — reference [14] of the paper, the
-//!   same work its cost model `P = L + 0.5` comes from).
+//! * [`RStarTree`] — the in-memory build buffer, filled by one-by-one R\*
+//!   insertion (the paper's §3.2 build): ChooseSubtree with
+//!   minimum-overlap enlargement at the leaf level, **forced
+//!   reinsertion** on first overflow per level, and the margin-driven
+//!   ChooseSplitAxis / minimum-overlap ChooseSplitIndex split. It has no
+//!   delete path: a built tree changes only on pages.
 //! * [`PagedRTree`] — the tree serialized to 4 KiB pages of a
 //!   [`cf_storage::StorageEngine`]; searches fault node pages through
 //!   the buffer pool so query cost is measured in real page accesses.
+//!   [`PagedRTree::build`] is the one build path of every index, and
+//!   [`PagedRTree::insert`] / [`PagedRTree::remove`] the one maintenance
+//!   path.
 //! * [`FrozenTree`] — a read-optimized flattening of a built tree into
 //!   contiguous cache-aligned SoA arrays (separate `lo[]`/`hi[]` lanes,
 //!   implicit child offsets, branchless chunked leaf scan) with the
@@ -60,14 +60,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bulk;
 mod frozen;
 mod node;
 mod paged;
 mod split;
 mod tree;
 
-pub use bulk::bulk_load_str;
 pub use frozen::FrozenTree;
 pub use node::{ChildRef, Node, NodeEntry};
 pub use paged::PagedRTree;

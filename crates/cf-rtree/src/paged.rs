@@ -17,7 +17,7 @@
 //! leaves (the value indexes pack cell indexes or subfield record ranges
 //! into it).
 //!
-//! Besides bulk persistence ([`PagedRTree::persist`]), the tree supports
+//! Besides persisting a built tree ([`PagedRTree::persist`]), it supports
 //! **incremental maintenance** directly against pages:
 //! [`PagedRTree::insert`] (choose-subtree + R\* split, read-modify-write
 //! along the root-to-leaf path) and [`PagedRTree::remove`]. Incremental
@@ -27,7 +27,7 @@
 //! correctness.
 
 use crate::node::{ChildRef, NodeEntry};
-use crate::split::rstar_split;
+use crate::split::{choose_subtree, rstar_split};
 use crate::tree::{entry_size, RStarTree, RTreeConfig, SearchStats, NODE_HEADER_SIZE};
 use cf_geom::Aabb;
 use cf_storage::{codec, CfError, CfResult, Counter, PageBuf, PageId, StorageEngine, PAGE_SIZE};
@@ -458,40 +458,10 @@ impl<const N: usize> PagedRTree<N> {
         Ok((sibling.mbr(), sibling_page.0))
     }
 
-    /// Choose-subtree on a decoded node.
+    /// Choose-subtree on a decoded node, over all of its entries.
     fn choose_entry(node: &RawNode<N>, mbr: &Aabb<N>) -> usize {
-        if node.level == 1 {
-            // Children are leaves: minimum overlap enlargement.
-            let mut best = 0;
-            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for (j, &(b, _)) in node.entries.iter().enumerate() {
-                let enlarged = b.union(mbr);
-                let mut overlap_delta = 0.0;
-                for (k, &(other, _)) in node.entries.iter().enumerate() {
-                    if k != j {
-                        overlap_delta +=
-                            enlarged.intersection_volume(&other) - b.intersection_volume(&other);
-                    }
-                }
-                let key = (overlap_delta, b.enlargement(mbr), b.volume());
-                if key < best_key {
-                    best_key = key;
-                    best = j;
-                }
-            }
-            best
-        } else {
-            let mut best = 0;
-            let mut best_key = (f64::INFINITY, f64::INFINITY);
-            for (j, &(b, _)) in node.entries.iter().enumerate() {
-                let key = (b.enlargement(mbr), b.volume());
-                if key < best_key {
-                    best_key = key;
-                    best = j;
-                }
-            }
-            best
-        }
+        let all = node.entries.len();
+        choose_subtree(&node.entries, |e| e.0, node.level == 1, all, mbr)
     }
 
     /// Removes one entry matching `(mbr, data)` exactly; returns whether
@@ -806,6 +776,37 @@ mod tests {
         got.sort_unstable();
         let want: Vec<u64> = (0..300).filter(|i| i % 3 != 0).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn remove_everything_leaves_empty_tree() {
+        let boxes: Vec<Aabb<2>> = (0..600)
+            .map(|i| {
+                let x = (i % 32) as f64;
+                let y = (i / 32) as f64;
+                Aabb::new([x, y], [x + 0.5, y + 0.5])
+            })
+            .collect();
+        let engine = StorageEngine::in_memory();
+        let entries = boxes.iter().enumerate().map(|(i, b)| (*b, i as u64));
+        let mut paged = PagedRTree::build(&engine, entries).expect("build");
+        assert!(paged.height() > 1);
+        let everything = Aabb::new([-1.0, -1.0], [40.0, 40.0]);
+        for (i, b) in boxes.iter().enumerate() {
+            assert!(paged.remove(&engine, b, i as u64).expect("remove"));
+            assert!(!paged.remove(&engine, b, i as u64).expect("remove"));
+        }
+        assert!(paged.is_empty());
+        let stats = paged
+            .search(&engine, &everything, |_, _| {})
+            .expect("search");
+        assert_eq!(stats.results, 0);
+        // The emptied pages take new entries again.
+        paged.insert(&engine, boxes[7], 7).expect("insert");
+        assert_eq!(
+            paged.search_collect(&engine, &everything).expect("search"),
+            vec![7]
+        );
     }
 
     #[test]

@@ -1,7 +1,11 @@
-//! The in-memory dynamic R\*-tree.
+//! The in-memory R\*-tree: the insert-only build buffer that
+//! [`PagedRTree::build`](crate::PagedRTree::build) persists. Every
+//! change after the build runs on pages
+//! ([`PagedRTree::insert`](crate::PagedRTree::insert) /
+//! [`PagedRTree::remove`](crate::PagedRTree::remove)).
 
 use crate::node::{ChildRef, Node, NodeEntry};
-use crate::split::rstar_split;
+use crate::split::{choose_subtree, rstar_split};
 use cf_geom::Aabb;
 use std::collections::VecDeque;
 
@@ -65,11 +69,11 @@ pub struct SearchStats {
     pub results: u64,
 }
 
-/// An in-memory R\*-tree over `N`-dimensional boxes with `u64` payloads.
+/// An in-memory R\*-tree over `N`-dimensional boxes with `u64` payloads,
+/// built by one-by-one R\* insertion.
 #[derive(Debug, Clone)]
 pub struct RStarTree<const N: usize> {
     nodes: Vec<Node<N>>,
-    free: Vec<usize>,
     root: usize,
     len: usize,
     config: RTreeConfig,
@@ -86,7 +90,6 @@ impl<const N: usize> RStarTree<N> {
     pub fn new(config: RTreeConfig) -> Self {
         Self {
             nodes: vec![Node::new(0)],
-            free: Vec::new(),
             root: 0,
             len: 0,
             config,
@@ -113,19 +116,9 @@ impl<const N: usize> RStarTree<N> {
         &self.config
     }
 
-    /// MBR of the whole tree ([`Aabb::EMPTY`] when empty).
-    pub fn mbr(&self) -> Aabb<N> {
-        self.nodes[self.root].mbr()
-    }
-
     fn alloc_node(&mut self, node: Node<N>) -> usize {
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = node;
-            idx
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        }
+        self.nodes.push(node);
+        self.nodes.len() - 1
     }
 
     // ------------------------------------------------------------------
@@ -184,62 +177,13 @@ impl<const N: usize> RStarTree<N> {
         }
     }
 
-    /// R\* ChooseSubtree: pick the child of `node_idx` to descend into.
+    /// R\* ChooseSubtree: pick the child of `node_idx` to descend into
+    /// (at most 32 overlap candidates above the leaves).
     fn choose_subtree(&self, node_idx: usize, mbr: &Aabb<N>) -> usize {
         let node = &self.nodes[node_idx];
         debug_assert!(!node.is_leaf());
-        let children_are_leaves = node.level == 1;
-        if children_are_leaves {
-            // Minimum overlap enlargement; to bound the O(M²) cost, only
-            // the 32 entries with least area enlargement are considered
-            // (the "nearly minimum overlap cost" optimization of the R*
-            // paper).
-            const CANDIDATES: usize = 32;
-            let mut order: Vec<usize> = (0..node.entries.len()).collect();
-            if node.entries.len() > CANDIDATES {
-                order.sort_by(|&a, &b| {
-                    let ea = node.entries[a].mbr.enlargement(mbr);
-                    let eb = node.entries[b].mbr.enlargement(mbr);
-                    ea.partial_cmp(&eb).unwrap_or(std::cmp::Ordering::Equal)
-                });
-                order.truncate(CANDIDATES);
-            }
-            let mut best = order[0];
-            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for &j in &order {
-                let enlarged = node.entries[j].mbr.union(mbr);
-                let mut overlap_delta = 0.0;
-                for (k, other) in node.entries.iter().enumerate() {
-                    if k == j {
-                        continue;
-                    }
-                    overlap_delta += enlarged.intersection_volume(&other.mbr)
-                        - node.entries[j].mbr.intersection_volume(&other.mbr);
-                }
-                let key = (
-                    overlap_delta,
-                    node.entries[j].mbr.enlargement(mbr),
-                    node.entries[j].mbr.volume(),
-                );
-                if key < best_key {
-                    best_key = key;
-                    best = j;
-                }
-            }
-            node.entries[best].child.node()
-        } else {
-            // Minimum area enlargement, ties by area.
-            let mut best = 0;
-            let mut best_key = (f64::INFINITY, f64::INFINITY);
-            for (j, e) in node.entries.iter().enumerate() {
-                let key = (e.mbr.enlargement(mbr), e.mbr.volume());
-                if key < best_key {
-                    best_key = key;
-                    best = j;
-                }
-            }
-            node.entries[best].child.node()
-        }
+        let j = choose_subtree(&node.entries, |e| e.mbr, node.level == 1, 32, mbr);
+        node.entries[j].child.node()
     }
 
     /// Forced reinsertion: remove the `p` entries whose centers are
@@ -318,103 +262,7 @@ impl<const N: usize> RStarTree<N> {
                 return;
             }
         }
-        // The child may have been detached by a concurrent condense step;
-        // that cannot happen during insertion.
         unreachable!("child {child} not found under parent {parent}");
-    }
-
-    // ------------------------------------------------------------------
-    // Deletion
-    // ------------------------------------------------------------------
-
-    /// Removes one entry matching `(mbr, data)` exactly.
-    ///
-    /// Returns `false` (tree unchanged) when no such entry exists.
-    pub fn remove(&mut self, mbr: &Aabb<N>, data: u64) -> bool {
-        let Some(path) = self.find_leaf(self.root, mbr, data, &mut Vec::new()) else {
-            return false;
-        };
-        let leaf = *path.last().expect("non-empty path");
-        let pos = self.nodes[leaf]
-            .entries
-            .iter()
-            .position(|e| e.child == ChildRef::Data(data) && e.mbr == *mbr)
-            .expect("find_leaf returned a leaf containing the entry");
-        self.nodes[leaf].entries.remove(pos);
-        self.len -= 1;
-        self.condense(path);
-        true
-    }
-
-    fn find_leaf(
-        &self,
-        node_idx: usize,
-        mbr: &Aabb<N>,
-        data: u64,
-        path: &mut Vec<usize>,
-    ) -> Option<Vec<usize>> {
-        path.push(node_idx);
-        let node = &self.nodes[node_idx];
-        if node.is_leaf() {
-            if node
-                .entries
-                .iter()
-                .any(|e| e.child == ChildRef::Data(data) && e.mbr == *mbr)
-            {
-                return Some(path.clone());
-            }
-        } else {
-            for e in &node.entries {
-                if e.mbr.contains(mbr) {
-                    if let Some(found) = self.find_leaf(e.child.node(), mbr, data, path) {
-                        return Some(found);
-                    }
-                }
-            }
-        }
-        path.pop();
-        None
-    }
-
-    /// CondenseTree: eliminate underfull nodes along the removal path and
-    /// reinsert their orphaned entries.
-    fn condense(&mut self, path: Vec<usize>) {
-        let mut orphans: Vec<(Aabb<N>, ChildRef, u32)> = Vec::new();
-        for i in (1..path.len()).rev() {
-            let node_idx = path[i];
-            let parent = path[i - 1];
-            if self.nodes[node_idx].entries.len() < self.config.min_entries {
-                // Detach from parent and orphan all entries.
-                let pos = self.nodes[parent]
-                    .entries
-                    .iter()
-                    .position(|e| e.child == ChildRef::Node(node_idx))
-                    .expect("node must be linked under its path parent");
-                self.nodes[parent].entries.remove(pos);
-                let level = self.nodes[node_idx].level;
-                for e in std::mem::take(&mut self.nodes[node_idx].entries) {
-                    orphans.push((e.mbr, e.child, level));
-                }
-                self.free.push(node_idx);
-            } else {
-                self.refresh_parent_mbr(parent, node_idx);
-            }
-        }
-        // Reinsert orphans at their original levels.
-        for (mbr, child, level) in orphans {
-            let mut reinserted = vec![false; self.nodes[self.root].level as usize + 2];
-            let mut queue = VecDeque::new();
-            queue.push_back((mbr, child, level));
-            while let Some((mbr, child, level)) = queue.pop_front() {
-                self.insert_one(mbr, child, level, &mut reinserted, &mut queue);
-            }
-        }
-        // Shrink the root while it is an internal node with one child.
-        while !self.nodes[self.root].is_leaf() && self.nodes[self.root].entries.len() == 1 {
-            let child = self.nodes[self.root].entries[0].child.node();
-            self.free.push(self.root);
-            self.root = child;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -453,17 +301,9 @@ impl<const N: usize> RStarTree<N> {
         out
     }
 
-    /// Reusable-buffer variant of [`RStarTree::search_collect`]: clears
-    /// `out` and fills it with the matching payloads, keeping its
-    /// capacity across calls (the batch executor's hot loop).
-    pub fn search_into(&self, query: &Aabb<N>, out: &mut Vec<u64>) -> SearchStats {
-        out.clear();
-        self.search(query, |d, _| out.push(d))
-    }
-
     /// Total number of nodes (for space accounting and the paged writer).
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.nodes.len()
     }
 
     pub(crate) fn root_index(&self) -> usize {
@@ -472,22 +312,6 @@ impl<const N: usize> RStarTree<N> {
 
     pub(crate) fn node(&self, idx: usize) -> &Node<N> {
         &self.nodes[idx]
-    }
-
-    /// Assembles a tree from pre-built nodes (bulk loader only).
-    pub(crate) fn from_parts(
-        nodes: Vec<Node<N>>,
-        root: usize,
-        len: usize,
-        config: RTreeConfig,
-    ) -> Self {
-        Self {
-            nodes,
-            free: Vec::new(),
-            root,
-            len,
-            config,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -663,46 +487,6 @@ mod tests {
         let mut got = tree.search_collect(&iv(1.5, 1.5));
         got.sort_unstable();
         assert_eq!(got, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn remove_and_research() {
-        let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::new(4));
-        for i in 0..100u64 {
-            tree.insert(iv(i as f64, i as f64 + 1.0), i);
-        }
-        // Remove the even entries.
-        for i in (0..100u64).step_by(2) {
-            assert!(tree.remove(&iv(i as f64, i as f64 + 1.0), i), "remove {i}");
-        }
-        tree.check_invariants();
-        assert_eq!(tree.len(), 50);
-        // Removing again fails.
-        assert!(!tree.remove(&iv(0.0, 1.0), 0));
-        let mut got = tree.search_collect(&iv(0.0, 100.0));
-        got.sort_unstable();
-        assert_eq!(got, (1..100).step_by(2).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn remove_everything_leaves_empty_tree() {
-        let mut tree: RStarTree<2> = RStarTree::new(RTreeConfig::new(4));
-        let boxes: Vec<Aabb<2>> = (0..60)
-            .map(|i| {
-                let x = (i % 8) as f64;
-                let y = (i / 8) as f64;
-                Aabb::new([x, y], [x + 0.5, y + 0.5])
-            })
-            .collect();
-        for (i, b) in boxes.iter().enumerate() {
-            tree.insert(*b, i as u64);
-        }
-        for (i, b) in boxes.iter().enumerate() {
-            assert!(tree.remove(b, i as u64));
-            tree.check_invariants();
-        }
-        assert!(tree.is_empty());
-        assert_eq!(tree.height(), 1);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! | [`geom`] | points, boxes, intervals, triangles, polygon clipping |
 //! | [`sfc`] | Hilbert / Z-order / Gray-code curves, clustering metrics |
 //! | [`storage`] | pages, simulated disk, buffer pool, record files |
-//! | [`rtree`] | R\*-tree (dynamic + bulk-loaded + paged) |
+//! | [`rtree`] | R\*-tree: built by R\* insertion, maintained on pages |
 //! | [`delaunay`] | Bowyer–Watson triangulation |
 //! | [`field`] | DEM / TIN / vector field models, estimation step |
 //! | [`index`] | LinearScan, I-All, I-Hilbert, Interval Quadtree, Q1 |

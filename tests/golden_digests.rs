@@ -6,10 +6,16 @@
 //! the constants were recorded, so a refine-kernel change that moves a
 //! single area bit fails here even when every method moves with it.
 //! Each constant folds the 64 per-band digests of one query set, in
-//! band order.
+//! band order. The 3-D volume and the vector index, which answer
+//! outside `ValueIndex`, pin their hand-written scans, their index on
+//! raw and on compressed pages, and their subfield counts the same way.
 
+use contfield::field::{VectorCellRecord, VolumeCellRecord};
+use contfield::index::{vector_linear_scan, volume_linear_scan, VolumeIHilbert};
 use contfield::prelude::*;
-use contfield::storage::{answer_digest, PageCodec};
+use contfield::storage::{answer_digest, PageCodec, RecordFile};
+use contfield::workload::geology::geology_field;
+use contfield::workload::ocean::ocean_field;
 use contfield::workload::{fractal::diamond_square, noise::urban_noise_tin, queries};
 
 const BANDS: usize = 64;
@@ -40,18 +46,28 @@ fn fold(digests: &[u64]) -> u64 {
     })
 }
 
+fn stats_digest(s: &QueryStats) -> u64 {
+    answer_digest(
+        s.cells_examined as u64,
+        s.cells_qualifying as u64,
+        s.num_regions as u64,
+        s.area,
+    )
+}
+
 fn digests(index: &dyn ValueIndex, engine: &StorageEngine, bands: &[Interval]) -> Vec<u64> {
     bands
         .iter()
-        .map(|&band| {
-            let s = index.query_stats(engine, band).expect("query");
-            answer_digest(
-                s.cells_examined as u64,
-                s.cells_qualifying as u64,
-                s.num_regions as u64,
-                s.area,
-            )
-        })
+        .map(|&band| stats_digest(&index.query_stats(engine, band).expect("query")))
+        .collect()
+}
+
+/// Digest pairs as the source text of their constants, so a failure
+/// prints what to paste.
+fn hex(pairs: &[(u64, u64)]) -> Vec<String> {
+    pairs
+        .iter()
+        .map(|(s, h)| format!("({s:#018x}, {h:#018x})"))
         .collect()
 }
 
@@ -85,15 +101,11 @@ fn assert_golden<F: FieldModel>(name: &str, field: &F, golden: Golden) {
             fold(&want_hilbert),
         ));
     }
-    let got: Vec<String> = got
-        .iter()
-        .map(|(s, h)| format!("({s:#018x}, {h:#018x})"))
-        .collect();
-    let want: Vec<String> = golden
-        .iter()
-        .map(|(s, h)| format!("({s:#018x}, {h:#018x})"))
-        .collect();
-    assert_eq!(got, want, "{name}: answers moved from the golden digests");
+    assert_eq!(
+        hex(&got),
+        hex(&golden),
+        "{name}: answers moved from the golden digests"
+    );
 }
 
 #[test]
@@ -104,4 +116,142 @@ fn grid_answers_match_golden_digests() {
 #[test]
 fn tin_answers_match_golden_digests() {
     assert_golden("tin", &urban_noise_tin(5_000, 0xEDB7), TIN);
+}
+
+/// A dimension fork's pinned answers: per query set, the folded digests
+/// of its hand-written scan and of its index (raw and compressed pages
+/// must both give the latter); then its subfield count.
+type ForkGolden = (Golden, usize);
+
+const VOLUME: ForkGolden = (
+    [
+        (0x5d45_5499_0131_92a5, 0xc20d_c650_fa22_757c),
+        (0x62be_d614_fa0d_6384, 0xca08_18f3_8a91_e51f),
+        (0x7393_20d2_e79f_44d6, 0xfc08_99f9_5727_8111),
+    ],
+    27,
+);
+
+const VECTOR: ForkGolden = (
+    [
+        (0x5188_6639_ab1d_d038, 0x4412_3f41_896a_4b43),
+        (0x1dc6_fc55_b778_73e1, 0xa892_465d_cefc_5766),
+        (0xbd7b_da46_2bcc_6d82, 0x4f02_1bfc_0eb0_5e37),
+    ],
+    183,
+);
+
+/// One query method of a fork, bound to the engine it was built in.
+type Answer<'a, Q> = Box<dyn Fn(&Q) -> QueryStats + 'a>;
+
+/// Runs `queries` (one list per query set) on the fork's scan and on its
+/// index built on raw and on compressed pages, and compares with
+/// `golden`. `index` returns the subfield count beside the query method.
+fn assert_fork_golden<Q>(
+    name: &str,
+    queries: &[Vec<Q>],
+    scan: impl Fn(&StorageEngine) -> Answer<'_, Q>,
+    index: impl Fn(&StorageEngine) -> (usize, Answer<'_, Q>),
+    golden: ForkGolden,
+) {
+    let scan_engine = StorageEngine::in_memory();
+    let raw_engine = engine_with(PageCodec::Raw);
+    let comp_engine = engine_with(PageCodec::Compressed);
+    let scan = scan(&scan_engine);
+    let (subfields, raw) = index(&raw_engine);
+    let (comp_subfields, comp) = index(&comp_engine);
+    assert_eq!(
+        subfields, comp_subfields,
+        "{name}: codec moved the grouping"
+    );
+    let run = |answer: &Answer<'_, Q>, set: &[Q]| -> Vec<u64> {
+        set.iter().map(|q| stats_digest(&answer(q))).collect()
+    };
+    let mut got = Vec::new();
+    for (i, set) in queries.iter().enumerate() {
+        let want_index = run(&raw, set);
+        assert_eq!(
+            run(&comp, set),
+            want_index,
+            "{name} query set {i}: compressed pages answer differently from raw"
+        );
+        got.push((fold(&run(&scan, set)), fold(&want_index)));
+    }
+    assert_eq!(
+        (hex(&got), subfields),
+        (hex(&golden.0), golden.1),
+        "{name}: answers moved from the golden digests"
+    );
+}
+
+#[test]
+fn volume_answers_match_golden_digests() {
+    let field = geology_field(16, 0xEDB7);
+    let dom = field.value_domain();
+    let queries: Vec<Vec<Interval>> = QINTERVALS
+        .into_iter()
+        .enumerate()
+        .map(|(i, qi)| queries::interval_queries(dom, qi, BANDS, 0xD16E + i as u64))
+        .collect();
+    assert_fork_golden(
+        "volume",
+        &queries,
+        |engine| {
+            let records: Vec<VolumeCellRecord> = (0..field.num_cells())
+                .map(|c| field.cell_record(c))
+                .collect();
+            let file = RecordFile::create(engine, records).expect("create");
+            Box::new(move |&band| volume_linear_scan(engine, &file, band).expect("scan"))
+        },
+        |engine| {
+            let index = VolumeIHilbert::build(engine, &field).expect("build");
+            let subfields = index.num_subfields();
+            (
+                subfields,
+                Box::new(move |&band| index.query_stats(engine, band).expect("query")),
+            )
+        },
+        VOLUME,
+    );
+}
+
+#[test]
+fn vector_answers_match_golden_digests() {
+    let field = ocean_field(48, 0xEDB7);
+    let dom = field.value_domain();
+    let component = |d: usize| Interval::new(dom.lo[d], dom.hi[d]);
+    // Boxes: one band per component, each a fraction of its domain.
+    let queries: Vec<Vec<Aabb<2>>> = [0.05, 0.2, 0.5]
+        .into_iter()
+        .enumerate()
+        .map(|(i, qi)| {
+            let seed = 0xD16E + 2 * i as u64;
+            let temp = queries::interval_queries(component(0), qi, BANDS, seed);
+            let sal = queries::interval_queries(component(1), qi, BANDS, seed + 1);
+            temp.iter()
+                .zip(&sal)
+                .map(|(t, s)| Aabb::new([t.lo, s.lo], [t.hi, s.hi]))
+                .collect()
+        })
+        .collect();
+    assert_fork_golden(
+        "vector",
+        &queries,
+        |engine| {
+            let records: Vec<VectorCellRecord<2>> = (0..field.num_cells())
+                .map(|c| field.cell_record(c))
+                .collect();
+            let file = RecordFile::create(engine, records).expect("create");
+            Box::new(move |query| vector_linear_scan(engine, &file, query).expect("scan"))
+        },
+        |engine| {
+            let index = VectorIHilbert::build(engine, &field).expect("build");
+            let subfields = index.num_subfields();
+            (
+                subfields,
+                Box::new(move |query| index.query_stats(engine, query).expect("query")),
+            )
+        },
+        VECTOR,
+    );
 }
