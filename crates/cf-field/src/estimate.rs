@@ -117,21 +117,6 @@ pub fn triangle_band(
     }
 }
 
-/// Inverse interpolation on a segment: the parameter `t ∈ [0, 1]` where
-/// the value linearly interpolated from `w0` (at `t = 0`) to `w1` (at
-/// `t = 1`) equals `w`, or `None` if `w` is not attained.
-///
-/// This is the 1-D inverse function `f⁻¹(w)` of §2.2.2 applied to a cell
-/// edge; [`triangle_band`] uses the 2-D generalization implicitly via
-/// clipping.
-pub fn inverse_on_segment(w0: f64, w1: f64, w: f64) -> Option<f64> {
-    if (w0 - w1).abs() < EPSILON {
-        return ((w - w0).abs() < EPSILON).then_some(0.0);
-    }
-    let t = (w - w0) / (w1 - w0);
-    (0.0..=1.0).contains(&t).then_some(t)
-}
-
 /// The visitor's region as a polygon, empty when it emits nothing;
 /// checks that it emits at most once.
 #[cfg(test)]
@@ -261,15 +246,6 @@ mod tests {
         assert!((inside.area() - tri.area()).abs() < 1e-12);
         let outside = band_polygon(&tri, [5.0, 5.0, 5.0], 6.0, 7.0);
         assert!(outside.is_empty() || outside.area() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_on_segment_cases() {
-        assert_eq!(inverse_on_segment(0.0, 10.0, 5.0), Some(0.5));
-        assert_eq!(inverse_on_segment(10.0, 0.0, 2.5), Some(0.75));
-        assert_eq!(inverse_on_segment(0.0, 10.0, 11.0), None);
-        assert_eq!(inverse_on_segment(3.0, 3.0, 3.0), Some(0.0));
-        assert_eq!(inverse_on_segment(3.0, 3.0, 4.0), None);
     }
 
     #[test]

@@ -37,7 +37,6 @@
 
 pub mod estimate;
 mod grid;
-pub mod isoline;
 mod model;
 mod tin;
 mod vector;

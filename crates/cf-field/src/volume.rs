@@ -203,7 +203,7 @@ pub fn simplex_interpolate(vals: &[f64; 8], local: [f64; 3]) -> f64 {
 /// simplex is a degree-3 B-spline with knots at the vertex values, so
 /// `F(t) = Σᵢ (t−dᵢ)₊³ / Πⱼ≠ᵢ (dⱼ−dᵢ)`. Repeated knots are separated
 /// by a relative ε before evaluation (error O(ε)).
-pub fn tet_fraction_below(d: [f64; 4], t: f64) -> f64 {
+fn tet_fraction_below(d: [f64; 4], t: f64) -> f64 {
     let mut k = d;
     k.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
     // Order matters for constant tets: t equal to the single value must
@@ -245,7 +245,7 @@ pub fn tet_fraction_below(d: [f64; 4], t: f64) -> f64 {
 }
 
 /// Measure of `{a ≤ w ≤ b}` within a tetrahedron of volume `tet_volume`.
-pub fn tet_band_volume(tet_volume: f64, d: [f64; 4], band: Interval) -> f64 {
+fn tet_band_volume(tet_volume: f64, d: [f64; 4], band: Interval) -> f64 {
     tet_volume * (tet_fraction_below(d, band.hi) - tet_fraction_below(d, band.lo)).max(0.0)
 }
 

@@ -28,7 +28,7 @@
 //! [`open_database`] reopens such a file and refuses a path with no file
 //! behind it, which [`StorageEngine::open_file`] would create.
 
-use crate::ihilbert::IHilbert;
+use crate::ihilbert::{method_label, IHilbert};
 use crate::ingest::{DeltaRec, IngestConfig, LiveIngest};
 use crate::sfindex::SubfieldIndex;
 use crate::subfield::Subfield;
@@ -476,7 +476,8 @@ impl<F: FieldModel> IHilbert<F> {
 
         let mut tree = PagedRTree::from_parts(slot.t_root, slot.t_height, slot.t_len, slot.t_pages);
         tree.attach_metrics(engine);
-        let inner = SubfieldIndex::open(engine, file, tree, sf_file)?;
+        let label = method_label(slot.curve);
+        let inner = SubfieldIndex::open(engine, file, tree, sf_file, &label, slot.curve.name())?;
         let cell_to_pos: Vec<u32> = pos_file
             .read_range(engine, 0..slot.pos_len)?
             .into_iter()
@@ -942,6 +943,38 @@ mod tests {
                 assert!(err.is_corrupt(), "{codec:?} {what}: {err}");
             }
         }
+    }
+
+    #[test]
+    fn stale_subfield_interval_is_a_typed_error_on_update() {
+        let field = bumpy_field(12);
+        let engine = StorageEngine::in_memory();
+        let built = IHilbert::build(&engine, &field).expect("build");
+        let catalog = built.save(&engine).expect("save");
+        // A wider but well-formed interval for subfield 1: the catalog
+        // validates, yet names a tree entry that does not exist.
+        let sf = built.inner().subfields[1];
+        let wider = Subfield {
+            interval: Interval::new(sf.interval.lo - 1.0, sf.interval.hi + 1.0),
+            ..sf
+        };
+        built.inner().sf_file.put(&engine, 1, &wider).expect("put");
+
+        let mut reopened: IHilbert<GridField> =
+            IHilbert::open(&engine, catalog).expect("the catalog validates");
+        let cell = reopened
+            .cell_to_pos()
+            .iter()
+            .position(|&pos| pos == sf.start)
+            .expect("a cell of subfield 1");
+        let rec = cf_field::GridCellRecord {
+            vals: [500.0; 4],
+            ..field.cell_record(cell)
+        };
+        let err = reopened
+            .update_cell(&engine, cell, rec)
+            .expect_err("stale catalog interval");
+        assert!(err.is_corrupt(), "{err}");
     }
 
     #[test]

@@ -2,16 +2,18 @@
 //! R\*-tree, coalesce the retrieved record ranges into runs, read the
 //! runs, refine every cell against the band, emit.
 //!
-//! Every product query path — I-Hilbert and the Interval Quadtree
-//! probe, the planner's full scan, the ingest snapshot's overlay-aware
-//! probe and scan, I-All — is one call of [`run`]. The executor alone
-//! owns the query bracket (phase stopwatches, thread-I/O delta), the
-//! range merge rule, the per-cell refine body and the
+//! Every product query path — the I-Hilbert, Interval Quadtree and
+//! I-All probes, the planner's full scan, the ingest snapshot's
+//! overlay-aware probe and scan — is one call of [`run`], and every one
+//! reads its runs with one range sweep
+//! ([`CellFile::for_each_in_ranges`]), each page at most once. The
+//! executor alone owns the query bracket (phase stopwatches, thread-I/O
+//! delta), the range merge rule, the per-cell refine body and the
 //! assembly of the query's one [`ExplainRecord`], handed once to
 //! [`QueryMetrics::publish`] — registry series, trace events, EXPLAIN
 //! and flight record all derive from it. A caller supplies only what
-//! genuinely differs, as a [`Q2`]: the filter source, the cell source,
-//! an optional overlay, and the labels.
+//! genuinely differs, as a [`Q2`]: the filter source, the cell file, an
+//! optional overlay, and the labels.
 //!
 //! The per-cell path is statically dispatched and allocation-free: the
 //! refine body is a closure handed to the generic `for_each_in_ranges`,
@@ -48,8 +50,8 @@ pub(crate) struct Q2<'a, R: Record> {
     /// The filter source; `None` is the full scan — no filtering step,
     /// one run covering the whole cell file.
     pub filter: Option<Filter<'a>>,
-    /// The cell source of the estimation step.
-    pub cells: Cells<'a, R>,
+    /// The cell file the estimation step reads.
+    pub cells: &'a CellFile<R>,
     /// Ingest overlay: records substituted per file position.
     pub overlay: Option<&'a HashMap<u32, R>>,
 }
@@ -83,16 +85,6 @@ pub(crate) struct Delta<'a, R> {
     pub sf_intervals: &'a HashMap<u32, Interval>,
     /// The publication epoch.
     pub epoch: u64,
-}
-
-/// How the estimation step reads the coalesced runs.
-pub(crate) enum Cells<'a, R: Record> {
-    /// Run by run, every underlying page at most once across all runs.
-    Runs(&'a CellFile<R>),
-    /// One record fetch per position — I-All, whose candidates are
-    /// individual cells scattered over its (raw-layout) file in native
-    /// order; the paper's accounting charges a page access per fetch.
-    Each(&'a CellFile<R>),
 }
 
 /// Searches `tree` for the subfields whose key (interval, or value box
@@ -185,32 +177,6 @@ impl Filter<'_> {
     }
 }
 
-impl<R: Record> Cells<'_, R> {
-    fn len(&self) -> usize {
-        let (Cells::Runs(file) | Cells::Each(file)) = self;
-        file.len()
-    }
-
-    /// Feeds every record of `runs` to `visit` in ascending position
-    /// order.
-    fn for_each(
-        &self,
-        engine: &StorageEngine,
-        runs: &[Range<usize>],
-        mut visit: impl FnMut(usize, R),
-    ) -> CfResult<()> {
-        match self {
-            Cells::Runs(file) => file.for_each_in_ranges(engine, runs, visit),
-            Cells::Each(file) => {
-                for pos in runs.iter().cloned().flatten() {
-                    visit(pos, file.get(engine, pos)?);
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
 /// Sorts retrieved `[start, end)` record ranges and merges touching
 /// neighbors into maximal runs (the range-merge rule, stated once).
 ///
@@ -280,8 +246,10 @@ pub(crate) fn run<F: FieldModel>(
         }
     };
     match q.overlay {
-        None => q.cells.for_each(engine, runs, |_, rec| refine(rec))?,
-        Some(overlay) => q.cells.for_each(engine, runs, |pos, rec| {
+        None => q
+            .cells
+            .for_each_in_ranges(engine, runs, |_, rec| refine(rec))?,
+        Some(overlay) => q.cells.for_each_in_ranges(engine, runs, |pos, rec| {
             refine(overlay.get(&(pos as u32)).cloned().unwrap_or(rec))
         })?,
     }

@@ -6,27 +6,26 @@
 //! R\*-tree will become tall and slow due to a large number of intervals
 //! … the search speed will also suffer because of the overlapping of so
 //! many similar intervals."
+//!
+//! I-All is the identity grouping on the shared index core
+//! ([`SubfieldIndex`]): cells stay in native order, and each cell is the
+//! one-cell subfield `[cell, cell + 1)`. Its tree therefore holds one
+//! entry per cell, and a query reads the coalesced candidate runs with
+//! the same range sweep as every other index — each page once.
 
-use crate::exec::{self, Cells, Filter, Q2};
 use crate::ihilbert::check_record;
-use crate::stats::{QueryMetrics, QueryScratch, QueryStats, ValueIndex};
+use crate::planner::Plan;
+use crate::sfindex::SubfieldIndex;
+use crate::stats::{QueryScratch, QueryStats, ValueIndex};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Interval, Point2};
-use cf_rtree::PagedRTree;
-use cf_storage::{CellFile, CfError, CfResult, Label, RecordFile, StorageEngine};
-use std::marker::PhantomData;
-use std::sync::OnceLock;
+use cf_storage::{CfError, CfResult, StorageEngine};
 
 /// One R\*-tree entry per cell: `interval → cell`, each cell stored as
-/// the one-record [`Subfield`] it is, so the filtering step is the
-/// shared one.
+/// the one-record [`Subfield`] it is.
 pub struct IAll<F: FieldModel> {
-    file: CellFile<F::CellRec>,
-    tree: PagedRTree<1>,
-    /// `index_*` registry handles, wired at first query.
-    qmetrics: OnceLock<QueryMetrics>,
-    _field: PhantomData<fn() -> F>,
+    inner: SubfieldIndex<F>,
 }
 
 impl<F: FieldModel> IAll<F> {
@@ -35,23 +34,16 @@ impl<F: FieldModel> IAll<F> {
     /// (as the paper's implementation would).
     pub fn build(engine: &StorageEngine, field: &F) -> CfResult<Self> {
         let n = field.num_cells();
-        assert!(
-            n < u32::MAX as usize,
-            "cell file too large for u32 subfield pointers ({n} cells)"
-        );
-        let records: Vec<F::CellRec> = (0..n).map(|c| field.cell_record(c)).collect();
-        let file = RecordFile::create(engine, records)?;
-
-        let tree = PagedRTree::build(
-            engine,
-            (0..n).map(|cell| (field.cell_interval(cell).into(), entry(cell))),
-        )?;
-        Ok(Self {
-            file,
-            tree,
-            qmetrics: OnceLock::new(),
-            _field: PhantomData,
-        })
+        let records = (0..n).map(|c| field.cell_record(c)).collect();
+        let cells: Vec<Subfield> = (0..n)
+            .map(|cell| Subfield {
+                start: cell as u32,
+                end: (cell + 1) as u32,
+                interval: field.cell_interval(cell),
+            })
+            .collect();
+        let inner = SubfieldIndex::build_from_records(engine, records, &cells, "I-All", "-")?;
+        Ok(Self { inner })
     }
 
     /// Incremental maintenance: rewrites `cell`'s record in place and,
@@ -63,7 +55,8 @@ impl<F: FieldModel> IAll<F> {
     /// Returns [`CfError::InvalidCell`] when `cell` is outside the
     /// indexed range and [`CfError::InvalidRecord`] for a record with a
     /// NaN sample — cell ids and records are user input and must not
-    /// panic.
+    /// panic — and [`CfError::Corrupt`] when the tree has lost the
+    /// cell's entry.
     pub fn update_cell(
         &mut self,
         engine: &StorageEngine,
@@ -71,64 +64,12 @@ impl<F: FieldModel> IAll<F> {
         record: F::CellRec,
     ) -> CfResult<()> {
         check_record::<F>(cell, &record)?;
-        if cell >= self.file.len() {
-            return Err(CfError::InvalidCell {
-                cell,
-                cells: self.file.len(),
-            });
+        let cells = self.inner.file.len();
+        if cell >= cells {
+            return Err(CfError::InvalidCell { cell, cells });
         }
-        let old = self.file.get(engine, cell)?;
-        let old_iv = F::record_interval(&old);
-        let new_iv = F::record_interval(&record);
-        self.file.put(engine, cell, &record)?;
-        if new_iv != old_iv {
-            let removed = self.tree.remove(engine, &old_iv.into(), entry(cell))?;
-            if !removed {
-                return Err(CfError::corrupt(
-                    None,
-                    format!("cell {cell}'s interval entry is missing from the I-All tree"),
-                ));
-            }
-            self.tree.insert(engine, new_iv.into(), entry(cell))?;
-        }
-        Ok(())
+        self.inner.update_record(engine, cell, &record)
     }
-
-    /// The two-step query: every intersecting cell interval from the
-    /// tree, then one record fetch per candidate in cell order (for page
-    /// locality).
-    fn execute(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        scratch: &mut QueryScratch,
-        sink: &mut dyn FnMut(&[Point2]),
-    ) -> CfResult<QueryStats> {
-        let q = Q2 {
-            curve: Label::new("-"),
-            epoch: 0,
-            metrics: self
-                .qmetrics
-                .get_or_init(|| QueryMetrics::wire(engine.metrics(), "I-All")),
-            filter: Some(Filter {
-                tree: &self.tree,
-                overrides: None,
-            }),
-            cells: Cells::Each(&self.file),
-            overlay: None,
-        };
-        exec::run::<F>(engine, band, q, scratch, sink)
-    }
-}
-
-/// Tree payload of `cell`: the packed one-record subfield `[cell, cell + 1)`.
-fn entry(cell: usize) -> u64 {
-    Subfield {
-        start: cell as u32,
-        end: cell as u32 + 1,
-        interval: Interval::point(0.0),
-    }
-    .pack()
 }
 
 impl<F: FieldModel> ValueIndex for IAll<F> {
@@ -142,7 +83,9 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
         band: Interval,
         sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
-        self.execute(engine, band, &mut QueryScratch::default(), sink)
+        let scratch = &mut QueryScratch::default();
+        self.inner
+            .execute(engine, band, Plan::IndexProbe, None, scratch, sink)
     }
 
     fn query_stats_scratch(
@@ -151,19 +94,20 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
         band: Interval,
         scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
-        self.execute(engine, band, scratch, &mut |_| {})
+        self.inner
+            .execute(engine, band, Plan::IndexProbe, None, scratch, &mut |_| {})
     }
 
     fn index_pages(&self) -> usize {
-        self.tree.num_pages()
+        self.inner.tree.num_pages()
     }
 
     fn data_pages(&self) -> usize {
-        self.file.num_pages()
+        self.inner.file.data_pages()
     }
 
     fn num_intervals(&self) -> usize {
-        self.tree.len()
+        self.inner.tree.len()
     }
 }
 
@@ -227,7 +171,7 @@ mod tests {
         let err = iall.update_cell(&engine, 3, nan).expect_err("NaN sample");
         assert!(err.is_invalid_record(), "{err}");
         assert_eq!(
-            iall.file.get(&engine, 3).expect("read"),
+            iall.inner.file.get(&engine, 3).expect("read"),
             field.cell_record(3)
         );
 

@@ -58,20 +58,21 @@ impl<F: FieldModel> IHilbert<F> {
         let order = cell_order(field, config.curve.0);
         let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
         let subfields = build_subfields(&intervals, config.subfield);
-        let mut inner = SubfieldIndex::build(engine, field, &order, &subfields)?;
-        inner.set_metric_label(method_label(config.curve.0));
-        inner.set_curve_label(config.curve.0.name());
+        let curve = config.curve.0;
+        let inner = SubfieldIndex::build(
+            engine,
+            field,
+            &order,
+            &subfields,
+            &method_label(curve),
+            curve.name(),
+        )?;
         // Exact per-subfield cost C = P/SI (the paper's `P = L`, base
         // 1) — the per-cell intervals are in hand only here at build
         // time, so this is where the health metrics get the full
         // distribution.
         let costs = subfield_costs(&subfields, SubfieldConfig::default(), |pos| intervals[pos]);
         inner.publish_health(engine.metrics(), Some(&costs));
-        assert!(
-            order.len() <= u32::MAX as usize,
-            "cell file too large for u32 positions ({} cells)",
-            order.len()
-        );
         // Size the map by the largest cell id, not the cell count: a
         // field reporting non-dense cell ids must not index out of
         // bounds here. Unmapped ids keep the sentinel and are rejected
@@ -83,7 +84,7 @@ impl<F: FieldModel> IHilbert<F> {
         }
         Ok(Self {
             inner,
-            curve: config.curve.0,
+            curve,
             cell_to_pos,
         })
     }
@@ -152,13 +153,9 @@ impl<F: FieldModel> IHilbert<F> {
         &self.cell_to_pos
     }
 
-    pub(crate) fn from_parts(
-        mut inner: SubfieldIndex<F>,
-        curve: Curve,
-        cell_to_pos: Vec<u32>,
-    ) -> Self {
-        inner.set_metric_label(method_label(curve));
-        inner.set_curve_label(curve.name());
+    /// Reassembles an index from a core built or opened with
+    /// [`method_label`]`(curve)` and `curve.name()` as its labels.
+    pub(crate) fn from_parts(inner: SubfieldIndex<F>, curve: Curve, cell_to_pos: Vec<u32>) -> Self {
         Self {
             inner,
             curve,
@@ -233,7 +230,7 @@ pub(crate) fn check_record<F: FieldModel>(cell: usize, record: &F::CellRec) -> C
 
 /// Method name for a curve choice, as used in the paper's figures and as
 /// the `index` metric label.
-fn method_label(curve: Curve) -> String {
+pub(crate) fn method_label(curve: Curve) -> String {
     match curve {
         Curve::Hilbert => "I-Hilbert".into(),
         other => format!("I-{}", other.name()),

@@ -41,7 +41,7 @@
 //! stalls them.
 
 use crate::exec::Delta;
-use crate::ihilbert::{check_record, IHilbert};
+use crate::ihilbert::{check_record, method_label, IHilbert};
 use crate::planner::{Plan, Router};
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryScratch, QueryStats, ValueIndex};
@@ -410,12 +410,15 @@ impl<F: FieldModel> LiveIngest<F> {
         let old_tree = inner.tree.page_run();
         let old_sf = (inner.sf_file.first_page(), inner.sf_file.num_pages());
 
-        let new_inner = SubfieldIndex::build_from_records(engine, records, &subfields)?;
-        let new_base = IHilbert::from_parts(
-            new_inner,
-            state.base.curve(),
-            state.base.cell_to_pos().to_vec(),
-        );
+        let curve = state.base.curve();
+        let new_inner = SubfieldIndex::build_from_records(
+            engine,
+            records,
+            &subfields,
+            &method_label(curve),
+            curve.name(),
+        )?;
+        let new_base = IHilbert::from_parts(new_inner, curve, state.base.cell_to_pos().to_vec());
         new_base.inner().publish_health(engine.metrics(), None);
 
         if let Some(threshold) = self.scan_threshold {

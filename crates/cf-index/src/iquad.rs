@@ -28,7 +28,6 @@ const MAX_DEPTH: u32 = 24;
 /// The Interval-Quadtree value index.
 pub struct IntervalQuadtree<F: FieldModel> {
     inner: SubfieldIndex<F>,
-    threshold: f64,
 }
 
 impl<F: FieldModel> IntervalQuadtree<F> {
@@ -38,10 +37,6 @@ impl<F: FieldModel> IntervalQuadtree<F> {
     pub fn build(engine: &StorageEngine, field: &F, threshold: f64) -> CfResult<Self> {
         assert!(threshold >= 0.0, "threshold must be non-negative");
         let n = field.num_cells();
-        assert!(
-            n <= u32::MAX as usize,
-            "cell file too large for u32 subfield pointers ({n} cells)"
-        );
         let intervals: Vec<Interval> = (0..n).map(|c| field.cell_interval(c)).collect();
         let centroids: Vec<[f64; 2]> = (0..n)
             .map(|c| {
@@ -65,18 +60,12 @@ impl<F: FieldModel> IntervalQuadtree<F> {
         );
         debug_assert_eq!(order.len(), n);
 
-        let mut inner = SubfieldIndex::build(engine, field, &order, &subfields)?;
-        inner.set_metric_label("I-Quad");
+        let inner = SubfieldIndex::build(engine, field, &order, &subfields, "I-Quad", "-")?;
         let costs = subfield_costs(&subfields, SubfieldConfig::default(), |pos| {
             intervals[order[pos]]
         });
         inner.publish_health(engine.metrics(), Some(&costs));
-        Ok(Self { inner, threshold })
-    }
-
-    /// The division threshold used at build time.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
+        Ok(Self { inner })
     }
 
     /// Number of leaf subfields the division produced.
@@ -240,7 +229,6 @@ mod tests {
         assert!(fine.num_subfields() > coarse.num_subfields());
         // Threshold larger than the whole value domain: one subfield.
         assert_eq!(coarse.num_subfields(), 1);
-        assert_eq!(coarse.threshold(), 100.0);
     }
 
     #[test]

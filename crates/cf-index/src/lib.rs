@@ -20,6 +20,13 @@
 //!   (quadtree space division with a fixed interval-size threshold),
 //!   included as the division-strategy ablation.
 //!
+//! The three indexes are one core — a cell file in a chosen order,
+//! subfields as contiguous record ranges of it, a paged 1-D R\*-tree
+//! over their intervals, one query executor — and differ only in how
+//! they order and group cells: I-All keeps native order with one cell
+//! per subfield, I-Hilbert groups greedy runs along the curve, the
+//! Interval Quadtree groups quadtree leaves.
+//!
 //! All methods implement [`ValueIndex`], return identical answers, and
 //! report per-query [`QueryStats`] (pages read, cells examined, answer
 //! area), so the benchmarks compare exactly what the paper compared.

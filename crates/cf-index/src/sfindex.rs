@@ -1,17 +1,21 @@
-//! Shared machinery of subfield-based indexes (I-Hilbert and the
-//! Interval-Quadtree ablation): a cell file in a chosen linear order,
-//! subfields as `[start, end)` record ranges, and a paged 1-D R\*-tree
-//! over the subfield intervals whose leaf payloads are the packed
-//! ranges (paper Fig. 6: leaf entries store `ptr_start, ptr_end`).
+//! The one index core: a cell file in a chosen linear order, subfields
+//! as `[start, end)` record ranges, and a paged 1-D R\*-tree over the
+//! subfield intervals whose leaf payloads are the packed ranges (paper
+//! Fig. 6: leaf entries store `ptr_start, ptr_end`).
+//!
+//! The paper's indexes differ only in how they order and group cells:
+//! I-Hilbert groups greedy runs along a curve, the Interval Quadtree
+//! groups quadtree leaves, and I-All is the identity — native order, one
+//! cell per subfield.
 
-use crate::exec::{self, Cells, Delta, Filter, SubfieldOverrides, Q2};
+use crate::exec::{self, Delta, Filter, SubfieldOverrides, Q2};
 use crate::planner::Plan;
 use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Interval, Point2};
 use cf_rtree::PagedRTree;
-use cf_storage::{CellFile, CfResult, Label, MetricsRegistry, PageCodec, StorageEngine};
+use cf_storage::{CellFile, CfError, CfResult, Label, MetricsRegistry, PageCodec, StorageEngine};
 use std::marker::PhantomData;
 use std::sync::OnceLock;
 
@@ -32,12 +36,11 @@ pub(crate) struct SubfieldIndex<F: FieldModel> {
     pub(crate) sf_file: CellFile<Subfield>,
     /// File position → subfield index.
     pub(crate) pos_to_subfield: Vec<u32>,
-    /// `index` label value of every metric this index publishes
-    /// (overridden by the owning method — `"I-Hilbert"`, `"I-Quad"` — via
-    /// [`SubfieldIndex::set_metric_label`]).
+    /// `index` label value of every metric this index publishes: the
+    /// owning method's name (`"I-Hilbert"`, `"I-Quad"`, `"I-All"`).
     metric_label: String,
-    /// Space-filling-curve name reported in EXPLAIN records (set by the
-    /// owning method via [`SubfieldIndex::set_curve_label`]).
+    /// Space-filling-curve name reported in EXPLAIN records (`"-"` for
+    /// an index that orders cells by no curve).
     curve_label: Label,
     /// Cached registry handles, wired against the first engine queried.
     qmetrics: OnceLock<QueryMetrics>,
@@ -46,16 +49,19 @@ pub(crate) struct SubfieldIndex<F: FieldModel> {
 
 impl<F: FieldModel> SubfieldIndex<F> {
     /// Writes cells in `order` and indexes `subfields` (expressed in
-    /// positions of `order`).
+    /// positions of `order`). `index` and `curve` name the owning method
+    /// and its curve in every metric and EXPLAIN record.
     pub(crate) fn build(
         engine: &StorageEngine,
         field: &F,
         order: &[usize],
         subfields: &[Subfield],
+        index: &str,
+        curve: &str,
     ) -> CfResult<Self> {
         debug_assert_eq!(order.len(), field.num_cells());
         let records: Vec<F::CellRec> = order.iter().map(|&c| field.cell_record(c)).collect();
-        Self::build_from_records(engine, records, subfields)
+        Self::build_from_records(engine, records, subfields, index, curve)
     }
 
     /// Builds an index over records already materialized by the caller
@@ -64,18 +70,31 @@ impl<F: FieldModel> SubfieldIndex<F> {
     /// the intended file order; `subfields` is expressed in positions
     /// of that order. The subfield intervals enter the tree by
     /// one-by-one R\* insertion ([`PagedRTree::build`]), as in §3.2.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is written, if `records` holds more cells
+    /// than a `u32` subfield pointer can address.
     pub(crate) fn build_from_records(
         engine: &StorageEngine,
         records: Vec<F::CellRec>,
         subfields: &[Subfield],
+        index: &str,
+        curve: &str,
     ) -> CfResult<Self> {
+        assert!(
+            records.len() <= u32::MAX as usize,
+            "cell file too large for u32 subfield pointers ({} cells)",
+            records.len()
+        );
         let file = CellFile::create(engine, records)?;
         let tree = PagedRTree::build(
             engine,
             subfields.iter().map(|sf| (sf.interval.into(), sf.pack())),
         )?;
-        let sf_file = CellFile::create(engine, subfields.to_vec())?;
-        Ok(Self::assemble(file, tree, subfields.to_vec(), sf_file))
+        let sf_file = CellFile::create(engine, subfields.iter().copied())?;
+        let subfields = subfields.to_vec();
+        Ok(Self::assemble(file, tree, subfields, sf_file, index, curve))
     }
 
     /// Reattaches to an index persisted in `engine` from its catalog
@@ -87,10 +106,12 @@ impl<F: FieldModel> SubfieldIndex<F> {
         file: CellFile<F::CellRec>,
         tree: PagedRTree<1>,
         sf_file: CellFile<Subfield>,
+        index: &str,
+        curve: &str,
     ) -> CfResult<Self> {
         let subfields = sf_file.read_range(engine, 0..sf_file.len())?;
         Subfield::validate_catalog(&subfields, file.len())?;
-        Ok(Self::assemble(file, tree, subfields, sf_file))
+        Ok(Self::assemble(file, tree, subfields, sf_file, index, curve))
     }
 
     fn assemble(
@@ -98,6 +119,8 @@ impl<F: FieldModel> SubfieldIndex<F> {
         tree: PagedRTree<1>,
         subfields: Vec<Subfield>,
         sf_file: CellFile<Subfield>,
+        index: &str,
+        curve: &str,
     ) -> Self {
         let mut pos_to_subfield = vec![0u32; file.len()];
         for (i, sf) in subfields.iter().enumerate() {
@@ -111,23 +134,11 @@ impl<F: FieldModel> SubfieldIndex<F> {
             subfields,
             sf_file,
             pos_to_subfield,
-            metric_label: "subfield".to_owned(),
-            curve_label: Label::new("-"),
+            metric_label: index.to_owned(),
+            curve_label: Label::new(curve),
             qmetrics: OnceLock::new(),
             _field: PhantomData,
         }
-    }
-
-    /// Sets the `index` label of this index's metrics. Must be called
-    /// before the first query (the label is baked into the cached
-    /// handles then); the owning method does so right after build/open.
-    pub(crate) fn set_metric_label(&mut self, label: impl Into<String>) {
-        self.metric_label = label.into();
-    }
-
-    /// Sets the curve name EXPLAIN records report for this index.
-    pub(crate) fn set_curve_label(&mut self, curve: &str) {
-        self.curve_label = Label::new(curve);
     }
 
     fn query_metrics(&self, registry: &MetricsRegistry) -> &QueryMetrics {
@@ -199,6 +210,12 @@ impl<F: FieldModel> SubfieldIndex<F> {
 
     /// Rewrites the cell record at file position `pos` and incrementally
     /// maintains its subfield's interval in the paged R\*-tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CfError::Corrupt`] when the tree holds no entry under
+    /// the subfield's catalog interval — a catalog that validated but
+    /// disagrees with its tree.
     pub(crate) fn update_record(
         &mut self,
         engine: &StorageEngine,
@@ -224,8 +241,12 @@ impl<F: FieldModel> SubfieldIndex<F> {
             })?;
         let new_iv = new_iv.expect("subfields are non-empty");
         if new_iv != sf.interval {
-            let removed = self.tree.remove(engine, &sf.interval.into(), sf.pack())?;
-            debug_assert!(removed, "stale subfield entry must exist in the tree");
+            if !self.tree.remove(engine, &sf.interval.into(), sf.pack())? {
+                return Err(CfError::corrupt(
+                    None,
+                    format!("subfield {sf_idx}'s interval entry is missing from the tree"),
+                ));
+            }
             self.tree.insert(engine, new_iv.into(), sf.pack())?;
             self.subfields[sf_idx].interval = new_iv;
             self.sf_file.put(engine, sf_idx, &self.subfields[sf_idx])?;
@@ -266,7 +287,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
             epoch: delta.map_or(0, |d| d.epoch),
             metrics: self.query_metrics(engine.metrics()),
             filter,
-            cells: Cells::Runs(&self.file),
+            cells: &self.file,
             overlay: delta.map(|d| d.overlays).filter(|o| !o.is_empty()),
         };
         exec::run::<F>(engine, band, q, scratch, sink)

@@ -185,12 +185,13 @@ impl BufferPool {
     /// # Panics
     ///
     /// Panics if `capacity` or `shards` is zero.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+    fn with_shards(capacity: usize, shards: usize) -> Self {
         Self::with_shards_on(capacity, shards, Arc::new(MetricsRegistry::new()))
     }
 
-    /// Like [`BufferPool::with_shards`], publishing the per-shard
-    /// counters into the caller's registry (the
+    /// Creates a pool with an explicit shard count (rounded up to a
+    /// power of two, capped by `capacity` so no shard is empty),
+    /// publishing the per-shard counters into the caller's registry (the
     /// [`crate::StorageEngine`] shares one registry between its disk
     /// and its pool).
     ///
@@ -514,12 +515,6 @@ impl BufferPool {
     /// by [`BufferPool::resize`].
     pub fn evictions(&self) -> u64 {
         self.shards.iter().map(|s| s.evictions.get()).sum()
-    }
-
-    /// Dirty pages written back to disk so far (by eviction or
-    /// [`BufferPool::flush_all`]), summed over shards.
-    pub fn writebacks(&self) -> u64 {
-        self.shards.iter().map(|s| s.writebacks.get()).sum()
     }
 
     /// Per-shard counters (capacity, cached frames, hits, misses,
@@ -901,7 +896,7 @@ mod tests {
         assert_eq!(flushed, 1);
         assert_eq!(disk.writes(), 1);
         assert_eq!(pool.dirty_pages(), 0);
-        assert_eq!(pool.writebacks(), 1);
+        assert_eq!(pool.metrics().counter_total("pool_writebacks_total"), 1);
         // Idempotent: nothing left to flush.
         assert_eq!(pool.flush_all(&disk).expect("flush"), 0);
         // The disk really has the bytes.
@@ -927,7 +922,7 @@ mod tests {
         pool.write_back(&disk, ids[2], &page_with_tag(12))
             .expect("write");
         assert_eq!(disk.writes(), 1, "one write-back, not a drop");
-        assert_eq!(pool.writebacks(), 1);
+        assert_eq!(pool.metrics().counter_total("pool_writebacks_total"), 1);
         assert_eq!(pool.evictions(), 1);
         // Nothing was lost: every page reads back with its bytes.
         for (i, &id) in ids.iter().enumerate() {

@@ -9,9 +9,9 @@
 //! sized the buffer (records decode from `R::SIZE`-byte images cut from a
 //! checksum-verified page). Paths that decode *variable-length* on-disk
 //! bytes — where a short slice means corruption, not a programmer error —
-//! must use the fallible `try_get_*` variants and map `None` to
-//! [`crate::CfError::Corrupt`]. This file is covered by the CI no-unwrap
-//! grep gate.
+//! must use the fallible [`try_get_u16`] (the compressed page header's
+//! only width) and map `None` to [`crate::CfError::Corrupt`]. This file
+//! is covered by the CI no-unwrap grep gate.
 
 /// Writes a `u32` at `offset`, returning the offset just past it.
 #[inline(always)]
@@ -20,8 +20,7 @@ pub fn put_u32(buf: &mut [u8], offset: usize, v: u32) -> usize {
     offset + 4
 }
 
-/// Reads a `u32` at `offset`. Returns 0 if the slice is too short; use
-/// [`try_get_u32`] when a short read must surface as corruption.
+/// Reads a `u32` at `offset`. Returns 0 if the slice is too short.
 #[inline(always)]
 pub fn get_u32(buf: &[u8], offset: usize) -> u32 {
     if let Some(b) = buf.get(offset..offset + 4) {
@@ -31,15 +30,6 @@ pub fn get_u32(buf: &[u8], offset: usize) -> u32 {
     }
 }
 
-/// Reads a `u32` at `offset`, or `None` if the slice is too short.
-#[inline(always)]
-pub fn try_get_u32(buf: &[u8], offset: usize) -> Option<u32> {
-    let b = buf.get(offset..offset.checked_add(4)?)?;
-    let mut le = [0u8; 4];
-    le.copy_from_slice(b);
-    Some(u32::from_le_bytes(le))
-}
-
 /// Writes a `u64` at `offset`, returning the offset just past it.
 #[inline(always)]
 pub fn put_u64(buf: &mut [u8], offset: usize, v: u64) -> usize {
@@ -47,8 +37,7 @@ pub fn put_u64(buf: &mut [u8], offset: usize, v: u64) -> usize {
     offset + 8
 }
 
-/// Reads a `u64` at `offset`. Returns 0 if the slice is too short; use
-/// [`try_get_u64`] when a short read must surface as corruption.
+/// Reads a `u64` at `offset`. Returns 0 if the slice is too short.
 #[inline(always)]
 pub fn get_u64(buf: &[u8], offset: usize) -> u64 {
     if let Some(b) = buf.get(offset..offset + 8) {
@@ -58,15 +47,6 @@ pub fn get_u64(buf: &[u8], offset: usize) -> u64 {
     }
 }
 
-/// Reads a `u64` at `offset`, or `None` if the slice is too short.
-#[inline(always)]
-pub fn try_get_u64(buf: &[u8], offset: usize) -> Option<u64> {
-    let b = buf.get(offset..offset.checked_add(8)?)?;
-    let mut le = [0u8; 8];
-    le.copy_from_slice(b);
-    Some(u64::from_le_bytes(le))
-}
-
 /// Writes an `f64` at `offset`, returning the offset just past it.
 #[inline(always)]
 pub fn put_f64(buf: &mut [u8], offset: usize, v: f64) -> usize {
@@ -74,17 +54,10 @@ pub fn put_f64(buf: &mut [u8], offset: usize, v: f64) -> usize {
     offset + 8
 }
 
-/// Reads an `f64` at `offset`. Returns 0.0 if the slice is too short; use
-/// [`try_get_f64`] when a short read must surface as corruption.
+/// Reads an `f64` at `offset`. Returns 0.0 if the slice is too short.
 #[inline(always)]
 pub fn get_f64(buf: &[u8], offset: usize) -> f64 {
     f64::from_bits(get_u64(buf, offset))
-}
-
-/// Reads an `f64` at `offset`, or `None` if the slice is too short.
-#[inline(always)]
-pub fn try_get_f64(buf: &[u8], offset: usize) -> Option<f64> {
-    try_get_u64(buf, offset).map(f64::from_bits)
 }
 
 /// Reads a `u16` at `offset`, or `None` if the slice is too short.
@@ -161,14 +134,10 @@ mod tests {
         assert_eq!(get_u32(&buf, 2), 0);
         assert_eq!(get_u64(&buf, 0), 0);
         assert_eq!(get_f64(&buf, 0), 0.0);
-        // …and try_get_* reports the truncation.
-        assert_eq!(try_get_u32(&buf, 0), Some(u32::MAX));
-        assert_eq!(try_get_u32(&buf, 1), None);
-        assert_eq!(try_get_u64(&buf, 0), None);
-        assert_eq!(try_get_f64(&buf, 0), None);
+        // …and try_get_u16 reports the truncation.
+        assert_eq!(try_get_u16(&buf, 2), Some(u16::MAX));
         assert_eq!(try_get_u16(&buf, 3), None);
         // Offsets near usize::MAX must not overflow.
-        assert_eq!(try_get_u32(&buf, usize::MAX - 1), None);
-        assert_eq!(try_get_u64(&buf, usize::MAX), None);
+        assert_eq!(try_get_u16(&buf, usize::MAX), None);
     }
 }

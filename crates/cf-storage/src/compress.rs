@@ -70,7 +70,7 @@ pub enum ColKind {
 impl ColKind {
     /// Width of the raw (first-record) value in bytes.
     #[inline]
-    pub fn raw_width(self) -> usize {
+    fn raw_width(self) -> usize {
         match self {
             ColKind::Delta4 => 4,
             ColKind::Xor8 => 8,
@@ -79,7 +79,7 @@ impl ColKind {
 
     /// Worst-case encoded bytes for one record in this column.
     #[inline]
-    pub fn worst_delta_bytes(self) -> usize {
+    fn worst_delta_bytes(self) -> usize {
         match self {
             ColKind::Delta4 => 5,
             ColKind::Xor8 => 9,
@@ -251,7 +251,7 @@ impl PageEncoder {
     }
 
     /// Header + payload bytes the page would currently occupy.
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         HEADER_LEN + self.tags.len() + self.bufs.iter().map(Vec::len).sum::<usize>()
     }
 
@@ -497,7 +497,7 @@ impl std::fmt::Display for DecodeError {
 
 /// Reads the record count of an encoded page header after validating the
 /// magic and bounds (count ≥ 1, payload within the page).
-pub fn page_count(page: &[u8]) -> Result<usize, DecodeError> {
+fn page_count(page: &[u8]) -> Result<usize, DecodeError> {
     let magic = codec::try_get_u16(page, 0).ok_or(DecodeError::TruncatedPayload)?;
     if magic != PAGE_MAGIC {
         return Err(DecodeError::BadMagic(magic));

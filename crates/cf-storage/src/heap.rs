@@ -511,8 +511,8 @@ impl<R: Record> CellFile<R> {
 /// Constructors of always-raw [`CellFile`]s, whatever codec the engine
 /// is configured with — for files whose page count must follow from
 /// their length alone (the catalog's position map and delta run, the
-/// baselines' native-order cell files, I-All's fetch-per-candidate
-/// file). Never instantiated: every function returns the [`CellFile`].
+/// scan baselines' native-order cell files). Never instantiated: every
+/// function returns the [`CellFile`].
 pub struct RecordFile<R: Record>(PhantomData<R>);
 
 impl<R: Record> RecordFile<R> {

@@ -22,18 +22,35 @@ fn cold_queries_hit_the_disk_warm_queries_do_not() {
     let field = diamond_square(5, 0.5, 4);
     let dom = field.value_domain();
     let engine = StorageEngine::in_memory();
-    let index = IHilbert::build(&engine, &field).expect("build");
+    let indexes: [Box<dyn ValueIndex>; 3] = [
+        Box::new(IHilbert::build(&engine, &field).expect("build")),
+        Box::new(IAll::build(&engine, &field).expect("build")),
+        Box::new(IntervalQuadtree::build(&engine, &field, dom.width() / 16.0).expect("build")),
+    ];
     let band = Interval::new(dom.denormalize(0.4), dom.denormalize(0.45));
 
-    engine.clear_cache();
-    let cold = index.query_stats(&engine, band).expect("query");
-    assert_eq!(cold.io.pool_misses, cold.io.disk_reads);
-    assert!(cold.io.pool_misses > 0);
+    for index in &indexes {
+        let name = index.name();
+        engine.clear_cache();
+        let cold = index.query_stats(&engine, band).expect("query");
+        assert_eq!(cold.io.pool_misses, cold.io.disk_reads, "{name}");
+        assert!(cold.io.pool_misses > 0, "{name}");
+        // Every index reads its runs with one range sweep: a cold query
+        // touches each page it needs exactly once.
+        assert_eq!(
+            cold.io.logical_reads(),
+            cold.io.disk_reads,
+            "{name}: a cold query must read each page once"
+        );
 
-    // Same query warm: all logical reads come from the pool.
-    let warm = index.query_stats(&engine, band).expect("query");
-    assert_eq!(warm.io.disk_reads, 0, "warm query must not touch disk");
-    assert_eq!(warm.io.logical_reads(), cold.io.logical_reads());
+        // Same query warm: all logical reads come from the pool.
+        let warm = index.query_stats(&engine, band).expect("query");
+        assert_eq!(
+            warm.io.disk_reads, 0,
+            "{name}: warm query must not touch disk"
+        );
+        assert_eq!(warm.io.logical_reads(), cold.io.logical_reads(), "{name}");
+    }
 }
 
 #[test]
