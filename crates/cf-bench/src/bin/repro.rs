@@ -630,6 +630,55 @@ mod tests {
     }
 
     #[test]
+    fn record_writes_a_decodable_workload_file() {
+        let dir = std::env::temp_dir();
+        let db = dir.join(format!("repro_record_{}.db", std::process::id()));
+        let wrk = dir.join(format!("repro_record_{}.wrk", std::process::id()));
+        // An existing fielddb-format database, smaller than the 128²
+        // fractal `record` builds when the path is missing.
+        {
+            let engine =
+                create_database(db.display().to_string(), StorageConfig::default()).expect("db");
+            let index = IHilbert::build(&engine, &diamond_square(5, 0.6, 7)).expect("build");
+            let catalog = index.save(&engine).expect("save");
+            write_bootstrap(&engine, catalog).expect("bootstrap");
+            engine.sync().expect("sync");
+        }
+        let before = std::fs::read(&db).expect("db bytes");
+        let opts = Opts {
+            queries: Some(8),
+            workload: Some(wrk.display().to_string()),
+            db: Some(db.display().to_string()),
+            ..Opts::default()
+        };
+        let recorded = record(&opts);
+        #[cfg(not(feature = "obs-off"))]
+        {
+            recorded.expect("record");
+            let records = cf_obs::decode_wrk(&std::fs::read(&wrk).expect("wrk bytes"))
+                .expect("decodable workload");
+            assert_eq!(records.len(), 8);
+            assert!(
+                records.iter().all(|r| r.plane.as_str() == "paged"),
+                "{records:?}"
+            );
+            std::fs::remove_file(&wrk).expect("cleanup");
+        }
+        // With the recorder compiled out the command must say so rather
+        // than write an empty recording.
+        #[cfg(feature = "obs-off")]
+        assert!(recorded.is_err() && !wrk.exists());
+        assert_eq!(
+            std::fs::read(&db).expect("db bytes"),
+            before,
+            "record must reopen an existing database, not rebuild it"
+        );
+        for ext in ["", ".crc", ".fsm"] {
+            let _ = std::fs::remove_file(format!("{}{ext}", db.display()));
+        }
+    }
+
+    #[test]
     fn replay_refuses_a_missing_database_and_creates_nothing() {
         let dir = std::env::temp_dir();
         let wrk = dir.join(format!("repro_missing_{}.wrk", std::process::id()));

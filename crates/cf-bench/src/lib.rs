@@ -16,6 +16,7 @@
 //! mechanism, and deterministic — are reported beside the time.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod replay;
@@ -81,7 +82,8 @@ impl Drop for TempDb {
     }
 }
 
-/// One `(method, Qinterval)` cell of a result table.
+/// One `(method, Qinterval)` cell of a result table (the type
+/// [`run_method_point`] returns).
 #[derive(Debug, Clone)]
 pub struct MethodPoint {
     /// Method name as in the paper's legend.

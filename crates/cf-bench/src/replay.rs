@@ -19,7 +19,7 @@ use cf_storage::{CfResult, StorageEngine};
 use std::fmt;
 
 /// One replayed query whose recomputed digest diverged from the
-/// recording.
+/// recording (an entry of [`ReplayReport::mismatches`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayMismatch {
     /// The record's logical ordinal within the recording.
@@ -36,7 +36,7 @@ pub struct ReplayMismatch {
 
 /// Aggregate outcome of replaying one workload. All fields are
 /// deterministic functions of (workload file, database) — no timings —
-/// so [`ReplayReport::render`] is byte-stable across runs.
+/// so the report's `Display` rendering is byte-stable across runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
     /// Records replayed.

@@ -43,7 +43,7 @@ impl Adjacency {
 
     /// Neighbour of triangle `t` across edge `e`, if any (hull edges
     /// have none).
-    pub fn neighbor(&self, t: usize, e: usize) -> Option<usize> {
+    fn neighbor(&self, t: usize, e: usize) -> Option<usize> {
         self.neighbors[t][e].map(|n| n as usize)
     }
 

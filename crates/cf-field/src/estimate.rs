@@ -42,7 +42,7 @@ pub const LANE: usize = 8;
 /// involved. NaN values set no bit (they fall through to the exact
 /// clip).
 #[inline]
-pub fn band_masks_x8(w: &[f64; LANE], lo: f64, hi: f64) -> (u8, u8, u8) {
+fn band_masks_x8(w: &[f64; LANE], lo: f64, hi: f64) -> (u8, u8, u8) {
     let mut below = 0u8;
     let mut above = 0u8;
     let mut inside = 0u8;
@@ -69,7 +69,7 @@ const BAND_REGION_MAX_POINTS: usize = 3 * 2 * 2;
 /// triangle). The vertices live in a stack buffer: nothing is allocated.
 ///
 /// The common cases — triangle entirely outside or entirely inside the
-/// band — are resolved by [`band_masks_x8`] over the vertex interpolant
+/// band — are resolved by `band_masks_x8` over the vertex interpolant
 /// values without running the clipper; because the masks use the exact
 /// signed distances the clip would test, the result is bit-identical to
 /// the full Sutherland–Hodgman path, which is the two

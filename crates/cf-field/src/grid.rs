@@ -44,7 +44,7 @@ impl GridField {
     ///
     /// See [`GridField::from_values`]; additionally panics on
     /// non-positive spacing.
-    pub fn with_geometry(
+    fn with_geometry(
         vw: usize,
         vh: usize,
         values: Vec<f64>,

@@ -33,6 +33,7 @@
 //! paper's disk-resident system.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod estimate;

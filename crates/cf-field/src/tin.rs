@@ -30,24 +30,11 @@ impl TinField {
     pub fn from_samples(points: &[Point2], values: Vec<f64>) -> Result<Self, TriangulationError> {
         assert_eq!(points.len(), values.len(), "one value per sample point");
         assert!(values.iter().all(|v| v.is_finite()), "non-finite sample");
-        let triangulation = triangulate(points)?;
-        let adjacency = Adjacency::build(&triangulation);
-        let domain = Aabb::hull_of_points(points);
-        Ok(Self {
-            triangulation,
-            adjacency,
-            values,
-            domain,
-        })
+        Ok(Self::from_triangulation(triangulate(points)?, values))
     }
 
-    /// Wraps an existing triangulation with per-point values.
-    pub fn from_triangulation(triangulation: Triangulation, values: Vec<f64>) -> Self {
-        assert_eq!(
-            triangulation.points.len(),
-            values.len(),
-            "one value per triangulation point"
-        );
+    /// Wraps a triangulation with one value per triangulation point.
+    fn from_triangulation(triangulation: Triangulation, values: Vec<f64>) -> Self {
         let domain = Aabb::hull_of_points(&triangulation.points);
         let adjacency = Adjacency::build(&triangulation);
         Self {
@@ -64,12 +51,12 @@ impl TinField {
     }
 
     /// The geometric triangle of a cell.
-    pub fn cell_triangle(&self, cell: usize) -> Triangle {
+    fn cell_triangle(&self, cell: usize) -> Triangle {
         self.triangulation.triangle(cell)
     }
 
     /// The three vertex values of a cell.
-    pub fn cell_vertex_values(&self, cell: usize) -> [f64; 3] {
+    fn cell_vertex_values(&self, cell: usize) -> [f64; 3] {
         let [a, b, c] = self.triangulation.triangles[cell];
         [self.values[a], self.values[b], self.values[c]]
     }

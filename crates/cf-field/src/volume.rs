@@ -46,7 +46,7 @@ const CORNER_BITS: [(usize, usize, usize); 8] = [
 
 /// The six tetrahedra of the cube, all sharing the main diagonal 0–7.
 /// Each row lists corner indices; each tet has volume 1/6 of the cell.
-pub const CUBE_TETS: [[usize; 4]; 6] = [
+const CUBE_TETS: [[usize; 4]; 6] = [
     [0, 1, 3, 7],
     [0, 3, 2, 7],
     [0, 2, 6, 7],
@@ -111,7 +111,7 @@ impl Grid3Field {
         (z * cy + y) * cx + x
     }
 
-    /// The eight corner values of a cell in [`CORNER_BITS`] order.
+    /// The eight corner values of a cell in `CORNER_BITS` order.
     pub fn cell_values(&self, cell: usize) -> [f64; 8] {
         let (x, y, z) = self.cell_coords(cell);
         let mut out = [0.0; 8];
@@ -153,7 +153,7 @@ impl Grid3Field {
     /// `None` outside the grid.
     ///
     /// Inside each cell the interpolant is the simplex ("staircase")
-    /// interpolation over the containing tetrahedron of [`CUBE_TETS`].
+    /// interpolation over the containing tetrahedron of `CUBE_TETS`.
     pub fn value_at(&self, p: [f64; 3]) -> Option<f64> {
         let (cx, cy, cz) = self.cell_dims();
         if p.iter().any(|v| !v.is_finite() || *v < 0.0)
@@ -177,7 +177,7 @@ impl Grid3Field {
 /// coordinates `(u, v, w) ∈ [0, 1]³`, consistent with the 6-tet split:
 /// walk from corner 0 toward corner 7 adding one axis bit at a time in
 /// decreasing-coordinate order.
-pub fn simplex_interpolate(vals: &[f64; 8], local: [f64; 3]) -> f64 {
+fn simplex_interpolate(vals: &[f64; 8], local: [f64; 3]) -> f64 {
     // Axis order by decreasing local coordinate (stable for ties).
     let mut axes = [0usize, 1, 2];
     axes.sort_by(|&a, &b| {
@@ -259,7 +259,7 @@ pub struct VolumeCellRecord {
     pub y0: f64,
     /// Cell origin.
     pub z0: f64,
-    /// Corner values in [`CORNER_BITS`] order.
+    /// Corner values in [`Grid3Field::cell_values`] order.
     pub vals: [f64; 8],
 }
 

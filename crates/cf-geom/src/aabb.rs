@@ -170,11 +170,6 @@ impl<const N: usize> Aabb<N> {
 }
 
 impl Aabb<2> {
-    /// Builds a 2-D box from two corner points given in any order.
-    pub fn from_points(a: Point2, b: Point2) -> Self {
-        Aabb::new([a.x.min(b.x), a.y.min(b.y)], [a.x.max(b.x), a.y.max(b.y)])
-    }
-
     /// Smallest 2-D box containing every point in the slice.
     ///
     /// Returns [`Aabb::EMPTY`] for an empty slice.
@@ -283,7 +278,7 @@ mod tests {
 
     #[test]
     fn from_points_any_order() {
-        let b = Aabb::from_points(Point2::new(3.0, 1.0), Point2::new(1.0, 4.0));
+        let b = Aabb::hull_of_points(&[Point2::new(3.0, 1.0), Point2::new(1.0, 4.0)]);
         assert_eq!(b, Aabb::new([1.0, 1.0], [3.0, 4.0]));
         assert_eq!(b.center_point(), Point2::new(2.0, 2.5));
     }

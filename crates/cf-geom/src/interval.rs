@@ -53,16 +53,6 @@ impl Interval {
         Self::new(v, v)
     }
 
-    /// Creates the interval spanning two values given in any order.
-    #[inline]
-    pub fn spanning(a: f64, b: f64) -> Self {
-        if a <= b {
-            Self::new(a, b)
-        } else {
-            Self::new(b, a)
-        }
-    }
-
     /// The smallest interval containing every value in a non-empty slice.
     ///
     /// Returns `None` for an empty slice.
@@ -107,7 +97,8 @@ impl Interval {
         self.lo <= v && v <= self.hi
     }
 
-    /// Returns `true` when every value of `other` lies inside `self`.
+    /// Returns `true` when every value of `other` lies inside `self`
+    /// (the test suites of dependent crates check generated bands with it).
     #[inline]
     pub fn contains_interval(self, other: Interval) -> bool {
         self.lo <= other.lo && other.hi <= self.hi
@@ -120,14 +111,6 @@ impl Interval {
             lo: self.lo.min(other.lo),
             hi: self.hi.max(other.hi),
         }
-    }
-
-    /// The overlap of `self` and `other`, or `None` if disjoint.
-    #[inline]
-    pub fn intersection(self, other: Interval) -> Option<Interval> {
-        let lo = self.lo.max(other.lo);
-        let hi = self.hi.min(other.hi);
-        (lo <= hi).then_some(Interval { lo, hi })
     }
 
     /// Midpoint of the interval.
@@ -184,8 +167,7 @@ mod tests {
 
     #[test]
     fn constructors_enforce_order() {
-        let iv = Interval::spanning(5.0, 2.0);
-        assert_eq!(iv, Interval::new(2.0, 5.0));
+        assert_eq!(Interval::point(3.0), Interval::new(3.0, 3.0));
         assert_eq!(Interval::point(3.0).width(), 0.0);
     }
 
@@ -220,8 +202,6 @@ mod tests {
         assert!(a.intersects(b));
         assert!(b.intersects(a));
         assert!(!a.intersects(c));
-        assert_eq!(a.intersection(b), Some(Interval::point(1.0)));
-        assert_eq!(a.intersection(c), None);
     }
 
     #[test]

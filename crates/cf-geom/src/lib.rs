@@ -41,6 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod aabb;
@@ -52,7 +53,7 @@ mod triangle;
 pub use aabb::Aabb;
 pub use interval::Interval;
 pub use point::Point2;
-pub use polygon::{clip_halfplane_into, clip_polygon_halfplane, signed_area, Polygon};
+pub use polygon::{clip_halfplane_into, signed_area, Polygon};
 pub use triangle::Triangle;
 
 /// Tolerance used for geometric predicates on `f64` coordinates.

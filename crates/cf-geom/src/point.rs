@@ -65,12 +65,6 @@ impl Point2 {
         )
     }
 
-    /// Midpoint between `self` and `other`.
-    #[inline]
-    pub fn midpoint(self, other: Point2) -> Point2 {
-        self.lerp(other, 0.5)
-    }
-
     /// Returns `true` when both coordinates are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -145,7 +139,7 @@ mod tests {
         let b = Point2::new(3.0, 6.0);
         assert_eq!(a.lerp(b, 0.0), a);
         assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.midpoint(b), Point2::new(2.0, 4.0));
+        assert_eq!(a.lerp(b, 0.5), Point2::new(2.0, 4.0));
     }
 
     #[test]

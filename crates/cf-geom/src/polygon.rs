@@ -136,11 +136,13 @@ impl Polygon {
     }
 
     /// Clips the polygon to the half-plane `{p : keep(p) >= 0}` where
-    /// `keep` is an affine function of position.
-    ///
-    /// See [`clip_polygon_halfplane`].
+    /// `keep` is an affine function of position: Sutherland–Hodgman
+    /// ([`clip_halfplane_into`]) into a new polygon.
     pub fn clip_halfplane(&self, keep: impl Fn(Point2) -> f64) -> Polygon {
-        clip_polygon_halfplane(self, keep)
+        let mut out = vec![Point2::ORIGIN; 2 * self.vertices.len()];
+        let len = clip_halfplane_into(&self.vertices, keep, &mut out);
+        out.truncate(len);
+        Polygon::new(out)
     }
 }
 
@@ -148,15 +150,6 @@ impl From<crate::Triangle> for Polygon {
     fn from(t: crate::Triangle) -> Self {
         Polygon::new(t.vertices.to_vec())
     }
-}
-
-/// Sutherland–Hodgman clipping of `poly` against the half-plane
-/// `{p : keep(p) >= 0}` ([`clip_halfplane_into`] into a new polygon).
-pub fn clip_polygon_halfplane(poly: &Polygon, keep: impl Fn(Point2) -> f64) -> Polygon {
-    let mut out = vec![Point2::ORIGIN; 2 * poly.vertices.len()];
-    let len = clip_halfplane_into(&poly.vertices, keep, &mut out);
-    out.truncate(len);
-    Polygon::new(out)
 }
 
 #[cfg(test)]

@@ -37,12 +37,6 @@ impl Triangle {
         self.signed_area().abs()
     }
 
-    /// Returns `true` for a degenerate (zero-area, collinear) triangle.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.area() < EPSILON
-    }
-
     /// Centroid (the "center position of cells" used for Hilbert ordering
     /// of TIN cells in the paper).
     #[inline]
@@ -61,7 +55,7 @@ impl Triangle {
     /// triangle's vertices, or `None` for a degenerate triangle.
     ///
     /// The coordinates sum to 1 and are all in `[0, 1]` iff `p` lies
-    /// inside the triangle.
+    /// inside the triangle. Public for the crate's property tests.
     pub fn barycentric(&self, p: Point2) -> Option<[f64; 3]> {
         let [a, b, c] = self.vertices;
         let denom = a.cross(b, c);
@@ -93,7 +87,8 @@ impl Triangle {
     }
 
     /// The circumcircle as `(center, radius_squared)`, or `None` for a
-    /// degenerate triangle. Used by the Delaunay in-circle predicate.
+    /// degenerate triangle. The Delaunay property tests check
+    /// triangulations against it.
     pub fn circumcircle(&self) -> Option<(Point2, f64)> {
         let [a, b, c] = self.vertices;
         let d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y));
@@ -139,9 +134,9 @@ mod tests {
             Point2::new(1.0, 1.0),
             Point2::new(2.0, 2.0),
         );
-        assert!(line.is_degenerate());
+        assert!(line.area() < EPSILON);
         assert_eq!(line.barycentric(Point2::new(0.5, 0.5)), None);
-        assert!(!unit_right().is_degenerate());
+        assert!(unit_right().area() >= EPSILON);
     }
 
     #[test]

@@ -71,6 +71,7 @@ impl QueryBatch {
 
     /// Keep each query's answer regions in its [`BatchQueryResult`]
     /// (off by default — the analytics path needs only counts + area).
+    /// Only the root crate's batch tests turn it on.
     pub fn collect_regions(mut self, yes: bool) -> Self {
         self.collect_regions = yes;
         self
@@ -183,7 +184,8 @@ impl QueryBatch {
     }
 }
 
-/// One query's outcome inside a batch.
+/// One query's outcome inside a batch (an entry of
+/// [`BatchReport::results`]).
 #[derive(Debug, Clone)]
 pub struct BatchQueryResult {
     /// The query band.
@@ -217,24 +219,6 @@ impl BatchReport {
             .fold(IoStats::default(), |acc, r| acc + r.stats.io)
     }
 
-    /// Sum of cells examined across the batch.
-    pub fn total_cells_examined(&self) -> usize {
-        self.results.iter().map(|r| r.stats.cells_examined).sum()
-    }
-
-    /// Sum of qualifying cells across the batch.
-    pub fn total_cells_qualifying(&self) -> usize {
-        self.results.iter().map(|r| r.stats.cells_qualifying).sum()
-    }
-
-    /// Sum of intervals (subfields) retrieved by the filter steps.
-    pub fn total_intervals_retrieved(&self) -> usize {
-        self.results
-            .iter()
-            .map(|r| r.stats.intervals_retrieved)
-            .sum()
-    }
-
     /// Mean per-query wall time.
     pub fn mean_query_wall(&self) -> Duration {
         if self.results.is_empty() {
@@ -266,6 +250,9 @@ impl BatchReport {
 impl fmt::Display for BatchReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let io = self.total_io();
+        let sum = |stat: fn(&QueryStats) -> usize| -> usize {
+            self.results.iter().map(|r| stat(&r.stats)).sum()
+        };
         write!(
             f,
             "{}: {} queries on {} threads in {:.2?} ({:.0} q/s) — \
@@ -278,9 +265,9 @@ impl fmt::Display for BatchReport {
             self.queries_per_second(),
             io.logical_reads(),
             io.disk_reads,
-            self.total_intervals_retrieved(),
-            self.total_cells_qualifying(),
-            self.total_cells_examined(),
+            sum(|s| s.intervals_retrieved),
+            sum(|s| s.cells_qualifying),
+            sum(|s| s.cells_examined),
             self.mean_query_wall(),
             self.max_query_wall(),
         )

@@ -56,7 +56,7 @@ const CRC_COVER: usize = 144;
 
 /// A `u32` cell→position mapping entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PosRecord(pub u32);
+pub(crate) struct PosRecord(pub(crate) u32);
 
 impl Record for PosRecord {
     const SIZE: usize = 4;

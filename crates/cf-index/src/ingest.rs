@@ -169,7 +169,7 @@ impl IngestGauges {
     }
 }
 
-/// What a [`LiveIngest::repack`] did.
+/// What a [`LiveIngest::repack`] did (its return type).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepackReport {
     /// Whether a new epoch was published (false: the delta was empty).
@@ -617,7 +617,8 @@ fn effective_sf_interval<F: FieldModel>(
     Ok(union.expect("subfields are non-empty"))
 }
 
-/// One immutable published epoch: base index + delta prefix.
+/// One immutable published epoch: base index + delta prefix (what
+/// [`LiveIngest::snapshot`] returns).
 ///
 /// Implements [`ValueIndex`], so it drops into everything that takes
 /// one — including [`crate::QueryBatch`] — and merges base + delta
@@ -654,7 +655,8 @@ impl<F: FieldModel> EpochSnapshot<F> {
     }
 
     /// Number of delta overlays merged into this snapshot's answers.
-    pub fn delta_records(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn delta_records(&self) -> usize {
         self.overlays.len()
     }
 

@@ -39,6 +39,7 @@
 //! and aggregated statistics ([`BatchReport`]).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod batch;
@@ -59,14 +60,14 @@ mod vector;
 mod volume3d;
 
 pub use batch::{BatchQueryResult, BatchReport, QueryBatch};
-pub use catalog::{create_database, open_database, read_bootstrap, write_bootstrap, PosRecord};
+pub use catalog::{create_database, open_database, read_bootstrap, write_bootstrap};
 pub use iall::IAll;
 pub use ihilbert::{CurveChoice, IHilbert, IHilbertConfig};
 pub use ingest::{DeltaRec, EpochSnapshot, IngestConfig, LiveIngest, RepackReport};
 pub use iquad::IntervalQuadtree;
 pub use linear::LinearScan;
 pub use order::{cell_order, CURVE_ORDER};
-pub use planner::{AdaptiveIndex, Plan, SelectivityEstimator};
+pub use planner::{AdaptiveIndex, Plan};
 pub use q1::{PointIndex, PointQueryStats};
 pub use stats::{QueryScratch, QueryStats, ValueIndex};
 pub use subfield::{build_subfields, Subfield, SubfieldConfig, ValueSummary};

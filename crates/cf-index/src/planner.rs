@@ -28,7 +28,7 @@ use std::sync::OnceLock;
 /// b)`; both terms come from cumulative bucket counts of interval
 /// endpoints.
 #[derive(Debug, Clone)]
-pub struct SelectivityEstimator {
+pub(crate) struct SelectivityEstimator {
     domain: Interval,
     /// `below[k]` = number of intervals with `hi` strictly inside the
     /// first `k` buckets (entirely below bucket boundary `k`).
@@ -45,7 +45,7 @@ impl SelectivityEstimator {
     /// # Panics
     ///
     /// Panics if `buckets == 0`.
-    pub fn build(intervals: impl Iterator<Item = Interval>, buckets: usize) -> Self {
+    fn build(intervals: impl Iterator<Item = Interval>, buckets: usize) -> Self {
         assert!(buckets > 0, "need at least one bucket");
         let items: Vec<Interval> = intervals.collect();
         let n = items.len();
@@ -87,7 +87,7 @@ impl SelectivityEstimator {
     }
 
     /// Number of buckets.
-    pub fn buckets(&self) -> usize {
+    fn buckets(&self) -> usize {
         self.below.len() - 2
     }
 
@@ -96,7 +96,7 @@ impl SelectivityEstimator {
     /// The estimate is exact up to bucket granularity and errs on the
     /// *high* side (never underestimates by more than two buckets' worth
     /// of endpoints).
-    pub fn estimate_candidates(&self, band: Interval) -> usize {
+    fn estimate_candidates(&self, band: Interval) -> usize {
         if self.n == 0 || band.hi < self.domain.lo || band.lo > self.domain.hi {
             return 0;
         }
@@ -112,7 +112,7 @@ impl SelectivityEstimator {
     }
 
     /// Estimated selectivity in `[0, 1]`.
-    pub fn estimate_selectivity(&self, band: Interval) -> f64 {
+    fn estimate_selectivity(&self, band: Interval) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -198,8 +198,9 @@ impl<F: FieldModel> AdaptiveIndex<F> {
         Ok(Self { index, router })
     }
 
-    /// The estimator (for inspection / testing).
-    pub fn estimator(&self) -> &SelectivityEstimator {
+    /// The estimator the router consults.
+    #[cfg(test)]
+    fn estimator(&self) -> &SelectivityEstimator {
         &self.router.estimator
     }
 

@@ -13,7 +13,7 @@ use cf_rtree::PagedRTree;
 use cf_storage::{CellFile, CfResult, IoStats, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 
-/// Statistics of one point query.
+/// Statistics of one point query (returned with its answer).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PointQueryStats {
     /// Index nodes visited.

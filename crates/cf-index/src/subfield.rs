@@ -49,7 +49,8 @@ impl Default for SubfieldConfig {
 }
 
 /// What the greedy grouping unions and sizes: the value interval of a
-/// scalar cell, or the value box of a vector cell.
+/// scalar cell, or the value box of a vector cell (the bound of
+/// [`build_subfields`]).
 pub trait ValueSummary: Copy {
     /// The smallest summary holding both operands.
     fn union(self, other: Self) -> Self;

@@ -569,8 +569,8 @@ fn torn_compressed_cell_page_surfaces_corrupt_not_wrong_answers() {
     let cell_page = PageId(0);
     let mut buf = engine.with_page(cell_page, |p| *p).expect("read");
     assert_eq!(
-        codec::get_u16(&buf, 0),
-        compress::PAGE_MAGIC,
+        codec::try_get_u16(&buf, 0),
+        Some(compress::PAGE_MAGIC),
         "expected the cell file's first compressed page at page 0"
     );
 
@@ -589,7 +589,7 @@ fn torn_compressed_cell_page_surfaces_corrupt_not_wrong_answers() {
         (
             "count inflated",
             Box::new(|p: &mut PageBuf| {
-                let n = codec::get_u16(p, 2);
+                let n = codec::try_get_u16(p, 2).expect("page header");
                 codec::put_u16(p, 2, n.wrapping_add(7));
             }),
         ),

@@ -24,7 +24,7 @@ use crate::trace::TraceEvent;
 use std::fmt;
 
 /// Byte capacity of an inline [`Label`].
-pub const LABEL_CAPACITY: usize = 24;
+const LABEL_CAPACITY: usize = 24;
 
 /// A fixed-capacity, `Copy` string for index/curve names.
 ///
@@ -47,7 +47,7 @@ impl Label {
     }
 
     /// Builds a label from `s`, truncating at a character boundary if
-    /// it exceeds [`LABEL_CAPACITY`] bytes.
+    /// it exceeds `LABEL_CAPACITY` bytes.
     pub fn new(s: &str) -> Self {
         let mut end = s.len().min(LABEL_CAPACITY);
         while end > 0 && !s.is_char_boundary(end) {
@@ -190,7 +190,8 @@ impl ExplainRecord {
     }
 
     /// Nanoseconds not attributed to filter or refine (planning,
-    /// dispatch, result assembly). Saturates at zero.
+    /// dispatch, result assembly). Saturates at zero. Public for the
+    /// root crate's metrics-consistency tests.
     pub fn other_ns(&self) -> u64 {
         self.total_ns
             .saturating_sub(self.filter_ns)
@@ -199,7 +200,7 @@ impl ExplainRecord {
 
     /// Buffer-pool hit ratio in `[0, 1]`; 1.0 when the pool was never
     /// touched.
-    pub fn pool_hit_ratio(&self) -> f64 {
+    fn pool_hit_ratio(&self) -> f64 {
         let total = self.pool_hits + self.pool_misses;
         if total == 0 {
             1.0

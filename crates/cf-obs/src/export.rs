@@ -3,8 +3,9 @@
 //! Everything the registry and tracer collect can leave the process in
 //! three formats:
 //!
-//! * **Chrome trace JSON** ([`chrome_trace_json`]) — the tracer's
-//!   event view as a `chrome://tracing` / Perfetto-loadable document.
+//! * **Chrome trace JSON** ([`trace_dump_json`], the `/traces` body) —
+//!   the tracer's event view plus the retained slow-query reports, as a
+//!   `chrome://tracing` / Perfetto-loadable document.
 //!   Span events carry only durations (recording wall-clock start
 //!   times would make snapshots non-reproducible), so the exporter
 //!   *lays the trace out*: each query gets its own track (`tid`), and
@@ -22,15 +23,14 @@
 //!
 //! In-process, the [`EventJournal`] buffers structured lifecycle events
 //! (epoch published, repack start/end, run deferred/reclaimed) in a
-//! bounded ring until a CLI or exporter drains them into an
-//! [`EventLog`].
+//! bounded ring; [`EventJournal::take`] drains it.
 
 use crate::explain::ExplainRecord;
 use crate::json::Json;
 use crate::trace::TraceEvent;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// One span event as a Chrome-trace "complete" (`"ph":"X"`) event.
@@ -81,20 +81,9 @@ fn chrome_events(events: &[TraceEvent]) -> Vec<Json> {
     out
 }
 
-/// Renders the event ring as a self-contained Chrome trace document
-/// (`{"traceEvents": [...]}`), loadable by `chrome://tracing` and
-/// Perfetto.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    Json::obj([
-        ("traceEvents", Json::Arr(chrome_events(events))),
-        ("displayTimeUnit", Json::Str("ms".into())),
-    ])
-    .render()
-}
-
 /// One slow query's record as a JSON object: the phase breakdown (its
 /// events below the enclosing query span) plus the full EXPLAIN record.
-pub fn slow_report_record(rec: &ExplainRecord) -> Json {
+fn slow_report_record(rec: &ExplainRecord) -> Json {
     Json::obj([
         ("kind", Json::Str("slow_query".into())),
         ("query_id", Json::Num(rec.query_id as f64)),
@@ -133,7 +122,8 @@ pub fn trace_dump_json(events: &[TraceEvent], slow: &[ExplainRecord]) -> String 
     .render()
 }
 
-/// One span event as a structured log record.
+/// One span event as a structured log record. Public for the
+/// golden-file test of the log line layout.
 pub fn trace_event_record(e: &TraceEvent) -> Json {
     Json::obj([
         ("kind", Json::Str("span".into())),
@@ -197,7 +187,7 @@ impl EventLog {
 
     /// Appends one record (a `seq` field is prepended to it). Rotates
     /// first when the active file would exceed the size cap.
-    pub fn append(&mut self, record: &Json) -> io::Result<()> {
+    fn append(&mut self, record: &Json) -> io::Result<()> {
         let mut stamped = vec![("seq".to_owned(), Json::Num(self.seq as f64))];
         if let Json::Obj(pairs) = record {
             stamped.extend(pairs.iter().cloned());
@@ -233,24 +223,19 @@ impl EventLog {
         }
         Ok(())
     }
-
-    /// The active log path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// Maximum events retained by an [`EventJournal`].
-pub const JOURNAL_RING_CAPACITY: usize = 1024;
+#[cfg(not(feature = "obs-off"))]
+const JOURNAL_RING_CAPACITY: usize = 1024;
 
 /// A bounded in-process ring of structured lifecycle events.
 ///
 /// The ingest plane and the storage GC emit epoch-lifecycle events here
 /// (`epoch_published`, `repack_start`, `repack_end`, `run_deferred`,
-/// `run_reclaimed`); a CLI or exporter periodically drains them into an
-/// [`EventLog`] JSONL sink. Cloning shares the ring. Under `obs-off`
-/// emission compiles to a no-op and the closure passed to
-/// [`EventJournal::emit_with`] is never evaluated.
+/// `run_reclaimed`); readers snapshot or drain them. Cloning shares the
+/// ring. Under `obs-off` emission compiles to a no-op and the closure
+/// passed to [`EventJournal::emit_with`] is never evaluated.
 #[derive(Debug, Clone, Default)]
 pub struct EventJournal {
     ring: Arc<Mutex<VecDeque<Json>>>,
@@ -259,18 +244,13 @@ pub struct EventJournal {
 impl EventJournal {
     /// Appends one event, evicting the oldest past the ring capacity.
     #[cfg(not(feature = "obs-off"))]
-    pub fn emit(&self, event: Json) {
+    fn emit(&self, event: Json) {
         let mut ring = self.ring.lock().expect("journal ring poisoned");
         if ring.len() >= JOURNAL_RING_CAPACITY {
             ring.pop_front();
         }
         ring.push_back(event);
     }
-
-    /// Appends one event (compiled out under `obs-off`).
-    #[cfg(feature = "obs-off")]
-    #[inline]
-    pub fn emit(&self, _event: Json) {}
 
     /// Appends the event built by `make`; under `obs-off` the closure
     /// is never evaluated, so event assembly compiles out with it.
@@ -315,19 +295,10 @@ impl EventJournal {
     pub fn clear(&self) {
         self.ring.lock().expect("journal ring poisoned").clear();
     }
-
-    /// Drains every pending event into a JSONL [`EventLog`]; returns
-    /// how many were written.
-    pub fn drain_to(&self, log: &mut EventLog) -> io::Result<usize> {
-        let events = self.take();
-        for e in &events {
-            log.append(e)?;
-        }
-        Ok(events.len())
-    }
 }
 
-/// One sample of a Prometheus text snapshot.
+/// One sample of a Prometheus text snapshot (a type in
+/// [`parse_prometheus`]'s result).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PromSample {
     /// Metric (series) name, including `_bucket`/`_sum`/`_count`
@@ -340,7 +311,7 @@ pub struct PromSample {
 }
 
 /// A parsed Prometheus text snapshot: `# TYPE` declarations plus
-/// samples, both in exposition order.
+/// samples, both in exposition order ([`parse_prometheus`]'s result).
 #[derive(Debug, Clone, Default)]
 pub struct PromSnapshot {
     /// `(family name, kind)` per `# TYPE` line.
@@ -449,7 +420,7 @@ mod tests {
             ev(0, "refine", 5, 3_000, 1),
             ev(0, "query", 8, 6_000, 0),
         ];
-        let doc = Json::parse(&chrome_trace_json(&events)).expect("valid json");
+        let doc = Json::parse(&trace_dump_json(&events, &[])).expect("valid json");
         let out = doc
             .get("traceEvents")
             .and_then(Json::as_arr)
@@ -474,7 +445,7 @@ mod tests {
     #[test]
     fn chrome_layout_is_per_query() {
         let events = [ev(1, "query", 0, 1_000, 0), ev(2, "query", 0, 1_000, 0)];
-        let doc = Json::parse(&chrome_trace_json(&events)).expect("valid json");
+        let doc = Json::parse(&trace_dump_json(&events, &[])).expect("valid json");
         let out = doc
             .get("traceEvents")
             .and_then(Json::as_arr)
@@ -564,8 +535,11 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("journal.jsonl");
         let mut log = EventLog::open(&path, u64::MAX, 2).expect("open");
-        let written = journal.drain_to(&mut log).expect("drain");
-        assert_eq!(written, JOURNAL_RING_CAPACITY);
+        let drained = journal.take();
+        assert_eq!(drained.len(), JOURNAL_RING_CAPACITY);
+        for e in &drained {
+            log.append(e).expect("append");
+        }
         assert!(journal.is_empty());
         let text = std::fs::read_to_string(&path).expect("read");
         assert_eq!(text.lines().count(), JOURNAL_RING_CAPACITY);
@@ -583,7 +557,6 @@ mod tests {
     #[test]
     fn journal_is_inert_under_obs_off() {
         let journal = EventJournal::default();
-        journal.emit(Json::Null);
         journal.emit_with(|| unreachable!("emit_with must not evaluate under obs-off"));
         assert!(journal.is_empty());
     }

@@ -1,12 +1,16 @@
 //! A minimal, dependency-free JSON value: parse, render, navigate.
 //!
 //! The exporters ([`crate::export`]) render machine-readable snapshots
-//! (Chrome trace files, JSONL event logs) and the bench-history
-//! regression watch parses them back; both sides share this module so
-//! the byte format is defined exactly once. Scope is deliberately
+//! (Chrome trace files, JSONL event logs, EXPLAIN records) and clients
+//! such as `fielddb top` parse them back; both sides share this module
+//! so the byte format is defined exactly once. Scope is deliberately
 //! small — the full JSON grammar, no streaming, no custom escapes
 //! beyond what the format requires — and object key order is preserved
 //! on both parse and render so output is deterministic and diffable.
+//!
+//! The parser reads whatever a remote endpoint sends, so it is linear in
+//! the input and rejects nesting deeper than `MAX_DEPTH` (128) levels with a
+//! [`JsonError`] instead of exhausting the stack.
 
 use std::fmt;
 
@@ -114,11 +118,11 @@ impl Json {
     }
 
     /// Parses one JSON document (trailing whitespace allowed, trailing
-    /// garbage rejected).
+    /// garbage and nesting deeper than `MAX_DEPTH` (128) levels rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -164,7 +168,7 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// A parse failure with its byte offset.
+/// A parse failure with its byte offset ([`Json::parse`]'s error).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure.
@@ -207,10 +211,18 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest array/object nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 128;
+
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => {
+            Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
@@ -224,7 +236,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -252,7 +264,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(err(*pos, "expected ':' after object key"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -276,13 +288,24 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash as one slice:
+        // both are ASCII, so the run ends on a character boundary of the
+        // `&str` input and each byte is validated once.
+        let start = *pos;
+        while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+            *pos += 1;
+        }
+        let run =
+            std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "invalid utf-8"))?;
+        out.push_str(run);
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The run stopped at a backslash: one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -310,15 +333,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     _ => return Err(err(*pos, "bad escape")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is &str, so this is
-                // always at a character boundary).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
@@ -384,6 +398,37 @@ mod tests {
         for text in ["", "{", "[1,", "{\"a\" 1}", "nul", "1 2", "\"abc"] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    /// `n` nested arrays, or `n` nested single-member objects.
+    fn nested(n: usize, objects: bool) -> String {
+        if objects {
+            format!("{}null{}", "{\"a\":".repeat(n), "}".repeat(n))
+        } else {
+            format!("{}{}", "[".repeat(n), "]".repeat(n))
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        for objects in [false, true] {
+            assert!(Json::parse(&nested(MAX_DEPTH, objects)).is_ok());
+            assert!(Json::parse(&nested(MAX_DEPTH + 1, objects)).is_err());
+        }
+        let open = "[".repeat(1_000_000);
+        assert!(Json::parse(&open).is_err());
+        let open = "{\"a\":".repeat(1_000_000);
+        assert!(Json::parse(&open).is_err());
+    }
+
+    #[test]
+    fn a_mebibyte_of_non_ascii_round_trips() {
+        let v = Json::Str("é".repeat(512 * 1024));
+        let rendered = v.render();
+        assert_eq!(rendered.len(), 1024 * 1024 + 2);
+        assert_eq!(Json::parse(&rendered).expect("parse"), v);
+        let mixed = Json::Str("aé\"b\\ü\n".repeat(1000));
+        assert_eq!(Json::parse(&mixed.render()).expect("parse"), mixed);
     }
 
     #[test]

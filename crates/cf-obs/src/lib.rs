@@ -32,6 +32,7 @@
 //! accounting is built on them.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod explain;
@@ -45,7 +46,7 @@ pub use explain::{ExplainRecord, Label};
 pub use export::EventJournal;
 pub use json::{Json, JsonError};
 pub use record::{answer_digest, decode_wrk, encode_wrk, WorkloadRecord, WORKLOAD_VERSION};
-pub use trace::{Stopwatch, TraceEvent, Tracer, QUERY_RING_CAPACITY, RECENT_VIEW_LEN};
+pub use trace::{Stopwatch, TraceEvent, Tracer};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -58,11 +59,6 @@ use std::sync::{Arc, Mutex};
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A counter not attached to any registry (always safe to bump).
-    pub fn detached() -> Self {
-        Self::default()
-    }
-
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -112,7 +108,7 @@ impl Gauge {
 
 /// Default bucket upper bounds for nanosecond latency histograms:
 /// powers of four from 256 ns to ~4.3 s.
-pub const NS_BUCKETS: [f64; 13] = [
+const NS_BUCKETS: [f64; 13] = [
     256.0,
     1_024.0,
     4_096.0,
@@ -211,16 +207,6 @@ impl Histogram {
         f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
     }
 
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
-    }
-
     /// Clears all buckets and the sum.
     pub fn reset(&self) {
         for c in &self.0.counts {
@@ -231,7 +217,7 @@ impl Histogram {
 
     /// `(upper_bound, cumulative_count)` per bucket, ending with the
     /// `+Inf` bucket.
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
+    fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
         let mut out = Vec::with_capacity(self.0.counts.len());
         let mut cum = 0u64;
         for (i, c) in self.0.counts.iter().enumerate() {
@@ -433,7 +419,8 @@ impl MetricsRegistry {
             .unwrap_or(0)
     }
 
-    /// Value of a counter series (`None` when absent).
+    /// Value of a counter series (`None` when absent); the metrics
+    /// tests of dependent crates read single series with it.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         let families = self.families.lock().expect("metrics registry poisoned");
         families.get(name).and_then(|f| {

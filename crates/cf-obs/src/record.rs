@@ -20,14 +20,14 @@ use crate::explain::{ExplainRecord, Label};
 use crate::json::Json;
 
 /// Magic bytes of a `.wrk` workload file.
-pub const WORKLOAD_MAGIC: [u8; 4] = *b"CFWK";
+const WORKLOAD_MAGIC: [u8; 4] = *b"CFWK";
 
 /// Current `.wrk` format version.
 pub const WORKLOAD_VERSION: u32 = 1;
 
 /// On-disk bytes per record: ordinal, band bits ×2, epoch, digest
 /// (8 bytes each) plus two 16-byte NUL-padded name fields.
-pub const WORKLOAD_RECORD_SIZE: usize = 72;
+const WORKLOAD_RECORD_SIZE: usize = 72;
 
 /// `.wrk` header: magic, version, record count.
 const WORKLOAD_HEADER_SIZE: usize = 16;
@@ -139,7 +139,7 @@ fn get_name(buf: &[u8], at: usize) -> Label {
 }
 
 /// Encodes records as a versioned `.wrk` byte stream: the
-/// [`WORKLOAD_MAGIC`]/[`WORKLOAD_VERSION`] header, the record count,
+/// `WORKLOAD_MAGIC` and [`WORKLOAD_VERSION`] header, the record count,
 /// then fixed-size little-endian records with band floats stored as
 /// raw bits (lossless).
 pub fn encode_wrk(records: &[WorkloadRecord]) -> Vec<u8> {
@@ -325,13 +325,14 @@ mod tests {
     #[test]
     fn full_ring_drops_oldest_and_counts_them() {
         let tracer = traced(QUERY_RING_CAPACITY + 10);
-        assert_eq!(tracer.dropped(), 10);
+        let dropped = |t: &Tracer| t.workload_json().get("dropped").and_then(Json::as_f64);
+        assert_eq!(dropped(&tracer), Some(10.0));
         let drained = tracer.drain_workload();
         assert_eq!(drained.len(), QUERY_RING_CAPACITY);
         assert_eq!(drained[0].ordinal, 10, "oldest 10 were evicted");
         // Evicting a query some drain already handed out loses nothing.
         tracer.record_query(query());
-        assert_eq!(tracer.dropped(), 10);
+        assert_eq!(dropped(&tracer), Some(10.0));
     }
 
     #[test]

@@ -27,12 +27,12 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Maximum queries retained in the tracer's ring; older records are
-/// evicted (and, if never drained, counted in [`Tracer::dropped`]).
-pub const QUERY_RING_CAPACITY: usize = 4096;
+/// evicted (and, if never drained, counted as dropped).
+pub(crate) const QUERY_RING_CAPACITY: usize = 4096;
 
 /// How many of the newest records [`Tracer::recent_explains`] and
 /// [`Tracer::slow_reports`] return.
-pub const RECENT_VIEW_LEN: usize = 64;
+const RECENT_VIEW_LEN: usize = 64;
 
 /// The latency objectives [`Tracer::slo_json`] reports, as `(name,
 /// threshold_ns, target)`: "fraction `target` of queries complete
@@ -135,7 +135,7 @@ impl Tracer {
     /// Whether queries are being recorded. Always `false` under
     /// `obs-off`.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    fn is_enabled(&self) -> bool {
         #[cfg(feature = "obs-off")]
         {
             false
@@ -155,7 +155,7 @@ impl Tracer {
     }
 
     /// Current slow-query threshold in nanoseconds (`u64::MAX` = off).
-    pub fn slow_threshold_ns(&self) -> u64 {
+    fn slow_threshold_ns(&self) -> u64 {
         self.slow_threshold_ns.load(Ordering::Relaxed)
     }
 
@@ -166,7 +166,7 @@ impl Tracer {
     /// Records one finished query (no-op when disabled): stamps the
     /// next query id and ordinal and the `slow` bit — `total_ns` against
     /// the threshold in force right now — then pushes the record,
-    /// evicting the oldest past [`QUERY_RING_CAPACITY`].
+    /// evicting the oldest past `QUERY_RING_CAPACITY`.
     #[inline]
     pub fn record_query(&self, mut rec: ExplainRecord) {
         if !self.is_enabled() {
@@ -197,7 +197,7 @@ impl Tracer {
             .collect()
     }
 
-    /// The newest [`RECENT_VIEW_LEN`] retained queries recorded as slow
+    /// The newest `RECENT_VIEW_LEN` retained queries recorded as slow
     /// (oldest first).
     pub fn slow_reports(&self) -> Vec<ExplainRecord> {
         let ring = self.ring();
@@ -213,7 +213,7 @@ impl Tracer {
         slow
     }
 
-    /// The newest [`RECENT_VIEW_LEN`] retained records (oldest first) —
+    /// The newest `RECENT_VIEW_LEN` retained records (oldest first) —
     /// the `/explain/recent` payload.
     pub fn recent_explains(&self) -> Vec<ExplainRecord> {
         let ring = self.ring();
@@ -240,11 +240,6 @@ impl Tracer {
             .filter(|rec| rec.ordinal >= cursor)
             .map(WorkloadRecord::from)
             .collect()
-    }
-
-    /// Queries evicted from the full ring before any drain saw them.
-    pub fn dropped(&self) -> u64 {
-        self.ring().dropped
     }
 
     /// The retained queries as flight records (the `/workload` route).

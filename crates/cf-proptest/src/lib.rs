@@ -9,8 +9,12 @@
 //! plain seeded random sampling: each case derives its generator from
 //! the case number, so failures reproduce exactly, and there is no
 //! shrinking (the failing inputs are printed instead).
+//!
+//! Every `pub` item mirrors a `proptest` name that the workspace's test
+//! suites (directly or through this crate's macros) use.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use rand::{Rng as _, SeedableRng};
 
@@ -256,7 +260,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use rand::Rng as _;
 
-    /// Length specification for [`vec`]: an exact size or a range, as in
+    /// Length specification for [`vec()`]: an exact size or a range, as in
     /// real proptest's `SizeRange`.
     #[derive(Debug, Clone)]
     pub struct SizeRange {

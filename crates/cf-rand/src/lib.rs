@@ -8,8 +8,11 @@
 //! beyond what workload generation and randomized tests need, and fully
 //! deterministic per seed (important: every workload in `cf-workload`
 //! documents its seed).
+//!
+//! Every `pub` item mirrors a `rand` name that the workspace uses.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

@@ -193,20 +193,6 @@ impl<const N: usize> FrozenTree<N> {
         self.height
     }
 
-    /// Number of flattened nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.slot_base.len()
-    }
-
-    /// Resident size of the flattened arrays in bytes.
-    pub fn resident_bytes(&self) -> usize {
-        self.slot_base.len() * 4
-            + self.entry_count.len() * 4
-            + self.first_child.len() * 4
-            + (self.lo.len() + self.hi.len()) * std::mem::size_of::<Lane>()
-            + self.payload.len() * 8
-    }
-
     /// Tests one slot against the query, branchlessly per dimension.
     #[inline]
     fn lane_mask(&self, lane: usize, query: &Aabb<N>) -> u8 {
@@ -324,7 +310,7 @@ mod tests {
         let frozen = freeze(&tree);
         assert_eq!(frozen.len(), 800);
         assert_eq!(frozen.height(), tree.height());
-        assert_eq!(frozen.num_nodes(), tree.node_count());
+        assert_eq!(frozen.slot_base.len(), tree.node_count());
         for qlo in [-5.0, 0.0, 113.3, 400.0, 559.9, 1000.0] {
             let q = iv(qlo, qlo + 9.0);
             let mut got = frozen.search_collect(&q);
@@ -341,7 +327,7 @@ mod tests {
         let engine = StorageEngine::in_memory();
         let paged = PagedRTree::persist(&tree, &engine).expect("persist");
         let frozen = FrozenTree::from_paged(&engine, &paged).expect("freeze");
-        assert_eq!(frozen.num_nodes(), paged.num_pages());
+        assert_eq!(frozen.slot_base.len(), paged.num_pages());
         for qlo in [0.0, 250.0, 700.0, 1399.5] {
             let q = iv(qlo, qlo + 3.0);
             let ps = paged.search(&engine, &q, |_, _| {}).expect("search");

@@ -64,7 +64,8 @@ impl<const N: usize> RawNode<N> {
 }
 
 impl<const N: usize> PagedRTree<N> {
-    /// Maximum entries that fit a page for this dimension.
+    /// Maximum entries that fit a page for this dimension. Public for
+    /// the crate's property tests.
     pub const fn page_fanout() -> usize {
         (PAGE_SIZE - NODE_HEADER_SIZE) / entry_size(N)
     }

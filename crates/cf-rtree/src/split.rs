@@ -73,18 +73,21 @@ pub(crate) fn choose_subtree<E, const N: usize>(
 }
 
 /// Outcome of a split: the two entry groups.
-pub struct Split<const N: usize> {
+pub(crate) struct Split<const N: usize> {
     /// Entries of the first group (stays in the original node).
-    pub first: Vec<NodeEntry<N>>,
+    pub(crate) first: Vec<NodeEntry<N>>,
     /// Entries of the second group (moves to the new node).
-    pub second: Vec<NodeEntry<N>>,
+    pub(crate) second: Vec<NodeEntry<N>>,
 }
 
 /// Splits an overflowing entry list (`max_entries + 1` entries) into two
 /// groups per the R\* heuristics.
 ///
 /// `min_entries` is the minimum fill of each group.
-pub fn rstar_split<const N: usize>(mut entries: Vec<NodeEntry<N>>, min_entries: usize) -> Split<N> {
+pub(crate) fn rstar_split<const N: usize>(
+    mut entries: Vec<NodeEntry<N>>,
+    min_entries: usize,
+) -> Split<N> {
     let total = entries.len();
     debug_assert!(
         total >= 2 * min_entries,

@@ -271,7 +271,7 @@ impl<const N: usize> RStarTree<N> {
 
     /// Invokes `f(data, mbr)` for every stored entry whose box intersects
     /// `query`, returning search statistics.
-    pub fn search(&self, query: &Aabb<N>, mut f: impl FnMut(u64, &Aabb<N>)) -> SearchStats {
+    pub(crate) fn search(&self, query: &Aabb<N>, mut f: impl FnMut(u64, &Aabb<N>)) -> SearchStats {
         let mut stats = SearchStats::default();
         let mut stack = vec![self.root];
         while let Some(node_idx) = stack.pop() {
@@ -292,7 +292,8 @@ impl<const N: usize> RStarTree<N> {
         stats
     }
 
-    /// Collects the payloads of all entries intersecting `query`.
+    /// Collects the payloads of all entries intersecting `query`. Public
+    /// for the crate's property tests: products search the paged tree.
     pub fn search_collect(&self, query: &Aabb<N>) -> Vec<u64> {
         // Pre-size from the tree's population: selective queries stay
         // cheap (capped) and broad ones avoid regrowth doublings.
@@ -301,8 +302,9 @@ impl<const N: usize> RStarTree<N> {
         out
     }
 
-    /// Total number of nodes (for space accounting and the paged writer).
-    pub fn node_count(&self) -> usize {
+    /// Total number of nodes.
+    #[cfg(test)]
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -320,7 +322,8 @@ impl<const N: usize> RStarTree<N> {
 
     /// Verifies structural invariants, panicking with a description of
     /// the first violation. Returns the number of data entries found.
-    pub fn check_invariants(&self) -> usize {
+    #[cfg(test)]
+    fn check_invariants(&self) -> usize {
         let root = &self.nodes[self.root];
         assert!(
             root.entries.len() <= self.config.max_entries,
@@ -335,6 +338,7 @@ impl<const N: usize> RStarTree<N> {
         count
     }
 
+    #[cfg(test)]
     fn check_node(&self, node_idx: usize) -> usize {
         let node = &self.nodes[node_idx];
         if node_idx != self.root {

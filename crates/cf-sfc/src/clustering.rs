@@ -1,4 +1,5 @@
-//! Clustering quality metrics for space-filling curves.
+//! Clustering quality of the space-filling curves (test-only: no product
+//! code reports it).
 //!
 //! The paper picks the Hilbert curve because "it was shown experimentally
 //! that the Hilbert curve achieves the best clustering among the three
@@ -20,7 +21,7 @@ use crate::Curve;
 /// # Panics
 ///
 /// Panics if the rectangle is inverted or outside the `2^order` grid.
-pub fn runs_for_rect(curve: Curve, order: u32, x0: u64, y0: u64, x1: u64, y1: u64) -> usize {
+fn runs_for_rect(curve: Curve, order: u32, x0: u64, y0: u64, x1: u64, y1: u64) -> usize {
     assert!(x0 <= x1 && y0 <= y1, "inverted rectangle");
     let side = 1u64 << order;
     assert!(x1 < side && y1 < side, "rectangle outside grid");
@@ -32,7 +33,7 @@ pub fn runs_for_rect(curve: Curve, order: u32, x0: u64, y0: u64, x1: u64, y1: u6
 }
 
 /// Number of maximal runs of consecutive integers in a sorted slice.
-pub fn runs_in_sorted(sorted: &[u64]) -> usize {
+fn runs_in_sorted(sorted: &[u64]) -> usize {
     if sorted.is_empty() {
         return 0;
     }
@@ -43,8 +44,8 @@ pub fn runs_in_sorted(sorted: &[u64]) -> usize {
 ///
 /// This is the exhaustive version of the clustering experiment in the
 /// papers the EDBT 2002 authors cite; it is exact but only feasible for
-/// small orders (the bench uses sampled rectangles for larger grids).
-pub fn average_runs_exhaustive(curve: Curve, order: u32, q: u64) -> f64 {
+/// small orders.
+fn average_runs_exhaustive(curve: Curve, order: u32, q: u64) -> f64 {
     let side = 1u64 << order;
     assert!(q >= 1 && q <= side, "query side out of range");
     let positions = side - q + 1;

@@ -9,8 +9,8 @@ use crate::{
 ///
 /// [`Curve::Hilbert`] is what the paper's I-Hilbert method uses; the other
 /// variants exist so the choice can be ablated (the paper justifies
-/// Hilbert by citing clustering studies — our `clustering` module and the
-/// `ablation_curve` bench reproduce that comparison).
+/// Hilbert by citing clustering studies — this crate's clustering test
+/// and `repro ablation` reproduce that comparison).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Curve {
     /// Hilbert curve — best clustering, no jumps (the paper's choice).

@@ -10,13 +10,13 @@ use crate::{morton_index_2d, morton_point_2d, MAX_ORDER_2D};
 
 /// Gray code of `v`: adjacent integers map to words differing in one bit.
 #[inline]
-pub fn gray_encode(v: u64) -> u64 {
+fn gray_encode(v: u64) -> u64 {
     v ^ (v >> 1)
 }
 
 /// Inverse of [`gray_encode`].
 #[inline]
-pub fn gray_decode(mut g: u64) -> u64 {
+fn gray_decode(mut g: u64) -> u64 {
     let mut v = g;
     while g > 0 {
         g >>= 1;

@@ -44,6 +44,8 @@ pub fn hilbert_index_nd(coords: &[u64], bits: u32) -> u128 {
 /// # Panics
 ///
 /// Panics if `n == 0`, `n·bits > 128`, or `index >= 2^(n·bits)`.
+///
+/// Public for the crate's round-trip property tests.
 pub fn hilbert_point_nd(index: u128, n: usize, bits: u32) -> Vec<u64> {
     assert!(n > 0, "need at least one dimension");
     let total_bits = n as u32 * bits;

@@ -1,4 +1,4 @@
-//! Space-filling curves and clustering metrics.
+//! Space-filling curves.
 //!
 //! The I-Hilbert method (paper §3.1.2) linearizes the cells of a field in
 //! order of the Hilbert value of their centers: "a space filling curve
@@ -18,9 +18,10 @@
 //! * [`morton_index_2d`] — the Z-order curve;
 //! * [`gray_index_2d`] — the Gray-code curve;
 //! * [`Curve`] — an enum unifying the orderings (plus row-major scan) so
-//!   the curve choice can be ablated;
-//! * [`clustering`] — the run-count clustering metric that justifies the
-//!   Hilbert choice experimentally.
+//!   the curve choice can be ablated.
+//!
+//! A test-only module reproduces the run-count clustering comparison
+//! that justifies the Hilbert choice.
 
 //!
 //! # Example
@@ -43,18 +44,19 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod clustering;
 mod curve;
 mod gray;
 mod hilbert2d;
 mod hilbertnd;
 mod morton;
 
-pub mod clustering;
-
 pub use curve::Curve;
-pub use gray::{gray_decode, gray_encode, gray_index_2d, gray_point_2d};
+pub use gray::{gray_index_2d, gray_point_2d};
 pub use hilbert2d::{hilbert_index_2d, hilbert_point_2d};
 pub use hilbertnd::{hilbert_index_nd, hilbert_point_nd};
 pub use morton::{morton_index_2d, morton_point_2d};

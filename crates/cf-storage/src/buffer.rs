@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 
 /// Below this many frames per shard the pool stops splitting further;
 /// it also bounds how small an auto-selected shard can get.
-pub const MIN_FRAMES_PER_SHARD: usize = 64;
+const MIN_FRAMES_PER_SHARD: usize = 64;
 
 /// Hard cap on the automatic shard count.
 const MAX_AUTO_SHARDS: usize = 64;
@@ -154,7 +154,7 @@ pub struct BufferPool {
 impl BufferPool {
     /// Creates a pool holding at most `capacity` pages, with an
     /// automatically chosen shard count (1 shard below
-    /// [`MIN_FRAMES_PER_SHARD`]·2 frames, then doubling with capacity up
+    /// `MIN_FRAMES_PER_SHARD`·2 frames, then doubling with capacity up
     /// to 64 shards).
     ///
     /// # Panics
@@ -486,7 +486,8 @@ impl BufferPool {
     }
 
     /// Number of cached pages holding bytes the disk does not have yet.
-    pub fn dirty_pages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn dirty_pages(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {
@@ -522,7 +523,8 @@ impl BufferPool {
     /// equals [`BufferPool::hits`]/[`BufferPool::misses`] when the pool
     /// is quiescent. Counters survive [`BufferPool::clear`] and
     /// [`BufferPool::resize`]; only the explicit
-    /// [`BufferPool::reset_counters`] zeroes them.
+    /// [`BufferPool::reset_counters`] zeroes them. Public for the root
+    /// crate's I/O accounting tests.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()

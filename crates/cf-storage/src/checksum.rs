@@ -22,7 +22,7 @@ use crate::disk::{PageBuf, PageId};
 use crate::error::{CfError, CfResult};
 
 /// Magic tag stored in the high half of a sidecar entry ("CFPG").
-pub const ENTRY_MAGIC: u32 = 0x4346_5047;
+const ENTRY_MAGIC: u32 = 0x4346_5047;
 
 /// Size in bytes of one sidecar entry.
 pub const ENTRY_SIZE: usize = 8;

@@ -69,14 +69,6 @@ pub fn try_get_u16(buf: &[u8], offset: usize) -> Option<u16> {
     Some(u16::from_le_bytes(le))
 }
 
-/// Reads a `u16` at `offset`; a slice too short reads as 0 (total, like
-/// the other `get_*` accessors — prefer [`try_get_u16`] on untrusted
-/// offsets).
-#[inline(always)]
-pub fn get_u16(buf: &[u8], offset: usize) -> u16 {
-    try_get_u16(buf, offset).unwrap_or(0)
-}
-
 /// Writes a `u16` at `offset`, returning the offset just past it.
 #[inline(always)]
 pub fn put_u16(buf: &mut [u8], offset: usize, v: u16) -> usize {

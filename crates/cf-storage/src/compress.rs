@@ -41,7 +41,7 @@
 //!
 //! Decoding validates structure exhaustively — magic, count bounds,
 //! payload length, control-byte sanity, and exact payload consumption —
-//! and reports any violation as a [`DecodeError`], which callers map to
+//! and reports any violation as a `DecodeError`, which callers map to
 //! [`crate::CfError::Corrupt`] with the page id attached. This file is
 //! covered by the CI no-unwrap grep gate: on-disk bytes must never
 //! panic.
@@ -49,11 +49,12 @@
 use crate::codec;
 use crate::PAGE_SIZE;
 
-/// Magic tag identifying a compressed record page.
+/// Magic tag identifying a compressed record page. Public for the
+/// corruption tests of dependent crates.
 pub const PAGE_MAGIC: u16 = 0xC0DE;
 
 /// Size of the fixed per-page header.
-pub const HEADER_LEN: usize = 8;
+const HEADER_LEN: usize = 8;
 
 /// How a record column is encoded on a compressed page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -450,7 +451,7 @@ fn rotation_sources(cols: &[ColSpec], groups: &[Vec<usize>]) -> Vec<Vec<usize>> 
 /// Structural decode failure of a compressed page. The record-file layer
 /// wraps this into [`crate::CfError::Corrupt`] with the page id.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
+pub(crate) enum DecodeError {
     /// The page magic did not match [`PAGE_MAGIC`].
     BadMagic(u16),
     /// The header record count was zero or inconsistent with the
@@ -523,7 +524,7 @@ fn page_count(page: &[u8]) -> Result<usize, DecodeError> {
 /// Returns the record count. Every structural violation — wrong magic,
 /// zero count, payload overrun, bad varint/control/tag bytes, or inexact
 /// payload consumption — yields a [`DecodeError`]; no input can panic.
-pub fn decode_page(
+pub(crate) fn decode_page(
     cols: &[ColSpec],
     groups: &[Vec<usize>],
     rec_size: usize,

@@ -116,28 +116,33 @@ impl CfError {
         }
     }
 
-    /// `true` for [`CfError::Corrupt`].
+    /// `true` for [`CfError::Corrupt`] (the typed-error tests of
+    /// dependent crates).
     pub fn is_corrupt(&self) -> bool {
         matches!(self, CfError::Corrupt { .. })
     }
 
-    /// `true` for [`CfError::Injected`].
+    /// `true` for [`CfError::Injected`] (the typed-error tests of
+    /// dependent crates).
     pub fn is_injected(&self) -> bool {
         matches!(self, CfError::Injected { .. })
     }
 
-    /// `true` for [`CfError::InvalidCell`].
+    /// `true` for [`CfError::InvalidCell`] (the typed-error tests of
+    /// dependent crates).
     pub fn is_invalid_cell(&self) -> bool {
         matches!(self, CfError::InvalidCell { .. })
     }
 
-    /// `true` for [`CfError::InvalidRecord`].
+    /// `true` for [`CfError::InvalidRecord`] (the typed-error tests of
+    /// dependent crates).
     pub fn is_invalid_record(&self) -> bool {
         matches!(self, CfError::InvalidRecord { .. })
     }
 
     /// `true` for [`CfError::InvalidRange`].
-    pub fn is_invalid_range(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_invalid_range(&self) -> bool {
         matches!(self, CfError::InvalidRange { .. })
     }
 

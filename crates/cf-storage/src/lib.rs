@@ -54,6 +54,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod buffer;
@@ -67,7 +68,7 @@ mod gc;
 mod heap;
 mod stats;
 
-pub use buffer::{BufferPool, MIN_FRAMES_PER_SHARD};
+pub use buffer::BufferPool;
 pub use cf_obs::{
     answer_digest, decode_wrk, encode_wrk, Counter, EventJournal, ExplainRecord, Gauge, Histogram,
     Json, Label, MetricsRegistry, Stopwatch, TraceEvent, Tracer, WorkloadRecord,

@@ -93,33 +93,32 @@ pub fn diamond_square(k: u32, h: f64, seed: u64) -> GridField {
     GridField::from_values(vw, vw, values)
 }
 
-/// Mean absolute height difference between 4-neighbour vertices — a
-/// simple jaggedness statistic used by tests and the data-inspection
-/// example (larger = rougher, i.e. smaller `H`).
-pub fn mean_local_variation(field: &GridField) -> f64 {
-    let (vw, vh) = field.vertex_dims();
-    let mut sum = 0.0;
-    let mut cnt = 0u64;
-    for y in 0..vh {
-        for x in 0..vw {
-            let v = field.vertex_value(x, y);
-            if x + 1 < vw {
-                sum += (v - field.vertex_value(x + 1, y)).abs();
-                cnt += 1;
-            }
-            if y + 1 < vh {
-                sum += (v - field.vertex_value(x, y + 1)).abs();
-                cnt += 1;
-            }
-        }
-    }
-    sum / cnt as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cf_field::FieldModel;
+
+    /// Mean absolute height difference between 4-neighbour vertices — a
+    /// simple jaggedness statistic (larger = rougher, i.e. smaller `H`).
+    fn mean_local_variation(field: &GridField) -> f64 {
+        let (vw, vh) = field.vertex_dims();
+        let mut sum = 0.0;
+        let mut cnt = 0u64;
+        for y in 0..vh {
+            for x in 0..vw {
+                let v = field.vertex_value(x, y);
+                if x + 1 < vw {
+                    sum += (v - field.vertex_value(x + 1, y)).abs();
+                    cnt += 1;
+                }
+                if y + 1 < vh {
+                    sum += (v - field.vertex_value(x, y + 1)).abs();
+                    cnt += 1;
+                }
+            }
+        }
+        sum / cnt as f64
+    }
 
     #[test]
     fn dimensions_match_exponent() {

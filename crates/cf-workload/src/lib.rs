@@ -24,6 +24,7 @@
 //! the normalized value domain exactly as in the paper.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod fractal;

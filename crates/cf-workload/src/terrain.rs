@@ -14,9 +14,9 @@ use cf_field::{FieldModel, GridField};
 
 /// Elevation range of the stand-in terrain (metres), roughly matching
 /// the Roseburg area (150–600 m).
-pub const ELEVATION_MIN: f64 = 150.0;
+const ELEVATION_MIN: f64 = 150.0;
 /// See [`ELEVATION_MIN`].
-pub const ELEVATION_MAX: f64 = 600.0;
+const ELEVATION_MAX: f64 = 600.0;
 
 /// The 512×512-cell terrain stand-in used wherever the paper uses the
 /// Roseburg DEM (Fig. 8a). `k` scales the grid (`2^k` cells per side;
@@ -27,7 +27,7 @@ pub fn roseburg_standin(k: u32) -> GridField {
 }
 
 /// Affinely rescales a field's vertex values onto `[lo, hi]`.
-pub fn rescale(field: &GridField, lo: f64, hi: f64) -> GridField {
+fn rescale(field: &GridField, lo: f64, hi: f64) -> GridField {
     assert!(lo < hi, "invalid target range [{lo}, {hi}]");
     let (vw, vh) = field.vertex_dims();
     let dom = field.value_domain();

@@ -47,7 +47,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`geom`] | points, boxes, intervals, triangles, polygon clipping |
-//! | [`sfc`] | Hilbert / Z-order / Gray-code curves, clustering metrics |
+//! | [`sfc`] | Hilbert / Z-order / Gray-code curves |
 //! | [`storage`] | pages, simulated disk, buffer pool, record files |
 //! | [`rtree`] | R\*-tree: built by R\* insertion, maintained on pages |
 //! | [`delaunay`] | Bowyer–Watson triangulation |
@@ -57,6 +57,7 @@
 //! | [`obs`] | metrics registry, span tracer, exporters, HTTP endpoint |
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub use cf_delaunay as delaunay;

@@ -106,13 +106,17 @@ fn batch_aggregates_are_sums_of_per_query_stats() {
         .run(&engine, &index)
         .expect("run");
 
-    let mut cells = 0;
+    let (mut subfields, mut qualifying, mut examined) = (0, 0, 0);
     let mut io = IoStats::default();
     for r in &report.results {
-        cells += r.stats.cells_qualifying;
+        subfields += r.stats.intervals_retrieved;
+        qualifying += r.stats.cells_qualifying;
+        examined += r.stats.cells_examined;
         io = io + r.stats.io;
     }
-    assert_eq!(report.total_cells_qualifying(), cells);
+    assert!(0 < qualifying && qualifying <= examined);
+    let totals = format!("subfields {subfields}, cells {qualifying}/{examined}");
+    assert!(report.to_string().contains(&totals), "{report}");
     assert_eq!(report.total_io(), io);
     assert_eq!(io.pool_misses, io.disk_reads, "misses are physical reads");
     assert!(report.mean_query_wall() <= report.max_query_wall());
