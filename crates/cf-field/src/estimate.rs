@@ -6,13 +6,20 @@
 //! interpolant over a triangle is an affine function `w(x, y)`, so the
 //! region where `a ≤ w ≤ b` is the triangle clipped by two half-planes —
 //! computable exactly with Sutherland–Hodgman.
+//!
+//! [`triangle_band`] does both clips in one pass over stack arrays: the
+//! plane is evaluated once per vertex and once per crossing point, and
+//! both keep values derive from that one evaluation. Its output is
+//! bit-identical to two [`cf_geom::Polygon::clip_halfplane`] steps, the
+//! reference its tests compare it against.
 
-use cf_geom::{clip_halfplane_into, Point2, Triangle, EPSILON};
+use cf_geom::{Point2, Triangle, EPSILON};
 
 /// Coefficients of the affine interpolant `w(x, y) = gx·x + gy·y + c`
 /// over a triangle with given vertex values.
 ///
 /// Returns `None` for a degenerate (zero-area) triangle.
+#[inline]
 pub fn plane_coefficients(tri: &Triangle, values: [f64; 3]) -> Option<(f64, f64, f64)> {
     let [p0, p1, p2] = tri.vertices;
     let det = (p1.x - p0.x) * (p2.y - p0.y) - (p2.x - p0.x) * (p1.y - p0.y);
@@ -27,53 +34,50 @@ pub fn plane_coefficients(tri: &Triangle, values: [f64; 3]) -> Option<(f64, f64,
     Some((gx, gy, c))
 }
 
-/// Lane width of the portable SIMD-style band kernel (8 × f64 = one
-/// cache line).
-pub const LANE: usize = 8;
-
-/// Branchless band classification over one lane of interpolant values:
-/// returns `(below, above, inside)` bit masks where lane `i` sets bit
-/// `i` of `below` when `w[i] - lo < 0` (the first clip half-plane drops
-/// it), of `above` when `hi - w[i] < 0` (the second clip drops it), and
-/// of `inside` when both clips keep it. The comparisons are exactly the
-/// signed-distance tests Sutherland–Hodgman applies, so an
-/// all-below/all-above lane proves the clipped region empty and an
-/// all-inside lane proves the clip is the identity — no epsilon is
-/// involved. NaN values set no bit (they fall through to the exact
-/// clip).
-#[inline]
-fn band_masks_x8(w: &[f64; LANE], lo: f64, hi: f64) -> (u8, u8, u8) {
-    let mut below = 0u8;
-    let mut above = 0u8;
-    let mut inside = 0u8;
-    for (i, &wi) in w.iter().enumerate() {
-        let d_lo = wi - lo;
-        let d_hi = hi - wi;
-        below |= u8::from(d_lo < 0.0) << i;
-        above |= u8::from(d_hi < 0.0) << i;
-        inside |= u8::from(d_lo >= 0.0 && d_hi >= 0.0) << i;
-    }
-    (below, above, inside)
+/// Most points one clip step emits from `m` points: `m + ⌊m/2⌋`. A
+/// point emits itself when kept and one crossing point when its edge to
+/// the next point changes sign strictly. Every crossing edge has a
+/// dropped end, and a dropped point ends two edges, so with `k` points
+/// dropped the step emits at most `(m − k) + min(m, 2k)`.
+const fn clip_step_max_points(m: usize) -> usize {
+    m + m / 2
 }
 
-/// Most points a triangle's band region can have. Each clip step emits
-/// at most two points per input vertex, so the two clips of
-/// [`triangle_band`] take 3 vertices to at most 6, then to at most 12.
-const BAND_REGION_MAX_POINTS: usize = 3 * 2 * 2;
+/// Most points the first clip step leaves of a triangle: 4.
+const FIRST_STEP_MAX_POINTS: usize = clip_step_max_points(3);
+
+/// Most points a triangle's band region can have: 6.
+const BAND_REGION_MAX_POINTS: usize = clip_step_max_points(FIRST_STEP_MAX_POINTS);
+
+/// Whether the edge from a point with keep value `kc` to one with `kn`
+/// crosses the clip line strictly — the Sutherland–Hodgman crossing
+/// test, which emits the edge's intersection point. A zero or NaN end
+/// never crosses.
+#[inline(always)]
+fn crosses(kc: f64, kn: f64) -> bool {
+    (kc > 0.0 && kn < 0.0) || (kc < 0.0 && kn > 0.0)
+}
 
 /// The sub-region of `tri` where the linear interpolant of `values` lies
 /// in `[lo, hi]`, passed to `visit` as its vertices in boundary order.
 ///
 /// `visit` runs once when the region has at least three vertices and not
 /// at all otherwise (an empty or degenerate region, or a degenerate
-/// triangle). The vertices live in a stack buffer: nothing is allocated.
+/// triangle). The vertices live in stack buffers: nothing is allocated.
 ///
-/// The common cases — triangle entirely outside or entirely inside the
-/// band — are resolved by `band_masks_x8` over the vertex interpolant
-/// values without running the clipper; because the masks use the exact
-/// signed distances the clip would test, the result is bit-identical to
-/// the full Sutherland–Hodgman path, which is the two
-/// [`cf_geom::Polygon::clip_halfplane`] steps run in place.
+/// One pass: the plane is evaluated once per vertex, and both keep
+/// values — `w − lo` for the first half-plane, `hi − w` for the second —
+/// derive from that one result. A triangle entirely below or entirely
+/// above the band exits with nothing, one entirely inside exits with
+/// itself. Otherwise the two Sutherland–Hodgman steps run inline, each
+/// point of the first step carrying its second-step keep value, so
+/// `hi − w` is evaluated once per crossing point. Every expression, the
+/// interpolation, the vertex order and the rule that the second step
+/// runs even on fewer than three points are those of the two
+/// [`cf_geom::Polygon::clip_halfplane`] steps, so every emitted vertex
+/// is bit-identical to that chain; the exits are the chain's own
+/// outcome on such triangles (no epsilon is involved, and a NaN keep
+/// value takes no exit).
 pub fn triangle_band(
     tri: &Triangle,
     values: [f64; 3],
@@ -86,34 +90,57 @@ pub fn triangle_band(
         return;
     };
     let w = move |p: Point2| gx * p.x + gy * p.y + c;
-
-    // Fast classification over the vertex lane. Padding lanes carry lo
-    // (in-band, neither below nor above), so only the valid mask gates
-    // the three all-lane tests.
-    const VALID: u8 = 0b0000_0111;
-    let mut ws = [lo; LANE];
-    for (slot, p) in ws.iter_mut().zip(tri.vertices) {
-        *slot = w(p);
-    }
-    let (below, above, inside) = band_masks_x8(&ws, lo, hi);
-    if below & VALID == VALID || above & VALID == VALID {
-        // Every vertex is dropped by one of the two half-plane clips:
-        // the clipped region is empty.
+    let vs = tri.vertices;
+    let ws = vs.map(w);
+    let d = ws.map(|wi| wi - lo);
+    let e = ws.map(|wi| hi - wi);
+    if d.iter().all(|&k| k < 0.0) || e.iter().all(|&k| k < 0.0) {
+        // Every vertex is dropped by one of the two half-planes: the
+        // region is empty.
         return;
     }
-    if inside & VALID == VALID {
-        // Both clips keep every vertex: Sutherland–Hodgman emits the
-        // input polygon unchanged.
-        visit(&tri.vertices);
+    if d.iter().chain(&e).all(|&k| k >= 0.0) {
+        // Both half-planes keep every vertex: the region is the
+        // triangle, unchanged.
+        visit(&vs);
         return;
     }
 
-    let mut first = [Point2::ORIGIN; BAND_REGION_MAX_POINTS / 2];
-    let n = clip_halfplane_into(&tri.vertices, |p| w(p) - lo, &mut first);
-    let mut second = [Point2::ORIGIN; BAND_REGION_MAX_POINTS];
-    let n = clip_halfplane_into(&first[..n], |p| hi - w(p), &mut second);
+    // First step, `w − lo >= 0`, on the triangle.
+    let mut mid = [Point2::ORIGIN; FIRST_STEP_MAX_POINTS];
+    let mut mid_e = [0.0; FIRST_STEP_MAX_POINTS];
+    let mut m = 0;
+    for i in 0..3 {
+        let j = (i + 1) % 3;
+        if d[i] >= 0.0 {
+            mid[m] = vs[i];
+            mid_e[m] = e[i];
+            m += 1;
+        }
+        if crosses(d[i], d[j]) {
+            let q = vs[i].lerp(vs[j], d[i] / (d[i] - d[j]));
+            mid[m] = q;
+            mid_e[m] = hi - w(q);
+            m += 1;
+        }
+    }
+
+    // Second step, `hi − w >= 0`, on the first step's points.
+    let mut out = [Point2::ORIGIN; BAND_REGION_MAX_POINTS];
+    let mut n = 0;
+    for i in 0..m {
+        let j = if i + 1 == m { 0 } else { i + 1 };
+        if mid_e[i] >= 0.0 {
+            out[n] = mid[i];
+            n += 1;
+        }
+        if crosses(mid_e[i], mid_e[j]) {
+            out[n] = mid[i].lerp(mid[j], mid_e[i] / (mid_e[i] - mid_e[j]));
+            n += 1;
+        }
+    }
     if n >= 3 {
-        visit(&second[..n]);
+        visit(&out[..n]);
     }
 }
 
@@ -247,28 +274,6 @@ mod tests {
         let outside = band_polygon(&tri, [5.0, 5.0, 5.0], 6.0, 7.0);
         assert!(outside.is_empty() || outside.area() < 1e-12);
     }
-
-    #[test]
-    fn band_masks_handle_nan_and_boundaries() {
-        let ws = [
-            -1.0,
-            0.0, // exactly lo: kept by the first clip
-            0.5,
-            1.0, // exactly hi: kept by the second clip
-            2.0,
-            f64::NAN, // sets no bit anywhere
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-        ];
-        let (below, above, inside) = band_masks_x8(&ws, 0.0, 1.0);
-        assert_eq!(below, 0b0100_0001);
-        assert_eq!(above, 0b1001_0000);
-        assert_eq!(inside, 0b0000_1110);
-        // The three masks partition the non-NaN lanes.
-        assert_eq!(below | above | inside, 0b1101_1111);
-        assert_eq!(below & above, 0);
-        assert_eq!(below & inside, 0);
-    }
 }
 
 #[cfg(test)]
@@ -276,25 +281,6 @@ mod kernel_props {
     use super::*;
     use cf_geom::Polygon;
     use proptest::prelude::*;
-
-    /// Lane values that exercise the interesting regimes: ordinary
-    /// magnitudes, near-epsilon differences, exact ties and NaN.
-    fn lane_value() -> impl Strategy<Value = f64> {
-        prop_oneof![
-            8 => -100.0..100.0f64,
-            2 => (-10.0..10.0f64).prop_map(|v| v * 1e-13),
-            1 => Just(3.0),
-            1 => Just(f64::NAN),
-        ]
-    }
-
-    fn lanes8() -> impl Strategy<Value = [f64; LANE]> {
-        prop::collection::vec(lane_value(), LANE).prop_map(|v| {
-            let mut a = [0.0; LANE];
-            a.copy_from_slice(&v);
-            a
-        })
-    }
 
     fn triple(value: impl Strategy<Value = f64>) -> impl Strategy<Value = [f64; 3]> {
         prop::collection::vec(value, 3).prop_map(|v| {
@@ -308,81 +294,135 @@ mod kernel_props {
         (-10.0..10.0f64, -10.0..10.0f64).prop_map(|(x, y)| Point2::new(x, y))
     }
 
-    /// Ordinary triangles, plus the degenerate ones: a repeated vertex
-    /// and three collinear vertices.
+    /// A grid cell's two halves as `GridCellRecord::triangles` cuts
+    /// them: integer corners, either side of the diagonal.
+    fn grid_half() -> impl Strategy<Value = Triangle> {
+        (-8i32..8, -8i32..8, 1i32..4, 1i32..4, any::<bool>()).prop_map(|(x, y, w, h, upper)| {
+            let (x0, y0) = (f64::from(x), f64::from(y));
+            let (x1, y1) = (f64::from(x + w), f64::from(y + h));
+            let p00 = Point2::new(x0, y0);
+            let p11 = Point2::new(x1, y1);
+            if upper {
+                Triangle::new(p00, p11, Point2::new(x0, y1))
+            } else {
+                Triangle::new(p00, Point2::new(x1, y0), p11)
+            }
+        })
+    }
+
+    /// Ordinary triangles, grid-cell halves, and the degenerate ones: a
+    /// repeated vertex and three collinear vertices.
     fn triangle() -> impl Strategy<Value = Triangle> {
         prop_oneof![
             6 => (point(), point(), point()).prop_map(|(a, b, c)| Triangle::new(a, b, c)),
+            4 => grid_half(),
             1 => (point(), point()).prop_map(|(a, b)| Triangle::new(a, b, a)),
             1 => (point(), point(), 0.0..1.0f64)
                 .prop_map(|(a, b, t)| Triangle::new(a, a.lerp(b, t), b)),
         ]
     }
 
-    /// Vertex values: ordinary magnitudes, ties with a band edge at 0,
-    /// and NaN.
-    fn vertex_value() -> impl Strategy<Value = f64> {
+    /// Bands `[lo, hi]`: ordinary, an edge at 0, `lo == hi`, and edges
+    /// at ±∞.
+    fn band() -> impl Strategy<Value = (f64, f64)> {
+        prop_oneof![
+            8 => (-60.0..60.0f64, 0.0..40.0f64).prop_map(|(lo, w)| (lo, lo + w)),
+            1 => (0.0..40.0f64).prop_map(|w| (0.0, w)),
+            2 => (-60.0..60.0f64).prop_map(|v| (v, v)),
+            1 => (-60.0..60.0f64).prop_map(|v| (f64::NEG_INFINITY, v)),
+            1 => (-60.0..60.0f64).prop_map(|v| (v, f64::INFINITY)),
+            1 => Just((f64::NEG_INFINITY, f64::INFINITY)),
+        ]
+    }
+
+    /// One vertex value: ordinary magnitudes, 0, exactly a band edge,
+    /// ±∞ and NaN.
+    fn vertex_value(lo: f64, hi: f64) -> impl Strategy<Value = f64> {
         prop_oneof![
             8 => -50.0..50.0f64,
             1 => Just(0.0),
+            2 => Just(lo),
+            2 => Just(hi),
+            1 => Just(f64::INFINITY),
+            1 => Just(f64::NEG_INFINITY),
             1 => Just(f64::NAN),
         ]
     }
 
-    proptest! {
-        #[test]
-        fn band_masks_match_scalar_signed_distances(
-            ws in lanes8(),
-            lo in -100.0..100.0f64,
-            width in 0.0..50.0f64,
-        ) {
-            let hi = lo + width;
-            let (below, above, inside) = band_masks_x8(&ws, lo, hi);
-            for (i, &wi) in ws.iter().enumerate() {
-                prop_assert_eq!(below >> i & 1 == 1, wi - lo < 0.0, "lane {}", i);
-                prop_assert_eq!(above >> i & 1 == 1, hi - wi < 0.0, "lane {}", i);
-                prop_assert_eq!(
-                    inside >> i & 1 == 1,
-                    wi - lo >= 0.0 && hi - wi >= 0.0,
-                    "lane {}", i
-                );
+    /// Vertex values for the band `[lo, hi]`: independent draws, or a
+    /// near-flat triangle — all three within 1e-9 of a band edge or of
+    /// an ordinary value.
+    fn vertex_values(lo: f64, hi: f64) -> impl Strategy<Value = [f64; 3]> {
+        let anchor = prop_oneof![Just(lo), Just(hi), -50.0..50.0f64];
+        let near_flat =
+            (anchor, triple(-1e-9..1e-9f64)).prop_map(|(a, deltas)| deltas.map(|dv| a + dv));
+        prop_oneof![
+            4 => triple(vertex_value(lo, hi)),
+            1 => near_flat,
+        ]
+    }
+
+    /// One kernel case: a triangle, its vertex values and a band.
+    fn band_case() -> impl Strategy<Value = (Triangle, [f64; 3], f64, f64)> {
+        (triangle(), band())
+            .prop_flat_map(|(tri, (lo, hi))| (Just(tri), vertex_values(lo, hi), Just(lo), Just(hi)))
+    }
+
+    /// The kernel — exits, then the two inline clip steps on stack
+    /// buffers — must be bit-identical to the `Polygon` chain, emit
+    /// exactly when that chain leaves at least three vertices, and never
+    /// need more than its 4- and 6-point buffers.
+    fn assert_kernel_equals_clip_chain(tri: Triangle, vals: [f64; 3], lo: f64, hi: f64) {
+        let mut got = Vec::new();
+        triangle_band(&tri, vals, lo, hi, &mut |vs| got.push(vs.to_vec()));
+        let want = match plane_coefficients(&tri, vals) {
+            None => Vec::new(),
+            Some((gx, gy, c)) => {
+                let w = |p: Point2| gx * p.x + gy * p.y + c;
+                let first = Polygon::from(tri).clip_halfplane(|p| w(p) - lo);
+                assert!(first.vertices.len() <= FIRST_STEP_MAX_POINTS);
+                first.clip_halfplane(|p| hi - w(p)).vertices
+            }
+        };
+        assert!(want.len() <= BAND_REGION_MAX_POINTS);
+        let case = || format!("{tri:?}, values {vals:?}, band [{lo}, {hi}]");
+        if want.len() < 3 {
+            assert!(
+                got.is_empty(),
+                "{}: emitted {got:?}, chain left {want:?}",
+                case()
+            );
+        } else {
+            assert_eq!(got.len(), 1, "{}", case());
+            assert_eq!(got[0].len(), want.len(), "{}", case());
+            for (g, e) in got[0].iter().zip(&want) {
+                assert_eq!(g.x.to_bits(), e.x.to_bits(), "{}: {g} vs {e}", case());
+                assert_eq!(g.y.to_bits(), e.y.to_bits(), "{}: {g} vs {e}", case());
             }
         }
+    }
 
-        /// The visitor — masked fast paths, then the two clip steps on
-        /// stack buffers — must be bit-identical to the `Polygon` chain,
-        /// emit exactly when that chain leaves at least three vertices,
-        /// and never need more than its 12-point buffer.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200_000))]
+
+        /// The tier-1 sweep: 200 000 seeded cases.
         #[test]
-        fn triangle_band_fast_paths_equal_full_clip(
-            tri in triangle(),
-            vals in triple(vertex_value()),
-            lo in prop_oneof![8 => -60.0..60.0f64, 1 => Just(0.0)],
-            width in prop_oneof![3 => 0.0..40.0f64, 1 => Just(0.0)],
-        ) {
-            let hi = lo + width;
-            let mut got = Vec::new();
-            triangle_band(&tri, vals, lo, hi, &mut |vs| got.push(vs.to_vec()));
-            let want = match plane_coefficients(&tri, vals) {
-                None => Vec::new(),
-                Some((gx, gy, c)) => {
-                    let w = |p: Point2| gx * p.x + gy * p.y + c;
-                    let first = Polygon::from(tri).clip_halfplane(|p| w(p) - lo);
-                    prop_assert!(first.vertices.len() <= BAND_REGION_MAX_POINTS / 2);
-                    first.clip_halfplane(|p| hi - w(p)).vertices
-                }
-            };
-            prop_assert!(want.len() <= BAND_REGION_MAX_POINTS);
-            if want.len() < 3 {
-                prop_assert!(got.is_empty(), "emitted {:?}, chain left {:?}", got, want);
-            } else {
-                prop_assert_eq!(got.len(), 1);
-                prop_assert_eq!(got[0].len(), want.len());
-                for (g, e) in got[0].iter().zip(&want) {
-                    prop_assert_eq!(g.x.to_bits(), e.x.to_bits());
-                    prop_assert_eq!(g.y.to_bits(), e.y.to_bits());
-                }
-            }
+        fn triangle_band_fast_paths_equal_full_clip(case in band_case()) {
+            let (tri, vals, lo, hi) = case;
+            assert_kernel_equals_clip_chain(tri, vals, lo, hi);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000_000))]
+
+        /// The same sweep over 2 000 000 other cases; CI runs it in
+        /// release (`cargo test --release -p cf-field -- --ignored`).
+        #[test]
+        #[ignore = "2 M cases: run in release with --ignored"]
+        fn triangle_band_equals_full_clip_deep_sweep(case in band_case()) {
+            let (tri, vals, lo, hi) = case;
+            assert_kernel_equals_clip_chain(tri, vals, lo, hi);
         }
     }
 }

@@ -23,8 +23,8 @@
 //!   [`FieldModel::record_band_visit`] passes the exact sub-regions of a
 //!   cell where the interpolated value lies in a query interval to a
 //!   visitor, by clipping the cell's triangles against the two
-//!   half-planes of the affine interpolant on a stack buffer (see
-//!   [`estimate`]). [`FieldModel::record_band_region`] collects the same
+//!   half-planes of the affine interpolant in one pass on stack buffers
+//!   (see [`estimate`]). [`FieldModel::record_band_region`] collects the same
 //!   regions as polygons, for callers that keep them.
 //!
 //! Cells also know their on-disk record encoding ([`cf_storage::Record`])

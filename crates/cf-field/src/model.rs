@@ -90,11 +90,62 @@ pub trait FieldModel {
 }
 
 /// The value interval of a cell's samples: their hull, or
-/// [`Interval::NAN`] when any sample is NaN. Unlike [`Interval::hull`]
-/// it never panics, so it is safe on decoded bytes.
+/// [`Interval::NAN`] when any sample is NaN (or there is none). Unlike
+/// [`Interval::hull`] it never panics, so it is safe on decoded bytes.
+///
+/// One pass gathers the NaN flag beside the minimum and maximum, which
+/// fold in [`Interval::hull`]'s order with its `min`/`max`, so the
+/// bounds carry the same bits, signed zeros included.
 pub(crate) fn sample_interval(samples: &[f64]) -> Interval {
-    if samples.iter().any(|v| v.is_nan()) {
+    let Some((&first, rest)) = samples.split_first() else {
         return Interval::NAN;
+    };
+    let (mut lo, mut hi, mut nan) = (first, first, first.is_nan());
+    for &v in rest {
+        lo = lo.min(v);
+        hi = hi.max(v);
+        nan |= v.is_nan();
     }
-    Interval::hull(samples).unwrap_or(Interval::NAN)
+    if nan {
+        Interval::NAN
+    } else {
+        Interval { lo, hi }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bits(iv: Interval) -> (u64, u64) {
+        (iv.lo.to_bits(), iv.hi.to_bits())
+    }
+
+    #[test]
+    fn sample_interval_is_the_hull_or_nan() {
+        let finite: [&[f64]; 8] = [
+            &[3.0],
+            &[1.0, 5.0, 3.0, -2.0],
+            &[2.0, 2.0, 2.0],
+            &[0.0, -0.0],
+            &[-0.0, 0.0],
+            &[-0.0, 1.0, 0.0, -1.0],
+            &[0.0, -0.0, 0.0, -0.0],
+            &[f64::NEG_INFINITY, 7.0, f64::INFINITY],
+        ];
+        for samples in finite {
+            let hull = Interval::hull(samples).unwrap();
+            assert_eq!(bits(sample_interval(samples)), bits(hull), "{samples:?}");
+        }
+        for samples in [
+            [f64::NAN, 1.0, 2.0, 3.0],
+            [1.0, f64::NAN, 2.0, 3.0],
+            [1.0, 2.0, 3.0, f64::NAN],
+            [f64::NAN; 4],
+        ] {
+            let iv = sample_interval(&samples);
+            assert!(iv.lo.is_nan() && iv.hi.is_nan(), "{samples:?} gave {iv:?}");
+        }
+        assert!(sample_interval(&[]).is_nan());
+    }
 }

@@ -12,10 +12,9 @@
 //! * [`Triangle`] — a triangle with barycentric-coordinate helpers, the
 //!   cell shape of TINs and the unit of exact iso-band extraction.
 //! * [`Polygon`] — a simple polygon with Sutherland–Hodgman half-plane
-//!   clipping, used by the estimation step to compute exact answer
-//!   regions of field value queries. The clip step and the shoelace
-//!   area also work on bare vertex slices ([`clip_halfplane_into`],
-//!   [`signed_area`]), which is how the query path runs them.
+//!   clipping, the reference the estimation step's band kernel is
+//!   tested against. The shoelace area also works on a bare vertex
+//!   slice ([`signed_area`]), which is how the query path runs it.
 
 //!
 //! # Example
@@ -53,7 +52,7 @@ mod triangle;
 pub use aabb::Aabb;
 pub use interval::Interval;
 pub use point::Point2;
-pub use polygon::{clip_halfplane_into, signed_area, Polygon};
+pub use polygon::{signed_area, Polygon};
 pub use triangle::Triangle;
 
 /// Tolerance used for geometric predicates on `f64` coordinates.

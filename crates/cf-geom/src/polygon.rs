@@ -7,10 +7,12 @@
 //! two half-planes (`w ≥ a` and `w ≤ b`), which Sutherland–Hodgman
 //! clipping computes exactly.
 //!
-//! The shoelace formula ([`signed_area`]) and the clip step
-//! ([`clip_halfplane_into`]) are each written once, over a vertex slice,
-//! so the estimation step can run them on stack buffers; [`Polygon`]'s
-//! methods are thin wrappers over the same two bodies.
+//! The shoelace formula ([`signed_area`]) is written once, over a vertex
+//! slice, so the estimation step can run it on stack buffers;
+//! [`Polygon::signed_area`] wraps it. [`Polygon::clip_halfplane`] is the
+//! reference clip: the estimation step's one-pass band kernel
+//! (`cf_field::estimate::triangle_band`) is tested bit for bit against
+//! two of its steps.
 
 use crate::{Aabb, Point2};
 
@@ -47,11 +49,7 @@ pub fn signed_area(vs: &[Point2]) -> f64 {
 /// # Panics
 ///
 /// Panics if `out` is too short for the points the step emits.
-pub fn clip_halfplane_into(
-    vs: &[Point2],
-    keep: impl Fn(Point2) -> f64,
-    out: &mut [Point2],
-) -> usize {
+fn clip_halfplane_into(vs: &[Point2], keep: impl Fn(Point2) -> f64, out: &mut [Point2]) -> usize {
     let n = vs.len();
     let mut len = 0;
     for i in 0..n {
@@ -136,8 +134,8 @@ impl Polygon {
     }
 
     /// Clips the polygon to the half-plane `{p : keep(p) >= 0}` where
-    /// `keep` is an affine function of position: Sutherland–Hodgman
-    /// ([`clip_halfplane_into`]) into a new polygon.
+    /// `keep` is an affine function of position: one Sutherland–Hodgman
+    /// step into a new polygon.
     pub fn clip_halfplane(&self, keep: impl Fn(Point2) -> f64) -> Polygon {
         let mut out = vec![Point2::ORIGIN; 2 * self.vertices.len()];
         let len = clip_halfplane_into(&self.vertices, keep, &mut out);

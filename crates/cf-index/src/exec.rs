@@ -38,6 +38,10 @@ use cf_storage::{
 use std::collections::HashMap;
 use std::ops::Range;
 
+/// The caller's answer-region sink: each region as its vertices in
+/// boundary order, valid only for the call.
+pub(crate) type RegionSink<'a> = &'a mut dyn FnMut(&[Point2]);
+
 /// What one query path supplies to [`run`].
 pub(crate) struct Q2<'a, R: Record> {
     /// Curve name reported in the EXPLAIN and flight records.
@@ -197,14 +201,15 @@ pub(crate) fn coalesce_into(ranges: &mut [(u32, u32)], runs: &mut Vec<Range<usiz
 }
 
 /// Runs one Q2 query: passes each non-empty answer region to `sink`
-/// and returns the statistics. Region order — and with it every bit of
-/// the accumulated area — is ascending file position on every path.
+/// (`None` for a caller that keeps only the statistics) and returns the
+/// statistics. Region order — and with it every bit of the accumulated
+/// area — is ascending file position on every path.
 pub(crate) fn run<F: FieldModel>(
     engine: &StorageEngine,
     band: Interval,
     q: Q2<'_, F::CellRec>,
     scratch: &mut QueryScratch,
-    sink: &mut dyn FnMut(&[Point2]),
+    mut sink: Option<RegionSink<'_>>,
 ) -> CfResult<QueryStats> {
     let QueryScratch { ranges, runs } = scratch;
     let query_clock = Stopwatch::start();
@@ -241,7 +246,9 @@ pub(crate) fn run<F: FieldModel>(
             F::record_band_visit(&rec, band, &mut |vs| {
                 stats.num_regions += 1;
                 stats.area += signed_area(vs).abs();
-                sink(vs);
+                if let Some(sink) = sink.as_mut() {
+                    sink(vs);
+                }
             });
         }
     };

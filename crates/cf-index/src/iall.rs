@@ -85,7 +85,7 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
     ) -> CfResult<QueryStats> {
         let scratch = &mut QueryScratch::default();
         self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, sink)
+            .execute(engine, band, Plan::IndexProbe, None, scratch, Some(sink))
     }
 
     fn query_stats_scratch(
@@ -95,7 +95,7 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
         scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
         self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, &mut |_| {})
+            .execute(engine, band, Plan::IndexProbe, None, scratch, None)
     }
 
     fn index_pages(&self) -> usize {

@@ -40,7 +40,7 @@
 //! queries never observe a half-applied write and a repack never
 //! stalls them.
 
-use crate::exec::Delta;
+use crate::exec::{Delta, RegionSink};
 use crate::ihilbert::{check_record, method_label, IHilbert};
 use crate::planner::{Plan, Router};
 use crate::sfindex::SubfieldIndex;
@@ -670,7 +670,7 @@ impl<F: FieldModel> EpochSnapshot<F> {
         engine: &StorageEngine,
         band: Interval,
         scratch: &mut QueryScratch,
-        sink: &mut dyn FnMut(&[Point2]),
+        sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         let plan = match &self.router {
             Some(router) => router.route(engine.metrics(), band),
@@ -698,7 +698,7 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
         band: Interval,
         sink: &mut dyn FnMut(&[Point2]),
     ) -> CfResult<QueryStats> {
-        self.execute(engine, band, &mut QueryScratch::default(), sink)
+        self.execute(engine, band, &mut QueryScratch::default(), Some(sink))
     }
 
     fn query_stats_scratch(
@@ -707,7 +707,7 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
         band: Interval,
         scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
-        self.execute(engine, band, scratch, &mut |_| {})
+        self.execute(engine, band, scratch, None)
     }
 
     fn index_pages(&self) -> usize {

@@ -159,7 +159,7 @@ impl<F: FieldModel> ValueIndex for IntervalQuadtree<F> {
     ) -> CfResult<QueryStats> {
         let scratch = &mut QueryScratch::default();
         self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, sink)
+            .execute(engine, band, Plan::IndexProbe, None, scratch, Some(sink))
     }
 
     fn query_stats_scratch(
@@ -169,7 +169,7 @@ impl<F: FieldModel> ValueIndex for IntervalQuadtree<F> {
         scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
         self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, &mut |_| {})
+            .execute(engine, band, Plan::IndexProbe, None, scratch, None)
     }
 
     fn index_pages(&self) -> usize {

@@ -225,7 +225,7 @@ impl<F: FieldModel> ValueIndex for AdaptiveIndex<F> {
         let scratch = &mut QueryScratch::default();
         self.index
             .inner()
-            .execute(engine, band, plan, None, scratch, sink)
+            .execute(engine, band, plan, None, scratch, Some(sink))
     }
 
     fn index_pages(&self) -> usize {

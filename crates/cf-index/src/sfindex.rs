@@ -8,12 +8,12 @@
 //! groups quadtree leaves, and I-All is the identity — native order, one
 //! cell per subfield.
 
-use crate::exec::{self, Delta, Filter, SubfieldOverrides, Q2};
+use crate::exec::{self, Delta, Filter, RegionSink, SubfieldOverrides, Q2};
 use crate::planner::Plan;
 use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
-use cf_geom::{Interval, Point2};
+use cf_geom::Interval;
 use cf_rtree::PagedRTree;
 use cf_storage::{CellFile, CfError, CfResult, Label, MetricsRegistry, PageCodec, StorageEngine};
 use std::marker::PhantomData;
@@ -272,7 +272,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
         plan: Plan,
         delta: Option<&Delta<'_, F::CellRec>>,
         scratch: &mut QueryScratch,
-        sink: &mut dyn FnMut(&[Point2]),
+        sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         let filter = (plan == Plan::IndexProbe).then(|| Filter {
             tree: &self.tree,

@@ -134,21 +134,23 @@ pub trait ValueIndex: Send + Sync {
 
     /// Runs the query and discards region geometry (keeps area/counts).
     fn query_stats(&self, engine: &StorageEngine, band: Interval) -> CfResult<QueryStats> {
-        self.query_with(engine, band, &mut |_| {})
+        self.query_stats_scratch(engine, band, &mut QueryScratch::default())
     }
 
     /// Like [`ValueIndex::query_stats`], but reusing caller-provided
     /// scratch buffers across calls. Answers and statistics are
     /// identical; only the transient allocations differ. The default
-    /// implementation ignores the scratch — indexes with allocating hot
-    /// paths override it.
+    /// implementation ignores the scratch and runs
+    /// [`ValueIndex::query_with`] with a sink that drops every region;
+    /// the executor's indexes override it to hand their executor the
+    /// scratch and no sink at all.
     fn query_stats_scratch(
         &self,
         engine: &StorageEngine,
         band: Interval,
         _scratch: &mut QueryScratch,
     ) -> CfResult<QueryStats> {
-        self.query_stats(engine, band)
+        self.query_with(engine, band, &mut |_| {})
     }
 
     /// Runs the query and collects the answer regions.

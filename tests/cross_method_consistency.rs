@@ -1,7 +1,11 @@
 //! Cross-crate integration: every indexing method must return exactly
-//! the same answer as the exhaustive LinearScan on every workload.
+//! the same answer as the exhaustive LinearScan on every workload, and
+//! every method's three query entry points must agree with each other.
 
+use contfield::field::GridCellRecord;
+use contfield::index::QueryScratch;
 use contfield::prelude::*;
+use contfield::storage::PageCodec;
 use contfield::workload::{
     fractal::diamond_square, monotonic::monotonic_field, noise::urban_noise_tin,
     queries::interval_queries,
@@ -101,4 +105,76 @@ fn constant_field_degenerate_case() {
             Interval::new(6.0, 7.0),
         ],
     );
+}
+
+/// `query_stats`, `query_stats_scratch` and `query_regions` must report
+/// identical statistics — area bits and I/O included — and the regions
+/// must number `num_regions`: the stats-only path runs the executor
+/// with no sink, the regions path with one. Each call starts from a
+/// cold pool so the I/O counts are comparable.
+fn assert_stats_paths_agree(index: &dyn ValueIndex, engine: &StorageEngine, bands: &[Interval]) {
+    let mut scratch = QueryScratch::default();
+    for &band in bands {
+        engine.clear_cache();
+        let stats = index.query_stats(engine, band).expect("query");
+        engine.clear_cache();
+        let reused = index
+            .query_stats_scratch(engine, band, &mut scratch)
+            .expect("query");
+        engine.clear_cache();
+        let (with_regions, regions) = index.query_regions(engine, band).expect("query");
+        let name = index.name();
+        assert_eq!(stats, reused, "{name} {band}: query_stats_scratch");
+        assert_eq!(stats, with_regions, "{name} {band}: query_regions");
+        assert_eq!(
+            stats.area.to_bits(),
+            with_regions.area.to_bits(),
+            "{name} {band}"
+        );
+        assert_eq!(regions.len(), stats.num_regions, "{name} {band}");
+    }
+}
+
+#[test]
+fn stats_and_regions_paths_agree_on_every_index() {
+    // The golden digests' generator and seed, at 64 × 64 cells.
+    let field = diamond_square(6, 0.6, 0xEDB7);
+    let dom = field.value_domain();
+    let mut bands = Vec::new();
+    for (i, qi) in [0.0, 0.01, 0.05].into_iter().enumerate() {
+        bands.extend(interval_queries(dom, qi, 8, 0xD16E + i as u64));
+    }
+    bands.push(dom);
+
+    let engine = StorageEngine::in_memory();
+    let scan = LinearScan::build(&engine, &field).expect("build");
+    assert_stats_paths_agree(&scan, &engine, &bands);
+    let iall = IAll::build(&engine, &field).expect("build");
+    assert_stats_paths_agree(&iall, &engine, &bands);
+    let iquad = IntervalQuadtree::build(&engine, &field, dom.width() / 16.0).expect("build");
+    assert_stats_paths_agree(&iquad, &engine, &bands);
+    let compressed = StorageEngine::new(StorageConfig {
+        codec: PageCodec::Compressed,
+        ..StorageConfig::default()
+    });
+    let ihilbert = IHilbert::build(&compressed, &field).expect("build");
+    assert_stats_paths_agree(&ihilbert, &compressed, &bands);
+    let ihilbert = IHilbert::build(&engine, &field).expect("build");
+    assert_stats_paths_agree(&ihilbert, &engine, &bands);
+
+    // An epoch snapshot over the raw I-Hilbert whose overlays replace
+    // every 7th cell.
+    let live = LiveIngest::new(&engine, ihilbert, IngestConfig::default()).expect("live");
+    for cell in (0..field.num_cells()).step_by(7) {
+        let rec = field.cell_record(cell);
+        let [a, b, c, d] = rec.vals;
+        let rec = GridCellRecord {
+            vals: [d, a, b, c],
+            ..rec
+        };
+        live.ingest(&engine, cell, rec).expect("ingest");
+    }
+    let (writes, _, repacks) = live.status();
+    assert!(writes > 0 && repacks == 0, "the snapshot carries overlays");
+    assert_stats_paths_agree(live.snapshot().as_ref(), &engine, &bands);
 }
