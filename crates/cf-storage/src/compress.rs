@@ -39,6 +39,13 @@
 //! invisible outside the codec, so readers always see exactly the bytes
 //! that were written.
 //!
+//! Decoding works a word at a time: a trimmed XOR is one unaligned
+//! `u64` load of the bytes after its control byte, masked and shifted
+//! into place (only the payload's last 8 bytes fall back to a bounded
+//! byte copy), and references resolve through a per-column table of
+//! legal targets. It allocates nothing, so a range scan decodes into
+//! the reader's warm scratch buffer.
+//!
 //! Decoding validates structure exhaustively — magic, count bounds,
 //! payload length, control-byte sanity, and exact payload consumption —
 //! and reports any violation as a `DecodeError`, which callers map to
@@ -331,9 +338,8 @@ impl PageEncoder {
                     ColKind::Xor8 => {
                         // An exact match against any already-decodable
                         // Xor8 column of the previous record costs one
-                        // byte; lowest column wins so repeated shapes
-                        // produce constant control bytes (the decoder's
-                        // run fast path).
+                        // byte; lowest column wins, so the choice is
+                        // deterministic.
                         let matched = (0..=ci)
                             .find(|&j| self.cols[j].kind == ColKind::Xor8 && self.prev[j] == cur);
                         match matched {
@@ -564,6 +570,11 @@ pub(crate) fn decode_page(
 /// stored record holds its units in the permuted order the encoder
 /// chose; this pass copies them back to the original layout so callers
 /// see exactly the bytes that were written.
+///
+/// Allocation-free: the move plan is built once per page on the stack
+/// (the encoder admits at most 4 units over at most 16 columns), and
+/// each rotated record gathers its grouped words before writing them
+/// back to their original columns.
 fn restore_rotations(
     cols: &[ColSpec],
     groups: &[Vec<usize>],
@@ -576,7 +587,25 @@ fn restore_rotations(
         return Ok(());
     }
     let n_units = groups.len();
-    let mut tmp = vec![0u8; rec_size];
+    // The grouped words in (unit, position) order — stored offset and
+    // whether it is an 8-byte word — and, per rotation `r`, the offset
+    // each restores to: stored unit `j` carries original unit
+    // `(j + r) % n_units`.
+    let mut from = [(0usize, false); 16];
+    let mut to = [[0usize; 16]; 4];
+    let mut n = 0;
+    let grouped = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(j, unit)| unit.iter().enumerate().map(move |(m, &c)| (j, m, c)));
+    for ((j, m, c), (src, k)) in grouped.zip(from.iter_mut().zip(0..)) {
+        *src = (cols[c].offset, cols[c].kind == ColKind::Xor8);
+        for (r, dest) in to.iter_mut().enumerate().take(n_units) {
+            dest[k] = cols[groups[(j + r) % n_units][m]].offset;
+        }
+        n = k + 1;
+    }
+    let mut words = [0u64; 16];
     for i in 0..count {
         let tag = (tags[i / 4] >> ((i % 4) * 2)) & 0b11;
         let r = tag as usize;
@@ -587,15 +616,18 @@ fn restore_rotations(
             return Err(DecodeError::BadRotationTag(tag));
         }
         let rec = &mut out[i * rec_size..(i + 1) * rec_size];
-        tmp.copy_from_slice(rec);
-        for (j, unit) in groups.iter().enumerate() {
-            // Stored unit `j` carries original unit `(j + r) % n_units`.
-            let orig = &groups[(j + r) % n_units];
-            for (m, &perm_col) in unit.iter().enumerate() {
-                let w = cols[perm_col].kind.raw_width();
-                let from = cols[perm_col].offset;
-                let to = cols[orig[m]].offset;
-                rec[to..to + w].copy_from_slice(&tmp[from..from + w]);
+        for (word, &(off, wide)) in words.iter_mut().zip(&from[..n]) {
+            *word = if wide {
+                codec::get_u64(rec, off)
+            } else {
+                u64::from(codec::get_u32(rec, off))
+            };
+        }
+        for ((&word, &(_, wide)), &off) in words.iter().zip(&from[..n]).zip(&to[r]) {
+            if wide {
+                codec::put_u64(rec, off, word);
+            } else {
+                codec::put_u32(rec, off, word as u32);
             }
         }
     }
@@ -659,17 +691,29 @@ fn decode_delta4_column(
     Ok(pos)
 }
 
+/// Reads the little-endian `u64` at `buf[pos..pos + 8]`, or `None` when
+/// fewer than 8 bytes remain.
+#[inline(always)]
+fn load_u64(buf: &[u8], pos: usize) -> Option<u64> {
+    let b = buf.get(pos..pos.checked_add(8)?)?;
+    Some(u64::from_le_bytes([
+        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
+    ]))
+}
+
 /// Decodes one `Xor8` column (spec index `ci`) into the record images.
 ///
-/// A control byte with a non-zero low nibble is a trimmed XOR against
-/// this column's previous value; a zero low nibble is a reference
-/// `(j << 4)` to the previous record's column `j`, which must be an
-/// `Xor8` column at or before `ci` (columns decode in spec order, so
-/// that word is already materialized in `out`).
+/// A control byte with a non-zero low nibble is a trimmed XOR
+/// `(trail << 4) | sig` against this column's previous value; a zero low
+/// nibble is a reference `(j << 4)` to the previous record's column `j`,
+/// which must be an `Xor8` column at or before `ci` (columns decode in
+/// spec order, so that word is already materialized in `out`).
 ///
-/// Runs in unrolled 8-record batches with a fast path for runs of
-/// identical reference bytes (shared vertices, flat terrain regions),
-/// which decode as 8 word copies with no byte assembly.
+/// Word at a time: a trimmed XOR loads the 8 bytes after its control
+/// byte as one `u64`, masks them to the low `sig` bytes and shifts them
+/// into place — only a control byte within the payload's last 8 bytes
+/// takes the bounded byte copy. The legal reference targets are
+/// resolved once per column into a 16-entry table, one slot per nibble.
 fn decode_xor8_column(
     buf: &[u8],
     mut pos: usize,
@@ -680,82 +724,45 @@ fn decode_xor8_column(
     out: &mut [u8],
 ) -> Result<usize, DecodeError> {
     let offset = cols[ci].offset;
-    let first = u64::from_le_bytes(
-        buf.get(pos..pos + 8)
-            .ok_or(DecodeError::TruncatedPayload)?
-            .try_into()
-            .map_err(|_| DecodeError::TruncatedPayload)?,
-    );
+    let mut targets = [None; 16];
+    for (slot, c) in targets.iter_mut().zip(&cols[..=ci]) {
+        if c.kind == ColKind::Xor8 {
+            *slot = Some(c.offset);
+        }
+    }
+    let mut prev = load_u64(buf, pos).ok_or(DecodeError::TruncatedPayload)?;
     pos += 8;
-    out[offset..offset + 8].copy_from_slice(&first.to_le_bytes());
-    let mut prev = first;
-    let mut i = 1usize;
-    while i < count {
-        let batch = (count - i).min(8);
-        // Fast path: 8 identical reference bytes — each record copies
-        // the referenced word of its predecessor, no byte assembly.
-        if batch == 8 {
-            if let Some(w) = buf.get(pos..pos + 8) {
-                let ctrl = w[0];
-                let mut diff = 0u8;
-                for b in w {
-                    diff |= *b ^ ctrl;
-                }
-                if diff == 0 && ctrl & 0x0F == 0 {
-                    let src = ref_offset(cols, ci, ctrl)?;
-                    for j in 0..8 {
-                        let from = (i + j - 1) * rec_size + src;
-                        let word: [u8; 8] = out[from..from + 8].try_into().expect("word slice");
-                        let slot = (i + j) * rec_size + offset;
-                        out[slot..slot + 8].copy_from_slice(&word);
-                    }
-                    let last = (i + 7) * rec_size + offset;
-                    prev = u64::from_le_bytes(out[last..last + 8].try_into().expect("word slice"));
-                    pos += 8;
-                    i += 8;
-                    continue;
-                }
+    out[offset..offset + 8].copy_from_slice(&prev.to_le_bytes());
+    for i in 1..count {
+        let ctrl = *buf.get(pos).ok_or(DecodeError::TruncatedPayload)?;
+        let sig = usize::from(ctrl & 0x0F);
+        let trail = usize::from(ctrl >> 4);
+        prev = if sig == 0 {
+            let src = targets[trail].ok_or(DecodeError::BadControlByte(ctrl))?;
+            pos += 1;
+            codec::get_u64(out, (i - 1) * rec_size + src)
+        } else {
+            if trail + sig > 8 {
+                return Err(DecodeError::BadControlByte(ctrl));
             }
-        }
-        for _ in 0..batch {
-            let ctrl = *buf.get(pos).ok_or(DecodeError::TruncatedPayload)?;
-            let sig = (ctrl & 0x0F) as usize;
-            let v = if sig == 0 {
-                let src = ref_offset(cols, ci, ctrl)?;
-                let from = (i - 1) * rec_size + src;
-                pos += 1;
-                u64::from_le_bytes(out[from..from + 8].try_into().expect("word slice"))
-            } else {
-                let trail = (ctrl >> 4) as usize;
-                if trail + sig > 8 {
-                    return Err(DecodeError::BadControlByte(ctrl));
+            let bits = match load_u64(buf, pos + 1) {
+                Some(w) => w & (u64::MAX >> (64 - 8 * sig)),
+                None => {
+                    let bytes = buf
+                        .get(pos + 1..pos + 1 + sig)
+                        .ok_or(DecodeError::TruncatedPayload)?;
+                    let mut le = [0u8; 8];
+                    le[..sig].copy_from_slice(bytes);
+                    u64::from_le_bytes(le)
                 }
-                let bytes = buf
-                    .get(pos + 1..pos + 1 + sig)
-                    .ok_or(DecodeError::TruncatedPayload)?;
-                let mut le = [0u8; 8];
-                le[trail..trail + sig].copy_from_slice(bytes);
-                pos += 1 + sig;
-                prev ^ u64::from_le_bytes(le)
             };
-            prev = v;
-            let slot = i * rec_size + offset;
-            out[slot..slot + 8].copy_from_slice(&v.to_le_bytes());
-            i += 1;
-        }
+            pos += 1 + sig;
+            prev ^ (bits << (8 * trail))
+        };
+        let slot = i * rec_size + offset;
+        out[slot..slot + 8].copy_from_slice(&prev.to_le_bytes());
     }
     Ok(pos)
-}
-
-/// Resolves a reference control byte `(j << 4)` for the `Xor8` column at
-/// spec index `ci` to the byte offset of the referenced column.
-#[inline]
-fn ref_offset(cols: &[ColSpec], ci: usize, ctrl: u8) -> Result<usize, DecodeError> {
-    let j = (ctrl >> 4) as usize;
-    if j > ci || cols[j].kind != ColKind::Xor8 {
-        return Err(DecodeError::BadControlByte(ctrl));
-    }
-    Ok(cols[j].offset)
 }
 
 #[cfg(test)]
@@ -1184,5 +1191,561 @@ mod tests {
         assert_eq!(c[1].kind, ColKind::Delta4);
         assert_eq!(c[1].offset, 8);
         assert_eq!(worst_record_bytes(&generic_columns(16)), 18);
+    }
+
+    /// The decoder as it stood before the word-at-a-time rewrite: byte
+    /// assembly per control byte, references resolved per record, and an
+    /// 8-identical-references batch path. The differential tests below
+    /// hold the production decoder to it, result for result.
+    mod reference {
+        use super::super::*;
+
+        pub(super) fn decode_page(
+            cols: &[ColSpec],
+            groups: &[Vec<usize>],
+            rec_size: usize,
+            page: &[u8],
+            out: &mut [u8],
+        ) -> Result<usize, DecodeError> {
+            let count = page_count(page)?;
+            let payload =
+                codec::try_get_u16(page, 4).ok_or(DecodeError::TruncatedPayload)? as usize;
+            if out.len() < count * rec_size {
+                return Err(DecodeError::BadCount(count));
+            }
+            let buf = &page[HEADER_LEN..HEADER_LEN + payload];
+            let tags_len = if groups.is_empty() {
+                0
+            } else {
+                count.div_ceil(4)
+            };
+            let tags = buf.get(..tags_len).ok_or(DecodeError::TruncatedPayload)?;
+            let mut pos = tags_len;
+            for (ci, c) in cols.iter().enumerate() {
+                pos = match c.kind {
+                    ColKind::Delta4 => {
+                        decode_delta4_column(buf, pos, count, rec_size, c.offset, out)?
+                    }
+                    ColKind::Xor8 => decode_xor8_column(buf, pos, count, rec_size, cols, ci, out)?,
+                };
+            }
+            if pos != payload {
+                return Err(DecodeError::PayloadLenMismatch {
+                    declared: payload,
+                    consumed: pos,
+                });
+            }
+            restore_rotations(cols, groups, tags, count, rec_size, out)?;
+            Ok(count)
+        }
+
+        fn restore_rotations(
+            cols: &[ColSpec],
+            groups: &[Vec<usize>],
+            tags: &[u8],
+            count: usize,
+            rec_size: usize,
+            out: &mut [u8],
+        ) -> Result<(), DecodeError> {
+            if groups.is_empty() {
+                return Ok(());
+            }
+            let n_units = groups.len();
+            let mut tmp = vec![0u8; rec_size];
+            for i in 0..count {
+                let tag = (tags[i / 4] >> ((i % 4) * 2)) & 0b11;
+                let r = tag as usize;
+                if r == 0 {
+                    continue;
+                }
+                if r >= n_units {
+                    return Err(DecodeError::BadRotationTag(tag));
+                }
+                let rec = &mut out[i * rec_size..(i + 1) * rec_size];
+                tmp.copy_from_slice(rec);
+                for (j, unit) in groups.iter().enumerate() {
+                    let orig = &groups[(j + r) % n_units];
+                    for (m, &perm_col) in unit.iter().enumerate() {
+                        let w = cols[perm_col].kind.raw_width();
+                        let from = cols[perm_col].offset;
+                        let to = cols[orig[m]].offset;
+                        rec[to..to + w].copy_from_slice(&tmp[from..from + w]);
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        fn decode_xor8_column(
+            buf: &[u8],
+            mut pos: usize,
+            count: usize,
+            rec_size: usize,
+            cols: &[ColSpec],
+            ci: usize,
+            out: &mut [u8],
+        ) -> Result<usize, DecodeError> {
+            let offset = cols[ci].offset;
+            let first = u64::from_le_bytes(
+                buf.get(pos..pos + 8)
+                    .ok_or(DecodeError::TruncatedPayload)?
+                    .try_into()
+                    .map_err(|_| DecodeError::TruncatedPayload)?,
+            );
+            pos += 8;
+            out[offset..offset + 8].copy_from_slice(&first.to_le_bytes());
+            let mut prev = first;
+            let mut i = 1usize;
+            while i < count {
+                let batch = (count - i).min(8);
+                if batch == 8 {
+                    if let Some(w) = buf.get(pos..pos + 8) {
+                        let ctrl = w[0];
+                        let mut diff = 0u8;
+                        for b in w {
+                            diff |= *b ^ ctrl;
+                        }
+                        if diff == 0 && ctrl & 0x0F == 0 {
+                            let src = ref_offset(cols, ci, ctrl)?;
+                            for j in 0..8 {
+                                let from = (i + j - 1) * rec_size + src;
+                                let word: [u8; 8] =
+                                    out[from..from + 8].try_into().expect("word slice");
+                                let slot = (i + j) * rec_size + offset;
+                                out[slot..slot + 8].copy_from_slice(&word);
+                            }
+                            let last = (i + 7) * rec_size + offset;
+                            prev = u64::from_le_bytes(
+                                out[last..last + 8].try_into().expect("word slice"),
+                            );
+                            pos += 8;
+                            i += 8;
+                            continue;
+                        }
+                    }
+                }
+                for _ in 0..batch {
+                    let ctrl = *buf.get(pos).ok_or(DecodeError::TruncatedPayload)?;
+                    let sig = (ctrl & 0x0F) as usize;
+                    let v = if sig == 0 {
+                        let src = ref_offset(cols, ci, ctrl)?;
+                        let from = (i - 1) * rec_size + src;
+                        pos += 1;
+                        u64::from_le_bytes(out[from..from + 8].try_into().expect("word slice"))
+                    } else {
+                        let trail = (ctrl >> 4) as usize;
+                        if trail + sig > 8 {
+                            return Err(DecodeError::BadControlByte(ctrl));
+                        }
+                        let bytes = buf
+                            .get(pos + 1..pos + 1 + sig)
+                            .ok_or(DecodeError::TruncatedPayload)?;
+                        let mut le = [0u8; 8];
+                        le[trail..trail + sig].copy_from_slice(bytes);
+                        pos += 1 + sig;
+                        prev ^ u64::from_le_bytes(le)
+                    };
+                    prev = v;
+                    let slot = i * rec_size + offset;
+                    out[slot..slot + 8].copy_from_slice(&v.to_le_bytes());
+                    i += 1;
+                }
+            }
+            Ok(pos)
+        }
+
+        fn ref_offset(cols: &[ColSpec], ci: usize, ctrl: u8) -> Result<usize, DecodeError> {
+            let j = (ctrl >> 4) as usize;
+            if j > ci || cols[j].kind != ColKind::Xor8 {
+                return Err(DecodeError::BadControlByte(ctrl));
+            }
+            Ok(cols[j].offset)
+        }
+    }
+
+    /// Seeded splitmix64 stream for the differential tests.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A record layout of the differential sweep and its image stream.
+    struct Shape {
+        cols: Vec<ColSpec>,
+        groups: Vec<Vec<usize>>,
+        rec_size: usize,
+        image: fn(&mut Rng, usize, &mut [u8]),
+    }
+
+    /// Smooth terrain value at lattice point `(x, y)`, on a coarse step
+    /// so neighbouring corners often repeat exactly.
+    fn terrain(x: i64, y: i64) -> f64 {
+        let v = (x as f64 * 0.31).sin() * 40.0 + (y as f64 * 0.17).cos() * 25.0;
+        (v * 4.0).round() / 4.0
+    }
+
+    /// Grid cells along a lattice walk: shared corners across steps.
+    fn grid_image(rng: &mut Rng, i: usize, img: &mut [u8]) {
+        let (x, y) = ((i as i64 / 16) + rng.below(2) as i64, (i as i64 % 16) * 2);
+        let h = 0.5;
+        let (x0, y0) = (x as f64 * h, y as f64 * h);
+        for (k, v) in [x0, y0, x0 + h, y0 + h].into_iter().enumerate() {
+            codec::put_f64(img, k * 8, v);
+        }
+        for (k, (dx, dy)) in [(0, 0), (1, 0), (0, 1), (1, 1)].into_iter().enumerate() {
+            codec::put_f64(img, 32 + k * 8, terrain(x + dx, y + dy));
+        }
+    }
+
+    /// TIN triangles of a strip, each stored under a random rotation of
+    /// its vertex/value units, with the odd jump to a fresh region.
+    fn tin_image(rng: &mut Rng, i: usize, img: &mut [u8]) {
+        let base = if rng.below(16) == 0 {
+            rng.below(1 << 20) as i64
+        } else {
+            i as i64
+        };
+        let rot = rng.below(3) as i64;
+        for j in 0..3i64 {
+            let k = base + (j + rot) % 3;
+            let (x, y) = (k as f64 * 0.75, (k % 2) as f64 * 1.25);
+            codec::put_f64(img, j as usize * 16, x);
+            codec::put_f64(img, j as usize * 16 + 8, y);
+            codec::put_f64(img, 48 + j as usize * 8, terrain(k, k % 2));
+        }
+    }
+
+    /// Subfield-style records: sorted `u32` bounds and drifting `f64`
+    /// interval ends.
+    fn subfield_image(rng: &mut Rng, i: usize, img: &mut [u8]) {
+        let start = (i as u32) * 66 + rng.below(8) as u32;
+        codec::put_u32(img, 0, start);
+        codec::put_u32(img, 4, start + 1 + rng.below(130) as u32);
+        let lo = terrain(i as i64, 3) - rng.below(4) as f64;
+        codec::put_f64(img, 8, lo);
+        codec::put_f64(img, 16, lo + rng.below(64) as f64 * 0.25);
+    }
+
+    /// `KvRecord`-style pairs: a stepping key and a smooth value.
+    fn kv_image(rng: &mut Rng, i: usize, img: &mut [u8]) {
+        codec::put_u64(img, 0, (i as u64) * 3 + rng.below(3));
+        codec::put_f64(img, 8, terrain(i as i64, 0));
+    }
+
+    /// A 4-byte position ahead of a grid image: the generic layout then
+    /// cuts `Xor8` words across field boundaries and ends in a `Delta4`.
+    fn delta_grid_image(rng: &mut Rng, i: usize, img: &mut [u8]) {
+        codec::put_u32(img, 0, (i as u32) * 5 + rng.below(5) as u32);
+        grid_image(rng, i, &mut img[4..]);
+    }
+
+    /// Incompressible words.
+    fn random_image(rng: &mut Rng, _i: usize, img: &mut [u8]) {
+        for w in img.chunks_exact_mut(8) {
+            codec::put_u64(w, 0, rng.next());
+        }
+    }
+
+    fn shapes() -> Vec<Shape> {
+        let (tin_cols, tin_groups) = cols_tin();
+        let xor8 = |offset| ColSpec {
+            offset,
+            kind: ColKind::Xor8,
+        };
+        let delta4 = |offset| ColSpec {
+            offset,
+            kind: ColKind::Delta4,
+        };
+        vec![
+            Shape {
+                cols: generic_columns(64),
+                groups: Vec::new(),
+                rec_size: 64,
+                image: grid_image,
+            },
+            Shape {
+                cols: tin_cols,
+                groups: tin_groups,
+                rec_size: 72,
+                image: tin_image,
+            },
+            Shape {
+                cols: vec![delta4(0), delta4(4), xor8(8), xor8(16)],
+                groups: Vec::new(),
+                rec_size: 24,
+                image: subfield_image,
+            },
+            Shape {
+                cols: generic_columns(16),
+                groups: Vec::new(),
+                rec_size: 16,
+                image: kv_image,
+            },
+            Shape {
+                cols: generic_columns(68),
+                groups: Vec::new(),
+                rec_size: 68,
+                image: delta_grid_image,
+            },
+            Shape {
+                cols: generic_columns(64),
+                groups: Vec::new(),
+                rec_size: 64,
+                image: random_image,
+            },
+        ]
+    }
+
+    /// Encodes `n_pages` pages of the shape's image stream, each holding
+    /// as many records as fit up to `cap`, with the record images.
+    fn encode_pages(
+        shape: &Shape,
+        rng: &mut Rng,
+        n_pages: usize,
+        cap: usize,
+    ) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut enc = PageEncoder::new(shape.cols.clone(), shape.groups.clone());
+        let mut img = vec![0u8; shape.rec_size];
+        let mut images = Vec::new();
+        let mut pages = Vec::new();
+        let mut i = 0;
+        while pages.len() < n_pages {
+            (shape.image)(rng, i, &mut img);
+            i += 1;
+            if enc.count() == cap || !enc.try_push(&img, 0) {
+                let mut page = vec![0u8; PAGE_SIZE];
+                enc.flush_into(&mut page);
+                pages.push((page, std::mem::take(&mut images)));
+                assert!(enc.try_push(&img, 0), "first record of a page fits");
+            }
+            images.extend_from_slice(&img);
+        }
+        pages
+    }
+
+    /// Decodes `page` with both decoders into copies of `scratch` and
+    /// asserts they agree: the same images on `Ok`, the same error on
+    /// `Err`. Returns the production decoder's result.
+    fn decode_both(shape: &Shape, page: &[u8], scratch: &[u8]) -> Result<Vec<u8>, DecodeError> {
+        let (mut a, mut b) = (scratch.to_vec(), scratch.to_vec());
+        let got = decode_page(&shape.cols, &shape.groups, shape.rec_size, page, &mut a);
+        let want = reference::decode_page(&shape.cols, &shape.groups, shape.rec_size, page, &mut b);
+        assert_eq!(got, want, "decoders disagree on page {page:02x?}");
+        got.map(|n| a[..n * shape.rec_size].to_vec())
+            .inspect(|images| assert_eq!(images[..], b[..images.len()]))
+    }
+
+    /// The differential sweep: `clean` encoded pages of at most `cap`
+    /// records per shape must round-trip, and every single-byte flip
+    /// (under `masks` random non-zero masks) and every truncation of the
+    /// first `mutated` of them must decode alike in both decoders.
+    /// Returns the number of pages decoded.
+    fn differential_sweep(
+        seed: u64,
+        cap: usize,
+        clean: usize,
+        mutated: usize,
+        masks: usize,
+    ) -> usize {
+        let mut rng = Rng(seed);
+        let mut decoded = 0;
+        for shape in shapes() {
+            let pages = encode_pages(&shape, &mut rng, clean, cap);
+            for (pi, (page, images)) in pages.iter().enumerate() {
+                let scratch = vec![0x5Au8; images.len() + 4 * shape.rec_size];
+                assert_eq!(decode_both(&shape, page, &scratch).as_ref(), Ok(images));
+                decoded += 1;
+                if pi >= mutated {
+                    continue;
+                }
+                let payload = codec::try_get_u16(page, 4).expect("test value") as usize;
+                let used = HEADER_LEN + payload;
+                for at in 0..used {
+                    for _ in 0..masks {
+                        let mut p = page.clone();
+                        p[at] ^= 1 + rng.below(255) as u8;
+                        let _ = decode_both(&shape, &p, &scratch);
+                        decoded += 1;
+                    }
+                }
+                for len in 0..used {
+                    let _ = decode_both(&shape, &page[..len], &scratch);
+                    let mut p = page.clone();
+                    let _ = codec::put_u16(&mut p, 4, len as u16);
+                    let _ = decode_both(&shape, &p, &scratch);
+                    decoded += 2;
+                }
+            }
+        }
+        decoded
+    }
+
+    #[test]
+    fn word_decoder_matches_reference_on_mutated_pages() {
+        // Full pages round-trip; short pages keep the mutations cheap.
+        let full = differential_sweep(0xC0DE_0001, usize::MAX, 8, 0, 0);
+        let decoded = full + differential_sweep(0xC0DE_0002, 24, 8, 3, 1);
+        assert!(decoded >= 20_000, "{decoded} pages");
+    }
+
+    #[test]
+    #[ignore = "a million mutated pages; CI runs it in release"]
+    fn word_decoder_matches_reference_on_a_million_mutated_pages() {
+        let mut decoded = 0;
+        let mut seed = 0xC0DE_1000;
+        while decoded < 1_000_000 {
+            decoded += differential_sweep(seed, usize::MAX, 16, 4, 4);
+            seed += 1;
+        }
+    }
+
+    /// One hand-built page: header then `payload`, zero tail.
+    fn hand_page(count: u16, payload: &[u8]) -> Vec<u8> {
+        let mut page = vec![0u8; HEADER_LEN + payload.len() + 16];
+        let _ = codec::put_u16(&mut page, 0, PAGE_MAGIC);
+        let _ = codec::put_u16(&mut page, 2, count);
+        let _ = codec::put_u16(&mut page, 4, payload.len() as u16);
+        page[HEADER_LEN..HEADER_LEN + payload.len()].copy_from_slice(payload);
+        page
+    }
+
+    #[test]
+    fn word_decoder_matches_reference_on_hand_cases() {
+        let one = Shape {
+            cols: generic_columns(8),
+            groups: Vec::new(),
+            rec_size: 8,
+            image: random_image,
+        };
+        let first = 0x1122_3344_5566_7788u64.to_le_bytes();
+        let scratch = vec![0u8; 128];
+        let words = |out: Result<Vec<u8>, DecodeError>| {
+            out.map(|b| {
+                b.chunks_exact(8)
+                    .map(|w| codec::get_u64(w, 0))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let run = |controls: &[&[u8]]| {
+            let mut payload = first.to_vec();
+            for c in controls {
+                payload.extend_from_slice(c);
+            }
+            let page = hand_page(1 + controls.len() as u16, &payload);
+            words(decode_both(&one, &page, &scratch))
+        };
+        let f = u64::from_le_bytes(first);
+        // A control byte in the payload's last 8 bytes: the bounded copy.
+        assert_eq!(run(&[&[0x03, 1, 2, 3]]), Ok(vec![f, f ^ 0x03_0201]));
+        // `sig = 8`, ahead of more records and as the last record.
+        let all = [0x08, 1, 2, 3, 4, 5, 6, 7, 8];
+        let x = u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(run(&[&all, &all]), Ok(vec![f, f ^ x, f]));
+        assert_eq!(run(&[&all]), Ok(vec![f, f ^ x]));
+        // `trail = 7, sig = 1`: the top byte alone.
+        assert_eq!(run(&[&[0x71, 0xAB]]), Ok(vec![f, f ^ (0xAB << 56)]));
+        let long = [0x71, 0xAB, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00];
+        assert_eq!(
+            run(&[&long[..2], &long[2..3], &long[3..]]),
+            Err(DecodeError::PayloadLenMismatch {
+                declared: 18,
+                consumed: 12
+            })
+        );
+        // `trail + sig = 9` is impossible, in the fast and bounded paths.
+        let bad = [0x72, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(run(&[&bad]), Err(DecodeError::BadControlByte(0x72)));
+        assert_eq!(run(&[&bad[..3]]), Err(DecodeError::BadControlByte(0x72)));
+        assert_eq!(run(&[&[0x18, 0]]), Err(DecodeError::BadControlByte(0x18)));
+        // Truncated significant bytes at the payload's end.
+        assert_eq!(run(&[&[0x04, 1, 2]]), Err(DecodeError::TruncatedPayload));
+        // Reference `j == ci` repeats the word; `j > ci` is forward.
+        assert_eq!(run(&[&[0x00], &[0x00]]), Ok(vec![f, f, f]));
+        assert_eq!(run(&[&[0x10]]), Err(DecodeError::BadControlByte(0x10)));
+        // Eight identical references (the old batch path) and an
+        // illegal one among them.
+        let refs: Vec<&[u8]> = vec![&[0x00]; 9];
+        assert_eq!(run(&refs), Ok(vec![f; 10]));
+        let mut refs: Vec<&[u8]> = vec![&[0x20]; 8];
+        refs.insert(0, &[0x00]);
+        assert_eq!(run(&refs), Err(DecodeError::BadControlByte(0x20)));
+
+        // `j` naming a `Delta4` column, and naming an earlier `Xor8`.
+        let mixed = Shape {
+            cols: vec![
+                ColSpec {
+                    offset: 0,
+                    kind: ColKind::Delta4,
+                },
+                ColSpec {
+                    offset: 4,
+                    kind: ColKind::Xor8,
+                },
+                ColSpec {
+                    offset: 12,
+                    kind: ColKind::Xor8,
+                },
+            ],
+            groups: Vec::new(),
+            rec_size: 20,
+            image: random_image,
+        };
+        let mut payload = vec![3, 0, 0, 0, 2];
+        payload.extend_from_slice(&first);
+        payload.push(0x01);
+        payload.push(0xFF);
+        payload.extend_from_slice(&9u64.to_le_bytes());
+        payload.push(0x10);
+        let page = hand_page(2, &payload);
+        let got = decode_both(&mixed, &page, &scratch).expect("test value");
+        assert_eq!(codec::get_u32(&got, 20), 4);
+        assert_eq!(codec::get_u64(&got, 24), f ^ 0xFF);
+        assert_eq!(codec::get_u64(&got, 32), f, "column 1 of record 0");
+        let last = payload.len() - 1;
+        payload[last] = 0x00;
+        let page = hand_page(2, &payload);
+        assert_eq!(
+            decode_both(&mixed, &page, &scratch),
+            Err(DecodeError::BadControlByte(0x00))
+        );
+        // Column 1 citing column 2, which has not decoded yet.
+        payload[last] = 0x10;
+        payload[13] = 0x20;
+        let page = hand_page(2, &payload);
+        assert_eq!(
+            decode_both(&mixed, &page, &scratch),
+            Err(DecodeError::BadControlByte(0x20))
+        );
+
+        // More than 16 declared columns: references name the first 16
+        // only, and decoding stays total.
+        let wide = Shape {
+            cols: generic_columns(8 * 20),
+            groups: Vec::new(),
+            rec_size: 8 * 20,
+            image: random_image,
+        };
+        let mut payload = Vec::new();
+        for c in 0..20u64 {
+            payload.extend_from_slice(&c.to_le_bytes());
+            payload.push(if c < 16 { (c as u8) << 4 } else { 0xF0 });
+        }
+        let page = hand_page(2, &payload);
+        let scratch = vec![0u8; 2 * 8 * 20];
+        let got = decode_both(&wide, &page, &scratch).expect("test value");
+        let second: Vec<u64> = (0..20).map(|c| codec::get_u64(&got, 160 + c * 8)).collect();
+        let want: Vec<u64> = (0..20u64).map(|c| c.min(15)).collect();
+        assert_eq!(second, want);
     }
 }
