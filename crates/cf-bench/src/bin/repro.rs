@@ -334,20 +334,15 @@ fn obs_overhead(opts: &Opts) {
     let engine = StorageEngine::in_memory();
     let index = IHilbert::build(&engine, &field).expect("build");
     let queries = interval_queries(field.value_domain(), 0.01, 64, 0x0B5);
-    let mut scratch = cf_index::QueryScratch::default();
     for q in &queries {
-        index
-            .query_stats_scratch(&engine, *q, &mut scratch)
-            .expect("warmup query");
+        index.query_stats(&engine, *q).expect("warmup query");
     }
     let reps = if opts.full { 500 } else { 100 };
     let mut cells = 0usize; // fold the answers so the loop isn't dead code
     let t0 = Instant::now();
     for _ in 0..reps {
         for q in &queries {
-            let stats = index
-                .query_stats_scratch(&engine, *q, &mut scratch)
-                .expect("query");
+            let stats = index.query_stats(&engine, *q).expect("query");
             cells += stats.cells_examined;
         }
     }
@@ -474,7 +469,7 @@ fn ablation(opts: &Opts) {
             &engine,
             &field,
             IHilbertConfig {
-                curve: cf_index::CurveChoice(curve),
+                curve,
                 ..Default::default()
             },
         )

@@ -123,9 +123,6 @@ impl QueryBatch {
                     let cursor = &cursor;
                     let slots = &slots;
                     scope.spawn(move || -> CfResult<()> {
-                        // One scratch per worker: the per-query transient
-                        // vectors keep their capacity across the whole run.
-                        let mut scratch = crate::stats::QueryScratch::default();
                         let mut busy_ns = 0u64;
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -137,10 +134,7 @@ impl QueryBatch {
                             let (stats, regions) = if self.collect_regions {
                                 index.query_regions(engine, band)?
                             } else {
-                                (
-                                    index.query_stats_scratch(engine, band, &mut scratch)?,
-                                    Vec::new(),
-                                )
+                                (index.query_stats(engine, band)?, Vec::new())
                             };
                             let result = BatchQueryResult {
                                 band,

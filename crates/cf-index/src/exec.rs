@@ -25,22 +25,18 @@
 //! stay hand-written: they are the reference the tests compare this
 //! executor against. The volume and vector indexes share its filter
 //! ([`search_ranges`], generic over the tree dimension) and its range
-//! merge rule ([`coalesce_into`]) through [`probe`].
+//! merge rule ([`coalesce`]) through [`probe`].
 
-use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
+use crate::stats::{QueryMetrics, QueryStats, RegionSink};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
-use cf_geom::{signed_area, Aabb, Interval, Point2};
+use cf_geom::{signed_area, Aabb, Interval};
 use cf_rtree::{PagedRTree, SearchStats};
 use cf_storage::{
     answer_digest, CellFile, CfResult, ExplainRecord, Label, Record, Stopwatch, StorageEngine,
 };
 use std::collections::HashMap;
 use std::ops::Range;
-
-/// The caller's answer-region sink: each region as its vertices in
-/// boundary order, valid only for the call.
-pub(crate) type RegionSink<'a> = &'a mut dyn FnMut(&[Point2]);
 
 /// What one query path supplies to [`run`].
 pub(crate) struct Q2<'a, R: Record> {
@@ -105,7 +101,6 @@ pub(crate) fn search_ranges<const N: usize>(
     cells: usize,
     ranges: &mut Vec<(u32, u32)>,
 ) -> CfResult<SearchStats> {
-    ranges.clear();
     let mut bad_payload = None;
     let search = tree.search(engine, query, |data, mbr| {
         match Subfield::try_unpack(data, *mbr, cells) {
@@ -120,7 +115,7 @@ pub(crate) fn search_ranges<const N: usize>(
 
 /// The probe of the volume and vector indexes, whose refine lies
 /// outside [`FieldModel`]: [`run`]'s filter ([`search_ranges`]) and range
-/// merge ([`coalesce_into`]), then every record of the runs, in
+/// merge ([`coalesce`]), then every record of the runs, in
 /// ascending position, to `refine`, which counts what qualifies.
 pub(crate) fn probe<const N: usize, R: Record>(
     engine: &StorageEngine,
@@ -131,12 +126,12 @@ pub(crate) fn probe<const N: usize, R: Record>(
 ) -> CfResult<QueryStats> {
     let before = cf_storage::thread_io_stats();
     let mut stats = QueryStats::default();
-    let (mut ranges, mut runs) = (Vec::new(), Vec::new());
+    let mut ranges = Vec::new();
     let search = search_ranges(tree, engine, query, file.len(), &mut ranges)?;
     stats.filter_nodes = search.nodes_visited;
     stats.intervals_retrieved = ranges.len();
     stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
-    coalesce_into(&mut ranges, &mut runs);
+    let runs = coalesce(&mut ranges);
     file.for_each_in_ranges(engine, &runs, |_, rec| {
         stats.cells_examined += 1;
         refine(&mut stats, rec);
@@ -189,15 +184,16 @@ impl Filter<'_> {
 /// reading each subfield separately would fetch every straddled page
 /// boundary twice. Merging first makes the estimation step's page cost
 /// `ceil(run_cells / per_page) + 1` per run instead of per subfield.
-pub(crate) fn coalesce_into(ranges: &mut [(u32, u32)], runs: &mut Vec<Range<usize>>) {
+pub(crate) fn coalesce(ranges: &mut [(u32, u32)]) -> Vec<Range<usize>> {
     ranges.sort_unstable();
-    runs.clear();
+    let mut runs: Vec<Range<usize>> = Vec::new();
     for &(s, e) in ranges.iter() {
         match runs.last_mut() {
             Some(last) if s as usize <= last.end => last.end = last.end.max(e as usize),
             _ => runs.push(s as usize..e as usize),
         }
     }
+    runs
 }
 
 /// Runs one Q2 query: passes each non-empty answer region to `sink`
@@ -208,26 +204,24 @@ pub(crate) fn run<F: FieldModel>(
     engine: &StorageEngine,
     band: Interval,
     q: Q2<'_, F::CellRec>,
-    scratch: &mut QueryScratch,
     mut sink: Option<RegionSink<'_>>,
 ) -> CfResult<QueryStats> {
-    let QueryScratch { ranges, runs } = scratch;
     let query_clock = Stopwatch::start();
     let before = cf_storage::thread_io_stats();
     let mut stats = QueryStats::default();
+    let mut ranges = Vec::new();
 
     // Step 1 (filtering): record ranges whose interval intersects w.
     let filter_ns = match &q.filter {
         Some(filter) => {
             let filter_clock = Stopwatch::start();
-            let search = filter.retrieve(engine, band, q.cells.len(), ranges)?;
+            let search = filter.retrieve(engine, band, q.cells.len(), &mut ranges)?;
             stats.filter_nodes = search.nodes_visited;
             stats.intervals_retrieved = ranges.len();
             stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
             filter_clock.elapsed_ns()
         }
         None => {
-            ranges.clear();
             ranges.push((0, q.cells.len() as u32));
             0
         }
@@ -236,7 +230,7 @@ pub(crate) fn run<F: FieldModel>(
     // Step 2 (estimation): read the contiguous cell runs, merging
     // adjacent ranges and visiting every data page exactly once.
     let refine_clock = Stopwatch::start();
-    coalesce_into(ranges, runs);
+    let runs = coalesce(&mut ranges);
     // The per-cell refine body: every region reaches `sink` as a vertex
     // slice on the stack, and no polygon is built.
     let mut refine = |rec: F::CellRec| {
@@ -255,8 +249,8 @@ pub(crate) fn run<F: FieldModel>(
     match q.overlay {
         None => q
             .cells
-            .for_each_in_ranges(engine, runs, |_, rec| refine(rec))?,
-        Some(overlay) => q.cells.for_each_in_ranges(engine, runs, |pos, rec| {
+            .for_each_in_ranges(engine, &runs, |_, rec| refine(rec))?,
+        Some(overlay) => q.cells.for_each_in_ranges(engine, &runs, |pos, rec| {
             refine(overlay.get(&(pos as u32)).cloned().unwrap_or(rec))
         })?,
     }
@@ -316,10 +310,7 @@ mod tests {
     #[test]
     fn coalesce_merges_touching_and_overlapping_ranges() {
         let mut ranges = vec![(10, 20), (0, 4), (4, 7), (15, 30), (40, 41)];
-        let mut runs = vec![99..100, 200..201];
-        coalesce_into(&mut ranges, &mut runs);
-        assert_eq!(runs, vec![0..7, 10..30, 40..41]);
-        coalesce_into(&mut [], &mut runs);
-        assert!(runs.is_empty());
+        assert_eq!(coalesce(&mut ranges), vec![0..7, 10..30, 40..41]);
+        assert!(coalesce(&mut []).is_empty());
     }
 }

@@ -16,10 +16,10 @@
 use crate::ihilbert::check_record;
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
-use crate::stats::{QueryScratch, QueryStats, ValueIndex};
+use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
-use cf_geom::{Interval, Point2};
+use cf_geom::Interval;
 use cf_storage::{CfError, CfResult, StorageEngine};
 
 /// One R\*-tree entry per cell: `interval → cell`, each cell stored as
@@ -77,25 +77,14 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
         "I-All".into()
     }
 
-    fn query_with(
+    fn query(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(&[Point2]),
-    ) -> CfResult<QueryStats> {
-        let scratch = &mut QueryScratch::default();
-        self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, Some(sink))
-    }
-
-    fn query_stats_scratch(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        scratch: &mut QueryScratch,
+        sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, None)
+            .execute(engine, band, Plan::IndexProbe, None, sink)
     }
 
     fn index_pages(&self) -> usize {

@@ -9,31 +9,21 @@
 use crate::order::cell_order;
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
-use crate::stats::{QueryScratch, QueryStats, ValueIndex};
+use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{build_subfields, subfield_costs, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Point2};
+use cf_geom::Interval;
 use cf_sfc::Curve;
 use cf_storage::{CfError, CfResult, StorageEngine};
 
 /// Construction parameters of [`IHilbert`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IHilbertConfig {
-    /// Cell linearization curve. [`Curve::Hilbert`] is the paper's
-    /// method; other curves exist for the ablation bench.
-    pub curve: CurveChoice,
+    /// Cell linearization curve. [`Curve::Hilbert`], the default, is the
+    /// paper's method; other curves exist for the ablation bench.
+    pub curve: Curve,
     /// Cost-function knobs (paper defaults).
     pub subfield: SubfieldConfig,
-}
-
-/// Wrapper defaulting the curve to Hilbert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CurveChoice(pub Curve);
-
-impl Default for CurveChoice {
-    fn default() -> Self {
-        Self(Curve::Hilbert)
-    }
 }
 
 /// The I-Hilbert value index.
@@ -55,10 +45,10 @@ impl<F: FieldModel> IHilbert<F> {
     /// write the cell file in that order and index the subfield
     /// intervals.
     pub fn build_with(engine: &StorageEngine, field: &F, config: IHilbertConfig) -> CfResult<Self> {
-        let order = cell_order(field, config.curve.0);
+        let order = cell_order(field, config.curve);
         let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
         let subfields = build_subfields(&intervals, config.subfield);
-        let curve = config.curve.0;
+        let curve = config.curve;
         let inner = SubfieldIndex::build(
             engine,
             field,
@@ -242,25 +232,14 @@ impl<F: FieldModel> ValueIndex for IHilbert<F> {
         method_label(self.curve)
     }
 
-    fn query_with(
+    fn query(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(&[Point2]),
-    ) -> CfResult<QueryStats> {
-        let scratch = &mut QueryScratch::default();
-        self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, Some(sink))
-    }
-
-    fn query_stats_scratch(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        scratch: &mut QueryScratch,
+        sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, None)
+            .execute(engine, band, Plan::IndexProbe, None, sink)
     }
 
     fn index_pages(&self) -> usize {
@@ -365,7 +344,7 @@ mod tests {
                 &engine,
                 &field,
                 IHilbertConfig {
-                    curve: CurveChoice(curve),
+                    curve,
                     ..Default::default()
                 },
             )
@@ -375,29 +354,6 @@ mod tests {
             let b = idx.query_stats(&engine, band).expect("query");
             assert_eq!(a.cells_qualifying, b.cells_qualifying, "curve {curve:?}");
             assert!((a.area - b.area).abs() < 1e-9 * a.area.max(1.0));
-        }
-    }
-
-    #[test]
-    fn scratch_query_matches_plain_query() {
-        let engine = StorageEngine::in_memory();
-        let field = smooth_field(24);
-        let ih = IHilbert::build(&engine, &field).expect("build");
-        let mut scratch = QueryScratch::default();
-        let mut rng = StdRng::seed_from_u64(41);
-        for _ in 0..25 {
-            let lo: f64 = rng.gen_range(-5.0..105.0);
-            let band = Interval::new(lo, lo + rng.gen_range(0.0..20.0));
-            let a = ih.query_stats(&engine, band).expect("query");
-            let b = ih
-                .query_stats_scratch(&engine, band, &mut scratch)
-                .expect("query");
-            assert_eq!(a.cells_examined, b.cells_examined, "band {band}");
-            assert_eq!(a.cells_qualifying, b.cells_qualifying, "band {band}");
-            assert_eq!(a.num_regions, b.num_regions, "band {band}");
-            assert_eq!(a.filter_nodes, b.filter_nodes, "band {band}");
-            assert_eq!(a.intervals_retrieved, b.intervals_retrieved);
-            assert_eq!(a.area.to_bits(), b.area.to_bits(), "area bit-exact");
         }
     }
 

@@ -40,14 +40,14 @@
 //! queries never observe a half-applied write and a repack never
 //! stalls them.
 
-use crate::exec::{Delta, RegionSink};
+use crate::exec::Delta;
 use crate::ihilbert::{check_record, method_label, IHilbert};
 use crate::planner::{Plan, Router};
 use crate::sfindex::SubfieldIndex;
-use crate::stats::{QueryScratch, QueryStats, ValueIndex};
+use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Point2};
+use cf_geom::Interval;
 use cf_storage::{codec, CfError, CfResult, EpochPin, Gauge, Record, Stopwatch, StorageEngine};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -583,8 +583,8 @@ fn regrouped(old: &[Subfield], new: &[Subfield]) -> usize {
 }
 
 /// Recomputes a subfield's effective interval — the union of its
-/// records' intervals with overlays substituted — exactly as the
-/// in-place `update_record` path recomputes it after a write. This is
+/// records' intervals with overlays substituted — by the same rule the
+/// in-place `update_record` path uses after a write. This is
 /// the delta plane's interval summary entry for that subfield.
 /// `extra` is a not-yet-applied overlay (the write in flight): the
 /// ingest path computes the post-write summary before mutating the
@@ -596,25 +596,13 @@ fn effective_sf_interval<F: FieldModel>(
     extra: Option<(u32, &F::CellRec)>,
     sf_idx: usize,
 ) -> CfResult<Interval> {
-    let inner = base.inner();
-    let sf = inner.subfields[sf_idx];
-    let mut union: Option<Interval> = None;
-    inner
-        .file
-        .for_each_in_range(engine, sf.start as usize..sf.end as usize, |idx, rec| {
-            let effective = match extra {
-                Some((pos, o)) if pos == idx as u32 => F::record_interval(o),
-                _ => match overlays.get(&(idx as u32)) {
-                    Some(o) => F::record_interval(o),
-                    None => F::record_interval(&rec),
-                },
-            };
-            union = Some(match union {
-                Some(a) => a.union(effective),
-                None => effective,
-            });
-        })?;
-    Ok(union.expect("subfields are non-empty"))
+    base.inner().subfield_union(engine, sf_idx, |pos, rec| {
+        let rec = match extra {
+            Some((p, o)) if p == pos => o,
+            _ => overlays.get(&pos).unwrap_or(rec),
+        };
+        F::record_interval(rec)
+    })
 }
 
 /// One immutable published epoch: base index + delta prefix (what
@@ -659,17 +647,22 @@ impl<F: FieldModel> EpochSnapshot<F> {
     pub(crate) fn delta_records(&self) -> usize {
         self.overlays.len()
     }
+}
+
+impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
+    fn name(&self) -> String {
+        self.base.name()
+    }
 
     /// One snapshot query through the base plane's executor call: the
     /// planner (when threaded) picks probe or scan, and the epoch's
     /// delta rides along — the filter answer corrected by the interval
     /// summary, overlays substituted per position. See the module docs
     /// for why each step is byte-identical to the sequential oracle.
-    fn execute(
+    fn query(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        scratch: &mut QueryScratch,
         sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         let plan = match &self.router {
@@ -683,31 +676,7 @@ impl<F: FieldModel> EpochSnapshot<F> {
         };
         self.base
             .inner()
-            .execute(engine, band, plan, Some(&delta), scratch, sink)
-    }
-}
-
-impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
-    fn name(&self) -> String {
-        self.base.name()
-    }
-
-    fn query_with(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        sink: &mut dyn FnMut(&[Point2]),
-    ) -> CfResult<QueryStats> {
-        self.execute(engine, band, &mut QueryScratch::default(), Some(sink))
-    }
-
-    fn query_stats_scratch(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        scratch: &mut QueryScratch,
-    ) -> CfResult<QueryStats> {
-        self.execute(engine, band, scratch, None)
+            .execute(engine, band, plan, Some(&delta), sink)
     }
 
     fn index_pages(&self) -> usize {

@@ -15,10 +15,10 @@
 
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
-use crate::stats::{QueryScratch, QueryStats, ValueIndex};
+use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{subfield_costs, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::{Aabb, Interval, Point2};
+use cf_geom::{Aabb, Interval};
 use cf_storage::{CfResult, StorageEngine};
 
 /// Hard recursion cap: guards against non-termination when many cell
@@ -151,25 +151,14 @@ impl<F: FieldModel> ValueIndex for IntervalQuadtree<F> {
         "I-Quad".into()
     }
 
-    fn query_with(
+    fn query(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(&[Point2]),
-    ) -> CfResult<QueryStats> {
-        let scratch = &mut QueryScratch::default();
-        self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, Some(sink))
-    }
-
-    fn query_stats_scratch(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        scratch: &mut QueryScratch,
+        sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         self.inner
-            .execute(engine, band, Plan::IndexProbe, None, scratch, None)
+            .execute(engine, band, Plan::IndexProbe, None, sink)
     }
 
     fn index_pages(&self) -> usize {

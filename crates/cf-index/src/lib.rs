@@ -62,14 +62,14 @@ mod volume3d;
 pub use batch::{BatchQueryResult, BatchReport, QueryBatch};
 pub use catalog::{create_database, open_database, read_bootstrap, write_bootstrap};
 pub use iall::IAll;
-pub use ihilbert::{CurveChoice, IHilbert, IHilbertConfig};
+pub use ihilbert::{IHilbert, IHilbertConfig};
 pub use ingest::{DeltaRec, EpochSnapshot, IngestConfig, LiveIngest, RepackReport};
 pub use iquad::IntervalQuadtree;
 pub use linear::LinearScan;
 pub use order::{cell_order, CURVE_ORDER};
 pub use planner::{AdaptiveIndex, Plan};
 pub use q1::{PointIndex, PointQueryStats};
-pub use stats::{QueryScratch, QueryStats, ValueIndex};
+pub use stats::{QueryStats, RegionSink, ValueIndex};
 pub use subfield::{build_subfields, Subfield, SubfieldConfig, ValueSummary};
 pub use vector::{vector_linear_scan, VectorIHilbert};
 pub use volume3d::{volume_linear_scan, VolumeIHilbert};

@@ -4,9 +4,9 @@
 //! database, which will degrade dramatically the system performance. We
 //! term this method as 'LinearScan'."
 
-use crate::stats::{QueryStats, ValueIndex};
+use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use cf_field::FieldModel;
-use cf_geom::{signed_area, Interval, Point2};
+use cf_geom::{signed_area, Interval};
 use cf_storage::{CellFile, CfResult, RecordFile, StorageEngine};
 use std::marker::PhantomData;
 
@@ -41,11 +41,11 @@ impl<F: FieldModel> ValueIndex for LinearScan<F> {
         "LinearScan".into()
     }
 
-    fn query_with(
+    fn query(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(&[Point2]),
+        mut sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         let before = cf_storage::thread_io_stats();
         let mut stats = QueryStats::default();
@@ -57,7 +57,9 @@ impl<F: FieldModel> ValueIndex for LinearScan<F> {
                     F::record_band_visit(&rec, band, &mut |vs| {
                         stats.num_regions += 1;
                         stats.area += signed_area(vs).abs();
-                        sink(vs);
+                        if let Some(sink) = sink.as_mut() {
+                            sink(vs);
+                        }
                     });
                 }
             })?;

@@ -15,9 +15,9 @@
 //!   based on estimated cost, so no second copy of the data is needed.
 
 use crate::ihilbert::IHilbert;
-use crate::stats::{QueryScratch, QueryStats, ValueIndex};
+use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use cf_field::FieldModel;
-use cf_geom::{Interval, Point2};
+use cf_geom::Interval;
 use cf_storage::{CfResult, Counter, MetricsRegistry, StorageEngine};
 use std::sync::OnceLock;
 
@@ -215,17 +215,14 @@ impl<F: FieldModel> ValueIndex for AdaptiveIndex<F> {
         "I-Hilbert/adaptive".into()
     }
 
-    fn query_with(
+    fn query(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(&[Point2]),
+        sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         let plan = self.router.route(engine.metrics(), band);
-        let scratch = &mut QueryScratch::default();
-        self.index
-            .inner()
-            .execute(engine, band, plan, None, scratch, Some(sink))
+        self.index.inner().execute(engine, band, plan, None, sink)
     }
 
     fn index_pages(&self) -> usize {

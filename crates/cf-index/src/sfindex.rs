@@ -8,9 +8,9 @@
 //! groups quadtree leaves, and I-All is the identity — native order, one
 //! cell per subfield.
 
-use crate::exec::{self, Delta, Filter, RegionSink, SubfieldOverrides, Q2};
+use crate::exec::{self, Delta, Filter, SubfieldOverrides, Q2};
 use crate::planner::Plan;
-use crate::stats::{QueryMetrics, QueryScratch, QueryStats};
+use crate::stats::{QueryMetrics, QueryStats, RegionSink};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::Interval;
@@ -228,18 +228,12 @@ impl<F: FieldModel> SubfieldIndex<F> {
         // Recompute the subfield interval from its (updated) records,
         // accumulating SI (the denominator of `C = P/SI`) in the same
         // scan so the health metrics get the subfield's fresh cost.
-        let mut new_iv: Option<Interval> = None;
         let mut si = 0.0;
-        self.file
-            .for_each_in_range(engine, sf.start as usize..sf.end as usize, |_, rec| {
-                let iv = F::record_interval(&rec);
-                si += iv.size_with_base(1.0);
-                new_iv = Some(match new_iv {
-                    Some(a) => a.union(iv),
-                    None => iv,
-                });
-            })?;
-        let new_iv = new_iv.expect("subfields are non-empty");
+        let new_iv = self.subfield_union(engine, sf_idx, |_, rec| {
+            let iv = F::record_interval(rec);
+            si += iv.size_with_base(1.0);
+            iv
+        })?;
         if new_iv != sf.interval {
             if !self.tree.remove(engine, &sf.interval.into(), sf.pack())? {
                 return Err(CfError::corrupt(
@@ -259,6 +253,27 @@ impl<F: FieldModel> SubfieldIndex<F> {
         Ok(())
     }
 
+    /// The union of subfield `sf_idx`'s record intervals, folded in file
+    /// position order — the one rule the in-place write path and the
+    /// ingest delta's interval summary share, so the two agree to the
+    /// bit. `interval_at(pos, rec)` is the interval that counts at
+    /// `pos`: the stored record's, or a substitute's.
+    pub(crate) fn subfield_union(
+        &self,
+        engine: &StorageEngine,
+        sf_idx: usize,
+        mut interval_at: impl FnMut(u32, &F::CellRec) -> Interval,
+    ) -> CfResult<Interval> {
+        let sf = self.subfields[sf_idx];
+        let mut union: Option<Interval> = None;
+        self.file
+            .for_each_in_range(engine, sf.start as usize..sf.end as usize, |pos, rec| {
+                let iv = interval_at(pos as u32, &rec);
+                union = Some(union.map_or(iv, |u| u.union(iv)));
+            })?;
+        Ok(union.expect("subfields are non-empty"))
+    }
+
     /// One Q2 query through the executor ([`exec::run`]): the two-step
     /// probe of §3.2 (filter subfields through the R\*-tree, then read
     /// the coalesced record runs) or, for [`Plan::FullScan`], a
@@ -271,7 +286,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
         band: Interval,
         plan: Plan,
         delta: Option<&Delta<'_, F::CellRec>>,
-        scratch: &mut QueryScratch,
         sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         let filter = (plan == Plan::IndexProbe).then(|| Filter {
@@ -290,6 +304,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
             cells: &self.file,
             overlay: delta.map(|d| d.overlays).filter(|o| !o.is_empty()),
         };
-        exec::run::<F>(engine, band, q, scratch, sink)
+        exec::run::<F>(engine, band, q, sink)
     }
 }

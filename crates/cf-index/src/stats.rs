@@ -32,20 +32,9 @@ pub struct QueryStats {
     pub io: IoStats,
 }
 
-/// Reusable buffers for the query hot path.
-///
-/// Every query allocates two transient vectors (retrieved ranges,
-/// coalesced runs). A caller running many queries — the batch executor
-/// gives each worker thread one of these — can pass the same scratch to
-/// [`ValueIndex::query_stats_scratch`] so those vectors keep their
-/// capacity from query to query instead of being reallocated.
-#[derive(Debug, Default)]
-pub struct QueryScratch {
-    /// Retrieved `[start, end)` record ranges (the filter step).
-    pub(crate) ranges: Vec<(u32, u32)>,
-    /// Coalesced record runs handed to the estimation step.
-    pub(crate) runs: Vec<std::ops::Range<usize>>,
-}
+/// The caller's answer-region sink: each region as its vertices in
+/// boundary order, valid only for the call.
+pub type RegionSink<'a> = &'a mut dyn FnMut(&[Point2]);
 
 /// Registry handles for the per-query metrics an index publishes, cached
 /// so the query hot path pays one atomic add per counter instead of a
@@ -117,40 +106,26 @@ pub trait ValueIndex: Send + Sync {
     /// Method name as used in the paper's figures (e.g. `"I-Hilbert"`).
     fn name(&self) -> String;
 
-    /// Runs the full query pipeline, passing each non-empty answer
-    /// region to `sink` as its vertices in boundary order, and returns
-    /// the statistics. The slice is valid only for the call: a sink that
-    /// keeps regions copies them ([`ValueIndex::query_regions`]).
+    /// Runs the full query pipeline and returns the statistics. With a
+    /// `sink`, each non-empty answer region is passed to it as its
+    /// vertices in boundary order; the slice is valid only for the call,
+    /// so a sink that keeps regions copies them
+    /// ([`ValueIndex::query_regions`]). The statistics do not depend on
+    /// whether a sink is given.
     ///
     /// I/O failures — injected faults, corrupt pages — abort the query
     /// with the underlying [`cf_storage::CfError`]; regions already
     /// passed to `sink` before the failure must be discarded.
-    fn query_with(
+    fn query(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        sink: &mut dyn FnMut(&[Point2]),
+        sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats>;
 
     /// Runs the query and discards region geometry (keeps area/counts).
     fn query_stats(&self, engine: &StorageEngine, band: Interval) -> CfResult<QueryStats> {
-        self.query_stats_scratch(engine, band, &mut QueryScratch::default())
-    }
-
-    /// Like [`ValueIndex::query_stats`], but reusing caller-provided
-    /// scratch buffers across calls. Answers and statistics are
-    /// identical; only the transient allocations differ. The default
-    /// implementation ignores the scratch and runs
-    /// [`ValueIndex::query_with`] with a sink that drops every region;
-    /// the executor's indexes override it to hand their executor the
-    /// scratch and no sink at all.
-    fn query_stats_scratch(
-        &self,
-        engine: &StorageEngine,
-        band: Interval,
-        _scratch: &mut QueryScratch,
-    ) -> CfResult<QueryStats> {
-        self.query_with(engine, band, &mut |_| {})
+        self.query(engine, band, None)
     }
 
     /// Runs the query and collects the answer regions.
@@ -160,9 +135,11 @@ pub trait ValueIndex: Send + Sync {
         band: Interval,
     ) -> CfResult<(QueryStats, Vec<Polygon>)> {
         let mut regions = Vec::new();
-        let stats = self.query_with(engine, band, &mut |vs| {
-            regions.push(Polygon::new(vs.to_vec()));
-        })?;
+        let stats = self.query(
+            engine,
+            band,
+            Some(&mut |vs| regions.push(Polygon::new(vs.to_vec()))),
+        )?;
         Ok((stats, regions))
     }
 

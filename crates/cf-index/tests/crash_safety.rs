@@ -10,7 +10,7 @@
 
 use cf_field::{FieldModel, GridField};
 use cf_geom::Interval;
-use cf_index::{CurveChoice, IHilbert, IHilbertConfig, LinearScan, QueryStats, ValueIndex};
+use cf_index::{IHilbert, IHilbertConfig, LinearScan, QueryStats, ValueIndex};
 use cf_sfc::Curve;
 use cf_storage::{
     codec, compress, Fault, FaultOp, PageBuf, PageCodec, PageId, StorageConfig, StorageEngine,
@@ -450,7 +450,7 @@ fn file_backed_round_trip_preserves_answers_for_all_curves_and_planes() {
             &engine,
             &field,
             IHilbertConfig {
-                curve: CurveChoice(curve),
+                curve,
                 ..Default::default()
             },
         )
@@ -721,7 +721,7 @@ fn round_trip_preserves_answers_for_all_curves_and_planes() {
             &engine,
             &field,
             IHilbertConfig {
-                curve: CurveChoice(curve),
+                curve,
                 ..Default::default()
             },
         )

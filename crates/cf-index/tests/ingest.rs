@@ -12,8 +12,8 @@
 use cf_field::{FieldModel, GridCellRecord, GridField};
 use cf_geom::Interval;
 use cf_index::{
-    build_subfields, cell_order, CurveChoice, IHilbert, IHilbertConfig, IngestConfig, LiveIngest,
-    QueryBatch, QueryStats, SubfieldConfig, ValueIndex,
+    build_subfields, cell_order, IHilbert, IHilbertConfig, IngestConfig, LiveIngest, QueryBatch,
+    QueryStats, SubfieldConfig, ValueIndex,
 };
 use cf_sfc::Curve;
 use cf_storage::{Fault, PageId, StorageEngine};
@@ -101,7 +101,7 @@ fn interleavings_match_sequential_oracle_for_all_curves_and_planes() {
     for (ci, curve) in Curve::ALL.into_iter().enumerate() {
         let engine = StorageEngine::in_memory();
         let config = IHilbertConfig {
-            curve: CurveChoice(curve),
+            curve,
             ..Default::default()
         };
         let base = IHilbert::build_with(&engine, &field, config).expect("build base");

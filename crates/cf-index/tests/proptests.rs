@@ -4,8 +4,7 @@
 use cf_field::{FieldModel, GridField};
 use cf_geom::Interval;
 use cf_index::{
-    CurveChoice, IAll, IHilbert, IHilbertConfig, IntervalQuadtree, LinearScan, SubfieldConfig,
-    ValueIndex,
+    IAll, IHilbert, IHilbertConfig, IntervalQuadtree, LinearScan, SubfieldConfig, ValueIndex,
 };
 use cf_sfc::Curve;
 use cf_storage::{PageCodec, PageId, StorageConfig, StorageEngine};
@@ -44,7 +43,7 @@ fn build_fresh<F: FieldModel>(
         ..StorageConfig::default()
     });
     let config = IHilbertConfig {
-        curve: CurveChoice(curve),
+        curve,
         ..Default::default()
     };
     let index = IHilbert::build_with(&engine, field, config).expect("build");
@@ -188,7 +187,7 @@ proptest! {
             &engine,
             &field,
             IHilbertConfig {
-                curve: CurveChoice(Curve::ALL[curve_idx]),
+                curve: Curve::ALL[curve_idx],
                 ..Default::default()
             },
         )

@@ -11,9 +11,10 @@ use crate::{
 /// variants exist so the choice can be ablated (the paper justifies
 /// Hilbert by citing clustering studies — this crate's clustering test
 /// and `repro ablation` reproduce that comparison).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Curve {
     /// Hilbert curve — best clustering, no jumps (the paper's choice).
+    #[default]
     Hilbert,
     /// Z-order / Morton / bit-interleaving (the paper's "Peano curve").
     ZOrder,

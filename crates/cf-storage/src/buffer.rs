@@ -25,7 +25,6 @@ use crate::error::{CfError, CfResult};
 use crate::stats::{tally, ShardStats};
 use cf_obs::{Counter, MetricsRegistry};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Below this many frames per shard the pool stops splitting further;
@@ -57,9 +56,7 @@ struct ShardInner {
 
 struct Shard {
     inner: Mutex<ShardInner>,
-    /// Adjustable so [`BufferPool::resize`] can re-balance frames
-    /// without rebuilding shards (which would reset counters).
-    capacity: AtomicUsize,
+    capacity: usize,
     /// Hit/miss/eviction counters live in the engine's metrics registry
     /// (`pool_*_total{shard="i"}`); `ShardStats` is a view over them.
     hits: Counter,
@@ -79,7 +76,7 @@ impl Shard {
                 lru: BTreeMap::new(),
                 next_stamp: 0,
             }),
-            capacity: AtomicUsize::new(capacity),
+            capacity,
             hits: registry.counter_with("pool_hits_total", &labels),
             misses: registry.counter_with("pool_misses_total", &labels),
             evictions: registry.counter_with("pool_evictions_total", &labels),
@@ -87,25 +84,18 @@ impl Shard {
         }
     }
 
-    fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
     /// Evicts LRU victims until the shard holds at most its capacity
     /// minus `headroom`, counting each eviction. Pinned frames are
-    /// skipped. Dirty victims are written back through `disk` first —
-    /// with `disk` absent (infallible callers like
-    /// [`BufferPool::resize`]) dirty frames are skipped instead, so the
-    /// shard may transiently exceed capacity until the next flush. A
+    /// skipped. Dirty victims are written back through `disk` first; a
     /// failed write-back leaves the victim cached and dirty and
     /// propagates the error. Call with the shard lock held.
     fn evict_to_capacity(
         &self,
         inner: &mut ShardInner,
         headroom: usize,
-        disk: Option<&DiskManager>,
+        disk: &DiskManager,
     ) -> CfResult<()> {
-        let limit = self.capacity().saturating_sub(headroom);
+        let limit = self.capacity.saturating_sub(headroom);
         let mut skipped = 0usize;
         while inner.frames.len() - skipped > limit {
             let victim = inner
@@ -120,10 +110,6 @@ impl Shard {
                 continue;
             }
             if frame.dirty {
-                let Some(disk) = disk else {
-                    skipped += 1;
-                    continue;
-                };
                 disk.write_page(id, &frame.data)?;
                 self.writebacks.inc();
             }
@@ -147,7 +133,7 @@ pub struct BufferPool {
     /// Bit mask selecting a shard from the page-id hash
     /// (`shards.len()` is always a power of two).
     shard_mask: u64,
-    capacity: AtomicUsize,
+    capacity: usize,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -207,49 +193,23 @@ impl BufferPool {
             .enumerate()
             .map(|(i, cap)| Shard::new(cap, i, &metrics))
             .collect();
-        debug_assert!(shards.iter().all(|s| s.capacity() > 0) || capacity < n);
+        debug_assert!(shards.iter().all(|s| s.capacity > 0) || capacity < n);
         Self {
             shards,
             shard_mask: (n - 1) as u64,
-            capacity: AtomicUsize::new(capacity),
+            capacity,
             metrics,
         }
     }
 
     /// Maximum number of cached pages.
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
+        self.capacity
     }
 
     /// The registry the pool's counters live in.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
-    }
-
-    /// Changes the pool capacity in place, redistributing frames over
-    /// the existing shards and evicting LRU victims from shards that
-    /// shrank. Hit/miss/eviction counters survive (they describe
-    /// history, not configuration); shrink-evictions are counted like
-    /// any other eviction. Dirty frames are never dropped by a resize —
-    /// a shrunken shard may exceed its capacity until the next
-    /// [`BufferPool::flush_all`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_capacity` is zero.
-    pub fn resize(&self, new_capacity: usize) {
-        assert!(new_capacity > 0, "buffer pool needs at least one frame");
-        self.capacity.store(new_capacity, Ordering::Relaxed);
-        for (shard, cap) in self
-            .shards
-            .iter()
-            .zip(split_capacity(new_capacity, self.shards.len()))
-        {
-            shard.capacity.store(cap, Ordering::Relaxed);
-            let mut inner = shard.inner.lock().expect("buffer shard poisoned");
-            // No disk: dirty frames are retained, so this cannot fail.
-            let _ = shard.evict_to_capacity(&mut inner, 0, None);
-        }
     }
 
     /// Number of independently locked shards.
@@ -309,7 +269,7 @@ impl BufferPool {
         // Make room for the incoming frame, writing back a dirty victim
         // if that is what the LRU order serves up. The loop also absorbs
         // a concurrent shrink.
-        shard.evict_to_capacity(&mut inner, 1, Some(disk))?;
+        shard.evict_to_capacity(&mut inner, 1, disk)?;
         let mut data = Box::new([0u8; crate::PAGE_SIZE]);
         disk.read_page(id, &mut data)?;
         inner.lru.insert(stamp, id);
@@ -388,7 +348,7 @@ impl BufferPool {
             inner.lru.insert(stamp, id);
             return Ok(());
         }
-        shard.evict_to_capacity(&mut inner, 1, Some(disk))?;
+        shard.evict_to_capacity(&mut inner, 1, disk)?;
         inner.lru.insert(stamp, id);
         inner.frames.insert(
             id,
@@ -512,8 +472,7 @@ impl BufferPool {
         self.shards.iter().map(|s| s.misses.get()).sum()
     }
 
-    /// Evictions so far (sum over shards), including evictions forced
-    /// by [`BufferPool::resize`].
+    /// Evictions so far (sum over shards).
     pub fn evictions(&self) -> u64 {
         self.shards.iter().map(|s| s.evictions.get()).sum()
     }
@@ -521,15 +480,15 @@ impl BufferPool {
     /// Per-shard counters (capacity, cached frames, hits, misses,
     /// evictions) — the aggregate of `hits`/`misses` over this snapshot
     /// equals [`BufferPool::hits`]/[`BufferPool::misses`] when the pool
-    /// is quiescent. Counters survive [`BufferPool::clear`] and
-    /// [`BufferPool::resize`]; only the explicit
+    /// is quiescent. Counters survive [`BufferPool::clear`]; only the
+    /// explicit
     /// [`BufferPool::reset_counters`] zeroes them. Public for the root
     /// crate's I/O accounting tests.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
             .map(|s| ShardStats {
-                capacity: s.capacity(),
+                capacity: s.capacity,
                 cached_pages: s.inner.lock().expect("buffer shard poisoned").frames.len(),
                 hits: s.hits.get(),
                 misses: s.misses.get(),
@@ -686,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_survive_clear_and_resize() {
+    fn counters_survive_clear() {
         let disk = DiskManager::new();
         let ids: Vec<PageId> = (0..32)
             .map(|_| disk.allocate().expect("allocate"))
@@ -706,45 +665,9 @@ mod tests {
         assert_eq!(pool.cached_pages(), 0);
         assert_eq!((pool.hits(), pool.misses()), (hits, misses));
 
-        // resize() rebalances capacity but history counters survive too.
-        pool.with_page(&disk, ids[0], |_| ()).expect("refill");
-        pool.with_page(&disk, ids[1], |_| ()).expect("refill");
-        pool.resize(64);
-        assert_eq!(pool.capacity(), 64);
-        assert_eq!(pool.hits(), hits, "grow must not reset hits");
-        assert_eq!(pool.misses(), misses + 2, "grow must not reset misses");
-        let per_shard: usize = pool.shard_stats().iter().map(|s| s.capacity).sum();
-        assert_eq!(per_shard, 64, "new capacity splits losslessly");
-
         // Only the explicit reset zeroes the counters.
         pool.reset_counters();
         assert_eq!((pool.hits(), pool.misses(), pool.evictions()), (0, 0, 0));
-    }
-
-    #[test]
-    fn shrink_resize_evicts_lru_and_counts_evictions() {
-        let disk = DiskManager::new();
-        let ids: Vec<PageId> = (0..8).map(|_| disk.allocate().expect("allocate")).collect();
-        let pool = BufferPool::new(8);
-        assert_eq!(pool.num_shards(), 1);
-        for &id in &ids {
-            pool.with_page(&disk, id, |_| ()).expect("read");
-        }
-        assert_eq!(pool.cached_pages(), 8);
-        assert_eq!(pool.evictions(), 0);
-
-        // Touch the first two so they are the most recently used.
-        pool.with_page(&disk, ids[0], |_| ()).expect("read");
-        pool.with_page(&disk, ids[1], |_| ()).expect("read");
-        pool.resize(2);
-        assert_eq!(pool.cached_pages(), 2);
-        assert_eq!(pool.evictions(), 6, "shrink evictions are counted");
-
-        // The survivors are exactly the two most recently used pages.
-        disk.reset_counters();
-        pool.with_page(&disk, ids[0], |_| ()).expect("read");
-        pool.with_page(&disk, ids[1], |_| ()).expect("read");
-        assert_eq!(disk.reads(), 0, "MRU pages survived the shrink");
     }
 
     #[test]

@@ -174,14 +174,12 @@ impl DiskManager {
     /// what lives where (see the `file_backed_db` integration test).
     ///
     /// Checksums live in a `<path>.crc` sidecar and the page freelist
-    /// in a `<path>.fsm` superblock. A data file with **no** sidecar at
-    /// all (written by an older build) has every entry backfilled from
-    /// the page bytes currently on disk — trust on first use. A sidecar
-    /// that is merely *shorter* than the data file is different: the
-    /// missing tail could be a crash between a data write and its
-    /// checksum update, so only provably-fresh (all-zero, as `set_len`
-    /// extension leaves them) pages are blessed; the rest get a poisoned
-    /// entry that fails verification on read, and are counted in
+    /// in a `<path>.fsm` superblock. Pages the sidecar does not cover —
+    /// a tail past a shorter sidecar, or every page when the sidecar is
+    /// missing — could be a crash between a data write and its checksum
+    /// update, so only provably-fresh (all-zero, as `set_len` extension
+    /// leaves them) pages are blessed; the rest get a poisoned entry
+    /// that fails verification on read, and are counted in
     /// `storage_sidecar_suspect_total`.
     pub fn open_file(path: impl AsRef<Path>) -> CfResult<Self> {
         Self::open_file_on(path, Arc::new(MetricsRegistry::new()))
@@ -231,39 +229,24 @@ impl DiskManager {
 
         let metrics = DiskMetrics::wire(registry);
 
-        // Backfill entries for pages the sidecar does not cover yet.
+        // Backfill entries for pages the sidecar does not cover. The
+        // gap may be a crash between a data write and its checksum
+        // update. Bless only pages that are provably fresh (all zero,
+        // as `set_len` extension leaves them); poison the rest so reads
+        // report the uncertainty instead of blessing possibly-torn
+        // bytes.
         let mut buf: PageBuf = [0u8; PAGE_SIZE];
-        if have == 0 && num_pages > 0 {
-            // Legacy file with no sidecar at all: no crash can have
-            // raced a checksum scheme that didn't exist yet, so trust
-            // the bytes on first use and checksum them as-is.
-            for idx in 0..num_pages {
-                file.read_exact_at(&mut buf, (idx * PAGE_SIZE) as u64)
-                    .map_err(|e| CfError::io("backfilling checksum sidecar", e))?;
-                let entry = checksum::page_entry(&buf);
-                sums.write_all_at(&entry.to_le_bytes(), (idx * checksum::ENTRY_SIZE) as u64)
-                    .map_err(|e| CfError::io("backfilling checksum sidecar", e))?;
-                metrics.sidecar_backfilled.inc();
-            }
-        } else {
-            // The sidecar exists but stops short of the data file: the
-            // gap may be a crash between a data write and its checksum
-            // update. Bless only pages that are provably fresh (all
-            // zero, as `set_len` extension leaves them); poison the
-            // rest so reads report the uncertainty instead of blessing
-            // possibly-torn bytes.
-            for idx in have..num_pages {
-                file.read_exact_at(&mut buf, (idx * PAGE_SIZE) as u64)
-                    .map_err(|e| CfError::io("backfilling checksum sidecar", e))?;
-                let (entry, counter) = if buf.iter().all(|&b| b == 0) {
-                    (checksum::zero_page_entry(), &metrics.sidecar_backfilled)
-                } else {
-                    (0u64, &metrics.sidecar_suspect)
-                };
-                sums.write_all_at(&entry.to_le_bytes(), (idx * checksum::ENTRY_SIZE) as u64)
-                    .map_err(|e| CfError::io("backfilling checksum sidecar", e))?;
-                counter.inc();
-            }
+        for idx in have..num_pages {
+            file.read_exact_at(&mut buf, (idx * PAGE_SIZE) as u64)
+                .map_err(|e| CfError::io("backfilling checksum sidecar", e))?;
+            let (entry, counter) = if buf.iter().all(|&b| b == 0) {
+                (checksum::zero_page_entry(), &metrics.sidecar_backfilled)
+            } else {
+                (0u64, &metrics.sidecar_suspect)
+            };
+            sums.write_all_at(&entry.to_le_bytes(), (idx * checksum::ENTRY_SIZE) as u64)
+                .map_err(|e| CfError::io("backfilling checksum sidecar", e))?;
+            counter.inc();
         }
 
         // Recover the freelist from the two-slot superblock: highest
@@ -975,8 +958,8 @@ mod tests {
         let path = temp_path("backfill");
         cleanup(&path);
 
-        // Write a raw page image with no sidecar, as an older build
-        // would have.
+        // Write a data page and an all-zero page with no sidecar, as an
+        // older build would have, or as a deleted sidecar leaves them.
         let mut buf = [0u8; PAGE_SIZE];
         buf[100] = 0x42;
         {
@@ -987,18 +970,22 @@ mod tests {
                 .open(&path)
                 .expect("raw create");
             f.write_all_at(&buf, 0).expect("raw write");
+            f.set_len(2 * PAGE_SIZE as u64).expect("grow");
             f.sync_data().expect("sync");
         }
+        // The shorter-sidecar rule: only the all-zero page is blessed.
         let disk = DiskManager::open_file(&path).expect("open backfills");
         let mut out = [0u8; PAGE_SIZE];
-        disk.read_page(PageId(0), &mut out)
-            .expect("backfilled page verifies");
-        assert_eq!(out[100], 0x42);
-        assert_eq!(
-            disk.metrics()
-                .counter_total("storage_sidecar_backfilled_total"),
-            1
-        );
+        let err = disk
+            .read_page(PageId(0), &mut out)
+            .expect_err("unchecksummed bytes must not be blessed");
+        assert!(err.is_corrupt());
+        assert_eq!(err.page(), Some(PageId(0)));
+        disk.read_page(PageId(1), &mut out)
+            .expect("all-zero page is provably fresh");
+        let metrics = disk.metrics();
+        assert_eq!(metrics.counter_total("storage_sidecar_suspect_total"), 1);
+        assert_eq!(metrics.counter_total("storage_sidecar_backfilled_total"), 1);
 
         cleanup(&path);
     }

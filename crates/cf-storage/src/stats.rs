@@ -99,7 +99,7 @@ pub struct ShardStats {
     pub hits: u64,
     /// Lookups this shard sent to disk.
     pub misses: u64,
-    /// Frames this shard evicted (LRU pressure plus resize shrinks).
+    /// Frames this shard evicted under LRU pressure.
     pub evictions: u64,
 }
 

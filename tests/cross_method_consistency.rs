@@ -1,9 +1,8 @@
 //! Cross-crate integration: every indexing method must return exactly
 //! the same answer as the exhaustive LinearScan on every workload, and
-//! every method's three query entry points must agree with each other.
+//! every method's two query entry points must agree with each other.
 
 use contfield::field::GridCellRecord;
-use contfield::index::QueryScratch;
 use contfield::prelude::*;
 use contfield::storage::PageCodec;
 use contfield::workload::{
@@ -107,24 +106,17 @@ fn constant_field_degenerate_case() {
     );
 }
 
-/// `query_stats`, `query_stats_scratch` and `query_regions` must report
-/// identical statistics — area bits and I/O included — and the regions
+/// `query_stats` and `query_regions` must report identical statistics — area bits and I/O included — and the regions
 /// must number `num_regions`: the stats-only path runs the executor
 /// with no sink, the regions path with one. Each call starts from a
 /// cold pool so the I/O counts are comparable.
 fn assert_stats_paths_agree(index: &dyn ValueIndex, engine: &StorageEngine, bands: &[Interval]) {
-    let mut scratch = QueryScratch::default();
     for &band in bands {
         engine.clear_cache();
         let stats = index.query_stats(engine, band).expect("query");
         engine.clear_cache();
-        let reused = index
-            .query_stats_scratch(engine, band, &mut scratch)
-            .expect("query");
-        engine.clear_cache();
         let (with_regions, regions) = index.query_regions(engine, band).expect("query");
         let name = index.name();
-        assert_eq!(stats, reused, "{name} {band}: query_stats_scratch");
         assert_eq!(stats, with_regions, "{name} {band}: query_regions");
         assert_eq!(
             stats.area.to_bits(),
