@@ -14,6 +14,7 @@
 //! the same range sweep as every other index — each page once.
 
 use crate::ihilbert::check_record;
+use crate::order::check_cell_count;
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
@@ -34,6 +35,7 @@ impl<F: FieldModel> IAll<F> {
     /// (as the paper's implementation would).
     pub fn build(engine: &StorageEngine, field: &F) -> CfResult<Self> {
         let n = field.num_cells();
+        check_cell_count(n)?;
         let records = (0..n).map(|c| field.cell_record(c)).collect();
         let cells: Vec<Subfield> = (0..n)
             .map(|cell| Subfield {

@@ -6,7 +6,7 @@
 //! contiguous in the cell file, so the estimation step reads compact
 //! page runs.
 
-use crate::order::cell_order;
+use crate::order::{cell_order, check_cell_count};
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
@@ -44,7 +44,14 @@ impl<F: FieldModel> IHilbert<F> {
     /// along the curve, group them greedily into subfields (§3.1.2),
     /// write the cell file in that order and index the subfield
     /// intervals.
+    ///
+    /// # Errors
+    ///
+    /// A field of more than `u32::MAX` cells is refused with
+    /// [`CfError::InvalidCell`] before any cell is read, as every build
+    /// refuses it; storage errors pass through.
     pub fn build_with(engine: &StorageEngine, field: &F, config: IHilbertConfig) -> CfResult<Self> {
+        check_cell_count(field.num_cells())?;
         let order = cell_order(field, config.curve);
         let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
         let subfields = build_subfields(&intervals, config.subfield);

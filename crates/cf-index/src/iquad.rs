@@ -13,6 +13,7 @@
 //! written grouped by leaf (in Z-order of the recursion), and leaf
 //! intervals go into the same paged 1-D R\*-tree.
 
+use crate::order::check_cell_count;
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
@@ -37,6 +38,7 @@ impl<F: FieldModel> IntervalQuadtree<F> {
     pub fn build(engine: &StorageEngine, field: &F, threshold: f64) -> CfResult<Self> {
         assert!(threshold >= 0.0, "threshold must be non-negative");
         let n = field.num_cells();
+        check_cell_count(n)?;
         let intervals: Vec<Interval> = (0..n).map(|c| field.cell_interval(c)).collect();
         let centroids: Vec<[f64; 2]> = (0..n)
             .map(|c| {

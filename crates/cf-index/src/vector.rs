@@ -19,7 +19,7 @@
 //! `ocean_salmon` example).
 
 use crate::exec::probe;
-use crate::order::plane_order;
+use crate::order::{check_cell_count, plane_order};
 use crate::stats::QueryStats;
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::{VectorCellRecord, VectorGridField};
@@ -39,6 +39,7 @@ impl<const K: usize> VectorIHilbert<K> {
     /// centroids, grouped by the scalar fields' greedy rule (paper
     /// defaults, `base = 1`, `query_len = 0`) over value boxes.
     pub fn build(engine: &StorageEngine, field: &VectorGridField<K>) -> CfResult<Self> {
+        check_cell_count(field.num_cells())?;
         let order = plane_order(
             field.num_cells(),
             field.domain(),

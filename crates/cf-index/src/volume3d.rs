@@ -8,7 +8,7 @@
 //! tetrahedral band-volume (see [`cf_field::VolumeCellRecord`]).
 
 use crate::exec::probe;
-use crate::order::{order_by, quantize};
+use crate::order::{check_cell_count, order_by, quantize};
 use crate::stats::QueryStats;
 use crate::subfield::{build_subfields, SubfieldConfig};
 use cf_field::{Grid3Field, VolumeCellRecord};
@@ -20,6 +20,25 @@ use cf_storage::{CellFile, CfResult, StorageEngine};
 /// Bits per axis for the 3-D Hilbert ordering (1024³ positions).
 const BITS_3D: u32 = 10;
 
+// A 3-D key of `BITS_3D` bits per axis fits the packed sort's key half.
+const _: () = assert!(3 * BITS_3D <= 32);
+
+/// The cells of `field` in the 3-D Hilbert order of their centers,
+/// quantized over the cube that holds the grid.
+pub(crate) fn volume_order(field: &Grid3Field) -> Vec<usize> {
+    let (cx, cy, cz) = field.cell_dims();
+    let max_dim = cx.max(cy).max(cz) as f64;
+    let cube = Aabb::new([0.0; 3], [max_dim; 3]);
+    order_by(field.num_cells(), |cell| {
+        let key = hilbert_index_nd(
+            &quantize(field.cell_centroid(cell), &cube, BITS_3D),
+            BITS_3D,
+        );
+        // Lossless: the key has `3 * BITS_3D <= 32` bits.
+        key as u32
+    })
+}
+
 /// The volume-field I-Hilbert index.
 pub struct VolumeIHilbert {
     file: CellFile<VolumeCellRecord>,
@@ -29,17 +48,8 @@ pub struct VolumeIHilbert {
 impl VolumeIHilbert {
     /// Builds the index with the paper-default cost function.
     pub fn build(engine: &StorageEngine, field: &Grid3Field) -> CfResult<Self> {
-        // 3-D Hilbert order of cell centers, quantized over the cube
-        // that holds the grid.
-        let (cx, cy, cz) = field.cell_dims();
-        let max_dim = cx.max(cy).max(cz) as f64;
-        let cube = Aabb::new([0.0; 3], [max_dim; 3]);
-        let order = order_by(field.num_cells(), |cell| {
-            hilbert_index_nd(
-                &quantize(field.cell_centroid(cell), &cube, BITS_3D),
-                BITS_3D,
-            )
-        });
+        check_cell_count(field.num_cells())?;
+        let order = volume_order(field);
 
         let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
         let subfields = build_subfields(&intervals, SubfieldConfig::default());

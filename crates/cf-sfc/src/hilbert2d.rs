@@ -1,9 +1,18 @@
 //! Fast 2-D Hilbert curve conversions.
 //!
-//! Classic iterative quadrant-rotation formulation. The curve of order
-//! `k` visits every cell of the `2^k × 2^k` grid exactly once, and
-//! consecutive indices are always 4-neighbors — the "no jumps" property
-//! the paper relies on when forming subfields from consecutive cells.
+//! The curve of order `k` visits every cell of the `2^k × 2^k` grid
+//! exactly once, and consecutive indices are always 4-neighbors — the
+//! "no jumps" property the paper relies on when forming subfields from
+//! consecutive cells.
+//!
+//! The encoder walks a state table. Read from the top bit down, a
+//! Hilbert curve is one base pattern seen in one of four orientations:
+//! the identity, the transpose (`SWAP`), the half-turn (`INVERT`,
+//! both coordinates complemented) and both. Each bit pair `(x, y)` gives
+//! a base-4 digit and the orientation for the bits below it. [`NIB`]
+//! folds four such steps into one lookup, so a key of order `k` costs
+//! `ceil(k / 4)` dependent loads from a 2 KiB table. The decoder is
+//! the classic iterative quadrant rotation, one bit at a time.
 
 use crate::MAX_ORDER_2D;
 
@@ -20,6 +29,51 @@ fn rot(side: u64, x: &mut u64, y: &mut u64, rx: u64, ry: u64) {
     }
 }
 
+/// Orientation bit: the curve below this level is transposed.
+const SWAP: u16 = 1;
+/// Orientation bit: the curve below this level is turned by a half
+/// turn (both coordinates complemented).
+const INVERT: u16 = 2;
+
+/// `NIB[state][x4 << 4 | y4]` is `digits << 2 | next`: the 8 key bits
+/// of one coordinate nibble pair read in orientation `state`, and the
+/// orientation of the nibbles below. Built from the per-bit rule: read
+/// the oriented bits `(rx, ry)`, emit the digit `3·rx ^ ry`, and when
+/// `ry = 0` transpose, also turning by a half turn when `rx = 1`.
+const NIB: [[u16; 256]; 4] = {
+    let mut table = [[0u16; 256]; 4];
+    let mut start = 0;
+    while start < 4 {
+        let mut xy = 0;
+        while xy < 256 {
+            let (mut state, mut digits) = (start as u16, 0u16);
+            let mut bit = 4;
+            while bit > 0 {
+                bit -= 1;
+                let (bx, by) = ((xy >> (4 + bit)) as u16 & 1, (xy >> bit) as u16 & 1);
+                let (bx, by) = if state & SWAP != 0 {
+                    (by, bx)
+                } else {
+                    (bx, by)
+                };
+                let flip = (state & INVERT) >> 1;
+                let (rx, ry) = (bx ^ flip, by ^ flip);
+                digits = digits << 2 | ((3 * rx) ^ ry);
+                if ry == 0 {
+                    if rx == 1 {
+                        state ^= INVERT;
+                    }
+                    state ^= SWAP;
+                }
+            }
+            table[start][xy] = digits << 2 | state;
+            xy += 1;
+        }
+        start += 1;
+    }
+    table
+};
+
 /// Hilbert index of grid cell `(x, y)` on the order-`order` curve.
 ///
 /// `order` is the number of bits per coordinate; the grid side is
@@ -28,21 +82,26 @@ fn rot(side: u64, x: &mut u64, y: &mut u64, rx: u64, ry: u64) {
 /// # Panics
 ///
 /// Panics if `order > MAX_ORDER_2D` or a coordinate is out of range.
-pub fn hilbert_index_2d(mut x: u64, mut y: u64, order: u32) -> u64 {
+pub fn hilbert_index_2d(x: u64, y: u64, order: u32) -> u64 {
     assert!(
         order <= MAX_ORDER_2D,
         "order {order} exceeds {MAX_ORDER_2D}"
     );
     let side = 1u64 << order;
     assert!(x < side && y < side, "({x}, {y}) outside 2^{order} grid");
+    // The walk starts at a nibble boundary, above `order`. Each zero
+    // padding bit emits digit 0 and transposes, so starting transposed
+    // when the padding is odd leaves the walk at the top real bit in
+    // the identity orientation, as the curve of order `order` starts.
+    let mut shift = order.div_ceil(4) * 4;
+    let mut state = ((shift - order) & 1) as usize;
     let mut d = 0u64;
-    let mut s = side >> 1;
-    while s > 0 {
-        let rx = u64::from(x & s > 0);
-        let ry = u64::from(y & s > 0);
-        d += s * s * ((3 * rx) ^ ry);
-        rot(side, &mut x, &mut y, rx, ry);
-        s >>= 1;
+    while shift > 0 {
+        shift -= 4;
+        let xy = ((x >> shift) & 0xF) << 4 | ((y >> shift) & 0xF);
+        let entry = NIB[state][xy as usize];
+        d = d << 8 | u64::from(entry >> 2);
+        state = usize::from(entry & 3);
     }
     d
 }
@@ -80,6 +139,84 @@ pub fn hilbert_point_2d(d: u64, order: u32) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The encoder the state table replaced: one bit per step, each
+    /// step rotating the remaining coordinates. Every key of the table
+    /// encoder is checked against it.
+    mod reference {
+        use super::super::rot;
+
+        pub(super) fn hilbert_index_2d(mut x: u64, mut y: u64, order: u32) -> u64 {
+            let side = 1u64 << order;
+            let mut d = 0u64;
+            let mut s = side >> 1;
+            while s > 0 {
+                let rx = u64::from(x & s > 0);
+                let ry = u64::from(y & s > 0);
+                d += s * s * ((3 * rx) ^ ry);
+                rot(side, &mut x, &mut y, rx, ry);
+                s >>= 1;
+            }
+            d
+        }
+    }
+
+    /// Every `(x, y)` of the order-`order` grid, table against bit loop.
+    fn assert_matches_reference_exhaustively(order: u32) {
+        let side = 1u64 << order;
+        for x in 0..side {
+            for y in 0..side {
+                assert_eq!(
+                    hilbert_index_2d(x, y, order),
+                    reference::hilbert_index_2d(x, y, order),
+                    "({x}, {y}) at order {order}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_reference_exhaustively_up_to_order_10() {
+        for order in 0..=10 {
+            assert_matches_reference_exhaustively(order);
+        }
+    }
+
+    /// `CURVE_ORDER`, the order every 2-D index build keys its cells at:
+    /// all 2^30 pairs (≈ 45 s in release).
+    #[test]
+    #[ignore = "2^30 keys; run with --release -- --ignored"]
+    fn matches_reference_exhaustively_at_order_15() {
+        assert_matches_reference_exhaustively(15);
+    }
+
+    #[test]
+    fn matches_reference_on_boundary_and_random_coordinates_at_every_order() {
+        let mut rng = StdRng::seed_from_u64(0x4b11_be27);
+        for order in 0..=MAX_ORDER_2D {
+            let side = 1u64 << order;
+            // 0, side − 1, and every power of two and its neighbours.
+            let mut coords = vec![0, side - 1];
+            for bit in 0..order {
+                let p = 1u64 << bit;
+                coords.extend([p - 1, p, p + 1]);
+            }
+            coords.retain(|&c| c < side);
+            for _ in 0..64 {
+                coords.push(rng.gen_range(0..side));
+            }
+            for &x in &coords {
+                for &y in &coords {
+                    assert_eq!(
+                        hilbert_index_2d(x, y, order),
+                        reference::hilbert_index_2d(x, y, order),
+                        "({x}, {y}) at order {order}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn matches_paper_figure_4_order_1() {

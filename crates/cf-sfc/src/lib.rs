@@ -10,8 +10,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`hilbert_index_2d`] / [`hilbert_point_2d`] — fast 2-D Hilbert
-//!   index ↔ coordinate conversion (the hot path of subfield building);
+//! * [`hilbert_index_2d`] / [`hilbert_point_2d`] — 2-D Hilbert
+//!   index ↔ coordinate conversion. The index, the key of every 2-D
+//!   index build, walks a 2 KiB table one nibble pair per lookup; the
+//!   inverse rotates one bit at a time;
 //! * [`hilbert_index_nd`] / [`hilbert_point_nd`] — arbitrary-dimension
 //!   Hilbert transform (Skilling's algorithm; Bially 1969 is the paper's
 //!   citation for higher dimensionalities);
