@@ -1,11 +1,12 @@
 //! Database catalog: persisting an I-Hilbert index so a (file-backed)
 //! database can be closed and reopened by a later process.
 //!
-//! Everything the index owns already lives on pages — the cell file, the
-//! subfield metadata file, the position-map file and the R\*-tree. The
-//! catalog records where each of those starts, plus a magic/version
-//! header; [`IHilbert::save`] writes it and [`IHilbert::open`]
-//! reattaches.
+//! Everything the index owns already lives on pages, each fact once and
+//! written by the build: the cell file, the R\*-tree (whose leaves are
+//! the subfield catalog) and the cell→position map. The catalog records
+//! where each of those starts, plus a magic/version header;
+//! [`IHilbert::save`] writes it and [`IHilbert::open`] reattaches,
+//! walking the tree to rebuild the subfield list.
 //!
 //! # Shadow-paged atomic commit
 //!
@@ -28,15 +29,14 @@
 //! [`open_database`] reopens such a file and refuses a path with no file
 //! behind it, which [`StorageEngine::open_file`] would create.
 
-use crate::ihilbert::{method_label, IHilbert};
+use crate::ihilbert::{method_label, IHilbert, PosRecord};
 use crate::ingest::{DeltaRec, IngestConfig, LiveIngest};
 use crate::sfindex::SubfieldIndex;
-use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_rtree::PagedRTree;
 use cf_sfc::Curve;
 use cf_storage::{
-    checksum, codec, CellFile, CfError, CfResult, PageBuf, PageCodec, PageId, Record, RecordFile,
+    checksum, codec, CellFile, CfError, CfResult, PageBuf, PageCodec, PageId, RecordFile,
     StorageConfig, StorageEngine, PAGE_SIZE,
 };
 use std::path::Path;
@@ -47,28 +47,14 @@ const MAGIC: u64 = 0x3142_444C_4549_4643;
 /// page codec tag and the cell/subfield files' data-page counts, which
 /// the compressed layout needs to locate its page directory; 4 appends
 /// the live-ingest epoch pointer and the flushed delta file's run, so
-/// a [`LiveIngest`] plane survives close/reopen).
-const VERSION: u32 = 4;
+/// a [`LiveIngest`] plane survives close/reopen; 5 drops the subfield
+/// file, whose facts the tree's leaves already hold). Every other
+/// version is refused as unsupported.
+const VERSION: u32 = 5;
 /// Number of slot pages a catalog occupies.
 const NUM_SLOTS: u64 = 2;
 /// Bytes covered by the slot checksum (header + payload).
-const CRC_COVER: usize = 144;
-
-/// A `u32` cell→position mapping entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PosRecord(pub(crate) u32);
-
-impl Record for PosRecord {
-    const SIZE: usize = 4;
-
-    fn encode(&self, buf: &mut [u8]) {
-        codec::put_u32(buf, 0, self.0);
-    }
-
-    fn decode(buf: &[u8]) -> Self {
-        Self(codec::get_u32(buf, 0))
-    }
-}
+const CRC_COVER: usize = 120;
 
 fn curve_tag(curve: Curve) -> u32 {
     match curve {
@@ -96,8 +82,6 @@ struct Slot {
     epoch: u64,
     cell_first: u64,
     cell_len: usize,
-    sf_first: u64,
-    sf_len: usize,
     pos_first: u64,
     pos_len: usize,
     t_root: u64,
@@ -106,7 +90,6 @@ struct Slot {
     t_pages: u64,
     codec: PageCodec,
     cell_data_pages: u64,
-    sf_data_pages: u64,
     /// Live-ingest publication epoch at save time (0: plain index
     /// save, no ingest plane).
     ingest_epoch: u64,
@@ -126,8 +109,6 @@ fn encode_slot(slot: &Slot) -> PageBuf {
     off = codec::put_u64(&mut buf, off, slot.epoch);
     off = codec::put_u64(&mut buf, off, slot.cell_first);
     off = codec::put_u64(&mut buf, off, slot.cell_len as u64);
-    off = codec::put_u64(&mut buf, off, slot.sf_first);
-    off = codec::put_u64(&mut buf, off, slot.sf_len as u64);
     off = codec::put_u64(&mut buf, off, slot.pos_first);
     off = codec::put_u64(&mut buf, off, slot.pos_len as u64);
     off = codec::put_u64(&mut buf, off, slot.t_root);
@@ -136,7 +117,6 @@ fn encode_slot(slot: &Slot) -> PageBuf {
     off = codec::put_u64(&mut buf, off, slot.t_pages);
     off = codec::put_u32(&mut buf, off, slot.codec.tag());
     off = codec::put_u64(&mut buf, off, slot.cell_data_pages);
-    off = codec::put_u64(&mut buf, off, slot.sf_data_pages);
     off = codec::put_u64(&mut buf, off, slot.ingest_epoch);
     off = codec::put_u64(&mut buf, off, slot.delta_first);
     let end = codec::put_u64(&mut buf, off, slot.delta_len as u64);
@@ -150,17 +130,25 @@ fn encode_slot(slot: &Slot) -> PageBuf {
 /// slot CRC. Every failure is a typed [`CfError::Corrupt`] naming the
 /// slot page and what was wrong with it.
 fn decode_slot(page: PageId, buf: &PageBuf) -> CfResult<Slot> {
+    // The fields in `encode_slot`'s order: `next(w)` reads the next
+    // `w`-byte little-endian field.
     let mut off = 0;
-    let magic = codec::get_u64(buf, off);
-    off += 8;
+    let mut next = |width: usize| {
+        off += width;
+        if width == 4 {
+            u64::from(codec::get_u32(buf, off - 4))
+        } else {
+            codec::get_u64(buf, off - 8)
+        }
+    };
+    let magic = next(8);
     if magic != MAGIC {
         return Err(CfError::corrupt(
             page,
             format!("not a contfield catalog page (magic {magic:#018x}, expected {MAGIC:#018x})"),
         ));
     }
-    let version = codec::get_u32(buf, off);
-    off += 4;
+    let version = next(4) as u32;
     if version != VERSION {
         return Err(CfError::corrupt(
             page,
@@ -178,72 +166,32 @@ fn decode_slot(page: PageId, buf: &PageBuf) -> CfResult<Slot> {
             ),
         ));
     }
-    let tag = codec::get_u32(buf, off);
-    off += 4;
-    let curve = curve_from_tag(tag).ok_or_else(|| {
-        CfError::corrupt(
-            page,
-            format!("unknown curve tag {tag} (known: 0=Hilbert, 1=ZOrder, 2=GrayCode, 3=RowMajor)"),
-        )
-    })?;
-    let epoch = codec::get_u64(buf, off);
-    off += 8;
-    let cell_first = codec::get_u64(buf, off);
-    off += 8;
-    let cell_len = codec::get_u64(buf, off) as usize;
-    off += 8;
-    let sf_first = codec::get_u64(buf, off);
-    off += 8;
-    let sf_len = codec::get_u64(buf, off) as usize;
-    off += 8;
-    let pos_first = codec::get_u64(buf, off);
-    off += 8;
-    let pos_len = codec::get_u64(buf, off) as usize;
-    off += 8;
-    let t_root = codec::get_u64(buf, off);
-    off += 8;
-    let t_height = codec::get_u32(buf, off);
-    off += 4;
-    let t_len = codec::get_u64(buf, off);
-    off += 8;
-    let t_pages = codec::get_u64(buf, off);
-    off += 8;
-    let codec_tag = codec::get_u32(buf, off);
-    off += 4;
-    let codec = PageCodec::from_tag(codec_tag).ok_or_else(|| {
-        CfError::corrupt(
-            page,
-            format!("unknown page codec tag {codec_tag} (known: 0=raw, 1=compressed)"),
-        )
-    })?;
-    let cell_data_pages = codec::get_u64(buf, off);
-    off += 8;
-    let sf_data_pages = codec::get_u64(buf, off);
-    off += 8;
-    let ingest_epoch = codec::get_u64(buf, off);
-    off += 8;
-    let delta_first = codec::get_u64(buf, off);
-    off += 8;
-    let delta_len = codec::get_u64(buf, off) as usize;
+    let unknown = |what: &str, tag: u64, known: &str| {
+        CfError::corrupt(page, format!("unknown {what} tag {tag} (known: {known})"))
+    };
+    let tag = next(4);
+    let curve = curve_from_tag(tag as u32)
+        .ok_or_else(|| unknown("curve", tag, "0=Hilbert, 1=ZOrder, 2=GrayCode, 3=RowMajor"))?;
     Ok(Slot {
         curve,
-        epoch,
-        cell_first,
-        cell_len,
-        sf_first,
-        sf_len,
-        pos_first,
-        pos_len,
-        t_root,
-        t_height,
-        t_len,
-        t_pages,
-        codec,
-        cell_data_pages,
-        sf_data_pages,
-        ingest_epoch,
-        delta_first,
-        delta_len,
+        epoch: next(8),
+        cell_first: next(8),
+        cell_len: next(8) as usize,
+        pos_first: next(8),
+        pos_len: next(8) as usize,
+        t_root: next(8),
+        t_height: next(4) as u32,
+        t_len: next(8),
+        t_pages: next(8),
+        codec: {
+            let tag = next(4);
+            PageCodec::from_tag(tag as u32)
+                .ok_or_else(|| unknown("page codec", tag, "0=raw, 1=compressed"))?
+        },
+        cell_data_pages: next(8),
+        ingest_epoch: next(8),
+        delta_first: next(8),
+        delta_len: next(8) as usize,
     })
 }
 
@@ -268,12 +216,12 @@ impl<F: FieldModel> IHilbert<F> {
     /// (allocated by a previous [`IHilbert::save`]), committing via the
     /// shadow-slot protocol.
     ///
-    /// The cell file, subfield file and tree pages are already on disk;
-    /// this writes the cell→position map to fresh pages, then commits by
-    /// writing the serialized catalog into the slot that is *not*
-    /// currently live. The old catalog stays intact (and wins on
-    /// [`IHilbert::open`]) until that final single-page write lands
-    /// whole.
+    /// The cell file, tree and position map are already on pages; this
+    /// flushes the pool's dirty frames, then commits by writing the
+    /// serialized catalog into the slot that is *not* currently live.
+    /// The old catalog stays intact (and wins on [`IHilbert::open`])
+    /// until that final single-page write lands whole. After a flush,
+    /// a save is that one page write.
     pub fn save_to(&self, engine: &StorageEngine, catalog: PageId) -> CfResult<()> {
         self.save_slot_with_delta(engine, catalog, 0, 0, 0)
     }
@@ -306,14 +254,8 @@ impl<F: FieldModel> IHilbert<F> {
             None => (0, 1),
         };
         // The slot about to be overwritten references the
-        // previous-but-one epoch's position map; once the commit below
-        // lands, no slot references it and its run can be freed.
-        let replaced_pos = slots[target as usize].map(|s| {
-            let pages = RecordFile::<PosRecord>::open(PageId(s.pos_first), s.pos_len).num_pages();
-            (PageId(s.pos_first), pages)
-        });
-        // Same lifecycle for the replaced slot's flushed delta run:
-        // dead once no slot references it, freed only after the commit.
+        // previous-but-one epoch's flushed delta run; once the commit
+        // below lands, no slot references it and its run can be freed.
         let replaced_delta = slots[target as usize].and_then(|s| {
             if s.delta_len == 0 {
                 return None;
@@ -324,40 +266,27 @@ impl<F: FieldModel> IHilbert<F> {
             Some((PageId(s.delta_first), pages))
         });
 
-        // The only index state not already on its own pages: the
-        // cell→position map. Written to fresh pages, never in place, so
-        // the slot still referencing the old copy stays consistent.
-        let pos_file = RecordFile::create(
-            engine,
-            self.cell_to_pos()
-                .iter()
-                .map(|&p| PosRecord(p))
-                .collect::<Vec<_>>(),
-        )?;
         // Commit-ordering invariant: everything the new slot references
         // must be physically on disk before the slot write. Record-file
-        // creation (including the pos file above) buffers its writes,
-        // so flush the pool here — ascending page order, deterministic
-        // fault ordinals — before the commit point below.
+        // creation buffers its writes, so flush the pool here —
+        // ascending page order, deterministic fault ordinals — before
+        // the commit point below.
         engine.flush()?;
-        let inner = self.inner();
+        let inner = &self.inner;
         let (t_root, t_height, t_len, t_pages) = inner.tree.to_parts();
         let slot = Slot {
-            curve: self.curve(),
+            curve: self.curve,
             epoch,
             cell_first: inner.file.first_page().0,
             cell_len: inner.file.len(),
-            sf_first: inner.sf_file.first_page().0,
-            sf_len: inner.sf_file.len(),
-            pos_first: pos_file.first_page().0,
-            pos_len: pos_file.len(),
+            pos_first: self.pos_file.first_page().0,
+            pos_len: self.pos_file.len(),
             t_root,
             t_height,
             t_len,
             t_pages,
             codec: inner.file.codec(),
             cell_data_pages: inner.file.data_pages() as u64,
-            sf_data_pages: inner.sf_file.data_pages() as u64,
             ingest_epoch,
             delta_first,
             delta_len,
@@ -365,17 +294,10 @@ impl<F: FieldModel> IHilbert<F> {
         // Commit point: one full-page write. Torn → CRC mismatch → the
         // slot is not live and the previous epoch still wins.
         engine.write_page(PageId(catalog.0 + target), &encode_slot(&slot))?;
-        // Garbage-collect the superseded position map, keeping repeated
-        // saves from growing the file without bound (two pos files stay
-        // in flight: the live epoch's and the fallback slot's). Ordered
-        // after the commit, so a crash anywhere earlier leaves it
-        // intact for the fallback slot; a crash between the commit and
-        // this free leaks the run, never corrupts.
-        if let Some((first, pages)) = replaced_pos {
-            if first.0 != slot.pos_first {
-                engine.free_run(first, pages)?;
-            }
-        }
+        // Garbage-collect the superseded delta run. Ordered after the
+        // commit, so a crash anywhere earlier leaves it intact for the
+        // fallback slot; a crash between the commit and this free leaks
+        // the run, never corrupts.
         if let Some((first, pages)) = replaced_delta {
             if first.0 != slot.delta_first || slot.delta_len == 0 {
                 engine.free_run(first, pages)?;
@@ -388,15 +310,17 @@ impl<F: FieldModel> IHilbert<F> {
     /// on a file-backed engine reopened by a new process.
     ///
     /// Picks the highest-epoch slot that validates (magic, version,
-    /// CRC). Returns [`CfError::Corrupt`] when neither slot holds a
-    /// consistent catalog, or when the winning slot references pages
-    /// past the end of the database (a corrupt length field).
+    /// CRC), then rebuilds the subfield catalog by walking the tree.
+    /// Returns [`CfError::Corrupt`] when neither slot holds a
+    /// consistent catalog, when the winning slot references pages past
+    /// the end of the database (a corrupt length field), or when the
+    /// tree's leaves are not a subfield catalog of the cell file.
     pub fn open(engine: &StorageEngine, catalog: PageId) -> CfResult<Self> {
         Self::open_slot(engine, catalog).map(|(index, _)| index)
     }
 
     /// [`IHilbert::open`] plus the winning slot itself, so the
-    /// live-ingest reopen path can reach the v4 delta fields.
+    /// live-ingest reopen path can reach the delta fields.
     fn open_slot(engine: &StorageEngine, catalog: PageId) -> CfResult<(Self, Slot)> {
         let mut winner: Option<Slot> = None;
         let mut failures: Vec<String> = Vec::new();
@@ -430,9 +354,6 @@ impl<F: FieldModel> IHilbert<F> {
             slot.cell_len,
             slot.cell_data_pages as usize,
         ) as u64;
-        let sf_pages =
-            CellFile::<Subfield>::span_pages(slot.codec, slot.sf_len, slot.sf_data_pages as usize)
-                as u64;
         let num_pages = engine.num_pages() as u64;
         let delta_pages = if slot.delta_len > 0 {
             RecordFile::<DeltaRec<F::CellRec>>::open(PageId(slot.delta_first), slot.delta_len)
@@ -442,7 +363,6 @@ impl<F: FieldModel> IHilbert<F> {
         };
         let spans = [
             ("cell file", slot.cell_first, cell_pages),
-            ("subfield file", slot.sf_first, sf_pages),
             ("position map", slot.pos_first, pos_file.num_pages() as u64),
             ("tree root", slot.t_root, 1),
             ("delta file", slot.delta_first, delta_pages),
@@ -466,29 +386,27 @@ impl<F: FieldModel> IHilbert<F> {
             slot.cell_len,
             slot.cell_data_pages as usize,
         )?;
-        let sf_file = CellFile::<Subfield>::open(
-            engine,
-            slot.codec,
-            PageId(slot.sf_first),
-            slot.sf_len,
-            slot.sf_data_pages as usize,
-        )?;
 
         let mut tree = PagedRTree::from_parts(slot.t_root, slot.t_height, slot.t_len, slot.t_pages);
         tree.attach_metrics(engine);
         let label = method_label(slot.curve);
-        let inner = SubfieldIndex::open(engine, file, tree, sf_file, &label, slot.curve.name())?;
+        let inner = SubfieldIndex::open(engine, file, tree, &label, slot.curve.name())?;
         let cell_to_pos: Vec<u32> = pos_file
             .read_range(engine, 0..slot.pos_len)?
             .into_iter()
             .map(|r| r.0)
             .collect();
 
-        let index = Self::from_parts(inner, slot.curve, cell_to_pos);
+        let index = Self {
+            inner,
+            curve: slot.curve,
+            cell_to_pos,
+            pos_file,
+        };
         // Structural health gauges come straight from the reopened
         // metadata; the cost-C distribution needs per-cell intervals and
         // reappears on the first update.
-        index.inner().publish_health(engine.metrics(), None);
+        index.inner.publish_health(engine.metrics(), None);
         Ok((index, slot))
     }
 }
@@ -504,7 +422,7 @@ impl<F: FieldModel> LiveIngest<F> {
 
     /// Persists the ingest plane into an existing catalog run via the
     /// shadow-slot protocol, in crash-ordered steps: (1) flush the net
-    /// delta to a fresh record-file run, (2) commit the v4 slot
+    /// delta to a fresh record-file run, (2) commit the slot
     /// (pointing at base + delta + epoch) with one page write, (3)
     /// free the runs only the replaced slot referenced. A crash
     /// anywhere in the sequence leaves a previous consistent epoch
@@ -609,6 +527,7 @@ mod tests {
     use super::*;
     use crate::linear::LinearScan;
     use crate::stats::ValueIndex;
+    use crate::subfield::Subfield;
     use cf_field::GridField;
     use cf_geom::Interval;
 
@@ -697,15 +616,9 @@ mod tests {
         let catalog = built.save(&engine).expect("save");
         // Corrupt the live slot's curve tag and re-seal its CRC so only
         // the tag validation can reject it.
-        let mut buf = engine.with_page(catalog, |p| *p).expect("read");
-        codec::put_u32(&mut buf, 12, 99);
-        let crc = checksum::crc32(&buf[..CRC_COVER]);
-        codec::put_u32(&mut buf, CRC_COVER, crc);
-        engine.write_page(catalog, &buf).expect("write");
-        // Also clobber the second slot so no fallback exists.
-        engine
-            .write_page(PageId(catalog.0 + 1), &[0u8; PAGE_SIZE])
-            .expect("write");
+        edit_slot(&engine, catalog, |buf| {
+            codec::put_u32(buf, 12, 99);
+        });
         let err = IHilbert::<GridField>::open(&engine, catalog)
             .map(|_| ())
             .expect_err("bad curve tag");
@@ -721,22 +634,21 @@ mod tests {
         let engine = StorageEngine::in_memory();
         let field = bumpy_field(8);
         let built = IHilbert::build(&engine, &field).expect("build");
-        let catalog = built.save(&engine).expect("save");
-        let mut buf = engine.with_page(catalog, |p| *p).expect("read");
-        codec::put_u32(&mut buf, 8, VERSION + 7);
-        let crc = checksum::crc32(&buf[..CRC_COVER]);
-        codec::put_u32(&mut buf, CRC_COVER, crc);
-        engine.write_page(catalog, &buf).expect("write");
-        engine
-            .write_page(PageId(catalog.0 + 1), &[0u8; PAGE_SIZE])
-            .expect("write");
-        let err = IHilbert::<GridField>::open(&engine, catalog)
-            .map(|_| ())
-            .expect_err("future version");
-        assert!(
-            err.to_string().contains("unsupported catalog version"),
-            "unexpected message: {err}"
-        );
+        // The previous format (v4, which had a subfield file) is refused
+        // like a future one: catalog versions are not migrated.
+        for version in [VERSION - 1, VERSION + 7] {
+            let catalog = built.save(&engine).expect("save");
+            edit_slot(&engine, catalog, |buf| {
+                codec::put_u32(buf, 8, version);
+            });
+            let err = IHilbert::<GridField>::open(&engine, catalog)
+                .map(|_| ())
+                .expect_err("other version");
+            assert!(
+                err.to_string().contains("unsupported catalog version"),
+                "unexpected message: {err}"
+            );
+        }
     }
 
     #[test]
@@ -745,15 +657,10 @@ mod tests {
         let field = bumpy_field(8);
         let built = IHilbert::build(&engine, &field).expect("build");
         let catalog = built.save(&engine).expect("save");
-        let mut buf = engine.with_page(catalog, |p| *p).expect("read");
         // cell_len at offset 32: claim an absurd record count.
-        codec::put_u64(&mut buf, 32, u64::MAX / 8);
-        let crc = checksum::crc32(&buf[..CRC_COVER]);
-        codec::put_u32(&mut buf, CRC_COVER, crc);
-        engine.write_page(catalog, &buf).expect("write");
-        engine
-            .write_page(PageId(catalog.0 + 1), &[0u8; PAGE_SIZE])
-            .expect("write");
+        edit_slot(&engine, catalog, |buf| {
+            codec::put_u64(buf, 32, u64::MAX / 8);
+        });
         let err = IHilbert::<GridField>::open(&engine, catalog)
             .map(|_| ())
             .expect_err("absurd span");
@@ -824,20 +731,59 @@ mod tests {
         }
     }
 
+    /// Rewrites entry `i` of the tree node on `page` — `lo`, `hi` and
+    /// the child pointer or payload — through the engine, so the page
+    /// checksum is re-sealed: CRC-valid hostile bytes.
+    fn write_entry(engine: &StorageEngine, page: PageId, i: usize, lo: f64, hi: f64, data: u64) {
+        let mut buf = engine.with_page(page, |p| *p).expect("read");
+        // Node header (8 bytes), then 24-byte entries: lo, hi, data.
+        let off = 8 + i * 24;
+        codec::put_f64(&mut buf, off, lo);
+        codec::put_f64(&mut buf, off + 8, hi);
+        codec::put_u64(&mut buf, off + 16, data);
+        engine.write_page(page, &buf).expect("write");
+    }
+
+    /// The entries of the tree node on `page` as `(lo, hi, data)`.
+    fn entries(engine: &StorageEngine, tree: &PagedRTree<1>, page: PageId) -> Vec<(f64, f64, u64)> {
+        let mut out = Vec::new();
+        tree.for_each_entry(engine, page, |mbr, data, _| {
+            out.push((mbr.lo[0], mbr.hi[0], data))
+        })
+        .expect("read node");
+        out
+    }
+
     /// Overwrites the payload of entry 0 of the subfield tree's root —
-    /// a leaf, for the small fields used here — through the engine, so
-    /// the page checksum is re-sealed: CRC-valid hostile bytes.
+    /// a leaf, for the small fields used here.
     fn poison_first_leaf_payload(engine: &StorageEngine, index: &IHilbert<GridField>, data: u64) {
-        let tree = &index.inner().tree;
+        let tree = &index.inner.tree;
+        assert_eq!(tree.height(), 1, "test field must fit a single leaf");
         let root = tree.root_page_id();
-        let mut root_is_leaf = false;
-        tree.for_each_entry(engine, root, |_, _, is_leaf| root_is_leaf = is_leaf)
-            .expect("read root");
-        assert!(root_is_leaf, "test field must fit a single leaf");
-        let mut buf = engine.with_page(root, |p| *p).expect("read");
-        // Node header (8 bytes), then entry 0: lo, hi, payload.
-        codec::put_u64(&mut buf, 8 + 16, data);
-        engine.write_page(root, &buf).expect("write");
+        let (lo, hi, _) = entries(engine, tree, root)[0];
+        write_entry(engine, root, 0, lo, hi, data);
+    }
+
+    /// Re-seals slot 0 after `edit` and clobbers slot 1, so the edited
+    /// slot is the only candidate at open.
+    fn edit_slot(engine: &StorageEngine, catalog: PageId, edit: impl FnOnce(&mut PageBuf)) {
+        let mut buf = engine.with_page(catalog, |p| *p).expect("read");
+        edit(&mut buf);
+        let crc = checksum::crc32(&buf[..CRC_COVER]);
+        codec::put_u32(&mut buf, CRC_COVER, crc);
+        engine.write_page(catalog, &buf).expect("write");
+        engine
+            .write_page(PageId(catalog.0 + 1), &[0u8; PAGE_SIZE])
+            .expect("write");
+    }
+
+    /// A rough fractal whose subfields overflow one tree page: a
+    /// height-2 tree, root entries pointing at leaves.
+    fn two_level_index(engine: &StorageEngine) -> (GridField, IHilbert<GridField>) {
+        let field = cf_workload::fractal::diamond_square(7, 0.2, 5);
+        let built = IHilbert::build(engine, &field).expect("build");
+        assert_eq!(built.inner.tree.height(), 2, "test field needs two levels");
+        (field, built)
     }
 
     #[test]
@@ -861,14 +807,16 @@ mod tests {
 
             let err = built.query_stats(&engine, whole).expect_err(what);
             assert!(err.is_corrupt(), "{what}: {err}");
-            // The tree is not walked at open, so the reopened handle
-            // meets the payload in its first query too…
-            let reopened: IHilbert<GridField> = IHilbert::open(&engine, catalog).expect("open");
-            let err = reopened.query_stats(&engine, whole).expect_err(what);
+            // Open walks the tree, whose leaves are the subfield
+            // catalog, so the reopen meets the payload first…
+            let err = IHilbert::<GridField>::open(&engine, catalog)
+                .map(|_| ())
+                .expect_err(what);
             assert!(err.is_corrupt(), "{what}: {err}");
-            // …and so does an ingest snapshot, whose override correction
-            // looks the retrieved range's start up by position.
-            let live = LiveIngest::new(&engine, reopened, IngestConfig::default()).expect("live");
+            // …while the built handle, which kept its catalog in memory,
+            // meets it in an ingest snapshot's query, whose override
+            // correction looks the retrieved range's start up by position.
+            let live = LiveIngest::new(&engine, built, IngestConfig::default()).expect("live");
             let rec = cf_field::GridCellRecord {
                 vals: [whole.hi; 4],
                 ..field.cell_record(0)
@@ -883,42 +831,34 @@ mod tests {
 
     #[test]
     fn hostile_subfield_catalog_is_a_typed_error_not_a_panic() {
-        type Edit = fn(&[Subfield], u32) -> (usize, Subfield);
+        // Each edit names the subfield whose leaf entry it rewrites and
+        // the `(lo, hi, payload)` written in its place.
+        type Edit = fn(&[Subfield], u64) -> (usize, (f64, f64, u64));
         let edits: [(&str, Edit); 6] = [
-            ("inverted interval", |sfs, _| {
-                let interval = Interval { lo: 9.0, hi: 1.0 };
-                (0, Subfield { interval, ..sfs[0] })
-            }),
+            ("inverted interval", |sfs, _| (0, (9.0, 1.0, sfs[0].pack()))),
             ("NaN interval bound", |sfs, _| {
-                let interval = Interval {
-                    lo: f64::NAN,
-                    hi: 1.0,
-                };
-                (0, Subfield { interval, ..sfs[0] })
+                (0, (f64::NAN, 1.0, sfs[0].pack()))
             }),
             ("range past the cell file", |sfs, cells| {
                 let last = sfs.len() - 1;
-                let end = cells + 1000;
-                (last, Subfield { end, ..sfs[last] })
+                let iv = sfs[last].interval;
+                let data = (u64::from(sfs[last].start) << 32) | (cells + 1000);
+                (last, (iv.lo, iv.hi, data))
             }),
             ("inverted range", |sfs, _| {
-                (
-                    0,
-                    Subfield {
-                        start: 5,
-                        end: 2,
-                        ..sfs[0]
-                    },
-                )
+                let iv = sfs[0].interval;
+                (0, (iv.lo, iv.hi, (5 << 32) | 2))
             }),
             ("gap before the second subfield", |sfs, _| {
-                let start = sfs[1].start + 1;
-                (1, Subfield { start, ..sfs[1] })
+                let iv = sfs[1].interval;
+                let data = (u64::from(sfs[1].start + 1) << 32) | u64::from(sfs[1].end);
+                (1, (iv.lo, iv.hi, data))
             }),
             ("catalog stops short of the cell file", |sfs, _| {
                 let last = sfs.len() - 1;
-                let end = sfs[last].end - 1;
-                (last, Subfield { end, ..sfs[last] })
+                let iv = sfs[last].interval;
+                let data = (u64::from(sfs[last].start) << 32) | u64::from(sfs[last].end - 1);
+                (last, (iv.lo, iv.hi, data))
             }),
         ];
         let field = bumpy_field(12);
@@ -930,12 +870,16 @@ mod tests {
                 });
                 let built = IHilbert::build(&engine, &field).expect("build");
                 let catalog = built.save(&engine).expect("save");
-                let inner = built.inner();
+                let inner = built.inner;
                 assert!(inner.subfields.len() > 2);
-                // `put` encodes the record's fields verbatim and writes
-                // the page through the engine (checksum re-sealed).
-                let (at, bad) = edit(&inner.subfields, inner.file.len() as u32);
-                inner.sf_file.put(&engine, at, &bad).expect("put");
+                assert_eq!(inner.tree.height(), 1, "test field must fit a single leaf");
+                let (at, (lo, hi, data)) = edit(&inner.subfields, inner.file.len() as u64);
+                let root = inner.tree.root_page_id();
+                let i = entries(&engine, &inner.tree, root)
+                    .iter()
+                    .position(|e| e.2 == inner.subfields[at].pack())
+                    .expect("the subfield's leaf entry");
+                write_entry(&engine, root, i, lo, hi, data);
 
                 let err = IHilbert::<GridField>::open(&engine, catalog)
                     .map(|_| ())
@@ -947,34 +891,182 @@ mod tests {
 
     #[test]
     fn stale_subfield_interval_is_a_typed_error_on_update() {
-        let field = bumpy_field(12);
         let engine = StorageEngine::in_memory();
-        let built = IHilbert::build(&engine, &field).expect("build");
+        let (field, mut built) = two_level_index(&engine);
         let catalog = built.save(&engine).expect("save");
-        // A wider but well-formed interval for subfield 1: the catalog
-        // validates, yet names a tree entry that does not exist.
-        let sf = built.inner().subfields[1];
-        let wider = Subfield {
-            interval: Interval::new(sf.interval.lo - 1.0, sf.interval.hi + 1.0),
-            ..sf
-        };
-        built.inner().sf_file.put(&engine, 1, &wider).expect("put");
+        // Shrink root entry 0 to its low end: the leaf it points at
+        // holds entries reaching up to the old high end, which the
+        // shrunk box no longer covers.
+        let tree = &built.inner.tree;
+        let root = tree.root_page_id();
+        let (lo, hi, leaf) = entries(&engine, tree, root)[0];
+        assert!(lo < hi);
+        write_entry(&engine, root, 0, lo, lo, leaf);
+        let outside = entries(&engine, tree, PageId(leaf))
+            .into_iter()
+            .find(|e| e.1 > lo)
+            .expect("a leaf entry above the shrunk box");
+        let sf = Subfield::unpack(outside.2, Interval::new(outside.0, outside.1));
 
-        let mut reopened: IHilbert<GridField> =
-            IHilbert::open(&engine, catalog).expect("the catalog validates");
-        let cell = reopened
-            .cell_to_pos()
+        let err = IHilbert::<GridField>::open(&engine, catalog)
+            .map(|_| ())
+            .expect_err("child entries outside the parent box");
+        assert!(err.is_corrupt(), "{err}");
+        assert!(err.to_string().contains("parent entry's box"), "{err}");
+
+        // The built handle still trusts its in-memory catalog; the tree
+        // surgery of an update cannot find the subfield's entry under
+        // the shrunk box and reports it rather than indexing a stale
+        // tree.
+        let cell = built
+            .cell_to_pos
             .iter()
             .position(|&pos| pos == sf.start)
-            .expect("a cell of subfield 1");
+            .expect("a cell of the subfield");
         let rec = cf_field::GridCellRecord {
-            vals: [500.0; 4],
+            vals: [1e6; 4],
             ..field.cell_record(cell)
         };
-        let err = reopened
+        let err = built
             .update_cell(&engine, cell, rec)
-            .expect_err("stale catalog interval");
+            .expect_err("remove misses the entry");
         assert!(err.is_corrupt(), "{err}");
+        assert!(err.to_string().contains("missing from the tree"), "{err}");
+    }
+
+    #[test]
+    fn looping_child_pointer_is_a_typed_error_not_a_hang() {
+        let engine = StorageEngine::in_memory();
+        let (_, built) = two_level_index(&engine);
+        let catalog = built.save(&engine).expect("save");
+        let tree = &built.inner.tree;
+        let root = tree.root_page_id();
+        let (lo, hi, _) = entries(&engine, tree, root)[0];
+        write_entry(&engine, root, 0, lo, hi, root.0);
+        let err = IHilbert::<GridField>::open(&engine, catalog)
+            .map(|_| ())
+            .expect_err("child pointer back to the root");
+        assert!(err.is_corrupt(), "{err}");
+    }
+
+    #[test]
+    fn tree_shape_that_disagrees_with_the_slot_is_a_typed_error() {
+        // Offsets of `t_height` (u32) and `t_len` (u64) in a slot.
+        const T_HEIGHT: usize = 64;
+        const T_LEN: usize = 68;
+        let (field, engine) = (bumpy_field(12), StorageEngine::in_memory());
+        let built = IHilbert::build(&engine, &field).expect("build");
+        let len = built.num_subfields() as u64;
+        for (what, at, value) in [
+            ("one leaf short", T_LEN, len + 1),
+            ("one leaf over", T_LEN, len - 1),
+            ("more subfields than cells", T_LEN, u64::MAX / 2),
+            ("root below the leaf level", T_HEIGHT, 2),
+            ("zero height", T_HEIGHT, 0),
+        ] {
+            let catalog = built.save(&engine).expect("save");
+            edit_slot(&engine, catalog, |buf| {
+                if at == T_LEN {
+                    codec::put_u64(buf, at, value);
+                } else {
+                    codec::put_u32(buf, at, value as u32);
+                }
+            });
+            let err = IHilbert::<GridField>::open(&engine, catalog)
+                .map(|_| ())
+                .expect_err(what);
+            assert!(err.is_corrupt(), "{what}: {err}");
+        }
+    }
+
+    fn assert_same_subfields(got: &[Subfield], want: &[Subfield], ctx: &str) {
+        let bits = |sfs: &[Subfield]| -> Vec<(u32, u32, u64, u64)> {
+            sfs.iter()
+                .map(|sf| {
+                    (
+                        sf.start,
+                        sf.end,
+                        sf.interval.lo.to_bits(),
+                        sf.interval.hi.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(bits(got), bits(want), "{ctx}");
+    }
+
+    fn reopened_subfields_are_the_built_ones<F: FieldModel>(
+        field: &F,
+        updates: &[(usize, F::CellRec)],
+    ) {
+        for codec in [PageCodec::Raw, PageCodec::Compressed] {
+            let engine = StorageEngine::new(cf_storage::StorageConfig {
+                codec,
+                ..cf_storage::StorageConfig::default()
+            });
+            let built = IHilbert::build(&engine, field).expect("build");
+            let catalog = built.save(&engine).expect("save");
+            let reopened = IHilbert::<F>::open(&engine, catalog).expect("open");
+            assert_same_subfields(
+                &reopened.inner.subfields,
+                &built.inner.subfields,
+                &format!("{codec:?} build"),
+            );
+
+            let live = LiveIngest::new(&engine, built, IngestConfig::default()).expect("live");
+            for (cell, rec) in updates {
+                live.ingest(&engine, *cell, rec.clone()).expect("ingest");
+            }
+            assert!(live.repack(&engine).expect("repack").repacked);
+            live.save_to(&engine, catalog).expect("save");
+            let (base, _, _) = live.persist_state();
+            let reopened = IHilbert::<F>::open(&engine, catalog).expect("open");
+            assert_same_subfields(
+                &reopened.inner.subfields,
+                &base.inner.subfields,
+                &format!("{codec:?} repack"),
+            );
+        }
+    }
+
+    #[test]
+    fn reopened_subfields_equal_the_built_ones_bit_for_bit() {
+        let grid = cf_workload::fractal::diamond_square(5, 0.5, 3);
+        let updates: Vec<_> = (0..grid.num_cells())
+            .step_by(7)
+            .map(|c| {
+                let rec = cf_field::GridCellRecord {
+                    vals: [c as f64 * 0.37; 4],
+                    ..grid.cell_record(c)
+                };
+                (c, rec)
+            })
+            .collect();
+        reopened_subfields_are_the_built_ones(&grid, &updates);
+
+        let tin = cf_workload::noise::urban_noise_tin(400, 9);
+        let updates: Vec<_> = (0..tin.num_cells())
+            .step_by(5)
+            .map(|c| {
+                let mut rec = tin.cell_record(c);
+                rec.values = [c as f64 * 0.11; 3];
+                (c, rec)
+            })
+            .collect();
+        reopened_subfields_are_the_built_ones(&tin, &updates);
+    }
+
+    #[test]
+    fn save_after_a_flush_is_one_page_write() {
+        let engine = StorageEngine::in_memory();
+        let built = IHilbert::build(&engine, &bumpy_field(16)).expect("build");
+        let catalog = built.save(&engine).expect("save");
+        for _ in 0..3 {
+            engine.flush().expect("flush");
+            engine.clear_faults();
+            built.save_to(&engine, catalog).expect("save");
+            assert_eq!(engine.fault_ops().1, 1, "save_to writes its slot alone");
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! ([`search_ranges`], generic over the tree dimension) and its range
 //! merge rule ([`coalesce`]) through [`probe`].
 
+use crate::sfindex::subfield_of;
 use crate::stats::{QueryMetrics, QueryStats, RegionSink};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
@@ -71,9 +72,7 @@ pub(crate) struct Filter<'a> {
 pub(crate) struct SubfieldOverrides<'a> {
     /// Subfield index → effective interval.
     pub effective: &'a HashMap<u32, Interval>,
-    /// File position → subfield index.
-    pub pos_to_subfield: &'a [u32],
-    /// The base subfield catalog.
+    /// The base subfield catalog, in file order.
     pub subfields: &'a [Subfield],
 }
 
@@ -159,7 +158,7 @@ impl Filter<'_> {
         // retrieve.
         if let Some(o) = self.overrides.as_ref().filter(|o| !o.effective.is_empty()) {
             ranges.retain(|&(start, _)| {
-                let sf_idx = o.pos_to_subfield[start as usize];
+                let sf_idx = subfield_of(o.subfields, start);
                 match o.effective.get(&sf_idx) {
                     Some(iv) => iv.intersects(band),
                     None => true,

@@ -14,7 +14,7 @@ use crate::subfield::{build_subfields, subfield_costs, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::Interval;
 use cf_sfc::Curve;
-use cf_storage::{CfError, CfResult, StorageEngine};
+use cf_storage::{codec, CellFile, CfError, CfResult, Record, RecordFile, StorageEngine};
 
 /// Construction parameters of [`IHilbert`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,12 +26,34 @@ pub struct IHilbertConfig {
     pub subfield: SubfieldConfig,
 }
 
+/// A `u32` cell→position mapping entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PosRecord(pub(crate) u32);
+
+impl Record for PosRecord {
+    const SIZE: usize = 4;
+
+    fn encode(&self, buf: &mut [u8]) {
+        codec::put_u32(buf, 0, self.0);
+    }
+
+    fn decode(buf: &[u8]) -> Self {
+        Self(codec::get_u32(buf, 0))
+    }
+}
+
 /// The I-Hilbert value index.
 pub struct IHilbert<F: FieldModel> {
-    inner: SubfieldIndex<F>,
-    curve: Curve,
+    /// The index core, labelled [`method_label`]`(curve)` and
+    /// `curve.name()`.
+    pub(crate) inner: SubfieldIndex<F>,
+    pub(crate) curve: Curve,
     /// Field cell index → position in the Hilbert-ordered cell file.
-    cell_to_pos: Vec<u32>,
+    pub(crate) cell_to_pos: Vec<u32>,
+    /// On-page copy of `cell_to_pos`, written once by the build: no
+    /// update or repack moves a cell, so every later catalog slot
+    /// points at the same run.
+    pub(crate) pos_file: CellFile<PosRecord>,
 }
 
 impl<F: FieldModel> IHilbert<F> {
@@ -42,8 +64,8 @@ impl<F: FieldModel> IHilbert<F> {
 
     /// Builds the index with explicit parameters: linearize the cells
     /// along the curve, group them greedily into subfields (§3.1.2),
-    /// write the cell file in that order and index the subfield
-    /// intervals.
+    /// write the cell file in that order, index the subfield intervals
+    /// and write the cell→position map.
     ///
     /// # Errors
     ///
@@ -79,10 +101,12 @@ impl<F: FieldModel> IHilbert<F> {
         for (pos, &cell) in order.iter().enumerate() {
             cell_to_pos[cell] = pos as u32;
         }
+        let pos_file = RecordFile::create(engine, cell_to_pos.iter().map(|&p| PosRecord(p)))?;
         Ok(Self {
             inner,
             curve,
             cell_to_pos,
+            pos_file,
         })
     }
 
@@ -131,33 +155,6 @@ impl<F: FieldModel> IHilbert<F> {
                 }
             })?;
         Ok(answer)
-    }
-
-    pub(crate) fn inner(&self) -> &SubfieldIndex<F> {
-        &self.inner
-    }
-
-    #[cfg(test)]
-    pub(crate) fn into_inner(self) -> SubfieldIndex<F> {
-        self.inner
-    }
-
-    pub(crate) fn curve(&self) -> Curve {
-        self.curve
-    }
-
-    pub(crate) fn cell_to_pos(&self) -> &[u32] {
-        &self.cell_to_pos
-    }
-
-    /// Reassembles an index from a core built or opened with
-    /// [`method_label`]`(curve)` and `curve.name()` as its labels.
-    pub(crate) fn from_parts(inner: SubfieldIndex<F>, curve: Curve, cell_to_pos: Vec<u32>) -> Self {
-        Self {
-            inner,
-            curve,
-            cell_to_pos,
-        }
     }
 
     /// Incremental maintenance: applies an updated record for `cell`
@@ -435,12 +432,9 @@ mod tests {
         // redirect the update to position 0.
         let engine = StorageEngine::in_memory();
         let field = smooth_field(4);
-        let built = IHilbert::build(&engine, &field).expect("build");
-        let mut sparse = built.cell_to_pos().to_vec();
+        let mut index = IHilbert::build(&engine, &field).expect("build");
         let hole = 3;
-        sparse[hole] = u32::MAX;
-        let mut index: IHilbert<cf_field::GridField> =
-            IHilbert::from_parts(built.into_inner(), Curve::Hilbert, sparse);
+        index.cell_to_pos[hole] = u32::MAX;
         let rec = field.cell_record(hole);
         let err = index
             .update_cell(&engine, hole, rec)

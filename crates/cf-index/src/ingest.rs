@@ -43,7 +43,7 @@
 use crate::exec::Delta;
 use crate::ihilbert::{check_record, method_label, IHilbert};
 use crate::planner::{Plan, Router};
-use crate::sfindex::SubfieldIndex;
+use crate::sfindex::{subfield_of, SubfieldIndex};
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
@@ -64,7 +64,7 @@ pub(crate) type PersistState<F> = (
 
 /// One delta-plane entry: the cell-file position an ingest overlays
 /// and its replacement record. This is also the on-disk layout of the
-/// flushed delta file (catalog v4's `delta_first .. delta_len` run).
+/// flushed delta file (the catalog slot's `delta_first .. delta_len` run).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaRec<R> {
     /// Position in the Hilbert-ordered cell file.
@@ -218,7 +218,7 @@ impl<F: FieldModel> LiveIngest<F> {
         let base = Arc::new(base);
         let router = match config.scan_threshold {
             Some(threshold) => {
-                let inner = base.inner();
+                let inner = &base.inner;
                 let mut intervals: Vec<Interval> = Vec::with_capacity(inner.file.len());
                 inner
                     .file
@@ -257,7 +257,7 @@ impl<F: FieldModel> LiveIngest<F> {
             state.writes += 1;
         }
         for &pos in state.overlays.keys() {
-            let sf_idx = state.base.inner().pos_to_subfield[pos as usize];
+            let sf_idx = subfield_of(&state.base.inner.subfields, pos);
             if !state.sf_overrides.contains_key(&sf_idx) {
                 let iv = effective_sf_interval(
                     engine,
@@ -322,7 +322,7 @@ impl<F: FieldModel> LiveIngest<F> {
         // overlaid *before* mutating any state: if the recompute I/O
         // fails, the write count, overlay map, gauges and published snapshot
         // all still agree (no half-applied write left behind).
-        let sf_idx = state.base.inner().pos_to_subfield[pos as usize];
+        let sf_idx = subfield_of(&state.base.inner.subfields, pos);
         let iv = effective_sf_interval(
             engine,
             &state.base,
@@ -347,10 +347,10 @@ impl<F: FieldModel> LiveIngest<F> {
     ///
     /// Subfields are regrouped by the paper's static cost function, the
     /// rule [`IHilbert::build`] uses, so the new base's catalog depends
-    /// on the records alone. The superseded cell-file,
-    /// tree and subfield-catalog runs are deferred to the engine's
-    /// epoch GC and recycled once the last reader of an older epoch
-    /// drops.
+    /// on the records alone. The superseded cell-file and tree runs
+    /// are deferred to the engine's epoch GC and recycled once the last
+    /// reader of an older epoch drops; the position map, which no
+    /// repack changes, carries over to the new base.
     pub fn repack(&self, engine: &StorageEngine) -> CfResult<RepackReport> {
         let mut state = self.writer.lock().expect("writer state poisoned");
         self.repack_locked(engine, &mut state)
@@ -394,7 +394,7 @@ impl<F: FieldModel> LiveIngest<F> {
         // Held past the swap below: `repack_end` compares the two
         // subfield catalogs.
         let old_base = Arc::clone(&state.base);
-        let inner = old_base.inner();
+        let inner = &old_base.inner;
         // Materialize the effective cell file: base order (cell
         // geometry never changes, so the Hilbert order — and with it
         // the position map — is preserved) with overlays applied.
@@ -408,9 +408,8 @@ impl<F: FieldModel> LiveIngest<F> {
         let subfields = build_subfields(&intervals, SubfieldConfig::default());
         let old_cell = (inner.file.first_page(), inner.file.num_pages());
         let old_tree = inner.tree.page_run();
-        let old_sf = (inner.sf_file.first_page(), inner.sf_file.num_pages());
 
-        let curve = state.base.curve();
+        let curve = state.base.curve;
         let new_inner = SubfieldIndex::build_from_records(
             engine,
             records,
@@ -418,8 +417,13 @@ impl<F: FieldModel> LiveIngest<F> {
             &method_label(curve),
             curve.name(),
         )?;
-        let new_base = IHilbert::from_parts(new_inner, curve, state.base.cell_to_pos().to_vec());
-        new_base.inner().publish_health(engine.metrics(), None);
+        let new_base = IHilbert {
+            inner: new_inner,
+            curve,
+            cell_to_pos: old_base.cell_to_pos.clone(),
+            pos_file: old_base.pos_file.clone(),
+        };
+        new_base.inner.publish_health(engine.metrics(), None);
 
         if let Some(threshold) = self.scan_threshold {
             state.router = Some(Arc::new(Router::new(intervals.into_iter(), threshold)));
@@ -442,8 +446,6 @@ impl<F: FieldModel> LiveIngest<F> {
             engine.defer_free_run(state.epoch, first, pages);
             pages_retired += pages;
         }
-        engine.defer_free_run(state.epoch, old_sf.0, old_sf.1);
-        pages_retired += old_sf.1;
 
         self.publish_locked(engine, state);
         // Opportunistic collection: anything already unpinned (e.g. no
@@ -527,7 +529,7 @@ impl<F: FieldModel> LiveIngest<F> {
         let pos = state.base.resolve_cell(cell)?;
         match state.overlays.get(&(pos as u32)) {
             Some(rec) => Ok(rec.clone()),
-            None => state.base.inner().file.get(engine, pos),
+            None => state.base.inner.file.get(engine, pos),
         }
     }
 
@@ -596,7 +598,7 @@ fn effective_sf_interval<F: FieldModel>(
     extra: Option<(u32, &F::CellRec)>,
     sf_idx: usize,
 ) -> CfResult<Interval> {
-    base.inner().subfield_union(engine, sf_idx, |pos, rec| {
+    base.inner.subfield_union(engine, sf_idx, |pos, rec| {
         let rec = match extra {
             Some((p, o)) if p == pos => o,
             _ => overlays.get(&pos).unwrap_or(rec),
@@ -675,7 +677,7 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
             epoch: self.epoch,
         };
         self.base
-            .inner()
+            .inner
             .execute(engine, band, plan, Some(&delta), sink)
     }
 

@@ -222,7 +222,7 @@ impl<F: FieldModel> ValueIndex for AdaptiveIndex<F> {
         sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
         let plan = self.router.route(engine.metrics(), band);
-        self.index.inner().execute(engine, band, plan, None, sink)
+        self.index.inner.execute(engine, band, plan, None, sink)
     }
 
     fn index_pages(&self) -> usize {

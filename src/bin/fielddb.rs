@@ -15,9 +15,9 @@
 //! ```
 //!
 //! Layout: page 0 is the bootstrap page (magic + catalog page pointer);
-//! the catalog page records where the cell file, subfield file, position
-//! map and R\*-tree live (see `cf_index`'s catalog module, which reads
-//! and writes both). Every command but `create` refuses a database path
+//! the catalog page records where the cell file, position map and
+//! R\*-tree live — the tree's leaves are the subfield catalog (see
+//! `cf_index`'s catalog module, which reads and writes both). Every command but `create` refuses a database path
 //! that does not exist. `repro record` captures a `.wrk` workload from a
 //! database this tool created, and `repro replay` re-executes it.
 
@@ -392,7 +392,7 @@ fn explain(path: &str, band: Interval, json: bool, eng: EngineOpts) -> Result<St
 /// Streams random read-modify-write updates through the live ingest
 /// plane: every write lands in the epoch delta (the immutable base is
 /// untouched), snapshot reads interleave with the stream, the delta
-/// drains through a repack, and the catalog v4 epoch commit persists
+/// drains through a repack, and the catalog epoch commit persists
 /// the plane for the next process.
 fn ingest(
     path: &str,
