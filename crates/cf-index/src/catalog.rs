@@ -361,10 +361,24 @@ impl<F: FieldModel> IHilbert<F> {
         } else {
             0
         };
+        // A persisted tree is one contiguous run ending at its root, at
+        // least one page a level.
+        if slot.t_pages == 0
+            || slot.t_pages - 1 > slot.t_root
+            || slot.t_height as u64 > slot.t_pages
+        {
+            return Err(CfError::corrupt(
+                catalog,
+                format!(
+                    "catalog tree of {} pages and height {} cannot end at root page {}",
+                    slot.t_pages, slot.t_height, slot.t_root
+                ),
+            ));
+        }
         let spans = [
             ("cell file", slot.cell_first, cell_pages),
             ("position map", slot.pos_first, pos_file.num_pages() as u64),
-            ("tree root", slot.t_root, 1),
+            ("tree", slot.t_root - (slot.t_pages - 1), slot.t_pages),
             ("delta file", slot.delta_first, delta_pages),
         ];
         for (what, first, len) in spans {
@@ -914,8 +928,8 @@ mod tests {
         assert!(err.is_corrupt(), "{err}");
         assert!(err.to_string().contains("parent entry's box"), "{err}");
 
-        // The built handle still trusts its in-memory catalog; the tree
-        // surgery of an update cannot find the subfield's entry under
+        // The built handle still trusts its in-memory catalog; the entry
+        // rewrite of an update cannot find the subfield's entry under
         // the shrunk box and reports it rather than indexing a stale
         // tree.
         let cell = built
@@ -976,6 +990,47 @@ mod tests {
                 .map(|_| ())
                 .expect_err(what);
             assert!(err.is_corrupt(), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn tree_run_that_disagrees_with_the_slot_is_a_typed_error() {
+        // Offsets of `t_root` and `t_pages` (u64) in a slot.
+        const T_ROOT: usize = 56;
+        const T_PAGES: usize = 76;
+        let engine = StorageEngine::in_memory();
+        let (_, built) = two_level_index(&engine);
+        let (root, pages) = (
+            built.inner.tree.root_page_id().0,
+            built.inner.tree.num_pages(),
+        );
+        assert!(pages >= 3, "a root over at least two leaves");
+        for (what, at, value, says) in [
+            ("root past the database", T_ROOT, u64::MAX, "spans pages"),
+            ("no tree pages", T_PAGES, 0, "cannot end at root"),
+            (
+                "run starting below page 0",
+                T_PAGES,
+                root + 2,
+                "cannot end at root",
+            ),
+            ("taller than its pages", T_PAGES, 1, "cannot end at root"),
+            (
+                "a child outside the run",
+                T_PAGES,
+                2,
+                "outside the tree's pages",
+            ),
+        ] {
+            let catalog = built.save(&engine).expect("save");
+            edit_slot(&engine, catalog, |buf| {
+                codec::put_u64(buf, at, value);
+            });
+            let err = IHilbert::<GridField>::open(&engine, catalog)
+                .map(|_| ())
+                .expect_err(what);
+            assert!(err.is_corrupt(), "{what}: {err}");
+            assert!(err.to_string().contains(says), "{what}: {err}");
         }
     }
 

@@ -49,8 +49,8 @@ impl<F: FieldModel> IAll<F> {
     }
 
     /// Incremental maintenance: rewrites `cell`'s record in place and,
-    /// if its value interval changed, replaces the cell's entry in the
-    /// interval R\*-tree.
+    /// if its value interval changed, rewrites the cell's entry box in
+    /// the interval R\*-tree in place (the tree keeps its shape).
     ///
     /// # Errors
     ///
@@ -177,7 +177,7 @@ mod tests {
             .query_stats(&engine, Interval::new(776.0, 778.0))
             .expect("query");
         assert_eq!(stats.cells_qualifying, 1);
-        // remove + insert, not a second insert: still one entry per cell.
+        // The cell's entry box is rewritten in place: still one entry per cell.
         assert_eq!(iall.num_intervals(), field.num_cells());
     }
 

@@ -161,10 +161,12 @@ impl<F: FieldModel> IHilbert<F> {
     /// (e.g. a re-measured sample) in place.
     ///
     /// The cell record is rewritten in the Hilbert-ordered file and, if
-    /// the containing subfield's value interval changed, its entry in
-    /// the paged R\*-tree is replaced (remove + insert directly against
-    /// index pages). Subfield *boundaries* are not re-optimized — the
-    /// greedy grouping is a build-time decision, as in the paper.
+    /// the containing subfield's value interval changed, its entry box
+    /// in the paged R\*-tree is rewritten in place, with its ancestors'
+    /// hulls ([`cf_rtree::PagedRTree::replace_entry`]). Subfield
+    /// *boundaries* are not re-optimized — the greedy grouping is a
+    /// build-time decision, as in the paper — so the tree never changes
+    /// shape and no page is allocated.
     ///
     /// # Errors
     ///

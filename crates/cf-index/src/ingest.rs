@@ -2,18 +2,17 @@
 //! snapshot-isolated readers and a background repacker.
 //!
 //! The paper treats the index as build-once: `update_cell` rewrites a
-//! record in place and does remove + insert surgery on the paged tree
-//! under `&mut self`, so a continuous sensor stream stalls every
-//! reader. This module refactors the mutation path into three
-//! cooperating parts:
+//! record and its subfield's tree entry in place under `&mut self`, so
+//! a continuous sensor stream stalls every reader. This module
+//! refactors the mutation path into three cooperating parts:
 //!
 //! 1. **A mutable delta plane** ([`LiveIngest`]): the net overlay
 //!    record per touched position, a count of the writes since the
 //!    last drain, and a small interval summary (per-touched-subfield
 //!    effective intervals). Ingest
 //!    writes land here — the immutable base (cell file and tree
-//!    pages) is never touched, so tree surgery is off the write path
-//!    entirely.
+//!    pages) is never touched, so no tree page is written on the
+//!    ingest path.
 //! 2. **Snapshot-isolated readers** ([`EpochSnapshot`]): every
 //!    publication is an immutable epoch — `Arc`-swapped base plane +
 //!    delta prefix — pinned against page reclamation by a
@@ -298,8 +297,8 @@ impl<F: FieldModel> LiveIngest<F> {
 
     /// Applies an updated record for `cell` to the delta plane and
     /// publishes a new epoch. The immutable base is untouched — no tree
-    /// surgery — so the write cost is O(subfield size)
-    /// for the interval summary plus the snapshot publication.
+    /// page is written — so the write cost is O(subfield size) for the
+    /// interval summary plus the snapshot publication.
     ///
     /// When the delta is at capacity, the write first performs an
     /// inline synchronous drain (see [`LiveIngest::repack`]) — the
@@ -439,13 +438,9 @@ impl<F: FieldModel> LiveIngest<F> {
         // Retire the superseded runs at the new epoch: readers still
         // pinning an older epoch keep them allocated; the engine
         // recycles them on a later `collect_deferred`.
-        let mut pages_retired = 0;
         engine.defer_free_run(state.epoch, old_cell.0, old_cell.1);
-        pages_retired += old_cell.1;
-        if let Some((first, pages)) = old_tree {
-            engine.defer_free_run(state.epoch, first, pages);
-            pages_retired += pages;
-        }
+        engine.defer_free_run(state.epoch, old_tree.0, old_tree.1);
+        let pages_retired = old_cell.1 + old_tree.1;
 
         self.publish_locked(engine, state);
         // Opportunistic collection: anything already unpinned (e.g. no

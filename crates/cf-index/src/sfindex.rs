@@ -198,8 +198,10 @@ impl<F: FieldModel> SubfieldIndex<F> {
         }
     }
 
-    /// Rewrites the cell record at file position `pos` and incrementally
-    /// maintains its subfield's interval in the paged R\*-tree.
+    /// Rewrites the cell record at file position `pos` and, when its
+    /// subfield's interval moves, rewrites that subfield's tree entry
+    /// in place ([`PagedRTree::replace_entry`]): the subfield set, and
+    /// with it the tree's shape, is fixed at build.
     ///
     /// # Errors
     ///
@@ -225,13 +227,15 @@ impl<F: FieldModel> SubfieldIndex<F> {
             iv
         })?;
         if new_iv != sf.interval {
-            if !self.tree.remove(engine, &sf.interval.into(), sf.pack())? {
+            if !self
+                .tree
+                .replace_entry(engine, &sf.interval.into(), sf.pack(), new_iv.into())?
+            {
                 return Err(CfError::corrupt(
                     None,
                     format!("subfield {sf_idx}'s interval entry is missing from the tree"),
                 ));
             }
-            self.tree.insert(engine, new_iv.into(), sf.pack())?;
             self.subfields[sf_idx].interval = new_iv;
             // Gauges derive from the subfield catalog, which just
             // changed; the touched subfield's new cost joins the
@@ -328,17 +332,20 @@ fn sort_by_start(mut subfields: Vec<Subfield>, cells: usize) -> Vec<Subfield> {
 /// subfield catalog of an index over a `cells`-record cell file. The
 /// pages are CRC-valid but otherwise untrusted bytes, so any breach of
 /// the tree's shape is [`CfError::Corrupt`], never a hang or a panic:
-/// a node is a leaf exactly at depth `height − 1`, no page is reached
-/// twice (a child pointer that loops), every child node's entries lie
-/// inside its parent entry's box, every payload unpacks to a range
-/// inside the cell file ([`Subfield::try_unpack`]), and the leaf count
-/// is the tree's recorded length.
+/// a node is a leaf exactly at depth `height − 1`, every child pointer
+/// stays inside the tree's page run ([`PagedRTree::page_run`]), no page
+/// is reached twice (a child pointer that loops), every child node's
+/// entries lie inside its parent entry's box, every payload unpacks to
+/// a range inside the cell file ([`Subfield::try_unpack`]), and the
+/// leaf count is the tree's recorded length.
 fn read_leaves(
     engine: &StorageEngine,
     tree: &PagedRTree<1>,
     cells: usize,
 ) -> CfResult<Vec<Subfield>> {
     let height = tree.height();
+    let (first, pages) = tree.page_run();
+    let run = first.0..first.0 + pages as u64;
     let mut subfields = Vec::with_capacity(tree.len().min(cells));
     let mut seen = HashSet::new();
     let mut stack = vec![(tree.root_page_id(), 0, None::<Aabb<1>>)];
@@ -366,6 +373,11 @@ fn read_leaves(
                     Ok(sf) => subfields.push(sf),
                     Err(e) => bad = Some(e),
                 }
+            } else if !run.contains(&child) {
+                bad = Some(corrupt(format!(
+                    "child page {child} outside the tree's pages {}..{}",
+                    run.start, run.end
+                )));
             } else {
                 stack.push((PageId(child), depth + 1, Some(*mbr)));
             }

@@ -381,45 +381,95 @@ fn freelist_crash_points_on_file_backing_never_double_allocate() {
 /// Repeated `save_to` cycles on file backing must not grow the file
 /// without bound. A plain save allocates nothing — everything its slot
 /// references was written by the build — so the size is constant. The
-/// second input saves through the live-ingest plane: every cycle
+/// other two inputs save through the live-ingest plane: every cycle
 /// re-ingests unchanged records, repacks and saves, so each repack
 /// retires the superseded cell file and tree to the freelist, and
-/// allocation recycles the holes until the size plateaus.
+/// allocation recycles the holes until the size plateaus. The last
+/// input closes and reopens the file before every cycle: a tree read
+/// back from the catalog is retired like a built one.
 #[test]
 fn repeated_saves_on_file_backing_reach_a_steady_state_size() {
     use cf_index::{IngestConfig, LiveIngest};
 
-    for repack in [false, true] {
-        let ctx = if repack { "repack + save" } else { "save" };
-        let (engine, path) = file_engine(if repack { "steady_repack" } else { "steady" });
+    // Re-ingests every cell unchanged, repacks and saves; returns the
+    // pages the repack retired.
+    fn cycle(
+        engine: &StorageEngine,
+        live: &LiveIngest<GridField>,
+        catalog: PageId,
+        expected: &[QueryStats],
+        ctx: &str,
+    ) -> usize {
+        for cell in 0..live.snapshot().num_cells() {
+            let rec = live.cell_record(engine, cell).expect("cell record");
+            live.ingest(engine, cell, rec).expect("ingest");
+        }
+        let report = live.repack(engine).expect("repack");
+        assert_same_answers(&answers(&*live.snapshot(), engine), expected, ctx);
+        live.save_to(engine, catalog).expect("save");
+        report.pages_retired
+    }
+
+    for (tag, ctx) in [
+        ("steady", "save"),
+        ("steady_repack", "repack + save"),
+        ("steady_reopen", "reopen + repack + save"),
+    ] {
+        let (mut engine, path) = file_engine(tag);
         let field = wavy_field(24, 0.3);
         let index = IHilbert::build(&engine, &field).expect("build");
         let expected = answers(&index, &engine);
         let mut sizes = Vec::new();
-        let catalog = if repack {
-            let live = LiveIngest::new(&engine, index, IngestConfig::default()).expect("live");
-            let catalog = live.save(&engine).expect("save");
-            for round in 0..8 {
-                for cell in 0..field.num_cells() {
-                    let rec = live.cell_record(&engine, cell).expect("cell record");
-                    live.ingest(&engine, cell, rec).expect("ingest");
+        let catalog = match tag {
+            "steady" => {
+                let catalog = index.save(&engine).expect("save");
+                for _ in 0..8 {
+                    index.save_to(&engine, catalog).expect("save");
+                    sizes.push(engine.num_pages());
                 }
-                let report = live.repack(&engine).expect("repack");
-                assert!(report.pages_retired > 0, "{ctx}: round {round}");
-                assert_same_answers(&answers(&*live.snapshot(), &engine), &expected, ctx);
-                live.save_to(&engine, catalog).expect("save");
-                sizes.push(engine.num_pages());
+                catalog
             }
-            catalog
-        } else {
-            let catalog = index.save(&engine).expect("save");
-            for _ in 0..8 {
-                index.save_to(&engine, catalog).expect("save");
-                sizes.push(engine.num_pages());
+            "steady_repack" => {
+                let live = LiveIngest::new(&engine, index, IngestConfig::default()).expect("live");
+                let catalog = live.save(&engine).expect("save");
+                for round in 0..8 {
+                    let retired = cycle(&engine, &live, catalog, &expected, ctx);
+                    assert!(retired > 0, "{ctx}: round {round}");
+                    sizes.push(engine.num_pages());
+                }
+                catalog
             }
-            catalog
+            _ => {
+                let live = LiveIngest::new(&engine, index, IngestConfig::default()).expect("live");
+                let catalog = live.save(&engine).expect("save");
+                drop(live);
+                for round in 0..8 {
+                    engine.sync().expect("sync");
+                    engine =
+                        StorageEngine::open_file(&path, StorageConfig::default()).expect("reopen");
+                    let live =
+                        LiveIngest::<GridField>::open(&engine, catalog, IngestConfig::default())
+                            .expect("open");
+                    let base = {
+                        let snap = live.snapshot();
+                        snap.data_pages() + snap.index_pages()
+                    };
+                    let retired = cycle(&engine, &live, catalog, &expected, ctx);
+                    assert_eq!(
+                        retired, base,
+                        "{ctx}: round {round} must retire the cell file and the tree"
+                    );
+                    sizes.push(engine.num_pages());
+                }
+                catalog
+            }
         };
-        if repack {
+        if tag == "steady" {
+            assert!(
+                sizes.iter().all(|&n| n == sizes[0]),
+                "{ctx}: a plain save must not grow the file: {sizes:?}"
+            );
+        } else {
             // Once the pipeline fills, the size may oscillate by one run
             // as tail frees truncate, but never passes the high-water
             // mark of the first three cycles.
@@ -433,11 +483,6 @@ fn repeated_saves_on_file_backing_reach_a_steady_state_size() {
             assert!(
                 freed > 0 && reused > 0,
                 "{ctx}: steady state requires freeing ({freed}) and reuse ({reused}): {sizes:?}"
-            );
-        } else {
-            assert!(
-                sizes.iter().all(|&n| n == sizes[0]),
-                "{ctx}: a plain save must not grow the file: {sizes:?}"
             );
         }
         // And the recycled file still opens with the same answers.

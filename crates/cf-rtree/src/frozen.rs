@@ -20,8 +20,8 @@
 //!   the children of a node are consecutive; each node stores only the
 //!   id of its first child and the `j`-th entry's child is
 //!   `first_child + j`. Leaf payloads sit in one contiguous `u64` array.
-//! * **No per-node allocation** — the whole tree is six flat vectors;
-//!   freezing never allocates per node, and searching allocates nothing.
+//! * **No per-node heap blocks** — the whole tree is six flat vectors,
+//!   filled once by freezing; a search touches no heap.
 //! * **Branchless chunked leaf scan** — entries are padded to full lanes
 //!   with never-matching sentinel bounds (`lo = +∞, hi = −∞`), so the
 //!   scan tests 8 entries per lane with pure arithmetic (compare, mask)

@@ -17,13 +17,15 @@
 //!   minimum-overlap enlargement at the leaf level, **forced
 //!   reinsertion** on first overflow per level, and the margin-driven
 //!   ChooseSplitAxis / minimum-overlap ChooseSplitIndex split. It has no
-//!   delete path: a built tree changes only on pages.
+//!   delete path: the paper's entry set (one per subfield) is fixed at
+//!   build.
 //! * [`PagedRTree`] — the tree serialized to 4 KiB pages of a
 //!   [`cf_storage::StorageEngine`]; searches fault node pages through
 //!   the buffer pool so query cost is measured in real page accesses.
-//!   [`PagedRTree::build`] is the one build path of every index, and
-//!   [`PagedRTree::insert`] / [`PagedRTree::remove`] the one maintenance
-//!   path.
+//!   [`PagedRTree::build`] is the one build path of every index. Its
+//!   shape is fixed there: [`PagedRTree::replace_entry`], which rewrites
+//!   one entry's box and its ancestors' hulls in place, is the one
+//!   maintenance path, and a tree's pages are always one contiguous run.
 //! * [`FrozenTree`] — a read-optimized flattening of a built tree into
 //!   contiguous cache-aligned SoA arrays (separate `lo[]`/`hi[]` lanes,
 //!   implicit child offsets, branchless chunked leaf scan) with the

@@ -1,5 +1,5 @@
-//! R\* node split (ChooseSplitAxis + ChooseSplitIndex) and ChooseSubtree,
-//! shared by the in-memory build buffer and the paged tree.
+//! R\* node split (ChooseSplitAxis + ChooseSplitIndex) and ChooseSubtree
+//! of the in-memory build buffer.
 //!
 //! Beckmann et al., §4.2: for every axis, entries are sorted by lower and
 //! by upper box bound; for each sort, all distributions placing the first
@@ -11,28 +11,28 @@
 use crate::node::NodeEntry;
 use cf_geom::Aabb;
 
-/// R\* ChooseSubtree over the entries of one internal node (`box_of`
-/// reads an entry's box): the index of the entry to descend into for
-/// `mbr`.
+/// Overlap candidates [`choose_subtree`] considers above the leaves.
+const MAX_CANDIDATES: usize = 32;
+
+/// R\* ChooseSubtree over the entries of one internal node: the index of
+/// the entry to descend into for `mbr`.
 ///
 /// When the children are leaves, the least overlap enlargement wins
 /// (ties: area enlargement, then area); to bound the O(M²) cost, a node
-/// of more than `max_candidates` entries considers only that many, those
-/// of least area enlargement (the "nearly minimum overlap cost"
+/// of more than [`MAX_CANDIDATES`] entries considers only that many,
+/// those of least area enlargement (the "nearly minimum overlap cost"
 /// optimization of the R\* paper). Higher up, the least area
 /// enlargement wins (ties: area).
-pub(crate) fn choose_subtree<E, const N: usize>(
-    entries: &[E],
-    box_of: impl Fn(&E) -> Aabb<N>,
+pub(crate) fn choose_subtree<const N: usize>(
+    entries: &[NodeEntry<N>],
     children_are_leaves: bool,
-    max_candidates: usize,
     mbr: &Aabb<N>,
 ) -> usize {
     if !children_are_leaves {
         let mut best = 0;
         let mut best_key = (f64::INFINITY, f64::INFINITY);
         for (j, e) in entries.iter().enumerate() {
-            let b = box_of(e);
+            let b = e.mbr;
             let key = (b.enlargement(mbr), b.volume());
             if key < best_key {
                 best_key = key;
@@ -42,25 +42,24 @@ pub(crate) fn choose_subtree<E, const N: usize>(
         return best;
     }
     let mut order: Vec<usize> = (0..entries.len()).collect();
-    if entries.len() > max_candidates {
+    if entries.len() > MAX_CANDIDATES {
         order.sort_by(|&a, &b| {
-            let ea = box_of(&entries[a]).enlargement(mbr);
-            let eb = box_of(&entries[b]).enlargement(mbr);
+            let ea = entries[a].mbr.enlargement(mbr);
+            let eb = entries[b].mbr.enlargement(mbr);
             ea.partial_cmp(&eb).unwrap_or(std::cmp::Ordering::Equal)
         });
-        order.truncate(max_candidates);
+        order.truncate(MAX_CANDIDATES);
     }
     let mut best = order[0];
     let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for &j in &order {
-        let b = box_of(&entries[j]);
+        let b = entries[j].mbr;
         let enlarged = b.union(mbr);
         let mut overlap_delta = 0.0;
         for (k, other) in entries.iter().enumerate() {
             if k != j {
-                let other = box_of(other);
                 overlap_delta +=
-                    enlarged.intersection_volume(&other) - b.intersection_volume(&other);
+                    enlarged.intersection_volume(&other.mbr) - b.intersection_volume(&other.mbr);
             }
         }
         let key = (overlap_delta, b.enlargement(mbr), b.volume());

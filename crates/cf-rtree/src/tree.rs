@@ -1,8 +1,8 @@
 //! The in-memory R\*-tree: the insert-only build buffer that
-//! [`PagedRTree::build`](crate::PagedRTree::build) persists. Every
-//! change after the build runs on pages
-//! ([`PagedRTree::insert`](crate::PagedRTree::insert) /
-//! [`PagedRTree::remove`](crate::PagedRTree::remove)).
+//! [`PagedRTree::build`](crate::PagedRTree::build) persists. The
+//! persisted tree's shape is final; the one change after the build is
+//! an entry's box
+//! ([`PagedRTree::replace_entry`](crate::PagedRTree::replace_entry)).
 
 use crate::node::{ChildRef, Node, NodeEntry};
 use crate::split::{choose_subtree, rstar_split};
@@ -177,12 +177,11 @@ impl<const N: usize> RStarTree<N> {
         }
     }
 
-    /// R\* ChooseSubtree: pick the child of `node_idx` to descend into
-    /// (at most 32 overlap candidates above the leaves).
+    /// R\* ChooseSubtree: pick the child of `node_idx` to descend into.
     fn choose_subtree(&self, node_idx: usize, mbr: &Aabb<N>) -> usize {
         let node = &self.nodes[node_idx];
         debug_assert!(!node.is_leaf());
-        let j = choose_subtree(&node.entries, |e| e.mbr, node.level == 1, 32, mbr);
+        let j = choose_subtree(&node.entries, node.level == 1, mbr);
         node.entries[j].child.node()
     }
 

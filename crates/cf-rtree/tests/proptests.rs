@@ -1,25 +1,45 @@
 //! Property-based tests: the paged R\*-tree must agree with a linear
-//! scan under any sequence of inserts and removes, and its pages,
-//! flattening and build buffer must answer alike.
+//! scan under any sequence of entry box rewrites, keep its shape while
+//! doing so, and its pages, flattening and build buffer must answer
+//! alike.
 
 use cf_geom::Aabb;
 use cf_rtree::{FrozenTree, PagedRTree, RStarTree, RTreeConfig};
-use cf_storage::StorageEngine;
+use cf_storage::{PageId, StorageEngine};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { lo: f64, width: f64 },
-    Remove { victim: usize },
+    Replace { victim: usize, lo: f64, width: f64 },
     Query { lo: f64, width: f64 },
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        6 => (0.0..100.0f64, 0.0..10.0f64).prop_map(|(lo, width)| Op::Insert { lo, width }),
-        2 => any::<usize>().prop_map(|victim| Op::Remove { victim }),
+        3 => (any::<usize>(), 0.0..100.0f64, 0.0..10.0f64)
+            .prop_map(|(victim, lo, width)| Op::Replace { victim, lo, width }),
         1 => (-5.0..105.0f64, 0.0..20.0f64).prop_map(|(lo, width)| Op::Query { lo, width }),
     ]
+}
+
+/// Checks that every internal entry of the subtree at `page` is exactly
+/// the hull of its child node; returns the hull of `page`'s entries.
+fn check_hulls(engine: &StorageEngine, tree: &PagedRTree<1>, page: PageId) -> Aabb<1> {
+    let mut entries = Vec::new();
+    tree.for_each_entry(engine, page, |b, child, leaf| {
+        entries.push((*b, child, leaf))
+    })
+    .expect("read node");
+    for &(b, child, leaf) in &entries {
+        if !leaf {
+            assert_eq!(
+                check_hulls(engine, tree, PageId(child)),
+                b,
+                "entry over page {child}"
+            );
+        }
+    }
+    Aabb::hull(entries.iter().map(|e| e.0))
 }
 
 proptest! {
@@ -27,27 +47,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn tree_agrees_with_linear_scan(ops in prop::collection::vec(op(), 600..900)) {
-        // The maintenance path `update_cell` runs: page-resident insert,
-        // remove and search. Enough inserts to split the root leaf.
+    fn tree_agrees_with_linear_scan(
+        items in prop::collection::vec((0.0..100.0f64, 0.0..10.0f64), 600..900),
+        ops in prop::collection::vec(op(), 200..400),
+    ) {
+        // The maintenance path `update_cell` runs: a built tree whose
+        // entry boxes are rewritten in place, searched in between. Enough
+        // entries for a tree of two levels.
         let engine = StorageEngine::in_memory();
-        let mut tree: PagedRTree<1> =
-            PagedRTree::build(&engine, std::iter::empty()).expect("build");
-        let mut model: Vec<(Aabb<1>, u64)> = Vec::new();
-        let mut next_id = 0u64;
+        let mut model: Vec<(Aabb<1>, u64)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &(lo, w))| (Aabb::new([lo], [lo + w]), i as u64))
+            .collect();
+        let tree = PagedRTree::build(&engine, model.iter().copied()).expect("build");
+        prop_assert!(tree.height() >= 2, "{} entries fit one page", model.len());
+        let shape = (tree.len(), tree.height(), tree.num_pages(), engine.num_pages());
         for op in ops {
             match op {
-                Op::Insert { lo, width } => {
-                    let b = Aabb::new([lo], [lo + width]);
-                    tree.insert(&engine, b, next_id).expect("insert");
-                    model.push((b, next_id));
-                    next_id += 1;
-                }
-                Op::Remove { victim } => {
-                    if !model.is_empty() {
-                        let (b, id) = model.swap_remove(victim % model.len());
-                        prop_assert!(tree.remove(&engine, &b, id).expect("remove"));
-                        prop_assert!(!tree.remove(&engine, &b, id).expect("remove"));
+                Op::Replace { victim, lo, width } => {
+                    let at = victim % model.len();
+                    let (old, id) = model[at];
+                    let new = Aabb::new([lo], [lo + width]);
+                    prop_assert!(tree.replace_entry(&engine, &old, id, new).expect("replace"));
+                    model[at].0 = new;
+                    if old != new {
+                        // The old box is gone: nothing left to replace.
+                        prop_assert!(!tree.replace_entry(&engine, &old, id, new).expect("replace"));
                     }
                 }
                 Op::Query { lo, width } => {
@@ -63,12 +89,12 @@ proptest! {
                     prop_assert_eq!(got, want);
                 }
             }
-            prop_assert_eq!(tree.len(), model.len());
+            prop_assert_eq!(
+                (tree.len(), tree.height(), tree.num_pages(), engine.num_pages()),
+                shape
+            );
         }
-        prop_assert!(
-            next_id as usize > 2 * PagedRTree::<1>::page_fanout() && tree.height() > 1,
-            "{next_id} inserts never split a page"
-        );
+        check_hulls(&engine, &tree, tree.root_page_id());
     }
 }
 

@@ -1,8 +1,8 @@
 //! Incremental maintenance: a sensor network re-measures the field and
 //! the I-Hilbert index tracks the changes **in place** — cell records
 //! are rewritten in the Hilbert-ordered file and subfield intervals are
-//! updated directly in the paged R\*-tree (remove + insert on index
-//! pages), with no rebuild.
+//! rewritten in place in the paged R\*-tree (one entry box and its
+//! ancestors' hulls), with no rebuild.
 //!
 //! ```sh
 //! cargo run --release --example live_sensors

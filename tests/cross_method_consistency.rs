@@ -170,3 +170,86 @@ fn stats_and_regions_paths_agree_on_every_index() {
     assert!(writes > 0 && repacks == 0, "the snapshot carries overlays");
     assert_stats_paths_agree(live.snapshot().as_ref(), &engine, &bands);
 }
+
+/// Applies ±20 % shifts to pseudo-random vertices of `field` through
+/// `update` (every cell around a moved vertex gets its new record), then
+/// checks that the tree and the engine hold exactly the pages they held
+/// after the build — an update rewrites entry boxes, never the tree's
+/// shape — and that every answer equals the scan over the updated field.
+fn assert_updates_keep_shape<I: ValueIndex>(
+    field: &GridField,
+    build: fn(&StorageEngine, &GridField) -> I,
+    update: fn(&mut I, &StorageEngine, usize, GridCellRecord),
+) {
+    let engine = StorageEngine::in_memory();
+    let mut index = build(&engine, field);
+    let shape = (index.index_pages(), engine.num_pages());
+    assert!(shape.0 > 1, "{}: the tree needs two levels", index.name());
+
+    let (vw, vh) = field.vertex_dims();
+    let (cw, ch) = field.cell_dims();
+    let mut values: Vec<f64> = (0..vw * vh)
+        .map(|v| field.vertex_value(v % vw, v / vw))
+        .collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        x >> 33
+    };
+    let mut updates = 0;
+    for _ in 0..300 {
+        let v = next() as usize % (vw * vh);
+        values[v] *= 0.8 + (next() % 4001) as f64 / 10_000.0;
+        let (vx, vy) = (v % vw, v / vw);
+        for cy in vy.saturating_sub(1)..=vy.min(ch - 1) {
+            for cx in vx.saturating_sub(1)..=vx.min(cw - 1) {
+                let cell = field.cell_index(cx, cy);
+                let at = |dx: usize, dy: usize| values[(cy + dy) * vw + cx + dx];
+                let rec = GridCellRecord {
+                    vals: [at(0, 0), at(1, 0), at(0, 1), at(1, 1)],
+                    ..field.cell_record(cell)
+                };
+                update(&mut index, &engine, cell, rec);
+                updates += 1;
+            }
+        }
+    }
+    assert_eq!(
+        (index.index_pages(), engine.num_pages()),
+        shape,
+        "{}: {updates} updates changed the page counts",
+        index.name()
+    );
+
+    let updated = GridField::from_values(vw, vh, values);
+    let scan_engine = StorageEngine::in_memory();
+    let scan = LinearScan::build(&scan_engine, &updated).expect("build");
+    for q in sweep(updated.value_domain(), 5) {
+        let want = scan.query_stats(&scan_engine, q).expect("query");
+        let got = index.query_stats(&engine, q).expect("query");
+        assert_eq!(got.cells_qualifying, want.cells_qualifying, "{q}");
+        assert_eq!(got.num_regions, want.num_regions, "{q}");
+        assert!(
+            (got.area - want.area).abs() <= 1e-9 * want.area.max(1.0),
+            "{}: area for {q}: {} vs {}",
+            index.name(),
+            got.area,
+            want.area
+        );
+    }
+}
+
+#[test]
+fn updates_keep_the_tree_shape_and_the_scan_answers() {
+    // The smallest fields whose trees have two levels.
+    assert_updates_keep_shape(
+        &diamond_square(7, 0.2, 5),
+        |e, f| IHilbert::build(e, f).expect("build"),
+        |i, e, c, r| i.update_cell(e, c, r).expect("update"),
+    );
+    assert_updates_keep_shape(
+        &diamond_square(6, 0.2, 5),
+        |e, f| IAll::build(e, f).expect("build"),
+        |i, e, c, r| i.update_cell(e, c, r).expect("update"),
+    );
+}
