@@ -141,6 +141,7 @@ pub struct GridCellRecord {
 impl GridCellRecord {
     /// The two triangles of the cell (split along the main diagonal)
     /// with their vertex values.
+    #[inline]
     pub fn triangles(&self) -> [(Triangle, [f64; 3]); 2] {
         let p00 = Point2::new(self.x0, self.y0);
         let p10 = Point2::new(self.x1, self.y0);
@@ -167,6 +168,7 @@ impl Record for GridCellRecord {
         }
     }
 
+    #[inline]
     fn decode(buf: &[u8]) -> Self {
         let g = |i: usize| codec::get_f64(buf, i * 8);
         Self {
@@ -205,6 +207,7 @@ impl FieldModel for GridField {
         sample_interval(&self.cell_values(cell))
     }
 
+    #[inline]
     fn record_interval(rec: &GridCellRecord) -> Interval {
         sample_interval(&rec.vals)
     }

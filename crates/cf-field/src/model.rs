@@ -96,6 +96,7 @@ pub trait FieldModel {
 /// One pass gathers the NaN flag beside the minimum and maximum, which
 /// fold in [`Interval::hull`]'s order with its `min`/`max`, so the
 /// bounds carry the same bits, signed zeros included.
+#[inline]
 pub(crate) fn sample_interval(samples: &[f64]) -> Interval {
     let Some((&first, rest)) = samples.split_first() else {
         return Interval::NAN;

@@ -73,6 +73,7 @@ pub struct TinCellRecord {
 
 impl TinCellRecord {
     /// The geometric triangle.
+    #[inline]
     pub fn triangle(&self) -> Triangle {
         Triangle::new(self.points[0], self.points[1], self.points[2])
     }
@@ -92,6 +93,7 @@ impl Record for TinCellRecord {
         }
     }
 
+    #[inline]
     fn decode(buf: &[u8]) -> Self {
         let g = |i: usize| codec::get_f64(buf, i * 8);
         Self {
@@ -139,6 +141,7 @@ impl FieldModel for TinField {
         sample_interval(&self.cell_vertex_values(cell))
     }
 
+    #[inline]
     fn record_interval(rec: &TinCellRecord) -> Interval {
         sample_interval(&rec.values)
     }

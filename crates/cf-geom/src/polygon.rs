@@ -19,6 +19,7 @@ use crate::{Aabb, Point2};
 /// Signed area of the polygon whose vertices are `vs` in boundary order,
 /// by the shoelace formula (positive for CCW order); 0 below three
 /// vertices.
+#[inline]
 pub fn signed_area(vs: &[Point2]) -> f64 {
     let n = vs.len();
     if n < 3 {

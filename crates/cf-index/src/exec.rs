@@ -15,10 +15,14 @@
 //! genuinely differs, as a [`Q2`]: the filter source, the cell file, an
 //! optional overlay, and the labels.
 //!
-//! The per-cell path is statically dispatched and allocation-free: the
+//! The per-cell path is statically dispatched and allocates nothing: the
 //! refine body is a closure handed to the generic `for_each_in_ranges`,
-//! monomorphised per field model, and the overlay lookup exists only in
-//! the instantiation that has an overlay. Each answer region reaches the
+//! monomorphised per field model, and the record decode, band test and
+//! area it calls in `cf-field` and `cf-geom` are `#[inline]`, so the
+//! path is one loop. An overlay is substituted by a merge: its entries,
+//! sorted by position once per query, meet the sweep's ascending
+//! positions through one cursor, with no lookup per cell; a query
+//! without an overlay builds no cursor. Each answer region reaches the
 //! caller's sink as a vertex slice on the stack
 //! ([`FieldModel::record_band_visit`]); only a caller that keeps regions
 //! builds polygons from them. `LinearScan` and the volume / vector scans
@@ -249,9 +253,26 @@ pub(crate) fn run<F: FieldModel>(
         None => q
             .cells
             .for_each_in_ranges(engine, &runs, |_, rec| refine(rec))?,
-        Some(overlay) => q.cells.for_each_in_ranges(engine, &runs, |pos, rec| {
-            refine(overlay.get(&(pos as u32)).cloned().unwrap_or(rec))
-        })?,
+        Some(overlay) => {
+            // Substitution by merge: the sweep visits positions in
+            // ascending order, so a cursor over the overlay sorted by
+            // position meets each substituted record in step, and no
+            // cell pays a map lookup.
+            let mut subs: Vec<(u32, &F::CellRec)> = overlay.iter().map(|(&p, r)| (p, r)).collect();
+            subs.sort_unstable_by_key(|&(p, _)| p);
+            let mut cursor = subs.iter().peekable();
+            let mut last = None;
+            q.cells.for_each_in_ranges(engine, &runs, |pos, rec| {
+                let pos = pos as u32;
+                debug_assert!(last < Some(pos), "sweep positions ascend");
+                last = Some(pos);
+                while cursor.next_if(|&&(p, _)| p < pos).is_some() {}
+                match cursor.next_if(|&&(p, _)| p == pos) {
+                    Some(&(_, sub)) => refine(sub.clone()),
+                    None => refine(rec),
+                }
+            })?
+        }
     }
     stats.io = cf_storage::thread_io_stats() - before;
     let refine_ns = refine_clock.elapsed_ns();

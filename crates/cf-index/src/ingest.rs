@@ -24,9 +24,10 @@
 //!    `update_record` uses, same closed-interval intersection
 //!    semantics as the tree's `Aabb`), so the retrieved subfield set
 //!    equals the oracle's; the estimation step scans the same
-//!    coalesced position-ordered runs with overlay substitution, so
-//!    the float accumulation order — and therefore every area bit —
-//!    is identical.
+//!    coalesced position-ordered runs, substituting each overlay as a
+//!    cursor over the overlays sorted by position meets it, so the
+//!    float accumulation order — and therefore every area bit — is
+//!    identical.
 //! 3. **A background repacker** ([`LiveIngest::repack`]): drains the
 //!    delta into a new Hilbert-ordered cell file segment on fresh
 //!    pages (regrouping subfields by the paper's static cost rule, as

@@ -12,11 +12,13 @@
 use cf_field::{FieldModel, GridCellRecord, GridField};
 use cf_geom::Interval;
 use cf_index::{
-    build_subfields, cell_order, IHilbert, IHilbertConfig, IngestConfig, LiveIngest, QueryBatch,
-    QueryStats, SubfieldConfig, ValueIndex,
+    build_subfields, cell_order, IHilbert, IHilbertConfig, IngestConfig, LinearScan, LiveIngest,
+    QueryBatch, QueryStats, SubfieldConfig, ValueIndex,
 };
 use cf_sfc::Curve;
-use cf_storage::{Fault, PageId, StorageEngine};
+use cf_storage::{CellFile, Fault, PageCodec, PageId, StorageConfig, StorageEngine};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Deterministic split-mix style generator: the interleavings must be
 /// reproducible across runs and platforms.
@@ -722,4 +724,196 @@ fn failed_ingest_leaves_state_and_gauges_consistent() {
     let cell3 = rng.below(field.num_cells());
     let rec3 = rand_record(&field, cell3, &mut rng);
     live.ingest(&engine, cell3, rec3).expect("recovered ingest");
+}
+
+/// The snapshot substitutes overlays with a cursor that advances as the
+/// range sweep visits positions in ascending order. Here overlays sit
+/// on each of its edges: the file's first and last positions, the first
+/// and last record of a page and of a coalesced run, several positions
+/// on one page, and positions outside every retrieved run, down to a
+/// band that retrieves none of the overlaid subfields. Each overlay
+/// moves one vertex within its subfields' intervals, so every band
+/// retrieves the base catalog's runs and the edges stay where the test
+/// put them. For the probe and the scan plan on both codecs, the
+/// snapshot answers as `LinearScan` over the updated field (whose
+/// native order sums the area in another order), and its area carries
+/// the bits of a fresh build over that field, which sums the same
+/// regions in the same file order.
+#[test]
+fn overlay_cursor_edges_answer_like_a_scan_of_the_updated_field() {
+    let field = wavy_field(32);
+    let n = field.num_cells();
+    let order = cell_order(&field, Curve::Hilbert);
+    let mut pos_of = vec![0; n];
+    for (pos, &cell) in order.iter().enumerate() {
+        pos_of[cell] = pos;
+    }
+    let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
+    let catalog = build_subfields(&intervals, SubfieldConfig::default());
+    let subfield_of = |pos: usize| catalog.partition_point(|sf| sf.end as usize <= pos);
+    // The record runs `band` retrieves from the base catalog, merged as
+    // the executor merges them.
+    let runs = |band: Interval| {
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for sf in catalog.iter().filter(|sf| sf.interval.intersects(band)) {
+            match runs.last_mut() {
+                Some(run) if run.end == sf.start as usize => run.end = sf.end as usize,
+                _ => runs.push(sf.start as usize..sf.end as usize),
+            }
+        }
+        runs
+    };
+
+    let band = Interval::new(10.0, 14.0);
+    let band_runs = runs(band);
+    assert!(band_runs.len() >= 3, "{band_runs:?}");
+    let mut targets = vec![0, n - 1];
+    for run in &band_runs[..3] {
+        targets.extend([run.start, run.end - 1]);
+    }
+    // Outside every run of `band`.
+    targets.push((band_runs[0].end + band_runs[1].start) / 2);
+    for codec in [PageCodec::Raw, PageCodec::Compressed] {
+        let twin = CellFile::create(
+            &engine_with(codec),
+            order.iter().map(|&c| field.cell_record(c)),
+        )
+        .expect("twin file");
+        let page_of = |pos: usize| twin.pages_in_range(0..pos + 1) - 1;
+        let firsts: Vec<usize> = (1..n).filter(|&p| page_of(p) != page_of(p - 1)).collect();
+        assert!(firsts.len() >= 2 && firsts[1] - firsts[0] > 9, "{codec:?}");
+        for &first in &firsts[..2] {
+            targets.extend([first - 1, first]);
+        }
+        targets.extend([firsts[0] + 2, firsts[0] + 5, firsts[0] + 9]);
+    }
+
+    // Move one corner of each target's cell to the middle of its
+    // current value and the centre of the intervals of every subfield
+    // the vertex touches; keep the move only if no subfield interval
+    // changes (a subfield extreme may not move).
+    let (vw, _) = field.vertex_dims();
+    let (cw, ch) = field.cell_dims();
+    let mut values: Vec<f64> = (0..vw * vw)
+        .map(|v| field.vertex_value(v % vw, v / vw))
+        .collect();
+    let cells_at = |v: usize| {
+        let (x, y) = (v % vw, v / vw);
+        let mut cells = Vec::new();
+        for cy in y.saturating_sub(1)..=y.min(ch - 1) {
+            for cx in x.saturating_sub(1)..=x.min(cw - 1) {
+                cells.push(field.cell_index(cx, cy));
+            }
+        }
+        cells
+    };
+    let keeps_catalog = |f: &GridField| {
+        catalog.iter().all(|sf| {
+            let union = (sf.start as usize..sf.end as usize)
+                .map(|p| f.cell_interval(order[p]))
+                .reduce(|a, b| a.union(b));
+            union == Some(sf.interval)
+        })
+    };
+    let mut overlaid = BTreeSet::new();
+    for &target in &targets {
+        let (cx, cy) = field.cell_coords(order[target]);
+        let moved = [(0, 0), (1, 0), (0, 1), (1, 1)]
+            .into_iter()
+            .any(|(dx, dy)| {
+                let v = (cy + dy) * vw + cx + dx;
+                let room = cells_at(v)
+                    .into_iter()
+                    .map(|c| catalog[subfield_of(pos_of[c])].interval)
+                    .reduce(|a, b| Interval::new(a.lo.max(b.lo), a.hi.min(b.hi)))
+                    .expect("a vertex touches a cell");
+                let old = values[v];
+                values[v] = 0.5 * (old + 0.5 * (room.lo + room.hi));
+                if values[v] != old
+                    && keeps_catalog(&GridField::from_values(vw, vw, values.clone()))
+                {
+                    overlaid.extend(cells_at(v));
+                    true
+                } else {
+                    values[v] = old;
+                    false
+                }
+            });
+        assert!(moved, "no corner of position {target} can move");
+    }
+    let updated = GridField::from_values(vw, vw, values);
+    let overlaid_positions: BTreeSet<usize> = overlaid.iter().map(|&c| pos_of[c]).collect();
+    assert!(targets.iter().all(|t| overlaid_positions.contains(t)));
+
+    // A band whose runs hold no overlaid position.
+    let touched: BTreeSet<usize> = overlaid_positions.iter().map(|&p| subfield_of(p)).collect();
+    let quiet = (0..400)
+        .map(|i| {
+            let lo = -60.0 + i as f64 * 0.3;
+            Interval::new(lo, lo + 0.5)
+        })
+        .find(|&b| {
+            let hit: Vec<usize> = (0..catalog.len())
+                .filter(|&i| catalog[i].interval.intersects(b))
+                .collect();
+            !hit.is_empty() && hit.iter().all(|i| !touched.contains(i))
+        })
+        .expect("a band that retrieves no overlaid subfield");
+    let mut bands = vec![band, quiet];
+    bands.extend(fixed_bands());
+
+    for codec in [PageCodec::Raw, PageCodec::Compressed] {
+        for scan_threshold in [None, Some(0.0)] {
+            let ctx = format!("{codec:?}, scan threshold {scan_threshold:?}");
+            let engine = engine_with(codec);
+            let base = IHilbert::build(&engine, &field).expect("build");
+            let config = IngestConfig {
+                scan_threshold,
+                ..Default::default()
+            };
+            let live = LiveIngest::new(&engine, base, config).expect("live");
+            let before = live.snapshot().query_stats(&engine, band).expect("query");
+            for &cell in &overlaid {
+                live.ingest(&engine, cell, updated.cell_record(cell))
+                    .expect("ingest");
+            }
+            assert_eq!(live.status().0, overlaid.len(), "{ctx}: nothing drained");
+            let snapshot = live.snapshot();
+            let scan = LinearScan::build(&engine, &updated).expect("scan");
+            let fresh = IHilbert::build(&engine, &updated).expect("fresh build");
+            for &b in &bands {
+                let ctx = format!("{ctx}, band {b}");
+                let got = snapshot.query_stats(&engine, b).expect("snapshot");
+                let want = scan.query_stats(&engine, b).expect("scan");
+                assert_eq!(got.cells_qualifying, want.cells_qualifying, "{ctx}");
+                assert_eq!(got.num_regions, want.num_regions, "{ctx}");
+                assert!(
+                    (got.area - want.area).abs() <= 1e-9 * want.area.max(1.0),
+                    "{ctx}: area {} vs {}",
+                    got.area,
+                    want.area
+                );
+                let fresh = fresh.query_stats(&engine, b).expect("fresh");
+                assert_bitexact(&got, &fresh, &ctx);
+                let examined = match scan_threshold {
+                    None => runs(b).iter().map(|r| r.len()).sum(),
+                    Some(_) => n,
+                };
+                assert_eq!(got.cells_examined, examined, "{ctx}");
+            }
+            let got = snapshot.query_stats(&engine, band).expect("snapshot");
+            assert_ne!(
+                got.area.to_bits(),
+                before.area.to_bits(),
+                "{ctx}: the overlays must move the answer"
+            );
+        }
+    }
+}
+
+fn engine_with(codec: PageCodec) -> StorageEngine {
+    StorageEngine::new(StorageConfig {
+        codec,
+        ..StorageConfig::default()
+    })
 }
