@@ -31,8 +31,8 @@ pub struct IAll<F: FieldModel> {
 
 impl<F: FieldModel> IAll<F> {
     /// Builds the index: cells in native order plus a page-fanout 1-D
-    /// R\*-tree with one entry per cell, built by dynamic R\* insertion
-    /// (as the paper's implementation would).
+    /// R-tree with one entry per cell, packed bottom-up
+    /// ([`cf_rtree::PagedRTree::build`]).
     pub fn build(engine: &StorageEngine, field: &F) -> CfResult<Self> {
         let n = field.num_cells();
         check_cell_count(n)?;

@@ -1,6 +1,6 @@
 //! The one index core: a cell file in a chosen linear order, subfields
-//! as `[start, end)` record ranges, and a paged 1-D R\*-tree over the
-//! subfield intervals whose leaf payloads are the packed ranges (paper
+//! as `[start, end)` record ranges, and a packed, paged 1-D R-tree over
+//! the subfield intervals whose leaf payloads are the packed ranges (paper
 //! Fig. 6: leaf entries store `ptr_start, ptr_end`). The tree's leaves
 //! are the subfield catalog: nothing else persists it, and a reopen
 //! reads it back by walking the tree ([`SubfieldIndex::open`]).
@@ -70,8 +70,8 @@ impl<F: FieldModel> SubfieldIndex<F> {
     /// (the live-ingest repacker, which reads the old base and applies
     /// its delta overlays before regrouping). The records must be in
     /// the intended file order; `subfields` is expressed in positions
-    /// of that order. The subfield intervals enter the tree by
-    /// one-by-one R\* insertion ([`PagedRTree::build`]), as in §3.2.
+    /// of that order. The subfield intervals are packed bottom-up into
+    /// the tree ([`PagedRTree::build`]), whatever order they come in.
     ///
     /// # Panics
     ///

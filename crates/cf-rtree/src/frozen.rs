@@ -31,8 +31,8 @@
 //! visit (same parent-MBR pruning), so [`SearchStats::nodes_visited`]
 //! equals the paged tree's page-read count for the same query.
 
-use crate::tree::SearchStats;
 use crate::PagedRTree;
+use crate::SearchStats;
 use cf_geom::Aabb;
 use cf_storage::{CfResult, Counter, PageId, StorageEngine};
 
@@ -307,10 +307,12 @@ mod tests {
     #[test]
     fn frozen_matches_dynamic_search() {
         let tree = build_tree(800, 16);
-        let frozen = freeze(&tree);
+        let engine = StorageEngine::in_memory();
+        let paged = PagedRTree::persist(&tree, &engine).expect("persist");
+        let frozen = FrozenTree::from_paged(&engine, &paged).expect("freeze");
         assert_eq!(frozen.len(), 800);
-        assert_eq!(frozen.height(), tree.height());
-        assert_eq!(frozen.slot_base.len(), tree.node_count());
+        assert_eq!(frozen.height(), paged.height());
+        assert_eq!(frozen.slot_base.len(), paged.num_pages());
         for qlo in [-5.0, 0.0, 113.3, 400.0, 559.9, 1000.0] {
             let q = iv(qlo, qlo + 9.0);
             let mut got = frozen.search_collect(&q);

@@ -1,10 +1,10 @@
-//! R\*-tree (Beckmann, Kriegel, Schneider, Seeger — SIGMOD 1990).
+//! Packed R-trees on disk pages, plus the R\*-tree (Beckmann, Kriegel,
+//! Schneider, Seeger — SIGMOD 1990) kept as a benchmark build buffer.
 //!
 //! The paper indexes value intervals — 1-D minimum bounding rectangles —
-//! in a 1-D R\*-tree (§3: "the intervals of the value domain of subfields
-//! can be indexed using traditional spatial access methods, like
-//! R\*-tree"). This crate implements the full R\*-tree from scratch,
-//! generic over dimension `N`:
+//! with "traditional spatial access methods, like R\*-tree" (§3), and
+//! its cost model `P = L + 0.5` is Kamel & Faloutsos's for a *packed*
+//! R-tree. Trees here are generic over dimension `N`:
 //!
 //! * `N = 1` — value intervals: the I-All and I-Hilbert indexes;
 //! * `N = 2` — spatial MBRs: conventional (Q1) queries over cells;
@@ -12,49 +12,44 @@
 //!
 //! Features:
 //!
-//! * [`RStarTree`] — the in-memory build buffer, filled by one-by-one R\*
-//!   insertion (the paper's §3.2 build): ChooseSubtree with
-//!   minimum-overlap enlargement at the leaf level, **forced
-//!   reinsertion** on first overflow per level, and the margin-driven
-//!   ChooseSplitAxis / minimum-overlap ChooseSplitIndex split. It has no
-//!   delete path: the paper's entry set (one per subfield) is fixed at
-//!   build.
-//! * [`PagedRTree`] — the tree serialized to 4 KiB pages of a
+//! * [`PagedRTree`] — the tree on 4 KiB pages of a
 //!   [`cf_storage::StorageEngine`]; searches fault node pages through
 //!   the buffer pool so query cost is measured in real page accesses.
-//!   [`PagedRTree::build`] is the one build path of every index. Its
-//!   shape is fixed there: [`PagedRTree::replace_entry`], which rewrites
-//!   one entry's box and its ancestors' hulls in place, is the one
-//!   maintenance path, and a tree's pages are always one contiguous run.
+//!   [`PagedRTree::build`] is the one build path of every index: a
+//!   bottom-up pack in Sort-Tile-Recursive order over the entries'
+//!   corners, every node full but the last of its level, one contiguous
+//!   page run with the root last. Its shape is fixed there:
+//!   [`PagedRTree::replace_entry`], which rewrites one entry's box and
+//!   its ancestors' hulls in place, is the one maintenance path.
+//! * [`RStarTree`] — an in-memory R\*-tree filled by one-by-one
+//!   insertion (forced reinsertion, margin-driven splits). No product
+//!   path builds one; the benchmark ladder's staged trace still does and
+//!   hands it to [`PagedRTree::persist`], which packs its entries.
 //! * [`FrozenTree`] — a read-optimized flattening of a built tree into
 //!   contiguous cache-aligned SoA arrays (separate `lo[]`/`hi[]` lanes,
 //!   implicit child offsets, branchless chunked leaf scan) with the
-//!   same visit counts. No product crate links it since PR 15; kept for
-//!   the benchmark ladder's staged trace (DESIGN.md §8.2).
-
+//!   same visit counts. No product crate links it; kept for the
+//!   benchmark ladder's staged trace (DESIGN.md §8.2).
 //!
 //! # Example
 //!
 //! ```
 //! use cf_geom::Aabb;
-//! use cf_rtree::{PagedRTree, RStarTree, RTreeConfig};
+//! use cf_rtree::PagedRTree;
 //! use cf_storage::{CfResult, StorageEngine};
 //!
 //! fn main() -> CfResult<()> {
-//!     // Index 1-D value intervals (the paper's use of the R*-tree).
-//!     let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::page_sized::<1>());
-//!     for i in 0..1000u64 {
-//!         let lo = i as f64;
-//!         tree.insert(Aabb::new([lo], [lo + 1.5]), i);
-//!     }
-//!     let hits = tree.search_collect(&Aabb::new([10.2], [11.0]));
-//!     assert!(hits.contains(&9) && hits.contains(&10));
-//!
-//!     // Persist to 4 KiB pages and search through the buffer pool.
+//!     // Index 1-D value intervals (the paper's use of the R-tree).
 //!     let engine = StorageEngine::in_memory();
-//!     let paged = PagedRTree::persist(&tree, &engine)?;
-//!     let paged_hits = paged.search_collect(&engine, &Aabb::new([10.2], [11.0]))?;
-//!     assert_eq!(paged_hits.len(), hits.len());
+//!     let entries = (0..1000u64).map(|i| (Aabb::new([i as f64], [i as f64 + 1.5]), i));
+//!     let tree = PagedRTree::build(&engine, entries)?;
+//!     // ceil(1000 / 170) = 6 leaves, all full but the last, under one root.
+//!     assert_eq!((tree.height(), tree.num_pages()), (2, 7));
+//!
+//!     // Search through the buffer pool.
+//!     let mut hits = tree.search_collect(&engine, &Aabb::new([10.2], [11.0]))?;
+//!     hits.sort_unstable();
+//!     assert_eq!(hits, vec![9, 10, 11]);
 //!     Ok(())
 //! }
 //! ```
@@ -70,6 +65,5 @@ mod split;
 mod tree;
 
 pub use frozen::FrozenTree;
-pub use node::{ChildRef, Node, NodeEntry};
-pub use paged::PagedRTree;
-pub use tree::{RStarTree, RTreeConfig, SearchStats};
+pub use paged::{PagedRTree, SearchStats};
+pub use tree::{RStarTree, RTreeConfig};

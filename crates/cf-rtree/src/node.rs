@@ -4,7 +4,7 @@ use cf_geom::Aabb;
 
 /// What a node entry points to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChildRef {
+pub(crate) enum ChildRef {
     /// An internal child node (arena index).
     Node(usize),
     /// A data item stored at a leaf. The payload is an opaque `u64`; the
@@ -19,33 +19,21 @@ impl ChildRef {
     /// # Panics
     ///
     /// Panics when called on a data entry.
-    pub fn node(self) -> usize {
+    pub(crate) fn node(self) -> usize {
         match self {
             ChildRef::Node(i) => i,
             ChildRef::Data(d) => panic!("expected node child, found data {d}"),
-        }
-    }
-
-    /// The payload of a data entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a node child.
-    pub fn data(self) -> u64 {
-        match self {
-            ChildRef::Data(d) => d,
-            ChildRef::Node(i) => panic!("expected data entry, found node {i}"),
         }
     }
 }
 
 /// A single slot of a node: a bounding box and what it covers.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeEntry<const N: usize> {
+pub(crate) struct NodeEntry<const N: usize> {
     /// Minimum bounding rectangle of the child/data.
-    pub mbr: Aabb<N>,
+    pub(crate) mbr: Aabb<N>,
     /// Child node or data payload.
-    pub child: ChildRef,
+    pub(crate) child: ChildRef,
 }
 
 /// An R\*-tree node.
@@ -53,16 +41,16 @@ pub struct NodeEntry<const N: usize> {
 /// `level == 0` is a leaf (entries are data); higher levels are internal
 /// (entries are children at `level - 1`).
 #[derive(Debug, Clone)]
-pub struct Node<const N: usize> {
+pub(crate) struct Node<const N: usize> {
     /// Height of the node above the leaves.
-    pub level: u32,
+    pub(crate) level: u32,
     /// Occupied slots.
-    pub entries: Vec<NodeEntry<N>>,
+    pub(crate) entries: Vec<NodeEntry<N>>,
 }
 
 impl<const N: usize> Node<N> {
     /// Creates an empty node at the given level.
-    pub fn new(level: u32) -> Self {
+    pub(crate) fn new(level: u32) -> Self {
         Self {
             level,
             entries: Vec::new(),
@@ -70,12 +58,12 @@ impl<const N: usize> Node<N> {
     }
 
     /// Returns `true` for leaf nodes.
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         self.level == 0
     }
 
     /// The MBR covering all entries ([`Aabb::EMPTY`] for an empty node).
-    pub fn mbr(&self) -> Aabb<N> {
+    pub(crate) fn mbr(&self) -> Aabb<N> {
         Aabb::hull(self.entries.iter().map(|e| e.mbr))
     }
 }
@@ -87,19 +75,12 @@ mod tests {
     #[test]
     fn child_ref_accessors() {
         assert_eq!(ChildRef::Node(3).node(), 3);
-        assert_eq!(ChildRef::Data(42).data(), 42);
     }
 
     #[test]
     #[should_panic(expected = "expected node child")]
     fn data_is_not_a_node() {
         let _ = ChildRef::Data(1).node();
-    }
-
-    #[test]
-    #[should_panic(expected = "expected data entry")]
-    fn node_is_not_data() {
-        let _ = ChildRef::Node(1).data();
     }
 
     #[test]

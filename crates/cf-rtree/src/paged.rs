@@ -1,4 +1,4 @@
-//! The R\*-tree persisted to disk pages.
+//! The packed R-tree on disk pages.
 //!
 //! Each node occupies exactly one 4 KiB page (the paper's setting: node
 //! size = page size = 4 KB). Searches fault node pages through the
@@ -17,17 +17,38 @@
 //! leaves (the value indexes pack cell indexes or subfield record ranges
 //! into it).
 //!
-//! [`PagedRTree::persist`] fixes the tree's shape: one contiguous page
-//! run, leaves first, root last. Afterwards only entry boxes change
+//! [`PagedRTree::build`] packs the tree bottom-up and fixes its shape:
+//! entries in Sort-Tile-Recursive order over their `2N` corners, every
+//! node full but the last of its level, one contiguous page run, leaves
+//! first, root last. Sorting by `(lo, hi)` rather than by interval centre
+//! keeps node visits at or below the R\* insertion build it replaced
+//! (DESIGN.md §8.1). Afterwards only entry boxes change
 //! ([`PagedRTree::replace_entry`]), so a tree never gains or loses a
 //! page and its run is derived from the root and the page count.
 
-use crate::node::ChildRef;
-use crate::tree::{entry_size, RStarTree, RTreeConfig, SearchStats, NODE_HEADER_SIZE};
+use crate::tree::RStarTree;
 use cf_geom::Aabb;
 use cf_storage::{codec, CfError, CfResult, Counter, PageBuf, PageId, StorageEngine, PAGE_SIZE};
+use std::cmp::Ordering;
 
-/// An R\*-tree stored on pages of a [`StorageEngine`].
+/// On-page node header size: `level: u32` + `count: u32`.
+const NODE_HEADER_SIZE: usize = 8;
+
+/// On-page entry size for dimension `N`: `2N` f64 bounds + `u64` child.
+const fn entry_size(n: usize) -> usize {
+    16 * n + 8
+}
+
+/// Counters reported by a search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SearchStats {
+    /// Nodes visited (equals page reads for the paged tree).
+    pub nodes_visited: u64,
+    /// Data entries reported.
+    pub results: u64,
+}
+
+/// A packed R-tree stored on pages of a [`StorageEngine`].
 #[derive(Debug, Clone)]
 pub struct PagedRTree<const N: usize> {
     root_page: PageId,
@@ -35,7 +56,7 @@ pub struct PagedRTree<const N: usize> {
     len: usize,
     num_pages: usize,
     /// `rtree_node_visits_total{plane="paged"}` in the engine's registry;
-    /// `None` until attached (trees persisted through [`PagedRTree::persist`]
+    /// `None` until attached (trees built through [`PagedRTree::build`]
     /// attach automatically, catalog reopens via
     /// [`PagedRTree::attach_metrics`]).
     nodes_counter: Option<Counter>,
@@ -60,84 +81,60 @@ impl<const N: usize> PagedRTree<N> {
         (PAGE_SIZE - NODE_HEADER_SIZE) / entry_size(N)
     }
 
-    /// Serializes `tree` onto one fresh contiguous page run of `engine`.
+    /// Packs `entries` bottom-up onto one fresh contiguous page run of
+    /// `engine` (Kamel & Faloutsos's packed R-tree, the source of the
+    /// paper's cost model `P = L + 0.5`).
     ///
-    /// Nodes are written level by level, leaves first, so the leaf level
-    /// is physically contiguous (as a packed disk-resident index would
-    /// be) and the root is the run's last page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tree's fanout exceeds the page capacity.
-    pub fn persist(tree: &RStarTree<N>, engine: &StorageEngine) -> CfResult<Self> {
-        assert!(
-            tree.config().max_entries <= Self::page_fanout(),
-            "tree fanout {} exceeds page capacity {}",
-            tree.config().max_entries,
-            Self::page_fanout()
-        );
+    /// The entries are put in Sort-Tile-Recursive order over their `2N`
+    /// corner coordinates (`str_order`) and cut into leaves of
+    /// [`PagedRTree::page_fanout`] entries; each level's nodes, in
+    /// order, fill the level above the same way, up to a single root.
+    /// Pages are written level by level, leaves first, so the leaf level
+    /// is physically contiguous and the root is the run's last page. An
+    /// empty entry set is one empty leaf. The order breaks every tie, so
+    /// the pages depend only on the entry set, not on its iteration
+    /// order.
+    pub fn build(
+        engine: &StorageEngine,
+        entries: impl IntoIterator<Item = (Aabb<N>, u64)>,
+    ) -> CfResult<Self> {
+        let fanout = Self::page_fanout();
+        let mut level: Vec<(Aabb<N>, u64)> = entries.into_iter().collect();
+        let len = level.len();
+        str_order(&mut level, 0, fanout);
 
-        // Collect reachable nodes grouped by level.
-        let root_idx = tree.root_index();
-        let height = tree.height();
-        let mut by_level: Vec<Vec<usize>> = vec![Vec::new(); height as usize];
-        let mut stack = vec![root_idx];
-        while let Some(idx) = stack.pop() {
-            let node = tree.node(idx);
-            by_level[node.level as usize].push(idx);
-            if !node.is_leaf() {
-                for e in &node.entries {
-                    stack.push(e.child.node());
-                }
+        // Nodes per level, leaves first: ceil(n / F^k) down to the root.
+        let mut height = 0u32;
+        let mut total = 0usize;
+        let mut nodes = len;
+        loop {
+            nodes = nodes.div_ceil(fanout).max(1);
+            height += 1;
+            total += nodes;
+            if nodes == 1 {
+                break;
             }
         }
 
-        // Assign page ids level by level (leaves first) from one
-        // contiguous run.
-        let total: usize = by_level.iter().map(|v| v.len()).sum();
-        let first = engine.allocate_run(total)?;
-        let mut page_of = std::collections::HashMap::with_capacity(total);
-        let mut next = first.0;
-        for level in &by_level {
-            for &idx in level {
-                page_of.insert(idx, PageId(next));
-                next += 1;
+        let mut page = engine.allocate_run(total)?.0;
+        for node_level in 0..height {
+            let nodes = level.len().div_ceil(fanout).max(1);
+            let mut parents = Vec::with_capacity(nodes);
+            for i in 0..nodes {
+                let chunk = &level[i * fanout..level.len().min((i + 1) * fanout)];
+                // Buffered: the build goes through the pool's write-back
+                // path; callers flush/sync for durability.
+                engine.write_page_buffered(PageId(page), &Self::encode(node_level, chunk))?;
+                parents.push((Aabb::hull(chunk.iter().map(|&(b, _)| b)), page));
+                page += 1;
             }
+            level = parents;
         }
 
-        // Write every node.
-        let mut buf: PageBuf = [0u8; PAGE_SIZE];
-        for level in &by_level {
-            for &idx in level {
-                let node = tree.node(idx);
-                buf.fill(0);
-                codec::put_u32(&mut buf, 0, node.level);
-                codec::put_u32(&mut buf, 4, node.entries.len() as u32);
-                let mut off = NODE_HEADER_SIZE;
-                for e in &node.entries {
-                    for d in 0..N {
-                        off = codec::put_f64(&mut buf, off, e.mbr.lo[d]);
-                    }
-                    for d in 0..N {
-                        off = codec::put_f64(&mut buf, off, e.mbr.hi[d]);
-                    }
-                    let child = match e.child {
-                        ChildRef::Data(v) => v,
-                        ChildRef::Node(c) => page_of[&c].0,
-                    };
-                    off = codec::put_u64(&mut buf, off, child);
-                }
-                // Buffered: bulk persistence goes through the pool's
-                // write-back path; callers flush/sync for durability.
-                engine.write_page_buffered(page_of[&idx], &buf)?;
-            }
-        }
-
-        debug_assert_eq!(page_of[&root_idx].0 + 1, first.0 + total as u64);
         let mut tree = Self {
-            root_page: page_of[&root_idx],
+            root_page: PageId(page - 1),
             height,
-            len: tree.len(),
+            len,
             num_pages: total,
             nodes_counter: None,
         };
@@ -145,18 +142,14 @@ impl<const N: usize> PagedRTree<N> {
         Ok(tree)
     }
 
-    /// Builds a page-fanout tree ([`RTreeConfig::page_sized`]: one node
-    /// per page, the paper's setting) over `entries` by one-by-one R\*
-    /// insertion in iteration order, then [`PagedRTree::persist`]s it.
-    pub fn build(
-        engine: &StorageEngine,
-        entries: impl IntoIterator<Item = (Aabb<N>, u64)>,
-    ) -> CfResult<Self> {
-        let mut tree = RStarTree::new(RTreeConfig::page_sized::<N>());
-        for (mbr, data) in entries {
-            tree.insert(mbr, data);
-        }
-        Self::persist(&tree, engine)
+    /// Packs the entries of an in-memory build buffer
+    /// ([`PagedRTree::build`]); the buffer's own shape is not kept. Kept
+    /// for the benchmark ladder's staged trace, its one caller.
+    pub fn persist(tree: &RStarTree<N>, engine: &StorageEngine) -> CfResult<Self> {
+        let mut entries = Vec::with_capacity(tree.len());
+        let everything = Aabb::new([f64::NEG_INFINITY; N], [f64::INFINITY; N]);
+        tree.search(&everything, |data, mbr| entries.push((*mbr, data)));
+        Self::build(engine, entries)
     }
 
     /// Number of data entries.
@@ -218,7 +211,7 @@ impl<const N: usize> PagedRTree<N> {
     }
 
     /// The contiguous page run the tree occupies, as `(first page, page
-    /// count)`: [`PagedRTree::persist`] writes the root last and nothing
+    /// count)`: [`PagedRTree::build`] writes the root last and nothing
     /// changes the tree's shape afterwards, so the run ends at the root.
     /// The same for a tree reattached through [`PagedRTree::from_parts`].
     pub fn page_run(&self) -> (PageId, usize) {
@@ -228,7 +221,7 @@ impl<const N: usize> PagedRTree<N> {
 
     /// Binds this tree's node-visit counter
     /// (`rtree_node_visits_total{plane="paged"}`) to `engine`'s metrics
-    /// registry. [`PagedRTree::persist`] does this automatically; call it
+    /// registry. [`PagedRTree::build`] does this automatically; call it
     /// after [`PagedRTree::from_parts`] so catalog-reopened trees report
     /// into the engine they were reattached to.
     pub fn attach_metrics(&mut self, engine: &StorageEngine) {
@@ -322,13 +315,14 @@ impl<const N: usize> PagedRTree<N> {
         })
     }
 
-    fn write_node(engine: &StorageEngine, page: PageId, node: &RawNode<N>) -> CfResult<()> {
-        debug_assert!(node.entries.len() <= Self::page_fanout());
+    /// One node page: the header, then each entry's bounds and child.
+    fn encode(level: u32, entries: &[(Aabb<N>, u64)]) -> PageBuf {
+        debug_assert!(entries.len() <= Self::page_fanout());
         let mut buf: PageBuf = [0u8; PAGE_SIZE];
-        codec::put_u32(&mut buf, 0, node.level);
-        codec::put_u32(&mut buf, 4, node.entries.len() as u32);
+        codec::put_u32(&mut buf, 0, level);
+        codec::put_u32(&mut buf, 4, entries.len() as u32);
         let mut off = NODE_HEADER_SIZE;
-        for (mbr, child) in &node.entries {
+        for (mbr, child) in entries {
             for d in 0..N {
                 off = codec::put_f64(&mut buf, off, mbr.lo[d]);
             }
@@ -337,7 +331,11 @@ impl<const N: usize> PagedRTree<N> {
             }
             off = codec::put_u64(&mut buf, off, *child);
         }
-        engine.write_page(page, &buf)
+        buf
+    }
+
+    fn write_node(engine: &StorageEngine, page: PageId, node: &RawNode<N>) -> CfResult<()> {
+        engine.write_page(page, &Self::encode(node.level, &node.entries))
     }
 
     // ------------------------------------------------------------------
@@ -349,7 +347,7 @@ impl<const N: usize> PagedRTree<N> {
     /// child node below it: one page read and one page write per level.
     /// Returns `false`, writing nothing, when no leaf holds `(old, data)`.
     ///
-    /// The entry set is fixed by [`PagedRTree::persist`] (the paper's
+    /// The entry set is fixed by [`PagedRTree::build`] (the paper's
     /// subfields are grouped once), so this is the tree's only change
     /// after the build: its shape, length and page run stay as they are.
     pub fn replace_entry(
@@ -458,6 +456,41 @@ impl<const N: usize> PagedRTree<N> {
     }
 }
 
+/// Puts `entries` in Sort-Tile-Recursive order (Leutenegger et al.)
+/// over corner coordinates `axis..2N` of `(lo_0..lo_{N-1}, hi_0..hi_{N-1})`:
+/// sort by corner `axis`, cut into `ceil(L^(1/k))` slabs of whole leaves
+/// (`L` leaves of `fanout` entries, `k` corners left), and order each
+/// slab by the next corner. For `N = 1` that is `ceil(sqrt(L))` slabs by
+/// `lo`, each sorted by `hi`. Ties fall to the payload and then to every
+/// corner, so equal entry sets get equal orders.
+fn str_order<const N: usize>(entries: &mut [(Aabb<N>, u64)], axis: usize, fanout: usize) {
+    let corner = |e: &(Aabb<N>, u64), k: usize| if k < N { e.0.lo[k] } else { e.0.hi[k - N] };
+    entries.sort_unstable_by(|a, b| {
+        corner(a, axis)
+            .total_cmp(&corner(b, axis))
+            .then(a.1.cmp(&b.1))
+            .then_with(|| {
+                (0..2 * N)
+                    .map(|k| corner(a, k).total_cmp(&corner(b, k)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            })
+    });
+    let corners_left = (2 * N - axis) as u32;
+    let leaves = entries.len().div_ceil(fanout);
+    if corners_left == 1 || leaves <= 1 {
+        return;
+    }
+    // The least slab count `s` with `s^k >= leaves`.
+    let mut slabs = 1usize;
+    while slabs.pow(corners_left) < leaves {
+        slabs += 1;
+    }
+    for slab in entries.chunks_mut(leaves.div_ceil(slabs) * fanout) {
+        str_order(slab, axis + 1, fanout);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,21 +500,22 @@ mod tests {
         Aabb::new([lo], [hi])
     }
 
-    fn build_tree(n: u64) -> RStarTree<1> {
-        let mut tree = RStarTree::new(RTreeConfig::new(16));
-        for i in 0..n {
-            tree.insert(iv(i as f64, i as f64 + 1.5), i);
-        }
-        tree
+    fn entries(n: u64) -> impl Iterator<Item = (Aabb<1>, u64)> {
+        (0..n).map(|i| (iv(i as f64, i as f64 + 1.5), i))
     }
 
     #[test]
     fn paged_search_matches_in_memory() {
-        let tree = build_tree(1000);
+        let mut tree = RStarTree::new(RTreeConfig::new(16));
+        for (mbr, data) in entries(1000) {
+            tree.insert(mbr, data);
+        }
         let engine = StorageEngine::in_memory();
         let paged = PagedRTree::persist(&tree, &engine).expect("persist");
         assert_eq!(paged.len(), 1000);
-        assert_eq!(paged.height(), tree.height());
+        // Packed, not the buffer's shape: ceil(1000 / 170) = 6 leaves, all
+        // full but the last, under one root.
+        assert_eq!((paged.height(), paged.num_pages()), (2, 7));
 
         for qlo in [0.0, 123.4, 500.0, 999.0, 2000.0] {
             let q = iv(qlo, qlo + 7.0);
@@ -495,9 +529,8 @@ mod tests {
 
     #[test]
     fn search_cost_is_logarithmic_not_linear() {
-        let tree = build_tree(10_000);
         let engine = StorageEngine::in_memory();
-        let paged = PagedRTree::persist(&tree, &engine).expect("persist");
+        let paged = PagedRTree::build(&engine, entries(10_000)).expect("build");
         engine.clear_cache();
         engine.reset_stats();
         let stats = paged
@@ -518,7 +551,7 @@ mod tests {
     #[test]
     fn node_entry_with_invalid_bounds_is_a_typed_error_not_a_panic() {
         let engine = StorageEngine::in_memory();
-        let paged = PagedRTree::persist(&build_tree(40), &engine).expect("persist");
+        let paged = PagedRTree::build(&engine, entries(40)).expect("build");
         // A well-formed leaf over garbage bounds, written through the
         // engine (so its checksum is valid): what a stale catalog
         // pointing at a recycled page run reads back.
@@ -540,19 +573,24 @@ mod tests {
 
     #[test]
     fn paged_2d_round_trip() {
-        let mut tree: RStarTree<2> = RStarTree::new(RTreeConfig::new(8));
-        for i in 0..300u64 {
-            let x = (i % 20) as f64;
-            let y = (i / 20) as f64;
-            tree.insert(Aabb::new([x, y], [x + 0.9, y + 0.9]), i);
-        }
+        let boxes: Vec<(Aabb<2>, u64)> = (0..300u64)
+            .map(|i| {
+                let (x, y) = ((i % 20) as f64, (i / 20) as f64);
+                (Aabb::new([x, y], [x + 0.9, y + 0.9]), i)
+            })
+            .collect();
         let engine = StorageEngine::in_memory();
-        let paged = PagedRTree::persist(&tree, &engine).expect("persist");
+        let paged = PagedRTree::build(&engine, boxes.iter().copied()).expect("build");
+        // STR over four corners: ceil(300 / 102) = 3 leaves.
+        assert_eq!((paged.height(), paged.num_pages()), (2, 4));
         let q = Aabb::new([3.5, 3.5], [6.5, 6.5]);
         let mut got = paged.search_collect(&engine, &q).expect("search");
         got.sort_unstable();
-        let mut want = tree.search_collect(&q);
-        want.sort_unstable();
+        let want: Vec<u64> = boxes
+            .iter()
+            .filter(|(b, _)| b.intersects(&q))
+            .map(|&(_, d)| d)
+            .collect();
         assert_eq!(got, want);
         assert!(!got.is_empty());
     }
@@ -575,7 +613,7 @@ mod tests {
     fn page_run_ends_at_the_root_for_built_and_reattached_trees() {
         let engine = StorageEngine::in_memory();
         engine.allocate_run(3).expect("pages before the tree");
-        let paged = PagedRTree::persist(&build_tree(1000), &engine).expect("persist");
+        let paged = PagedRTree::build(&engine, entries(1000)).expect("build");
         assert!(paged.height() > 1);
         let run = (PageId(3), engine.num_pages() - 3);
         assert_eq!(paged.page_run(), run);
@@ -591,13 +629,5 @@ mod tests {
         assert_eq!(PagedRTree::<1>::page_fanout(), 170);
         assert_eq!(PagedRTree::<2>::page_fanout(), 102);
         assert_eq!(PagedRTree::<3>::page_fanout(), 73);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds page capacity")]
-    fn oversized_fanout_rejected() {
-        let tree: RStarTree<1> = RStarTree::new(RTreeConfig::new(500));
-        let engine = StorageEngine::in_memory();
-        let _ = PagedRTree::persist(&tree, &engine).expect("persist");
     }
 }

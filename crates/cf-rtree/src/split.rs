@@ -220,7 +220,10 @@ mod tests {
             .first
             .iter()
             .chain(&split.second)
-            .map(|e| e.child.data())
+            .map(|e| match e.child {
+                ChildRef::Data(d) => d,
+                ChildRef::Node(i) => panic!("node {i} in a leaf split"),
+            })
             .collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());

@@ -1,21 +1,16 @@
-//! The in-memory R\*-tree: the insert-only build buffer that
-//! [`PagedRTree::build`](crate::PagedRTree::build) persists. The
-//! persisted tree's shape is final; the one change after the build is
-//! an entry's box
-//! ([`PagedRTree::replace_entry`](crate::PagedRTree::replace_entry)).
+//! The in-memory R\*-tree, built by one-by-one insertion. No product
+//! path calls it: every index packs its tree with
+//! [`PagedRTree::build`](crate::PagedRTree::build). It is kept, with
+//! `split.rs` and `node.rs`, for the benchmark ladder's staged trace,
+//! which fills one and hands it to
+//! [`PagedRTree::persist`](crate::PagedRTree::persist), until that
+//! trace reads the library's own build timings (ROADMAP).
 
 use crate::node::{ChildRef, Node, NodeEntry};
 use crate::split::{choose_subtree, rstar_split};
+use crate::{PagedRTree, SearchStats};
 use cf_geom::Aabb;
 use std::collections::VecDeque;
-
-/// On-page node header size: `level: u32` + `count: u32`.
-pub(crate) const NODE_HEADER_SIZE: usize = 8;
-
-/// On-page entry size for dimension `N`: `2N` f64 bounds + `u64` child.
-pub(crate) const fn entry_size(n: usize) -> usize {
-    16 * n + 8
-}
 
 /// Tuning parameters of the tree.
 #[derive(Debug, Clone)]
@@ -49,8 +44,7 @@ impl RTreeConfig {
     /// `N` — the faithful reproduction of the paper's disk-based index
     /// (each R\*-tree node is one page).
     pub fn page_sized<const N: usize>() -> Self {
-        let fanout = (cf_storage::PAGE_SIZE - NODE_HEADER_SIZE) / entry_size(N);
-        Self::new(fanout)
+        Self::new(PagedRTree::<N>::page_fanout())
     }
 }
 
@@ -58,15 +52,6 @@ impl Default for RTreeConfig {
     fn default() -> Self {
         Self::new(64)
     }
-}
-
-/// Counters reported by a search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SearchStats {
-    /// Nodes visited (equals page reads for the paged tree).
-    pub nodes_visited: u64,
-    /// Data entries reported.
-    pub results: u64,
 }
 
 /// An in-memory R\*-tree over `N`-dimensional boxes with `u64` payloads,
@@ -305,14 +290,6 @@ impl<const N: usize> RStarTree<N> {
     #[cfg(test)]
     pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    pub(crate) fn root_index(&self) -> usize {
-        self.root
-    }
-
-    pub(crate) fn node(&self, idx: usize) -> &Node<N> {
-        &self.nodes[idx]
     }
 
     // ------------------------------------------------------------------

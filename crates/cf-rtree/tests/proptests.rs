@@ -1,12 +1,13 @@
 //! Property-based tests: the paged R\*-tree must agree with a linear
 //! scan under any sequence of entry box rewrites, keep its shape while
-//! doing so, and its pages, flattening and build buffer must answer
-//! alike.
+//! doing so, depend only on its entry set, and its pages, flattening and
+//! build buffer must answer alike.
 
 use cf_geom::Aabb;
 use cf_rtree::{FrozenTree, PagedRTree, RStarTree, RTreeConfig};
 use cf_storage::{PageId, StorageEngine};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -98,8 +99,84 @@ proptest! {
     }
 }
 
+/// Every page of `engine`, in page order.
+fn all_pages(engine: &StorageEngine) -> Vec<Vec<u8>> {
+    (0..engine.num_pages() as u64)
+        .map(|i| engine.with_page(PageId(i), |b| b.to_vec()).expect("page"))
+        .collect()
+}
+
+/// Entry counts of the tree's nodes, one list per level from the root
+/// down, each in page order.
+fn level_fills(engine: &StorageEngine, tree: &PagedRTree<1>) -> Vec<Vec<usize>> {
+    let mut levels = Vec::new();
+    let mut pages = vec![tree.root_page_id()];
+    while !pages.is_empty() {
+        let mut fills = Vec::new();
+        let mut children = Vec::new();
+        for &page in &pages {
+            let mut count = 0;
+            tree.for_each_entry(engine, page, |_, child, leaf| {
+                count += 1;
+                if !leaf {
+                    children.push(PageId(child));
+                }
+            })
+            .expect("read node");
+            fills.push(count);
+        }
+        levels.push(fills);
+        pages = children;
+    }
+    levels
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn tree_depends_only_on_its_entry_set(
+        items in prop::collection::vec((0.0..100.0f64, 0.0..10.0f64), 0..900),
+        seed in any::<u64>(),
+    ) {
+        let entries: Vec<(Aabb<1>, u64)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &(lo, w))| (Aabb::new([lo], [lo + w]), i as u64))
+            .collect();
+        let mut shuffled = entries.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..i + 1));
+        }
+        let (a, b) = (StorageEngine::in_memory(), StorageEngine::in_memory());
+        let tree = PagedRTree::build(&a, entries).expect("build");
+        PagedRTree::build(&b, shuffled).expect("build");
+        prop_assert!(all_pages(&a) == all_pages(&b), "a permutation moved a page byte");
+
+        let fanout = PagedRTree::<1>::page_fanout();
+        let levels = level_fills(&a, &tree);
+        for fills in &levels {
+            let (last, full) = fills.split_last().expect("a level has a node");
+            prop_assert!(full.iter().all(|&f| f == fanout), "underfull node: {:?}", fills);
+            prop_assert!(*last <= fanout);
+        }
+        // ceil(n / F^k) nodes on level k, up to the one root.
+        let mut want = Vec::new();
+        let mut nodes = items.len();
+        loop {
+            nodes = nodes.div_ceil(fanout).max(1);
+            want.push(nodes);
+            if nodes == 1 {
+                break;
+            }
+        }
+        want.reverse();
+        let got: Vec<usize> = levels.iter().map(Vec::len).collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(tree.num_pages(), want.iter().sum::<usize>());
+        prop_assert_eq!(tree.height() as usize, want.len());
+    }
 
     #[test]
     fn frozen_tree_matches_paged_results_and_visits(

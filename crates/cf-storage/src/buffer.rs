@@ -40,11 +40,6 @@ struct Frame {
     stamp: u64,
     /// The frame holds bytes the disk does not have yet.
     dirty: bool,
-    /// Pin count: a pinned frame is never evicted. Pins are held for
-    /// the duration of a [`BufferPool::with_page`] closure, guarding
-    /// the borrow against any eviction path that might run under the
-    /// same shard lock.
-    pins: u32,
 }
 
 struct ShardInner {
@@ -85,10 +80,11 @@ impl Shard {
     }
 
     /// Evicts LRU victims until the shard holds at most its capacity
-    /// minus `headroom`, counting each eviction. Pinned frames are
-    /// skipped. Dirty victims are written back through `disk` first; a
-    /// failed write-back leaves the victim cached and dirty and
-    /// propagates the error. Call with the shard lock held.
+    /// minus `headroom`, counting each eviction. Dirty victims are
+    /// written back through `disk` first; a failed write-back leaves the
+    /// victim cached and dirty and propagates the error. Call with the
+    /// shard lock held: every borrow of a frame's bytes
+    /// ([`BufferPool::with_page`]) holds it too, so no victim is in use.
     fn evict_to_capacity(
         &self,
         inner: &mut ShardInner,
@@ -96,19 +92,11 @@ impl Shard {
         disk: &DiskManager,
     ) -> CfResult<()> {
         let limit = self.capacity.saturating_sub(headroom);
-        let mut skipped = 0usize;
-        while inner.frames.len() - skipped > limit {
-            let victim = inner
-                .lru
-                .iter()
-                .map(|(&stamp, &id)| (stamp, id))
-                .nth(skipped);
-            let Some((stamp, id)) = victim else { break };
+        while inner.frames.len() > limit {
+            let Some((&stamp, &id)) = inner.lru.first_key_value() else {
+                break;
+            };
             let frame = &inner.frames[&id];
-            if frame.pins > 0 {
-                skipped += 1;
-                continue;
-            }
             if frame.dirty {
                 disk.write_page(id, &frame.data)?;
                 self.writebacks.inc();
@@ -126,8 +114,8 @@ impl Shard {
 /// group flushing ([`BufferPool::flush_all`]).
 ///
 /// Lookups go through [`BufferPool::with_page`], which hands the caller a
-/// borrowed view of the page bytes; the frame is pinned for the closure's
-/// duration and the closure scope bounds the borrow.
+/// borrowed view of the page bytes under the shard lock; the closure
+/// scope bounds the borrow.
 pub struct BufferPool {
     shards: Vec<Shard>,
     /// Bit mask selecting a shard from the page-id hash
@@ -227,8 +215,8 @@ impl BufferPool {
 
     /// Runs `f` over the bytes of page `id`, faulting it in from `disk`
     /// on a miss (evicting the shard's least-recently-used frame — with
-    /// write-back if it is dirty — if the shard is full). The frame is
-    /// pinned while `f` runs.
+    /// write-back if it is dirty — if the shard is full). `f` runs under
+    /// the shard lock, so nothing evicts the frame while it reads.
     ///
     /// Pages enter the cache only after the physical read verified
     /// their checksum, so buffer hits never re-verify; a failed read
@@ -244,21 +232,14 @@ impl BufferPool {
         let stamp = inner.next_stamp;
         inner.next_stamp += 1;
 
-        if let Some(frame) = inner.frames.get_mut(&id) {
+        let ShardInner { frames, lru, .. } = &mut *inner;
+        if let Some(frame) = frames.get_mut(&id) {
             shard.hits.inc();
             tally::count_pool_hit();
-            let old = frame.stamp;
+            lru.remove(&frame.stamp);
+            lru.insert(stamp, id);
             frame.stamp = stamp;
-            frame.pins += 1;
-            inner.lru.remove(&old);
-            inner.lru.insert(stamp, id);
-            // Re-borrow immutably for the closure.
-            let frame = &inner.frames[&id];
-            let out = f(&frame.data);
-            if let Some(frame) = inner.frames.get_mut(&id) {
-                frame.pins -= 1;
-            }
-            return Ok(out);
+            return Ok(f(&frame.data));
         }
 
         // Miss: the shard lock is held across the disk read, so two
@@ -279,7 +260,6 @@ impl BufferPool {
                 data,
                 stamp,
                 dirty: false,
-                pins: 0,
             },
         );
         Ok(f(&inner.frames[&id].data))
@@ -356,7 +336,6 @@ impl BufferPool {
                 data: Box::new(*buf),
                 stamp,
                 dirty: true,
-                pins: 0,
             },
         );
         Ok(())
@@ -410,16 +389,9 @@ impl BufferPool {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut inner = shard.inner.lock().expect("buffer shard poisoned");
-            let keep: Vec<(PageId, Frame)> = inner
-                .frames
-                .drain()
-                .filter(|(_, f)| f.dirty || f.pins > 0)
-                .collect();
-            inner.lru.clear();
-            for (id, frame) in keep {
-                inner.lru.insert(frame.stamp, id);
-                inner.frames.insert(id, frame);
-            }
+            let ShardInner { frames, lru, .. } = &mut *inner;
+            frames.retain(|_, f| f.dirty);
+            lru.retain(|_, id| frames.contains_key(id));
         }
     }
 

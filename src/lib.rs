@@ -49,7 +49,7 @@
 //! | [`geom`] | points, boxes, intervals, triangles, polygon clipping |
 //! | [`sfc`] | Hilbert / Z-order / Gray-code curves |
 //! | [`storage`] | pages, simulated disk, buffer pool, record files |
-//! | [`rtree`] | R\*-tree: built by R\* insertion, maintained on pages |
+//! | [`rtree`] | packed R-tree on pages: STR bulk build, boxes rewritten in place |
 //! | [`delaunay`] | Bowyer–Watson triangulation |
 //! | [`field`] | DEM / TIN / vector field models, estimation step |
 //! | [`index`] | LinearScan, I-All, I-Hilbert, Interval Quadtree, Q1 |
