@@ -11,7 +11,8 @@
 //! * [`BufferPool`] — a sharded LRU page cache with pin-free closure
 //!   access, per-shard hit/miss statistics and explicit invalidation (so
 //!   benchmarks can run queries cold, as the paper's setup effectively
-//!   did).
+//!   did). Each shard is an exact-LRU slab: a hit is one hash-table
+//!   probe and two list splices, and frames are allocated on first use.
 //! * [`StorageEngine`] — the façade bundling the two; all index and cell
 //!   file accesses in the workspace go through it.
 //! * [`CellFile`] — the record file: fixed-size records in consecutive
