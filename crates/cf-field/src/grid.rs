@@ -232,12 +232,16 @@ impl FieldModel for GridField {
         Interval::hull(&self.values).expect("non-empty grid")
     }
 
-    fn cell_bbox(&self, cell: usize) -> Aabb<2> {
-        self.cell_box(cell)
+    #[inline]
+    fn record_bbox(rec: &GridCellRecord) -> Aabb<2> {
+        Aabb {
+            lo: [rec.x0, rec.y0],
+            hi: [rec.x1, rec.y1],
+        }
     }
 
     fn record_value_at(rec: &GridCellRecord, p: Point2) -> Option<f64> {
-        if !Aabb::new([rec.x0, rec.y0], [rec.x1, rec.y1]).contains_point(&[p.x, p.y]) {
+        if !Self::record_bbox(rec).contains_point(&[p.x, p.y]) {
             return None;
         }
         let u = (p.x - rec.x0) / (rec.x1 - rec.x0);
@@ -404,6 +408,33 @@ mod tests {
             let iv = GridField::record_interval(&rec);
             assert!(iv.is_nan(), "{iv}");
             assert!(!iv.intersects(Interval::new(-1e300, 1e300)));
+        }
+    }
+
+    #[test]
+    fn record_bbox_is_the_cell_and_bad_corners_answer_nowhere() {
+        let g = plane_grid();
+        for cell in 0..g.num_cells() {
+            let rec = g.cell_record(cell);
+            assert_eq!(GridField::record_bbox(&rec), g.cell_box(cell));
+        }
+        // Corners decoded from bytes may be inverted or NaN: no point is
+        // inside, and neither method panics.
+        let rec = g.cell_record(0);
+        let inverted = GridCellRecord {
+            x0: rec.x1,
+            x1: rec.x0,
+            ..rec
+        };
+        let nan = GridCellRecord {
+            y0: f64::NAN,
+            ..rec
+        };
+        let mid = Point2::new((rec.x0 + rec.x1) / 2.0, (rec.y0 + rec.y1) / 2.0);
+        assert!(GridField::record_value_at(&rec, mid).is_some());
+        for bad in [inverted, nan] {
+            assert_eq!(GridField::record_value_at(&bad, mid), None);
+            assert!(!GridField::record_bbox(&bad).contains_point(&[mid.x, mid.y]));
         }
     }
 

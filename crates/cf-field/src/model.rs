@@ -80,8 +80,9 @@ pub trait FieldModel {
     /// outside the domain.
     fn value_at(&self, p: Point2) -> Option<f64>;
 
-    /// Spatial bounding box of a cell (key of the Q1 spatial index).
-    fn cell_bbox(&self, cell: usize) -> Aabb<2>;
+    /// A box holding every point where [`FieldModel::record_value_at`]
+    /// answers for `rec` (a term of its page's Q1 box); must not panic.
+    fn record_bbox(rec: &Self::CellRec) -> Aabb<2>;
 
     /// Interpolates the field value at `p` from a stored cell record, or
     /// `None` when `p` lies outside the cell — the per-cell step of a

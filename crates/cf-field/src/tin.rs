@@ -166,8 +166,9 @@ impl FieldModel for TinField {
             .interpolate(self.cell_vertex_values(cell), p)
     }
 
-    fn cell_bbox(&self, cell: usize) -> Aabb<2> {
-        self.cell_triangle(cell).bbox()
+    #[inline]
+    fn record_bbox(rec: &TinCellRecord) -> Aabb<2> {
+        rec.triangle().contains_bbox()
     }
 
     fn record_value_at(rec: &TinCellRecord, p: Point2) -> Option<f64> {
@@ -213,6 +214,25 @@ mod tests {
         // Point on edge between (0,0)=0 and center=10.
         assert!((tin.value_at(Point2::new(0.25, 0.25)).unwrap() - 5.0).abs() < 1e-9);
         assert_eq!(tin.value_at(Point2::new(2.0, 2.0)), None);
+    }
+
+    #[test]
+    fn record_bbox_holds_every_point_the_record_answers() {
+        let tin = sample_tin();
+        let step = 1.0 / 64.0;
+        for cell in 0..tin.num_cells() {
+            let rec = tin.cell_record(cell);
+            let bbox = TinField::record_bbox(&rec);
+            assert!(bbox.contains(&Aabb::hull_of_points(&rec.points)));
+            for i in -2..=66 {
+                for j in -2..=66 {
+                    let p = Point2::new(i as f64 * step, j as f64 * step);
+                    if TinField::record_value_at(&rec, p).is_some() {
+                        assert!(bbox.contains_point(&[p.x, p.y]), "cell {cell} at {p}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,9 @@
 
 use crate::{Aabb, Point2, EPSILON};
 
+/// How far below 0 [`Triangle::contains`] lets a coordinate go.
+const TOLERANCE: f64 = 1e-9;
+
 /// A triangle in the 2-D spatial domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Triangle {
@@ -45,12 +48,6 @@ impl Triangle {
         Point2::new((a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0)
     }
 
-    /// Axis-aligned bounding box.
-    #[inline]
-    pub fn bbox(&self) -> Aabb<2> {
-        Aabb::hull_of_points(&self.vertices)
-    }
-
     /// Barycentric coordinates `(λ0, λ1, λ2)` of `p` with respect to the
     /// triangle's vertices, or `None` for a degenerate triangle.
     ///
@@ -72,8 +69,35 @@ impl Triangle {
     /// triangle (with a small tolerance).
     pub fn contains(&self, p: Point2) -> bool {
         match self.barycentric(p) {
-            Some(l) => l.iter().all(|&x| x >= -1e-9),
+            Some(l) => l.iter().all(|&x| x >= -TOLERANCE),
             None => false,
+        }
+    }
+
+    /// A box holding every point [`Triangle::contains`] accepts: the
+    /// vertices' box, widened by the tolerance and by a bound on the
+    /// rounding error, which grows as the triangle flattens.
+    #[inline]
+    pub fn contains_bbox(&self) -> Aabb<2> {
+        let [a, b, c] = self.vertices;
+        let denom = a.cross(b, c).abs();
+        if denom.is_nan() || denom < EPSILON {
+            return Aabb::EMPTY;
+        }
+        // No coordinate is NaN here: plain compares, not `f64::min`.
+        let (min, max) = (
+            |x: f64, y: f64| if y < x { y } else { x },
+            |x: f64, y: f64| if y > x { y } else { x },
+        );
+        let lo = [min(min(a.x, b.x), c.x), min(min(a.y, b.y), c.y)];
+        let hi = [max(max(a.x, b.x), c.x), max(max(a.y, b.y), c.y)];
+        let w = max(hi[0] - lo[0], hi[1] - lo[1]);
+        // A coordinate of `-t` lies at most `3 t w` outside the box, and
+        // near it the coordinates err by under `256 u w² / denom`.
+        let pad = 2.0 * w * (3.0 * TOLERANCE + 256.0 * f64::EPSILON * w * w / denom);
+        Aabb {
+            lo: [lo[0] - pad, lo[1] - pad],
+            hi: [hi[0] + pad, hi[1] + pad],
         }
     }
 
@@ -160,6 +184,76 @@ mod tests {
     }
 
     #[test]
+    fn contains_bbox_holds_every_contained_point() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut near_misses = 0;
+        for round in 0..4000 {
+            // Offsets up to 1e6 and sizes down to 1e-4, and every
+            // fourth triangle a sliver whose third vertex sits almost
+            // on the line through the other two.
+            let off = Point2::new(rng.gen_range(-1e6..1e6), rng.gen_range(-1e6..1e6));
+            let size = 10f64.powf(rng.gen_range(-4.0..1.0));
+            let mut v = [Point2::new(0.0, 0.0); 3];
+            for p in &mut v {
+                *p = Point2::new(
+                    off.x + rng.gen_range(0.0..size),
+                    off.y + rng.gen_range(0.0..size),
+                );
+            }
+            if round % 4 == 0 {
+                let t = rng.gen_range(0.0..1.0);
+                let lift = size * 10f64.powf(rng.gen_range(-9.0..-3.0));
+                v[2] = Point2::new(
+                    v[0].x + t * (v[1].x - v[0].x) - lift,
+                    v[0].y + t * (v[1].y - v[0].y) + lift,
+                );
+            }
+            let tri = Triangle::new(v[0], v[1], v[2]);
+            let bbox = tri.contains_bbox();
+            let plain = Aabb::hull_of_points(&v);
+            // Probe just outside every vertex and edge, at steps from
+            // one rounding unit up to the tolerance and beyond.
+            for i in 0..3 {
+                let (p, q) = (v[i], v[(i + 1) % 3]);
+                let s: f64 = rng.gen_range(0.0..1.0);
+                let on_edge = Point2::new(p.x + s * (q.x - p.x), p.y + s * (q.y - p.y));
+                for base in [p, on_edge] {
+                    for _ in 0..8 {
+                        let step = size * 10f64.powf(rng.gen_range(-17.0..-6.0));
+                        let probe = Point2::new(
+                            base.x + step * rng.gen_range(-1.0..1.0),
+                            base.y + step * rng.gen_range(-1.0..1.0),
+                        );
+                        if tri.contains(probe) {
+                            assert!(
+                                bbox.contains_point(&[probe.x, probe.y]),
+                                "round {round}: {probe} escapes {bbox:?}"
+                            );
+                            near_misses += usize::from(!plain.contains_point(&[probe.x, probe.y]));
+                        }
+                    }
+                }
+            }
+        }
+        // The tolerance really does accept points outside the plain box.
+        assert!(near_misses > 0);
+        let line = Triangle::new(
+            Point2::new(0.0, 0.0),
+            Point2::new(1.0, 1.0),
+            Point2::new(2.0, 2.0),
+        );
+        assert_eq!(line.contains_bbox(), Aabb::EMPTY);
+        let [_, b, c] = unit_right().vertices;
+        let nan = Triangle::new(Point2::new(f64::NAN, 0.0), b, c);
+        assert_eq!(nan.contains_bbox(), Aabb::EMPTY);
+        // Infinite corners contain nothing either, and must not panic.
+        let inf = Triangle::new(Point2::new(f64::INFINITY, 0.0), b, c);
+        assert!(!inf.contains(Point2::new(0.5, 0.5)));
+        let _ = inf.contains_bbox();
+    }
+
+    #[test]
     fn linear_interpolation_is_exact_for_planes() {
         // Field w(x, y) = 3 + 2x − y is linear, so barycentric
         // interpolation must reproduce it anywhere.
@@ -195,8 +289,8 @@ mod tests {
 
     #[test]
     fn bbox_covers_vertices() {
-        let t = unit_right();
-        let b = t.bbox();
-        assert_eq!(b, Aabb::new([0.0, 0.0], [1.0, 1.0]));
+        let b = unit_right().contains_bbox();
+        assert!(b.contains(&Aabb::new([0.0, 0.0], [1.0, 1.0])));
+        assert!(!b.contains_point(&[1.0, 1.0 + 1e-6]));
     }
 }

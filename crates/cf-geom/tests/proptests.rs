@@ -89,7 +89,7 @@ proptest! {
         prop_assume!(t.area() > 1e-3);
         prop_assert!(t.contains(t.centroid()));
         let ct = t.centroid();
-        prop_assert!(t.bbox().contains_point(&[ct.x, ct.y]));
+        prop_assert!(t.contains_bbox().contains_point(&[ct.x, ct.y]));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Everything the index owns already lives on pages, each fact once and
 //! written by the build: the cell file, the R\*-tree (whose leaves are
-//! the subfield catalog) and the cell→position map. The catalog records
-//! where each of those starts, plus a magic/version header;
+//! the subfield catalog), the position map and the Q1 box file. The
+//! catalog records where each of those starts, plus a magic/version header;
 //! [`IHilbert::save`] writes it and [`IHilbert::open`] reattaches,
 //! walking the tree to rebuild the subfield list.
 //!
@@ -28,8 +28,9 @@
 //! process finds the catalog with [`read_bootstrap`] alone.
 //! [`open_database`] reopens such a file and refuses a path with no file
 //! behind it, which [`StorageEngine::open_file`] would create.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
-use crate::ihilbert::{method_label, IHilbert, PosRecord};
+use crate::ihilbert::{method_label, IHilbert, PageBox, PosRecord};
 use crate::ingest::{DeltaRec, IngestConfig, LiveIngest};
 use crate::sfindex::SubfieldIndex;
 use cf_field::FieldModel;
@@ -48,13 +49,13 @@ const MAGIC: u64 = 0x3142_444C_4549_4643;
 /// the compressed layout needs to locate its page directory; 4 appends
 /// the live-ingest epoch pointer and the flushed delta file's run, so
 /// a [`LiveIngest`] plane survives close/reopen; 5 drops the subfield
-/// file, whose facts the tree's leaves already hold). Every other
-/// version is refused as unsupported.
-const VERSION: u32 = 5;
+/// file, whose facts the tree's leaves already hold; 6 appends the box
+/// file's first page). Every other version is refused as unsupported.
+const VERSION: u32 = 6;
 /// Number of slot pages a catalog occupies.
 const NUM_SLOTS: u64 = 2;
 /// Bytes covered by the slot checksum (header + payload).
-const CRC_COVER: usize = 120;
+const CRC_COVER: usize = 128;
 
 fn curve_tag(curve: Curve) -> u32 {
     match curve {
@@ -98,6 +99,8 @@ struct Slot {
     delta_first: u64,
     /// Net delta records flushed alongside the base (0: empty delta).
     delta_len: usize,
+    /// First page of the box file (one entry per cell-file data page).
+    box_first: u64,
 }
 
 fn encode_slot(slot: &Slot) -> PageBuf {
@@ -119,7 +122,8 @@ fn encode_slot(slot: &Slot) -> PageBuf {
     off = codec::put_u64(&mut buf, off, slot.cell_data_pages);
     off = codec::put_u64(&mut buf, off, slot.ingest_epoch);
     off = codec::put_u64(&mut buf, off, slot.delta_first);
-    let end = codec::put_u64(&mut buf, off, slot.delta_len as u64);
+    off = codec::put_u64(&mut buf, off, slot.delta_len as u64);
+    let end = codec::put_u64(&mut buf, off, slot.box_first);
     debug_assert_eq!(end, CRC_COVER);
     let crc = checksum::crc32(&buf[..CRC_COVER]);
     codec::put_u32(&mut buf, CRC_COVER, crc);
@@ -192,6 +196,7 @@ fn decode_slot(page: PageId, buf: &PageBuf) -> CfResult<Slot> {
         ingest_epoch: next(8),
         delta_first: next(8),
         delta_len: next(8) as usize,
+        box_first: next(8),
     })
 }
 
@@ -216,9 +221,9 @@ impl<F: FieldModel> IHilbert<F> {
     /// (allocated by a previous [`IHilbert::save`]), committing via the
     /// shadow-slot protocol.
     ///
-    /// The cell file, tree and position map are already on pages; this
-    /// flushes the pool's dirty frames, then commits by writing the
-    /// serialized catalog into the slot that is *not* currently live.
+    /// Every file the slot names is already on pages; this flushes the
+    /// pool's dirty frames, then commits by writing the serialized
+    /// catalog into the slot that is *not* currently live.
     /// The old catalog stays intact (and wins on [`IHilbert::open`])
     /// until that final single-page write lands whole. After a flush,
     /// a save is that one page write.
@@ -290,6 +295,7 @@ impl<F: FieldModel> IHilbert<F> {
             ingest_epoch,
             delta_first,
             delta_len,
+            box_first: self.box_file.first_page().0,
         };
         // Commit point: one full-page write. Torn → CRC mismatch → the
         // slot is not live and the previous epoch still wins.
@@ -315,13 +321,15 @@ impl<F: FieldModel> IHilbert<F> {
     /// consistent catalog, when the winning slot references pages past
     /// the end of the database (a corrupt length field), or when the
     /// tree's leaves are not a subfield catalog of the cell file.
+    /// So is a slot with pending delta records, which only
+    /// [`LiveIngest::open`] would not drop.
     pub fn open(engine: &StorageEngine, catalog: PageId) -> CfResult<Self> {
-        Self::open_slot(engine, catalog).map(|(index, _)| index)
+        Self::open_slot(engine, catalog, false).map(|(index, _)| index)
     }
 
     /// [`IHilbert::open`] plus the winning slot itself, so the
-    /// live-ingest reopen path can reach the delta fields.
-    fn open_slot(engine: &StorageEngine, catalog: PageId) -> CfResult<(Self, Slot)> {
+    /// live-ingest reopen path (alone passing `delta`) can replay it.
+    fn open_slot(engine: &StorageEngine, catalog: PageId, delta: bool) -> CfResult<(Self, Slot)> {
         let mut winner: Option<Slot> = None;
         let mut failures: Vec<String> = Vec::new();
         for i in 0..NUM_SLOTS {
@@ -340,6 +348,11 @@ impl<F: FieldModel> IHilbert<F> {
                 format!("no valid catalog slot ({})", failures.join("; ")),
             ));
         };
+        if slot.delta_len > 0 && !delta {
+            let n = slot.delta_len;
+            let msg = format!("{n} pending delta records: use LiveIngest::open");
+            return Err(CfError::corrupt(catalog, msg));
+        }
 
         let pos_file = RecordFile::<PosRecord>::open(PageId(slot.pos_first), slot.pos_len);
 
@@ -375,11 +388,18 @@ impl<F: FieldModel> IHilbert<F> {
                 ),
             ));
         }
+        // One box per cell-file data page (a raw file has no directory).
+        let data_pages = match slot.codec {
+            PageCodec::Raw => cell_pages,
+            PageCodec::Compressed => slot.cell_data_pages,
+        };
+        let box_file = RecordFile::<PageBox>::open(PageId(slot.box_first), data_pages as usize);
         let spans = [
             ("cell file", slot.cell_first, cell_pages),
             ("position map", slot.pos_first, pos_file.num_pages() as u64),
             ("tree", slot.t_root - (slot.t_pages - 1), slot.t_pages),
             ("delta file", slot.delta_first, delta_pages),
+            ("box file", slot.box_first, box_file.num_pages() as u64),
         ];
         for (what, first, len) in spans {
             if first.saturating_add(len) > num_pages {
@@ -416,6 +436,7 @@ impl<F: FieldModel> IHilbert<F> {
             curve: slot.curve,
             cell_to_pos,
             pos_file,
+            box_file,
         };
         // Structural health gauges come straight from the reopened
         // metadata; the cost-C distribution needs per-cell intervals and
@@ -458,7 +479,7 @@ impl<F: FieldModel> LiveIngest<F> {
     /// overlay maps (rebuilding the per-subfield interval summary) and
     /// resumes publishing from the persisted epoch.
     pub fn open(engine: &StorageEngine, catalog: PageId, config: IngestConfig) -> CfResult<Self> {
-        let (base, slot) = IHilbert::<F>::open_slot(engine, catalog)?;
+        let (base, slot) = IHilbert::<F>::open_slot(engine, catalog, true)?;
         let ring: Vec<DeltaRec<F::CellRec>> = if slot.delta_len > 0 {
             RecordFile::<DeltaRec<F::CellRec>>::open(PageId(slot.delta_first), slot.delta_len)
                 .read_range(engine, 0..slot.delta_len)?
@@ -648,7 +669,7 @@ mod tests {
         let engine = StorageEngine::in_memory();
         let field = bumpy_field(8);
         let built = IHilbert::build(&engine, &field).expect("build");
-        // The previous format (v4, which had a subfield file) is refused
+        // The previous format (v5, which had no box file) is refused
         // like a future one: catalog versions are not migrated.
         for version in [VERSION - 1, VERSION + 7] {
             let catalog = built.save(&engine).expect("save");
@@ -683,6 +704,31 @@ mod tests {
             err.to_string().contains("spans pages"),
             "unexpected message: {err}"
         );
+    }
+
+    #[test]
+    fn rejects_a_box_file_past_the_database_end() {
+        let engine = StorageEngine::in_memory();
+        let built = IHilbert::build(&engine, &bumpy_field(8)).expect("build");
+        let catalog = built.save(&engine).expect("save");
+        // box_first, the slot's last field: one page short of the end.
+        let last = engine.num_pages() as u64 - 1;
+        edit_slot(&engine, catalog, |buf| {
+            codec::put_u64(buf, CRC_COVER - 8, last + 1);
+        });
+        let err = IHilbert::<GridField>::open(&engine, catalog)
+            .map(|_| ())
+            .expect_err("box file past the end");
+        assert!(err.is_corrupt());
+        assert!(
+            err.to_string().contains("catalog box file spans pages"),
+            "unexpected message: {err}"
+        );
+        // The last page itself is still inside: the span check passes.
+        edit_slot(&engine, catalog, |buf| {
+            codec::put_u64(buf, CRC_COVER - 8, last);
+        });
+        IHilbert::<GridField>::open(&engine, catalog).expect("in bounds");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! executor against. The volume and vector indexes share its filter
 //! ([`search_ranges`], generic over the tree dimension) and its range
 //! merge rule ([`coalesce`]) through [`probe`].
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::sfindex::subfield_of;
 use crate::stats::{QueryMetrics, QueryStats, RegionSink};

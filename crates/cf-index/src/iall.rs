@@ -12,6 +12,7 @@
 //! one-cell subfield `[cell, cell + 1)`. Its tree therefore holds one
 //! entry per cell, and a query reads the coalesced candidate runs with
 //! the same range sweep as every other index — each page once.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::ihilbert::check_record;
 use crate::order::check_cell_count;
@@ -21,7 +22,7 @@ use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::Interval;
-use cf_storage::{CfError, CfResult, StorageEngine};
+use cf_storage::{CellFile, CfError, CfResult, StorageEngine};
 
 /// One R\*-tree entry per cell: `interval → cell`, each cell stored as
 /// the one-record [`Subfield`] it is.
@@ -36,7 +37,7 @@ impl<F: FieldModel> IAll<F> {
     pub fn build(engine: &StorageEngine, field: &F) -> CfResult<Self> {
         let n = field.num_cells();
         check_cell_count(n)?;
-        let records = (0..n).map(|c| field.cell_record(c)).collect();
+        let file = CellFile::create(engine, (0..n).map(|c| field.cell_record(c)))?;
         let cells: Vec<Subfield> = (0..n)
             .map(|cell| Subfield {
                 start: cell as u32,
@@ -44,7 +45,7 @@ impl<F: FieldModel> IAll<F> {
                 interval: field.cell_interval(cell),
             })
             .collect();
-        let inner = SubfieldIndex::build_from_records(engine, records, &cells, "I-All", "-")?;
+        let inner = SubfieldIndex::build(engine, file, &cells, "I-All", "-")?;
         Ok(Self { inner })
     }
 

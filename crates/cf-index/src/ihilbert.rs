@@ -4,7 +4,8 @@
 //! are formed by the greedy cost rule of §3.1.2; only subfield intervals
 //! enter the 1-D R\*-tree, and each subfield's cells are physically
 //! contiguous in the cell file, so the estimation step reads compact
-//! page runs.
+//! page runs. The same file answers Q1 ([`IHilbert::value_at`]).
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::order::{cell_order, check_cell_count};
 use crate::planner::Plan;
@@ -12,7 +13,7 @@ use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{build_subfields, subfield_costs, SubfieldConfig};
 use cf_field::FieldModel;
-use cf_geom::Interval;
+use cf_geom::{Aabb, Interval, Point2};
 use cf_sfc::Curve;
 use cf_storage::{codec, CellFile, CfError, CfResult, Record, RecordFile, StorageEngine};
 
@@ -42,6 +43,45 @@ impl Record for PosRecord {
     }
 }
 
+/// A box file entry: the union of one data page's record boxes
+/// ([`FieldModel::record_bbox`]), `[lo, hi]` as four `f64`s.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PageBox(pub(crate) Aabb<2>);
+
+impl Record for PageBox {
+    const SIZE: usize = 32;
+
+    fn encode(&self, buf: &mut [u8]) {
+        for (i, v) in self.0.lo.into_iter().chain(self.0.hi).enumerate() {
+            codec::put_f64(buf, 8 * i, v);
+        }
+    }
+
+    fn decode(buf: &[u8]) -> Self {
+        let v = |i: usize| codec::get_f64(buf, 8 * i);
+        Self(Aabb {
+            lo: [v(0), v(1)],
+            hi: [v(2), v(3)],
+        })
+    }
+}
+
+/// Writes the box file of the cell file `file` holding `records`.
+pub(crate) fn write_page_boxes<F: FieldModel>(
+    engine: &StorageEngine,
+    file: &CellFile<F::CellRec>,
+    records: &[F::CellRec],
+) -> CfResult<CellFile<PageBox>> {
+    let page_box = |page| {
+        let recs = &records[file.page_span(page)];
+        PageBox(
+            recs.iter()
+                .fold(Aabb::EMPTY, |acc, r| acc.union(&F::record_bbox(r))),
+        )
+    };
+    RecordFile::create(engine, (0..file.data_pages()).map(page_box))
+}
+
 /// The I-Hilbert value index.
 pub struct IHilbert<F: FieldModel> {
     /// The index core, labelled [`method_label`]`(curve)` and
@@ -54,6 +94,8 @@ pub struct IHilbert<F: FieldModel> {
     /// update or repack moves a cell, so every later catalog slot
     /// points at the same run.
     pub(crate) pos_file: CellFile<PosRecord>,
+    /// Box file (always raw): entry `i` is data page `i`'s [`PageBox`].
+    pub(crate) box_file: CellFile<PageBox>,
 }
 
 impl<F: FieldModel> IHilbert<F> {
@@ -65,7 +107,7 @@ impl<F: FieldModel> IHilbert<F> {
     /// Builds the index with explicit parameters: linearize the cells
     /// along the curve, group them greedily into subfields (§3.1.2),
     /// write the cell file in that order, index the subfield intervals
-    /// and write the cell→position map.
+    /// and write the cell→position map and the box file.
     ///
     /// # Errors
     ///
@@ -78,14 +120,14 @@ impl<F: FieldModel> IHilbert<F> {
         let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
         let subfields = build_subfields(&intervals, config.subfield);
         let curve = config.curve;
-        let inner = SubfieldIndex::build(
-            engine,
-            field,
-            &order,
-            &subfields,
-            &method_label(curve),
-            curve.name(),
-        )?;
+        let records: Vec<F::CellRec> = order.iter().map(|&c| field.cell_record(c)).collect();
+        // The box run is allocated between the cell and tree runs, as at
+        // a repack: so placed, repacks reuse freed space (DESIGN §17.7).
+        let file = CellFile::create(engine, records.iter().cloned())?;
+        let box_file = write_page_boxes::<F>(engine, &file, &records)?;
+        drop(records);
+        let (label, curve_name) = (method_label(curve), curve.name());
+        let inner = SubfieldIndex::build(engine, file, &subfields, &label, curve_name)?;
         // Exact per-subfield cost C = P/SI (the paper's `P = L`, base
         // 1) — the per-cell intervals are in hand only here at build
         // time, so this is where the health metrics get the full
@@ -107,6 +149,7 @@ impl<F: FieldModel> IHilbert<F> {
             curve,
             cell_to_pos,
             pos_file,
+            box_file,
         })
     }
 
@@ -135,26 +178,19 @@ impl<F: FieldModel> IHilbert<F> {
             .unwrap_or(Interval::point(0.0))
     }
 
-    /// Q1 point query answered from the cell records alone (sequential
-    /// probe of the cell file, no spatial index) — the fallback path a
-    /// reopened database uses when only the value index was persisted.
-    /// Prefer [`crate::PointIndex`] for Q1-heavy workloads.
-    pub fn value_at_via_records(
-        &self,
-        engine: &StorageEngine,
-        p: cf_geom::Point2,
-    ) -> CfResult<Option<f64>> {
-        let mut answer = None;
-        self.inner
-            .file
-            .for_each_in_range(engine, 0..self.inner.file.len(), |_, rec| {
-                if answer.is_none() {
-                    if let Some(v) = F::record_value_at(&rec, p) {
-                        answer = Some(v);
-                    }
-                }
-            })?;
-        Ok(answer)
+    /// Q1 (§2.2.1): the value at `p`, or `None` outside the domain. Reads
+    /// the box file, then the pages whose box holds `p` up to the first
+    /// record that answers — a full scan's answer, bit for bit.
+    pub fn value_at(&self, engine: &StorageEngine, p: Point2) -> CfResult<Option<f64>> {
+        let boxes = self.box_file.read_range(engine, 0..self.box_file.len())?;
+        let file = &self.inner.file;
+        for page in (0..boxes.len()).filter(|&i| boxes[i].0.contains_point(&[p.x, p.y])) {
+            let records = file.read_range(engine, file.page_span(page))?;
+            if let Some(v) = records.iter().find_map(|rec| F::record_value_at(rec, p)) {
+                return Ok(Some(v));
+            }
+        }
+        Ok(None)
     }
 
     /// Incremental maintenance: applies an updated record for `cell`
@@ -166,7 +202,7 @@ impl<F: FieldModel> IHilbert<F> {
     /// hulls ([`cf_rtree::PagedRTree::replace_entry`]). Subfield
     /// *boundaries* are not re-optimized — the greedy grouping is a
     /// build-time decision, as in the paper — so the tree never changes
-    /// shape and no page is allocated.
+    /// shape and no page is allocated (the page's Q1 box widens first).
     ///
     /// # Errors
     ///
@@ -185,6 +221,11 @@ impl<F: FieldModel> IHilbert<F> {
     ) -> CfResult<()> {
         check_record::<F>(cell, &record)?;
         let pos = self.resolve_cell(cell)?;
+        let page = self.inner.file.page_no_of(pos);
+        let (PageBox(old), new) = (self.box_file.get(engine, page)?, F::record_bbox(&record));
+        if !old.contains(&new) {
+            self.box_file.put(engine, page, &PageBox(old.union(&new)))?;
+        }
         self.inner.update_record(engine, pos, &record)
     }
 
@@ -411,6 +452,44 @@ mod tests {
                 a.area,
                 b.area
             );
+        }
+    }
+
+    #[test]
+    fn q1_reads_the_box_pages_then_candidates_up_to_the_first_answer() {
+        let engine = StorageEngine::in_memory();
+        let field = smooth_field(48);
+        let index = IHilbert::build(&engine, &field).expect("build");
+        let file = &index.inner.file;
+        let boxes = index
+            .box_file
+            .read_range(&engine, 0..index.box_file.len())
+            .expect("boxes");
+        assert_eq!(boxes.len(), file.data_pages());
+        let box_pages = index.box_file.num_pages() as u64;
+        assert_eq!(box_pages, file.data_pages().div_ceil(128) as u64);
+        let answers_on = |page: usize, p: Point2| {
+            let recs = file
+                .read_range(&engine, file.page_span(page))
+                .expect("page");
+            recs.iter()
+                .any(|rec| cf_field::GridField::record_value_at(rec, p).is_some())
+        };
+        let mut rng = StdRng::seed_from_u64(21);
+        for _ in 0..200 {
+            let p = Point2::new(rng.gen_range(-1.0..49.0), rng.gen_range(-1.0..49.0));
+            let candidates: Vec<usize> = (0..boxes.len())
+                .filter(|&page| boxes[page].0.contains_point(&[p.x, p.y]))
+                .collect();
+            let read = match candidates.iter().position(|&page| answers_on(page, p)) {
+                Some(k) => k + 1,
+                None => candidates.len(),
+            };
+            let before = cf_storage::thread_io_stats();
+            let got = index.value_at(&engine, p).expect("q1");
+            let reads = (cf_storage::thread_io_stats() - before).logical_reads();
+            assert_eq!(reads, box_pages + read as u64, "at {p}");
+            assert_eq!(got.is_some(), field.value_at(p).is_some(), "at {p}");
         }
     }
 

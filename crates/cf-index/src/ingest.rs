@@ -39,16 +39,19 @@
 //! the published `Arc` and query an immutable snapshot, so in-flight
 //! queries never observe a half-applied write and a repack never
 //! stalls them.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::exec::Delta;
-use crate::ihilbert::{check_record, method_label, IHilbert};
+use crate::ihilbert::{check_record, method_label, write_page_boxes, IHilbert};
 use crate::planner::{Plan, Router};
 use crate::sfindex::{subfield_of, SubfieldIndex};
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::Interval;
-use cf_storage::{codec, CfError, CfResult, EpochPin, Gauge, Record, Stopwatch, StorageEngine};
+use cf_storage::{
+    codec, CellFile, CfError, CfResult, EpochPin, Gauge, Record, Stopwatch, StorageEngine,
+};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
@@ -347,10 +350,10 @@ impl<F: FieldModel> LiveIngest<F> {
     ///
     /// Subfields are regrouped by the paper's static cost function, the
     /// rule [`IHilbert::build`] uses, so the new base's catalog depends
-    /// on the records alone. The superseded cell-file and tree runs
-    /// are deferred to the engine's epoch GC and recycled once the last
-    /// reader of an older epoch drops; the position map, which no
-    /// repack changes, carries over to the new base.
+    /// on the records alone, and so is the new box file. The superseded
+    /// cell file, tree and box file runs are deferred to the engine's
+    /// epoch GC and recycled once the last reader of an older epoch
+    /// drops; the position map carries over to the new base.
     pub fn repack(&self, engine: &StorageEngine) -> CfResult<RepackReport> {
         let mut state = self.writer.lock().expect("writer state poisoned");
         self.repack_locked(engine, &mut state)
@@ -408,20 +411,23 @@ impl<F: FieldModel> LiveIngest<F> {
         let subfields = build_subfields(&intervals, SubfieldConfig::default());
         let old_cell = (inner.file.first_page(), inner.file.num_pages());
         let old_tree = inner.tree.page_run();
+        let old_boxes = old_base.box_file.clone();
 
         let curve = state.base.curve;
-        let new_inner = SubfieldIndex::build_from_records(
-            engine,
-            records,
-            &subfields,
-            &method_label(curve),
-            curve.name(),
-        )?;
+        // Cell, box, then tree run: a box run allocated after the tree
+        // splits the holes the next repack's cell run needs, and the
+        // file grows (DESIGN §17.7).
+        let file = CellFile::create(engine, records.iter().cloned())?;
+        let box_file = write_page_boxes::<F>(engine, &file, &records)?;
+        drop(records);
+        let (label, curve_name) = (method_label(curve), curve.name());
+        let new_inner = SubfieldIndex::build(engine, file, &subfields, &label, curve_name)?;
         let new_base = IHilbert {
             inner: new_inner,
             curve,
             cell_to_pos: old_base.cell_to_pos.clone(),
             pos_file: old_base.pos_file.clone(),
+            box_file,
         };
         new_base.inner.publish_health(engine.metrics(), None);
 
@@ -441,7 +447,8 @@ impl<F: FieldModel> LiveIngest<F> {
         // recycles them on a later `collect_deferred`.
         engine.defer_free_run(state.epoch, old_cell.0, old_cell.1);
         engine.defer_free_run(state.epoch, old_tree.0, old_tree.1);
-        let pages_retired = old_cell.1 + old_tree.1;
+        engine.defer_free_run(state.epoch, old_boxes.first_page(), old_boxes.num_pages());
+        let pages_retired = old_cell.1 + old_tree.1 + old_boxes.num_pages();
 
         self.publish_locked(engine, state);
         // Opportunistic collection: anything already unpinned (e.g. no

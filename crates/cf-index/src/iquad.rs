@@ -20,7 +20,7 @@ use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{subfield_costs, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval};
-use cf_storage::{CfResult, StorageEngine};
+use cf_storage::{CellFile, CfResult, StorageEngine};
 
 /// Hard recursion cap: guards against non-termination when many cell
 /// centroids coincide.
@@ -62,7 +62,8 @@ impl<F: FieldModel> IntervalQuadtree<F> {
         );
         debug_assert_eq!(order.len(), n);
 
-        let inner = SubfieldIndex::build(engine, field, &order, &subfields, "I-Quad", "-")?;
+        let file = CellFile::create(engine, order.iter().map(|&c| field.cell_record(c)))?;
+        let inner = SubfieldIndex::build(engine, file, &subfields, "I-Quad", "-")?;
         let costs = subfield_costs(&subfields, SubfieldConfig::default(), |pos| {
             intervals[order[pos]]
         });

@@ -31,9 +31,10 @@
 //! report per-query [`QueryStats`] (pages read, cells examined, answer
 //! area), so the benchmarks compare exactly what the paper compared.
 //!
-//! Also provided: [`PointIndex`] for conventional Q1 queries (a 2-D
-//! R\*-tree over cell MBRs, §2.2.1), [`VectorIHilbert`] extending
-//! subfields to `K`-dimensional value domains (§5 future work), and
+//! Also provided: conventional Q1 queries on the I-Hilbert cell file
+//! ([`IHilbert::value_at`], through a box per data page, §2.2.1),
+//! [`VectorIHilbert`] extending subfields to `K`-dimensional value
+//! domains (§5 future work), and
 //! [`QueryBatch`] — a parallel batch executor fanning Q2 queries across
 //! a scoped thread pool over any [`ValueIndex`], with exact per-query
 //! and aggregated statistics ([`BatchReport`]).
@@ -52,7 +53,6 @@ mod iquad;
 mod linear;
 mod order;
 mod planner;
-mod q1;
 mod sfindex;
 mod stats;
 mod subfield;
@@ -68,7 +68,6 @@ pub use iquad::IntervalQuadtree;
 pub use linear::LinearScan;
 pub use order::{cell_order, CURVE_ORDER};
 pub use planner::{AdaptiveIndex, Plan};
-pub use q1::{PointIndex, PointQueryStats};
 pub use stats::{QueryStats, RegionSink, ValueIndex};
 pub use subfield::{build_subfields, Subfield, SubfieldConfig, ValueSummary};
 pub use vector::{vector_linear_scan, VectorIHilbert};

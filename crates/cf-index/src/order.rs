@@ -212,7 +212,7 @@ mod tests {
         fn value_at(&self, _: Point2) -> Option<f64> {
             panic!("cell touched")
         }
-        fn cell_bbox(&self, _: usize) -> Aabb<2> {
+        fn record_bbox(_: &GridCellRecord) -> Aabb<2> {
             panic!("cell touched")
         }
         fn record_value_at(_: &GridCellRecord, _: Point2) -> Option<f64> {

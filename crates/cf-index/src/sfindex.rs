@@ -9,6 +9,7 @@
 //! I-Hilbert groups greedy runs along a curve, the Interval Quadtree
 //! groups quadtree leaves, and I-All is the identity — native order, one
 //! cell per subfield.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::exec::{self, Delta, Filter, SubfieldOverrides, Q2};
 use crate::planner::Plan;
@@ -50,46 +51,28 @@ pub(crate) struct SubfieldIndex<F: FieldModel> {
 }
 
 impl<F: FieldModel> SubfieldIndex<F> {
-    /// Writes cells in `order` and indexes `subfields` (expressed in
-    /// positions of `order`). `index` and `curve` name the owning method
+    /// Indexes `subfields` (expressed in positions of the cell file
+    /// `file`, just written in the intended order): their intervals are
+    /// packed bottom-up into the tree ([`PagedRTree::build`]), whatever
+    /// order they come in. `index` and `curve` name the owning method
     /// and its curve in every metric and EXPLAIN record.
-    pub(crate) fn build(
-        engine: &StorageEngine,
-        field: &F,
-        order: &[usize],
-        subfields: &[Subfield],
-        index: &str,
-        curve: &str,
-    ) -> CfResult<Self> {
-        debug_assert_eq!(order.len(), field.num_cells());
-        let records: Vec<F::CellRec> = order.iter().map(|&c| field.cell_record(c)).collect();
-        Self::build_from_records(engine, records, subfields, index, curve)
-    }
-
-    /// Builds an index over records already materialized by the caller
-    /// (the live-ingest repacker, which reads the old base and applies
-    /// its delta overlays before regrouping). The records must be in
-    /// the intended file order; `subfields` is expressed in positions
-    /// of that order. The subfield intervals are packed bottom-up into
-    /// the tree ([`PagedRTree::build`]), whatever order they come in.
     ///
     /// # Panics
     ///
-    /// Panics, before anything is written, if `records` holds more cells
-    /// than a `u32` subfield pointer can address.
-    pub(crate) fn build_from_records(
+    /// Panics if `file` holds more cells than a `u32` subfield pointer
+    /// can address (every build refuses such a field before writing).
+    pub(crate) fn build(
         engine: &StorageEngine,
-        records: Vec<F::CellRec>,
+        file: CellFile<F::CellRec>,
         subfields: &[Subfield],
         index: &str,
         curve: &str,
     ) -> CfResult<Self> {
         assert!(
-            records.len() <= u32::MAX as usize,
+            file.len() <= u32::MAX as usize,
             "cell file too large for u32 subfield pointers ({} cells)",
-            records.len()
+            file.len()
         );
-        let file = CellFile::create(engine, records)?;
         let tree = PagedRTree::build(
             engine,
             subfields.iter().map(|sf| (sf.interval.into(), sf.pack())),

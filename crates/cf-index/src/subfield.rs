@@ -22,6 +22,7 @@
 //! The same loop groups the cells of a `K`-component vector field, whose
 //! value summary is a box ([`ValueSummary`] for `Aabb<K>`): its size is
 //! `Π_d (extent_d + base)`, which for `K = 1` is the interval size.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use cf_geom::{Aabb, Interval};
 use cf_storage::{CfError, CfResult};

@@ -8,9 +8,9 @@
 //! pages are updated in place before the save, so whichever slot wins
 //! after the crash, the answers must reflect the current data.
 
-use cf_field::{FieldModel, GridField};
+use cf_field::{FieldModel, GridCellRecord, GridField};
 use cf_geom::Interval;
-use cf_index::{IHilbert, IHilbertConfig, LinearScan, QueryStats, ValueIndex};
+use cf_index::{cell_order, IHilbert, IHilbertConfig, LinearScan, QueryStats, ValueIndex};
 use cf_sfc::Curve;
 use cf_storage::{
     codec, compress, Fault, FaultOp, PageBuf, PageCodec, PageId, StorageConfig, StorageEngine,
@@ -450,14 +450,15 @@ fn repeated_saves_on_file_backing_reach_a_steady_state_size() {
                     let live =
                         LiveIngest::<GridField>::open(&engine, catalog, IngestConfig::default())
                             .expect("open");
+                    // The box file holds one 32-byte box per data page.
                     let base = {
                         let snap = live.snapshot();
-                        snap.data_pages() + snap.index_pages()
+                        snap.data_pages() + snap.index_pages() + snap.data_pages().div_ceil(128)
                     };
                     let retired = cycle(&engine, &live, catalog, &expected, ctx);
                     assert_eq!(
                         retired, base,
-                        "{ctx}: round {round} must retire the cell file and the tree"
+                        "{ctx}: round {round} must retire the cell file, the tree and the box file"
                     );
                     sizes.push(engine.num_pages());
                 }
@@ -764,6 +765,161 @@ fn live_ingest_save_crash_points_land_on_a_consistent_epoch() {
     assert!(
         crashes >= 2,
         "must cover delta flush and commit ({crashes} ordinals)"
+    );
+}
+
+/// A lattice of points between, on and around the cells of a
+/// `wavy_field(24, _)`.
+fn lattice() -> impl Iterator<Item = cf_geom::Point2> {
+    (0..=50).flat_map(|i| {
+        (0..=50).map(move |j| cf_geom::Point2::new(i as f64 * 0.5 - 0.25, j as f64 * 0.5 - 0.25))
+    })
+}
+
+/// Q1 answers of `index` on the [`lattice`], as bits.
+fn q1_answers(index: &IHilbert<GridField>, engine: &StorageEngine) -> Vec<Option<u64>> {
+    lattice()
+        .map(|p| index.value_at(engine, p).expect("q1").map(f64::to_bits))
+        .collect()
+}
+
+/// What a scan of a cell file holding `records` answers on the
+/// [`lattice`]: the first record that covers each point.
+fn q1_scan(records: &[GridCellRecord]) -> Vec<Option<u64>> {
+    lattice()
+        .map(|p| {
+            records
+                .iter()
+                .find_map(|rec| GridField::record_value_at(rec, p))
+                .map(f64::to_bits)
+        })
+        .collect()
+}
+
+/// The records of `field` in I-Hilbert file order.
+fn file_records(field: &GridField) -> Vec<GridCellRecord> {
+    cell_order(field, Curve::Hilbert)
+        .into_iter()
+        .map(|cell| field.cell_record(cell))
+        .collect()
+}
+
+/// What a reader of `catalog` sees on `engine`: Q2 and Q1 answers.
+type Seen = (Vec<QueryStats>, Vec<Option<u64>>);
+
+fn seen(engine: &StorageEngine, catalog: PageId) -> cf_storage::CfResult<Seen> {
+    let index = IHilbert::<GridField>::open(engine, catalog)?;
+    Ok((answers(&index, engine), q1_answers(&index, engine)))
+}
+
+fn same_seen(got: &Seen, want: &Seen) -> bool {
+    got.1 == want.1
+        && got.0.iter().zip(&want.0).all(|(g, w)| {
+            g.cells_qualifying == w.cells_qualifying
+                && g.num_regions == w.num_regions
+                && g.area.to_bits() == w.area.to_bits()
+        })
+}
+
+/// Crashes a write sequence that replaces every page an index reads —
+/// cell file, tree and box file — at each of its physical writes in
+/// turn, on a fresh engine each time: `setup` builds and saves the old
+/// state, `replace` writes the new one and commits it. After each crash
+/// a reader (its buffer pool lost) must see the old state or the new
+/// one, Q1 answers included; after the uncrashed run, the new one.
+fn crash_every_write_of(
+    ctx: &str,
+    setup: impl Fn(&StorageEngine) -> (PageId, Seen),
+    replace: impl Fn(&StorageEngine, PageId) -> cf_storage::CfResult<Seen>,
+) {
+    let mut crashes = 0;
+    for k in 0u64.. {
+        let engine = StorageEngine::in_memory();
+        let (catalog, old) = setup(&engine);
+        engine.flush().expect("drain pool");
+        engine.clear_faults();
+        engine.inject_fault(Fault::FailWrite { nth: k });
+        let result = replace(&engine, catalog);
+        let fired = !engine.fired_faults().is_empty();
+        engine.clear_faults();
+        engine.clear_cache();
+        let got = seen(&engine, catalog)
+            .unwrap_or_else(|e| panic!("{ctx}: reopen after crash at write {k}: {e}"));
+        match result {
+            Err(err) => {
+                assert!(err.is_injected() && fired, "{ctx}: write {k}: {err}");
+                assert!(same_seen(&got, &old), "{ctx}: crash at write {k}");
+                crashes += 1;
+            }
+            Ok(new) => {
+                assert!(!fired, "{ctx}: write {k}");
+                assert!(same_seen(&got, &new), "{ctx}: after the commit");
+                assert!(!same_seen(&old, &new), "{ctx}: the states must differ");
+                break;
+            }
+        }
+    }
+    // At least one write per file (cell, tree, box) and the commit.
+    assert!(crashes >= 4, "{ctx}: only {crashes} write ordinals");
+}
+
+/// Every write prefix of a build + save that replaces a saved index
+/// leaves the old index or the new one, the box file with it.
+#[test]
+fn build_and_save_crash_points_keep_q1_on_one_state() {
+    crash_every_write_of(
+        "build + save",
+        |engine| {
+            let field = wavy_field(24, 0.0);
+            let old = IHilbert::build(engine, &field).expect("build");
+            let catalog = old.save(engine).expect("save");
+            (
+                catalog,
+                (answers(&old, engine), q1_scan(&file_records(&field))),
+            )
+        },
+        |engine, catalog| {
+            // Smaller and shifted: Q1 misses where the old field answered.
+            let field = wavy_field(18, 1.7);
+            let new = IHilbert::build(engine, &field)?;
+            new.save_to(engine, catalog)?;
+            Ok((answers(&new, engine), q1_scan(&file_records(&field))))
+        },
+    );
+}
+
+/// Every write prefix of an ingest + repack + save leaves the old
+/// epoch or the new one. The ingests move cell corners, so the new box
+/// file differs from the old one.
+#[test]
+fn repack_and_save_crash_points_keep_q1_on_one_state() {
+    use cf_index::{IngestConfig, LiveIngest};
+    let field = wavy_field(24, 0.0);
+    crash_every_write_of(
+        "repack + save",
+        |engine| {
+            let base = IHilbert::build(engine, &field).expect("build");
+            let want = (answers(&base, engine), q1_scan(&file_records(&field)));
+            let live = LiveIngest::new(engine, base, IngestConfig::default()).expect("live");
+            (live.save(engine).expect("save"), want)
+        },
+        |engine, catalog| {
+            let live = LiveIngest::<GridField>::open(engine, catalog, IngestConfig::default())?;
+            for cell in (0..field.num_cells()).step_by(37) {
+                let mut rec = field.cell_record(cell);
+                rec.x0 -= 0.5;
+                rec.y1 += 0.75;
+                rec.vals = [60.0 + cell as f64; 4];
+                live.ingest(engine, cell, rec)?;
+            }
+            live.repack(engine)?;
+            live.save_to(engine, catalog)?;
+            let records = cell_order(&field, Curve::Hilbert)
+                .into_iter()
+                .map(|cell| live.cell_record(engine, cell))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((answers(&*live.snapshot(), engine), q1_scan(&records)))
+        },
     );
 }
 

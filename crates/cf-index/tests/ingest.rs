@@ -433,6 +433,61 @@ fn live_ingest_survives_save_and_reopen() {
     assert_eq!(stats.cells_qualifying, 1);
 }
 
+/// A catalog saved with pending delta records is the ingest plane's:
+/// a bare [`IHilbert::open`] would answer as if those acknowledged
+/// writes never happened, so it refuses the catalog with a typed error
+/// that says where to go instead. After a repack the delta is empty and
+/// both opens agree.
+#[test]
+fn bare_open_refuses_a_catalog_with_a_pending_delta() {
+    let field = cf_workload::fractal::diamond_square(6, 0.7, 7);
+    let engine = StorageEngine::in_memory();
+    let base = IHilbert::build(&engine, &field).expect("build");
+    let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let mut rng = Rng(71);
+    for _ in 0..200 {
+        let cell = rng.below(field.num_cells());
+        let rec = rand_record(&field, cell, &mut rng);
+        live.ingest(&engine, cell, rec).expect("ingest");
+    }
+    let dom = live.snapshot().value_domain();
+    let band = Interval::new(dom.denormalize(0.9), dom.denormalize(1.0));
+    let want = live.snapshot().query_stats(&engine, band).expect("query");
+    let (pending, _, _) = live.status();
+    assert!(pending > 0 && want.cells_qualifying > 0);
+    let catalog = live.save(&engine).expect("save without a repack");
+
+    engine.clear_cache();
+    let reopened =
+        LiveIngest::<GridField>::open(&engine, catalog, IngestConfig::default()).expect("open");
+    let got = reopened
+        .snapshot()
+        .query_stats(&engine, band)
+        .expect("query");
+    assert_bitexact(&got, &want, "LiveIngest::open");
+
+    let err = IHilbert::<GridField>::open(&engine, catalog)
+        .map(drop)
+        .expect_err("a bare open would drop the delta");
+    assert!(err.is_corrupt(), "{err}");
+    assert_eq!(err.page(), Some(catalog));
+    let msg = err.to_string();
+    let (delta, _, _) = reopened.status();
+    assert!(
+        msg.contains(&format!("{delta} pending delta records")) && msg.contains("LiveIngest::open"),
+        "{msg}"
+    );
+
+    reopened.repack(&engine).expect("repack");
+    reopened
+        .save_to(&engine, catalog)
+        .expect("save after the repack");
+    engine.clear_cache();
+    let bare = IHilbert::<GridField>::open(&engine, catalog).expect("open after the repack");
+    let got = bare.query_stats(&engine, band).expect("query");
+    assert_bitexact(&got, &want, "IHilbert::open after the repack");
+}
+
 /// The layout is a function of the data: a repack regroups by the rule
 /// the build uses, whatever queries ran before it. One plane answers Q2
 /// queries through its snapshots and then takes the writes; a twin on

@@ -15,6 +15,7 @@
 //! memory and on disk, so a recorded query replays with the *exact*
 //! float the pipeline executed — the digests are only comparable
 //! because no decimal round-trip ever happens.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::explain::{ExplainRecord, Label};
 use crate::json::Json;
@@ -269,19 +270,27 @@ mod tests {
         assert!(decode_wrk(b"NOPE").is_err());
         let mut bad_magic = encode_wrk(&[sample(0)]);
         bad_magic[0] = b'X';
-        assert!(decode_wrk(&bad_magic).unwrap_err().contains("magic"));
+        assert!(decode_wrk(&bad_magic)
+            .expect_err("bad magic")
+            .contains("magic"));
         let mut bad_version = encode_wrk(&[sample(0)]);
         bad_version[4] = 99;
-        assert!(decode_wrk(&bad_version).unwrap_err().contains("version"));
+        assert!(decode_wrk(&bad_version)
+            .expect_err("bad version")
+            .contains("version"));
         let mut truncated = encode_wrk(&[sample(0), sample(1)]);
         truncated.truncate(truncated.len() - 5);
-        assert!(decode_wrk(&truncated).unwrap_err().contains("mismatch"));
+        assert!(decode_wrk(&truncated)
+            .expect_err("truncated")
+            .contains("mismatch"));
         // A hostile count: the size computation overflows, or wraps to
         // exactly the 16 bytes present (2^61 * 72 = 2^64 * 9).
         for count in [u64::MAX, 1 << 61] {
             let mut hostile = encode_wrk(&[]);
             hostile[8..16].copy_from_slice(&count.to_le_bytes());
-            assert!(decode_wrk(&hostile).unwrap_err().contains("mismatch"));
+            assert!(decode_wrk(&hostile)
+                .expect_err("hostile length")
+                .contains("mismatch"));
         }
     }
 

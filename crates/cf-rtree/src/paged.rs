@@ -25,6 +25,7 @@
 //! (DESIGN.md §8.1). Afterwards only entry boxes change
 //! ([`PagedRTree::replace_entry`]), so a tree never gains or loses a
 //! page and its run is derived from the root and the page count.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::tree::RStarTree;
 use cf_geom::Aabb;

@@ -26,6 +26,7 @@
 //! is one table probe and two list splices; a miss reuses the victim's
 //! page buffer. Slots and their buffers are allocated on first use, so
 //! a large pool costs only what it has cached.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::disk::{DiskManager, PageBuf, PageId};
 use crate::error::{CfError, CfResult};
@@ -428,13 +429,12 @@ impl BufferPool {
 
         // Miss: the shard lock is held across the disk read, so two
         // threads faulting the same page serialize and the second sees a
-        // hit — misses always equal physical reads.
+        // hit. Make room for the incoming frame, writing back a dirty
+        // victim if that is what the LRU order serves up; the victim's
+        // buffer takes the read, which alone makes it a miss.
+        let s = shard.vacate(&mut frames, disk)?;
         shard.misses.inc();
         tally::count_pool_miss();
-        // Make room for the incoming frame, writing back a dirty victim
-        // if that is what the LRU order serves up; the victim's buffer
-        // takes the read.
-        let s = shard.vacate(&mut frames, disk)?;
         if let Err(e) = disk.read_page(id, &mut frames.slots[s as usize].data) {
             frames.push_free(s);
             return Err(e);
@@ -1127,6 +1127,7 @@ mod tests {
         assert!(err.is_injected());
         assert_eq!(pool.resident(), full, "victim kept, incoming not cached");
         assert!(pool.cached_pages() <= pool.capacity());
+        assert_eq!(pool.misses(), disk.reads(), "a miss that never read");
         // ...and on a write-back of a page that is not cached.
         disk.clear_faults();
         disk.inject_fault(Fault::FailWrite { nth: 0 });
@@ -1137,6 +1138,7 @@ mod tests {
         assert_eq!(pool.resident(), full, "victim kept, incoming not cached");
         assert!(pool.cached_pages() <= pool.capacity());
         assert_eq!(pool.evictions(), 0);
+        assert_eq!(pool.misses(), disk.reads(), "a write-back reads nothing");
         disk.clear_faults();
 
         // The victim's bytes are intact, and they reach the disk.

@@ -15,8 +15,9 @@
 //! ([`crc32`]) over all 4 096 bytes; the same function seals the
 //! freelist superblock slots and the catalog slots.
 //!
-//! This file decodes on-disk bytes and is covered by the CI grep gate:
-//! a bad entry surfaces as [`CfError::Corrupt`], never a panic.
+//! This file decodes on-disk bytes and denies clippy's `unwrap_used`
+//! and `panic`: a bad entry surfaces as [`CfError::Corrupt`].
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::disk::{PageBuf, PageId};
 use crate::error::{CfError, CfResult};

@@ -11,7 +11,8 @@
 //! bytes — where a short slice means corruption, not a programmer error —
 //! must use the fallible [`try_get_u16`] (the compressed page header's
 //! only width) and map `None` to [`crate::CfError::Corrupt`]. This file
-//! is covered by the CI no-unwrap grep gate.
+//! denies clippy's `unwrap_used` and `panic` lints.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 /// Writes a `u32` at `offset`, returning the offset just past it.
 #[inline(always)]

@@ -49,9 +49,10 @@
 //! Decoding validates structure exhaustively — magic, count bounds,
 //! payload length, control-byte sanity, and exact payload consumption —
 //! and reports any violation as a `DecodeError`, which callers map to
-//! [`crate::CfError::Corrupt`] with the page id attached. This file is
-//! covered by the CI no-unwrap grep gate: on-disk bytes must never
-//! panic.
+//! [`crate::CfError::Corrupt`] with the page id attached. This file
+//! denies clippy's `unwrap_used` and `panic` lints: on-disk bytes must
+//! never panic.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::codec;
 use crate::PAGE_SIZE;

@@ -25,8 +25,9 @@
 //! [`crate::CellFile`] in `heap.rs`, which reaches this module from the
 //! four helpers that branch on the layout.
 //!
-//! This file decodes on-disk bytes and is covered by the CI grep gate:
-//! corruption surfaces as [`CfError::Corrupt`], never a panic.
+//! This file decodes on-disk bytes and denies clippy's `unwrap_used`
+//! and `panic`: corruption surfaces as [`CfError::Corrupt`].
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::compress::{self, decode_page, ColSpec, PageEncoder};
 use crate::{codec, CfError, CfResult, PageBuf, PageId, Record, StorageEngine, PAGE_SIZE};

@@ -7,9 +7,10 @@
 //! by [`DiskManager::allocate_run`] before the file grows (see
 //! [`crate::freelist`]'s module docs for the on-disk superblock).
 //!
-//! This file is on the on-disk decode path and is covered by the CI
-//! grep gate: no `panic!` / `unwrap` — every failure surfaces as a
-//! typed [`CfError`].
+//! This file is on the on-disk decode path and denies clippy's
+//! `unwrap_used` and `panic` lints: every failure surfaces as a typed
+//! [`CfError`].
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::checksum;
 use crate::error::{CfError, CfResult, FaultOp};

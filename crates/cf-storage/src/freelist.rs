@@ -12,9 +12,10 @@
 //! the *inactive* slot with `epoch + 1`, so a crash mid-write leaves
 //! the previous epoch intact and at worst leaks the pages freed since.
 //!
-//! This file decodes on-disk bytes and is covered by the CI grep gate:
-//! a slot that fails its magic, version, CRC or run count is skipped
-//! ([`FreeState::decode_slot`] returns `None`), never a panic.
+//! This file decodes on-disk bytes and denies clippy's `unwrap_used`
+//! and `panic`: a slot that fails its magic, version, CRC or run count
+//! is skipped ([`FreeState::decode_slot`] returns `None`).
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::checksum::crc32;
 use std::collections::BTreeMap;

@@ -12,11 +12,12 @@
 //! [`RecordFile`] is merely the constructor facade of always-raw files
 //! (DESIGN.md §13.3).
 //!
-//! This file drives record decoding from on-disk pages and is covered
-//! by the CI grep gate: no `panic!` / `unwrap` — I/O and corruption
+//! This file drives record decoding from on-disk pages and denies
+//! clippy's `unwrap_used` and `panic`: I/O and corruption
 //! surface as [`crate::CfError`], and an index or range list that does
 //! not fit the file is a typed [`crate::CfError::InvalidRange`], not an
 //! assertion.
+#![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::compressed::Directory;
 use crate::{codec, CfError, CfResult, PageBuf, PageCodec, PageId, StorageEngine, PAGE_SIZE};
@@ -92,12 +93,12 @@ enum Layout {
 /// the [`PageCodec`]: fixed slots ([`PageCodec::Raw`]) or compressed
 /// variable-fill pages behind a page directory
 /// ([`PageCodec::Compressed`]). Page arithmetic and page bytes branch
-/// on it in four private helpers only — two for geometry
-/// (`page_no_of`, `page_span`), one handing a page's record images to a
-/// reader (`with_page_images`) and its inverse building a page from
-/// images (`encode_page`); everything public is written once on top of
-/// them ([`CellFile::codec`] and [`CellFile::records_per_page`] merely
-/// report which layout it is).
+/// on it in four helpers only — two public ones for geometry
+/// ([`CellFile::page_no_of`], [`CellFile::page_span`]), one handing a
+/// page's record images to a reader (`with_page_images`) and its inverse
+/// building a page from images (`encode_page`); everything else is
+/// written once on top of them ([`CellFile::codec`] and
+/// [`CellFile::records_per_page`] merely report which layout it is).
 #[derive(Debug, Clone)]
 pub struct CellFile<R: Record> {
     first_page: PageId,
@@ -269,16 +270,16 @@ impl<R: Record> CellFile<R> {
         }
     }
 
-    /// Data page number (0-based within the file) holding record `idx`.
-    fn page_no_of(&self, idx: usize) -> usize {
+    /// Data page number (0-based within the file) of record `idx < len`.
+    pub fn page_no_of(&self, idx: usize) -> usize {
         match &self.layout {
             Layout::Fixed => idx / Self::SLOTS,
             Layout::Directory(dir) => dir.page_no_of(idx),
         }
     }
 
-    /// Record span of data page `page_no`.
-    fn page_span(&self, page_no: usize) -> Range<usize> {
+    /// Record span of data page `page_no < data_pages()`.
+    pub fn page_span(&self, page_no: usize) -> Range<usize> {
         match &self.layout {
             Layout::Fixed => {
                 let lo = page_no * Self::SLOTS;

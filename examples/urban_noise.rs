@@ -3,15 +3,16 @@
 //! the noise level is higher than 80 dB."
 //!
 //! Runs on a TIN (the representation of the paper's Lyon dataset),
-//! exercises both query classes: the Q2 value query through I-Hilbert
-//! and a Q1 point query ("how loud is it at my house?") through the
-//! spatial R\*-tree.
+//! exercises both query classes on the one I-Hilbert cell file: the Q2
+//! value query and a Q1 point query ("how loud is it at my house?")
+//! through the per-page box file.
 //!
 //! ```sh
 //! cargo run --release --example urban_noise
 //! ```
 
 use contfield::prelude::*;
+use contfield::storage::thread_io_stats;
 use contfield::workload::noise::urban_noise_tin;
 
 fn main() {
@@ -68,19 +69,20 @@ fn main() {
         );
     }
 
-    // Q1: noise level at a specific address, via the spatial index.
-    let point_index = PointIndex::build(&engine, &tin).expect("build");
+    // Q1: noise level at a specific address, via the page boxes.
     let home = Point2::new(512.0, 377.0);
     engine.clear_cache();
-    let (level, q1) = point_index.value_at(&engine, home).expect("query");
+    let before = thread_io_stats();
+    let level = ihilbert.value_at(&engine, home).expect("query");
+    let q1 = thread_io_stats() - before;
     match level {
         Some(db) => println!(
-            "\nnoise at ({}, {}): {:.1} dB ({} index nodes, {} page reads)",
+            "\nnoise at ({}, {}): {:.1} dB ({} page reads of {} data pages)",
             home.x,
             home.y,
             db,
-            q1.filter_nodes,
-            q1.io.logical_reads()
+            q1.logical_reads(),
+            ihilbert.data_pages()
         ),
         None => println!("\n({}, {}) is outside the mapped area", home.x, home.y),
     }

@@ -15,8 +15,9 @@
 //! ```
 //!
 //! Layout: page 0 is the bootstrap page (magic + catalog page pointer);
-//! the catalog page records where the cell file, position map and
-//! R\*-tree live — the tree's leaves are the subfield catalog (see
+//! the catalog page records where the cell file, position map,
+//! R\*-tree and box file (one spatial box per data page, which `point`
+//! reads) live — the tree's leaves are the subfield catalog (see
 //! `cf_index`'s catalog module, which reads and writes both). Every command but `create` refuses a database path
 //! that does not exist. `repro record` captures a `.wrk` workload from a
 //! database this tool created, and `repro replay` re-executes it.
@@ -468,10 +469,10 @@ fn ingest(
 fn point(path: &str, x: f64, y: f64, eng: EngineOpts) -> Result<String, String> {
     let engine = open_database(path, eng.config())?;
     let index = open_index(&engine)?;
-    // Q1 through the spatial `PointIndex` would need a tree the catalog
-    // does not persist, so interpolate from the cell records directly.
+    // Q1 reads the box file, then only the data pages whose box holds
+    // the point.
     match index
-        .value_at_via_records(&engine, contfield::geom::Point2::new(x, y))
+        .value_at(&engine, contfield::geom::Point2::new(x, y))
         .map_err(|e| e.to_string())?
     {
         Some(v) => Ok(format!("value at ({x}, {y}): {v:.6}\n")),
@@ -728,6 +729,75 @@ mod tests {
         assert!(out.contains("value at"), "{out}");
 
         std::fs::remove_file(&db).expect("cleanup");
+    }
+
+    #[test]
+    fn point_reads_the_box_file_and_the_answering_data_page() {
+        let db = tmp("q1_reads");
+        run(&argv(&["create", &db, "--workload", "fractal", "--k", "8"])).expect("create");
+        let disk_reads = |args: &[&str]| {
+            let before = contfield::storage::thread_io_stats();
+            let out = run(&argv(args)).expect("run");
+            (
+                (contfield::storage::thread_io_stats() - before).disk_reads,
+                out,
+            )
+        };
+        // `info` opens the database and reads nothing more.
+        let (open, out) = disk_reads(&["info", &db]);
+        assert!(out.contains("(1024 data pages"), "{out}");
+        // The box file is 1 024 / 128 = 8 pages; an interior point then
+        // reads its candidate pages up to the first that answers, where
+        // the full scan read all 1 024 data pages.
+        let (inside, out) = disk_reads(&["point", &db, "100.3", "37.6"]);
+        assert!(out.contains("value at"), "{out}");
+        let q1 = inside - open;
+        assert!((9..=10).contains(&q1), "{q1} page reads");
+        // A point outside the domain reads the box file alone.
+        let (outside, out) = disk_reads(&["point", &db, "-1", "3"]);
+        assert!(out.contains("outside the field domain"), "{out}");
+        assert_eq!(outside - open, 8);
+        for ext in ["", ".crc", ".fsm"] {
+            std::fs::remove_file(format!("{db}{ext}")).expect("cleanup");
+        }
+    }
+
+    #[test]
+    fn commands_refuse_a_catalog_with_a_pending_delta() {
+        let db = tmp("pending_delta");
+        run(&argv(&["create", &db, "--workload", "fractal", "--k", "5"])).expect("create");
+        // Save the ingest plane without a repack, as `fielddb ingest`
+        // never does: the catalog then carries a pending delta.
+        {
+            let engine = open_database(&db, StorageConfig::default()).expect("open");
+            let catalog = read_bootstrap(&engine).expect("bootstrap");
+            let live = LiveIngest::<GridField>::open(&engine, catalog, IngestConfig::default())
+                .expect("ingest plane");
+            for cell in 0..5 {
+                let mut rec = live.cell_record(&engine, cell).expect("record");
+                rec.vals = [9.0; 4];
+                live.ingest(&engine, cell, rec).expect("ingest");
+            }
+            live.save_to(&engine, catalog).expect("save");
+            engine.sync().expect("sync");
+        }
+        for args in [
+            &["query", &db, "-0.2", "0.2"][..],
+            &["explain", &db, "-0.2", "0.2"],
+            &["point", &db, "3.5", "7.25"],
+        ] {
+            let err = run(&argv(args)).expect_err("a bare open would drop the delta");
+            assert!(
+                err.contains("5 pending delta records") && err.contains("LiveIngest::open"),
+                "{args:?}: {err}"
+            );
+        }
+        // `ingest` opens the plane, drains the delta and saves.
+        run(&argv(&["ingest", &db, "--updates", "4"])).expect("ingest");
+        run(&argv(&["point", &db, "3.5", "7.25"])).expect("point after the repack");
+        for ext in ["", ".crc", ".fsm"] {
+            std::fs::remove_file(format!("{db}{ext}")).expect("cleanup");
+        }
     }
 
     #[test]

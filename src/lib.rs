@@ -76,8 +76,7 @@ pub mod prelude {
     pub use cf_geom::{Aabb, Interval, Point2, Polygon, Triangle};
     pub use cf_index::{
         BatchReport, EpochSnapshot, IAll, IHilbert, IHilbertConfig, IngestConfig, IntervalQuadtree,
-        LinearScan, LiveIngest, PointIndex, QueryBatch, QueryStats, SubfieldConfig, ValueIndex,
-        VectorIHilbert,
+        LinearScan, LiveIngest, QueryBatch, QueryStats, SubfieldConfig, ValueIndex, VectorIHilbert,
     };
     pub use cf_sfc::Curve;
     pub use cf_storage::{IoStats, StorageConfig, StorageEngine};

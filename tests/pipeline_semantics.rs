@@ -111,15 +111,14 @@ fn q1_and_q2_are_consistent() {
     // the regions a Q2 value query returns around that value.
     let field = diamond_square(4, 0.7, 12);
     let engine = StorageEngine::in_memory();
-    let q1 = PointIndex::build(&engine, &field).expect("build");
-    let q2 = IHilbert::build(&engine, &field).expect("build");
+    let index = IHilbert::build(&engine, &field).expect("build");
 
     let p = Point2::new(7.3, 4.8);
-    let (Some(v), _) = q1.value_at(&engine, p).expect("query") else {
+    let Some(v) = index.value_at(&engine, p).expect("query") else {
         panic!("point inside domain")
     };
     let band = Interval::new(v - 1e-9, v + 1e-9);
-    let (_, regions) = q2.query_regions(&engine, band).expect("query");
+    let (_, regions) = index.query_regions(&engine, band).expect("query");
     let covered = regions
         .iter()
         .any(|r| polygon_contains(r, p) || r.vertices.iter().any(|&q| q.distance(p) < 1e-6));
