@@ -955,3 +955,85 @@ fn round_trip_preserves_answers_for_all_curves_and_planes() {
         }
     }
 }
+
+/// Repeated ingest + repack + save rounds on a compressed file: the
+/// cell run changes length from round to round as the updates change
+/// how well its pages compress, and best-fit allocation splits holes,
+/// so the file holds a few generations of runs — but a bounded number.
+/// A freed run that is never reused, or a hole that never refills,
+/// grows the file by a generation every round. Long (≈ 15 s in a
+/// debug build): CI runs it in release with `--ignored`.
+#[test]
+#[ignore]
+fn repeated_repacks_of_a_compressed_file_reach_a_steady_state_size() {
+    use cf_index::{IngestConfig, LiveIngest};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const ROUNDS: usize = 80;
+    const WRITES: usize = 128;
+    /// Generations of the live runs (cell, box and tree) the file may
+    /// hold: the new runs are allocated before the old are freed, so
+    /// two is the floor; repacks of this field settle at 2–4.
+    const MAX_GENERATIONS: usize = 5;
+
+    let (engine, path) = {
+        let path = std::env::temp_dir().join(format!(
+            "cf_crash_compressed_repacks_{}_{:?}.db",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        cleanup(&path);
+        let config = StorageConfig {
+            codec: PageCodec::Compressed,
+            ..StorageConfig::default()
+        };
+        let engine = StorageEngine::open_file(&path, config).expect("open file");
+        (engine, path)
+    };
+    let field = cf_workload::fractal::diamond_square(7, 0.6, 7);
+    let domain = field.value_domain();
+    let index = IHilbert::build(&engine, &field).expect("build");
+    let live = LiveIngest::new(&engine, index, IngestConfig::default()).expect("live");
+    let catalog = live.save(&engine).expect("save");
+    // Each write moves one corner value of a cell's original record by
+    // up to ±2 % of the value domain.
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut sizes = Vec::new();
+    for round in 0..ROUNDS {
+        for _ in 0..WRITES {
+            let cell = rng.gen_range(0..field.num_cells());
+            let mut rec = field.cell_record(cell);
+            rec.vals[rng.gen_range(0..4usize)] += (rng.gen::<f64>() - 0.5) * 0.04 * domain.width();
+            live.ingest(&engine, cell, rec).expect("ingest");
+        }
+        live.repack(&engine).expect("repack");
+        live.save_to(&engine, catalog).expect("save");
+        let snap = live.snapshot();
+        let live_pages = snap.data_pages() + snap.index_pages() + snap.data_pages().div_ceil(128);
+        sizes.push(engine.num_pages());
+        assert!(
+            engine.num_pages() <= MAX_GENERATIONS * live_pages,
+            "round {round}: {} pages for {live_pages} live: {sizes:?}",
+            engine.num_pages()
+        );
+    }
+    let reused = engine.metrics().counter_total("storage_pages_reused_total");
+    assert!(reused > 0, "repacks must reuse freed pages: {sizes:?}");
+
+    // The recycled file reopens with the live plane's answers.
+    let expected = answers(&*live.snapshot(), &engine);
+    drop(live);
+    engine.sync().expect("sync");
+    drop(engine);
+    let engine = StorageEngine::open_file(&path, StorageConfig::default()).expect("reopen");
+    let reopened = IHilbert::<GridField>::open(&engine, catalog).expect("open");
+    assert_same_answers(
+        &answers(&reopened, &engine),
+        &expected,
+        "compressed repacks",
+    );
+    drop(reopened);
+    drop(engine);
+    cleanup(&path);
+}

@@ -678,11 +678,39 @@ fn top_watch(addr: &str, secs: f64, count: usize) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> String {
+    /// A database path in the temp directory. Its `<db>`, `.crc` and
+    /// `.fsm` files are removed when it is made and when it drops, so a
+    /// failing test leaves nothing behind either.
+    struct TmpDb(String);
+
+    impl TmpDb {
+        fn remove_files(&self) {
+            for ext in ["", ".crc", ".fsm"] {
+                let _ = std::fs::remove_file(format!("{}{ext}", self.0));
+            }
+        }
+    }
+
+    impl Drop for TmpDb {
+        fn drop(&mut self) {
+            self.remove_files();
+        }
+    }
+
+    impl std::ops::Deref for TmpDb {
+        type Target = str;
+
+        fn deref(&self) -> &str {
+            &self.0
+        }
+    }
+
+    fn tmp(name: &str) -> TmpDb {
         let mut p = std::env::temp_dir();
         p.push(format!("fielddb_cli_{}_{name}.db", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p.to_string_lossy().into_owned()
+        let db = TmpDb(p.to_string_lossy().into_owned());
+        db.remove_files();
+        db
     }
 
     fn argv(s: &[&str]) -> Vec<String> {
@@ -727,8 +755,6 @@ mod tests {
 
         let out = run(&argv(&["point", &db, "3.5", "7.25"])).expect("point");
         assert!(out.contains("value at"), "{out}");
-
-        std::fs::remove_file(&db).expect("cleanup");
     }
 
     #[test]
@@ -757,9 +783,6 @@ mod tests {
         let (outside, out) = disk_reads(&["point", &db, "-1", "3"]);
         assert!(out.contains("outside the field domain"), "{out}");
         assert_eq!(outside - open, 8);
-        for ext in ["", ".crc", ".fsm"] {
-            std::fs::remove_file(format!("{db}{ext}")).expect("cleanup");
-        }
     }
 
     #[test]
@@ -769,7 +792,7 @@ mod tests {
         // Save the ingest plane without a repack, as `fielddb ingest`
         // never does: the catalog then carries a pending delta.
         {
-            let engine = open_database(&db, StorageConfig::default()).expect("open");
+            let engine = open_database(&*db, StorageConfig::default()).expect("open");
             let catalog = read_bootstrap(&engine).expect("bootstrap");
             let live = LiveIngest::<GridField>::open(&engine, catalog, IngestConfig::default())
                 .expect("ingest plane");
@@ -795,9 +818,6 @@ mod tests {
         // `ingest` opens the plane, drains the delta and saves.
         run(&argv(&["ingest", &db, "--updates", "4"])).expect("ingest");
         run(&argv(&["point", &db, "3.5", "7.25"])).expect("point after the repack");
-        for ext in ["", ".crc", ".fsm"] {
-            std::fs::remove_file(format!("{db}{ext}")).expect("cleanup");
-        }
     }
 
     #[test]
@@ -846,8 +866,6 @@ mod tests {
             run(&argv(&["create", &tmp("codec_bad"), "--codec", "zstd"])).is_err(),
             "unknown codec must be rejected"
         );
-        std::fs::remove_file(&raw_db).expect("cleanup");
-        std::fs::remove_file(&comp_db).expect("cleanup");
     }
 
     #[test]
@@ -877,7 +895,6 @@ mod tests {
         // And the plain read path still works on the repacked file.
         let q = run(&argv(&["query", &db, "-0.2", "0.2"])).expect("query");
         assert!(q.contains("cells qualify"), "{q}");
-        std::fs::remove_file(&db).expect("cleanup");
     }
 
     #[test]
@@ -919,8 +936,6 @@ mod tests {
         // instead of printing an empty record.
         #[cfg(feature = "obs-off")]
         assert!(run(&argv(&["explain", &db, "-0.2", "0.2"])).is_err());
-
-        std::fs::remove_file(&db).expect("cleanup");
     }
 
     #[test]
@@ -947,7 +962,6 @@ mod tests {
         for args in rejected {
             assert!(run(&argv(args)).is_err(), "{args:?} must be rejected");
         }
-        std::fs::remove_file(&db).expect("cleanup");
 
         let fresh = tmp("refuse_create");
         let rejected_creates: &[&[&str]] = &[
@@ -960,7 +974,7 @@ mod tests {
         for args in rejected_creates {
             assert!(run(&argv(args)).is_err(), "{args:?} must be rejected");
             assert!(
-                !std::path::Path::new(&fresh).exists(),
+                !std::path::Path::new(&*fresh).exists(),
                 "{args:?} left a file behind"
             );
         }
@@ -1108,18 +1122,19 @@ mod tests {
 
     #[test]
     fn commands_on_a_missing_database_fail_and_create_nothing() {
-        let db = tmp("missing");
+        let guard = tmp("missing");
+        let db: &str = &guard;
         let commands: &[&[&str]] = &[
-            &["info", &db],
-            &["query", &db, "0", "1"],
-            &["explain", &db, "0", "1"],
-            &["ingest", &db],
-            &["point", &db, "0", "0"],
+            &["info", db],
+            &["query", db, "0", "1"],
+            &["explain", db, "0", "1"],
+            &["ingest", db],
+            &["point", db, "0", "0"],
         ];
         for args in commands {
             let err = run(&argv(args)).expect_err("missing database");
             assert_eq!(err, format!("{db}: no such database"), "{args:?}");
-            for file in [db.clone(), format!("{db}.crc"), format!("{db}.fsm")] {
+            for file in [db.to_string(), format!("{db}.crc"), format!("{db}.fsm")] {
                 assert!(
                     !std::path::Path::new(&file).exists(),
                     "{args:?} created {file}"
@@ -1170,8 +1185,7 @@ mod tests {
     #[test]
     fn rejects_foreign_file() {
         let db = tmp("foreign");
-        std::fs::write(&db, vec![0u8; 8192]).expect("write junk");
+        std::fs::write(&*db, vec![0u8; 8192]).expect("write junk");
         assert!(run(&argv(&["info", &db])).is_err());
-        std::fs::remove_file(&db).expect("cleanup");
     }
 }

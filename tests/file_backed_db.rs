@@ -11,16 +11,42 @@ use contfield::prelude::*;
 use contfield::storage::{RecordFile, StorageConfig};
 use contfield::workload::fractal::diamond_square;
 
-fn db_path(name: &str) -> std::path::PathBuf {
+/// A database path in the temp directory. Its `<db>`, `.crc` and `.fsm`
+/// files are removed when it is made and when it drops, so a failing
+/// test leaves nothing behind either.
+struct TmpDb(std::path::PathBuf);
+
+impl TmpDb {
+    fn remove_files(&self) {
+        for ext in ["", ".crc", ".fsm"] {
+            let _ = std::fs::remove_file(format!("{}{ext}", self.0.display()));
+        }
+    }
+}
+
+impl Drop for TmpDb {
+    fn drop(&mut self) {
+        self.remove_files();
+    }
+}
+
+impl AsRef<std::path::Path> for TmpDb {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+fn db_path(name: &str) -> TmpDb {
     let mut p = std::env::temp_dir();
     p.push(format!("contfield_test_{}_{name}.db", std::process::id()));
-    p
+    let db = TmpDb(p);
+    db.remove_files();
+    db
 }
 
 #[test]
 fn pages_survive_reopen() {
     let path = db_path("pages");
-    let _ = std::fs::remove_file(&path);
     {
         let engine = StorageEngine::open_file(&path, StorageConfig::default()).expect("create");
         let id = engine.allocate_page().expect("allocate");
@@ -39,13 +65,11 @@ fn pages_survive_reopen() {
             .expect("read");
         assert_eq!((a, b), (0xA7, 0x5C));
     }
-    std::fs::remove_file(&path).expect("cleanup");
 }
 
 #[test]
 fn record_file_survives_reopen() {
     let path = db_path("records");
-    let _ = std::fs::remove_file(&path);
     let field = diamond_square(4, 0.5, 9);
     let (first_page, len);
     {
@@ -68,13 +92,11 @@ fn record_file_survives_reopen() {
             );
         }
     }
-    std::fs::remove_file(&path).expect("cleanup");
 }
 
 #[test]
 fn queries_run_against_a_file_backed_database() {
     let path = db_path("queries");
-    let _ = std::fs::remove_file(&path);
     let field = diamond_square(5, 0.6, 17);
     let engine = StorageEngine::open_file(&path, StorageConfig::default()).expect("create");
 
@@ -93,5 +115,4 @@ fn queries_run_against_a_file_backed_database() {
         assert!(b.io.disk_reads > 0);
     }
     drop(engine);
-    std::fs::remove_file(&path).expect("cleanup");
 }
