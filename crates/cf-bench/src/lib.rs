@@ -37,8 +37,8 @@ use std::time::{Duration, Instant};
 const QUERY_SEED: u64 = 0xED_B7;
 
 /// A database file in the system temp directory, named
-/// `<prefix>_<pid>_<n>.db`, whose `.db`, `.crc` and `.fsm` files are
-/// removed when the guard drops — on success, on an early return and on
+/// `<prefix>_<pid>_<n>.db`, whose `.db` and `.crc` files are removed
+/// when the guard drops — on success, on an early return and on
 /// a panic alike.
 pub struct TempDb {
     path: PathBuf,
@@ -68,7 +68,7 @@ impl TempDb {
     }
 
     fn remove(&self) {
-        for ext in ["", ".crc", ".fsm"] {
+        for ext in ["", ".crc"] {
             let mut p = self.path.clone().into_os_string();
             p.push(ext);
             let _ = std::fs::remove_file(p);
@@ -396,7 +396,7 @@ mod tests {
         engine.sync().expect("sync");
         assert!(path.exists());
         drop(db);
-        for ext in ["", ".crc", ".fsm"] {
+        for ext in ["", ".crc"] {
             let mut p = path.clone().into_os_string();
             p.push(ext);
             assert!(!Path::new(&p).exists(), "{p:?} left behind");

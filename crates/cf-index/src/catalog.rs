@@ -518,7 +518,7 @@ pub fn create_database(
 
 /// Opens the existing database file at `path`. A path with no file
 /// behind it is `<path>: no such database`, and nothing is created —
-/// not the file, not its `.crc` and `.fsm` sidecars.
+/// not the file, not its `.crc` sidecar.
 pub fn open_database(
     path: impl AsRef<Path>,
     config: StorageConfig,

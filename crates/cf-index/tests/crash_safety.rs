@@ -221,7 +221,7 @@ fn open_survives_one_unreadable_slot() {
 // ---------------------------------------------------------------------
 
 fn cleanup(path: &Path) {
-    for ext in ["", ".crc", ".fsm"] {
+    for ext in ["", ".crc"] {
         let _ = std::fs::remove_file(format!("{}{ext}", path.display()));
     }
 }
@@ -290,9 +290,11 @@ fn save_crash_points_leave_an_openable_catalog_on_file_backing() {
 }
 
 /// Crashes a free+reallocate cycle at every physical-write ordinal —
-/// including the freelist superblock commit writes — and checks the
-/// storage-level invariant: a crash may *leak* pages, but a reopened
-/// engine never hands out a page that still holds live data.
+/// the free's retagging of the run's sidecar entries and the
+/// allocation's rewrite of them — failed outright or torn at several
+/// byte counts, and checks the storage-level invariant: a crash may
+/// *leak* pages, but a reopened engine never hands out a page that
+/// still holds live data.
 #[test]
 fn freelist_crash_points_on_file_backing_never_double_allocate() {
     const LIVE: [u64; 4] = [0, 1, 6, 7];
@@ -317,23 +319,48 @@ fn freelist_crash_points_on_file_backing_never_double_allocate() {
         (engine, path)
     }
 
-    let (engine, path) = setup("fsm_baseline");
+    let (engine, path) = setup("free_baseline");
     engine.free_run(PageId(2), 4).expect("free");
     let reused = engine.allocate_run(4).expect("reallocate");
     assert_eq!(reused, PageId(2), "the hole must be reused");
     let (_, writes) = engine.fault_ops();
-    assert!(writes >= 2, "cycle must hit the superblock and zero pages");
+    assert_eq!(
+        writes, 2,
+        "the free's entries write and the allocation's entries write"
+    );
+    // Past the last ordinal every page is allocated: the reused run
+    // too, although nothing was written to it.
+    engine.sync().expect("sync");
     drop(engine);
+    let after = StorageEngine::open_file(&path, StorageConfig::default()).expect("reopen");
+    assert_eq!(after.free_pages(), 0, "the cycle's reuse was committed");
+    assert_eq!(after.allocate_run(4).expect("append"), PageId(8));
+    drop(after);
     cleanup(&path);
 
-    for k in 0..writes {
-        let (engine, path) = setup(&format!("fsm_{k}"));
-        engine.inject_fault(Fault::FailWrite { nth: k });
+    // The run's four entries are 32 bytes; byte 4 of an entry is the
+    // byte its free tag changes.
+    let faults = (0..writes).flat_map(|k| {
+        [
+            Fault::FailWrite { nth: k },
+            Fault::TornWrite { nth: k, keep: 0 },
+            Fault::TornWrite { nth: k, keep: 4 },
+            Fault::TornWrite { nth: k, keep: 13 },
+            Fault::TornWrite { nth: k, keep: 31 },
+        ]
+    });
+    for (n, fault) in faults.enumerate() {
+        let k = format!("{fault:?}");
+        let (engine, path) = setup(&format!("free_{n}"));
+        engine.inject_fault(fault);
         let err = engine
             .free_run(PageId(2), 4)
             .and_then(|()| engine.allocate_run(4).map(|_| ()))
             .expect_err("armed write fault must fire");
         assert!(err.is_injected(), "crash at write {k}: {err}");
+        let fired = engine.fired_faults();
+        assert_eq!(fired.len(), 1, "{fired:?}");
+        assert_eq!(fired[0].page, PageId(2), "the run's first page");
         drop(engine);
 
         let after = StorageEngine::open_file(&path, StorageConfig::default())

@@ -4,8 +4,9 @@
 //! Two backings share one page-level contract: a fully deterministic
 //! in-memory array (the default) and a real database file addressed by
 //! positional I/O. Pages freed by [`DiskManager::free_run`] are reused
-//! by [`DiskManager::allocate_run`] before the file grows (see
-//! [`crate::freelist`]'s module docs for the on-disk superblock).
+//! by [`DiskManager::allocate_run`] before the file grows. A page's
+//! free state is the tag of its own checksum sidecar entry (see
+//! [`crate::checksum`] and [`crate::freelist`]).
 //!
 //! This file is on the on-disk decode path and denies clippy's
 //! `unwrap_used` and `panic` lints: every failure surfaces as a typed
@@ -15,7 +16,7 @@
 use crate::checksum;
 use crate::error::{CfError, CfResult, FaultOp};
 use crate::fault::{FaultInjector, FiredFault, ReadPlan, WritePlan};
-use crate::freelist::{FreeState, NUM_SLOTS, SLOT_SIZE};
+use crate::freelist::FreeState;
 use crate::stats::tally;
 use crate::Fault;
 use cf_obs::{Counter, Histogram, MetricsRegistry, Stopwatch};
@@ -41,12 +42,6 @@ impl PageId {
         self.0 as usize
     }
 }
-
-/// Sentinel "page" the freelist superblock commit claims its write
-/// ordinal under, so crash-safety tests can target the commit point
-/// with [`Fault::FailWrite`] / [`Fault::TornWrite`] like any other
-/// write. Never a real page id.
-pub const FSM_COMMIT_PAGE: PageId = PageId(u64::MAX);
 
 /// A paged disk with two interchangeable backings.
 ///
@@ -123,12 +118,10 @@ enum Backing {
     },
     /// A real file on disk: pages are 4 KiB slots addressed by
     /// `page_id * PAGE_SIZE` via positional I/O; checksum entries live
-    /// in a `<path>.crc` sidecar file, 8 bytes per page; the freelist
-    /// superblock lives in `<path>.fsm`.
+    /// in a `<path>.crc` sidecar file, 8 bytes per page.
     File {
         file: File,
         sums: File,
-        fsm: File,
         num_pages: usize,
     },
 }
@@ -174,14 +167,14 @@ impl DiskManager {
     /// Page-level persistence only — callers keep their own catalog of
     /// what lives where (see the `file_backed_db` integration test).
     ///
-    /// Checksums live in a `<path>.crc` sidecar and the page freelist
-    /// in a `<path>.fsm` superblock. Pages the sidecar does not cover —
-    /// a tail past a shorter sidecar, or every page when the sidecar is
-    /// missing — could be a crash between a data write and its checksum
-    /// update, so only provably-fresh (all-zero, as `set_len` extension
-    /// leaves them) pages are blessed; the rest get a poisoned entry
-    /// that fails verification on read, and are counted in
-    /// `storage_sidecar_suspect_total`.
+    /// Checksums live in a `<path>.crc` sidecar, and the freelist is
+    /// its free-tagged entries below `num_pages`. Pages the sidecar
+    /// does not cover — a tail past a shorter sidecar, or every page
+    /// when the sidecar is missing — could be a crash between a data
+    /// write and its checksum update, so only provably-fresh (all-zero,
+    /// as `set_len` extension leaves them) pages are blessed; the rest
+    /// get a poisoned entry that fails verification on read, and are
+    /// counted in `storage_sidecar_suspect_total`.
     pub fn open_file(path: impl AsRef<Path>) -> CfResult<Self> {
         Self::open_file_on(path, Arc::new(MetricsRegistry::new()))
     }
@@ -250,42 +243,23 @@ impl DiskManager {
             counter.inc();
         }
 
-        // Recover the freelist from the two-slot superblock: highest
-        // valid epoch wins; a torn commit fails its CRC and the other
-        // slot (the previous epoch) carries on.
-        let mut fsm_path = path.as_os_str().to_owned();
-        fsm_path.push(".fsm");
-        let fsm = File::options()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&fsm_path)
-            .map_err(|e| CfError::io("opening freelist superblock file", e))?;
+        // Entries past the end of the file (a crash between truncating
+        // the file and truncating the sidecar) are not pages.
+        let mut entries = vec![0u8; have.min(num_pages) * checksum::ENTRY_SIZE];
+        sums.read_exact_at(&mut entries, 0)
+            .map_err(|e| CfError::io("reading checksum sidecar", e))?;
         let mut free = FreeState::default();
-        let mut slot = Box::new([0u8; SLOT_SIZE]);
-        for slot_idx in 0..NUM_SLOTS {
-            if fsm
-                .read_exact_at(&mut slot[..], (slot_idx * SLOT_SIZE) as u64)
-                .is_err()
-            {
-                continue; // unwritten slot
-            }
-            if let Some((epoch, runs)) = FreeState::decode_slot(&slot) {
-                if free.runs.is_empty() && free.epoch == 0 || epoch > free.epoch {
-                    free = FreeState { runs, epoch };
-                }
+        for (idx, entry) in decode_entries(&entries).enumerate() {
+            if checksum::is_free(entry) {
+                // Ascending single pages never overlap a free run.
+                free.insert_run(idx as u64, 1);
             }
         }
-        // A crash between a superblock commit and the file truncate it
-        // announced can leave runs past the end of file; clamp them.
-        free.clamp_to(num_pages as u64);
 
         Ok(Self {
             backing: RwLock::new(Backing::File {
                 file,
                 sums,
-                fsm,
                 num_pages,
             }),
             alloc_lock: Mutex::new(()),
@@ -300,15 +274,11 @@ impl DiskManager {
     pub fn sync(&self) -> CfResult<()> {
         match &*self.backing.read().expect("disk lock poisoned") {
             Backing::Memory { .. } => Ok(()),
-            Backing::File {
-                file, sums, fsm, ..
-            } => {
+            Backing::File { file, sums, .. } => {
                 file.sync_data()
                     .map_err(|e| CfError::io("syncing database file", e))?;
                 sums.sync_data()
-                    .map_err(|e| CfError::io("syncing checksum sidecar", e))?;
-                fsm.sync_data()
-                    .map_err(|e| CfError::io("syncing freelist superblock", e))
+                    .map_err(|e| CfError::io("syncing checksum sidecar", e))
             }
         }
     }
@@ -324,9 +294,11 @@ impl DiskManager {
     }
 
     /// Physical `(reads, writes)` in the fault-ordinal space — counted
-    /// since the last [`DiskManager::clear_faults`]. Freelist
-    /// superblock commits claim write ordinals here (against
-    /// [`FSM_COMMIT_PAGE`]) without counting as page writes.
+    /// since the last [`DiskManager::clear_faults`]. On the file
+    /// backing, the sidecar entries write of a free and of an
+    /// allocation from the freelist claims a write ordinal here
+    /// (against the run's first page) without counting as a page
+    /// write.
     pub fn fault_ops(&self) -> (u64, u64) {
         self.faults.ops()
     }
@@ -342,22 +314,27 @@ impl DiskManager {
     /// physically contiguous. Freed runs (see [`DiskManager::free_run`])
     /// are reused best-fit before the file grows; reused pages are
     /// zeroed first, so every allocation reads back as fresh zeroes.
+    ///
+    /// # Errors
+    ///
+    /// [`CfError::Io`]/[`CfError::Injected`] if extending the file or
+    /// rewriting a reused run fails. A reused run then goes back on
+    /// the freelist.
     pub fn allocate_run(&self, n: usize) -> CfResult<PageId> {
         let _guard = self.alloc_lock.lock().expect("disk lock poisoned");
         if n > 0 {
-            // Serve from the freelist first. The superblock is
-            // persisted *before* the pages are handed out: a crash
-            // right after the commit leaks the run (the caller never
-            // learned of it), but can never double-allocate it.
+            // Serve from the freelist first. The run's entries lose
+            // their free tag *before* the pages are handed out: a crash
+            // right after leaks the run (the caller never learned of
+            // it), but can never double-allocate it.
             let mut free = self.free.lock().expect("freelist lock poisoned");
             let snapshot = free.runs.clone();
             if let Some(start) = free.take_best_fit(n as u64) {
-                if let Err(e) = self.persist_freelist(&mut free) {
+                if let Err(e) = self.zero_run(start, n) {
                     free.runs = snapshot;
                     return Err(e);
                 }
                 drop(free);
-                self.zero_run(start, n)?;
                 self.metrics.pages_reused.add(n as u64);
                 return Ok(PageId(start));
             }
@@ -403,11 +380,11 @@ impl DiskManager {
     ///
     /// Freed pages are reused by later [`DiskManager::allocate_run`]
     /// calls; a freed run ending at the current end of file shrinks the
-    /// data file (and its sidecars) instead. On the file backing the
-    /// freelist superblock is committed (shadow-paged, epoch + CRC)
-    /// before the in-memory state is considered changed — a crash
-    /// during the commit falls back to the previous epoch and at worst
-    /// leaks the run.
+    /// data file (and its sidecar) instead. Otherwise the run's sidecar
+    /// entries are retagged free, keeping their CRCs, in one write
+    /// before the in-memory state is considered changed: a crash during
+    /// it frees at most a prefix of the run, which the caller had given
+    /// up.
     ///
     /// Freeing is a contract, not a fence: the caller promises nothing
     /// references the run anymore. Reading a freed-but-unreused page is
@@ -418,8 +395,9 @@ impl DiskManager {
     ///
     /// [`CfError::Corrupt`] if the run extends past the allocated page
     /// count or overlaps an already-free run (double free);
-    /// [`CfError::Io`]/[`CfError::Injected`] if the superblock commit
-    /// or file truncate fails (the freelist is then unchanged).
+    /// [`CfError::Io`]/[`CfError::Injected`] if the retagging write or
+    /// the file truncate fails (a failed retag leaves the freelist
+    /// unchanged).
     pub fn free_run(&self, id: PageId, n: usize) -> CfResult<()> {
         if n == 0 {
             return Ok(());
@@ -444,13 +422,15 @@ impl DiskManager {
             ));
         }
         // A free run ending at EOF truncates the file instead of
-        // lingering on the freelist: commit the superblock *without*
-        // it, then shrink. A crash in between leaks the tail pages
-        // (file longer than anything references) — never corrupts.
+        // lingering on the freelist, and needs no tag. A crash before
+        // the truncate leaks the untagged pages (file longer than
+        // anything references) — never corrupts.
         let new_tail = free.pop_tail_run(total);
-        if let Err(e) = self.persist_freelist(&mut free) {
-            free.runs = snapshot;
-            return Err(e);
+        if new_tail.is_none() {
+            if let Err(e) = self.tag_free(id.0, n) {
+                free.runs = snapshot;
+                return Err(e);
+            }
         }
         drop(free);
         if let Some(new_num) = new_tail {
@@ -487,73 +467,83 @@ impl DiskManager {
             .total_free() as usize
     }
 
-    /// Commits the freelist superblock (file backing; no-op in memory).
-    /// Claims a write ordinal against [`FSM_COMMIT_PAGE`] so the commit
-    /// point is crash-testable, but does not count as a page write.
-    /// Bumps `fs.epoch` on success only.
-    fn persist_freelist(&self, fs: &mut FreeState) -> CfResult<()> {
-        // Bound the state to one slot; overflow leaks the smallest runs.
-        let _ = fs.truncate_to_capacity();
-        let backing = self.backing.read().expect("disk lock poisoned");
-        let Backing::File { fsm, .. } = &*backing else {
-            return Ok(());
+    /// Zeroes a reclaimed run's pages, then writes their zero-page
+    /// sidecar entries, so the allocation contract (fresh pages read
+    /// as zeroes) holds for reused pages too. The entries write drops
+    /// the run's free tags: it is the allocation's commit point.
+    fn zero_run(&self, start: u64, n: usize) -> CfResult<()> {
+        let mut backing = self.backing.write().expect("disk lock poisoned");
+        let range = start as usize..start as usize + n;
+        match &mut *backing {
+            Backing::Memory { pages, .. } => range.for_each(|i| pages[i].fill(0)),
+            Backing::File { file, .. } => {
+                let zero: PageBuf = [0u8; PAGE_SIZE];
+                for i in range {
+                    file.write_all_at(&zero, (i * PAGE_SIZE) as u64)
+                        .map_err(|e| CfError::io("zeroing reclaimed pages", e))?;
+                }
+            }
+        }
+        self.write_entries(&mut backing, start, &vec![checksum::zero_page_entry(); n])
+    }
+
+    /// Retags the sidecar entries of the `n` pages starting at `start`
+    /// free, keeping their CRCs: one read-modify-write of the run's
+    /// entries.
+    fn tag_free(&self, start: u64, n: usize) -> CfResult<()> {
+        let mut backing = self.backing.write().expect("disk lock poisoned");
+        let entries: Vec<u64> = match &*backing {
+            Backing::Memory { sums, .. } => sums[start as usize..start as usize + n].to_vec(),
+            Backing::File { sums, .. } => {
+                let mut bytes = vec![0u8; n * checksum::ENTRY_SIZE];
+                sums.read_exact_at(&mut bytes, start * checksum::ENTRY_SIZE as u64)
+                    .map_err(|e| CfError::io("reading checksum entries", e))?;
+                decode_entries(&bytes).collect()
+            }
         };
-        let epoch = fs.epoch + 1;
-        let slot = fs.encode_slot(epoch);
-        let offset = ((epoch % NUM_SLOTS as u64) as usize * SLOT_SIZE) as u64;
-        let plan = self.faults.plan_write(FSM_COMMIT_PAGE);
+        let freed: Vec<u64> = entries.into_iter().map(checksum::free_entry).collect();
+        self.write_entries(&mut backing, start, &freed)
+    }
+
+    /// Writes `entries` as the sidecar entries of the run starting at
+    /// `start`: the one fault-addressable write of a free or of an
+    /// allocation from the freelist. On the file backing it claims a
+    /// write ordinal against the run's first page but is not counted
+    /// as a page write, and a torn write lands a prefix of the entry
+    /// bytes. The memory backing claims no ordinal.
+    fn write_entries(&self, backing: &mut Backing, start: u64, entries: &[u64]) -> CfResult<()> {
+        let sums = match backing {
+            Backing::Memory { sums, .. } => {
+                sums[start as usize..start as usize + entries.len()].copy_from_slice(entries);
+                return Ok(());
+            }
+            Backing::File { sums, .. } => sums,
+        };
+        let bytes: Vec<u8> = entries.iter().flat_map(|e| e.to_le_bytes()).collect();
+        let offset = start * checksum::ENTRY_SIZE as u64;
+        let plan = self.faults.plan_write(PageId(start));
         if !matches!(plan, WritePlan::Proceed) {
             self.metrics.faults_write.inc();
         }
-        match plan {
+        let keep = match plan {
+            WritePlan::Proceed => bytes.len(),
+            WritePlan::Torn { keep, .. } => keep.min(bytes.len()),
             WritePlan::Fail(ordinal) => {
                 return Err(CfError::Injected {
                     op: FaultOp::Write,
                     ordinal,
                 })
             }
-            WritePlan::Torn { keep, ordinal } => {
-                let keep = keep.min(SLOT_SIZE);
-                fsm.write_all_at(&slot[..keep], offset)
-                    .map_err(|e| CfError::io("committing freelist superblock", e))?;
-                return Err(CfError::Injected {
-                    op: FaultOp::Write,
-                    ordinal,
-                });
-            }
-            WritePlan::Proceed => {}
+        };
+        sums.write_all_at(&bytes[..keep], offset)
+            .map_err(|e| CfError::io("writing checksum entries", e))?;
+        if let WritePlan::Torn { ordinal, .. } = plan {
+            return Err(CfError::Injected {
+                op: FaultOp::Write,
+                ordinal,
+            });
         }
-        fsm.write_all_at(&slot[..], offset)
-            .map_err(|e| CfError::io("committing freelist superblock", e))?;
-        fs.epoch = epoch;
         Ok(())
-    }
-
-    /// Zeroes a reclaimed run's pages and sidecar entries so the
-    /// allocation contract (fresh pages read as zeroes) holds for
-    /// reused pages too.
-    fn zero_run(&self, start: u64, n: usize) -> CfResult<()> {
-        let mut backing = self.backing.write().expect("disk lock poisoned");
-        match &mut *backing {
-            Backing::Memory { pages, sums } => {
-                for i in start as usize..start as usize + n {
-                    pages[i].fill(0);
-                    sums[i] = checksum::zero_page_entry();
-                }
-                Ok(())
-            }
-            Backing::File { file, sums, .. } => {
-                let zero: PageBuf = [0u8; PAGE_SIZE];
-                let mut entries = Vec::with_capacity(n * checksum::ENTRY_SIZE);
-                for i in start as usize..start as usize + n {
-                    file.write_all_at(&zero, (i * PAGE_SIZE) as u64)
-                        .map_err(|e| CfError::io("zeroing reclaimed pages", e))?;
-                    entries.extend_from_slice(&checksum::zero_page_entry().to_le_bytes());
-                }
-                sums.write_all_at(&entries, (start as usize * checksum::ENTRY_SIZE) as u64)
-                    .map_err(|e| CfError::io("zeroing reclaimed checksum entries", e))
-            }
-        }
     }
 
     /// Number of allocated pages.
@@ -737,6 +727,15 @@ impl DiskManager {
     }
 }
 
+/// Sidecar entries from their little-endian bytes.
+fn decode_entries(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(checksum::ENTRY_SIZE).map(|b| {
+        let mut entry = [0u8; checksum::ENTRY_SIZE];
+        entry.copy_from_slice(b);
+        u64::from_le_bytes(entry)
+    })
+}
+
 impl Default for DiskManager {
     fn default() -> Self {
         Self::new()
@@ -756,7 +755,7 @@ mod tests {
     }
 
     fn cleanup(path: &std::path::Path) {
-        for suffix in ["", ".crc", ".fsm"] {
+        for suffix in ["", ".crc"] {
             let mut p = path.as_os_str().to_owned();
             p.push(suffix);
             let _ = std::fs::remove_file(std::path::PathBuf::from(p));
@@ -1160,7 +1159,7 @@ mod tests {
 
     #[test]
     fn freelist_survives_reopen_on_file_backing() {
-        let path = temp_path("fsm");
+        let path = temp_path("freelist");
         cleanup(&path);
         {
             let disk = DiskManager::open_file(&path).expect("open");
@@ -1186,59 +1185,149 @@ mod tests {
         cleanup(&path);
     }
 
+    fn stamp(i: u64) -> PageBuf {
+        let mut page = [0u8; PAGE_SIZE];
+        page[..8].copy_from_slice(&(0x5EED_0000 + i).to_le_bytes());
+        page
+    }
+
     #[test]
-    fn torn_superblock_commit_falls_back_to_previous_epoch() {
-        let path = temp_path("fsm_torn");
+    fn torn_free_frees_at_most_the_torn_prefix() {
+        // Pages 0..10 live and stamped; 1..3 freed cleanly; the free of
+        // 4..8 is torn after `keep` bytes of its 32 entry bytes. An
+        // entry is retagged exactly when its tag byte (byte 4) landed.
+        for keep in 0..=32usize {
+            let path = temp_path(&format!("torn_free_{keep}"));
+            cleanup(&path);
+            {
+                let disk = DiskManager::open_file(&path).expect("open");
+                let _ = disk.allocate_run(10).expect("allocate");
+                for i in 0..10 {
+                    disk.write_page(PageId(i), &stamp(i)).expect("write");
+                }
+                disk.free_run(PageId(1), 2).expect("free");
+                disk.clear_faults();
+                disk.inject_fault(Fault::TornWrite { nth: 0, keep });
+                let err = disk.free_run(PageId(4), 4).expect_err("torn free");
+                assert!(err.is_injected());
+                assert_eq!(disk.free_pages(), 2, "in-memory state rolled back");
+                disk.clear_faults();
+                disk.sync().expect("sync");
+            }
+            let disk = DiskManager::open_file(&path).expect("reopen");
+            let freed = ((keep + 3) / checksum::ENTRY_SIZE).min(4) as u64;
+            assert_eq!(disk.free_pages() as u64, 2 + freed, "keep {keep}");
+            // The free set is the clean run plus the torn prefix: every
+            // other page reads back live.
+            let mut out = [0u8; PAGE_SIZE];
+            for i in [0, 3, 8, 9].into_iter().chain(4 + freed..8) {
+                disk.read_page(PageId(i), &mut out).expect("live page");
+                assert_eq!(out[..8], stamp(i)[..8], "keep {keep}, page {i}");
+            }
+            // The freed pages of the torn prefix still verify until reuse.
+            for i in 4..4 + freed {
+                disk.read_page(PageId(i), &mut out).expect("freed page");
+            }
+            assert_eq!(disk.allocate_run(2).expect("reuse"), PageId(1));
+            if freed > 0 {
+                assert_eq!(disk.allocate_run(freed as usize).expect("reuse"), PageId(4));
+            }
+            assert_eq!(disk.num_pages(), 10, "holes reused, no growth");
+            drop(disk);
+            cleanup(&path);
+        }
+    }
+
+    #[test]
+    fn failed_allocation_write_puts_the_run_back() {
+        // Failed outright, or torn after the first entry and the
+        // second's tag byte: either way the run is back on the
+        // in-memory freelist, and a retry reuses it.
+        for (tag, fault) in [
+            ("fail", Fault::FailWrite { nth: 0 }),
+            ("torn", Fault::TornWrite { nth: 0, keep: 13 }),
+        ] {
+            let path = temp_path(&format!("alloc_{tag}"));
+            cleanup(&path);
+            let disk = DiskManager::open_file(&path).expect("open");
+            let _ = disk.allocate_run(6).expect("allocate");
+            let buf = [0x11u8; PAGE_SIZE];
+            disk.write_page(PageId(5), &buf).expect("pin the tail");
+            disk.free_run(PageId(1), 3).expect("free");
+
+            disk.clear_faults();
+            disk.inject_fault(fault);
+            let err = disk.allocate_run(2).expect_err("entries write fails");
+            assert!(err.is_injected(), "{tag}");
+            assert_eq!(disk.free_pages(), 3, "{tag}: hole back on the freelist");
+            disk.clear_faults();
+            let reused = disk.allocate_run(2).expect("retry succeeds");
+            assert_eq!(reused, PageId(1), "{tag}");
+            drop(disk);
+            let disk = DiskManager::open_file(&path).expect("reopen");
+            assert_eq!(disk.free_pages(), 1, "{tag}: the retry committed 1..3");
+            assert_eq!(disk.allocate_run(1).expect("reuse"), PageId(3), "{tag}");
+            drop(disk);
+            cleanup(&path);
+        }
+    }
+
+    #[test]
+    fn free_tags_past_the_end_of_file_are_ignored() {
+        let path = temp_path("tag_past_end");
         cleanup(&path);
         {
             let disk = DiskManager::open_file(&path).expect("open");
-            let _ = disk.allocate_run(10).expect("allocate");
-            let buf = [0x77u8; PAGE_SIZE];
-            disk.write_page(PageId(9), &buf).expect("pin the tail");
-            disk.free_run(PageId(1), 2).expect("free (epoch 1)");
-
-            // Tear the next superblock commit mid-run-entry (keep = 40
-            // lands inside the first run pair, so the stored CRC cannot
-            // match the truncated payload).
-            disk.clear_faults();
-            disk.inject_fault(Fault::TornWrite { nth: 0, keep: 40 });
-            let err = disk
-                .free_run(PageId(5), 2)
-                .expect_err("torn commit must surface");
-            assert!(err.is_injected());
-            assert_eq!(disk.free_pages(), 2, "in-memory state rolled back");
-            disk.clear_faults();
+            let _ = disk.allocate_run(6).expect("allocate");
+            for i in 0..6 {
+                disk.write_page(PageId(i), &stamp(i)).expect("write");
+            }
+            disk.free_page(PageId(4)).expect("free interior page");
             disk.sync().expect("sync");
         }
+        // A crash between truncating the data file and truncating the
+        // sidecar leaves entries, a free tag among them, past the end.
         {
-            let disk = DiskManager::open_file(&path).expect("reopen");
-            // The torn slot fails its CRC; epoch 1 (with one 2-page
-            // run) carries on.
-            assert_eq!(disk.free_pages(), 2, "previous epoch recovered");
-            let reused = disk.allocate_run(2).expect("reuse");
-            assert_eq!(reused, PageId(1));
+            let f = File::options().write(true).open(&path).expect("raw open");
+            f.set_len(4 * PAGE_SIZE as u64).expect("truncate");
         }
+        let disk = DiskManager::open_file(&path).expect("reopen");
+        assert_eq!(disk.num_pages(), 4);
+        assert_eq!(disk.free_pages(), 0);
+        assert_eq!(disk.allocate_run(2).expect("grow"), PageId(4));
+        let mut out = [0xFFu8; PAGE_SIZE];
+        disk.read_page(PageId(4), &mut out).expect("fresh entry");
+        assert!(out.iter().all(|&b| b == 0));
+        drop(disk);
         cleanup(&path);
     }
 
     #[test]
-    fn failed_superblock_commit_rolls_back_allocation() {
-        let path = temp_path("fsm_fail");
-        cleanup(&path);
-        let disk = DiskManager::open_file(&path).expect("open");
-        let _ = disk.allocate_run(6).expect("allocate");
-        let buf = [0x11u8; PAGE_SIZE];
-        disk.write_page(PageId(5), &buf).expect("pin the tail");
-        disk.free_run(PageId(1), 3).expect("free");
+    fn three_hundred_separated_free_runs_are_all_kept() {
+        // 300 single-page holes between live pages: the freelist has no
+        // run cap, in memory or across a reopen.
+        fn free_every_other(disk: &DiskManager) {
+            let _ = disk.allocate_run(601).expect("allocate");
+            for i in 0..300 {
+                disk.free_page(PageId(2 * i)).expect("free");
+            }
+        }
+        let disk = DiskManager::new();
+        free_every_other(&disk);
+        assert_eq!(disk.free_pages(), 300);
 
-        disk.clear_faults();
-        disk.inject_fault(Fault::FailWrite { nth: 0 });
-        let err = disk.allocate_run(2).expect_err("commit fails");
-        assert!(err.is_injected());
-        assert_eq!(disk.free_pages(), 3, "hole back on the freelist");
-        disk.clear_faults();
-        let reused = disk.allocate_run(2).expect("retry succeeds");
-        assert_eq!(reused, PageId(1));
+        let path = temp_path("runs300");
+        cleanup(&path);
+        {
+            let disk = DiskManager::open_file(&path).expect("open");
+            free_every_other(&disk);
+            assert_eq!(disk.free_pages(), 300);
+            disk.sync().expect("sync");
+        }
+        let disk = DiskManager::open_file(&path).expect("reopen");
+        assert_eq!(disk.free_pages(), 300);
+        assert_eq!(disk.allocate().expect("reuse"), PageId(0));
+        drop(disk);
         cleanup(&path);
     }
 

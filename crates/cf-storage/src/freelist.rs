@@ -5,53 +5,25 @@
 //! best-fit holes from it before extending the file, so index rebuilds
 //! and live-ingest repacks stop leaking the database file.
 //!
-//! In memory the state is a coalesced `start → len` map. For the file
-//! backing it persists in a `<path>.fsm` superblock using the same
-//! two-slot shadow-paging idiom as the index catalog: two 4 KiB slots,
-//! each carrying an epoch and a CRC over its payload; a commit writes
-//! the *inactive* slot with `epoch + 1`, so a crash mid-write leaves
-//! the previous epoch intact and at worst leaks the pages freed since.
+//! In memory the state is a coalesced `start → len` map. It is not
+//! persisted on its own: a freed page's checksum sidecar entry carries
+//! the free tag ([`crate::checksum`]), and opening a file rebuilds the
+//! map from the tagged entries. A page is free on disk exactly when
+//! its own entry says so, so the freelist has no size cap and no
+//! commit of its own.
 //!
-//! This file decodes on-disk bytes and denies clippy's `unwrap_used`
-//! and `panic`: a slot that fails its magic, version, CRC or run count
-//! is skipped ([`FreeState::decode_slot`] returns `None`).
+//! This file denies clippy's `unwrap_used` and `panic`, like every
+//! file on the persistence path.
 #![deny(clippy::unwrap_used, clippy::panic)]
 
-use crate::checksum::crc32;
 use std::collections::BTreeMap;
 
-/// Magic tag of a freelist superblock slot ("CFFSMSB1").
-pub(crate) const FSM_MAGIC: u64 = 0x4346_4653_4D53_4231;
-
-/// Superblock format version.
-pub(crate) const FSM_VERSION: u32 = 1;
-
-/// Size of one superblock slot in bytes.
-pub(crate) const SLOT_SIZE: usize = crate::PAGE_SIZE;
-
-/// Number of shadow-paged slots.
-pub(crate) const NUM_SLOTS: usize = 2;
-
-/// Byte offset where the CRC-covered payload begins (epoch onward).
-const CRC_COVER_FROM: usize = 16;
-
-/// Header bytes before the run pairs.
-const HEADER: usize = 32;
-
-/// Maximum free runs one slot can record. Overflow drops the smallest
-/// runs (a counted leak, never a correctness problem).
-pub(crate) const MAX_RUNS: usize = (SLOT_SIZE - HEADER) / 16;
-
 /// The in-memory freelist: coalesced, non-overlapping free runs keyed
-/// by their first page id, plus the epoch of the last persisted
-/// superblock.
+/// by their first page id.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct FreeState {
     /// `start → len`, always coalesced and non-overlapping.
     pub(crate) runs: BTreeMap<u64, u64>,
-    /// Epoch of the superblock slot this state was loaded from / last
-    /// persisted as. The next commit writes `epoch + 1`.
-    pub(crate) epoch: u64,
 }
 
 impl FreeState {
@@ -125,99 +97,6 @@ impl FreeState {
             None
         }
     }
-
-    /// Drops runs (or run tails) extending past `num_pages` — e.g.
-    /// after a crash between a superblock commit and the file truncate
-    /// it announced. Returns the number of pages clamped away.
-    pub(crate) fn clamp_to(&mut self, num_pages: u64) -> u64 {
-        let mut clamped = 0u64;
-        let past: Vec<(u64, u64)> = self
-            .runs
-            .range(..)
-            .filter(|(&start, &len)| start + len > num_pages)
-            .map(|(&start, &len)| (start, len))
-            .collect();
-        for (start, len) in past {
-            self.runs.remove(&start);
-            if start < num_pages {
-                let keep = num_pages - start;
-                self.runs.insert(start, keep);
-                clamped += len - keep;
-            } else {
-                clamped += len;
-            }
-        }
-        clamped
-    }
-
-    /// Drops the smallest runs until at most [`MAX_RUNS`] remain, so
-    /// the state fits one superblock slot. Returns the pages leaked.
-    pub(crate) fn truncate_to_capacity(&mut self) -> u64 {
-        let mut leaked = 0u64;
-        while self.runs.len() > MAX_RUNS {
-            let (&start, _) = match self.runs.iter().min_by_key(|(&start, &len)| (len, start)) {
-                Some(entry) => entry,
-                None => break,
-            };
-            leaked += self.runs.remove(&start).unwrap_or(0);
-        }
-        leaked
-    }
-
-    /// Encodes the state as one superblock slot image carrying `epoch`.
-    pub(crate) fn encode_slot(&self, epoch: u64) -> Box<[u8; SLOT_SIZE]> {
-        debug_assert!(self.runs.len() <= MAX_RUNS);
-        let mut buf = Box::new([0u8; SLOT_SIZE]);
-        buf[0..8].copy_from_slice(&FSM_MAGIC.to_le_bytes());
-        buf[8..12].copy_from_slice(&FSM_VERSION.to_le_bytes());
-        buf[16..24].copy_from_slice(&epoch.to_le_bytes());
-        buf[24..28].copy_from_slice(&(self.runs.len() as u32).to_le_bytes());
-        let mut at = HEADER;
-        for (&start, &len) in self.runs.iter().take(MAX_RUNS) {
-            buf[at..at + 8].copy_from_slice(&start.to_le_bytes());
-            buf[at + 8..at + 16].copy_from_slice(&len.to_le_bytes());
-            at += 16;
-        }
-        let crc = crc32(&buf[CRC_COVER_FROM..]);
-        buf[12..16].copy_from_slice(&crc.to_le_bytes());
-        buf
-    }
-
-    /// Decodes one slot image; `None` for an unwritten, torn or
-    /// foreign slot (bad magic, version, CRC or run layout).
-    pub(crate) fn decode_slot(buf: &[u8; SLOT_SIZE]) -> Option<(u64, BTreeMap<u64, u64>)> {
-        let magic = u64::from_le_bytes(buf[0..8].try_into().ok()?);
-        if magic != FSM_MAGIC {
-            return None;
-        }
-        let version = u32::from_le_bytes(buf[8..12].try_into().ok()?);
-        if version != FSM_VERSION {
-            return None;
-        }
-        let stored_crc = u32::from_le_bytes(buf[12..16].try_into().ok()?);
-        if stored_crc != crc32(&buf[CRC_COVER_FROM..]) {
-            return None;
-        }
-        let epoch = u64::from_le_bytes(buf[16..24].try_into().ok()?);
-        let count = u32::from_le_bytes(buf[24..28].try_into().ok()?) as usize;
-        if count > MAX_RUNS {
-            return None;
-        }
-        let mut runs = BTreeMap::new();
-        let mut at = HEADER;
-        let mut prev_end = 0u64;
-        for i in 0..count {
-            let start = u64::from_le_bytes(buf[at..at + 8].try_into().ok()?);
-            let len = u64::from_le_bytes(buf[at + 8..at + 16].try_into().ok()?);
-            if len == 0 || (i > 0 && start < prev_end) || start.checked_add(len).is_none() {
-                return None;
-            }
-            prev_end = start + len;
-            runs.insert(start, len);
-            at += 16;
-        }
-        Some((epoch, runs))
-    }
 }
 
 #[cfg(test)]
@@ -268,49 +147,5 @@ mod tests {
         assert_eq!(fs.pop_tail_run(10), Some(8));
         assert_eq!(fs.pop_tail_run(8), None, "interior run stays");
         assert_eq!(fs.runs.get(&3), Some(&2));
-    }
-
-    #[test]
-    fn clamp_trims_runs_past_the_file_end() {
-        let mut fs = FreeState::default();
-        fs.insert_run(2, 4); // straddles num_pages = 4
-        fs.insert_run(9, 3); // fully past
-        assert_eq!(fs.clamp_to(4), 5);
-        assert_eq!(fs.runs.get(&2), Some(&2));
-        assert_eq!(fs.runs.len(), 1);
-    }
-
-    #[test]
-    fn slot_round_trips_and_rejects_corruption() {
-        let mut fs = FreeState::default();
-        fs.insert_run(5, 7);
-        fs.insert_run(100, 1);
-        let slot = fs.encode_slot(42);
-        let (epoch, runs) = FreeState::decode_slot(&slot).expect("decode");
-        assert_eq!(epoch, 42);
-        assert_eq!(runs, fs.runs);
-
-        let mut torn = slot.clone();
-        torn[HEADER + 3] ^= 0x40;
-        assert!(FreeState::decode_slot(&torn).is_none(), "CRC catches tears");
-        let zeroes = Box::new([0u8; SLOT_SIZE]);
-        assert!(FreeState::decode_slot(&zeroes).is_none(), "unwritten slot");
-    }
-
-    #[test]
-    fn capacity_overflow_leaks_smallest_runs() {
-        let mut fs = FreeState::default();
-        // MAX_RUNS + 2 isolated single-page runs plus one big run.
-        for i in 0..(MAX_RUNS as u64 + 2) {
-            assert!(fs.insert_run(i * 2, 1));
-        }
-        fs.insert_run(100_000, 50);
-        let leaked = fs.truncate_to_capacity();
-        assert_eq!(fs.runs.len(), MAX_RUNS);
-        assert_eq!(leaked, 3, "three 1-page runs dropped");
-        assert_eq!(fs.runs.get(&100_000), Some(&50), "big run survives");
-        // Still encodable.
-        let slot = fs.encode_slot(1);
-        assert!(FreeState::decode_slot(&slot).is_some());
     }
 }

@@ -75,7 +75,7 @@ pub use cf_obs::{
     Json, Label, MetricsRegistry, Stopwatch, TraceEvent, Tracer, WorkloadRecord,
 };
 pub use compressed::PageCodec;
-pub use disk::{DiskManager, PageBuf, PageId, FSM_COMMIT_PAGE, PAGE_SIZE};
+pub use disk::{DiskManager, PageBuf, PageId, PAGE_SIZE};
 pub use engine::{StorageConfig, StorageEngine};
 pub use error::{CfError, CfResult, FaultOp};
 pub use fault::{Fault, FaultInjector, FiredFault};

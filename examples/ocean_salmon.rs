@@ -74,10 +74,7 @@ fn main() {
 
     // Where would you drop the nets? Print the centroid of the largest
     // habitat patch.
-    if let Some(best) = regions
-        .iter()
-        .max_by(|a, b| a.area().partial_cmp(&b.area()).expect("finite areas"))
-    {
+    if let Some(best) = regions.iter().max_by(|a, b| a.area().total_cmp(&b.area())) {
         let c = best.centroid().expect("non-degenerate region");
         println!(
             "\nlargest habitat patch: area {:.2} around ({:.1}, {:.1})",

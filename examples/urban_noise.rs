@@ -56,7 +56,7 @@ fn main() {
 
     // Rank the three loudest hotspots by patch area.
     let mut ranked: Vec<_> = regions.iter().collect();
-    ranked.sort_by(|a, b| b.area().partial_cmp(&a.area()).expect("finite areas"));
+    ranked.sort_by(|a, b| b.area().total_cmp(&a.area()));
     println!("\nlargest hotspots:");
     for (i, r) in ranked.iter().take(3).enumerate() {
         let c = r.centroid().expect("non-degenerate");

@@ -11,14 +11,14 @@ use contfield::prelude::*;
 use contfield::storage::{RecordFile, StorageConfig};
 use contfield::workload::fractal::diamond_square;
 
-/// A database path in the temp directory. Its `<db>`, `.crc` and `.fsm`
-/// files are removed when it is made and when it drops, so a failing
-/// test leaves nothing behind either.
+/// A database path in the temp directory. Its `<db>` and `.crc` files
+/// are removed when it is made and when it drops, so a failing test
+/// leaves nothing behind either.
 struct TmpDb(std::path::PathBuf);
 
 impl TmpDb {
     fn remove_files(&self) {
-        for ext in ["", ".crc", ".fsm"] {
+        for ext in ["", ".crc"] {
             let _ = std::fs::remove_file(format!("{}{ext}", self.0.display()));
         }
     }
