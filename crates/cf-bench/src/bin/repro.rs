@@ -34,8 +34,9 @@ use cf_bench::{
 use cf_field::{FieldModel, GridField};
 use cf_geom::Interval;
 use cf_index::{
-    build_subfields, cell_order, create_database, open_database, read_bootstrap, write_bootstrap,
-    IHilbert, IHilbertConfig, IntervalQuadtree, LinearScan, SubfieldConfig, ValueIndex,
+    build_subfields, build_subfields_by_page, cell_order, create_database, open_database,
+    read_bootstrap, write_bootstrap, IHilbert, IHilbertConfig, IntervalQuadtree, LinearScan,
+    SubfieldConfig, ValueIndex,
 };
 use cf_sfc::Curve;
 use cf_storage::{StorageConfig, StorageEngine};
@@ -539,9 +540,9 @@ fn ablation(opts: &Opts) {
     );
 
     // Adaptive planner: scan fallback for wide bands.
+    let probe = IHilbert::build(&engine, &field).expect("build");
     {
         use cf_index::AdaptiveIndex;
-        let probe = IHilbert::build(&engine, &field).expect("build");
         let adaptive = AdaptiveIndex::build(&engine, &field).expect("build");
         println!("### ablation — adaptive planner (probe vs scan fallback)\n");
         println!("| Qinterval | probe pages | adaptive pages | plan |");
@@ -562,10 +563,11 @@ fn ablation(opts: &Opts) {
         println!();
     }
 
-    // Subfield statistics, as in Fig. 7's narrative.
+    // Subfield statistics, as in Fig. 7's narrative, of the product
+    // grouping: the paper's rule within each page of the built cell file.
     let order = cell_order(&field, Curve::Hilbert);
     let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
-    let sfs = build_subfields(&intervals, SubfieldConfig::default());
+    let sfs = build_subfields_by_page(&intervals, probe.cell_file(), SubfieldConfig::default());
     let mut sizes: Vec<usize> = sfs.iter().map(|s| s.len()).collect();
     sizes.sort_unstable();
     println!(

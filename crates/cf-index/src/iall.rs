@@ -57,9 +57,9 @@ impl<F: FieldModel> IAll<F> {
     ///
     /// Returns [`CfError::InvalidCell`] when `cell` is outside the
     /// indexed range and [`CfError::InvalidRecord`] for a record with a
-    /// NaN sample — cell ids and records are user input and must not
-    /// panic — and [`CfError::Corrupt`] when the tree has lost the
-    /// cell's entry.
+    /// NaN sample or a non-finite box — cell ids and records are user
+    /// input and must not panic — and [`CfError::Corrupt`] when the tree
+    /// has lost the cell's entry.
     pub fn update_cell(
         &mut self,
         engine: &StorageEngine,

@@ -1,17 +1,18 @@
 //! `I-Hilbert` — the paper's contribution.
 //!
 //! Cells are linearized by the Hilbert value of their centers; subfields
-//! are formed by the greedy cost rule of §3.1.2; only subfield intervals
-//! enter the 1-D R\*-tree, and each subfield's cells are physically
-//! contiguous in the cell file, so the estimation step reads compact
-//! page runs. The same file answers Q1 ([`IHilbert::value_at`]).
+//! are formed by the greedy cost rule of §3.1.2 within each data page;
+//! only subfield intervals enter the 1-D R\*-tree, and each subfield's
+//! cells are physically contiguous on one page of the cell file, so the
+//! estimation step reads only pages that hold a retrieved subfield. The
+//! same file answers Q1 ([`IHilbert::value_at`]).
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::order::{cell_order, check_cell_count};
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
-use crate::subfield::{build_subfields, subfield_costs, SubfieldConfig};
+use crate::subfield::{build_subfields_by_page, subfield_costs, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval, Point2};
 use cf_sfc::Curve;
@@ -105,9 +106,10 @@ impl<F: FieldModel> IHilbert<F> {
     }
 
     /// Builds the index with explicit parameters: linearize the cells
-    /// along the curve, group them greedily into subfields (§3.1.2),
-    /// write the cell file in that order, index the subfield intervals
-    /// and write the cell→position map and the box file.
+    /// along the curve, write the cell file and the box file in that
+    /// order, group each data page's cells greedily into subfields
+    /// (§3.1.2, [`build_subfields_by_page`]), index the subfield
+    /// intervals and write the cell→position map.
     ///
     /// # Errors
     ///
@@ -118,7 +120,6 @@ impl<F: FieldModel> IHilbert<F> {
         check_cell_count(field.num_cells())?;
         let order = cell_order(field, config.curve);
         let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
-        let subfields = build_subfields(&intervals, config.subfield);
         let curve = config.curve;
         let records: Vec<F::CellRec> = order.iter().map(|&c| field.cell_record(c)).collect();
         // The box run is allocated between the cell and tree runs, as at
@@ -126,6 +127,7 @@ impl<F: FieldModel> IHilbert<F> {
         let file = CellFile::create(engine, records.iter().cloned())?;
         let box_file = write_page_boxes::<F>(engine, &file, &records)?;
         drop(records);
+        let subfields = build_subfields_by_page(&intervals, &file, config.subfield);
         let (label, curve_name) = (method_label(curve), curve.name());
         let inner = SubfieldIndex::build(engine, file, &subfields, &label, curve_name)?;
         // Exact per-subfield cost C = P/SI (the paper's `P = L`, base
@@ -156,6 +158,29 @@ impl<F: FieldModel> IHilbert<F> {
     /// Number of subfields the cost function produced.
     pub fn num_subfields(&self) -> usize {
         self.inner.subfields.len()
+    }
+
+    /// The subfield catalog in file order: the in-memory copy of the
+    /// tree's leaf entries.
+    pub fn subfields(&self) -> &[Subfield] {
+        &self.inner.subfields
+    }
+
+    /// The Hilbert-ordered cell file the subfields point into.
+    pub fn cell_file(&self) -> &CellFile<F::CellRec> {
+        &self.inner.file
+    }
+
+    /// How many subfields span a data page boundary: 0 for an index
+    /// built or repacked by [`build_subfields_by_page`]; a catalog
+    /// grouped by the uncut rule keeps its straddlers until a repack.
+    pub fn straddling_subfields(&self) -> usize {
+        let file = &self.inner.file;
+        self.inner
+            .subfields
+            .iter()
+            .filter(|sf| file.page_no_of(sf.start as usize) != file.page_no_of(sf.end as usize - 1))
+            .count()
     }
 
     /// Number of cells in the index's cell file.
@@ -211,7 +236,8 @@ impl<F: FieldModel> IHilbert<F> {
     /// ids), and [`CfError::Corrupt`] if a reopened catalog maps it
     /// past the cell file — both would otherwise rewrite some other
     /// cell's record. Returns [`CfError::InvalidRecord`] for a record
-    /// with a NaN sample. Cell ids and records are user input; no case
+    /// with a NaN sample, or whose box has a non-finite bound or an
+    /// overflowing area. Cell ids and records are user input; no case
     /// panics, and none writes anything.
     pub fn update_cell(
         &mut self,
@@ -254,12 +280,16 @@ impl<F: FieldModel> IHilbert<F> {
     }
 }
 
-/// Refuses a user-supplied record with a NaN sample
-/// ([`CfError::InvalidRecord`]): its interval is [`Interval::NAN`], which
-/// no band intersects. Every mutation path calls this before it touches
-/// any state.
+/// Refuses a user-supplied record ([`CfError::InvalidRecord`]) with a
+/// NaN sample — its interval is [`Interval::NAN`], which no band
+/// intersects — or whose box ([`FieldModel::record_bbox`]) has a
+/// non-finite bound or an area that overflows, which the refine would
+/// turn into a NaN area. Every mutation path calls this before it
+/// touches any state.
 pub(crate) fn check_record<F: FieldModel>(cell: usize, record: &F::CellRec) -> CfResult<()> {
-    if F::record_interval(record).is_nan() {
+    let bbox = F::record_bbox(record);
+    let finite = bbox.lo.iter().chain(&bbox.hi).all(|v| v.is_finite());
+    if F::record_interval(record).is_nan() || !finite || !bbox.volume().is_finite() {
         return Err(CfError::InvalidRecord { cell });
     }
     Ok(())
@@ -551,6 +581,96 @@ mod tests {
         index
             .update_cell(&engine, cell, field.cell_record(cell))
             .expect("valid update");
+    }
+
+    #[test]
+    fn every_entry_point_refuses_a_record_with_a_non_finite_box() {
+        use crate::iall::IAll;
+        use crate::ingest::{IngestConfig, LiveIngest};
+        let field = smooth_field(8);
+        let cell = 13;
+        let corners = |lo: f64, hi: f64| cf_field::GridCellRecord {
+            x0: lo,
+            y0: lo,
+            x1: hi,
+            y1: hi,
+            ..field.cell_record(cell)
+        };
+        // Corners at ±1e300: finite, but the box's area overflows.
+        let mut bad = vec![corners(-1e300, 1e300)];
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rec = field.cell_record(cell);
+            bad.extend([
+                cf_field::GridCellRecord { x0: v, ..rec },
+                cf_field::GridCellRecord { y0: v, ..rec },
+                cf_field::GridCellRecord { x1: v, ..rec },
+                cf_field::GridCellRecord { y1: v, ..rec },
+            ]);
+        }
+        let band = Interval::new(20.0, 60.0);
+
+        let engine = StorageEngine::in_memory();
+        let mut ih = IHilbert::build(&engine, &field).expect("build");
+        let mut iall = IAll::build(&engine, &field).expect("build");
+        let want = ih.query_stats(&engine, band).expect("query");
+        let pages = engine.num_pages();
+        for rec in &bad {
+            let err = ih.update_cell(&engine, cell, *rec).expect_err("I-Hilbert");
+            assert!(err.is_invalid_record(), "{rec:?}: {err}");
+            let err = iall.update_cell(&engine, cell, *rec).expect_err("I-All");
+            assert!(err.is_invalid_record(), "{rec:?}: {err}");
+        }
+        let live = LiveIngest::new(&engine, ih, IngestConfig::default()).expect("live");
+        for rec in &bad {
+            let err = live.ingest(&engine, cell, *rec).expect_err("ingest");
+            assert!(err.is_invalid_record(), "{rec:?}: {err}");
+        }
+        // Nothing was written: no delta, no new page, the same answers.
+        assert_eq!(live.status().0, 0);
+        assert_eq!(engine.num_pages(), pages);
+        for got in [
+            live.snapshot()
+                .query_stats(&engine, band)
+                .expect("snapshot"),
+            iall.query_stats(&engine, band).expect("I-All"),
+        ] {
+            assert_eq!(got.cells_qualifying, want.cells_qualifying);
+            assert_eq!(got.area.to_bits(), want.area.to_bits());
+        }
+        // A huge but finite box is still admitted.
+        live.ingest(&engine, cell, corners(-1e150, 1e150))
+            .expect("finite box");
+    }
+
+    #[test]
+    fn straddling_subfields_counts_the_uncut_groupings_straddlers() {
+        use crate::subfield::build_subfields;
+        let engine = StorageEngine::in_memory();
+        let field = smooth_field(48);
+        let mut index = IHilbert::build(&engine, &field).expect("build");
+        assert_eq!(index.straddling_subfields(), 0);
+        // The paper's rule over the whole file, which ignores pages.
+        let file = index.cell_file();
+        let records = file.read_range(&engine, 0..file.len()).expect("records");
+        let intervals: Vec<Interval> = records
+            .iter()
+            .map(cf_field::GridField::record_interval)
+            .collect();
+        let uncut = build_subfields(&intervals, SubfieldConfig::default());
+        let page_starts: Vec<usize> = (1..file.data_pages())
+            .map(|page| file.page_span(page).start)
+            .collect();
+        let crossing = uncut
+            .iter()
+            .filter(|sf| {
+                page_starts
+                    .iter()
+                    .any(|&s| (sf.start as usize) < s && s < sf.end as usize)
+            })
+            .count();
+        assert!(crossing > 0);
+        index.inner.subfields = uncut;
+        assert_eq!(index.straddling_subfields(), crossing);
     }
 
     #[test]

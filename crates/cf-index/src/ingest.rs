@@ -30,9 +30,9 @@
 //!    identical.
 //! 3. **A background repacker** ([`LiveIngest::repack`]): drains the
 //!    delta into a new Hilbert-ordered cell file segment on fresh
-//!    pages (regrouping subfields by the paper's static cost rule, as
-//!    the build does), swaps the base `Arc`, and defers
-//!    the superseded page runs to the engine's epoch GC — they are
+//!    pages (regrouping subfields by the paper's static cost rule within
+//!    each new data page, as the build does), swaps the base `Arc`, and
+//!    defers the superseded page runs to the engine's epoch GC — they are
 //!    recycled only after the last reader of an older epoch drops.
 //!
 //! Writers serialize on one mutex; readers never take it — they clone
@@ -46,7 +46,7 @@ use crate::ihilbert::{check_record, method_label, write_page_boxes, IHilbert};
 use crate::planner::{Plan, Router};
 use crate::sfindex::{subfield_of, SubfieldIndex};
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
-use crate::subfield::{build_subfields, Subfield, SubfieldConfig};
+use crate::subfield::{build_subfields_by_page, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::Interval;
 use cf_storage::{
@@ -312,8 +312,9 @@ impl<F: FieldModel> LiveIngest<F> {
     ///
     /// [`cf_storage::CfError::InvalidCell`] when `cell` is not mapped
     /// by the base index, [`cf_storage::CfError::InvalidRecord`] for a
-    /// record with a NaN sample (refused before the writer lock is
-    /// taken); I/O errors from the interval recompute.
+    /// record with a NaN sample, or whose box has a non-finite bound or
+    /// an overflowing area (refused before the writer lock is taken);
+    /// I/O errors from the interval recompute.
     pub fn ingest(&self, engine: &StorageEngine, cell: usize, record: F::CellRec) -> CfResult<()> {
         check_record::<F>(cell, &record)?;
         let mut state = self.writer.lock().expect("writer state poisoned");
@@ -348,9 +349,10 @@ impl<F: FieldModel> LiveIngest<F> {
     /// and only concurrent *writers* briefly serialize behind the
     /// writer mutex.
     ///
-    /// Subfields are regrouped by the paper's static cost function, the
-    /// rule [`IHilbert::build`] uses, so the new base's catalog depends
-    /// on the records alone, and so is the new box file. The superseded
+    /// Subfields are regrouped by the paper's static cost function
+    /// within each page of the new cell file, the rule
+    /// [`IHilbert::build`] uses, so the new base's catalog depends on
+    /// the records alone, and so is the new box file. The superseded
     /// cell file, tree and box file runs are deferred to the engine's
     /// epoch GC and recycled once the last reader of an older epoch
     /// drops; the position map carries over to the new base.
@@ -406,9 +408,6 @@ impl<F: FieldModel> LiveIngest<F> {
             records[pos as usize] = rec.clone();
         }
         let intervals: Vec<Interval> = records.iter().map(|r| F::record_interval(r)).collect();
-        // Regroup by the rule `IHilbert::build` uses: the catalog is a
-        // function of the records alone, never of the query history.
-        let subfields = build_subfields(&intervals, SubfieldConfig::default());
         let old_cell = (inner.file.first_page(), inner.file.num_pages());
         let old_tree = inner.tree.page_run();
         let old_boxes = old_base.box_file.clone();
@@ -420,6 +419,10 @@ impl<F: FieldModel> LiveIngest<F> {
         let file = CellFile::create(engine, records.iter().cloned())?;
         let box_file = write_page_boxes::<F>(engine, &file, &records)?;
         drop(records);
+        // Regroup by the rule `IHilbert::build` uses: the catalog is a
+        // function of the records and the new file's pages alone, never
+        // of the query history.
+        let subfields = build_subfields_by_page(&intervals, &file, SubfieldConfig::default());
         let (label, curve_name) = (method_label(curve), curve.name());
         let new_inner = SubfieldIndex::build(engine, file, &subfields, &label, curve_name)?;
         let new_base = IHilbert {

@@ -13,9 +13,10 @@
 //! * [`IAll`] — one 1-D R\*-tree entry per cell interval (§3, "I-All");
 //! * [`IHilbert`] — the contribution: cells linearized by the Hilbert
 //!   value of their centers, greedily grouped into **subfields** by the
-//!   cost function `C = P / SI` (§3.1), with only subfield intervals in
-//!   the 1-D R\*-tree and each subfield stored as a *contiguous* record
-//!   range of the cell file;
+//!   cost function `C = P / SI` (§3.1) within each data page
+//!   ([`build_subfields_by_page`]), with only subfield intervals in the
+//!   1-D R\*-tree and each subfield stored as a *contiguous* record
+//!   range of one page of the cell file;
 //! * [`IntervalQuadtree`] — the authors' earlier CIKM 1999 method
 //!   (quadtree space division with a fixed interval-size threshold),
 //!   included as the division-strategy ablation.
@@ -69,6 +70,8 @@ pub use linear::LinearScan;
 pub use order::{cell_order, CURVE_ORDER};
 pub use planner::{AdaptiveIndex, Plan};
 pub use stats::{QueryStats, RegionSink, ValueIndex};
-pub use subfield::{build_subfields, Subfield, SubfieldConfig, ValueSummary};
+pub use subfield::{
+    build_subfields, build_subfields_by_page, Subfield, SubfieldConfig, ValueSummary,
+};
 pub use vector::{vector_linear_scan, VectorIHilbert};
 pub use volume3d::{volume_linear_scan, VolumeIHilbert};

@@ -6,9 +6,9 @@
 //! reads it back by walking the tree ([`SubfieldIndex::open`]).
 //!
 //! The paper's indexes differ only in how they order and group cells:
-//! I-Hilbert groups greedy runs along a curve, the Interval Quadtree
-//! groups quadtree leaves, and I-All is the identity — native order, one
-//! cell per subfield.
+//! I-Hilbert groups greedy runs along a curve, cut at the cell file's
+//! page boundaries, the Interval Quadtree groups quadtree leaves, and
+//! I-All is the identity — native order, one cell per subfield.
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::exec::{self, Delta, Filter, SubfieldOverrides, Q2};

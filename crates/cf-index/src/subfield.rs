@@ -22,10 +22,20 @@
 //! The same loop groups the cells of a `K`-component vector field, whose
 //! value summary is a box ([`ValueSummary`] for `Aabb<K>`): its size is
 //! `Π_d (extent_d + base)`, which for `K = 1` is the interval size.
+//!
+//! [`build_subfields`] is the paper's rule over the whole file and
+//! ignores page boundaries, so a subfield may span two or more data
+//! pages and a query that retrieves it reads every one of them, even a
+//! page none of whose cells meets the band. Every I-Hilbert build and
+//! repack (2-D, 3-D and vector) groups with [`build_subfields_by_page`]
+//! instead: the same rule run on each data page's records on its own, so
+//! no subfield spans a page boundary and a retrieved subfield costs
+//! exactly one page read. The cell file is therefore written before the
+//! grouping (DESIGN §17.10).
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 use cf_geom::{Aabb, Interval};
-use cf_storage::{CfError, CfResult};
+use cf_storage::{CellFile, CfError, CfResult, Record};
 
 /// Tuning knobs of the subfield cost function.
 #[derive(Debug, Clone, Copy)]
@@ -321,6 +331,49 @@ pub fn build_subfields<V: ValueSummary>(
     out
 }
 
+/// The product grouping: [`build_subfields`] run on each data page's
+/// slice of `intervals` on its own, with the results offset to file
+/// positions, so no subfield spans a page boundary of `file`.
+///
+/// `intervals[i]` is the value summary of record `i` of `file`, the
+/// cell file just written in the linear order; the page spans come from
+/// [`CellFile::page_span`], so the cut follows the file's codec.
+///
+/// # Panics
+///
+/// Panics if `intervals` and `file` hold different numbers of cells, or
+/// more than `u32::MAX`.
+pub fn build_subfields_by_page<V: ValueSummary, R: Record>(
+    intervals: &[V],
+    file: &CellFile<R>,
+    config: SubfieldConfig,
+) -> Vec<Subfield<V>> {
+    assert_eq!(
+        intervals.len(),
+        file.len(),
+        "one value summary per record of the cell file"
+    );
+    assert!(
+        intervals.len() <= u32::MAX as usize,
+        "cell file too large for u32 subfield pointers"
+    );
+    let mut out = Vec::new();
+    for page in 0..file.data_pages() {
+        let span = file.page_span(page);
+        let offset = span.start as u32;
+        out.extend(
+            build_subfields(&intervals[span], config)
+                .into_iter()
+                .map(|sf| Subfield {
+                    start: sf.start + offset,
+                    end: sf.end + offset,
+                    interval: sf.interval,
+                }),
+        );
+    }
+    out
+}
+
 /// Exact cost `C = P / SI` of every subfield under `config` — what the
 /// index-health metrics publish. `interval_at(pos)` is the value
 /// interval of the cell at linearized position `pos`.
@@ -495,6 +548,76 @@ mod tests {
             "query_len=100 gave {} subfields vs {}",
             loose.len(),
             tight.len()
+        );
+    }
+
+    #[test]
+    fn by_page_runs_the_rule_on_each_page_and_never_crosses_one() {
+        use cf_storage::{KvRecord, PageCodec, StorageConfig, StorageEngine};
+        // A constant run longer than a page, which the uncut rule keeps
+        // as one subfield, between two wavy stretches.
+        let intervals: Vec<Interval> = (0..2_000)
+            .map(|i| {
+                if (600..1_400).contains(&i) {
+                    Interval::new(5.0, 10.0)
+                } else {
+                    let v = (i as f64 * 0.37).sin() * 50.0;
+                    Interval::new(v, v + 5.0)
+                }
+            })
+            .collect();
+        let uncut = build_subfields(&intervals, SubfieldConfig::default());
+        for codec in [PageCodec::Raw, PageCodec::Compressed] {
+            let engine = StorageEngine::new(StorageConfig {
+                codec,
+                ..StorageConfig::default()
+            });
+            // Scattered keys keep the compressed pages from holding
+            // the whole file.
+            let records = (0..intervals.len()).map(|i| KvRecord {
+                key: (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                value: intervals[i].lo,
+            });
+            let file = CellFile::create(&engine, records).expect("create");
+            assert!(file.data_pages() > 4, "{codec:?}");
+            let paged = build_subfields_by_page(&intervals, &file, SubfieldConfig::default());
+            // Page by page, the paper's rule on that page's slice alone.
+            let mut want = Vec::new();
+            for page in 0..file.data_pages() {
+                let span = file.page_span(page);
+                let on_page: Vec<(u32, u32, Interval)> = paged
+                    .iter()
+                    .filter(|sf| span.contains(&(sf.start as usize)))
+                    .map(|sf| (sf.start, sf.end, sf.interval))
+                    .collect();
+                let alone: Vec<(u32, u32, Interval)> =
+                    build_subfields(&intervals[span.clone()], SubfieldConfig::default())
+                        .iter()
+                        .map(|sf| {
+                            let at = span.start as u32;
+                            (sf.start + at, sf.end + at, sf.interval)
+                        })
+                        .collect();
+                assert_eq!(on_page, alone, "{codec:?} page {page}");
+                assert!(on_page.iter().all(|&(_, end, _)| end as usize <= span.end));
+                want.extend(alone);
+            }
+            assert_eq!(want.len(), paged.len(), "{codec:?}");
+            // The plateau is cut at every page boundary it crosses.
+            assert!(paged.len() > uncut.len(), "{codec:?}");
+        }
+        // A file of one page groups exactly as the uncut rule.
+        let engine = StorageEngine::in_memory();
+        let small = &intervals[..40];
+        let records = (0..small.len()).map(|i| KvRecord {
+            key: i as u64,
+            value: 0.0,
+        });
+        let file = CellFile::create(&engine, records).expect("create");
+        assert_eq!(file.data_pages(), 1);
+        assert_eq!(
+            build_subfields_by_page(small, &file, SubfieldConfig::default()),
+            build_subfields(small, SubfieldConfig::default())
         );
     }
 

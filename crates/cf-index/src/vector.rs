@@ -12,7 +12,7 @@
 //! ```
 //!
 //! which for `K = 1` reduces exactly to the paper's scalar rule, so one
-//! greedy loop ([`build_subfields`] over `Aabb<K>`) groups both. The
+//! greedy loop ([`crate::build_subfields`] over `Aabb<K>`) groups both. The
 //! motivating multi-attribute query from §1 — "find regions where the
 //! temperature is between 20° and 25° *and* the salinity is between 12%
 //! and 13%" — is a box intersection against this index (see the
@@ -21,7 +21,7 @@
 use crate::exec::probe;
 use crate::order::{check_cell_count, plane_order};
 use crate::stats::QueryStats;
-use crate::subfield::{build_subfields, SubfieldConfig};
+use crate::subfield::{build_subfields_by_page, SubfieldConfig};
 use cf_field::{VectorCellRecord, VectorGridField};
 use cf_geom::{Aabb, Polygon};
 use cf_rtree::PagedRTree;
@@ -36,8 +36,9 @@ pub struct VectorIHilbert<const K: usize> {
 
 impl<const K: usize> VectorIHilbert<K> {
     /// Builds the index: the cells in the Hilbert order of their
-    /// centroids, grouped by the scalar fields' greedy rule (paper
-    /// defaults, `base = 1`, `query_len = 0`) over value boxes.
+    /// centroids, written to the cell file, then grouped within each data
+    /// page by the scalar fields' greedy rule (paper defaults,
+    /// `base = 1`, `query_len = 0`) over value boxes.
     pub fn build(engine: &StorageEngine, field: &VectorGridField<K>) -> CfResult<Self> {
         check_cell_count(field.num_cells())?;
         let order = plane_order(
@@ -47,12 +48,12 @@ impl<const K: usize> VectorIHilbert<K> {
             Curve::Hilbert,
         );
 
-        let boxes: Vec<Aabb<K>> = order.iter().map(|&c| field.cell_value_box(c)).collect();
-        let subfields = build_subfields(&boxes, SubfieldConfig::default());
-
         let records: Vec<VectorCellRecord<K>> =
             order.iter().map(|&c| field.cell_record(c)).collect();
         let file = CellFile::create(engine, records)?;
+
+        let boxes: Vec<Aabb<K>> = order.iter().map(|&c| field.cell_value_box(c)).collect();
+        let subfields = build_subfields_by_page(&boxes, &file, SubfieldConfig::default());
 
         let tree = PagedRTree::build(engine, subfields.iter().map(|sf| (sf.interval, sf.pack())))?;
         Ok(Self { file, tree })

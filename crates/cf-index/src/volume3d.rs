@@ -2,15 +2,15 @@
 //!
 //! The same I-Hilbert construction in three spatial dimensions: cells
 //! are linearized by the **3-D Hilbert value** of their centers
-//! (Skilling transform), grouped into subfields with the identical cost
-//! function, and subfield intervals indexed in the 1-D R\*-tree. The
+//! (Skilling transform), grouped into subfields within each data page
+//! with the identical cost function, and subfield intervals indexed in the 1-D R\*-tree. The
 //! estimation step reports exact answer *volumes* via the closed-form
 //! tetrahedral band-volume (see [`cf_field::VolumeCellRecord`]).
 
 use crate::exec::probe;
 use crate::order::{check_cell_count, order_by, quantize};
 use crate::stats::QueryStats;
-use crate::subfield::{build_subfields, SubfieldConfig};
+use crate::subfield::{build_subfields_by_page, SubfieldConfig};
 use cf_field::{Grid3Field, VolumeCellRecord};
 use cf_geom::{Aabb, Interval};
 use cf_rtree::PagedRTree;
@@ -51,11 +51,11 @@ impl VolumeIHilbert {
         check_cell_count(field.num_cells())?;
         let order = volume_order(field);
 
-        let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
-        let subfields = build_subfields(&intervals, SubfieldConfig::default());
-
         let records: Vec<VolumeCellRecord> = order.iter().map(|&c| field.cell_record(c)).collect();
         let file = CellFile::create(engine, records)?;
+
+        let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
+        let subfields = build_subfields_by_page(&intervals, &file, SubfieldConfig::default());
 
         let tree = PagedRTree::build(
             engine,

@@ -12,8 +12,8 @@
 use cf_field::{FieldModel, GridCellRecord, GridField};
 use cf_geom::Interval;
 use cf_index::{
-    build_subfields, cell_order, IHilbert, IHilbertConfig, IngestConfig, LinearScan, LiveIngest,
-    QueryBatch, QueryStats, SubfieldConfig, ValueIndex,
+    build_subfields_by_page, cell_order, IHilbert, IHilbertConfig, IngestConfig, LinearScan,
+    LiveIngest, QueryBatch, QueryStats, Subfield, SubfieldConfig, ValueIndex,
 };
 use cf_sfc::Curve;
 use cf_storage::{CellFile, Fault, PageCodec, PageId, StorageConfig, StorageEngine};
@@ -492,9 +492,9 @@ fn bare_open_refuses_a_catalog_with_a_pending_delta() {
 /// the build uses, whatever queries ran before it. One plane answers Q2
 /// queries through its snapshots and then takes the writes; a twin on
 /// its own engine takes the same writes with no queries. After the
-/// repack both bases carry the catalog `build_subfields` forms over the
-/// effective records in base order, and the two engines hold the same
-/// page bytes.
+/// repack both bases carry the catalog `build_subfields_by_page` forms
+/// over the effective records in base order, and the two engines hold
+/// the same page bytes.
 #[test]
 fn repack_catalog_is_a_function_of_the_records_not_the_queries() {
     let field = wavy_field(16);
@@ -536,11 +536,17 @@ fn repack_catalog_is_a_function_of_the_records_not_the_queries() {
     for &(cell, rec) in &writes {
         records[cell] = rec;
     }
-    let intervals: Vec<Interval> = cell_order(&field, Curve::Hilbert)
+    let order = cell_order(&field, Curve::Hilbert);
+    let intervals: Vec<Interval> = order
         .iter()
         .map(|&cell| GridField::record_interval(&records[cell]))
         .collect();
-    let expected = build_subfields(&intervals, SubfieldConfig::default());
+    let file = CellFile::create(
+        &StorageEngine::in_memory(),
+        order.iter().map(|&cell| records[cell]),
+    )
+    .expect("file in base order");
+    let expected = build_subfields_by_page(&intervals, &file, SubfieldConfig::default());
 
     let mut probes = fixed_bands();
     probes.extend(expected.iter().map(|sf| sf.interval));
@@ -804,11 +810,28 @@ fn overlay_cursor_edges_answer_like_a_scan_of_the_updated_field() {
         pos_of[cell] = pos;
     }
     let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
-    let catalog = build_subfields(&intervals, SubfieldConfig::default());
-    let subfield_of = |pos: usize| catalog.partition_point(|sf| sf.end as usize <= pos);
-    // The record runs `band` retrieves from the base catalog, merged as
+    // Each codec's base catalog: the build's rule within each page of a
+    // twin cell file written in base order.
+    let codecs = [PageCodec::Raw, PageCodec::Compressed];
+    let files: Vec<CellFile<GridCellRecord>> = codecs
+        .iter()
+        .map(|&codec| {
+            CellFile::create(
+                &engine_with(codec),
+                order.iter().map(|&c| field.cell_record(c)),
+            )
+            .expect("twin file")
+        })
+        .collect();
+    let catalogs: Vec<Vec<Subfield>> = files
+        .iter()
+        .map(|file| build_subfields_by_page(&intervals, file, SubfieldConfig::default()))
+        .collect();
+    let subfield_of =
+        |catalog: &[Subfield], pos: usize| catalog.partition_point(|sf| sf.end as usize <= pos);
+    // The record runs `band` retrieves from a base catalog, merged as
     // the executor merges them.
-    let runs = |band: Interval| {
+    let runs = |catalog: &[Subfield], band: Interval| {
         let mut runs: Vec<Range<usize>> = Vec::new();
         for sf in catalog.iter().filter(|sf| sf.interval.intersects(band)) {
             match runs.last_mut() {
@@ -820,21 +843,27 @@ fn overlay_cursor_edges_answer_like_a_scan_of_the_updated_field() {
     };
 
     let band = Interval::new(10.0, 14.0);
-    let band_runs = runs(band);
-    assert!(band_runs.len() >= 3, "{band_runs:?}");
     let mut targets = vec![0, n - 1];
-    for run in &band_runs[..3] {
-        targets.extend([run.start, run.end - 1]);
+    for catalog in &catalogs {
+        let band_runs = runs(catalog, band);
+        assert!(band_runs.len() >= 3, "{band_runs:?}");
+        for run in &band_runs[..3] {
+            targets.extend([run.start, run.end - 1]);
+        }
     }
-    // Outside every run of `band`.
-    targets.push((band_runs[0].end + band_runs[1].start) / 2);
-    for codec in [PageCodec::Raw, PageCodec::Compressed] {
-        let twin = CellFile::create(
-            &engine_with(codec),
-            order.iter().map(|&c| field.cell_record(c)),
-        )
-        .expect("twin file");
-        let page_of = |pos: usize| twin.pages_in_range(0..pos + 1) - 1;
+    // Outside every run of `band`, on both codecs.
+    let first_run = runs(&catalogs[0], band)[0].clone();
+    targets.push(
+        (first_run.end..n)
+            .find(|&p| {
+                catalogs
+                    .iter()
+                    .all(|c| runs(c, band).iter().all(|r| !r.contains(&p)))
+            })
+            .expect("a position outside every run"),
+    );
+    for (file, codec) in files.iter().zip(codecs) {
+        let page_of = |pos: usize| file.page_no_of(pos);
         let firsts: Vec<usize> = (1..n).filter(|&p| page_of(p) != page_of(p - 1)).collect();
         assert!(firsts.len() >= 2 && firsts[1] - firsts[0] > 9, "{codec:?}");
         for &first in &firsts[..2] {
@@ -845,8 +874,8 @@ fn overlay_cursor_edges_answer_like_a_scan_of_the_updated_field() {
 
     // Move one corner of each target's cell to the middle of its
     // current value and the centre of the intervals of every subfield
-    // the vertex touches; keep the move only if no subfield interval
-    // changes (a subfield extreme may not move).
+    // (of either catalog) the vertex touches; keep the move only if no
+    // subfield interval changes (a subfield extreme may not move).
     let (vw, _) = field.vertex_dims();
     let (cw, ch) = field.cell_dims();
     let mut values: Vec<f64> = (0..vw * vw)
@@ -862,8 +891,8 @@ fn overlay_cursor_edges_answer_like_a_scan_of_the_updated_field() {
         }
         cells
     };
-    let keeps_catalog = |f: &GridField| {
-        catalog.iter().all(|sf| {
+    let keeps_catalogs = |f: &GridField| {
+        catalogs.iter().flatten().all(|sf| {
             let union = (sf.start as usize..sf.end as usize)
                 .map(|p| f.cell_interval(order[p]))
                 .reduce(|a, b| a.union(b));
@@ -879,13 +908,18 @@ fn overlay_cursor_edges_answer_like_a_scan_of_the_updated_field() {
                 let v = (cy + dy) * vw + cx + dx;
                 let room = cells_at(v)
                     .into_iter()
-                    .map(|c| catalog[subfield_of(pos_of[c])].interval)
+                    .flat_map(|c| {
+                        let pos = pos_of[c];
+                        catalogs
+                            .iter()
+                            .map(move |catalog| catalog[subfield_of(catalog, pos)].interval)
+                    })
                     .reduce(|a, b| Interval::new(a.lo.max(b.lo), a.hi.min(b.hi)))
                     .expect("a vertex touches a cell");
                 let old = values[v];
                 values[v] = 0.5 * (old + 0.5 * (room.lo + room.hi));
                 if values[v] != old
-                    && keeps_catalog(&GridField::from_values(vw, vw, values.clone()))
+                    && keeps_catalogs(&GridField::from_values(vw, vw, values.clone()))
                 {
                     overlaid.extend(cells_at(v));
                     true
@@ -900,24 +934,32 @@ fn overlay_cursor_edges_answer_like_a_scan_of_the_updated_field() {
     let overlaid_positions: BTreeSet<usize> = overlaid.iter().map(|&c| pos_of[c]).collect();
     assert!(targets.iter().all(|t| overlaid_positions.contains(t)));
 
-    // A band whose runs hold no overlaid position.
-    let touched: BTreeSet<usize> = overlaid_positions.iter().map(|&p| subfield_of(p)).collect();
+    // A band whose runs hold no overlaid position, on both codecs.
     let quiet = (0..400)
         .map(|i| {
             let lo = -60.0 + i as f64 * 0.3;
             Interval::new(lo, lo + 0.5)
         })
         .find(|&b| {
-            let hit: Vec<usize> = (0..catalog.len())
-                .filter(|&i| catalog[i].interval.intersects(b))
-                .collect();
-            !hit.is_empty() && hit.iter().all(|i| !touched.contains(i))
+            catalogs.iter().all(|catalog| {
+                let hits: Vec<&Subfield> = catalog
+                    .iter()
+                    .filter(|sf| sf.interval.intersects(b))
+                    .collect();
+                !hits.is_empty()
+                    && hits.iter().all(|sf| {
+                        overlaid_positions
+                            .range(sf.start as usize..sf.end as usize)
+                            .next()
+                            .is_none()
+                    })
+            })
         })
         .expect("a band that retrieves no overlaid subfield");
     let mut bands = vec![band, quiet];
     bands.extend(fixed_bands());
 
-    for codec in [PageCodec::Raw, PageCodec::Compressed] {
+    for (codec, catalog) in codecs.into_iter().zip(&catalogs) {
         for scan_threshold in [None, Some(0.0)] {
             let ctx = format!("{codec:?}, scan threshold {scan_threshold:?}");
             let engine = engine_with(codec);
@@ -951,7 +993,7 @@ fn overlay_cursor_edges_answer_like_a_scan_of_the_updated_field() {
                 let fresh = fresh.query_stats(&engine, b).expect("fresh");
                 assert_bitexact(&got, &fresh, &ctx);
                 let examined = match scan_threshold {
-                    None => runs(b).iter().map(|r| r.len()).sum(),
+                    None => runs(catalog, b).iter().map(|r| r.len()).sum(),
                     Some(_) => n,
                 };
                 assert_eq!(got.cells_examined, examined, "{ctx}");

@@ -82,9 +82,11 @@ pub enum CfError {
         /// id range, though sparse indexes may hold holes inside it).
         cells: usize,
     },
-    /// A caller-supplied record carries a NaN sample value. Such a
-    /// record has no value interval, so no index could find it again;
-    /// mutation paths refuse it before touching any state.
+    /// A caller-supplied record carries a NaN sample value, or a box
+    /// with a non-finite bound or an overflowing area. The first has no
+    /// value interval, so no index could find it again; the second would
+    /// answer with a NaN area. Mutation paths refuse both before
+    /// touching any state.
     InvalidRecord {
         /// The cell id the record was supplied for.
         cell: usize,
@@ -185,7 +187,10 @@ impl fmt::Display for CfError {
                 )
             }
             CfError::InvalidRecord { cell } => {
-                write!(f, "record for cell {cell} has a NaN sample value")
+                write!(
+                    f,
+                    "record for cell {cell} has a NaN sample value or a non-finite extent"
+                )
             }
             CfError::InvalidRange { detail } => {
                 write!(f, "invalid record range: {detail}")

@@ -317,13 +317,14 @@ fn info(path: &str, eng: EngineOpts) -> Result<String, String> {
     let index = open_index(&engine)?;
     let dom = index.value_domain();
     Ok(format!(
-        "{path}: {} pages on disk\n  cells: {} ({} data pages, {} codec)\n  subfields: {} ({} index pages)\n  value domain: [{:.3}, {:.3}]\n",
+        "{path}: {} pages on disk\n  cells: {} ({} data pages, {} codec)\n  subfields: {} ({} index pages)\n  subfields spanning a page boundary: {}\n  value domain: [{:.3}, {:.3}]\n",
         engine.num_pages(),
         index.inner_len(),
         index.data_pages(),
         index.cell_codec().name(),
         index.num_subfields(),
         index.index_pages(),
+        index.straddling_subfields(),
         dom.lo,
         dom.hi,
     ))
@@ -821,29 +822,60 @@ mod tests {
     }
 
     #[test]
+    fn info_counts_no_subfield_spanning_a_page_after_create_or_ingest() {
+        for codec in ["raw", "compressed"] {
+            let db = tmp(&format!("straddle_{codec}"));
+            let create = ["create", &db, "--workload", "fractal", "--k", "6"];
+            run(&argv(&[&create[..], &["--codec", codec]].concat())).expect("create");
+            let line = "subfields spanning a page boundary: 0\n";
+            let out = run(&argv(&["info", &db])).expect("info");
+            assert!(out.contains(line), "{codec}: {out}");
+            run(&argv(&[
+                "ingest",
+                &db,
+                "--updates",
+                "300",
+                "--capacity",
+                "128",
+            ]))
+            .expect("ingest");
+            let out = run(&argv(&["info", &db])).expect("info after ingest");
+            assert!(out.contains(line), "{codec}: {out}");
+        }
+    }
+
+    #[test]
     fn query_ranks_a_region_of_nan_area_without_panicking() {
         let db = tmp("nan_area");
         run(&argv(&["create", &db, "--workload", "fractal", "--k", "5"])).expect("create");
-        // A checksum-valid record whose values are finite, so its
-        // interval meets the band. Its corners are finite, its plane is
-        // flat, and both triangles lie inside the band whole, but their
-        // shoelace cross terms overflow to +inf and -inf: the regions'
-        // areas are NaN. (A NaN corner never reaches the ranking: its
-        // plane is NaN, and the band clip keeps no vertex of it.)
-        {
+        // A checksum-valid record whose values are finite and inside
+        // its subfield's interval, so the band retrieves it. Its corners
+        // are finite, its plane is flat, and both triangles lie inside
+        // the band whole, but their shoelace cross terms overflow to
+        // +inf and -inf: the regions' areas are NaN. `update_cell`
+        // refuses such a record, so it is written below the check, as a
+        // decoded page could hold it. (A NaN corner never reaches the
+        // ranking: its plane is NaN, and the band clip keeps no vertex
+        // of it.)
+        let value = {
             let engine = open_database(&*db, StorageConfig::default()).expect("open");
             let mut index = open_index(&engine).expect("index");
+            let value = index.cell_file().get(&engine, 0).expect("record").vals[0];
             let rec = contfield::field::GridCellRecord {
                 x0: -1e300,
                 y0: -1e300,
                 x1: 1e300,
                 y1: 1e300,
-                vals: [0.0; 4],
+                vals: [value; 4],
             };
-            index.update_cell(&engine, 0, rec).expect("update");
+            let err = index.update_cell(&engine, 0, rec).expect_err("refused");
+            assert!(err.is_invalid_record(), "{err}");
+            index.cell_file().put(&engine, 0, &rec).expect("raw write");
             engine.sync().expect("sync");
-        }
-        let out = run(&argv(&["query", &db, "-0.2", "0.2", "--regions", "3"])).expect("query");
+            value
+        };
+        let (lo, hi) = ((value - 0.2).to_string(), (value + 0.2).to_string());
+        let out = run(&argv(&["query", &db, &lo, &hi, "--regions", "3"])).expect("query");
         assert!(out.contains("area NaN"), "{out}");
     }
 

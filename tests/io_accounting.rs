@@ -2,8 +2,12 @@
 //! benchmark harness reports must behave the way the paper's cost
 //! arguments assume.
 
+use contfield::index::build_subfields;
 use contfield::prelude::*;
-use contfield::workload::{fractal::diamond_square, queries::interval_queries};
+use contfield::storage::PageCodec;
+use contfield::workload::{
+    fractal::diamond_square, noise::urban_noise_tin, queries::interval_queries,
+};
 
 #[test]
 fn index_size_ordering() {
@@ -111,9 +115,11 @@ fn ihilbert_beats_linear_scan_at_paper_scale_queries() {
 
 #[test]
 fn subfield_contiguity_bounds_estimation_reads() {
-    // Reading a subfield's cells must cost at most
-    // ceil(len/per_page) + 1 pages — contiguity is the entire point of
-    // storing cells in Hilbert order (paper Fig. 6).
+    // Reading a subfield's cells costs ceil(len/per_page) pages, with no
+    // page-boundary straddle: its cells are contiguous — the entire
+    // point of storing cells in Hilbert order (paper Fig. 6) — and the
+    // grouping never lets a subfield cross a data page, so each
+    // retrieved subfield is one page.
     let field = diamond_square(6, 0.8, 13);
     let dom = field.value_domain();
     let engine = StorageEngine::in_memory();
@@ -123,14 +129,12 @@ fn subfield_contiguity_bounds_estimation_reads() {
     engine.clear_cache();
     let stats = index.query_stats(&engine, band).expect("query");
     let per_page = 4096 / 64; // GridCellRecord::SIZE == 64
-    let max_pages = stats.filter_nodes
-        + (stats.cells_examined as u64).div_ceil(per_page)
-        // one potential page-boundary straddle per retrieved subfield
-        + stats.intervals_retrieved as u64;
+    let data_reads = stats.io.logical_reads() - stats.filter_pages;
+    let min_pages = (stats.cells_examined as u64).div_ceil(per_page);
+    let max_pages = stats.intervals_retrieved as u64;
     assert!(
-        stats.io.logical_reads() <= max_pages,
-        "reads {} exceed contiguity bound {max_pages}",
-        stats.io.logical_reads()
+        (min_pages..=max_pages).contains(&data_reads),
+        "{data_reads} data page reads outside the contiguity bounds {min_pages}..={max_pages}"
     );
 }
 
@@ -231,4 +235,131 @@ fn buffer_pool_capacity_affects_repeat_queries_only() {
     assert_eq!(warm_big.io.disk_reads, 0);
     let warm_small = index_small.query_stats(&small, band).expect("query");
     assert!(warm_small.io.disk_reads > 0, "2-page pool must re-fault");
+}
+
+fn engine_with(codec: PageCodec) -> StorageEngine {
+    StorageEngine::new(StorageConfig {
+        codec,
+        ..StorageConfig::default()
+    })
+}
+
+/// Fails unless every subfield of `index` lies on one data page, counted
+/// from the cell file's page spans, and `straddling_subfields` agrees.
+fn assert_no_subfield_spans_a_page<F: FieldModel>(index: &IHilbert<F>, ctx: &str) {
+    let file = index.cell_file();
+    let page_starts: Vec<usize> = (1..file.data_pages())
+        .map(|page| file.page_span(page).start)
+        .collect();
+    for sf in index.subfields() {
+        let (start, end) = (sf.start as usize, sf.end as usize);
+        assert!(
+            !page_starts.iter().any(|&s| start < s && s < end),
+            "{ctx}: subfield [{start}, {end}) spans a data page boundary"
+        );
+    }
+    assert_eq!(index.straddling_subfields(), 0, "{ctx}");
+}
+
+/// Builds `field` on raw and on compressed pages, checks the grouping,
+/// then ingests `bump`ed records for every seventh cell, repacks, and
+/// checks the catalog the repack saved.
+fn assert_pages_bound_the_grouping<F: FieldModel>(
+    name: &str,
+    field: &F,
+    bump: impl Fn(&mut F::CellRec),
+) {
+    for codec in [PageCodec::Raw, PageCodec::Compressed] {
+        let ctx = format!("{name} {codec:?}");
+        let engine = engine_with(codec);
+        let index = IHilbert::build(&engine, field).expect("build");
+        assert!(index.data_pages() > 4, "{ctx}");
+        assert_no_subfield_spans_a_page(&index, &format!("{ctx} build"));
+        let live = LiveIngest::new(&engine, index, IngestConfig::default()).expect("live");
+        for cell in (0..field.num_cells()).step_by(7) {
+            let mut rec = field.cell_record(cell);
+            bump(&mut rec);
+            live.ingest(&engine, cell, rec).expect("ingest");
+        }
+        assert!(live.repack(&engine).expect("repack").repacked, "{ctx}");
+        let catalog = live.save(&engine).expect("save");
+        let reopened = IHilbert::<F>::open(&engine, catalog).expect("open");
+        assert_no_subfield_spans_a_page(&reopened, &format!("{ctx} repack"));
+    }
+}
+
+#[test]
+fn no_subfield_spans_a_data_page_after_a_build_or_a_repack() {
+    assert_pages_bound_the_grouping("grid", &diamond_square(7, 0.8, 13), |rec| {
+        rec.vals[0] += 3.0;
+    });
+    assert_pages_bound_the_grouping("tin", &urban_noise_tin(5_000, 13), |rec| {
+        rec.values[1] += 3.0;
+    });
+}
+
+#[test]
+fn a_grid_query_reads_exactly_the_pages_that_hold_a_qualifying_cell() {
+    // On a grid the Hilbert curve steps between neighbouring cells, which
+    // share a vertex, so a subfield's interval has no gaps: a band that
+    // meets it meets one of its cells, and that cell's page is the
+    // subfield's only page.
+    let field = diamond_square(7, 0.8, 6);
+    let dom = field.value_domain();
+    for codec in [PageCodec::Raw, PageCodec::Compressed] {
+        let engine = engine_with(codec);
+        let index = IHilbert::build(&engine, &field).expect("build");
+        let file = index.cell_file();
+        let records = file.read_range(&engine, 0..file.len()).expect("records");
+        for (i, qi) in [0.0, 0.01, 0.05, 0.2].into_iter().enumerate() {
+            for band in interval_queries(dom, qi, 16, 31 + i as u64) {
+                let want = (0..file.data_pages())
+                    .filter(|&page| {
+                        records[file.page_span(page)]
+                            .iter()
+                            .any(|rec| GridField::record_interval(rec).intersects(band))
+                    })
+                    .count() as u64;
+                let stats = index.query_stats(&engine, band).expect("query");
+                assert_eq!(
+                    stats.io.logical_reads() - stats.filter_pages,
+                    want,
+                    "{codec:?} band {band}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn an_ingest_into_the_tin_plateau_reads_one_data_page() {
+    // Far from every source the noise level is nearly flat: the paper's
+    // rule, which ignores pages, keeps a long run of those cells as one
+    // subfield however many pages it fills.
+    let field = urban_noise_tin(5_000, 0xEDB7);
+    let engine = StorageEngine::in_memory();
+    let index = IHilbert::build(&engine, &field).expect("build");
+    let order = contfield::index::cell_order(&field, Curve::Hilbert);
+    let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
+    let plateau = build_subfields(&intervals, SubfieldConfig::default())
+        .into_iter()
+        .max_by_key(|sf| sf.len())
+        .map(|sf| sf.start as usize..sf.end as usize)
+        .expect("subfields");
+    let file = index.cell_file();
+    let pages = file.page_no_of(plateau.end - 1) - file.page_no_of(plateau.start) + 1;
+    assert!(pages > 2, "the plateau {plateau:?} fills {pages} pages");
+    let live = LiveIngest::new(&engine, index, IngestConfig::default()).expect("live");
+    for pos in [
+        plateau.start,
+        (plateau.start + plateau.end) / 2,
+        plateau.end - 1,
+    ] {
+        let cell = order[pos];
+        let before = contfield::storage::thread_io_stats();
+        live.ingest(&engine, cell, field.cell_record(cell))
+            .expect("ingest");
+        let reads = (contfield::storage::thread_io_stats() - before).logical_reads();
+        assert!(reads <= 1, "an ingest at position {pos} read {reads} pages");
+    }
 }
