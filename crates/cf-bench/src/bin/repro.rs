@@ -28,8 +28,8 @@
 //! the instrumented build is more than 3 % slower.
 
 use cf_bench::{
-    render_batch_scaling, render_markdown, run_batch_scaling, run_method_point, run_sweep,
-    speedups, ReplayReport, SweepResult, TempDb,
+    record_workload, render_batch_scaling, render_markdown, run_batch_scaling, run_method_point,
+    run_sweep, speedups, ReplayReport, SweepResult, TempDb,
 };
 use cf_field::{FieldModel, GridField};
 use cf_geom::Interval;
@@ -408,15 +408,17 @@ fn record(opts: &Opts) -> Result<(), String> {
         index.inner_len(),
     );
 
-    let tracer = engine.metrics().tracer();
-    tracer.set_enabled(true);
     let queries = interval_queries(index.value_domain(), 0.02, nq, 0x3EC);
-    for q in &queries {
-        index.query_stats(&engine, *q).map_err(|e| e.to_string())?;
-    }
-    let records = tracer.drain_workload();
+    let records = record_workload(&engine, &index, &queries).map_err(|e| e.to_string())?;
     if records.is_empty() {
         return Err("no queries captured — the binary was built with obs-off".into());
+    }
+    if records.len() != queries.len() {
+        return Err(format!(
+            "captured {} of {} queries",
+            records.len(),
+            queries.len()
+        ));
     }
     let bytes = cf_obs::encode_wrk(&records);
     std::fs::write(wrk_path, &bytes).map_err(|e| format!("write {wrk_path}: {e}"))?;

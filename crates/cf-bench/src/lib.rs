@@ -21,7 +21,7 @@
 
 pub mod replay;
 
-pub use replay::{replay_workload, ReplayMismatch, ReplayReport};
+pub use replay::{record_workload, replay_workload, ReplayMismatch, ReplayReport};
 
 use cf_field::FieldModel;
 use cf_geom::Interval;

@@ -1,6 +1,7 @@
-//! Deterministic workload replay: re-execute a recorded `.wrk` query
-//! stream against a database and diff the recomputed answer digests
-//! against the recording.
+//! Workload capture and deterministic replay: record a traced query
+//! stream as `.wrk` flight records ([`record_workload`]), then
+//! re-execute it against a database and diff the recomputed answer
+//! digests against the recording ([`replay_workload`]).
 //!
 //! The replayed queries run in logical-ordinal order with the exact
 //! band floats the recorder captured (raw `f64` bits, no decimal
@@ -14,7 +15,7 @@
 
 use cf_geom::Interval;
 use cf_index::ValueIndex;
-use cf_obs::{answer_digest, WorkloadRecord};
+use cf_obs::{answer_digest, WorkloadRecord, QUERY_RING_CAPACITY};
 use cf_storage::{CfResult, StorageEngine};
 use std::fmt;
 
@@ -115,6 +116,30 @@ impl fmt::Display for ReplayReport {
             )
         }
     }
+}
+
+/// Runs `bands` in order as traced queries against `index` and returns
+/// the flight record of every one, oldest first. Turns the engine's
+/// tracer on and discards records an earlier caller left undrained.
+/// The tracer's ring evicts, so the capture drains once per
+/// [`QUERY_RING_CAPACITY`] queries; a run of any length is captured
+/// whole. Under `obs-off` nothing is recorded and the result is empty.
+pub fn record_workload(
+    engine: &StorageEngine,
+    index: &dyn ValueIndex,
+    bands: &[Interval],
+) -> CfResult<Vec<WorkloadRecord>> {
+    let tracer = engine.metrics().tracer();
+    tracer.set_enabled(true);
+    tracer.drain_workload();
+    let mut records = Vec::with_capacity(bands.len());
+    for chunk in bands.chunks(QUERY_RING_CAPACITY) {
+        for band in chunk {
+            index.query_stats(engine, *band)?;
+        }
+        records.extend(tracer.drain_workload());
+    }
+    Ok(records)
 }
 
 /// Re-executes `records` against `index` in logical-ordinal order,
@@ -244,13 +269,9 @@ mod tests {
         let index = IHilbert::build(&engine, &field).expect("build");
         // Capture through the real pipeline: traced queries land in the
         // tracer's ring, the drain is the `.wrk` payload.
-        let tracer = engine.metrics().tracer();
-        tracer.set_enabled(true);
-        for q in &interval_queries(field.value_domain(), 0.03, 12, 0x601D) {
-            index.query_stats(&engine, *q).expect("query");
-        }
-        tracer.set_enabled(false);
-        let drained = tracer.drain_workload();
+        let bands = interval_queries(field.value_domain(), 0.03, 12, 0x601D);
+        let drained = record_workload(&engine, &index, &bands).expect("record");
+        engine.metrics().tracer().set_enabled(false);
         assert_eq!(drained.len(), 12);
         let records = decode_wrk(&encode_wrk(&drained)).expect("round trip");
 
@@ -263,5 +284,25 @@ mod tests {
             "replay reports must be byte-identical across runs"
         );
         assert_eq!(first, second);
+    }
+
+    /// A capture longer than the tracer's ring loses no query: every
+    /// ordinal appears exactly once, in order, and each record is the
+    /// band that ran at that position.
+    #[cfg(not(feature = "obs-off"))]
+    #[test]
+    fn a_capture_longer_than_the_ring_records_every_query_once() {
+        let field = diamond_square(3, 0.6, 5);
+        let engine = StorageEngine::in_memory();
+        let index = IHilbert::build(&engine, &field).expect("build");
+        let n = QUERY_RING_CAPACITY + 8;
+        let bands = interval_queries(field.value_domain(), 0.1, n, 0xF11E);
+        let records = record_workload(&engine, &index, &bands).expect("record");
+        let ordinals: Vec<u64> = records.iter().map(|r| r.ordinal).collect();
+        assert_eq!(ordinals, (0..n as u64).collect::<Vec<_>>());
+        for (rec, band) in records.iter().zip(&bands) {
+            assert_eq!(rec.band_lo.to_bits(), band.lo.to_bits());
+            assert_eq!(rec.band_hi.to_bits(), band.hi.to_bits());
+        }
     }
 }

@@ -16,11 +16,10 @@
 //!
 //! It is the *only* per-query record: the pipeline hands each finished
 //! query's record to [`Tracer::record_query`](crate::Tracer::record_query)
-//! once, and the span events, slow-query reports, recent-EXPLAIN list
-//! and `.wrk` flight records are all read-side views derived from it.
+//! once, and the slow-query reports, recent-EXPLAIN list and `.wrk`
+//! flight records are all read-side views derived from it.
 
 use crate::json::Json;
-use crate::trace::TraceEvent;
 use std::fmt;
 
 /// Byte capacity of an inline [`Label`].
@@ -158,37 +157,6 @@ pub struct ExplainRecord {
 }
 
 impl ExplainRecord {
-    /// The query's span events in completion order: `filter` (probes
-    /// only — a scan has no filtering step), then `refine` (`scan` for a
-    /// scan), both at depth 1, then the enclosing `query` span.
-    pub fn events(&self) -> impl Iterator<Item = TraceEvent> {
-        let scan = self.plan == "scan";
-        let event = |phase, pages, nanos, depth| TraceEvent {
-            query_id: self.query_id,
-            phase,
-            pages,
-            nanos,
-            depth,
-        };
-        [
-            event("filter", self.filter_pages, self.filter_ns, 1),
-            event(
-                if scan { "scan" } else { "refine" },
-                self.refine_pages,
-                self.refine_ns,
-                1,
-            ),
-            event(
-                "query",
-                self.filter_pages + self.refine_pages,
-                self.total_ns,
-                0,
-            ),
-        ]
-        .into_iter()
-        .skip(usize::from(scan))
-    }
-
     /// Nanoseconds not attributed to filter or refine (planning,
     /// dispatch, result assembly). Saturates at zero. Public for the
     /// root crate's metrics-consistency tests.
@@ -245,8 +213,8 @@ impl ExplainRecord {
         out
     }
 
-    /// JSON rendering with every field, for `/explain/recent` and the
-    /// `fielddb explain --json` output.
+    /// JSON rendering with every field (the `fielddb explain --json`
+    /// output).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("query_id", Json::Num(self.query_id as f64)),

@@ -1,14 +1,15 @@
 //! A minimal, dependency-free JSON value: parse, render, navigate.
 //!
-//! The exporters ([`crate::export`]) render machine-readable snapshots
-//! (Chrome trace files, JSONL event logs, EXPLAIN records) and clients
-//! such as `fielddb top` parse them back; both sides share this module
-//! so the byte format is defined exactly once. Scope is deliberately
-//! small — the full JSON grammar, no streaming, no custom escapes
-//! beyond what the format requires — and object key order is preserved
-//! on both parse and render so output is deterministic and diffable.
+//! Every machine-readable record the crate emits (EXPLAIN records, the
+//! epoch journal's events) renders through this module, and the
+//! benchmark ladder parses its own output and `BENCHMARK.json` back
+//! with it, so the byte format is defined exactly once. Scope is
+//! deliberately small — the full JSON grammar, no streaming, no custom
+//! escapes beyond what the format requires — and object key order is
+//! preserved on both parse and render so output is deterministic and
+//! diffable.
 //!
-//! The parser reads whatever a remote endpoint sends, so it is linear in
+//! The parser reads whatever a file holds, so it is linear in
 //! the input and rejects nesting deeper than `MAX_DEPTH` (128) levels with a
 //! [`JsonError`] instead of exhausting the stack.
 
@@ -21,7 +22,7 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always an `f64` — the exporters never need
+    /// Any JSON number (always an `f64` — no record needs
     /// integers wider than 2^53).
     Num(f64),
     /// A string.
@@ -134,7 +135,7 @@ impl Json {
     }
 }
 
-/// Renders a number the way the exporters want it: integers without a
+/// Renders a number the way every record wants it: integers without a
 /// fractional part, everything else via Rust's shortest-round-trip
 /// float formatting. Non-finite values (never produced by the metric
 /// layer, but a histogram bound can be `+Inf`) render as `null` per the

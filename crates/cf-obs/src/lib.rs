@@ -13,8 +13,8 @@
 //! * [`Histogram`] — fixed bucket bounds chosen at registration, atomic
 //!   bucket counts; no allocation after registration.
 //! * [`Tracer`] — one bounded ring of per-query [`ExplainRecord`]s;
-//!   span events, slow-query reports, recent EXPLAINs, the `/slo`
-//!   latency view and `.wrk` flight records are views derived from it.
+//!   slow-query reports, recent EXPLAINs and `.wrk` flight records are
+//!   views derived from it.
 //!
 //! Handles returned by the registry are `Arc`-backed and cheap to
 //! clone; layers that sit on a query hot path (the R-tree search loop,
@@ -36,17 +36,16 @@
 #![warn(missing_docs)]
 
 pub mod explain;
-pub mod export;
+mod journal;
 mod json;
 pub mod record;
-pub mod serve;
 mod trace;
 
 pub use explain::{ExplainRecord, Label};
-pub use export::EventJournal;
+pub use journal::EventJournal;
 pub use json::{Json, JsonError};
 pub use record::{answer_digest, decode_wrk, encode_wrk, WorkloadRecord, WORKLOAD_VERSION};
-pub use trace::{Stopwatch, TraceEvent, Tracer};
+pub use trace::{Stopwatch, Tracer, QUERY_RING_CAPACITY};
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

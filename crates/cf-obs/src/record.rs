@@ -1,11 +1,11 @@
 //! The workload flight recorder: every traced query's identity — band,
 //! logical ordinal, plane, curve, epoch and an answer digest — as a
 //! view of the tracer's query ring ([`WorkloadRecord::from`]), with a
-//! lossless drain ([`Tracer::drain_workload`](crate::Tracer::drain_workload))
+//! drain ([`Tracer::drain_workload`](crate::Tracer::drain_workload))
 //! to a versioned `.wrk` workload file.
 //!
-//! A production anomaly surfaced by `/slo` or a slow-query report is
-//! only useful if it can be *reproduced*: the recorder turns the live
+//! A production anomaly surfaced by a slow-query report is only
+//! useful if it can be *reproduced*: the recorder turns the live
 //! query stream into a replayable artifact. `repro replay` re-executes
 //! a `.wrk` file against a database and diffs the recomputed answer
 //! digests against the recording, so a slow-query window becomes a
@@ -18,7 +18,6 @@
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::explain::{ExplainRecord, Label};
-use crate::json::Json;
 
 /// Magic bytes of a `.wrk` workload file.
 const WORKLOAD_MAGIC: [u8; 4] = *b"CFWK";
@@ -52,21 +51,6 @@ pub struct WorkloadRecord {
     pub epoch: u64,
     /// Answer digest — see [`answer_digest`].
     pub digest: u64,
-}
-
-impl WorkloadRecord {
-    /// JSON rendering (the `/workload` route).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("ordinal", Json::Num(self.ordinal as f64)),
-            ("band_lo", Json::Num(self.band_lo)),
-            ("band_hi", Json::Num(self.band_hi)),
-            ("plane", Json::Str(self.plane.as_str().to_owned())),
-            ("curve", Json::Str(self.curve.as_str().to_owned())),
-            ("epoch", Json::Num(self.epoch as f64)),
-            ("digest", Json::Str(format!("{:016x}", self.digest))),
-        ])
-    }
 }
 
 impl From<&ExplainRecord> for WorkloadRecord {
@@ -216,6 +200,7 @@ mod tests {
     use crate::explain::tests::sample as query;
     #[cfg(not(feature = "obs-off"))]
     use crate::trace::QUERY_RING_CAPACITY;
+    #[cfg(not(feature = "obs-off"))]
     use crate::Tracer;
 
     fn sample(n: u64) -> WorkloadRecord {
@@ -318,9 +303,6 @@ mod tests {
         // out twice, and the snapshot views still see all five queries.
         assert!(tracer.drain_workload().is_empty());
         assert_eq!(tracer.recent_explains().len(), 5);
-        assert_eq!(tracer.events().len(), 15);
-        let doc = tracer.workload_json();
-        assert_eq!(doc.get("count").and_then(Json::as_f64), Some(5.0));
         // The ordinal sequence continues across drains.
         tracer.record_query(query());
         assert_eq!(ordinals(&tracer.drain_workload()), [5]);
@@ -334,32 +316,22 @@ mod tests {
     #[test]
     fn full_ring_drops_oldest_and_counts_them() {
         let tracer = traced(QUERY_RING_CAPACITY + 10);
-        let dropped = |t: &Tracer| t.workload_json().get("dropped").and_then(Json::as_f64);
-        assert_eq!(dropped(&tracer), Some(10.0));
         let drained = tracer.drain_workload();
         assert_eq!(drained.len(), QUERY_RING_CAPACITY);
+        // Ordinals are consecutive, so the first drained one counts the
+        // records evicted before the drain.
         assert_eq!(drained[0].ordinal, 10, "oldest 10 were evicted");
-        // Evicting a query some drain already handed out loses nothing.
-        tracer.record_query(query());
-        assert_eq!(dropped(&tracer), Some(10.0));
-    }
-
-    #[test]
-    fn json_snapshot_has_version_and_records() {
-        #[cfg(not(feature = "obs-off"))]
-        let tracer = traced(1);
-        #[cfg(feature = "obs-off")]
-        let tracer = Tracer::default();
-        let doc = Json::parse(&tracer.workload_json().render()).expect("valid json");
-        assert_eq!(doc.get("version").and_then(Json::as_f64), Some(1.0));
-        #[cfg(not(feature = "obs-off"))]
-        {
-            assert_eq!(doc.get("count").and_then(Json::as_f64), Some(1.0));
-            let records = doc.get("records").and_then(Json::as_arr).expect("records");
-            assert_eq!(
-                records[0].get("digest").and_then(Json::as_str),
-                Some("0000000000d16e57")
-            );
+        // A drain per ring's worth loses nothing: evicting a query an
+        // earlier drain handed out drops no flight record.
+        let more = traced(0);
+        for _ in 0..2 {
+            for _ in 0..QUERY_RING_CAPACITY {
+                more.record_query(query());
+            }
+            assert_eq!(more.drain_workload().len(), QUERY_RING_CAPACITY);
         }
+        more.record_query(query());
+        let last = more.drain_workload();
+        assert_eq!(ordinals(&last), [2 * QUERY_RING_CAPACITY as u64]);
     }
 }

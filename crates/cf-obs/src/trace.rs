@@ -4,13 +4,11 @@
 //! The query pipeline hands every finished query's [`ExplainRecord`] to
 //! [`Tracer::record_query`], which stamps it (query id, ordinal, `slow`
 //! bit) and pushes it into the one bounded ring under one lock. Nothing
-//! else is stored per query: the span events behind `/traces`
-//! ([`Tracer::events`]), the slow-query reports
+//! else is stored per query: the slow-query reports
 //! ([`Tracer::slow_reports`]), the recent EXPLAINs
-//! ([`Tracer::recent_explains`]), the latency quantiles and objective
-//! burn rates behind `/slo` ([`Tracer::slo_json`]) and the `.wrk`
-//! flight records ([`Tracer::drain_workload`]) are read-side views over
-//! that ring, so they agree by construction.
+//! ([`Tracer::recent_explains`]) and the `.wrk` flight records
+//! ([`Tracer::drain_workload`]) are read-side views over that ring, so
+//! they agree by construction.
 //!
 //! The hot path is allocation-free — the record is `Copy` and built on
 //! the caller's stack — and when tracing is disabled the cost per query
@@ -18,8 +16,7 @@
 //! compiles to a no-op.
 
 use crate::explain::ExplainRecord;
-use crate::json::Json;
-use crate::record::{WorkloadRecord, WORKLOAD_VERSION};
+use crate::record::WorkloadRecord;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -27,34 +24,13 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Maximum queries retained in the tracer's ring; older records are
-/// evicted (and, if never drained, counted as dropped).
-pub(crate) const QUERY_RING_CAPACITY: usize = 4096;
+/// evicted, so a lossless `.wrk` capture drains at least once per this
+/// many queries.
+pub const QUERY_RING_CAPACITY: usize = 4096;
 
 /// How many of the newest records [`Tracer::recent_explains`] and
 /// [`Tracer::slow_reports`] return.
 const RECENT_VIEW_LEN: usize = 64;
-
-/// The latency objectives [`Tracer::slo_json`] reports, as `(name,
-/// threshold_ns, target)`: "fraction `target` of queries complete
-/// within `threshold_ns`".
-const SLO_OBJECTIVES: [(&str, u64, f64); 2] =
-    [("p99-1ms", 1_000_000, 0.99), ("p50-100us", 100_000, 0.50)];
-
-/// One traced query phase — a view of an [`ExplainRecord`], see
-/// [`ExplainRecord::events`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Query id the phase belongs to.
-    pub query_id: u64,
-    /// Phase name (`"filter"`, `"refine"`, ...).
-    pub phase: &'static str,
-    /// Logical pages read during the phase.
-    pub pages: u64,
-    /// Wall nanoseconds spent in the phase.
-    pub nanos: u64,
-    /// Span nesting depth (0 = the enclosing query span).
-    pub depth: u32,
-}
 
 /// A started wall clock. Under `obs-off` starting and reading it are
 /// free (it always reads zero), so instrumented code needs no `cfg`.
@@ -100,8 +76,6 @@ struct QueryRing {
     /// The drain cursor: every ordinal below it has been handed out by
     /// [`Tracer::drain_workload`].
     drained: u64,
-    /// Records evicted before they were drained.
-    dropped: u64,
 }
 
 /// Per-query trace state. Lives inside a
@@ -179,22 +153,9 @@ impl Tracer {
         rec.ordinal = ring.next_ordinal;
         ring.next_ordinal += 1;
         if ring.records.len() >= QUERY_RING_CAPACITY {
-            let evicted = ring.records.pop_front();
-            if evicted.is_some_and(|old| old.ordinal >= ring.drained) {
-                ring.dropped += 1;
-            }
+            ring.records.pop_front();
         }
         ring.records.push_back(rec);
-    }
-
-    /// The span events of every retained query, oldest query first
-    /// (the Chrome-trace / `/traces` input).
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.ring()
-            .records
-            .iter()
-            .flat_map(ExplainRecord::events)
-            .collect()
     }
 
     /// The newest `RECENT_VIEW_LEN` retained queries recorded as slow
@@ -213,8 +174,7 @@ impl Tracer {
         slow
     }
 
-    /// The newest `RECENT_VIEW_LEN` retained records (oldest first) —
-    /// the `/explain/recent` payload.
+    /// The newest `RECENT_VIEW_LEN` retained records (oldest first).
     pub fn recent_explains(&self) -> Vec<ExplainRecord> {
         let ring = self.ring();
         let skip = ring.records.len().saturating_sub(RECENT_VIEW_LEN);
@@ -226,11 +186,12 @@ impl Tracer {
         self.ring().records.back().copied()
     }
 
-    /// The lossless `.wrk` drain: the flight record of every query not
+    /// The `.wrk` drain: the flight record of every retained query not
     /// handed out by an earlier drain, oldest first. It only advances a
     /// cursor — the other views still see the drained queries — and the
     /// ordinal sequence keeps running, so a later drain continues where
-    /// this one stopped.
+    /// this one stopped. The ring evicts, so a capture is lossless only
+    /// if it drains at least once per [`QUERY_RING_CAPACITY`] queries.
     pub fn drain_workload(&self) -> Vec<WorkloadRecord> {
         let mut ring = self.ring();
         let cursor = ring.drained;
@@ -242,75 +203,8 @@ impl Tracer {
             .collect()
     }
 
-    /// The retained queries as flight records (the `/workload` route).
-    pub fn workload_json(&self) -> Json {
-        let ring = self.ring();
-        Json::obj([
-            ("version", Json::Num(WORKLOAD_VERSION as f64)),
-            ("count", Json::Num(ring.records.len() as f64)),
-            ("dropped", Json::Num(ring.dropped as f64)),
-            (
-                "records",
-                Json::Arr(
-                    ring.records
-                        .iter()
-                        .map(|rec| WorkloadRecord::from(rec).to_json())
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// The latency view over the retained queries (the `/slo` route):
-    /// `count`, exact nearest-rank `p50_ns` / `p99_ns` (`sorted[⌈q·n⌉−1]`)
-    /// and `max_ns` of their `total_ns` (all 0 on an empty ring), the
-    /// slow-query threshold (`null` when off), and per objective
-    /// (`p99-1ms`, `p50-100us`) the queries `observed`, the `breaches`
-    /// (`total_ns > threshold_ns`) and the `burn_rate`
-    /// `(breaches / observed) / (1 − target)` — 1.0 spends the error
-    /// budget exactly.
-    pub fn slo_json(&self) -> Json {
-        let mut ns: Vec<u64> = self.ring().records.iter().map(|r| r.total_ns).collect();
-        ns.sort_unstable();
-        let n = ns.len();
-        let rank = |q: f64| match n {
-            0 => 0,
-            _ => ns[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
-        };
-        let objectives = SLO_OBJECTIVES
-            .iter()
-            .map(|&(name, threshold_ns, target)| {
-                let breaches = n - ns.partition_point(|&t| t <= threshold_ns);
-                let burn_rate = match n {
-                    0 => 0.0,
-                    _ => (breaches as f64 / n as f64) / (1.0 - target),
-                };
-                Json::obj([
-                    ("name", Json::Str(name.to_owned())),
-                    ("threshold_ns", Json::Num(threshold_ns as f64)),
-                    ("target", Json::Num(target)),
-                    ("observed", Json::Num(n as f64)),
-                    ("breaches", Json::Num(breaches as f64)),
-                    ("burn_rate", Json::Num(burn_rate)),
-                ])
-            })
-            .collect();
-        let threshold = match self.slow_threshold_ns() {
-            u64::MAX => Json::Null,
-            ns => Json::Num(ns as f64),
-        };
-        Json::obj([
-            ("count", Json::Num(n as f64)),
-            ("p50_ns", Json::Num(rank(0.50) as f64)),
-            ("p99_ns", Json::Num(rank(0.99) as f64)),
-            ("max_ns", Json::Num(ns.last().copied().unwrap_or(0) as f64)),
-            ("slow_threshold_ns", threshold),
-            ("objectives", Json::Arr(objectives)),
-        ])
-    }
-
-    /// Empties the ring and restarts the ordinal sequence, drain cursor
-    /// and drop count; enablement, threshold and the query-id sequence
+    /// Empties the ring and restarts the ordinal sequence and drain
+    /// cursor; enablement, threshold and the query-id sequence
     /// are preserved.
     pub fn clear(&self) {
         let mut ring = self.ring();
@@ -326,6 +220,8 @@ mod tests {
     use super::*;
     use crate::explain::tests::sample;
     #[cfg(not(feature = "obs-off"))]
+    use crate::json::Json;
+    #[cfg(not(feature = "obs-off"))]
     use std::time::Duration;
 
     fn timed(total_ns: u64) -> ExplainRecord {
@@ -339,7 +235,7 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let t = Tracer::default();
         t.record_query(timed(u64::MAX));
-        assert!(t.events().is_empty());
+        assert!(t.recent_explains().is_empty());
         assert!(t.slow_reports().is_empty());
         assert!(t.last_explain().is_none());
         assert!(t.drain_workload().is_empty());
@@ -366,30 +262,7 @@ mod tests {
         };
         assert_eq!(t.last_explain(), Some(stamped));
         assert_eq!(t.recent_explains(), vec![stamped]);
-
-        let event = |phase, pages, nanos, depth| TraceEvent {
-            query_id: 0,
-            phase,
-            pages,
-            nanos,
-            depth,
-        };
-        let phases = [
-            event("filter", fact.filter_pages, fact.filter_ns, 1),
-            event("refine", fact.refine_pages, fact.refine_ns, 1),
-        ];
-        let query = event(
-            "query",
-            fact.filter_pages + fact.refine_pages,
-            fact.total_ns,
-            0,
-        );
-        assert_eq!(t.events(), [phases[0], phases[1], query]);
-
-        let slow = t.slow_reports();
-        assert_eq!(slow, vec![stamped]);
-        let slow_phases: Vec<_> = slow[0].events().filter(|e| e.depth > 0).collect();
-        assert_eq!(slow_phases, phases);
+        assert_eq!(t.slow_reports(), vec![stamped]);
 
         let json = stamped.to_json();
         assert_eq!(json.get("index").and_then(Json::as_str), Some("I-Hilbert"));
@@ -405,17 +278,6 @@ mod tests {
         assert_eq!(wrk[0].curve, fact.curve);
         assert_eq!(wrk[0].epoch, fact.epoch);
         assert_eq!(wrk[0].digest, fact.digest);
-
-        // A scan has no filter phase and calls its cell pass `scan`.
-        t.record_query(ExplainRecord {
-            plan: "scan",
-            plane: "cells",
-            filter_pages: 0,
-            filter_ns: 0,
-            ..fact
-        });
-        let scan: Vec<_> = t.events()[3..].iter().map(|e| (e.phase, e.depth)).collect();
-        assert_eq!(scan, [("scan", 1), ("query", 0)]);
     }
 
     #[cfg(not(feature = "obs-off"))]
@@ -426,9 +288,14 @@ mod tests {
         for i in 0..(QUERY_RING_CAPACITY as u64 + 10) {
             t.record_query(timed(i));
         }
-        let events = t.events();
-        assert_eq!(events.len(), 3 * QUERY_RING_CAPACITY);
-        assert_eq!(events.first().map(|e| e.query_id), Some(10));
+        // The ten oldest were evicted: the drain starts at query 10.
+        let kept = t.drain_workload();
+        assert_eq!(kept.len(), QUERY_RING_CAPACITY);
+        assert_eq!(kept.first().map(|r| r.ordinal), Some(10));
+        assert_eq!(
+            t.recent_explains().first().map(|e| e.query_id),
+            Some(QUERY_RING_CAPACITY as u64 + 10 - RECENT_VIEW_LEN as u64)
+        );
         assert_eq!(
             t.last_explain().map(|e| e.total_ns),
             Some(QUERY_RING_CAPACITY as u64 + 9)
@@ -460,7 +327,6 @@ mod tests {
         t.set_enabled(true);
         assert!(!t.is_enabled());
         t.record_query(timed(u64::MAX));
-        assert!(t.events().is_empty());
         assert!(t.recent_explains().is_empty());
         assert!(t.last_explain().is_none());
         assert!(t.drain_workload().is_empty());
@@ -490,100 +356,5 @@ mod tests {
         assert_eq!(t.recent_explains().len(), 1);
         assert_eq!(t.last_explain().map(|e| e.query_id), Some(newest + 1));
         assert!(t.slow_reports().is_empty());
-    }
-
-    fn slo(t: &Tracer) -> Json {
-        Json::parse(&t.slo_json().render()).expect("valid json")
-    }
-
-    fn num(doc: &Json, key: &str) -> f64 {
-        doc.get(key).and_then(Json::as_f64).expect(key)
-    }
-
-    fn objectives(doc: &Json) -> &[Json] {
-        doc.get("objectives")
-            .and_then(Json::as_arr)
-            .expect("objectives")
-    }
-
-    /// Deterministic splitmix64 for dependency-free randomized cases.
-    #[cfg(not(feature = "obs-off"))]
-    struct Rng(u64);
-
-    #[cfg(not(feature = "obs-off"))]
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-    }
-
-    /// The `/slo` view re-derived from the raw latencies: nearest-rank
-    /// quantiles over the newest ring's worth, breaches counted one by
-    /// one.
-    #[cfg(not(feature = "obs-off"))]
-    #[test]
-    fn slo_view_is_exact_over_the_retained_queries() {
-        let t = Tracer::default();
-        t.set_enabled(true);
-        let mut rng = Rng(0x5E2E_0009);
-        let all: Vec<u64> = (0..QUERY_RING_CAPACITY + 500)
-            .map(|_| rng.next() % 5_000_000)
-            .collect();
-        for &ns in &all {
-            t.record_query(timed(ns));
-        }
-        let mut kept = all[500..].to_vec();
-        kept.sort();
-        let n = kept.len();
-        let doc = slo(&t);
-        assert_eq!(num(&doc, "count"), n as f64);
-        assert_eq!(num(&doc, "p50_ns"), kept[n.div_ceil(2) - 1] as f64);
-        assert_eq!(num(&doc, "p99_ns"), kept[(99 * n).div_ceil(100) - 1] as f64);
-        assert_eq!(num(&doc, "max_ns"), kept[n - 1] as f64);
-        assert_eq!(doc.get("slow_threshold_ns"), Some(&Json::Null));
-
-        let objs = objectives(&doc);
-        assert_eq!(objs.len(), SLO_OBJECTIVES.len());
-        for o in objs {
-            let threshold = num(o, "threshold_ns") as u64;
-            let breaches = all[500..].iter().filter(|&&ns| ns > threshold).count();
-            assert!(breaches > 0 && breaches < n, "{threshold}: {breaches}");
-            let burn = (breaches as f64 / n as f64) / (1.0 - num(o, "target"));
-            assert_eq!(num(o, "observed"), n as f64);
-            assert_eq!(num(o, "breaches"), breaches as f64);
-            assert!((num(o, "burn_rate") - burn).abs() < 1e-12, "{o:?}");
-        }
-    }
-
-    #[test]
-    fn slo_view_of_an_empty_ring_is_zero() {
-        let reg = crate::MetricsRegistry::new();
-        let t = reg.tracer();
-        let assert_zero = |doc: &Json| {
-            for key in ["count", "p50_ns", "p99_ns", "max_ns"] {
-                assert_eq!(num(doc, key), 0.0, "{key}");
-            }
-            for o in objectives(doc) {
-                for key in ["observed", "breaches", "burn_rate"] {
-                    assert_eq!(num(o, key), 0.0, "{key}");
-                }
-            }
-        };
-        assert_zero(&slo(t));
-        t.set_enabled(true);
-        t.set_slow_threshold(std::time::Duration::from_nanos(500));
-        t.record_query(timed(2_000_000));
-        let doc = slo(t);
-        assert_eq!(num(&doc, "slow_threshold_ns"), 500.0);
-        #[cfg(not(feature = "obs-off"))]
-        assert_eq!(num(&doc, "p99_ns"), 2_000_000.0);
-        #[cfg(feature = "obs-off")]
-        assert_zero(&doc);
-        reg.reset();
-        assert_zero(&slo(t));
     }
 }

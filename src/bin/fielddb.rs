@@ -10,8 +10,6 @@
 //! fielddb explain /tmp/terrain.db 300 350 --json   # one traced query
 //! fielddb ingest  /tmp/terrain.db --updates 512    # live epoch plane
 //! fielddb point   /tmp/terrain.db 17.5 42.25
-//! fielddb serve-metrics --port 9184   # HTTP /metrics, /traces, /slo, ...
-//! fielddb top --port 9184             # one-shot scrape view
 //! ```
 //!
 //! Layout: page 0 is the bootstrap page (magic + catalog page pointer);
@@ -126,60 +124,12 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             point(&path, x, y, eng)
         }
-        "serve-metrics" => {
-            let mut port = 9184u16;
-            let mut k = 6u32;
-            let mut queries = 32usize;
-            let mut max_requests: Option<u64> = None;
-            let mut port_file: Option<String> = None;
-            let mut event_log: Option<String> = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--port" => port = parse(&take(&mut it, flag)?)?,
-                    "--k" => k = take_in(&mut it, flag, GRID_K)?,
-                    "--queries" => queries = parse(&take(&mut it, flag)?)?,
-                    "--max-requests" => max_requests = Some(parse(&take(&mut it, flag)?)?),
-                    "--port-file" => port_file = Some(take(&mut it, flag)?),
-                    "--event-log" => event_log = Some(take(&mut it, flag)?),
-                    other => return Err(format!("unknown flag {other}")),
-                }
-            }
-            serve_metrics(
-                port,
-                k,
-                queries,
-                max_requests,
-                port_file.as_deref(),
-                event_log.as_deref(),
-            )
-        }
-        "top" => {
-            let mut addr = String::new();
-            let mut watch: Option<f64> = None;
-            let mut count = 0usize;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--addr" => addr = take(&mut it, flag)?,
-                    "--port" => addr = format!("127.0.0.1:{}", take(&mut it, flag)?),
-                    "--watch" => watch = Some(parse(&take(&mut it, flag)?)?),
-                    "--count" => count = parse(&take(&mut it, flag)?)?,
-                    other => return Err(format!("unknown flag {other}")),
-                }
-            }
-            if addr.is_empty() {
-                addr = "127.0.0.1:9184".into();
-            }
-            match watch {
-                Some(secs) => top_watch(&addr, secs, count),
-                None => top(&addr),
-            }
-        }
         other => Err(format!("unknown command {other}\n{}", usage())),
     }
 }
 
 fn usage() -> String {
-    "usage:\n  fielddb create <db> [--workload terrain|fractal|monotonic] [--k N] [--h F] [--seed N]\n  fielddb info <db>\n  fielddb query <db> <lo> <hi> [--regions N]\n  fielddb explain <db> <lo> <hi> [--json]\n  fielddb ingest <db> [--updates N] [--seed N] [--capacity N]\n  fielddb point <db> <x> <y>\n  fielddb serve-metrics [--port N] [--k N] [--queries N] [--max-requests N] [--port-file P] [--event-log P]\n  fielddb top [--addr HOST:PORT | --port N] [--watch SECS [--count N]]\nfile-backed commands also accept: [--pool PAGES] [--codec raw|compressed]".into()
+    "usage:\n  fielddb create <db> [--workload terrain|fractal|monotonic] [--k N] [--h F] [--seed N]\n  fielddb info <db>\n  fielddb query <db> <lo> <hi> [--regions N]\n  fielddb explain <db> <lo> <hi> [--json]\n  fielddb ingest <db> [--updates N] [--seed N] [--capacity N]\n  fielddb point <db> <x> <y>\nfile-backed commands also accept: [--pool PAGES] [--codec raw|compressed]".into()
 }
 
 /// Storage-engine tuning flags shared by every file-backed command:
@@ -479,200 +429,6 @@ fn point(path: &str, x: f64, y: f64, eng: EngineOpts) -> Result<String, String> 
         Some(v) => Ok(format!("value at ({x}, {y}): {v:.6}\n")),
         None => Ok(format!("({x}, {y}) is outside the field domain\n")),
     }
-}
-
-/// Runs a traced demo workload over an in-memory terrain, then serves
-/// the telemetry plane over HTTP (`/metrics` Prometheus snapshot,
-/// `/traces` Chrome-trace dump, `/slo` latency quantiles and objectives,
-/// `/explain/recent` EXPLAIN ring) until `max_requests` are answered
-/// (or forever with no cap). `--port 0` picks a free port; `--port-file`
-/// writes the real bound address for scripted clients, and
-/// `--event-log` additionally appends the trace snapshot to a rotating
-/// JSONL log before serving.
-fn serve_metrics(
-    port: u16,
-    k: u32,
-    queries: usize,
-    max_requests: Option<u64>,
-    port_file: Option<&str>,
-    event_log: Option<&str>,
-) -> Result<String, String> {
-    use contfield::obs::export::EventLog;
-    use contfield::obs::serve::MetricsServer;
-    use contfield::workload::queries::interval_queries;
-
-    let field = terrain::roseburg_standin(k);
-    let engine = StorageEngine::in_memory();
-    let index = IHilbert::build(&engine, &field).map_err(|e| e.to_string())?;
-    let registry = engine.metrics();
-    let tracer = registry.tracer();
-    tracer.set_enabled(true);
-    tracer.set_slow_threshold(std::time::Duration::ZERO);
-    let qs = interval_queries(field.value_domain(), 0.05, queries, 0x5E2E);
-    for q in &qs {
-        index.query_stats(&engine, *q).map_err(|e| e.to_string())?;
-    }
-    if let Some(path) = event_log {
-        let mut log = EventLog::open(path, 1 << 20, 3).map_err(|e| e.to_string())?;
-        log.append_trace(&tracer.events(), &tracer.slow_reports())
-            .map_err(|e| format!("event log {path}: {e}"))?;
-    }
-
-    let server =
-        MetricsServer::bind(("127.0.0.1", port)).map_err(|e| format!("bind port {port}: {e}"))?;
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
-    if let Some(path) = port_file {
-        std::fs::write(path, addr.to_string()).map_err(|e| format!("port file {path}: {e}"))?;
-    }
-    // Print the banner before blocking in the serve loop.
-    println!(
-        "serving telemetry for terrain k={k} ({} traced queries) on http://{addr}/  (routes: /metrics, /traces, /slo, /explain/recent, /workload)",
-        qs.len()
-    );
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
-    let served = server
-        .serve(registry, max_requests)
-        .map_err(|e| e.to_string())?;
-    Ok(format!("served {served} request(s) on {addr}\n"))
-}
-
-/// One-shot `top`-style view: scrapes `/metrics` (and `/traces`) from a
-/// running `serve-metrics` endpoint and renders the headline numbers
-/// plus a per-index table.
-fn top(addr: &str) -> Result<String, String> {
-    use contfield::obs::export::parse_prometheus;
-    use contfield::obs::serve::http_get;
-    use contfield::obs::Json;
-
-    let body = http_get(addr, "/metrics").map_err(|e| format!("scrape {addr}/metrics: {e}"))?;
-    let snap = parse_prometheus(&body)?;
-    let hits = snap.total("pool_hits_total");
-    let misses = snap.total("pool_misses_total");
-    let mut out = format!("fielddb top — one-shot scrape of http://{addr}/\n\n");
-    out.push_str(&format!(
-        "queries: {:.0}   pool: {:.0} hits / {:.0} misses ({:.1}% hit rate)   disk reads: {:.0}\n",
-        snap.total("index_queries_total"),
-        hits,
-        misses,
-        100.0 * hits / (hits + misses).max(1.0),
-        snap.total("storage_disk_reads_total"),
-    ));
-    let slow = http_get(addr, "/traces")
-        .ok()
-        .and_then(|t| Json::parse(&t).ok())
-        .and_then(|doc| {
-            doc.get("slowQueries")
-                .and_then(|s| s.as_arr().map(|a| a.len()))
-        });
-    if let Some(n) = slow {
-        out.push_str(&format!("slow-query reports retained: {n}\n"));
-    }
-
-    let mut indexes: Vec<String> = snap
-        .samples
-        .iter()
-        .filter(|s| s.name == "index_queries_total")
-        .filter_map(|s| {
-            s.labels
-                .iter()
-                .find(|(key, _)| key == "index")
-                .map(|(_, v)| v.clone())
-        })
-        .collect();
-    indexes.sort();
-    indexes.dedup();
-    let val = |name: &str, index: &str| -> f64 {
-        snap.samples
-            .iter()
-            .filter(|s| {
-                s.name == name && s.labels.iter().any(|(key, v)| key == "index" && v == index)
-            })
-            .map(|s| s.value)
-            .sum()
-    };
-    out.push_str(&format!(
-        "\n{:<16} {:>8} {:>13} {:>13} {:>15}\n",
-        "index", "queries", "filter pages", "refine pages", "cells examined"
-    ));
-    for index in &indexes {
-        out.push_str(&format!(
-            "{:<16} {:>8.0} {:>13.0} {:>13.0} {:>15.0}\n",
-            index,
-            val("index_queries_total", index),
-            val("index_filter_pages_total", index),
-            val("index_refine_pages_total", index),
-            val("index_cells_examined_total", index),
-        ));
-    }
-    Ok(out)
-}
-
-/// Interval mode of `top`: re-scrapes `/metrics` every `secs` seconds
-/// and prints per-second *rates* — counter differences divided by the
-/// interval — instead of raw totals, so a steady workload reads as a
-/// steady line. `count` bounds the number of intervals and returns the
-/// table; `count` 0 watches until the endpoint goes away, printing
-/// each interval live.
-fn top_watch(addr: &str, secs: f64, count: usize) -> Result<String, String> {
-    use contfield::obs::export::parse_prometheus;
-    use contfield::obs::serve::http_get;
-
-    // Converted once, before the first scrape: a NaN, negative, zero or
-    // overflowing interval is a flag error, not a panic mid-watch.
-    let interval = match std::time::Duration::try_from_secs_f64(secs) {
-        Ok(d) if !d.is_zero() => d,
-        _ => {
-            return Err(format!(
-                "--watch {secs:?} needs a positive interval in seconds"
-            ))
-        }
-    };
-    const COLS: [(&str, &str); 5] = [
-        ("index_queries_total", "queries/s"),
-        ("index_cells_examined_total", "examined/s"),
-        ("pool_hits_total", "hits/s"),
-        ("pool_misses_total", "misses/s"),
-        ("storage_disk_reads_total", "disk/s"),
-    ];
-    let scrape = || -> Result<Vec<f64>, String> {
-        let body = http_get(addr, "/metrics").map_err(|e| format!("scrape {addr}/metrics: {e}"))?;
-        let snap = parse_prometheus(&body)?;
-        Ok(COLS.iter().map(|(name, _)| snap.total(name)).collect())
-    };
-    let mut out = format!("fielddb top — watching http://{addr}/metrics every {secs}s\n");
-    let mut header = format!("{:>10}", "interval");
-    for (_, label) in COLS {
-        header.push_str(&format!(" {label:>12}"));
-    }
-    let mut emit = |line: &str| {
-        if count == 0 {
-            use std::io::Write as _;
-            println!("{line}");
-            std::io::stdout().flush().ok();
-        } else {
-            out.push_str(line);
-            out.push('\n');
-        }
-    };
-    emit(&header);
-    let mut prev = scrape()?;
-    let mut done = 0usize;
-    loop {
-        std::thread::sleep(interval);
-        let cur = scrape()?;
-        let mut row = format!("{done:>10}");
-        for (after, before) in cur.iter().zip(&prev) {
-            row.push_str(&format!(" {:>12.1}", (after - before).max(0.0) / secs));
-        }
-        emit(&row);
-        prev = cur;
-        done += 1;
-        if count != 0 && done >= count {
-            break;
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1073,146 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_metrics_and_top_round_trip() {
-        let dir = std::env::temp_dir();
-        let port_file = dir.join(format!("fielddb_port_{}", std::process::id()));
-        let event_log = dir.join(format!("fielddb_events_{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&port_file);
-        let _ = std::fs::remove_file(&event_log);
-
-        let pf = port_file.to_string_lossy().into_owned();
-        let el = event_log.to_string_lossy().into_owned();
-        let server = std::thread::spawn(move || {
-            run(&argv(&[
-                "serve-metrics",
-                "--port",
-                "0",
-                "--k",
-                "5",
-                "--queries",
-                "8",
-                "--max-requests",
-                "3",
-                "--port-file",
-                &pf,
-                "--event-log",
-                &el,
-            ]))
-        });
-
-        // The port file appears once the listener is bound.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let addr = loop {
-            if let Ok(addr) = std::fs::read_to_string(&port_file) {
-                if !addr.is_empty() {
-                    break addr;
-                }
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "serve-metrics never wrote its port file"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
-
-        // `top` scrapes /metrics and /traces: two of the three requests.
-        let out = run(&argv(&["top", "--addr", &addr])).expect("top");
-        assert!(out.contains("queries: 8"), "{out}");
-        assert!(out.contains("pool:"), "{out}");
-        assert!(out.contains("I-Hilbert"), "{out}");
-        #[cfg(not(feature = "obs-off"))]
-        assert!(out.contains("slow-query reports retained: 8"), "{out}");
-
-        // Burn the last request so the serve loop exits.
-        let metrics =
-            contfield::obs::serve::http_get(addr.trim(), "/metrics").expect("final scrape");
-        // One metric family per layer: index, index health, pool, disk.
-        for family in [
-            "# TYPE index_queries_total counter",
-            "index_health_subfields",
-            "pool_hits_total",
-            "storage_checksum_verifications_total",
-        ] {
-            assert!(metrics.contains(family), "{family} missing:\n{metrics}");
-        }
-        let out = server.join().expect("no panic").expect("serve");
-        assert!(out.contains("served 3 request(s)"), "{out}");
-
-        // The event log captured the traced demo workload.
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let log = std::fs::read_to_string(&event_log).expect("event log written");
-            assert!(log.lines().count() >= 8, "{log}");
-            assert!(log.contains("\"seq\":0"), "{log}");
-        }
-        let _ = std::fs::remove_file(&port_file);
-        let _ = std::fs::remove_file(&event_log);
-        let _ = std::fs::remove_file(format!("{}.1", event_log.display()));
-    }
-
-    #[test]
-    fn top_watch_prints_rates_from_counter_diffs() {
-        let dir = std::env::temp_dir();
-        let port_file = dir.join(format!("fielddb_watch_port_{}", std::process::id()));
-        let _ = std::fs::remove_file(&port_file);
-        let pf = port_file.to_string_lossy().into_owned();
-        let server = std::thread::spawn(move || {
-            run(&argv(&[
-                "serve-metrics",
-                "--port",
-                "0",
-                "--k",
-                "5",
-                "--queries",
-                "4",
-                "--max-requests",
-                "2",
-                "--port-file",
-                &pf,
-            ]))
-        });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let addr = loop {
-            if let Ok(addr) = std::fs::read_to_string(&port_file) {
-                if !addr.is_empty() {
-                    break addr;
-                }
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "serve-metrics never wrote its port file"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        };
-
-        // Rejected before the first scrape, so none of these spends a
-        // request of the server's budget.
-        for secs in ["0", "nan", "1e20"] {
-            let err = run(&argv(&["top", "--addr", &addr, "--watch", secs]))
-                .expect_err("unusable watch interval must be rejected");
-            assert!(err.starts_with("--watch"), "{secs}: {err}");
-        }
-        // One bounded interval: two scrapes, so rates diff to zero on
-        // the idle server — the point is the rate table, not the values.
-        let out = run(&argv(&[
-            "top", "--addr", &addr, "--watch", "0.05", "--count", "1",
-        ]))
-        .expect("top watch");
-        assert!(out.contains("watching"), "{out}");
-        assert!(out.contains("queries/s"), "{out}");
-        assert!(out.contains("disk/s"), "{out}");
-        let rows: Vec<&str> = out
-            .lines()
-            .filter(|l| l.trim_start().starts_with('0'))
-            .collect();
-        assert_eq!(rows.len(), 1, "{out}");
-
-        let out = server.join().expect("no panic").expect("serve");
-        assert!(out.contains("served 2 request(s)"), "{out}");
-        let _ = std::fs::remove_file(&port_file);
-    }
-
-    #[test]
     fn commands_on_a_missing_database_fail_and_create_nothing() {
         let guard = tmp("missing");
         let db: &str = &guard;
@@ -1245,30 +861,17 @@ mod tests {
             .collect();
         assert_eq!(
             listed,
-            [
-                "create",
-                "info",
-                "query",
-                "explain",
-                "ingest",
-                "point",
-                "serve-metrics",
-                "top"
-            ]
+            ["create", "info", "query", "explain", "ingest", "point"]
         );
         for cmd in listed {
-            // A database command without its path, or any other command
-            // with a flag none takes, fails while parsing its arguments —
-            // before it touches a file or a socket — but is dispatched.
-            let args = if text.contains(&format!("fielddb {cmd} <db>")) {
-                argv(&[cmd])
-            } else {
-                argv(&[cmd, "--no-such-flag"])
-            };
-            let err = run(&args).expect_err(cmd);
+            // Every command takes a database; without its path it fails
+            // while parsing its arguments, before it touches a file, but
+            // it is dispatched.
+            assert!(text.contains(&format!("fielddb {cmd} <db>")), "{cmd}");
+            let err = run(&argv(&[cmd])).expect_err(cmd);
             assert!(!err.starts_with("unknown command"), "{cmd}: {err}");
         }
-        for gone in ["metrics", "record"] {
+        for gone in ["metrics", "record", "serve-metrics", "top"] {
             let err = run(&argv(&[gone])).expect_err(gone);
             assert!(err.starts_with(&format!("unknown command {gone}")), "{err}");
         }

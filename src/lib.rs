@@ -54,7 +54,7 @@
 //! | [`field`] | DEM / TIN / vector field models, estimation step |
 //! | [`index`] | LinearScan, I-All, I-Hilbert, Interval Quadtree, Q1 |
 //! | [`workload`] | fractal / monotonic / noise / ocean generators |
-//! | [`obs`] | metrics registry, span tracer, exporters, HTTP endpoint |
+//! | [`obs`] | metrics registry, EXPLAIN ring, epoch journal, `.wrk` flight records |
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]

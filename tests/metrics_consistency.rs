@@ -277,7 +277,7 @@ fn explain_phase_timings_and_pages_sum_within_the_span() {
 /// with the tracer on, every product index — on every plan it can
 /// choose — adds exactly one record to the tracer's ring, internally
 /// consistent and carrying the digest of the answer it returned, and
-/// the span events and the flight record derived from it agree with it.
+/// the flight record derived from it agrees with it.
 #[cfg(not(feature = "obs-off"))]
 #[test]
 fn every_index_emits_one_explain_and_one_flight_record() {
@@ -326,27 +326,6 @@ fn every_index_emits_one_explain_and_one_flight_record() {
             ),
             "{what}: the recorded digest is the returned answer's"
         );
-
-        // The span events are this record, phase by phase: filter (probes
-        // only) and the cell pass below the enclosing query span.
-        let events: Vec<_> = tracer
-            .events()
-            .into_iter()
-            .filter(|ev| ev.query_id == e.query_id)
-            .map(|ev| (ev.phase, ev.depth, ev.nanos, ev.pages))
-            .collect();
-        let scan = plan == "scan";
-        let want = [
-            ("filter", 1, e.filter_ns, e.filter_pages),
-            (
-                if scan { "scan" } else { "refine" },
-                1,
-                e.refine_ns,
-                e.refine_pages,
-            ),
-            ("query", 0, e.total_ns, stats.io.logical_reads()),
-        ];
-        assert_eq!(events, want[usize::from(scan)..], "{what}");
 
         let records = tracer.drain_workload();
         assert_eq!(records.len(), 1, "{what}: one flight record per query");
