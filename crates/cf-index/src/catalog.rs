@@ -459,9 +459,11 @@ impl<F: FieldModel> LiveIngest<F> {
     /// shadow-slot protocol, in crash-ordered steps: (1) flush the net
     /// delta to a fresh record-file run, (2) commit the slot
     /// (pointing at base + delta + epoch) with one page write, (3)
-    /// free the runs only the replaced slot referenced. A crash
-    /// anywhere in the sequence leaves a previous consistent epoch
-    /// winning on reopen.
+    /// free the runs only the replaced slot referenced, (4) make the
+    /// committed base the plane's committed generation and free the
+    /// retired generations nothing holds any more. A crash anywhere in
+    /// the sequence leaves a previous consistent epoch winning on
+    /// reopen.
     pub fn save_to(&self, engine: &StorageEngine, catalog: PageId) -> CfResult<()> {
         let (base, deltas, epoch) = self.persist_state();
         let (delta_first, delta_len) = if deltas.is_empty() {
@@ -471,7 +473,8 @@ impl<F: FieldModel> LiveIngest<F> {
             let file = RecordFile::create(engine, deltas)?;
             (file.first_page().0, len)
         };
-        base.save_slot_with_delta(engine, catalog, epoch, delta_first, delta_len)
+        base.save_slot_with_delta(engine, catalog, epoch, delta_first, delta_len)?;
+        self.commit_landed(engine, base)
     }
 
     /// Reattaches a saved ingest plane: reopens the base index from

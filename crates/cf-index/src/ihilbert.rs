@@ -16,7 +16,7 @@ use crate::subfield::{build_subfields_by_page, subfield_costs, Subfield, Subfiel
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval, Point2};
 use cf_sfc::Curve;
-use cf_storage::{codec, CellFile, CfError, CfResult, Record, RecordFile, StorageEngine};
+use cf_storage::{codec, CellFile, CfError, CfResult, PageId, Record, RecordFile, StorageEngine};
 
 /// Construction parameters of [`IHilbert`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -67,12 +67,23 @@ impl Record for PageBox {
     }
 }
 
-/// Writes the box file of the cell file `file` holding `records`.
-pub(crate) fn write_page_boxes<F: FieldModel>(
+/// Writes one generation of an index over `records` (in file order,
+/// `intervals` theirs): the cell file, the box file, each data page's
+/// subfields ([`build_subfields_by_page`]), then the tree over them.
+/// Both [`IHilbert::build_with`] and a live-ingest repack write through
+/// here, so the allocation order is stated once: cell, box, then tree
+/// run. A box run allocated after the tree splits the holes the next
+/// repack's cell run needs, and the file grows (DESIGN §17.7).
+pub(crate) fn write_generation<F: FieldModel>(
     engine: &StorageEngine,
-    file: &CellFile<F::CellRec>,
-    records: &[F::CellRec],
-) -> CfResult<CellFile<PageBox>> {
+    records: Vec<F::CellRec>,
+    intervals: &[Interval],
+    curve: Curve,
+    config: SubfieldConfig,
+) -> CfResult<(SubfieldIndex<F>, CellFile<PageBox>, Vec<Subfield>)> {
+    let file = CellFile::create(engine, records.iter().cloned())?;
+    // Entry `i` of the box file is the union of data page `i`'s
+    // record boxes.
     let page_box = |page| {
         let recs = &records[file.page_span(page)];
         PageBox(
@@ -80,7 +91,12 @@ pub(crate) fn write_page_boxes<F: FieldModel>(
                 .fold(Aabb::EMPTY, |acc, r| acc.union(&F::record_bbox(r))),
         )
     };
-    RecordFile::create(engine, (0..file.data_pages()).map(page_box))
+    let box_file = RecordFile::create(engine, (0..file.data_pages()).map(page_box))?;
+    drop(records);
+    let subfields = build_subfields_by_page(intervals, &file, config);
+    let (label, curve_name) = (method_label(curve), curve.name());
+    let inner = SubfieldIndex::build(engine, file, &subfields, &label, curve_name)?;
+    Ok((inner, box_file, subfields))
 }
 
 /// The I-Hilbert value index.
@@ -106,10 +122,11 @@ impl<F: FieldModel> IHilbert<F> {
     }
 
     /// Builds the index with explicit parameters: linearize the cells
-    /// along the curve, write the cell file and the box file in that
-    /// order, group each data page's cells greedily into subfields
-    /// (§3.1.2, [`build_subfields_by_page`]), index the subfield
-    /// intervals and write the cell→position map.
+    /// along the curve, write the cell file and the box file, group
+    /// each data page's cells greedily into subfields (§3.1.2,
+    /// [`build_subfields_by_page`]), index the subfield intervals (the
+    /// order a live-ingest repack writes its generation in), then write
+    /// the cell→position map.
     ///
     /// # Errors
     ///
@@ -122,14 +139,8 @@ impl<F: FieldModel> IHilbert<F> {
         let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
         let curve = config.curve;
         let records: Vec<F::CellRec> = order.iter().map(|&c| field.cell_record(c)).collect();
-        // The box run is allocated between the cell and tree runs, as at
-        // a repack: so placed, repacks reuse freed space (DESIGN §17.7).
-        let file = CellFile::create(engine, records.iter().cloned())?;
-        let box_file = write_page_boxes::<F>(engine, &file, &records)?;
-        drop(records);
-        let subfields = build_subfields_by_page(&intervals, &file, config.subfield);
-        let (label, curve_name) = (method_label(curve), curve.name());
-        let inner = SubfieldIndex::build(engine, file, &subfields, &label, curve_name)?;
+        let (inner, box_file, subfields) =
+            write_generation(engine, records, &intervals, curve, config.subfield)?;
         // Exact per-subfield cost C = P/SI (the paper's `P = L`, base
         // 1) — the per-cell intervals are in hand only here at build
         // time, so this is where the health metrics get the full
@@ -181,6 +192,20 @@ impl<F: FieldModel> IHilbert<F> {
             .iter()
             .filter(|sf| file.page_no_of(sf.start as usize) != file.page_no_of(sf.end as usize - 1))
             .count()
+    }
+
+    /// The index's page runs as `(first page, pages)`: the cell file,
+    /// the tree and the box file, which a live-ingest repack replaces
+    /// (in the order they are freed), then the position map, which no
+    /// repack moves. `fielddb info` checks them against the freelist.
+    pub fn page_runs(&self) -> [(PageId, usize); 4] {
+        let (cells, boxes, pos) = (&self.inner.file, &self.box_file, &self.pos_file);
+        [
+            (cells.first_page(), cells.num_pages()),
+            self.inner.tree.page_run(),
+            (boxes.first_page(), boxes.num_pages()),
+            (pos.first_page(), pos.num_pages()),
+        ]
     }
 
     /// Number of cells in the index's cell file.

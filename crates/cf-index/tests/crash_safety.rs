@@ -410,8 +410,9 @@ fn freelist_crash_points_on_file_backing_never_double_allocate() {
 /// references was written by the build — so the size is constant. The
 /// other two inputs save through the live-ingest plane: every cycle
 /// re-ingests unchanged records, repacks and saves, so each repack
-/// retires the superseded cell file and tree to the freelist, and
-/// allocation recycles the holes until the size plateaus. The last
+/// retires the replaced cell file, tree and box file, the save that
+/// commits the new generation frees them, and allocation recycles the
+/// holes until the size plateaus. The last
 /// input closes and reopens the file before every cycle: a tree read
 /// back from the catalog is retired like a built one.
 #[test]
@@ -1063,4 +1064,87 @@ fn repeated_repacks_of_a_compressed_file_reach_a_steady_state_size() {
     drop(reopened);
     drop(engine);
     cleanup(&path);
+}
+
+/// A repack must not free a run the committed catalog slot still
+/// names. Each input saves an index to a file, runs `rounds`
+/// rounds of 200 random ingests (values uniform in the value domain)
+/// and a repack, flushes the dirty pages as pool eviction would, and
+/// drops the engine without a save. The reopened file must answer 20
+/// bands at Qinterval 0.05 exactly like the committed index: a freed
+/// committed run is rewritten by the next repack, and the reopened
+/// index then answers wrongly or not at all.
+fn unsaved_repacks_keep_the_committed_index(rounds: usize) {
+    use cf_index::{IngestConfig, LiveIngest};
+    use cf_workload::{fractal::diamond_square, queries::interval_queries};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let fields = [("wavy".to_string(), wavy_field(128, 0.0))]
+        .into_iter()
+        .chain([3, 17, 29].map(|seed| (format!("fractal {seed}"), diamond_square(7, 0.7, seed))));
+    for (name, field) in fields {
+        for codec in [PageCodec::Raw, PageCodec::Compressed] {
+            let ctx = format!("{name}, {codec:?}, {rounds} unsaved repacks");
+            let path = std::env::temp_dir().join(format!(
+                "cf_crash_unsaved_{rounds}_{}_{:?}.db",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            cleanup(&path);
+            let config = StorageConfig {
+                codec,
+                ..StorageConfig::default()
+            };
+            let engine = StorageEngine::open_file(&path, config.clone()).expect("open file");
+            let index = IHilbert::build(&engine, &field).expect("build");
+            let catalog = index.save(&engine).expect("save");
+            engine.sync().expect("sync");
+            let domain = field.value_domain();
+            let bands = interval_queries(domain, 0.05, 20, 0x4D);
+            let committed: Vec<QueryStats> = bands
+                .iter()
+                .map(|&b| index.query_stats(&engine, b).expect("query"))
+                .collect();
+
+            let live = LiveIngest::new(&engine, index, IngestConfig::default()).expect("live");
+            let mut rng = StdRng::seed_from_u64(rounds as u64);
+            for _ in 0..rounds {
+                for _ in 0..200 {
+                    let cell = rng.gen_range(0..field.num_cells());
+                    let mut rec = field.cell_record(cell);
+                    for v in rec.vals.iter_mut() {
+                        *v = domain.lo + rng.gen::<f64>() * domain.width();
+                    }
+                    live.ingest(&engine, cell, rec).expect("ingest");
+                }
+                live.repack(&engine).expect("repack");
+            }
+            engine.flush().expect("flush");
+            drop(live);
+            drop(engine);
+
+            let engine = StorageEngine::open_file(&path, config).expect("reopen");
+            let reopened = IHilbert::<GridField>::open(&engine, catalog)
+                .unwrap_or_else(|e| panic!("{ctx}: the committed catalog must open: {e}"));
+            let got: Vec<QueryStats> = bands
+                .iter()
+                .map(|&b| reopened.query_stats(&engine, b).expect("query"))
+                .collect();
+            assert_same_answers(&got, &committed, &ctx);
+            drop(reopened);
+            drop(engine);
+            cleanup(&path);
+        }
+    }
+}
+
+#[test]
+fn two_unsaved_repacks_keep_the_committed_index() {
+    unsaved_repacks_keep_the_committed_index(2);
+}
+
+#[test]
+fn three_unsaved_repacks_keep_the_committed_index() {
+    unsaved_repacks_keep_the_committed_index(3);
 }

@@ -200,54 +200,234 @@ fn snapshots_are_isolated_from_later_writes_and_repacks() {
     assert_eq!(new_world.cells_qualifying, field.num_cells());
 }
 
-/// The epoch GC contract: pages retired by a repack are not recycled
-/// while any snapshot of an older epoch is alive, and are recycled
-/// once the last such reader drops.
+/// Ingests `n` random records into `live`.
+fn ingest_random(live: &LiveIngest<GridField>, engine: &StorageEngine, n: usize, rng: &mut Rng) {
+    let cells = live.snapshot().num_cells();
+    for _ in 0..n {
+        let cell = rng.below(cells);
+        let mut rec = live.cell_record(engine, cell).expect("record");
+        rec.vals = [(); 4].map(|()| rng.value(-50.0, 50.0));
+        live.ingest(engine, cell, rec).expect("ingest");
+    }
+}
+
+/// The `storage_deferred_free_pages` gauge: retired pages not yet freed.
+fn deferred_pages(engine: &StorageEngine) -> f64 {
+    engine
+        .metrics()
+        .gauge_value("storage_deferred_free_pages", &[])
+        .unwrap_or(-1.0)
+}
+
+/// Reclamation by ownership: a repack's replaced generation stays
+/// allocated while any snapshot of it is alive — two readers of two
+/// epochs over it here — and the old epochs answer from its pages. A
+/// save that moves the commit does not free it under a reader; once
+/// the last reader drops, the next save does.
 #[test]
 fn retired_pages_recycle_only_after_the_last_reader_drops() {
-    let field = wavy_field(12);
     let engine = StorageEngine::in_memory();
-    let base = IHilbert::build(&engine, &field).expect("build");
+    let base = IHilbert::build(&engine, &wavy_field(12)).expect("build");
     let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let catalog = live.save(&engine).expect("save");
     let mut rng = Rng(11);
 
-    for _ in 0..10 {
-        let cell = rng.below(field.num_cells());
-        let rec = rand_record(&field, cell, &mut rng);
-        live.ingest(&engine, cell, rec).expect("ingest");
-    }
-    let reader = live.snapshot();
+    ingest_random(&live, &engine, 10, &mut rng);
+    let first_reader = live.snapshot();
+    let before: Vec<QueryStats> = fixed_bands()
+        .iter()
+        .map(|&b| first_reader.query_stats(&engine, b).expect("query"))
+        .collect();
+    ingest_random(&live, &engine, 1, &mut rng);
+    let last_reader = live.snapshot();
+    assert!(last_reader.epoch() > first_reader.epoch());
     let report = live.repack(&engine).expect("repack");
     assert!(report.repacked && report.pages_retired > 0);
 
-    // The reader still pins the pre-repack epoch: nothing may free.
-    assert_eq!(engine.collect_deferred().expect("collect"), 0);
-    let deferred = engine
-        .metrics()
-        .gauge_value("storage_deferred_free_pages", &[])
-        .unwrap_or(0.0);
-    assert!(
-        deferred >= report.pages_retired as f64,
-        "retired pages must be parked in the GC, gauge {deferred}"
-    );
-    // ... and the old epoch still answers from those parked pages.
-    reader
-        .query_stats(&engine, Interval::new(-60.0, 60.0))
-        .expect("old epoch query");
+    // The readers hold the old generation: nothing is freed ...
+    assert_eq!(engine.free_pages(), 0);
+    assert_eq!(deferred_pages(&engine), report.pages_retired as f64);
+    // ... and the old epoch still answers from its own pages.
+    engine.clear_cache();
+    for (i, &band) in fixed_bands().iter().enumerate() {
+        let again = first_reader
+            .query_stats(&engine, band)
+            .expect("old epoch query");
+        assert_bitexact(&again, &before[i], &format!("old epoch band {i}"));
+    }
 
-    drop(reader);
-    let freed = engine.collect_deferred().expect("collect");
-    assert!(
-        freed >= report.pages_retired,
-        "dropping the last reader must release the retired runs ({freed} freed)"
-    );
+    drop(first_reader);
+    live.save_to(&engine, catalog).expect("save");
+    assert_eq!(engine.free_pages(), 0, "the last reader still holds it");
+    drop(last_reader);
+    assert_eq!(engine.free_pages(), 0, "a drop only queues the runs");
+    live.save_to(&engine, catalog).expect("save");
+    assert_eq!(engine.free_pages(), report.pages_retired);
+    assert_eq!(deferred_pages(&engine), 0.0);
+}
+
+/// A snapshot of the epoch a repack published reads the new generation
+/// only: it does not keep the one the repack replaced alive.
+#[test]
+fn a_snapshot_after_a_repack_does_not_hold_the_replaced_generation() {
+    let engine = StorageEngine::in_memory();
+    let base = IHilbert::build(&engine, &wavy_field(12)).expect("build");
+    let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let mut rng = Rng(13);
+    ingest_random(&live, &engine, 10, &mut rng);
+    let report = live.repack(&engine).expect("repack");
+    let new_reader = live.snapshot();
+    assert_eq!(new_reader.epoch(), report.epoch);
+    live.save(&engine).expect("save");
     assert_eq!(
-        engine
-            .metrics()
-            .gauge_value("storage_deferred_free_pages", &[])
-            .unwrap_or(-1.0),
-        0.0
+        engine.free_pages(),
+        report.pages_retired,
+        "the new epoch's reader must not hold the old generation"
     );
+    new_reader
+        .query_stats(&engine, Interval::new(-60.0, 60.0))
+        .expect("new epoch query");
+}
+
+/// The repack that replaces a generation nothing holds frees it itself:
+/// after a save, the first repack's generation is neither committed nor
+/// read, so the second repack frees its runs, one `run_reclaimed`
+/// event each.
+#[test]
+fn a_repack_frees_the_generation_it_replaces_when_nothing_holds_it() {
+    let engine = StorageEngine::in_memory();
+    let base = IHilbert::build(&engine, &wavy_field(12)).expect("build");
+    let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let catalog = live.save(&engine).expect("save");
+    let mut rng = Rng(17);
+
+    ingest_random(&live, &engine, 10, &mut rng);
+    let first = live.repack(&engine).expect("first repack");
+    assert_eq!(engine.free_pages(), 0, "the commit names the built base");
+    ingest_random(&live, &engine, 10, &mut rng);
+    let _ = engine.metrics().journal().take();
+    let second = live.repack(&engine).expect("second repack");
+    assert_eq!(
+        engine.free_pages(),
+        second.pages_retired,
+        "the second repack frees the first repack's generation"
+    );
+    assert_eq!(deferred_pages(&engine), first.pages_retired as f64);
+    #[cfg(not(feature = "obs-off"))]
+    {
+        let events: Vec<(String, f64)> = engine
+            .metrics()
+            .journal()
+            .take()
+            .iter()
+            .filter_map(|e| {
+                let name = e.get("event")?.as_str()?.to_string();
+                Some((name, e.get("pages").and_then(|v| v.as_f64()).unwrap_or(0.0)))
+            })
+            .filter(|(name, _)| name.starts_with("run_"))
+            .collect();
+        let pages = |name: &str| -> f64 {
+            let runs = events.iter().filter(|(n, _)| n == name);
+            assert_eq!(runs.clone().count(), 3, "{name}: {events:?}");
+            runs.map(|(_, p)| p).sum()
+        };
+        assert_eq!(pages("run_deferred"), second.pages_retired as f64);
+        assert_eq!(pages("run_reclaimed"), second.pages_retired as f64);
+    }
+    // The next save frees the built base.
+    live.save_to(&engine, catalog).expect("save");
+    assert_eq!(
+        engine.free_pages(),
+        first.pages_retired + second.pages_retired
+    );
+    assert_eq!(deferred_pages(&engine), 0.0);
+}
+
+/// A save frees the generation its commit released in place: when that
+/// generation ends a database file, the file keeps its length and the
+/// next repack writes its generation into the hole instead of growing
+/// it.
+#[test]
+fn a_save_frees_in_place_and_the_next_repack_refills_the_hole() {
+    let db = TmpFile::new("in_place");
+    let engine = StorageEngine::open_file(&db.0, StorageConfig::default()).expect("open file");
+    let base = IHilbert::build(&engine, &wavy_field(12)).expect("build");
+    let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let catalog = live.save(&engine).expect("save");
+    let mut rng = Rng(23);
+    // Built base, catalog, then the first repack's generation at the end
+    // of the file; the second repack fills the built base's hole.
+    for _ in 0..2 {
+        ingest_random(&live, &engine, 10, &mut rng);
+        live.repack(&engine).expect("repack");
+        live.save_to(&engine, catalog).expect("save");
+    }
+    let pages = engine.num_pages();
+    ingest_random(&live, &engine, 10, &mut rng);
+    let report = live.repack(&engine).expect("repack");
+    assert_eq!(engine.num_pages(), pages, "the repack reused the hole");
+    live.save_to(&engine, catalog).expect("save");
+    assert_eq!(
+        engine.num_pages(),
+        pages,
+        "the save did not shrink the file"
+    );
+    assert_eq!(engine.free_pages(), report.pages_retired);
+}
+
+/// A database file in the temp directory, removed with its sidecar on
+/// drop.
+struct TmpFile(std::path::PathBuf);
+
+impl TmpFile {
+    fn new(tag: &str) -> Self {
+        let name = format!("contfield_test_ingest_{tag}_{}.db", std::process::id());
+        let db = Self(std::env::temp_dir().join(name));
+        db.remove();
+        db
+    }
+
+    fn remove(&self) {
+        for ext in ["", ".crc"] {
+            let _ = std::fs::remove_file(format!("{}{ext}", self.0.display()));
+        }
+    }
+}
+
+impl Drop for TmpFile {
+    fn drop(&mut self) {
+        self.remove();
+    }
+}
+
+/// A free that fails (an injected fault on the sidecar retag of a file
+/// database) leaves the runs it did not free queued, and the next save
+/// frees them.
+#[test]
+fn a_failed_free_leaves_the_runs_queued_for_the_next_save() {
+    let db = TmpFile::new("retag");
+    let engine = StorageEngine::open_file(&db.0, StorageConfig::default()).expect("open file");
+    let base = IHilbert::build(&engine, &wavy_field(12)).expect("build");
+    let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let catalog = live.save(&engine).expect("save");
+    let mut rng = Rng(19);
+    ingest_random(&live, &engine, 10, &mut rng);
+    let report = live.repack(&engine).expect("repack");
+    engine.flush().expect("flush");
+
+    // Write 0 is the commit slot, write 1 the retag of the built
+    // base's cell run.
+    engine.clear_faults();
+    engine.inject_fault(Fault::FailWrite { nth: 1 });
+    let err = live.save_to(&engine, catalog).expect_err("the retag fails");
+    assert!(err.is_injected(), "{err}");
+    engine.clear_faults();
+    assert_eq!(engine.free_pages(), 0);
+    assert_eq!(deferred_pages(&engine), report.pages_retired as f64);
+
+    live.save_to(&engine, catalog).expect("save");
+    assert_eq!(engine.free_pages(), report.pages_retired);
+    assert_eq!(deferred_pages(&engine), 0.0);
 }
 
 /// Snapshots are plain [`ValueIndex`] values: the multi-threaded

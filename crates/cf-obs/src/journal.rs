@@ -12,7 +12,7 @@ const JOURNAL_RING_CAPACITY: usize = 1024;
 
 /// A bounded in-process ring of structured lifecycle events.
 ///
-/// The ingest plane and the storage GC emit epoch-lifecycle events here
+/// The live-ingest plane emits its epoch-lifecycle events here
 /// (`epoch_published`, `repack_start`, `repack_end`, `run_deferred`,
 /// `run_reclaimed`); readers drain them. Cloning shares the ring. Under
 /// `obs-off` emission compiles to a no-op and the closure passed to

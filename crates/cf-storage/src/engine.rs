@@ -1,7 +1,6 @@
 //! The storage façade bundling disk + buffer pool.
 
 use crate::fault::FiredFault;
-use crate::gc::EpochGc;
 use crate::{BufferPool, CfResult, DiskManager, Fault, IoStats, PageBuf, PageCodec, PageId};
 use cf_obs::{Histogram, MetricsRegistry};
 use std::sync::Arc;
@@ -49,7 +48,6 @@ pub struct StorageEngine {
     /// by-name lookup (one global mutex) each time.
     pub(crate) page_decode_ns: Histogram,
     codec: PageCodec,
-    gc: EpochGc,
 }
 
 impl StorageEngine {
@@ -62,7 +60,6 @@ impl StorageEngine {
             page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
             metrics,
             codec: config.codec,
-            gc: EpochGc::new(),
         }
     }
 
@@ -89,7 +86,6 @@ impl StorageEngine {
             page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
             metrics,
             codec: config.codec,
-            gc: EpochGc::new(),
         })
     }
 
@@ -175,66 +171,23 @@ impl StorageEngine {
         self.disk.free_run(id, n)
     }
 
+    /// Like [`StorageEngine::free_run`], but on a file a run that ends
+    /// the file stays on the freelist instead of shrinking it. See
+    /// [`DiskManager::free_run_in_place`].
+    pub fn free_run_in_place(&self, id: PageId, n: usize) -> CfResult<()> {
+        self.pool.invalidate_run(id, n);
+        self.disk.free_run_in_place(id, n)
+    }
+
     /// Total pages currently on the disk's freelist.
     pub fn free_pages(&self) -> usize {
         self.disk.free_pages()
     }
 
-    /// The engine's epoch-reclamation domain: readers pin epochs
-    /// through it, writers defer superseded runs into it. See
-    /// [`EpochGc`].
-    pub fn epoch_gc(&self) -> &EpochGc {
-        &self.gc
-    }
-
-    /// Defers returning `n` consecutive pages starting at `id` to the
-    /// freelist until every reader of an epoch older than
-    /// `retire_epoch` has dropped its pin. The pages are actually
-    /// recycled by a later [`StorageEngine::collect_deferred`]. Emits a
-    /// `run_deferred` event into the registry's lifecycle journal.
-    pub fn defer_free_run(&self, retire_epoch: u64, id: PageId, n: usize) {
-        self.gc.defer_free_run(retire_epoch, id, n);
-        self.publish_deferred_gauge();
-        self.metrics.journal().emit_with(|| {
-            cf_obs::Json::obj([
-                ("event", cf_obs::Json::Str("run_deferred".into())),
-                ("retire_epoch", cf_obs::Json::Num(retire_epoch as f64)),
-                ("first_page", cf_obs::Json::Num(id.0 as f64)),
-                ("pages", cf_obs::Json::Num(n as f64)),
-                (
-                    "deferred_total",
-                    cf_obs::Json::Num(self.gc.deferred_pages() as f64),
-                ),
-            ])
-        });
-    }
-
-    /// Frees every deferred run whose readers have all dropped,
-    /// returning how many pages were recycled. Runs still protected by
-    /// a live [`crate::EpochPin`] stay deferred. Each reclaimed run is
-    /// journalled as a `run_reclaimed` event.
-    pub fn collect_deferred(&self) -> CfResult<usize> {
-        let ripe = self.gc.take_ripe();
-        let mut freed = 0;
-        for (first, pages) in ripe {
-            self.free_run(first, pages)?;
-            freed += pages;
-            self.metrics.journal().emit_with(|| {
-                cf_obs::Json::obj([
-                    ("event", cf_obs::Json::Str("run_reclaimed".into())),
-                    ("first_page", cf_obs::Json::Num(first.0 as f64)),
-                    ("pages", cf_obs::Json::Num(pages as f64)),
-                ])
-            });
-        }
-        self.publish_deferred_gauge();
-        Ok(freed)
-    }
-
-    fn publish_deferred_gauge(&self) {
-        self.metrics
-            .gauge("storage_deferred_free_pages")
-            .set(self.gc.deferred_pages() as f64);
+    /// How many of the `n` pages starting at `id` are on the disk's
+    /// freelist. See [`DiskManager::free_pages_in`].
+    pub fn free_pages_in(&self, id: PageId, n: usize) -> usize {
+        self.disk.free_pages_in(id, n)
     }
 
     /// Arms a deterministic fault on the underlying disk (see [`Fault`]).

@@ -32,6 +32,23 @@ impl FreeState {
         self.runs.values().sum()
     }
 
+    /// How many pages of `[start, start + len)` are free.
+    pub(crate) fn free_in(&self, start: u64, len: u64) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let end = start.saturating_add(len);
+        // The run holding `start`, if any, then every run starting
+        // inside the range.
+        let first = self.runs.range(..=start).next_back();
+        let rest = self.runs.range(start.saturating_add(1)..end);
+        first
+            .into_iter()
+            .chain(rest)
+            .map(|(&s, &l)| (s + l).min(end).saturating_sub(s.max(start)))
+            .sum()
+    }
+
     /// Inserts `[start, start + len)` as free, coalescing with
     /// neighbours. Returns `false` (state unchanged) if the run
     /// overlaps an existing free run — a double free.
@@ -137,6 +154,19 @@ mod tests {
         // The 5-run was split: 1 page stays free at 34.
         assert_eq!(fs.runs.get(&34), Some(&1));
         assert_eq!(fs.take_best_fit(11), None, "nothing big enough");
+    }
+
+    #[test]
+    fn free_in_counts_the_overlap_with_each_run() {
+        let mut fs = FreeState::default();
+        fs.insert_run(3, 4);
+        fs.insert_run(10, 2);
+        assert_eq!(fs.free_in(0, 3), 0);
+        assert_eq!(fs.free_in(0, 20), 6);
+        assert_eq!(fs.free_in(5, 6), 3, "tail of one run, head of the next");
+        assert_eq!(fs.free_in(4, 1), 1, "inside a run");
+        assert_eq!(fs.free_in(7, 3), 0, "the gap between them");
+        assert_eq!(fs.free_in(11, 0), 0);
     }
 
     #[test]

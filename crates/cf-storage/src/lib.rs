@@ -15,6 +15,10 @@
 //!   probe and two list splices, and frames are allocated on first use.
 //! * [`StorageEngine`] — the façade bundling the two; all index and cell
 //!   file accesses in the workspace go through it.
+//!   [`StorageEngine::free_run`] returns a run to the freelist at once:
+//!   deciding when nothing references a run is its owner's job (the
+//!   live-ingest plane frees a generation when its last holder drops),
+//!   so this crate knows nothing of index epochs.
 //! * [`CellFile`] — the record file: fixed-size records in consecutive
 //!   pages, raw or compressed; the Hilbert-ordered cell file of the
 //!   I-Hilbert method is a `CellFile` whose record ranges correspond to
@@ -65,7 +69,6 @@ mod engine;
 mod error;
 mod fault;
 mod freelist;
-mod gc;
 mod heap;
 mod stats;
 
@@ -79,7 +82,6 @@ pub use disk::{DiskManager, PageBuf, PageId, PAGE_SIZE};
 pub use engine::{StorageConfig, StorageEngine};
 pub use error::{CfError, CfResult, FaultOp};
 pub use fault::{Fault, FaultInjector, FiredFault};
-pub use gc::{EpochGc, EpochPin};
 pub use heap::{CellFile, KvRecord, Record, RecordFile};
 pub use stats::{thread_io_stats, IoStats, ShardStats};
 

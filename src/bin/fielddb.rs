@@ -266,8 +266,15 @@ fn info(path: &str, eng: EngineOpts) -> Result<String, String> {
     let engine = open_database(path, eng.config())?;
     let index = open_index(&engine)?;
     let dom = index.value_domain();
+    // A page the committed catalog names must not be on the freelist:
+    // the next allocation would overwrite it.
+    let tagged_free: usize = index
+        .page_runs()
+        .iter()
+        .map(|&(first, pages)| engine.free_pages_in(first, pages))
+        .sum();
     Ok(format!(
-        "{path}: {} pages on disk\n  cells: {} ({} data pages, {} codec)\n  subfields: {} ({} index pages)\n  subfields spanning a page boundary: {}\n  value domain: [{:.3}, {:.3}]\n",
+        "{path}: {} pages on disk\n  cells: {} ({} data pages, {} codec)\n  subfields: {} ({} index pages)\n  subfields spanning a page boundary: {}\n  committed pages tagged free: {tagged_free}\n  value domain: [{:.3}, {:.3}]\n",
         engine.num_pages(),
         index.inner_len(),
         index.data_pages(),
@@ -598,6 +605,29 @@ mod tests {
             let out = run(&argv(&["info", &db])).expect("info after ingest");
             assert!(out.contains(line), "{codec}: {out}");
         }
+    }
+
+    #[test]
+    fn info_finds_no_committed_page_freed_by_an_unsaved_repack() {
+        let db = tmp("unsaved_repack");
+        run(&argv(&["create", &db, "--workload", "fractal", "--k", "6"])).expect("create");
+        {
+            let engine = open_database(&*db, StorageConfig::default()).expect("open");
+            let index = open_index(&engine).expect("index");
+            let live = LiveIngest::new(&engine, index, IngestConfig::default()).expect("plane");
+            for i in 0..200 {
+                let cell = i * 17 % 4096;
+                let mut rec = live.cell_record(&engine, cell).expect("record");
+                rec.vals = [i as f64 * 0.01; 4];
+                live.ingest(&engine, cell, rec).expect("ingest");
+            }
+            assert!(live.repack(&engine).expect("repack").pages_retired > 0);
+            // Dirty pages reach the file as an eviction would write
+            // them; the plane is dropped without a save.
+            engine.flush().expect("flush");
+        }
+        let out = run(&argv(&["info", &db])).expect("info");
+        assert!(out.contains("committed pages tagged free: 0\n"), "{out}");
     }
 
     #[test]

@@ -48,11 +48,11 @@
 //! |---|---|
 //! | [`geom`] | points, boxes, intervals, triangles, polygon clipping |
 //! | [`sfc`] | Hilbert / Z-order / Gray-code curves |
-//! | [`storage`] | pages, simulated disk, buffer pool, record files |
+//! | [`storage`] | pages, simulated disk and its freelist, buffer pool, record files |
 //! | [`rtree`] | packed R-tree on pages: STR bulk build, boxes rewritten in place |
 //! | [`delaunay`] | Bowyer–Watson triangulation |
 //! | [`field`] | DEM / TIN / vector field models, estimation step |
-//! | [`index`] | LinearScan, I-All, I-Hilbert, Interval Quadtree, Q1 |
+//! | [`index`] | LinearScan, I-All, I-Hilbert, Interval Quadtree, Q1, live ingest (a generation's pages freed when its last holder drops) |
 //! | [`workload`] | fractal / monotonic / noise / ocean generators |
 //! | [`obs`] | metrics registry, EXPLAIN ring, epoch journal, `.wrk` flight records |
 
