@@ -47,6 +47,7 @@
 mod batch;
 mod catalog;
 mod exec;
+mod gc;
 mod iall;
 mod ihilbert;
 mod ingest;
