@@ -14,7 +14,7 @@
 //! the same range sweep as every other index — each page once.
 #![deny(clippy::unwrap_used, clippy::panic)]
 
-use crate::ihilbert::check_record;
+use crate::ihilbert::{check_record, checked_records};
 use crate::order::check_cell_count;
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
@@ -34,10 +34,17 @@ impl<F: FieldModel> IAll<F> {
     /// Builds the index: cells in native order plus a page-fanout 1-D
     /// R-tree with one entry per cell, packed bottom-up
     /// ([`cf_rtree::PagedRTree::build`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CfError::InvalidCell`] for a field of more than `u32::MAX`
+    /// cells and [`CfError::InvalidRecord`] for the first record with a
+    /// NaN sample or a non-finite box, both before any page is
+    /// allocated; storage errors pass through.
     pub fn build(engine: &StorageEngine, field: &F) -> CfResult<Self> {
         let n = field.num_cells();
         check_cell_count(n)?;
-        let file = CellFile::create(engine, (0..n).map(|c| field.cell_record(c)))?;
+        let file = CellFile::create(engine, checked_records(field, 0..n)?)?;
         let cells: Vec<Subfield> = (0..n)
             .map(|cell| Subfield {
                 start: cell as u32,

@@ -16,7 +16,9 @@ use crate::subfield::{build_subfields_by_page, subfield_costs, Subfield, Subfiel
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval, Point2};
 use cf_sfc::Curve;
-use cf_storage::{codec, CellFile, CfError, CfResult, PageId, Record, RecordFile, StorageEngine};
+use cf_storage::{
+    codec, CellFile, CfError, CfResult, PageCodec, PageId, Record, RecordFile, StorageEngine,
+};
 
 /// Construction parameters of [`IHilbert`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -68,20 +70,22 @@ impl Record for PageBox {
 }
 
 /// Writes one generation of an index over `records` (in file order,
-/// `intervals` theirs): the cell file, the box file, each data page's
-/// subfields ([`build_subfields_by_page`]), then the tree over them.
-/// Both [`IHilbert::build_with`] and a live-ingest repack write through
+/// `intervals` theirs): the cell file laid out by `codec`, the box
+/// file, each data page's subfields ([`build_subfields_by_page`]), then
+/// the tree over them. Both [`IHilbert::build_with`] (the engine's
+/// codec) and a live-ingest repack (its base's codec) write through
 /// here, so the allocation order is stated once: cell, box, then tree
 /// run. A box run allocated after the tree splits the holes the next
 /// repack's cell run needs, and the file grows (DESIGN §17.7).
 pub(crate) fn write_generation<F: FieldModel>(
     engine: &StorageEngine,
+    codec: PageCodec,
     records: Vec<F::CellRec>,
     intervals: &[Interval],
     curve: Curve,
     config: SubfieldConfig,
 ) -> CfResult<(SubfieldIndex<F>, CellFile<PageBox>, Vec<Subfield>)> {
-    let file = CellFile::create(engine, records.iter().cloned())?;
+    let file = CellFile::create_as(engine, codec, records.iter().cloned())?;
     // Entry `i` of the box file is the union of data page `i`'s
     // record boxes.
     let page_box = |page| {
@@ -132,15 +136,26 @@ impl<F: FieldModel> IHilbert<F> {
     ///
     /// A field of more than `u32::MAX` cells is refused with
     /// [`CfError::InvalidCell`] before any cell is read, as every build
-    /// refuses it; storage errors pass through.
+    /// refuses it. So is the first record with a NaN sample or a
+    /// non-finite box, with [`CfError::InvalidRecord`], before any page
+    /// is allocated, as every update refuses it. Storage errors pass
+    /// through.
     pub fn build_with(engine: &StorageEngine, field: &F, config: IHilbertConfig) -> CfResult<Self> {
         check_cell_count(field.num_cells())?;
         let order = cell_order(field, config.curve);
-        let intervals: Vec<Interval> = order.iter().map(|&c| field.cell_interval(c)).collect();
         let curve = config.curve;
-        let records: Vec<F::CellRec> = order.iter().map(|&c| field.cell_record(c)).collect();
-        let (inner, box_file, subfields) =
-            write_generation(engine, records, &intervals, curve, config.subfield)?;
+        let records = checked_records(field, order.iter().copied())?;
+        // A record's interval is its cell's (`FieldModel::record_interval`),
+        // and the records are in hand: the repack takes them the same way.
+        let intervals: Vec<Interval> = records.iter().map(F::record_interval).collect();
+        let (inner, box_file, subfields) = write_generation(
+            engine,
+            engine.codec(),
+            records,
+            &intervals,
+            curve,
+            config.subfield,
+        )?;
         // Exact per-subfield cost C = P/SI (the paper's `P = L`, base
         // 1) — the per-cell intervals are in hand only here at build
         // time, so this is where the health metrics get the full
@@ -214,7 +229,7 @@ impl<F: FieldModel> IHilbert<F> {
     }
 
     /// On-page layout of the cell file (raw or compressed).
-    pub fn cell_codec(&self) -> cf_storage::PageCodec {
+    pub fn cell_codec(&self) -> PageCodec {
         self.inner.file.codec()
     }
 
@@ -309,8 +324,8 @@ impl<F: FieldModel> IHilbert<F> {
 /// NaN sample — its interval is [`Interval::NAN`], which no band
 /// intersects — or whose box ([`FieldModel::record_bbox`]) has a
 /// non-finite bound or an area that overflows, which the refine would
-/// turn into a NaN area. Every mutation path calls this before it
-/// touches any state.
+/// turn into a NaN area. Every build over a [`FieldModel`] and every
+/// mutation path calls this before it touches any state.
 pub(crate) fn check_record<F: FieldModel>(cell: usize, record: &F::CellRec) -> CfResult<()> {
     let bbox = F::record_bbox(record);
     let finite = bbox.lo.iter().chain(&bbox.hi).all(|v| v.is_finite());
@@ -318,6 +333,22 @@ pub(crate) fn check_record<F: FieldModel>(cell: usize, record: &F::CellRec) -> C
         return Err(CfError::InvalidRecord { cell });
     }
     Ok(())
+}
+
+/// The records of `cells`, in order, for a build to write: the first
+/// that [`check_record`] refuses fails the build before it allocates a
+/// page, so no build stores a record that no update could write.
+pub(crate) fn checked_records<F: FieldModel>(
+    field: &F,
+    cells: impl ExactSizeIterator<Item = usize>,
+) -> CfResult<Vec<F::CellRec>> {
+    let mut records = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let rec = field.cell_record(cell);
+        check_record::<F>(cell, &rec)?;
+        records.push(rec);
+    }
+    Ok(records)
 }
 
 /// Method name for a curve choice, as used in the paper's figures and as
@@ -665,6 +696,131 @@ mod tests {
         // A huge but finite box is still admitted.
         live.ingest(&engine, cell, corners(-1e150, 1e150))
             .expect("finite box");
+    }
+
+    /// A grid field whose cell `cell` hands a build `rec` instead of its
+    /// own record, as a field with a bad sample or cell box would.
+    struct Tampered {
+        grid: cf_field::GridField,
+        cell: usize,
+        rec: cf_field::GridCellRecord,
+    }
+
+    impl FieldModel for Tampered {
+        type CellRec = cf_field::GridCellRecord;
+
+        fn num_cells(&self) -> usize {
+            self.grid.num_cells()
+        }
+
+        fn cell_record(&self, cell: usize) -> Self::CellRec {
+            if cell == self.cell {
+                self.rec
+            } else {
+                self.grid.cell_record(cell)
+            }
+        }
+
+        fn cell_centroid(&self, cell: usize) -> Point2 {
+            self.grid.cell_centroid(cell)
+        }
+
+        fn cell_interval(&self, cell: usize) -> Interval {
+            Self::record_interval(&self.cell_record(cell))
+        }
+
+        fn record_interval(rec: &Self::CellRec) -> Interval {
+            cf_field::GridField::record_interval(rec)
+        }
+
+        fn record_band_visit(
+            rec: &Self::CellRec,
+            band: Interval,
+            visit: &mut impl FnMut(&[Point2]),
+        ) {
+            cf_field::GridField::record_band_visit(rec, band, visit)
+        }
+
+        fn domain(&self) -> Aabb<2> {
+            self.grid.domain()
+        }
+
+        fn value_at(&self, p: Point2) -> Option<f64> {
+            self.grid.value_at(p)
+        }
+
+        fn record_bbox(rec: &Self::CellRec) -> Aabb<2> {
+            cf_field::GridField::record_bbox(rec)
+        }
+
+        fn record_value_at(rec: &Self::CellRec, p: Point2) -> Option<f64> {
+            cf_field::GridField::record_value_at(rec, p)
+        }
+    }
+
+    #[test]
+    fn every_build_refuses_a_record_an_update_would_refuse() {
+        use crate::iall::IAll;
+        use crate::iquad::IntervalQuadtree;
+        let grid = smooth_field(8);
+        let cell = 13;
+        let rec = grid.cell_record(cell);
+        let bad = [
+            (
+                "a NaN sample",
+                cf_field::GridCellRecord {
+                    vals: [1.0, f64::NAN, 2.0, 3.0],
+                    ..rec
+                },
+            ),
+            (
+                "a non-finite cell box",
+                cf_field::GridCellRecord {
+                    x1: f64::INFINITY,
+                    ..rec
+                },
+            ),
+            (
+                "an overflowing box area",
+                cf_field::GridCellRecord {
+                    x0: -1e300,
+                    y0: -1e300,
+                    x1: 1e300,
+                    y1: 1e300,
+                    ..rec
+                },
+            ),
+        ];
+        for (what, rec) in bad {
+            let field = Tampered {
+                grid: grid.clone(),
+                cell,
+                rec,
+            };
+            let engine = StorageEngine::in_memory();
+            let pages = engine.num_pages();
+            let builds = [
+                ("I-Hilbert", IHilbert::build(&engine, &field).map(drop)),
+                ("I-All", IAll::build(&engine, &field).map(drop)),
+                (
+                    "I-Quad",
+                    IntervalQuadtree::build(&engine, &field, 1.0).map(drop),
+                ),
+                ("LinearScan", LinearScan::build(&engine, &field).map(drop)),
+            ];
+            for (method, built) in builds {
+                let err = built.expect_err(what);
+                assert!(
+                    matches!(err, CfError::InvalidRecord { cell: c } if c == cell),
+                    "{method}, {what}: {err}"
+                );
+            }
+            assert_eq!(
+                engine.num_pages(),
+                pages,
+                "{what}: a refused build allocates"
+            );
+        }
     }
 
     #[test]

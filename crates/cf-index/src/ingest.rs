@@ -43,7 +43,7 @@
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::exec::Delta;
-use crate::gc::{OwnedRuns, Reclaimer};
+use crate::gc::Reclaimer;
 use crate::ihilbert::{check_record, write_generation, IHilbert};
 use crate::planner::{Plan, Router};
 use crate::sfindex::subfield_of;
@@ -53,7 +53,6 @@ use cf_field::FieldModel;
 use cf_geom::Interval;
 use cf_storage::{codec, CfError, CfResult, Gauge, PageId, Record, Stopwatch, StorageEngine};
 use std::collections::HashMap;
-use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -61,7 +60,7 @@ use std::time::Instant;
 /// base generation, the net delta entries (ascending by position) and
 /// the publication epoch, captured under a single lock acquisition.
 pub(crate) type PersistState<F> = (
-    Arc<Generation<F>>,
+    Arc<IHilbert<F>>,
     Vec<DeltaRec<<F as FieldModel>::CellRec>>,
     u64,
 );
@@ -117,45 +116,22 @@ impl Default for IngestConfig {
     }
 }
 
-/// One generation of the base plane: an [`IHilbert`] and the cell, tree
-/// and box runs it owns (the position map is every generation's and is
-/// never retired). The writer, each snapshot of it and the plane's
-/// last commit share it through one `Arc`, so its runs stay allocated
-/// while any of them holds it.
-pub(crate) struct Generation<F: FieldModel> {
-    index: IHilbert<F>,
-    /// The cell, tree and box runs, queued for freeing when the last
-    /// holder drops once a repack has replaced this generation.
-    runs: OwnedRuns,
-}
-
-impl<F: FieldModel> Generation<F> {
-    fn new(index: IHilbert<F>) -> Arc<Self> {
-        let runs = OwnedRuns::new(&index.page_runs()[..3]);
-        Arc::new(Self { index, runs })
-    }
-}
-
-impl<F: FieldModel> Deref for Generation<F> {
-    type Target = IHilbert<F>;
-
-    fn deref(&self) -> &IHilbert<F> {
-        &self.index
-    }
-}
-
 /// Writer-side mutable state, serialized under one mutex.
+///
+/// A generation of the base plane is one `Arc<IHilbert>`, shared by
+/// `base`, each snapshot of it and `committed`, so its cell, tree and
+/// box runs stay allocated while any of them holds it (the position
+/// map is every generation's and is never retired).
 struct WriterState<F: FieldModel> {
     /// The immutable base plane of the current epoch.
-    base: Arc<Generation<F>>,
+    base: Arc<IHilbert<F>>,
     /// The generation the plane's last commit names: the base given to
     /// [`LiveIngest::new`] or read by [`LiveIngest::open`] until the
     /// first save, then the one each save wrote. Its runs stay
     /// allocated while the live catalog slot names them.
-    committed: Arc<Generation<F>>,
-    /// Runs of retired generations and the count of their pages not
-    /// yet freed (the `storage_deferred_free_pages` gauge).
-    reclaim: Reclaimer,
+    committed: Arc<IHilbert<F>>,
+    /// Runs of retired generations not yet freed.
+    reclaim: Reclaimer<IHilbert<F>>,
     /// Writes since the last drain (several may hit one position; the
     /// overlay map is their net effect), at most `IngestConfig::capacity`.
     writes: usize,
@@ -258,7 +234,7 @@ impl<F: FieldModel> LiveIngest<F> {
         epoch: u64,
         delta: Vec<DeltaRec<F::CellRec>>,
     ) -> CfResult<Self> {
-        let base = Generation::new(base);
+        let base = Arc::new(base);
         let router = match config.scan_threshold {
             Some(threshold) => {
                 let inner = &base.inner;
@@ -394,12 +370,14 @@ impl<F: FieldModel> LiveIngest<F> {
     /// Subfields are regrouped by the paper's static cost function
     /// within each page of the new cell file, the rule
     /// [`IHilbert::build`] uses, so the new base's catalog depends on
-    /// the records alone, and so is the new box file. The replaced
-    /// generation is retired: its cell file, tree and box file runs are
-    /// freed once no snapshot holds it and the plane's last commit no
-    /// longer names it — at the end of this repack when nothing does,
-    /// else at a later repack or [`LiveIngest::save_to`]. The position
-    /// map carries over to the new base.
+    /// the records alone, and so is the new box file. The new cell file
+    /// keeps the replaced one's page codec, whatever the engine's
+    /// configured codec. The replaced generation is retired: its cell
+    /// file, tree and box file runs are freed once no snapshot holds it
+    /// and the plane's last commit no longer names it — at the end of
+    /// this repack when nothing does, else at a later repack or
+    /// [`LiveIngest::save_to`]. The position map carries over to the
+    /// new base.
     pub fn repack(&self, engine: &StorageEngine) -> CfResult<RepackReport> {
         let mut state = self.writer.lock().expect("writer state poisoned");
         self.repack_locked(engine, &mut state)
@@ -458,6 +436,7 @@ impl<F: FieldModel> LiveIngest<F> {
         let curve = old_base.curve;
         let (new_inner, box_file, subfields) = write_generation(
             engine,
+            old_base.cell_codec(),
             records,
             &intervals,
             curve,
@@ -475,7 +454,7 @@ impl<F: FieldModel> LiveIngest<F> {
         if let Some(threshold) = self.scan_threshold {
             state.router = Some(Arc::new(Router::new(intervals.into_iter(), threshold)));
         }
-        state.base = Generation::new(new_base);
+        state.base = Arc::new(new_base);
         state.writes = 0;
         state.overlays.clear();
         state.sf_overrides.clear();
@@ -486,10 +465,10 @@ impl<F: FieldModel> LiveIngest<F> {
         let pages_retired = self.retire(engine, state, &old_base);
         self.publish_locked(engine, state);
         let regroups = regrouped(&inner.subfields, &subfields);
-        // With this handle gone, the old generation's runs are queued
+        // With this handle gone, the old generation's runs are freed
         // unless a snapshot or the last commit still holds it.
         drop(old_base);
-        self.free_queued(engine, state, StorageEngine::free_run)?;
+        self.free_unheld(engine, state, StorageEngine::free_run)?;
         // Write amplification of the drain: the whole cell file is
         // rewritten to fresh pages, so it is records-rewritten per
         // delta record drained.
@@ -519,18 +498,19 @@ impl<F: FieldModel> LiveIngest<F> {
         })
     }
 
-    /// Retires `old`, the generation a repack just replaced: its runs
-    /// join the reclaim queue when its last holder drops. Counts them
-    /// as deferred (the publish that follows refreshes the gauge), one
-    /// `run_deferred` event each, and returns their pages.
+    /// Retires `old`, the generation a repack just replaced: its cell,
+    /// tree and box runs are listed until its last holder drops. Counts
+    /// them as deferred (the publish that follows refreshes the gauge),
+    /// one `run_deferred` event each, and returns their pages.
     fn retire(
         &self,
         engine: &StorageEngine,
         state: &mut WriterState<F>,
-        old: &Generation<F>,
+        old: &Arc<IHilbert<F>>,
     ) -> usize {
         let epoch = state.epoch;
-        state.reclaim.retire(&old.runs, |first, pages, deferred| {
+        let runs = &old.page_runs()[..3];
+        state.reclaim.retire(old, runs, |first, pages, deferred| {
             engine.metrics().journal().emit_with(|| {
                 cf_storage::Json::obj([
                     ("event", cf_storage::Json::Str("run_deferred".into())),
@@ -543,17 +523,17 @@ impl<F: FieldModel> LiveIngest<F> {
         })
     }
 
-    /// Frees the queued runs of retired generations whose last holder
-    /// dropped through `free`, oldest first, one `run_reclaimed` event
-    /// each. When a free fails, the runs not yet freed stay queued for
-    /// the next repack or save.
-    fn free_queued(
+    /// Frees the runs of retired generations whose last holder dropped
+    /// through `free`, oldest first, one `run_reclaimed` event each.
+    /// When a free fails, the runs not yet freed stay listed for the
+    /// next repack or save.
+    fn free_unheld(
         &self,
         engine: &StorageEngine,
         state: &mut WriterState<F>,
         free: fn(&StorageEngine, PageId, usize) -> CfResult<()>,
     ) -> CfResult<()> {
-        let result = state.reclaim.free_queued(|first, pages| {
+        let result = state.reclaim.free_unheld(|first, pages| {
             free(engine, first, pages)?;
             engine.metrics().journal().emit_with(|| {
                 cf_storage::Json::obj([
@@ -582,11 +562,11 @@ impl<F: FieldModel> LiveIngest<F> {
     pub(crate) fn commit_landed(
         &self,
         engine: &StorageEngine,
-        generation: Arc<Generation<F>>,
+        generation: Arc<IHilbert<F>>,
     ) -> CfResult<()> {
         let mut state = self.writer.lock().expect("writer state poisoned");
         state.committed = generation;
-        self.free_queued(engine, &mut state, StorageEngine::free_run_in_place)
+        self.free_unheld(engine, &mut state, StorageEngine::free_run_in_place)
     }
 
     /// Publishes the writer state as a fresh immutable snapshot,
@@ -720,7 +700,7 @@ fn effective_sf_interval<F: FieldModel>(
 /// docs). While any clone of the snapshot's `Arc` is alive, the pages
 /// it reads stay allocated: it holds its base generation.
 pub struct EpochSnapshot<F: FieldModel> {
-    base: Arc<Generation<F>>,
+    base: Arc<IHilbert<F>>,
     overlays: Arc<HashMap<u32, F::CellRec>>,
     sf_overrides: Arc<HashMap<u32, Interval>>,
     epoch: u64,

@@ -13,6 +13,7 @@
 //! written grouped by leaf (in Z-order of the recursion), and leaf
 //! intervals go into the same paged 1-D R\*-tree.
 
+use crate::ihilbert::checked_records;
 use crate::order::check_cell_count;
 use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
@@ -35,6 +36,13 @@ impl<F: FieldModel> IntervalQuadtree<F> {
     /// Builds the index with the given interval-size threshold
     /// (absolute, in value units: a leaf subspace is not divided further
     /// once the width of its value interval is at most `threshold`).
+    ///
+    /// # Errors
+    ///
+    /// [`cf_storage::CfError::InvalidCell`] for a field of more than
+    /// `u32::MAX` cells and [`cf_storage::CfError::InvalidRecord`] for
+    /// the first record with a NaN sample or a non-finite box, both
+    /// before any page is allocated; storage errors pass through.
     pub fn build(engine: &StorageEngine, field: &F, threshold: f64) -> CfResult<Self> {
         assert!(threshold >= 0.0, "threshold must be non-negative");
         let n = field.num_cells();
@@ -62,7 +70,7 @@ impl<F: FieldModel> IntervalQuadtree<F> {
         );
         debug_assert_eq!(order.len(), n);
 
-        let file = CellFile::create(engine, order.iter().map(|&c| field.cell_record(c)))?;
+        let file = CellFile::create(engine, checked_records(field, order.iter().copied())?)?;
         let inner = SubfieldIndex::build(engine, file, &subfields, "I-Quad", "-")?;
         let costs = subfield_costs(&subfields, SubfieldConfig::default(), |pos| {
             intervals[order[pos]]

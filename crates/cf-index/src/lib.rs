@@ -31,6 +31,15 @@
 //! All methods implement [`ValueIndex`], return identical answers, and
 //! report per-query [`QueryStats`] (pages read, cells examined, answer
 //! area), so the benchmarks compare exactly what the paper compared.
+//! The four builds above refuse a record with a NaN sample or a
+//! non-finite box with [`cf_storage::CfError::InvalidRecord`] before
+//! they allocate a page, as every update refuses it.
+//!
+//! [`LiveIngest`] takes writes beside snapshot readers over an I-Hilbert
+//! base and repacks it into new generations. A repack keeps the base's
+//! page codec — the one [`StorageConfig::codec`](cf_storage::StorageConfig::codec)
+//! chose at build — and the generation it replaces is freed once no
+//! snapshot holds it and no commit names it (DESIGN §14.3).
 //!
 //! Also provided: conventional Q1 queries on the I-Hilbert cell file
 //! ([`IHilbert::value_at`], through a box per data page, §2.2.1),

@@ -4,6 +4,7 @@
 //! database, which will degrade dramatically the system performance. We
 //! term this method as 'LinearScan'."
 
+use crate::ihilbert::checked_records;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use cf_field::FieldModel;
 use cf_geom::{signed_area, Interval};
@@ -20,10 +21,14 @@ pub struct LinearScan<F: FieldModel> {
 impl<F: FieldModel> LinearScan<F> {
     /// Writes the field's cells (in native order) into `engine` and
     /// returns the scan-based "index".
+    ///
+    /// # Errors
+    ///
+    /// [`cf_storage::CfError::InvalidRecord`] for the first record with
+    /// a NaN sample or a non-finite box, before any page is allocated;
+    /// storage errors pass through.
     pub fn build(engine: &StorageEngine, field: &F) -> CfResult<Self> {
-        let records: Vec<F::CellRec> = (0..field.num_cells())
-            .map(|c| field.cell_record(c))
-            .collect();
+        let records = checked_records(field, 0..field.num_cells())?;
         Ok(Self {
             file: RecordFile::create(engine, records)?,
             _field: PhantomData,

@@ -525,6 +525,89 @@ fn concurrent_readers_make_progress_during_writes_and_repacks() {
     });
 }
 
+/// Reclamation under concurrent drops: four reader threads take a
+/// snapshot, query it and drop it, over and over, while a file-backed
+/// writer runs rounds of ingests, repack and save. Whichever thread
+/// drops a retired generation's last handle, the writer frees it at a
+/// later repack or save: once the readers are gone and one more repack
+/// and save ran, nothing is deferred, no committed page is tagged free,
+/// and the reopened plane answers like the writer's last snapshot.
+#[test]
+fn concurrent_drops_leave_nothing_deferred_and_the_commit_intact() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    let db = TmpFile::new("concurrent_drops");
+    let engine = StorageEngine::open_file(&db.0, StorageConfig::default()).expect("open file");
+    let field = wavy_field(32);
+    let cells = field.num_cells();
+    let base = IHilbert::build(&engine, &field).expect("build");
+    let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let catalog = live.save(&engine).expect("save");
+    // The readers and the writer start together; the readers stop once
+    // the writer's last round is done.
+    let (start, writing) = (Barrier::new(5), AtomicBool::new(true));
+    // Every record keeps its values inside this band.
+    let wide = Interval::new(-60.0, 60.0);
+
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                let (live, engine, start, writing) = (&live, &engine, &start, &writing);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut queries = 0u32;
+                    while writing.load(Ordering::Relaxed) || queries == 0 {
+                        let snap = live.snapshot();
+                        let stats = snap.query_stats(engine, wide).expect("reader query");
+                        assert_eq!(stats.cells_qualifying, cells);
+                        drop(snap);
+                        queries += 1;
+                    }
+                })
+            })
+            .collect();
+        let mut rng = Rng(37);
+        start.wait();
+        for _ in 0..6 {
+            ingest_random(&live, &engine, 200, &mut rng);
+            assert!(live.repack(&engine).expect("repack").repacked);
+            live.save_to(&engine, catalog).expect("save");
+        }
+        writing.store(false, Ordering::Relaxed);
+        for reader in readers {
+            reader.join().expect("reader");
+        }
+    });
+    live.repack(&engine).expect("repack");
+    live.save_to(&engine, catalog).expect("save");
+    engine.sync().expect("sync");
+    assert_eq!(deferred_pages(&engine), 0.0);
+    let committed = IHilbert::<GridField>::open(&engine, catalog).expect("open committed");
+    let tagged_free: usize = committed
+        .page_runs()
+        .iter()
+        .map(|&(first, pages)| engine.free_pages_in(first, pages))
+        .sum();
+    assert_eq!(tagged_free, 0, "the commit names a page tagged free");
+
+    let mut rng = Rng(41);
+    let bands: Vec<Interval> = (0..20).map(|_| rand_band(&mut rng)).collect();
+    let snap = live.snapshot();
+    let want: Vec<QueryStats> = bands
+        .iter()
+        .map(|&b| snap.query_stats(&engine, b).expect("query"))
+        .collect();
+    drop((snap, live, committed, engine));
+    let engine = StorageEngine::open_file(&db.0, StorageConfig::default()).expect("reopen file");
+    let reopened =
+        LiveIngest::<GridField>::open(&engine, catalog, IngestConfig::default()).expect("open");
+    let snap = reopened.snapshot();
+    for (i, (&band, want)) in bands.iter().zip(&want).enumerate() {
+        let got = snap.query_stats(&engine, band).expect("reopened query");
+        assert_bitexact(&got, want, &format!("reopened band {i}"));
+    }
+}
+
 /// Planner threading: a snapshot whose config routes wide bands to the
 /// overlay-aware full scan answers bit-identically to the probing
 /// snapshot (same qualifying records, same ascending accumulation

@@ -10,10 +10,13 @@ use std::sync::Arc;
 pub struct StorageConfig {
     /// Buffer pool capacity in pages.
     pub pool_pages: usize,
-    /// Page codec new record files ([`crate::CellFile`]) are created
-    /// with: [`PageCodec::Raw`] fixed-slot pages (the default) or
+    /// Page codec [`crate::CellFile::create`] lays new record files
+    /// out with: [`PageCodec::Raw`] fixed-slot pages (the default) or
     /// [`PageCodec::Compressed`] delta/varint pages packing several
-    /// times more Hilbert-ordered cells per page.
+    /// times more Hilbert-ordered cells per page. It decides a file's
+    /// codec at build only: a reopened file reads its codec from its
+    /// catalog, and a live-ingest repack writes the codec of the file
+    /// it replaces ([`crate::CellFile::create_as`]), whatever this says.
     pub codec: PageCodec,
 }
 

@@ -151,7 +151,18 @@ impl<R: Record> CellFile<R> {
         I: IntoIterator<Item = R>,
         I::IntoIter: ExactSizeIterator,
     {
-        match engine.codec() {
+        Self::create_as(engine, engine.codec(), records)
+    }
+
+    /// [`CellFile::create`] laid out by `codec`, whatever the engine's
+    /// configured one: a live-ingest repack rewrites a cell file with
+    /// the codec of the file it replaces.
+    pub fn create_as<I>(engine: &StorageEngine, codec: PageCodec, records: I) -> CfResult<Self>
+    where
+        I: IntoIterator<Item = R>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        match codec {
             PageCodec::Raw => Self::create_fixed(engine, records.into_iter()),
             PageCodec::Compressed => {
                 let (first_page, len, dir) = Directory::create(engine, records)?;

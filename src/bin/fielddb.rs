@@ -52,6 +52,7 @@ fn run(args: &[String]) -> Result<String, String> {
             let mut k = 7u32;
             let mut h = 0.7f64;
             let mut seed = 42u64;
+            let mut codec = PageCodec::Raw;
             let mut eng = EngineOpts::default();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -59,10 +60,19 @@ fn run(args: &[String]) -> Result<String, String> {
                     "--k" => k = take_in(&mut it, flag, GRID_K)?,
                     "--h" => h = take_in(&mut it, flag, UNIT)?,
                     "--seed" => seed = parse(&take(&mut it, flag)?)?,
+                    "--codec" => {
+                        let name = take(&mut it, flag)?;
+                        codec = PageCodec::parse(&name)
+                            .ok_or_else(|| format!("unknown codec {name:?} (raw or compressed)"))?;
+                    }
                     other => eng.parse_flag(other, &mut it)?,
                 }
             }
-            create(&path, &workload, k, h, seed, eng)
+            let config = StorageConfig {
+                codec,
+                ..eng.config()
+            };
+            create(&path, &workload, k, h, seed, config)
         }
         "info" => {
             let path = it.next().ok_or_else(usage)?.clone();
@@ -129,17 +139,15 @@ fn run(args: &[String]) -> Result<String, String> {
 }
 
 fn usage() -> String {
-    "usage:\n  fielddb create <db> [--workload terrain|fractal|monotonic] [--k N] [--h F] [--seed N]\n  fielddb info <db>\n  fielddb query <db> <lo> <hi> [--regions N]\n  fielddb explain <db> <lo> <hi> [--json]\n  fielddb ingest <db> [--updates N] [--seed N] [--capacity N]\n  fielddb point <db> <x> <y>\nfile-backed commands also accept: [--pool PAGES] [--codec raw|compressed]".into()
+    "usage:\n  fielddb create <db> [--workload terrain|fractal|monotonic] [--k N] [--h F] [--seed N] [--codec raw|compressed]\n  fielddb info <db>\n  fielddb query <db> <lo> <hi> [--regions N]\n  fielddb explain <db> <lo> <hi> [--json]\n  fielddb ingest <db> [--updates N] [--seed N] [--capacity N]\n  fielddb point <db> <x> <y>\nevery command also accepts: [--pool PAGES]".into()
 }
 
-/// Storage-engine tuning flags shared by every file-backed command:
-/// `--pool PAGES` sizes the buffer pool and `--codec raw|compressed`
-/// picks the on-page cell layout for newly built files (existing files
-/// carry their codec in the catalog and ignore it).
+/// The storage-engine flag every command takes: `--pool PAGES` sizes
+/// the buffer pool. The page codec is `create`'s alone: a database
+/// keeps the codec it was created with, through every repack.
 #[derive(Default, Clone, Copy)]
 struct EngineOpts {
     pool: Option<usize>,
-    codec: Option<PageCodec>,
 }
 
 impl EngineOpts {
@@ -152,13 +160,6 @@ impl EngineOpts {
                 }
                 self.pool = Some(pages);
             }
-            "--codec" => {
-                let name = take(it, flag)?;
-                self.codec = Some(
-                    PageCodec::parse(&name)
-                        .ok_or_else(|| format!("unknown codec {name:?} (raw or compressed)"))?,
-                );
-            }
             other => return Err(format!("unknown flag {other}")),
         }
         Ok(())
@@ -168,9 +169,6 @@ impl EngineOpts {
         let mut config = StorageConfig::default();
         if let Some(pool) = self.pool {
             config.pool_pages = pool;
-        }
-        if let Some(codec) = self.codec {
-            config.codec = codec;
         }
         config
     }
@@ -234,7 +232,7 @@ fn create(
     k: u32,
     h: f64,
     seed: u64,
-    eng: EngineOpts,
+    config: StorageConfig,
 ) -> Result<String, String> {
     if std::path::Path::new(path).exists() {
         return Err(format!("{path} already exists; refusing to overwrite"));
@@ -245,7 +243,7 @@ fn create(
         "monotonic" => monotonic_field(1 << k),
         other => return Err(format!("unknown workload {other}")),
     };
-    let engine = create_database(path, eng.config())?;
+    let engine = create_database(path, config)?;
     let index = IHilbert::build(&engine, &field).map_err(|e| e.to_string())?;
     let catalog = index.save(&engine).map_err(|e| e.to_string())?;
     write_bootstrap(&engine, catalog).map_err(|e| e.to_string())?;
@@ -744,6 +742,32 @@ mod tests {
             run(&argv(&["create", &tmp("codec_bad"), "--codec", "zstd"])).is_err(),
             "unknown codec must be rejected"
         );
+    }
+
+    /// The codec is chosen once, at `create`: an ingest session's
+    /// repack writes its generation in the codec of the base it
+    /// replaces, and every other command refuses `--codec`.
+    #[test]
+    fn a_database_keeps_the_codec_it_was_created_with() {
+        let db = tmp("codec_keep");
+        let create = ["create", &db, "--workload", "fractal", "--k", "5"];
+        run(&argv(&[&create[..], &["--codec", "compressed"]].concat())).expect("create");
+        let out = run(&argv(&["ingest", &db, "--updates", "100"])).expect("ingest");
+        assert!(out.contains("1 repack(s)"), "{out}");
+        let info = run(&argv(&["info", &db])).expect("info");
+        assert!(info.contains("compressed codec"), "{info}");
+
+        let others: &[&[&str]] = &[
+            &["info", &db],
+            &["query", &db, "0", "1"],
+            &["explain", &db, "0", "1"],
+            &["ingest", &db],
+            &["point", &db, "0", "0"],
+        ];
+        for args in others {
+            let err = run(&argv(&[args, &["--codec", "raw"][..]].concat())).expect_err("--codec");
+            assert_eq!(err, "unknown flag --codec", "{args:?}");
+        }
     }
 
     #[test]
