@@ -541,29 +541,7 @@ fn ablation(opts: &Opts) {
         field.num_cells()
     );
 
-    // Adaptive planner: scan fallback for wide bands.
     let probe = IHilbert::build(&engine, &field).expect("build");
-    {
-        use cf_index::AdaptiveIndex;
-        let adaptive = AdaptiveIndex::build(&engine, &field).expect("build");
-        println!("### ablation — adaptive planner (probe vs scan fallback)\n");
-        println!("| Qinterval | probe pages | adaptive pages | plan |");
-        println!("|---|---|---|---|");
-        for qi in [0.0, 0.05, 0.2, 0.5, 0.9] {
-            let qs = interval_queries(dom, qi, opts.queries_per_point().min(30), 11);
-            let pp = run_method_point(&engine, &probe, qi, &qs);
-            let pa = run_method_point(&engine, &adaptive, qi, &qs);
-            let plan = match adaptive.plan(qs[0]) {
-                cf_index::Plan::FullScan => "scan",
-                cf_index::Plan::IndexProbe => "probe",
-            };
-            println!(
-                "| {qi:.2} | {:.0} | {:.0} | {plan} |",
-                pp.mean_pages, pa.mean_pages
-            );
-        }
-        println!();
-    }
 
     // Subfield statistics, as in Fig. 7's narrative, of the product
     // grouping: the paper's rule within each page of the built cell file.

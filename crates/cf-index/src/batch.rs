@@ -9,17 +9,17 @@
 //! [`QueryStats`] exact even while its neighbors fault pages on the same
 //! engine.
 //!
-//! The executor is *plan-agnostic*: it runs any [`ValueIndex`] — the
-//! paper's three methods, the Interval-Quadtree ablation, or the
-//! planner's [`crate::AdaptiveIndex`], which re-plans per query — so one
-//! batch can be replayed across methods for exact comparisons.
+//! The executor runs any [`ValueIndex`] — the paper's three methods,
+//! the Interval-Quadtree ablation, or an ingest snapshot — so one batch
+//! can be replayed across methods for exact comparisons. It keeps each
+//! query's statistics, never its regions.
 //!
 //! Queries are claimed from an atomic cursor (work stealing), so skewed
 //! workloads (a few wide bands among many selective ones) don't idle
 //! workers the way a static partition would.
 
 use crate::stats::{QueryStats, ValueIndex};
-use cf_geom::{Interval, Polygon};
+use cf_geom::Interval;
 use cf_storage::{CfResult, Counter, IoStats, StorageEngine};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,17 +48,15 @@ use std::time::{Duration, Instant};
 pub struct QueryBatch {
     queries: Vec<Interval>,
     threads: usize,
-    collect_regions: bool,
 }
 
 impl QueryBatch {
     /// A batch over `queries`, defaulting to one worker per available
-    /// CPU and discarding region geometry.
+    /// CPU.
     pub fn new(queries: Vec<Interval>) -> Self {
         Self {
             queries,
             threads: 0,
-            collect_regions: false,
         }
     }
 
@@ -69,21 +67,13 @@ impl QueryBatch {
         self
     }
 
-    /// Keep each query's answer regions in its [`BatchQueryResult`]
-    /// (off by default — the analytics path needs only counts + area).
-    /// Only the root crate's batch tests turn it on.
-    pub fn collect_regions(mut self, yes: bool) -> Self {
-        self.collect_regions = yes;
-        self
-    }
-
     /// Runs the batch against `index`, returning per-query results in
     /// query order plus batch-level aggregates.
     ///
     /// Each query runs the index's ordinary sequential pipeline on one
-    /// worker; parallelism is across queries, so the per-query answers
-    /// (counts, areas, regions) are identical to calling
-    /// [`ValueIndex::query_regions`] in a loop.
+    /// worker; parallelism is across queries, so the per-query
+    /// statistics (counts, area bits, logical page reads) are identical
+    /// to calling [`ValueIndex::query_stats`] in a loop.
     ///
     /// If any query fails (injected fault, corrupt page), the batch
     /// aborts and returns the first failing worker's error; partial
@@ -131,16 +121,11 @@ impl QueryBatch {
                             };
                             queue_depth.set(self.queries.len().saturating_sub(i + 1) as f64);
                             let qt0 = Instant::now();
-                            let (stats, regions) = if self.collect_regions {
-                                index.query_regions(engine, band)?
-                            } else {
-                                (index.query_stats(engine, band)?, Vec::new())
-                            };
+                            let stats = index.query_stats(engine, band)?;
                             let result = BatchQueryResult {
                                 band,
                                 stats,
                                 wall: qt0.elapsed(),
-                                regions,
                             };
                             busy_ns += result.wall.as_nanos() as u64;
                             slots.lock().expect("batch result lock poisoned")[i] = Some(result);
@@ -162,6 +147,10 @@ impl QueryBatch {
                 }
             }
         });
+        // Workers publish the depth after claiming, so a worker that
+        // claimed early but published late can leave a stale depth
+        // behind; once all have joined, the cursor is the exact count.
+        queue_depth.set(self.queries.len().saturating_sub(cursor.into_inner()) as f64);
         if let Some(e) = first_err {
             return Err(e);
         }
@@ -188,8 +177,6 @@ pub struct BatchQueryResult {
     pub stats: QueryStats,
     /// Wall time of this query on its worker.
     pub wall: Duration,
-    /// Answer regions ([`QueryBatch::collect_regions`]; empty otherwise).
-    pub regions: Vec<Polygon>,
 }
 
 /// Aggregated outcome of a [`QueryBatch::run`].
@@ -304,7 +291,6 @@ mod tests {
 
         let report = QueryBatch::new(queries.clone())
             .threads(4)
-            .collect_regions(true)
             .run(&engine, &index)
             .expect("run");
         assert_eq!(report.results.len(), queries.len());
@@ -313,19 +299,20 @@ mod tests {
         for (i, q) in queries.iter().enumerate() {
             let r = &report.results[i];
             assert_eq!(r.band, *q, "results keep query order");
-            let (want, want_regions) = index.query_regions(&engine, *q).expect("query");
-            assert_eq!(r.stats.cells_examined, want.cells_examined);
-            assert_eq!(r.stats.cells_qualifying, want.cells_qualifying);
-            assert_eq!(r.stats.num_regions, want.num_regions);
+            let want = index.query_stats(&engine, *q).expect("query");
             assert_eq!(
                 r.stats.area.to_bits(),
                 want.area.to_bits(),
                 "area bit-exact"
             );
-            assert_eq!(r.regions.len(), want_regions.len());
-            for (a, b) in r.regions.iter().zip(&want_regions) {
-                assert_eq!(a, b, "regions bit-exact");
-            }
+            // Hits and misses split by pool state; their sum is fixed.
+            assert_eq!(r.stats.io.logical_reads(), want.io.logical_reads());
+            let counts = |s: &QueryStats| QueryStats {
+                area: 0.0,
+                io: IoStats::default(),
+                ..*s
+            };
+            assert_eq!(counts(&r.stats), counts(&want));
         }
     }
 

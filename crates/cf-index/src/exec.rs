@@ -1,11 +1,12 @@
 //! The one Q2 pipeline (paper §3.2): filter intervals through the 1-D
-//! R\*-tree, coalesce the retrieved record ranges into runs, read the
-//! runs, refine every cell against the band, emit.
+//! packed interval tree, coalesce the retrieved record ranges into runs,
+//! read the runs, refine every cell against the band, emit.
 //!
 //! Every product query path — the I-Hilbert, Interval Quadtree and
-//! I-All probes, the planner's full scan, the ingest snapshot's
-//! overlay-aware probe and scan — is one call of [`run`], and every one
-//! reads its runs with one range sweep
+//! I-All probes and the ingest snapshot's overlay-aware probe — is one
+//! call of [`run`], and every one probes: there is no planner and no
+//! full-scan branch (DESIGN §8.5). Every path reads its runs with one
+//! range sweep
 //! ([`CellFile::for_each_in_ranges`]), each page at most once. The
 //! executor alone owns the query bracket (phase stopwatches, thread-I/O
 //! delta), the range merge rule, the per-cell refine body and the
@@ -53,9 +54,8 @@ pub(crate) struct Q2<'a, R: Record> {
     /// The `index_*` registry handles the query publishes under; they
     /// carry the index label of its EXPLAIN record.
     pub metrics: &'a QueryMetrics,
-    /// The filter source; `None` is the full scan — no filtering step,
-    /// one run covering the whole cell file.
-    pub filter: Option<Filter<'a>>,
+    /// The filter source.
+    pub filter: Filter<'a>,
     /// The cell file the estimation step reads.
     pub cells: &'a CellFile<R>,
     /// Ingest overlay: records substituted per file position.
@@ -216,20 +216,14 @@ pub(crate) fn run<F: FieldModel>(
     let mut ranges = Vec::new();
 
     // Step 1 (filtering): record ranges whose interval intersects w.
-    let filter_ns = match &q.filter {
-        Some(filter) => {
-            let filter_clock = Stopwatch::start();
-            let search = filter.retrieve(engine, band, q.cells.len(), &mut ranges)?;
-            stats.filter_nodes = search.nodes_visited;
-            stats.intervals_retrieved = ranges.len();
-            stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
-            filter_clock.elapsed_ns()
-        }
-        None => {
-            ranges.push((0, q.cells.len() as u32));
-            0
-        }
-    };
+    let filter_clock = Stopwatch::start();
+    let search = q
+        .filter
+        .retrieve(engine, band, q.cells.len(), &mut ranges)?;
+    stats.filter_nodes = search.nodes_visited;
+    stats.intervals_retrieved = ranges.len();
+    stats.filter_pages = (cf_storage::thread_io_stats() - before).logical_reads();
+    let filter_ns = filter_clock.elapsed_ns();
 
     // Step 2 (estimation): read the contiguous cell runs, merging
     // adjacent ranges and visiting every data page exactly once.
@@ -279,18 +273,14 @@ pub(crate) fn run<F: FieldModel>(
     let refine_ns = refine_clock.elapsed_ns();
     let query_ns = query_clock.elapsed_ns();
 
-    // `plane` names what the plan reads first: the paged tree for a
-    // probe, the cell file itself for a scan.
-    let (plan, plane) = match &q.filter {
-        Some(_) => ("probe", "paged"),
-        None => ("scan", "cells"),
-    };
     q.metrics.publish(
         engine.metrics().tracer(),
         ExplainRecord {
             index: q.metrics.index,
-            plan,
-            plane,
+            // Every query probes the paged tree first; the fields keep
+            // the EXPLAIN layout.
+            plan: "probe",
+            plane: "paged",
             curve: q.curve,
             band_lo: band.lo,
             band_hi: band.hi,

@@ -16,7 +16,6 @@
 
 use crate::ihilbert::{check_record, checked_records};
 use crate::order::check_cell_count;
-use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::Subfield;
@@ -93,8 +92,7 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
         band: Interval,
         sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
-        self.inner
-            .execute(engine, band, Plan::IndexProbe, None, sink)
+        self.inner.execute(engine, band, None, sink)
     }
 
     fn index_pages(&self) -> usize {

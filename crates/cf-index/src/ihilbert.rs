@@ -9,7 +9,6 @@
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::order::{cell_order, check_cell_count};
-use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{build_subfields_by_page, subfield_costs, Subfield, SubfieldConfig};
@@ -371,8 +370,7 @@ impl<F: FieldModel> ValueIndex for IHilbert<F> {
         band: Interval,
         sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
-        self.inner
-            .execute(engine, band, Plan::IndexProbe, None, sink)
+        self.inner.execute(engine, band, None, sink)
     }
 
     fn index_pages(&self) -> usize {

@@ -18,7 +18,8 @@
 //!    delta prefix — that holds its base generation, so the pages it
 //!    reads stay allocated while it lives. A reader merges base and delta answers
 //!    **byte-identically** to the sequential oracle (an index that
-//!    applied every update in place):
+//!    applied every update in place). Every snapshot query probes —
+//!    there is no scan plan:
 //!    the filter step runs on the base tree and is corrected by the
 //!    per-subfield effective intervals (same union-over-records rule
 //!    `update_record` uses, same closed-interval intersection
@@ -45,7 +46,6 @@
 use crate::exec::Delta;
 use crate::gc::Reclaimer;
 use crate::ihilbert::{check_record, write_generation, IHilbert};
-use crate::planner::{Plan, Router};
 use crate::sfindex::subfield_of;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{Subfield, SubfieldConfig};
@@ -92,19 +92,17 @@ impl<R: Record> Record for DeltaRec<R> {
     }
 }
 
-/// Construction knobs of [`LiveIngest`].
+/// Construction settings of [`LiveIngest`]: the delta capacity.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
     /// Delta capacity, in writes: when an ingest would exceed it, the write
     /// performs an inline synchronous drain (the backpressure path) —
     /// ordinarily a background [`LiveIngest::repack`] drains first.
     pub capacity: usize,
-    /// Optional planner threading: estimated selectivity at or above
-    /// this threshold routes a snapshot query to an overlay-aware full
-    /// scan of the base cell file instead of an index probe (same
-    /// routing rule as [`crate::AdaptiveIndex`]). `None` always
-    /// probes.
-    pub scan_threshold: Option<f64>,
+    /// A name, not a knob: `None` is the only value this type holds,
+    /// and every snapshot query probes. It keeps the benchmark ladder's
+    /// struct literal compiling until ROADMAP item 1 (i) deletes it.
+    pub scan_threshold: Option<std::convert::Infallible>,
 }
 
 impl Default for IngestConfig {
@@ -145,9 +143,6 @@ struct WriterState<F: FieldModel> {
     epoch: u64,
     /// Completed repacks (epoch swaps that replaced the base).
     repacks: u64,
-    /// Planner over the current base (rebuilt on repack), shared by
-    /// every snapshot of it.
-    router: Option<Arc<Router>>,
     /// When the delta last drained (repack or construction) — the
     /// `ingest_repack_lag_ns` gauge reports time since.
     last_drain: Instant,
@@ -207,7 +202,6 @@ pub struct LiveIngest<F: FieldModel> {
     writer: Mutex<WriterState<F>>,
     published: RwLock<Arc<EpochSnapshot<F>>>,
     capacity: usize,
-    scan_threshold: Option<f64>,
     gauges: OnceLock<IngestGauges>,
 }
 
@@ -235,19 +229,6 @@ impl<F: FieldModel> LiveIngest<F> {
         delta: Vec<DeltaRec<F::CellRec>>,
     ) -> CfResult<Self> {
         let base = Arc::new(base);
-        let router = match config.scan_threshold {
-            Some(threshold) => {
-                let inner = &base.inner;
-                let mut intervals: Vec<Interval> = Vec::with_capacity(inner.file.len());
-                inner
-                    .file
-                    .for_each_in_range(engine, 0..inner.file.len(), |_, rec| {
-                        intervals.push(F::record_interval(&rec));
-                    })?;
-                Some(Arc::new(Router::new(intervals.into_iter(), threshold)))
-            }
-            None => None,
-        };
         let mut state = WriterState {
             committed: Arc::clone(&base),
             base,
@@ -257,7 +238,6 @@ impl<F: FieldModel> LiveIngest<F> {
             sf_overrides: HashMap::new(),
             epoch,
             repacks: 0,
-            router,
             last_drain: Instant::now(),
             last_publish: Instant::now(),
         };
@@ -295,7 +275,6 @@ impl<F: FieldModel> LiveIngest<F> {
             writer: Mutex::new(state),
             published: RwLock::new(snapshot),
             capacity: config.capacity.max(1),
-            scan_threshold: config.scan_threshold,
             gauges: OnceLock::new(),
         };
         {
@@ -451,9 +430,6 @@ impl<F: FieldModel> LiveIngest<F> {
         };
         new_base.inner.publish_health(engine.metrics(), None);
 
-        if let Some(threshold) = self.scan_threshold {
-            state.router = Some(Arc::new(Router::new(intervals.into_iter(), threshold)));
-        }
         state.base = Arc::new(new_base);
         state.writes = 0;
         state.overlays.clear();
@@ -648,7 +624,6 @@ fn make_snapshot<F: FieldModel>(state: &WriterState<F>) -> Arc<EpochSnapshot<F>>
         overlays: Arc::new(state.overlays.clone()),
         sf_overrides: Arc::new(state.sf_overrides.clone()),
         epoch: state.epoch,
-        router: state.router.clone(),
     })
 }
 
@@ -704,8 +679,6 @@ pub struct EpochSnapshot<F: FieldModel> {
     overlays: Arc<HashMap<u32, F::CellRec>>,
     sf_overrides: Arc<HashMap<u32, Interval>>,
     epoch: u64,
-    /// Optional planner threading (see [`IngestConfig::scan_threshold`]).
-    router: Option<Arc<Router>>,
 }
 
 impl<F: FieldModel> EpochSnapshot<F> {
@@ -736,29 +709,23 @@ impl<F: FieldModel> ValueIndex for EpochSnapshot<F> {
         self.base.name()
     }
 
-    /// One snapshot query through the base plane's executor call: the
-    /// planner (when threaded) picks probe or scan, and the epoch's
-    /// delta rides along — the filter answer corrected by the interval
-    /// summary, overlays substituted per position. See the module docs
-    /// for why each step is byte-identical to the sequential oracle.
+    /// One snapshot query through the base plane's executor call, with
+    /// the epoch's delta riding along: the filter answer corrected by
+    /// the interval summary, overlays substituted per position. See the
+    /// module docs for why each step is byte-identical to the
+    /// sequential oracle.
     fn query(
         &self,
         engine: &StorageEngine,
         band: Interval,
         sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
-        let plan = match &self.router {
-            Some(router) => router.route(engine.metrics(), band),
-            None => Plan::IndexProbe,
-        };
         let delta = Delta {
             overlays: &self.overlays,
             sf_intervals: &self.sf_overrides,
             epoch: self.epoch,
         };
-        self.base
-            .inner
-            .execute(engine, band, plan, Some(&delta), sink)
+        self.base.inner.execute(engine, band, Some(&delta), sink)
     }
 
     fn index_pages(&self) -> usize {

@@ -15,7 +15,6 @@
 
 use crate::ihilbert::checked_records;
 use crate::order::check_cell_count;
-use crate::planner::Plan;
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{subfield_costs, Subfield, SubfieldConfig};
@@ -168,8 +167,7 @@ impl<F: FieldModel> ValueIndex for IntervalQuadtree<F> {
         band: Interval,
         sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
-        self.inner
-            .execute(engine, band, Plan::IndexProbe, None, sink)
+        self.inner.execute(engine, band, None, sink)
     }
 
     fn index_pages(&self) -> usize {

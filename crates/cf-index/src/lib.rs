@@ -63,7 +63,6 @@ mod ingest;
 mod iquad;
 mod linear;
 mod order;
-mod planner;
 mod sfindex;
 mod stats;
 mod subfield;
@@ -78,7 +77,6 @@ pub use ingest::{DeltaRec, EpochSnapshot, IngestConfig, LiveIngest, RepackReport
 pub use iquad::IntervalQuadtree;
 pub use linear::LinearScan;
 pub use order::{cell_order, CURVE_ORDER};
-pub use planner::{AdaptiveIndex, Plan};
 pub use stats::{QueryStats, RegionSink, ValueIndex};
 pub use subfield::{
     build_subfields, build_subfields_by_page, Subfield, SubfieldConfig, ValueSummary,

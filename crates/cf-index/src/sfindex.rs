@@ -12,7 +12,6 @@
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 use crate::exec::{self, Delta, Filter, SubfieldOverrides, Q2};
-use crate::planner::Plan;
 use crate::stats::{QueryMetrics, QueryStats, RegionSink};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
@@ -251,26 +250,24 @@ impl<F: FieldModel> SubfieldIndex<F> {
     }
 
     /// One Q2 query through the executor ([`exec::run`]): the two-step
-    /// probe of §3.2 (filter subfields through the R\*-tree, then read
-    /// the coalesced record runs) or, for [`Plan::FullScan`], a
-    /// sequential pass over the same cell file. With a `delta`, the
-    /// filter answer is corrected by the epoch's effective subfield
-    /// intervals and its overlays are substituted per position.
+    /// probe of §3.2 (filter subfields through the interval tree, then
+    /// read the coalesced record runs). With a `delta`, the filter
+    /// answer is corrected by the epoch's effective subfield intervals
+    /// and its overlays are substituted per position.
     pub(crate) fn execute(
         &self,
         engine: &StorageEngine,
         band: Interval,
-        plan: Plan,
         delta: Option<&Delta<'_, F::CellRec>>,
         sink: Option<RegionSink<'_>>,
     ) -> CfResult<QueryStats> {
-        let filter = (plan == Plan::IndexProbe).then(|| Filter {
+        let filter = Filter {
             tree: &self.tree,
             overrides: delta.map(|d| SubfieldOverrides {
                 effective: d.sf_intervals,
                 subfields: &self.subfields,
             }),
-        });
+        };
         let q = Q2 {
             curve: self.curve_label,
             epoch: delta.map_or(0, |d| d.epoch),

@@ -608,45 +608,6 @@ fn concurrent_drops_leave_nothing_deferred_and_the_commit_intact() {
     }
 }
 
-/// Planner threading: a snapshot whose config routes wide bands to the
-/// overlay-aware full scan answers bit-identically to the probing
-/// snapshot (same qualifying records, same ascending accumulation
-/// order).
-#[test]
-fn planner_scan_and_probe_snapshots_agree_bit_for_bit() {
-    let field = wavy_field(16);
-    let engine = StorageEngine::in_memory();
-    let probe_base = IHilbert::build(&engine, &field).expect("build");
-    let scan_base = IHilbert::build(&engine, &field).expect("build");
-    let probing = LiveIngest::new(&engine, probe_base, IngestConfig::default()).expect("live");
-    // Threshold 0: every band routes to the full scan.
-    let scanning = LiveIngest::new(
-        &engine,
-        scan_base,
-        IngestConfig {
-            scan_threshold: Some(0.0),
-            ..Default::default()
-        },
-    )
-    .expect("live");
-    let mut rng = Rng(41);
-    for _ in 0..50 {
-        let cell = rng.below(field.num_cells());
-        let rec = rand_record(&field, cell, &mut rng);
-        probing.ingest(&engine, cell, rec).expect("ingest");
-        scanning.ingest(&engine, cell, rec).expect("ingest");
-    }
-    let p = probing.snapshot();
-    let s = scanning.snapshot();
-    for (i, &band) in fixed_bands().iter().enumerate() {
-        let a = p.query_stats(&engine, band).expect("probe");
-        let b = s.query_stats(&engine, band).expect("scan");
-        assert_bitexact(&a, &b, &format!("band {i}"));
-        // The scan really scanned: it examined the whole cell file.
-        assert_eq!(b.cells_examined, field.num_cells(), "band {i}");
-    }
-}
-
 /// Catalog v4 round-trip: the ingest plane (base + net delta + epoch
 /// pointer) survives save and reopen, bit-identically, and keeps
 /// accepting writes.
@@ -1058,7 +1019,7 @@ fn failed_ingest_leaves_state_and_gauges_consistent() {
 /// band that retrieves none of the overlaid subfields. Each overlay
 /// moves one vertex within its subfields' intervals, so every band
 /// retrieves the base catalog's runs and the edges stay where the test
-/// put them. For the probe and the scan plan on both codecs, the
+/// put them. On both codecs, the
 /// snapshot answers as `LinearScan` over the updated field (whose
 /// native order sums the area in another order), and its area carries
 /// the bits of a fresh build over that field, which sums the same
@@ -1223,51 +1184,42 @@ fn overlay_cursor_edges_answer_like_a_scan_of_the_updated_field() {
     bands.extend(fixed_bands());
 
     for (codec, catalog) in codecs.into_iter().zip(&catalogs) {
-        for scan_threshold in [None, Some(0.0)] {
-            let ctx = format!("{codec:?}, scan threshold {scan_threshold:?}");
-            let engine = engine_with(codec);
-            let base = IHilbert::build(&engine, &field).expect("build");
-            let config = IngestConfig {
-                scan_threshold,
-                ..Default::default()
-            };
-            let live = LiveIngest::new(&engine, base, config).expect("live");
-            let before = live.snapshot().query_stats(&engine, band).expect("query");
-            for &cell in &overlaid {
-                live.ingest(&engine, cell, updated.cell_record(cell))
-                    .expect("ingest");
-            }
-            assert_eq!(live.status().0, overlaid.len(), "{ctx}: nothing drained");
-            let snapshot = live.snapshot();
-            let scan = LinearScan::build(&engine, &updated).expect("scan");
-            let fresh = IHilbert::build(&engine, &updated).expect("fresh build");
-            for &b in &bands {
-                let ctx = format!("{ctx}, band {b}");
-                let got = snapshot.query_stats(&engine, b).expect("snapshot");
-                let want = scan.query_stats(&engine, b).expect("scan");
-                assert_eq!(got.cells_qualifying, want.cells_qualifying, "{ctx}");
-                assert_eq!(got.num_regions, want.num_regions, "{ctx}");
-                assert!(
-                    (got.area - want.area).abs() <= 1e-9 * want.area.max(1.0),
-                    "{ctx}: area {} vs {}",
-                    got.area,
-                    want.area
-                );
-                let fresh = fresh.query_stats(&engine, b).expect("fresh");
-                assert_bitexact(&got, &fresh, &ctx);
-                let examined = match scan_threshold {
-                    None => runs(catalog, b).iter().map(|r| r.len()).sum(),
-                    Some(_) => n,
-                };
-                assert_eq!(got.cells_examined, examined, "{ctx}");
-            }
-            let got = snapshot.query_stats(&engine, band).expect("snapshot");
-            assert_ne!(
-                got.area.to_bits(),
-                before.area.to_bits(),
-                "{ctx}: the overlays must move the answer"
-            );
+        let ctx = format!("{codec:?}");
+        let engine = engine_with(codec);
+        let base = IHilbert::build(&engine, &field).expect("build");
+        let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+        let before = live.snapshot().query_stats(&engine, band).expect("query");
+        for &cell in &overlaid {
+            live.ingest(&engine, cell, updated.cell_record(cell))
+                .expect("ingest");
         }
+        assert_eq!(live.status().0, overlaid.len(), "{ctx}: nothing drained");
+        let snapshot = live.snapshot();
+        let scan = LinearScan::build(&engine, &updated).expect("scan");
+        let fresh = IHilbert::build(&engine, &updated).expect("fresh build");
+        for &b in &bands {
+            let ctx = format!("{ctx}, band {b}");
+            let got = snapshot.query_stats(&engine, b).expect("snapshot");
+            let want = scan.query_stats(&engine, b).expect("scan");
+            assert_eq!(got.cells_qualifying, want.cells_qualifying, "{ctx}");
+            assert_eq!(got.num_regions, want.num_regions, "{ctx}");
+            assert!(
+                (got.area - want.area).abs() <= 1e-9 * want.area.max(1.0),
+                "{ctx}: area {} vs {}",
+                got.area,
+                want.area
+            );
+            let fresh = fresh.query_stats(&engine, b).expect("fresh");
+            assert_bitexact(&got, &fresh, &ctx);
+            let examined: usize = runs(catalog, b).iter().map(|r| r.len()).sum();
+            assert_eq!(got.cells_examined, examined, "{ctx}");
+        }
+        let got = snapshot.query_stats(&engine, band).expect("snapshot");
+        assert_ne!(
+            got.area.to_bits(),
+            before.area.to_bits(),
+            "{ctx}: the overlays must move the answer"
+        );
     }
 }
 

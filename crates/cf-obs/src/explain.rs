@@ -1,9 +1,9 @@
 //! Structured per-query EXPLAIN records.
 //!
-//! An [`ExplainRecord`] captures everything the planner and the query
-//! pipeline know about one executed query: the plan it chose (index
-//! probe vs sequential scan), the plane it read first (the paged
-//! r-tree vs the cell file), the space-filling curve behind the index, the
+//! An [`ExplainRecord`] captures everything the query pipeline knows
+//! about one executed query: its plan and the plane it read first (every
+//! query probes the paged tree, so these read `"probe"` and `"paged"`;
+//! the fields keep the record's layout), the space-filling curve behind the index, the
 //! subfield/cell/page counts of the filter and refine phases, the
 //! per-phase wall timings, the ingest epoch the snapshot was pinned
 //! to, and the buffer-pool hit ratio.
@@ -107,10 +107,11 @@ pub struct ExplainRecord {
     pub query_id: u64,
     /// Index the query ran against (metric label, e.g. `I-Hilbert`).
     pub index: Label,
-    /// Planner decision: `"probe"` (index) or `"scan"` (sequential).
+    /// The query plan: always `"probe"` (the index), since the
+    /// executor has no scan branch.
     pub plan: &'static str,
-    /// Execution plane, a function of `plan`: `"paged"` (the r-tree,
-    /// through the pool) for a probe, `"cells"` for a scan.
+    /// The plane the plan reads first: always `"paged"` (the tree,
+    /// through the pool).
     pub plane: &'static str,
     /// Space-filling curve behind the index cell ordering.
     pub curve: Label,

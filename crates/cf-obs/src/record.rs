@@ -42,8 +42,9 @@ pub struct WorkloadRecord {
     pub band_lo: f64,
     /// Queried band, high end.
     pub band_hi: f64,
-    /// Execution plane (`"paged"`, `"cells"`). Free-form on decode:
-    /// files recorded before PR 15 also carry `"frozen"`.
+    /// Execution plane: always `"paged"` now. Free-form on decode:
+    /// older files also carry `"cells"` (a planner's scan) or
+    /// `"frozen"`.
     pub plane: Label,
     /// Space-filling curve behind the index.
     pub curve: Label,

@@ -283,32 +283,40 @@ impl<const N: usize> FrozenTree<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::{RStarTree, RTreeConfig};
 
     fn iv(lo: f64, hi: f64) -> Aabb<1> {
         Aabb::new([lo], [hi])
     }
 
-    /// Persists `tree` to a fresh in-memory engine and freezes it.
-    fn freeze<const N: usize>(tree: &RStarTree<N>) -> FrozenTree<N> {
+    /// Packs `entries` into a fresh in-memory engine and freezes it.
+    fn freeze<const N: usize>(entries: &[(Aabb<N>, u64)]) -> FrozenTree<N> {
         let engine = StorageEngine::in_memory();
-        let paged = PagedRTree::persist(tree, &engine).expect("persist");
+        let paged = PagedRTree::build(&engine, entries.iter().copied()).expect("build");
         FrozenTree::from_paged(&engine, &paged).expect("freeze")
     }
 
-    fn build_tree(n: u64, fanout: usize) -> RStarTree<1> {
-        let mut tree = RStarTree::new(RTreeConfig::new(fanout));
-        for i in 0..n {
-            tree.insert(iv(i as f64 * 0.7, i as f64 * 0.7 + 2.0), i);
-        }
-        tree
+    fn overlapping(n: u64) -> Vec<(Aabb<1>, u64)> {
+        (0..n)
+            .map(|i| (iv(i as f64 * 0.7, i as f64 * 0.7 + 2.0), i))
+            .collect()
+    }
+
+    /// Payloads of the entries whose box intersects `q`, ascending.
+    fn linear<const N: usize>(entries: &[(Aabb<N>, u64)], q: &Aabb<N>) -> Vec<u64> {
+        let mut want: Vec<u64> = entries
+            .iter()
+            .filter(|(b, _)| b.intersects(q))
+            .map(|&(_, d)| d)
+            .collect();
+        want.sort_unstable();
+        want
     }
 
     #[test]
     fn frozen_matches_dynamic_search() {
-        let tree = build_tree(800, 16);
+        let entries = overlapping(800);
         let engine = StorageEngine::in_memory();
-        let paged = PagedRTree::persist(&tree, &engine).expect("persist");
+        let paged = PagedRTree::build(&engine, entries.iter().copied()).expect("build");
         let frozen = FrozenTree::from_paged(&engine, &paged).expect("freeze");
         assert_eq!(frozen.len(), 800);
         assert_eq!(frozen.height(), paged.height());
@@ -317,17 +325,17 @@ mod tests {
             let q = iv(qlo, qlo + 9.0);
             let mut got = frozen.search_collect(&q);
             got.sort_unstable();
-            let mut want = tree.search_collect(&q);
-            want.sort_unstable();
-            assert_eq!(got, want, "query {qlo}");
+            let mut paged_hits = paged.search_collect(&engine, &q).expect("search");
+            paged_hits.sort_unstable();
+            assert_eq!(got, paged_hits, "query {qlo}");
+            assert_eq!(got, linear(&entries, &q), "query {qlo}");
         }
     }
 
     #[test]
     fn frozen_matches_paged_visit_counts() {
-        let tree = build_tree(2000, 32);
         let engine = StorageEngine::in_memory();
-        let paged = PagedRTree::persist(&tree, &engine).expect("persist");
+        let paged = PagedRTree::build(&engine, overlapping(2000)).expect("build");
         let frozen = FrozenTree::from_paged(&engine, &paged).expect("freeze");
         assert_eq!(frozen.slot_base.len(), paged.num_pages());
         for qlo in [0.0, 250.0, 700.0, 1399.5] {
@@ -341,43 +349,41 @@ mod tests {
 
     #[test]
     fn frozen_reports_mbrs() {
-        let mut tree: RStarTree<2> = RStarTree::new(RTreeConfig::new(8));
-        for i in 0..200u64 {
-            let x = (i % 20) as f64;
-            let y = (i / 20) as f64;
-            tree.insert(Aabb::new([x, y], [x + 0.5, y + 0.5]), i);
-        }
-        let frozen = freeze(&tree);
+        let entries: Vec<(Aabb<2>, u64)> = (0..200u64)
+            .map(|i| {
+                let (x, y) = ((i % 20) as f64, (i / 20) as f64);
+                (Aabb::new([x, y], [x + 0.5, y + 0.5]), i)
+            })
+            .collect();
+        let frozen = freeze(&entries);
         let q = Aabb::new([2.2, 3.2], [6.8, 7.8]);
         let mut got: Vec<(u64, Aabb<2>)> = Vec::new();
         frozen.search(&q, |d, mbr| got.push((d, *mbr)));
-        let mut want: Vec<(u64, Aabb<2>)> = Vec::new();
-        tree.search(&q, |d, mbr| want.push((d, *mbr)));
         got.sort_by_key(|&(d, _)| d);
-        want.sort_by_key(|&(d, _)| d);
+        let want: Vec<(u64, Aabb<2>)> = entries
+            .iter()
+            .filter(|(b, _)| b.intersects(&q))
+            .map(|&(b, d)| (d, b))
+            .collect();
         assert_eq!(got, want);
     }
 
     #[test]
     fn empty_and_tiny_trees() {
-        let tree: RStarTree<1> = RStarTree::default();
-        let frozen = freeze(&tree);
+        let frozen = freeze::<1>(&[]);
         assert!(frozen.is_empty());
         assert_eq!(frozen.search_collect(&iv(0.0, 10.0)), Vec::<u64>::new());
         let stats = frozen.search(&iv(0.0, 1.0), |_, _| {});
         assert_eq!(stats.nodes_visited, 1, "the empty root is still visited");
 
-        let mut one: RStarTree<1> = RStarTree::default();
-        one.insert(iv(3.0, 4.0), 77);
-        let frozen = freeze(&one);
+        let frozen = freeze(&[(iv(3.0, 4.0), 77)]);
         assert_eq!(frozen.search_collect(&iv(3.5, 3.5)), vec![77]);
         assert_eq!(frozen.search_collect(&iv(5.0, 6.0)), Vec::<u64>::new());
     }
 
     #[test]
     fn search_into_reuses_buffer() {
-        let tree = build_tree(300, 8);
-        let frozen = freeze(&tree);
+        let frozen = freeze(&overlapping(300));
         let mut buf = Vec::new();
         let s1 = frozen.search_into(&iv(0.0, 50.0), &mut buf);
         assert_eq!(buf.len() as u64, s1.results);
@@ -389,9 +395,8 @@ mod tests {
 
     #[test]
     fn node_visits_flow_into_the_engine_registry() {
-        let tree = build_tree(2000, 32);
         let engine = StorageEngine::in_memory();
-        let paged = PagedRTree::persist(&tree, &engine).expect("persist");
+        let paged = PagedRTree::build(&engine, overlapping(2000)).expect("build");
         let frozen = FrozenTree::from_paged(&engine, &paged).expect("freeze");
         engine.reset_stats();
 
@@ -417,11 +422,9 @@ mod tests {
     fn point_sized_boxes_on_lane_boundaries() {
         // 8, 16, 17 entries exercise exact-lane and lane+1 padding.
         for n in [8u64, 16, 17, 170] {
-            let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::new(170));
-            for i in 0..n {
-                tree.insert(iv(i as f64, i as f64), i);
-            }
-            let frozen = freeze(&tree);
+            let entries: Vec<(Aabb<1>, u64)> =
+                (0..n).map(|i| (iv(i as f64, i as f64), i)).collect();
+            let frozen = freeze(&entries);
             for i in 0..n {
                 assert_eq!(
                     frozen.search_collect(&iv(i as f64, i as f64)),

@@ -1,5 +1,4 @@
-//! Packed R-trees on disk pages, plus the R\*-tree (Beckmann, Kriegel,
-//! Schneider, Seeger — SIGMOD 1990) kept as a benchmark build buffer.
+//! Packed R-trees on disk pages.
 //!
 //! The paper indexes value intervals — 1-D minimum bounding rectangles —
 //! with "traditional spatial access methods, like R\*-tree" (§3), and
@@ -21,10 +20,12 @@
 //!   page run with the root last. Its shape is fixed there:
 //!   [`PagedRTree::replace_entry`], which rewrites one entry's box and
 //!   its ancestors' hulls in place, is the one maintenance path.
-//! * [`RStarTree`] — an in-memory R\*-tree filled by one-by-one
-//!   insertion (forced reinsertion, margin-driven splits). No product
-//!   path builds one; the benchmark ladder's staged trace still does and
-//!   hands it to [`PagedRTree::persist`], which packs its entries.
+//! * [`RStarTree`] and [`RTreeConfig`] — not a tree: an entry buffer
+//!   that [`PagedRTree::persist`] packs with [`PagedRTree::build`], so
+//!   its pages are `build`'s. No product path uses them; they keep the
+//!   benchmark ladder's staged trace compiling until it calls `build`
+//!   itself (ROADMAP item 1 (i) deletes all three). There is no R\*
+//!   insertion: Bos & Haverkort back the packed build over it.
 //! * [`FrozenTree`] — a read-optimized flattening of a built tree into
 //!   contiguous cache-aligned SoA arrays (separate `lo[]`/`hi[]` lanes,
 //!   implicit child offsets, branchless chunked leaf scan) with the
@@ -59,9 +60,7 @@
 #![warn(missing_docs)]
 
 mod frozen;
-mod node;
 mod paged;
-mod split;
 mod tree;
 
 pub use frozen::FrozenTree;

@@ -143,14 +143,11 @@ impl<const N: usize> PagedRTree<N> {
         Ok(tree)
     }
 
-    /// Packs the entries of an in-memory build buffer
-    /// ([`PagedRTree::build`]); the buffer's own shape is not kept. Kept
-    /// for the benchmark ladder's staged trace, its one caller.
+    /// Packs the entries of a build buffer with [`PagedRTree::build`].
+    /// Kept for the benchmark ladder's staged trace, its one caller,
+    /// until it calls `build` itself (ROADMAP item 1 (i)).
     pub fn persist(tree: &RStarTree<N>, engine: &StorageEngine) -> CfResult<Self> {
-        let mut entries = Vec::with_capacity(tree.len());
-        let everything = Aabb::new([f64::NEG_INFINITY; N], [f64::INFINITY; N]);
-        tree.search(&everything, |data, mbr| entries.push((*mbr, data)));
-        Self::build(engine, entries)
+        Self::build(engine, tree.entries().iter().copied())
     }
 
     /// Number of data entries.
@@ -507,23 +504,25 @@ mod tests {
 
     #[test]
     fn paged_search_matches_in_memory() {
-        let mut tree = RStarTree::new(RTreeConfig::new(16));
+        let mut tree = RStarTree::new(RTreeConfig::page_sized::<1>());
         for (mbr, data) in entries(1000) {
             tree.insert(mbr, data);
         }
         let engine = StorageEngine::in_memory();
         let paged = PagedRTree::persist(&tree, &engine).expect("persist");
         assert_eq!(paged.len(), 1000);
-        // Packed, not the buffer's shape: ceil(1000 / 170) = 6 leaves, all
-        // full but the last, under one root.
+        // Packed: ceil(1000 / 170) = 6 leaves, all full but the last,
+        // under one root.
         assert_eq!((paged.height(), paged.num_pages()), (2, 7));
 
         for qlo in [0.0, 123.4, 500.0, 999.0, 2000.0] {
             let q = iv(qlo, qlo + 7.0);
             let mut got = paged.search_collect(&engine, &q).expect("search");
             got.sort_unstable();
-            let mut want = tree.search_collect(&q);
-            want.sort_unstable();
+            let want: Vec<u64> = entries(1000)
+                .filter(|(b, _)| b.intersects(&q))
+                .map(|(_, d)| d)
+                .collect();
             assert_eq!(got, want, "query {qlo}");
         }
     }
@@ -598,7 +597,7 @@ mod tests {
 
     #[test]
     fn empty_tree_persists() {
-        let tree: RStarTree<1> = RStarTree::default();
+        let tree: RStarTree<1> = RStarTree::new(RTreeConfig::page_sized::<1>());
         let engine = StorageEngine::in_memory();
         let paged = PagedRTree::persist(&tree, &engine).expect("persist");
         assert!(paged.is_empty());

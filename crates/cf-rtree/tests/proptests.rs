@@ -1,7 +1,7 @@
-//! Property-based tests: the paged R\*-tree must agree with a linear
+//! Property-based tests: the packed paged tree must agree with a linear
 //! scan under any sequence of entry box rewrites, keep its shape while
-//! doing so, depend only on its entry set, and its pages, flattening and
-//! build buffer must answer alike.
+//! doing so, depend only on its entry set, and its pages and flattening
+//! must answer alike. A build buffer persists to the pages `build` packs.
 
 use cf_geom::Aabb;
 use cf_rtree::{FrozenTree, PagedRTree, RStarTree, RTreeConfig};
@@ -99,6 +99,17 @@ proptest! {
     }
 }
 
+/// Payloads of the entries whose box intersects `q`, ascending.
+fn linear<const N: usize>(entries: &[(Aabb<N>, u64)], q: &Aabb<N>) -> Vec<u64> {
+    let mut want: Vec<u64> = entries
+        .iter()
+        .filter(|(b, _)| b.intersects(q))
+        .map(|&(_, d)| d)
+        .collect();
+    want.sort_unstable();
+    want
+}
+
 /// Every page of `engine`, in page order.
 fn all_pages(engine: &StorageEngine) -> Vec<Vec<u8>> {
     (0..engine.num_pages() as u64)
@@ -182,14 +193,14 @@ proptest! {
     fn frozen_tree_matches_paged_results_and_visits(
         items in prop::collection::vec((0.0..100.0f64, 0.0..5.0f64), 0..250),
         queries in prop::collection::vec((-20.0..120.0f64, 0.0..15.0f64), 1..8),
-        fanout in 4usize..16,
     ) {
-        let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::new(fanout));
-        for (i, &(lo, w)) in items.iter().enumerate() {
-            tree.insert(Aabb::new([lo], [lo + w]), i as u64);
-        }
+        let entries: Vec<(Aabb<1>, u64)> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &(lo, w))| (Aabb::new([lo], [lo + w]), i as u64))
+            .collect();
         let engine = StorageEngine::in_memory();
-        let paged = PagedRTree::persist(&tree, &engine).expect("persist");
+        let paged = PagedRTree::build(&engine, entries.iter().copied()).expect("build");
         let frozen = FrozenTree::from_paged(&engine, &paged).expect("freeze");
 
         // The random queries plus the edge cases: a zero-width point
@@ -206,12 +217,10 @@ proptest! {
         for q in &qs {
             let sa = paged.search_into(&engine, q, &mut a).expect("search");
             let sb = frozen.search_into(q, &mut b);
-            let mut d = tree.search_collect(q);
             a.sort_unstable();
             b.sort_unstable();
-            d.sort_unstable();
             prop_assert_eq!(&a, &b, "frozen results");
-            prop_assert_eq!(&a, &d, "build buffer results");
+            prop_assert_eq!(&a, &linear(&entries, q), "linear filter results");
             // The flattening's visited-node count must equal the page
             // reads the paged search did.
             prop_assert_eq!(sa.nodes_visited, sb.nodes_visited);
@@ -224,19 +233,65 @@ proptest! {
         items in prop::collection::vec((0.0..100.0f64, 0.0..5.0f64), 1..200),
         queries in prop::collection::vec((0.0..100.0f64, 0.0..10.0f64), 1..8),
     ) {
-        let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::new(8));
+        let mut tree: RStarTree<1> = RStarTree::new(RTreeConfig::page_sized::<1>());
+        let mut entries = Vec::new();
         for (i, &(lo, w)) in items.iter().enumerate() {
             tree.insert(Aabb::new([lo], [lo + w]), i as u64);
+            entries.push((Aabb::new([lo], [lo + w]), i as u64));
         }
         let engine = StorageEngine::in_memory();
         let paged = PagedRTree::persist(&tree, &engine).expect("persist");
+        prop_assert_eq!(paged.len(), items.len());
         for &(qlo, qw) in &queries {
             let q = Aabb::new([qlo], [qlo + qw]);
             let mut a = paged.search_collect(&engine, &q).expect("search");
-            let mut b = tree.search_collect(&q);
             a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
+            prop_assert_eq!(a, linear(&entries, &q));
         }
+    }
+}
+
+/// Persists a build buffer filled with `entries` in a shuffled order and
+/// packs the same entries, sorted, with `build`: the two engines must
+/// hold the same pages, byte for byte.
+fn persist_writes_the_pages_build_writes<const N: usize>(mut entries: Vec<(Aabb<N>, u64)>) {
+    let mut rng = StdRng::seed_from_u64(entries.len() as u64);
+    for i in (1..entries.len()).rev() {
+        entries.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut tree: RStarTree<N> = RStarTree::new(RTreeConfig::page_sized::<N>());
+    for &(b, d) in &entries {
+        tree.insert(b, d);
+    }
+    assert_eq!(tree.len(), entries.len());
+    entries.sort_by_key(|e| e.1);
+    let (a, b) = (StorageEngine::in_memory(), StorageEngine::in_memory());
+    let persisted = PagedRTree::persist(&tree, &a).expect("persist");
+    let built = PagedRTree::build(&b, entries).expect("build");
+    assert_eq!(persisted.to_parts(), built.to_parts());
+    assert!(all_pages(&a) == all_pages(&b), "persist moved a page byte");
+}
+
+#[test]
+fn persist_of_a_shuffled_buffer_equals_build_at_page_fanout() {
+    let mut rng = StdRng::seed_from_u64(41);
+    // Up to three levels at the 1-D fanout (170), two at the 2-D (102).
+    for n in [0, 1, 170, 171, 5_000, 30_000] {
+        let entries: Vec<(Aabb<1>, u64)> = (0..n as u64)
+            .map(|i| {
+                let lo: f64 = rng.gen_range(0.0..100.0);
+                (Aabb::new([lo], [lo + rng.gen_range(0.0..5.0)]), i)
+            })
+            .collect();
+        persist_writes_the_pages_build_writes(entries);
+    }
+    for n in [0, 1, 102, 103, 3_000] {
+        let entries: Vec<(Aabb<2>, u64)> = (0..n as u64)
+            .map(|i| {
+                let (x, y): (f64, f64) = (rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
+                (Aabb::new([x, y], [x + 1.0, y + rng.gen_range(0.0..3.0)]), i)
+            })
+            .collect();
+        persist_writes_the_pages_build_writes(entries);
     }
 }

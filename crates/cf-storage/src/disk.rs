@@ -15,7 +15,7 @@
 
 use crate::checksum;
 use crate::error::{CfError, CfResult, FaultOp};
-use crate::fault::{FaultInjector, FiredFault, ReadPlan, WritePlan};
+use crate::fault::{FaultInjector, FiredFault, ReadAction, WriteAction};
 use crate::freelist::FreeState;
 use crate::stats::tally;
 use crate::Fault;
@@ -556,13 +556,13 @@ impl DiskManager {
         let bytes: Vec<u8> = entries.iter().flat_map(|e| e.to_le_bytes()).collect();
         let offset = start * checksum::ENTRY_SIZE as u64;
         let plan = self.faults.plan_write(PageId(start));
-        if !matches!(plan, WritePlan::Proceed) {
+        if !matches!(plan, WriteAction::Proceed) {
             self.metrics.faults_write.inc();
         }
         let keep = match plan {
-            WritePlan::Proceed => bytes.len(),
-            WritePlan::Torn { keep, .. } => keep.min(bytes.len()),
-            WritePlan::Fail(ordinal) => {
+            WriteAction::Proceed => bytes.len(),
+            WriteAction::Torn { keep, .. } => keep.min(bytes.len()),
+            WriteAction::Fail(ordinal) => {
                 return Err(CfError::Injected {
                     op: FaultOp::Write,
                     ordinal,
@@ -571,7 +571,7 @@ impl DiskManager {
         };
         sums.write_all_at(&bytes[..keep], offset)
             .map_err(|e| CfError::io("writing checksum entries", e))?;
-        if let WritePlan::Torn { ordinal, .. } = plan {
+        if let WriteAction::Torn { ordinal, .. } = plan {
             return Err(CfError::Injected {
                 op: FaultOp::Write,
                 ordinal,
@@ -598,10 +598,10 @@ impl DiskManager {
         self.metrics.reads.inc();
         tally::count_disk_read();
         let plan = self.faults.plan_read(id);
-        if !matches!(plan, ReadPlan::Proceed) {
+        if !matches!(plan, ReadAction::Proceed) {
             self.metrics.faults_read.inc();
         }
-        if let ReadPlan::Fail(ordinal) = plan {
+        if let ReadAction::Fail(ordinal) = plan {
             return Err(CfError::Injected {
                 op: FaultOp::Read,
                 ordinal,
@@ -635,7 +635,7 @@ impl DiskManager {
                 }
             }
         };
-        if let ReadPlan::Short { len } = plan {
+        if let ReadAction::Short { len } = plan {
             // The "device" returned only the first `len` bytes; the
             // tail reads as zeroes and verification below catches the
             // truncation (unless the tail was all-zero anyway, in which
@@ -671,10 +671,10 @@ impl DiskManager {
         self.metrics.writes.inc();
         tally::count_disk_write();
         let plan = self.faults.plan_write(id);
-        if !matches!(plan, WritePlan::Proceed) {
+        if !matches!(plan, WriteAction::Proceed) {
             self.metrics.faults_write.inc();
         }
-        if let WritePlan::Fail(ordinal) = plan {
+        if let WriteAction::Fail(ordinal) = plan {
             return Err(CfError::Injected {
                 op: FaultOp::Write,
                 ordinal,
@@ -697,7 +697,7 @@ impl DiskManager {
                 ),
             ));
         }
-        if let WritePlan::Torn { keep, ordinal } = plan {
+        if let WriteAction::Torn { keep, ordinal } = plan {
             let keep = keep.min(PAGE_SIZE);
             match &mut *backing {
                 Backing::Memory { pages, .. } => {

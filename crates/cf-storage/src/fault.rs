@@ -57,7 +57,7 @@ pub enum Fault {
 
 /// What the disk should do with the current physical read.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ReadPlan {
+pub(crate) enum ReadAction {
     /// Proceed normally.
     Proceed,
     /// Fail with `CfError::Injected` at this ordinal.
@@ -68,7 +68,7 @@ pub(crate) enum ReadPlan {
 
 /// What the disk should do with the current physical write.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum WritePlan {
+pub(crate) enum WriteAction {
     /// Proceed normally.
     Proceed,
     /// Fail with `CfError::Injected` at this ordinal.
@@ -159,10 +159,10 @@ impl FaultInjector {
     /// Claims the next read ordinal and reports what to do with the
     /// physical read of `page`. A firing fault is consumed and recorded
     /// (see [`FaultInjector::fired`]).
-    pub(crate) fn plan_read(&self, page: PageId) -> ReadPlan {
+    pub(crate) fn plan_read(&self, page: PageId) -> ReadAction {
         let ord = self.reads.fetch_add(1, Ordering::Relaxed);
         if !self.armed.load(Ordering::Acquire) {
-            return ReadPlan::Proceed;
+            return ReadAction::Proceed;
         }
         let mut faults = self.faults.lock().expect("fault injector poisoned");
         let hit = faults.iter().position(
@@ -172,24 +172,24 @@ impl FaultInjector {
             Some(fault @ Fault::FailRead { .. }) => {
                 drop(faults);
                 self.record_fired(FaultOp::Read, fault, ord, page);
-                ReadPlan::Fail(ord)
+                ReadAction::Fail(ord)
             }
             Some(fault @ Fault::ShortRead { len, .. }) => {
                 drop(faults);
                 self.record_fired(FaultOp::Read, fault, ord, page);
-                ReadPlan::Short { len }
+                ReadAction::Short { len }
             }
-            _ => ReadPlan::Proceed,
+            _ => ReadAction::Proceed,
         }
     }
 
     /// Claims the next write ordinal and reports what to do with the
     /// physical write of `page`. A firing fault is consumed and
     /// recorded (see [`FaultInjector::fired`]).
-    pub(crate) fn plan_write(&self, page: PageId) -> WritePlan {
+    pub(crate) fn plan_write(&self, page: PageId) -> WriteAction {
         let ord = self.writes.fetch_add(1, Ordering::Relaxed);
         if !self.armed.load(Ordering::Acquire) {
-            return WritePlan::Proceed;
+            return WriteAction::Proceed;
         }
         let mut faults = self.faults.lock().expect("fault injector poisoned");
         let hit = faults.iter().position(
@@ -199,14 +199,14 @@ impl FaultInjector {
             Some(fault @ Fault::FailWrite { .. }) => {
                 drop(faults);
                 self.record_fired(FaultOp::Write, fault, ord, page);
-                WritePlan::Fail(ord)
+                WriteAction::Fail(ord)
             }
             Some(fault @ Fault::TornWrite { keep, .. }) => {
                 drop(faults);
                 self.record_fired(FaultOp::Write, fault, ord, page);
-                WritePlan::Torn { keep, ordinal: ord }
+                WriteAction::Torn { keep, ordinal: ord }
             }
-            _ => WritePlan::Proceed,
+            _ => WriteAction::Proceed,
         }
     }
 }
@@ -232,18 +232,18 @@ mod tests {
     fn faults_fire_on_their_ordinal_and_are_consumed() {
         let inj = FaultInjector::new();
         inj.arm(Fault::FailWrite { nth: 1 });
-        assert!(matches!(inj.plan_write(PageId(8)), WritePlan::Proceed));
-        assert!(matches!(inj.plan_write(PageId(9)), WritePlan::Fail(1)));
+        assert!(matches!(inj.plan_write(PageId(8)), WriteAction::Proceed));
+        assert!(matches!(inj.plan_write(PageId(9)), WriteAction::Fail(1)));
         // Consumed: the same ordinal space keeps counting, no re-fire.
-        assert!(matches!(inj.plan_write(PageId(9)), WritePlan::Proceed));
+        assert!(matches!(inj.plan_write(PageId(9)), WriteAction::Proceed));
     }
 
     #[test]
     fn read_and_write_ordinals_are_independent() {
         let inj = FaultInjector::new();
         inj.arm(Fault::FailRead { nth: 0 });
-        assert!(matches!(inj.plan_write(P), WritePlan::Proceed));
-        assert!(matches!(inj.plan_read(P), ReadPlan::Fail(0)));
+        assert!(matches!(inj.plan_write(P), WriteAction::Proceed));
+        assert!(matches!(inj.plan_read(P), ReadAction::Fail(0)));
     }
 
     #[test]
@@ -253,12 +253,12 @@ mod tests {
         inj.arm(Fault::ShortRead { nth: 0, len: 64 });
         assert!(matches!(
             inj.plan_write(P),
-            WritePlan::Torn {
+            WriteAction::Torn {
                 keep: 100,
                 ordinal: 0
             }
         ));
-        assert!(matches!(inj.plan_read(P), ReadPlan::Short { len: 64 }));
+        assert!(matches!(inj.plan_read(P), ReadAction::Short { len: 64 }));
     }
 
     #[test]

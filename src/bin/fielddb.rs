@@ -320,7 +320,7 @@ fn query(
 }
 
 /// Runs one Q2 band query with tracing enabled and prints its
-/// structured EXPLAIN record: planner decision, per-phase page counts
+/// structured EXPLAIN record: plan, per-phase page counts
 /// and wall timings (filter/refine/other summing to the span total),
 /// epoch, and buffer-pool hit ratio. `--json` emits the machine form.
 fn explain(path: &str, band: Interval, json: bool, eng: EngineOpts) -> Result<String, String> {

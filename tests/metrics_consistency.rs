@@ -274,17 +274,15 @@ fn explain_phase_timings_and_pages_sum_within_the_span() {
 }
 
 /// Emission is owned by the one Q2 executor, so no query path can drift:
-/// with the tracer on, every product index — on every plan it can
-/// choose — adds exactly one record to the tracer's ring, internally
+/// with the tracer on, every product index — an ingest snapshot
+/// included — adds exactly one record to the tracer's ring, internally
 /// consistent and carrying the digest of the answer it returned, and
 /// the flight record derived from it agrees with it.
 #[cfg(not(feature = "obs-off"))]
 #[test]
 fn every_index_emits_one_explain_and_one_flight_record() {
     use contfield::geom::Interval;
-    use contfield::index::{
-        AdaptiveIndex, IAll, IngestConfig, IntervalQuadtree, LiveIngest, Plan, ValueIndex,
-    };
+    use contfield::index::{IAll, IngestConfig, IntervalQuadtree, LiveIngest, ValueIndex};
     use contfield::obs::answer_digest;
 
     let field = roseburg_standin(5);
@@ -294,17 +292,15 @@ fn every_index_emits_one_explain_and_one_flight_record() {
     let tracer = engine.metrics().tracer();
     tracer.set_enabled(true);
     let mut seen = 0;
-    let mut check = |index: &dyn ValueIndex, band: Interval, plan: &str| {
-        let what = format!("{} ({plan})", index.name());
+    let mut check = |index: &dyn ValueIndex, band: Interval| {
+        let what = index.name();
         let stats = index.query_stats(&engine, band).expect("query");
         seen += 1;
         let explains = tracer.recent_explains();
         assert_eq!(explains.len(), seen, "{what}: one ring record per query");
         let e = explains[seen - 1];
-        assert_eq!(e.plan, plan, "{what}");
-        // One filter tree: the plane is a function of the plan.
-        let plane = if plan == "scan" { "cells" } else { "paged" };
-        assert_eq!(e.plane, plane, "{what}");
+        // Every query probes the one filter tree.
+        assert_eq!((e.plan, e.plane), ("probe", "paged"), "{what}");
         assert_eq!(e.ordinal, seen as u64 - 1, "{what}");
         assert_eq!(
             e.filter_ns + e.refine_ns + e.other_ns(),
@@ -332,39 +328,18 @@ fn every_index_emits_one_explain_and_one_flight_record() {
         assert_eq!(records[0], (&e).into(), "{what}");
     };
 
-    check(
-        &IHilbert::build(&engine, &field).expect("build"),
-        narrow,
-        "probe",
-    );
+    check(&IHilbert::build(&engine, &field).expect("build"), narrow);
     let threshold = dom.width() / 8.0;
     check(
         &IntervalQuadtree::build(&engine, &field, threshold).expect("build"),
         narrow,
-        "probe",
     );
-    check(
-        &IAll::build(&engine, &field).expect("build"),
-        narrow,
-        "probe",
-    );
+    check(&IAll::build(&engine, &field).expect("build"), narrow);
 
-    let adaptive = AdaptiveIndex::build(&engine, &field).expect("build");
-    assert_eq!(adaptive.plan(narrow), Plan::IndexProbe);
-    assert_eq!(adaptive.plan(dom), Plan::FullScan);
-    check(&adaptive, narrow, "probe");
-    check(&adaptive, dom, "scan");
-
-    for (scan_threshold, plan) in [(None, "probe"), (Some(0.0), "scan")] {
-        let base = IHilbert::build(&engine, &field).expect("build");
-        let config = IngestConfig {
-            scan_threshold,
-            ..Default::default()
-        };
-        let live = LiveIngest::new(&engine, base, config).expect("live");
-        let mut rec = live.cell_record(&engine, 3).expect("cell record");
-        rec.vals = [dom.denormalize(0.975); 4];
-        live.ingest(&engine, 3, rec).expect("ingest");
-        check(&*live.snapshot(), narrow, plan);
-    }
+    let base = IHilbert::build(&engine, &field).expect("build");
+    let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let mut rec = live.cell_record(&engine, 3).expect("cell record");
+    rec.vals = [dom.denormalize(0.975); 4];
+    live.ingest(&engine, 3, rec).expect("ingest");
+    check(&*live.snapshot(), narrow);
 }
