@@ -77,18 +77,6 @@ impl<const N: usize> Aabb<N> {
         (0..N).map(|d| self.extent(d)).product()
     }
 
-    /// Margin: the sum of extents over all dimensions.
-    ///
-    /// This is the quantity (half-perimeter in 2-D) minimized by the
-    /// R\*-tree split-axis selection.
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (0..N).map(|d| self.extent(d)).sum()
-    }
-
     /// Center point of the box.
     #[inline]
     pub fn center(&self) -> [f64; N] {
@@ -129,38 +117,6 @@ impl<const N: usize> Aabb<N> {
         Aabb { lo, hi }
     }
 
-    /// Volume of the overlap region (0 when disjoint).
-    #[inline]
-    pub fn intersection_volume(&self, other: &Aabb<N>) -> f64 {
-        let mut v = 1.0;
-        for d in 0..N {
-            let lo = self.lo[d].max(other.lo[d]);
-            let hi = self.hi[d].min(other.hi[d]);
-            if lo >= hi {
-                return 0.0;
-            }
-            v *= hi - lo;
-        }
-        v
-    }
-
-    /// Volume increase required for `self` to absorb `other`.
-    ///
-    /// This is the R-tree insertion heuristic "least enlargement".
-    #[inline]
-    pub fn enlargement(&self, other: &Aabb<N>) -> f64 {
-        self.union(other).volume() - self.volume()
-    }
-
-    /// Grows the box in place to absorb `other`.
-    #[inline]
-    pub fn merge(&mut self, other: &Aabb<N>) {
-        for d in 0..N {
-            self.lo[d] = self.lo[d].min(other.lo[d]);
-            self.hi[d] = self.hi[d].max(other.hi[d]);
-        }
-    }
-
     /// Smallest box containing every box yielded by the iterator.
     ///
     /// Returns [`Aabb::EMPTY`] for an empty iterator.
@@ -194,7 +150,6 @@ mod tests {
     fn volume_margin_center() {
         let b = Aabb::new([0.0, 0.0], [2.0, 3.0]);
         assert_eq!(b.volume(), 6.0);
-        assert_eq!(b.margin(), 5.0);
         assert_eq!(b.center(), [1.0, 1.5]);
         let iv = Aabb::new([1.0], [4.0]);
         assert_eq!(iv.volume(), 3.0);
@@ -213,7 +168,6 @@ mod tests {
         assert_eq!(b.union(&Aabb::EMPTY), b);
         assert!(Aabb::<2>::EMPTY.is_empty());
         assert_eq!(Aabb::<2>::EMPTY.volume(), 0.0);
-        assert_eq!(Aabb::<2>::EMPTY.margin(), 0.0);
         assert!(!Aabb::<2>::EMPTY.intersects(&b));
     }
 
@@ -224,10 +178,6 @@ mod tests {
         let disjoint = Aabb::new([1.5, 0.0], [2.0, 1.0]);
         assert!(a.intersects(&touching));
         assert!(!a.intersects(&disjoint));
-        // Touching boxes overlap with zero volume.
-        assert_eq!(a.intersection_volume(&touching), 0.0);
-        let overlapping = Aabb::new([0.5, 0.5], [1.5, 2.0]);
-        assert!((a.intersection_volume(&overlapping) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -238,16 +188,6 @@ mod tests {
         assert!(!inner.contains(&outer));
         assert!(outer.contains_point(&[0.0, 10.0]));
         assert!(!outer.contains_point(&[10.1, 5.0]));
-    }
-
-    #[test]
-    fn enlargement_heuristic() {
-        let a = Aabb::new([0.0, 0.0], [1.0, 1.0]);
-        let inside = Aabb::new([0.2, 0.2], [0.8, 0.8]);
-        assert_eq!(a.enlargement(&inside), 0.0);
-        let outside = Aabb::new([2.0, 0.0], [3.0, 1.0]);
-        // Union is [0,0]..[3,1] with volume 3; enlargement = 2.
-        assert!((a.enlargement(&outside) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -267,13 +207,6 @@ mod tests {
         let hb = Aabb::hull_of_points(&pts);
         assert_eq!(hb, Aabb::new([-2.0, 0.0], [3.0, 5.0]));
         assert_eq!(Aabb::hull_of_points(&[]), Aabb::EMPTY);
-    }
-
-    #[test]
-    fn merge_in_place() {
-        let mut a = Aabb::new([0.0], [1.0]);
-        a.merge(&Aabb::new([3.0], [4.0]));
-        assert_eq!(a, Aabb::new([0.0], [4.0]));
     }
 
     #[test]

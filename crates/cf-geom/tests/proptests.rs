@@ -57,23 +57,6 @@ proptest! {
     }
 
     #[test]
-    fn aabb_intersection_volume_bounded(a in aabb2(), b in aabb2()) {
-        let iv = a.intersection_volume(&b);
-        prop_assert!(iv >= 0.0);
-        prop_assert!(iv <= a.volume() + 1e-6);
-        prop_assert!(iv <= b.volume() + 1e-6);
-        prop_assert_eq!(iv > 0.0, b.intersection_volume(&a) > 0.0);
-    }
-
-    #[test]
-    fn aabb_enlargement_nonnegative(a in aabb2(), b in aabb2()) {
-        prop_assert!(a.enlargement(&b) >= -1e-9);
-        if a.contains(&b) {
-            prop_assert!(a.enlargement(&b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn barycentric_coordinates_sum_to_one(
         a in point2(), b in point2(), c in point2(), p in point2()
     ) {

@@ -69,6 +69,11 @@ impl<const K: usize> VectorIHilbert<K> {
         self.tree.num_pages()
     }
 
+    /// The Hilbert-ordered cell file the subfields point into.
+    pub fn cell_file(&self) -> &CellFile<VectorCellRecord<K>> {
+        &self.file
+    }
+
     /// Multi-attribute value query: regions where every component lies
     /// inside `query` (a box in the K-dimensional value domain).
     pub fn query_with(

@@ -79,6 +79,11 @@ impl VolumeIHilbert {
         self.file.data_pages()
     }
 
+    /// The Hilbert-ordered cell file the subfields point into.
+    pub fn cell_file(&self) -> &CellFile<VolumeCellRecord> {
+        &self.file
+    }
+
     /// Volume value query: filter subfields, read cell runs, and return
     /// statistics where [`QueryStats::area`] is the exact answer
     /// *volume* (in cell units).

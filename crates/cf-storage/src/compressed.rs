@@ -25,9 +25,10 @@
 //! [`crate::CellFile`] in `heap.rs`, which reaches this module from the
 //! four helpers that branch on the layout.
 //!
-//! This file decodes on-disk bytes and denies clippy's `unwrap_used`
-//! and `panic`: corruption surfaces as [`CfError::Corrupt`].
-#![deny(clippy::unwrap_used, clippy::panic)]
+//! This file decodes on-disk bytes and denies clippy's `unwrap_used`,
+//! `expect_used` and `panic`: corruption surfaces as
+//! [`CfError::Corrupt`]. Its tests may `expect`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::compress::{self, decode_page, ColSpec, PageEncoder};
 use crate::{codec, CfError, CfResult, PageBuf, PageId, Record, StorageEngine, PAGE_SIZE};
@@ -142,7 +143,8 @@ impl Directory {
     /// worst-case byte each (the 2-bit tag can open a new tag byte).
     /// The whole encoded file is staged in memory before the run is
     /// allocated (the page count is not known up front), then written
-    /// through the buffered write-back path like the fixed layout.
+    /// through the buffered write-back path like the fixed layout. Each
+    /// data page's encode time is observed in `storage_page_encode`.
     pub(crate) fn create<R: Record>(
         engine: &StorageEngine,
         records: impl IntoIterator<Item = R>,
@@ -155,23 +157,26 @@ impl Directory {
         let mut page_starts: Vec<u32> = Vec::new();
         let mut image = vec![0u8; R::SIZE];
         let mut len = 0usize;
+        let mut clock = Stopwatch::start();
+        let mut flush = |enc: &mut PageEncoder, len: usize| {
+            let mut buf: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
+            page_starts.push((len - enc.count()) as u32);
+            enc.flush_into(&mut buf[..]);
+            pages.push(buf);
+            engine.page_encode_ns.observe_ns(clock.elapsed_ns());
+            clock = Stopwatch::start();
+        };
         for r in records {
             r.encode(&mut image);
             if !enc.try_push(&image, reserve) {
-                let mut buf: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
-                page_starts.push((len - enc.count()) as u32);
-                enc.flush_into(&mut buf[..]);
-                pages.push(buf);
+                flush(&mut enc, len);
                 let ok = enc.try_push(&image, reserve);
                 debug_assert!(ok, "first record of a page always fits");
             }
             len += 1;
         }
         if enc.count() > 0 {
-            let mut buf: Box<PageBuf> = Box::new([0u8; PAGE_SIZE]);
-            page_starts.push((len - enc.count()) as u32);
-            enc.flush_into(&mut buf[..]);
-            pages.push(buf);
+            flush(&mut enc, len);
         }
         if pages.is_empty() {
             // Degenerate empty file: one all-zero data page, like the
@@ -299,11 +304,14 @@ impl Directory {
     }
 
     /// Encodes `images` as one page with no reserve held back, or
-    /// `None` when they no longer fit in `PAGE_SIZE`.
+    /// `None` when they no longer fit in `PAGE_SIZE`. Observes the
+    /// encode-time histogram for a page that fits.
     pub(crate) fn encode_page<'a>(
         &self,
+        engine: &StorageEngine,
         images: impl Iterator<Item = &'a [u8]>,
     ) -> Option<PageBuf> {
+        let clock = Stopwatch::start();
         let mut enc = PageEncoder::new(self.cols.clone(), self.groups.clone());
         for image in images {
             if !enc.try_push(image, 0) {
@@ -312,11 +320,13 @@ impl Directory {
         }
         let mut buf: PageBuf = [0u8; PAGE_SIZE];
         enc.flush_into(&mut buf);
+        engine.page_encode_ns.observe_ns(clock.elapsed_ns());
         Some(buf)
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::heap::tests::{self as suite, kv};

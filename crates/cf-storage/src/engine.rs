@@ -50,6 +50,9 @@ pub struct StorageEngine {
     /// observes it per page and must not go through the registry's
     /// by-name lookup (one global mutex) each time.
     pub(crate) page_decode_ns: Histogram,
+    /// `storage_page_encode`, resolved once like its sibling: every
+    /// compressed page a build, repack or `put` writes observes it.
+    pub(crate) page_encode_ns: Histogram,
     codec: PageCodec,
 }
 
@@ -61,6 +64,7 @@ impl StorageEngine {
             disk: DiskManager::new_on(Arc::clone(&metrics)),
             pool: config.build_pool(Arc::clone(&metrics)),
             page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
+            page_encode_ns: metrics.time_histogram("storage_page_encode", &[]),
             metrics,
             codec: config.codec,
         }
@@ -87,6 +91,7 @@ impl StorageEngine {
             disk: DiskManager::open_file_on(path, Arc::clone(&metrics))?,
             pool: config.build_pool(Arc::clone(&metrics)),
             page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
+            page_encode_ns: metrics.time_histogram("storage_page_encode", &[]),
             metrics,
             codec: config.codec,
         })

@@ -322,7 +322,11 @@ impl<R: Record> CellFile<R> {
     /// Inverse of [`CellFile::with_page_images`]: the bytes of a data
     /// page holding `images` in order, or `None` when a compressed page
     /// cannot fit them.
-    fn encode_page<'a>(&self, images: impl Iterator<Item = &'a [u8]>) -> Option<PageBuf> {
+    fn encode_page<'a>(
+        &self,
+        engine: &StorageEngine,
+        images: impl Iterator<Item = &'a [u8]>,
+    ) -> Option<PageBuf> {
         match &self.layout {
             Layout::Fixed => {
                 let mut buf: PageBuf = [0u8; PAGE_SIZE];
@@ -331,7 +335,7 @@ impl<R: Record> CellFile<R> {
                 }
                 Some(buf)
             }
-            Layout::Directory(dir) => dir.encode_page(images),
+            Layout::Directory(dir) => dir.encode_page(engine, images),
         }
     }
 
@@ -381,7 +385,7 @@ impl<R: Record> CellFile<R> {
                     old
                 }
             });
-            (self.encode_page(patched), images.len() / R::SIZE)
+            (self.encode_page(engine, patched), images.len() / R::SIZE)
         })?;
         match buf {
             Some(buf) => engine.write_page(page_id, &buf),

@@ -21,7 +21,7 @@
 use contfield::field::{VectorCellRecord, VolumeCellRecord};
 use contfield::index::{vector_linear_scan, volume_linear_scan, VolumeIHilbert};
 use contfield::prelude::*;
-use contfield::storage::{answer_digest, PageCodec, RecordFile};
+use contfield::storage::{answer_digest, CellFile, PageCodec, PageId, Record, RecordFile};
 use contfield::workload::geology::geology_field;
 use contfield::workload::ocean::ocean_field;
 use contfield::workload::{fractal::diamond_square, noise::urban_noise_tin, queries};
@@ -427,5 +427,61 @@ fn vector_answers_match_golden_digests() {
             )
         },
         VECTOR,
+    );
+}
+
+/// The compressed cell files' data pages of the four golden fields —
+/// grid, TIN, volume, vector — as `(data pages, FNV-1a of their bytes)`.
+/// Answers alone would not notice an encoder that wrote different but
+/// decodable pages; this pins the bytes themselves.
+const COMPRESSED_PAGES: [(usize, u64); 4] = [
+    (129, 0x0aa9_9203_339a_1d23),
+    (52, 0x63cf_d940_014e_8126),
+    (51, 0x5f69_ddf0_5772_ebfa),
+    (31, 0x3879_28c9_7d0c_fa38),
+];
+
+/// Data page count and byte fold of a cell file.
+fn fold_data_pages<R: Record>(engine: &StorageEngine, file: &CellFile<R>) -> (usize, u64) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for i in 0..file.data_pages() {
+        let page = PageId(file.first_page().0 + i as u64);
+        hash = engine
+            .with_page(page, |bytes| {
+                bytes.iter().fold(hash, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+            })
+            .expect("read");
+    }
+    (file.data_pages(), hash)
+}
+
+#[test]
+fn compressed_cell_pages_match_golden_bytes() {
+    let engine = engine_with(PageCodec::Compressed);
+    let grid = IHilbert::build(&engine, &diamond_square(7, 0.6, 0xEDB7)).expect("build");
+    let tin = IHilbert::build(&engine, &urban_noise_tin(5_000, 0xEDB7)).expect("build");
+    let volume = VolumeIHilbert::build(&engine, &geology_field(16, 0xEDB7)).expect("build");
+    let vector = VectorIHilbert::build(&engine, &ocean_field(48, 0xEDB7)).expect("build");
+    let got = [
+        fold_data_pages(&engine, grid.cell_file()),
+        fold_data_pages(&engine, tin.cell_file()),
+        fold_data_pages(&engine, volume.cell_file()),
+        fold_data_pages(&engine, vector.cell_file()),
+    ];
+    assert!(
+        got.iter().all(|&(pages, _)| pages > 1),
+        "every field spans several pages"
+    );
+    let show = |rows: &[(usize, u64)]| -> Vec<String> {
+        rows.iter()
+            .map(|(pages, hash)| format!("({pages}, {hash:#018x})"))
+            .collect()
+    };
+    assert_eq!(
+        show(&got),
+        show(&COMPRESSED_PAGES),
+        "compressed page bytes moved from the golden values"
     );
 }

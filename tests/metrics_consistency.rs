@@ -343,3 +343,37 @@ fn every_index_emits_one_explain_and_one_flight_record() {
     live.ingest(&engine, 3, rec).expect("ingest");
     check(&*live.snapshot(), narrow);
 }
+
+/// The storage plane times the page codec both ways: a compressed build
+/// observes `storage_page_encode` once per data page it writes, a `put`
+/// once more, and a full scan observes `storage_page_decode` once per
+/// data page it reads.
+#[cfg(not(feature = "obs-off"))]
+#[test]
+fn page_codec_histograms_count_every_compressed_page() {
+    use contfield::storage::{PageCodec, StorageConfig};
+
+    let field = roseburg_standin(6);
+    let engine = StorageEngine::new(StorageConfig {
+        codec: PageCodec::Compressed,
+        ..StorageConfig::default()
+    });
+    let index = IHilbert::build(&engine, &field).expect("build");
+    let file = index.cell_file();
+    let count = |name| {
+        engine
+            .metrics()
+            .histogram_stats(name, &[])
+            .map(|(count, _)| count as usize)
+    };
+    assert!(file.data_pages() > 1);
+    assert_eq!(count("storage_page_encode"), Some(file.data_pages()));
+    let record = file.get(&engine, 7).expect("get");
+    file.put(&engine, 7, &record).expect("put");
+    assert_eq!(count("storage_page_encode"), Some(file.data_pages() + 1));
+
+    engine.reset_stats();
+    assert_eq!(count("storage_page_encode"), Some(0));
+    file.read_range(&engine, 0..file.len()).expect("scan");
+    assert_eq!(count("storage_page_decode"), Some(file.data_pages()));
+}
