@@ -28,7 +28,7 @@
 //! process finds the catalog with [`read_bootstrap`] alone.
 //! [`open_database`] reopens such a file and refuses a path with no file
 //! behind it, which [`StorageEngine::open_file`] would create.
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::ihilbert::{method_label, IHilbert, PageBox, PosRecord};
 use crate::ingest::{DeltaRec, IngestConfig, LiveIngest};
@@ -438,10 +438,6 @@ impl<F: FieldModel> IHilbert<F> {
             pos_file,
             box_file,
         };
-        // Structural health gauges come straight from the reopened
-        // metadata; the cost-C distribution needs per-cell intervals and
-        // reappears on the first update.
-        index.inner.publish_health(engine.metrics(), None);
         Ok((index, slot))
     }
 }
@@ -561,6 +557,7 @@ pub fn read_bootstrap(engine: &StorageEngine) -> CfResult<PageId> {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::linear::LinearScan;

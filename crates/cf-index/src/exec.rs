@@ -31,7 +31,7 @@
 //! executor against. The volume and vector indexes share its filter
 //! ([`search_ranges`], generic over the tree dimension) and its range
 //! merge rule ([`coalesce`]) through [`probe`].
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::sfindex::subfield_of;
 use crate::stats::{QueryMetrics, QueryStats, RegionSink};
@@ -279,8 +279,6 @@ pub(crate) fn run<F: FieldModel>(
             index: q.metrics.index,
             // Every query probes the paged tree first; the fields keep
             // the EXPLAIN layout.
-            plan: "probe",
-            plane: "paged",
             curve: q.curve,
             band_lo: band.lo,
             band_hi: band.hi,
@@ -315,6 +313,7 @@ pub(crate) fn run<F: FieldModel>(
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -9,7 +9,7 @@
 //! ([`Reclaimer::free_unheld`]) at its next repack or save. So a run is
 //! freed only once nothing can read it any more, and a reader's drop is
 //! a plain `Arc` drop.
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use cf_storage::{CfResult, PageId};
 use std::sync::{Arc, Weak};
@@ -28,17 +28,10 @@ impl<T> Default for Reclaimer<T> {
 
 impl<T> Reclaimer<T> {
     /// Retires `generation`, the owner of `runs`: they are listed until
-    /// its last strong handle drops. Calls `each(first, pages,
-    /// deferred_total)` per run in order, and returns their pages.
-    pub(crate) fn retire(
-        &mut self,
-        generation: &Arc<T>,
-        runs: &[(PageId, usize)],
-        mut each: impl FnMut(PageId, usize, usize),
-    ) -> usize {
+    /// its last strong handle drops. Returns their pages.
+    pub(crate) fn retire(&mut self, generation: &Arc<T>, runs: &[(PageId, usize)]) -> usize {
         for &(first, pages) in runs {
             self.runs.push((first, pages, Arc::downgrade(generation)));
-            each(first, pages, self.deferred_pages());
         }
         runs.iter().map(|&(_, pages)| pages).sum()
     }
@@ -70,15 +63,10 @@ impl<T> Reclaimer<T> {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use cf_storage::CfError;
-
-    /// Retires `generation` as the owner of `runs` and returns their
-    /// pages.
-    fn retire(r: &mut Reclaimer<()>, generation: &Arc<()>, runs: &[(PageId, usize)]) -> usize {
-        r.retire(generation, runs, |_, _, _| {})
-    }
 
     /// Frees what is unheld and returns the runs freed, in order.
     fn take_freed(r: &mut Reclaimer<()>) -> Vec<(PageId, usize)> {
@@ -95,7 +83,7 @@ mod tests {
     fn unpinned_runs_ripen_immediately() {
         let mut r = Reclaimer::default();
         let owned = Arc::new(());
-        assert_eq!(retire(&mut r, &owned, &[(PageId(10), 4)]), 4);
+        assert_eq!(r.retire(&owned, &[(PageId(10), 4)]), 4);
         drop(owned);
         assert_eq!(take_freed(&mut r), vec![(PageId(10), 4)]);
         assert_eq!(take_freed(&mut r), vec![], "freed runs do not reappear");
@@ -107,7 +95,7 @@ mod tests {
         let mut r = Reclaimer::default();
         let writer = Arc::new(());
         let reader = Arc::clone(&writer);
-        retire(&mut r, &writer, &[(PageId(7), 2)]);
+        r.retire(&writer, &[(PageId(7), 2)]);
         drop(writer);
         assert_eq!(take_freed(&mut r), vec![]);
         assert_eq!(r.deferred_pages(), 2);
@@ -122,7 +110,7 @@ mod tests {
         let old = Arc::new(());
         let new = Arc::new(());
         let new_reader = Arc::clone(&new);
-        retire(&mut r, &old, &[(PageId(1), 1)]);
+        r.retire(&old, &[(PageId(1), 1)]);
         drop(old);
         // The reader holds the *new* generation only.
         assert_eq!(take_freed(&mut r), vec![(PageId(1), 1)]);
@@ -141,7 +129,7 @@ mod tests {
         let owned = Arc::new(());
         let a = Arc::clone(&owned);
         let b = Arc::clone(&owned);
-        retire(&mut r, &owned, &[(PageId(5), 3)]);
+        r.retire(&owned, &[(PageId(5), 3)]);
         drop(owned);
         drop(a);
         assert_eq!(take_freed(&mut r), vec![], "second reader still live");
@@ -154,15 +142,10 @@ mod tests {
         let mut r = Reclaimer::default();
         let held = Arc::new(());
         let reader = Arc::clone(&held);
-        let mut reported = Vec::new();
-        r.retire(
-            &held,
-            &[(PageId(0), 1), (PageId(4), 2)],
-            |first, pages, total| reported.push((first, pages, total)),
-        );
-        assert_eq!(reported, vec![(PageId(0), 1, 1), (PageId(4), 2, 3)]);
+        assert_eq!(r.retire(&held, &[(PageId(0), 1), (PageId(4), 2)]), 3);
+        assert_eq!(r.deferred_pages(), 3);
         let unheld = Arc::new(());
-        retire(&mut r, &unheld, &[(PageId(9), 1)]);
+        r.retire(&unheld, &[(PageId(9), 1)]);
         drop(held);
         drop(unheld);
         // Deferred pages count held and unheld runs alike.
@@ -178,11 +161,7 @@ mod tests {
     fn a_failed_free_requeues_the_runs_not_yet_freed() {
         let mut r = Reclaimer::default();
         let owned = Arc::new(());
-        retire(
-            &mut r,
-            &owned,
-            &[(PageId(1), 1), (PageId(2), 1), (PageId(3), 1)],
-        );
+        r.retire(&owned, &[(PageId(1), 1), (PageId(2), 1), (PageId(3), 1)]);
         drop(owned);
         let mut calls = 0;
         let result = r.free_unheld(|first, _| {

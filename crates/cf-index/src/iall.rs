@@ -12,7 +12,7 @@
 //! one-cell subfield `[cell, cell + 1)`. Its tree therefore holds one
 //! entry per cell, and a query reads the coalesced candidate runs with
 //! the same range sweep as every other index — each page once.
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::ihilbert::{check_record, checked_records};
 use crate::order::check_cell_count;
@@ -109,6 +109,7 @@ impl<F: FieldModel> ValueIndex for IAll<F> {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::linear::LinearScan;

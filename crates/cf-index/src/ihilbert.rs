@@ -6,12 +6,12 @@
 //! cells are physically contiguous on one page of the cell file, so the
 //! estimation step reads only pages that hold a retrieved subfield. The
 //! same file answers Q1 ([`IHilbert::value_at`]).
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::order::{cell_order, check_cell_count};
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
-use crate::subfield::{build_subfields_by_page, subfield_costs, Subfield, SubfieldConfig};
+use crate::subfield::{build_subfields_by_page, Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval, Point2};
 use cf_sfc::Curve;
@@ -83,7 +83,7 @@ pub(crate) fn write_generation<F: FieldModel>(
     intervals: &[Interval],
     curve: Curve,
     config: SubfieldConfig,
-) -> CfResult<(SubfieldIndex<F>, CellFile<PageBox>, Vec<Subfield>)> {
+) -> CfResult<(SubfieldIndex<F>, CellFile<PageBox>)> {
     let file = CellFile::create_as(engine, codec, records.iter().cloned())?;
     // Entry `i` of the box file is the union of data page `i`'s
     // record boxes.
@@ -99,7 +99,7 @@ pub(crate) fn write_generation<F: FieldModel>(
     let subfields = build_subfields_by_page(intervals, &file, config);
     let (label, curve_name) = (method_label(curve), curve.name());
     let inner = SubfieldIndex::build(engine, file, &subfields, &label, curve_name)?;
-    Ok((inner, box_file, subfields))
+    Ok((inner, box_file))
 }
 
 /// The I-Hilbert value index.
@@ -147,7 +147,7 @@ impl<F: FieldModel> IHilbert<F> {
         // A record's interval is its cell's (`FieldModel::record_interval`),
         // and the records are in hand: the repack takes them the same way.
         let intervals: Vec<Interval> = records.iter().map(F::record_interval).collect();
-        let (inner, box_file, subfields) = write_generation(
+        let (inner, box_file) = write_generation(
             engine,
             engine.codec(),
             records,
@@ -155,12 +155,6 @@ impl<F: FieldModel> IHilbert<F> {
             curve,
             config.subfield,
         )?;
-        // Exact per-subfield cost C = P/SI (the paper's `P = L`, base
-        // 1) — the per-cell intervals are in hand only here at build
-        // time, so this is where the health metrics get the full
-        // distribution.
-        let costs = subfield_costs(&subfields, SubfieldConfig::default(), |pos| intervals[pos]);
-        inner.publish_health(engine.metrics(), Some(&costs));
         // Size the map by the largest cell id, not the cell count: a
         // field reporting non-dense cell ids must not index out of
         // bounds here. Unmapped ids keep the sentinel and are rejected
@@ -387,6 +381,7 @@ impl<F: FieldModel> ValueIndex for IHilbert<F> {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::linear::LinearScan;

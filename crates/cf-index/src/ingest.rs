@@ -51,10 +51,9 @@ use crate::stats::{QueryStats, RegionSink, ValueIndex};
 use crate::subfield::{Subfield, SubfieldConfig};
 use cf_field::FieldModel;
 use cf_geom::Interval;
-use cf_storage::{codec, CfError, CfResult, Gauge, PageId, Record, Stopwatch, StorageEngine};
+use cf_storage::{codec, CfError, CfResult, Gauge, PageId, Record, StorageEngine};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Instant;
 
 /// What [`LiveIngest::persist_state`] hands the catalog writer: the
 /// base generation, the net delta entries (ascending by position) and
@@ -143,23 +142,11 @@ struct WriterState<F: FieldModel> {
     epoch: u64,
     /// Completed repacks (epoch swaps that replaced the base).
     repacks: u64,
-    /// When the delta last drained (repack or construction) — the
-    /// `ingest_repack_lag_ns` gauge reports time since.
-    last_drain: Instant,
-    /// When the current epoch was published — each publication reports
-    /// the age the outgoing epoch reached (`ingest_epoch_age_ns`).
-    last_publish: Instant,
 }
 
 /// Cached registry handles for the delta-pressure gauges.
 struct IngestGauges {
     delta_records: Gauge,
-    epoch: Gauge,
-    repack_lag_ns: Gauge,
-    repack_inflight: Gauge,
-    /// Age the outgoing epoch reached when the latest publication
-    /// replaced it (time between consecutive publishes).
-    epoch_age_ns: Gauge,
     /// Records rewritten per delta record drained by the latest
     /// repack: the write-amplification factor of the drain.
     write_amplification: Gauge,
@@ -172,10 +159,6 @@ impl IngestGauges {
         let registry = engine.metrics();
         Self {
             delta_records: registry.gauge("ingest_delta_records"),
-            epoch: registry.gauge("ingest_epoch"),
-            repack_lag_ns: registry.gauge("ingest_repack_lag_ns"),
-            repack_inflight: registry.gauge("ingest_repack_inflight"),
-            epoch_age_ns: registry.gauge("ingest_epoch_age_ns"),
             write_amplification: registry.gauge("ingest_write_amplification"),
             deferred_free_pages: registry.gauge("storage_deferred_free_pages"),
         }
@@ -195,6 +178,10 @@ pub struct RepackReport {
     /// freed once no snapshot holds that generation and the plane's
     /// last commit no longer names it.
     pub pages_retired: usize,
+    /// Subfields of the new base whose cell range the replaced base did
+    /// not have: what the drain actually regrouped (0 when not
+    /// repacked).
+    pub regroups: usize,
 }
 
 /// The live ingest plane over an [`IHilbert`] base (see module docs).
@@ -238,8 +225,6 @@ impl<F: FieldModel> LiveIngest<F> {
             sf_overrides: HashMap::new(),
             epoch,
             repacks: 0,
-            last_drain: Instant::now(),
-            last_publish: Instant::now(),
         };
         // Replayed positions come from the on-disk delta file: bound
         // them before anything indexes by them.
@@ -336,7 +321,7 @@ impl<F: FieldModel> LiveIngest<F> {
         state.overlays.insert(pos, record);
         state.sf_overrides.insert(sf_idx, iv);
         state.epoch += 1;
-        self.publish_locked(engine, &mut state);
+        self.publish_locked(engine, &state);
         Ok(())
     }
 
@@ -373,32 +358,11 @@ impl<F: FieldModel> LiveIngest<F> {
                 drained: 0,
                 epoch: state.epoch,
                 pages_retired: 0,
+                regroups: 0,
             });
         }
-        let gauges = self.gauges(engine);
-        gauges.repack_inflight.set(1.0);
-        let (epoch, writes) = (state.epoch, state.writes);
-        engine.metrics().journal().emit_with(|| {
-            cf_storage::Json::obj([
-                ("event", cf_storage::Json::Str("repack_start".into())),
-                ("epoch", cf_storage::Json::Num(epoch as f64)),
-                ("delta_records", cf_storage::Json::Num(writes as f64)),
-            ])
-        });
-        let result = self.repack_inner(engine, state);
-        gauges.repack_inflight.set(0.0);
-        result
-    }
-
-    fn repack_inner(
-        &self,
-        engine: &StorageEngine,
-        state: &mut WriterState<F>,
-    ) -> CfResult<RepackReport> {
-        let repack_clock = Stopwatch::start();
         let drained = state.writes;
-        // Held past the swap below: `repack_end` compares the two
-        // subfield catalogs.
+        // Held past the swap below, to retire it.
         let old_base = Arc::clone(&state.base);
         let inner = &old_base.inner;
         // Materialize the effective cell file: base order (cell
@@ -413,7 +377,7 @@ impl<F: FieldModel> LiveIngest<F> {
         // function of the records and the new file's pages alone, never
         // of the query history.
         let curve = old_base.curve;
-        let (new_inner, box_file, subfields) = write_generation(
+        let (new_inner, box_file) = write_generation(
             engine,
             old_base.cell_codec(),
             records,
@@ -421,6 +385,7 @@ impl<F: FieldModel> LiveIngest<F> {
             curve,
             SubfieldConfig::default(),
         )?;
+        let regroups = regrouped(&inner.subfields, &new_inner.subfields);
         let new_base = IHilbert {
             inner: new_inner,
             curve,
@@ -428,7 +393,6 @@ impl<F: FieldModel> LiveIngest<F> {
             pos_file: old_base.pos_file.clone(),
             box_file,
         };
-        new_base.inner.publish_health(engine.metrics(), None);
 
         state.base = Arc::new(new_base);
         state.writes = 0;
@@ -436,11 +400,11 @@ impl<F: FieldModel> LiveIngest<F> {
         state.sf_overrides.clear();
         state.epoch += 1;
         state.repacks += 1;
-        state.last_drain = Instant::now();
 
-        let pages_retired = self.retire(engine, state, &old_base);
+        // The replaced generation's cell, tree and box runs stay listed
+        // until its last holder drops.
+        let pages_retired = state.reclaim.retire(&old_base, &old_base.page_runs()[..3]);
         self.publish_locked(engine, state);
-        let regroups = regrouped(&inner.subfields, &subfields);
         // With this handle gone, the old generation's runs are freed
         // unless a snapshot or the last commit still holds it.
         drop(old_base);
@@ -448,78 +412,29 @@ impl<F: FieldModel> LiveIngest<F> {
         // Write amplification of the drain: the whole cell file is
         // rewritten to fresh pages, so it is records-rewritten per
         // delta record drained.
-        let rewritten = state.base.inner_len();
-        let write_amp = rewritten as f64 / drained as f64;
+        let write_amp = state.base.inner_len() as f64 / drained as f64;
         self.gauges(engine).write_amplification.set(write_amp);
-        let epoch = state.epoch;
-        let wall_ns = repack_clock.elapsed_ns();
-        engine.metrics().journal().emit_with(|| {
-            cf_storage::Json::obj([
-                ("event", cf_storage::Json::Str("repack_end".into())),
-                ("epoch", cf_storage::Json::Num(epoch as f64)),
-                ("drained", cf_storage::Json::Num(drained as f64)),
-                ("subfields", cf_storage::Json::Num(subfields.len() as f64)),
-                ("regroups", cf_storage::Json::Num(regroups as f64)),
-                ("records_rewritten", cf_storage::Json::Num(rewritten as f64)),
-                ("pages_retired", cf_storage::Json::Num(pages_retired as f64)),
-                ("write_amplification", cf_storage::Json::Num(write_amp)),
-                ("wall_ns", cf_storage::Json::Num(wall_ns as f64)),
-            ])
-        });
         Ok(RepackReport {
             repacked: true,
             drained,
             epoch: state.epoch,
             pages_retired,
-        })
-    }
-
-    /// Retires `old`, the generation a repack just replaced: its cell,
-    /// tree and box runs are listed until its last holder drops. Counts
-    /// them as deferred (the publish that follows refreshes the gauge),
-    /// one `run_deferred` event each, and returns their pages.
-    fn retire(
-        &self,
-        engine: &StorageEngine,
-        state: &mut WriterState<F>,
-        old: &Arc<IHilbert<F>>,
-    ) -> usize {
-        let epoch = state.epoch;
-        let runs = &old.page_runs()[..3];
-        state.reclaim.retire(old, runs, |first, pages, deferred| {
-            engine.metrics().journal().emit_with(|| {
-                cf_storage::Json::obj([
-                    ("event", cf_storage::Json::Str("run_deferred".into())),
-                    ("retire_epoch", cf_storage::Json::Num(epoch as f64)),
-                    ("first_page", cf_storage::Json::Num(first.0 as f64)),
-                    ("pages", cf_storage::Json::Num(pages as f64)),
-                    ("deferred_total", cf_storage::Json::Num(deferred as f64)),
-                ])
-            });
+            regroups,
         })
     }
 
     /// Frees the runs of retired generations whose last holder dropped
-    /// through `free`, oldest first, one `run_reclaimed` event each.
-    /// When a free fails, the runs not yet freed stay listed for the
-    /// next repack or save.
+    /// through `free`, oldest first. When a free fails, the runs not yet
+    /// freed stay listed for the next repack or save.
     fn free_unheld(
         &self,
         engine: &StorageEngine,
         state: &mut WriterState<F>,
         free: fn(&StorageEngine, PageId, usize) -> CfResult<()>,
     ) -> CfResult<()> {
-        let result = state.reclaim.free_unheld(|first, pages| {
-            free(engine, first, pages)?;
-            engine.metrics().journal().emit_with(|| {
-                cf_storage::Json::obj([
-                    ("event", cf_storage::Json::Str("run_reclaimed".into())),
-                    ("first_page", cf_storage::Json::Num(first.0 as f64)),
-                    ("pages", cf_storage::Json::Num(pages as f64)),
-                ])
-            });
-            Ok(())
-        });
+        let result = state
+            .reclaim
+            .free_unheld(|first, pages| free(engine, first, pages));
         self.refresh_gauges(engine, state);
         result
     }
@@ -545,34 +460,16 @@ impl<F: FieldModel> LiveIngest<F> {
         self.free_unheld(engine, &mut state, StorageEngine::free_run_in_place)
     }
 
-    /// Publishes the writer state as a fresh immutable snapshot,
-    /// refreshes the delta-pressure gauges, and journals the epoch
-    /// publication (with the age the outgoing epoch reached).
-    fn publish_locked(&self, engine: &StorageEngine, state: &mut WriterState<F>) {
-        let epoch_age_ns = state.last_publish.elapsed().as_nanos() as u64;
-        state.last_publish = Instant::now();
-        let snapshot = make_snapshot(state);
-        *self.published.write().expect("published epoch poisoned") = snapshot;
-        self.gauges(engine).epoch_age_ns.set(epoch_age_ns as f64);
+    /// Publishes the writer state as a fresh immutable snapshot and
+    /// refreshes the delta-pressure gauges.
+    fn publish_locked(&self, engine: &StorageEngine, state: &WriterState<F>) {
+        *self.published.write().expect("published epoch poisoned") = make_snapshot(state);
         self.refresh_gauges(engine, state);
-        let (epoch, delta_records) = (state.epoch, state.writes);
-        engine.metrics().journal().emit_with(|| {
-            cf_storage::Json::obj([
-                ("event", cf_storage::Json::Str("epoch_published".into())),
-                ("epoch", cf_storage::Json::Num(epoch as f64)),
-                ("delta_records", cf_storage::Json::Num(delta_records as f64)),
-                ("epoch_age_ns", cf_storage::Json::Num(epoch_age_ns as f64)),
-            ])
-        });
     }
 
     fn refresh_gauges(&self, engine: &StorageEngine, state: &WriterState<F>) {
         let gauges = self.gauges(engine);
         gauges.delta_records.set(state.writes as f64);
-        gauges.epoch.set(state.epoch as f64);
-        gauges
-            .repack_lag_ns
-            .set(state.last_drain.elapsed().as_nanos() as f64);
         gauges
             .deferred_free_pages
             .set(state.reclaim.deferred_pages() as f64);

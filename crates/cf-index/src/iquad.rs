@@ -17,7 +17,7 @@ use crate::ihilbert::checked_records;
 use crate::order::check_cell_count;
 use crate::sfindex::SubfieldIndex;
 use crate::stats::{QueryStats, RegionSink, ValueIndex};
-use crate::subfield::{subfield_costs, Subfield, SubfieldConfig};
+use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval};
 use cf_storage::{CellFile, CfResult, StorageEngine};
@@ -71,10 +71,6 @@ impl<F: FieldModel> IntervalQuadtree<F> {
 
         let file = CellFile::create(engine, checked_records(field, order.iter().copied())?)?;
         let inner = SubfieldIndex::build(engine, file, &subfields, "I-Quad", "-")?;
-        let costs = subfield_costs(&subfields, SubfieldConfig::default(), |pos| {
-            intervals[order[pos]]
-        });
-        inner.publish_health(engine.metrics(), Some(&costs));
         Ok(Self { inner })
     }
 

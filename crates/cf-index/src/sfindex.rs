@@ -17,18 +17,10 @@ use crate::subfield::Subfield;
 use cf_field::FieldModel;
 use cf_geom::{Aabb, Interval};
 use cf_rtree::PagedRTree;
-use cf_storage::{
-    CellFile, CfError, CfResult, Label, MetricsRegistry, PageCodec, PageId, StorageEngine,
-};
+use cf_storage::{CellFile, CfError, CfResult, Label, MetricsRegistry, PageId, StorageEngine};
 use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::sync::OnceLock;
-
-/// Bucket bounds of the `index_health_cost_c` histogram. `C = P/SI` is
-/// 1.0 for a single-cell subfield and falls toward 0 as a subfield
-/// absorbs more cells of similar values, so the deciles of `(0, 1]`
-/// resolve the whole distribution.
-const COST_BUCKETS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
 
 /// A cell file in subfield order plus the interval tree over subfields.
 pub(crate) struct SubfieldIndex<F: FieldModel> {
@@ -118,68 +110,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
             .get_or_init(|| QueryMetrics::wire(registry, &self.metric_label))
     }
 
-    /// Publishes the derived index-health gauges, labeled with this
-    /// index's method name:
-    ///
-    /// * `index_health_subfields` — subfield count;
-    /// * `index_health_mean_interval_len` — mean subfield interval size
-    ///   `L` (with the paper's `+1` base, the numerator of `C = P/SI`);
-    /// * `index_health_mean_cells_per_subfield` — clustering quality
-    ///   proxy: the better the curve clusters similar values, the more
-    ///   cells each subfield absorbs before the cost rule closes it.
-    ///
-    /// When the per-subfield cost distribution is known (`costs`, exact
-    /// only at build time, when the per-cell intervals are in hand),
-    /// also sets `index_health_mean_cost_c` and fills the
-    /// `index_health_cost_c` histogram. Indexes reopened from a catalog
-    /// publish the gauges but leave the cost distribution empty rather
-    /// than re-reading the whole cell file.
-    pub(crate) fn publish_health(&self, registry: &MetricsRegistry, costs: Option<&[f64]>) {
-        let labels: &[(&str, &str)] = &[("index", &self.metric_label)];
-        let n = self.subfields.len();
-        registry
-            .gauge_with("index_health_subfields", labels)
-            .set(n as f64);
-        if n > 0 {
-            let mean_len = self
-                .subfields
-                .iter()
-                .map(|sf| sf.interval.size_with_base(1.0))
-                .sum::<f64>()
-                / n as f64;
-            registry
-                .gauge_with("index_health_mean_interval_len", labels)
-                .set(mean_len);
-            registry
-                .gauge_with("index_health_mean_cells_per_subfield", labels)
-                .set(self.file.len() as f64 / n as f64);
-        }
-        // Storage-side geometry of the cell file, the denominator of the
-        // paper's page-count metric: how many cells each data page holds
-        // and how much smaller the file is than its fixed-slot layout.
-        registry
-            .gauge_with("storage_cells_per_page", labels)
-            .set(self.file.records_per_page());
-        let raw_pages = CellFile::<F::CellRec>::span_pages(PageCodec::Raw, self.file.len(), 0);
-        registry
-            .gauge_with("storage_compression_ratio", labels)
-            .set(raw_pages as f64 / self.file.data_pages().max(1) as f64);
-        if let Some(costs) = costs {
-            // The mean is only meaningful over the full distribution
-            // (build time); incremental updates contribute single costs
-            // to the histogram without skewing the build-time mean.
-            if costs.len() == n {
-                registry
-                    .gauge_with("index_health_mean_cost_c", labels)
-                    .set(costs.iter().sum::<f64>() / n.max(1) as f64);
-            }
-            let hist = registry.histogram_with("index_health_cost_c", labels, &COST_BUCKETS);
-            for &c in costs {
-                hist.observe(c);
-            }
-        }
-    }
-
     /// Rewrites the cell record at file position `pos` and, when its
     /// subfield's interval moves, rewrites that subfield's tree entry
     /// in place ([`PagedRTree::replace_entry`]): the subfield set, and
@@ -199,15 +129,8 @@ impl<F: FieldModel> SubfieldIndex<F> {
         self.file.put(engine, pos, record)?;
         let sf_idx = subfield_of(&self.subfields, pos as u32) as usize;
         let sf = self.subfields[sf_idx];
-        // Recompute the subfield interval from its (updated) records,
-        // accumulating SI (the denominator of `C = P/SI`) in the same
-        // scan so the health metrics get the subfield's fresh cost.
-        let mut si = 0.0;
-        let new_iv = self.subfield_union(engine, sf_idx, |_, rec| {
-            let iv = F::record_interval(rec);
-            si += iv.size_with_base(1.0);
-            iv
-        })?;
+        // Recompute the subfield interval from its (updated) records.
+        let new_iv = self.subfield_union(engine, sf_idx, |_, rec| F::record_interval(rec))?;
         if new_iv != sf.interval {
             if !self
                 .tree
@@ -219,11 +142,6 @@ impl<F: FieldModel> SubfieldIndex<F> {
                 ));
             }
             self.subfields[sf_idx].interval = new_iv;
-            // Gauges derive from the subfield catalog, which just
-            // changed; the touched subfield's new cost joins the
-            // distribution (build-time costs stay, as a history).
-            let cost = new_iv.size_with_base(1.0) / si;
-            self.publish_health(engine.metrics(), Some(&[cost]));
         }
         Ok(())
     }

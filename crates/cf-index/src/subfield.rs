@@ -374,25 +374,6 @@ pub fn build_subfields_by_page<V: ValueSummary, R: Record>(
     out
 }
 
-/// Exact cost `C = P / SI` of every subfield under `config` — what the
-/// index-health metrics publish. `interval_at(pos)` is the value
-/// interval of the cell at linearized position `pos`.
-pub(crate) fn subfield_costs(
-    subfields: &[Subfield],
-    config: SubfieldConfig,
-    interval_at: impl Fn(usize) -> Interval,
-) -> Vec<f64> {
-    subfields
-        .iter()
-        .map(|sf| {
-            let si: f64 = (sf.start as usize..sf.end as usize)
-                .map(|pos| interval_at(pos).size_with_base(config.base))
-                .sum();
-            (sf.interval.size_with_base(config.base) + config.query_len) / si
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

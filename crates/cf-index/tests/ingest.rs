@@ -291,8 +291,8 @@ fn a_snapshot_after_a_repack_does_not_hold_the_replaced_generation() {
 
 /// The repack that replaces a generation nothing holds frees it itself:
 /// after a save, the first repack's generation is neither committed nor
-/// read, so the second repack frees its runs, one `run_reclaimed`
-/// event each.
+/// read, so the second repack defers and frees exactly its runs, while
+/// the committed built base stays deferred until the next save.
 #[test]
 fn a_repack_frees_the_generation_it_replaces_when_nothing_holds_it() {
     let engine = StorageEngine::in_memory();
@@ -304,36 +304,22 @@ fn a_repack_frees_the_generation_it_replaces_when_nothing_holds_it() {
     ingest_random(&live, &engine, 10, &mut rng);
     let first = live.repack(&engine).expect("first repack");
     assert_eq!(engine.free_pages(), 0, "the commit names the built base");
+    assert_eq!(
+        deferred_pages(&engine),
+        first.pages_retired as f64,
+        "the committed built base stays deferred"
+    );
     ingest_random(&live, &engine, 10, &mut rng);
-    let _ = engine.metrics().journal().take();
     let second = live.repack(&engine).expect("second repack");
+    assert_ne!(second.pages_retired, 0);
+    // What the second repack deferred, it freed: the free pages grew by
+    // its retired pages, and the deferred count is back where it was.
     assert_eq!(
         engine.free_pages(),
         second.pages_retired,
         "the second repack frees the first repack's generation"
     );
     assert_eq!(deferred_pages(&engine), first.pages_retired as f64);
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let events: Vec<(String, f64)> = engine
-            .metrics()
-            .journal()
-            .take()
-            .iter()
-            .filter_map(|e| {
-                let name = e.get("event")?.as_str()?.to_string();
-                Some((name, e.get("pages").and_then(|v| v.as_f64()).unwrap_or(0.0)))
-            })
-            .filter(|(name, _)| name.starts_with("run_"))
-            .collect();
-        let pages = |name: &str| -> f64 {
-            let runs = events.iter().filter(|(n, _)| n == name);
-            assert_eq!(runs.clone().count(), 3, "{name}: {events:?}");
-            runs.map(|(_, p)| p).sum()
-        };
-        assert_eq!(pages("run_deferred"), second.pages_retired as f64);
-        assert_eq!(pages("run_reclaimed"), second.pages_retired as f64);
-    }
     // The next save frees the built base.
     live.save_to(&engine, catalog).expect("save");
     assert_eq!(
@@ -858,14 +844,11 @@ fn ingest_rejects_nan_records_without_poisoning_the_plane() {
 
 /// Regression for the backpressure path: a write landing on a
 /// ring-at-capacity plane performs an inline synchronous drain, and
-/// the pressure gauges must stay truthful through it —
-/// `ingest_repack_inflight` rises and falls back to 0,
-/// `ingest_delta_records` drops from `capacity` to exactly the one
-/// triggering write, and the epoch-lifecycle journal records the
-/// drain as `repack_start` → `repack_end` with an `epoch_published`
-/// for the publication.
+/// the delta-pressure gauge and `status()` must stay truthful through
+/// it: `ingest_delta_records` drops from `capacity` to exactly the one
+/// triggering write, and the drain and the write each publish an epoch.
 #[test]
-fn inline_drain_backpressure_keeps_gauges_and_journal_truthful() {
+fn inline_drain_backpressure_keeps_the_delta_gauge_and_status_truthful() {
     let field = wavy_field(32);
     let engine = StorageEngine::in_memory();
     let base = IHilbert::build(&engine, &field).expect("build");
@@ -888,11 +871,7 @@ fn inline_drain_backpressure_keeps_gauges_and_journal_truthful() {
         live.ingest(&engine, cell, rec).expect("ingest");
     }
     assert_eq!(gauge("ingest_delta_records"), capacity as f64);
-    assert_eq!(gauge("ingest_repack_inflight"), 0.0);
-    let epoch_before = gauge("ingest_epoch");
-    // Discard the fill phase's journal entries so the assertions below
-    // see only the backpressure write's events.
-    let _ = engine.metrics().journal().take();
+    let (_, epoch_before, _) = live.status();
 
     // Ring at capacity: this write must drain inline first.
     let cell = rng.below(field.num_cells());
@@ -905,65 +884,62 @@ fn inline_drain_backpressure_keeps_gauges_and_journal_truthful() {
         1.0,
         "after the inline drain only the triggering write may remain"
     );
+    let (ring_len, epoch, repacks) = live.status();
+    assert_eq!((ring_len, repacks), (1, 1));
     assert_eq!(
-        gauge("ingest_repack_inflight"),
-        0.0,
-        "the inline drain must clear the inflight flag on its way out"
-    );
-    assert!(
-        gauge("ingest_epoch") >= epoch_before + 2.0,
+        epoch,
+        epoch_before + 2,
         "the drain and the write each publish an epoch"
     );
-    let (ring_len, _, repacks) = live.status();
-    assert_eq!((ring_len, repacks), (1, 1));
-
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let events: Vec<String> = engine
-            .metrics()
-            .journal()
-            .take()
-            .iter()
-            .filter_map(|e| e.get("event").and_then(|v| v.as_str()).map(str::to_string))
-            .collect();
-        let pos = |name: &str| events.iter().position(|e| e == name);
-        let start = pos("repack_start").expect("journal must record repack_start");
-        let end = pos("repack_end").expect("journal must record repack_end");
-        assert!(
-            start < end,
-            "repack_start must precede repack_end: {events:?}"
-        );
-        assert!(
-            pos("epoch_published").is_some(),
-            "publications must be journaled: {events:?}"
-        );
-    }
+    assert_eq!(live.snapshot().epoch(), epoch);
 
     // A repack that changes one cell (the triggering write still in
-    // the ring): `subfields` is the new base's catalog size, `regroups`
-    // counts only the subfields whose cell range is new.
+    // the ring) regroups only the subfields whose cell range is new.
     let report = live.repack(&engine).expect("repack");
     assert_eq!((report.repacked, report.drained), (true, 1));
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let journal = engine.metrics().journal().take();
-        let end = journal
-            .iter()
-            .find(|e| e.get("event").and_then(|v| v.as_str()) == Some("repack_end"))
-            .expect("journal must record repack_end");
-        let num = |key: &str| {
-            end.get(key)
-                .and_then(|v| v.as_f64())
-                .unwrap_or_else(|| panic!("repack_end carries no `{key}`: {end:?}"))
+    assert_eq!(report.epoch, epoch + 1);
+    let subfields = live.snapshot().num_intervals();
+    assert!(
+        report.regroups * 4 <= subfields,
+        "one changed cell regrouped {} of {subfields} subfields",
+        report.regroups
+    );
+}
+
+/// `RepackReport::regroups` counts the subfields of the new base whose
+/// cell range the replaced base's catalog lacks, comparing the two
+/// catalogs as read back through `IHilbert::subfields` (the built base,
+/// then each repack's base reopened from its save). An empty repack
+/// regroups nothing.
+#[test]
+fn repack_report_regroups_match_a_merge_of_the_two_catalogs() {
+    let engine = StorageEngine::in_memory();
+    let base = IHilbert::build(&engine, &wavy_field(16)).expect("build");
+    let mut before = base.subfields().to_vec();
+    let live = LiveIngest::new(&engine, base, IngestConfig::default()).expect("live");
+    let mut rng = Rng(71);
+    let mut regrouped_any = false;
+    for writes in [1, 6, 200] {
+        ingest_random(&live, &engine, writes, &mut rng);
+        let report = live.repack(&engine).expect("repack");
+        let catalog = live.save(&engine).expect("save");
+        let after = IHilbert::<GridField>::open(&engine, catalog)
+            .expect("reopen the repacked base")
+            .subfields()
+            .to_vec();
+        // Both catalogs partition the same positions, so the ranges new
+        // to `after` are the set difference of the two range sets.
+        let ranges = |c: &[Subfield]| -> BTreeSet<(u32, u32)> {
+            c.iter().map(|sf| (sf.start, sf.end)).collect()
         };
-        let subfields = live.snapshot().num_intervals() as f64;
-        assert_eq!(num("subfields"), subfields);
-        assert!(
-            num("regroups") * 4.0 <= subfields,
-            "one changed cell regrouped {} of {subfields} subfields",
-            num("regroups")
-        );
+        let new = ranges(&after).difference(&ranges(&before)).count();
+        assert_eq!(report.regroups, new, "{writes} writes");
+        regrouped_any |= report.regroups > 0;
+        before = after;
     }
+    assert!(regrouped_any, "200 random writes moved no subfield");
+    let idle = live.repack(&engine).expect("empty repack");
+    assert_eq!((idle.repacked, idle.regroups), (false, 0));
 }
 
 /// An ingest whose interval recompute fails mid-write (fault

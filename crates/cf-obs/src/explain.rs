@@ -1,18 +1,17 @@
 //! Structured per-query EXPLAIN records.
 //!
 //! An [`ExplainRecord`] captures everything the query pipeline knows
-//! about one executed query: its plan and the plane it read first (every
-//! query probes the paged tree, so these read `"probe"` and `"paged"`;
-//! the fields keep the record's layout), the space-filling curve behind the index, the
-//! subfield/cell/page counts of the filter and refine phases, the
+//! about one executed query (every query probes the paged tree, so the
+//! record names no plan): the index, the space-filling curve behind it,
+//! the subfield/cell/page counts of the filter and refine phases, the
 //! per-phase wall timings, the ingest epoch the snapshot was pinned
 //! to, and the buffer-pool hit ratio.
 //!
 //! The record is `Copy` and assembled allocation-free on the caller's
 //! stack from the span/counter handles the pipeline already maintains:
-//! string-ish fields are either `&'static str` (plan, plane) or a
-//! fixed-capacity inline [`Label`] (index and curve names, which exist
-//! as heap `String`s only at registration time).
+//! its string-ish fields are fixed-capacity inline [`Label`]s (index and
+//! curve names, which exist as heap `String`s only at registration
+//! time).
 //!
 //! It is the *only* per-query record: the pipeline hands each finished
 //! query's record to [`Tracer::record_query`](crate::Tracer::record_query)
@@ -107,12 +106,6 @@ pub struct ExplainRecord {
     pub query_id: u64,
     /// Index the query ran against (metric label, e.g. `I-Hilbert`).
     pub index: Label,
-    /// The query plan: always `"probe"` (the index), since the
-    /// executor has no scan branch.
-    pub plan: &'static str,
-    /// The plane the plan reads first: always `"paged"` (the tree,
-    /// through the pool).
-    pub plane: &'static str,
     /// Space-filling curve behind the index cell ordering.
     pub curve: Label,
     /// Queried value band, low end.
@@ -183,8 +176,8 @@ impl ExplainRecord {
     pub fn render_text(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str(&format!(
-            "query #{} on {} (plan={}, plane={}, curve={}, epoch={})\n",
-            self.query_id, self.index, self.plan, self.plane, self.curve, self.epoch
+            "query #{} on {} (curve={}, epoch={})\n",
+            self.query_id, self.index, self.curve, self.epoch
         ));
         out.push_str(&format!(
             "  band [{:.4}, {:.4}]  subfields={}  cells {}/{} qualifying\n",
@@ -220,8 +213,6 @@ impl ExplainRecord {
         Json::obj([
             ("query_id", Json::Num(self.query_id as f64)),
             ("index", Json::Str(self.index.as_str().to_string())),
-            ("plan", Json::Str(self.plan.to_string())),
-            ("plane", Json::Str(self.plane.to_string())),
             ("curve", Json::Str(self.curve.as_str().to_string())),
             ("band_lo", Json::Num(self.band_lo)),
             ("band_hi", Json::Num(self.band_hi)),
@@ -251,8 +242,6 @@ pub(crate) mod tests {
         ExplainRecord {
             query_id: 12,
             index: Label::new("I-Hilbert"),
-            plan: "probe",
-            plane: "paged",
             curve: Label::new("hilbert"),
             band_lo: 0.3,
             band_hi: 0.4,
@@ -302,8 +291,11 @@ pub(crate) mod tests {
     #[test]
     fn text_rendering_carries_the_breakdown() {
         let text = sample().render_text();
-        assert!(text.contains("plan=probe"), "{text}");
-        assert!(text.contains("plane=paged"), "{text}");
+        assert!(
+            text.starts_with("query #12 on I-Hilbert (curve=hilbert, epoch=0)\n"),
+            "{text}"
+        );
+        assert!(!text.contains("plan="), "{text}");
         assert!(text.contains("filter:"), "{text}");
         assert!(text.contains("refine:"), "{text}");
         assert!(text.contains("100.0% hit ratio"), "{text}");
@@ -313,7 +305,9 @@ pub(crate) mod tests {
     fn json_round_trips_through_the_parser() {
         let rec = sample();
         let doc = Json::parse(&rec.to_json().render()).expect("valid json");
-        assert_eq!(doc.get("plan").and_then(Json::as_str), Some("probe"));
+        assert_eq!(doc.get("plan"), None);
+        assert_eq!(doc.get("plane"), None);
+        assert_eq!(doc.get("curve").and_then(Json::as_str), Some("hilbert"));
         assert_eq!(doc.get("total_ns").and_then(Json::as_f64), Some(229_300.0));
         assert_eq!(doc.get("other_ns").and_then(Json::as_f64), Some(3_100.0));
         let sum = doc.get("filter_ns").and_then(Json::as_f64).unwrap()

@@ -1,7 +1,7 @@
 //! A minimal, dependency-free JSON value: parse, render, navigate.
 //!
-//! Every machine-readable record the crate emits (EXPLAIN records, the
-//! epoch journal's events) renders through this module, and the
+//! Every machine-readable record the crate emits (EXPLAIN records)
+//! renders through this module, and the
 //! benchmark ladder parses its own output and `BENCHMARK.json` back
 //! with it, so the byte format is defined exactly once. Scope is
 //! deliberately small — the full JSON grammar, no streaming, no custom

@@ -8,8 +8,8 @@
 //!   path. The storage plane's legacy accounting structs are *views*
 //!   over these, so registry totals and legacy totals are the same
 //!   atomics and can never drift.
-//! * [`Gauge`] — an `f64` that goes up and down (queue depth, index
-//!   health).
+//! * [`Gauge`] — an `f64` that goes up and down (queue depth, delta
+//!   records).
 //! * [`Histogram`] — fixed bucket bounds chosen at registration, atomic
 //!   bucket counts; no allocation after registration.
 //! * [`Tracer`] — one bounded ring of per-query [`ExplainRecord`]s;
@@ -36,13 +36,11 @@
 #![warn(missing_docs)]
 
 pub mod explain;
-mod journal;
 mod json;
 pub mod record;
 mod trace;
 
 pub use explain::{ExplainRecord, Label};
-pub use journal::EventJournal;
 pub use json::{Json, JsonError};
 pub use record::{answer_digest, decode_wrk, encode_wrk, WorkloadRecord, WORKLOAD_VERSION};
 pub use trace::{Stopwatch, Tracer, QUERY_RING_CAPACITY};
@@ -261,7 +259,6 @@ fn labels_eq(have: &[(String, String)], want: &[(&str, &str)]) -> bool {
 pub struct MetricsRegistry {
     families: Mutex<BTreeMap<String, Family>>,
     tracer: Tracer,
-    journal: EventJournal,
 }
 
 impl Default for MetricsRegistry {
@@ -269,7 +266,6 @@ impl Default for MetricsRegistry {
         Self {
             families: Mutex::new(BTreeMap::new()),
             tracer: Tracer::default(),
-            journal: EventJournal::default(),
         }
     }
 }
@@ -289,11 +285,6 @@ impl MetricsRegistry {
     /// The registry's query tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// The registry's epoch-lifecycle event journal.
-    pub fn journal(&self) -> &EventJournal {
-        &self.journal
     }
 
     fn register(
@@ -362,7 +353,7 @@ impl MetricsRegistry {
 
     /// Returns (registering on first use) the gauge `name` with the
     /// given label set.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+    fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         match self.register(
             name,
             labels,
@@ -385,7 +376,7 @@ impl MetricsRegistry {
 
     /// Returns (registering on first use) a histogram with caller-chosen
     /// bucket upper bounds. Bounds are fixed by the first registration.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> Histogram {
+    fn histogram_with(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> Histogram {
         match self.register(
             name,
             labels,
@@ -463,7 +454,7 @@ impl MetricsRegistry {
     }
 
     /// Zeroes every counter, gauge and histogram and clears the query
-    /// ring and the journal. Handles stay valid; tracer enablement and
+    /// ring. Handles stay valid; tracer enablement and
     /// thresholds are preserved. This is the engine-wide "forget warmup
     /// I/O" reset.
     pub fn reset(&self) {
@@ -479,7 +470,6 @@ impl MetricsRegistry {
         }
         drop(families);
         self.tracer.clear();
-        self.journal.clear();
     }
 
     /// Renders the registry in the Prometheus text exposition format.

@@ -15,7 +15,7 @@
 //! memory and on disk, so a recorded query replays with the *exact*
 //! float the pipeline executed — the digests are only comparable
 //! because no decimal round-trip ever happens.
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::explain::{ExplainRecord, Label};
 
@@ -60,7 +60,9 @@ impl From<&ExplainRecord> for WorkloadRecord {
             ordinal: rec.ordinal,
             band_lo: rec.band_lo,
             band_hi: rec.band_hi,
-            plane: Label::new(rec.plane),
+            // Every query probes the paged tree; the v1 layout keeps
+            // the label.
+            plane: Label::new("paged"),
             curve: rec.curve,
             epoch: rec.epoch,
             digest: rec.digest,
@@ -195,6 +197,7 @@ pub fn decode_wrk(bytes: &[u8]) -> Result<Vec<WorkloadRecord>, String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     #[cfg(not(feature = "obs-off"))]

@@ -274,7 +274,7 @@ mod tests {
         assert_eq!(wrk[0].ordinal, 0);
         assert_eq!(wrk[0].band_lo.to_bits(), fact.band_lo.to_bits());
         assert_eq!(wrk[0].band_hi.to_bits(), fact.band_hi.to_bits());
-        assert_eq!(wrk[0].plane.as_str(), fact.plane);
+        assert_eq!(wrk[0].plane.as_str(), "paged");
         assert_eq!(wrk[0].curve, fact.curve);
         assert_eq!(wrk[0].epoch, fact.epoch);
         assert_eq!(wrk[0].digest, fact.digest);

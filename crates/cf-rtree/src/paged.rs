@@ -25,7 +25,7 @@
 //! (DESIGN.md §8.1). Afterwards only entry boxes change
 //! ([`PagedRTree::replace_entry`]), so a tree never gains or loses a
 //! page and its run is derived from the root and the page count.
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::tree::RStarTree;
 use cf_geom::Aabb;
@@ -490,6 +490,7 @@ fn str_order<const N: usize>(entries: &mut [(Aabb<N>, u64)], axis: usize, fanout
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::tree::RTreeConfig;

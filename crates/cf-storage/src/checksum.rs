@@ -22,7 +22,7 @@
 //!
 //! This file decodes on-disk bytes and denies clippy's `unwrap_used`
 //! and `panic`: a bad entry surfaces as [`CfError::Corrupt`].
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::disk::{PageBuf, PageId};
 use crate::error::{CfError, CfResult};
@@ -240,6 +240,7 @@ pub fn verify_page(page: &PageBuf, entry: u64, id: PageId) -> CfResult<()> {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::PAGE_SIZE;

@@ -12,7 +12,7 @@
 //! must use the fallible [`try_get_u16`] (the compressed page header's
 //! only width) and map `None` to [`crate::CfError::Corrupt`]. This file
 //! denies clippy's `unwrap_used` and `panic` lints.
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 /// Writes a `u32` at `offset`, returning the offset just past it.
 #[inline(always)]
@@ -78,6 +78,7 @@ pub fn put_u16(buf: &mut [u8], offset: usize, v: u16) -> usize {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -14,7 +14,7 @@
 //!
 //! This file denies clippy's `unwrap_used` and `panic`, like every
 //! file on the persistence path.
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::BTreeMap;
 
@@ -117,6 +117,7 @@ impl FreeState {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 

@@ -17,7 +17,7 @@
 //! surface as [`crate::CfError`], and an index or range list that does
 //! not fit the file is a typed [`crate::CfError::InvalidRange`], not an
 //! assertion.
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::compressed::Directory;
 use crate::{codec, CfError, CfResult, PageBuf, PageCodec, PageId, StorageEngine, PAGE_SIZE};
@@ -584,6 +584,7 @@ impl Record for KvRecord {
 /// raw-named test here has a compressed-named counterpart in
 /// `compressed::tests` — those two share the body, one codec each.
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 pub(crate) mod tests {
     use super::*;
     use crate::{Fault, StorageConfig};

@@ -74,8 +74,8 @@ mod stats;
 
 pub use buffer::BufferPool;
 pub use cf_obs::{
-    answer_digest, decode_wrk, encode_wrk, Counter, EventJournal, ExplainRecord, Gauge, Histogram,
-    Json, Label, MetricsRegistry, Stopwatch, Tracer, WorkloadRecord,
+    answer_digest, decode_wrk, encode_wrk, Counter, ExplainRecord, Gauge, Histogram, Label,
+    MetricsRegistry, Stopwatch, Tracer, WorkloadRecord,
 };
 pub use compressed::PageCodec;
 pub use disk::{DiskManager, PageBuf, PageId, PAGE_SIZE};

@@ -412,10 +412,12 @@ fn ingest(
     let (delta, epoch, repacks) = live.status();
     Ok(format!(
         "ingested {updates} updates into {path} in {:.1} ms: epoch {epoch}, {repacks} repack(s), \
-         final drain {} records / {} pages retired, {delta} delta records pending, \
+         final drain {} records / {} subfields regrouped / {} pages retired, \
+         {delta} delta records pending, \
          {reads} interleaved snapshot reads (last: {qualifying} cells in [{:.3}, {:.3}])\n",
         started.elapsed().as_secs_f64() * 1e3,
         report.drained,
+        report.regroups,
         report.pages_retired,
         band.lo,
         band.hi,
@@ -771,6 +773,36 @@ mod tests {
     }
 
     #[test]
+    fn ingest_prints_the_subfields_its_drain_regrouped() {
+        let db = tmp("regroups");
+        run(&argv(&["create", &db, "--workload", "fractal", "--k", "5"])).expect("create");
+        let out = run(&argv(&["ingest", &db, "--updates", "128", "--seed", "7"])).expect("ingest");
+        let regroups: usize = out
+            .split(" subfields regrouped")
+            .next()
+            .and_then(|t| t.rsplit(' ').next())
+            .and_then(|t| t.parse().ok())
+            .unwrap_or_else(|| panic!("no regroup count in {out}"));
+        let info = run(&argv(&["info", &db])).expect("info");
+        let subfields: usize = info
+            .split("subfields: ")
+            .nth(1)
+            .and_then(|t| t.split(' ').next())
+            .and_then(|t| t.parse().ok())
+            .unwrap_or_else(|| panic!("no subfield count in {info}"));
+        assert!(
+            (1..=subfields).contains(&regroups),
+            "128 random updates regrouped {regroups} of {subfields} subfields: {out}"
+        );
+        // A session without writes drains and regroups nothing.
+        let idle = run(&argv(&["ingest", &db, "--updates", "0"])).expect("idle ingest");
+        assert!(
+            idle.contains("final drain 0 records / 0 subfields regrouped"),
+            "{idle}"
+        );
+    }
+
+    #[test]
     fn ingest_streams_updates_and_persists_the_epoch() {
         let db = tmp("ingest");
         run(&argv(&["create", &db, "--workload", "fractal", "--k", "5"])).expect("create");
@@ -807,8 +839,8 @@ mod tests {
         #[cfg(not(feature = "obs-off"))]
         {
             let out = run(&argv(&["explain", &db, "-0.2", "0.2"])).expect("explain");
-            assert!(out.contains("plan=probe"), "{out}");
             assert!(out.contains("curve=hilbert"), "{out}");
+            assert!(!out.contains("plan="), "{out}");
             assert!(out.contains("filter:"), "{out}");
             assert!(out.contains("refine:"), "{out}");
             assert!(out.contains("total"), "{out}");
@@ -829,9 +861,10 @@ mod tests {
                 f("filter_ns") + f("refine_ns") + f("other_ns"),
                 f("total_ns")
             );
+            assert_eq!(doc.get("plan"), None, "{j}");
             assert_eq!(
-                doc.get("plan").and_then(contfield::obs::Json::as_str),
-                Some("probe")
+                doc.get("curve").and_then(contfield::obs::Json::as_str),
+                Some("hilbert")
             );
         }
         // Under obs-off the tracer is inert; the command must say so

@@ -54,7 +54,7 @@
 //! | [`field`] | DEM / TIN / vector field models, estimation step |
 //! | [`index`] | LinearScan, I-All, I-Hilbert, Interval Quadtree, Q1, live ingest (a generation's pages freed when its last holder drops) |
 //! | [`workload`] | fractal / monotonic / noise / ocean generators |
-//! | [`obs`] | metrics registry, EXPLAIN ring, epoch journal, `.wrk` flight records |
+//! | [`obs`] | metrics registry, EXPLAIN ring, `.wrk` flight records |
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
