@@ -70,21 +70,27 @@ impl QueryBatch {
     /// Runs the batch against `index`, returning per-query results in
     /// query order plus batch-level aggregates.
     ///
-    /// Each query runs the index's ordinary sequential pipeline on one
-    /// worker; parallelism is across queries, so the per-query
-    /// statistics (counts, area bits, logical page reads) are identical
-    /// to calling [`ValueIndex::query_stats`] in a loop.
+    /// Each query runs the index's ordinary pipeline on one worker;
+    /// parallelism is across queries, so the per-query statistics
+    /// (counts, area bits, logical page reads) are identical to calling
+    /// [`ValueIndex::query_stats`] in a loop. A worker refines a large
+    /// query on two threads (DESIGN §17.12) only while the batch leaves
+    /// a CPU per worker idle (`2 × threads ≤ available_parallelism`):
+    /// beyond that every CPU already runs a worker, and a split would
+    /// only add its spawn.
     ///
     /// If any query fails (injected fault, corrupt page), the batch
     /// aborts and returns the first failing worker's error; partial
     /// results are discarded.
     pub fn run(&self, engine: &StorageEngine, index: &dyn ValueIndex) -> CfResult<BatchReport> {
+        let cpus = crate::exec::cpus();
         let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            cpus
         } else {
             self.threads
         };
         let threads = threads.min(self.queries.len()).max(1);
+        let busy_cpus = 2 * threads > cpus;
 
         let mut results: Vec<Option<BatchQueryResult>> = Vec::new();
         results.resize_with(self.queries.len(), || None);
@@ -113,6 +119,9 @@ impl QueryBatch {
                     let cursor = &cursor;
                     let slots = &slots;
                     scope.spawn(move || -> CfResult<()> {
+                        if busy_cpus {
+                            crate::exec::refine_on_this_thread_only();
+                        }
                         let mut busy_ns = 0u64;
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);

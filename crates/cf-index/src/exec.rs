@@ -20,7 +20,12 @@
 //! refine body is a closure handed to the generic `for_each_in_ranges`,
 //! monomorphised per field model, and the record decode, band test and
 //! area it calls in `cf-field` and `cf-geom` are `#[inline]`, so the
-//! path is one loop. An overlay is substituted by a merge: its entries,
+//! path is one loop. A large query without a sink refines on two
+//! threads (DESIGN §17.12): its runs are cut once at a page boundary and
+//! a scoped helper refines the upper part. Such a query does allocate:
+//! the helper thread, the vector of its region areas, its decode
+//! scratch on compressed pages, and one more run where the cut splits
+//! one. An overlay is substituted by a merge: its entries,
 //! sorted by position once per query, meet the sweep's ascending
 //! positions through one cursor, with no lookup per cell; a query
 //! without an overlay builds no cursor. Each answer region reaches the
@@ -37,13 +42,16 @@ use crate::sfindex::subfield_of;
 use crate::stats::{QueryMetrics, QueryStats, RegionSink};
 use crate::subfield::Subfield;
 use cf_field::FieldModel;
-use cf_geom::{signed_area, Aabb, Interval};
+use cf_geom::{signed_area, Aabb, Interval, Point2};
 use cf_rtree::{PagedRTree, SearchStats};
 use cf_storage::{
-    answer_digest, CellFile, CfResult, ExplainRecord, Label, Record, Stopwatch, StorageEngine,
+    answer_digest, CellFile, CfResult, ExplainRecord, IoStats, Label, Record, Stopwatch,
+    StorageEngine,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// What one query path supplies to [`run`].
 pub(crate) struct Q2<'a, R: Record> {
@@ -200,10 +208,177 @@ pub(crate) fn coalesce(ranges: &mut [(u32, u32)]) -> Vec<Range<usize>> {
     runs
 }
 
+/// Cells a query's coalesced runs must hold before its estimation step
+/// runs on two threads (DESIGN §17.12): below it, the helper's start-up
+/// (≈ 10 µs of spawn on the caller, ≈ 17 µs before the helper runs)
+/// costs more than half the refine saves on the cheapest field.
+pub(crate) const SPLIT_CELLS: usize = 4096;
+
+/// Cells the caller refines beyond half of a split query's: its head
+/// start while the helper thread starts (≈ 17 µs, 15–25 µs of refine).
+const CALLER_LEAD: usize = 512;
+
+thread_local! {
+    /// Cleared on the workers of a [`crate::QueryBatch`] that already
+    /// keeps every CPU busy: a split there only adds a spawn.
+    static MAY_SPLIT: Cell<bool> = const { Cell::new(true) };
+}
+
+/// Keeps every later query of the calling thread on that thread.
+pub(crate) fn refine_on_this_thread_only() {
+    MAY_SPLIT.set(false);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Queries this thread ran split: the unit tests check the gate.
+    static SPLITS: Cell<usize> = const { Cell::new(0) };
+    /// Set by the unit tests to make the helper's spawn fail.
+    static FAIL_SPAWN: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Starts a split query's helper on an unnamed scoped thread. Fails
+/// where the OS will not start a thread (a process or memory limit);
+/// the caller then sweeps both halves itself.
+fn spawn_helper<'scope, T: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    half: impl FnOnce() -> T + Send + 'scope,
+) -> std::io::Result<std::thread::ScopedJoinHandle<'scope, T>> {
+    #[cfg(test)]
+    if FAIL_SPAWN.get() {
+        return Err(std::io::Error::other("spawn refused by the test"));
+    }
+    std::thread::Builder::new().spawn_scoped(scope, half)
+}
+
+/// The CPUs this process may run on
+/// ([`std::thread::available_parallelism`], 1 when unknown), asked
+/// once: the split gate and [`crate::QueryBatch`]'s worker count both
+/// read it.
+pub(crate) fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Whether this process may run two threads at once. The unit tests
+/// split on any host, so that a one-CPU machine tests the split path
+/// too.
+fn two_cpus() -> bool {
+    cfg!(test) || cpus() >= 2
+}
+
+/// Cuts `runs` once, at the first record of the data page that holds
+/// their middle cell moved [`CALLER_LEAD`] cells up (or, when that page
+/// opens the runs, of the page after it): the range straddling the cut,
+/// if any, becomes two. No range before the cut reaches the cut page,
+/// so the two halves read disjoint page sets and every page is still
+/// read exactly once. Returns the cut position and the index of the
+/// first range after it, or `None` — runs untouched — when either half
+/// would be empty or a range ends past the file (the sweep then reports
+/// it).
+fn cut_at_page<R: Record>(
+    file: &CellFile<R>,
+    runs: &mut Vec<Range<usize>>,
+    cells: usize,
+) -> Option<(usize, usize)> {
+    let (first, last) = (runs.first()?.start, runs.last()?.end);
+    if last > file.len() {
+        return None;
+    }
+    let mut left = (cells / 2 + CALLER_LEAD).min(cells.checked_sub(1)?);
+    let run = runs.iter().find(|r| {
+        let inside = left < r.len();
+        if !inside {
+            left -= r.len();
+        }
+        inside
+    })?;
+    let page = file.page_no_of(run.start + left);
+    let span = file.page_span(page);
+    let cut = if span.start > first {
+        span.start
+    } else {
+        span.end
+    };
+    if cut >= last {
+        return None;
+    }
+    let k = runs.partition_point(|r| r.end <= cut);
+    if runs[k].start < cut {
+        let tail = cut..runs[k].end;
+        runs[k].end = cut;
+        runs.insert(k + 1, tail);
+        return Some((cut, k + 1));
+    }
+    Some((cut, k))
+}
+
+/// The estimation step's read: every record of `runs`
+/// ([`CellFile::for_each_in_ranges`], each page once) to `visit`, in
+/// ascending position, with the overlay records `subs` (sorted by
+/// position) substituted by merge — a cursor meets each substituted
+/// record in step, and no cell pays a lookup.
+fn sweep<R: Record>(
+    engine: &StorageEngine,
+    cells: &CellFile<R>,
+    runs: &[Range<usize>],
+    subs: &[(u32, &R)],
+    mut visit: impl FnMut(&R),
+) -> CfResult<()> {
+    if subs.is_empty() {
+        return cells.for_each_in_ranges(engine, runs, |_, rec| visit(&rec));
+    }
+    let mut cursor = subs.iter().peekable();
+    let mut last = None;
+    cells.for_each_in_ranges(engine, runs, |pos, rec| {
+        let pos = pos as u32;
+        debug_assert!(last < Some(pos), "sweep positions ascend");
+        last = Some(pos);
+        while cursor.next_if(|&&(p, _)| p < pos).is_some() {}
+        match cursor.next_if(|&&(p, _)| p == pos) {
+            Some(&(_, sub)) => visit(sub),
+            None => visit(&rec),
+        }
+    })
+}
+
+/// The per-cell refine body: counts `rec` into `stats` and hands each of
+/// its answer regions to `region` as a vertex slice on the stack; no
+/// polygon is built.
+#[inline]
+fn refine<F: FieldModel>(
+    rec: &F::CellRec,
+    band: Interval,
+    stats: &mut QueryStats,
+    region: &mut impl FnMut(&mut QueryStats, &[Point2]),
+) {
+    stats.cells_examined += 1;
+    if F::record_interval(rec).intersects(band) {
+        stats.cells_qualifying += 1;
+        F::record_band_visit(rec, band, &mut |vs| {
+            stats.num_regions += 1;
+            region(stats, vs);
+        });
+    }
+}
+
 /// Runs one Q2 query: passes each non-empty answer region to `sink`
 /// (`None` for a caller that keeps only the statistics) and returns the
 /// statistics. Region order — and with it every bit of the accumulated
 /// area — is ascending file position on every path.
+///
+/// A query without a sink whose runs hold at least [`SPLIT_CELLS`]
+/// cells, on a host with two CPUs, refines on two threads: the runs are
+/// cut once at a page boundary ([`cut_at_page`]), a scoped helper
+/// refines the upper half while the caller refines the lower, and the
+/// caller then adds the helper's counts, its I/O tally and its region
+/// areas one by one in file order. Every count, the area bits and the
+/// logical page reads are the one-thread sweep's. How those reads split
+/// into pool hits, misses and disk reads depends on how the two halves
+/// interleave when the pool holds fewer frames than the query reads
+/// pages. The helper's reads are in the returned `io`, not in the
+/// calling thread's [`cf_storage::thread_io_stats`]. Where the OS will
+/// not start the helper, the caller sweeps the upper half itself.
 pub(crate) fn run<F: FieldModel>(
     engine: &StorageEngine,
     band: Interval,
@@ -228,48 +403,83 @@ pub(crate) fn run<F: FieldModel>(
     // Step 2 (estimation): read the contiguous cell runs, merging
     // adjacent ranges and visiting every data page exactly once.
     let refine_clock = Stopwatch::start();
-    let runs = coalesce(&mut ranges);
-    // The per-cell refine body: every region reaches `sink` as a vertex
-    // slice on the stack, and no polygon is built.
-    let mut refine = |rec: F::CellRec| {
-        stats.cells_examined += 1;
-        if F::record_interval(&rec).intersects(band) {
-            stats.cells_qualifying += 1;
-            F::record_band_visit(&rec, band, &mut |vs| {
-                stats.num_regions += 1;
+    let mut runs = coalesce(&mut ranges);
+    let subs: Vec<(u32, &F::CellRec)> = match q.overlay {
+        None => Vec::new(),
+        Some(overlay) => {
+            let mut subs: Vec<_> = overlay.iter().map(|(&p, r)| (p, r)).collect();
+            subs.sort_unstable_by_key(|&(p, _)| p);
+            subs
+        }
+    };
+    let cells: usize = runs.iter().map(ExactSizeIterator::len).sum();
+    let cut = match sink {
+        None if cells >= SPLIT_CELLS && MAY_SPLIT.get() && two_cpus() => {
+            cut_at_page(q.cells, &mut runs, cells)
+        }
+        _ => None,
+    };
+    match cut {
+        None => sweep(engine, q.cells, &runs, &subs, |rec| {
+            refine::<F>(rec, band, &mut stats, &mut |stats, vs| {
                 stats.area += signed_area(vs).abs();
                 if let Some(sink) = sink.as_mut() {
                     sink(vs);
                 }
             });
-        }
-    };
-    match q.overlay {
-        None => q
-            .cells
-            .for_each_in_ranges(engine, &runs, |_, rec| refine(rec))?,
-        Some(overlay) => {
-            // Substitution by merge: the sweep visits positions in
-            // ascending order, so a cursor over the overlay sorted by
-            // position meets each substituted record in step, and no
-            // cell pays a map lookup.
-            let mut subs: Vec<(u32, &F::CellRec)> = overlay.iter().map(|(&p, r)| (p, r)).collect();
-            subs.sort_unstable_by_key(|&(p, _)| p);
-            let mut cursor = subs.iter().peekable();
-            let mut last = None;
-            q.cells.for_each_in_ranges(engine, &runs, |pos, rec| {
-                let pos = pos as u32;
-                debug_assert!(last < Some(pos), "sweep positions ascend");
-                last = Some(pos);
-                while cursor.next_if(|&&(p, _)| p < pos).is_some() {}
-                match cursor.next_if(|&&(p, _)| p == pos) {
-                    Some(&(_, sub)) => refine(sub.clone()),
-                    None => refine(rec),
-                }
-            })?
+        })?,
+        Some((cut, k)) => {
+            #[cfg(test)]
+            SPLITS.set(SPLITS.get() + 1);
+            let (lower, upper) = runs.split_at(k);
+            let (subs_lower, subs_upper) =
+                subs.split_at(subs.partition_point(|&(p, _)| (p as usize) < cut));
+            let cells = q.cells;
+            let upper_half = move || {
+                let before = cf_storage::thread_io_stats();
+                let mut part = QueryStats::default();
+                let mut areas = Vec::new();
+                sweep(engine, cells, upper, subs_upper, |rec| {
+                    refine::<F>(rec, band, &mut part, &mut |_, vs| {
+                        areas.push(signed_area(vs).abs());
+                    });
+                })
+                .map(|()| (part, areas, cf_storage::thread_io_stats() - before))
+            };
+            let (mine, theirs) = std::thread::scope(|scope| {
+                let helper = spawn_helper(scope, upper_half);
+                let mine = sweep(engine, cells, lower, subs_lower, |rec| {
+                    refine::<F>(rec, band, &mut stats, &mut |stats, vs| {
+                        stats.area += signed_area(vs).abs();
+                    });
+                });
+                let theirs = match helper {
+                    Ok(helper) => helper
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+                    // No thread to be had: the caller sweeps the upper
+                    // half after the lower, the same merge in the same
+                    // order. Its reads are in the caller's own tally.
+                    Err(_) => {
+                        upper_half().map(|(part, areas, _)| (part, areas, IoStats::default()))
+                    }
+                };
+                (mine, theirs)
+            });
+            // The lower half's error first: it is the one the
+            // one-thread sweep would have stopped at.
+            mine?;
+            let (part, areas, io) = theirs?;
+            stats.cells_examined += part.cells_examined;
+            stats.cells_qualifying += part.cells_qualifying;
+            stats.num_regions += part.num_regions;
+            for area in areas {
+                stats.area += area;
+            }
+            stats.io = io;
         }
     }
-    stats.io = cf_storage::thread_io_stats() - before;
+    stats.io = stats.io + (cf_storage::thread_io_stats() - before);
     let refine_ns = refine_clock.elapsed_ns();
     let query_ns = query_clock.elapsed_ns();
 
@@ -313,14 +523,4 @@ pub(crate) fn run<F: FieldModel>(
 }
 
 #[cfg(test)]
-#[allow(clippy::expect_used)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn coalesce_merges_touching_and_overlapping_ranges() {
-        let mut ranges = vec![(10, 20), (0, 4), (4, 7), (15, 30), (40, 41)];
-        assert_eq!(coalesce(&mut ranges), vec![0..7, 10..30, 40..41]);
-        assert!(coalesce(&mut []).is_empty());
-    }
-}
+mod tests;

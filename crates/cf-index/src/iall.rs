@@ -51,7 +51,7 @@ impl<F: FieldModel> IAll<F> {
                 interval: field.cell_interval(cell),
             })
             .collect();
-        let inner = SubfieldIndex::build(engine, file, &cells, "I-All", "-")?;
+        let inner = SubfieldIndex::build(engine, file, cells, "I-All", "-")?;
         Ok(Self { inner })
     }
 

@@ -98,7 +98,7 @@ pub(crate) fn write_generation<F: FieldModel>(
     drop(records);
     let subfields = build_subfields_by_page(intervals, &file, config);
     let (label, curve_name) = (method_label(curve), curve.name());
-    let inner = SubfieldIndex::build(engine, file, &subfields, &label, curve_name)?;
+    let inner = SubfieldIndex::build(engine, file, subfields, &label, curve_name)?;
     Ok((inner, box_file))
 }
 

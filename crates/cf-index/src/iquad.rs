@@ -70,7 +70,7 @@ impl<F: FieldModel> IntervalQuadtree<F> {
         debug_assert_eq!(order.len(), n);
 
         let file = CellFile::create(engine, checked_records(field, order.iter().copied())?)?;
-        let inner = SubfieldIndex::build(engine, file, &subfields, "I-Quad", "-")?;
+        let inner = SubfieldIndex::build(engine, file, subfields, "I-Quad", "-")?;
         Ok(Self { inner })
     }
 

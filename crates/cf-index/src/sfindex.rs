@@ -45,7 +45,8 @@ impl<F: FieldModel> SubfieldIndex<F> {
     /// Indexes `subfields` (expressed in positions of the cell file
     /// `file`, just written in the intended order): their intervals are
     /// packed bottom-up into the tree ([`PagedRTree::build`]), whatever
-    /// order they come in. `index` and `curve` name the owning method
+    /// order they come in, and the vector itself becomes the in-memory
+    /// catalog. `index` and `curve` name the owning method
     /// and its curve in every metric and EXPLAIN record.
     ///
     /// # Panics
@@ -55,7 +56,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
     pub(crate) fn build(
         engine: &StorageEngine,
         file: CellFile<F::CellRec>,
-        subfields: &[Subfield],
+        subfields: Vec<Subfield>,
         index: &str,
         curve: &str,
     ) -> CfResult<Self> {
@@ -68,7 +69,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
             engine,
             subfields.iter().map(|sf| (sf.interval.into(), sf.pack())),
         )?;
-        Ok(Self::assemble(file, tree, subfields.to_vec(), index, curve))
+        Ok(Self::assemble(file, tree, subfields, index, curve))
     }
 
     /// Reattaches to an index persisted in `engine` from its catalog

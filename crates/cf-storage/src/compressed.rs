@@ -89,7 +89,8 @@ const DIR_ENTRIES_PER_PAGE: usize = PAGE_SIZE / 4;
 
 thread_local! {
     /// Per-thread page decode scratch, shared by all compressed files on
-    /// the thread. Sized once per (page, record) shape and reused — the
+    /// the thread: the copy of the page being decoded, then its record
+    /// images. Sized once per (page, record) shape and reused — the
     /// range-scan hot path performs no allocation after warm-up.
     static DECODE_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
@@ -270,6 +271,12 @@ impl Directory {
     /// hands `f` its `count` record images of `rec_size` bytes,
     /// validating the decoded count against the directory's. Observes
     /// the decode-time histogram.
+    ///
+    /// The page is copied out of its frame into the scratch under the
+    /// pool-shard lock and decoded after the lock is released, so two
+    /// threads decoding pages of one shard (a small pool has a single
+    /// shard) overlap their decodes instead of queueing behind each
+    /// other.
     pub(crate) fn with_page_images<T>(
         &self,
         engine: &StorageEngine,
@@ -280,15 +287,16 @@ impl Directory {
     ) -> CfResult<T> {
         DECODE_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
-            scratch.resize(count * rec_size, 0);
+            scratch.resize(PAGE_SIZE + count * rec_size, 0);
+            let (page, images) = scratch.split_at_mut(PAGE_SIZE);
             let clock = Stopwatch::start();
-            let decoded = engine
-                .with_page(page_id, |page| {
-                    decode_page(&self.cols, &self.groups, rec_size, page, scratch)
-                })?
-                .map_err(|e| CfError::Corrupt {
-                    page: Some(page_id),
-                    detail: format!("compressed page decode: {e}"),
+            engine.with_page(page_id, |frame| page.copy_from_slice(frame))?;
+            let decoded =
+                decode_page(&self.cols, &self.groups, rec_size, page, images).map_err(|e| {
+                    CfError::Corrupt {
+                        page: Some(page_id),
+                        detail: format!("compressed page decode: {e}"),
+                    }
                 })?;
             if decoded != count {
                 return Err(CfError::Corrupt {
@@ -299,7 +307,7 @@ impl Directory {
                 });
             }
             engine.page_decode_ns.observe_ns(clock.elapsed_ns());
-            Ok(f(scratch))
+            Ok(f(images))
         })
     }
 

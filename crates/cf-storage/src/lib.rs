@@ -29,7 +29,9 @@
 //! shards so concurrent queries mostly avoid lock contention, and every
 //! I/O event is tallied both globally (atomics) and per thread
 //! ([`thread_io_stats`]) so parallel query paths can cost themselves
-//! exactly.
+//! exactly. A query refined on two threads sums its helper's tally into
+//! its own statistics; the calling thread's tally holds only its own
+//! reads.
 
 //! Every operation touching pages is fallible: physical reads verify a
 //! per-page checksum ([`checksum`]), failures surface as typed

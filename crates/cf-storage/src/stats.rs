@@ -120,6 +120,11 @@ thread_local! {
 /// other thread can touch this counter, the delta is exact under
 /// concurrency — the property the parallel query paths in `cf-index`
 /// rely on for per-query accounting.
+///
+/// It holds only this thread's reads. A Q2 query that `cf-index`
+/// refines on two threads reads the upper half of its pages on a helper
+/// thread: those reads are in the query's `QueryStats::io`, not in the
+/// calling thread's tally.
 pub fn thread_io_stats() -> IoStats {
     THREAD_IO.with(|c| c.get())
 }
