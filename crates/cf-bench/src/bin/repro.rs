@@ -23,9 +23,10 @@
 //! cleared before each query and no injected delay. Timings beyond these
 //! tables — per layer and end to end — are the `benchmark/` ladder's.
 //!
-//! `obs-overhead` prints a parseable `OBS_OVERHEAD_US_PER_QUERY` line;
-//! CI runs it once per feature set (default vs `obs-off`) and fails if
-//! the instrumented build is more than 3 % slower.
+//! `obs-overhead` prints parseable `OBS_OVERHEAD_US_PER_QUERY` (warm)
+//! and `OBS_OVERHEAD_COLD_US_PER_QUERY` (cold) lines; CI runs it once
+//! per feature set (default vs `obs-off`), fails if the instrumented
+//! build is more than 3 % slower warm, and prints the cold ratio.
 
 use cf_bench::{
     record_workload, render_batch_scaling, render_markdown, run_batch_scaling, run_method_point,
@@ -36,10 +37,10 @@ use cf_geom::Interval;
 use cf_index::{
     build_subfields, build_subfields_by_page, cell_order, create_database, open_database,
     read_bootstrap, write_bootstrap, IHilbert, IHilbertConfig, IntervalQuadtree, LinearScan,
-    SubfieldConfig, ValueIndex,
+    SubfieldConfig, ValueIndex, SPLIT_CELLS,
 };
 use cf_sfc::Curve;
-use cf_storage::{StorageConfig, StorageEngine};
+use cf_storage::{PageCodec, StorageConfig, StorageEngine};
 use cf_workload::{
     fractal::diamond_square, monotonic::monotonic_field, noise::urban_noise_tin,
     queries::interval_queries, terrain::roseburg_standin,
@@ -322,12 +323,16 @@ fn batch(opts: &Opts) {
     }
 }
 
-/// Measures the per-query cost of the observability plane on its most
-/// sensitive workload: warm in-memory queries (every page a pool hit)
-/// where no I/O can hide the counter updates.
-/// Prints a parseable `OBS_OVERHEAD_US_PER_QUERY` line; CI runs this
-/// once with default features and once with `obs-off` and compares the
-/// two numbers.
+/// Measures the per-query cost of the observability plane on two
+/// loops over the same field and queries, on one thread:
+/// - warm: in memory, every page a pool hit, so no I/O hides the
+///   counter updates (`OBS_OVERHEAD_US_PER_QUERY`);
+/// - cold: a compressed database file whose pool is cleared before
+///   each query, so every page is a physical read, a checksum and a
+///   decode, each observed (`OBS_OVERHEAD_COLD_US_PER_QUERY`).
+///
+/// CI runs this once with default features and once with `obs-off`
+/// and compares the numbers.
 fn obs_overhead(opts: &Opts) {
     use std::time::Instant;
 
@@ -354,6 +359,47 @@ fn obs_overhead(opts: &Opts) {
         cells
     );
     println!("OBS_OVERHEAD_US_PER_QUERY: {us:.4}");
+
+    // The cold loop times one thread's reads: it leaves out the bands
+    // that examine enough cells to refine on a second thread.
+    let below_gate: Vec<_> = queries
+        .iter()
+        .copied()
+        .filter(|q| {
+            let stats = index.query_stats(&engine, *q).expect("query");
+            stats.cells_examined < SPLIT_CELLS
+        })
+        .collect();
+    let db = TempDb::new("cf_sweep");
+    let engine = StorageEngine::open_file(
+        db.path(),
+        StorageConfig {
+            codec: PageCodec::Compressed,
+            ..StorageConfig::default()
+        },
+    )
+    .expect("open database file");
+    let index = IHilbert::build(&engine, &field).expect("build");
+    let reps = if opts.full { 100 } else { 20 };
+    let (mut cells, mut reads) = (0usize, 0u64);
+    let mut spent = std::time::Duration::ZERO;
+    for _ in 0..reps {
+        for q in &below_gate {
+            engine.clear_cache();
+            let t0 = Instant::now();
+            let stats = index.query_stats(&engine, *q).expect("query");
+            spent += t0.elapsed();
+            cells += stats.cells_examined;
+            reads += stats.io.disk_reads;
+        }
+    }
+    let runs = reps * below_gate.len();
+    let us = spent.as_secs_f64() * 1e6 / runs as f64;
+    println!(
+        "obs-overhead: {runs} cold queries, {cells} cells examined, {:.1} physical reads a query",
+        reads as f64 / runs as f64
+    );
+    println!("OBS_OVERHEAD_COLD_US_PER_QUERY: {us:.4}");
 }
 
 /// The `--workload` and `--db` paths `record` and `replay` both need.

@@ -211,8 +211,9 @@ pub(crate) fn coalesce(ranges: &mut [(u32, u32)]) -> Vec<Range<usize>> {
 /// Cells a query's coalesced runs must hold before its estimation step
 /// runs on two threads (DESIGN §17.12): below it, the helper's start-up
 /// (≈ 10 µs of spawn on the caller, ≈ 17 µs before the helper runs)
-/// costs more than half the refine saves on the cheapest field.
-pub(crate) const SPLIT_CELLS: usize = 4096;
+/// costs more than half the refine saves on the cheapest field. Public
+/// so `repro obs-overhead` can keep its cold loop on one thread.
+pub const SPLIT_CELLS: usize = 4096;
 
 /// Cells the caller refines beyond half of a split query's: its head
 /// start while the helper thread starts (≈ 17 µs, 15–25 µs of refine).

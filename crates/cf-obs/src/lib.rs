@@ -23,6 +23,20 @@
 //! query (the value indexes) look handles up by name; lookups are
 //! allocation-free once a series exists.
 //!
+//! # Stripes
+//!
+//! Counters and histograms are observed per page read, and the two
+//! halves of a split query read on two cores. So each keeps four
+//! copies (stripes) of its state, each on its own 128-byte line, and a
+//! thread writes only the stripe it leased on its first observation:
+//! the stripe the fewest live threads hold, given back when the thread
+//! exits. Two threads share a stripe only when more than four observe
+//! at once. Readers (`get`, `count`, `sum`, the registry's
+//! views and [`MetricsRegistry::render_text`]) add the stripes up, and
+//! a reset zeroes all of them. A thread's observations land in one
+//! stripe, so what a single thread observed sums to the same `f64`
+//! bits as one shared sum would.
+//!
 //! # The `obs-off` feature
 //!
 //! Building with `--features obs-off` compiles the *extended* layer —
@@ -45,21 +59,96 @@ pub use json::{Json, JsonError};
 pub use record::{answer_digest, decode_wrk, encode_wrk, WorkloadRecord, WORKLOAD_VERSION};
 pub use trace::{Stopwatch, Tracer, QUERY_RING_CAPACITY};
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Copies of each counter's and histogram's state; a thread writes one
+/// (see the module docs). Four keep a split query's two halves and a
+/// few batch workers apart; each costs 128 bytes a counter and a
+/// histogram, and a 32 768-page pool alone has 256 counters.
+const STRIPES: usize = 4;
+
+/// Live threads per stripe.
+static HOLDERS: Mutex<[usize; STRIPES]> = Mutex::new([0; STRIPES]);
+
+thread_local! {
+    /// This thread's stripe; `STRIPES` until its first observation.
+    static STRIPE: Cell<usize> = const { Cell::new(STRIPES) };
+    /// Gives the stripe back when the thread exits.
+    static LEASE: Lease = Lease::take();
+}
+
+/// A thread's hold on one stripe.
+struct Lease(usize);
+
+impl Lease {
+    fn take() -> Self {
+        let mut holders = HOLDERS.lock().unwrap_or_else(PoisonError::into_inner);
+        let pick = least_held(&holders);
+        holders[pick] += 1;
+        Lease(pick)
+    }
+}
+
+/// The stripe the fewest live threads hold, the lowest on a tie.
+fn least_held(holders: &[usize; STRIPES]) -> usize {
+    let mut pick = 0;
+    for (i, &n) in holders.iter().enumerate() {
+        if n < holders[pick] {
+            pick = i;
+        }
+    }
+    pick
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        let mut holders = HOLDERS.lock().unwrap_or_else(PoisonError::into_inner);
+        holders[self.0] -= 1;
+    }
+}
+
+/// The calling thread's stripe.
+#[inline]
+fn stripe() -> usize {
+    STRIPE.with(|cell| match cell.get() {
+        i if i < STRIPES => i,
+        _ => lease(cell),
+    })
+}
+
+#[cold]
+fn lease(cell: &Cell<usize>) -> usize {
+    // A thread already tearing down its locals writes stripe 0.
+    let i = LEASE.try_with(|lease| lease.0).unwrap_or(0);
+    cell.set(i);
+    i
+}
+
+/// One stripe of a counter, alone on its cache lines.
+#[derive(Default)]
+#[repr(align(128))]
+struct CounterStripe(AtomicU64);
 
 /// A monotonically increasing counter. Cloning shares the underlying
-/// atomic.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
+/// stripes.
+#[derive(Clone, Default)]
+pub struct Counter(Arc<[CounterStripe; STRIPES]>);
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Counter").field(&self.get()).finish()
+    }
+}
 
 impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0[stripe()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -68,16 +157,20 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value.
+    /// Current value: the sum of the stripes.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0
+            .iter()
+            .fold(0, |sum, s| sum.wrapping_add(s.0.load(Ordering::Relaxed)))
     }
 
     /// Resets to zero (used by warmup-style stat resets; the counter
     /// stays monotonic between resets).
     pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        for s in self.0.iter() {
+            s.0.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -121,13 +214,25 @@ const NS_BUCKETS: [f64; 13] = [
     4_294_967_296.0,
 ];
 
+/// Buckets a histogram may have: one per bound plus the +Inf overflow
+/// bucket.
+const MAX_BUCKETS: usize = NS_BUCKETS.len() + 1;
+
+/// One stripe of a histogram, alone on its cache lines.
+#[repr(align(128))]
+struct HistogramStripe {
+    /// One count per bucket; those past the histogram's own buckets
+    /// stay zero.
+    counts: [AtomicU64; MAX_BUCKETS],
+    /// Sum of the values this stripe observed, stored as `f64` bits
+    /// (a CAS loop on observe, uncontended while no other thread holds
+    /// the stripe).
+    sum_bits: AtomicU64,
+}
+
 struct HistogramInner {
     bounds: Vec<f64>,
-    /// One count per bound plus the +Inf overflow bucket.
-    counts: Vec<AtomicU64>,
-    /// Sum of observed values, stored as `f64` bits (CAS loop on
-    /// observe — observation sites run once per query, not per page).
-    sum_bits: AtomicU64,
+    stripes: [HistogramStripe; STRIPES],
 }
 
 /// A histogram with fixed bucket bounds. Observation is allocation-free
@@ -146,12 +251,27 @@ impl std::fmt::Debug for Histogram {
 
 impl Histogram {
     fn with_bounds(bounds: &[f64]) -> Self {
-        let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
+        assert!(
+            bounds.len() < MAX_BUCKETS,
+            "a histogram has at most {} bounds",
+            MAX_BUCKETS - 1
+        );
         Self(Arc::new(HistogramInner {
             bounds: bounds.to_vec(),
-            counts,
-            sum_bits: AtomicU64::new(0),
+            stripes: std::array::from_fn(|_| HistogramStripe {
+                counts: std::array::from_fn(|_| AtomicU64::new(0)),
+                sum_bits: AtomicU64::new(0),
+            }),
         }))
+    }
+
+    /// Bucket `i`'s count over all stripes.
+    fn bucket(&self, i: usize) -> u64 {
+        self.0
+            .stripes
+            .iter()
+            .map(|s| s.counts[i].load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Records one observation.
@@ -163,11 +283,12 @@ impl Histogram {
             .iter()
             .position(|&b| v <= b)
             .unwrap_or(inner.bounds.len());
-        inner.counts[idx].fetch_add(1, Ordering::Relaxed);
-        let mut cur = inner.sum_bits.load(Ordering::Relaxed);
+        let stripe = &inner.stripes[stripe()];
+        stripe.counts[idx].fetch_add(1, Ordering::Relaxed);
+        let mut cur = stripe.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + v).to_bits();
-            match inner.sum_bits.compare_exchange_weak(
+            match stripe.sum_bits.compare_exchange_weak(
                 cur,
                 next,
                 Ordering::Relaxed,
@@ -192,37 +313,38 @@ impl Histogram {
 
     /// Total number of observations.
     pub fn count(&self) -> u64 {
-        self.0
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        (0..=self.0.bounds.len()).map(|i| self.bucket(i)).sum()
     }
 
-    /// Sum of all observed values.
+    /// Sum of all observed values: the stripes' sums, added in stripe
+    /// order.
     pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
+        self.0.stripes.iter().fold(0.0, |sum, s| {
+            sum + f64::from_bits(s.sum_bits.load(Ordering::Relaxed))
+        })
     }
 
     /// Clears all buckets and the sum.
     pub fn reset(&self) {
-        for c in &self.0.counts {
-            c.store(0, Ordering::Relaxed);
+        for s in &self.0.stripes {
+            for c in &s.counts {
+                c.store(0, Ordering::Relaxed);
+            }
+            s.sum_bits.store(0, Ordering::Relaxed);
         }
-        self.0.sum_bits.store(0, Ordering::Relaxed);
     }
 
     /// `(upper_bound, cumulative_count)` per bucket, ending with the
     /// `+Inf` bucket.
     fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
-        let mut out = Vec::with_capacity(self.0.counts.len());
         let mut cum = 0u64;
-        for (i, c) in self.0.counts.iter().enumerate() {
-            cum += c.load(Ordering::Relaxed);
-            let bound = self.0.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            out.push((bound, cum));
-        }
-        out
+        (0..=self.0.bounds.len())
+            .map(|i| {
+                cum += self.bucket(i);
+                let bound = self.0.bounds.get(i).copied().unwrap_or(f64::INFINITY);
+                (bound, cum)
+            })
+            .collect()
     }
 }
 
@@ -712,5 +834,74 @@ mod tests {
             }
         });
         assert_eq!(reg.counter_total("conc_total"), 80_000);
+    }
+
+    #[test]
+    fn eight_threads_count_exactly_and_reset_zeroes_every_stripe() {
+        let reg = MetricsRegistry::new();
+        let c = reg.counter("striped_total");
+        let h = reg.histogram_with("striped_ns", &[], &[10.0]);
+        // All eight lease their stripes before any of them ends.
+        let all_leased = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let (c, h, all_leased) = (c.clone(), h.clone(), &all_leased);
+                scope.spawn(move || {
+                    stripe();
+                    all_leased.wait();
+                    for i in 0..100_000u64 {
+                        c.inc();
+                        h.observe(((i + t) % 20) as f64);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 800_000);
+        assert_eq!(reg.counter_total("striped_total"), 800_000);
+        if cfg!(not(feature = "obs-off")) {
+            assert_eq!(h.count(), 800_000);
+            assert_eq!(h.cumulative_buckets()[0], (10.0, 440_000));
+            // Each thread's sum is an exact integer well below 2^53.
+            let sum: u64 = (0..8u64)
+                .map(|t| (0..100_000u64).map(|i| (i + t) % 20).sum::<u64>())
+                .sum();
+            assert_eq!(h.sum(), sum as f64);
+            let want = format!("striped_ns_count {}", 800_000);
+            assert!(reg.render_text().contains(&want));
+        }
+        // Eight live threads wrote several stripes; each is zeroed.
+        assert!(
+            c.0.iter()
+                .filter(|s| s.0.load(Ordering::Relaxed) > 0)
+                .count()
+                > 1
+        );
+        reg.reset();
+        assert!(c.0.iter().all(|s| s.0.load(Ordering::Relaxed) == 0));
+        assert!(h.0.stripes.iter().all(|s| {
+            s.sum_bits.load(Ordering::Relaxed) == 0
+                && s.counts.iter().all(|c| c.load(Ordering::Relaxed) == 0)
+        }));
+        assert_eq!((c.get(), h.count(), h.sum()), (0, 0, 0.0));
+        assert_eq!(reg.histogram_stats("striped_ns", &[]), Some((0, 0.0)));
+    }
+
+    #[test]
+    fn a_new_thread_leases_the_least_held_stripe() {
+        // The caller of a split query holds stripe 0: its helper, a new
+        // thread each query, takes stripe 1 every time.
+        let mut holders = [0; STRIPES];
+        holders[0] = 1;
+        assert_eq!(least_held(&holders), 1);
+        // A batch of workers spreads over the free stripes first.
+        holders = [1, 1, 0, 1];
+        assert_eq!(least_held(&holders), 2);
+        // Past four live threads, the least shared stripe.
+        holders = [2, 2, 1, 1];
+        assert_eq!(least_held(&holders), 2);
+        // A thread keeps its stripe.
+        let mine = stripe();
+        assert!(mine < STRIPES);
+        assert_eq!(std::iter::repeat_with(stripe).take(100).max(), Some(mine));
     }
 }

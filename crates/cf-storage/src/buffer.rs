@@ -23,17 +23,20 @@
 //! Each shard is an exact-LRU slab (DESIGN §17.6): frames are slots of
 //! one `Vec`, an open-addressing table maps a page id to its slot, and
 //! an intrusive doubly-linked list orders the slots by recency. A hit
-//! is one table probe and two list splices; a miss reuses the victim's
-//! page buffer. Slots and their buffers are allocated on first use, so
-//! a large pool costs only what it has cached.
-#![deny(clippy::unwrap_used, clippy::panic)]
+//! is one table probe and two list splices. A miss reads the page
+//! outside the shard lock into a buffer of the calling thread's, then
+//! swaps that buffer with the victim's (DESIGN §12.1). Slots and their
+//! buffers are allocated on first use, so a large pool costs only what
+//! it has cached.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::disk::{DiskManager, PageBuf, PageId};
 use crate::error::{CfError, CfResult};
 use crate::stats::{tally, ShardStats};
 use crate::PAGE_SIZE;
 use cf_obs::{Counter, MetricsRegistry};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Below this many frames per shard the pool stops splitting further;
 /// it also bounds how small an auto-selected shard can get.
@@ -85,6 +88,14 @@ struct Frames {
     free: u32,
     /// Cached pages.
     len: usize,
+    /// Bumped by every write, write-back and invalidation in the shard:
+    /// a miss that read the disk outside the lock admits its bytes only
+    /// if this did not move meanwhile.
+    writes: u64,
+    /// Pages a miss is reading from the disk right now.
+    reading: Vec<PageId>,
+    /// Threads waiting for one of those reads to end.
+    waiters: usize,
 }
 
 impl Frames {
@@ -97,6 +108,9 @@ impl Frames {
             tail: NIL,
             free: NIL,
             len: 0,
+            writes: 0,
+            reading: Vec::new(),
+            waiters: 0,
         }
     }
 
@@ -195,19 +209,43 @@ impl Frames {
         self.free = s;
     }
 
-    /// Caches page `id`, clean, in slot `s` (taken by
-    /// [`Shard::vacate`]) as the most recently used page.
-    fn admit(&mut self, s: u32, id: PageId) {
+    /// Caches page `id` with the bytes of `data` as the most recently
+    /// used page, in a free slot or a new one (there must be room:
+    /// [`Shard::make_room`]). Returns the slot and the buffer the slot
+    /// held before, which a new slot does not have.
+    fn admit(
+        &mut self,
+        id: PageId,
+        data: Box<PageBuf>,
+        dirty: bool,
+    ) -> (u32, Option<Box<PageBuf>>) {
         if (self.len + 1) * 2 > self.table.len() {
             self.remap(self.table.len() * 2);
         }
-        let slot = &mut self.slots[s as usize];
-        slot.id = id;
-        slot.dirty = false;
+        let (s, old) = match self.free {
+            NIL => {
+                self.slots.push(Slot {
+                    id,
+                    dirty,
+                    prev: NIL,
+                    next: NIL,
+                    data,
+                });
+                ((self.slots.len() - 1) as u32, None)
+            }
+            s => {
+                let slot = &mut self.slots[s as usize];
+                self.free = slot.next;
+                slot.id = id;
+                slot.dirty = dirty;
+                (s, Some(std::mem::replace(&mut slot.data, data)))
+            }
+        };
         let (pos, _) = self.probe(id);
         self.table[pos] = s;
         self.push_front(s);
         self.len += 1;
+        (s, old)
     }
 
     /// Drops the page of cached slot `s` at table position `pos`; the
@@ -228,6 +266,9 @@ impl Frames {
 
 struct Shard {
     inner: Mutex<Frames>,
+    /// Signalled when a miss's read ends, for threads that missed the
+    /// same page meanwhile.
+    read_done: Condvar,
     capacity: usize,
     /// Hit/miss/eviction counters live in the engine's metrics registry
     /// (`pool_*_total{shard="i"}`); `ShardStats` is a view over them.
@@ -244,6 +285,7 @@ impl Shard {
         let labels: [(&str, &str); 1] = [("shard", &label)];
         Self {
             inner: Mutex::new(Frames::new()),
+            read_done: Condvar::new(),
             capacity,
             hits: registry.counter_with("pool_hits_total", &labels),
             misses: registry.counter_with("pool_misses_total", &labels),
@@ -252,14 +294,36 @@ impl Shard {
         }
     }
 
-    /// A slot for an incoming page, neither cached nor free: a free
-    /// slot, else a new one while the shard is below its capacity, else
-    /// the least recently used page's, evicted and counted. A dirty
-    /// victim is written back through `disk` first; a failed write-back
-    /// leaves it cached and dirty and propagates the error. Call with
-    /// the shard lock held: every borrow of a frame's bytes
-    /// ([`BufferPool::with_page`]) holds it too, so no victim is in use.
-    fn vacate(&self, frames: &mut Frames, disk: &DiskManager) -> CfResult<u32> {
+    /// The shard's frames, locked. The poison policy: every update of
+    /// the frames under the lock completes without calling out, and the
+    /// calls out that can panic (the caller's closure in
+    /// [`BufferPool::with_page`], which only reads a frame, and a dirty
+    /// victim's write-back) run before or after one. So a lock poisoned
+    /// by a panic still guards consistent frames, and the pool keeps
+    /// serving.
+    fn lock(&self) -> MutexGuard<'_, Frames> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits, lock released, until a miss's read in this shard ends.
+    fn wait_for_read<'a>(&self, mut frames: MutexGuard<'a, Frames>) -> MutexGuard<'a, Frames> {
+        frames.waiters += 1;
+        let mut frames = self
+            .read_done
+            .wait(frames)
+            .unwrap_or_else(PoisonError::into_inner);
+        frames.waiters -= 1;
+        frames
+    }
+
+    /// Makes room for one incoming page: while the shard has no free
+    /// slot and is at capacity, the least recently used page is
+    /// evicted and counted. A dirty victim is written back through
+    /// `disk` first; a failed write-back leaves it cached and dirty and
+    /// propagates the error. Call with the shard lock held: every
+    /// borrow of a frame's bytes ([`BufferPool::with_page`]) holds it
+    /// too, so no victim is in use.
+    fn make_room(&self, frames: &mut Frames, disk: &DiskManager) -> CfResult<()> {
         if frames.free == NIL && frames.slots.len() >= self.capacity {
             let victim = frames.tail;
             let slot = &frames.slots[victim as usize];
@@ -271,20 +335,52 @@ impl Shard {
             frames.release(pos, victim);
             self.evictions.inc();
         }
-        let s = frames.free;
-        if s == NIL {
-            frames.slots.push(Slot {
-                id: PageId(0),
-                dirty: false,
-                prev: NIL,
-                next: NIL,
-                data: Box::new([0u8; PAGE_SIZE]),
-            });
-            return Ok((frames.slots.len() - 1) as u32);
-        }
-        frames.free = frames.slots[s as usize].next;
-        Ok(s)
+        Ok(())
     }
+}
+
+/// A miss's mark on the page it is reading (`Frames::reading`). Its
+/// end lets the threads waiting for the page look again; dropped
+/// before that, while a panic unwinds past the shard lock, it ends
+/// under a fresh lock.
+struct Reading<'a> {
+    shard: &'a Shard,
+    id: PageId,
+}
+
+impl Reading<'_> {
+    fn end(self, frames: &mut Frames) {
+        self.unmark(frames);
+        std::mem::forget(self);
+    }
+
+    fn unmark(&self, frames: &mut Frames) {
+        if let Some(i) = frames.reading.iter().position(|&r| r == self.id) {
+            frames.reading.swap_remove(i);
+        }
+        if frames.waiters > 0 {
+            self.shard.read_done.notify_all();
+        }
+    }
+}
+
+impl Drop for Reading<'_> {
+    fn drop(&mut self) {
+        self.unmark(&mut self.shard.lock());
+    }
+}
+
+thread_local! {
+    /// The calling thread's spare page buffer: a miss reads into it and
+    /// a write-back fills it, and admitting the page swaps it with the
+    /// slot's.
+    static SPARE: Cell<Option<Box<PageBuf>>> = const { Cell::new(None) };
+}
+
+/// Takes the calling thread's spare page buffer (a new one the first
+/// time, and after a new slot kept the last one).
+fn take_spare() -> Box<PageBuf> {
+    SPARE.take().unwrap_or_else(|| Box::new([0u8; PAGE_SIZE]))
 }
 
 /// A fixed-capacity page cache: per-shard LRU over independently locked
@@ -408,9 +504,17 @@ impl BufferPool {
     /// write-back if it is dirty — if the shard is full). `f` runs under
     /// the shard lock, so nothing evicts the frame while it reads.
     ///
+    /// A miss reads the page outside the shard lock, so the shard's
+    /// other pages stay served meanwhile, and admits it only if no
+    /// write, write-back or invalidation reached the shard during the
+    /// read; otherwise it looks again, and reads again if the page is
+    /// still not cached. A thread that misses a page another is reading
+    /// waits for that read and looks again. So misses equal physical
+    /// reads, and hits + misses equal lookups unless a read was retried.
+    ///
     /// Pages enter the cache only after the physical read verified
     /// their checksum, so buffer hits never re-verify; a failed read
-    /// caches nothing and the error propagates.
+    /// caches nothing, evicts nothing, and the error propagates.
     pub fn with_page<T>(
         &self,
         disk: &DiskManager,
@@ -418,29 +522,61 @@ impl BufferPool {
         f: impl FnOnce(&PageBuf) -> T,
     ) -> CfResult<T> {
         let shard = self.shard_of(id);
-        let mut frames = shard.inner.lock().expect("buffer shard poisoned");
-        let (_, s) = frames.probe(id);
-        if s != NIL {
-            shard.hits.inc();
-            tally::count_pool_hit();
-            frames.touch(s);
-            return Ok(f(&frames.slots[s as usize].data));
+        // Declared before the lock, so a panic drops it after the lock.
+        let reading;
+        let mut frames = shard.lock();
+        loop {
+            let (_, s) = frames.probe(id);
+            if s != NIL {
+                shard.hits.inc();
+                tally::count_pool_hit();
+                frames.touch(s);
+                return Ok(f(&frames.slots[s as usize].data));
+            }
+            if !frames.reading.contains(&id) {
+                break;
+            }
+            frames = shard.wait_for_read(frames);
         }
-
-        // Miss: the shard lock is held across the disk read, so two
-        // threads faulting the same page serialize and the second sees a
-        // hit. Make room for the incoming frame, writing back a dirty
-        // victim if that is what the LRU order serves up; the victim's
-        // buffer takes the read, which alone makes it a miss.
-        let s = shard.vacate(&mut frames, disk)?;
-        shard.misses.inc();
-        tally::count_pool_miss();
-        if let Err(e) = disk.read_page(id, &mut frames.slots[s as usize].data) {
-            frames.push_free(s);
-            return Err(e);
+        frames.reading.push(id);
+        reading = Reading { shard, id };
+        let mut buf = take_spare();
+        let outcome = loop {
+            let writes = frames.writes;
+            drop(frames);
+            shard.misses.inc();
+            tally::count_pool_miss();
+            let read = disk.read_page(id, &mut buf);
+            #[cfg(test)]
+            tests::mid_read();
+            frames = shard.lock();
+            let (_, s) = frames.probe(id);
+            if s != NIL {
+                // A write-back cached the page while this thread read.
+                frames.touch(s);
+                break Ok((s, Some(buf)));
+            }
+            if frames.writes != writes {
+                // A write reached the shard mid-read: the bytes, or the
+                // failure, may predate it.
+                continue;
+            }
+            if let Err(e) = read.and_then(|()| shard.make_room(&mut frames, disk)) {
+                break Err((e, buf));
+            }
+            break Ok(frames.admit(id, buf, false));
+        };
+        reading.end(&mut frames);
+        match outcome {
+            Ok((s, spare)) => {
+                SPARE.set(spare);
+                Ok(f(&frames.slots[s as usize].data))
+            }
+            Err((e, spare)) => {
+                SPARE.set(Some(spare));
+                Err(e)
+            }
         }
-        frames.admit(s, id);
-        Ok(f(&frames.slots[s as usize].data))
     }
 
     /// Writes a page through the cache to disk: the disk copy is
@@ -455,7 +591,8 @@ impl BufferPool {
     pub fn write_through(&self, disk: &DiskManager, id: PageId, buf: &PageBuf) -> CfResult<()> {
         let written = disk.write_page(id, buf);
         let shard = self.shard_of(id);
-        let mut frames = shard.inner.lock().expect("buffer shard poisoned");
+        let mut frames = shard.lock();
+        frames.writes += 1;
         let (pos, s) = frames.probe(id);
         if s != NIL {
             if written.is_ok() {
@@ -489,19 +626,21 @@ impl BufferPool {
             ));
         }
         let shard = self.shard_of(id);
-        let mut frames = shard.inner.lock().expect("buffer shard poisoned");
+        let mut frames = shard.lock();
+        frames.writes += 1;
         let (_, s) = frames.probe(id);
-        let s = if s != NIL {
+        if s != NIL {
             frames.touch(s);
-            s
-        } else {
-            let s = shard.vacate(&mut frames, disk)?;
-            frames.admit(s, id);
-            s
-        };
-        let slot = &mut frames.slots[s as usize];
-        slot.data.copy_from_slice(buf);
-        slot.dirty = true;
+            let slot = &mut frames.slots[s as usize];
+            slot.data.copy_from_slice(buf);
+            slot.dirty = true;
+            return Ok(());
+        }
+        shard.make_room(&mut frames, disk)?;
+        let mut data = take_spare();
+        data.copy_from_slice(buf);
+        let (_, old) = frames.admit(id, data, true);
+        SPARE.set(old);
         Ok(())
     }
 
@@ -516,14 +655,14 @@ impl BufferPool {
     pub fn flush_all(&self, disk: &DiskManager) -> CfResult<usize> {
         let mut dirty: Vec<PageId> = Vec::new();
         for shard in &self.shards {
-            let frames = shard.inner.lock().expect("buffer shard poisoned");
+            let frames = shard.lock();
             dirty.extend(frames.cached().filter(|s| s.dirty).map(|s| s.id));
         }
         dirty.sort_unstable();
         let mut flushed = 0usize;
         for id in dirty {
             let shard = self.shard_of(id);
-            let mut frames = shard.inner.lock().expect("buffer shard poisoned");
+            let mut frames = shard.lock();
             // Re-check under the lock: the frame may have been flushed
             // by an eviction (or dropped) since the scan.
             let (_, s) = frames.probe(id);
@@ -545,7 +684,7 @@ impl BufferPool {
     /// engine's `clear_cache` does).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut frames = shard.inner.lock().expect("buffer shard poisoned");
+            let mut frames = shard.lock();
             let mut s = frames.head;
             while s != NIL {
                 let Slot { next, dirty, .. } = frames.slots[s as usize];
@@ -568,7 +707,8 @@ impl BufferPool {
         for offset in 0..n as u64 {
             let page = PageId(id.0 + offset);
             let shard = self.shard_of(page);
-            let mut frames = shard.inner.lock().expect("buffer shard poisoned");
+            let mut frames = shard.lock();
+            frames.writes += 1;
             let (pos, s) = frames.probe(page);
             if s != NIL {
                 frames.release(pos, s);
@@ -578,10 +718,7 @@ impl BufferPool {
 
     /// Number of currently cached pages (sum over shards).
     pub fn cached_pages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.inner.lock().expect("buffer shard poisoned").len)
-            .sum()
+        self.shards.iter().map(|s| s.lock().len).sum()
     }
 
     /// Number of cached pages holding bytes the disk does not have yet.
@@ -589,10 +726,7 @@ impl BufferPool {
     pub(crate) fn dirty_pages(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                let frames = s.inner.lock().expect("buffer shard poisoned");
-                frames.cached().filter(|s| s.dirty).count()
-            })
+            .map(|s| s.lock().cached().filter(|s| s.dirty).count())
             .sum()
     }
 
@@ -602,10 +736,7 @@ impl BufferPool {
     fn resident(&self) -> Vec<Vec<(PageId, bool)>> {
         self.shards
             .iter()
-            .map(|s| {
-                let frames = s.inner.lock().expect("buffer shard poisoned");
-                frames.cached().map(|s| (s.id, s.dirty)).collect()
-            })
+            .map(|s| s.lock().cached().map(|s| (s.id, s.dirty)).collect())
             .collect()
     }
 
@@ -636,7 +767,7 @@ impl BufferPool {
             .iter()
             .map(|s| ShardStats {
                 capacity: s.capacity,
-                cached_pages: s.inner.lock().expect("buffer shard poisoned").len,
+                cached_pages: s.lock().len,
                 hits: s.hits.get(),
                 misses: s.misses.get(),
                 evictions: s.evictions.get(),
@@ -667,6 +798,7 @@ fn split_capacity(capacity: usize, n: usize) -> impl Iterator<Item = usize> {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::PAGE_SIZE;
@@ -676,6 +808,25 @@ mod tests {
         let mut buf = [0u8; PAGE_SIZE];
         buf[0] = tag;
         buf
+    }
+
+    thread_local! {
+        /// Runs once on this thread, between a miss's disk read and
+        /// its re-lock of the shard.
+        static MID_READ: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+            std::cell::RefCell::new(None);
+    }
+
+    pub(super) fn mid_read() {
+        if let Some(f) = MID_READ.with(|hook| hook.borrow_mut().take()) {
+            f();
+        }
+    }
+
+    /// Runs `during` on this thread while its next miss is between its
+    /// disk read and its re-lock.
+    fn mid_read_do(during: impl FnOnce() + 'static) {
+        MID_READ.with(|hook| *hook.borrow_mut() = Some(Box::new(during)));
     }
 
     #[test]
@@ -945,7 +1096,8 @@ mod tests {
             }
         });
         // Conservation under concurrency: lookups = hits + misses and
-        // misses = physical reads (the shard lock spans the fault-in).
+        // misses = physical reads (a miss marks the page it reads, and
+        // a second miss on it waits for that read, then hits).
         assert_eq!(pool.hits() + pool.misses(), 8 * 50);
         assert_eq!(pool.misses(), disk.reads());
         assert!(pool.cached_pages() <= 64);
@@ -1150,7 +1302,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_read_after_a_clean_eviction_loses_no_frame() {
+    fn a_failed_read_caches_nothing_and_evicts_nothing() {
         use crate::Fault;
         let disk = DiskManager::new();
         let ids: Vec<PageId> = (0..7)
@@ -1164,28 +1316,26 @@ mod tests {
         for &id in &ids[..3] {
             pool.with_page(&disk, id, |_| ()).expect("read");
         }
+        let full = pool.resident();
 
-        // The clean victim (ids[0]) goes, then the incoming read fails.
+        // The read fails before anything is evicted to make room.
         disk.clear_faults();
         disk.inject_fault(Fault::FailRead { nth: 0 });
         assert!(pool.with_page(&disk, ids[3], |_| ()).is_err());
         disk.clear_faults();
+        assert_eq!(pool.evictions(), 0);
+        assert_eq!(pool.resident(), full, "the frames are as they were");
+        assert_eq!(pool.misses(), disk.reads(), "the failed read is a miss");
+
+        // The next read of the page evicts the LRU page and caches it.
+        let tag = pool.with_page(&disk, ids[3], |p| p[0]).expect("read");
+        assert_eq!(tag, 3);
         assert_eq!(pool.evictions(), 1);
         assert_eq!(
             pool.resident(),
-            vec![vec![(ids[2], false), (ids[1], false)]],
-            "nothing cached for the failed read"
+            vec![vec![(ids[3], false), (ids[2], false), (ids[1], false)]]
         );
-
-        // The frame it would have taken is still there: the next
-        // `capacity` distinct reads fit without another eviction...
-        for &id in &[ids[3], ids[2], ids[1]] {
-            let tag = pool.with_page(&disk, id, |p| p[0]).expect("read");
-            assert_eq!(tag, id.0 as u8);
-        }
-        assert_eq!(pool.evictions(), 1);
-        assert_eq!(pool.cached_pages(), 3);
-        // ...and so do `capacity` fresh pages after a clear.
+        // `capacity` fresh pages after a clear fit without an eviction.
         pool.clear();
         for &id in &ids[4..7] {
             pool.with_page(&disk, id, |_| ()).expect("read");
@@ -1404,5 +1554,273 @@ mod tests {
             .expect_err("unallocated");
         assert!(err.is_corrupt());
         assert_eq!(pool.dirty_pages(), 0);
+    }
+
+    #[test]
+    fn a_write_that_lands_mid_read_is_what_the_miss_returns() {
+        let disk = Arc::new(DiskManager::new());
+        let id = disk.allocate().expect("allocate");
+        disk.write_page(id, &page_with_tag(1)).expect("write");
+        let pool = Arc::new(BufferPool::new(4));
+
+        // A write-through the miss did not see: it reads again.
+        let (p, d) = (Arc::clone(&pool), Arc::clone(&disk));
+        mid_read_do(move || p.write_through(&d, id, &page_with_tag(2)).expect("write"));
+        assert_eq!(pool.with_page(&disk, id, |b| b[0]).expect("read"), 2);
+        assert_eq!((pool.misses(), disk.reads()), (2, 2));
+        assert_eq!(pool.resident(), vec![vec![(id, false)]]);
+
+        // A write-back caches the page: the miss uses that frame.
+        pool.clear();
+        let (p, d) = (Arc::clone(&pool), Arc::clone(&disk));
+        mid_read_do(move || p.write_back(&d, id, &page_with_tag(3)).expect("write"));
+        assert_eq!(pool.with_page(&disk, id, |b| b[0]).expect("read"), 3);
+        assert_eq!((pool.misses(), disk.reads()), (3, 3));
+        assert_eq!(pool.resident(), vec![vec![(id, true)]]);
+
+        // An invalidation: the miss reads again and caches the disk's.
+        pool.flush_all(&disk).expect("flush");
+        pool.clear();
+        let (p, d) = (Arc::clone(&pool), Arc::clone(&disk));
+        mid_read_do(move || {
+            d.write_page(id, &page_with_tag(4)).expect("write");
+            p.invalidate_run(id, 1);
+        });
+        assert_eq!(pool.with_page(&disk, id, |b| b[0]).expect("read"), 4);
+        assert_eq!((pool.misses(), disk.reads()), (5, 5));
+        assert_eq!(pool.hits(), 0);
+    }
+
+    #[test]
+    fn a_read_that_fails_because_of_a_write_mid_read_retries() {
+        use crate::Fault;
+        let disk = Arc::new(DiskManager::new());
+        let id = disk.allocate().expect("allocate");
+        let pool = Arc::new(BufferPool::new(4));
+        disk.inject_fault(Fault::TornWrite { nth: 0, keep: 8 });
+        assert!(pool.write_through(&disk, id, &page_with_tag(1)).is_err());
+        disk.clear_faults();
+
+        // The page is torn on disk until the write the read overlaps.
+        let (p, d) = (Arc::clone(&pool), Arc::clone(&disk));
+        mid_read_do(move || p.write_through(&d, id, &page_with_tag(2)).expect("write"));
+        assert_eq!(pool.with_page(&disk, id, |b| b[0]).expect("no Corrupt"), 2);
+        assert_eq!(
+            disk.metrics()
+                .counter_total("storage_checksum_failures_total"),
+            1
+        );
+
+        // With no write mid-read, a failed read is reported as it is.
+        disk.clear_faults();
+        disk.inject_fault(Fault::TornWrite { nth: 0, keep: 8 });
+        assert!(pool.write_through(&disk, id, &page_with_tag(3)).is_err());
+        disk.clear_faults();
+        let err = pool.with_page(&disk, id, |_| ()).expect_err("torn");
+        assert!(err.is_corrupt());
+        assert_eq!(pool.cached_pages(), 0);
+    }
+
+    /// Starts a thread that reads page `id` and returns once that
+    /// thread waits for the read in progress.
+    fn second_reader(
+        pool: &Arc<BufferPool>,
+        disk: &Arc<DiskManager>,
+        id: PageId,
+    ) -> std::thread::JoinHandle<u8> {
+        let (p, d) = (Arc::clone(pool), Arc::clone(disk));
+        let reader = std::thread::spawn(move || p.with_page(&d, id, |b| b[0]).expect("read"));
+        while pool.shards[0].lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        reader
+    }
+
+    #[test]
+    fn a_second_miss_on_a_page_being_read_waits_and_hits() {
+        use crate::Fault;
+        let disk = Arc::new(DiskManager::new());
+        let id = disk.allocate().expect("allocate");
+        disk.write_page(id, &page_with_tag(7)).expect("write");
+        let pool = Arc::new(BufferPool::new(4));
+
+        let (p, d) = (Arc::clone(&pool), Arc::clone(&disk));
+        let second = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&second);
+        mid_read_do(move || *slot.lock().expect("slot") = Some(second_reader(&p, &d, id)));
+        assert_eq!(pool.with_page(&disk, id, |b| b[0]).expect("read"), 7);
+        let waiter = second.lock().expect("slot").take().expect("started");
+        assert_eq!(waiter.join().expect("second reader"), 7);
+        assert_eq!((pool.hits(), pool.misses(), disk.reads()), (1, 1, 1));
+
+        // The read it waits for fails: it reads the page itself.
+        pool.clear();
+        disk.clear_faults();
+        disk.inject_fault(Fault::FailRead { nth: 0 });
+        let (p, d) = (Arc::clone(&pool), Arc::clone(&disk));
+        let slot = Arc::clone(&second);
+        mid_read_do(move || *slot.lock().expect("slot") = Some(second_reader(&p, &d, id)));
+        assert!(pool.with_page(&disk, id, |_| ()).is_err());
+        let waiter = second.lock().expect("slot").take().expect("started");
+        assert_eq!(waiter.join().expect("second reader"), 7);
+        assert_eq!((pool.hits(), pool.misses(), disk.reads()), (1, 3, 3));
+        assert!(pool.shards[0].lock().reading.is_empty());
+    }
+
+    #[test]
+    fn a_panic_mid_read_leaves_no_page_marked() {
+        let disk = Arc::new(DiskManager::new());
+        let id = disk.allocate().expect("allocate");
+        disk.write_page(id, &page_with_tag(5)).expect("write");
+        let pool = Arc::new(BufferPool::new(4));
+        mid_read_do(|| std::panic::resume_unwind(Box::new("mid-read")));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.with_page(&disk, id, |_| ())
+        }));
+        assert!(caught.is_err());
+        assert!(pool.shards[0].lock().reading.is_empty());
+        // Another thread reads the page rather than wait for ever.
+        let (p, d) = (Arc::clone(&pool), Arc::clone(&disk));
+        let v = std::thread::spawn(move || p.with_page(&d, id, |b| b[0]).expect("read"))
+            .join()
+            .expect("reader");
+        assert_eq!(v, 5);
+    }
+
+    /// A database file in the temp directory, removed with its `.crc`
+    /// sidecar on drop.
+    struct TmpFile(std::path::PathBuf);
+
+    impl TmpFile {
+        fn new(tag: &str) -> Self {
+            Self(std::env::temp_dir().join(format!(
+                "contfield_test_pool_{tag}_{}.db",
+                std::process::id()
+            )))
+        }
+    }
+
+    impl Drop for TmpFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+            let mut crc = self.0.clone().into_os_string();
+            crc.push(".crc");
+            let _ = std::fs::remove_file(crc);
+        }
+    }
+
+    /// Page `id` at version `v`: the version, the page id, and every
+    /// other byte the version's low byte.
+    fn versioned_page(id: PageId, v: u64) -> PageBuf {
+        let mut buf = [v as u8; PAGE_SIZE];
+        buf[..8].copy_from_slice(&v.to_le_bytes());
+        buf[8..16].copy_from_slice(&id.0.to_le_bytes());
+        buf
+    }
+
+    /// The version a page holds, after checking it is whole.
+    fn version_of(id: PageId, buf: &PageBuf) -> u64 {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&buf[..8]);
+        let v = u64::from_le_bytes(word);
+        assert_eq!(
+            buf[..],
+            versioned_page(id, v)[..],
+            "page {} is not whole",
+            id.0
+        );
+        v
+    }
+
+    /// One writer runs `ops` write-throughs, write-backs (each followed
+    /// by a flush) and invalidations over a few pages of `disk`, while
+    /// two readers fault the same pages through a one-shard pool too
+    /// small to hold them. No read may fail, and once a write has
+    /// returned no later read on any thread may see an older version.
+    fn writes_race_misses(disk: DiskManager, ops: u64) {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        const PAGES: u64 = 6;
+        let ids: Vec<PageId> = (0..PAGES)
+            .map(|_| {
+                let id = disk.allocate().expect("allocate");
+                disk.write_page(id, &versioned_page(id, 0)).expect("write");
+                id
+            })
+            .collect();
+        let pool = BufferPool::new(3);
+        assert_eq!(pool.num_shards(), 1);
+        let latest: Vec<AtomicU64> = ids.iter().map(|_| AtomicU64::new(0)).collect();
+        let done = AtomicBool::new(false);
+        let lookups = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for r in 0..2u64 {
+                let (pool, disk, ids, latest) = (&pool, &disk, &ids, &latest);
+                let (done, lookups) = (&done, &lookups);
+                scope.spawn(move || {
+                    let mut i = r;
+                    while !done.load(Ordering::Acquire) {
+                        let k = (i % PAGES) as usize;
+                        let floor = latest[k].load(Ordering::Acquire);
+                        let v = pool
+                            .with_page(disk, ids[k], |b| version_of(ids[k], b))
+                            .expect("no read fails");
+                        assert!(v >= floor, "page {k}: read version {v} after {floor}");
+                        lookups.fetch_add(1, Ordering::Relaxed);
+                        i = i.wrapping_mul(5).wrapping_add(3);
+                    }
+                });
+            }
+            for v in 1..=ops {
+                let k = (v.wrapping_mul(7) % PAGES) as usize;
+                let id = ids[k];
+                match v % 3 {
+                    0 => {
+                        pool.write_through(&disk, id, &versioned_page(id, v))
+                            .expect("write through");
+                        latest[k].store(v, Ordering::Release);
+                    }
+                    1 => {
+                        pool.write_back(&disk, id, &versioned_page(id, v))
+                            .expect("write back");
+                        latest[k].store(v, Ordering::Release);
+                        pool.flush_all(&disk).expect("flush");
+                    }
+                    _ => pool.invalidate_run(id, 1),
+                }
+                if v % 16 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        // Every miss was one physical read; a retried miss read twice.
+        assert_eq!(pool.misses(), disk.reads());
+        assert!(pool.hits() + pool.misses() >= lookups.into_inner());
+        for (k, &id) in ids.iter().enumerate() {
+            let v = pool
+                .with_page(&disk, id, |b| version_of(id, b))
+                .expect("read");
+            assert_eq!(v, latest[k].load(Ordering::Relaxed));
+        }
+    }
+
+    /// Runs [`writes_race_misses`] on a file, then in memory, where a
+    /// read is short enough that a write often lands between it and
+    /// the re-lock.
+    fn writes_race_misses_on_both_backings(tag: &str, ops: u64) {
+        let file = TmpFile::new(tag);
+        writes_race_misses(DiskManager::open_file(&file.0).expect("open"), ops);
+        writes_race_misses(DiskManager::new(), ops);
+    }
+
+    #[test]
+    fn writes_racing_misses_never_serve_older_bytes() {
+        writes_race_misses_on_both_backings("race", 5_000);
+    }
+
+    #[test]
+    #[ignore = "long: 300k writes against two readers (CI runs it in release)"]
+    fn writes_racing_misses_never_serve_older_bytes_long() {
+        writes_race_misses_on_both_backings("race_long", 300_000);
     }
 }
