@@ -45,6 +45,7 @@ use cf_workload::{
     fractal::diamond_square, monotonic::monotonic_field, noise::urban_noise_tin,
     queries::interval_queries, terrain::roseburg_standin,
 };
+use std::sync::Arc;
 
 #[derive(Default)]
 struct Opts {
@@ -273,7 +274,7 @@ fn batch(opts: &Opts) {
         },
     )
     .expect("open database file");
-    let index = IHilbert::build(&engine, &field).expect("build");
+    let index: Arc<dyn ValueIndex> = Arc::new(IHilbert::build(&engine, &field).expect("build"));
     let dom = field.value_domain();
     let queries = interval_queries(dom, 0.05, opts.queries.unwrap_or(48), 0xBA7C);
     eprintln!(
@@ -289,13 +290,11 @@ fn batch(opts: &Opts) {
     let reports = run_batch_scaling(&engine, &index, &queries, &[1, 2, 4, 8]);
     print!("{}", render_batch_scaling(&reports));
 
-    let four = &reports[2];
-    println!(
-        "\nspeedup(4 threads vs 1): {:.1}x\n",
-        reports[0].wall.as_secs_f64() / four.wall.as_secs_f64().max(1e-12)
-    );
+    let (four, threads) = (&reports[2], reports[2].threads);
+    let speedup = reports[0].wall.as_secs_f64() / four.wall.as_secs_f64().max(1e-12);
+    println!("\nspeedup({threads} threads vs 1): {speedup:.1}x\n");
 
-    println!("per-query stats (4-thread run, first 8 queries):\n");
+    println!("per-query stats ({threads}-thread run, first 8 queries):\n");
     println!("| band | wall ms | pages | disk | subfields | cells ex. | qualifying | regions |");
     println!("|---|---|---|---|---|---|---|---|");
     for r in four.results.iter().take(8) {

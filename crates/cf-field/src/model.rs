@@ -10,8 +10,9 @@ use cf_storage::Record;
 /// identified by a dense index `0..num_cells()`. Each cell has an
 /// on-disk record type carrying its sample points, so the estimation
 /// step can run from bytes read back from the cell file — the
-/// disk-resident pipeline of the paper.
-pub trait FieldModel {
+/// disk-resident pipeline of the paper. A model is `'static`, so a
+/// query may refine part of its cells on another thread.
+pub trait FieldModel: 'static {
     /// On-disk record for one cell (geometry + sample values).
     type CellRec: Record + Clone + Send + Sync;
 

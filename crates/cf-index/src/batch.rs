@@ -2,12 +2,10 @@
 //!
 //! The paper measures one query at a time; a production field store
 //! serves many concurrent band queries. [`QueryBatch`] fans a slice of
-//! queries across a scoped thread pool running against a shared
-//! [`StorageEngine`] — the sharded buffer pool in `cf-storage` keeps the
-//! workers from serializing on a single frame lock, and the per-thread
-//! I/O tally (`cf_storage::thread_io_stats`) keeps every query's
-//! [`QueryStats`] exact even while its neighbors fault pages on the same
-//! engine.
+//! queries across the resident workers ([`Workers`]) on one shared
+//! [`StorageEngine`]; the per-thread I/O tally
+//! (`cf_storage::thread_io_stats`) keeps every query's [`QueryStats`]
+//! exact while its neighbors fault pages on the same engine.
 //!
 //! The executor runs any [`ValueIndex`] — the paper's three methods,
 //! the Interval-Quadtree ablation, or an ingest snapshot — so one batch
@@ -16,13 +14,16 @@
 //!
 //! Queries are claimed from an atomic cursor (work stealing), so skewed
 //! workloads (a few wide bands among many selective ones) don't idle
-//! workers the way a static partition would.
+//! threads the way a static partition would.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::stats::{QueryStats, ValueIndex};
+use crate::workers::{Offer, Workers};
 use cf_geom::Interval;
-use cf_storage::{CfResult, Counter, IoStats, StorageEngine};
+use cf_storage::{CfResult, IoStats, StorageEngine};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A batch of interval queries plus execution knobs.
@@ -32,13 +33,14 @@ use std::time::{Duration, Instant};
 /// use cf_field::GridField;
 /// use cf_geom::Interval;
 /// use cf_storage::StorageEngine;
+/// use std::sync::Arc;
 ///
 /// # fn main() -> cf_storage::CfResult<()> {
 /// let engine = StorageEngine::in_memory();
 /// let field = GridField::from_values(3, 3, vec![0., 1., 2., 3., 4., 5., 6., 7., 8.]);
-/// let index = IHilbert::build(&engine, &field)?;
+/// let index = Arc::new(IHilbert::build(&engine, &field)?);
 /// let queries = vec![Interval::new(1.0, 2.0), Interval::new(5.0, 7.0)];
-/// let report = QueryBatch::new(queries).threads(2).run(&engine, &index)?;
+/// let report = QueryBatch::new(queries).threads(2).run(&engine, index)?;
 /// assert_eq!(report.results.len(), 2);
 /// assert!(report.total_io().logical_reads() > 0);
 /// # Ok(())
@@ -51,7 +53,7 @@ pub struct QueryBatch {
 }
 
 impl QueryBatch {
-    /// A batch over `queries`, defaulting to one worker per available
+    /// A batch over `queries`, defaulting to one thread per available
     /// CPU.
     pub fn new(queries: Vec<Interval>) -> Self {
         Self {
@@ -60,8 +62,8 @@ impl QueryBatch {
         }
     }
 
-    /// Sets the worker count; `0` (the default) uses
-    /// [`std::thread::available_parallelism`].
+    /// Caps the query threads; `0` (the default) means one per
+    /// available CPU, which is also the cap of every other value.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -70,108 +72,55 @@ impl QueryBatch {
     /// Runs the batch against `index`, returning per-query results in
     /// query order plus batch-level aggregates.
     ///
-    /// Each query runs the index's ordinary pipeline on one worker;
+    /// Each query runs the index's ordinary pipeline on one thread;
     /// parallelism is across queries, so the per-query statistics
     /// (counts, area bits, logical page reads) are identical to calling
-    /// [`ValueIndex::query_stats`] in a loop. A worker refines a large
-    /// query on two threads (DESIGN §17.12) only while the batch leaves
-    /// a CPU per worker idle (`2 × threads ≤ available_parallelism`):
-    /// beyond that every CPU already runs a worker, and a split would
-    /// only add its spawn.
+    /// [`ValueIndex::query_stats`] in a loop. The caller runs one claim
+    /// loop and offers the workers `threads − 1` copies of it, so a batch
+    /// on every CPU leaves no worker idle, and the two-thread refine of
+    /// its large queries (DESIGN §17.12) comes back to each query's own
+    /// thread. A smaller batch leaves workers free to take those halves.
     ///
     /// If any query fails (injected fault, corrupt page), the batch
-    /// aborts and returns the first failing worker's error; partial
-    /// results are discarded.
-    pub fn run(&self, engine: &StorageEngine, index: &dyn ValueIndex) -> CfResult<BatchReport> {
-        let cpus = crate::exec::cpus();
-        let threads = if self.threads == 0 {
-            cpus
-        } else {
-            self.threads
-        };
-        let threads = threads.min(self.queries.len()).max(1);
-        let busy_cpus = 2 * threads > cpus;
-
-        let mut results: Vec<Option<BatchQueryResult>> = Vec::new();
-        results.resize_with(self.queries.len(), || None);
+    /// returns the first failing loop's error; partial results are
+    /// discarded.
+    pub fn run(&self, engine: &StorageEngine, index: Arc<dyn ValueIndex>) -> CfResult<BatchReport> {
+        let set = Workers::global();
+        let asked = Some(self.threads).filter(|&n| n > 0).unwrap_or(usize::MAX);
+        let threads = asked.min(set.workers + 1).min(self.queries.len()).max(1);
         let t0 = Instant::now();
-
-        // Executor metrics: how deep the unclaimed queue is right now,
-        // and how much wall time each worker spent inside queries (their
-        // ratio to batch wall time is the utilization).
-        let registry = engine.metrics();
-        let queue_depth = registry.gauge("batch_queue_depth");
-        queue_depth.set(self.queries.len() as f64);
-        let busy_counters: Vec<Counter> = (0..threads)
-            .map(|w| {
-                registry.counter_with("batch_worker_busy_ns_total", &[("worker", &w.to_string())])
-            })
-            .collect();
-
-        let cursor = AtomicUsize::new(0);
-        let slots = std::sync::Mutex::new(&mut results);
-        let mut first_err = None;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let busy = &busy_counters[w];
-                    let queue_depth = &queue_depth;
-                    let cursor = &cursor;
-                    let slots = &slots;
-                    scope.spawn(move || -> CfResult<()> {
-                        if busy_cpus {
-                            crate::exec::refine_on_this_thread_only();
-                        }
-                        let mut busy_ns = 0u64;
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&band) = self.queries.get(i) else {
-                                break;
-                            };
-                            queue_depth.set(self.queries.len().saturating_sub(i + 1) as f64);
-                            let qt0 = Instant::now();
-                            let stats = index.query_stats(engine, band)?;
-                            let result = BatchQueryResult {
-                                band,
-                                stats,
-                                wall: qt0.elapsed(),
-                            };
-                            busy_ns += result.wall.as_nanos() as u64;
-                            slots.lock().expect("batch result lock poisoned")[i] = Some(result);
-                        }
-                        busy.add(busy_ns);
-                        Ok(())
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
+        let method = index.name();
+        let queries: Arc<[Interval]> = self.queries.clone().into();
+        let cursor = Arc::new(AtomicUsize::new(0));
+        let engine = engine.clone();
+        // One thread's share: claim the next query until none is left,
+        // keeping each result under its query's position.
+        let claim = move || -> CfResult<Vec<(usize, BatchQueryResult)>> {
+            let mut done = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&band) = queries.get(i) else {
+                    return Ok(done);
+                };
+                let t0 = Instant::now();
+                let stats = index.query_stats(&engine, band)?;
+                let wall = t0.elapsed();
+                done.push((i, BatchQueryResult { band, stats, wall }));
             }
-        });
-        // Workers publish the depth after claiming, so a worker that
-        // claimed early but published late can leave a stale depth
-        // behind; once all have joined, the cursor is the exact count.
-        queue_depth.set(self.queries.len().saturating_sub(cursor.into_inner()) as f64);
-        if let Some(e) = first_err {
-            return Err(e);
+        };
+        let offers: Vec<_> = (1..threads).map(|_| set.offer(claim.clone())).collect();
+        let mine = claim();
+        let theirs: Vec<_> = offers.into_iter().map(Offer::finish).collect();
+        let mut results = mine?;
+        for part in theirs {
+            results.extend(part?);
         }
-
+        results.sort_unstable_by_key(|&(i, _)| i);
         Ok(BatchReport {
-            method: index.name(),
+            method,
             threads,
             wall: t0.elapsed(),
-            results: results
-                .into_iter()
-                .map(|r| r.expect("every query produces a result"))
-                .collect(),
+            results: results.into_iter().map(|(_, r)| r).collect(),
         })
     }
 }
@@ -184,7 +133,7 @@ pub struct BatchQueryResult {
     pub band: Interval,
     /// Full per-query statistics (I/O exact, via the thread tally).
     pub stats: QueryStats,
-    /// Wall time of this query on its worker.
+    /// Wall time of this query on its thread.
     pub wall: Duration,
 }
 
@@ -193,7 +142,8 @@ pub struct BatchQueryResult {
 pub struct BatchReport {
     /// Name of the method that ran the batch.
     pub method: String,
-    /// Worker threads actually used.
+    /// Query threads: the requested count capped by the CPUs and the
+    /// queries.
     pub threads: usize,
     /// Wall time of the whole batch.
     pub wall: Duration,
@@ -211,10 +161,7 @@ impl BatchReport {
 
     /// Mean per-query wall time.
     pub fn mean_query_wall(&self) -> Duration {
-        if self.results.is_empty() {
-            return Duration::ZERO;
-        }
-        self.results.iter().map(|r| r.wall).sum::<Duration>() / self.results.len() as u32
+        self.results.iter().map(|r| r.wall).sum::<Duration>() / self.results.len().max(1) as u32
     }
 
     /// Largest single-query wall time.
@@ -265,6 +212,7 @@ impl fmt::Display for BatchReport {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::ihilbert::IHilbert;
@@ -295,15 +243,15 @@ mod tests {
     fn batch_matches_sequential_loop_exactly() {
         let engine = StorageEngine::in_memory();
         let field = wavy_field(32);
-        let index = IHilbert::build(&engine, &field).expect("build");
+        let index = Arc::new(IHilbert::build(&engine, &field).expect("build"));
         let queries = bands();
 
         let report = QueryBatch::new(queries.clone())
             .threads(4)
-            .run(&engine, &index)
+            .run(&engine, Arc::clone(&index) as Arc<dyn ValueIndex>)
             .expect("run");
         assert_eq!(report.results.len(), queries.len());
-        assert_eq!(report.threads, 4);
+        assert_eq!(report.threads, (Workers::global().workers + 1).min(4));
 
         for (i, q) in queries.iter().enumerate() {
             let r = &report.results[i];
@@ -329,7 +277,7 @@ mod tests {
     fn per_query_io_is_exact_under_concurrency() {
         let engine = StorageEngine::in_memory();
         let field = wavy_field(48);
-        let index = IHilbert::build(&engine, &field).expect("build");
+        let index = Arc::new(IHilbert::build(&engine, &field).expect("build"));
         let queries = bands();
 
         // Warm the cache fully, then batch: per-query accounting must
@@ -344,7 +292,7 @@ mod tests {
             .collect();
         let report = QueryBatch::new(queries)
             .threads(8)
-            .run(&engine, &index)
+            .run(&engine, Arc::clone(&index) as Arc<dyn ValueIndex>)
             .expect("run");
         for (r, w) in report.results.iter().zip(&warm) {
             assert_eq!(r.stats.io.disk_reads, 0, "warm batch must not fault");
@@ -358,10 +306,10 @@ mod tests {
     fn single_thread_and_empty_batch_work() {
         let engine = StorageEngine::in_memory();
         let field = wavy_field(8);
-        let index = LinearScan::build(&engine, &field).expect("build");
+        let index = Arc::new(LinearScan::build(&engine, &field).expect("build"));
 
         let empty = QueryBatch::new(Vec::new())
-            .run(&engine, &index)
+            .run(&engine, Arc::clone(&index) as Arc<dyn ValueIndex>)
             .expect("run");
         assert!(empty.results.is_empty());
         assert_eq!(empty.queries_per_second(), 0.0);
@@ -369,7 +317,7 @@ mod tests {
 
         let one = QueryBatch::new(vec![Interval::new(0.0, 5.0)])
             .threads(1)
-            .run(&engine, &index)
+            .run(&engine, index)
             .expect("run");
         assert_eq!(one.results.len(), 1);
         assert_eq!(one.threads, 1);
@@ -382,11 +330,11 @@ mod tests {
     fn thread_count_is_capped_by_query_count() {
         let engine = StorageEngine::in_memory();
         let field = wavy_field(8);
-        let index = LinearScan::build(&engine, &field).expect("build");
+        let index = Arc::new(LinearScan::build(&engine, &field).expect("build"));
         let report = QueryBatch::new(vec![Interval::new(0.0, 1.0); 3])
             .threads(16)
-            .run(&engine, &index)
+            .run(&engine, index)
             .expect("run");
-        assert_eq!(report.threads, 3);
+        assert_eq!(report.threads, (Workers::global().workers + 1).min(3));
     }
 }

@@ -6,52 +6,42 @@
 //! I-All probes and the ingest snapshot's overlay-aware probe — is one
 //! call of [`run`], and every one probes: there is no planner and no
 //! full-scan branch (DESIGN §8.5). Every path reads its runs with one
-//! range sweep
-//! ([`CellFile::for_each_in_ranges`]), each page at most once. The
-//! executor alone owns the query bracket (phase stopwatches, thread-I/O
-//! delta), the range merge rule, the per-cell refine body and the
-//! assembly of the query's one [`ExplainRecord`], handed once to
-//! [`QueryMetrics::publish`] — registry series, trace events, EXPLAIN
-//! and flight record all derive from it. A caller supplies only what
-//! genuinely differs, as a [`Q2`]: the filter source, the cell file, an
-//! optional overlay, and the labels.
+//! range sweep ([`CellFile::for_each_in_ranges`]), each page at most
+//! once. The executor alone owns the query bracket (phase stopwatches,
+//! thread-I/O delta), the range merge rule, the per-cell refine body and
+//! the query's one [`ExplainRecord`], handed once to
+//! [`QueryMetrics::publish`]. A caller supplies only what differs, as a
+//! [`Q2`]: the filter source, the cell file, an optional overlay, and
+//! the labels.
 //!
-//! The per-cell path is statically dispatched and allocates nothing: the
-//! refine body is a closure handed to the generic `for_each_in_ranges`,
-//! monomorphised per field model, and the record decode, band test and
-//! area it calls in `cf-field` and `cf-geom` are `#[inline]`, so the
-//! path is one loop. A large query without a sink refines on two
-//! threads (DESIGN §17.12): its runs are cut once at a page boundary and
-//! a scoped helper refines the upper part. Such a query does allocate:
-//! the helper thread, the vector of its region areas, its decode
-//! scratch on compressed pages, and one more run where the cut splits
-//! one. An overlay is substituted by a merge: its entries,
-//! sorted by position once per query, meet the sweep's ascending
-//! positions through one cursor, with no lookup per cell; a query
-//! without an overlay builds no cursor. Each answer region reaches the
-//! caller's sink as a vertex slice on the stack
-//! ([`FieldModel::record_band_visit`]); only a caller that keeps regions
-//! builds polygons from them. `LinearScan` and the volume / vector scans
-//! stay hand-written: they are the reference the tests compare this
-//! executor against. The volume and vector indexes share its filter
-//! ([`search_ranges`], generic over the tree dimension) and its range
-//! merge rule ([`coalesce`]) through [`probe`].
+//! The per-cell path is statically dispatched, inlined into one loop,
+//! and allocates nothing. A large query without a sink refines on two
+//! threads (DESIGN §17.12): its runs are cut once at a page boundary
+//! and the upper part is offered to the resident workers ([`Workers`]),
+//! which costs the job, its region areas, clones of the engine and cell
+//! file handles and of the upper part's overlay records. An overlay is
+//! substituted by a merge: its entries, sorted by position once per
+//! query, meet the sweep's ascending positions through one cursor. Each
+//! answer region reaches the caller's sink as a vertex slice on the
+//! stack ([`FieldModel::record_band_visit`]). `LinearScan` and the
+//! volume / vector scans stay hand-written as the tests' reference; the
+//! volume and vector indexes share the filter ([`search_ranges`]) and
+//! the range merge ([`coalesce`]) through [`probe`].
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::sfindex::subfield_of;
 use crate::stats::{QueryMetrics, QueryStats, RegionSink};
 use crate::subfield::Subfield;
+use crate::workers::{Offer, Workers};
 use cf_field::FieldModel;
 use cf_geom::{signed_area, Aabb, Interval, Point2};
 use cf_rtree::{PagedRTree, SearchStats};
 use cf_storage::{
-    answer_digest, CellFile, CfResult, ExplainRecord, IoStats, Label, Record, Stopwatch,
-    StorageEngine,
+    answer_digest, CellFile, CfResult, ExplainRecord, Label, Record, Stopwatch, StorageEngine,
 };
-use std::cell::Cell;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::OnceLock;
 
 /// What one query path supplies to [`run`].
 pub(crate) struct Q2<'a, R: Record> {
@@ -209,64 +199,15 @@ pub(crate) fn coalesce(ranges: &mut [(u32, u32)]) -> Vec<Range<usize>> {
 }
 
 /// Cells a query's coalesced runs must hold before its estimation step
-/// runs on two threads (DESIGN §17.12): below it, the helper's start-up
-/// (≈ 10 µs of spawn on the caller, ≈ 17 µs before the helper runs)
-/// costs more than half the refine saves on the cheapest field. Public
-/// so `repro obs-overhead` can keep its cold loop on one thread.
+/// runs on two threads (DESIGN §17.12): below it, a worker's wake-up
+/// (≈ 10 µs before it runs) costs more than half the refine saves on
+/// the cheapest field. Public so `repro obs-overhead` can keep its cold
+/// loop on one thread.
 pub const SPLIT_CELLS: usize = 4096;
 
 /// Cells the caller refines beyond half of a split query's: its head
-/// start while the helper thread starts (≈ 17 µs, 15–25 µs of refine).
+/// start while a worker wakes (≈ 10 µs; 512 cells are 15–25 µs of refine).
 const CALLER_LEAD: usize = 512;
-
-thread_local! {
-    /// Cleared on the workers of a [`crate::QueryBatch`] that already
-    /// keeps every CPU busy: a split there only adds a spawn.
-    static MAY_SPLIT: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Keeps every later query of the calling thread on that thread.
-pub(crate) fn refine_on_this_thread_only() {
-    MAY_SPLIT.set(false);
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Queries this thread ran split: the unit tests check the gate.
-    static SPLITS: Cell<usize> = const { Cell::new(0) };
-    /// Set by the unit tests to make the helper's spawn fail.
-    static FAIL_SPAWN: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Starts a split query's helper on an unnamed scoped thread. Fails
-/// where the OS will not start a thread (a process or memory limit);
-/// the caller then sweeps both halves itself.
-fn spawn_helper<'scope, T: Send + 'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    half: impl FnOnce() -> T + Send + 'scope,
-) -> std::io::Result<std::thread::ScopedJoinHandle<'scope, T>> {
-    #[cfg(test)]
-    if FAIL_SPAWN.get() {
-        return Err(std::io::Error::other("spawn refused by the test"));
-    }
-    std::thread::Builder::new().spawn_scoped(scope, half)
-}
-
-/// The CPUs this process may run on
-/// ([`std::thread::available_parallelism`], 1 when unknown), asked
-/// once: the split gate and [`crate::QueryBatch`]'s worker count both
-/// read it.
-pub(crate) fn cpus() -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Whether this process may run two threads at once. The unit tests
-/// split on any host, so that a one-CPU machine tests the split path
-/// too.
-fn two_cpus() -> bool {
-    cfg!(test) || cpus() >= 2
-}
 
 /// Cuts `runs` once, at the first record of the data page that holds
 /// their middle cell moved [`CALLER_LEAD`] cells up (or, when that page
@@ -319,11 +260,11 @@ fn cut_at_page<R: Record>(
 /// ascending position, with the overlay records `subs` (sorted by
 /// position) substituted by merge — a cursor meets each substituted
 /// record in step, and no cell pays a lookup.
-fn sweep<R: Record>(
+fn sweep<R: Record, S: Borrow<R>>(
     engine: &StorageEngine,
     cells: &CellFile<R>,
     runs: &[Range<usize>],
-    subs: &[(u32, &R)],
+    subs: &[(u32, S)],
     mut visit: impl FnMut(&R),
 ) -> CfResult<()> {
     if subs.is_empty() {
@@ -337,7 +278,7 @@ fn sweep<R: Record>(
         last = Some(pos);
         while cursor.next_if(|&&(p, _)| p < pos).is_some() {}
         match cursor.next_if(|&&(p, _)| p == pos) {
-            Some(&(_, sub)) => visit(sub),
+            Some((_, sub)) => visit(sub.borrow()),
             None => visit(&rec),
         }
     })
@@ -370,16 +311,14 @@ fn refine<F: FieldModel>(
 ///
 /// A query without a sink whose runs hold at least [`SPLIT_CELLS`]
 /// cells, on a host with two CPUs, refines on two threads: the runs are
-/// cut once at a page boundary ([`cut_at_page`]), a scoped helper
-/// refines the upper half while the caller refines the lower, and the
-/// caller then adds the helper's counts, its I/O tally and its region
-/// areas one by one in file order. Every count, the area bits and the
-/// logical page reads are the one-thread sweep's. How those reads split
-/// into pool hits, misses and disk reads depends on how the two halves
-/// interleave when the pool holds fewer frames than the query reads
-/// pages. The helper's reads are in the returned `io`, not in the
-/// calling thread's [`cf_storage::thread_io_stats`]. Where the OS will
-/// not start the helper, the caller sweeps the upper half itself.
+/// cut once at a page boundary ([`cut_at_page`]), the upper half is
+/// offered to the workers while the caller refines the lower (and the
+/// upper too if no worker claimed it by then), and the upper half's
+/// counts, I/O tally and region areas are added in file order. Every
+/// count, the area bits and the logical page reads are the one-thread
+/// sweep's; how those reads split into pool hits and misses depends on
+/// how the halves interleave. A worker's reads are in the returned `io`,
+/// not in the caller's [`cf_storage::thread_io_stats`].
 pub(crate) fn run<F: FieldModel>(
     engine: &StorageEngine,
     band: Interval,
@@ -405,82 +344,56 @@ pub(crate) fn run<F: FieldModel>(
     // adjacent ranges and visiting every data page exactly once.
     let refine_clock = Stopwatch::start();
     let mut runs = coalesce(&mut ranges);
-    let subs: Vec<(u32, &F::CellRec)> = match q.overlay {
-        None => Vec::new(),
-        Some(overlay) => {
-            let mut subs: Vec<_> = overlay.iter().map(|(&p, r)| (p, r)).collect();
-            subs.sort_unstable_by_key(|&(p, _)| p);
-            subs
-        }
-    };
+    let mut subs: Vec<(u32, &F::CellRec)> = q.overlay.map_or_else(Vec::new, |overlay| {
+        overlay.iter().map(|(&p, r)| (p, r)).collect()
+    });
+    subs.sort_unstable_by_key(|&(p, _)| p);
     let cells: usize = runs.iter().map(ExactSizeIterator::len).sum();
-    let cut = match sink {
-        None if cells >= SPLIT_CELLS && MAY_SPLIT.get() && two_cpus() => {
-            cut_at_page(q.cells, &mut runs, cells)
-        }
-        _ => None,
-    };
-    match cut {
-        None => sweep(engine, q.cells, &runs, &subs, |rec| {
-            refine::<F>(rec, band, &mut stats, &mut |stats, vs| {
-                stats.area += signed_area(vs).abs();
-                if let Some(sink) = sink.as_mut() {
-                    sink(vs);
-                }
-            });
-        })?,
-        Some((cut, k)) => {
-            #[cfg(test)]
-            SPLITS.set(SPLITS.get() + 1);
-            let (lower, upper) = runs.split_at(k);
-            let (subs_lower, subs_upper) =
-                subs.split_at(subs.partition_point(|&(p, _)| (p as usize) < cut));
-            let cells = q.cells;
-            let upper_half = move || {
-                let before = cf_storage::thread_io_stats();
-                let mut part = QueryStats::default();
-                let mut areas = Vec::new();
-                sweep(engine, cells, upper, subs_upper, |rec| {
-                    refine::<F>(rec, band, &mut part, &mut |_, vs| {
-                        areas.push(signed_area(vs).abs());
-                    });
-                })
-                .map(|()| (part, areas, cf_storage::thread_io_stats() - before))
-            };
-            let (mine, theirs) = std::thread::scope(|scope| {
-                let helper = spawn_helper(scope, upper_half);
-                let mine = sweep(engine, cells, lower, subs_lower, |rec| {
-                    refine::<F>(rec, band, &mut stats, &mut |stats, vs| {
-                        stats.area += signed_area(vs).abs();
-                    });
+    let split = sink.is_none() && cells >= SPLIT_CELLS && Workers::global().workers > 0;
+    let cut = split
+        .then(|| cut_at_page(q.cells, &mut runs, cells))
+        .flatten();
+    let upper = cut.map(|(cut, k)| {
+        #[cfg(test)]
+        tests::SPLITS.set(tests::SPLITS.get() + 1);
+        let upper = runs.split_off(k);
+        let at = subs.partition_point(|&(p, _)| (p as usize) < cut);
+        let subs: Vec<_> = subs.drain(at..).map(|(p, r)| (p, r.clone())).collect();
+        let (engine, cells) = (engine.clone(), q.cells.clone());
+        Workers::global().offer(move || {
+            let before = cf_storage::thread_io_stats();
+            let (mut part, mut areas) = (QueryStats::default(), Vec::new());
+            sweep(&engine, &cells, &upper, &subs, |rec| {
+                refine::<F>(rec, band, &mut part, &mut |_, vs| {
+                    areas.push(signed_area(vs).abs());
                 });
-                let theirs = match helper {
-                    Ok(helper) => helper
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-                    // No thread to be had: the caller sweeps the upper
-                    // half after the lower, the same merge in the same
-                    // order. Its reads are in the caller's own tally.
-                    Err(_) => {
-                        upper_half().map(|(part, areas, _)| (part, areas, IoStats::default()))
-                    }
-                };
-                (mine, theirs)
-            });
-            // The lower half's error first: it is the one the
-            // one-thread sweep would have stopped at.
-            mine?;
-            let (part, areas, io) = theirs?;
-            stats.cells_examined += part.cells_examined;
-            stats.cells_qualifying += part.cells_qualifying;
-            stats.num_regions += part.num_regions;
-            for area in areas {
-                stats.area += area;
+            })
+            .map(|()| (part, areas, cf_storage::thread_io_stats() - before))
+        })
+    });
+    let lower = sweep(engine, q.cells, &runs, &subs, |rec| {
+        refine::<F>(rec, band, &mut stats, &mut |stats, vs| {
+            stats.area += signed_area(vs).abs();
+            if let Some(sink) = sink.as_mut() {
+                sink(vs);
             }
-            stats.io = io;
-        }
+        });
+    });
+    // Taken before the finish: an upper half swept here counts its
+    // reads once, in its own tally.
+    stats.io = cf_storage::thread_io_stats() - before;
+    let upper = upper.map(Offer::finish);
+    // The lower half's error first: it is the one the one-thread sweep
+    // would have stopped at.
+    lower?;
+    if let Some(upper) = upper {
+        let (part, areas, io) = upper?;
+        stats.cells_examined += part.cells_examined;
+        stats.cells_qualifying += part.cells_qualifying;
+        stats.num_regions += part.num_regions;
+        stats.area = areas.into_iter().fold(stats.area, |sum, area| sum + area);
+        stats.io = stats.io + io;
     }
-    stats.io = stats.io + (cf_storage::thread_io_stats() - before);
     let refine_ns = refine_clock.elapsed_ns();
     let query_ns = query_clock.elapsed_ns();
 

@@ -1,18 +1,30 @@
 //! The executor's range merge, and the split estimation step against the
 //! one-thread sweep: the same counts, area bits and pages, the same
-//! errors, the same panics. A query with a sink never splits, so
+//! errors, the same panics, whether a worker claims the upper half or
+//! the caller sweeps it. A query with a sink never splits, so
 //! `query_regions` is the one-thread reference of every check here.
 #![allow(clippy::expect_used, clippy::panic)]
 
 use super::*;
-use crate::{IHilbert, IngestConfig, LiveIngest, ValueIndex};
+use crate::workers::tests::{hold_every_worker, CLAIMED};
+use crate::workers::WORKER;
+use crate::{IHilbert, IngestConfig, LiveIngest, QueryBatch, ValueIndex};
 use cf_field::{GridCellRecord, GridField};
 use cf_storage::{PageCodec, PageId, StorageConfig, PAGE_SIZE};
 use cf_workload::{fractal::diamond_square, noise::urban_noise_tin, queries::interval_queries};
-use std::collections::BTreeSet;
+use std::cell::Cell;
+use std::collections::{BTreeSet, HashSet};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::ThreadId;
+
+thread_local! {
+    /// Queries this thread cut for two threads (offers, claimed or
+    /// not): the gate tests count them.
+    pub(super) static SPLITS: Cell<usize> = const { Cell::new(0) };
+}
 
 #[test]
 fn coalesce_merges_touching_and_overlapping_ranges() {
@@ -291,42 +303,28 @@ fn a_split_snapshot_query_substitutes_overlays_on_both_sides_of_the_cut() {
     assert!(splits >= 3, "only {splits} snapshot bands split");
 }
 
-/// Refuses every helper spawn of this thread while it lives.
-struct SpawnRefused;
-
-impl SpawnRefused {
-    fn new() -> Self {
-        FAIL_SPAWN.set(true);
-        Self
-    }
-}
-
-impl Drop for SpawnRefused {
-    fn drop(&mut self) {
-        FAIL_SPAWN.set(false);
-    }
-}
-
-/// With no thread to be had, a split query sweeps both halves on the
+/// With every worker held, a split query sweeps both halves on the
 /// caller: it answers like one thread, and the [`Tripwire`] that would
-/// catch a helper never trips.
+/// catch a worker never trips.
 #[test]
-fn a_refused_spawn_sweeps_both_halves_on_the_caller() {
-    let _refused = SpawnRefused::new();
+fn an_unclaimed_offer_sweeps_both_halves_on_the_caller() {
+    let _held = hold_every_worker();
     let field = diamond_square(8, 0.6, 0x5EED);
     for codec in [PageCodec::Raw, PageCodec::Compressed] {
-        let db = TmpDb::new(&format!("refused_{}", codec.name()));
+        let db = TmpDb::new(&format!("unclaimed_{}", codec.name()));
         let engine = engine(codec, Some(&db));
         let index = IHilbert::build(&engine, &field).expect("build");
-        let what = format!("refused spawn, {}", codec.name());
+        let what = format!("unclaimed, {}", codec.name());
         let mut splits = 0;
+        let claimed = CLAIMED.get();
         for band in bands(field.value_domain()) {
             engine.clear_cache();
             splits += usize::from(split_equals_one_thread(&index, &engine, band, &what).0);
         }
         assert!(splits >= 3, "{what}: only {splits} bands split");
+        assert_eq!(CLAIMED.get(), claimed, "{what}: no offer was claimed");
 
-        let tripwire = Tripwire(diamond_square(7, 0.6, 0x5EED));
+        let tripwire = Tripwire::<true>(diamond_square(7, 0.6, 0x5EED));
         let engine = self::engine(codec, None);
         let index = IHilbert::build(&engine, &tripwire).expect("build");
         let (split, _) = split_equals_one_thread(&index, &engine, tripwire.value_domain(), &what);
@@ -334,51 +332,63 @@ fn a_refused_spawn_sweeps_both_halves_on_the_caller() {
     }
 }
 
-/// A batch worker on a host whose CPUs the batch already fills keeps
-/// every query on its own thread, with the same answer.
+/// A batch on every thread of the set leaves no worker to claim its
+/// queries' offers: each large query is refined on one thread, with the
+/// one-thread answer. Its large queries come first and a long tail of
+/// empty ones last, so no large query is still running when a loop
+/// runs out of queries and its worker turns idle.
 #[test]
-fn a_thread_kept_from_splitting_refines_alone() {
-    let field = diamond_square(7, 0.6, 0x5EED);
-    let band = field.value_domain();
+fn a_batch_on_every_cpu_refines_each_query_on_its_own_thread() {
+    let field = Tripwire::<false>(diamond_square(7, 0.6, 0x5EED));
+    let domain = field.value_domain();
     let engine = engine(PageCodec::Raw, None);
-    let index = IHilbert::build(&engine, &field).expect("build");
-    let (split, stats) = split_equals_one_thread(&index, &engine, band, "free");
-    assert!(split, "the whole domain splits");
-    let alone = std::thread::scope(|scope| {
-        scope
-            .spawn(|| {
-                refine_on_this_thread_only();
-                let stats = index.query_stats(&engine, band).expect("query");
-                assert_eq!(SPLITS.get(), 0, "a kept thread never splits");
-                stats
-            })
-            .join()
-            .expect("the worker")
-    });
-    assert_eq!(
-        (
-            alone.cells_examined,
-            alone.area.to_bits(),
-            alone.io.logical_reads()
-        ),
-        (
-            stats.cells_examined,
-            stats.area.to_bits(),
-            stats.io.logical_reads()
-        )
-    );
+    let index = Arc::new(IHilbert::build(&engine, &field).expect("build"));
+    let threads = Workers::global().workers + 1;
+    let large: Vec<Interval> = (0..2 * threads)
+        .map(|k| Interval::new(domain.lo - k as f64, domain.hi + k as f64))
+        .collect();
+    let empty =
+        (0..4000).map(|k| Interval::new(domain.hi + 1.0 + k as f64, domain.hi + 1.5 + k as f64));
+    let queries: Vec<Interval> = large.iter().copied().chain(empty).collect();
+    let report = QueryBatch::new(queries)
+        .run(&engine, Arc::clone(&index) as Arc<dyn ValueIndex>)
+        .expect("batch");
+    assert_eq!(report.threads, threads, "the batch fills the set");
+    for (r, band) in report.results.iter().zip(&large) {
+        let seen = lock_seen();
+        let on: HashSet<ThreadId> = seen
+            .iter()
+            .filter(|&&(lo, hi, _)| (lo, hi) == (band.lo.to_bits(), band.hi.to_bits()))
+            .map(|&(_, _, thread)| thread)
+            .collect();
+        assert_eq!(on.len(), 1, "{band:?} refined on {on:?}");
+        drop(seen);
+        let (one, _) = index.query_regions(&engine, *band).expect("one thread");
+        assert_eq!(
+            (
+                r.stats.cells_examined,
+                r.stats.area.to_bits(),
+                r.stats.io.logical_reads()
+            ),
+            (
+                one.cells_examined,
+                one.area.to_bits(),
+                one.io.logical_reads()
+            )
+        );
+    }
 }
 
 #[test]
 fn a_corrupt_page_fails_a_split_query_with_the_lower_page() {
     let field = diamond_square(7, 0.6, 0x5EED);
     let band = field.value_domain();
-    for (codec, refused) in [PageCodec::Raw, PageCodec::Compressed]
+    for (codec, unclaimed) in [PageCodec::Raw, PageCodec::Compressed]
         .into_iter()
         .flat_map(|codec| [(codec, false), (codec, true)])
     {
-        let _refused = refused.then(SpawnRefused::new);
-        let db = TmpDb::new(&format!("fault_{}_{refused}", codec.name()));
+        let _held = unclaimed.then(hold_every_worker);
+        let db = TmpDb::new(&format!("fault_{}_{unclaimed}", codec.name()));
         let engine = engine(codec, Some(&db));
         let index = IHilbert::build(&engine, &field).expect("build");
         engine.sync().expect("sync");
@@ -403,7 +413,7 @@ fn a_corrupt_page_fails_a_split_query_with_the_lower_page() {
             err.page()
         };
 
-        // The helper's half fails alone.
+        // The upper half fails alone.
         db.flip_byte(upper);
         assert_eq!(query(), Some(upper), "{}", codec.name());
         // Both halves fail: the lower page, as the one-thread sweep.
@@ -412,11 +422,21 @@ fn a_corrupt_page_fails_a_split_query_with_the_lower_page() {
     }
 }
 
-/// A grid whose band visit panics on an unnamed thread — the helper of
-/// a split query — and nowhere else.
-struct Tripwire(GridField);
+/// A grid whose band visit, when `ARMED`, panics on a worker — the
+/// upper half of a split query — and nowhere else; unarmed, it notes
+/// each band it refines and the thread it refines on ([`lock_seen`]).
+struct Tripwire<const ARMED: bool>(GridField);
 
-impl FieldModel for Tripwire {
+/// `(band.lo, band.hi, thread)` of every cell an unarmed [`Tripwire`]
+/// refined.
+fn lock_seen() -> MutexGuard<'static, HashSet<(u64, u64, ThreadId)>> {
+    static SEEN: OnceLock<Mutex<HashSet<(u64, u64, ThreadId)>>> = OnceLock::new();
+    SEEN.get_or_init(Mutex::default)
+        .lock()
+        .expect("no test panics holding it")
+}
+
+impl<const ARMED: bool> FieldModel for Tripwire<ARMED> {
     type CellRec = GridCellRecord;
 
     fn num_cells(&self) -> usize {
@@ -440,8 +460,12 @@ impl FieldModel for Tripwire {
     }
 
     fn record_band_visit(rec: &GridCellRecord, band: Interval, visit: &mut impl FnMut(&[Point2])) {
-        if std::thread::current().name().is_none() {
+        let thread = std::thread::current();
+        if ARMED && thread.name() == Some(WORKER) {
             panic!("tripwire in the helper");
+        }
+        if !ARMED {
+            lock_seen().insert((band.lo.to_bits(), band.hi.to_bits(), thread.id()));
         }
         GridField::record_band_visit(rec, band, visit);
     }
@@ -463,14 +487,32 @@ impl FieldModel for Tripwire {
     }
 }
 
+/// Runs `query` until a worker claims its offer, at most 200 times: a
+/// worker may be busy with another test's job. Returns what the claimed
+/// run returned or raised.
+fn claimed<T>(mut query: impl FnMut() -> T) -> std::thread::Result<T> {
+    for _ in 0..200 {
+        let before = CLAIMED.get();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(&mut query));
+        if CLAIMED.get() > before {
+            return result;
+        }
+        assert!(result.is_ok(), "an unclaimed upper half never trips");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    panic!("no worker claimed an offer in 200 tries");
+}
+
 /// On compressed pages the refine runs outside the pool-shard lock, so
-/// the helper's panic poisons nothing the caller's half needs, and its
+/// the worker's panic poisons nothing the caller's half needs, and its
 /// own payload reaches the caller. On raw pages it poisons the shard of
 /// the page it was refining, as it would in the one-thread sweep: the
-/// query still panics, whichever payload wins.
+/// query still panics, whichever payload wins. The worker lives on:
+/// the next split query of a clean index is claimed and answers like
+/// one thread.
 #[test]
 fn a_panic_in_the_helper_reraises_on_the_caller() {
-    let field = Tripwire(diamond_square(7, 0.6, 0x5EED));
+    let field = Tripwire::<true>(diamond_square(7, 0.6, 0x5EED));
     let band = field.value_domain();
     for codec in [PageCodec::Compressed, PageCodec::Raw] {
         let engine = engine(codec, None);
@@ -478,15 +520,100 @@ fn a_panic_in_the_helper_reraises_on_the_caller() {
         index
             .query_regions(&engine, band)
             .expect("the one-thread sweep never trips");
-        let payload =
-            std::panic::catch_unwind(AssertUnwindSafe(|| index.query_stats(&engine, band)))
-                .expect_err("the helper's panic reaches the caller");
+        let payload = claimed(|| index.query_stats(&engine, band))
+            .expect_err("the worker's panic reaches the caller");
         if codec == PageCodec::Compressed {
             assert_eq!(
                 payload.downcast_ref::<&str>(),
                 Some(&"tripwire in the helper"),
-                "the helper's own payload, not the scope's"
+                "the worker's own payload"
             );
         }
     }
+    let clean = diamond_square(7, 0.6, 0x5EED);
+    let engine = engine(PageCodec::Raw, None);
+    let index = IHilbert::build(&engine, &clean).expect("build");
+    let band = clean.value_domain();
+    let stats = claimed(|| split_equals_one_thread(&index, &engine, band, "after a panic"))
+        .expect("a claimed query after the panic");
+    assert!(stats.0, "the whole domain splits");
+}
+
+/// Four threads share one engine and one index, each running a batch
+/// and single split queries: every answer is the one-thread answer, and
+/// nothing deadlocks — a finisher waits only on a claimed job, and a
+/// claimed job never waits on an unclaimed one.
+#[test]
+fn four_threads_of_batches_and_split_queries_answer_like_one_thread() {
+    let field = diamond_square(7, 0.6, 0x5EED);
+    let domain = field.value_domain();
+    let engine = engine(PageCodec::Compressed, None);
+    let index = Arc::new(IHilbert::build(&engine, &field).expect("build"));
+    let bands = bands(domain);
+    let want: Vec<QueryStats> = bands
+        .iter()
+        .map(|&band| index.query_regions(&engine, band).expect("query").0)
+        .collect();
+    let facts = |s: &QueryStats| {
+        let io = s.io.logical_reads();
+        (s.cells_examined, s.cells_qualifying, s.area.to_bits(), io)
+    };
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (engine, index, bands, want) = (&engine, &index, &bands, &want);
+            scope.spawn(move || {
+                for round in 0..3 {
+                    let report = QueryBatch::new(bands.clone())
+                        .threads(1 + (t + round) % 3)
+                        .run(engine, Arc::clone(index) as Arc<dyn ValueIndex>)
+                        .expect("batch");
+                    for (r, w) in report.results.iter().zip(want) {
+                        assert_eq!(facts(&r.stats), facts(w), "thread {t}: {:?}", r.band);
+                    }
+                    for (band, w) in bands.iter().zip(want).skip(t).step_by(4) {
+                        let stats = index.query_stats(engine, *band).expect("query");
+                        assert_eq!(facts(&stats), facts(w), "thread {t}: {band:?}");
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// Descriptors of this process open on `path` (Linux); `None` where the
+/// process's descriptors cannot be listed.
+fn open_descriptors(path: &std::path::Path) -> Option<usize> {
+    let fds = std::fs::read_dir("/proc/self/fd").ok()?;
+    let path = path.canonicalize().ok();
+    Some(
+        fds.filter_map(Result::ok)
+            .filter(|fd| std::fs::read_link(fd.path()).ok() == path)
+            .count(),
+    )
+}
+
+/// A claimed upper half drops its engine handle before its result
+/// reaches the caller: once the caller drops its own, the database file
+/// is closed, and the drop guard leaves nothing behind.
+#[test]
+fn a_claimed_job_drops_its_engine_handle_before_its_offer_completes() {
+    let field = diamond_square(7, 0.6, 0x5EED);
+    let db = TmpDb::new("handle");
+    let engine = engine(PageCodec::Compressed, Some(&db));
+    let index = IHilbert::build(&engine, &field).expect("build");
+    engine.sync().expect("sync");
+    claimed(|| {
+        engine.clear_cache();
+        index.query_stats(&engine, field.value_domain())
+    })
+    .expect("no panic")
+    .expect("the query");
+    drop(index);
+    drop(engine);
+    if let Some(open) = open_descriptors(&db.0) {
+        assert_eq!(open, 0, "a handle outlived the query");
+    }
+    let path = db.0.clone();
+    drop(db);
+    assert!(!path.exists());
 }

@@ -46,8 +46,8 @@
 //! [`VectorIHilbert`] extending subfields to `K`-dimensional value
 //! domains (§5 future work), and
 //! [`QueryBatch`] — a parallel batch executor fanning Q2 queries across
-//! a scoped thread pool over any [`ValueIndex`], with exact per-query
-//! and aggregated statistics ([`BatchReport`]).
+//! the resident worker threads over any [`ValueIndex`], with exact
+//! per-query and aggregated statistics ([`BatchReport`]).
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
@@ -68,6 +68,7 @@ mod stats;
 mod subfield;
 mod vector;
 mod volume3d;
+mod workers;
 
 pub use batch::{BatchQueryResult, BatchReport, QueryBatch};
 pub use catalog::{create_database, open_database, read_bootstrap, write_bootstrap};

@@ -9,7 +9,7 @@
 //! I-Hilbert groups greedy runs along a curve, cut at the cell file's
 //! page boundaries, the Interval Quadtree groups quadtree leaves, and
 //! I-All is the identity — native order, one cell per subfield.
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::exec::{self, Delta, Filter, SubfieldOverrides, Q2};
 use crate::stats::{QueryMetrics, QueryStats, RegionSink};
@@ -165,7 +165,7 @@ impl<F: FieldModel> SubfieldIndex<F> {
                 let iv = interval_at(pos as u32, &rec);
                 union = Some(union.map_or(iv, |u| u.union(iv)));
             })?;
-        Ok(union.expect("subfields are non-empty"))
+        union.ok_or_else(|| CfError::corrupt(None, format!("subfield {sf_idx} holds no cell")))
     }
 
     /// One Q2 query through the executor ([`exec::run`]): the two-step

@@ -32,7 +32,7 @@
 //! no subfield spans a page boundary and a retrieved subfield costs
 //! exactly one page read. The cell file is therefore written before the
 //! grouping (DESIGN §17.10).
-#![deny(clippy::unwrap_used, clippy::panic)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use cf_geom::{Aabb, Interval};
 use cf_storage::{CellFile, CfError, CfResult, Record};
@@ -173,6 +173,7 @@ impl<V> Subfield<V> {
     ///
     /// Panics if the payload decodes to an empty or inverted range.
     /// Payloads read from disk go through [`Subfield::try_unpack`].
+    #[allow(clippy::expect_used, reason = "the documented panic")]
     pub fn unpack(data: u64, interval: V) -> Self {
         Self::try_unpack(data, interval, u32::MAX as usize)
             .expect("payload was produced by Subfield::pack")
@@ -375,6 +376,7 @@ pub fn build_subfields_by_page<V: ValueSummary, R: Record>(
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 

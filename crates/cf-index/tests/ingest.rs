@@ -436,7 +436,7 @@ fn query_batch_over_a_snapshot_matches_oracle() {
     let snap = live.snapshot();
     let report = QueryBatch::new(fixed_bands())
         .threads(4)
-        .run(&engine, &*snap)
+        .run(&engine, snap)
         .expect("batch");
     for (i, r) in report.results.iter().enumerate() {
         let want = oracle.query_stats(&engine, r.band).expect("oracle query");

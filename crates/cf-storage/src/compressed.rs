@@ -164,7 +164,7 @@ impl Directory {
             page_starts.push((len - enc.count()) as u32);
             enc.flush_into(&mut buf[..]);
             pages.push(buf);
-            engine.page_encode_ns.observe_ns(clock.elapsed_ns());
+            engine.0.page_encode_ns.observe_ns(clock.elapsed_ns());
             clock = Stopwatch::start();
         };
         for r in records {
@@ -306,7 +306,7 @@ impl Directory {
                     ),
                 });
             }
-            engine.page_decode_ns.observe_ns(clock.elapsed_ns());
+            engine.0.page_decode_ns.observe_ns(clock.elapsed_ns());
             Ok(f(images))
         })
     }
@@ -328,7 +328,7 @@ impl Directory {
         }
         let mut buf: PageBuf = [0u8; PAGE_SIZE];
         enc.flush_into(&mut buf);
-        engine.page_encode_ns.observe_ns(clock.elapsed_ns());
+        engine.0.page_encode_ns.observe_ns(clock.elapsed_ns());
         Some(buf)
     }
 }

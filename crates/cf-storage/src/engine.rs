@@ -41,8 +41,13 @@ impl StorageConfig {
 ///
 /// All page traffic of the value indexes, the R\*-trees and the cell
 /// files flows through a shared `StorageEngine`, so [`IoStats`]
-/// snapshots capture the complete cost of a query.
-pub struct StorageEngine {
+/// snapshots capture the complete cost of a query. A clone is another
+/// handle on the same engine; the file closes with the last.
+#[derive(Clone)]
+pub struct StorageEngine(pub(crate) Arc<Shared>);
+
+/// What every handle of one [`StorageEngine`] shares.
+pub(crate) struct Shared {
     disk: DiskManager,
     pool: BufferPool,
     metrics: Arc<MetricsRegistry>,
@@ -60,19 +65,19 @@ impl StorageEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: StorageConfig) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
-        Self {
+        Self(Arc::new(Shared {
             disk: DiskManager::new_on(Arc::clone(&metrics)),
             pool: config.build_pool(Arc::clone(&metrics)),
             page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
             page_encode_ns: metrics.time_histogram("storage_page_encode", &[]),
             metrics,
             codec: config.codec,
-        }
+        }))
     }
 
     /// The page codec new [`crate::CellFile`]s on this engine use.
     pub fn codec(&self) -> PageCodec {
-        self.codec
+        self.0.codec
     }
 
     /// Creates an in-memory engine with default configuration (256-page
@@ -87,14 +92,14 @@ impl StorageEngine {
     /// restarts; see [`DiskManager::open_file`].
     pub fn open_file(path: impl AsRef<std::path::Path>, config: StorageConfig) -> CfResult<Self> {
         let metrics = Arc::new(MetricsRegistry::new());
-        Ok(Self {
+        Ok(Self(Arc::new(Shared {
             disk: DiskManager::open_file_on(path, Arc::clone(&metrics))?,
             pool: config.build_pool(Arc::clone(&metrics)),
             page_decode_ns: metrics.time_histogram("storage_page_decode", &[]),
             page_encode_ns: metrics.time_histogram("storage_page_encode", &[]),
             metrics,
             codec: config.codec,
-        })
+        })))
     }
 
     /// The engine's unified metrics registry: the disk, pool, R-tree
@@ -102,7 +107,7 @@ impl StorageEngine {
     /// [`MetricsRegistry::render_text`] snapshot covers a query end to
     /// end.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.0.metrics
     }
 
     /// Flushes every dirty buffer-pool frame to the disk (ascending
@@ -110,8 +115,8 @@ impl StorageEngine {
     /// (the disk flush is a no-op in memory). After `sync` returns, all
     /// buffered writes are durable.
     pub fn sync(&self) -> CfResult<()> {
-        self.pool.flush_all(&self.disk)?;
-        self.disk.sync()
+        self.0.pool.flush_all(&self.0.disk)?;
+        self.0.disk.sync()
     }
 
     /// Writes every dirty buffer-pool frame to the disk in ascending
@@ -119,22 +124,22 @@ impl StorageEngine {
     /// [`StorageEngine::sync`] this does not force the file to stable
     /// storage.
     pub fn flush(&self) -> CfResult<usize> {
-        self.pool.flush_all(&self.disk)
+        self.0.pool.flush_all(&self.0.disk)
     }
 
     /// Allocates one page.
     pub fn allocate_page(&self) -> CfResult<PageId> {
-        self.disk.allocate()
+        self.0.disk.allocate()
     }
 
     /// Allocates `n` physically consecutive pages, returning the first id.
     pub fn allocate_run(&self, n: usize) -> CfResult<PageId> {
-        self.disk.allocate_run(n)
+        self.0.disk.allocate_run(n)
     }
 
     /// Reads page `id` through the buffer pool and passes its bytes to `f`.
     pub fn with_page<T>(&self, id: PageId, f: impl FnOnce(&PageBuf) -> T) -> CfResult<T> {
-        self.pool.with_page(&self.disk, id, f)
+        self.0.pool.with_page(&self.0.disk, id, f)
     }
 
     /// Like [`StorageEngine::with_page`] for fallible `f`: decode
@@ -145,14 +150,14 @@ impl StorageEngine {
         id: PageId,
         f: impl FnOnce(&PageBuf) -> CfResult<T>,
     ) -> CfResult<T> {
-        self.pool.with_page(&self.disk, id, f)?
+        self.0.pool.with_page(&self.0.disk, id, f)?
     }
 
     /// Writes a full page through the pool to disk (write-through: the
     /// disk has the bytes when this returns — the right call for
     /// commit-point pages whose durability order matters).
     pub fn write_page(&self, id: PageId, buf: &PageBuf) -> CfResult<()> {
-        self.pool.write_through(&self.disk, id, buf)
+        self.0.pool.write_through(&self.0.disk, id, buf)
     }
 
     /// Writes a full page into the buffer pool only, deferring the
@@ -160,7 +165,7 @@ impl StorageEngine {
     /// [`StorageEngine::sync`] — the right call for bulk builds. A
     /// crash before the flush loses the buffered bytes.
     pub fn write_page_buffered(&self, id: PageId, buf: &PageBuf) -> CfResult<()> {
-        self.pool.write_back(&self.disk, id, buf)
+        self.0.pool.write_back(&self.0.disk, id, buf)
     }
 
     /// Returns one page to the disk's freelist. See
@@ -175,27 +180,27 @@ impl StorageEngine {
     /// the hole before the file grows; a hole at the end of the file
     /// shrinks it. See [`DiskManager::free_run`].
     pub fn free_run(&self, id: PageId, n: usize) -> CfResult<()> {
-        self.pool.invalidate_run(id, n);
-        self.disk.free_run(id, n)
+        self.0.pool.invalidate_run(id, n);
+        self.0.disk.free_run(id, n)
     }
 
     /// Like [`StorageEngine::free_run`], but on a file a run that ends
     /// the file stays on the freelist instead of shrinking it. See
     /// [`DiskManager::free_run_in_place`].
     pub fn free_run_in_place(&self, id: PageId, n: usize) -> CfResult<()> {
-        self.pool.invalidate_run(id, n);
-        self.disk.free_run_in_place(id, n)
+        self.0.pool.invalidate_run(id, n);
+        self.0.disk.free_run_in_place(id, n)
     }
 
     /// Total pages currently on the disk's freelist.
     pub fn free_pages(&self) -> usize {
-        self.disk.free_pages()
+        self.0.disk.free_pages()
     }
 
     /// How many of the `n` pages starting at `id` are on the disk's
     /// freelist. See [`DiskManager::free_pages_in`].
     pub fn free_pages_in(&self, id: PageId, n: usize) -> usize {
-        self.disk.free_pages_in(id, n)
+        self.0.disk.free_pages_in(id, n)
     }
 
     /// Arms a deterministic fault on the underlying disk (see [`Fault`]).
@@ -204,33 +209,33 @@ impl StorageEngine {
     /// not advance them; clear the cache first for fully deterministic
     /// read ordinals.
     pub fn inject_fault(&self, fault: Fault) {
-        self.disk.inject_fault(fault);
+        self.0.disk.inject_fault(fault);
     }
 
     /// Disarms all faults and resets the fault-ordinal counters.
     pub fn clear_faults(&self) {
-        self.disk.clear_faults();
+        self.0.disk.clear_faults();
     }
 
     /// Physical `(reads, writes)` since the last
     /// [`StorageEngine::clear_faults`] — the ordinal space faults are
     /// keyed in.
     pub fn fault_ops(&self) -> (u64, u64) {
-        self.disk.fault_ops()
+        self.0.disk.fault_ops()
     }
 
     /// Total pages allocated on the disk.
     pub fn num_pages(&self) -> usize {
-        self.disk.num_pages()
+        self.0.disk.num_pages()
     }
 
     /// Snapshot of all I/O counters.
     pub fn io_stats(&self) -> IoStats {
         IoStats {
-            disk_reads: self.disk.reads(),
-            disk_writes: self.disk.writes(),
-            pool_hits: self.pool.hits(),
-            pool_misses: self.pool.misses(),
+            disk_reads: self.0.disk.reads(),
+            disk_writes: self.0.disk.writes(),
+            pool_hits: self.0.pool.hits(),
+            pool_misses: self.0.pool.misses(),
         }
     }
 
@@ -239,14 +244,14 @@ impl StorageEngine {
     /// (cache contents are untouched). This is the explicit "forget
     /// warmup" reset the bench harness uses.
     pub fn reset_stats(&self) {
-        self.metrics.reset();
+        self.0.metrics.reset();
     }
 
     /// Every injected fault that actually fired since the last
     /// [`StorageEngine::clear_faults`], in firing order — crash-safety
     /// tests assert these match the faults they armed.
     pub fn fired_faults(&self) -> Vec<FiredFault> {
-        self.disk.fired_faults()
+        self.0.disk.fired_faults()
     }
 
     /// Empties the buffer pool so the next accesses hit the disk — used
@@ -258,13 +263,13 @@ impl StorageEngine {
     /// bytes; the error will resurface on the next fallible
     /// [`StorageEngine::flush`]/[`StorageEngine::sync`]).
     pub fn clear_cache(&self) {
-        let _ = self.pool.flush_all(&self.disk);
-        self.pool.clear();
+        let _ = self.0.pool.flush_all(&self.0.disk);
+        self.0.pool.clear();
     }
 
     /// The underlying buffer pool (stats / capacity introspection).
     pub fn pool(&self) -> &BufferPool {
-        &self.pool
+        &self.0.pool
     }
 }
 

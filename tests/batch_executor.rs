@@ -10,6 +10,7 @@ use contfield::workload::{
     fractal::diamond_square, monotonic::monotonic_field, noise::urban_noise_tin,
     queries::interval_queries,
 };
+use std::sync::Arc;
 
 fn sweep(dom: Interval, seed: u64) -> Vec<Interval> {
     let mut queries = Vec::new();
@@ -27,14 +28,13 @@ fn sweep(dom: Interval, seed: u64) -> Vec<Interval> {
 /// and demands bit-identical statistics to the sequential loop.
 fn assert_batch_equals_sequential<F: FieldModel + Sync>(field: &F, queries: &[Interval]) {
     let engine = StorageEngine::in_memory();
-    let scan = LinearScan::build(&engine, field).expect("build");
-    let iall = IAll::build(&engine, field).expect("build");
-    let ihilbert = IHilbert::build(&engine, field).expect("build");
-    let iquad = {
-        let dom = field.value_domain();
-        IntervalQuadtree::build(&engine, field, dom.width() / 16.0).expect("build")
-    };
-    let methods: Vec<&dyn ValueIndex> = vec![&scan, &iall, &ihilbert, &iquad];
+    let dom = field.value_domain();
+    let methods: Vec<Arc<dyn ValueIndex>> = vec![
+        Arc::new(LinearScan::build(&engine, field).expect("build")),
+        Arc::new(IAll::build(&engine, field).expect("build")),
+        Arc::new(IHilbert::build(&engine, field).expect("build")),
+        Arc::new(IntervalQuadtree::build(&engine, field, dom.width() / 16.0).expect("build")),
+    ];
 
     for m in &methods {
         // Sequential reference.
@@ -45,7 +45,7 @@ fn assert_batch_equals_sequential<F: FieldModel + Sync>(field: &F, queries: &[In
         for threads in [1, 4] {
             let report = QueryBatch::new(queries.to_vec())
                 .threads(threads)
-                .run(&engine, *m)
+                .run(&engine, Arc::clone(m))
                 .expect("run");
             assert_eq!(report.results.len(), queries.len());
             for (i, (r, ws)) in report.results.iter().zip(&want).enumerate() {
@@ -101,11 +101,11 @@ fn batch_aggregates_are_sums_of_per_query_stats() {
     let field = diamond_square(5, 0.7, 9);
     let dom = field.value_domain();
     let engine = StorageEngine::in_memory();
-    let index = IHilbert::build(&engine, &field).expect("build");
+    let index = Arc::new(IHilbert::build(&engine, &field).expect("build"));
     let queries = sweep(dom, 4);
     let report = QueryBatch::new(queries)
         .threads(4)
-        .run(&engine, &index)
+        .run(&engine, index)
         .expect("run");
 
     let (mut subfields, mut qualifying, mut examined) = (0, 0, 0);

@@ -1,12 +1,13 @@
 //! Registry/legacy consistency under the parallel batch executor: the
 //! shared metrics registry must report exactly the same totals as the
-//! summed per-query [`QueryStats`], whether the batch ran on one worker
-//! or four (fig8a-style terrain, cold cache each run).
+//! summed per-query [`QueryStats`], whether the batch ran on one thread
+//! or up to four (fig8a-style terrain, cold cache each run).
 
 use contfield::field::FieldModel;
 use contfield::index::{IHilbert, QueryBatch};
 use contfield::storage::StorageEngine;
 use contfield::workload::{queries::interval_queries, terrain::roseburg_standin};
+use std::sync::Arc;
 
 const NAMES: &[&str] = &[
     "index_queries_total",
@@ -24,15 +25,16 @@ const NAMES: &[&str] = &[
 fn run_batch(threads: usize) -> (Vec<u64>, Vec<u64>) {
     let field = roseburg_standin(6);
     let engine = StorageEngine::in_memory();
-    let index = IHilbert::build(&engine, &field).expect("build");
+    let index = Arc::new(IHilbert::build(&engine, &field).expect("build"));
     engine.reset_stats();
 
     let queries = interval_queries(field.value_domain(), 0.03, 32, 0xC0FFE);
     let report = QueryBatch::new(queries)
         .threads(threads)
-        .run(&engine, &index)
+        .run(&engine, index)
         .expect("run");
-    assert_eq!(report.threads, threads);
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(report.threads, threads.min(cpus));
 
     let registry = engine.metrics();
     let labels: &[(&str, &str)] = &[("index", "I-Hilbert")];
@@ -100,30 +102,6 @@ fn registry_totals_match_legacy_stats_at_any_thread_count() {
     );
     // The batch actually did work.
     assert!(one[0] == 32 && one[5] > 0, "{one:?}");
-}
-
-#[test]
-fn batch_executor_publishes_utilization_metrics() {
-    let field = roseburg_standin(5);
-    let engine = StorageEngine::in_memory();
-    let index = IHilbert::build(&engine, &field).expect("build");
-    let queries = interval_queries(field.value_domain(), 0.03, 16, 0xBEEF);
-    QueryBatch::new(queries)
-        .threads(4)
-        .run(&engine, &index)
-        .expect("run");
-    let registry = engine.metrics();
-    // Every worker flushed its busy time, and the queue drained.
-    assert!(registry.counter_total("batch_worker_busy_ns_total") > 0);
-    for w in 0..4 {
-        assert!(
-            registry
-                .counter_value("batch_worker_busy_ns_total", &[("worker", &w.to_string())])
-                .is_some(),
-            "worker {w} series missing"
-        );
-    }
-    assert_eq!(registry.gauge_value("batch_queue_depth", &[]), Some(0.0));
 }
 
 /// Ingest-plane extension of the same invariant: with one writer
