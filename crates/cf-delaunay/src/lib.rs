@@ -11,12 +11,15 @@
 //! The implementation is the classic incremental Bowyer–Watson algorithm
 //! with a super-triangle, floating-point in-circle tests with a relative
 //! tolerance, and deterministic behaviour for reproducible workloads.
+//! Sites go in along a Hilbert curve: each is found by a walk from the
+//! last new triangle, and its cavity grows across the mesh's one
+//! neighbour array, which the result keeps for point location.
 
 //!
 //! # Example
 //!
 //! ```
-//! use cf_delaunay::{triangulate, Adjacency};
+//! use cf_delaunay::triangulate;
 //! use cf_geom::Point2;
 //!
 //! let sites = vec![
@@ -29,9 +32,8 @@
 //! let tin = triangulate(&sites).unwrap();
 //! assert_eq!(tin.triangles.len(), 4);
 //!
-//! // Walk-based point location.
-//! let adjacency = Adjacency::build(&tin);
-//! let t = adjacency.locate_walk(&tin, 0, Point2::new(1.0, 1.9)).unwrap();
+//! // Walk-based point location over the triangles' neighbours.
+//! let t = tin.locate_walk(0, Point2::new(1.0, 1.9)).unwrap();
 //! assert!(tin.triangle(t).contains(Point2::new(1.0, 1.9)));
 //! ```
 
@@ -42,5 +44,4 @@
 mod locate;
 mod triangulate;
 
-pub use locate::Adjacency;
 pub use triangulate::{triangulate, Triangulation, TriangulationError};

@@ -1,103 +1,52 @@
-//! Walk-based point location on a triangulation.
-//!
-//! The naive `locate` scans all triangles; the classic improvement is
-//! the *straight walk*: starting from any triangle, repeatedly step to
-//! the neighbour across an edge that separates the query point, until
-//! the containing triangle is reached — expected `O(√n)` steps on
-//! well-shaped meshes. Requires the edge-adjacency structure built by
-//! [`Adjacency::build`].
+//! Walk-based point location: from any triangle, step to the neighbour
+//! across an edge that separates the query point until the triangle
+//! holding it is reached — expected `O(√n)` steps on well-shaped meshes,
+//! against [`Triangulation::locate`]'s scan of them all.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::Triangulation;
 use cf_geom::Point2;
-use std::collections::HashMap;
 
-/// Triangle adjacency: for each triangle, the neighbour across each of
-/// its three edges (edge `e` is between vertices `e` and `(e+1) % 3`).
-#[derive(Debug, Clone)]
-pub struct Adjacency {
-    neighbors: Vec<[Option<u32>; 3]>,
-}
-
-impl Adjacency {
-    /// Builds the adjacency of `t` in `O(n)` via an edge map.
-    pub fn build(t: &Triangulation) -> Self {
-        let mut edge_owner: HashMap<(usize, usize), (u32, u8)> = HashMap::new();
-        let mut neighbors = vec![[None; 3]; t.triangles.len()];
-        for (ti, tri) in t.triangles.iter().enumerate() {
-            for e in 0..3 {
-                let (u, v) = (tri[e], tri[(e + 1) % 3]);
-                let key = (u.min(v), u.max(v));
-                match edge_owner.remove(&key) {
-                    None => {
-                        edge_owner.insert(key, (ti as u32, e as u8));
-                    }
-                    Some((other, oe)) => {
-                        neighbors[ti][e] = Some(other);
-                        neighbors[other as usize][oe as usize] = Some(ti as u32);
-                    }
-                }
-            }
-        }
-        Self { neighbors }
-    }
-
-    /// Neighbour of triangle `t` across edge `e`, if any (hull edges
-    /// have none).
-    fn neighbor(&self, t: usize, e: usize) -> Option<usize> {
-        self.neighbors[t][e].map(|n| n as usize)
-    }
-
+impl Triangulation {
     /// Walks from `start` toward `p`; returns the containing triangle,
     /// or `None` when the walk exits the convex hull.
     ///
     /// Falls back to the exhaustive scan if the walk exceeds its step
     /// budget (possible on degenerate geometry), so the result is always
     /// correct.
-    pub fn locate_walk(&self, t: &Triangulation, start: usize, p: Point2) -> Option<usize> {
-        let n = t.triangles.len();
-        if n == 0 {
-            return None;
-        }
-        let mut cur = start.min(n - 1);
+    pub fn locate_walk(&self, start: usize, p: Point2) -> Option<usize> {
+        let mut cur = start.min(self.triangles.len().checked_sub(1)?);
         let mut prev = usize::MAX;
         // Generous budget: a straight walk crosses each triangle once.
-        for _ in 0..n + 3 {
-            let tri = t.triangle(cur);
-            // Find an edge strictly separating p from the triangle.
-            let mut moved = false;
-            for e in 0..3 {
-                let a = tri.vertices[e];
-                let b = tri.vertices[(e + 1) % 3];
-                // CCW triangle: inside is left of each edge. p strictly
-                // right of edge e => cross to that neighbour.
-                if a.cross(b, p) < -1e-12 {
-                    match self.neighbor(cur, e) {
-                        Some(next) if next != prev => {
-                            prev = cur;
-                            cur = next;
-                            moved = true;
-                            break;
-                        }
-                        Some(_) => {
-                            // Only way on is back where we came from:
-                            // try another separating edge.
-                            continue;
-                        }
-                        None => return None, // left the hull
+        for _ in 0..self.triangles.len() + 3 {
+            let v = self.triangle(cur).vertices;
+            // CCW triangle: inside is left of each edge. Cross an edge p
+            // lies strictly right of, unless it only leads back.
+            let mut next = None;
+            for e in (0..3).filter(|&e| v[e].cross(v[(e + 1) % 3], p) < -1e-12) {
+                match self.neighbors[cur][e].map(|t| t as usize) {
+                    None => return None, // left the hull
+                    Some(t) if t != prev => {
+                        next = Some(t);
+                        break;
                     }
+                    Some(_) => {}
                 }
             }
-            if !moved {
+            match next {
+                Some(t) => prev = std::mem::replace(&mut cur, t),
                 // No separating edge: p is inside (or on) this triangle.
-                return Some(cur);
+                None => return Some(cur),
             }
         }
         // Degenerate walk (numerical loop): exhaustive fallback.
-        t.locate(p)
+        self.locate(p)
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::triangulate;
@@ -114,15 +63,17 @@ mod tests {
     #[test]
     fn adjacency_is_symmetric_and_complete() {
         let t = random_tin(200, 1);
-        let adj = Adjacency::build(&t);
         let mut hull_edges = 0;
-        for ti in 0..t.triangles.len() {
+        for (ti, tri) in t.triangles.iter().enumerate() {
             for e in 0..3 {
-                match adj.neighbor(ti, e) {
+                match t.neighbors[ti][e].map(|o| o as usize) {
                     Some(other) => {
-                        // The neighbour must point back at us.
-                        let back = (0..3).any(|oe| adj.neighbor(other, oe) == Some(ti));
-                        assert!(back, "asymmetric adjacency {ti} <-> {other}");
+                        // The neighbour holds the same edge, reversed,
+                        // and points back at us across it.
+                        let (u, v) = (tri[e], tri[(e + 1) % 3]);
+                        let oe = (0..3).find(|&k| t.triangles[other][k] == v).unwrap();
+                        assert_eq!(t.triangles[other][(oe + 1) % 3], u, "{ti} <-> {other}");
+                        assert_eq!(t.neighbors[other][oe], Some(ti as u32));
                     }
                     None => hull_edges += 1,
                 }
@@ -136,12 +87,11 @@ mod tests {
     #[test]
     fn walk_matches_exhaustive_locate() {
         let t = random_tin(300, 2);
-        let adj = Adjacency::build(&t);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..200 {
             let p = Point2::new(rng.gen_range(-5.0..105.0), rng.gen_range(-5.0..105.0));
             let start = rng.gen_range(0..t.triangles.len());
-            let walked = adj.locate_walk(&t, start, p);
+            let walked = t.locate_walk(start, p);
             let scanned = t.locate(p);
             match (walked, scanned) {
                 (Some(a), Some(b)) => {
@@ -159,11 +109,10 @@ mod tests {
     #[test]
     fn walk_from_every_start_triangle() {
         let t = random_tin(80, 7);
-        let adj = Adjacency::build(&t);
         let p = Point2::new(50.0, 50.0);
         let want_contains = t.locate(p).is_some();
         for start in 0..t.triangles.len() {
-            let got = adj.locate_walk(&t, start, p);
+            let got = t.locate_walk(start, p);
             assert_eq!(got.is_some(), want_contains, "start {start}");
             if let Some(ti) = got {
                 assert!(t.triangle(ti).contains(p));
@@ -174,13 +123,12 @@ mod tests {
     #[test]
     fn outside_hull_returns_none() {
         let t = random_tin(100, 9);
-        let adj = Adjacency::build(&t);
         for p in [
             Point2::new(-50.0, 50.0),
             Point2::new(200.0, 200.0),
             Point2::new(50.0, -30.0),
         ] {
-            assert_eq!(adj.locate_walk(&t, 0, p), None);
+            assert_eq!(t.locate_walk(0, p), None);
         }
     }
 }

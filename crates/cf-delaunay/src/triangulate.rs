@@ -1,8 +1,12 @@
 //! Incremental Bowyer–Watson triangulation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use cf_geom::{Aabb, Point2, Triangle};
+use cf_sfc::hilbert_index_2d;
 use std::collections::HashMap;
 use std::fmt;
+use std::iter::once;
 
 /// Failure modes of [`triangulate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,6 +38,10 @@ pub struct Triangulation {
     pub points: Vec<Point2>,
     /// Triangles as CCW-ordered triplets of point indices.
     pub triangles: Vec<[usize; 3]>,
+    /// For each triangle, the neighbour across each of its edges (edge
+    /// `e` runs from vertex `e` to vertex `(e + 1) % 3`); `None` on the
+    /// hull.
+    pub neighbors: Vec<[Option<u32>; 3]>,
 }
 
 impl Triangulation {
@@ -52,9 +60,8 @@ impl Triangulation {
     }
 
     /// Index of a triangle containing `p`, or `None` if `p` lies outside
-    /// the convex hull. Linear scan — fine for the moderate TINs used in
-    /// the workloads; a spatial index layer (cf-field) handles large Q1
-    /// workloads.
+    /// the convex hull. Linear scan: the reference for
+    /// [`Triangulation::locate_walk`] and its fallback.
     pub fn locate(&self, p: Point2) -> Option<usize> {
         (0..self.triangles.len()).find(|&t| self.triangle(t).contains(p))
     }
@@ -81,6 +88,11 @@ fn incircle(a: Point2, b: Point2, c: Point2, p: Point2) -> f64 {
 /// diagonal) are merged; the returned [`Triangulation::points`] keeps the
 /// *original* point list so indices remain meaningful to the caller, and
 /// merged duplicates simply do not appear in any triangle.
+///
+/// Sites go in along a Hilbert curve (the ordering of Amenta, Choi &
+/// Rote's BRIO, without its rounds). Each one is found by a walk from
+/// the last new triangle, and its cavity grows across neighbours, so a
+/// site costs a few steps rather than a scan of the mesh.
 pub fn triangulate(input: &[Point2]) -> Result<Triangulation, TriangulationError> {
     if input.iter().any(|p| !p.is_finite()) {
         return Err(TriangulationError::NonFinitePoint);
@@ -93,31 +105,28 @@ pub fn triangulate(input: &[Point2]) -> Result<Triangulation, TriangulationError
     let diag = ((bbox.extent(0)).powi(2) + (bbox.extent(1)).powi(2)).sqrt();
     let merge_tol = (diag * 1e-12).max(f64::MIN_POSITIVE);
     let mut kept: Vec<usize> = Vec::with_capacity(input.len());
-    {
-        let mut grid: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
-        let cell = merge_tol * 2.0;
-        for (i, p) in input.iter().enumerate() {
-            let key = ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64);
-            let mut dup = false;
-            'outer: for dx in -1..=1 {
-                for dy in -1..=1 {
-                    if let Some(ids) = grid.get(&(key.0 + dx, key.1 + dy)) {
-                        if ids.iter().any(|&j| input[j].distance(*p) < merge_tol) {
-                            dup = true;
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            if !dup {
-                grid.entry(key).or_default().push(i);
-                kept.push(i);
-            }
+    let mut grid: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
+    let cell = merge_tol * 2.0;
+    for (i, p) in input.iter().enumerate() {
+        let (kx, ky) = ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64);
+        let near = |ids: &Vec<usize>| ids.iter().any(|&j| input[j].distance(*p) < merge_tol);
+        let cells = (-1..=1).flat_map(|dx| (-1..=1).map(move |dy| (kx + dx, ky + dy)));
+        if !cells.filter_map(|k| grid.get(&k)).any(near) {
+            grid.entry((kx, ky)).or_default().push(i);
+            kept.push(i);
         }
     }
+    drop(grid);
     if kept.len() < 3 {
         return Err(TriangulationError::TooFewPoints);
     }
+    // Insert along the Hilbert curve of a `2^16 × 2^16` grid over the
+    // box, ties by index: consecutive sites lie close together, so each
+    // walk below is short. A zero extent divides to NaN, cell 0.
+    let coord =
+        |v: f64, d: usize| (((v - bbox.lo[d]) / bbox.extent(d) * 65_535.0) as u64).min(65_535);
+    let key = |p: Point2| hilbert_index_2d(coord(p.x, 0), coord(p.y, 1), 16);
+    kept.sort_by_cached_key(|&i| (key(input[i]), i));
 
     // Super-triangle comfortably containing every point.
     let center = bbox.center_point();
@@ -130,9 +139,6 @@ pub fn triangulate(input: &[Point2]) -> Result<Triangulation, TriangulationError
     let n = input.len();
     let mut verts: Vec<Point2> = input.to_vec();
     verts.extend([s0, s1, s2]);
-
-    // Active triangle soup (indices into verts, CCW).
-    let mut tris: Vec<[usize; 3]> = vec![[n, n + 1, n + 2]];
 
     // Unit directions toward the super vertices; the conflict predicates
     // below treat super vertices as points at infinity along these fixed
@@ -159,6 +165,11 @@ pub fn triangulate(input: &[Point2]) -> Result<Triangulation, TriangulationError
     // * three — the initial triangle: conflicts with everything.
     let conflicts = |tri: [usize; 3], p: Point2| -> bool {
         let supers: usize = tri.iter().filter(|&&v| v >= n).count();
+        // The triangle rotated to start at vertex `k`.
+        let from = |k: Option<usize>| {
+            let k = k.unwrap_or(0);
+            [tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]]
+        };
         match supers {
             0 => {
                 let [a, b, c] = tri;
@@ -168,25 +179,11 @@ pub fn triangulate(input: &[Point2]) -> Result<Triangulation, TriangulationError
                 // Rotate so the super vertex is last: CCW triangle
                 // (u, v, s) has s strictly left of u→v, so the conflict
                 // half-plane is `left of u→v`.
-                let [a, b, c] = tri;
-                let (u, v) = if a >= n {
-                    (b, c)
-                } else if b >= n {
-                    (c, a)
-                } else {
-                    (a, b)
-                };
+                let [_, u, v] = from(tri.iter().position(|&v| v >= n));
                 verts[u].cross(verts[v], p) > 0.0
             }
             2 => {
-                let [a, b, c] = tri;
-                let (real, si, sj) = if a < n {
-                    (a, b, c)
-                } else if b < n {
-                    (b, c, a)
-                } else {
-                    (c, a, b)
-                };
+                let [real, si, sj] = from(tri.iter().position(|&v| v < n));
                 let di = sdir[si - n];
                 let dj = sdir[sj - n];
                 let m = Point2::new(di.x + dj.x, di.y + dj.y);
@@ -196,83 +193,139 @@ pub fn triangulate(input: &[Point2]) -> Result<Triangulation, TriangulationError
             _ => true,
         }
     };
+    // `p` strictly right of the directed edge `a → b`, with the super
+    // vertices at infinity as above: the walk crosses such an edge.
+    let right_of = |a: usize, b: usize, p: Point2| -> bool {
+        let turn = |d: Point2, from: Point2| d.x * (p.y - from.y) - d.y * (p.x - from.x);
+        match (a >= n, b >= n) {
+            (false, false) => verts[a].cross(verts[b], p) < 0.0,
+            (false, true) => turn(sdir[b - n], verts[a]) < 0.0,
+            (true, false) => turn(sdir[a - n], verts[b]) > 0.0,
+            (true, true) => false,
+        }
+    };
 
+    // The mesh: triangles (indices into verts, CCW) and the neighbour
+    // across each edge, as in `Triangulation::neighbors`.
+    let mut tris: Vec<[usize; 3]> = vec![[n, n + 1, n + 2]];
+    let mut nbr: Vec<[Option<u32>; 3]> = vec![[None; 3]];
+    let mut in_cavity = vec![false];
+    // The cavity, and its boundary edges `(u, v)` with the triangle
+    // beyond each.
+    let (mut cavity, mut fan) = (Vec::new(), Vec::new());
+    let mut last = 0;
     for &pi in &kept {
         let p = verts[pi];
-        // Find all triangles in conflict with p.
-        let mut bad: Vec<usize> = Vec::new();
-        for (t, tri) in tris.iter().enumerate() {
-            if conflicts(*tri, p) {
-                bad.push(t);
+        // Walk from the last new triangle to one in conflict with p. A
+        // walk that stalls or loops on rounding falls back to a scan.
+        let mut cur = last;
+        for _ in 0..tris.len() {
+            let t = tris[cur];
+            if conflicts(t, p) {
+                break;
+            }
+            match (0..3).find_map(|e| nbr[cur][e].filter(|_| right_of(t[e], t[(e + 1) % 3], p))) {
+                Some(next) => cur = next as usize,
+                None => break,
             }
         }
-        if bad.is_empty() {
-            // Numerically on an edge of everything (e.g. exact duplicate
-            // that survived dedup): skip the point rather than corrupt
-            // the soup.
+        let seed = once(cur)
+            .chain(0..tris.len())
+            .find(|&t| conflicts(tris[t], p));
+        // Numerically on an edge of everything (e.g. exact duplicate that
+        // survived dedup): skip the point rather than corrupt the mesh.
+        let Some(seed) = seed else { continue };
+        // Grow the cavity across neighbours; an edge to a triangle not
+        // in conflict (or to nothing) bounds it.
+        cavity.clear();
+        fan.clear();
+        cavity.push(seed);
+        in_cavity[seed] = true;
+        let mut i = 0;
+        while let Some(&t) = cavity.get(i) {
+            i += 1;
+            for e in 0..3 {
+                match nbr[t][e].map(|o| o as usize) {
+                    Some(o) if in_cavity[o] => {}
+                    Some(o) if conflicts(tris[o], p) => {
+                        in_cavity[o] = true;
+                        cavity.push(o);
+                    }
+                    outer => fan.push((tris[t][e], tris[t][(e + 1) % 3], outer)),
+                }
+            }
+        }
+        for &t in &cavity {
+            in_cavity[t] = false;
+        }
+        if fan.len() != cavity.len() + 2 {
+            // Not a disk (the conflicts disagree on rounding): skip the
+            // point rather than corrupt the mesh.
             continue;
         }
-        // Cavity boundary: edges belonging to exactly one bad triangle.
-        let mut edge_count: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-        for &t in &bad {
-            let [a, b, c] = tris[t];
-            for (u, v) in [(a, b), (b, c), (c, a)] {
-                let key = (u.min(v), u.max(v));
-                let entry = edge_count.entry(key).or_insert((0, 0));
-                entry.0 += 1;
-                // Remember the directed orientation from the first owner.
-                if entry.0 == 1 {
-                    *entry = (1, if u < v { 0 } else { 1 });
-                }
+        // Replace the cavity by the fan (u, v, p), in its slots and two
+        // new ones: the fan neighbour across (v, p) starts at v, and the
+        // one across (p, u) ends at u. The triangle beyond (u, v) holds
+        // the edge from v.
+        let len = tris.len();
+        tris.resize(len + 2, [n; 3]);
+        nbr.resize(len + 2, [None; 3]);
+        in_cavity.resize(len + 2, false);
+        let slot = |k: usize| cavity.get(k).copied().unwrap_or(len + k - cavity.len());
+        for (k, &(u, v, outer)) in fan.iter().enumerate() {
+            let t = slot(k);
+            let after = fan.iter().position(|f| f.0 == v).map(|j| slot(j) as u32);
+            let before = fan.iter().position(|f| f.1 == u).map(|j| slot(j) as u32);
+            tris[t] = [u, v, pi];
+            nbr[t] = [outer.map(|o| o as u32), after, before];
+            let back = outer.and_then(|o| Some((o, tris[o].iter().position(|&w| w == v)?)));
+            if let Some((o, oe)) = back {
+                nbr[o][oe] = Some(t as u32);
             }
         }
-        // Remove bad triangles (descending order keeps indices valid).
-        bad.sort_unstable_by(|a, b| b.cmp(a));
-        let mut boundary: Vec<(usize, usize)> = Vec::new();
-        for (&(u, v), &(count, orient)) in &edge_count {
-            if count == 1 {
-                // Restore the directed edge as seen by its bad triangle,
-                // so the new triangle (u, v, p) is CCW.
-                if orient == 0 {
-                    boundary.push((u, v));
-                } else {
-                    boundary.push((v, u));
-                }
-            }
-        }
-        for t in bad {
-            tris.swap_remove(t);
-        }
-        for (u, v) in boundary {
-            tris.push([u, v, pi]);
-        }
+        last = slot(fan.len() - 1);
     }
 
-    // Drop triangles that use super vertices.
-    let mut triangles: Vec<[usize; 3]> = tris
-        .into_iter()
-        .filter(|t| t.iter().all(|&v| v < n))
-        .collect();
-    if triangles.is_empty() {
+    // Keep the real triangles, each rotated so its largest input index
+    // comes last: input-order insertion made every triangle when its
+    // last vertex went in, so this is the form it returned.
+    let mut order: Vec<u32> = Vec::with_capacity(tris.len());
+    for (t, (tri, links)) in tris.iter_mut().zip(&mut nbr).enumerate() {
+        if tri.iter().any(|&v| v >= n) {
+            continue;
+        }
+        let turn = (0..3).max_by_key(|&k| tri[k]).map_or(0, |k| (k + 1) % 3);
+        tri.rotate_left(turn);
+        links.rotate_left(turn);
+        // Normalize orientation to CCW (should already hold, but
+        // guarantee it).
+        if Triangle::new(input[tri[0]], input[tri[1]], input[tri[2]]).signed_area() < 0.0 {
+            tri.swap(1, 2);
+            links.swap(0, 2);
+        }
+        order.push(t as u32);
+    }
+    if order.is_empty() {
         return Err(TriangulationError::AllCollinear);
     }
-    // Normalize orientation to CCW (should already hold, but guarantee it).
-    for t in triangles.iter_mut() {
-        let tri = Triangle::new(input[t[0]], input[t[1]], input[t[2]]);
-        if tri.signed_area() < 0.0 {
-            t.swap(1, 2);
-        }
+    // Deterministic output order; neighbours follow their triangles.
+    order.sort_unstable_by_key(|&t| tris[t as usize]);
+    let mut renumber: Vec<Option<u32>> = vec![None; tris.len()];
+    for (k, &t) in order.iter().enumerate() {
+        renumber[t as usize] = Some(k as u32);
     }
-    // Deterministic output order.
-    triangles.sort_unstable();
-
     Ok(Triangulation {
         points: input.to_vec(),
-        triangles,
+        triangles: order.iter().map(|&t| tris[t as usize]).collect(),
+        neighbors: order
+            .iter()
+            .map(|&t| nbr[t as usize].map(|o| o.and_then(|o| renumber[o as usize])))
+            .collect(),
     })
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -336,11 +389,8 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn delaunay_property_holds() {
-        let points = random_points(120, 42);
-        let t = triangulate(&points).unwrap();
-        // No point lies strictly inside any triangle's circumcircle.
+    /// No point lies strictly inside any triangle's circumcircle.
+    fn assert_empty_circumcircles(t: &Triangulation, points: &[Point2]) {
         for k in 0..t.triangles.len() {
             let [a, b, c] = t.triangles[k];
             let (center, r2) = t.triangle(k).circumcircle().expect("non-degenerate");
@@ -356,6 +406,12 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn delaunay_property_holds() {
+        let points = random_points(120, 42);
+        assert_empty_circumcircles(&triangulate(&points).unwrap(), &points);
     }
 
     #[test]
@@ -409,7 +465,9 @@ mod tests {
     #[test]
     fn grid_points_triangulate() {
         // Cocircular points (grid corners) are the classic degenerate
-        // case; the triangulation must still cover the full area.
+        // case: which diagonal splits each square is a tie the insertion
+        // order breaks. The triangulation must still cover the full
+        // area, be Delaunay, and break the ties the same way every run.
         let mut points = Vec::new();
         for i in 0..8 {
             for j in 0..8 {
@@ -419,6 +477,8 @@ mod tests {
         let t = triangulate(&points).unwrap();
         assert!((t.area() - 49.0).abs() < 1e-6);
         assert_eq!(t.triangles.len(), 2 * 49);
+        assert_empty_circumcircles(&t, &points);
+        assert_eq!(triangulate(&points).unwrap().triangles, t.triangles);
     }
 
     // --- small test helpers -------------------------------------------

@@ -2,7 +2,7 @@
 
 use crate::estimate::triangle_band;
 use crate::model::{sample_interval, FieldModel};
-use cf_delaunay::{triangulate, Adjacency, Triangulation, TriangulationError};
+use cf_delaunay::{triangulate, Triangulation, TriangulationError};
 use cf_geom::{Aabb, Interval, Point2, Triangle};
 use cf_storage::{codec, Record};
 
@@ -11,7 +11,6 @@ use cf_storage::{codec, Record};
 #[derive(Debug, Clone)]
 pub struct TinField {
     triangulation: Triangulation,
-    adjacency: Adjacency,
     values: Vec<f64>,
     domain: Aabb<2>,
 }
@@ -36,10 +35,8 @@ impl TinField {
     /// Wraps a triangulation with one value per triangulation point.
     fn from_triangulation(triangulation: Triangulation, values: Vec<f64>) -> Self {
         let domain = Aabb::hull_of_points(&triangulation.points);
-        let adjacency = Adjacency::build(&triangulation);
         Self {
             triangulation,
-            adjacency,
             values,
             domain,
         }
@@ -161,7 +158,7 @@ impl FieldModel for TinField {
     fn value_at(&self, p: Point2) -> Option<f64> {
         // Walk-based location (expected O(√n)); falls back to the scan
         // internally on degenerate walks.
-        let cell = self.adjacency.locate_walk(&self.triangulation, 0, p)?;
+        let cell = self.triangulation.locate_walk(0, p)?;
         self.cell_triangle(cell)
             .interpolate(self.cell_vertex_values(cell), p)
     }

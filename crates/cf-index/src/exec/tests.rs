@@ -238,15 +238,14 @@ fn a_split_grid_query_answers_like_one_thread() {
     check_split_equals_one_thread("grid", &diamond_square(8, 0.6, 0x5EED));
 }
 
-/// A 10k-triangle TIN: generating the 50k one takes a minute without
-/// optimisation; its sibling below runs under `--release --ignored`.
+/// A 10k-triangle TIN; its sibling below is the benchmark's size.
 #[test]
 fn a_split_tin_query_answers_like_one_thread() {
     check_split_equals_one_thread("tin", &urban_noise_tin(10_000, 0x5EED));
 }
 
+/// The benchmark's 50k-triangle TIN.
 #[test]
-#[ignore = "generating a 50k-triangle TIN takes a minute in debug; run with --release --ignored"]
 fn a_split_50k_triangle_tin_query_answers_like_one_thread() {
     check_split_equals_one_thread("tin50k", &urban_noise_tin(50_000, 0x5EED));
 }

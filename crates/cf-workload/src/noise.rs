@@ -113,4 +113,26 @@ mod tests {
         let area = tin.triangulation().area();
         assert!((area - 1_000_000.0).abs() < 1.0, "TIN area {area}");
     }
+
+    /// The scale the paper's cost questions are asked at. A triangulator
+    /// that scans the mesh for each site takes about 20 minutes here; the
+    /// walk takes seconds, so a quadratic regression times the job out.
+    #[test]
+    #[ignore = "builds a 1M-triangle TIN; run with --release --ignored"]
+    fn a_million_triangle_tin_uses_every_site_and_covers_the_square() {
+        let tin = urban_noise_tin(1_000_000, 42);
+        let t = tin.triangulation();
+        let n = t.points.len();
+        // The hull is the square: its corners and any site on a side.
+        let on_hull = |p: &&Point2| p.x == 0.0 || p.y == 0.0 || p.x == 1000.0 || p.y == 1000.0;
+        let h = t.points.iter().filter(on_hull).count();
+        assert_eq!(t.triangles.len(), 2 * n - 2 - h);
+        let mut used = vec![false; n];
+        for &v in t.triangles.iter().flatten() {
+            used[v] = true;
+        }
+        assert!(used.iter().all(|&u| u), "a site is in no triangle");
+        let area = t.area();
+        assert!((area - 1_000_000.0).abs() < 1e-3, "TIN area {area}");
+    }
 }

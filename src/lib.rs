@@ -50,7 +50,7 @@
 //! | [`sfc`] | Hilbert / Z-order / Gray-code curves |
 //! | [`storage`] | pages, simulated disk and its freelist, buffer pool, record files |
 //! | [`rtree`] | packed R-tree on pages: STR bulk build, boxes rewritten in place |
-//! | [`delaunay`] | Bowyer–Watson triangulation |
+//! | [`delaunay`] | Bowyer–Watson triangulation: Hilbert-order insertion, one neighbour array, walk-based location |
 //! | [`field`] | DEM / TIN / vector field models, estimation step |
 //! | [`index`] | LinearScan, I-All, I-Hilbert, Interval Quadtree, Q1, live ingest (a generation's pages freed when its last holder drops) |
 //! | [`workload`] | fractal / monotonic / noise / ocean generators |

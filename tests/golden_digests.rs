@@ -241,6 +241,33 @@ fn tin_answers_match_golden_digests() {
     assert_golden("tin", &urban_noise_tin(5_000, 0xEDB7), TIN);
 }
 
+/// The triangles of the golden TIN, the paper-sized one and the
+/// benchmark's, folded index by index. The values were recorded with the
+/// triangulator that inserted sites in input order and scanned every
+/// triangle for each: Hilbert-order insertion must give the same vector.
+#[test]
+fn tin_triangles_match_golden_folds() {
+    for (triangles, seed, want) in [
+        (5_000, 0xEDB7, 0x470a_e167_343d_2f60),
+        (9_000, 42, 0xd615_3519_d083_5195),
+        (50_000, 0xEDB7, 0x5973_6dca_1a57_ef0c),
+    ] {
+        let tin = urban_noise_tin(triangles, seed);
+        let indices: Vec<u64> = tin
+            .triangulation()
+            .triangles
+            .iter()
+            .flatten()
+            .map(|&v| v as u64)
+            .collect();
+        assert_eq!(
+            fold(&indices),
+            want,
+            "urban_noise_tin({triangles}, {seed:#x})"
+        );
+    }
+}
+
 /// A dimension fork's pinned answers.
 struct ForkGolden {
     /// Per query set: the folded digests of its hand-written scan, of its
