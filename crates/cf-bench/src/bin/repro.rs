@@ -37,7 +37,7 @@ use cf_geom::Interval;
 use cf_index::{
     build_subfields, build_subfields_by_page, cell_order, create_database, open_database,
     read_bootstrap, write_bootstrap, IHilbert, IHilbertConfig, IntervalQuadtree, LinearScan,
-    SubfieldConfig, ValueIndex, SPLIT_CELLS,
+    SubfieldConfig, ValueIndex,
 };
 use cf_sfc::Curve;
 use cf_storage::{PageCodec, StorageConfig, StorageEngine};
@@ -359,14 +359,17 @@ fn obs_overhead(opts: &Opts) {
     );
     println!("OBS_OVERHEAD_US_PER_QUERY: {us:.4}");
 
-    // The cold loop times one thread's reads: it leaves out the bands
-    // that examine enough cells to refine on a second thread.
+    // The cold loop times one thread's reads: it sweeps the band set it
+    // has timed since it was added (DESIGN §10.4), those below 4 096
+    // examined cells, each with a sink, so none refines on a second
+    // thread.
+    const COLD_BAND_CELLS: usize = 4096;
     let below_gate: Vec<_> = queries
         .iter()
         .copied()
         .filter(|q| {
             let stats = index.query_stats(&engine, *q).expect("query");
-            stats.cells_examined < SPLIT_CELLS
+            stats.cells_examined < COLD_BAND_CELLS
         })
         .collect();
     let db = TempDb::new("cf_sweep");
@@ -386,7 +389,7 @@ fn obs_overhead(opts: &Opts) {
         for q in &below_gate {
             engine.clear_cache();
             let t0 = Instant::now();
-            let stats = index.query_stats(&engine, *q).expect("query");
+            let stats = index.query(&engine, *q, Some(&mut |_| ())).expect("query");
             spent += t0.elapsed();
             cells += stats.cells_examined;
             reads += stats.io.disk_reads;

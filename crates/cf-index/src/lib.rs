@@ -72,7 +72,6 @@ mod workers;
 
 pub use batch::{BatchQueryResult, BatchReport, QueryBatch};
 pub use catalog::{create_database, open_database, read_bootstrap, write_bootstrap};
-pub use exec::SPLIT_CELLS;
 pub use iall::IAll;
 pub use ihilbert::{IHilbert, IHilbertConfig};
 pub use ingest::{DeltaRec, EpochSnapshot, IngestConfig, LiveIngest, RepackReport};

@@ -1,4 +1,5 @@
 //! The storage façade bundling disk + buffer pool.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::fault::FiredFault;
 use crate::{BufferPool, CfResult, DiskManager, Fault, IoStats, PageBuf, PageCodec, PageId};
@@ -274,6 +275,7 @@ impl StorageEngine {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::{CfError, PAGE_SIZE};

@@ -15,11 +15,12 @@
 //!
 //! Injection is entirely passive when nothing is armed: one relaxed
 //! atomic increment plus one relaxed load per physical I/O.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::disk::PageId;
 use crate::error::FaultOp;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A deterministic fault, keyed to a physical I/O ordinal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +105,13 @@ pub struct FaultInjector {
     writes: AtomicU64,
 }
 
+/// Locks `mutex`, ignoring poison: every update under these locks is
+/// one `Vec` operation that completes without calling out, so a lock
+/// poisoned elsewhere still guards a consistent list.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl FaultInjector {
     /// Creates an injector with no faults armed.
     pub fn new() -> Self {
@@ -113,7 +121,7 @@ impl FaultInjector {
     /// Arms a fault. Several faults may be armed at once; each fires at
     /// most once (it is consumed when its ordinal arrives).
     pub fn arm(&self, fault: Fault) {
-        let mut faults = self.faults.lock().expect("fault injector poisoned");
+        let mut faults = lock(&self.faults);
         faults.push(fault);
         self.armed.store(true, Ordering::Release);
     }
@@ -121,9 +129,9 @@ impl FaultInjector {
     /// Disarms every fault, resets both ordinal counters to zero and
     /// forgets the fired-fault history.
     pub fn clear(&self) {
-        let mut faults = self.faults.lock().expect("fault injector poisoned");
+        let mut faults = lock(&self.faults);
         faults.clear();
-        self.fired.lock().expect("fault injector poisoned").clear();
+        lock(&self.fired).clear();
         self.armed.store(false, Ordering::Release);
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
@@ -132,7 +140,7 @@ impl FaultInjector {
     /// Every fault that fired since the last [`FaultInjector::clear`],
     /// in firing order.
     pub fn fired(&self) -> Vec<FiredFault> {
-        self.fired.lock().expect("fault injector poisoned").clone()
+        lock(&self.fired).clone()
     }
 
     /// Physical `(reads, writes)` observed since the last
@@ -145,15 +153,12 @@ impl FaultInjector {
     }
 
     fn record_fired(&self, op: FaultOp, fault: Fault, ordinal: u64, page: PageId) {
-        self.fired
-            .lock()
-            .expect("fault injector poisoned")
-            .push(FiredFault {
-                op,
-                fault,
-                ordinal,
-                page,
-            });
+        lock(&self.fired).push(FiredFault {
+            op,
+            fault,
+            ordinal,
+            page,
+        });
     }
 
     /// Claims the next read ordinal and reports what to do with the
@@ -164,7 +169,7 @@ impl FaultInjector {
         if !self.armed.load(Ordering::Acquire) {
             return ReadAction::Proceed;
         }
-        let mut faults = self.faults.lock().expect("fault injector poisoned");
+        let mut faults = lock(&self.faults);
         let hit = faults.iter().position(
             |f| matches!(f, Fault::FailRead { nth } | Fault::ShortRead { nth, .. } if *nth == ord),
         );
@@ -191,7 +196,7 @@ impl FaultInjector {
         if !self.armed.load(Ordering::Acquire) {
             return WriteAction::Proceed;
         }
-        let mut faults = self.faults.lock().expect("fault injector poisoned");
+        let mut faults = lock(&self.faults);
         let hit = faults.iter().position(
             |f| matches!(f, Fault::FailWrite { nth } | Fault::TornWrite { nth, .. } if *nth == ord),
         );
@@ -212,6 +217,7 @@ impl FaultInjector {
 }
 
 #[cfg(test)]
+#[allow(clippy::expect_used)]
 mod tests {
     use super::*;
 
